@@ -25,6 +25,10 @@ type catalog struct {
 	gates map[pbmg.ServeKey]*gate
 	order []pbmg.ServeKey
 	dir   string
+	// maxBody caps a /v1/solve body at the text of the largest grid this
+	// generation serves (see maxSolveBody); /v1/batch gets batchBodyFactor
+	// times it.
+	maxBody int64
 
 	// refs counts requests currently using this catalog. A catalog is
 	// acquired under the server's catalog lock, so once a swap has
@@ -203,7 +207,9 @@ func buildCatalog(cfg Config) (*catalog, error) {
 	}
 	c := &catalog{reg: reg, gates: make(map[pbmg.ServeKey]*gate, len(services)), dir: cfg.Dir}
 	seen := make(map[string]bool, len(cfg.Quotas))
+	maxPoints := 0
 	for _, svc := range services {
+		maxPoints = max(maxPoints, gridPoints(svc.Solver().MaxSize(), svc.Solver().Dim()))
 		key := svc.Key()
 		quota, named := cfg.Quotas[key.String()]
 		if named {
@@ -230,6 +236,7 @@ func buildCatalog(cfg Config) (*catalog, error) {
 				name, cfg.Dir, strings.Join(keys, ", "))
 		}
 	}
+	c.maxBody = maxSolveBody(maxPoints)
 	return c, nil
 }
 

@@ -44,14 +44,12 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// post sends body to path and decodes the 2xx answer into out; non-2xx
-// answers come back as *StatusError.
-func (c *Client) post(ctx context.Context, path string, body []byte, out any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
+// do sends req and hands the complete 2xx body to decode; non-2xx answers
+// come back as *StatusError. The body is always read to EOF before it is
+// closed: net/http reuses a keep-alive connection only then, and a JSON
+// decoder that stops at the closing brace leaves a chunked answer's
+// terminator unread.
+func (c *Client) do(req *http.Request, decode func(body []byte) error) error {
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
@@ -60,16 +58,34 @@ func (c *Client) post(ctx context.Context, path string, body []byte, out any) er
 	if resp.StatusCode/100 != 2 {
 		return statusError(resp)
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	wb := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(wb)
+	if wb.body, err = readAll(resp.Body, wb.body, resp.ContentLength); err != nil {
+		return fmt.Errorf("serve: reading %s answer: %w", req.URL.Path, err)
+	}
+	return decode(wb.body)
 }
 
+// post sends body to path.
+func (c *Client) post(ctx context.Context, path string, body []byte, decode func(body []byte) error) error {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	return c.do(req, decode)
+}
+
+// statusError reads a non-2xx answer. Error bodies are small: reading up to
+// the bound normally reaches EOF, which keeps the connection reusable.
 func statusError(resp *http.Response) error {
 	se := &StatusError{Code: resp.StatusCode}
 	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil {
 		se.RetryAfter = ra
 	}
 	var body ErrorResponse
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&body); err == nil && body.Error != "" {
+	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
+	if err := json.Unmarshal(raw, &body); err == nil && body.Error != "" {
 		se.Msg = body.Error
 	} else {
 		se.Msg = resp.Status
@@ -90,7 +106,10 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 // path, keeping request encoding off the measured latency.
 func (c *Client) SolveBytes(ctx context.Context, body []byte) (*SolveResponse, error) {
 	var out SolveResponse
-	if err := c.post(ctx, "/v1/solve", body, &out); err != nil {
+	err := c.post(ctx, "/v1/solve", body, func(b []byte) error {
+		return decodeWire(b, nil, &out, (*scanner).solveResponse)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -103,7 +122,10 @@ func (c *Client) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, e
 		return nil, err
 	}
 	var out BatchResponse
-	if err := c.post(ctx, "/v1/batch", body, &out); err != nil {
+	err = c.post(ctx, "/v1/batch", body, func(b []byte) error {
+		return decodeWire(b, nil, &out, (*scanner).batchResponse)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -115,16 +137,8 @@ func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return nil, statusError(resp)
-	}
 	var out Metrics
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -136,18 +150,10 @@ func (c *Client) Reload(ctx context.Context) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return 0, statusError(resp)
-	}
 	var out struct {
 		Version int64 `json:"version"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }); err != nil {
 		return 0, err
 	}
 	return out.Version, nil

@@ -1,0 +1,637 @@
+package serve
+
+// The grid codec: a hand-written JSON reader and writer for exactly the four
+// grid-carrying wire structs (SolveRequest, BatchRequest, SolveResponse,
+// BatchResponse). A served body is a short envelope around one or more flat
+// float arrays of up to millions of values, and reflective encoding/json
+// spends four to five times the tuned solve on it (bench/README.md, "The
+// ladder at a glance"). The codec reads a body once into a pooled buffer,
+// scans it once feeding number tokens straight to strconv.ParseFloat, and
+// builds answers with strconv.AppendFloat into a pooled buffer.
+//
+// The wire format is encoding/json's, unchanged:
+//
+//   - The writer's output is byte-identical to json.Marshal of the struct plus
+//     the trailing newline json.Encoder adds.
+//   - The reader decides nothing about JSON validity. Its scanner recognises
+//     only the plain shape every client emits (exact-case known keys, each at
+//     most once, unescaped ASCII strings, number arrays); on anything else it
+//     gives up before producing a result and the same bytes go through
+//     json.Unmarshal, so what is accepted, rejected and decoded is what
+//     encoding/json says. codec_test.go pins both directions, with
+//     differential fuzz targets for the readers.
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
+	"math"
+	"net/http"
+	"reflect"
+	"strconv"
+	"sync"
+)
+
+// Request body caps. A body is refused with 413 before anything is allocated
+// for it when it is longer than the text of the largest problem the catalog
+// generation serves: two grids (b and x) of the largest family's points at
+// floatTextMax bytes per value, plus envelopeMax for the other fields. A
+// batch may carry batchBodyFactor such problems.
+const (
+	// floatTextMax bounds one grid value on the wire: the widest shortest
+	// round-trip float64 text (-0.0000012345678901234567, 25 bytes), its
+	// comma, and room for a client that indents one value per line.
+	floatTextMax = 32
+	// envelopeMax bounds the non-grid part of a body (keys, family, eps, n,
+	// accuracy, deadlineMs, whitespace).
+	envelopeMax = 4096
+	// batchBodyFactor is how many largest-grid problems' worth of text one
+	// /v1/batch body may carry.
+	batchBodyFactor = 16
+)
+
+// maxSolveBody is the /v1/solve body cap for a catalog whose largest served
+// grid has maxPoints points.
+func maxSolveBody(maxPoints int) int64 {
+	return 2*int64(maxPoints)*floatTextMax + envelopeMax
+}
+
+// errBodyTooLarge answers a request body over its cap (HTTP 413).
+var errBodyTooLarge = errors.New("serve: request body too large")
+
+// wireBuf is the per-request scratch of the codec: the raw body (read or
+// being built) and the arena decoded float arrays are carved from. Buffers
+// recycle through wirePool only, so an idle server retains none of them past
+// two GC cycles.
+type wireBuf struct {
+	body   []byte
+	floats []float64
+}
+
+var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
+
+// maxPresize caps how much readAll allocates on the word of a Content-Length
+// header alone; beyond it the buffer grows with the bytes actually received.
+const maxPresize = 64 << 20
+
+// readAll reads r to EOF into buf's storage, grown as needed. sizeHint is
+// the expected length (a Content-Length), negative when unknown.
+func readAll(r io.Reader, buf []byte, sizeHint int64) ([]byte, error) {
+	buf = buf[:0]
+	// One spare byte lets the Read that reports EOF happen without growing.
+	if need := max(min(sizeHint, maxPresize)+1, 512); int64(cap(buf)) < need {
+		buf = make([]byte, 0, need)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := r.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, err
+		}
+	}
+}
+
+// readRequest reads the whole request body into wb.body. Bodies longer than
+// limit fail with errBodyTooLarge: up front when Content-Length says so,
+// otherwise (chunked) as soon as the limit is passed.
+func (wb *wireBuf) readRequest(w http.ResponseWriter, r *http.Request, limit int64) error {
+	var err error
+	if r.ContentLength > limit {
+		err = &http.MaxBytesError{Limit: limit}
+	} else {
+		wb.body, err = readAll(http.MaxBytesReader(w, r.Body, limit), wb.body, r.ContentLength)
+	}
+	var mbe *http.MaxBytesError
+	switch {
+	case err == nil:
+		return nil
+	case errors.As(err, &mbe):
+		return fmt.Errorf("%w: limit is %d bytes", errBodyTooLarge, limit)
+	}
+	return fmt.Errorf("serve: bad request body: %w", err)
+}
+
+// floatArena returns arena emptied, with room for every float array in data:
+// each array element is followed by ',' or ']', so their count bounds the
+// values (and keeps the arena under len(data) elements whatever data holds).
+// The scanner appends into it, so a short arena costs allocations, never
+// correctness.
+func floatArena(arena []float64, data []byte) []float64 {
+	need := bytes.Count(data, []byte{','}) + bytes.Count(data, []byte{']'})
+	if cap(arena) < need {
+		return make([]float64, 0, need)
+	}
+	return arena[:0]
+}
+
+// decodeWire decodes data into v, one of the four wire structs, with its
+// scanner method — or, when the scanner declines, with json.Unmarshal. The
+// decoded float arrays alias *arena, which is resized for data: pass pooled
+// storage only when v's slices are dead before the storage is recycled, nil
+// for arrays of their own.
+func decodeWire[T any](data []byte, arena *[]float64, v *T, scan func(*scanner, *T) bool) error {
+	if arena == nil {
+		arena = new([]float64)
+	}
+	*arena = floatArena(*arena, data)
+	s := scanner{data: data, floats: *arena}
+	if scan(&s, v) && s.end() {
+		return nil
+	}
+	*v = *new(T)
+	return json.Unmarshal(data, v)
+}
+
+// scanner is the single forward scan over one body. Every method returns
+// false to decline: the input is not in the plain shape, and the caller
+// must hand the body to encoding/json instead.
+type scanner struct {
+	data   []byte
+	pos    int
+	floats []float64
+}
+
+// space skips JSON whitespace.
+func (s *scanner) space() {
+	for s.pos < len(s.data) {
+		switch s.data[s.pos] {
+		case ' ', '\t', '\r', '\n':
+			s.pos++
+		default:
+			return
+		}
+	}
+}
+
+// consume skips whitespace and then c, reporting whether c was there.
+func (s *scanner) consume(c byte) bool {
+	s.space()
+	if s.pos < len(s.data) && s.data[s.pos] == c {
+		s.pos++
+		return true
+	}
+	return false
+}
+
+// end reports whether only whitespace remains.
+func (s *scanner) end() bool {
+	s.space()
+	return s.pos == len(s.data)
+}
+
+// str scans a string of unescaped printable ASCII and returns its content,
+// aliasing the body. Escapes, control bytes and non-ASCII (which
+// encoding/json may rewrite to U+FFFD) decline.
+func (s *scanner) str() ([]byte, bool) {
+	if !s.consume('"') {
+		return nil, false
+	}
+	start := s.pos
+	for i := start; i < len(s.data); i++ {
+		switch c := s.data[i]; {
+		case c == '"':
+			s.pos = i + 1
+			return s.data[start:i], true
+		case c < 0x20 || c >= 0x7f || c == '\\':
+			return nil, false
+		}
+	}
+	return nil, false
+}
+
+// key scans one object key and its colon.
+func (s *scanner) key() ([]byte, bool) {
+	k, ok := s.str()
+	return k, ok && s.consume(':')
+}
+
+// once declines a repeated key: encoding/json merges repeats field by field,
+// which is not worth mirroring.
+func once(seen *uint, bit uint) bool {
+	if *seen&bit != 0 {
+		return false
+	}
+	*seen |= bit
+	return true
+}
+
+func (s *scanner) stringField(dst *string) bool {
+	v, ok := s.str()
+	if ok {
+		*dst = string(v)
+	}
+	return ok
+}
+
+// number scans one token of the JSON number grammar (strconv accepts a
+// superset: hex, underscores, "Inf", a leading '+' or '.') and reports
+// whether it is a plain integer. The token's end is not checked here: the
+// caller's next consume must find a delimiter, so "01" or "1.2.3" decline.
+func (s *scanner) number() (tok []byte, integer, ok bool) {
+	s.space()
+	d, i := s.data, s.pos
+	if i < len(d) && d[i] == '-' {
+		i++
+	}
+	if i < len(d) && d[i] == '0' {
+		i++
+	} else {
+		whole := i
+		if i = skipDigits(d, whole); i == whole {
+			return nil, false, false
+		}
+	}
+	integer = true
+	if i < len(d) && d[i] == '.' {
+		integer = false
+		frac := i + 1
+		if i = skipDigits(d, frac); i == frac {
+			return nil, false, false
+		}
+	}
+	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
+		integer = false
+		i++
+		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+			i++
+		}
+		exp := i
+		if i = skipDigits(d, exp); i == exp {
+			return nil, false, false
+		}
+	}
+	tok = d[s.pos:i]
+	s.pos = i
+	return tok, integer, true
+}
+
+// skipDigits returns the index of the first non-digit of d at or after i.
+func skipDigits(d []byte, i int) int {
+	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
+		i++
+	}
+	return i
+}
+
+// float scans a number the way encoding/json stores one in a float64 field:
+// strconv.ParseFloat on the token, out-of-range (1e999) being an error there
+// and a decline here.
+func (s *scanner) float() (float64, bool) {
+	tok, _, ok := s.number()
+	if !ok {
+		return 0, false
+	}
+	f, err := strconv.ParseFloat(string(tok), 64)
+	return f, err == nil
+}
+
+func (s *scanner) floatField(dst *float64) (ok bool) {
+	*dst, ok = s.float()
+	return ok
+}
+
+// integer scans a number into an integer field of the given width; a
+// fraction, an exponent or overflow is an error in encoding/json.
+func (s *scanner) integer(bits int) (int64, bool) {
+	tok, integer, ok := s.number()
+	if !ok || !integer {
+		return 0, false
+	}
+	v, err := strconv.ParseInt(string(tok), 10, bits)
+	return v, err == nil
+}
+
+func (s *scanner) intField(dst *int) bool {
+	v, ok := s.integer(strconv.IntSize)
+	*dst = int(v)
+	return ok
+}
+
+func (s *scanner) int64Field(dst *int64) (ok bool) {
+	*dst, ok = s.integer(64)
+	return ok
+}
+
+// floatArray scans an array of numbers into the arena. The result's
+// capacity is clipped so appending to it cannot reach a neighbour.
+func (s *scanner) floatArray(dst *[]float64) bool {
+	if !s.consume('[') {
+		return false
+	}
+	if s.consume(']') {
+		*dst = []float64{} // encoding/json: empty, not nil
+		return true
+	}
+	start := len(s.floats)
+	for {
+		f, ok := s.float()
+		if !ok {
+			return false
+		}
+		s.floats = append(s.floats, f)
+		if s.consume(',') {
+			continue
+		}
+		if !s.consume(']') {
+			return false
+		}
+		*dst = s.floats[start:len(s.floats):len(s.floats)]
+		return true
+	}
+}
+
+// object scans a JSON object, calling field with each key to scan its
+// value.
+func (s *scanner) object(field func(key []byte) bool) bool {
+	if !s.consume('{') {
+		return false
+	}
+	if s.consume('}') {
+		return true
+	}
+	for {
+		k, ok := s.key()
+		if !ok || !field(k) {
+			return false
+		}
+		if s.consume(',') {
+			continue
+		}
+		return s.consume('}')
+	}
+}
+
+// array scans a JSON array, calling elem to scan each element.
+func (s *scanner) array(elem func() bool) bool {
+	if !s.consume('[') {
+		return false
+	}
+	if s.consume(']') {
+		return true
+	}
+	for {
+		if !elem() {
+			return false
+		}
+		if s.consume(',') {
+			continue
+		}
+		return s.consume(']')
+	}
+}
+
+func (s *scanner) solveRequest(req *SolveRequest) bool {
+	var seen uint
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "family":
+			return once(&seen, 1<<0) && s.stringField(&req.Family)
+		case "eps":
+			return once(&seen, 1<<1) && s.floatField(&req.Eps)
+		case "n":
+			return once(&seen, 1<<2) && s.intField(&req.N)
+		case "accuracy":
+			return once(&seen, 1<<3) && s.floatField(&req.Accuracy)
+		case "b":
+			return once(&seen, 1<<4) && s.floatArray(&req.B)
+		case "x":
+			return once(&seen, 1<<5) && s.floatArray(&req.X)
+		case "deadlineMs":
+			return once(&seen, 1<<6) && s.int64Field(&req.DeadlineMs)
+		}
+		return false
+	})
+}
+
+func (s *scanner) batchRequest(req *BatchRequest) bool {
+	var seen uint
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "family":
+			return once(&seen, 1<<0) && s.stringField(&req.Family)
+		case "eps":
+			return once(&seen, 1<<1) && s.floatField(&req.Eps)
+		case "n":
+			return once(&seen, 1<<2) && s.intField(&req.N)
+		case "accuracy":
+			return once(&seen, 1<<3) && s.floatField(&req.Accuracy)
+		case "problems":
+			if !once(&seen, 1<<4) {
+				return false
+			}
+			req.Problems = []BatchProblem{}
+			return s.array(func() bool {
+				var p BatchProblem
+				var seenP uint
+				ok := s.object(func(key []byte) bool {
+					switch string(key) {
+					case "b":
+						return once(&seenP, 1<<0) && s.floatArray(&p.B)
+					case "x":
+						return once(&seenP, 1<<1) && s.floatArray(&p.X)
+					}
+					return false
+				})
+				req.Problems = append(req.Problems, p)
+				return ok
+			})
+		case "deadlineMs":
+			return once(&seen, 1<<5) && s.int64Field(&req.DeadlineMs)
+		}
+		return false
+	})
+}
+
+func (s *scanner) solveResponse(resp *SolveResponse) bool {
+	var seen uint
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "x":
+			return once(&seen, 1<<0) && s.floatArray(&resp.X)
+		case "family":
+			return once(&seen, 1<<1) && s.stringField(&resp.Family)
+		case "eps":
+			return once(&seen, 1<<2) && s.floatField(&resp.Eps)
+		case "n":
+			return once(&seen, 1<<3) && s.intField(&resp.N)
+		case "precision":
+			return once(&seen, 1<<4) && s.stringField(&resp.Precision)
+		case "solveNs":
+			return once(&seen, 1<<5) && s.int64Field(&resp.SolveNs)
+		}
+		return false
+	})
+}
+
+func (s *scanner) batchResponse(resp *BatchResponse) bool {
+	var seen uint
+	return s.object(func(key []byte) bool {
+		switch string(key) {
+		case "results":
+			if !once(&seen, 1<<0) {
+				return false
+			}
+			resp.Results = []BatchResult{}
+			return s.array(func() bool {
+				var r BatchResult
+				var seenR uint
+				ok := s.object(func(key []byte) bool {
+					switch string(key) {
+					case "x":
+						return once(&seenR, 1<<0) && s.floatArray(&r.X)
+					case "error":
+						return once(&seenR, 1<<1) && s.stringField(&r.Error)
+					}
+					return false
+				})
+				resp.Results = append(resp.Results, r)
+				return ok
+			})
+		case "family":
+			return once(&seen, 1<<1) && s.stringField(&resp.Family)
+		case "eps":
+			return once(&seen, 1<<2) && s.floatField(&resp.Eps)
+		case "n":
+			return once(&seen, 1<<3) && s.intField(&resp.N)
+		case "precision":
+			return once(&seen, 1<<4) && s.stringField(&resp.Precision)
+		}
+		return false
+	})
+}
+
+// The writers. Each appends exactly what json.NewEncoder(w).Encode(resp)
+// would write, and fails — like it — on a value JSON cannot carry.
+
+// encodedSize estimates the text of nfloats grid values plus an envelope, to
+// size the output buffer once (most values take 19–21 bytes and a comma).
+func encodedSize(nfloats int) int { return 24*nfloats + 256 }
+
+func appendSolveResponse(dst []byte, resp *SolveResponse) ([]byte, error) {
+	dst = append(dst, `{"x":`...)
+	dst, err := appendFloats(dst, resp.X)
+	if err != nil {
+		return dst, err
+	}
+	if dst, err = appendTrailer(dst, resp.Family, resp.Eps, resp.N, resp.Precision); err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"solveNs":`...)
+	dst = strconv.AppendInt(dst, resp.SolveNs, 10)
+	return append(dst, "}\n"...), nil
+}
+
+func appendBatchResponse(dst []byte, resp *BatchResponse) ([]byte, error) {
+	dst = append(dst, `{"results":`...)
+	if resp.Results == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, r := range resp.Results {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(dst, '{')
+			if len(r.X) > 0 {
+				dst = append(dst, `"x":`...)
+				var err error
+				if dst, err = appendFloats(dst, r.X); err != nil {
+					return dst, err
+				}
+			}
+			if r.Error != "" {
+				if len(r.X) > 0 {
+					dst = append(dst, ',')
+				}
+				dst = append(dst, `"error":`...)
+				dst = appendString(dst, r.Error)
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	dst, err := appendTrailer(dst, resp.Family, resp.Eps, resp.N, resp.Precision)
+	return append(dst, "}\n"...), err
+}
+
+// appendTrailer writes the fields both answers carry after their grids.
+func appendTrailer(dst []byte, family string, eps float64, n int, precision string) ([]byte, error) {
+	dst = append(dst, `,"family":`...)
+	dst = appendString(dst, family)
+	if eps != 0 {
+		dst = append(dst, `,"eps":`...)
+		var err error
+		if dst, err = appendFloat(dst, eps); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `,"n":`...)
+	dst = strconv.AppendInt(dst, int64(n), 10)
+	if precision != "" {
+		dst = append(dst, `,"precision":`...)
+		dst = appendString(dst, precision)
+	}
+	return dst, nil
+}
+
+func appendFloats(dst []byte, vs []float64) ([]byte, error) {
+	if vs == nil {
+		return append(dst, "null"...), nil
+	}
+	dst = append(dst, '[')
+	for i, v := range vs {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		var err error
+		if dst, err = appendFloat(dst, v); err != nil {
+			return dst, err
+		}
+	}
+	return append(dst, ']'), nil
+}
+
+// appendFloat is encoding/json's float64 encoder: ES6 number-to-string, 'f'
+// form inside [1e-6, 1e21) and 'e' outside, the exponent not zero-padded.
+func appendFloat(dst []byte, f float64) ([]byte, error) {
+	if math.IsInf(f, 0) || math.IsNaN(f) {
+		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+	}
+	format := byte('f')
+	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, f, format, -1, 64)
+	if format == 'e' {
+		// e-09 → e-9
+		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
+			dst[n-2] = dst[n-1]
+			dst = dst[:n-1]
+		}
+	}
+	return dst, nil
+}
+
+// appendString writes s as a JSON string. Text that needs no escaping under
+// encoding/json's rules (which also escape <, > and &) is copied; anything
+// else is encoding/json's to quote.
+func appendString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c < 0x20, c >= 0x7f, c == '"', c == '\\', c == '<', c == '>', c == '&':
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
+}

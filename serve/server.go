@@ -12,6 +12,10 @@
 // daemon keeps serving, and each family's circuit breaker sheds with 503 +
 // Retry-After after consecutive solver failures until a probe recloses it.
 //
+// Solve and batch bodies go through the grid codec (codec.go), are capped
+// at the text of the largest grid the catalog serves (413 beyond), and every
+// answer carries its Content-Length.
+//
 // Endpoints:
 //
 //	POST /v1/solve   one solve (SolveRequest → SolveResponse)
@@ -207,23 +211,63 @@ func (s *Server) acquireCatalog() *catalog {
 	return c
 }
 
-// writeJSON answers with a JSON body.
+// writeJSON answers with a JSON body, encoded before the status is
+// committed so a value that cannot be encoded is a 500, not an empty 200.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	body, err := json.Marshal(v)
+	if err != nil {
+		encodeFailed(w, err)
+		return
+	}
+	writeBody(w, status, append(body, '\n'))
+}
+
+// encodeFailed answers 500 for an answer JSON cannot carry.
+func encodeFailed(w http.ResponseWriter, err error) {
+	writeJSON(w, http.StatusInternalServerError, ErrorResponse{Error: "serve: encoding answer: " + err.Error()})
+}
+
+// writeBody sends a complete JSON body with its Content-Length in one Write
+// (so keep-alive clients see the end of the answer without a chunk trailer).
+// A failed Write means the client is gone; there is nobody to tell.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	_, _ = w.Write(body)
+}
+
+// writeAnswer builds a grid-carrying 200 answer in a pooled buffer with one
+// of the codec's writers (sizeHint from encodedSize) and sends it.
+func writeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([]byte, error)) {
+	wb := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(wb)
+	if cap(wb.body) < sizeHint {
+		wb.body = make([]byte, 0, sizeHint)
+	}
+	body, err := encode(wb.body[:0])
+	wb.body = body
+	if err != nil {
+		encodeFailed(w, err)
+		return
+	}
+	writeBody(w, http.StatusOK, body)
 }
 
 // writeError maps an error to its HTTP status: queue-full sheds are 429
 // with Retry-After; breaker sheds, admission-deadline sheds, cancelled
 // solves, and other load sheds 503 with Retry-After (the breaker's own
 // suggested delay when it has one); diverged and panicked solves are 500
-// (the request failed inside the solver, the daemon is fine); routing
-// misses 404; everything else the given fallback.
+// (the request failed inside the solver, the daemon is fine); bodies over
+// the catalog's cap 413; routing misses 404; everything else the given
+// fallback.
 func writeError(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
 	var boe *pbmg.BreakerOpenError
 	switch {
+	case errors.Is(err, errBodyTooLarge):
+		status = http.StatusRequestEntityTooLarge
 	case errors.Is(err, errQueueFull):
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", "1")
@@ -284,10 +328,9 @@ func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, er
 		return nil, nil, fmt.Errorf("serve: n=%d outside the served range [3, %d] for family %s",
 			n, svc.Solver().MaxSize(), svc.Key())
 	}
-	points := n * n
+	points := gridPoints(n, dim)
 	newGrid := pbmg.NewGrid
 	if dim == 3 {
-		points *= n
 		newGrid = pbmg.NewGrid3
 	}
 	if len(b) != points {
@@ -313,6 +356,14 @@ func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, er
 	return xg, bg, nil
 }
 
+// gridPoints is the value count of one grid of side n.
+func gridPoints(n, dim int) int {
+	if dim == 3 {
+		return n * n * n
+	}
+	return n * n
+}
+
 // firstNonFinite returns the index of the first NaN or ±Inf in vs, -1 when
 // all values are finite.
 func firstNonFinite(vs []float64) int {
@@ -324,6 +375,42 @@ func firstNonFinite(vs []float64) int {
 	return -1
 }
 
+// solveJob is one /v1/solve request decoded, routed and validated: what the
+// handler needs once the body's scratch has gone back to the pool.
+type solveJob struct {
+	svc        *pbmg.Service
+	gate       *gate
+	x, b       *pbmg.Grid
+	n          int
+	accuracy   float64
+	deadlineMs int64
+}
+
+// readSolve reads and decodes a /v1/solve body, routes it and materializes
+// its grids. The pooled body and float arena live only inside this call, so
+// a request queued behind its family quota holds its grids and nothing else.
+// On error, fallback is the status writeError should answer with.
+func (c *catalog) readSolve(w http.ResponseWriter, r *http.Request) (job solveJob, fallback int, err error) {
+	wb := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(wb)
+	if err := wb.readRequest(w, r, c.maxBody); err != nil {
+		return job, http.StatusBadRequest, err
+	}
+	var req SolveRequest
+	if err := decodeWire(wb.body, &wb.floats, &req, (*scanner).solveRequest); err != nil {
+		return job, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err)
+	}
+	svc, g, err := c.route(req.Family, req.Eps)
+	if err != nil {
+		return job, http.StatusNotFound, err
+	}
+	xg, bg, err := buildGrids(svc, req.N, req.B, req.X)
+	if err != nil {
+		return job, http.StatusBadRequest, err
+	}
+	return solveJob{svc: svc, gate: g, x: xg, b: bg, n: req.N, accuracy: req.Accuracy, deadlineMs: req.DeadlineMs}, 0, nil
+}
+
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	if s.draining.Load() {
 		s.shedDrainingNow(w)
@@ -332,11 +419,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
-	var req SolveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad request body: " + err.Error()})
-		return
-	}
 	c := s.acquireCatalog()
 	if c == nil {
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is closed"})
@@ -344,20 +426,15 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
-	svc, g, err := c.route(req.Family, req.Eps)
+	job, fallback, err := c.readSolve(w, r)
 	if err != nil {
-		writeError(w, err, http.StatusNotFound)
-		return
-	}
-	xg, bg, err := buildGrids(svc, req.N, req.B, req.X)
-	if err != nil {
-		writeError(w, err, http.StatusBadRequest)
+		writeError(w, err, fallback)
 		return
 	}
 
-	ctx, cancel := s.requestContext(r, req.DeadlineMs)
+	ctx, cancel := s.requestContext(r, job.deadlineMs)
 	defer cancel()
-	release, err := g.admit(ctx)
+	release, err := job.gate.admit(ctx)
 	if err != nil {
 		writeError(w, err, http.StatusServiceUnavailable)
 		return
@@ -365,17 +442,20 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	defer release()
 
 	t0 := time.Now()
-	if err := svc.SolveContext(ctx, xg, bg, req.Accuracy); err != nil {
+	if err := job.svc.SolveContext(ctx, job.x, job.b, job.accuracy); err != nil {
 		writeError(w, err, http.StatusBadRequest)
 		return
 	}
-	writeJSON(w, http.StatusOK, SolveResponse{
-		X:         xg.Data(),
-		Family:    svc.Family().String(),
-		Eps:       epsOf(svc),
-		N:         req.N,
-		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
+	resp := SolveResponse{
+		X:         job.x.Data(),
+		Family:    job.svc.Family().String(),
+		Eps:       epsOf(job.svc),
+		N:         job.n,
+		Precision: planPrecisionOf(job.svc, job.n, job.accuracy),
 		SolveNs:   time.Since(t0).Nanoseconds(),
+	}
+	writeAnswer(w, encodedSize(len(resp.X)), func(dst []byte) ([]byte, error) {
+		return appendSolveResponse(dst, &resp)
 	})
 }
 
@@ -387,8 +467,24 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.active.Add(1)
 	defer s.active.Add(-1)
 
+	c := s.acquireCatalog()
+	if c == nil {
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is closed"})
+		return
+	}
+	defer c.release()
+
+	// The problems' grids alias the pooled arena until each worker has
+	// copied its own, so the scratch is held to the end of the batch (which
+	// occupies one queue ticket however long it runs).
+	wb := wirePool.Get().(*wireBuf)
+	defer wirePool.Put(wb)
+	if err := wb.readRequest(w, r, batchBodyFactor*c.maxBody); err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return
+	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	if err := decodeWire(wb.body, &wb.floats, &req, (*scanner).batchRequest); err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad request body: " + err.Error()})
 		return
 	}
@@ -396,12 +492,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: batch names no problems"})
 		return
 	}
-	c := s.acquireCatalog()
-	if c == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is closed"})
-		return
-	}
-	defer c.release()
 
 	svc, g, err := c.route(req.Family, req.Eps)
 	if err != nil {
@@ -462,7 +552,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}()
 	}
 	wg.Wait()
-	writeJSON(w, http.StatusOK, resp)
+	nfloats := 0
+	for _, r := range resp.Results {
+		nfloats += len(r.X)
+	}
+	writeAnswer(w, encodedSize(nfloats), func(dst []byte) ([]byte, error) {
+		return appendBatchResponse(dst, &resp)
+	})
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
