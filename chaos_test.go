@@ -14,6 +14,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -24,6 +25,7 @@ import (
 	"time"
 
 	"pbmg/internal/faultinject"
+	"pbmg/internal/mg"
 )
 
 // armFaults arms a spec with guaranteed cleanup; the registry is process
@@ -34,6 +36,16 @@ func armFaults(t *testing.T, spec string) {
 	t.Cleanup(faultinject.Clear)
 	if err := faultinject.ArmSpec(spec); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// requireSnapshotting asserts the solver takes the per-solve escalation
+// snapshot, so that the scratch ledger a chaos scenario checks afterwards
+// (assertScratchClean) covers the snapshot's arena checkout too.
+func requireSnapshotting(t *testing.T, s *Solver) {
+	t.Helper()
+	if !s.reducedPrec {
+		t.Fatal("tuned table has no reduced-precision plan: solves take no snapshot and the scenario would not cover its release")
 	}
 }
 
@@ -53,6 +65,7 @@ func chaosProblem(t *testing.T, s *Solver, seed int64) *Problem {
 // scratch.
 func TestChaosSlowKernelCancellation(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
+	requireSnapshotting(t, s)
 	p := chaosProblem(t, s, 51)
 
 	// 10ms per sweep means the first cycle alone overruns the 30ms budget;
@@ -97,6 +110,7 @@ func TestChaosPoolStarvation(t *testing.T) {
 // one escalation.
 func TestChaosNaNEscalation(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
+	requireSnapshotting(t, s)
 	p := chaosProblem(t, s, 54)
 
 	armFaults(t, "mg.cycle.nan:nan,count=1")
@@ -114,11 +128,55 @@ func TestChaosNaNEscalation(t *testing.T) {
 	assertScratchClean(t, s, "after escalated solve")
 }
 
+// TestChaosEscalationRestartsFromCallerBits: mg.f32.nan poisons the first
+// float32 cell of the solve, so the attempt diverges after scribbling on x
+// and the solver escalates. The escalated answer must be, bit for bit, the
+// forced-float64 solve of the caller's original state — i.e. the snapshot,
+// which now lives in arena scratch that earlier solves left dirty, was
+// restored exactly — and that scratch must be back in the arena.
+func TestChaosEscalationRestartsFromCallerBits(t *testing.T) {
+	s := tuneFamily(t, FamilyPoisson, 0)
+	requireSnapshotting(t, s)
+	p := chaosProblem(t, s, 56)
+
+	for _, acc := range s.Accuracies() {
+		idx, err := s.accIndex(acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := p.NewState()
+		ex := mg.Executor{WS: s.ws, V: s.tuned.V, F: s.tuned.F, ForceF64: true}
+		if err := ex.Run(func() { ex.SolveV(want, p.B, idx) }); err != nil {
+			t.Fatal(err)
+		}
+
+		armFaults(t, "mg.f32.nan:nan,count=1")
+		before := s.Escalations()
+		x := p.NewState()
+		if err := s.SolveV(x, p.B, acc); err != nil {
+			t.Fatalf("acc %g: poisoned solve did not recover through escalation: %v", acc, err)
+		}
+		assertScratchClean(t, s, "after escalated solve")
+		if s.Escalations() == before {
+			continue // this accuracy's plan runs no float32 cell at n=33
+		}
+		for i, v := range x.Data() {
+			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("acc %g: escalated answer differs from the forced-float64 solve of the original state at %d: %v vs %v",
+					acc, i, v, want.Data()[i])
+			}
+		}
+		return
+	}
+	t.Fatal("no tuned accuracy runs a float32 cell at n=33: mg.f32.nan never fired")
+}
+
 // TestChaosServicePanic: an injected kernel panic surfaces from the
 // Service as a typed PanicError, counts in the panic class, and leaves
 // the service healthy for the next request.
 func TestChaosServicePanic(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
+	requireSnapshotting(t, s)
 	sv := newService(s, make(chan struct{}, 2), BreakerConfig{})
 	p := chaosProblem(t, s, 55)
 

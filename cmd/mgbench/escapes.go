@@ -24,8 +24,6 @@ import (
 // escapePkgs is the audited surface: the hotalloc scope.
 var escapePkgs = []string{"./internal/stencil", "./internal/transfer", "./internal/grid"}
 
-const escapeAllowFile = "ESCAPES.allow"
-
 // escRx matches one compiler escape diagnostic; the first group is the
 // file, the second the message with position stripped.
 var escRx = regexp.MustCompile(`^([^\s:]+\.go):\d+:\d+: (.*(?:escapes to heap|moved to heap).*)$`)
@@ -35,17 +33,44 @@ func runEscapes(write bool, logf func(format string, args ...any)) error {
 	if err != nil {
 		return err
 	}
+	return escapeGate.check(got, write)
+}
+
+// allowGate diffs counted compiler diagnostics against a committed allow
+// file: a key the file does not list, or more instances of one it does,
+// fails; -write regenerates the file (a reviewable diff, not a silent
+// regression). The escape gate and the bounds-check gate share it.
+type allowGate struct {
+	name   string // log prefix, also the -exp value
+	file   string
+	header string // '#'-prefixed description written above the entries
+	unit   string // what one entry is, for messages
+	remedy string
+}
+
+var escapeGate = allowGate{
+	name: "escapes",
+	file: "ESCAPES.allow",
+	header: "# ESCAPES.allow — committed baseline of compiler heap-escape diagnostics\n" +
+		"# for the kernel packages (internal/stencil, internal/transfer,\n" +
+		"# internal/grid). Generated by `go run ./cmd/mgbench -exp escapes -write`;\n" +
+		"# checked by `go run ./cmd/mgbench -exp escapes` in CI. Format:\n" +
+		"# <count>\\t<file>: <message with line:col stripped>\n",
+	unit:   "heap-escape shapes in kernel packages",
+	remedy: "hoist the allocation",
+}
+
+func (g allowGate) check(got map[string]int, write bool) error {
 	if write {
-		if err := writeEscapeAllow(got); err != nil {
+		if err := g.writeAllow(got); err != nil {
 			return err
 		}
-		fmt.Printf("escapes: wrote %s (%d distinct escape shapes, %d total)\n",
-			escapeAllowFile, len(got), total(got))
+		fmt.Printf("%s: wrote %s (%d distinct entries, %d total)\n", g.name, g.file, len(got), total(got))
 		return nil
 	}
-	want, err := readEscapeAllow()
+	want, err := g.readAllow()
 	if err != nil {
-		return fmt.Errorf("escapes: reading %s: %w (regenerate with -exp escapes -write)", escapeAllowFile, err)
+		return fmt.Errorf("%s: reading %s: %w (regenerate with -exp %s -write)", g.name, g.file, err, g.name)
 	}
 
 	var newShapes, grown, stale []string
@@ -67,21 +92,21 @@ func runEscapes(write bool, logf func(format string, args ...any)) error {
 	sort.Strings(stale)
 
 	for _, s := range stale {
-		fmt.Printf("escapes: stale allowance (no longer escapes): %s\n", s)
+		fmt.Printf("%s: stale allowance (no longer reported): %s\n", g.name, s)
 	}
 	if len(newShapes) == 0 && len(grown) == 0 {
-		fmt.Printf("escapes: OK — %d distinct shapes, %d total, all within %s (%d stale allowances)\n",
-			len(got), total(got), escapeAllowFile, len(stale))
+		fmt.Printf("%s: OK — %d distinct entries, %d total, all within %s (%d stale allowances)\n",
+			g.name, len(got), total(got), g.file, len(stale))
 		return nil
 	}
 	for _, s := range newShapes {
-		fmt.Printf("escapes: NEW heap escape: %s\n", s)
+		fmt.Printf("%s: NEW: %s\n", g.name, s)
 	}
 	for _, s := range grown {
-		fmt.Printf("escapes: GREW: %s\n", s)
+		fmt.Printf("%s: GREW: %s\n", g.name, s)
 	}
-	return fmt.Errorf("escapes: %d new and %d grown heap-escape shapes in kernel packages; hoist the allocation or regenerate %s with -exp escapes -write",
-		len(newShapes), len(grown), escapeAllowFile)
+	return fmt.Errorf("%s: %d new and %d grown %s; %s or regenerate %s with -exp %s -write",
+		g.name, len(newShapes), len(grown), g.unit, g.remedy, g.file, g.name)
 }
 
 // collectEscapes builds the kernel packages with -gcflags=-m and counts
@@ -108,26 +133,22 @@ func collectEscapes(logf func(format string, args ...any)) (map[string]int, erro
 	return counts, nil
 }
 
-func writeEscapeAllow(counts map[string]int) error {
+func (g allowGate) writeAllow(counts map[string]int) error {
 	keys := make([]string, 0, len(counts))
 	for k := range counts {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	var b strings.Builder
-	b.WriteString("# ESCAPES.allow — committed baseline of compiler heap-escape diagnostics\n")
-	b.WriteString("# for the kernel packages (internal/stencil, internal/transfer,\n")
-	b.WriteString("# internal/grid). Generated by `go run ./cmd/mgbench -exp escapes -write`;\n")
-	b.WriteString("# checked by `go run ./cmd/mgbench -exp escapes` in CI. Format:\n")
-	b.WriteString("# <count>\\t<file>: <message with line:col stripped>\n")
+	b.WriteString(g.header)
 	for _, k := range keys {
 		fmt.Fprintf(&b, "%d\t%s\n", counts[k], k)
 	}
-	return os.WriteFile(escapeAllowFile, []byte(b.String()), 0o644)
+	return os.WriteFile(g.file, []byte(b.String()), 0o644)
 }
 
-func readEscapeAllow() (map[string]int, error) {
-	f, err := os.Open(escapeAllowFile)
+func (g allowGate) readAllow() (map[string]int, error) {
+	f, err := os.Open(g.file)
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +166,7 @@ func readEscapeAllow() (map[string]int, error) {
 		cnt, key, ok := strings.Cut(line, "\t")
 		n, err := strconv.Atoi(cnt)
 		if !ok || err != nil {
-			return nil, fmt.Errorf("%s:%d: malformed entry %q", escapeAllowFile, lineNo, line)
+			return nil, fmt.Errorf("%s:%d: malformed entry %q", g.file, lineNo, line)
 		}
 		want[key] = n
 	}

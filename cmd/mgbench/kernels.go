@@ -36,13 +36,17 @@ type kernelCell struct {
 	// SOR sweeps vs Operator.SORSweeps, which picks the unit-stride
 	// color-split layout where its gate says it wins and falls back to the
 	// strided loop elsewhere), and "residual-norm" (serial vs pool-parallel
-	// ResidualNorm).
+	// ResidualNorm). "downstroke-wavefront" and "upstroke-wavefront" time the
+	// cycle's serial one-traversal strokes (SmoothResidualRestrict, Upstroke
+	// with no pool) against the same row kernels run as barrier-separated
+	// passes (a one-worker pool: pass order, no threads), at one precision.
 	Kernel string `json:"kernel"`
 	// Precision is the storage precision of the measured pass: "" / "f64"
 	// is the default float64 row. For "f32" rows the baseline (UnfusedNS)
 	// is the float64 edition of the same fused kernel and FusedNS its
 	// float32 edition, so Speedup is the pure storage-precision win at
-	// equal fusion — the number the mixed-precision plans bank on.
+	// equal fusion — the number the mixed-precision plans bank on. (The
+	// wavefront rows compare drivers, not precisions: both sides are f32.)
 	Precision string  `json:"precision,omitempty"`
 	UnfusedNS int64   `json:"unfusedNs"`
 	FusedNS   int64   `json:"fusedNs"`
@@ -249,8 +253,8 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 
 			// A 12-sweep relaxation run: the strided loop vs SORSweeps, which
 			// repacks into the unit-stride color-split layout where the gate
-			// (N≥257 2D, N≥65 3D) predicts a win and falls back elsewhere, so
-			// ungated sizes should read ≈1.0x.
+			// (3D, N≥65) predicts a win and falls back elsewhere, so ungated
+			// sizes — every 2D row — should read ≈1.0x.
 			const splitSweeps = 12
 			unfused = benchBest(reset, func() {
 				for s := 0; s < splitSweeps; s++ {
@@ -374,6 +378,18 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 		}
 	}
 
+	// The wavefront rows, after everything else for the same heap-epoch
+	// reason: from the largest cache-resident solve size up to DRAM-resident.
+	passes := sched.NewPool(1)
+	defer passes.Close()
+	for _, n := range []int{257, 513, 1025, 2049} {
+		if logf != nil {
+			logf("kernels: poisson N=%d (wavefront)", n)
+		}
+		wavefrontRows[float64](&rep, passes, n, seed, "")
+		wavefrontRows[float32](&rep, passes, n, seed, "f32")
+	}
+
 	if pool != nil {
 		rep.Steals = pool.Steals()
 	}
@@ -416,4 +432,32 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 		fmt.Println("wrote BENCH_kernels.json")
 	}
 	return nil
+}
+
+// wavefrontRows times the serial one-traversal downstroke and upstroke of
+// the Laplacian at precision T against the pass order of the same row
+// kernels, which a one-worker pool runs without threads.
+func wavefrontRows[T grid.Float](rep *kernelsReport, passes *sched.Pool, n int, seed int64, prec string) {
+	op := stencil.Poisson()
+	h, omega := T(1/float64(n-1)), T(op.OmegaSmooth())
+	rng := rand.New(rand.NewSource(seed + int64(n)))
+	fill := func(g *grid.G[T]) *grid.G[T] {
+		for i := range g.Data() {
+			g.Data()[i] = T(2*rng.Float64() - 1)
+		}
+		return g
+	}
+	nc := grid.Coarsen(n)
+	x0, b, cx := fill(grid.NewOf[T](2, n)), fill(grid.NewOf[T](2, n)), fill(grid.NewOf[T](2, nc))
+	x, r, cb := x0.Clone(), grid.NewOf[T](2, n), grid.NewOf[T](2, nc)
+	reset := func() { x.CopyFrom(x0) }
+
+	down := func(pool *sched.Pool) time.Duration {
+		return benchBest(reset, func() { stencil.OpSmoothResidualRestrict(op, pool, cb, x, b, r, h, omega) })
+	}
+	emitCell(rep, "poisson", 0, 2, n, "downstroke-wavefront", prec, down(passes), down(nil))
+	up := func(pool *sched.Pool) time.Duration {
+		return benchBest(reset, func() { stencil.OpUpstroke(op, pool, x, b, cx, r, h, omega) })
+	}
+	emitCell(rep, "poisson", 0, 2, n, "upstroke-wavefront", prec, up(passes), up(nil))
 }

@@ -23,7 +23,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, baseline, serve, kernels, http, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, baseline, serve, kernels, http, escapes, bce, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
@@ -37,7 +37,7 @@ func main() {
 	gate := flag.Bool("gate", false, "with -exp kernels, fail if any fused kernel is >15% slower than its unfused oracle (same-machine fusion regression gate)")
 	compare := flag.String("compare", "",
 		"regression gate: compare this old report JSON (baseline or kernels format) against the new report given as the positional argument; cells in only one file are listed as new/removed; exit nonzero if any matched cell slowed >15% (usage: mgbench -compare old.json new.json)")
-	writeAllow := flag.Bool("write", false, "with -exp escapes, regenerate ESCAPES.allow from the current compiler output instead of gating against it")
+	writeAllow := flag.Bool("write", false, "with -exp escapes or bce, regenerate ESCAPES.allow / BCE.allow from the current compiler output instead of gating against it")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
@@ -83,6 +83,13 @@ func main() {
 	}
 	if *exp == "escapes" {
 		if err := runEscapes(*writeAllow, logf); err != nil {
+			fmt.Fprintln(os.Stderr, "mgbench:", err)
+			os.Exit(1)
+		}
+		return
+	}
+	if *exp == "bce" {
+		if err := runBCE(*writeAllow, logf); err != nil {
 			fmt.Fprintln(os.Stderr, "mgbench:", err)
 			os.Exit(1)
 		}

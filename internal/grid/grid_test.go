@@ -349,3 +349,46 @@ func TestL2TriangleInequalityProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// HasNonFinite is a reduction over v − v, not a per-element test, so it is
+// pinned at every index of grids whose lengths leave one (25 = 3·8+1) and
+// three (27 = 3·8+3) entries past the unrolled blocks — first, last, every
+// unroll lane, every tail slot — and against every finite extreme that a
+// careless formulation would flag.
+func checkHasNonFinite[T Float](t *testing.T, dim, n int, maxFinite, denormal T) {
+	t.Helper()
+	g := NewOf[T](dim, n)
+	negZero := T(math.Copysign(0, -1))
+	for _, fill := range []T{0, 1, negZero, maxFinite, -maxFinite, denormal, -denormal} {
+		g.Fill(fill)
+		if HasNonFinite(g) {
+			t.Fatalf("%dD n=%d: grid of %v flagged as non-finite", dim, n, fill)
+		}
+		for idx := range g.Data() {
+			for _, bad := range []T{T(math.NaN()), T(math.Inf(1)), T(math.Inf(-1))} {
+				g.Data()[idx] = bad
+				if !HasNonFinite(g) {
+					t.Fatalf("%dD n=%d fill %v: %v at index %d of %d not flagged", dim, n, fill, bad, idx, g.Points())
+				}
+				g.Data()[idx] = fill
+			}
+		}
+	}
+	// Alternating extremes: no partial sum may overflow into a false alarm.
+	for i := range g.Data() {
+		g.Data()[i] = maxFinite
+		if i%2 == 1 {
+			g.Data()[i] = -maxFinite
+		}
+	}
+	if HasNonFinite(g) {
+		t.Fatalf("%dD n=%d: alternating ±max flagged as non-finite", dim, n)
+	}
+}
+
+func TestHasNonFinite(t *testing.T) {
+	for _, shape := range [][2]int{{2, 3}, {2, 5}, {3, 3}, {3, 5}} {
+		checkHasNonFinite[float64](t, shape[0], shape[1], math.MaxFloat64, math.SmallestNonzeroFloat64)
+		checkHasNonFinite[float32](t, shape[0], shape[1], math.MaxFloat32, math.SmallestNonzeroFloat32)
+	}
+}

@@ -95,17 +95,28 @@ func MaxAbsInterior[T Float](g *G[T]) float64 {
 }
 
 // HasNonFinite reports whether any entry of g (boundary included) is NaN or
-// ±Inf. It is the divergence probe for the f32 solve paths, which have no
-// residual norms to watch: a full-array scan off the hot loop, run once per
-// reduced-precision cell.
+// ±Inf. It vets every answer a solver hands back, so it is a branch-free
+// reduction rather than a per-element classification: v − v is 0 for every
+// finite v (±MaxFloat, denormals and −0 included) and NaN for NaN and ±Inf,
+// and a sum of such terms is non-zero exactly when one of them was NaN. Eight
+// independent accumulators keep the additions off each other's latency.
 func HasNonFinite[T Float](g *G[T]) bool {
-	for _, v := range g.data {
-		f := float64(v)
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return true
-		}
+	d := g.data
+	var s0, s1, s2, s3, s4, s5, s6, s7 T
+	for ; len(d) >= 8; d = d[8:] {
+		s0 += d[0] - d[0]
+		s1 += d[1] - d[1]
+		s2 += d[2] - d[2]
+		s3 += d[3] - d[3]
+		s4 += d[4] - d[4]
+		s5 += d[5] - d[5]
+		s6 += d[6] - d[6]
+		s7 += d[7] - d[7]
 	}
-	return false
+	for _, v := range d {
+		s0 += v - v
+	}
+	return s0+s1+s2+s3+s4+s5+s6+s7 != 0
 }
 
 // AccuracyLevel implements the paper's accuracy metric (§2.2): the ratio of

@@ -1,116 +1,89 @@
 // Color-split storage: the red ((coordinate sum) even) and black (odd)
-// points of a grid stored as two contiguous planes of half-rows, so a
+// points of a 3D grid stored as two contiguous blocks of half-pencils, so a
 // red-black half-sweep walks each color with unit stride instead of the
 // stride-2 hops the interleaved layout forces. The layout is a solver-side
 // staging format, not a replacement for Grid: kernels Pack the strided grid
-// in, run their sweeps on the split planes, and Unpack the result out at the
-// solve boundary.
+// in, run their sweeps on the split blocks, and Unpack the result out at the
+// solve boundary. (A 2D edition existed until the strided 2D sweeps
+// overtook it; see stencil/split.go.)
 //
-// Indexing. Each row (2D) or pencil (3D) of n points splits into its red and
-// black subsequences, stored padded to w = (n+1)/2 entries. With
-// s = i&1 (2D) or s = (i+j)&1 (3D) the parity of the row's first red point,
-// the point at column j maps to half-row index j>>1 in the red plane when
-// (j&1) == s, and to j>>1 in the black plane otherwise. Rows with s == 0
-// hold w red and w−1 black values; rows with s == 1 hold w−1 red and w black
-// (the last pad cell of the short color is unused). The uniform j>>1 mapping
-// means a point's half-index never depends on its own color, which keeps
-// neighbour offsets in the sweep kernels constant per row.
+// Indexing. Each (i, j) pencil of n points splits into its red and black
+// subsequences, stored padded to w = (n+1)/2 entries. With s = (i+j)&1 the
+// parity of the pencil's first red point, the point at column k maps to
+// half-index k>>1 in the red block when (k&1) == s, and to k>>1 in the
+// black block otherwise. Pencils with s == 0 hold w red and w−1 black
+// values; pencils with s == 1 hold w−1 red and w black (the last pad cell of
+// the short color is unused). The uniform k>>1 mapping means a point's
+// half-index never depends on its own color, which keeps neighbour offsets
+// in the sweep kernels constant per pencil.
 package grid
 
-// SplitG holds one grid's values in color-split layout: red points first,
-// then black, each as n (2D) or n² (3D) half-rows of w values of the grid's
-// storage precision.
+// SplitG holds one 3D grid's values in color-split layout: red points first,
+// then black, each as n² half-pencils of w values of the grid's storage
+// precision.
 type SplitG[T Float] struct {
-	n, dim, w int
-	red       []T
-	black     []T
+	n, w  int
+	red   []T
+	black []T
 }
 
 // Split is the float64 color-split buffer.
 type Split = SplitG[float64]
 
-// Split32 is the float32 color-split buffer used by the mixed-precision
-// sweep paths.
-type Split32 = SplitG[float32]
-
-// NewSplitOf returns a zeroed color-split buffer of precision T for a
-// dim-dimensional grid of side n.
-func NewSplitOf[T Float](dim, n int) *SplitG[T] {
+// NewSplitOf returns a zeroed color-split buffer of precision T for a 3D
+// grid of side n.
+func NewSplitOf[T Float](n int) *SplitG[T] {
 	w := (n + 1) / 2
-	rows := n
-	if dim == 3 {
-		rows = n * n
-	}
-	return &SplitG[T]{n: n, dim: dim, w: w,
-		red:   make([]T, rows*w),
-		black: make([]T, rows*w),
+	return &SplitG[T]{n: n, w: w,
+		red:   make([]T, n*n*w),
+		black: make([]T, n*n*w),
 	}
 }
 
-// NewSplit returns a zeroed float64 color-split buffer for a dim-dimensional
-// grid of side n.
-func NewSplit(dim, n int) *Split { return NewSplitOf[float64](dim, n) }
+// NewSplit returns a zeroed float64 color-split buffer for a 3D grid of
+// side n.
+func NewSplit(n int) *Split { return NewSplitOf[float64](n) }
 
 // N returns the grid side length.
 func (s *SplitG[T]) N() int { return s.n }
 
-// Dim returns the dimensionality (2 or 3).
-func (s *SplitG[T]) Dim() int { return s.dim }
-
-// W returns the half-row width (n+1)/2.
+// W returns the half-pencil width (n+1)/2.
 func (s *SplitG[T]) W() int { return s.w }
 
-// Red returns row i's red half-row (2D).
-func (s *SplitG[T]) Red(i int) []T { return s.red[i*s.w : (i+1)*s.w] }
-
-// Black returns row i's black half-row (2D).
-func (s *SplitG[T]) Black(i int) []T { return s.black[i*s.w : (i+1)*s.w] }
-
-// Red3 returns pencil (i,j)'s red half-row (3D).
+// Red3 returns pencil (i,j)'s red half.
 func (s *SplitG[T]) Red3(i, j int) []T {
 	base := (i*s.n + j) * s.w
 	return s.red[base : base+s.w]
 }
 
-// Black3 returns pencil (i,j)'s black half-row (3D).
+// Black3 returns pencil (i,j)'s black half.
 func (s *SplitG[T]) Black3(i, j int) []T {
 	base := (i*s.n + j) * s.w
 	return s.black[base : base+s.w]
 }
 
-// Pack copies g into the split layout. g must match the split's dim and n.
+// Pack copies g into the split layout. g must be a 3D grid of the split's
+// side.
 func (s *SplitG[T]) Pack(g *G[T]) {
-	if g.N() != s.n || g.Dim() != s.dim {
+	if g.N() != s.n || g.Dim() != 3 {
 		panic("grid: Split.Pack shape mismatch")
 	}
-	if s.dim == 3 {
-		for i := 0; i < s.n; i++ {
-			for j := 0; j < s.n; j++ {
-				packRow(s.Red3(i, j), s.Black3(i, j), g.Row3(i, j), (i+j)&1)
-			}
-		}
-		return
-	}
 	for i := 0; i < s.n; i++ {
-		packRow(s.Red(i), s.Black(i), g.Row(i), i&1)
+		for j := 0; j < s.n; j++ {
+			packRow(s.Red3(i, j), s.Black3(i, j), g.Row3(i, j), (i+j)&1)
+		}
 	}
 }
 
 // Unpack copies the split values back into g.
 func (s *SplitG[T]) Unpack(g *G[T]) {
-	if g.N() != s.n || g.Dim() != s.dim {
+	if g.N() != s.n || g.Dim() != 3 {
 		panic("grid: Split.Unpack shape mismatch")
 	}
-	if s.dim == 3 {
-		for i := 0; i < s.n; i++ {
-			for j := 0; j < s.n; j++ {
-				unpackRow(s.Red3(i, j), s.Black3(i, j), g.Row3(i, j), (i+j)&1)
-			}
-		}
-		return
-	}
 	for i := 0; i < s.n; i++ {
-		unpackRow(s.Red(i), s.Black(i), g.Row(i), i&1)
+		for j := 0; j < s.n; j++ {
+			unpackRow(s.Red3(i, j), s.Black3(i, j), g.Row3(i, j), (i+j)&1)
+		}
 	}
 }
 

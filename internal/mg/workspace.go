@@ -104,9 +104,10 @@ func (ws *Workspace) OmegaOpt(n int) float64 { return ws.opAt(n).OmegaOpt(n) }
 
 // levelBufs is the scratch set a cycle needs at one grid size n: the
 // residual and interpolation scratch at size n, and the coarse right-hand
-// side and coarse solution at size (n+1)/2, all shaped to the workspace
-// operator's dimension. A levelBufs belongs to exactly one cycle step at a
-// time; concurrent solves check out distinct sets.
+// side and coarse solution at size (n+1)/2 (absent at n = 3, which has no
+// coarser level and is only ever a staging pair), all shaped to the
+// workspace operator's dimension. A levelBufs belongs to exactly one cycle
+// step at a time; concurrent solves check out distinct sets.
 type levelBufsG[T grid.Float] struct {
 	n          int
 	r, scratch *grid.G[T]
@@ -118,14 +119,12 @@ type levelBufsG[T grid.Float] struct {
 type levelBufs = levelBufsG[float64]
 
 func newLevelBufs[T grid.Float](dim, n int) *levelBufsG[T] {
-	nc := grid.Coarsen(n)
-	return &levelBufsG[T]{
-		n:       n,
-		r:       grid.NewOf[T](dim, n),
-		scratch: grid.NewOf[T](dim, n),
-		cb:      grid.NewOf[T](dim, nc),
-		cx:      grid.NewOf[T](dim, nc),
+	bufs := &levelBufsG[T]{n: n, r: grid.NewOf[T](dim, n), scratch: grid.NewOf[T](dim, n)}
+	if n > 3 {
+		nc := grid.Coarsen(n)
+		bufs.cb, bufs.cx = grid.NewOf[T](dim, nc), grid.NewOf[T](dim, nc)
 	}
+	return bufs
 }
 
 // NewWorkspace returns a workspace using the given pool (nil for serial).
@@ -134,7 +133,7 @@ func NewWorkspace(pool *sched.Pool) *Workspace {
 	return &Workspace{Pool: pool}
 }
 
-// checkout returns a scratch set for grid size n ≥ 5 from the arena,
+// checkout returns a scratch set for grid size n from the arena,
 // allocating only when every set for that size is already in use. Callers
 // must return it with release; steady-state solves are allocation-free,
 // and the total number of live sets is bounded by the number of concurrent
@@ -151,7 +150,7 @@ func checkoutOf[T grid.Float](ws *Workspace, n int) *levelBufsG[T] {
 	key := [2]int{n, grid.Bits[T]()}
 	pi, ok := ws.arena.Load(key)
 	if !ok {
-		if grid.Level(n) < 2 {
+		if grid.Level(n) < 1 {
 			panic(fmt.Sprintf("mg: no scratch buffers for size %d", n))
 		}
 		// One workspace serves one operator, so the arena's dimension is
@@ -172,6 +171,30 @@ func releaseOf[T grid.Float](ws *Workspace, b *levelBufsG[T]) {
 	ws.outstanding.Add(-1)
 }
 
+// Snapshot is a copy of a solve's initial state held in arena scratch, so
+// a diverged attempt can be restarted from the caller's exact bits without
+// a fresh full-grid allocation per solve.
+type Snapshot struct{ bufs *levelBufs }
+
+// Snapshot copies x into a scratch set checked out of the arena. The caller
+// must hand it back with ReleaseSnapshot; until then it counts toward
+// ScratchOutstanding like any other checkout.
+func (ws *Workspace) Snapshot(x *grid.Grid) Snapshot {
+	if dim := ws.Operator().Dim(); x.Dim() != dim {
+		// Refused before the checkout, so a misuse panic leaks no scratch.
+		panic(fmt.Sprintf("mg: Snapshot needs a %dD grid, got %dD (N=%d)", dim, x.Dim(), x.N()))
+	}
+	bufs := ws.checkout(x.N())
+	bufs.r.CopyFrom(x)
+	return Snapshot{bufs}
+}
+
+// Grid returns the saved state.
+func (s Snapshot) Grid() *grid.Grid { return s.bufs.r }
+
+// ReleaseSnapshot returns a snapshot's scratch to the arena.
+func (ws *Workspace) ReleaseSnapshot(s Snapshot) { ws.release(s.bufs) }
+
 // SolveDirect overwrites x's interior with the exact solution of T·x = b via
 // band Cholesky, using x's boundary as Dirichlet data.
 func (ws *Workspace) SolveDirect(x, b *grid.Grid, rec Recorder) {
@@ -182,15 +205,16 @@ func (ws *Workspace) SolveDirect(x, b *grid.Grid, rec Recorder) {
 // Cholesky itself always runs in float64 — at the coarse sizes direct plans
 // win, the factorization is compute-bound, so there is nothing to gain from
 // f32 storage and everything to lose in factor quality. A float32 call
-// converts the problem in, solves exactly, and rounds the solution back.
+// converts the problem into a float64 scratch pair from the arena, solves
+// exactly, and rounds the solution back.
 func solveDirectOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder) {
 	if x64, ok := any(x).(*grid.Grid); ok {
 		ws.solveDirect64(x64, any(b).(*grid.Grid), rec)
 		return
 	}
-	n, dim := x.N(), x.Dim()
-	x64 := grid.NewDim(dim, n)
-	b64 := grid.NewDim(dim, n)
+	st := checkoutOf[float64](ws, x.N())
+	defer releaseOf(ws, st)
+	x64, b64 := st.r, st.scratch
 	grid.ConvertInto(x64, x)
 	grid.ConvertInto(b64, b)
 	ws.solveDirect64(x64, b64, rec)
@@ -386,19 +410,21 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	coarseSolve(bufs.cx, bufs.cb)
 
 	// Upstroke: interpolate, correct, post-smooth. With the SOR smoother the
-	// prolongation and correction fold into the post-smooth's red half-sweep
-	// (InterpolateCorrectSmooth) — the standalone interpolate and correct
-	// full-grid passes disappear, and the black half completes the sweep
-	// either plainly (FinishSmooth) or fused with the convergence probe
-	// (FinishSmoothWithNorm). The iterate is bit-identical to the separate
-	// passes, which the Jacobi ablation and the NoFuse oracle preserve.
+	// three run as one traversal (Upstroke) — the standalone interpolate and
+	// correct full-grid passes disappear. When the caller wants the
+	// convergence probe the traversal stops after the red half-sweep
+	// (InterpolateCorrectSmooth) and the black half carries the norm
+	// reduction (FinishSmoothWithNorm). The iterate is bit-identical to the
+	// separate passes, which the Jacobi ablation and the NoFuse oracle
+	// preserve.
 	if ws.Smoother == SmootherSOR && !ws.NoFuse {
 		omega := T(op.OmegaSmooth())
-		stencil.OpInterpolateCorrectSmooth(op, ws.Pool, x, b, bufs.cx, h, omega)
-		record(rec, EvInterp, lvl, 1)
 		if norm == nil {
-			stencil.OpFinishSmooth(op, ws.Pool, x, b, h, omega)
+			stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)
+			record(rec, EvInterp, lvl, 1)
 		} else {
+			stencil.OpInterpolateCorrectSmooth(op, ws.Pool, x, b, bufs.cx, h, omega)
+			record(rec, EvInterp, lvl, 1)
 			*norm = stencil.OpFinishSmoothWithNorm(op, ws.Pool, x, b, h, omega)
 		}
 		record(rec, EvRelax, lvl, 1)

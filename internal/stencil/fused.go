@@ -7,19 +7,38 @@
 //     post-sweep residual grid. Black points get their residual for free
 //     from the update delta (after the black half-sweep every neighbour of
 //     a black point is final, so r = C·(1−ω)·(gs − x_old)/h², exactly); red
-//     points need a fixup half-pass, half the traversal of the standalone
-//     Residual kernel.
+//     points need a fix-up, half the footprint of the standalone Residual
+//     kernel.
 //   - SmoothResidualRestrict: the whole V-cycle downstroke — smoothing
 //     sweep, residual, full-weighting restriction — as one composed kernel:
-//     BOTH half-sweeps emit their update deltas into r, a half-traversal
-//     gather over r alone reconstructs the red residuals from their black
-//     neighbours' stored deltas (gatherFixup), and the restriction consumes
-//     the finished grid. The standalone residual pass — a full extra read
-//     of x and b — disappears from the downstroke entirely.
+//     BOTH half-sweeps emit their update deltas into r, a gather over r
+//     alone reconstructs the red residuals from their black neighbours'
+//     stored deltas (gatherRow), and the restriction consumes the finished
+//     rows. The standalone residual pass — a full extra read of x and b —
+//     disappears from the downstroke entirely.
 //   - SweepWithNorm: the sweep shape of SmoothResidual, but reducing
 //     ‖b − T·x‖₂ instead of materializing r — the adaptive driver's
 //     per-iteration convergence probe folded into the smoothing it already
 //     pays for.
+//
+// One implementation, two drivers. The loops live in rows.go as row kernels;
+// rowOps binds them to one call's grids and operator family. With a pool,
+// each stage is a barrier-separated pass over all rows (chunks own disjoint
+// rows, so the result is independent of the chunking). Without one, the
+// stages run as a row wavefront, each trailing the previous by one row, so
+// the fine grids are streamed once instead of once per stage:
+//
+//	sweep        relax red(i) → relax black(i−1)
+//	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict((i−3)/2)
+//	upstroke     correct(i) → relax red(i−1) → relax black(i−2)
+//
+// A stage may run on a row as soon as the rows it reads are final for the
+// stage before it, and must run before any row it reads is overwritten by
+// the stage after it; one row of lag satisfies both for a 5-point stencil
+// (black(i−1) reads reds of rows i−2 … i, all relaxed once red(i) is;
+// red(i+1), the next to run, reads only blacks of rows i … i+2, none yet
+// relaxed). Every point therefore sees exactly the operands it sees in the
+// pass order, and the two drivers agree bit for bit.
 //
 // Norm reductions accumulate per interior row into a fixed per-row partial
 // sum array and add the rows in index order at the end, so the result is
@@ -65,161 +84,222 @@ func sumRows(sums []float64, n int) float64 {
 // anisotropy, ≥ the gate for ε ≥ 0.0067) takes the gather path.
 const gatherMinOneMinusOmega = 1e-3
 
-// redHalfSweep is SORSweepRB's color-0 half-sweep for the Laplacian.
-func redHalfSweep[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, omega T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-				xr[j] += omega * (gs - xr[j])
-			}
-		}
-	})
+// rowOps binds the row kernels of one 2D operator family to the grids and
+// weights of one kernel call. Its methods are the stages the drivers
+// schedule: each applies one row kernel to row i.
+type rowOps[T grid.Float] struct {
+	family     Family
+	n          int
+	x, b, r, c *grid.G[T] // r: residual grid, nil for kernels that emit none; c: coefficient field, varcoef only
+
+	h2, inv, omega T
+	// Constant-coefficient weights (the Laplacian is cx = cy = 1): center
+	// C = 2·(cx+cy), invC = 1/C, and rFac = C·(1−ω)/h², the factor turning
+	// an update delta into a residual.
+	cx, cy, center, invC, rFac T
+	// gather selects the downstroke's red fix-up: reconstruct from stored
+	// deltas with weights kx, ky (gatherRow), or evaluate directly.
+	gather bool
+	kx, ky T
 }
 
-// redHalfSweepEmit is the color-0 half-sweep, emitting each red point's
-// MID-sweep residual into r as it relaxes: at the moment a red point is
-// relaxed all its (black) neighbours hold the values its Gauss-Seidel
-// average read, so the update delta gives the residual of that
-// intermediate state exactly — r' = 4·(1−ω)·(gs − x_old)/h². The black
-// half-sweep then moves the neighbours, and the fused restriction
-// reconstructs the final red residual by gathering the neighbours' stored
-// deltas (gatherFixup).
-func redHalfSweepEmit[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h2, omega, rFac T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			rr := r.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rr[j] = rFac * d
-			}
-		}
-	})
-}
-
-// blackHalfSweepEmit is the color-1 half-sweep, emitting each black point's
-// post-sweep residual into r as it relaxes: every neighbour of a black
-// point is final, so r = 4·(1−ω)·(gs − x_old)/h² exactly.
-func blackHalfSweepEmit[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h2, omega, rFac T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			rr := r.Row(i)
-			for j := 1 + i%2; j < n-1; j += 2 {
-				gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rr[j] = rFac * d
-			}
-		}
-	})
-}
-
-// redFixup evaluates the post-sweep residual at red points directly from
-// the final iterate — the same expression (and therefore the same bits) as
-// the unfused Residual kernel.
-func redFixup[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], inv T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			rr := r.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				rr[j] = br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-xr[j+1])*inv
-			}
-		}
-	})
-}
-
-// gatherFixup completes a residual grid emitted by the two half-sweeps in
-// place, reading ONLY r: black entries are already final residuals, and
-// each red entry holds its mid-sweep residual, which the black neighbours'
-// subsequent moves shifted by κ-weighted sums of their stored residuals —
-// r_red += ky·(up+down) + kx·(west+east), where k• = ω·c•/(C·(1−ω)) folds
-// the face weight and the delta encoding together. One half-traversal of a
-// single grid replaces the full (x, b)-reading residual evaluation at red
-// points; x and b are never touched.
-func gatherFixup[T grid.Float](pool *sched.Pool, r *grid.G[T], kx, ky T) {
-	n := r.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rr := r.Row(i)
-			up := r.Row(i - 1)
-			down := r.Row(i + 1)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				rr[j] += ky*(up[j]+down[j]) + kx*(rr[j-1]+rr[j+1])
-			}
-		}
-	})
-}
-
-// SmoothResidual performs one full red-black SOR sweep in place on x and
-// leaves r = b − T·x (post-sweep) with a zeroed boundary, in one fused
-// traversal less than SORSweepRB followed by Residual. x is bit-identical
-// to the unfused sweep; r matches the unfused residual bit-identically at
-// red (i+j even) points and to rounding error at black points, where it is
-// derived from the update delta instead of re-evaluated. r must not alias
-// x or b.
-func SmoothResidual[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h, omega T) {
+// bindRows prepares the row kernels of op for a sweep of weight omega over
+// (x, b) at mesh width h, emitting residuals into r if non-nil.
+func bindRows[T grid.Float](op *Operator, x, b, r *grid.G[T], h, omega T) rowOps[T] {
 	h2 := h * h
-	inv := 1 / h2
-	r.ZeroBoundary()
-	redHalfSweep(pool, x, b, h2, omega)
-	blackHalfSweepEmit(pool, x, b, r, h2, omega, 4*(1-omega)*inv)
-	redFixup(pool, x, b, r, inv)
-}
-
-// smoothResidualRestrict is the composed V-cycle downstroke for the
-// Laplacian: sweep, residual, restriction. Away from ω = 1 both
-// half-sweeps emit their update deltas into r and gatherFixup completes it
-// reading r alone; near ω = 1 the deltas degenerate and the SmoothResidual
-// path (direct red evaluation) is used instead. Either way r ends up
-// holding the full post-sweep residual and the oracle Restrict consumes
-// it — so the three logical passes cost one (x, b) traversal plus a half
-// r-traversal more than the sweep alone.
-func smoothResidualRestrict[T grid.Float](pool *sched.Pool, coarse, x, b, r *grid.G[T], h, omega T) {
-	h2 := h * h
-	inv := 1 / h2
-	rFac := 4 * (1 - omega) * inv
-	if om := 1 - omega; om >= gatherMinOneMinusOmega || om <= -gatherMinOneMinusOmega {
-		r.ZeroBoundary()
-		redHalfSweepEmit(pool, x, b, r, h2, omega, rFac)
-		blackHalfSweepEmit(pool, x, b, r, h2, omega, rFac)
-		k := omega / (4 * (1 - omega))
-		gatherFixup(pool, r, k, k)
-	} else {
-		SmoothResidual(pool, x, b, r, h, omega)
+	k := rowOps[T]{family: op.family, n: x.N(), x: x, b: b, r: r, h2: h2, inv: 1 / h2, omega: omega, cx: 1, cy: 1}
+	switch op.family {
+	case FamilyAnisotropic:
+		k.cx = T(op.eps)
+	case FamilyVarCoef:
+		op.checkSize(k.n)
+		k.c = opCoef[T](op)
 	}
-	transfer.Restrict(pool, coarse, r)
+	k.center = 2 * (k.cx + k.cy)
+	k.invC = 1 / k.center
+	k.rFac = k.center * (1 - omega) * k.inv
+	return k
 }
 
-// SweepWithNorm performs one full red-black SOR sweep in place on x and
-// returns ‖b − T·x‖₂ over interior points after the sweep, without a
-// separate residual traversal. The reduction is deterministic for any pool.
-func SweepWithNorm[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	h2 := h * h
-	inv := 1 / h2
-	redHalfSweep(pool, x, b, h2, omega)
-	return finishSweepNorm(pool, x, b, h2, inv, omega, 4*(1-omega)*inv)
+// bindGather switches the red fix-up to the delta gather when the family
+// supports it and ω is far enough from 1. It does not pay for a variable
+// coefficient: undoing a neighbour's delta encoding needs the neighbour's
+// center coefficient, which costs the same face-average arithmetic as
+// evaluating the red residual directly.
+func (k *rowOps[T]) bindGather() {
+	om := 1 - k.omega
+	if k.family == FamilyVarCoef || (om < gatherMinOneMinusOmega && om > -gatherMinOneMinusOmega) {
+		return
+	}
+	kappa := k.omega / (k.center * om)
+	k.gather, k.kx, k.ky = true, kappa*k.cx, kappa*k.cy
+}
+
+// relax relaxes the points of one colour (0 red: i+j even, 1 black) in row i.
+func (k *rowOps[T]) relax(i, colour int) {
+	c := i + 1 + colour
+	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
+	switch k.family {
+	case FamilyPoisson:
+		relaxRow(xr, up, down, br, c, k.h2, k.omega)
+	case FamilyAnisotropic:
+		relaxRowConst(xr, up, down, br, c, k.h2, k.omega, k.cx, k.cy, k.invC)
+	default:
+		relaxRowVar(xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.h2, k.omega)
+	}
+}
+
+// relaxEmit is relax that also stores each relaxed point's delta-derived
+// residual into r.
+func (k *rowOps[T]) relaxEmit(i, colour int) {
+	c := i + 1 + colour
+	xr, up, down, br, rr := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i), k.r.Row(i)
+	switch k.family {
+	case FamilyPoisson:
+		relaxEmitRow(xr, up, down, br, rr, c, k.h2, k.omega, k.rFac)
+	case FamilyAnisotropic:
+		relaxEmitRowConst(xr, up, down, br, rr, c, k.h2, k.omega, k.cx, k.cy, k.invC, k.rFac)
+	default:
+		relaxEmitRowVar(xr, up, down, br, rr, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.h2, k.omega, k.inv)
+	}
+}
+
+// residual evaluates b − T·x at one colour of row i into rr, directly from
+// the iterate.
+func (k *rowOps[T]) residual(rr []T, i, colour int) {
+	c := i + 1 + colour
+	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
+	switch k.family {
+	case FamilyPoisson:
+		residualRow(rr, xr, up, down, br, c, k.inv)
+	case FamilyAnisotropic:
+		residualRowConst(rr, xr, up, down, br, c, k.inv, k.cx, k.cy, k.center)
+	default:
+		residualRowVar(rr, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.inv)
+	}
+}
+
+// relaxRed is the downstroke's first stage: the red half-sweep, emitting
+// mid-sweep residuals when the fix-up will gather them.
+func (k *rowOps[T]) relaxRed(i int) {
+	if k.gather {
+		k.relaxEmit(i, 0)
+	} else {
+		k.relax(i, 0)
+	}
+}
+
+// fixup completes the red residuals of row i once the black half-sweep has
+// passed rows i−1 … i+1.
+func (k *rowOps[T]) fixup(i int) {
+	if k.gather {
+		gatherRow(k.r.Row(i), k.r.Row(i-1), k.r.Row(i+1), i+1, k.kx, k.ky)
+	} else {
+		k.residual(k.r.Row(i), i, 0)
+	}
+}
+
+// sweep runs one full red-black SOR sweep.
+func (k *rowOps[T]) sweep(pool *sched.Pool) {
+	if pool != nil {
+		k.halfSweep(pool, 0)
+		k.halfSweep(pool, 1)
+		return
+	}
+	n := k.n
+	k.relax(1, 0)
+	for i := 2; i < n-1; i++ {
+		k.relax(i, 0)
+		k.relax(i-1, 1)
+	}
+	k.relax(n-2, 1)
+}
+
+// halfSweep relaxes one colour of every interior row.
+func (k *rowOps[T]) halfSweep(pool *sched.Pool, colour int) {
+	if pool == nil {
+		for i := 1; i < k.n-1; i++ {
+			k.relax(i, colour)
+		}
+		return
+	}
+	halfSweepPass(pool, *k, colour)
+}
+
+// halfSweepPass takes its rowOps by value: the task closure makes it escape,
+// and a copy keeps the serial callers' binding on their stack.
+func halfSweepPass[T grid.Float](pool *sched.Pool, k rowOps[T], colour int) {
+	parallelRows(pool, k.n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.relax(i, colour)
+		}
+	})
+}
+
+// smoothResidual runs one sweep on x leaving r = b − T·x (post-sweep, zero
+// boundary) and, with coarse non-nil, its full-weighting restriction — the
+// V-cycle downstroke. Serial execution is the row wavefront of the file
+// comment; restriction trails the fix-up by one more row, producing coarse
+// row ci as soon as fine rows 2ci−1 … 2ci+1 are complete.
+func (k *rowOps[T]) smoothResidual(pool *sched.Pool, coarse *grid.G[T]) {
+	k.r.ZeroBoundary()
+	if pool != nil {
+		smoothResidualPasses(pool, *k, coarse)
+		return
+	}
+	if coarse != nil {
+		coarse.ZeroBoundary()
+	}
+	n := k.n
+	for i := 1; i <= n; i++ {
+		if i < n-1 {
+			k.relaxRed(i)
+		}
+		if i > 1 && i < n {
+			k.relaxEmit(i-1, 1)
+		}
+		if f := i - 2; f >= 1 {
+			k.fixup(f)
+			if coarse != nil && f >= 3 && f&1 == 1 {
+				transfer.RestrictRow(coarse, k.r, f/2)
+			}
+		}
+	}
+}
+
+// smoothResidualPasses is smoothResidual in pass order, one barrier per
+// stage (by-value receiver: see halfSweepPass).
+func smoothResidualPasses[T grid.Float](pool *sched.Pool, k rowOps[T], coarse *grid.G[T]) {
+	n := k.n
+	parallelRows(pool, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.relaxRed(i)
+		}
+	})
+	parallelRows(pool, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.relaxEmit(i, 1)
+		}
+	})
+	parallelRows(pool, n, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.fixup(i)
+		}
+	})
+	if coarse != nil {
+		transfer.Restrict(pool, coarse, k.r)
+	}
+}
+
+// residualRows returns a provider computing interior fine residual rows of
+// the bound operator for transfer.RestrictResidual. The per-point expression
+// is the unfused Residual kernel's.
+func residualRows[T grid.Float](k rowOps[T]) func(fi int, dst []T) {
+	return func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one row-provider closure per fused cycle, not per point
+		dst[0], dst[k.n-1] = 0, 0
+		k.residual(dst, fi, 0)
+		k.residual(dst, fi, 1)
+	}
 }
 
 // finishSweepNorm completes a sweep whose red half is already done: the
@@ -287,136 +367,7 @@ func residualNormPar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h T) float
 	return sumRows(sums, n)
 }
 
-// residualRowPoisson returns a provider computing interior fine residual
-// rows of the Laplacian for transfer.RestrictResidual. The per-point
-// expression is the unfused Residual kernel's.
-func residualRowPoisson[T grid.Float](x, b *grid.G[T], inv T) func(fi int, dst []T) {
-	n := x.N()
-	return func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one row-provider closure per fused cycle, not per point
-		xr := x.Row(fi)
-		up := x.Row(fi - 1)
-		down := x.Row(fi + 1)
-		br := b.Row(fi)
-		dst[0], dst[n-1] = 0, 0
-		for j := 1; j < n-1; j++ {
-			dst[j] = br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-xr[j+1])*inv
-		}
-	}
-}
-
 // --- constant-coefficient stencil (horizontal weight cx, vertical cy) ---
-
-func redHalfSweepConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, omega, cx, cy, invC T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-				xr[j] += omega * (gs - xr[j])
-			}
-		}
-	})
-}
-
-// redHalfSweepEmitConst emits each red point's mid-sweep residual from the
-// update delta (see redHalfSweepEmit).
-func redHalfSweepEmitConst[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h2, omega, cx, cy, invC, rFac T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			rr := r.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rr[j] = rFac * d
-			}
-		}
-	})
-}
-
-func blackHalfSweepEmitConst[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h2, omega, cx, cy, invC, rFac T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			rr := r.Row(i)
-			for j := 1 + i%2; j < n-1; j += 2 {
-				gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rr[j] = rFac * d
-			}
-		}
-	})
-}
-
-func redFixupConst[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], inv, cx, cy, center T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			rr := r.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				rr[j] = br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv
-			}
-		}
-	})
-}
-
-// smoothResidualConst is SmoothResidual for a constant-coefficient stencil.
-func smoothResidualConst[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h, omega, cx, cy T) {
-	h2 := h * h
-	inv := 1 / h2
-	center := 2 * (cx + cy)
-	invC := 1 / center
-	r.ZeroBoundary()
-	redHalfSweepConst(pool, x, b, h2, omega, cx, cy, invC)
-	blackHalfSweepEmitConst(pool, x, b, r, h2, omega, cx, cy, invC, center*(1-omega)*inv)
-	redFixupConst(pool, x, b, r, inv, cx, cy, center)
-}
-
-// smoothResidualRestrictConst is the composed downstroke for a
-// constant-coefficient stencil (see smoothResidualRestrict): the gather
-// weights fold the face coefficients, k• = ω·c•/(C·(1−ω)).
-func smoothResidualRestrictConst[T grid.Float](pool *sched.Pool, coarse, x, b, r *grid.G[T], h, omega, cx, cy T) {
-	h2 := h * h
-	inv := 1 / h2
-	center := 2 * (cx + cy)
-	invC := 1 / center
-	rFac := center * (1 - omega) * inv
-	if om := 1 - omega; om >= gatherMinOneMinusOmega || om <= -gatherMinOneMinusOmega {
-		r.ZeroBoundary()
-		redHalfSweepEmitConst(pool, x, b, r, h2, omega, cx, cy, invC, rFac)
-		blackHalfSweepEmitConst(pool, x, b, r, h2, omega, cx, cy, invC, rFac)
-		k := omega / (center * (1 - omega))
-		gatherFixup(pool, r, k*cx, k*cy)
-	} else {
-		smoothResidualConst(pool, x, b, r, h, omega, cx, cy)
-	}
-	transfer.Restrict(pool, coarse, r)
-}
-
-// sweepWithNormConst is SweepWithNorm for a constant-coefficient stencil.
-func sweepWithNormConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega, cx, cy T) float64 {
-	h2 := h * h
-	redHalfSweepConst(pool, x, b, h2, omega, cx, cy, 1/(2*(cx+cy)))
-	return finishSweepNormConst(pool, x, b, h2, 1/h2, omega, cx, cy)
-}
 
 // finishSweepNormConst is finishSweepNorm for a constant-coefficient stencil.
 func finishSweepNormConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, inv, omega, cx, cy T) float64 {
@@ -483,130 +434,7 @@ func residualNormParConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, cx
 	return sumRows(sums, n)
 }
 
-// residualRowConst is the residual row provider for a constant-coefficient
-// stencil.
-func residualRowConst[T grid.Float](x, b *grid.G[T], inv, cx, cy T) func(fi int, dst []T) {
-	n := x.N()
-	center := 2 * (cx + cy)
-	return func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one row-provider closure per fused cycle, not per point
-		xr := x.Row(fi)
-		up := x.Row(fi - 1)
-		down := x.Row(fi + 1)
-		br := b.Row(fi)
-		dst[0], dst[n-1] = 0, 0
-		for j := 1; j < n-1; j++ {
-			dst[j] = br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv
-		}
-	}
-}
-
 // --- variable-coefficient stencil (nodal field c) ---
-
-func redHalfSweepVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, omega T, c *grid.G[T]) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / (cn + cs + cw + ce)
-				xr[j] += omega * (gs - xr[j])
-			}
-		}
-	})
-}
-
-func blackHalfSweepEmitVar[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h2, omega, inv T, c *grid.G[T]) {
-	n := x.N()
-	oneMinus := 1 - omega
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			rr := r.Row(i)
-			for j := 1 + i%2; j < n-1; j += 2 {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				center := cn + cs + cw + ce
-				gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / center
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rr[j] = center * oneMinus * d * inv
-			}
-		}
-	})
-}
-
-func redFixupVar[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], inv T, c *grid.G[T]) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			rr := r.Row(i)
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				rr[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*xr[j+1])*inv
-			}
-		}
-	})
-}
-
-// smoothResidualVar is SmoothResidual for a variable-coefficient stencil.
-func smoothResidualVar[T grid.Float](pool *sched.Pool, x, b, r *grid.G[T], h, omega T, c *grid.G[T]) {
-	h2 := h * h
-	inv := 1 / h2
-	r.ZeroBoundary()
-	redHalfSweepVar(pool, x, b, h2, omega, c)
-	blackHalfSweepEmitVar(pool, x, b, r, h2, omega, inv, c)
-	redFixupVar(pool, x, b, r, inv, c)
-}
-
-// smoothResidualRestrictVar is the composed downstroke for a
-// variable-coefficient stencil. The delta-gather reconstruction does not
-// pay here — undoing a neighbour's delta encoding needs the neighbour's
-// center coefficient, which costs the same face-average arithmetic as
-// evaluating the red residual directly — so the downstroke is the fused
-// SmoothResidual (black residuals still come free from the sweep) followed
-// by the oracle restriction.
-func smoothResidualRestrictVar[T grid.Float](pool *sched.Pool, coarse, x, b, r *grid.G[T], h, omega T, c *grid.G[T]) {
-	smoothResidualVar(pool, x, b, r, h, omega, c)
-	transfer.Restrict(pool, coarse, r)
-}
-
-// sweepWithNormVar is SweepWithNorm for a variable-coefficient stencil.
-func sweepWithNormVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega T, c *grid.G[T]) float64 {
-	h2 := h * h
-	redHalfSweepVar(pool, x, b, h2, omega, c)
-	return finishSweepNormVar(pool, x, b, h2, 1/h2, omega, c)
-}
 
 // finishSweepNormVar is finishSweepNorm for a variable-coefficient stencil.
 func finishSweepNormVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, inv, omega T, c *grid.G[T]) float64 {
@@ -693,28 +521,4 @@ func residualNormParVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h T, c 
 		}
 	})
 	return sumRows(sums, n)
-}
-
-// residualRowVar is the residual row provider for a variable-coefficient
-// stencil.
-func residualRowVar[T grid.Float](x, b *grid.G[T], inv T, c *grid.G[T]) func(fi int, dst []T) {
-	n := x.N()
-	return func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one row-provider closure per fused cycle, not per point
-		xr := x.Row(fi)
-		up := x.Row(fi - 1)
-		down := x.Row(fi + 1)
-		br := b.Row(fi)
-		cr := c.Row(fi)
-		cu := c.Row(fi - 1)
-		cd := c.Row(fi + 1)
-		dst[0], dst[n-1] = 0, 0
-		for j := 1; j < n-1; j++ {
-			cc := cr[j]
-			cn := 0.5 * (cc + cu[j])
-			cs := 0.5 * (cc + cd[j])
-			cw := 0.5 * (cc + cr[j-1])
-			ce := 0.5 * (cc + cr[j+1])
-			dst[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*xr[j+1])*inv
-		}
-	}
 }

@@ -112,22 +112,11 @@ type Operator struct {
 	coarseOnce sync.Once
 	coarse     *Operator
 
-	// splitCoef memoizes the coefficient field in color-split layout
-	// (FamilyVarCoef only): the field is immutable, so the unit-stride
-	// sweeps pack it once per operator instead of once per solve.
-	splitCoefOnce sync.Once
-	splitCoef     *grid.Split
-
 	// coef32 memoizes the coefficient field converted to float32
 	// (FamilyVarCoef only), so the mixed-precision kernels read a
 	// half-width field instead of converting per sweep.
 	coef32Once sync.Once
 	coef32     *grid.Grid32
-
-	// splitCoef32 memoizes the float32 field in color-split layout for the
-	// mixed-precision unit-stride sweeps.
-	splitCoef32Once sync.Once
-	splitCoef32     *grid.Split32
 }
 
 var poissonOp = &Operator{family: FamilyPoisson, eps: 1}
@@ -387,17 +376,12 @@ func OpSORSweepRB[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T],
 		// through here or OpSORSweeps, so an armed delay stretches any solve.
 		faultinject.Point("stencil.sweep")
 	}
-	switch op.family {
-	case FamilyPoisson:
-		SORSweepRB(pool, x, b, h, omega)
-	case FamilyPoisson3D:
+	if op.family == FamilyPoisson3D {
 		sorSweepRB3(pool, x, b, h, omega)
-	case FamilyAnisotropic:
-		sorSweepRBConst(pool, x, b, h, omega, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		sorSweepRBVar(pool, x, b, h, omega, opCoef[T](op))
+		return
 	}
+	k := bindRows(op, x, b, nil, h, omega)
+	k.sweep(pool)
 }
 
 // GaussSeidelSweep performs one lexicographic Gauss-Seidel sweep in place.
@@ -649,17 +633,12 @@ func (op *Operator) SmoothResidual(pool *sched.Pool, x, b, r *grid.Grid, h, omeg
 
 // OpSmoothResidual is the precision-generic fused sweep + residual for op.
 func OpSmoothResidual[T grid.Float](op *Operator, pool *sched.Pool, x, b, r *grid.G[T], h, omega T) {
-	switch op.family {
-	case FamilyPoisson:
-		SmoothResidual(pool, x, b, r, h, omega)
-	case FamilyPoisson3D:
+	if op.family == FamilyPoisson3D {
 		smoothResidual3(pool, x, b, r, h, omega)
-	case FamilyAnisotropic:
-		smoothResidualConst(pool, x, b, r, h, omega, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		smoothResidualVar(pool, x, b, r, h, omega, opCoef[T](op))
+		return
 	}
+	k := bindRows(op, x, b, r, h, omega)
+	k.smoothResidual(pool, nil)
 }
 
 // SweepWithNorm performs one full red-black SOR sweep in place on x and
@@ -673,29 +652,24 @@ func (op *Operator) SweepWithNorm(pool *sched.Pool, x, b *grid.Grid, h, omega fl
 // OpSweepWithNorm is the precision-generic fused sweep + post-sweep residual
 // norm for op (norm accumulated in float64).
 func OpSweepWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	switch op.family {
-	case FamilyPoisson:
-		return SweepWithNorm(pool, x, b, h, omega)
-	case FamilyPoisson3D:
+	if op.family == FamilyPoisson3D {
 		return sweepWithNorm3(pool, x, b, h, omega)
-	case FamilyAnisotropic:
-		return sweepWithNormConst(pool, x, b, h, omega, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		return sweepWithNormVar(pool, x, b, h, omega, opCoef[T](op))
 	}
+	k := bindRows(op, x, b, nil, h, omega)
+	k.halfSweep(pool, 0)
+	return OpFinishSmoothWithNorm(op, pool, x, b, h, omega)
 }
 
 // SmoothResidualRestrict is the composed V-cycle downstroke: one red-black
 // SOR sweep on x, then the full-weighting restriction of the post-sweep
-// residual into coarse — without a separate residual pass. The black
-// half-sweep emits its residuals from the update delta into the scratch
-// grid r, and the fused restriction evaluates only the red half on the fly
-// as it consumes rows. After the call r holds black residuals only (red
-// points and boundary are unspecified scratch). x is bit-identical to
-// SORSweepRB; coarse matches the unfused sweep + Residual + Restrict chain
-// to floating-point association (≤1e-12 of the data scale). r must not
-// alias x, b, or coarse.
+// residual into coarse — without a separate residual pass, and with no pool
+// in a single traversal of the fine grids (see fused.go). Both half-sweeps
+// emit residuals from their update deltas into the scratch grid r, a fix-up
+// completes the red ones, and the restriction consumes finished rows; after
+// the call r holds the post-sweep residual with a zero boundary. x is
+// bit-identical to SORSweepRB; coarse matches the unfused sweep + Residual +
+// Restrict chain to floating-point association (≤1e-12 of the data scale).
+// r must not alias x, b, or coarse.
 func (op *Operator) SmoothResidualRestrict(pool *sched.Pool, coarse, x, b, r *grid.Grid, h, omega float64) {
 	OpSmoothResidualRestrict(op, pool, coarse, x, b, r, h, omega)
 }
@@ -708,17 +682,13 @@ func OpSmoothResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coar
 		// slow-kernel injection covers it alongside the plain SOR paths.
 		faultinject.Point("stencil.sweep")
 	}
-	switch op.family {
-	case FamilyPoisson:
-		smoothResidualRestrict(pool, coarse, x, b, r, h, omega)
-	case FamilyPoisson3D:
+	if op.family == FamilyPoisson3D {
 		smoothResidualRestrict3(pool, coarse, x, b, r, h, omega)
-	case FamilyAnisotropic:
-		smoothResidualRestrictConst(pool, coarse, x, b, r, h, omega, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		smoothResidualRestrictVar(pool, coarse, x, b, r, h, omega, opCoef[T](op))
+		return
 	}
+	k := bindRows(op, x, b, r, h, omega)
+	k.bindGather()
+	k.smoothResidual(pool, coarse)
 }
 
 // ResidualRestrict computes the full-weighting restriction of b − T·x into
@@ -734,18 +704,12 @@ func (op *Operator) ResidualRestrict(pool *sched.Pool, coarse, x, b *grid.Grid, 
 // OpResidualRestrict is the precision-generic fused residual + restriction
 // for op.
 func OpResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b *grid.G[T], h T) {
-	inv := 1 / (h * h)
-	switch op.family {
-	case FamilyPoisson:
-		transfer.RestrictResidual(pool, coarse, x.N(), residualRowPoisson(x, b, inv))
-	case FamilyPoisson3D:
-		transfer.RestrictResidual3(pool, coarse, x.N(), residualPlane3(x, b, inv))
-	case FamilyAnisotropic:
-		transfer.RestrictResidual(pool, coarse, x.N(), residualRowConst(x, b, inv, T(op.eps), 1))
-	default:
-		op.checkSize(x.N())
-		transfer.RestrictResidual(pool, coarse, x.N(), residualRowVar(x, b, inv, opCoef[T](op)))
+	if op.family == FamilyPoisson3D {
+		transfer.RestrictResidual3(pool, coarse, x.N(), residualPlane3(x, b, 1/(h*h)))
+		return
 	}
+	// No sweep here, so the binding's relaxation weight is never read.
+	transfer.RestrictResidual(pool, coarse, x.N(), residualRows(bindRows(op, x, b, nil, h, 0)))
 }
 
 // residualNormConst returns ‖b − T·x‖₂ for a constant-coefficient stencil.
@@ -767,29 +731,6 @@ func residualNormConst[T grid.Float](x, b *grid.G[T], h, cx, cy T) float64 {
 	return math.Sqrt(sum)
 }
 
-// sorSweepRBConst is the red-black SOR sweep for a constant-coefficient
-// stencil with horizontal weight cx and vertical weight cy.
-func sorSweepRBConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega, cx, cy T) {
-	n := x.N()
-	h2 := h * h
-	invC := 1 / (2 * (cx + cy))
-	for color := 0; color <= 1; color++ {
-		parallelRows(pool, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				xr := x.Row(i)
-				up := x.Row(i - 1)
-				down := x.Row(i + 1)
-				br := b.Row(i)
-				j0 := 1 + (i+1+color)%2
-				for j := j0; j < n-1; j += 2 {
-					gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-					xr[j] += omega * (gs - xr[j])
-				}
-			}
-		})
-	}
-}
-
 // residualConst computes the residual for a constant-coefficient stencil.
 func residualConst[T grid.Float](pool *sched.Pool, r, x, b *grid.G[T], h, cx, cy T) {
 	n := x.N()
@@ -808,36 +749,6 @@ func residualConst[T grid.Float](pool *sched.Pool, r, x, b *grid.G[T], h, cx, cy
 			}
 		}
 	})
-}
-
-// sorSweepRBVar is the red-black SOR sweep for a variable-coefficient
-// stencil with nodal field c (face coefficients are arithmetic averages).
-func sorSweepRBVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega T, c *grid.G[T]) {
-	n := x.N()
-	h2 := h * h
-	for color := 0; color <= 1; color++ {
-		parallelRows(pool, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				xr := x.Row(i)
-				up := x.Row(i - 1)
-				down := x.Row(i + 1)
-				br := b.Row(i)
-				cr := c.Row(i)
-				cu := c.Row(i - 1)
-				cd := c.Row(i + 1)
-				j0 := 1 + (i+1+color)%2
-				for j := j0; j < n-1; j += 2 {
-					cc := cr[j]
-					cn := 0.5 * (cc + cu[j])
-					cs := 0.5 * (cc + cd[j])
-					cw := 0.5 * (cc + cr[j-1])
-					ce := 0.5 * (cc + cr[j+1])
-					gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / (cn + cs + cw + ce)
-					xr[j] += omega * (gs - xr[j])
-				}
-			}
-		})
-	}
 }
 
 // residualVar computes the residual for a variable-coefficient stencil.

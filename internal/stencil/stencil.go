@@ -49,23 +49,8 @@ func parallelRows(pool *sched.Pool, n int, body func(lo, hi int)) {
 // colored by (i+j) parity; within a color all updates are independent, so
 // the sweep parallelizes deterministically.
 func SORSweepRB[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega T) {
-	n := x.N()
-	h2 := h * h
-	for color := 0; color <= 1; color++ {
-		parallelRows(pool, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				xr := x.Row(i)
-				up := x.Row(i - 1)
-				down := x.Row(i + 1)
-				br := b.Row(i)
-				j0 := 1 + (i+1+color)%2
-				for j := j0; j < n-1; j += 2 {
-					gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-					xr[j] += omega * (gs - xr[j])
-				}
-			}
-		})
-	}
+	k := bindRows(poissonOp, x, b, nil, h, omega)
+	k.sweep(pool)
 }
 
 // GaussSeidelSweep performs one lexicographic Gauss-Seidel sweep in place.

@@ -1,30 +1,28 @@
 // Fused V-cycle upstroke kernels (2D). The unfused upstroke runs four
 // full-grid passes after the coarse solve: interpolate the coarse correction
 // into a scratch grid, add the scratch grid to x, then the post-smooth's two
-// half-sweeps. This file folds the first three into:
+// half-sweeps. This file folds them into three row stages:
 //
-//   - A correction pass that evaluates each row's interpolated correction
-//     into a cache-resident buffer (transfer.InterpRow, the same arithmetic
-//     Interpolate runs) and adds it to the row in place — the scratch grid's
+//   - correct: evaluate the row's interpolated correction into a
+//     cache-resident buffer (transfer.InterpRow, the same arithmetic
+//     Interpolate runs) and add it to the row in place — the scratch grid's
 //     full-grid write and re-read disappear, and the interpolation is
 //     computed exactly once per row.
-//   - The red half-sweep. A red point's Gauss-Seidel average reads only
-//     black neighbours and its own corrected value, so relaxing red after
-//     the correction is complete reads exactly the state the unfused
-//     InterpolateAdd + red half-sweep would — the iterate is bit-identical
-//     to the oracle for any pool.
+//   - relax red: a red point's Gauss-Seidel average reads only black
+//     neighbours and its own corrected value, so relaxing red once rows
+//     i−1 … i+1 are corrected reads exactly the state the unfused
+//     InterpolateAdd + red half-sweep would.
+//   - relax black, completing the post-smoothing sweep.
 //
-// Serial execution interleaves the two as a row wavefront — correct(1);
-// correct(i), relaxRed(i−1); …; relaxRed(n−2) — so each row is relaxed while
-// still cache-resident from its correction and the pair costs a single
-// streaming pass. The interleave is exact: relaxing row i−1 reads black
-// values in rows i−2..i, all corrected by then, and red corrections never
-// feed other reds. Parallel execution keeps two barrier-separated passes,
-// matching the strided kernels' chunk-independence contract.
+// Upstroke runs all three in one traversal — serially as the row wavefront
+// correct(i) → red(i−1) → black(i−2) (see fused.go for why one row of lag is
+// exact), with a pool as three barrier-separated passes — and the iterate is
+// bit-identical to the unfused passes either way.
 //
-// FinishSmooth (the plain black half-sweep) or FinishSmoothWithNorm (the
-// black half-sweep with the delta-derived norm reduction extracted from
-// SweepWithNorm) completes the post-smoothing pass.
+// InterpolateCorrectSmooth stops after the red stage, so that the black
+// half can instead be FinishSmoothWithNorm: the black half-sweep with the
+// delta-derived norm reduction extracted from SweepWithNorm. Followed by
+// FinishSmooth it equals Upstroke.
 package stencil
 
 import (
@@ -32,6 +30,23 @@ import (
 	"pbmg/internal/sched"
 	"pbmg/internal/transfer"
 )
+
+// OpUpstroke is the whole V-cycle upstroke in one traversal: it adds the
+// d-linear interpolation of cx to x's interior and runs one full red-black
+// post-smoothing sweep, leaving x bit-identical to transfer.InterpolateAdd
+// followed by SORSweepRB (and to OpInterpolateCorrectSmooth followed by
+// OpFinishSmooth). scratch is a grid of x's size whose contents are
+// clobbered: its rows serve as the interpolation buffers, so the call
+// allocates nothing. cx must not alias x or b.
+func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) {
+	if op.family == FamilyPoisson3D {
+		OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)
+		OpFinishSmooth(op, pool, x, b, h, omega)
+		return
+	}
+	k := bindRows(op, x, b, nil, h, omega)
+	k.correctSmooth(pool, cx, scratch, true)
+}
 
 // InterpolateCorrectSmooth applies the coarse-grid correction (the d-linear
 // interpolation of cx added to x's interior) and runs the post-smooth's red
@@ -46,29 +61,14 @@ func (op *Operator) InterpolateCorrectSmooth(pool *sched.Pool, x, b, cx *grid.Gr
 // OpInterpolateCorrectSmooth is the precision-generic edition of
 // Operator.InterpolateCorrectSmooth.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
-	h2 := h * h
-	switch op.family {
-	case FamilyPoisson:
-		interpCorrectRows(pool, x, cx, func(i int) {
-			redRelaxRow(x, b, i, h2, omega)
-		})
-	case FamilyPoisson3D:
+	if op.family == FamilyPoisson3D {
 		interpCorrectPlanes(pool, x, cx, func(i int) {
-			redRelaxPlane3(x, b, i, h2, omega)
+			redRelaxPlane3(x, b, i, h*h, omega)
 		})
-	case FamilyAnisotropic:
-		eps := T(op.eps)
-		invC := 1 / (2 * (eps + 1))
-		interpCorrectRows(pool, x, cx, func(i int) {
-			redRelaxRowConst(x, b, i, h2, omega, eps, 1, invC)
-		})
-	default:
-		op.checkSize(x.N())
-		coef := opCoef[T](op)
-		interpCorrectRows(pool, x, cx, func(i int) {
-			redRelaxRowVar(x, b, i, h2, omega, coef)
-		})
+		return
 	}
+	k := bindRows(op, x, b, nil, h, omega)
+	k.correctSmooth(pool, cx, nil, false)
 }
 
 // FinishSmooth runs the black half-sweep completing a post-smoothing pass
@@ -80,18 +80,12 @@ func (op *Operator) FinishSmooth(pool *sched.Pool, x, b *grid.Grid, h, omega flo
 
 // OpFinishSmooth is the precision-generic edition of Operator.FinishSmooth.
 func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
-	h2 := h * h
-	switch op.family {
-	case FamilyPoisson:
-		blackHalfSweep(pool, x, b, h2, omega)
-	case FamilyPoisson3D:
-		blackHalfSweep3(pool, x, b, h2, omega)
-	case FamilyAnisotropic:
-		blackHalfSweepConst(pool, x, b, h2, omega, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		blackHalfSweepVar(pool, x, b, h2, omega, opCoef[T](op))
+	if op.family == FamilyPoisson3D {
+		blackHalfSweep3(pool, x, b, h*h, omega)
+		return
 	}
+	k := bindRows(op, x, b, nil, h, omega)
+	k.halfSweep(pool, 1)
 }
 
 // FinishSmoothWithNorm is FinishSmooth fused with the convergence probe: it
@@ -122,149 +116,58 @@ func OpFinishSmoothWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *
 	}
 }
 
-// interpCorrectRows adds the bilinear interpolation of cx to every interior
-// row of x (computing each row's correction exactly once) and relaxes the
-// red points via redRow. Serial execution runs the row wavefront; parallel
-// execution separates the correction and relaxation passes with a barrier,
-// so redRow always reads fully corrected rows i−1..i+1.
-func interpCorrectRows[T grid.Float](pool *sched.Pool, x, cx *grid.G[T], redRow func(i int)) {
-	n := x.N()
-	correct := func(buf []T, i int) {
-		transfer.InterpRow(buf, cx, i)
-		xr := x.Row(i)
-		for j := 1; j < n-1; j++ {
-			xr[j] += buf[j]
-		}
+// correct adds row i of the bilinear interpolation of cx to row i of x,
+// through buf.
+func (k *rowOps[T]) correct(buf []T, cx *grid.G[T], i int) {
+	transfer.InterpRow(buf, cx, i)
+	addRow(k.x.Row(i), buf)
+}
+
+// rowBuf returns an n-long interpolation buffer: row i of scratch, or a fresh
+// slice for the entry points that have no scratch grid to offer. Kept out of
+// line so that allocation stays a single site in the escape gate's ledger.
+//
+//go:noinline
+func rowBuf[T grid.Float](scratch *grid.G[T], i, n int) []T {
+	if scratch == nil {
+		return make([]T, n) //mglint:allow hotalloc — InterpolateCorrectSmooth has no scratch parameter: one correction row buffer per call (per chunk when pooled)
 	}
-	if pool == nil {
-		buf := make([]T, n) //mglint:allow hotalloc — per-upstroke interp correction row buffer, O(n) per V-cycle level
-		correct(buf, 1)
-		for i := 2; i < n-1; i++ {
-			correct(buf, i)
-			redRow(i - 1)
+	return scratch.Row(i)
+}
+
+// correctSmooth applies the coarse-grid correction and relaxes the red
+// points, then with finish also the black points, of every interior row.
+func (k *rowOps[T]) correctSmooth(pool *sched.Pool, cx, scratch *grid.G[T], finish bool) {
+	n := k.n
+	if pool != nil {
+		correctPass(pool, *k, cx, scratch)
+		k.halfSweep(pool, 0)
+		if finish {
+			k.halfSweep(pool, 1)
 		}
-		redRow(n - 2)
 		return
 	}
-	parallelRows(pool, n, func(lo, hi int) {
-		buf := make([]T, n) //mglint:allow hotalloc — per-chunk interp correction row buffer, O(n) per upstroke
-		for i := lo; i < hi; i++ {
-			correct(buf, i)
+	buf := rowBuf(scratch, 0, n)
+	for i := 1; i <= n; i++ {
+		if i < n-1 {
+			k.correct(buf, cx, i)
 		}
-	})
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			redRow(i)
+		if i > 1 && i < n {
+			k.relax(i-1, 0)
 		}
-	})
-}
-
-// redRelaxRow relaxes the red ((i+j) even) points of row i for the
-// Laplacian — SORSweepRB's color-0 half restricted to one row.
-func redRelaxRow[T grid.Float](x, b *grid.G[T], i int, h2, omega T) {
-	n := x.N()
-	xr := x.Row(i)
-	up := x.Row(i - 1)
-	down := x.Row(i + 1)
-	br := b.Row(i)
-	for j := 1 + (i+1)%2; j < n-1; j += 2 {
-		gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-		xr[j] += omega * (gs - xr[j])
+		if finish && i > 2 {
+			k.relax(i-2, 1)
+		}
 	}
 }
 
-// redRelaxRowConst is redRelaxRow for a constant-coefficient stencil.
-func redRelaxRowConst[T grid.Float](x, b *grid.G[T], i int, h2, omega, cx, cy, invC T) {
-	n := x.N()
-	xr := x.Row(i)
-	up := x.Row(i - 1)
-	down := x.Row(i + 1)
-	br := b.Row(i)
-	for j := 1 + (i+1)%2; j < n-1; j += 2 {
-		gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-		xr[j] += omega * (gs - xr[j])
-	}
-}
-
-// redRelaxRowVar is redRelaxRow for a variable-coefficient stencil.
-func redRelaxRowVar[T grid.Float](x, b *grid.G[T], i int, h2, omega T, c *grid.G[T]) {
-	n := x.N()
-	xr := x.Row(i)
-	up := x.Row(i - 1)
-	down := x.Row(i + 1)
-	br := b.Row(i)
-	cr := c.Row(i)
-	cu := c.Row(i - 1)
-	cd := c.Row(i + 1)
-	for j := 1 + (i+1)%2; j < n-1; j += 2 {
-		cc := cr[j]
-		cn := 0.5 * (cc + cu[j])
-		cs := 0.5 * (cc + cd[j])
-		cw := 0.5 * (cc + cr[j-1])
-		ce := 0.5 * (cc + cr[j+1])
-		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / (cn + cs + cw + ce)
-		xr[j] += omega * (gs - xr[j])
-	}
-}
-
-// blackHalfSweep is SORSweepRB's color-1 half-sweep for the Laplacian.
-func blackHalfSweep[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, omega T) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
+// correctPass is the pooled correction stage; each chunk buffers through its
+// own first row of scratch (by-value receiver: see halfSweepPass).
+func correctPass[T grid.Float](pool *sched.Pool, k rowOps[T], cx, scratch *grid.G[T]) {
+	parallelRows(pool, k.n, func(lo, hi int) {
+		buf := rowBuf(scratch, lo, k.n)
 		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1 + i%2; j < n-1; j += 2 {
-				gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-				xr[j] += omega * (gs - xr[j])
-			}
-		}
-	})
-}
-
-// blackHalfSweepConst is the color-1 half-sweep for a constant-coefficient
-// stencil.
-func blackHalfSweepConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, omega, cx, cy T) {
-	n := x.N()
-	invC := 1 / (2 * (cx + cy))
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1 + i%2; j < n-1; j += 2 {
-				gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-				xr[j] += omega * (gs - xr[j])
-			}
-		}
-	})
-}
-
-// blackHalfSweepVar is the color-1 half-sweep for a variable-coefficient
-// stencil.
-func blackHalfSweepVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, omega T, c *grid.G[T]) {
-	n := x.N()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			for j := 1 + i%2; j < n-1; j += 2 {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / (cn + cs + cw + ce)
-				xr[j] += omega * (gs - xr[j])
-			}
+			k.correct(buf, cx, i)
 		}
 	})
 }

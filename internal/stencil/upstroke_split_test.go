@@ -92,49 +92,40 @@ func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
 }
 
 func TestSplitPackUnpackRoundTrip(t *testing.T) {
-	for _, dim := range []int{2, 3} {
-		n := 33
-		if dim == 3 {
-			n = 17
-		}
-		t.Run(fmt.Sprintf("dim%d/n%d", dim, n), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(dim)))
-			g := grid.NewDim(dim, n)
-			grid.FillRandom(g, grid.Biased, rng)
-			s := grid.NewSplit(dim, n)
-			s.Pack(g)
-			out := grid.NewDim(dim, n)
-			out.Fill(math.NaN())
-			s.Unpack(out)
-			assertBitIdentical(t, g, out, "pack/unpack round trip")
-		})
-	}
+	const n = 17
+	rng := rand.New(rand.NewSource(3))
+	g := grid.New3(n)
+	grid.FillRandom(g, grid.Biased, rng)
+	s := grid.NewSplit(n)
+	s.Pack(g)
+	out := grid.New3(n)
+	out.Fill(math.NaN())
+	s.Unpack(out)
+	assertBitIdentical(t, g, out, "pack/unpack round trip")
 }
 
 func TestSORSweepsSplitMatchesStrided(t *testing.T) {
-	for _, tc := range fusedCases() {
-		for _, n := range tc.ns {
-			for _, sweeps := range []int{1, 3} {
-				t.Run(fmt.Sprintf("%s/n%d/k%d", tc.name, n, sweeps), func(t *testing.T) {
-					op := tc.mk(n)
-					h := 1.0 / float64(n-1)
-					omega := op.OmegaSmooth()
-					rng := rand.New(rand.NewSource(int64(n) + 307))
-					x0, b := randomStateDim(tc.dim, n, rng)
+	op := Poisson3D()
+	for _, n := range []int{17, 33} {
+		for _, sweeps := range []int{1, 3} {
+			t.Run(fmt.Sprintf("n%d/k%d", n, sweeps), func(t *testing.T) {
+				h := 1.0 / float64(n-1)
+				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n) + 307))
+				x0, b := randomState3(n, rng)
 
-					xo := x0.Clone()
-					for s := 0; s < sweeps; s++ {
-						op.SORSweepRB(nil, xo, b, h, omega)
-					}
+				xo := x0.Clone()
+				for s := 0; s < sweeps; s++ {
+					op.SORSweepRB(nil, xo, b, h, omega)
+				}
 
-					withPools(t, func(t *testing.T, pool *sched.Pool) {
-						xs := x0.Clone()
-						// Call the split path directly, below its size gate.
-						sorSweepsSplit(op, pool, xs, b, h, omega, sweeps)
-						assertBitIdentical(t, xo, xs, "split sweep iterate")
-					})
+				withPools(t, func(t *testing.T, pool *sched.Pool) {
+					xs := x0.Clone()
+					// Call the split path directly, below its size gate.
+					sorSweepsSplit(pool, xs, b, h, omega, sweeps)
+					assertBitIdentical(t, xo, xs, "split sweep iterate")
 				})
-			}
+			})
 		}
 	}
 }
@@ -144,12 +135,10 @@ func TestSORSweepsHonorsGate(t *testing.T) {
 		dim, n, sweeps int
 		want           bool
 	}{
-		{2, 257, 8, true},
-		{2, 257, 7, false}, // too few sweeps to amortize pack/unpack
-		{2, 129, 64, false},
-		{2, 513, 64, false}, // past the 2D window: strided streams win again
+		{2, 257, 8, false}, // 2D never splits: the strided row wavefront beats it
+		{2, 513, 64, false},
 		{3, 65, 8, true},
-		{3, 65, 7, false},
+		{3, 65, 7, false}, // too few sweeps to amortize pack/unpack
 		{3, 33, 64, false},
 		{3, 129, 8, true}, // no 3D upper bound: strided pencils stay slow
 	}
@@ -161,12 +150,12 @@ func TestSORSweepsHonorsGate(t *testing.T) {
 	}
 	// And the public entry point agrees with the strided loop bit for bit on
 	// a gated (large) configuration.
-	op := Poisson()
-	n := 257
+	op := Poisson3D()
+	n := splitMinN3
 	h := 1.0 / float64(n-1)
 	omega := OmegaOpt(n)
 	rng := rand.New(rand.NewSource(11))
-	x0, b := randomState(n, rng)
+	x0, b := randomState3(n, rng)
 	xo := x0.Clone()
 	for s := 0; s < splitMinSweeps; s++ {
 		op.SORSweepRB(nil, xo, b, h, omega)
@@ -177,14 +166,14 @@ func TestSORSweepsHonorsGate(t *testing.T) {
 }
 
 // FuzzSplitMatchesStrided drives the color-split sweeps against the strided
-// oracle on random states, families, weights, and sweep counts, bypassing
-// the size gate (2D at 129, 3D at 33).
+// oracle on random states, weights, and sweep counts, bypassing the size
+// gate (N=33).
 func FuzzSplitMatchesStrided(f *testing.F) {
-	f.Add(int64(1), uint8(0), 1.0, 1.15, uint8(1))
-	f.Add(int64(2), uint8(1), 0.01, 1.0, uint8(2))
-	f.Add(int64(3), uint8(2), 2.0, 1.6, uint8(3))
+	f.Add(int64(1), 1.15, uint8(1))
+	f.Add(int64(2), 1.0, uint8(2))
+	f.Add(int64(3), 1.6, uint8(3))
 	pool := sharedPool()
-	f.Fuzz(func(t *testing.T, seed int64, famSel uint8, epsRaw, omegaRaw float64, sweepsRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, omegaRaw float64, sweepsRaw uint8) {
 		omega := omegaRaw
 		if math.IsNaN(omega) || math.IsInf(omega, 0) {
 			omega = 1.15
@@ -192,21 +181,6 @@ func FuzzSplitMatchesStrided(f *testing.F) {
 		omega = 0.05 + math.Mod(math.Abs(omega), 1.9) // (0, 2): SOR-stable
 		sweeps := 1 + int(sweepsRaw%3)
 		rng := rand.New(rand.NewSource(seed))
-
-		const n2 = 129
-		op := fuzzOperator(n2, famSel, epsRaw, seed)
-		x0, b := randomState(n2, rng)
-		h := 1.0 / float64(n2-1)
-		xo := x0.Clone()
-		for s := 0; s < sweeps; s++ {
-			op.SORSweepRB(nil, xo, b, h, omega)
-		}
-		xs := x0.Clone()
-		sorSweepsSplit(op, pool, xs, b, h, omega, sweeps)
-		assertBitIdentical(t, xo, xs, "2D split iterate")
-		xss := x0.Clone()
-		sorSweepsSplit(op, nil, xss, b, h, omega, sweeps)
-		assertBitIdentical(t, xo, xss, "2D split serial (wavefront) iterate")
 
 		const n3 = 33
 		op3 := Poisson3D()
@@ -217,10 +191,10 @@ func FuzzSplitMatchesStrided(f *testing.F) {
 			op3.SORSweepRB(nil, xo3, b3, h3, omega)
 		}
 		xs3 := x30.Clone()
-		sorSweepsSplit(op3, pool, xs3, b3, h3, omega, sweeps)
+		sorSweepsSplit(pool, xs3, b3, h3, omega, sweeps)
 		assertBitIdentical(t, xo3, xs3, "3D split iterate")
 		xss3 := x30.Clone()
-		sorSweepsSplit(op3, nil, xss3, b3, h3, omega, sweeps)
+		sorSweepsSplit(nil, xss3, b3, h3, omega, sweeps)
 		assertBitIdentical(t, xo3, xss3, "3D split serial (wavefront) iterate")
 	})
 }

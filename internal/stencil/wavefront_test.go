@@ -1,0 +1,191 @@
+package stencil
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"pbmg/internal/grid"
+	"pbmg/internal/sched"
+)
+
+// The serial drivers of fused.go/upstroke.go reorder whole rows, never the
+// operands of a point, so everything they produce must equal — bit for bit,
+// not to a tolerance — what the barrier-separated pass order produces from
+// the same row kernels, for any worker count. This suite pins that over the
+// sizes where the pipeline is longer than the grid (N=5 has three interior
+// rows, the downstroke four stages), both fix-up paths (ω = 1 and 1+5e-4 sit
+// inside gatherMinOneMinusOmega), every 2D family and both precisions, on
+// states whose Dirichlet boundary is not zero. The sweep itself is pinned to
+// a reference written point by point below, so the row kernels cannot drift
+// from the expressions the strided kernels evaluated.
+
+var (
+	wavefrontSizes  = []int{5, 9, 17, 33, 65, 129}
+	wavefrontOmegas = []float64{0.8, 1, 1 + 5e-4, 1.15}
+)
+
+func wavefrontFamilies() []fusedCase {
+	return []fusedCase{
+		{name: "poisson", mk: func(int) *Operator { return Poisson() }},
+		{name: "aniso-0.01", mk: func(int) *Operator { return Anisotropic(0.01) }},
+		{name: "varcoef-2", mk: func(n int) *Operator { return VarCoefOperator(CoefField(n, 2), 2) }},
+	}
+}
+
+func randomGridOf[T grid.Float](n int, rng *rand.Rand) *grid.G[T] {
+	g := grid.NewOf[T](2, n)
+	for i := range g.Data() {
+		g.Data()[i] = T(2*rng.Float64() - 1)
+	}
+	return g
+}
+
+func filledOf[T grid.Float](n int, v T) *grid.G[T] {
+	g := grid.NewOf[T](2, n)
+	g.Fill(v)
+	return g
+}
+
+func assertSameBits[T grid.Float](t *testing.T, got, want *grid.G[T], what string) {
+	t.Helper()
+	gd, wd := got.Data(), want.Data()
+	for k := range wd {
+		if math.Float64bits(float64(gd[k])) != math.Float64bits(float64(wd[k])) {
+			t.Fatalf("%s: entry %d (row %d, col %d) = %v, want %v", what, k, k/want.N(), k%want.N(), gd[k], wd[k])
+		}
+	}
+}
+
+// refSweep is one red-black SOR sweep written point by point in pass order:
+// the expressions of the strided kernels this package shipped before the row
+// kernels, kept here as their oracle.
+func refSweep[T grid.Float](op *Operator, x, b *grid.G[T], h, omega T) {
+	n := x.N()
+	h2 := h * h
+	for colour := 0; colour <= 1; colour++ {
+		for i := 1; i < n-1; i++ {
+			for j := 1 + (i+1+colour)%2; j < n-1; j += 2 {
+				up, down, west, east := x.At(i-1, j), x.At(i+1, j), x.At(i, j-1), x.At(i, j+1)
+				var gs T
+				switch op.family {
+				case FamilyPoisson:
+					gs = (up + down + west + east + h2*b.At(i, j)) * 0.25
+				case FamilyAnisotropic:
+					cx, cy := T(op.eps), T(1)
+					invC := 1 / (2 * (cx + cy))
+					gs = (cy*(up+down) + cx*(west+east) + h2*b.At(i, j)) * invC
+				default:
+					c := opCoef[T](op)
+					cc := c.At(i, j)
+					cn := 0.5 * (cc + c.At(i-1, j))
+					cs := 0.5 * (cc + c.At(i+1, j))
+					cw := 0.5 * (cc + c.At(i, j-1))
+					ce := 0.5 * (cc + c.At(i, j+1))
+					gs = (cn*up + cs*down + cw*west + ce*east + h2*b.At(i, j)) / (cn + cs + cw + ce)
+				}
+				x.Set(i, j, x.At(i, j)+omega*(gs-x.At(i, j)))
+			}
+		}
+	}
+}
+
+func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 float64, pools []*sched.Pool) {
+	rng := rand.New(rand.NewSource(int64(n)*1000 + int64(omega64*1e4)))
+	nc := grid.Coarsen(n)
+	h, omega := T(1/float64(n-1)), T(omega64)
+	x0, b := randomGridOf[T](n, rng), randomGridOf[T](n, rng)
+	cx := randomGridOf[T](nc, rng)
+	const junk = 7 // r, coarse and scratch start dirty: every entry must be produced
+
+	// Sweep: serial wavefront == the point-by-point reference == any pool.
+	want := x0.Clone()
+	refSweep(op, want, b, h, omega)
+	sweep := func(pool *sched.Pool) *grid.G[T] {
+		x := x0.Clone()
+		OpSORSweepRB(op, pool, x, b, h, omega)
+		return x
+	}
+	assertSameBits(t, sweep(nil), want, "sweep x: wavefront vs reference")
+
+	// Downstroke: serial wavefront == pass order from the same row kernels.
+	down := func(pool *sched.Pool) (x, r, coarse *grid.G[T]) {
+		x, r, coarse = x0.Clone(), filledOf[T](n, junk), filledOf[T](nc, junk)
+		OpSmoothResidualRestrict(op, pool, coarse, x, b, r, h, omega)
+		return
+	}
+	xs, rs, cs := down(nil)
+	xp, rp, cp := x0.Clone(), filledOf[T](n, junk), filledOf[T](nc, junk)
+	k := bindRows(op, xp, b, rp, h, omega)
+	k.bindGather()
+	if wantGather := op.family != FamilyVarCoef && math.Abs(1-omega64) >= gatherMinOneMinusOmega; k.gather != wantGather {
+		t.Fatalf("gather = %v, want %v", k.gather, wantGather)
+	}
+	rp.ZeroBoundary()
+	smoothResidualPasses(nil, k, cp)
+	assertSameBits(t, xs, want, "downstroke x: wavefront vs reference sweep")
+	assertSameBits(t, xs, xp, "downstroke x: wavefront vs passes")
+	assertSameBits(t, rs, rp, "downstroke r: wavefront vs passes")
+	assertSameBits(t, cs, cp, "downstroke coarse: wavefront vs passes")
+
+	// SmoothResidual is the downstroke without gather or restriction.
+	smooth := func(pool *sched.Pool) (x, r *grid.G[T]) {
+		x, r = x0.Clone(), filledOf[T](n, junk)
+		OpSmoothResidual(op, pool, x, b, r, h, omega)
+		return
+	}
+	xr, rr := smooth(nil)
+	assertSameBits(t, xr, want, "smooth-residual x: wavefront vs reference sweep")
+
+	// Upstroke: the one-traversal entry == the two-call pair.
+	up := func(pool *sched.Pool) *grid.G[T] {
+		x := x0.Clone()
+		OpUpstroke(op, pool, x, b, cx, filledOf[T](n, junk), h, omega)
+		return x
+	}
+	xu := up(nil)
+	pair := x0.Clone()
+	OpInterpolateCorrectSmooth(op, nil, pair, b, cx, h, omega)
+	OpFinishSmooth(op, nil, pair, b, h, omega)
+	assertSameBits(t, xu, pair, "upstroke x: one traversal vs InterpolateCorrectSmooth+FinishSmooth")
+
+	for _, pool := range pools {
+		w := fmt.Sprintf(" (serial vs %d workers)", pool.Workers())
+		assertSameBits(t, sweep(pool), want, "sweep x"+w)
+		x, r, c := down(pool)
+		assertSameBits(t, x, xs, "downstroke x"+w)
+		assertSameBits(t, r, rs, "downstroke r"+w)
+		assertSameBits(t, c, cs, "downstroke coarse"+w)
+		x, r = smooth(pool)
+		assertSameBits(t, x, xr, "smooth-residual x"+w)
+		assertSameBits(t, r, rr, "smooth-residual r"+w)
+		assertSameBits(t, up(pool), xu, "upstroke x"+w)
+		x = x0.Clone()
+		OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)
+		OpFinishSmooth(op, pool, x, b, h, omega)
+		assertSameBits(t, x, xu, "upstroke pair x"+w)
+	}
+}
+
+func TestWavefrontBitIdentical(t *testing.T) {
+	var pools []*sched.Pool
+	for _, w := range []int{1, 2, 3} {
+		p := sched.NewPool(w)
+		defer p.Close()
+		pools = append(pools, p)
+	}
+	for _, tc := range wavefrontFamilies() {
+		for _, n := range wavefrontSizes {
+			op := tc.mk(n)
+			for _, omega := range wavefrontOmegas {
+				t.Run(fmt.Sprintf("%s/n%d/omega%g/f64", tc.name, n, omega), func(t *testing.T) {
+					checkWavefront[float64](t, op, n, omega, pools)
+				})
+				t.Run(fmt.Sprintf("%s/n%d/omega%g/f32", tc.name, n, omega), func(t *testing.T) {
+					checkWavefront[float32](t, op, n, omega, pools)
+				})
+			}
+		}
+	}
+}

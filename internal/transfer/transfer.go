@@ -50,26 +50,27 @@ func Restrict[T grid.Float](pool *sched.Pool, coarse, fine *grid.G[T]) {
 	}
 	nc := coarse.N()
 	coarse.ZeroBoundary()
-	body := func(lo, hi int) {
-		for ci := lo; ci < hi; ci++ {
-			fi := 2 * ci
-			cr := coarse.Row(ci)
-			mid := fine.Row(fi)
-			up := fine.Row(fi - 1)
-			down := fine.Row(fi + 1)
-			for cj := 1; cj < nc-1; cj++ {
-				fj := 2 * cj
-				cr[cj] = (4*mid[fj] +
-					2*(up[fj]+down[fj]+mid[fj-1]+mid[fj+1]) +
-					up[fj-1] + up[fj+1] + down[fj-1] + down[fj+1]) * (1.0 / 16.0)
-			}
-		}
-	}
 	if pool == nil {
-		body(1, nc-1)
+		restrictRows(coarse, fine, 1, nc-1)
 		return
 	}
-	pool.ParallelForPoints(1, nc-1, 2*fine.N(), body)
+	pool.ParallelForPoints(1, nc-1, 2*fine.N(), func(lo, hi int) { restrictRows(coarse, fine, lo, hi) })
+}
+
+// restrictRows computes coarse rows lo … hi−1 of the 2D restriction.
+func restrictRows[T grid.Float](coarse, fine *grid.G[T], lo, hi int) {
+	for ci := lo; ci < hi; ci++ {
+		restrictRow(coarse.Row(ci), fine.Row(2*ci-1), fine.Row(2*ci), fine.Row(2*ci+1))
+	}
+}
+
+// RestrictRow computes interior row ci of the 2D Restrict alone, from fine
+// rows 2ci−1 … 2ci+1, leaving the rest of coarse (its boundary included)
+// untouched: the row-at-a-time form a fused downstroke drives as soon as
+// those three fine rows are final.
+func RestrictRow[T grid.Float](coarse, fine *grid.G[T], ci int) {
+	checkLevels(coarse, fine, "RestrictRow")
+	restrictRows(coarse, fine, ci, ci+1)
 }
 
 // restrict3 is 3D full weighting: the tensor product of the 1D stencil
@@ -162,13 +163,7 @@ func RestrictResidual[T grid.Float](pool *sched.Pool, coarse *grid.G[T], nf int,
 			}
 			resRow(fi, mid)
 			resRow(fi+1, down)
-			cr := coarse.Row(ci)
-			for cj := 1; cj < nc-1; cj++ {
-				fj := 2 * cj
-				cr[cj] = (4*mid[fj] +
-					2*(up[fj]+down[fj]+mid[fj-1]+mid[fj+1]) +
-					up[fj-1] + up[fj+1] + down[fj-1] + down[fj+1]) * (1.0 / 16.0)
-			}
+			restrictRow(coarse.Row(ci), up, mid, down)
 		}
 	}
 	if pool == nil {

@@ -453,11 +453,15 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 	}
 	// Divergence of a reduced-precision plan gets one retry at forced
 	// float64, restarted from the caller's original state — the diverged
-	// attempt has already scribbled on x. Pure-f64 tables skip the snapshot
-	// (and can't escalate: a divergence there is the input's fault).
+	// attempt has already scribbled on x. The snapshot is arena scratch,
+	// returned on every way out (the deferred release also runs when a
+	// kernel panic unwinds through here). Pure-f64 tables skip it (and can't
+	// escalate: a divergence there is the input's fault).
 	var x0 *Grid
 	if s.reducedPrec {
-		x0 = x.Clone()
+		snap := s.ws.Snapshot(x)
+		defer s.ws.ReleaseSnapshot(snap)
+		x0 = snap.Grid()
 	}
 	run := func() error {
 		return ex.Run(func() {
