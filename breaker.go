@@ -3,8 +3,6 @@ package pbmg
 import (
 	"errors"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -111,63 +109,46 @@ const (
 // breaker is a consecutive-failure circuit breaker: closed (normal
 // admission, counting consecutive infrastructure failures), open (shedding
 // until the cooldown elapses), half-open (exactly one probe in flight;
-// success closes, failure re-opens). All transitions happen under mu in
-// allow/record; opens and shed are separate atomics so Metrics can read
-// them without the lock.
+// success closes, failure re-opens). It is plain state inside a family's
+// admission record (admission.go): every method runs under the admitter's
+// mutex and takes the admitter's clock, read only off the closed fast path.
 type breaker struct {
-	cfg BreakerConfig
-
-	mu          sync.Mutex
+	cfg         BreakerConfig
 	state       int
 	consecutive int
 	openedAt    time.Time
 	probing     bool
-
-	opens atomic.Int64
-	shed  atomic.Int64
 }
 
-func newBreaker(cfg BreakerConfig) *breaker {
-	return &breaker{cfg: cfg.withDefaults()}
-}
-
-// allow decides whether a request may proceed. probe is true when this
-// request is the half-open probe (its outcome decides the breaker's fate);
-// a non-nil err is the shed to return, wrapping ErrBreakerOpen.
-func (b *breaker) allow() (probe bool, err error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerClosed:
-		return false, nil
-	case breakerOpen:
-		wait := b.cfg.Cooldown - time.Since(b.openedAt)
-		if wait > 0 {
-			b.shed.Add(1)
-			return false, &BreakerOpenError{RetryAfter: wait}
-		}
-		// Cooldown elapsed: this request becomes the half-open probe.
-		b.state = breakerHalfOpen
-		b.probing = true
-		return true, nil
-	default: // breakerHalfOpen
-		if b.probing {
-			// One probe at a time; everyone else keeps shedding until it
-			// reports back.
-			b.shed.Add(1)
-			return false, &BreakerOpenError{RetryAfter: b.cfg.Cooldown}
-		}
-		b.probing = true
-		return true, nil
+// allow decides whether an arriving request may proceed. probe is true when
+// this request is the half-open probe (its outcome decides the breaker's
+// fate); open means shed it, with retryAfter as the hint.
+func (b *breaker) allow(now func() time.Time) (probe bool, retryAfter time.Duration, open bool) {
+	if b.state == breakerClosed {
+		return false, 0, false
 	}
+	if b.state == breakerOpen {
+		if wait := b.cfg.Cooldown - now().Sub(b.openedAt); wait > 0 {
+			return false, wait, true
+		}
+		b.state = breakerHalfOpen // cooldown elapsed: the next request probes
+	}
+	if b.probing {
+		// One probe at a time — including one still outstanding from before a
+		// straggler's failure re-opened the breaker; everyone else keeps
+		// shedding until it reports back.
+		return false, b.cfg.Cooldown, true
+	}
+	b.probing = true
+	return true, 0, false
 }
 
-// record feeds a finished request's outcome back. probe is the value allow
-// returned for it.
-func (b *breaker) record(probe bool, outcome breakerOutcome) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
+// record feeds a finished request's outcome back (probe is the value allow
+// returned for it) and reports whether the breaker opened.
+func (b *breaker) record(now func() time.Time, probe bool, outcome breakerOutcome) (opened bool) {
 	if probe {
+		// Whatever the outcome — a cancelled probe included — the probe slot
+		// is free again, so the next request probes instead.
 		b.probing = false
 	}
 	switch outcome {
@@ -180,32 +161,24 @@ func (b *breaker) record(probe bool, outcome breakerOutcome) {
 		b.consecutive++
 		if b.state == breakerHalfOpen || (b.state == breakerClosed && b.consecutive >= b.cfg.Threshold) {
 			b.state = breakerOpen
-			b.openedAt = time.Now()
-			b.opens.Add(1)
+			b.openedAt = now()
+			return true
 		}
-	case breakerNeutral:
-		// Cancelled or never ran: no evidence. A half-open probe that was
-		// cancelled releases the probe slot (above) so the next request
-		// probes instead.
 	}
+	return false
 }
 
 // stateName reports the state for metrics and readiness: "closed", "open",
 // or "half-open". An open breaker whose cooldown has elapsed reports
 // half-open — the next request will probe — so readiness stops flapping on
 // an idle family that merely has nobody retrying yet.
-func (b *breaker) stateName() string {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch b.state {
-	case breakerOpen:
-		if time.Since(b.openedAt) >= b.cfg.Cooldown {
-			return "half-open"
-		}
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
+func (b *breaker) stateName(now func() time.Time) string {
+	switch {
+	case b.state == breakerClosed:
 		return "closed"
+	case b.state == breakerOpen && now().Sub(b.openedAt) < b.cfg.Cooldown:
+		return "open"
+	default:
+		return "half-open"
 	}
 }

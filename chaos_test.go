@@ -177,7 +177,7 @@ func TestChaosEscalationRestartsFromCallerBits(t *testing.T) {
 func TestChaosServicePanic(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
 	requireSnapshotting(t, s)
-	sv := newService(s, make(chan struct{}, 2), BreakerConfig{})
+	sv := newService(s, 2, BreakerConfig{})
 	p := chaosProblem(t, s, 55)
 
 	armFaults(t, "mg.cycle:panic,count=1")

@@ -106,8 +106,7 @@ func runServe(familiesSpec string, level, workers int, seed int64, writeJSON boo
 
 	// Mixed workload: clients issue requests round-robin across the families
 	// from a pre-drawn per-family problem rotation, all through the shared
-	// admission limit (the same internal/mixload driver mgserve's registry
-	// mode uses, so the benchmark measures the served workload shape).
+	// admission limit.
 	res, err := mixload.Run(mixload.Options{
 		Services: services,
 		ReqN:     reqN,

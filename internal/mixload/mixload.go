@@ -2,10 +2,9 @@
 // pbmg services: each client pre-draws a small rotation of problems per
 // family (so request setup stays off the measured path), then issues
 // requests round-robin across the families from fresh states, recording
-// per-family latencies. It is the shared client loop behind mgserve's
-// registry mode, mgbench's serve experiment, and — in HTTP mode — the
-// mgserved front end's benchmark (mgbench -exp http), so the workload
-// shape cannot drift between the demos and the benchmarks.
+// per-family latencies. It is the shared client loop behind mgbench's
+// serve experiment and — in HTTP mode — the mgserved front end's benchmark
+// (mgbench -exp http), so the workload shape cannot drift between them.
 //
 // HTTP mode (Options.URL set) issues the same workload over the serve
 // package's wire protocol instead of in-process calls: request bodies are

@@ -40,6 +40,9 @@ func TestMGServedLifecycle(t *testing.T) {
 	if err := tuneFamily(t, FamilyPoisson, 0).Save(filepath.Join(tables, "poisson.json")); err != nil {
 		t.Fatal(err)
 	}
+	if err := tuneFamily(t, FamilyAnisotropic, 0.25).Save(filepath.Join(tables, "aniso.json")); err != nil {
+		t.Fatal(err)
+	}
 
 	srv := exec.Command(bin,
 		"-addr", "127.0.0.1:0", "-configdir", tables, "-workers", "1",
@@ -124,6 +127,35 @@ func TestMGServedLifecycle(t *testing.T) {
 	copy(x.Data(), solved.X)
 	if got := p.AccuracyOf(x); got < 1e3 {
 		t.Fatalf("served accuracy %.3g, want ≥ 1e3", got)
+	}
+
+	// Bad-input routing (moved here from the retired mgserve's CLI cases): a
+	// family the catalog does not serve, and a served family at an eps it
+	// was not tuned for, are 404s that say what IS served.
+	for _, tc := range []struct {
+		name    string
+		req     map[string]any
+		wantErr string
+	}{
+		{"registry family miss", map[string]any{"family": "varcoef", "n": 17, "accuracy": 1e3, "b": p.B.Data()},
+			"does not serve family"},
+		{"registry eps mismatch", map[string]any{"family": "aniso", "eps": 0.5, "n": 17, "accuracy": 1e3, "b": p.B.Data()},
+			"serves family aniso at eps 0.25"},
+	} {
+		body, err := json.Marshal(tc.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound || !strings.Contains(buf.String(), tc.wantErr) {
+			t.Fatalf("%s: HTTP %d %s, want 404 mentioning %q", tc.name, resp.StatusCode, buf.String(), tc.wantErr)
+		}
 	}
 
 	// Hot-reload over HTTP, then via SIGHUP; each must bump the version.

@@ -2,7 +2,6 @@ package pbmg
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -98,9 +97,17 @@ type RegistryOptions struct {
 	// Workers sets the shared kernel worker pool for every served family
 	// (≤ 1: serial).
 	Workers int
-	// MaxInFlight is the global admission limit across all families (≤ 0:
-	// 2×GOMAXPROCS).
+	// MaxInFlight is the global cap on running solves (≤ 0: 2×GOMAXPROCS);
+	// the effective cap is max(MaxInFlight, Σ quotas of the families actually
+	// registered), so quotas stay the binding limit.
 	MaxInFlight int
+	// Quotas caps concurrent solves per family, keyed by ServeKey.String()
+	// ("aniso:0.01"); families not named get DefaultQuota (0: the global cap
+	// only, and an unbounded queue). QueueDepth bounds each capped family's
+	// queue, beyond which arrivals shed ErrQueueFull (≤ 0: 4× its quota).
+	Quotas       map[string]int
+	DefaultQuota int
+	QueueDepth   int
 	// FactorCacheCap bounds the shared direct-factor cache (0:
 	// DefaultFactorCacheCap; < 0: unbounded).
 	FactorCacheCap int
@@ -112,15 +119,15 @@ type RegistryOptions struct {
 
 // Registry serves several tuned operator families from one process. Each
 // registered configuration gets a Service routed by (family, ε); all of them
-// share the registry's worker pool, its global admission semaphore, and its
+// share the registry's worker pool, its admitter (admission.go), and its
 // bounded direct-factor cache. A Registry is safe for concurrent use: any
 // number of goroutines may Lookup and Solve while families are being
 // registered. Release with Close.
 type Registry struct {
-	pool       *sched.Pool
-	cache      *direct.Cache
-	sem        chan struct{}
-	breakerCfg BreakerConfig
+	pool  *sched.Pool
+	cache *direct.Cache
+	adm   *admitter
+	opts  RegistryOptions
 
 	unroutable atomic.Int64
 
@@ -136,10 +143,6 @@ func NewRegistry(o RegistryOptions) *Registry {
 	if o.Workers > 1 {
 		pool = sched.NewPool(o.Workers)
 	}
-	maxInFlight := o.MaxInFlight
-	if maxInFlight <= 0 {
-		maxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
 	cacheCap := o.FactorCacheCap
 	switch {
 	case cacheCap == 0:
@@ -148,16 +151,16 @@ func NewRegistry(o RegistryOptions) *Registry {
 		cacheCap = 0 // direct.NewCache treats ≤ 0 as unbounded
 	}
 	return &Registry{
-		pool:       pool,
-		cache:      direct.NewCache(cacheCap),
-		sem:        make(chan struct{}, maxInFlight),
-		breakerCfg: o.Breaker,
-		services:   make(map[ServeKey]*Service),
+		pool:     pool,
+		cache:    direct.NewCache(cacheCap),
+		adm:      newAdmitter(o.MaxInFlight, o.Breaker),
+		opts:     o,
+		services: make(map[ServeKey]*Service),
 	}
 }
 
-// MaxInFlight returns the global admission limit shared by every family.
-func (r *Registry) MaxInFlight() int { return cap(r.sem) }
+// MaxInFlight returns the effective global cap shared by every family.
+func (r *Registry) MaxInFlight() int { return r.adm.globalCap() }
 
 // PoolSteals returns the shared worker pool's cumulative successful-steal
 // count (0 for a serial registry) — scheduler visibility for benchmarks.
@@ -201,7 +204,13 @@ func (r *Registry) registerLocked(s *Solver) *Service {
 	key := serveKeyOf(s)
 	s.ws.Pool = r.pool
 	s.ws.FactorCache = r.cache
-	svc := newService(s, r.sem, r.breakerCfg)
+	quota, named := r.opts.Quotas[key.String()]
+	if !named {
+		quota = r.opts.DefaultQuota
+	}
+	// Each family has its own breaker state inside the shared admitter: one
+	// family melting down must not stop the others.
+	svc := &Service{s: s, fam: r.adm.family(quota, r.opts.QueueDepth)}
 	// The registry service becomes the solver's default service even if a
 	// private one was already created before registration, so
 	// Solver.SolveBatch always honors the global limit and its completions
@@ -224,25 +233,6 @@ func (r *Registry) Tune(o Options) (*Service, error) {
 	}
 	s.pool = nil // the registry owns the shared pool
 	return r.Register(s)
-}
-
-// LoadFile loads one tuned configuration written by Solver.Save (or mgtune)
-// and registers it.
-func (r *Registry) LoadFile(path string) (*Service, error) {
-	tuned, err := core.Load(path)
-	if err != nil {
-		return nil, err
-	}
-	s, err := newSolver(tuned, r.pool)
-	if err != nil {
-		return nil, err
-	}
-	s.pool = nil // the registry owns the shared pool
-	svc, err := r.Register(s)
-	if err != nil {
-		return nil, fmt.Errorf("%w (from %s)", err, path)
-	}
-	return svc, nil
 }
 
 // LoadDir loads every .json tuned configuration in dir (one file per family,
@@ -354,7 +344,7 @@ func (r *Registry) routeError(key ServeKey) error {
 }
 
 // Solve routes one tuned FULL-MULTIGRID solve to the family's service,
-// blocking while the registry-wide MaxInFlight solves are already running.
+// waiting while the family's quota or the registry-wide cap is exhausted.
 // See Solver.Solve.
 func (r *Registry) Solve(f Family, eps float64, x, b *Grid, accuracy float64) error {
 	svc, err := r.Lookup(f, eps)
@@ -399,5 +389,5 @@ func (r *Registry) Metrics() RegistryMetrics {
 // Close releases the registry's shared worker pool. It must not be called
 // while solves are in flight. Solvers registered via Register keep their own
 // pools (release those with Solver.Close); solvers the registry built itself
-// (Tune, LoadFile, LoadDir) have no other resources to release.
+// (Tune, LoadDir) have no other resources to release.
 func (r *Registry) Close() { closePool(r.pool) }

@@ -23,7 +23,7 @@ func TestServeRejectsNonFiniteInput(t *testing.T) {
 	srv, cl := startServer(t, Config{})
 	ctx := context.Background()
 
-	svc := familyGate(t, srv, "poisson").svc
+	svc := familyService(t, srv, "poisson")
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 9)
 	for _, tc := range []struct {
 		name    string

@@ -1,5 +1,7 @@
 package serve
 
+import "pbmg"
+
 // Wire types of the HTTP serving protocol. Grids travel as flat JSON
 // arrays in the same row-major (2D) / plane-major (3D) layout as
 // pbmg.Grid.Data, so a client round-trips a grid without reshaping. The
@@ -48,15 +50,15 @@ type SolveResponse struct {
 	// solve at the top level: "f64", "f32" (whole cycle in float32 storage),
 	// or "mixed" (f32 cycle under f64 iterative refinement).
 	Precision string `json:"precision,omitempty"`
-	// SolveNs is the server-side solve duration (admission wait excluded).
+	// SolveNs is the server-side duration of admission and solve together
+	// (any wait in the family's queue included).
 	SolveNs int64 `json:"solveNs"`
 }
 
 // BatchRequest is the body of POST /v1/batch: several problems of one
 // family solved concurrently under the family's quota. The batch holds ONE
-// slot in the family's admission queue; its problems then fan out across
-// the family's quota like Service.SolveBatch fans across the admission
-// limit.
+// place in the family's admission queue; its problems then take the
+// family's running slots one by one (pbmg.Service.SolveBatchContext).
 type BatchRequest struct {
 	Family   string  `json:"family"`
 	Eps      float64 `json:"eps,omitempty"`
@@ -99,8 +101,10 @@ type ErrorResponse struct {
 }
 
 // FamilyStatus is one served family's block in the /metrics answer: the
-// catalog entry, its quota configuration, the underlying service counters
-// (see pbmg.ServiceMetrics), and the HTTP layer's queue/shed counters.
+// catalog entry, its quota configuration, its breaker state, and — inlined —
+// the family's admission counters and gauges, declared once as
+// pbmg.ServiceMetrics (admitted, completed, failed, shed and its classes
+// shedQueueFull / shedDeadline / breakerShed, queueLen, inFlight, ...).
 type FamilyStatus struct {
 	Family  string  `json:"family"`
 	Eps     float64 `json:"eps,omitempty"`
@@ -114,34 +118,14 @@ type FamilyStatus struct {
 	// family's tuned table ("f64", "f32", "mixed"), so operators can see
 	// which families serve mixed-precision plans.
 	Precisions []string `json:"precisions,omitempty"`
-	// Service counters (pbmg.ServiceMetrics).
-	Admitted  int64 `json:"admitted"`
-	Completed int64 `json:"completed"`
-	Failed    int64 `json:"failed"`
-	Shed      int64 `json:"shed"`
-	Waiting   int64 `json:"waiting"`
-	InFlight  int64 `json:"inFlight"`
-	// Failure classes (subsets of Failed): solves cancelled mid-cycle by
-	// their deadline, solves that diverged numerically, and solves that hit
-	// a recovered panic. Escalations counts reduced-precision solves retried
-	// at float64 after diverging (success or not) — nonzero means live
-	// traffic is pushing the tuned f32/mixed tables past their range.
-	Cancelled   int64 `json:"cancelled"`
-	Diverged    int64 `json:"diverged"`
-	Panicked    int64 `json:"panicked"`
+	// Escalations counts reduced-precision solves retried at float64 after
+	// diverging (success or not) — nonzero means live traffic is pushing the
+	// tuned f32/mixed tables past their range.
 	Escalations int64 `json:"escalations"`
 	// Breaker is the family's circuit-breaker state ("closed", "open",
-	// "half-open"); BreakerShed counts requests it turned away and
-	// BreakerOpens its closed→open transitions.
-	Breaker      string `json:"breaker"`
-	BreakerShed  int64  `json:"breakerShed"`
-	BreakerOpens int64  `json:"breakerOpens"`
-	// QueueLen is the gauge of requests queued behind the quota right now;
-	// ShedQueueFull and ShedDeadline count 429s (queue full) and 503s
-	// (deadline expired while queued) at the HTTP admission layer.
-	QueueLen      int   `json:"queueLen"`
-	ShedQueueFull int64 `json:"shedQueueFull"`
-	ShedDeadline  int64 `json:"shedDeadline"`
+	// "half-open").
+	Breaker string `json:"breaker"`
+	pbmg.ServiceMetrics
 }
 
 // Metrics is the body of GET /metrics.
@@ -151,22 +135,12 @@ type Metrics struct {
 	Version   int64  `json:"version"`
 	ConfigDir string `json:"configDir"`
 	Draining  bool   `json:"draining"`
-	// GlobalMaxInFlight is the registry-wide admission limit behind the
-	// per-family quotas.
+	// GlobalMaxInFlight is the effective registry-wide cap behind the
+	// per-family quotas: max(MaxInFlight, Σ quotas).
 	GlobalMaxInFlight int            `json:"globalMaxInFlight"`
 	Families          []FamilyStatus `json:"families"`
-	// Aggregate sums the per-family service counters.
-	Aggregate struct {
-		Admitted  int64 `json:"admitted"`
-		Completed int64 `json:"completed"`
-		Failed    int64 `json:"failed"`
-		Shed      int64 `json:"shed"`
-		Waiting   int64 `json:"waiting"`
-		InFlight  int64 `json:"inFlight"`
-		Cancelled int64 `json:"cancelled"`
-		Diverged  int64 `json:"diverged"`
-		Panicked  int64 `json:"panicked"`
-	} `json:"aggregate"`
+	// Aggregate sums the per-family counters.
+	Aggregate pbmg.ServiceMetrics `json:"aggregate"`
 	// Unroutable counts requests for families the catalog does not serve;
 	// ShedDraining counts requests refused because the server was draining.
 	Unroutable   int64 `json:"unroutable"`

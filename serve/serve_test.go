@@ -77,17 +77,51 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, &Client{BaseURL: hs.URL}
 }
 
-// familyGate digs out one family's admission gate for deterministic
-// white-box control of its slots and tickets.
-func familyGate(t *testing.T, s *Server, family string) *gate {
+// familyService digs out one family's service, whose admission state the
+// tests below saturate deterministically.
+func familyService(t *testing.T, s *Server, family string) *pbmg.Service {
 	t.Helper()
 	c := s.acquireCatalog()
 	defer c.release()
-	_, g, err := c.route(family, 0)
+	svc, err := c.route(family, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g
+	return svc
+}
+
+// occupy takes n places of the family's capacity through the admission
+// state machine itself: each is a request (pbmg.Service.Do) whose work
+// blocks until release. While the family has free slots they become running
+// requests; once it is saturated they park in its queue. occupy returns
+// when all n are where they will stay (running or queued); release lets
+// them finish and waits for them.
+func occupy(t *testing.T, svc *pbmg.Service, n int) (release func()) {
+	t.Helper()
+	before := svc.Metrics()
+	free := make(chan struct{})
+	var wg sync.WaitGroup
+	for range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if err := svc.Do(context.Background(), func() error { <-free; return nil }); err != nil {
+				t.Errorf("occupying %s: %v", svc.Key(), err)
+			}
+		}()
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		m := svc.Metrics()
+		if (m.InFlight-before.InFlight)+(m.QueueLen-before.QueueLen) == int64(n) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("occupying %d places of %s: stuck at %+v", n, svc.Key(), m)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	return func() { close(free); wg.Wait() }
 }
 
 // newProblem draws one family problem with its reference solution
@@ -231,33 +265,32 @@ func TestServeQuotaShedding(t *testing.T) {
 		QueueDepth: 1,
 	})
 	ctx := context.Background()
-	g := familyGate(t, srv, "poisson")
+	svc := familyService(t, srv, "poisson")
 
-	// Occupy the family's only solve slot and one of its two tickets.
-	g.tickets <- struct{}{}
-	g.slots <- struct{}{}
+	// Occupy the family's only solve slot.
+	releaseSlot := occupy(t, svc, 1)
 
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
 	req := SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 50}
 
-	// The request takes the last ticket, waits for a slot that never
+	// The request takes the one queue place, waits for a slot that never
 	// frees, and is shed when its deadline expires: 503.
 	_, err := cl.Solve(ctx, req)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || !se.Shed() || se.RetryAfter < 1 {
 		t.Fatalf("queued-past-deadline request: err = %v, want a retryable 503", err)
 	}
-	if got := g.shedDeadline.Load(); got != 1 {
+	if got := svc.Metrics().ShedDeadline; got != 1 {
 		t.Errorf("shedDeadline = %d, want 1", got)
 	}
 
 	// Fill the queue: the next request is shed immediately with 429.
-	g.tickets <- struct{}{}
+	releaseQueued := occupy(t, svc, 1)
 	if _, err := cl.Solve(ctx, req); !errors.As(err, &se) ||
 		se.Code != http.StatusTooManyRequests || !se.Shed() || se.RetryAfter < 1 {
 		t.Fatalf("full-queue request: err = %v, want a retryable 429", err)
 	}
-	if got := g.shedQueueFull.Load(); got != 1 {
+	if got := svc.Metrics().ShedQueueFull; got != 1 {
 		t.Errorf("shedQueueFull = %d, want 1", got)
 	}
 
@@ -275,10 +308,9 @@ func TestServeQuotaShedding(t *testing.T) {
 		t.Errorf("poisson family status = %+v, want quota 1, queue 1, one shed of each kind", fs)
 	}
 
-	// Free the gate: the same request is served normally again.
-	<-g.tickets
-	<-g.tickets
-	<-g.slots
+	// Free the family: the same request is served normally again.
+	releaseSlot()
+	releaseQueued()
 	if _, err := cl.Solve(ctx, req); err != nil {
 		t.Fatalf("request after the gate freed: %v", err)
 	}
@@ -296,13 +328,8 @@ func TestServeQuotaIsolation(t *testing.T) {
 	})
 	ctx := context.Background()
 
-	g3 := familyGate(t, srv, "poisson3d")
-	for i := 0; i < cap(g3.slots); i++ {
-		g3.slots <- struct{}{}
-	}
-	for i := 0; i < cap(g3.tickets); i++ {
-		g3.tickets <- struct{}{}
-	}
+	svc3 := familyService(t, srv, "poisson3d")
+	defer occupy(t, svc3, svc3.Quota()+svc3.QueueDepth())()
 
 	// 2D traffic is admitted and served despite the saturated 3D family.
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
@@ -442,13 +469,11 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 func TestServeGracefulDrain(t *testing.T) {
 	srv, cl := startServer(t, Config{Quotas: map[string]int{"poisson": 1, "poisson3d": 1}})
 	ctx := context.Background()
-	g := familyGate(t, srv, "poisson")
+	svc := familyService(t, srv, "poisson")
 
-	// Hold the family's only slot (with its ticket, like a real admitted
-	// request) so the in-flight request is provably still queued in
-	// admission when the drain begins.
-	g.tickets <- struct{}{}
-	g.slots <- struct{}{}
+	// Hold the family's only slot so the in-flight request is provably
+	// still queued in admission when the drain begins.
+	releaseSlot := occupy(t, svc, 1)
 	p := newProblem(t, pbmg.FamilyPoisson, 9, 5)
 	body, err := json.Marshal(SolveRequest{Family: "poisson", N: 9, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 30000})
 	if err != nil {
@@ -460,7 +485,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		done <- err
 	}()
 	waitUntil := time.Now().Add(5 * time.Second)
-	for g.queueLen() == 0 {
+	for svc.Metrics().QueueLen == 0 {
 		if time.Now().After(waitUntil) {
 			t.Fatal("in-flight request never reached the admission queue")
 		}
@@ -496,7 +521,7 @@ func TestServeGracefulDrain(t *testing.T) {
 
 	// The admitted request completes once its slot frees — the drain never
 	// revokes it.
-	<-g.slots
+	releaseSlot()
 	if err := <-done; err != nil {
 		t.Fatalf("in-flight request lost during drain: %v", err)
 	}

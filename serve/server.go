@@ -57,21 +57,13 @@ type Config struct {
 	// Workers sets the kernel worker pool shared by every family in a
 	// catalog generation (≤ 1: serial).
 	Workers int
-	// MaxInFlight is the registry-wide admission limit (≤ 0: 2×GOMAXPROCS).
-	// With quotas configured, the effective global limit is raised to at
-	// least the quota sum so the per-family gates stay binding.
-	MaxInFlight int
-	// Quotas caps concurrent solves per family, keyed the way the catalog
-	// spells them ("poisson", "aniso:0.01", "poisson3d"). Every named
-	// family must exist in the catalog. Families not named get
-	// DefaultQuota.
-	Quotas map[string]int
-	// DefaultQuota applies to families absent from Quotas (0: no
-	// per-family cap — those families share only the global limit).
+	// MaxInFlight, Quotas, DefaultQuota and QueueDepth are forwarded verbatim
+	// to pbmg.RegistryOptions (the admission state machine lives there).
+	// Every family named in Quotas must exist in the catalog.
+	MaxInFlight  int
+	Quotas       map[string]int
 	DefaultQuota int
-	// QueueDepth bounds each family's admission queue; beyond it requests
-	// are shed with 429 (≤ 0: 4× the family's quota).
-	QueueDepth int
+	QueueDepth   int
 	// MaxWait bounds requests without their own DeadlineMs: admission wait
 	// and solve together (0: DefaultMaxWait). Like DeadlineMs, it is a full
 	// request timeout — an admitted solve still running when it expires is
@@ -131,7 +123,7 @@ func New(cfg Config) (*Server, error) {
 		mux.HandleFunc("POST /-/fault", s.handleFault)
 	}
 	s.mux = mux
-	s.logf("serving %d families from %s (version 1)", len(c.order), cfg.Dir)
+	s.logf("serving %d families from %s (version 1)", len(c.services), cfg.Dir)
 	return s, nil
 }
 
@@ -161,7 +153,7 @@ func (s *Server) Reload() (int64, error) {
 	v := s.version.Add(1)
 	s.mu.Unlock()
 	go old.retire() //mglint:allow boundedgo — one retire goroutine per reload generation, bounded by reload rate
-	s.logf("reloaded %s: %d families (version %d)", s.cfg.Dir, len(next.order), v)
+	s.logf("reloaded %s: %d families (version %d)", s.cfg.Dir, len(next.services), v)
 	return v, nil
 }
 
@@ -255,12 +247,12 @@ func writeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([
 	writeBody(w, http.StatusOK, body)
 }
 
-// writeError maps an error to its HTTP status: queue-full sheds are 429
-// with Retry-After; breaker sheds, admission-deadline sheds, cancelled
-// solves, and other load sheds 503 with Retry-After (the breaker's own
-// suggested delay when it has one); diverged and panicked solves are 500
-// (the request failed inside the solver, the daemon is fine); bodies over
-// the catalog's cap 413; routing misses 404; everything else the given
+// writeError maps an error to its HTTP status. Admission sheds (all match
+// pbmg.ErrShed): queue full is 429 with Retry-After, an open breaker 503
+// with the breaker's own suggested delay, every other shed — and a solve
+// cancelled by its deadline — 503 with Retry-After. Diverged and panicked
+// solves are 500 (the request failed inside the solver, the daemon is
+// fine); bodies over the catalog's cap 413; everything else the given
 // fallback.
 func writeError(w http.ResponseWriter, err error, fallback int) {
 	status := fallback
@@ -268,7 +260,7 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 	switch {
 	case errors.Is(err, errBodyTooLarge):
 		status = http.StatusRequestEntityTooLarge
-	case errors.Is(err, errQueueFull):
+	case errors.Is(err, pbmg.ErrQueueFull):
 		status = http.StatusTooManyRequests
 		w.Header().Set("Retry-After", "1")
 	case errors.As(err, &boe):
@@ -278,7 +270,7 @@ func writeError(w http.ResponseWriter, err error, fallback int) {
 			secs = 1
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	case errors.Is(err, errAdmissionDeadline), errors.Is(err, pbmg.ErrShed), errors.Is(err, pbmg.ErrCancelled):
+	case errors.Is(err, pbmg.ErrShed), errors.Is(err, pbmg.ErrCancelled):
 		status = http.StatusServiceUnavailable
 		w.Header().Set("Retry-After", "1")
 	case errors.Is(err, pbmg.ErrDiverged), errors.Is(err, pbmg.ErrPanicked):
@@ -307,18 +299,14 @@ func (s *Server) requestContext(r *http.Request, deadlineMs int64) (context.Cont
 	return context.WithTimeout(r.Context(), wait)
 }
 
-// route resolves a request's family to its service and admission gate in
-// one catalog generation.
-func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, *gate, error) {
+// route resolves a request's family to its service in this catalog
+// generation.
+func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, error) {
 	f, err := pbmg.ParseFamily(familyName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	svc, err := c.reg.Lookup(f, eps)
-	if err != nil {
-		return nil, nil, err
-	}
-	return svc, c.gates[svc.Key()], nil
+	return c.reg.Lookup(f, eps)
 }
 
 // buildGrids validates and materializes one problem's grids.
@@ -379,7 +367,6 @@ func firstNonFinite(vs []float64) int {
 // handler needs once the body's scratch has gone back to the pool.
 type solveJob struct {
 	svc        *pbmg.Service
-	gate       *gate
 	x, b       *pbmg.Grid
 	n          int
 	accuracy   float64
@@ -400,7 +387,7 @@ func (c *catalog) readSolve(w http.ResponseWriter, r *http.Request) (job solveJo
 	if err := decodeWire(wb.body, &wb.floats, &req, (*scanner).solveRequest); err != nil {
 		return job, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err)
 	}
-	svc, g, err := c.route(req.Family, req.Eps)
+	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		return job, http.StatusNotFound, err
 	}
@@ -408,7 +395,7 @@ func (c *catalog) readSolve(w http.ResponseWriter, r *http.Request) (job solveJo
 	if err != nil {
 		return job, http.StatusBadRequest, err
 	}
-	return solveJob{svc: svc, gate: g, x: xg, b: bg, n: req.N, accuracy: req.Accuracy, deadlineMs: req.DeadlineMs}, 0, nil
+	return solveJob{svc: svc, x: xg, b: bg, n: req.N, accuracy: req.Accuracy, deadlineMs: req.DeadlineMs}, 0, nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -434,13 +421,6 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 
 	ctx, cancel := s.requestContext(r, job.deadlineMs)
 	defer cancel()
-	release, err := job.gate.admit(ctx)
-	if err != nil {
-		writeError(w, err, http.StatusServiceUnavailable)
-		return
-	}
-	defer release()
-
 	t0 := time.Now()
 	if err := job.svc.SolveContext(ctx, job.x, job.b, job.accuracy); err != nil {
 		writeError(w, err, http.StatusBadRequest)
@@ -475,8 +455,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer c.release()
 
 	// The problems' grids alias the pooled arena until each worker has
-	// copied its own, so the scratch is held to the end of the batch (which
-	// occupies one queue ticket however long it runs).
+	// copied its own, so the scratch is held to the end of the batch.
 	wb := wirePool.Get().(*wireBuf)
 	defer wirePool.Put(wb)
 	if err := wb.readRequest(w, r, batchBodyFactor*c.maxBody); err != nil {
@@ -493,20 +472,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	svc, g, err := c.route(req.Family, req.Eps)
+	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
 		return
 	}
-	// The whole batch holds ONE queue ticket; its problems then share the
-	// family's solve slots, so a big batch cannot monopolize the queue.
-	ticketRelease, err := g.admitTicket()
-	if err != nil {
-		writeError(w, err, http.StatusServiceUnavailable)
-		return
-	}
-	defer ticketRelease()
-
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
 
@@ -517,41 +487,25 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		N:         req.N,
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 	}
-	// Fan out with a worker loop bounded by the family quota (or the
-	// problem count), the Service.SolveBatch idiom at the HTTP layer.
-	workers := g.quota
-	if workers <= 0 || workers > len(req.Problems) {
-		workers = min(len(req.Problems), 2*max(1, s.cfg.Workers))
+	// Each fan-out worker materializes its own problem's grids just before
+	// admission; a problem that fails validation fails alone.
+	errs, err := svc.SolveBatchContext(ctx, len(req.Problems), func(i int) (pbmg.BatchProblem, error) {
+		xg, bg, err := buildGrids(svc, req.N, req.Problems[i].B, req.Problems[i].X)
+		if err != nil {
+			return pbmg.BatchProblem{}, err
+		}
+		resp.Results[i].X = xg.Data()
+		return pbmg.BatchProblem{X: xg, B: bg}, nil
+	}, req.Accuracy)
+	if err != nil {
+		writeError(w, err, http.StatusServiceUnavailable)
+		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(req.Problems) {
-					return
-				}
-				p := req.Problems[i]
-				xg, bg, err := buildGrids(svc, req.N, p.B, p.X)
-				if err == nil {
-					var slotRelease func()
-					if slotRelease, err = g.admitSlot(ctx); err == nil {
-						err = svc.SolveContext(ctx, xg, bg, req.Accuracy)
-						slotRelease()
-					}
-				}
-				if err != nil {
-					resp.Results[i] = BatchResult{Error: err.Error()}
-				} else {
-					resp.Results[i] = BatchResult{X: xg.Data()}
-				}
-			}
-		}()
+	for i, err := range errs {
+		if err != nil {
+			resp.Results[i] = BatchResult{Error: err.Error()}
+		}
 	}
-	wg.Wait()
 	nfloats := 0
 	for _, r := range resp.Results {
 		nfloats += len(r.X)
@@ -569,55 +523,30 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
+	rm := c.reg.Metrics() // families in registration order, like c.services
 	m := Metrics{
 		Version:           s.version.Load(),
 		ConfigDir:         c.dir,
 		Draining:          s.draining.Load(),
 		GlobalMaxInFlight: c.reg.MaxInFlight(),
-		Unroutable:        c.reg.Metrics().Unroutable,
+		Aggregate:         rm.Aggregate,
+		Unroutable:        rm.Unroutable,
 		ShedDraining:      s.shedDraining.Load(),
 		ActiveRequests:    s.active.Load(),
 	}
-	for _, key := range c.order {
-		g := c.gates[key]
-		sm := g.svc.Metrics()
-		fs := FamilyStatus{
-			Family:        key.Family.String(),
-			Dim:           key.Dim,
-			MaxSize:       g.svc.Solver().MaxSize(),
-			Quota:         g.quota,
-			QueueDepth:    g.queueDepth,
-			Precisions:    g.svc.Solver().PlanPrecisions(),
-			Admitted:      sm.Admitted,
-			Completed:     sm.Completed,
-			Failed:        sm.Failed,
-			Shed:          sm.Shed,
-			Waiting:       sm.Waiting,
-			InFlight:      sm.InFlight,
-			Cancelled:     sm.Cancelled,
-			Diverged:      sm.Diverged,
-			Panicked:      sm.Panicked,
-			Escalations:   g.svc.Solver().Escalations(),
-			Breaker:       g.svc.BreakerState(),
-			BreakerShed:   sm.BreakerShed,
-			BreakerOpens:  sm.BreakerOpens,
-			QueueLen:      g.queueLen(),
-			ShedQueueFull: g.shedQueueFull.Load(),
-			ShedDeadline:  g.shedDeadline.Load(),
-		}
-		if pbmg.FamilyHasParam(key.Family) {
-			fs.Eps = key.Epsilon
-		}
-		m.Families = append(m.Families, fs)
-		m.Aggregate.Admitted += sm.Admitted
-		m.Aggregate.Completed += sm.Completed
-		m.Aggregate.Failed += sm.Failed
-		m.Aggregate.Shed += sm.Shed
-		m.Aggregate.Waiting += sm.Waiting
-		m.Aggregate.InFlight += sm.InFlight
-		m.Aggregate.Cancelled += sm.Cancelled
-		m.Aggregate.Diverged += sm.Diverged
-		m.Aggregate.Panicked += sm.Panicked
+	for i, svc := range c.services {
+		m.Families = append(m.Families, FamilyStatus{
+			Family:         svc.Family().String(),
+			Eps:            epsOf(svc),
+			Dim:            svc.Solver().Dim(),
+			MaxSize:        svc.Solver().MaxSize(),
+			Quota:          svc.Quota(),
+			QueueDepth:     svc.QueueDepth(),
+			Precisions:     svc.Solver().PlanPrecisions(),
+			Escalations:    svc.Solver().Escalations(),
+			Breaker:        rm.Families[i].Breaker,
+			ServiceMetrics: rm.Families[i].ServiceMetrics,
+		})
 	}
 	writeJSON(w, http.StatusOK, m)
 }
@@ -652,9 +581,9 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if c == nil {
 		ready = false
 	} else {
-		for _, key := range c.order {
-			state := c.gates[key].svc.BreakerState()
-			resp.Families = append(resp.Families, familyReadiness{Family: key.String(), Breaker: state})
+		for _, svc := range c.services {
+			state := svc.BreakerState()
+			resp.Families = append(resp.Families, familyReadiness{Family: svc.Key().String(), Breaker: state})
 			if state == "open" {
 				// A half-open breaker stays ready: the next request probes.
 				ready = false

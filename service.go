@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"runtime/debug"
 	"sync"
 	"sync/atomic"
@@ -27,77 +26,55 @@ type BatchProblem struct {
 }
 
 // SolveBatch solves every problem with the tuned FULL-MULTIGRID algorithm
-// for the smallest tuned target ≥ accuracy, running the solves concurrently
-// on the shared solver through the solver's default service (see
-// DefaultService), whose admission limit bounds both the in-flight solves
-// and the goroutines fanned out, so arbitrarily large batches hold only a
-// bounded set of scratch workspaces. Each problem's X is
-// solved in place. The returned error joins the failures of all problems
-// that were rejected (others still complete); a nil return means every
-// problem met its target. Completions are visible in the default service's
-// metrics.
+// for the smallest tuned target ≥ accuracy, concurrently, through the
+// solver's default service (see DefaultService), whose admission bounds
+// both the in-flight solves and the goroutines fanned out, so arbitrarily
+// large batches hold only a bounded set of scratch workspaces. Each
+// problem's X is solved in place. The returned error joins the failures of
+// all problems that were rejected (others still complete).
 func (s *Solver) SolveBatch(problems []BatchProblem, accuracy float64) error {
 	return s.DefaultService().SolveBatch(problems, accuracy)
 }
 
-// Service wraps a Solver with an admission limit for serving: at most
-// MaxInFlight solves run concurrently, and further requests block until a
-// slot frees. A Service is safe for concurrent use and is cheap to create;
-// all services of one Solver share its tuned tables and caches. Services
-// created by a Registry share one admission semaphore, so the limit is
-// global across every family the registry serves.
+// Service wraps a Solver with admission for serving: at most MaxInFlight
+// solves run concurrently, and further requests wait (or are shed — see
+// admission.go) until a slot frees. A Service is safe for concurrent use and
+// is cheap to create; all services of one Solver share its tuned tables and
+// caches. Services created by a Registry are families of the registry's one
+// admitter, so the cap is global across every family the registry serves.
 type Service struct {
-	s       *Solver
-	sem     chan struct{}
-	breaker *breaker
-
-	admitted  atomic.Int64
-	completed atomic.Int64
-	failed    atomic.Int64
-	shed      atomic.Int64
-	waiting   atomic.Int64
-	inFlight  atomic.Int64
-
-	// Failure-class counters: every one of these also counts in failed.
-	cancelled atomic.Int64
-	diverged  atomic.Int64
-	panicked  atomic.Int64
+	s   *Solver
+	fam *admitFamily
 }
 
-// ErrShed marks a request that was turned away at admission — its context
-// was cancelled or its deadline expired before a slot freed — as opposed to
-// a solve that ran and failed. Serving layers match it with errors.Is to
-// answer with a retryable status (429/503) instead of a hard failure.
-var ErrShed = errors.New("pbmg: request shed at admission")
-
-// ServiceMetrics is a point-in-time snapshot of one service's request
-// counters. Admitted counts solves that passed admission (acquired a slot);
-// of those, Completed finished successfully and Failed returned a solve
-// error (size or accuracy outside the tuned range, or an internal failure).
-// Shed counts requests turned away at admission — their context expired
-// before a slot freed, or the circuit breaker was open — which never run a
-// solve at all; keeping them out of Failed means load-shedding and broken
-// requests stay distinguishable. Waiting is the gauge of requests currently
-// blocked in admission, InFlight the gauge of solves currently running.
-//
-// The failure-class counters split Failed by what went wrong: Cancelled
-// solves were aborted mid-solve by their context, Diverged solves blew up
-// numerically (after any float64 escalation retry), Panicked solves hit a
-// recovered panic. BreakerShed counts the subset of Shed turned away by an
-// open circuit breaker, and BreakerOpens counts closed→open transitions.
+// ServiceMetrics is a consistent snapshot of one family's request counters
+// — the single declaration every layer (Registry, serve's /metrics, the
+// benches) reports. Admitted counts requests that got a slot: Admitted =
+// Completed + Failed + InFlight. Shed counts every request turned away at
+// admission, which never runs a solve: ShedQueueFull + ShedDeadline +
+// BreakerShed + those whose context had expired on arrival; keeping them
+// out of Failed keeps load-shedding and broken requests distinguishable.
+// Cancelled (aborted mid-solve by the context), Diverged (blew up, after any
+// float64 escalation retry) and Panicked (recovered panic) split Failed; the
+// rest of Failed are client errors. InFlight and QueueLen are gauges —
+// running now, queued for a slot now — and Waiting is QueueLen's older name.
 type ServiceMetrics struct {
-	Admitted  int64
-	Completed int64
-	Failed    int64
-	Shed      int64
-	Waiting   int64
-	InFlight  int64
+	Admitted  int64 `json:"admitted"`
+	Completed int64 `json:"completed"`
+	Failed    int64 `json:"failed"`
+	Shed      int64 `json:"shed"`
+	Waiting   int64 `json:"waiting"`
+	InFlight  int64 `json:"inFlight"`
 
-	Cancelled    int64
-	Diverged     int64
-	Panicked     int64
-	BreakerShed  int64
-	BreakerOpens int64
+	Cancelled    int64 `json:"cancelled"`
+	Diverged     int64 `json:"diverged"`
+	Panicked     int64 `json:"panicked"`
+	BreakerShed  int64 `json:"breakerShed"`
+	BreakerOpens int64 `json:"breakerOpens"`
+
+	QueueLen      int64 `json:"queueLen"`
+	ShedQueueFull int64 `json:"shedQueueFull"`
+	ShedDeadline  int64 `json:"shedDeadline"`
 }
 
 // Add accumulates m into the receiver (for aggregating per-family metrics).
@@ -113,24 +90,22 @@ func (sm *ServiceMetrics) Add(m ServiceMetrics) {
 	sm.Panicked += m.Panicked
 	sm.BreakerShed += m.BreakerShed
 	sm.BreakerOpens += m.BreakerOpens
+	sm.QueueLen += m.QueueLen
+	sm.ShedQueueFull += m.ShedQueueFull
+	sm.ShedDeadline += m.ShedDeadline
 }
 
 // NewService returns a serving front end admitting at most maxInFlight
 // concurrent solves (≤ 0 selects 2×GOMAXPROCS), with a default-configured
 // circuit breaker.
 func (s *Solver) NewService(maxInFlight int) *Service {
-	if maxInFlight <= 0 {
-		maxInFlight = 2 * runtime.GOMAXPROCS(0)
-	}
-	return newService(s, make(chan struct{}, maxInFlight), BreakerConfig{})
+	return newService(s, maxInFlight, BreakerConfig{})
 }
 
-// newService wraps a solver around an admission semaphore, which may be
-// shared with other services (Registry shares one across all families).
-// The circuit breaker is per-service: one family melting down must not
-// stop the others.
-func newService(s *Solver, sem chan struct{}, bc BreakerConfig) *Service {
-	return &Service{s: s, sem: sem, breaker: newBreaker(bc)}
+// newService wraps a solver in a private single-family admitter: no quota,
+// an unbounded queue, the global cap alone.
+func newService(s *Solver, maxInFlight int, bc BreakerConfig) *Service {
+	return &Service{s: s, fam: newAdmitter(maxInFlight, bc).family(0, 0)}
 }
 
 // DefaultService returns the solver's lazily-created default service,
@@ -159,9 +134,13 @@ func (s *Solver) setDefaultService(svc *Service) {
 	s.defSvc = svc
 }
 
-// MaxInFlight returns the admission limit (the global limit, for services
-// created by a Registry).
-func (sv *Service) MaxInFlight() int { return cap(sv.sem) }
+// MaxInFlight returns the effective global cap on running solves.
+func (sv *Service) MaxInFlight() int { return sv.fam.a.globalCap() }
+
+// Quota returns the family's own cap on running solves (0: the global cap
+// only) and QueueDepth the bound on its admission queue.
+func (sv *Service) Quota() int      { return sv.fam.quota }
+func (sv *Service) QueueDepth() int { return sv.fam.queueDepth }
 
 // Solver returns the tuned solver behind the service.
 func (sv *Service) Solver() *Solver { return sv.s }
@@ -174,117 +153,54 @@ func (sv *Service) Family() Family { return sv.s.Family() }
 func (sv *Service) Epsilon() float64 { return sv.s.Epsilon() }
 
 // Completed returns the number of solves finished successfully so far.
-func (sv *Service) Completed() int64 { return sv.completed.Load() }
+func (sv *Service) Completed() int64 { return sv.Metrics().Completed }
 
-// Metrics returns a snapshot of the service's request counters. The fields
-// are read individually from concurrently-updated counters, so a snapshot
-// taken while solves are in flight is approximate (but each counter is
-// exact).
-func (sv *Service) Metrics() ServiceMetrics {
-	return ServiceMetrics{
-		Admitted:     sv.admitted.Load(),
-		Completed:    sv.completed.Load(),
-		Failed:       sv.failed.Load(),
-		Shed:         sv.shed.Load(),
-		Waiting:      sv.waiting.Load(),
-		InFlight:     sv.inFlight.Load(),
-		Cancelled:    sv.cancelled.Load(),
-		Diverged:     sv.diverged.Load(),
-		Panicked:     sv.panicked.Load(),
-		BreakerShed:  sv.breaker.shed.Load(),
-		BreakerOpens: sv.breaker.opens.Load(),
-	}
-}
+// Metrics returns a consistent snapshot of the service's request counters.
+func (sv *Service) Metrics() ServiceMetrics { return sv.fam.metrics() }
 
 // BreakerState reports the service's circuit-breaker state: "closed",
 // "open", or "half-open".
-func (sv *Service) BreakerState() string { return sv.breaker.stateName() }
+func (sv *Service) BreakerState() string { return sv.fam.breakerState() }
 
 // Solve admits one tuned FULL-MULTIGRID solve, blocking while MaxInFlight
 // solves are already running. See Solver.Solve.
 func (sv *Service) Solve(x, b *Grid, accuracy float64) error {
-	return sv.admit(context.Background(), func() error { return sv.s.Solve(x, b, accuracy) })
+	return sv.admit(context.Background(), false, func() error { return sv.s.Solve(x, b, accuracy) })
 }
 
 // SolveContext admits one tuned FULL-MULTIGRID solve bounded by ctx at
-// every stage: if the context is cancelled or its deadline expires before a
-// slot frees, the request is shed (an ErrShed error, counted in Shed)
-// instead of waiting indefinitely behind MaxInFlight running solves; once
-// admitted, the solve itself polls ctx between cycles and levels and aborts
-// with an error wrapping ErrCancelled (counted in Cancelled) within roughly
-// one cycle's latency.
+// every stage: a request whose context is done before it gets a slot is
+// shed (an ErrShed error, counted in Shed) instead of waiting indefinitely;
+// once admitted, the solve itself polls ctx between cycles and levels and
+// aborts with an error wrapping ErrCancelled (counted in Cancelled) within
+// roughly one cycle's latency.
 func (sv *Service) SolveContext(ctx context.Context, x, b *Grid, accuracy float64) error {
-	return sv.admit(ctx, func() error { return sv.s.solveCtx(ctx, x, b, accuracy, true, nil) })
+	return sv.admit(ctx, false, func() error { return sv.s.solveCtx(ctx, x, b, accuracy, true, nil) })
 }
 
 // SolveV admits one tuned MULTIGRID-V solve. See Solver.SolveV.
 func (sv *Service) SolveV(x, b *Grid, accuracy float64) error {
-	return sv.admit(context.Background(), func() error { return sv.s.SolveV(x, b, accuracy) })
+	return sv.admit(context.Background(), false, func() error { return sv.s.SolveV(x, b, accuracy) })
 }
 
-// SolveAdaptive admits one adaptive solve. See Solver.SolveAdaptive.
-func (sv *Service) SolveAdaptive(x, b *Grid, residualReduction float64) (int, float64, error) {
-	var iters int
-	var reduction float64
-	err := sv.admit(context.Background(), func() error {
-		var err error
-		iters, reduction, err = sv.s.SolveAdaptive(x, b, residualReduction)
+// Do runs arbitrary work (Solver.SolveAdaptive, say) as one request of the
+// service: under its admission (slot, queue, breaker — sheds match ErrShed
+// and never call work), with panic containment, and with the returned error
+// counted and classified like a solve's.
+func (sv *Service) Do(ctx context.Context, work func() error) error {
+	return sv.admit(ctx, false, work)
+}
+
+// admit is the only path from a request to its solve: one slot from the
+// admission state machine, the solve under panic containment, the slot
+// back with the outcome.
+func (sv *Service) admit(ctx context.Context, member bool, solve func() error) error {
+	slot, err := sv.fam.admit(ctx, member)
+	if err != nil {
 		return err
-	})
-	return iters, reduction, err
-}
-
-func (sv *Service) admit(ctx context.Context, solve func() error) error {
-	// An already-expired context sheds without racing the semaphore: a
-	// deadline that passed while the request was queued upstream must not
-	// win a slot just because one happens to be free.
-	if err := ctx.Err(); err != nil {
-		sv.shed.Add(1)
-		return fmt.Errorf("%w: %v", ErrShed, err)
 	}
-	// The breaker gate sits before the semaphore so an open breaker sheds
-	// instantly instead of queueing doomed requests behind healthy families'
-	// traffic. Breaker sheds wrap ErrShed (generic retryable handling) and
-	// ErrBreakerOpen (the Retry-After detail).
-	probe, berr := sv.breaker.allow()
-	if berr != nil {
-		sv.shed.Add(1)
-		return fmt.Errorf("%w: %w", ErrShed, berr)
-	}
-	sv.waiting.Add(1)
-	select {
-	case sv.sem <- struct{}{}:
-		sv.waiting.Add(-1)
-	case <-ctx.Done():
-		sv.waiting.Add(-1)
-		sv.shed.Add(1)
-		// Never ran: no evidence for the breaker either way (and a probe
-		// slot is released for the next request).
-		sv.breaker.record(probe, breakerNeutral)
-		return fmt.Errorf("%w: %v", ErrShed, ctx.Err())
-	}
-	sv.admitted.Add(1)
-	sv.inFlight.Add(1)
-	defer func() {
-		sv.inFlight.Add(-1)
-		<-sv.sem
-	}()
-	err := sv.protect(solve)
-	sv.breaker.record(probe, breakerOutcomeOf(err))
-	switch {
-	case err == nil:
-		sv.completed.Add(1)
-	default:
-		sv.failed.Add(1)
-		switch {
-		case errors.Is(err, ErrCancelled):
-			sv.cancelled.Add(1)
-		case errors.Is(err, ErrDiverged):
-			sv.diverged.Add(1)
-		case errors.Is(err, ErrPanicked):
-			sv.panicked.Add(1)
-		}
-	}
+	err = sv.protect(solve)
+	slot.done(err)
 	return err
 }
 
@@ -311,55 +227,61 @@ func (sv *Service) protect(solve func() error) (err error) {
 	return solve()
 }
 
-// breakerOutcomeOf classifies a solve error for the circuit breaker: only
-// infrastructure failures (divergence, panics) count toward opening it;
-// cancellations are neutral, and client errors (bad size, unreachable
-// accuracy) plus successes count as OK.
-func breakerOutcomeOf(err error) breakerOutcome {
-	switch {
-	case err == nil:
-		return breakerOK
-	case errors.Is(err, ErrDiverged), errors.Is(err, ErrPanicked):
-		return breakerInfraFailure
-	case errors.Is(err, ErrCancelled):
-		return breakerNeutral
-	default:
-		return breakerOK
+// SolveBatch solves every problem concurrently through this service's
+// admission and joins the failures. See Solver.SolveBatch.
+func (sv *Service) SolveBatch(problems []BatchProblem, accuracy float64) error {
+	errs, err := sv.SolveBatchContext(context.Background(), len(problems),
+		func(i int) (BatchProblem, error) { return problems[i], nil }, accuracy)
+	if err != nil {
+		return err
 	}
+	for i, err := range errs {
+		if err != nil {
+			errs[i] = fmt.Errorf("pbmg: batch problem %d: %w", i, err)
+		}
+	}
+	return errors.Join(errs...)
 }
 
-// SolveBatch solves every problem concurrently through this service's
-// admission limit. The fan-out is a worker loop sized by the admission
-// limit, not a goroutine per problem: a million-problem batch runs on
-// min(MaxInFlight, len(problems)) goroutines pulling the next index, rather
-// than parking a million goroutines on the semaphore. See Solver.SolveBatch.
-func (sv *Service) SolveBatch(problems []BatchProblem, accuracy float64) error {
-	if len(problems) == 0 {
-		return nil
+// SolveBatchContext is the one batch fan-out of the serving stack: n
+// problems solved concurrently, each bounded by ctx like SolveContext. The
+// batch occupies ONE place in the family's admission queue however many
+// problems it carries — a full queue sheds the whole batch with the returned
+// error — and its problems then take running slots one by one. problem(i)
+// supplies the i-th problem just before it is admitted (so a server
+// materializes grids per worker, not per batch); an error from it fails
+// that problem alone. The result is parallel to the problems. The fan-out
+// is a worker loop as wide as the family's quota (the global cap without
+// one): a million-problem batch parks no million goroutines in the queue.
+func (sv *Service) SolveBatchContext(ctx context.Context, n int, problem func(i int) (BatchProblem, error), accuracy float64) ([]error, error) {
+	if n == 0 {
+		return nil, nil
 	}
-	errs := make([]error, len(problems))
-	workers := sv.MaxInFlight()
-	if workers > len(problems) {
-		workers = len(problems)
+	workers, err := sv.fam.enterBatch(n)
+	if err != nil {
+		return nil, err
 	}
+	defer sv.fam.leaveBatch()
+	errs := make([]error, n)
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
 				i := int(next.Add(1)) - 1
-				if i >= len(problems) {
+				if i >= n {
 					return
 				}
-				p := problems[i]
-				if err := sv.Solve(p.X, p.B, accuracy); err != nil {
-					errs[i] = fmt.Errorf("pbmg: batch problem %d: %w", i, err)
+				p, err := problem(i)
+				if err == nil {
+					err = sv.admit(ctx, true, func() error { return sv.s.solveCtx(ctx, p.X, p.B, accuracy, true, nil) })
 				}
+				errs[i] = err
 			}
 		}()
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	return errs, nil
 }

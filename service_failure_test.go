@@ -185,7 +185,7 @@ func TestDivergenceEscalation(t *testing.T) {
 // the Panicked failure class, and the service keeps serving.
 func TestServicePanicContainment(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	sv := newService(s, make(chan struct{}, 2), BreakerConfig{})
+	sv := newService(s, 2, BreakerConfig{})
 
 	err := sv.Solve(NewGrid3(17), NewGrid3(17), 1e3)
 	var pe *PanicError
@@ -223,7 +223,7 @@ func TestServicePanicContainment(t *testing.T) {
 // its own counter, and all of them count in Failed.
 func TestServiceFailureClassCounters(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	sv := newService(s, make(chan struct{}, 2), BreakerConfig{})
+	sv := newService(s, 2, BreakerConfig{})
 
 	// Cancelled: an admitted solve whose context dies mid-flight. The cancel
 	// fires from a recorder callback inside the running solve, so admission
@@ -235,7 +235,7 @@ func TestServiceFailureClassCounters(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := recorderFunc(func(kind mg.EventKind, level, count int) { cancel() })
-	err = sv.admit(ctx, func() error { return s.solveCtx(ctx, p.NewState(), p.B, 1e9, true, rec) })
+	err = sv.Do(ctx, func() error { return s.solveCtx(ctx, p.NewState(), p.B, 1e9, true, rec) })
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("mid-flight cancelled solve: err = %v, want ErrCancelled", err)
 	}
@@ -270,7 +270,7 @@ func TestServiceFailureClassCounters(t *testing.T) {
 // healthy probe closes it again.
 func TestBreakerLifecycle(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	sv := newService(s, make(chan struct{}, 4), BreakerConfig{
+	sv := newService(s, 4, BreakerConfig{
 		Threshold: 2, Cooldown: 200 * time.Millisecond,
 	})
 	if got := sv.BreakerState(); got != "closed" {
@@ -337,7 +337,7 @@ func TestBreakerLifecycle(t *testing.T) {
 // letting traffic back in.
 func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	sv := newService(s, make(chan struct{}, 4), BreakerConfig{
+	sv := newService(s, 4, BreakerConfig{
 		Threshold: 1, Cooldown: 100 * time.Millisecond,
 	})
 	bad := func() error { return sv.Solve(NewGrid3(17), NewGrid3(17), 1e3) }
