@@ -178,6 +178,7 @@ func tuneToDir(spec, machine string, size2d, size3d, workers int, logf func(stri
 			os.RemoveAll(dir)
 			return "", err
 		}
+		logf("tuned %s in %s", k, s.TuneStats())
 		path := filepath.Join(dir, fmt.Sprintf("%02d-%s.json", i, k.Family))
 		err = s.Save(path)
 		s.Close()

@@ -64,6 +64,7 @@ func main() {
 	}
 	fmt.Printf("tuned for %s up to N=%d (family %s, eps %g); configuration written to %s\n",
 		solver.Machine(), solver.MaxSize(), solver.Family(), solver.Epsilon(), *out)
+	fmt.Printf("tuning took %s\n", solver.TuneStats())
 }
 
 func parseDist(s string) (pbmg.Distribution, error) {

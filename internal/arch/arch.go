@@ -165,15 +165,17 @@ const (
 	interpFlops3, interpBytes3     = 7, 36
 )
 
-// Iterative shortcut solves (EvIterSolve) at split-eligible sizes run in the
-// unit-stride color-split layout (stencil.SplitWorthwhile mirrors the
-// runtime gate exactly): every cache line streamed is fully consumed, so the
-// per-sweep traffic drops (48 → 32 bytes/point in 2D, 64 → 44 in 3D), and
-// the solve pays a one-time pack/unpack pass (x and b in, x out ≈ 48
-// bytes/point of streaming copies).
+// Iterative shortcut solves (EvIterSolve) at split-eligible sizes — 3D only,
+// stencil.SplitWorthwhile mirrors the runtime gate exactly — run in the
+// unit-stride color-split layout: every cache line streamed is fully
+// consumed, so the per-sweep traffic drops (64 → 44 bytes/point), and the
+// solve pays a one-time pack/unpack pass (x and b in, x out ≈ 48
+// bytes/point of streaming copies). The gate opens at eight sweeps, so the
+// priced cost of a shortcut solve is NOT monotone in its sweep count
+// (TestIterSolveCostDipsAtSplitGate).
 const (
-	relaxBytesSplit, relaxBytesSplit3 = 32, 44
-	packFlops, packBytes              = 1, 48
+	relaxBytesSplit3     = 44
+	packFlops, packBytes = 1, 48
 )
 
 // levelSide returns the grid side at level k.
@@ -251,11 +253,7 @@ func (m *Model) EventCost(kind mg.EventKind, level, count int) float64 {
 			dim = 3
 		}
 		if stencil.SplitWorthwhile(dim, levelSide(level), count) {
-			relB = float64(relaxBytesSplit)
-			if m.dim3() {
-				relB = relaxBytesSplit3
-			}
-			return base + c*m.stencilCost(level, relF, relB) +
+			return base + c*m.stencilCost(level, relF, relaxBytesSplit3) +
 				m.stencilCost(level, packFlops, packBytes)
 		}
 		return base + c*m.stencilCost(level, relF, relB)

@@ -1,6 +1,9 @@
 package arch
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
 	"testing"
 	"time"
 
@@ -135,5 +138,86 @@ func TestParallelThresholdMakesSmallGridsSerial(t *testing.T) {
 	small := m.EventCost(mg.EvRelax, 4, 1)
 	if small > m.TaskOverhead {
 		t.Fatalf("tiny relax (%v) should cost less than task overhead (%v)", small, m.TaskOverhead)
+	}
+}
+
+// TestIterSolveCostDipsAtSplitGate pins the cost shape the tuner's bound has
+// to survive: in 3D, from level 6 (N=65) up, an eight-sweep shortcut solve
+// is priced below a seven-sweep one, because eight sweeps is where
+// stencil.SplitWorthwhile — and with it EventCost — switches to the
+// colour-split layout's cheaper sweeps. Cost is therefore not monotone in
+// the sweep count, and a bound may only compare the cheapest count still
+// reachable. In 2D there is no split path and cost rises with every sweep.
+func TestIterSolveCostDipsAtSplitGate(t *testing.T) {
+	for _, base := range Models() {
+		m3 := ForDim(base, 3).(*Model)
+		for level := 6; level <= 8; level++ {
+			c7, c8 := m3.EventCost(mg.EvIterSolve, level, 7), m3.EventCost(mg.EvIterSolve, level, 8)
+			if !(c8 < c7) {
+				t.Errorf("%s 3D level %d: 8 sweeps cost %v, 7 sweeps %v — expected the dip at the split gate", base.Name(), level, c8, c7)
+			}
+		}
+		for level := 1; level <= 5; level++ {
+			for n := 1; n < 64; n++ {
+				if a, b := m3.EventCost(mg.EvIterSolve, level, n), m3.EventCost(mg.EvIterSolve, level, n+1); !(a < b) {
+					t.Errorf("%s 3D level %d: cost fell from %d to %d sweeps (%v → %v) below the split size", base.Name(), level, n, n+1, a, b)
+				}
+			}
+		}
+		m2 := ForDim(base, 2).(*Model)
+		for level := 1; level <= 11; level++ {
+			for n := 1; n < 400; n++ {
+				if a, b := m2.EventCost(mg.EvIterSolve, level, n), m2.EventCost(mg.EvIterSolve, level, n+1); !(a < b) {
+					t.Fatalf("%s 2D level %d: cost fell from %d to %d sweeps (%v → %v)", base.Name(), level, n, n+1, a, b)
+				}
+			}
+		}
+	}
+}
+
+// eventCostSurface hashes every priced value the tuner can ask a model for:
+// each model × dimension × storage width × event kind × level × count.
+func eventCostSurface() uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, base := range Models() {
+		for _, dim := range []int{2, 3} {
+			for _, bits := range []int{64, 32} {
+				m := ForPrecision(ForDim(base, dim), bits).(*Model)
+				for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
+					for level := 1; level <= 10; level++ {
+						for _, count := range []int{1, 2, 7, 8, 9, 16, 64, 400} {
+							binary.LittleEndian.PutUint64(buf[:], math.Float64bits(m.EventCost(k, level, count)))
+							h.Write(buf[:])
+						}
+					}
+				}
+			}
+		}
+	}
+	return h.Sum64()
+}
+
+// TestEventCostSurfaceUnchanged holds every priced value where it was when
+// the tables in internal/goldens and BENCHMARK.json's plan cells were tuned.
+// The hash was recorded with the 2D colour-split byte constant still in
+// place (unreachable since the 2D split kernels were deleted: the gate is
+// dim == 3); removing it moved nothing. A deliberate re-pricing (ROADMAP
+// item 3) updates the hash together with the goldens.
+func TestEventCostSurfaceUnchanged(t *testing.T) {
+	const want = 0x70f12703e028fb97
+	if got := eventCostSurface(); got != want {
+		t.Fatalf("priced cost surface hash = %#x, want %#x: some EventCost value moved", got, uint64(want))
+	}
+	// The cells the removed constant would have priced, spelled out: 2D
+	// shortcut solves of eight sweeps and more pay plain strided sweeps.
+	for _, m := range Models() {
+		for _, level := range []int{6, 9} {
+			for _, n := range []int{8, 64} {
+				if got, want := m.EventCost(mg.EvIterSolve, level, n), m.EventCost(mg.EvRelax, level, n); got != want {
+					t.Errorf("%s 2D level %d: %d shortcut sweeps cost %v, %d relaxations %v", m.Name(), level, n, got, n, want)
+				}
+			}
+		}
 	}
 }

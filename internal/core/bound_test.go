@@ -1,0 +1,296 @@
+package core
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
+	"testing"
+	"time"
+
+	"pbmg/internal/arch"
+	"pbmg/internal/grid"
+	"pbmg/internal/mg"
+	"pbmg/internal/stencil"
+)
+
+// exhaustiveTune is the dynamic program without the bound — the oracle the
+// branch-and-bound must reproduce byte for byte. Every candidate of every
+// level is measured in rank order by the tuner's own measure functions with
+// a nil bound, and selection is the plain first-cheapest scan.
+func exhaustiveTune(tn *Tuner) *Tuned {
+	acc := tn.cfg.Accuracies
+	vt := &mg.VTable{Acc: append([]float64(nil), acc...)}
+	for level := 2; level <= tn.cfg.MaxLevel; level++ {
+		probs := tn.training(level)
+		var res []measured
+		for _, c := range tn.vCandidates(vt, level) {
+			res = append(res, tn.measure(level, c, probs, nil))
+		}
+		front := &ParetoFront{}
+		tn.front[level] = front
+		row := make([]mg.Plan, len(acc))
+		for i := range acc {
+			best, bestCost := -1, math.Inf(1)
+			for c, r := range res {
+				cost := r.costPerAcc[i]
+				if cost < bestCost {
+					best, bestCost = c, cost
+				}
+				if !math.IsInf(cost, 1) {
+					front.Add(ParetoPoint{Accuracy: acc[i], Cost: cost, Plan: withIters(r, i)})
+				}
+			}
+			row[i] = mg.Plan{Choice: mg.ChoiceDirect}
+			if best >= 0 {
+				row[i] = withIters(res[best], i)
+			}
+		}
+		vt.Plans = append(vt.Plans, row)
+	}
+	ft := &mg.FTable{Acc: append([]float64(nil), acc...)}
+	for level := 2; level <= tn.cfg.MaxLevel; level++ {
+		probs := tn.training(level)
+		var res []measuredFull
+		for _, c := range tn.fullCandidates(vt, ft, level, probs) {
+			res = append(res, tn.measureFull(level, c, probs, nil))
+		}
+		row := make([]mg.FullPlan, len(acc))
+		for i := range acc {
+			best, bestCost := -1, math.Inf(1)
+			for c, r := range res {
+				if r.costPerAcc[i] < bestCost {
+					best, bestCost = c, r.costPerAcc[i]
+				}
+			}
+			row[i] = mg.FullPlan{Choice: mg.FullDirect}
+			if best >= 0 {
+				row[i] = withFullIters(res[best], i)
+			}
+		}
+		ft.Plans = append(ft.Plans, row)
+	}
+	return tn.bundle(vt, ft)
+}
+
+// clockless prices from the trace like the model it wraps but is not
+// TraceBased, so the tuner takes its wall-clock paths — batch re-sampling,
+// a fresh factorization per direct solve — under a cost that still repeats.
+// Not being an *arch.Model it also prices f32 editions exactly like their
+// f64 originals: every precision edition is a tie the lower rank must win.
+type clockless struct{ m *arch.Model }
+
+func (c clockless) Name() string { return "clockless-" + c.m.Name() }
+func (c clockless) Cost(tr *mg.OpTrace, _ time.Duration) float64 {
+	return c.m.Cost(tr, 0)
+}
+
+// requireSameTune fails unless two tuners produced byte-identical bundles
+// and equal per-level Pareto fronts.
+func requireSameTune(t *testing.T, got, want *Tuned, gotT, wantT *Tuner) {
+	t.Helper()
+	gj, err := json.Marshal(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wj, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gj, wj) {
+		t.Fatalf("bundles differ:\n got %s\nwant %s", gj, wj)
+	}
+	for level := 2; level <= want.MaxLevel; level++ {
+		if g, w := gotT.Front(level).Points(), wantT.Front(level).Points(); !reflect.DeepEqual(g, w) {
+			t.Fatalf("level %d Pareto fronts differ:\n got %+v\nwant %+v", level, g, w)
+		}
+	}
+}
+
+type tuneCase struct {
+	family stencil.Family
+	level  int
+	coster arch.Coster
+	seed   int64
+}
+
+func (tc tuneCase) String() string {
+	return fmt.Sprintf("%s/L%d/%s/seed%d", tc.family, tc.level, tc.coster.Name(), tc.seed)
+}
+
+func (tc tuneCase) tuner(t *testing.T) *Tuner {
+	t.Helper()
+	tn, err := New(Config{MaxLevel: tc.level, Family: tc.family, Seed: tc.seed, Coster: tc.coster, TrainingInstances: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+func TestBoundedTuneMatchesExhaustive(t *testing.T) {
+	var cases []tuneCase
+	for _, f := range []stencil.Family{stencil.FamilyPoisson, stencil.FamilyAnisotropic, stencil.FamilyVarCoef, stencil.FamilyPoisson3D} {
+		level := 6
+		if f.Dim() == 3 {
+			level = 4
+		}
+		for _, m := range arch.Models() {
+			for _, seed := range []int64{1, 20090101} {
+				cases = append(cases, tuneCase{f, level, m, seed})
+			}
+		}
+	}
+	cases = append(cases,
+		tuneCase{stencil.FamilyPoisson, 5, clockless{arch.Harpertown()}, 1},
+		tuneCase{stencil.FamilyPoisson3D, 3, clockless{arch.ForDim(arch.Barcelona(), 3).(*arch.Model)}, 1},
+		// A cost curve with a dip, over a whole tune (see TestBoundUsesSuffixMinimum).
+		tuneCase{stencil.FamilyPoisson, 5, dipping{}, 1},
+	)
+	for _, tc := range cases {
+		t.Run(tc.String(), func(t *testing.T) {
+			t.Parallel()
+			bounded, oracle := tc.tuner(t), tc.tuner(t)
+			got, err := bounded.Tune()
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameTune(t, got, exhaustiveTune(oracle), bounded, oracle)
+			var b Stats
+			for _, ls := range bounded.Stats() {
+				b.Add(ls.Stats)
+			}
+			o := oracle.spent()
+			if b.Candidates != o.Candidates {
+				t.Errorf("bounded tune measured %d candidates, oracle %d", b.Candidates, o.Candidates)
+			}
+			if traceBased(tc.coster) && b.Steps >= o.Steps {
+				t.Errorf("the bound saved nothing: %d steps bounded, %d exhaustive", b.Steps, o.Steps)
+			}
+		})
+	}
+}
+
+// TestMeasurementOrderIsInvisible shuffles the order candidates are measured
+// in: the bound bites earlier or later, the tables and fronts do not move.
+func TestMeasurementOrderIsInvisible(t *testing.T) {
+	for _, tc := range []tuneCase{
+		{stencil.FamilyPoisson, 5, arch.Harpertown(), 42},
+		{stencil.FamilyPoisson3D, 3, arch.Niagara(), 42},
+		{stencil.FamilyPoisson, 4, clockless{arch.Harpertown()}, 42},
+	} {
+		ref := tc.tuner(t)
+		want, err := ref.Tune()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for shuffle := int64(1); shuffle <= 4; shuffle++ {
+			tn := tc.tuner(t)
+			rng := rand.New(rand.NewSource(shuffle))
+			tn.reorder = func(order []int) {
+				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			}
+			got, err := tn.Tune()
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("%s/shuffle%d", tc, shuffle), func(t *testing.T) {
+				requireSameTune(t, got, want, tn, ref)
+			})
+		}
+	}
+}
+
+// TestSearchTieGoesToLowestRank measures two candidates of exactly equal
+// cost, the higher rank first: the lower rank must neither be cut by a bound
+// it merely equals nor lose the selection to the one measured earlier.
+func TestSearchTieGoesToLowestRank(t *testing.T) {
+	tn := newModelTuner(t, 3, grid.Unbiased)
+	probs := tn.training(3)
+	step := tn.sorStep(3)
+	linear := newCurve(50, func(n int) float64 { return float64(n) })
+	for _, first := range []int{0, 1} {
+		tn.reorder = func(order []int) { order[0], order[1] = first, 1-first }
+		var measuredOrder []int
+		iters := make([][]int, 2)
+		win := tn.search(2, func(int) bool { return false }, func(c int, best []float64) []float64 {
+			measuredOrder = append(measuredOrder, c)
+			iters[c], _ = tn.count(probs, nil, step, linear, best)
+			return linear.price(iters[c])
+		})
+		if measuredOrder[0] != first {
+			t.Fatalf("measured %v, want candidate %d first", measuredOrder, first)
+		}
+		if !reflect.DeepEqual(iters[0], iters[1]) {
+			t.Fatalf("measured %d first: equal candidates counted %v and %v — a tie was cut", first, iters[0], iters[1])
+		}
+		for i, w := range win {
+			if w != 0 {
+				t.Fatalf("measured %d first: accuracy %d went to rank %d, want rank 0", first, i, w)
+			}
+		}
+	}
+}
+
+// dipping is a trace-priced coster whose cost is not monotone in the
+// iteration count: an operation costs one unit per grid point (a direct
+// solve, per point squared) until a trace holds eight shortcut sweeps at a
+// level, from where those sweeps cost a tenth — the shape arch.EventCost
+// has in 3D, exaggerated until coarse-level SOR wins only past the dip.
+type dipping struct{}
+
+func (dipping) Name() string { return "dipping" }
+func (dipping) TraceBased()  {}
+func (dipping) Cost(tr *mg.OpTrace, _ time.Duration) float64 {
+	var total float64
+	for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
+		for l := 1; l <= tr.MaxLevel(); l++ {
+			points := float64(grid.SizeOfLevel(l) * grid.SizeOfLevel(l))
+			c := float64(tr.Count(k, l)) * points
+			switch {
+			case k == mg.EvIterSolve && tr.Count(k, l) >= 8:
+				c /= 10
+			case k == mg.EvDirect:
+				c *= points
+			}
+			total += c
+		}
+	}
+	return total
+}
+
+// TestBoundUsesSuffixMinimum counts SOR sweeps against a bound that every
+// count below eight exceeds and every count from eight on undercuts. A bound
+// comparing the cost of the iteration count at hand would cut the candidate
+// on its first sweep; the suffix minimum must let it run to the end.
+func TestBoundUsesSuffixMinimum(t *testing.T) {
+	const level = 3
+	tn, err := New(Config{MaxLevel: level, Seed: 42, TrainingInstances: 2, Coster: dipping{}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	probs := tn.training(level)
+	step := tn.sorStep(level)
+	tr1, _ := tn.timeOneIter(probs, step)
+	cv := newCurve(tn.cfg.MaxSORIters, func(n int) float64 { return dipping{}.Cost(tr1.Scaled(n), 0) })
+	want, _ := tn.count(probs, nil, step, cv, nil)
+	last := want[len(want)-1]
+	if last < 9 {
+		t.Fatalf("SOR counted %v sweeps; the test needs the last target past the dip", want)
+	}
+	// The bound: what this very candidate costs at each target, but never
+	// less than its dipped cost at eight sweeps — so it can tie everywhere
+	// from the dip on, and is beaten at every count before it.
+	best := make([]float64, len(want))
+	for i := range best {
+		best[i] = cv.at[max(want[i], 8)]
+	}
+	if !(cv.at[7] > best[len(best)-1] && cv.floor[1] <= best[0]) {
+		t.Fatalf("curve does not dip under the bound: at[7]=%g floor[1]=%g best=%v", cv.at[7], cv.floor[1], best)
+	}
+	got, cut := tn.count(probs, nil, step, cv, best)
+	if cut || !reflect.DeepEqual(got, want) {
+		t.Fatalf("bounded count = %v (cut %v), want the unbounded %v: the bound looked at the cost so far, not the cheapest still reachable", got, cut, want)
+	}
+}

@@ -48,6 +48,11 @@ func (t *Tuner) Tune() (*Tuned, error) {
 	if err != nil {
 		return nil, err
 	}
+	return t.bundle(vt, ft), nil
+}
+
+// bundle stamps tuned tables with the tuner's provenance.
+func (t *Tuner) bundle(vt *mg.VTable, ft *mg.FTable) *Tuned {
 	eps := t.cfg.Eps
 	if !FamilyHasParam(t.cfg.Family) {
 		eps = 0
@@ -61,7 +66,7 @@ func (t *Tuner) Tune() (*Tuned, error) {
 		MaxLevel:     t.cfg.MaxLevel,
 		V:            vt,
 		F:            ft,
-	}, nil
+	}
 }
 
 // FamilyValue parses the stored family name (empty means Poisson for
@@ -96,10 +101,16 @@ func (t *Tuned) DistributionValue() grid.Distribution {
 	}
 }
 
-// Validate checks the operator family and both tables. It validates the
-// family name and parameter without materializing the operator (for
-// variable-coefficient bundles that would build the full coefficient field,
-// which Load's caller does once anyway via OperatorValue).
+// Validate checks the operator family, both tables, and that the tables
+// agree with the bundle and with each other: a Solver trusts MaxLevel when
+// it admits a grid size and the V table's accuracies when it picks an
+// index, so a bundle claiming more levels than a table has rows for, or
+// whose F table indexes different targets, would pass every per-table check
+// and panic in a table lookup on the first request for the largest size.
+// It validates the family name and parameter without materializing the
+// operator (for variable-coefficient bundles that would build the full
+// coefficient field, which Load's caller does once anyway via
+// OperatorValue).
 func (t *Tuned) Validate() error {
 	f, err := t.FamilyValue()
 	if err != nil {
@@ -114,8 +125,28 @@ func (t *Tuned) Validate() error {
 	if err := t.V.Validate(); err != nil {
 		return err
 	}
-	if t.F != nil {
-		return t.F.Validate()
+	if t.MaxLevel < 2 {
+		return fmt.Errorf("core: tuned bundle maxLevel %d: need ≥ 2", t.MaxLevel)
+	}
+	if got := t.V.MaxLevel(); t.MaxLevel > got {
+		return fmt.Errorf("core: tuned bundle maxLevel %d, but the V table has rows only up to level %d", t.MaxLevel, got)
+	}
+	if t.F == nil {
+		return nil
+	}
+	if err := t.F.Validate(); err != nil {
+		return err
+	}
+	if got := t.F.MaxLevel(); t.MaxLevel > got {
+		return fmt.Errorf("core: tuned bundle maxLevel %d, but the F table has rows only up to level %d", t.MaxLevel, got)
+	}
+	if len(t.F.Acc) != len(t.V.Acc) {
+		return fmt.Errorf("core: tuned bundle F table has %d accuracy targets, V table %d", len(t.F.Acc), len(t.V.Acc))
+	}
+	for i, a := range t.F.Acc {
+		if a != t.V.Acc[i] {
+			return fmt.Errorf("core: tuned bundle F table acc[%d] = %g, V table acc[%d] = %g", i, a, i, t.V.Acc[i])
+		}
 	}
 	return nil
 }
@@ -137,10 +168,10 @@ func Load(path string) (*Tuned, error) {
 	}
 	var t Tuned
 	if err := json.Unmarshal(data, &t); err != nil {
-		return nil, fmt.Errorf("core: parse tuned config: %w", err)
+		return nil, fmt.Errorf("core: parse tuned config %s: %w", path, err)
 	}
 	if err := t.Validate(); err != nil {
-		return nil, fmt.Errorf("core: loaded config invalid: %w", err)
+		return nil, fmt.Errorf("core: tuned config %s invalid: %w", path, err)
 	}
 	return &t, nil
 }

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"encoding/json"
 	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -214,6 +216,73 @@ func TestLoadRejectsMissingAndInvalid(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsInconsistentTables hand-corrupts a saved bundle the ways
+// per-table validation cannot see. Each used to load and then panic in
+// VTable.Plan / FTable.Plan on the first request that reached the missing
+// cell; each must now fail Load and LoadDir with the file, the table and
+// the two disagreeing values named.
+func TestLoadRejectsInconsistentTables(t *testing.T) {
+	bundle, err := newModelTuner(t, 4, grid.Unbiased).Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(b *Tuned)
+		want    []string // substrings of the error
+	}{
+		{"maxLevel beyond both tables", func(b *Tuned) { b.MaxLevel = 6 },
+			[]string{"maxLevel 6", "V table", "level 4"}},
+		{"V table short of maxLevel", func(b *Tuned) { b.V.Plans = b.V.Plans[:2] },
+			[]string{"maxLevel 4", "V table", "level 3"}},
+		{"F table ragged against V", func(b *Tuned) { b.F.Plans = b.F.Plans[:1] },
+			[]string{"maxLevel 4", "F table", "level 2"}},
+		{"f.acc value differs from v.acc", func(b *Tuned) { b.F.Acc[2] = 2e5 },
+			[]string{"F table acc[2] = 200000", "V table acc[2] = 100000"}},
+		{"f.acc shorter than v.acc", func(b *Tuned) {
+			b.F.Acc = b.F.Acc[:4]
+			for i := range b.F.Plans {
+				b.F.Plans[i] = b.F.Plans[i][:4]
+			}
+		}, []string{"F table has 4 accuracy targets", "V table 5"}},
+		{"maxLevel missing", func(b *Tuned) { b.MaxLevel = 0 },
+			[]string{"maxLevel 0"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A deep copy through JSON, as a hand-edited file would be.
+			data, err := json.Marshal(bundle)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var b Tuned
+			if err := json.Unmarshal(data, &b); err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Validate(); err != nil {
+				t.Fatalf("pristine copy invalid: %v", err)
+			}
+			tc.corrupt(&b)
+			dir := t.TempDir()
+			path := filepath.Join(dir, "poisson.json")
+			if err := b.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			_, loadErr := Load(path)
+			_, dirErr := LoadDir(dir)
+			for _, err := range []error{loadErr, dirErr} {
+				if err == nil {
+					t.Fatal("corrupted bundle loaded")
+				}
+				for _, want := range append(tc.want, path) {
+					if !strings.Contains(err.Error(), want) {
+						t.Errorf("error %q does not name %q", err, want)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestHeuristicTables(t *testing.T) {
 	tn := newModelTuner(t, 5, grid.Biased)
 	for _, sub := range []float64{1e1, 1e3, 1e9} {
@@ -335,11 +404,20 @@ func TestCountItersInfeasibleMarking(t *testing.T) {
 	probs := tn.training(3)
 	// A step that does nothing can never reach any target.
 	noop := func(x, b *grid.Grid, rec mg.Recorder) {}
-	iters := tn.countIters(probs, noop, 5)
+	flat := newCurve(5, func(n int) float64 { return float64(n) })
+	iters, cut := tn.count(probs, nil, noop, flat, nil)
 	for i, v := range iters {
-		if v != 0 {
+		if v != -1 {
 			t.Fatalf("target %d counted %d iters for a no-op step", i, v)
 		}
+	}
+	if cut {
+		t.Fatal("an unbounded count reported a cut")
+	}
+	// The first instance already lost every target at the cap, so the
+	// second is not run at all.
+	if got := tn.spent().Steps; got != 5 {
+		t.Fatalf("no-op step ran %d times, want 5 (one instance to the cap)", got)
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"time"
 
 	"pbmg/internal/grid"
@@ -21,9 +20,10 @@ func (t *Tuner) TuneFull(vt *mg.VTable) (*mg.FTable, error) {
 	}
 	ft := &mg.FTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
 	for level := 2; level <= t.cfg.MaxLevel; level++ {
+		before := t.spent()
 		row := t.tuneFullLevel(vt, ft, level)
 		ft.Plans = append(ft.Plans, row)
-		t.logf("full level %d (N=%d): %s", level, grid.SizeOfLevel(level), describeFullRow(row))
+		t.logf("full level %d (N=%d): %s [%s]", level, grid.SizeOfLevel(level), describeFullRow(row), t.charge(level, before))
 	}
 	if err := ft.Validate(); err != nil {
 		return nil, fmt.Errorf("core: tuned full table invalid: %w", err)
@@ -31,165 +31,140 @@ func (t *Tuner) TuneFull(vt *mg.VTable) (*mg.FTable, error) {
 	return ft, nil
 }
 
-// fullCandidate is one measured FULL-MULTIGRID candidate.
+// estimate is ESTIMATE_j run over a level's training data: the state and
+// accuracy it leaves on each instance, and its trace and wall time.
+type estimate struct {
+	states []*grid.Grid
+	accs   []float64
+	tr     *mg.OpTrace
+	dur    time.Duration
+}
+
+// solvePhase is a float64 iterative choice with its one-iteration trace and
+// wall time.
+type solvePhase struct {
+	candidate
+	tr  *mg.OpTrace
+	dur time.Duration
+}
+
+// fullCandidate is one choice for a FULL-MULTIGRID cell: direct (est and
+// solve nil), or ESTIMATE_j followed by iterations of a solve phase.
 type fullCandidate struct {
+	plan  mg.FullPlan // Iters is filled in per accuracy on selection
+	est   *estimate
+	solve *solvePhase
+}
+
+// measuredFull is one priced FULL-MULTIGRID candidate.
+type measuredFull struct {
 	plan       mg.FullPlan
-	iters      []int // solve-phase iterations per accuracy (-1 infeasible)
+	iters      []int // solve-phase iterations per accuracy; −1 = out of reach or beaten (nil for direct)
 	costPerAcc []float64
+}
+
+// fullCandidates lists every choice for a full-multigrid level in rank
+// order: direct (while it is explored), then per estimate accuracy j the
+// solve phases in iterativeCandidates order. Estimates are run and solve
+// phases timed here, each once for the level — a solve-phase step's trace
+// and time do not depend on which estimate it follows.
+func (t *Tuner) fullCandidates(vt *mg.VTable, ft *mg.FTable, level int, probs []*problem.Problem) []fullCandidate {
+	var cands []fullCandidate
+	if level <= t.cfg.DirectMaxLevel {
+		cands = append(cands, fullCandidate{plan: mg.FullPlan{Choice: mg.FullDirect}})
+	}
+	phases := make([]solvePhase, 0, 2+len(t.cfg.Accuracies))
+	for _, c := range t.iterativeCandidates(&mg.Executor{WS: t.ws, V: vt}, level) {
+		tr, dur := t.timeOneIter(probs, c.step)
+		phases = append(phases, solvePhase{candidate: c, tr: tr, dur: dur})
+	}
+	for j := range t.cfg.Accuracies {
+		est := t.runEstimate(vt, ft, j, probs)
+		for s := range phases {
+			p := phases[s].plan
+			cands = append(cands, fullCandidate{
+				plan:  mg.FullPlan{Choice: mg.FullEstimate, EstAcc: j, Solve: p.Choice, SolveSub: p.Sub},
+				est:   est,
+				solve: &phases[s],
+			})
+		}
+	}
+	return cands
+}
+
+// runEstimate executes ESTIMATE_j once per training instance, keeping the
+// post-estimate states and the accuracies already achieved, and measures
+// one execution's trace and wall time.
+func (t *Tuner) runEstimate(vt *mg.VTable, ft *mg.FTable, j int, probs []*problem.Problem) *estimate {
+	ex := &mg.Executor{WS: t.ws, V: vt, F: ft}
+	step := func(x, b *grid.Grid, rec mg.Recorder) {
+		ex.Rec = rec
+		ex.Estimate(x, b, j)
+	}
+	est := &estimate{states: make([]*grid.Grid, len(probs)), accs: make([]float64, len(probs))}
+	for i, p := range probs {
+		x := p.NewState()
+		t.run(step, x, p.B, nil)
+		est.states[i] = x
+		est.accs[i] = t.accuracy(p, x)
+	}
+	est.tr, est.dur = t.timeOneIter(probs, step)
+	return est
+}
+
+// measureFull prices candidate c: the estimate's cost plus n solve-phase
+// iterations from the estimated states, counted until best (see count)
+// rules the candidate out. A target the estimate alone already meets needs
+// zero iterations.
+func (t *Tuner) measureFull(level int, c fullCandidate, probs []*problem.Problem, best []float64) measuredFull {
+	t.work.Candidates++
+	if c.plan.Choice == mg.FullDirect {
+		return measuredFull{plan: c.plan, costPerAcc: t.directCosts(level, probs)}
+	}
+	cv := newCurve(c.solve.cap, func(n int) float64 {
+		total := &mg.OpTrace{}
+		total.Merge(c.est.tr)
+		if n > 0 {
+			total.Merge(c.solve.tr.Scaled(n))
+		}
+		return t.cfg.Coster.Cost(total, c.est.dur+time.Duration(n)*c.solve.dur)
+	})
+	iters, cut := t.count(probs, c.est, c.solve.step, cv, best)
+	if cut {
+		t.work.CutShort++
+	}
+	return measuredFull{plan: c.plan, iters: iters, costPerAcc: cv.price(iters)}
 }
 
 func (t *Tuner) tuneFullLevel(vt *mg.VTable, ft *mg.FTable, level int) []mg.FullPlan {
 	probs := t.training(level)
-	m := len(t.cfg.Accuracies)
-	var cands []fullCandidate
-
-	if level <= t.cfg.DirectMaxLevel {
-		d := t.measureDirect(level, probs)
-		cands = append(cands, fullCandidate{plan: mg.FullPlan{Choice: mg.FullDirect}, costPerAcc: d.costPerAcc})
-	}
-
-	for j := 0; j < m; j++ {
-		estStates, estAccs := t.runEstimates(vt, ft, level, j, probs)
-		estTr, estDur := t.timeEstimate(vt, ft, level, j, probs)
-
-		// Solve phase: iterated SOR from the estimated state.
-		sorStep := t.sorStep(level)
-		sorIters := t.countFromStates(probs, estStates, estAccs, sorStep, t.cfg.MaxSORIters)
-		sorTr, sorDur := t.timeOneIter(probs, sorStep)
-		cands = append(cands, t.priceFull(
-			mg.FullPlan{Choice: mg.FullEstimate, EstAcc: j, Solve: mg.ChoiceSOR},
-			sorIters, estTr, estDur, sorTr, sorDur))
-
-		// Solve phase: iterated standard V-cycles from the estimated state.
-		vStep := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.RefVCycle(x, b, rec) }
-		vIters := t.countFromStates(probs, estStates, estAccs, vStep, t.cfg.MaxRecurseIters)
-		vTr, vDur := t.timeOneIter(probs, vStep)
-		cands = append(cands, t.priceFull(
-			mg.FullPlan{Choice: mg.FullEstimate, EstAcc: j, Solve: mg.ChoiceVCycle},
-			vIters, estTr, estDur, vTr, vDur))
-
-		// Solve phase: iterated RECURSE_k from the estimated state.
-		for k := 0; k < m; k++ {
-			ex := &mg.Executor{WS: t.ws, V: vt}
-			recStep := func(x, b *grid.Grid, rec mg.Recorder) {
-				ex.Rec = rec
-				ex.Recurse(x, b, k)
-			}
-			recIters := t.countFromStates(probs, estStates, estAccs, recStep, t.cfg.MaxRecurseIters)
-			recTr, recDur := t.timeOneIter(probs, recStep)
-			cands = append(cands, t.priceFull(
-				mg.FullPlan{Choice: mg.FullEstimate, EstAcc: j, Solve: mg.ChoiceRecurse, SolveSub: k},
-				recIters, estTr, estDur, recTr, recDur))
-		}
-	}
-
-	row := make([]mg.FullPlan, m)
-	for i := 0; i < m; i++ {
-		best := -1
-		bestCost := math.Inf(1)
-		for c, cand := range cands {
-			if cand.costPerAcc[i] < bestCost {
-				best, bestCost = c, cand.costPerAcc[i]
-			}
-		}
-		if best < 0 {
+	cands := t.fullCandidates(vt, ft, level, probs)
+	res := make([]measuredFull, len(cands))
+	win := t.search(len(cands),
+		func(c int) bool { return sorLast(cands[c].plan.Solve) },
+		func(c int, best []float64) []float64 {
+			res[c] = t.measureFull(level, cands[c], probs, best)
+			return res[c].costPerAcc
+		})
+	row := make([]mg.FullPlan, len(win))
+	for i, w := range win {
+		if w < 0 {
 			t.logf("full level %d acc %g: no feasible candidate, falling back to direct", level, t.cfg.Accuracies[i])
 			row[i] = mg.FullPlan{Choice: mg.FullDirect}
 			continue
 		}
-		p := cands[best].plan
-		if p.Choice == mg.FullEstimate {
-			p.Iters = cands[best].iters[i]
-		}
-		row[i] = p
+		row[i] = withFullIters(res[w], i)
 	}
 	return row
 }
 
-// sorStep returns a one-sweep SOR step at the given level.
-func (t *Tuner) sorStep(level int) stepFunc {
-	n := grid.SizeOfLevel(level)
-	omega := t.ws.OmegaOpt(n)
-	return func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SOR(x, b, omega, 1, rec) }
-}
-
-// runEstimates executes ESTIMATE_j once per training instance, returning
-// the post-estimate states and the accuracies already achieved.
-func (t *Tuner) runEstimates(vt *mg.VTable, ft *mg.FTable, level, j int, probs []*problem.Problem) ([]*grid.Grid, []float64) {
-	states := make([]*grid.Grid, len(probs))
-	accs := make([]float64, len(probs))
-	for i, p := range probs {
-		ex := &mg.Executor{WS: t.ws, V: vt, F: ft}
-		x := p.NewState()
-		ex.Estimate(x, p.B, j)
-		states[i] = x
-		accs[i] = p.AccuracyOf(x)
+// withFullIters materializes a candidate's plan for accuracy index i.
+func withFullIters(c measuredFull, i int) mg.FullPlan {
+	p := c.plan
+	if p.Choice == mg.FullEstimate {
+		p.Iters = c.iters[i]
 	}
-	return states, accs
-}
-
-// timeEstimate measures one ESTIMATE_j execution (trace and wall time).
-func (t *Tuner) timeEstimate(vt *mg.VTable, ft *mg.FTable, level, j int, probs []*problem.Problem) (*mg.OpTrace, time.Duration) {
-	step := func(x, b *grid.Grid, rec mg.Recorder) {
-		ex := &mg.Executor{WS: t.ws, V: vt, F: ft, Rec: rec}
-		ex.Estimate(x, b, j)
-	}
-	return t.timeOneIter(probs, step)
-}
-
-// countFromStates counts, per accuracy target, the solve-phase iterations
-// needed when starting from the estimated states. A target already met by
-// the estimate alone needs zero iterations. Returns -1 for infeasible
-// targets (so zero remains distinguishable).
-func (t *Tuner) countFromStates(probs []*problem.Problem, states []*grid.Grid, estAccs []float64, step stepFunc, cap int) []int {
-	m := len(t.cfg.Accuracies)
-	need := make([]int, m)
-	bad := make([]bool, m)
-	for pi, p := range probs {
-		x := states[pi].Clone()
-		met := 0
-		for met < m && estAccs[pi] >= t.cfg.Accuracies[met] {
-			met++ // estimate alone already meets this target (0 iterations)
-		}
-		for it := 1; it <= cap && met < m; it++ {
-			step(x, p.B, nil)
-			acc := p.AccuracyOf(x)
-			for met < m && acc >= t.cfg.Accuracies[met] {
-				if it > need[met] {
-					need[met] = it
-				}
-				met++
-			}
-		}
-		for i := met; i < m; i++ {
-			bad[i] = true // this instance missed the target within cap
-		}
-	}
-	for i := range need {
-		if bad[i] {
-			need[i] = -1
-		}
-	}
-	return need
-}
-
-// priceFull combines estimate cost and per-iteration solve cost into a
-// per-accuracy cost vector.
-func (t *Tuner) priceFull(plan mg.FullPlan, iters []int, estTr *mg.OpTrace, estDur time.Duration, itTr *mg.OpTrace, itDur time.Duration) fullCandidate {
-	costs := make([]float64, len(iters))
-	for i, n := range iters {
-		if n < 0 {
-			costs[i] = math.Inf(1)
-			continue
-		}
-		total := &mg.OpTrace{}
-		total.Merge(estTr)
-		if n > 0 {
-			total.Merge(itTr.Scaled(n))
-		}
-		costs[i] = t.cfg.Coster.Cost(total, estDur+time.Duration(n)*itDur)
-	}
-	return fullCandidate{plan: plan, iters: iters, costPerAcc: costs}
+	return p
 }
 
 func describeFullRow(row []mg.FullPlan) string {

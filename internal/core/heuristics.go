@@ -38,10 +38,12 @@ func (t *Tuner) TuneHeuristic(subAcc, topAcc float64) (*mg.VTable, error) {
 		probs := t.training(level)
 		var cands []measured
 		if level <= t.cfg.DirectMaxLevel {
-			cands = append(cands, t.measureDirect(level, probs))
+			cands = append(cands, t.measure(level, candidate{plan: mg.Plan{Choice: mg.ChoiceDirect}}, probs, nil))
 		}
-		// The heuristic always recurses into the sub-accuracy version.
-		cands = append(cands, t.measureRecurse(vt, level, 0, probs))
+		// The heuristic always recurses into the sub-accuracy version. A
+		// strategy table is a fixed shape, not a search: no bound.
+		rec := t.recurseCandidate(&mg.Executor{WS: t.ws, V: vt}, 0)
+		cands = append(cands, t.measure(level, rec, probs, nil))
 
 		row := make([]mg.Plan, len(accs))
 		for i := range accs {

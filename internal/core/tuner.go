@@ -13,6 +13,22 @@
 // available for substitution, exactly as the paper's dynamic program
 // requires. TuneFull extends the same construction to full-multigrid cycles
 // with their estimation phase (§2.4).
+//
+// The search at a level is an exact branch-and-bound (Tuner.search,
+// Tuner.count): a candidate's one-iteration trace and time are taken before
+// it is counted, so every iteration count it could be assigned is already
+// priced, and counting on a training instance stops once the cheapest count
+// still reachable costs strictly more than the level's best so far at every
+// target the instance has yet to meet — as PetaBricks' own tuner drops a
+// candidate once it is beaten (§3.2.2). The tables are those of the
+// exhaustive search, byte for byte; the exhaustive driver survives as the
+// test oracle (bound_test.go). TuneHeuristic and TuneVPareto pass no bound:
+// a strategy table is a fixed shape and a Pareto front wants every point.
+//
+// The tuner's measurement workspace is private. Under a trace-priced coster
+// (one with a TraceBased method, i.e. every arch.Model) it reuses direct
+// factorizations, which such a coster cannot see; under arch.WallClock every
+// direct solve re-factors, because that is what the direct choice costs.
 package core
 
 import (
@@ -166,11 +182,20 @@ func (cfg Config) validate() error {
 // Tuner runs the dynamic program. Create with New; not safe for concurrent
 // use.
 type Tuner struct {
-	cfg   Config
-	op    *stencil.Operator // operator family at the finest tuned size
-	ws    *mg.Workspace     // measurement workspace (fresh direct factors)
-	probs map[int][]*problem.Problem
-	front map[int]*ParetoFront // per-level candidate fronts (diagnostics)
+	cfg    Config
+	op     *stencil.Operator // operator family at the finest tuned size
+	ws     *mg.Workspace     // private measurement workspace (see New)
+	probs  map[int][]*problem.Problem
+	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
+	direct map[int]float64      // direct-solve cost per level, measured once for V and full
+
+	work    Stats         // running counters (Factorizations: see spent)
+	directs directCounter // the recorder every step runs under
+	levels  map[int]Stats // work charged to each tuned level
+
+	// reorder, when non-nil, permutes a level's measurement order in place —
+	// the tests' proof that the order changes speed and nothing else.
+	reorder func(order []int)
 }
 
 // New returns a tuner for the given configuration (defaults applied).
@@ -190,12 +215,20 @@ func New(cfg Config) (*Tuner, error) {
 	ws := mg.NewWorkspace(cfg.Pool)
 	ws.Smoother = cfg.Smoother
 	ws.Op = op
+	// A trace-priced coster never reads the clock, so re-factoring on every
+	// direct solve is work it cannot see. WallClock keeps paying it: a fresh
+	// factorization is part of what the direct choice costs on the host.
+	// The cache is the tuner's own and dies with it.
+	ws.CacheDirectFactor = traceBased(cfg.Coster)
+	ws.FactorCache = direct.NewCache(0)
 	return &Tuner{
-		cfg:   cfg,
-		op:    op,
-		ws:    ws,
-		probs: make(map[int][]*problem.Problem),
-		front: make(map[int]*ParetoFront),
+		cfg:    cfg,
+		op:     op,
+		ws:     ws,
+		probs:  make(map[int][]*problem.Problem),
+		front:  make(map[int]*ParetoFront),
+		direct: make(map[int]float64),
+		levels: make(map[int]Stats),
 	}, nil
 }
 
@@ -229,54 +262,27 @@ func (t *Tuner) training(level int) []*problem.Problem {
 	return ps
 }
 
-// traceBased reports whether the Coster ignores wall time, letting the
-// tuner skip high-precision timing loops.
-func (t *Tuner) traceBased() bool {
-	_, ok := t.cfg.Coster.(interface{ TraceBased() })
+// traceBased reports whether a Coster ignores wall time, letting the tuner
+// skip high-precision timing loops and reuse direct factorizations.
+func traceBased(c arch.Coster) bool {
+	_, ok := c.(interface{ TraceBased() })
 	return ok
-}
-
-// measured is one priced candidate for a level: either a direct solve
-// (iters nil) or an iterative choice with per-accuracy iteration counts.
-type measured struct {
-	plan       mg.Plan
-	iters      []int // per accuracy index; 0 = infeasible (nil for direct)
-	costPerAcc []float64
 }
 
 // stepFunc advances one iteration of a candidate on (x, b).
 type stepFunc func(x, b *grid.Grid, rec mg.Recorder)
 
-// countIters runs step repeatedly on each training instance and returns,
-// per accuracy target, the maximum number of iterations any instance needed
-// (0 if some instance missed the target within cap).
-func (t *Tuner) countIters(probs []*problem.Problem, step stepFunc, cap int) []int {
-	m := len(t.cfg.Accuracies)
-	need := make([]int, m)
-	bad := make([]bool, m)
-	for _, p := range probs {
-		x := p.NewState()
-		met := 0
-		for it := 1; it <= cap && met < m; it++ {
-			step(x, p.B, nil)
-			acc := p.AccuracyOf(x)
-			for met < m && acc >= t.cfg.Accuracies[met] {
-				if it > need[met] {
-					need[met] = it
-				}
-				met++
-			}
-		}
-		for i := met; i < m; i++ {
-			bad[i] = true // this instance missed the target within cap
-		}
-	}
-	for i := range need {
-		if bad[i] {
-			need[i] = 0 // infeasible marker
-		}
-	}
-	return need
+// run executes one step on the tuner's books.
+func (t *Tuner) run(step stepFunc, x, b *grid.Grid, rec mg.Recorder) {
+	t.work.Steps++
+	t.directs.next = rec
+	step(x, b, &t.directs)
+}
+
+// accuracy evaluates the accuracy of x on the tuner's books.
+func (t *Tuner) accuracy(p *problem.Problem, x *grid.Grid) float64 {
+	t.work.AccuracyEvals++
+	return p.AccuracyOf(x)
 }
 
 // timeOneIter measures the trace and wall time of a single iteration of
@@ -287,9 +293,9 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 	var tr mg.OpTrace
 	x := p.NewState()
 	start := time.Now()
-	step(x, p.B, &tr)
+	t.run(step, x, p.B, &tr)
 	elapsed := time.Since(start)
-	if t.traceBased() {
+	if traceBased(t.cfg.Coster) {
 		return &tr, elapsed
 	}
 	// Re-sample short steps in growing batches until one batch is long
@@ -302,7 +308,7 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 		x = p.NewState()
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			step(x, p.B, nil)
+			t.run(step, x, p.B, nil)
 		}
 		batch = time.Since(start)
 		elapsed = batch / time.Duration(reps)
@@ -311,7 +317,7 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 		x = p.NewState()
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			step(x, p.B, nil)
+			t.run(step, x, p.B, nil)
 		}
 		if d := time.Since(start) / time.Duration(reps); d < elapsed {
 			elapsed = d
@@ -320,178 +326,348 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 	return &tr, elapsed
 }
 
-// priceIterative converts iteration counts into per-accuracy costs.
-func (t *Tuner) priceIterative(iters []int, tr1 *mg.OpTrace, d1 time.Duration) []float64 {
-	return t.priceIterativeWith(t.cfg.Coster, 0, iters, tr1, d1)
+// curve prices every iteration count a candidate may be assigned: at[n] is
+// the cost of n iterations and floor[n] the cheapest of at[n:]. The bound
+// compares floor, not at, because model cost is not monotone in n: 3D
+// shortcut solves at N ≥ 65 get cheaper from 7 to 8 sweeps, where
+// arch.EventCost switches to colour-split pricing, so a candidate dearer
+// than the best now may still undercut it later.
+type curve struct{ at, floor []float64 }
+
+func newCurve(cap int, cost func(n int) float64) curve {
+	cv := curve{at: make([]float64, cap+1), floor: make([]float64, cap+2)}
+	cv.floor[cap+1] = math.Inf(1)
+	for n := cap; n >= 0; n-- {
+		cv.at[n] = cost(n)
+		cv.floor[n] = math.Min(cv.at[n], cv.floor[n+1])
+	}
+	return cv
 }
 
-// priceIterativeWith prices under an explicit coster (the precision-adjusted
-// model for f32/mixed candidates) plus a per-iteration additive adjustment.
-func (t *Tuner) priceIterativeWith(coster arch.Coster, adj float64, iters []int, tr1 *mg.OpTrace, d1 time.Duration) []float64 {
-	costs := make([]float64, len(iters))
-	for i, n := range iters {
-		if n <= 0 {
-			costs[i] = math.Inf(1)
-			continue
+// price converts iteration counts into per-accuracy costs: +Inf where the
+// count is −1, a target out of reach or beaten.
+func (cv curve) price(need []int) []float64 {
+	costs := make([]float64, len(need))
+	for i, n := range need {
+		costs[i] = math.Inf(1)
+		if n >= 0 {
+			costs[i] = cv.at[n]
 		}
-		costs[i] = coster.Cost(tr1.Scaled(n), time.Duration(n)*d1) + float64(n)*adj
 	}
 	return costs
 }
 
-// measureDirect prices the direct choice at a level (identical for every
-// accuracy target: the solve is exact).
-func (t *Tuner) measureDirect(level int, probs []*problem.Problem) measured {
-	step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
-	tr, d := t.timeOneIter(probs, step)
-	cost := t.cfg.Coster.Cost(tr, d)
+// beaten reports whether floor — the least a candidate can still cost — is
+// strictly above the level's best for every one of the given targets.
+// Strictly: a candidate that can still tie stays in, so selection sees
+// every tie the exhaustive search would.
+func beaten(best []float64, floor float64) bool {
+	for _, b := range best {
+		if floor <= b {
+			return false
+		}
+	}
+	return true
+}
+
+// count runs step on every training instance — from its zero state, or from
+// where the estimate from left it — and returns, per accuracy target, the
+// most iterations any instance needed, or −1 for a target this candidate
+// cannot win. A target is lost once an instance
+// exhausts the curve's cap short of it, or once every iteration count that
+// could still reach it is priced strictly above best, the level's cheapest
+// cost per target so far (nil: unbounded). Lost targets form a suffix, and
+// later instances stop at its start. cut reports whether the bound stopped
+// any instance.
+func (t *Tuner) count(probs []*problem.Problem, from *estimate, step stepFunc, cv curve, best []float64) (need []int, cut bool) {
+	targets := t.cfg.Accuracies
+	need = make([]int, len(targets))
+	live := len(targets) // targets[live:] are lost
+	for pi := 0; pi < len(probs) && live > 0; pi++ {
+		p := probs[pi]
+		x, acc := p.NewState(), math.Inf(-1)
+		if from != nil {
+			x, acc = from.states[pi].Clone(), from.accs[pi]
+		}
+		met := 0
+		for it := 0; ; it++ {
+			for ; met < live && acc >= targets[met]; met++ {
+				need[met] = max(need[met], it)
+			}
+			if met == live || it == len(cv.at)-1 {
+				break
+			}
+			if best != nil && beaten(best[met:live], cv.floor[it+1]) {
+				cut = true
+				break
+			}
+			t.run(step, x, p.B, nil)
+			acc = t.accuracy(p, x)
+		}
+		live = met
+	}
+	for i := live; i < len(need); i++ {
+		need[i] = -1
+	}
+	return need, cut
+}
+
+// search is the branch-and-bound over one level's n candidates, numbered in
+// rank order. measure(c, best) prices candidate c per accuracy target given
+// the cheapest cost per target so far, and may answer +Inf for a target at
+// which it found c strictly dearer than best. Candidates are measured
+// likely winners first — all but those last names, then those — and
+// selected in rank order with a strict <, exactly as an exhaustive search
+// selects: measurement order decides how early the bound bites, never which
+// of two equally cheap candidates wins. win[i] is the chosen candidate for
+// accuracy i, or −1 when none is feasible.
+func (t *Tuner) search(n int, last func(c int) bool, measure func(c int, best []float64) []float64) (win []int) {
+	var order, tail []int
+	for c := 0; c < n; c++ {
+		if last(c) {
+			tail = append(tail, c)
+		} else {
+			order = append(order, c)
+		}
+	}
+	order = append(order, tail...)
+	if t.reorder != nil {
+		t.reorder(order)
+	}
+	best := make([]float64, len(t.cfg.Accuracies))
+	for i := range best {
+		best[i] = math.Inf(1)
+	}
+	costs := make([][]float64, n)
+	for _, c := range order {
+		costs[c] = measure(c, best)
+		for i, v := range costs[c] {
+			best[i] = math.Min(best[i], v)
+		}
+	}
+	win = make([]int, len(best))
+	for i := range win {
+		win[i] = -1
+		lowest := math.Inf(1)
+		for c := range costs {
+			if costs[c][i] < lowest {
+				win[i], lowest = c, costs[c][i]
+			}
+		}
+	}
+	return win
+}
+
+// candidate is one choice the V-table dynamic program can put in a cell.
+// The direct solve has no step; an iterative choice says how to advance one
+// iteration, how far to count, and how its one-iteration trace is priced.
+type candidate struct {
+	plan   mg.Plan     // Iters is filled in per accuracy on selection
+	step   stepFunc    // one iteration, its result visible in x
+	timing stepFunc    // one iteration as a deployed cell runs it (nil: step)
+	cap    int         // iteration-count cap
+	coster arch.Coster // nil: the tuner's
+	adj    float64     // additive per-iteration price correction
+}
+
+// measured is one priced candidate for a level: either a direct solve
+// (iters nil) or an iterative choice with per-accuracy iteration counts.
+type measured struct {
+	plan       mg.Plan
+	iters      []int // per accuracy index; −1 = out of reach or beaten
+	costPerAcc []float64
+}
+
+// directCosts prices the direct choice at a level (identical for every
+// accuracy target: the solve is exact). The solve is measured once per
+// level, whichever table asks first.
+func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
+	cost, ok := t.direct[level]
+	if !ok {
+		step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
+		cost = t.cfg.Coster.Cost(t.timeOneIter(probs, step))
+		t.direct[level] = cost
+	}
 	costs := make([]float64, len(t.cfg.Accuracies))
 	for i := range costs {
 		costs[i] = cost
 	}
-	return measured{plan: mg.Plan{Choice: mg.ChoiceDirect}, costPerAcc: costs}
+	return costs
 }
 
-// measureSOR prices the iterated-SOR choice at a level.
-func (t *Tuner) measureSOR(level int, probs []*problem.Problem) measured {
-	n := grid.SizeOfLevel(level)
-	omega := t.ws.OmegaOpt(n)
-	step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SOR(x, b, omega, 1, rec) }
-	iters := t.countIters(probs, step, t.cfg.MaxSORIters)
-	tr1, d1 := t.timeOneIter(probs, step)
-	m := measured{
-		plan:       mg.Plan{Choice: mg.ChoiceSOR},
-		iters:      iters,
-		costPerAcc: t.priceIterative(iters, tr1, d1),
+// measure prices candidate c at a level: one iteration is timed first —
+// its trace and wall time are all that pricing uses — so that counting can
+// stop as soon as best (see count) rules the candidate out.
+func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best []float64) measured {
+	t.work.Candidates++
+	if c.plan.Choice == mg.ChoiceDirect {
+		return measured{plan: c.plan, costPerAcc: t.directCosts(level, probs)}
 	}
-	return m
+	timing, coster := c.timing, c.coster
+	if timing == nil {
+		timing = c.step
+	}
+	if coster == nil {
+		coster = t.cfg.Coster
+	}
+	tr1, d1 := t.timeOneIter(probs, timing)
+	cv := newCurve(c.cap, func(n int) float64 {
+		return coster.Cost(tr1.Scaled(n), time.Duration(n)*d1) + float64(n)*c.adj
+	})
+	iters, cut := t.count(probs, nil, c.step, cv, best)
+	if cut {
+		t.work.CutShort++
+	}
+	return measured{plan: c.plan, iters: iters, costPerAcc: cv.price(iters)}
 }
 
-// measureVChain prices the standard-V-cycle seed algorithm at a level — the
-// single-algorithm implementation the PetaBricks population always keeps
-// (§3.2.2), which guards the dynamic program against pathological greedy
-// choices at coarser levels.
-func (t *Tuner) measureVChain(level int, probs []*problem.Problem) measured {
-	step := func(x, b *grid.Grid, rec mg.Recorder) {
-		t.ws.RefVCycle(x, b, rec)
-	}
-	iters := t.countIters(probs, step, t.cfg.MaxRecurseIters)
-	tr1, d1 := t.timeOneIter(probs, step)
-	return measured{
-		plan:       mg.Plan{Choice: mg.ChoiceVCycle},
-		iters:      iters,
-		costPerAcc: t.priceIterative(iters, tr1, d1),
-	}
+// sorStep returns a one-sweep SOR step at the given level.
+func (t *Tuner) sorStep(level int) stepFunc {
+	omega := t.ws.OmegaOpt(grid.SizeOfLevel(level))
+	return func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SOR(x, b, omega, 1, rec) }
 }
 
-// measureRecurse prices the RECURSE_j choice at a level, using the tuned
-// sub-table rows already built for coarser levels.
-func (t *Tuner) measureRecurse(vt *mg.VTable, level, j int, probs []*problem.Problem) measured {
-	ex := &mg.Executor{WS: t.ws, V: vt}
-	step := func(x, b *grid.Grid, rec mg.Recorder) {
-		ex.Rec = rec
-		ex.Recurse(x, b, j)
-	}
-	iters := t.countIters(probs, step, t.cfg.MaxRecurseIters)
-	tr1, d1 := t.timeOneIter(probs, step)
-	return measured{
-		plan:       mg.Plan{Choice: mg.ChoiceRecurse, Sub: j},
-		iters:      iters,
-		costPerAcc: t.priceIterative(iters, tr1, d1),
+// recurseCandidate is the RECURSE_j choice, whose coarse call uses the tuned
+// sub-table rows ex.V already holds for coarser levels.
+func (t *Tuner) recurseCandidate(ex *mg.Executor, j int) candidate {
+	return candidate{
+		plan: mg.Plan{Choice: mg.ChoiceRecurse, Sub: j},
+		step: func(x, b *grid.Grid, rec mg.Recorder) {
+			ex.Rec = rec
+			ex.Recurse(x, b, j)
+		},
+		cap: t.cfg.MaxRecurseIters,
 	}
 }
 
-// f32Steps builds the counting and timing stepFuncs for an f32 candidate.
-// Both keep a float32 mirror of the iterate alive across iterations — a
-// deployed PrecF32 cell converts once per cell entry and amortizes it over
-// all its iterations, so per-iteration cost must exclude the conversions.
-// The counting step additionally writes the interior back after every
-// iteration, because accuracy is always judged on the f64 state against the
-// f64 reference solution; the timing step skips that writeback.
-func (t *Tuner) f32Steps(vt *mg.VTable, level int, plan mg.Plan) (count, timing stepFunc) {
-	ex := &mg.Executor{WS: t.ws, V: vt}
-	n := grid.SizeOfLevel(level)
-	dim := t.op.Dim()
-	x32 := grid.NewOf[float32](dim, n)
-	b32 := grid.NewOf[float32](dim, n)
-	var cur *grid.Grid
+// iterativeCandidates lists a level's float64 iterative choices in rank
+// order — iterated SOR, the standard V-cycle, RECURSE_j per accuracy j —
+// the choices of a V cell and equally the solve phases of a full-multigrid
+// cell. The V-cycle is the single-algorithm seed the PetaBricks population
+// always keeps (§3.2.2), which guards the dynamic program against
+// pathological greedy choices at coarser levels.
+func (t *Tuner) iterativeCandidates(ex *mg.Executor, level int) []candidate {
+	cands := []candidate{{
+		plan: mg.Plan{Choice: mg.ChoiceSOR},
+		step: t.sorStep(level),
+		cap:  t.cfg.MaxSORIters,
+	}, {
+		plan: mg.Plan{Choice: mg.ChoiceVCycle},
+		step: func(x, b *grid.Grid, rec mg.Recorder) { t.ws.RefVCycle(x, b, rec) },
+		cap:  t.cfg.MaxRecurseIters,
+	}}
+	for j := range t.cfg.Accuracies {
+		cands = append(cands, t.recurseCandidate(ex, j))
+	}
+	return cands
+}
+
+// f32Mirror is the float32 copy of the iterate a level's f32 candidates keep
+// alive across iterations — a deployed PrecF32 cell converts once per cell
+// entry and amortizes it over all its iterations, so per-iteration cost must
+// exclude the conversions. It is refreshed whenever the f64 state changes
+// identity, which every new training instance and timing batch does.
+type f32Mirror struct {
+	x, b *grid.Grid32
+	of   *grid.Grid
+}
+
+// f32Edition is the full-f32 edition of an iterative candidate: the same
+// choice with float32 storage, priced under the half-width cost model (or
+// measured wall-clock, which needs no adjustment). The counting step writes
+// the interior back after every iteration, because accuracy is always
+// judged on the f64 state against the f64 reference solution; the timing
+// step skips that writeback. The f32 rounding floor makes high-accuracy
+// targets infeasible automatically — counting never reaches them.
+func (t *Tuner) f32Edition(ex *mg.Executor, m *f32Mirror, base candidate) candidate {
+	plan := base.plan
+	plan.Precision = mg.PrecF32
 	step1 := plan
 	step1.Iters = 1
 	body := func(x, b *grid.Grid, rec mg.Recorder) {
-		if x != cur {
-			cur = x
-			grid.ConvertInto(x32, x)
-			grid.ConvertInto(b32, b)
+		if x != m.of {
+			m.of = x
+			grid.ConvertInto(m.x, x)
+			grid.ConvertInto(m.b, b)
 		}
 		ex.Rec = rec
-		ex.SolvePlanF32(x32, b32, step1)
+		ex.SolvePlanF32(m.x, m.b, step1)
 	}
-	count = func(x, b *grid.Grid, rec mg.Recorder) {
-		body(x, b, rec)
-		grid.ConvertInteriorInto(x, x32)
-	}
-	return count, body
-}
-
-// iterCap returns the iteration-count cap for a candidate's choice.
-func (t *Tuner) iterCap(c mg.Choice) int {
-	if c == mg.ChoiceSOR {
-		return t.cfg.MaxSORIters
-	}
-	return t.cfg.MaxRecurseIters
-}
-
-// measureF32 prices the full-f32 edition of an iterative candidate: the
-// same choice with float32 storage, priced under the half-width cost model
-// (or measured wall-clock, which needs no adjustment). The f32 rounding
-// floor makes high-accuracy targets infeasible automatically — the counting
-// loop simply never reaches them.
-func (t *Tuner) measureF32(vt *mg.VTable, level int, base mg.Plan, probs []*problem.Problem) measured {
-	base.Precision = mg.PrecF32
-	countStep, timeStep := t.f32Steps(vt, level, base)
-	iters := t.countIters(probs, countStep, t.iterCap(base.Choice))
-	tr1, d1 := t.timeOneIter(probs, timeStep)
-	return measured{
-		plan:       base,
-		iters:      iters,
-		costPerAcc: t.priceIterativeWith(arch.ForPrecision(t.cfg.Coster, 32), 0, iters, tr1, d1),
+	return candidate{
+		plan: plan,
+		step: func(x, b *grid.Grid, rec mg.Recorder) {
+			body(x, b, rec)
+			grid.ConvertInteriorInto(x, m.x)
+		},
+		timing: body,
+		cap:    base.cap,
+		coster: arch.ForPrecision(t.cfg.Coster, 32),
 	}
 }
 
-// measureMixed prices the refinement edition of a cycle candidate: each
+// mixedEdition is the refinement edition of a cycle candidate: each
 // iteration is one f64 defect residual wrapping one f32 step of the choice.
 // Trace-based costers price the whole step at f32 width plus a per-iteration
 // correction for the outer residual, which really runs at f64.
-func (t *Tuner) measureMixed(vt *mg.VTable, level int, base mg.Plan, probs []*problem.Problem) measured {
-	base.Precision = mg.PrecMixed
-	ex := &mg.Executor{WS: t.ws, V: vt}
-	step := func(x, b *grid.Grid, rec mg.Recorder) {
-		ex.Rec = rec
-		ex.RefineStep(x, b, base)
-	}
-	iters := t.countIters(probs, step, t.cfg.MaxRecurseIters)
-	tr1, d1 := t.timeOneIter(probs, step)
+func (t *Tuner) mixedEdition(ex *mg.Executor, level int, base candidate) candidate {
+	plan := base.plan
+	plan.Precision = mg.PrecMixed
 	coster := arch.ForPrecision(t.cfg.Coster, 32)
 	var adj float64
 	if m64, ok := t.cfg.Coster.(*arch.Model); ok {
 		m32 := coster.(*arch.Model)
 		adj = m64.EventCost(mg.EvResidual, level, 1) - m32.EventCost(mg.EvResidual, level, 1)
 	}
-	return measured{
-		plan:       base,
-		iters:      iters,
-		costPerAcc: t.priceIterativeWith(coster, adj, iters, tr1, d1),
+	return candidate{
+		plan: plan,
+		step: func(x, b *grid.Grid, rec mg.Recorder) {
+			ex.Rec = rec
+			ex.RefineStep(x, b, plan)
+		},
+		cap:    base.cap,
+		coster: coster,
+		adj:    adj,
 	}
 }
+
+// vCandidates lists every choice for a V-table level in rank order, the
+// order ties are broken in: direct (while it is explored), the float64
+// iterative choices, then their precision editions — float32 storage for
+// all of them, f64 refinement around an f32 step for the cycle choices.
+// Direct stays f64-only: the factorization is compute-bound and exact.
+func (t *Tuner) vCandidates(vt *mg.VTable, level int) []candidate {
+	var cands []candidate
+	if level <= t.cfg.DirectMaxLevel {
+		cands = append(cands, candidate{plan: mg.Plan{Choice: mg.ChoiceDirect}})
+	}
+	ex := &mg.Executor{WS: t.ws, V: vt}
+	base := t.iterativeCandidates(ex, level)
+	cands = append(cands, base...)
+	n, dim := grid.SizeOfLevel(level), t.op.Dim()
+	mirror := &f32Mirror{x: grid.NewOf[float32](dim, n), b: grid.NewOf[float32](dim, n)}
+	for _, c := range base {
+		cands = append(cands, t.f32Edition(ex, mirror, c))
+		if c.plan.Choice != mg.ChoiceSOR {
+			cands = append(cands, t.mixedEdition(ex, level, c))
+		}
+	}
+	return cands
+}
+
+// sorLast is the measurement order both tables use: the cycle choices set
+// the bound within a handful of iterations, after which the SOR editions —
+// capped at hundreds of sweeps — are cut almost at once.
+func sorLast(c mg.Choice) bool { return c == mg.ChoiceSOR }
 
 // TuneV runs the dynamic program for the MULTIGRID-V family and returns the
 // tuned table.
 func (t *Tuner) TuneV() (*mg.VTable, error) {
 	vt := &mg.VTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
 	for level := 2; level <= t.cfg.MaxLevel; level++ {
+		before := t.spent()
 		row := t.tuneVLevel(vt, level)
 		vt.Plans = append(vt.Plans, row)
-		t.logf("level %d (N=%d): %s", level, grid.SizeOfLevel(level), describeRow(row))
+		t.logf("level %d (N=%d): %s [%s]", level, grid.SizeOfLevel(level), describeRow(row), t.charge(level, before))
 	}
 	if err := vt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: tuned V table invalid: %w", err)
@@ -499,58 +675,45 @@ func (t *Tuner) TuneV() (*mg.VTable, error) {
 	return vt, nil
 }
 
-// tuneVLevel measures every candidate at one level and picks, per accuracy
-// target, the cheapest feasible plan.
+// tuneVLevel picks, per accuracy target, the cheapest feasible candidate at
+// one level, measuring each only until it is known to lose (see search).
 func (t *Tuner) tuneVLevel(vt *mg.VTable, level int) []mg.Plan {
 	probs := t.training(level)
-	m := len(t.cfg.Accuracies)
-	var cands []measured
-	if level <= t.cfg.DirectMaxLevel {
-		cands = append(cands, t.measureDirect(level, probs))
-	}
-	cands = append(cands, t.measureSOR(level, probs))
-	cands = append(cands, t.measureVChain(level, probs))
-	for j := 0; j < m; j++ {
-		cands = append(cands, t.measureRecurse(vt, level, j, probs))
-	}
-	// Precision editions (ROADMAP item 2): the same iterative choices with
-	// float32 storage, and f64-refinement-wrapped editions of the cycle
-	// choices. Direct stays f64-only — the factorization is compute-bound
-	// and exact.
-	cands = append(cands, t.measureF32(vt, level, mg.Plan{Choice: mg.ChoiceSOR}, probs))
-	cands = append(cands, t.measureF32(vt, level, mg.Plan{Choice: mg.ChoiceVCycle}, probs))
-	cands = append(cands, t.measureMixed(vt, level, mg.Plan{Choice: mg.ChoiceVCycle}, probs))
-	for j := 0; j < m; j++ {
-		cands = append(cands, t.measureF32(vt, level, mg.Plan{Choice: mg.ChoiceRecurse, Sub: j}, probs))
-		cands = append(cands, t.measureMixed(vt, level, mg.Plan{Choice: mg.ChoiceRecurse, Sub: j}, probs))
-	}
+	cands := t.vCandidates(vt, level)
+	res := make([]measured, len(cands))
+	win := t.search(len(cands),
+		func(c int) bool { return sorLast(cands[c].plan.Choice) },
+		func(c int, best []float64) []float64 {
+			res[c] = t.measure(level, cands[c], probs, best)
+			return res[c].costPerAcc
+		})
+	return t.vRow(level, res, win)
+}
 
+// vRow materializes a level's selection and records every priced candidate
+// on the level's Pareto front. A candidate the bound cut is strictly
+// dominated by the one that beat it, so the front is the exhaustive one.
+func (t *Tuner) vRow(level int, res []measured, win []int) []mg.Plan {
 	front := t.front[level]
 	if front == nil {
 		front = &ParetoFront{}
 		t.front[level] = front
 	}
-	row := make([]mg.Plan, m)
-	for i := 0; i < m; i++ {
-		best := -1
-		bestCost := math.Inf(1)
-		for c, cand := range cands {
-			cost := cand.costPerAcc[i]
-			if cost < bestCost {
-				best, bestCost = c, cost
-			}
-			if !math.IsInf(cost, 1) {
-				front.Add(ParetoPoint{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(cand, i)})
+	row := make([]mg.Plan, len(win))
+	for i, w := range win {
+		for _, r := range res {
+			if cost := r.costPerAcc[i]; !math.IsInf(cost, 1) {
+				front.Add(ParetoPoint{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(r, i)})
 			}
 		}
-		if best < 0 {
+		if w < 0 {
 			// Every iterative choice missed the target and direct was not
 			// explored; fall back to direct, which is always exact.
 			t.logf("level %d acc %g: no feasible candidate, falling back to direct", level, t.cfg.Accuracies[i])
 			row[i] = mg.Plan{Choice: mg.ChoiceDirect}
 			continue
 		}
-		row[i] = withIters(cands[best], i)
+		row[i] = withIters(res[w], i)
 	}
 	return row
 }

@@ -38,8 +38,12 @@ type Workspace struct {
 	// CacheDirectFactor controls whether band-Cholesky factorizations are
 	// reused across direct-solve calls. The default (false) re-factors on
 	// every call, matching the cost profile of LAPACK's DPBSV that the
-	// paper's direct choice pays; enable it for production serving and
-	// reference-solution computation where only the answer matters.
+	// paper's direct choice pays. Who sets it: every pbmg.Solver (serving
+	// and CLI solves, where only the answer matters), refsol and the
+	// experiments that replay tuned tables, and core.Tuner for its private
+	// workspace when its coster prices traces and never reads the clock. A
+	// wall-clock tuner leaves it off: the factorization is part of the cost
+	// it is there to measure.
 	CacheDirectFactor bool
 	// Op is the operator family the workspace solves, discretized at the
 	// finest grid size it will see; coarser levels are derived on demand via

@@ -31,6 +31,7 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"pbmg/internal/arch"
 	"pbmg/internal/core"
@@ -202,6 +203,9 @@ type Solver struct {
 	// retried (successfully or not) at forced float64.
 	escalations atomic.Int64
 
+	// tuneStats is what tuning this solver took (zero for a loaded one).
+	tuneStats TuneStats
+
 	// defMu guards defSvc, the lazily-created default service behind
 	// DefaultService that SolveBatch routes through so its completion counts
 	// are observable. A mutex (not sync.Once) so Registry.Register can
@@ -219,6 +223,19 @@ var ErrCancelled = mg.ErrCancelled
 // blew up instead of contracting. Reduced-precision solves retry once at
 // forced float64 before surfacing it (see Solver.Escalations).
 var ErrDiverged = mg.ErrDiverged
+
+// TuneStats is what the autotuner spent producing a solver's tables: wall
+// seconds, and work counters summed over every tuned level. Under a
+// simulated machine the counters repeat exactly for given Options.
+type TuneStats struct {
+	Seconds float64
+	core.Stats
+}
+
+// String renders the stats as one log line.
+func (ts TuneStats) String() string {
+	return fmt.Sprintf("%.2fs, %s", ts.Seconds, ts.Stats)
+}
 
 // Tune trains a solver for the given options by running the paper's
 // dynamic-programming autotuner.
@@ -265,6 +282,7 @@ func tuneWithPool(o Options, pool *sched.Pool) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
+	start := time.Now()
 	tuned, err := tn.Tune()
 	if err != nil {
 		return nil, err
@@ -274,6 +292,10 @@ func tuneWithPool(o Options, pool *sched.Pool) (*Solver, error) {
 		return nil, err
 	}
 	s.ws.NoFuse = o.NoFuse
+	s.tuneStats.Seconds = time.Since(start).Seconds()
+	for _, ls := range tn.Stats() {
+		s.tuneStats.Add(ls.Stats)
+	}
 	return s, nil
 }
 
@@ -329,6 +351,10 @@ func (s *Solver) Save(path string) error { return s.tuned.Save(path) }
 
 // Machine returns the name of the cost model the solver was tuned for.
 func (s *Solver) Machine() string { return s.tuned.Machine }
+
+// TuneStats returns what tuning this solver took; the zero value for a
+// solver loaded from a saved configuration.
+func (s *Solver) TuneStats() TuneStats { return s.tuneStats }
 
 // PoolSteals returns the worker pool's cumulative successful-steal count
 // (0 for a serial solver) — scheduler visibility for benchmark reports.

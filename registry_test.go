@@ -1,6 +1,7 @@
 package pbmg
 
 import (
+	"bytes"
 	"math"
 	"os"
 	"path/filepath"
@@ -246,6 +247,50 @@ func TestRegistryLoadDir(t *testing.T) {
 	}
 	if _, err := r2.LoadDir(t.TempDir()); err == nil {
 		t.Fatal("LoadDir accepted an empty directory")
+	}
+}
+
+// TestRegistryLoadDirRejectsInconsistentBundle: a bundle whose maxLevel
+// exceeds its tables' rows passes every per-table check; it must be refused
+// at LoadDir (and Load) with the file and the cell named, registering
+// nothing, instead of panicking in VTable.Plan on the first N=33 request.
+func TestRegistryLoadDirRejectsInconsistentBundle(t *testing.T) {
+	dir := t.TempDir()
+	if err := tuneFamily(t, FamilyAnisotropic, 0.25).Save(filepath.Join(dir, "aniso.json")); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "poisson.json")
+	if err := tuneFamily(t, FamilyPoisson, 0).Save(path); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(good, []byte(`"maxLevel": 5`), []byte(`"maxLevel": 6`), 1)
+	if bytes.Equal(bad, good) {
+		t.Fatal("poisson table does not carry maxLevel 5; fix the test's corruption")
+	}
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	r := NewRegistry(RegistryOptions{})
+	t.Cleanup(r.Close)
+	_, dirErr := r.LoadDir(dir)
+	_, loadErr := Load(path, 0)
+	for _, err := range []error{dirErr, loadErr} {
+		if err == nil {
+			t.Fatal("inconsistent bundle accepted")
+		}
+		for _, want := range []string{path, "maxLevel 6", "V table", "level 5"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not name %q", err, want)
+			}
+		}
+	}
+	if got := r.Keys(); len(got) != 0 {
+		t.Fatalf("refused LoadDir left %v registered, want nothing", got)
 	}
 }
 

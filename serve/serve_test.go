@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -9,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -122,6 +124,27 @@ func occupy(t *testing.T, svc *pbmg.Service, n int) (release func()) {
 		time.Sleep(time.Millisecond)
 	}
 	return func() { close(free); wg.Wait() }
+}
+
+// copyTables returns a private copy of tablesDir, for tests that break and
+// fix table files.
+func copyTables(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	entries, err := os.ReadDir(tablesDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(tablesDir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
 }
 
 // newProblem draws one family problem with its reference solution
@@ -364,20 +387,7 @@ func TestServeQuotaIsolation(t *testing.T) {
 // directory is rejected all-or-nothing with the live catalog untouched.
 func TestServeReloadUnderTraffic(t *testing.T) {
 	// A private copy of the tables, so the test can break and fix it.
-	dir := t.TempDir()
-	entries, err := os.ReadDir(tablesDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(tablesDir, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	dir := copyTables(t)
 	srv, cl := startServer(t, Config{Dir: dir})
 
 	p := newProblem(t, pbmg.FamilyPoisson, 9, 3)
@@ -460,6 +470,60 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 			t.Fatalf("first catalog still holds %d refs after the swap", first.refs.Load())
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestServeReloadRefusesInconsistentBundle: a table file that parses and
+// passes every per-table check but claims one level more than it has rows
+// for used to load, swap in, and panic on the first request for the largest
+// size. POST /-/reload must refuse the whole directory with the cell named,
+// and the old generation keeps answering at that size.
+func TestServeReloadRefusesInconsistentBundle(t *testing.T) {
+	dir := copyTables(t)
+	poissonPath := filepath.Join(dir, "00-poisson.json")
+	srv, cl := startServer(t, Config{Dir: dir})
+	ctx := context.Background()
+
+	good, err := os.ReadFile(poissonPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Replace(good, []byte(`"maxLevel": 4`), []byte(`"maxLevel": 5`), 1)
+	if bytes.Equal(bad, good) {
+		t.Fatal("poisson table does not carry maxLevel 4; fix the test's corruption")
+	}
+	if err := os.WriteFile(poissonPath, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = cl.Reload(ctx)
+	var se *StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusConflict {
+		t.Fatalf("reload of an inconsistent bundle: %v, want a 409", err)
+	}
+	for _, want := range []string{poissonPath, "maxLevel 5", "V table", "level 4"} {
+		if !strings.Contains(se.Msg, want) {
+			t.Errorf("reload error %q does not name %q", se.Msg, want)
+		}
+	}
+	if got := srv.version.Load(); got != 1 {
+		t.Errorf("version after refused reload = %d, want 1", got)
+	}
+	// All or nothing: the old generation still serves both families, the
+	// size the corrupted file lied about included.
+	for _, tc := range []struct {
+		family pbmg.Family
+		n      int
+	}{{pbmg.FamilyPoisson, 17}, {pbmg.FamilyPoisson3D, 9}} {
+		p := newProblem(t, tc.family, tc.n, 3)
+		if _, err := cl.Solve(ctx, SolveRequest{Family: tc.family.String(), N: tc.n, Accuracy: 1e3, B: p.B.Data()}); err != nil {
+			t.Errorf("%s N=%d after refused reload: %v", tc.family, tc.n, err)
+		}
+	}
+	// A server must not come up on such a directory either.
+	if s, err := New(Config{Dir: dir, Workers: 1}); err == nil {
+		s.Close()
+		t.Error("serve.New accepted the inconsistent directory")
 	}
 }
 
