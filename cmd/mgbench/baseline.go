@@ -46,10 +46,6 @@ type benchReport struct {
 	Machine  string  `json:"machine"`
 	GoOS     string  `json:"goos"`
 	GoArch   string  `json:"goarch"`
-	// NoFuse records whether the fused cycle kernels were disabled
-	// (mgbench -nofuse), so fused and unfused baselines are not confused
-	// when diffed with -compare.
-	NoFuse bool `json:"noFuse,omitempty"`
 	// Steals is the worker pool's successful-steal count across the run —
 	// scheduler visibility (0 for serial runs).
 	Steals int64       `json:"steals"`
@@ -60,9 +56,8 @@ type benchReport struct {
 var baselineAccs = []float64{1e1, 1e5, 1e9}
 
 // runBaseline measures the family baseline up to maxLevel and optionally
-// writes BENCH_<family>.json (or outPath when non-empty). noFuse disables
-// the fused cycle kernels, measuring the pre-fusion pass structure.
-func runBaseline(familyName string, eps float64, maxLevel, workers int, seed int64, writeJSON, noFuse bool, outPath string, logf func(string, ...any)) error {
+// writes BENCH_<family>.json (or outPath when non-empty).
+func runBaseline(familyName string, eps float64, maxLevel, workers int, seed int64, writeJSON bool, outPath string, logf func(string, ...any)) error {
 	f, err := pbmg.ParseFamily(familyName)
 	if err != nil {
 		return err
@@ -80,7 +75,6 @@ func runBaseline(familyName string, eps float64, maxLevel, workers int, seed int
 		Machine: "intel-harpertown", // deterministic tables; wall times are the host's
 		Workers: workers,
 		Seed:    seed,
-		NoFuse:  noFuse,
 	}
 	if logf != nil {
 		opts.Logf = logf
@@ -98,7 +92,6 @@ func runBaseline(familyName string, eps float64, maxLevel, workers int, seed int
 		Machine:  solver.Machine(),
 		GoOS:     runtime.GOOS,
 		GoArch:   runtime.GOARCH,
-		NoFuse:   noFuse,
 	}
 	if pbmg.FamilyHasParam(solver.Family()) {
 		rep.Eps = solver.Epsilon()

@@ -32,14 +32,13 @@ type kernelCell struct {
 	// residual + restrict vs smooth + ResidualRestrict), "smooth+residual"
 	// (vs SmoothResidual), "sweep+norm" (vs SweepWithNorm), "upstroke"
 	// (interpolate + correct + sweep + residual norm vs
-	// InterpolateCorrectSmooth + FinishSmoothWithNorm), "sorx12" (12 strided
-	// SOR sweeps vs Operator.SORSweeps, which picks the unit-stride
-	// color-split layout where its gate says it wins and falls back to the
-	// strided loop elsewhere), and "residual-norm" (serial vs pool-parallel
-	// ResidualNorm). "downstroke-wavefront" and "upstroke-wavefront" time the
-	// cycle's serial one-traversal strokes (SmoothResidualRestrict, Upstroke
-	// with no pool) against the same row kernels run as barrier-separated
-	// passes (a one-worker pool: pass order, no threads), at one precision.
+	// InterpolateCorrectSmooth + FinishSmoothWithNorm), "sorx12" (12 SOR
+	// sweeps, an f32-vs-f64 row only), and "residual-norm" (serial vs
+	// pool-parallel ResidualNorm). "downstroke-wavefront", "upstroke-wavefront"
+	// and, in 3D, "sweep-wavefront" time the cycle's serial one-traversal
+	// kernels (SmoothResidualRestrict, Upstroke, SORSweepRB with no pool)
+	// against the same row kernels run as barrier-separated passes (a
+	// one-worker pool: pass order, no threads), at one precision.
 	Kernel string `json:"kernel"`
 	// Precision is the storage precision of the measured pass: "" / "f64"
 	// is the default float64 row. For "f32" rows the baseline (UnfusedNS)
@@ -251,21 +250,9 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			emit("upstroke", unfused, fused)
 			upstrokeF64 := fused
 
-			// A 12-sweep relaxation run: the strided loop vs SORSweeps, which
-			// repacks into the unit-stride color-split layout where the gate
-			// (3D, N≥65) predicts a win and falls back elsewhere, so ungated
-			// sizes — every 2D row — should read ≈1.0x.
-			const splitSweeps = 12
-			unfused = benchBest(reset, func() {
-				for s := 0; s < splitSweeps; s++ {
-					op.SORSweepRB(pool, x, b, h, omega)
-				}
-			})
-			fused = benchBest(reset, func() {
-				op.SORSweeps(pool, x, b, h, omega, splitSweeps)
-			})
-			emit("sorx12", unfused, fused)
-			sorF64 := fused
+			// A 12-sweep relaxation run, the shape of an iterative shortcut
+			// solve: measured for the f32-vs-f64 row below.
+			sorF64 := benchBest(reset, func() { sorx12(op, pool, x, b, h, omega) })
 
 			// The mixed-precision rows: the fused downstroke, upstroke, and
 			// 12-sweep passes rerun with float32 storage against the float64
@@ -292,9 +279,7 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 				stencil.OpFinishSmoothWithNorm(op, pool, x32, b32, h32, omega32)
 			})
 			emitPrec("upstroke", "f32", upstrokeF64, fused)
-			fused = benchBest(reset32, func() {
-				stencil.OpSORSweeps(op, pool, x32, b32, h32, omega32, splitSweeps)
-			})
+			fused = benchBest(reset32, func() { sorx12(op, pool, x32, b32, h32, omega32) })
 			emitPrec("sorx12", "f32", sorF64, fused)
 
 			// The parallel-norm satellite: serial vs pool reduction (equal on
@@ -367,27 +352,29 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			})
 			emitCell(&rep, fam.name, fam.eps, fam.dim, n, "upstroke", "f32", f64t, f32t)
 
-			const splitSweeps = 12
-			f64t = benchBest(reset, func() {
-				op.SORSweeps(pool, x, b, h, omega, splitSweeps)
-			})
-			f32t = benchBest(reset32, func() {
-				stencil.OpSORSweeps(op, pool, x32, b32, h32, omega32, splitSweeps)
-			})
+			f64t = benchBest(reset, func() { sorx12(op, pool, x, b, h, omega) })
+			f32t = benchBest(reset32, func() { sorx12(op, pool, x32, b32, h32, omega32) })
 			emitCell(&rep, fam.name, fam.eps, fam.dim, n, "sorx12", "f32", f64t, f32t)
 		}
 	}
 
 	// The wavefront rows, after everything else for the same heap-epoch
-	// reason: from the largest cache-resident solve size up to DRAM-resident.
+	// reason: in 2D from the largest cache-resident solve size up to
+	// DRAM-resident, in 3D the two benchmarked sizes.
 	passes := sched.NewPool(1)
 	defer passes.Close()
 	for _, n := range []int{257, 513, 1025, 2049} {
 		if logf != nil {
 			logf("kernels: poisson N=%d (wavefront)", n)
 		}
-		wavefrontRows[float64](&rep, passes, n, seed, "")
-		wavefrontRows[float32](&rep, passes, n, seed, "f32")
+		wavefrontRows[float64](&rep, passes, stencil.Poisson(), n, seed, "")
+		wavefrontRows[float32](&rep, passes, stencil.Poisson(), n, seed, "f32")
+	}
+	for _, n := range []int{33, 65} {
+		if logf != nil {
+			logf("kernels: poisson3d N=%d (wavefront)", n)
+		}
+		wavefrontRows[float64](&rep, passes, stencil.Poisson3D(), n, seed, "")
 	}
 
 	if pool != nil {
@@ -434,11 +421,18 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 	return nil
 }
 
-// wavefrontRows times the serial one-traversal downstroke and upstroke of
-// the Laplacian at precision T against the pass order of the same row
-// kernels, which a one-worker pool runs without threads.
-func wavefrontRows[T grid.Float](rep *kernelsReport, passes *sched.Pool, n int, seed int64, prec string) {
-	op := stencil.Poisson()
+// sorx12 runs twelve SOR sweeps in place.
+func sorx12[T grid.Float](op *stencil.Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
+	for s := 0; s < 12; s++ {
+		stencil.OpSORSweepRB(op, pool, x, b, h, omega)
+	}
+}
+
+// wavefrontRows times op's serial one-traversal sweep, downstroke and
+// upstroke at precision T against the pass order of the same row kernels,
+// which a one-worker pool runs without threads.
+func wavefrontRows[T grid.Float](rep *kernelsReport, passes *sched.Pool, op *stencil.Operator, n int, seed int64, prec string) {
+	dim, name := op.Dim(), op.Family().String()
 	h, omega := T(1/float64(n-1)), T(op.OmegaSmooth())
 	rng := rand.New(rand.NewSource(seed + int64(n)))
 	fill := func(g *grid.G[T]) *grid.G[T] {
@@ -448,16 +442,25 @@ func wavefrontRows[T grid.Float](rep *kernelsReport, passes *sched.Pool, n int, 
 		return g
 	}
 	nc := grid.Coarsen(n)
-	x0, b, cx := fill(grid.NewOf[T](2, n)), fill(grid.NewOf[T](2, n)), fill(grid.NewOf[T](2, nc))
-	x, r, cb := x0.Clone(), grid.NewOf[T](2, n), grid.NewOf[T](2, nc)
+	x0, b, cx := fill(grid.NewOf[T](dim, n)), fill(grid.NewOf[T](dim, n)), fill(grid.NewOf[T](dim, nc))
+	x, r, cb := x0.Clone(), grid.NewOf[T](dim, n), grid.NewOf[T](dim, nc)
 	reset := func() { x.CopyFrom(x0) }
 
+	if dim == 3 {
+		// No 2D sweep row: two half-sweeps stream so little per point that
+		// their one-traversal order reads anywhere from 0.75x to 1.35x of
+		// the pass order at N=2049 on one box in one hour — not a gate.
+		sweep := func(pool *sched.Pool) time.Duration {
+			return benchBest(reset, func() { stencil.OpSORSweepRB(op, pool, x, b, h, omega) })
+		}
+		emitCell(rep, name, 0, dim, n, "sweep-wavefront", prec, sweep(passes), sweep(nil))
+	}
 	down := func(pool *sched.Pool) time.Duration {
 		return benchBest(reset, func() { stencil.OpSmoothResidualRestrict(op, pool, cb, x, b, r, h, omega) })
 	}
-	emitCell(rep, "poisson", 0, 2, n, "downstroke-wavefront", prec, down(passes), down(nil))
+	emitCell(rep, name, 0, dim, n, "downstroke-wavefront", prec, down(passes), down(nil))
 	up := func(pool *sched.Pool) time.Duration {
 		return benchBest(reset, func() { stencil.OpUpstroke(op, pool, x, b, cx, r, h, omega) })
 	}
-	emitCell(rep, "poisson", 0, 2, n, "upstroke-wavefront", prec, up(passes), up(nil))
+	emitCell(rep, name, 0, dim, n, "upstroke-wavefront", prec, up(passes), up(nil))
 }

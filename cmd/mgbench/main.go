@@ -32,7 +32,6 @@ func main() {
 	families := flag.String("families", "poisson,aniso,poisson3d", "family[:eps] list served by -exp serve")
 	clients := flag.Int("clients", 1000, "concurrent HTTP connections for -exp http")
 	jsonOut := flag.Bool("json", false, "with -exp baseline, serve, kernels, or http, also write BENCH_<family>.json / BENCH_serve.json / BENCH_kernels.json / BENCH_http.json for per-PR perf tracking")
-	noFuse := flag.Bool("nofuse", false, "with -exp baseline, disable the fused cycle kernels (measures the pre-fusion pass structure)")
 	out := flag.String("out", "", "with -exp baseline -json, write the report to this path instead of BENCH_<family>.json")
 	gate := flag.Bool("gate", false, "with -exp kernels, fail if any fused kernel is >15% slower than its unfused oracle (same-machine fusion regression gate)")
 	compare := flag.String("compare", "",
@@ -61,7 +60,7 @@ func main() {
 	}
 
 	if *exp == "baseline" {
-		if err := runBaseline(*family, *epsilon, *level, *workers, *seed, *jsonOut, *noFuse, *out, logf); err != nil {
+		if err := runBaseline(*family, *epsilon, *level, *workers, *seed, *jsonOut, *out, logf); err != nil {
 			fmt.Fprintln(os.Stderr, "mgbench:", err)
 			os.Exit(1)
 		}

@@ -1,6 +1,6 @@
 // Package hotalloc defines an analyzer that forbids allocation in the
 // kernel hot paths. The repo's performance contract (README "Performance",
-// PR 1's scratch arena, PR 6's split buffers) is that steady-state sweeps,
+// PR 1's scratch arena) is that steady-state sweeps,
 // residuals, transfers, and fused cycle kernels are allocation-free: all
 // scratch is checked out of pooled arenas, so a million-solve serving
 // process performs zero per-solve garbage. That contract is easy to break

@@ -1,8 +1,7 @@
 // Package poolput defines an analyzer that enforces the pooled-scratch
 // contract: every checkout from a recycling arena must be returned on
 // every control-flow path. The contract comes from PR 1 (the Workspace
-// scratch arena: checkout/release around every cycle step) and PR 6 (the
-// color-split buffers: getSplit/putSplit around every split solve). A
+// scratch arena: checkout/release around every cycle step). A
 // missed release never crashes — the sync.Pool quietly re-allocates — so
 // the bug class is invisible until a serving process's steady-state
 // allocation rate creeps up. poolput makes the leak a build error.
@@ -12,11 +11,10 @@
 //	v := pool.Get()            // method Get on a sync.Pool
 //	v := pool.Get().(*T)       // the usual type-asserted form
 //	v := checkout(...)         // the Workspace arena (checkout/checkoutOf)
-//	v := getSplit[T](...)      // the split-buffer arena
 //	v := acquireX(...)         // anything named acquire*
 //
 // A tracked value is satisfied by a release — pool.Put(v), release(v),
-// releaseOf(ws, v), putSplit(v) — executed or deferred. The analysis
+// releaseOf(ws, v) — executed or deferred. The analysis
 // walks the function's CFG from each acquire: a path that reaches a
 // return (or falls off the end of the function) without releasing is
 // reported. Paths that end in panic are exempt (a deferred release covers
@@ -47,8 +45,8 @@ var Analyzer = &analysis.Analyzer{
 	Run:      run,
 }
 
-var acquireNames = map[string]bool{"checkout": true, "checkoutOf": true, "getSplit": true}
-var releaseNames = map[string]bool{"release": true, "releaseOf": true, "putSplit": true, "put": true}
+var acquireNames = map[string]bool{"checkout": true, "checkoutOf": true}
+var releaseNames = map[string]bool{"release": true, "releaseOf": true, "put": true}
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	allow := lintutil.NewAllowIndex(pass, "poolput")

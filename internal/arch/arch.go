@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"pbmg/internal/mg"
-	"pbmg/internal/stencil"
 )
 
 // Coster turns one recorded execution into a scalar cost. Implementations
@@ -165,19 +164,6 @@ const (
 	interpFlops3, interpBytes3     = 7, 36
 )
 
-// Iterative shortcut solves (EvIterSolve) at split-eligible sizes — 3D only,
-// stencil.SplitWorthwhile mirrors the runtime gate exactly — run in the
-// unit-stride color-split layout: every cache line streamed is fully
-// consumed, so the per-sweep traffic drops (64 → 44 bytes/point), and the
-// solve pays a one-time pack/unpack pass (x and b in, x out ≈ 48
-// bytes/point of streaming copies). The gate opens at eight sweeps, so the
-// priced cost of a shortcut solve is NOT monotone in its sweep count
-// (TestIterSolveCostDipsAtSplitGate).
-const (
-	relaxBytesSplit3     = 44
-	packFlops, packBytes = 1, 48
-)
-
 // levelSide returns the grid side at level k.
 func levelSide(level int) int { return (1 << uint(level)) + 1 }
 
@@ -243,21 +229,8 @@ func (m *Model) EventCost(kind mg.EventKind, level, count int) float64 {
 		intF, intB = interpFlops3, interpBytes3
 	}
 	switch kind {
-	case mg.EvIterSolve:
-		// Shortcut SOR solves take the color-split unit-stride path when
-		// the runtime gate says it wins; price whichever path runs. The
-		// recorded count at a level is the solve's sweep count — the same
-		// quantity the runtime gates on.
-		dim := 2
-		if m.dim3() {
-			dim = 3
-		}
-		if stencil.SplitWorthwhile(dim, levelSide(level), count) {
-			return base + c*m.stencilCost(level, relF, relaxBytesSplit3) +
-				m.stencilCost(level, packFlops, packBytes)
-		}
-		return base + c*m.stencilCost(level, relF, relB)
-	case mg.EvRelax:
+	case mg.EvRelax, mg.EvIterSolve:
+		// A shortcut solve of count sweeps runs the sweeps a smoother runs.
 		return base + c*m.stencilCost(level, relF, relB)
 	case mg.EvResidual:
 		return base + c*m.stencilCost(level, resF, resB)

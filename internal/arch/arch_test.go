@@ -141,34 +141,25 @@ func TestParallelThresholdMakesSmallGridsSerial(t *testing.T) {
 	}
 }
 
-// TestIterSolveCostDipsAtSplitGate pins the cost shape the tuner's bound has
-// to survive: in 3D, from level 6 (N=65) up, an eight-sweep shortcut solve
-// is priced below a seven-sweep one, because eight sweeps is where
-// stencil.SplitWorthwhile — and with it EventCost — switches to the
-// colour-split layout's cheaper sweeps. Cost is therefore not monotone in
-// the sweep count, and a bound may only compare the cheapest count still
-// reachable. In 2D there is no split path and cost rises with every sweep.
-func TestIterSolveCostDipsAtSplitGate(t *testing.T) {
+// TestIterSolveCostMonotone: a shortcut solve is priced as the strided sweeps
+// it runs, so its cost equals that many relaxations and rises strictly with
+// every sweep, in both dimensions and under every model. (Until the 3D
+// colour-split layout was deleted, eight sweeps at level ≥ 6 were priced
+// below seven. The tuner's bound still compares only the cheapest count
+// reachable, because a measured coster — WallClock — promises no such shape.)
+func TestIterSolveCostMonotone(t *testing.T) {
 	for _, base := range Models() {
-		m3 := ForDim(base, 3).(*Model)
-		for level := 6; level <= 8; level++ {
-			c7, c8 := m3.EventCost(mg.EvIterSolve, level, 7), m3.EventCost(mg.EvIterSolve, level, 8)
-			if !(c8 < c7) {
-				t.Errorf("%s 3D level %d: 8 sweeps cost %v, 7 sweeps %v — expected the dip at the split gate", base.Name(), level, c8, c7)
-			}
-		}
-		for level := 1; level <= 5; level++ {
-			for n := 1; n < 64; n++ {
-				if a, b := m3.EventCost(mg.EvIterSolve, level, n), m3.EventCost(mg.EvIterSolve, level, n+1); !(a < b) {
-					t.Errorf("%s 3D level %d: cost fell from %d to %d sweeps (%v → %v) below the split size", base.Name(), level, n, n+1, a, b)
-				}
-			}
-		}
-		m2 := ForDim(base, 2).(*Model)
-		for level := 1; level <= 11; level++ {
-			for n := 1; n < 400; n++ {
-				if a, b := m2.EventCost(mg.EvIterSolve, level, n), m2.EventCost(mg.EvIterSolve, level, n+1); !(a < b) {
-					t.Fatalf("%s 2D level %d: cost fell from %d to %d sweeps (%v → %v)", base.Name(), level, n, n+1, a, b)
+		for _, dim := range []int{2, 3} {
+			m := ForDim(base, dim).(*Model)
+			for level := 1; level <= 10; level++ {
+				for n := 1; n <= 400; n++ {
+					c := m.EventCost(mg.EvIterSolve, level, n)
+					if relax := m.EventCost(mg.EvRelax, level, n); c != relax {
+						t.Fatalf("%s %dD level %d: %d shortcut sweeps cost %v, %d relaxations %v", base.Name(), dim, level, n, c, n, relax)
+					}
+					if next := m.EventCost(mg.EvIterSolve, level, n+1); !(c < next) {
+						t.Fatalf("%s %dD level %d: cost did not rise from %d to %d sweeps (%v → %v)", base.Name(), dim, level, n, n+1, c, next)
+					}
 				}
 			}
 		}
@@ -176,8 +167,9 @@ func TestIterSolveCostDipsAtSplitGate(t *testing.T) {
 }
 
 // eventCostSurface hashes every priced value the tuner can ask a model for:
-// each model × dimension × storage width × event kind × level × count.
-func eventCostSurface() uint64 {
+// each model × dimension × storage width × event kind × level × count,
+// leaving out the cells skip names.
+func eventCostSurface(skip func(dim int, kind mg.EventKind, level, count int) bool) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	for _, base := range Models() {
@@ -187,6 +179,9 @@ func eventCostSurface() uint64 {
 				for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
 					for level := 1; level <= 10; level++ {
 						for _, count := range []int{1, 2, 7, 8, 9, 16, 64, 400} {
+							if skip != nil && skip(dim, k, level, count) {
+								continue
+							}
 							binary.LittleEndian.PutUint64(buf[:], math.Float64bits(m.EventCost(k, level, count)))
 							h.Write(buf[:])
 						}
@@ -200,24 +195,24 @@ func eventCostSurface() uint64 {
 
 // TestEventCostSurfaceUnchanged holds every priced value where it was when
 // the tables in internal/goldens and BENCHMARK.json's plan cells were tuned.
-// The hash was recorded with the 2D colour-split byte constant still in
-// place (unreachable since the 2D split kernels were deleted: the gate is
-// dim == 3); removing it moved nothing. A deliberate re-pricing (ROADMAP
-// item 3) updates the hash together with the goldens.
+// The surface last moved when the 3D colour-split layout and its pricing
+// branch were deleted, and only in the cells that branch priced: 3D shortcut
+// solves of eight sweeps and more at level 6 and up. The second hash, taken
+// over everything else, is the one the commit before that change produced.
+// A deliberate re-pricing (ROADMAP item 3) updates both together with the
+// goldens.
 func TestEventCostSurfaceUnchanged(t *testing.T) {
-	const want = 0x70f12703e028fb97
-	if got := eventCostSurface(); got != want {
-		t.Fatalf("priced cost surface hash = %#x, want %#x: some EventCost value moved", got, uint64(want))
+	const (
+		want          = 0x853f455059158806
+		wantSansSplit = 0xdac2056fb2f541af
+	)
+	if got := eventCostSurface(nil); got != want {
+		t.Errorf("priced cost surface hash = %#x, want %#x: some EventCost value moved", got, uint64(want))
 	}
-	// The cells the removed constant would have priced, spelled out: 2D
-	// shortcut solves of eight sweeps and more pay plain strided sweeps.
-	for _, m := range Models() {
-		for _, level := range []int{6, 9} {
-			for _, n := range []int{8, 64} {
-				if got, want := m.EventCost(mg.EvIterSolve, level, n), m.EventCost(mg.EvRelax, level, n); got != want {
-					t.Errorf("%s 2D level %d: %d shortcut sweeps cost %v, %d relaxations %v", m.Name(), level, n, got, n, want)
-				}
-			}
-		}
+	wasSplit := func(dim int, kind mg.EventKind, level, count int) bool {
+		return dim == 3 && kind == mg.EvIterSolve && level >= 6 && count >= 8
+	}
+	if got := eventCostSurface(wasSplit); got != wantSansSplit {
+		t.Errorf("priced cost surface hash outside the former 3D split cells = %#x, want %#x", got, uint64(wantSansSplit))
 	}
 }

@@ -237,7 +237,9 @@ func TestSearchTieGoesToLowestRank(t *testing.T) {
 // iteration count: an operation costs one unit per grid point (a direct
 // solve, per point squared) until a trace holds eight shortcut sweeps at a
 // level, from where those sweeps cost a tenth — the shape arch.EventCost
-// has in 3D, exaggerated until coarse-level SOR wins only past the dip.
+// had in 3D while it priced the colour-split layout, exaggerated until
+// coarse-level SOR wins only past the dip. No coster in the tree dips any
+// more; the Coster interface still lets one.
 type dipping struct{}
 
 func (dipping) Name() string { return "dipping" }

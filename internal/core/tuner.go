@@ -328,10 +328,11 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 
 // curve prices every iteration count a candidate may be assigned: at[n] is
 // the cost of n iterations and floor[n] the cheapest of at[n:]. The bound
-// compares floor, not at, because model cost is not monotone in n: 3D
-// shortcut solves at N ≥ 65 get cheaper from 7 to 8 sweeps, where
-// arch.EventCost switches to colour-split pricing, so a candidate dearer
-// than the best now may still undercut it later.
+// compares floor, not at, because the Coster interface promises no shape in
+// n: under a coster that prices a long run below a shorter one (the arch
+// models did, for 3D shortcut solves of eight sweeps and more, while the
+// colour-split layout existed; bound_test.go's dipping still does) a
+// candidate dearer than the best now may yet undercut it later.
 type curve struct{ at, floor []float64 }
 
 func newCurve(cap int, cost func(n int) float64) curve {

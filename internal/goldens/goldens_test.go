@@ -37,10 +37,10 @@ const (
 // level range. The ε = 0.01 anisotropic entry is one acceptance case:
 // strong anisotropy defeats point smoothing, so its tuned table must differ
 // structurally from the isotropic one. The poisson level-8 (N=257) and
-// poisson3d level-6 (N=65) cells put the fused-upstroke and color-split
-// sweep paths under end-to-end lockdown at the sizes where their gates
-// engage; the other 2D families stop at level 7 to keep the suite inside CI
-// budgets even under -race.
+// poisson3d level-6 (N=65) cells put the fused strokes under end-to-end
+// lockdown at sizes where the pool's points gate engages; the other 2D
+// families stop at level 7 to keep the suite inside CI budgets even under
+// -race.
 var families = []struct {
 	Name     string
 	Family   stencil.Family

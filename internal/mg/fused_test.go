@@ -12,7 +12,7 @@ import (
 	"pbmg/internal/stencil"
 )
 
-// Cycle-level lockdown of the fused kernels: a workspace with NoFuse set
+// Cycle-level lockdown of the fused kernels: a workspace with noFuse set
 // runs the original separate smooth/residual/restriction passes. The fused
 // default performs the same sweeps bit for bit and the same restriction up
 // to floating-point association (the fused restriction applies the full
@@ -66,7 +66,7 @@ func TestVCycleFusedMatchesUnfused(t *testing.T) {
 				run := func(noFuse bool) *grid.Grid {
 					ws := NewWorkspace(pool)
 					ws.Op = tc.op
-					ws.NoFuse = noFuse
+					ws.noFuse = noFuse
 					x := p.NewState()
 					for c := 0; c < 3; c++ {
 						ws.RefVCycle(x, p.B, nil)
@@ -119,7 +119,7 @@ func TestFullMGFusedMatchesUnfused(t *testing.T) {
 			run := func(noFuse bool) *grid.Grid {
 				ws := NewWorkspace(nil)
 				ws.Op = tc.op
-				ws.NoFuse = noFuse
+				ws.noFuse = noFuse
 				x := p.NewState()
 				ws.RefFullMG(x, p.B, nil)
 				return x

@@ -273,8 +273,8 @@ func (e *Executor) Estimate(x, b *grid.Grid, estAcc int) {
 	// ESTIMATE has no post-smooth to fuse the correction into, but the
 	// scratch-free interpolate-add still halves the pass's grid traffic
 	// (interpolated rows stream from a cache-resident buffer instead of a
-	// materialized full-size scratch grid). NoFuse keeps the oracle.
-	if e.WS.NoFuse {
+	// materialized full-size scratch grid). noFuse keeps the oracle.
+	if e.WS.noFuse {
 		transfer.InterpolateAdd(e.WS.Pool, x, bufs.cx, bufs.scratch)
 	} else {
 		transfer.InterpolateAddFused(e.WS.Pool, x, bufs.cx)

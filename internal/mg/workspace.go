@@ -56,15 +56,14 @@ type Workspace struct {
 	// share a single (typically bounded) cache. Like the other configuration
 	// fields it must be set before the workspace is shared across goroutines.
 	FactorCache *direct.Cache
-	// NoFuse disables the fused single-pass cycle kernels
-	// (SmoothResidualRestrict/ResidualRestrict on the downstroke,
-	// SweepWithNorm in norm-returning cycles) and runs the original
-	// separate smooth/residual/restrict/norm passes instead. The paths
-	// perform identical sweeps and agree on restrictions and norms to
-	// floating-point association (≤1e-12 of the data scale), so this is an
-	// escape hatch for benchmarking the fusion win (mgbench -nofuse) and
-	// for oracle testing, not a correctness knob.
-	NoFuse bool
+
+	// noFuse runs the separate smooth/residual/restrict/interpolate/norm
+	// passes in place of the fused cycle kernels: the oracle this package's
+	// equivalence tests (fused_test.go) compare the fused cycles against,
+	// and nothing else sets it. The paths perform identical sweeps and
+	// agree on restrictions and norms to floating-point association
+	// (≤1e-12 of the data scale).
+	noFuse bool
 
 	cache direct.Cache // private factor-once cache when FactorCache is nil
 	arena sync.Map     // [2]int{n, bits} -> *sync.Pool of *levelBufsG[T]
@@ -240,11 +239,7 @@ func (ws *Workspace) solveDirect64(x, b *grid.Grid, rec Recorder) {
 }
 
 // SOR runs the given number of red-black SOR sweeps with weight omega,
-// recording them as one iterative shortcut solve. The default path lets the
-// operator pick the unit-stride color-split layout when the solve is long
-// and large enough to amortize its pack/unpack (stencil.SplitWorthwhile);
-// NoFuse pins the strided oracle loop. The iterate is bit-identical either
-// way.
+// recording them as one iterative shortcut solve.
 func (ws *Workspace) SOR(x, b *grid.Grid, omega float64, sweeps int, rec Recorder) {
 	sorOf(ws, x, b, omega, sweeps, rec)
 }
@@ -255,12 +250,8 @@ func sorOf[T grid.Float](ws *Workspace, x, b *grid.G[T], omega float64, sweeps i
 	n := x.N()
 	h := T(1.0 / float64(n-1))
 	op := ws.opAt(n)
-	if ws.NoFuse {
-		for s := 0; s < sweeps; s++ {
-			stencil.OpSORSweepRB(op, ws.Pool, x, b, h, T(omega))
-		}
-	} else {
-		stencil.OpSORSweeps(op, ws.Pool, x, b, h, T(omega), sweeps)
+	for s := 0; s < sweeps; s++ {
+		stencil.OpSORSweepRB(op, ws.Pool, x, b, h, T(omega))
 	}
 	record(rec, EvIterSolve, grid.Level(n), sweeps)
 }
@@ -323,7 +314,7 @@ func smoothOf[T grid.Float](ws *Workspace, x, b, tmp *grid.G[T], sweeps int, rec
 // restrictResidual computes the coarse right-hand side cb = R·(b − T·x) at
 // size n. The default path is the fused ResidualRestrict kernel, which
 // streams the fine grid once and never materializes the fine residual;
-// with NoFuse set it runs the original residual pass into the scratch grid
+// with noFuse set it runs the original residual pass into the scratch grid
 // r followed by a separate restriction — the oracle the fused path matches
 // to floating-point association (≤1e-12 of the data scale; in 2D the
 // window weights even apply in the oracle's order, in 3D they apply
@@ -339,7 +330,7 @@ func restrictResidualOf[T grid.Float](ws *Workspace, x, b, cb, r *grid.G[T], rec
 	h := T(1.0 / float64(n-1))
 	lvl := grid.Level(n)
 	op := ws.opAt(n)
-	if ws.NoFuse {
+	if ws.noFuse {
 		stencil.OpResidual(op, ws.Pool, r, x, b, h)
 		record(rec, EvResidual, lvl, 1)
 		transfer.Restrict(ws.Pool, cb, r)
@@ -399,9 +390,9 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	// three passes run as one composed kernel — the sweep's black half
 	// emits its residuals for free and the fused restriction evaluates the
 	// red half on the fly — so the fine grid is never re-traversed for a
-	// standalone residual pass. The Jacobi ablation and the NoFuse oracle
+	// standalone residual pass. The Jacobi ablation and the noFuse oracle
 	// keep the separate passes.
-	if ws.Smoother == SmootherSOR && !ws.NoFuse {
+	if ws.Smoother == SmootherSOR && !ws.noFuse {
 		stencil.OpSmoothResidualRestrict(op, ws.Pool, bufs.cb, x, b, bufs.r, h, T(op.OmegaSmooth()))
 		record(rec, EvRelax, lvl, 1)
 		record(rec, EvResidual, lvl, 1)
@@ -419,9 +410,9 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	// convergence probe the traversal stops after the red half-sweep
 	// (InterpolateCorrectSmooth) and the black half carries the norm
 	// reduction (FinishSmoothWithNorm). The iterate is bit-identical to the
-	// separate passes, which the Jacobi ablation and the NoFuse oracle
+	// separate passes, which the Jacobi ablation and the noFuse oracle
 	// preserve.
-	if ws.Smoother == SmootherSOR && !ws.NoFuse {
+	if ws.Smoother == SmootherSOR && !ws.noFuse {
 		omega := T(op.OmegaSmooth())
 		if norm == nil {
 			stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)

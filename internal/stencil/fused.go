@@ -1,7 +1,7 @@
-// Fused single-pass cycle kernels (2D). On a memory-bandwidth-bound stencil
-// code the separate smooth / residual / restrict / norm passes of a V-cycle
-// each re-stream the whole grid, and those redundant traversals — not flops —
-// dominate the wall clock. This file fuses them:
+// Fused single-pass cycle kernels, 2D and 3D. On a memory-bandwidth-bound
+// stencil code the separate smooth / residual / restrict / norm passes of a
+// V-cycle each re-stream the whole grid, and those redundant traversals — not
+// flops — dominate the wall clock. This file fuses them:
 //
 //   - SmoothResidual: one full red-black SOR sweep that also emits the
 //     post-sweep residual grid. Black points get their residual for free
@@ -21,35 +21,45 @@
 //     per-iteration convergence probe folded into the smoothing it already
 //     pays for.
 //
-// One implementation, two drivers. The loops live in rows.go as row kernels;
-// rowOps binds them to one call's grids and operator family. With a pool,
-// each stage is a barrier-separated pass over all rows (chunks own disjoint
-// rows, so the result is independent of the chunking). Without one, the
-// stages run as a row wavefront, each trailing the previous by one row, so
-// the fine grids are streamed once instead of once per stage:
+// One implementation, two drivers, four families. The loops live in rows.go
+// as row kernels; rowOps binds them to one call's grids and operator family
+// and exposes them as stages over units — a unit is a grid row in 2D and a
+// plane (its interior rows, one row kernel call each) in 3D. With a pool,
+// each stage is a barrier-separated pass over all units (chunks own disjoint
+// units, so the result is independent of the chunking). Without one, the
+// stages run as a wavefront, each trailing the previous by one unit, so the
+// fine grids are streamed once instead of once per stage:
 //
 //	sweep        relax red(i) → relax black(i−1)
 //	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict((i−3)/2)
 //	upstroke     correct(i) → relax red(i−1) → relax black(i−2)
+//	norm         red(i) → black+reduce(i−1) → reduce red residuals(i−2)
 //
-// A stage may run on a row as soon as the rows it reads are final for the
-// stage before it, and must run before any row it reads is overwritten by
-// the stage after it; one row of lag satisfies both for a 5-point stencil
-// (black(i−1) reads reds of rows i−2 … i, all relaxed once red(i) is;
-// red(i+1), the next to run, reads only blacks of rows i … i+2, none yet
-// relaxed). Every point therefore sees exactly the operands it sees in the
-// pass order, and the two drivers agree bit for bit.
+// (The restrict stage is 2D's; the separable 27-point restriction follows the
+// 3D wavefront as a pass — see smoothResidual.)
 //
-// Norm reductions accumulate per interior row into a fixed per-row partial
-// sum array and add the rows in index order at the end, so the result is
-// bit-identical for any worker count and any chunking — the deterministic
-// fixed-chunk reduction contract the adaptive driver and refsol rely on.
+// A stage may run on a unit as soon as the units it reads are final for the
+// stage before it, and must run before any unit it reads is overwritten by
+// the stage after it; one unit of lag satisfies both for a stencil that
+// reaches one row, or one plane, either way (black(i−1) reads reds of units
+// i−2 … i, all relaxed once red(i) is; red(i+1), the next to run, reads only
+// blacks of units i … i+2, none yet relaxed; within a plane, as within a row,
+// points of one colour never read each other). Every point therefore sees
+// exactly the operands it sees in the pass order, and the two drivers agree
+// bit for bit.
 //
-// The unfused kernels in stencil.go/operator.go remain the oracle: the
-// fused paths are exercised against them point-for-point by the equivalence
-// and fuzz suites. Iterates are bit-identical to the unfused sweep; fused
-// residual/restriction values agree to floating-point association (≤1e-12
-// of the data scale) where a derivation or summation order differs.
+// Norm reductions accumulate per interior unit into a fixed partial sum
+// array and add the units in index order at the end, so the result is
+// bit-identical for either driver, any worker count and any chunking — the
+// deterministic fixed-chunk reduction contract the adaptive driver and
+// refsol rely on.
+//
+// The unfused kernels in stencil.go/stencil3d.go/operator.go remain the
+// oracle: the fused paths are exercised against them point-for-point by the
+// equivalence and fuzz suites. Iterates are bit-identical to the unfused
+// sweep; fused residual/restriction values agree to floating-point
+// association (≤1e-12 of the data scale) where a derivation or summation
+// order differs.
 package stencil
 
 import (
@@ -60,8 +70,8 @@ import (
 	"pbmg/internal/transfer"
 )
 
-// sumRows adds per-row partial sums in index order and returns the L2 norm.
-func sumRows(sums []float64, n int) float64 {
+// sumUnits adds per-unit partial sums in index order and returns the L2 norm.
+func sumUnits(sums []float64, n int) float64 {
 	var total float64
 	for i := 1; i < n-1; i++ {
 		total += sums[i]
@@ -84,21 +94,24 @@ func sumRows(sums []float64, n int) float64 {
 // anisotropy, ≥ the gate for ε ≥ 0.0067) takes the gather path.
 const gatherMinOneMinusOmega = 1e-3
 
-// rowOps binds the row kernels of one 2D operator family to the grids and
+// rowOps binds the row kernels of one operator family to the grids and
 // weights of one kernel call. Its methods are the stages the drivers
-// schedule: each applies one row kernel to row i.
+// schedule, one unit at a time: a unit is row i of a 2D grid, and every
+// interior row (i, j) of plane i of a 3D one. A 2D row is addressed as
+// (i, 0), so a point's colour offset is i+j+1+colour in both dimensions.
 type rowOps[T grid.Float] struct {
 	family     Family
 	n          int
 	x, b, r, c *grid.G[T] // r: residual grid, nil for kernels that emit none; c: coefficient field, varcoef only
 
 	h2, inv, omega T
-	// Constant-coefficient weights (the Laplacian is cx = cy = 1): center
-	// C = 2·(cx+cy), invC = 1/C, and rFac = C·(1−ω)/h², the factor turning
-	// an update delta into a residual.
+	// Constant-coefficient weights (the Laplacians are cx = cy = 1): center
+	// C = 2·(cx+cy), or 6 in 3D, invC = 1/C, and rFac = C·(1−ω)/h², the
+	// factor turning an update delta into a residual.
 	cx, cy, center, invC, rFac T
 	// gather selects the downstroke's red fix-up: reconstruct from stored
-	// deltas with weights kx, ky (gatherRow), or evaluate directly.
+	// deltas with weights kx, ky (gatherRow; 3D has the one weight kx), or
+	// evaluate directly.
 	gather bool
 	kx, ky T
 }
@@ -116,6 +129,9 @@ func bindRows[T grid.Float](op *Operator, x, b, r *grid.G[T], h, omega T) rowOps
 		k.c = opCoef[T](op)
 	}
 	k.center = 2 * (k.cx + k.cy)
+	if k.dim3() {
+		k.center = 6
+	}
 	k.invC = 1 / k.center
 	k.rFac = k.center * (1 - omega) * k.inv
 	return k
@@ -135,9 +151,40 @@ func (k *rowOps[T]) bindGather() {
 	k.gather, k.kx, k.ky = true, kappa*k.cx, kappa*k.cy
 }
 
-// relax relaxes the points of one colour (0 red: i+j even, 1 black) in row i.
+func (k *rowOps[T]) dim3() bool { return k.family == FamilyPoisson3D }
+
+// forUnits runs body over the interior units [1, n−1), on the pool when it
+// is non-nil and the grid is large enough (a row is n points of work for the
+// gate, a plane n²).
+func (k *rowOps[T]) forUnits(pool *sched.Pool, body func(lo, hi int)) {
+	if k.dim3() {
+		parallelPlanes(pool, k.n, body)
+	} else {
+		parallelRows(pool, k.n, body)
+	}
+}
+
+// planes returns plane i of g and the planes either side of it. Row j of a
+// plane p is p[j·n:(j+1)·n], with its north and south neighbour rows
+// adjacent in the same slice.
+func planes[T grid.Float](g *grid.G[T], i int) (p, up, down []T) {
+	return g.Plane(i), g.Plane(i - 1), g.Plane(i + 1)
+}
+
+// relax relaxes the points of one colour (0 red: coordinate sum even,
+// 1 black) in unit i.
 func (k *rowOps[T]) relax(i, colour int) {
 	c := i + 1 + colour
+	if k.dim3() {
+		n := k.n
+		x, up, down := planes(k.x, i)
+		b := k.b.Plane(i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			relaxRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], c+j, k.h2, k.omega)
+		}
+		return
+	}
 	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
 	switch k.family {
 	case FamilyPoisson:
@@ -153,6 +200,16 @@ func (k *rowOps[T]) relax(i, colour int) {
 // residual into r.
 func (k *rowOps[T]) relaxEmit(i, colour int) {
 	c := i + 1 + colour
+	if k.dim3() {
+		n := k.n
+		x, up, down := planes(k.x, i)
+		b, r := k.b.Plane(i), k.r.Plane(i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			relaxEmitRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], r[lo:hi], c+j, k.h2, k.omega, k.rFac)
+		}
+		return
+	}
 	xr, up, down, br, rr := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i), k.r.Row(i)
 	switch k.family {
 	case FamilyPoisson:
@@ -164,18 +221,36 @@ func (k *rowOps[T]) relaxEmit(i, colour int) {
 	}
 }
 
-// residual evaluates b − T·x at one colour of row i into rr, directly from
-// the iterate.
-func (k *rowOps[T]) residual(rr []T, i, colour int) {
-	c := i + 1 + colour
+// residual evaluates b − T·x directly from the iterate at the red points of
+// unit i, and with black also at the black ones, into dst, a slice laid out
+// like the unit.
+func (k *rowOps[T]) residual(dst []T, i int, black bool) {
+	c, colours := i+1, 1
+	if black {
+		colours = 2
+	}
+	if k.dim3() {
+		n := k.n
+		x, up, down := planes(k.x, i)
+		b := k.b.Plane(i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			for cc := c + j; cc < c+j+colours; cc++ {
+				residualRow3(dst[lo:hi], x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], cc, k.inv)
+			}
+		}
+		return
+	}
 	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
-	switch k.family {
-	case FamilyPoisson:
-		residualRow(rr, xr, up, down, br, c, k.inv)
-	case FamilyAnisotropic:
-		residualRowConst(rr, xr, up, down, br, c, k.inv, k.cx, k.cy, k.center)
-	default:
-		residualRowVar(rr, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.inv)
+	for cc := c; cc < c+colours; cc++ {
+		switch k.family {
+		case FamilyPoisson:
+			residualRow(dst, xr, up, down, br, cc, k.inv)
+		case FamilyAnisotropic:
+			residualRowConst(dst, xr, up, down, br, cc, k.inv, k.cx, k.cy, k.center)
+		default:
+			residualRowVar(dst, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), cc, k.inv)
+		}
 	}
 }
 
@@ -189,13 +264,23 @@ func (k *rowOps[T]) relaxRed(i int) {
 	}
 }
 
-// fixup completes the red residuals of row i once the black half-sweep has
-// passed rows i−1 … i+1.
+// fixup completes the red residuals of unit i once the black half-sweep has
+// passed units i−1 … i+1.
 func (k *rowOps[T]) fixup(i int) {
-	if k.gather {
+	switch {
+	case !k.gather && k.dim3():
+		k.residual(k.r.Plane(i), i, false)
+	case !k.gather:
+		k.residual(k.r.Row(i), i, false)
+	case k.dim3():
+		n := k.n
+		r, up, down := planes(k.r, i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			gatherRow3(r[lo:hi], up[lo:hi], down[lo:hi], r[lo-n:lo], r[hi:hi+n], i+j+1, k.kx)
+		}
+	default:
 		gatherRow(k.r.Row(i), k.r.Row(i-1), k.r.Row(i+1), i+1, k.kx, k.ky)
-	} else {
-		k.residual(k.r.Row(i), i, 0)
 	}
 }
 
@@ -215,7 +300,7 @@ func (k *rowOps[T]) sweep(pool *sched.Pool) {
 	k.relax(n-2, 1)
 }
 
-// halfSweep relaxes one colour of every interior row.
+// halfSweep relaxes one colour of every interior unit.
 func (k *rowOps[T]) halfSweep(pool *sched.Pool, colour int) {
 	if pool == nil {
 		for i := 1; i < k.n-1; i++ {
@@ -229,7 +314,7 @@ func (k *rowOps[T]) halfSweep(pool *sched.Pool, colour int) {
 // halfSweepPass takes its rowOps by value: the task closure makes it escape,
 // and a copy keeps the serial callers' binding on their stack.
 func halfSweepPass[T grid.Float](pool *sched.Pool, k rowOps[T], colour int) {
-	parallelRows(pool, k.n, func(lo, hi int) {
+	k.forUnits(pool, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.relax(i, colour)
 		}
@@ -238,16 +323,20 @@ func halfSweepPass[T grid.Float](pool *sched.Pool, k rowOps[T], colour int) {
 
 // smoothResidual runs one sweep on x leaving r = b − T·x (post-sweep, zero
 // boundary) and, with coarse non-nil, its full-weighting restriction — the
-// V-cycle downstroke. Serial execution is the row wavefront of the file
-// comment; restriction trails the fix-up by one more row, producing coarse
-// row ci as soon as fine rows 2ci−1 … 2ci+1 are complete.
+// V-cycle downstroke. Serial execution is the wavefront of the file comment.
+// In 2D restriction is its last stage, trailing the fix-up by one more row:
+// coarse row ci is produced as soon as fine rows 2ci−1 … 2ci+1 are complete.
+// The separable 27-point restriction carries a rolling window of pre-weighted
+// planes from one coarse plane to the next, so in 3D it stays a pass of its
+// own behind the wavefront.
 func (k *rowOps[T]) smoothResidual(pool *sched.Pool, coarse *grid.G[T]) {
 	k.r.ZeroBoundary()
 	if pool != nil {
 		smoothResidualPasses(pool, *k, coarse)
 		return
 	}
-	if coarse != nil {
+	staged := coarse != nil && !k.dim3()
+	if staged {
 		coarse.ZeroBoundary()
 	}
 	n := k.n
@@ -260,265 +349,188 @@ func (k *rowOps[T]) smoothResidual(pool *sched.Pool, coarse *grid.G[T]) {
 		}
 		if f := i - 2; f >= 1 {
 			k.fixup(f)
-			if coarse != nil && f >= 3 && f&1 == 1 {
+			if staged && f >= 3 && f&1 == 1 {
 				transfer.RestrictRow(coarse, k.r, f/2)
 			}
 		}
+	}
+	if coarse != nil && !staged {
+		k.restrictPass(nil, coarse)
 	}
 }
 
 // smoothResidualPasses is smoothResidual in pass order, one barrier per
 // stage (by-value receiver: see halfSweepPass).
 func smoothResidualPasses[T grid.Float](pool *sched.Pool, k rowOps[T], coarse *grid.G[T]) {
-	n := k.n
-	parallelRows(pool, n, func(lo, hi int) {
+	k.forUnits(pool, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.relaxRed(i)
 		}
 	})
-	parallelRows(pool, n, func(lo, hi int) {
+	k.forUnits(pool, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.relaxEmit(i, 1)
 		}
 	})
-	parallelRows(pool, n, func(lo, hi int) {
+	k.forUnits(pool, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.fixup(i)
 		}
 	})
 	if coarse != nil {
+		k.restrictPass(pool, coarse)
+	}
+}
+
+// restrictPass restricts the finished residual grid into coarse as a pass of
+// its own.
+func (k *rowOps[T]) restrictPass(pool *sched.Pool, coarse *grid.G[T]) {
+	if k.dim3() {
+		transfer.RestrictSep3(pool, coarse, k.r)
+	} else {
 		transfer.Restrict(pool, coarse, k.r)
 	}
 }
 
-// residualRows returns a provider computing interior fine residual rows of
-// the bound operator for transfer.RestrictResidual. The per-point expression
-// is the unfused Residual kernel's.
-func residualRows[T grid.Float](k rowOps[T]) func(fi int, dst []T) {
-	return func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one row-provider closure per fused cycle, not per point
-		dst[0], dst[k.n-1] = 0, 0
-		k.residual(dst, fi, 0)
-		k.residual(dst, fi, 1)
+// residualRestrict restricts b − T·x into coarse without a fine residual
+// grid: the transfer package's rolling-window drivers pull residual units
+// from a provider that evaluates them into a buffer laid out like the unit
+// (row j at j·n), edges zeroed. The per-point expression is the unfused
+// Residual kernel's.
+func residualRestrict[T grid.Float](pool *sched.Pool, k rowOps[T], coarse *grid.G[T]) {
+	n := k.n
+	provide := func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one residual-provider closure per fused cycle, not per point
+		if k.dim3() {
+			clear(dst[:n])
+			clear(dst[(n-1)*n:])
+		}
+		for lo := 0; lo < len(dst); lo += n {
+			dst[lo], dst[lo+n-1] = 0, 0
+		}
+		k.residual(dst, fi, true)
+	}
+	if k.dim3() {
+		transfer.RestrictResidual3(pool, coarse, n, provide)
+	} else {
+		transfer.RestrictResidual(pool, coarse, n, provide)
 	}
 }
 
-// finishSweepNorm completes a sweep whose red half is already done: the
-// black half-sweep emitting its delta-derived residual into the norm
-// accumulator, then a red norm half-pass over the final iterate. Shared by
-// SweepWithNorm and the fused upstroke's FinishSmoothWithNorm so both
-// produce the same bits.
-func finishSweepNorm[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, inv, omega, rFac T) float64 {
-	n := x.N()
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials, one float64 per row; fixed-chunk deterministic reduction
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			var s float64
-			for j := 1 + i%2; j < n-1; j += 2 {
-				gs := (up[j] + down[j] + xr[j-1] + xr[j+1] + h2*br[j]) * 0.25
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rb := float64(rFac * d)
-				s += rb * rb
-			}
-			sums[i] = s
+// The stages a norm-reducing sweep can start from: the whole sweep
+// (SweepWithNorm), its black half (FinishSmoothWithNorm, behind a stroke that
+// stopped after the red half), or no sweep at all (ResidualNorm).
+const (
+	normFromRed = iota
+	normFromBlack
+	normOnly
+)
+
+// unitNorm returns ‖b − T·x‖₂ over the interior, running the stages from
+// first on: relax red(i) → relax black(i−1), reducing the residuals its
+// update deltas imply → reduce the red residuals of the final iterate (i−2).
+// With normOnly the last stage reduces every point's residual instead.
+// Serially the stages run as the wavefront of the file comment, with a pool
+// as passes; each unit accumulates its own partial sum, black terms before
+// red, and sumUnits adds them in index order, so the norm does not depend on
+// the driver, the pool or its chunking.
+func unitNorm[T grid.Float](pool *sched.Pool, k rowOps[T], first int) float64 {
+	n := k.n
+	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials, one float64 per unit; fixed-chunk deterministic reduction
+	colour := 0
+	if first == normOnly {
+		colour = everyPoint
+	}
+	if pool != nil {
+		normPasses(pool, k, first, colour, sums)
+		return sumUnits(sums, n)
+	}
+	for i := 1; i <= n; i++ {
+		if first == normFromRed && i < n-1 {
+			k.relax(i, 0)
 		}
-	})
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			s := sums[i]
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				rv := float64(br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-xr[j+1])*inv)
-				s += rv * rv
-			}
-			sums[i] = s
+		if first < normOnly && i > 1 && i < n {
+			sums[i-1] = k.relaxSq(i - 1)
 		}
-	})
-	return sumRows(sums, n)
+		if f := i - 2; f >= 1 {
+			sums[f] = k.residualSq(f, colour, sums[f])
+		}
+	}
+	return sumUnits(sums, n)
 }
 
-// residualNormPar is the pool-parallel, deterministically chunked
-// counterpart of ResidualNorm for the constant-coefficient Laplacian.
-func residualNormPar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h T) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials, one float64 per row; fixed-chunk deterministic reduction
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			var s float64
-			for j := 1; j < n-1; j++ {
-				r := float64(br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-xr[j+1])*inv)
-				s += r * r
+// normPasses is unitNorm's stages in pass order (by-value receiver: see
+// halfSweepPass).
+func normPasses[T grid.Float](pool *sched.Pool, k rowOps[T], first, colour int, sums []float64) {
+	if first == normFromRed {
+		halfSweepPass(pool, k, 0)
+	}
+	if first < normOnly {
+		k.forUnits(pool, func(lo, hi int) {
+			for i := lo; i < hi; i++ {
+				sums[i] = k.relaxSq(i)
 			}
-			sums[i] = s
+		})
+	}
+	k.forUnits(pool, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			sums[i] = k.residualSq(i, colour, sums[i])
 		}
 	})
-	return sumRows(sums, n)
 }
 
-// --- constant-coefficient stencil (horizontal weight cx, vertical cy) ---
-
-// finishSweepNormConst is finishSweepNorm for a constant-coefficient stencil.
-func finishSweepNormConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, inv, omega, cx, cy T) float64 {
-	n := x.N()
-	center := 2 * (cx + cy)
-	invC := 1 / center
-	rFac := center * (1 - omega) * inv
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials; fixed-chunk deterministic reduction
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			var s float64
-			for j := 1 + i%2; j < n-1; j += 2 {
-				gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rb := float64(rFac * d)
-				s += rb * rb
-			}
-			sums[i] = s
+// relaxSq is relax(i, 1) returning the sum of squares of the black points'
+// post-sweep residuals, derived from their update deltas (see relaxEmitRow).
+func (k *rowOps[T]) relaxSq(i int) float64 {
+	var s float64
+	if k.dim3() {
+		n := k.n
+		x, up, down := planes(k.x, i)
+		b := k.b.Plane(i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			s = relaxSqRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], i+j, k.h2, k.omega, k.rFac, s)
 		}
-	})
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			s := sums[i]
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				rv := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv)
-				s += rv * rv
-			}
-			sums[i] = s
-		}
-	})
-	return sumRows(sums, n)
+		return s
+	}
+	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
+	switch k.family {
+	case FamilyPoisson:
+		return relaxSqRow(xr, up, down, br, i, k.h2, k.omega, k.rFac, s)
+	case FamilyAnisotropic:
+		return relaxSqRowConst(xr, up, down, br, i, k.h2, k.omega, k.cx, k.cy, k.invC, k.rFac, s)
+	default:
+		return relaxSqRowVar(xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), i, k.h2, k.omega, k.inv, s)
+	}
 }
 
-// residualNormParConst is the parallel deterministic residual norm for a
-// constant-coefficient stencil.
-func residualNormParConst[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, cx, cy T) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	center := 2 * (cx + cy)
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials; fixed-chunk deterministic reduction
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			var s float64
-			for j := 1; j < n-1; j++ {
-				r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv)
-				s += r * r
+// residualSq adds to s the squared residuals of one colour of unit i, or of
+// everyPoint.
+func (k *rowOps[T]) residualSq(i, colour int, s float64) float64 {
+	c := colour
+	if c != everyPoint {
+		c += i + 1
+	}
+	if k.dim3() {
+		n := k.n
+		x, up, down := planes(k.x, i)
+		b := k.b.Plane(i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			cj := c
+			if c != everyPoint {
+				cj += j
 			}
-			sums[i] = s
+			s = residualSqRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], cj, k.inv, s)
 		}
-	})
-	return sumRows(sums, n)
-}
-
-// --- variable-coefficient stencil (nodal field c) ---
-
-// finishSweepNormVar is finishSweepNorm for a variable-coefficient stencil.
-func finishSweepNormVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h2, inv, omega T, c *grid.G[T]) float64 {
-	n := x.N()
-	oneMinus := 1 - omega
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials; fixed-chunk deterministic reduction
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			var s float64
-			for j := 1 + i%2; j < n-1; j += 2 {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				center := cn + cs + cw + ce
-				gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / center
-				d := gs - xr[j]
-				xr[j] += omega * d
-				rb := float64(center * oneMinus * d * inv)
-				s += rb * rb
-			}
-			sums[i] = s
-		}
-	})
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			s := sums[i]
-			for j := 1 + (i+1)%2; j < n-1; j += 2 {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				rv := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*xr[j+1])*inv)
-				s += rv * rv
-			}
-			sums[i] = s
-		}
-	})
-	return sumRows(sums, n)
-}
-
-// residualNormParVar is the parallel deterministic residual norm for a
-// variable-coefficient stencil.
-func residualNormParVar[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h T, c *grid.G[T]) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials; fixed-chunk deterministic reduction
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			var s float64
-			for j := 1; j < n-1; j++ {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				r := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*xr[j+1])*inv)
-				s += r * r
-			}
-			sums[i] = s
-		}
-	})
-	return sumRows(sums, n)
+		return s
+	}
+	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
+	switch k.family {
+	case FamilyPoisson:
+		return residualSqRow(xr, up, down, br, c, k.inv, s)
+	case FamilyAnisotropic:
+		return residualSqRowConst(xr, up, down, br, c, k.inv, k.cx, k.cy, k.center, s)
+	default:
+		return residualSqRowVar(xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.inv, s)
+	}
 }

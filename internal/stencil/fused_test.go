@@ -302,6 +302,51 @@ func TestResidualNormParallelDeterministic(t *testing.T) {
 	}
 }
 
+// The single-accumulator norm oracles TestResidualNormParallelDeterministic
+// compares against (the Laplacian's, ResidualNorm, is exported: direct and
+// refsol use it).
+
+// residualNormConst returns ‖b − T·x‖₂ for a constant-coefficient stencil.
+func residualNormConst[T grid.Float](x, b *grid.G[T], h, cx, cy T) float64 {
+	n := x.N()
+	inv := 1 / (h * h)
+	center := 2 * (cx + cy)
+	var sum float64
+	for i := 1; i < n-1; i++ {
+		xr := x.Row(i)
+		up := x.Row(i - 1)
+		down := x.Row(i + 1)
+		br := b.Row(i)
+		for j := 1; j < n-1; j++ {
+			r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv)
+			sum += r * r
+		}
+	}
+	return math.Sqrt(sum)
+}
+
+// residualNorm3 returns ‖b − T·x‖₂ over interior points without allocating.
+func residualNorm3[T grid.Float](x, b *grid.G[T], h T) float64 {
+	n := x.N()
+	inv := 1 / (h * h)
+	var sum float64
+	for i := 1; i < n-1; i++ {
+		for j := 1; j < n-1; j++ {
+			xr := x.Row3(i, j)
+			up := x.Row3(i-1, j)
+			down := x.Row3(i+1, j)
+			north := x.Row3(i, j-1)
+			south := x.Row3(i, j+1)
+			br := b.Row3(i, j)
+			for k := 1; k < n-1; k++ {
+				r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-xr[k+1])*inv)
+				sum += r * r
+			}
+		}
+	}
+	return math.Sqrt(sum)
+}
+
 // FuzzFusedMatchesUnfused drives the fused 2D kernels against the oracle on
 // random states, families, parameters, and relaxation weights.
 func FuzzFusedMatchesUnfused(f *testing.F) {

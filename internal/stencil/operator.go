@@ -1,11 +1,11 @@
 // Operator families generalize the solver beyond the constant-coefficient
-// Laplacian: every kernel in this package exists in three variants, selected
-// by an Operator value that travels with the problem through the multigrid
-// hierarchy.
+// Laplacian: an Operator value travels with the problem through the
+// multigrid hierarchy and selects, per family, the row kernels the cycle
+// runs (rows.go, bound by fused.go's rowOps) and the unfused kernel that is
+// their oracle.
 //
-//   - FamilyPoisson: T = −∇², the paper's operator. Kernels dispatch to the
-//     specialized free functions of stencil.go, so this path is bit-identical
-//     to (and exactly as fast as) the original implementation.
+//   - FamilyPoisson: T = −∇², the paper's operator. Its unfused kernels are
+//     the free functions of stencil.go.
 //   - FamilyAnisotropic: T = −(ε·∂²/∂x² + ∂²/∂y²) with constant ε > 0. The
 //     5-point stencil keeps weight 1 on vertical neighbours and ε on
 //     horizontal ones (x runs along rows, i.e. the column index j).
@@ -14,7 +14,7 @@
 //     c_face = (c_node + c_neighbour)/2 — the standard cell-face scheme that
 //     keeps the operator symmetric positive definite.
 //   - FamilyPoisson3D: T = −∇² on an N×N×N cube with the 7-point stencil —
-//     the paper's headline scaling case. Kernels dispatch to the plane-
+//     the paper's headline scaling case. Its unfused kernels are the plane-
 //     parallel free functions of stencil3d.go. Operators know their spatial
 //     dimension (Dim); mixing a 3D operator with 2D grids (or vice versa)
 //     fails loudly in the grid accessors.
@@ -371,14 +371,10 @@ func (op *Operator) SORSweepRB(pool *sched.Pool, x, b *grid.Grid, h, omega float
 // for op, in place on a grid of either storage precision.
 func OpSORSweepRB[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
 	if faultinject.Enabled {
-		// The slow-kernel injection point: every SOR path — in-cycle
-		// smoothing, the iterative shortcut, the NoFuse oracle — sweeps
-		// through here or OpSORSweeps, so an armed delay stretches any solve.
+		// The slow-kernel injection point: every plain SOR sweep — in-cycle
+		// smoothing, the iterative shortcut, the unfused oracle — runs
+		// through here, so an armed delay stretches any solve.
 		faultinject.Point("stencil.sweep")
-	}
-	if op.family == FamilyPoisson3D {
-		sorSweepRB3(pool, x, b, h, omega)
-		return
 	}
 	k := bindRows(op, x, b, nil, h, omega)
 	k.sweep(pool)
@@ -607,17 +603,8 @@ func (op *Operator) ResidualNorm(pool *sched.Pool, x, b *grid.Grid, h float64) f
 // sums accumulate in float64 regardless of the storage precision, so
 // convergence accounting on the float32 path stays trustworthy.
 func OpResidualNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h T) float64 {
-	switch op.family {
-	case FamilyPoisson:
-		return residualNormPar(pool, x, b, h)
-	case FamilyPoisson3D:
-		return residualNormPar3(pool, x, b, h)
-	case FamilyAnisotropic:
-		return residualNormParConst(pool, x, b, h, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		return residualNormParVar(pool, x, b, h, opCoef[T](op))
-	}
+	// No sweep here, so the binding's relaxation weight is never read.
+	return unitNorm(pool, bindRows(op, x, b, nil, h, 0), normOnly)
 }
 
 // SmoothResidual performs one full red-black SOR sweep in place on x and
@@ -633,10 +620,6 @@ func (op *Operator) SmoothResidual(pool *sched.Pool, x, b, r *grid.Grid, h, omeg
 
 // OpSmoothResidual is the precision-generic fused sweep + residual for op.
 func OpSmoothResidual[T grid.Float](op *Operator, pool *sched.Pool, x, b, r *grid.G[T], h, omega T) {
-	if op.family == FamilyPoisson3D {
-		smoothResidual3(pool, x, b, r, h, omega)
-		return
-	}
 	k := bindRows(op, x, b, r, h, omega)
 	k.smoothResidual(pool, nil)
 }
@@ -652,21 +635,17 @@ func (op *Operator) SweepWithNorm(pool *sched.Pool, x, b *grid.Grid, h, omega fl
 // OpSweepWithNorm is the precision-generic fused sweep + post-sweep residual
 // norm for op (norm accumulated in float64).
 func OpSweepWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	if op.family == FamilyPoisson3D {
-		return sweepWithNorm3(pool, x, b, h, omega)
-	}
-	k := bindRows(op, x, b, nil, h, omega)
-	k.halfSweep(pool, 0)
-	return OpFinishSmoothWithNorm(op, pool, x, b, h, omega)
+	return unitNorm(pool, bindRows(op, x, b, nil, h, omega), normFromRed)
 }
 
 // SmoothResidualRestrict is the composed V-cycle downstroke: one red-black
 // SOR sweep on x, then the full-weighting restriction of the post-sweep
 // residual into coarse — without a separate residual pass, and with no pool
-// in a single traversal of the fine grids (see fused.go). Both half-sweeps
-// emit residuals from their update deltas into the scratch grid r, a fix-up
-// completes the red ones, and the restriction consumes finished rows; after
-// the call r holds the post-sweep residual with a zero boundary. x is
+// in a single traversal of the fine grids (see fused.go; in 3D the
+// restriction then reads r once more). Both half-sweeps emit residuals from
+// their update deltas into the scratch grid r, a fix-up completes the red
+// ones, and the restriction consumes finished rows; after the call r holds
+// the post-sweep residual with a zero boundary. x is
 // bit-identical to SORSweepRB; coarse matches the unfused sweep + Residual +
 // Restrict chain to floating-point association (≤1e-12 of the data scale).
 // r must not alias x, b, or coarse.
@@ -681,10 +660,6 @@ func OpSmoothResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coar
 		// The fused downstroke carries the cycle's smoothing sweep, so the
 		// slow-kernel injection covers it alongside the plain SOR paths.
 		faultinject.Point("stencil.sweep")
-	}
-	if op.family == FamilyPoisson3D {
-		smoothResidualRestrict3(pool, coarse, x, b, r, h, omega)
-		return
 	}
 	k := bindRows(op, x, b, r, h, omega)
 	k.bindGather()
@@ -704,31 +679,8 @@ func (op *Operator) ResidualRestrict(pool *sched.Pool, coarse, x, b *grid.Grid, 
 // OpResidualRestrict is the precision-generic fused residual + restriction
 // for op.
 func OpResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b *grid.G[T], h T) {
-	if op.family == FamilyPoisson3D {
-		transfer.RestrictResidual3(pool, coarse, x.N(), residualPlane3(x, b, 1/(h*h)))
-		return
-	}
 	// No sweep here, so the binding's relaxation weight is never read.
-	transfer.RestrictResidual(pool, coarse, x.N(), residualRows(bindRows(op, x, b, nil, h, 0)))
-}
-
-// residualNormConst returns ‖b − T·x‖₂ for a constant-coefficient stencil.
-func residualNormConst[T grid.Float](x, b *grid.G[T], h, cx, cy T) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	center := 2 * (cx + cy)
-	var sum float64
-	for i := 1; i < n-1; i++ {
-		xr := x.Row(i)
-		up := x.Row(i - 1)
-		down := x.Row(i + 1)
-		br := b.Row(i)
-		for j := 1; j < n-1; j++ {
-			r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv)
-			sum += r * r
-		}
-	}
-	return math.Sqrt(sum)
+	residualRestrict(pool, bindRows(op, x, b, nil, h, 0), coarse)
 }
 
 // residualConst computes the residual for a constant-coefficient stencil.

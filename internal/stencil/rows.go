@@ -1,8 +1,10 @@
-// Row kernels (2D). Every fused cycle kernel of this package — the SOR
-// sweep, the downstroke, the upstroke, serial or pooled — is one of two
-// drivers (fused.go, upstroke.go) calling the loops in this file, one grid
-// row at a time. A row kernel takes whole rows of equal length n as plain
-// slices and a colour offset c ∈ {0, 1}: it visits columns 1+c, 3+c, … ≤ n−2.
+// Row kernels, 2D and 3D. Every fused cycle kernel of this package — the SOR
+// sweep, the downstroke, the upstroke, the norm reductions, serial or pooled,
+// in any family — is one of two drivers (fused.go, upstroke.go) calling the
+// loops in this file, one grid row at a time. A row kernel takes whole rows
+// of equal length n as plain slices and, unless it visits every interior
+// column, a colour offset c of which only the parity counts: it visits
+// columns 1+c&1, 3+c&1, … ≤ n−2.
 //
 // The contract that lets the compiler drop every bounds check from the
 // loops: rows are re-sliced to one shared length in the prologue (east is
@@ -170,4 +172,210 @@ func residualRowVar[T grid.Float](rr, xr, up, down, br, cr, cu, cd []T, c int, i
 		ce := 0.5 * (cc + ceast[j])
 		rr[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv
 	}
+}
+
+// --- 7-point stencil (3D): a row has two more neighbour rows, north and
+// south in its own plane beside up and down in the planes around it ---
+
+func relaxRow3[T grid.Float](xr, up, down, north, south, br []T, c int, h2, omega T) {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, north, south, br = xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
+	for k := 1 + c&1; k < n; k += 2 {
+		gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + east[k] + h2*br[k]) * (1.0 / 6.0)
+		xr[k] += omega * (gs - xr[k])
+	}
+}
+
+// relaxEmitRow3 is relaxEmitRow with rFac = 6·(1−ω)/h².
+func relaxEmitRow3[T grid.Float](xr, up, down, north, south, br, rr []T, c int, h2, omega, rFac T) {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, north, south, br, rr = xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n], rr[:n]
+	for k := 1 + c&1; k < n; k += 2 {
+		gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + east[k] + h2*br[k]) * (1.0 / 6.0)
+		d := gs - xr[k]
+		xr[k] += omega * d
+		rr[k] = rFac * d
+	}
+}
+
+func residualRow3[T grid.Float](rr, xr, up, down, north, south, br []T, c int, inv T) {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	rr, xr, up, down, north, south, br = rr[:n], xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
+	for k := 1 + c&1; k < n; k += 2 {
+		rr[k] = br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv
+	}
+}
+
+// gatherRow3 is gatherRow over the six black neighbours of a red point, all
+// with the one weight κ = ω/(6·(1−ω)).
+func gatherRow3[T grid.Float](rr, up, down, north, south []T, c int, kappa T) {
+	n := len(rr) - 1
+	east := rr[1:][:n]
+	rr, up, down, north, south = rr[:n], up[:n], down[:n], north[:n], south[:n]
+	for k := 1 + c&1; k < n; k += 2 {
+		rr[k] += kappa * (up[k] + down[k] + north[k] + south[k] + rr[k-1] + east[k])
+	}
+}
+
+// --- norm reductions: sums of squared residuals, accumulated in float64
+// whatever T is, one term per visited column in column order ---
+
+// relaxSqRow is relaxEmitRow reducing instead of storing: it relaxes one
+// colour of one row and adds the squares of the residuals the update deltas
+// imply to s.
+func relaxSqRow[T grid.Float](xr, up, down, br []T, c int, h2, omega, rFac T, s float64) float64 {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
+	for j := 1 + c&1; j < n; j += 2 {
+		gs := (up[j] + down[j] + xr[j-1] + east[j] + h2*br[j]) * 0.25
+		d := gs - xr[j]
+		xr[j] += omega * d
+		r := float64(rFac * d)
+		s += r * r
+	}
+	return s
+}
+
+// everyPoint in place of a colour offset makes a residualSqRow visit every
+// interior column, at unit stride: a whole-grid residual norm is bound by
+// that loop.
+const everyPoint = -1
+
+// residualSqRow is residualRow reducing instead of storing: it adds to s the
+// squared residuals of one colour of one row, or of everyPoint.
+func residualSqRow[T grid.Float](xr, up, down, br []T, c int, inv T, s float64) float64 {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
+	if c < 0 {
+		for j := 1; j < n; j++ {
+			r := float64(br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-east[j])*inv)
+			s += r * r
+		}
+		return s
+	}
+	for j := 1 + c&1; j < n; j += 2 {
+		r := float64(br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-east[j])*inv)
+		s += r * r
+	}
+	return s
+}
+
+func relaxSqRowConst[T grid.Float](xr, up, down, br []T, c int, h2, omega, cx, cy, invC, rFac T, s float64) float64 {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
+	for j := 1 + c&1; j < n; j += 2 {
+		gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+east[j]) + h2*br[j]) * invC
+		d := gs - xr[j]
+		xr[j] += omega * d
+		r := float64(rFac * d)
+		s += r * r
+	}
+	return s
+}
+
+func residualSqRowConst[T grid.Float](xr, up, down, br []T, c int, inv, cx, cy, center T, s float64) float64 {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
+	if c < 0 {
+		for j := 1; j < n; j++ {
+			r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv)
+			s += r * r
+		}
+		return s
+	}
+	for j := 1 + c&1; j < n; j += 2 {
+		r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv)
+		s += r * r
+	}
+	return s
+}
+
+func relaxSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, h2, omega, inv T, s float64) float64 {
+	n := len(xr) - 1
+	east, ceast := xr[1:][:n], cr[1:][:n]
+	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
+	cr, cu, cd = cr[:n], cu[:n], cd[:n]
+	oneMinus := 1 - omega
+	for j := 1 + c&1; j < n; j += 2 {
+		cc := cr[j]
+		cn := 0.5 * (cc + cu[j])
+		cs := 0.5 * (cc + cd[j])
+		cw := 0.5 * (cc + cr[j-1])
+		ce := 0.5 * (cc + ceast[j])
+		center := cn + cs + cw + ce
+		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / center
+		d := gs - xr[j]
+		xr[j] += omega * d
+		r := float64(center * oneMinus * d * inv)
+		s += r * r
+	}
+	return s
+}
+
+func residualSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, inv T, s float64) float64 {
+	n := len(xr) - 1
+	east, ceast := xr[1:][:n], cr[1:][:n]
+	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
+	cr, cu, cd = cr[:n], cu[:n], cd[:n]
+	if c < 0 {
+		for j := 1; j < n; j++ {
+			cc := cr[j]
+			cn := 0.5 * (cc + cu[j])
+			cs := 0.5 * (cc + cd[j])
+			cw := 0.5 * (cc + cr[j-1])
+			ce := 0.5 * (cc + ceast[j])
+			r := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv)
+			s += r * r
+		}
+		return s
+	}
+	for j := 1 + c&1; j < n; j += 2 {
+		cc := cr[j]
+		cn := 0.5 * (cc + cu[j])
+		cs := 0.5 * (cc + cd[j])
+		cw := 0.5 * (cc + cr[j-1])
+		ce := 0.5 * (cc + ceast[j])
+		r := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv)
+		s += r * r
+	}
+	return s
+}
+
+func relaxSqRow3[T grid.Float](xr, up, down, north, south, br []T, c int, h2, omega, rFac T, s float64) float64 {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, north, south, br = xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
+	for k := 1 + c&1; k < n; k += 2 {
+		gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + east[k] + h2*br[k]) * (1.0 / 6.0)
+		d := gs - xr[k]
+		xr[k] += omega * d
+		r := float64(rFac * d)
+		s += r * r
+	}
+	return s
+}
+
+func residualSqRow3[T grid.Float](xr, up, down, north, south, br []T, c int, inv T, s float64) float64 {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	xr, up, down, north, south, br = xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
+	if c < 0 {
+		for k := 1; k < n; k++ {
+			r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv)
+			s += r * r
+		}
+		return s
+	}
+	for k := 1 + c&1; k < n; k += 2 {
+		r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv)
+		s += r * r
+	}
+	return s
 }

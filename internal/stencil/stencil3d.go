@@ -3,17 +3,15 @@
 //
 //	(6·x[i,j,k] − x[i±1,j,k] − x[i,j±1,k] − x[i,j,k±1]) / h² = b[i,j,k]
 //
-// These are the paper's headline scaling case: the same building blocks as
-// the 2D 5-point kernels (red-black SOR, weighted Jacobi, residual, apply),
-// parallelized over planes instead of rows. Red-black coloring by
-// (i+j+k) parity keeps every update within a half-sweep independent, so
-// parallel execution is bit-identical to serial execution — the same
-// contract the 2D kernels guarantee.
+// These are the paper's headline scaling case. This file holds the unfused
+// kernels — Gauss-Seidel, weighted Jacobi, residual, apply — parallelized
+// over planes instead of rows: the oracles of the fused cycle kernels and
+// the Jacobi ablation's smoother, like their 2D counterparts in stencil.go.
+// The red-black SOR sweep, coloured by (i+j+k) parity, runs on the row
+// kernels every family shares (rows.go, fused.go).
 package stencil
 
 import (
-	"math"
-
 	"pbmg/internal/grid"
 	"pbmg/internal/sched"
 )
@@ -30,34 +28,6 @@ func parallelPlanes(pool *sched.Pool, n int, body func(lo, hi int)) {
 		return
 	}
 	pool.ParallelForPoints(1, n-1, n*n, body)
-}
-
-// sorSweepRB3 performs one full red-black SOR sweep (red half-sweep then
-// black half-sweep) in place on x with relaxation weight omega. Points are
-// colored by (i+j+k) parity; within a color all updates are independent, so
-// the sweep parallelizes deterministically over planes.
-func sorSweepRB3[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega T) {
-	n := x.N()
-	h2 := h * h
-	for color := 0; color <= 1; color++ {
-		parallelPlanes(pool, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				for j := 1; j < n-1; j++ {
-					xr := x.Row3(i, j)
-					up := x.Row3(i-1, j)
-					down := x.Row3(i+1, j)
-					north := x.Row3(i, j-1)
-					south := x.Row3(i, j+1)
-					br := b.Row3(i, j)
-					k0 := 1 + (i+j+1+color)%2
-					for k := k0; k < n-1; k += 2 {
-						gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + xr[k+1] + h2*br[k]) * (1.0 / 6.0)
-						xr[k] += omega * (gs - xr[k])
-					}
-				}
-			}
-		})
-	}
 }
 
 // gaussSeidel3 performs one lexicographic Gauss-Seidel sweep in place. Like
@@ -152,26 +122,4 @@ func apply3[T grid.Float](pool *sched.Pool, y, x *grid.G[T], h T) {
 			}
 		}
 	})
-}
-
-// residualNorm3 returns ‖b − T·x‖₂ over interior points without allocating.
-func residualNorm3[T grid.Float](x, b *grid.G[T], h T) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	var sum float64
-	for i := 1; i < n-1; i++ {
-		for j := 1; j < n-1; j++ {
-			xr := x.Row3(i, j)
-			up := x.Row3(i-1, j)
-			down := x.Row3(i+1, j)
-			north := x.Row3(i, j-1)
-			south := x.Row3(i, j+1)
-			br := b.Row3(i, j)
-			for k := 1; k < n-1; k++ {
-				r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-xr[k+1])*inv)
-				sum += r * r
-			}
-		}
-	}
-	return math.Sqrt(sum)
 }

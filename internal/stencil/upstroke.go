@@ -1,23 +1,24 @@
-// Fused V-cycle upstroke kernels (2D). The unfused upstroke runs four
+// Fused V-cycle upstroke kernels, 2D and 3D. The unfused upstroke runs four
 // full-grid passes after the coarse solve: interpolate the coarse correction
 // into a scratch grid, add the scratch grid to x, then the post-smooth's two
-// half-sweeps. This file folds them into three row stages:
+// half-sweeps. This file folds them into three stages over units (rows in
+// 2D, planes in 3D — see fused.go):
 //
-//   - correct: evaluate the row's interpolated correction into a
-//     cache-resident buffer (transfer.InterpRow, the same arithmetic
-//     Interpolate runs) and add it to the row in place — the scratch grid's
-//     full-grid write and re-read disappear, and the interpolation is
-//     computed exactly once per row.
+//   - correct: evaluate each row's interpolated correction into a
+//     cache-resident buffer (transfer.InterpRow/InterpRow3, the same
+//     arithmetic Interpolate runs) and add it to the row in place — the
+//     scratch grid's full-grid write and re-read disappear, and the
+//     interpolation is computed exactly once per row.
 //   - relax red: a red point's Gauss-Seidel average reads only black
-//     neighbours and its own corrected value, so relaxing red once rows
+//     neighbours and its own corrected value, so relaxing red once units
 //     i−1 … i+1 are corrected reads exactly the state the unfused
 //     InterpolateAdd + red half-sweep would.
 //   - relax black, completing the post-smoothing sweep.
 //
-// Upstroke runs all three in one traversal — serially as the row wavefront
-// correct(i) → red(i−1) → black(i−2) (see fused.go for why one row of lag is
-// exact), with a pool as three barrier-separated passes — and the iterate is
-// bit-identical to the unfused passes either way.
+// Upstroke runs all three in one traversal — serially as the wavefront
+// correct(i) → red(i−1) → black(i−2) (see fused.go for why one unit of lag
+// is exact), with a pool as three barrier-separated passes — and the iterate
+// is bit-identical to the unfused passes either way.
 //
 // InterpolateCorrectSmooth stops after the red stage, so that the black
 // half can instead be FinishSmoothWithNorm: the black half-sweep with the
@@ -39,11 +40,6 @@ import (
 // clobbered: its rows serve as the interpolation buffers, so the call
 // allocates nothing. cx must not alias x or b.
 func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) {
-	if op.family == FamilyPoisson3D {
-		OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)
-		OpFinishSmooth(op, pool, x, b, h, omega)
-		return
-	}
 	k := bindRows(op, x, b, nil, h, omega)
 	k.correctSmooth(pool, cx, scratch, true)
 }
@@ -61,12 +57,6 @@ func (op *Operator) InterpolateCorrectSmooth(pool *sched.Pool, x, b, cx *grid.Gr
 // OpInterpolateCorrectSmooth is the precision-generic edition of
 // Operator.InterpolateCorrectSmooth.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
-	if op.family == FamilyPoisson3D {
-		interpCorrectPlanes(pool, x, cx, func(i int) {
-			redRelaxPlane3(x, b, i, h*h, omega)
-		})
-		return
-	}
 	k := bindRows(op, x, b, nil, h, omega)
 	k.correctSmooth(pool, cx, nil, false)
 }
@@ -80,10 +70,6 @@ func (op *Operator) FinishSmooth(pool *sched.Pool, x, b *grid.Grid, h, omega flo
 
 // OpFinishSmooth is the precision-generic edition of Operator.FinishSmooth.
 func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
-	if op.family == FamilyPoisson3D {
-		blackHalfSweep3(pool, x, b, h*h, omega)
-		return
-	}
 	k := bindRows(op, x, b, nil, h, omega)
 	k.halfSweep(pool, 1)
 }
@@ -101,42 +87,49 @@ func (op *Operator) FinishSmoothWithNorm(pool *sched.Pool, x, b *grid.Grid, h, o
 // Operator.FinishSmoothWithNorm. The returned norm is accumulated in float64
 // regardless of T.
 func OpFinishSmoothWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	h2 := h * h
-	inv := 1 / h2
-	switch op.family {
-	case FamilyPoisson:
-		return finishSweepNorm(pool, x, b, h2, inv, omega, 4*(1-omega)*inv)
-	case FamilyPoisson3D:
-		return finishSweepNorm3(pool, x, b, h2, inv, omega, 6*(1-omega)*inv)
-	case FamilyAnisotropic:
-		return finishSweepNormConst(pool, x, b, h2, inv, omega, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		return finishSweepNormVar(pool, x, b, h2, inv, omega, opCoef[T](op))
-	}
+	return unitNorm(pool, bindRows(op, x, b, nil, h, omega), normFromBlack)
 }
 
-// correct adds row i of the bilinear interpolation of cx to row i of x,
-// through buf.
-func (k *rowOps[T]) correct(buf []T, cx *grid.G[T], i int) {
+// correct adds unit i of the d-linear interpolation of cx to unit i of x, a
+// row at a time through buf (and tmp, which only the trilinear rule needs).
+func (k *rowOps[T]) correct(buf, tmp []T, cx *grid.G[T], i int) {
+	if k.dim3() {
+		n := k.n
+		x := k.x.Plane(i)
+		for j := 1; j < n-1; j++ {
+			transfer.InterpRow3(buf, tmp, cx, i, j)
+			addRow(x[j*n:(j+1)*n], buf)
+		}
+		return
+	}
 	transfer.InterpRow(buf, cx, i)
 	addRow(k.x.Row(i), buf)
 }
 
-// rowBuf returns an n-long interpolation buffer: row i of scratch, or a fresh
-// slice for the entry points that have no scratch grid to offer. Kept out of
-// line so that allocation stays a single site in the escape gate's ledger.
+// rowBufs returns the n-long interpolation buffers of one chunk of correction
+// work starting at unit i — buf, and in 3D also tmp, which only the trilinear
+// rule needs: the first rows of scratch's unit i, or a fresh slice for the
+// entry points that have no scratch grid to offer. Kept out of line so that
+// allocation stays a single site in the escape gate's ledger.
 //
 //go:noinline
-func rowBuf[T grid.Float](scratch *grid.G[T], i, n int) []T {
-	if scratch == nil {
-		return make([]T, n) //mglint:allow hotalloc — InterpolateCorrectSmooth has no scratch parameter: one correction row buffer per call (per chunk when pooled)
+func (k *rowOps[T]) rowBufs(scratch *grid.G[T], i int) (buf, tmp []T) {
+	switch {
+	case scratch == nil:
+		n := k.n
+		if k.dim3() {
+			n *= 2
+		}
+		buf = make([]T, n) //mglint:allow hotalloc — InterpolateCorrectSmooth has no scratch parameter: one correction row buffer per call (per chunk when pooled)
+		return buf[:k.n], buf[k.n:]
+	case k.dim3():
+		return scratch.Row3(i, 0), scratch.Row3(i, 1)
 	}
-	return scratch.Row(i)
+	return scratch.Row(i), nil
 }
 
 // correctSmooth applies the coarse-grid correction and relaxes the red
-// points, then with finish also the black points, of every interior row.
+// points, then with finish also the black points, of every interior unit.
 func (k *rowOps[T]) correctSmooth(pool *sched.Pool, cx, scratch *grid.G[T], finish bool) {
 	n := k.n
 	if pool != nil {
@@ -147,10 +140,10 @@ func (k *rowOps[T]) correctSmooth(pool *sched.Pool, cx, scratch *grid.G[T], fini
 		}
 		return
 	}
-	buf := rowBuf(scratch, 0, n)
+	buf, tmp := k.rowBufs(scratch, 0)
 	for i := 1; i <= n; i++ {
 		if i < n-1 {
-			k.correct(buf, cx, i)
+			k.correct(buf, tmp, cx, i)
 		}
 		if i > 1 && i < n {
 			k.relax(i-1, 0)
@@ -161,13 +154,14 @@ func (k *rowOps[T]) correctSmooth(pool *sched.Pool, cx, scratch *grid.G[T], fini
 	}
 }
 
-// correctPass is the pooled correction stage; each chunk buffers through its
-// own first row of scratch (by-value receiver: see halfSweepPass).
+// correctPass is the pooled correction stage; each chunk buffers through the
+// first rows of its own first unit of scratch (by-value receiver: see
+// halfSweepPass).
 func correctPass[T grid.Float](pool *sched.Pool, k rowOps[T], cx, scratch *grid.G[T]) {
-	parallelRows(pool, k.n, func(lo, hi int) {
-		buf := rowBuf(scratch, lo, k.n)
+	k.forUnits(pool, func(lo, hi int) {
+		buf, tmp := k.rowBufs(scratch, lo)
 		for i := lo; i < hi; i++ {
-			k.correct(buf, cx, i)
+			k.correct(buf, tmp, cx, i)
 		}
 	})
 }

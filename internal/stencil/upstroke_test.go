@@ -1,0 +1,90 @@
+package stencil
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"pbmg/internal/grid"
+	"pbmg/internal/sched"
+	"pbmg/internal/transfer"
+)
+
+// Equivalence suite for the fused upstroke (InterpolateCorrectSmooth +
+// FinishSmooth/FinishSmoothWithNorm), run for every operator family ×
+// {2D, 3D} × {serial, 8-goroutine pool} against the unfused oracles.
+// Everything here is bit-identity: the fused upstroke performs the oracle's
+// adds and relaxations on the same values in the same per-point order.
+
+// randomCorrection builds a random coarse correction grid like the ones the
+// coarse solve hands the upstroke.
+func randomCorrection(dim, n int, rng *rand.Rand) *grid.Grid {
+	c := grid.NewDim(dim, grid.Coarsen(n))
+	grid.FillRandom(c, grid.Unbiased, rng)
+	return c
+}
+
+func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
+	for _, tc := range fusedCases() {
+		for _, n := range tc.ns {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				op := tc.mk(n)
+				h := 1.0 / float64(n-1)
+				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n) + 101))
+				x0, b := randomStateDim(tc.dim, n, rng)
+				cx := randomCorrection(tc.dim, n, rng)
+
+				// Oracle upstroke: interpolate+correct, then a full sweep.
+				xo := x0.Clone()
+				scratch := grid.NewDim(tc.dim, n)
+				transfer.InterpolateAdd(nil, xo, cx, scratch)
+				op.SORSweepRB(nil, xo, b, h, omega)
+
+				withPools(t, func(t *testing.T, pool *sched.Pool) {
+					xf := x0.Clone()
+					op.InterpolateCorrectSmooth(pool, xf, b, cx, h, omega)
+					op.FinishSmooth(pool, xf, b, h, omega)
+					assertBitIdentical(t, xo, xf, "fused upstroke iterate")
+				})
+			})
+		}
+	}
+}
+
+func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
+	for _, tc := range fusedCases() {
+		for _, n := range tc.ns {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				op := tc.mk(n)
+				h := 1.0 / float64(n-1)
+				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n) + 211))
+				x0, b := randomStateDim(tc.dim, n, rng)
+				cx := randomCorrection(tc.dim, n, rng)
+
+				// Oracle: separate correction, then the norm-fused sweep the
+				// adaptive driver uses (itself locked to the residual oracle
+				// by TestSweepWithNormMatchesOracle).
+				xo := x0.Clone()
+				scratch := grid.NewDim(tc.dim, n)
+				transfer.InterpolateAdd(nil, xo, cx, scratch)
+				wantNorm := op.SweepWithNorm(nil, xo, b, h, omega)
+
+				withPools(t, func(t *testing.T, pool *sched.Pool) {
+					xf := x0.Clone()
+					op.InterpolateCorrectSmooth(pool, xf, b, cx, h, omega)
+					norm := op.FinishSmoothWithNorm(pool, xf, b, h, omega)
+					assertBitIdentical(t, xo, xf, "fused upstroke+norm iterate")
+					// Same values through the same fixed per-row reduction:
+					// the norm is bit-identical, serial or pooled.
+					if math.Float64bits(norm) != math.Float64bits(wantNorm) {
+						t.Fatalf("norm %v (%x) differs from oracle %v (%x)",
+							norm, math.Float64bits(norm), wantNorm, math.Float64bits(wantNorm))
+					}
+				})
+			})
+		}
+	}
+}

@@ -10,40 +10,40 @@ import (
 	"pbmg/internal/sched"
 )
 
-// The serial drivers of fused.go/upstroke.go reorder whole rows, never the
-// operands of a point, so everything they produce must equal — bit for bit,
-// not to a tolerance — what the barrier-separated pass order produces from
-// the same row kernels, for any worker count. This suite pins that over the
-// sizes where the pipeline is longer than the grid (N=5 has three interior
-// rows, the downstroke four stages), both fix-up paths (ω = 1 and 1+5e-4 sit
-// inside gatherMinOneMinusOmega), every 2D family and both precisions, on
-// states whose Dirichlet boundary is not zero. The sweep itself is pinned to
-// a reference written point by point below, so the row kernels cannot drift
-// from the expressions the strided kernels evaluated.
+// The serial drivers of fused.go/upstroke.go reorder whole units (rows in 2D,
+// planes in 3D), never the operands of a point, so everything they produce
+// must equal — bit for bit, not to a tolerance — what the barrier-separated
+// pass order produces from the same row kernels, for any worker count. This
+// suite pins that over the sizes where the pipeline is longer than the grid
+// (N=5 has three interior units, the downstroke four stages), both fix-up
+// paths (ω = 1 and 1+5e-4 sit inside gatherMinOneMinusOmega), every family
+// and both precisions, on states whose Dirichlet boundary is not zero. The
+// sweep itself is pinned to a reference written point by point below, so the
+// row kernels cannot drift from the expressions the strided kernels
+// evaluated.
 
-var (
-	wavefrontSizes  = []int{5, 9, 17, 33, 65, 129}
-	wavefrontOmegas = []float64{0.8, 1, 1 + 5e-4, 1.15}
-)
+var wavefrontOmegas = []float64{0.8, 1, 1 + 5e-4, 1.15}
 
 func wavefrontFamilies() []fusedCase {
+	sizes2, sizes3 := []int{5, 9, 17, 33, 65, 129}, []int{5, 9, 17, 33}
 	return []fusedCase{
-		{name: "poisson", mk: func(int) *Operator { return Poisson() }},
-		{name: "aniso-0.01", mk: func(int) *Operator { return Anisotropic(0.01) }},
-		{name: "varcoef-2", mk: func(n int) *Operator { return VarCoefOperator(CoefField(n, 2), 2) }},
+		{"poisson", func(int) *Operator { return Poisson() }, sizes2, 2},
+		{"aniso-0.01", func(int) *Operator { return Anisotropic(0.01) }, sizes2, 2},
+		{"varcoef-2", func(n int) *Operator { return VarCoefOperator(CoefField(n, 2), 2) }, sizes2, 2},
+		{"poisson3d", func(int) *Operator { return Poisson3D() }, sizes3, 3},
 	}
 }
 
-func randomGridOf[T grid.Float](n int, rng *rand.Rand) *grid.G[T] {
-	g := grid.NewOf[T](2, n)
+func randomGridOf[T grid.Float](dim, n int, rng *rand.Rand) *grid.G[T] {
+	g := grid.NewOf[T](dim, n)
 	for i := range g.Data() {
 		g.Data()[i] = T(2*rng.Float64() - 1)
 	}
 	return g
 }
 
-func filledOf[T grid.Float](n int, v T) *grid.G[T] {
-	g := grid.NewOf[T](2, n)
+func filledOf[T grid.Float](dim, n int, v T) *grid.G[T] {
+	g := grid.NewOf[T](dim, n)
 	g.Fill(v)
 	return g
 }
@@ -53,7 +53,7 @@ func assertSameBits[T grid.Float](t *testing.T, got, want *grid.G[T], what strin
 	gd, wd := got.Data(), want.Data()
 	for k := range wd {
 		if math.Float64bits(float64(gd[k])) != math.Float64bits(float64(wd[k])) {
-			t.Fatalf("%s: entry %d (row %d, col %d) = %v, want %v", what, k, k/want.N(), k%want.N(), gd[k], wd[k])
+			t.Fatalf("%s: entry %d (row %d, col %d) = %v, want %v", what, k, k/want.N(), k%want.N(), gd[k], wd[k]) // row counts through the planes in 3D
 		}
 	}
 }
@@ -64,6 +64,20 @@ func assertSameBits[T grid.Float](t *testing.T, got, want *grid.G[T], what strin
 func refSweep[T grid.Float](op *Operator, x, b *grid.G[T], h, omega T) {
 	n := x.N()
 	h2 := h * h
+	if op.family == FamilyPoisson3D {
+		for colour := 0; colour <= 1; colour++ {
+			for i := 1; i < n-1; i++ {
+				for j := 1; j < n-1; j++ {
+					for k := 1 + (i+j+1+colour)%2; k < n-1; k += 2 {
+						gs := (x.At3(i-1, j, k) + x.At3(i+1, j, k) + x.At3(i, j-1, k) + x.At3(i, j+1, k) +
+							x.At3(i, j, k-1) + x.At3(i, j, k+1) + h2*b.At3(i, j, k)) * (1.0 / 6.0)
+						x.Set3(i, j, k, x.At3(i, j, k)+omega*(gs-x.At3(i, j, k)))
+					}
+				}
+			}
+		}
+		return
+	}
 	for colour := 0; colour <= 1; colour++ {
 		for i := 1; i < n-1; i++ {
 			for j := 1 + (i+1+colour)%2; j < n-1; j += 2 {
@@ -95,8 +109,9 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	rng := rand.New(rand.NewSource(int64(n)*1000 + int64(omega64*1e4)))
 	nc := grid.Coarsen(n)
 	h, omega := T(1/float64(n-1)), T(omega64)
-	x0, b := randomGridOf[T](n, rng), randomGridOf[T](n, rng)
-	cx := randomGridOf[T](nc, rng)
+	dim := op.Dim()
+	x0, b := randomGridOf[T](dim, n, rng), randomGridOf[T](dim, n, rng)
+	cx := randomGridOf[T](dim, nc, rng)
 	const junk = 7 // r, coarse and scratch start dirty: every entry must be produced
 
 	// Sweep: serial wavefront == the point-by-point reference == any pool.
@@ -111,12 +126,12 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 
 	// Downstroke: serial wavefront == pass order from the same row kernels.
 	down := func(pool *sched.Pool) (x, r, coarse *grid.G[T]) {
-		x, r, coarse = x0.Clone(), filledOf[T](n, junk), filledOf[T](nc, junk)
+		x, r, coarse = x0.Clone(), filledOf[T](dim, n, junk), filledOf[T](dim, nc, junk)
 		OpSmoothResidualRestrict(op, pool, coarse, x, b, r, h, omega)
 		return
 	}
 	xs, rs, cs := down(nil)
-	xp, rp, cp := x0.Clone(), filledOf[T](n, junk), filledOf[T](nc, junk)
+	xp, rp, cp := x0.Clone(), filledOf[T](dim, n, junk), filledOf[T](dim, nc, junk)
 	k := bindRows(op, xp, b, rp, h, omega)
 	k.bindGather()
 	if wantGather := op.family != FamilyVarCoef && math.Abs(1-omega64) >= gatherMinOneMinusOmega; k.gather != wantGather {
@@ -131,7 +146,7 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 
 	// SmoothResidual is the downstroke without gather or restriction.
 	smooth := func(pool *sched.Pool) (x, r *grid.G[T]) {
-		x, r = x0.Clone(), filledOf[T](n, junk)
+		x, r = x0.Clone(), filledOf[T](dim, n, junk)
 		OpSmoothResidual(op, pool, x, b, r, h, omega)
 		return
 	}
@@ -141,7 +156,7 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	// Upstroke: the one-traversal entry == the two-call pair.
 	up := func(pool *sched.Pool) *grid.G[T] {
 		x := x0.Clone()
-		OpUpstroke(op, pool, x, b, cx, filledOf[T](n, junk), h, omega)
+		OpUpstroke(op, pool, x, b, cx, filledOf[T](dim, n, junk), h, omega)
 		return x
 	}
 	xu := up(nil)
@@ -176,7 +191,7 @@ func TestWavefrontBitIdentical(t *testing.T) {
 		pools = append(pools, p)
 	}
 	for _, tc := range wavefrontFamilies() {
-		for _, n := range wavefrontSizes {
+		for _, n := range tc.ns {
 			op := tc.mk(n)
 			for _, omega := range wavefrontOmegas {
 				t.Run(fmt.Sprintf("%s/n%d/omega%g/f64", tc.name, n, omega), func(t *testing.T) {

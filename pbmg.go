@@ -173,14 +173,6 @@ type Options struct {
 	Seed int64
 	// Logf, when non-nil, receives tuning progress lines.
 	Logf func(format string, args ...any)
-	// NoFuse disables the fused single-pass cycle kernels on the built
-	// solver's workspace and runs the original separate
-	// smooth/residual/restrict/norm passes. The two paths perform the same
-	// sweeps bit for bit and agree on restrictions and norms to
-	// floating-point association (≤1e-12 of the data scale; iterates may
-	// differ in low-order bits), so this is a benchmarking escape hatch
-	// (mgbench -nofuse measures the fusion win), not a correctness knob.
-	NoFuse bool
 }
 
 // Solver is a tuned multigrid solver. Create with Tune or Load; release
@@ -291,7 +283,6 @@ func tuneWithPool(o Options, pool *sched.Pool) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.ws.NoFuse = o.NoFuse
 	s.tuneStats.Seconds = time.Since(start).Seconds()
 	for _, ls := range tn.Stats() {
 		s.tuneStats.Add(ls.Stats)
