@@ -155,8 +155,8 @@ func reportMismatch(pass *analysis.Pass, allow *lintutil.AllowIndex, dims map[ty
 }
 
 // gridCtorDim recognizes grid constructors with a statically known
-// dimension: New (2), New3 (3), NewDim/NewOf with a constant first
-// argument.
+// dimension: New (2), New3 (3), NewDim/NewOf/FromSlice with a constant
+// first argument.
 func gridCtorDim(info *types.Info, rhs ast.Expr) (int, string, bool) {
 	call, ok := ast.Unparen(rhs).(*ast.CallExpr)
 	if !ok {
@@ -180,11 +180,11 @@ func gridCtorDim(info *types.Info, rhs ast.Expr) (int, string, bool) {
 		return 0, "", false
 	}
 	switch fn.Name() {
-	case "New", "FromSlice":
-		return 2, "grid." + fn.Name(), true
+	case "New":
+		return 2, "grid.New", true
 	case "New3":
 		return 3, "grid.New3", true
-	case "NewDim", "NewOf":
+	case "NewDim", "NewOf", "FromSlice":
 		if len(call.Args) == 0 {
 			return 0, "", false
 		}

@@ -7,10 +7,10 @@ type G struct {
 	data   []float64
 }
 
-func New(n int) *G                    { return &G{dim: 2, n: n} }
-func New3(n int) *G                   { return &G{dim: 3, n: n} }
-func NewDim(dim, n int) *G            { return &G{dim: dim, n: n} }
-func FromSlice(n int, s []float64) *G { return &G{dim: 2, n: n, data: s} }
+func New(n int) *G                         { return &G{dim: 2, n: n} }
+func New3(n int) *G                        { return &G{dim: 3, n: n} }
+func NewDim(dim, n int) *G                 { return &G{dim: dim, n: n} }
+func FromSlice(dim, n int, s []float64) *G { return &G{dim: dim, n: n, data: s} }
 
 func (g *G) At(i, j int) float64     { return 0 }
 func (g *G) Set(i, j int, v float64) {}

@@ -69,13 +69,18 @@ func New3(n int) *Grid { return NewOf[float64](3, n) }
 // and side n, the constructor used by dimension-generic layers.
 func NewDim(dim, n int) *Grid { return NewOf[float64](dim, n) }
 
-// FromSlice wraps an existing row-major slice of length n*n as a 2D Grid.
-// The grid aliases data; mutations are visible both ways.
-func FromSlice(n int, data []float64) *Grid {
-	if len(data) != n*n {
-		panic(fmt.Sprintf("grid: FromSlice length %d != %d*%d", len(data), n, n))
+// FromSlice wraps an existing slice in grid layout (row-major; plane-major,
+// then row-major in 3D) as a float64 grid of the given dimension (2 or 3) and
+// side n. The grid aliases data; mutations are visible both ways.
+func FromSlice(dim, n int, data []float64) *Grid {
+	points := n * n
+	if dim == 3 {
+		points *= n
 	}
-	return &Grid{n: n, dim: 2, data: data}
+	if (dim != 2 && dim != 3) || n < 1 || len(data) != points {
+		panic(fmt.Sprintf("grid: FromSlice: %d values are not a %dD grid of side %d", len(data), dim, n))
+	}
+	return &Grid{n: n, dim: dim, data: data}
 }
 
 // ConvertInto overwrites dst with src converted element-wise between

@@ -43,10 +43,16 @@ func TestSetAtRoundTrip(t *testing.T) {
 
 func TestFromSliceAliases(t *testing.T) {
 	data := make([]float64, 9)
-	g := FromSlice(3, data)
+	g := FromSlice(2, 3, data)
 	g.Set(1, 1, 2)
 	if data[4] != 2 {
 		t.Fatal("FromSlice does not alias the given slice")
+	}
+	cube := make([]float64, 27)
+	g3 := FromSlice(3, 3, cube)
+	g3.Set3(1, 1, 1, 5)
+	if g3.Dim() != 3 || cube[13] != 5 {
+		t.Fatal("FromSlice does not alias the given slice as a 3D grid")
 	}
 }
 
@@ -56,7 +62,7 @@ func TestFromSlicePanicsOnLengthMismatch(t *testing.T) {
 			t.Fatal("FromSlice with wrong length did not panic")
 		}
 	}()
-	FromSlice(3, make([]float64, 8))
+	FromSlice(2, 3, make([]float64, 8))
 }
 
 func TestCloneIndependence(t *testing.T) {

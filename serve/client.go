@@ -58,12 +58,12 @@ func (c *Client) do(req *http.Request, decode func(body []byte) error) error {
 	if resp.StatusCode/100 != 2 {
 		return statusError(resp)
 	}
-	wb := wirePool.Get().(*wireBuf)
-	defer wirePool.Put(wb)
-	if wb.body, err = readAll(resp.Body, wb.body, resp.ContentLength); err != nil {
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	if *buf, err = readAll(resp.Body, *buf, resp.ContentLength); err != nil {
 		return fmt.Errorf("serve: reading %s answer: %w", req.URL.Path, err)
 	}
-	return decode(wb.body)
+	return decode(*buf)
 }
 
 // post sends body to path.
@@ -95,7 +95,7 @@ func statusError(resp *http.Response) error {
 
 // Solve posts one solve request.
 func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
-	body, err := json.Marshal(req)
+	body, err := appendSolveRequest(make([]byte, 0, encodedSize(len(req.B)+len(req.X))), &req)
 	if err != nil {
 		return nil, err
 	}
@@ -117,7 +117,11 @@ func (c *Client) SolveBytes(ctx context.Context, body []byte) (*SolveResponse, e
 
 // Batch posts one batch request.
 func (c *Client) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	body, err := json.Marshal(req)
+	nfloats := 0
+	for _, p := range req.Problems {
+		nfloats += len(p.B) + len(p.X)
+	}
+	body, err := appendBatchRequest(make([]byte, 0, encodedSize(nfloats)), &req)
 	if err != nil {
 		return nil, err
 	}

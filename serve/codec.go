@@ -6,13 +6,15 @@ package serve
 // float arrays of up to millions of values, and reflective encoding/json
 // spends four to five times the tuned solve on it (bench/README.md, "The
 // ladder at a glance"). The codec reads a body once into a pooled buffer,
-// scans it once feeding number tokens straight to strconv.ParseFloat, and
-// builds answers with strconv.AppendFloat into a pooled buffer.
+// scans it once — a number's grammar is checked and its value gathered in
+// the same pass (floattext.go) — and writes answers, and the client's
+// requests, digit by digit into a buffer reserved once. strconv sees only the
+// rare number token the reader declines to decide.
 //
 // The wire format is encoding/json's, unchanged:
 //
-//   - The writer's output is byte-identical to json.Marshal of the struct plus
-//     the trailing newline json.Encoder adds.
+//   - The writers' output is byte-identical to json.Marshal of the struct
+//     (answers add the trailing newline json.Encoder adds).
 //   - The reader decides nothing about JSON validity. Its scanner recognises
 //     only the plain shape every client emits (exact-case known keys, each at
 //     most once, unescaped ASCII strings, number arrays); on anything else it
@@ -30,6 +32,7 @@ import (
 	"math"
 	"net/http"
 	"reflect"
+	"slices"
 	"strconv"
 	"sync"
 )
@@ -61,16 +64,15 @@ func maxSolveBody(maxPoints int) int64 {
 // errBodyTooLarge answers a request body over its cap (HTTP 413).
 var errBodyTooLarge = errors.New("serve: request body too large")
 
-// wireBuf is the per-request scratch of the codec: the raw body (read or
-// being built) and the arena decoded float arrays are carved from. Buffers
-// recycle through wirePool only, so an idle server retains none of them past
-// two GC cycles.
-type wireBuf struct {
-	body   []byte
-	floats []float64
-}
-
-var wirePool = sync.Pool{New: func() any { return new(wireBuf) }}
+// The per-request scratch of the codec: wirePool recycles raw bodies (read or
+// being built), arenaPool the arenas decoded float arrays are carved from,
+// which outlive the body when a request's grids alias them. Buffers recycle
+// through the pools only, so an idle server retains none of them past two GC
+// cycles.
+var (
+	wirePool  = sync.Pool{New: func() any { return new([]byte) }}
+	arenaPool = sync.Pool{New: func() any { return new([]float64) }}
+)
 
 // maxPresize caps how much readAll allocates on the word of a Content-Length
 // header alone; beyond it the buffer grows with the bytes actually received.
@@ -99,24 +101,24 @@ func readAll(r io.Reader, buf []byte, sizeHint int64) ([]byte, error) {
 	}
 }
 
-// readRequest reads the whole request body into wb.body. Bodies longer than
-// limit fail with errBodyTooLarge: up front when Content-Length says so,
+// readRequest reads the whole request body into buf's storage. Bodies longer
+// than limit fail with errBodyTooLarge: up front when Content-Length says so,
 // otherwise (chunked) as soon as the limit is passed.
-func (wb *wireBuf) readRequest(w http.ResponseWriter, r *http.Request, limit int64) error {
+func readRequest(w http.ResponseWriter, r *http.Request, limit int64, buf []byte) ([]byte, error) {
 	var err error
 	if r.ContentLength > limit {
 		err = &http.MaxBytesError{Limit: limit}
 	} else {
-		wb.body, err = readAll(http.MaxBytesReader(w, r.Body, limit), wb.body, r.ContentLength)
+		buf, err = readAll(http.MaxBytesReader(w, r.Body, limit), buf, r.ContentLength)
 	}
 	var mbe *http.MaxBytesError
 	switch {
 	case err == nil:
-		return nil
+		return buf, nil
 	case errors.As(err, &mbe):
-		return fmt.Errorf("%w: limit is %d bytes", errBodyTooLarge, limit)
+		return buf, fmt.Errorf("%w: limit is %d bytes", errBodyTooLarge, limit)
 	}
-	return fmt.Errorf("serve: bad request body: %w", err)
+	return buf, fmt.Errorf("serve: bad request body: %w", err)
 }
 
 // floatArena returns arena emptied, with room for every float array in data:
@@ -231,11 +233,35 @@ func (s *scanner) stringField(dst *string) bool {
 	return ok
 }
 
-// number scans one token of the JSON number grammar (strconv accepts a
-// superset: hex, underscores, "Inf", a leading '+' or '.') and reports
-// whether it is a plain integer. The token's end is not checked here: the
+// float scans a number the way encoding/json stores one in a float64 field:
+// the value strconv.ParseFloat gives the token, out-of-range (1e999) being an
+// error there and a decline here. The token's end is not checked: the
 // caller's next consume must find a delimiter, so "01" or "1.2.3" decline.
-func (s *scanner) number() (tok []byte, integer, ok bool) {
+func (s *scanner) float() (float64, bool) {
+	s.space()
+	f, end, fast := scanFloat(s.data, s.pos)
+	if end < 0 {
+		return 0, false
+	}
+	if !fast {
+		var err error
+		if f, err = strconv.ParseFloat(string(s.data[s.pos:end]), 64); err != nil {
+			return 0, false
+		}
+	}
+	s.pos = end
+	return f, true
+}
+
+func (s *scanner) floatField(dst *float64) (ok bool) {
+	*dst, ok = s.float()
+	return ok
+}
+
+// integer scans a number into an integer field of the given width. A
+// fraction or an exponent, an error in encoding/json, is left unread for the
+// caller's delimiter check to decline, like the second digit of "01".
+func (s *scanner) integer(bits int) (int64, bool) {
 	s.space()
 	d, i := s.data, s.pos
 	if i < len(d) && d[i] == '-' {
@@ -244,68 +270,12 @@ func (s *scanner) number() (tok []byte, integer, ok bool) {
 	if i < len(d) && d[i] == '0' {
 		i++
 	} else {
-		whole := i
-		if i = skipDigits(d, whole); i == whole {
-			return nil, false, false
-		}
-	}
-	integer = true
-	if i < len(d) && d[i] == '.' {
-		integer = false
-		frac := i + 1
-		if i = skipDigits(d, frac); i == frac {
-			return nil, false, false
-		}
-	}
-	if i < len(d) && (d[i] == 'e' || d[i] == 'E') {
-		integer = false
-		i++
-		if i < len(d) && (d[i] == '+' || d[i] == '-') {
+		for i < len(d) && d[i]-'0' <= 9 {
 			i++
 		}
-		exp := i
-		if i = skipDigits(d, exp); i == exp {
-			return nil, false, false
-		}
 	}
-	tok = d[s.pos:i]
+	v, err := strconv.ParseInt(string(d[s.pos:i]), 10, bits)
 	s.pos = i
-	return tok, integer, true
-}
-
-// skipDigits returns the index of the first non-digit of d at or after i.
-func skipDigits(d []byte, i int) int {
-	for i < len(d) && '0' <= d[i] && d[i] <= '9' {
-		i++
-	}
-	return i
-}
-
-// float scans a number the way encoding/json stores one in a float64 field:
-// strconv.ParseFloat on the token, out-of-range (1e999) being an error there
-// and a decline here.
-func (s *scanner) float() (float64, bool) {
-	tok, _, ok := s.number()
-	if !ok {
-		return 0, false
-	}
-	f, err := strconv.ParseFloat(string(tok), 64)
-	return f, err == nil
-}
-
-func (s *scanner) floatField(dst *float64) (ok bool) {
-	*dst, ok = s.float()
-	return ok
-}
-
-// integer scans a number into an integer field of the given width; a
-// fraction, an exponent or overflow is an error in encoding/json.
-func (s *scanner) integer(bits int) (int64, bool) {
-	tok, integer, ok := s.number()
-	if !ok || !integer {
-		return 0, false
-	}
-	v, err := strconv.ParseInt(string(tok), 10, bits)
 	return v, err == nil
 }
 
@@ -562,24 +532,94 @@ func appendBatchResponse(dst []byte, resp *BatchResponse) ([]byte, error) {
 	return append(dst, "}\n"...), err
 }
 
+// The request writers, for Client: each appends exactly json.Marshal of the
+// struct.
+
+func appendSolveRequest(dst []byte, req *SolveRequest) ([]byte, error) {
+	dst, err := appendRequestHead(dst, req.Family, req.Eps, req.N, req.Accuracy)
+	if err != nil {
+		return dst, err
+	}
+	if dst, err = appendProblem(append(dst, ','), req.B, req.X); err != nil {
+		return dst, err
+	}
+	return appendDeadline(dst, req.DeadlineMs), nil
+}
+
+func appendBatchRequest(dst []byte, req *BatchRequest) ([]byte, error) {
+	dst, err := appendRequestHead(dst, req.Family, req.Eps, req.N, req.Accuracy)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, `,"problems":`...)
+	if req.Problems == nil {
+		dst = append(dst, "null"...)
+	} else {
+		dst = append(dst, '[')
+		for i, p := range req.Problems {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			if dst, err = appendProblem(append(dst, '{'), p.B, p.X); err != nil {
+				return dst, err
+			}
+			dst = append(dst, '}')
+		}
+		dst = append(dst, ']')
+	}
+	return appendDeadline(dst, req.DeadlineMs), nil
+}
+
+// appendRequestHead opens a request and writes the fields both carry ahead
+// of their grids.
+func appendRequestHead(dst []byte, family string, eps float64, n int, accuracy float64) ([]byte, error) {
+	dst, err := appendRoute(append(dst, '{'), family, eps, n)
+	if err != nil {
+		return dst, err
+	}
+	return appendFloat(append(dst, `,"accuracy":`...), accuracy)
+}
+
+// appendProblem writes one problem's grids, x only when it has values.
+func appendProblem(dst []byte, b, x []float64) ([]byte, error) {
+	dst, err := appendFloats(append(dst, `"b":`...), b)
+	if err != nil || len(x) == 0 {
+		return dst, err
+	}
+	return appendFloats(append(dst, `,"x":`...), x)
+}
+
+// appendDeadline writes the optional deadline and closes the request.
+func appendDeadline(dst []byte, deadlineMs int64) []byte {
+	if deadlineMs != 0 {
+		dst = strconv.AppendInt(append(dst, `,"deadlineMs":`...), deadlineMs, 10)
+	}
+	return append(dst, '}')
+}
+
 // appendTrailer writes the fields both answers carry after their grids.
 func appendTrailer(dst []byte, family string, eps float64, n int, precision string) ([]byte, error) {
-	dst = append(dst, `,"family":`...)
-	dst = appendString(dst, family)
-	if eps != 0 {
-		dst = append(dst, `,"eps":`...)
-		var err error
-		if dst, err = appendFloat(dst, eps); err != nil {
-			return dst, err
-		}
-	}
-	dst = append(dst, `,"n":`...)
-	dst = strconv.AppendInt(dst, int64(n), 10)
+	dst, err := appendRoute(append(dst, ','), family, eps, n)
 	if precision != "" {
 		dst = append(dst, `,"precision":`...)
 		dst = appendString(dst, precision)
 	}
-	return dst, nil
+	return dst, err
+}
+
+// appendRoute writes the three fields all four wire structs carry side by
+// side: "family", "eps" unless zero, "n".
+func appendRoute(dst []byte, family string, eps float64, n int) ([]byte, error) {
+	dst = append(dst, `"family":`...)
+	dst = appendString(dst, family)
+	if eps != 0 {
+		var err error
+		if dst, err = appendFloat(append(dst, `,"eps":`...), eps); err != nil {
+			return dst, err
+		}
+	}
+	dst = append(dst, `,"n":`...)
+	return strconv.AppendInt(dst, int64(n), 10), nil
 }
 
 func appendFloats(dst []byte, vs []float64) ([]byte, error) {
@@ -599,25 +639,15 @@ func appendFloats(dst []byte, vs []float64) ([]byte, error) {
 	return append(dst, ']'), nil
 }
 
-// appendFloat is encoding/json's float64 encoder: ES6 number-to-string, 'f'
-// form inside [1e-6, 1e21) and 'e' outside, the exponent not zero-padded.
+// appendFloat is encoding/json's float64 encoder (see formatFloat), written
+// in place past dst's end.
 func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 	}
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	dst = strconv.AppendFloat(dst, f, format, -1, 64)
-	if format == 'e' {
-		// e-09 → e-9
-		if n := len(dst); n >= 4 && dst[n-4] == 'e' && dst[n-3] == '-' && dst[n-2] == '0' {
-			dst[n-2] = dst[n-1]
-			dst = dst[:n-1]
-		}
-	}
-	return dst, nil
+	n := len(dst)
+	dst = slices.Grow(dst, floatTextMax)[:n+floatTextMax]
+	return dst[:n+formatFloat(dst[n:], f)], nil
 }
 
 // appendString writes s as a JSON string. Text that needs no escaping under

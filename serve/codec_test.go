@@ -62,8 +62,24 @@ var batchResponses = []BatchResponse{
 	},
 }
 
+var solveRequests = []SolveRequest{
+	{},
+	{Family: "poisson", N: 3, Accuracy: 10, B: []float64{}},
+	{Family: "poisson", N: 17, Accuracy: 1e5, B: wireFloats},
+	{Family: "aniso", Eps: 0.01, N: 17, Accuracy: 1e-7, B: wireFloats, X: []float64{}, DeadlineMs: -1},
+	{Family: `a"b\c<d>&e` + "\u2028\x01\xff é", Eps: 1e21, N: -4, Accuracy: 1e21, B: randomFloats(500, 12), X: wireFloats, DeadlineMs: 1500},
+}
+
+var batchRequests = []BatchRequest{
+	{},
+	{Family: "poisson", N: 17, Accuracy: 10, Problems: []BatchProblem{}},
+	{Family: "poisson", N: 17, Accuracy: 10, Problems: []BatchProblem{{}}, DeadlineMs: 20},
+	{Family: "poisson3d", Eps: 1, N: 9, Accuracy: 1e3,
+		Problems: []BatchProblem{{B: wireFloats, X: randomFloats(40, 13)}, {B: []float64{7}, X: []float64{}}, {X: []float64{1}}}},
+}
+
 // TestEncodeMatchesEncodingJSON: the writers emit byte for byte what
-// json.NewEncoder(w).Encode emitted before them.
+// json.NewEncoder(w).Encode emitted before them — for requests, json.Marshal.
 func TestEncodeMatchesEncodingJSON(t *testing.T) {
 	want := func(v any) []byte {
 		t.Helper()
@@ -83,6 +99,18 @@ func TestEncodeMatchesEncodingJSON(t *testing.T) {
 		got, err := appendBatchResponse(nil, &batchResponses[i])
 		if w := want(batchResponses[i]); err != nil || !bytes.Equal(got, w) {
 			t.Errorf("BatchResponse %d: err=%v\n got %.300s\nwant %.300s", i, err, got, w)
+		}
+	}
+	for i := range solveRequests {
+		got, err := appendSolveRequest(nil, &solveRequests[i])
+		if w, _ := json.Marshal(solveRequests[i]); err != nil || !bytes.Equal(got, w) {
+			t.Errorf("SolveRequest %d: err=%v\n got %.300s\nwant %.300s", i, err, got, w)
+		}
+	}
+	for i := range batchRequests {
+		got, err := appendBatchRequest(nil, &batchRequests[i])
+		if w, _ := json.Marshal(batchRequests[i]); err != nil || !bytes.Equal(got, w) {
+			t.Errorf("BatchRequest %d: err=%v\n got %.300s\nwant %.300s", i, err, got, w)
 		}
 	}
 	// Appending keeps what the buffer already held.
@@ -109,6 +137,18 @@ func TestEncodeRejectsNonFinite(t *testing.T) {
 			},
 			"batch eps": func() ([]byte, error) {
 				return appendBatchResponse(nil, &BatchResponse{Eps: bad})
+			},
+			"request b": func() ([]byte, error) {
+				return appendSolveRequest(nil, &SolveRequest{B: []float64{1, bad}})
+			},
+			"request accuracy": func() ([]byte, error) {
+				return appendSolveRequest(nil, &SolveRequest{Accuracy: bad, B: []float64{1}})
+			},
+			"batch request x": func() ([]byte, error) {
+				return appendBatchRequest(nil, &BatchRequest{Eps: 1, Problems: []BatchProblem{{B: []float64{1}, X: []float64{bad}}}})
+			},
+			"batch request eps": func() ([]byte, error) {
+				return appendBatchRequest(nil, &BatchRequest{Eps: bad})
 			},
 		} {
 			if _, err := encode(); err == nil || err.Error() != wantErr.Error() {
@@ -418,11 +458,11 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 func BenchmarkCodecDecodeSolveRequest(b *testing.B) {
 	body, _ := json.Marshal(SolveRequest{Family: "poisson", N: 257, Accuracy: 1e5, B: gridLikeFloats(257 * 257)})
 	b.Run("codec", func(b *testing.B) {
-		wb := new(wireBuf)
+		var arena []float64
 		b.SetBytes(int64(len(body)))
 		for b.Loop() {
 			var req SolveRequest
-			if err := decodeWire(body, &wb.floats, &req, (*scanner).solveRequest); err != nil {
+			if err := decodeWire(body, &arena, &req, (*scanner).solveRequest); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -435,6 +475,22 @@ func BenchmarkCodecDecodeSolveRequest(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+	})
+	// The float half alone: scanFloat over the grid's tokens, per value.
+	b.Run("parse", func(b *testing.B) {
+		text := body[bytes.IndexByte(body, '[')+1 : bytes.IndexByte(body, ']')+1]
+		values := 0
+		for b.Loop() {
+			for i := 0; i < len(text); i++ { // over the ',' or ']' behind each token
+				_, end, fast := scanFloat(text, i)
+				if !fast {
+					b.Fatalf("scanFloat left %q to strconv", text[i:end])
+				}
+				i = end
+				values++
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(values), "ns/value")
 	})
 }
 
@@ -459,6 +515,16 @@ func BenchmarkCodecEncodeSolveResponse(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(buf.Len()))
+	})
+	// The float half alone: formatFloat into one window, per value.
+	b.Run("print", func(b *testing.B) {
+		var window [floatTextMax]byte
+		for b.Loop() {
+			for _, v := range resp.X {
+				formatFloat(window[:], v)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(resp.X)), "ns/value")
 	})
 }
 

@@ -43,6 +43,7 @@ import (
 
 	"pbmg"
 	"pbmg/internal/faultinject"
+	"pbmg/internal/grid"
 )
 
 // DefaultMaxWait bounds the admission wait of requests that carry no
@@ -233,18 +234,17 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 // writeAnswer builds a grid-carrying 200 answer in a pooled buffer with one
 // of the codec's writers (sizeHint from encodedSize) and sends it.
 func writeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([]byte, error)) {
-	wb := wirePool.Get().(*wireBuf)
-	defer wirePool.Put(wb)
-	if cap(wb.body) < sizeHint {
-		wb.body = make([]byte, 0, sizeHint)
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	if cap(*buf) < sizeHint {
+		*buf = make([]byte, 0, sizeHint)
 	}
-	body, err := encode(wb.body[:0])
-	wb.body = body
-	if err != nil {
+	var err error
+	if *buf, err = encode((*buf)[:0]); err != nil {
 		encodeFailed(w, err)
 		return
 	}
-	writeBody(w, http.StatusOK, body)
+	writeBody(w, http.StatusOK, *buf)
 }
 
 // writeError maps an error to its HTTP status. Admission sheds (all match
@@ -309,7 +309,9 @@ func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, error) {
 	return c.reg.Lookup(f, eps)
 }
 
-// buildGrids validates and materializes one problem's grids.
+// buildGrids validates one problem's values and wraps them as grids: b — and
+// x, when the request carries one — alias the given slices, which the caller
+// keeps alive and to itself until the answer is encoded.
 func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, err error) {
 	dim := svc.Solver().Dim()
 	if n < 3 || n > svc.Solver().MaxSize() {
@@ -317,10 +319,6 @@ func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, er
 			n, svc.Solver().MaxSize(), svc.Key())
 	}
 	points := gridPoints(n, dim)
-	newGrid := pbmg.NewGrid
-	if dim == 3 {
-		newGrid = pbmg.NewGrid3
-	}
 	if len(b) != points {
 		return nil, nil, fmt.Errorf("serve: b has %d values, family %s at n=%d needs %d", len(b), svc.Key(), n, points)
 	}
@@ -337,11 +335,10 @@ func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, er
 	if i := firstNonFinite(x); i >= 0 {
 		return nil, nil, fmt.Errorf("serve: x[%d] is not finite", i)
 	}
-	bg = newGrid(n)
-	copy(bg.Data(), b)
-	xg = newGrid(n)
-	copy(xg.Data(), x) // no-op when absent: zero boundary, zero guess
-	return xg, bg, nil
+	if len(x) == 0 {
+		return grid.NewDim(dim, n), grid.FromSlice(dim, n, b), nil // zero boundary, zero guess
+	}
+	return grid.FromSlice(dim, n, x), grid.FromSlice(dim, n, b), nil
 }
 
 // gridPoints is the value count of one grid of side n.
@@ -363,39 +360,22 @@ func firstNonFinite(vs []float64) int {
 	return -1
 }
 
-// solveJob is one /v1/solve request decoded, routed and validated: what the
-// handler needs once the body's scratch has gone back to the pool.
-type solveJob struct {
-	svc        *pbmg.Service
-	x, b       *pbmg.Grid
-	n          int
-	accuracy   float64
-	deadlineMs int64
-}
-
-// readSolve reads and decodes a /v1/solve body, routes it and materializes
-// its grids. The pooled body and float arena live only inside this call, so
-// a request queued behind its family quota holds its grids and nothing else.
-// On error, fallback is the status writeError should answer with.
-func (c *catalog) readSolve(w http.ResponseWriter, r *http.Request) (job solveJob, fallback int, err error) {
-	wb := wirePool.Get().(*wireBuf)
-	defer wirePool.Put(wb)
-	if err := wb.readRequest(w, r, c.maxBody); err != nil {
-		return job, http.StatusBadRequest, err
+// readWire reads a request body of at most limit bytes and decodes it into v,
+// whose float arrays alias *arena. The body's pooled buffer lives only inside
+// this call, so a request queued behind its family quota holds its grids (the
+// arena, which the handler keeps until its answer is encoded) and nothing
+// else.
+func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, arena *[]float64, v *T, scan func(*scanner, *T) bool) error {
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	var err error
+	if *buf, err = readRequest(w, r, limit, *buf); err != nil {
+		return err
 	}
-	var req SolveRequest
-	if err := decodeWire(wb.body, &wb.floats, &req, (*scanner).solveRequest); err != nil {
-		return job, http.StatusBadRequest, fmt.Errorf("serve: bad request body: %w", err)
+	if err := decodeWire(*buf, arena, v, scan); err != nil {
+		return fmt.Errorf("serve: bad request body: %w", err)
 	}
-	svc, err := c.route(req.Family, req.Eps)
-	if err != nil {
-		return job, http.StatusNotFound, err
-	}
-	xg, bg, err := buildGrids(svc, req.N, req.B, req.X)
-	if err != nil {
-		return job, http.StatusBadRequest, err
-	}
-	return solveJob{svc: svc, x: xg, b: bg, n: req.N, accuracy: req.Accuracy, deadlineMs: req.DeadlineMs}, 0, nil
+	return nil
 }
 
 func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
@@ -413,25 +393,37 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
-	job, fallback, err := c.readSolve(w, r)
+	arena := arenaPool.Get().(*[]float64)
+	defer arenaPool.Put(arena)
+	var req SolveRequest
+	if err := readWire(w, r, c.maxBody, arena, &req, (*scanner).solveRequest); err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return
+	}
+	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
-		writeError(w, err, fallback)
+		writeError(w, err, http.StatusNotFound)
+		return
+	}
+	x, b, err := buildGrids(svc, req.N, req.B, req.X)
+	if err != nil {
+		writeError(w, err, http.StatusBadRequest)
 		return
 	}
 
-	ctx, cancel := s.requestContext(r, job.deadlineMs)
+	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
 	t0 := time.Now()
-	if err := job.svc.SolveContext(ctx, job.x, job.b, job.accuracy); err != nil {
+	if err := svc.SolveContext(ctx, x, b, req.Accuracy); err != nil {
 		writeError(w, err, http.StatusBadRequest)
 		return
 	}
 	resp := SolveResponse{
-		X:         job.x.Data(),
-		Family:    job.svc.Family().String(),
-		Eps:       epsOf(job.svc),
-		N:         job.n,
-		Precision: planPrecisionOf(job.svc, job.n, job.accuracy),
+		X:         x.Data(),
+		Family:    svc.Family().String(),
+		Eps:       epsOf(svc),
+		N:         req.N,
+		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 		SolveNs:   time.Since(t0).Nanoseconds(),
 	}
 	writeAnswer(w, encodedSize(len(resp.X)), func(dst []byte) ([]byte, error) {
@@ -454,17 +446,11 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
-	// The problems' grids alias the pooled arena until each worker has
-	// copied its own, so the scratch is held to the end of the batch.
-	wb := wirePool.Get().(*wireBuf)
-	defer wirePool.Put(wb)
-	if err := wb.readRequest(w, r, batchBodyFactor*c.maxBody); err != nil {
-		writeError(w, err, http.StatusBadRequest)
-		return
-	}
+	arena := arenaPool.Get().(*[]float64)
+	defer arenaPool.Put(arena)
 	var req BatchRequest
-	if err := decodeWire(wb.body, &wb.floats, &req, (*scanner).batchRequest); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: bad request body: " + err.Error()})
+	if err := readWire(w, r, batchBodyFactor*c.maxBody, arena, &req, (*scanner).batchRequest); err != nil {
+		writeError(w, err, http.StatusBadRequest)
 		return
 	}
 	if len(req.Problems) == 0 {
@@ -487,8 +473,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		N:         req.N,
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 	}
-	// Each fan-out worker materializes its own problem's grids just before
-	// admission; a problem that fails validation fails alone.
+	// Each fan-out worker validates and wraps its own problem's grids just
+	// before admission; a problem that fails validation fails alone.
 	errs, err := svc.SolveBatchContext(ctx, len(req.Problems), func(i int) (pbmg.BatchProblem, error) {
 		xg, bg, err := buildGrids(svc, req.N, req.Problems[i].B, req.Problems[i].X)
 		if err != nil {

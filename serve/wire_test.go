@@ -12,8 +12,10 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"pbmg"
 )
@@ -267,5 +269,88 @@ func TestAnswerEncodedBeforeStatus(t *testing.T) {
 	}
 	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
 		t.Errorf("/metrics Content-Length %q on a %d-byte body", cl, rec.Body.Len())
+	}
+}
+
+// TestQueuedRequestKeepsItsGrids: a request's grids alias the arena its body
+// was decoded into, so the arena must stay the request's own while it waits
+// for a solve slot — its body's buffer does not — and until its answer is
+// written. A solve and a batch park behind an occupied quota while traffic to
+// another family churns both pools; their answers must come back to the bit
+// what Solver.Solve makes of the same inputs.
+func TestQueuedRequestKeepsItsGrids(t *testing.T) {
+	srv, cl := startServer(t, Config{Quotas: map[string]int{"poisson": 1, "poisson3d": 2}, QueueDepth: 4})
+	ctx := context.Background()
+	svc := familyService(t, srv, "poisson")
+
+	probs := []*pbmg.Problem{newProblem(t, pbmg.FamilyPoisson, 17, 31), newProblem(t, pbmg.FamilyPoisson, 17, 32), newProblem(t, pbmg.FamilyPoisson, 17, 33)}
+	want := make([]*pbmg.Grid, len(probs))
+	for i, p := range probs {
+		want[i] = p.NewState()
+		if err := svc.Solver().Solve(want[i], p.B, 1e3); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameBits := func(name string, got []float64, want *pbmg.Grid) {
+		t.Helper()
+		if len(got) != len(want.Data()) {
+			t.Fatalf("%s: %d values, want %d", name, len(got), len(want.Data()))
+		}
+		for i, v := range want.Data() {
+			if math.Float64bits(got[i]) != math.Float64bits(v) {
+				t.Fatalf("%s: x[%d] = %v, Solver.Solve gives %v", name, i, got[i], v)
+			}
+		}
+	}
+
+	release := occupy(t, svc, 1)
+	solved := make(chan error, 2) // one send per parked request
+	var solve *SolveResponse
+	var batch *BatchResponse
+	go func() {
+		var err error
+		solve, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[0].B.Data(), X: probs[0].NewState().Data()})
+		solved <- err
+	}()
+	go func() {
+		var err error
+		batch, err = cl.Batch(ctx, BatchRequest{Family: "poisson", N: 17, Accuracy: 1e3, Problems: []BatchProblem{
+			{B: probs[1].B.Data(), X: probs[1].NewState().Data()}, {B: probs[2].B.Data(), X: probs[2].NewState().Data()}}})
+		solved <- err
+	}()
+	for svc.Metrics().QueueLen < 2 { // the solve, and the batch's first problem
+		select {
+		case err := <-solved:
+			t.Fatalf("a request finished behind an occupied quota: %v", err)
+		case <-time.After(time.Millisecond):
+		}
+	}
+
+	var churn sync.WaitGroup
+	for g := range 4 {
+		churn.Add(1)
+		go func() {
+			defer churn.Done()
+			for i := range 8 {
+				p := newProblem(t, pbmg.FamilyPoisson3D, 9, int64(100+8*g+i))
+				if _, err := cl.Solve(ctx, SolveRequest{Family: "poisson3d", N: 9, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()}); err != nil {
+					t.Errorf("poisson3d request beside the parked ones: %v", err)
+				}
+			}
+		}()
+	}
+	churn.Wait()
+	release()
+	for range 2 {
+		if err := <-solved; err != nil {
+			t.Fatal(err)
+		}
+	}
+	sameBits("solve", solve.X, want[0])
+	for i, r := range batch.Results {
+		if r.Error != "" {
+			t.Fatalf("batch problem %d: %s", i, r.Error)
+		}
+		sameBits("batch problem "+strconv.Itoa(i), r.X, want[1+i])
 	}
 }
