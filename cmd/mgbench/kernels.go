@@ -169,7 +169,7 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			grid.FillRandom(x0, grid.Unbiased, rng)
 			grid.FillRandom(b, grid.Unbiased, rng)
 			x := x0.Clone()
-			r := grid.NewDim(fam.dim, n)
+			r, scratch := grid.NewDim(fam.dim, n), grid.NewDim(fam.dim, n)
 			cb := grid.NewDim(fam.dim, grid.Coarsen(n))
 			reset := func() { x.CopyFrom(x0) }
 
@@ -186,14 +186,14 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 
 			// The V-cycle downstroke: one smoothing sweep, residual,
 			// restriction — as three separate passes vs the composed
-			// SmoothResidualRestrict kernel the cycle actually runs.
+			// Downstroke kernel the cycle actually runs.
 			unfused := benchBest(reset, func() {
 				op.SORSweepRB(pool, x, b, h, omega)
 				op.Residual(pool, r, x, b, h)
 				transfer.Restrict(pool, cb, r)
 			})
 			fused := benchBest(reset, func() {
-				op.SmoothResidualRestrict(pool, cb, x, b, r, h, omega)
+				stencil.OpDownstroke(op, pool, cb, x, b, r, scratch, h, omega)
 			})
 			emit("downstroke", unfused, fused)
 			downstrokeF64 := fused
@@ -205,7 +205,7 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 				transfer.Restrict(pool, cb, r)
 			})
 			fused = benchBest(reset, func() {
-				op.ResidualRestrict(pool, cb, x, b, h)
+				stencil.OpResidualRestrict(op, pool, cb, x, b, r, scratch, h)
 			})
 			emit("residual+restrict", unfused, fused)
 
@@ -231,21 +231,19 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			// finest level: coarse correction, post-smooth, and the
 			// convergence probe. Unfused that is four-plus full-grid passes
 			// (interpolate into scratch, add, sweep, residual norm); fused
-			// it is InterpolateCorrectSmooth (scratch-free correction + red
-			// half-sweep) completed by FinishSmoothWithNorm (black
-			// half-sweep with the delta-emitted norm). Both sides produce
+			// it is UpstrokeNorm: the correction through a row of scratch,
+			// the red half-sweep, and the black half-sweep with the
+			// delta-emitted norm, in one traversal. Both sides produce
 			// bit-identical iterates and norms.
 			cx := grid.NewDim(fam.dim, grid.Coarsen(n))
 			grid.FillRandom(cx, grid.Unbiased, rng)
-			scratch := grid.NewDim(fam.dim, n)
 			unfused = benchBest(reset, func() {
 				transfer.InterpolateAdd(pool, x, cx, scratch)
 				op.SORSweepRB(pool, x, b, h, omega)
 				op.ResidualNorm(pool, x, b, h)
 			})
 			fused = benchBest(reset, func() {
-				op.InterpolateCorrectSmooth(pool, x, b, cx, h, omega)
-				op.FinishSmoothWithNorm(pool, x, b, h, omega)
+				stencil.OpUpstrokeNorm(op, pool, x, b, cx, scratch, h, omega)
 			})
 			emit("upstroke", unfused, fused)
 			upstrokeF64 := fused
@@ -263,7 +261,7 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			// mean halved traffic.
 			x32 := grid.NewOf[float32](fam.dim, n)
 			b32 := grid.NewOf[float32](fam.dim, n)
-			r32 := grid.NewOf[float32](fam.dim, n)
+			r32, scratch32 := grid.NewOf[float32](fam.dim, n), grid.NewOf[float32](fam.dim, n)
 			cb32 := grid.NewOf[float32](fam.dim, grid.Coarsen(n))
 			cx32 := grid.NewOf[float32](fam.dim, grid.Coarsen(n))
 			grid.ConvertInto(b32, b)
@@ -271,12 +269,11 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			h32, omega32 := float32(h), float32(omega)
 			reset32 := func() { grid.ConvertInto(x32, x0) }
 			fused = benchBest(reset32, func() {
-				stencil.OpSmoothResidualRestrict(op, pool, cb32, x32, b32, r32, h32, omega32)
+				stencil.OpDownstroke(op, pool, cb32, x32, b32, r32, scratch32, h32, omega32)
 			})
 			emitPrec("downstroke", "f32", downstrokeF64, fused)
 			fused = benchBest(reset32, func() {
-				stencil.OpInterpolateCorrectSmooth(op, pool, x32, b32, cx32, h32, omega32)
-				stencil.OpFinishSmoothWithNorm(op, pool, x32, b32, h32, omega32)
+				stencil.OpUpstrokeNorm(op, pool, x32, b32, cx32, scratch32, h32, omega32)
 			})
 			emitPrec("upstroke", "f32", upstrokeF64, fused)
 			fused = benchBest(reset32, func() { sorx12(op, pool, x32, b32, h32, omega32) })
@@ -314,7 +311,7 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			grid.FillRandom(x0, grid.Unbiased, rng)
 			grid.FillRandom(b, grid.Unbiased, rng)
 			x := x0.Clone()
-			r := grid.NewDim(fam.dim, n)
+			r, scratch := grid.NewDim(fam.dim, n), grid.NewDim(fam.dim, n)
 			cb := grid.NewDim(fam.dim, grid.Coarsen(n))
 			cx := grid.NewDim(fam.dim, grid.Coarsen(n))
 			grid.FillRandom(cx, grid.Unbiased, rng)
@@ -322,7 +319,7 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 
 			x32 := grid.NewOf[float32](fam.dim, n)
 			b32 := grid.NewOf[float32](fam.dim, n)
-			r32 := grid.NewOf[float32](fam.dim, n)
+			r32, scratch32 := grid.NewOf[float32](fam.dim, n), grid.NewOf[float32](fam.dim, n)
 			cb32 := grid.NewOf[float32](fam.dim, grid.Coarsen(n))
 			cx32 := grid.NewOf[float32](fam.dim, grid.Coarsen(n))
 			grid.ConvertInto(b32, b)
@@ -335,20 +332,18 @@ func runKernels(workers int, seed int64, writeJSON, gate bool, logf func(string,
 			}
 
 			f64t := benchBest(reset, func() {
-				op.SmoothResidualRestrict(pool, cb, x, b, r, h, omega)
+				stencil.OpDownstroke(op, pool, cb, x, b, r, scratch, h, omega)
 			})
 			f32t := benchBest(reset32, func() {
-				stencil.OpSmoothResidualRestrict(op, pool, cb32, x32, b32, r32, h32, omega32)
+				stencil.OpDownstroke(op, pool, cb32, x32, b32, r32, scratch32, h32, omega32)
 			})
 			emitCell(&rep, fam.name, fam.eps, fam.dim, n, "downstroke", "f32", f64t, f32t)
 
 			f64t = benchBest(reset, func() {
-				op.InterpolateCorrectSmooth(pool, x, b, cx, h, omega)
-				op.FinishSmoothWithNorm(pool, x, b, h, omega)
+				stencil.OpUpstrokeNorm(op, pool, x, b, cx, scratch, h, omega)
 			})
 			f32t = benchBest(reset32, func() {
-				stencil.OpInterpolateCorrectSmooth(op, pool, x32, b32, cx32, h32, omega32)
-				stencil.OpFinishSmoothWithNorm(op, pool, x32, b32, h32, omega32)
+				stencil.OpUpstrokeNorm(op, pool, x32, b32, cx32, scratch32, h32, omega32)
 			})
 			emitCell(&rep, fam.name, fam.eps, fam.dim, n, "upstroke", "f32", f64t, f32t)
 

@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 )
 
 // ErrNotPositiveDefinite is returned by Factor when the matrix is not
@@ -25,6 +26,13 @@ type BandMatrix struct {
 	w         int // entries per row = bandwidth + 1
 	data      []float64
 	factored  bool
+
+	// rhs recycles the n-long right-hand sides of the interior solvers built
+	// on this matrix (contents arbitrary on Get). A factored matrix is
+	// shared by concurrent solves, so the vectors live in a sync.Pool — each
+	// solve holds its own, and none outlives the next two GC cycles — not in
+	// a field a solve would write.
+	rhs sync.Pool
 }
 
 // NewBandMatrix returns a zero n×n symmetric band matrix with the given
@@ -37,7 +45,12 @@ func NewBandMatrix(n, bandwidth int) *BandMatrix {
 		bandwidth = n - 1
 	}
 	w := bandwidth + 1
-	return &BandMatrix{n: n, bandwidth: bandwidth, w: w, data: make([]float64, n*w)}
+	m := &BandMatrix{n: n, bandwidth: bandwidth, w: w, data: make([]float64, n*w)}
+	m.rhs.New = func() any {
+		v := make([]float64, n)
+		return &v
+	}
+	return m
 }
 
 // N returns the matrix dimension.
@@ -83,37 +96,64 @@ func (m *BandMatrix) Set(i, j int, v float64) {
 
 // Factor computes the Cholesky factorization A = L·Lᵀ in place. It returns
 // ErrNotPositiveDefinite if a non-positive pivot is encountered.
+//
+// Each entry below the pivot of column j is a dot product reduced as one
+// dependent chain s −= L[i][k]·L[j][k], k ascending — a floating-point add
+// latency per term. Four rows' chains are independent of one another and read
+// the same L[j][k], so the column is walked four rows at a time with the four
+// chains interleaved; every chain still subtracts its own terms in its own
+// ascending-k order (a row whose band starts earlier than its group's last
+// row runs those leading terms first), so each stored value is the one the
+// row-at-a-time loop computes, bit for bit.
 func (m *BandMatrix) Factor() error {
-	n, bw := m.n, m.bandwidth
+	n, bw, w, d := m.n, m.bandwidth, m.w, m.data
 	for j := 0; j < n; j++ {
-		lo := j - bw
-		if lo < 0 {
-			lo = 0
-		}
-		s := m.at(j, 0)
-		for k := lo; k < j; k++ {
-			l := m.at(j, j-k)
-			s -= l * l
+		// rowj[t] is L[j][j−t]: the terms of column j−t, t = 1 … bw.
+		rowj := d[j*w : (j+1)*w]
+		s := rowj[0]
+		for t := min(j, bw); t >= 1; t-- {
+			s -= rowj[t] * rowj[t]
 		}
 		if s <= 0 || math.IsNaN(s) {
 			return ErrNotPositiveDefinite
 		}
 		ljj := math.Sqrt(s)
-		m.set(j, 0, ljj)
-		hi := j + bw
-		if hi > n-1 {
-			hi = n - 1
+		rowj[0] = ljj
+		hi := min(j+bw, n-1)
+		i := j + 1
+		for ; i+3 <= hi; i += 4 {
+			// rows[r][t] is L[i+r][j−t], so t = 0 is the entry being formed.
+			// Row i+r's band reaches back to column max(0, i+r−bw); the four
+			// share the terms t < nt.
+			nt := j - max(0, i+3-bw) + 1
+			var rows [4][]float64
+			var acc [4]float64
+			for r := range rows {
+				ir := i + r
+				rows[r] = d[ir*w+ir-j : (ir+1)*w]
+				acc[r] = rows[r][0]
+				for t := j - max(0, ir-bw); t >= nt; t-- {
+					acc[r] -= rows[r][t] * rowj[t]
+				}
+			}
+			lj, a0, a1, a2, a3 := rowj[:nt], rows[0][:nt], rows[1][:nt], rows[2][:nt], rows[3][:nt]
+			s0, s1, s2, s3 := acc[0], acc[1], acc[2], acc[3]
+			for t := nt - 1; t >= 1; t-- {
+				l := lj[t]
+				s0 -= a0[t] * l
+				s1 -= a1[t] * l
+				s2 -= a2[t] * l
+				s3 -= a3[t] * l
+			}
+			a0[0], a1[0], a2[0], a3[0] = s0/ljj, s1/ljj, s2/ljj, s3/ljj
 		}
-		for i := j + 1; i <= hi; i++ {
-			s := m.at(i, i-j)
-			ilo := i - bw
-			if ilo < 0 {
-				ilo = 0
+		for ; i <= hi; i++ {
+			rowi := d[i*w+i-j : (i+1)*w]
+			s := rowi[0]
+			for t := j - max(0, i-bw); t >= 1; t-- {
+				s -= rowi[t] * rowj[t]
 			}
-			for k := ilo; k < j; k++ {
-				s -= m.at(i, i-k) * m.at(j, j-k)
-			}
-			m.set(i, i-j, s/ljj)
+			rowi[0] = s / ljj
 		}
 	}
 	m.factored = true

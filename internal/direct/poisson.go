@@ -14,8 +14,8 @@ import (
 // values taken from x. The factorization is computed once per grid size and
 // reused across solves, as a tuned algorithm would reuse a precomputed plan.
 // After construction a PoissonSolver is immutable: Solve reads the factored
-// bands and writes only its arguments, so one solver may serve concurrent
-// solves on distinct grids.
+// bands and writes only its arguments and a pooled right-hand side of its
+// own, so one solver may serve concurrent solves on distinct grids.
 type PoissonSolver struct {
 	n int // grid side
 	m int // interior side n−2
@@ -29,9 +29,20 @@ func NewPoissonSolver(n int) *PoissonSolver {
 	if n < 3 {
 		panic(fmt.Sprintf("direct: grid side %d too small", n))
 	}
+	a := poissonBand(n)
+	if err := a.Factor(); err != nil {
+		// The scaled Poisson operator is SPD by construction; failure here
+		// is a programming error, not an input condition.
+		panic("direct: Poisson operator failed to factor: " + err.Error())
+	}
+	return &PoissonSolver{n: n, m: n - 2, a: a}
+}
+
+// poissonBand assembles the scaled interior operator at grid side n,
+// unfactored.
+func poissonBand(n int) *BandMatrix {
 	m := n - 2
-	unknowns := m * m
-	a := NewBandMatrix(unknowns, m)
+	a := NewBandMatrix(m*m, m)
 	for i := 0; i < m; i++ {
 		for j := 0; j < m; j++ {
 			k := i*m + j
@@ -44,12 +55,7 @@ func NewPoissonSolver(n int) *PoissonSolver {
 			}
 		}
 	}
-	if err := a.Factor(); err != nil {
-		// The scaled Poisson operator is SPD by construction; failure here
-		// is a programming error, not an input condition.
-		panic("direct: Poisson operator failed to factor: " + err.Error())
-	}
-	return &PoissonSolver{n: n, m: m, a: a}
+	return a
 }
 
 // N returns the grid side length the solver was built for.
@@ -63,7 +69,9 @@ func (s *PoissonSolver) Solve(x, b *grid.Grid, h float64) {
 	}
 	m := s.m
 	h2 := h * h
-	rhs := make([]float64, m*m)
+	scratch := s.a.rhs.Get().(*[]float64)
+	defer s.a.rhs.Put(scratch)
+	rhs := *scratch // every entry is assigned below
 	for i := 0; i < m; i++ {
 		gi := i + 1
 		br := b.Row(gi)

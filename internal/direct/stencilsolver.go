@@ -63,9 +63,21 @@ func NewStencilSolver(op *stencil.Operator, n int) *StencilSolver {
 		panic(fmt.Sprintf("direct: grid side %d too small", n))
 	}
 	op = op.At(n)
+	s := &StencilSolver{n: n, m: n - 2, dim: op.Dim(), op: op, a: stencilBand(op, n)}
+	if err := s.a.Factor(); err != nil {
+		// Positive face coefficients make the matrix an SPD M-matrix by
+		// construction; failure here means an invalid operator slipped past
+		// the family constructors.
+		panic(fmt.Sprintf("direct: operator %v failed to factor: %v", op, err))
+	}
+	return s
+}
+
+// stencilBand assembles the interior matrix of op (resolved to grid side n),
+// unfactored.
+func stencilBand(op *stencil.Operator, n int) *BandMatrix {
 	m := n - 2
-	s := &StencilSolver{n: n, m: m, dim: op.Dim(), op: op}
-	if s.dim == 3 {
+	if op.Dim() == 3 {
 		if op.Family() != stencil.FamilyPoisson3D {
 			// The 3D assembly below hardcodes the isotropic 7-point stencil;
 			// a future 3D family with different weights must extend it, not
@@ -95,31 +107,23 @@ func NewStencilSolver(op *stencil.Operator, n int) *StencilSolver {
 				}
 			}
 		}
-		s.a = a
-	} else {
-		a := NewBandMatrix(m*m, m)
-		for i := 0; i < m; i++ {
-			for j := 0; j < m; j++ {
-				cn, cs, cw, ce := op.FaceCoefs(i+1, j+1)
-				k := i*m + j
-				a.Set(k, k, cn+cs+cw+ce)
-				if j > 0 {
-					a.Set(k, k-1, -cw)
-				}
-				if i > 0 {
-					a.Set(k, k-m, -cn)
-				}
+		return a
+	}
+	a := NewBandMatrix(m*m, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			cn, cs, cw, ce := op.FaceCoefs(i+1, j+1)
+			k := i*m + j
+			a.Set(k, k, cn+cs+cw+ce)
+			if j > 0 {
+				a.Set(k, k-1, -cw)
+			}
+			if i > 0 {
+				a.Set(k, k-m, -cn)
 			}
 		}
-		s.a = a
 	}
-	if err := s.a.Factor(); err != nil {
-		// Positive face coefficients make the matrix an SPD M-matrix by
-		// construction; failure here means an invalid operator slipped past
-		// the family constructors.
-		panic(fmt.Sprintf("direct: operator %v failed to factor: %v", op, err))
-	}
-	return s
+	return a
 }
 
 // N returns the grid side length the solver was built for.
@@ -140,7 +144,9 @@ func (s *StencilSolver) Solve(x, b *grid.Grid, h float64) {
 	}
 	m := s.m
 	h2 := h * h
-	rhs := make([]float64, m*m)
+	scratch := s.a.rhs.Get().(*[]float64)
+	defer s.a.rhs.Put(scratch)
+	rhs := *scratch // every entry is assigned below
 	for i := 0; i < m; i++ {
 		gi := i + 1
 		br := b.Row(gi)
@@ -177,7 +183,9 @@ func (s *StencilSolver) Solve(x, b *grid.Grid, h float64) {
 func (s *StencilSolver) solve3(x, b *grid.Grid, h float64) {
 	m := s.m
 	h2 := h * h
-	rhs := make([]float64, m*m*m)
+	scratch := s.a.rhs.Get().(*[]float64)
+	defer s.a.rhs.Put(scratch)
+	rhs := *scratch // every entry is assigned below
 	for i := 0; i < m; i++ {
 		gi := i + 1
 		for j := 0; j < m; j++ {

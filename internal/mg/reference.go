@@ -59,7 +59,7 @@ func (ws *Workspace) RefFullMG(x, b *grid.Grid, rec Recorder) {
 	bufs := ws.checkout(n)
 	defer ws.release(bufs)
 
-	ws.restrictResidual(x, b, bufs.cb, bufs.r, rec)
+	ws.restrictResidual(x, b, bufs, rec)
 	bufs.cx.Zero()
 	ws.RefFullMG(bufs.cx, bufs.cb, rec)
 	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)

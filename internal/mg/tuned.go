@@ -267,17 +267,17 @@ func (e *Executor) Estimate(x, b *grid.Grid, estAcc int) {
 	bufs := e.WS.checkout(n)
 	defer e.WS.release(bufs)
 
-	e.WS.restrictResidual(x, b, bufs.cb, bufs.r, e.Rec)
+	e.WS.restrictResidual(x, b, bufs, e.Rec)
 	bufs.cx.Zero()
 	e.SolveFull(bufs.cx, bufs.cb, estAcc)
-	// ESTIMATE has no post-smooth to fuse the correction into, but the
-	// scratch-free interpolate-add still halves the pass's grid traffic
-	// (interpolated rows stream from a cache-resident buffer instead of a
-	// materialized full-size scratch grid). noFuse keeps the oracle.
+	// ESTIMATE has no post-smooth to fuse the correction into, but the fused
+	// interpolate-add still halves the pass's grid traffic (interpolated rows
+	// stream through a cache-resident row of scratch instead of a
+	// materialized full-size interpolant). noFuse keeps the oracle.
 	if e.WS.noFuse {
 		transfer.InterpolateAdd(e.WS.Pool, x, bufs.cx, bufs.scratch)
 	} else {
-		transfer.InterpolateAddFused(e.WS.Pool, x, bufs.cx)
+		transfer.InterpolateAddFused(e.WS.Pool, x, bufs.cx, bufs.scratch)
 	}
 	record(e.Rec, EvInterp, lvl, 1)
 }

@@ -311,33 +311,33 @@ func smoothOf[T grid.Float](ws *Workspace, x, b, tmp *grid.G[T], sweeps int, rec
 	record(rec, EvRelax, grid.Level(n), sweeps)
 }
 
-// restrictResidual computes the coarse right-hand side cb = R·(b − T·x) at
-// size n. The default path is the fused ResidualRestrict kernel, which
-// streams the fine grid once and never materializes the fine residual;
-// with noFuse set it runs the original residual pass into the scratch grid
-// r followed by a separate restriction — the oracle the fused path matches
-// to floating-point association (≤1e-12 of the data scale; in 2D the
-// window weights even apply in the oracle's order, in 3D they apply
-// separably). Both paths record one EvResidual and one EvRestrict:
-// the trace counts logical operations, and the architecture cost model
-// prices their (now fused) traversal intensities.
-func (ws *Workspace) restrictResidual(x, b, cb, r *grid.Grid, rec Recorder) {
-	restrictResidualOf(ws, x, b, cb, r, rec)
+// restrictResidual computes the coarse right-hand side bufs.cb = R·(b − T·x)
+// at x's size, with bufs' fine grids as scratch. The default path is the
+// fused ResidualRestrict kernel, which streams the fine grid once and never
+// materializes the fine residual; with noFuse set it runs the original
+// residual pass into bufs.r followed by a separate restriction — the oracle
+// the fused path matches to floating-point association (≤1e-12 of the data
+// scale; in 2D the window weights even apply in the oracle's order, in 3D
+// they apply separably). Both paths record one EvResidual and one
+// EvRestrict: the trace counts logical operations, and the architecture cost
+// model prices their (now fused) traversal intensities.
+func (ws *Workspace) restrictResidual(x, b *grid.Grid, bufs *levelBufs, rec Recorder) {
+	restrictResidualOf(ws, x, b, bufs, rec)
 }
 
-func restrictResidualOf[T grid.Float](ws *Workspace, x, b, cb, r *grid.G[T], rec Recorder) {
+func restrictResidualOf[T grid.Float](ws *Workspace, x, b *grid.G[T], bufs *levelBufsG[T], rec Recorder) {
 	n := x.N()
 	h := T(1.0 / float64(n-1))
 	lvl := grid.Level(n)
 	op := ws.opAt(n)
 	if ws.noFuse {
-		stencil.OpResidual(op, ws.Pool, r, x, b, h)
+		stencil.OpResidual(op, ws.Pool, bufs.r, x, b, h)
 		record(rec, EvResidual, lvl, 1)
-		transfer.Restrict(ws.Pool, cb, r)
+		transfer.Restrict(ws.Pool, bufs.cb, bufs.r)
 		record(rec, EvRestrict, lvl, 1)
 		return
 	}
-	stencil.OpResidualRestrict(op, ws.Pool, cb, x, b, h)
+	stencil.OpResidualRestrict(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h)
 	record(rec, EvResidual, lvl, 1)
 	record(rec, EvRestrict, lvl, 1)
 }
@@ -393,35 +393,31 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	// standalone residual pass. The Jacobi ablation and the noFuse oracle
 	// keep the separate passes.
 	if ws.Smoother == SmootherSOR && !ws.noFuse {
-		stencil.OpSmoothResidualRestrict(op, ws.Pool, bufs.cb, x, b, bufs.r, h, T(op.OmegaSmooth()))
+		stencil.OpDownstroke(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h, T(op.OmegaSmooth()))
 		record(rec, EvRelax, lvl, 1)
 		record(rec, EvResidual, lvl, 1)
 		record(rec, EvRestrict, lvl, 1)
 	} else {
 		smoothOf(ws, x, b, bufs.scratch, 1, rec)
-		restrictResidualOf(ws, x, b, bufs.cb, bufs.r, rec)
+		restrictResidualOf(ws, x, b, bufs, rec)
 	}
 	bufs.cx.Zero()
 	coarseSolve(bufs.cx, bufs.cb)
 
 	// Upstroke: interpolate, correct, post-smooth. With the SOR smoother the
 	// three run as one traversal (Upstroke) — the standalone interpolate and
-	// correct full-grid passes disappear. When the caller wants the
-	// convergence probe the traversal stops after the red half-sweep
-	// (InterpolateCorrectSmooth) and the black half carries the norm
-	// reduction (FinishSmoothWithNorm). The iterate is bit-identical to the
-	// separate passes, which the Jacobi ablation and the noFuse oracle
-	// preserve.
+	// correct full-grid passes disappear — and when the caller wants the
+	// convergence probe the black half-sweep carries the norm reduction
+	// (UpstrokeNorm). The iterate is bit-identical to the separate passes,
+	// which the Jacobi ablation and the noFuse oracle preserve.
 	if ws.Smoother == SmootherSOR && !ws.noFuse {
 		omega := T(op.OmegaSmooth())
 		if norm == nil {
 			stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)
-			record(rec, EvInterp, lvl, 1)
 		} else {
-			stencil.OpInterpolateCorrectSmooth(op, ws.Pool, x, b, bufs.cx, h, omega)
-			record(rec, EvInterp, lvl, 1)
-			*norm = stencil.OpFinishSmoothWithNorm(op, ws.Pool, x, b, h, omega)
+			*norm = stencil.OpUpstrokeNorm(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)
 		}
+		record(rec, EvInterp, lvl, 1)
 		record(rec, EvRelax, lvl, 1)
 		return
 	}

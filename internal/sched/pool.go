@@ -266,37 +266,44 @@ func (p *Pool) Do(fns ...func()) {
 	}
 }
 
-// MinParallelPoints is the work size — measured in grid points, not loop
+// minParallelPoints is the work size — measured in grid points, not loop
 // iterations — below which a data-parallel pass runs serially: task spawn
 // and join-barrier overhead dominates under it. The stencil and transfer
 // kernels share this one threshold across dimensions (a 2D row of a level-7
 // grid and a 3D plane of a level-5 cube carry very different point counts,
 // so gating on iteration count alone mis-tunes one dimension or the other).
-const MinParallelPoints = 8192
+const minParallelPoints = 8192
+
+// Splits reports whether ParallelForPoints would chunk n iterations of
+// pointsPerIter grid points each instead of running them as one call on the
+// caller. It is the gate itself, for kernels that bind a different, serial
+// algorithm to grids the pool would leave whole. A one-worker pool passes it
+// like any other and then runs its chunks inline.
+func (*Pool) Splits(n, pointsPerIter int) bool {
+	return n*max(pointsPerIter, 1) >= minParallelPoints
+}
 
 // ParallelForPoints is ParallelFor for iteration spaces whose elements carry
 // uniform work of pointsPerIter grid points each (a 2D row, a 3D plane). It
-// runs serially when the total work is under MinParallelPoints, and
+// runs serially when the total work is under minParallelPoints (Splits), and
 // otherwise picks the default grain so that no chunk is smaller than
-// MinParallelPoints worth of points — the points-based gate that keeps
+// minParallelPoints worth of points — the points-based gate that keeps
 // coarse levels off the task queue in both dimensions.
 func (p *Pool) ParallelForPoints(lo, hi, pointsPerIter int, body func(lo, hi int)) {
 	n := hi - lo
 	if n <= 0 {
 		return
 	}
-	if pointsPerIter < 1 {
-		pointsPerIter = 1
-	}
-	if p.workers == 1 || n*pointsPerIter < MinParallelPoints {
+	pointsPerIter = max(pointsPerIter, 1)
+	if !p.Splits(n, pointsPerIter) {
 		body(lo, hi)
 		return
 	}
 	grain := n / (8 * p.workers)
-	if min := (MinParallelPoints + pointsPerIter - 1) / pointsPerIter; grain < min {
+	if min := (minParallelPoints + pointsPerIter - 1) / pointsPerIter; grain < min {
 		grain = min
 	}
-	p.ParallelFor(lo, hi, grain, body)
+	p.ParallelFor(lo, hi, grain, body) // serial for one worker
 }
 
 // ParallelFor partitions [lo, hi) into chunks of at most grain iterations

@@ -314,3 +314,31 @@ func TestConcurrentPanicsStayWithinRegion(t *testing.T) {
 		t.Fatalf("clean caller covered %d iterations, want 5000", clean.Load())
 	}
 }
+
+// TestSplitsIsTheGateOfParallelForPoints: work Splits turns down runs as one
+// call covering the whole range; work it accepts is chunked, every chunk at
+// least minParallelPoints of work (but for the last).
+func TestSplitsIsTheGateOfParallelForPoints(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	for _, tc := range []struct{ n, points int }{{15, 17}, {63, 129}, {64, 129}, {127, 129}, {7, 1089}, {8, 1089}, {31, 1089}, {4, 0}} {
+		var calls, covered, small atomic.Int32
+		p.ParallelForPoints(1, 1+tc.n, tc.points, func(lo, hi int) {
+			calls.Add(1)
+			covered.Add(int32(hi - lo))
+			if (hi-lo)*tc.points < minParallelPoints {
+				small.Add(1)
+			}
+		})
+		splits := p.Splits(tc.n, tc.points)
+		if int(covered.Load()) != tc.n || splits != (tc.n*max(tc.points, 1) >= minParallelPoints) {
+			t.Fatalf("%d×%d: covered %d, Splits %v", tc.n, tc.points, covered.Load(), splits)
+		}
+		if !splits && calls.Load() != 1 {
+			t.Errorf("%d×%d: %d calls for work Splits turns down, want 1", tc.n, tc.points, calls.Load())
+		}
+		if splits && small.Load() > 1 {
+			t.Errorf("%d×%d: %d of %d chunks under minParallelPoints, want at most the last", tc.n, tc.points, small.Load(), calls.Load())
+		}
+	}
+}

@@ -9,12 +9,13 @@
 //     a black point is final, so r = C·(1−ω)·(gs − x_old)/h², exactly); red
 //     points need a fix-up, half the footprint of the standalone Residual
 //     kernel.
-//   - SmoothResidualRestrict: the whole V-cycle downstroke — smoothing
+//   - Downstroke (SmoothResidualRestrict, for callers with no scratch grid
+//     to offer): the whole V-cycle downstroke — smoothing
 //     sweep, residual, full-weighting restriction — as one composed kernel:
 //     BOTH half-sweeps emit their update deltas into r, a gather over r
 //     alone reconstructs the red residuals from their black neighbours'
 //     stored deltas (gatherRow), and the restriction consumes the finished
-//     rows. The standalone residual pass — a full extra read of x and b —
+//     units. The standalone residual pass — a full extra read of x and b —
 //     disappears from the downstroke entirely.
 //   - SweepWithNorm: the sweep shape of SmoothResidual, but reducing
 //     ‖b − T·x‖₂ instead of materializing r — the adaptive driver's
@@ -24,19 +25,21 @@
 // One implementation, two drivers, four families. The loops live in rows.go
 // as row kernels; rowOps binds them to one call's grids and operator family
 // and exposes them as stages over units — a unit is a grid row in 2D and a
-// plane (its interior rows, one row kernel call each) in 3D. With a pool,
-// each stage is a barrier-separated pass over all units (chunks own disjoint
-// units, so the result is independent of the chunking). Without one, the
-// stages run as a wavefront, each trailing the previous by one unit, so the
-// fine grids are streamed once instead of once per stage:
+// plane (its interior rows, one row kernel call each) in 3D. With a pool and
+// a grid large enough for it to split, each stage is a barrier-separated pass
+// over all units (chunks own disjoint units, so the result is independent of
+// the chunking). Otherwise the stages run as a wavefront, each trailing the
+// previous by one unit, so the fine grids are streamed once instead of once
+// per stage and no task closure is built:
 //
 //	sweep        relax red(i) → relax black(i−1)
-//	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict((i−3)/2)
+//	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict(i−2)
 //	upstroke     correct(i) → relax red(i−1) → relax black(i−2)
 //	norm         red(i) → black+reduce(i−1) → reduce red residuals(i−2)
 //
-// (The restrict stage is 2D's; the separable 27-point restriction follows the
-// 3D wavefront as a pass — see smoothResidual.)
+// Every buffer a stage needs beyond the grids it is bound to — interpolation
+// rows, the 3D restriction window — is carved from a scratch grid the caller
+// hands in, so a cycle step allocates nothing.
 //
 // A stage may run on a unit as soon as the units it reads are final for the
 // stage before it, and must run before any unit it reads is overwritten by
@@ -70,15 +73,6 @@ import (
 	"pbmg/internal/transfer"
 )
 
-// sumUnits adds per-unit partial sums in index order and returns the L2 norm.
-func sumUnits(sums []float64, n int) float64 {
-	var total float64
-	for i := 1; i < n-1; i++ {
-		total += sums[i]
-	}
-	return math.Sqrt(total)
-}
-
 // gatherMinOneMinusOmega gates the delta-gather downstroke: reconstructing
 // red residuals from stored black residuals divides by C·(1−ω), so the
 // reconstruction is used only when |1−ω| is large enough that the division
@@ -102,7 +96,11 @@ const gatherMinOneMinusOmega = 1e-3
 type rowOps[T grid.Float] struct {
 	family     Family
 	n          int
-	x, b, r, c *grid.G[T] // r: residual grid, nil for kernels that emit none; c: coefficient field, varcoef only
+	pool       *sched.Pool // nil unless it splits the grid: selects the pass driver
+	x, b, r, c *grid.G[T]  // r: residual grid, nil for kernels that emit none; c: coefficient field, varcoef only
+	// rolling keeps residual unit f in unit f mod 3 of r instead of unit f:
+	// the serial residualRestrict never needs more than three at once.
+	rolling bool
 
 	h2, inv, omega T
 	// Constant-coefficient weights (the Laplacians are cx = cy = 1): center
@@ -117,10 +115,16 @@ type rowOps[T grid.Float] struct {
 }
 
 // bindRows prepares the row kernels of op for a sweep of weight omega over
-// (x, b) at mesh width h, emitting residuals into r if non-nil.
-func bindRows[T grid.Float](op *Operator, x, b, r *grid.G[T], h, omega T) rowOps[T] {
+// (x, b) at mesh width h, emitting residuals into r if non-nil. The pool is
+// bound only for a grid it would split (sched.Pool.Splits): below that every
+// pass would run on the caller anyway, so small grids take the serial drivers
+// whatever the workspace's pool.
+func bindRows[T grid.Float](op *Operator, pool *sched.Pool, x, b, r *grid.G[T], h, omega T) rowOps[T] {
 	h2 := h * h
 	k := rowOps[T]{family: op.family, n: x.N(), x: x, b: b, r: r, h2: h2, inv: 1 / h2, omega: omega, cx: 1, cy: 1}
+	if pool != nil && pool.Splits(k.n-2, k.unitPoints()) {
+		k.pool = pool
+	}
 	switch op.family {
 	case FamilyAnisotropic:
 		k.cx = T(op.eps)
@@ -153,15 +157,22 @@ func (k *rowOps[T]) bindGather() {
 
 func (k *rowOps[T]) dim3() bool { return k.family == FamilyPoisson3D }
 
-// forUnits runs body over the interior units [1, n−1), on the pool when it
-// is non-nil and the grid is large enough (a row is n points of work for the
-// gate, a plane n²).
-func (k *rowOps[T]) forUnits(pool *sched.Pool, body func(lo, hi int)) {
+// unitPoints is the work of one unit for the pool's gate: a row is n points,
+// a plane n².
+func (k *rowOps[T]) unitPoints() int {
 	if k.dim3() {
-		parallelPlanes(pool, k.n, body)
-	} else {
-		parallelRows(pool, k.n, body)
+		return k.n * k.n
 	}
+	return k.n
+}
+
+// forUnits runs body over the interior units [1, n−1), on the pool if bound.
+func (k *rowOps[T]) forUnits(body func(lo, hi int)) {
+	if k.pool == nil {
+		body(1, k.n-1)
+		return
+	}
+	k.pool.ParallelForPoints(1, k.n-1, k.unitPoints(), body)
 }
 
 // planes returns plane i of g and the planes either side of it. Row j of a
@@ -285,10 +296,10 @@ func (k *rowOps[T]) fixup(i int) {
 }
 
 // sweep runs one full red-black SOR sweep.
-func (k *rowOps[T]) sweep(pool *sched.Pool) {
-	if pool != nil {
-		k.halfSweep(pool, 0)
-		k.halfSweep(pool, 1)
+func (k *rowOps[T]) sweep() {
+	if k.pool != nil {
+		k.halfSweep(0)
+		k.halfSweep(1)
 		return
 	}
 	n := k.n
@@ -301,20 +312,20 @@ func (k *rowOps[T]) sweep(pool *sched.Pool) {
 }
 
 // halfSweep relaxes one colour of every interior unit.
-func (k *rowOps[T]) halfSweep(pool *sched.Pool, colour int) {
-	if pool == nil {
+func (k *rowOps[T]) halfSweep(colour int) {
+	if k.pool == nil {
 		for i := 1; i < k.n-1; i++ {
 			k.relax(i, colour)
 		}
 		return
 	}
-	halfSweepPass(pool, *k, colour)
+	halfSweepPass(*k, colour)
 }
 
 // halfSweepPass takes its rowOps by value: the task closure makes it escape,
 // and a copy keeps the serial callers' binding on their stack.
-func halfSweepPass[T grid.Float](pool *sched.Pool, k rowOps[T], colour int) {
-	k.forUnits(pool, func(lo, hi int) {
+func halfSweepPass[T grid.Float](k rowOps[T], colour int) {
+	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.relax(i, colour)
 		}
@@ -323,21 +334,19 @@ func halfSweepPass[T grid.Float](pool *sched.Pool, k rowOps[T], colour int) {
 
 // smoothResidual runs one sweep on x leaving r = b − T·x (post-sweep, zero
 // boundary) and, with coarse non-nil, its full-weighting restriction — the
-// V-cycle downstroke. Serial execution is the wavefront of the file comment.
-// In 2D restriction is its last stage, trailing the fix-up by one more row:
-// coarse row ci is produced as soon as fine rows 2ci−1 … 2ci+1 are complete.
-// The separable 27-point restriction carries a rolling window of pre-weighted
-// planes from one coarse plane to the next, so in 3D it stays a pass of its
-// own behind the wavefront.
-func (k *rowOps[T]) smoothResidual(pool *sched.Pool, coarse *grid.G[T]) {
+// V-cycle downstroke. Serial execution is the wavefront of the file comment;
+// restriction is its last stage, one more unit behind the fix-up. scratch
+// supplies the 3D restriction window (see window).
+func (k *rowOps[T]) smoothResidual(coarse, scratch *grid.G[T]) {
 	k.r.ZeroBoundary()
-	if pool != nil {
-		smoothResidualPasses(pool, *k, coarse)
+	if k.pool != nil {
+		smoothResidualPasses(*k, coarse, scratch)
 		return
 	}
-	staged := coarse != nil && !k.dim3()
-	if staged {
+	var win transfer.Window[T]
+	if coarse != nil {
 		coarse.ZeroBoundary()
+		win = k.window(scratch, 1)
 	}
 	n := k.n
 	for i := 1; i <= n; i++ {
@@ -349,71 +358,139 @@ func (k *rowOps[T]) smoothResidual(pool *sched.Pool, coarse *grid.G[T]) {
 		}
 		if f := i - 2; f >= 1 {
 			k.fixup(f)
-			if staged && f >= 3 && f&1 == 1 {
-				transfer.RestrictRow(coarse, k.r, f/2)
+			if coarse != nil {
+				k.restrict(&win, coarse, f)
 			}
 		}
-	}
-	if coarse != nil && !staged {
-		k.restrictPass(nil, coarse)
 	}
 }
 
 // smoothResidualPasses is smoothResidual in pass order, one barrier per
 // stage (by-value receiver: see halfSweepPass).
-func smoothResidualPasses[T grid.Float](pool *sched.Pool, k rowOps[T], coarse *grid.G[T]) {
-	k.forUnits(pool, func(lo, hi int) {
+func smoothResidualPasses[T grid.Float](k rowOps[T], coarse, scratch *grid.G[T]) {
+	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.relaxRed(i)
 		}
 	})
-	k.forUnits(pool, func(lo, hi int) {
+	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.relaxEmit(i, 1)
 		}
 	})
-	k.forUnits(pool, func(lo, hi int) {
+	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.fixup(i)
 		}
 	})
 	if coarse != nil {
-		k.restrictPass(pool, coarse)
+		restrictPass(k, coarse, scratch)
 	}
+}
+
+// resUnit returns the storage of residual unit f.
+func (k *rowOps[T]) resUnit(f int) []T {
+	if k.rolling {
+		f %= 3
+	}
+	n := k.unitPoints()
+	return k.r.Data()[f*n : (f+1)*n]
+}
+
+// window carves the 3D restriction window of a chunk of coarse planes
+// starting at lo from the chunk's own fine planes 2lo and 2lo+1 of scratch —
+// or allocates it, for the one entry point with no scratch to offer. 2D
+// restricts straight from the residual rows and has none. Kept out of line
+// so that allocation stays a single site in the escape gate's ledger.
+//
+//go:noinline
+func (k *rowOps[T]) window(scratch *grid.G[T], lo int) (win transfer.Window[T]) {
+	nc := grid.Coarsen(k.n)
+	switch {
+	case !k.dim3():
+	case scratch == nil:
+		win = transfer.NewWindow(make([]T, transfer.WindowLen(nc)), nc) //mglint:allow hotalloc — OpSmoothResidualRestrict has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpDownstroke
+	default:
+		win = transfer.NewWindow(scratch.Data()[2*lo*k.n*k.n:], nc)
+	}
+	return win
+}
+
+// restrict is the stage that consumes residual unit f once it is final: in
+// 3D it pre-weights the plane into win, and when f closes the three fine
+// units around a coarse one (f = 2ci+1) it emits coarse unit ci — in 2D with
+// the 9-point weights in Restrict's evaluation order, in 3D separably.
+func (k *rowOps[T]) restrict(win *transfer.Window[T], coarse *grid.G[T], f int) {
+	emit := f&1 == 1 && f >= 3
+	if k.dim3() {
+		win.Preweight(f, k.resUnit(f))
+		if emit {
+			win.Restrict(coarse, f/2)
+		}
+		return
+	}
+	if !emit {
+		return
+	}
+	u, m, d := f-2, f-1, f
+	if k.rolling {
+		u, m, d = u%3, m%3, d%3
+	}
+	r, n := k.r.Data(), k.n
+	transfer.RestrictRow(coarse.Row(f/2), r[u*n:(u+1)*n], r[m*n:(m+1)*n], r[d*n:(d+1)*n])
 }
 
 // restrictPass restricts the finished residual grid into coarse as a pass of
-// its own.
-func (k *rowOps[T]) restrictPass(pool *sched.Pool, coarse *grid.G[T]) {
-	if k.dim3() {
-		transfer.RestrictSep3(pool, coarse, k.r)
+// its own: chunks own disjoint coarse units and, in 3D, pre-weight their one
+// boundary-overlap plane 2lo−1 themselves (by-value receiver: see
+// halfSweepPass).
+func restrictPass[T grid.Float](k rowOps[T], coarse, scratch *grid.G[T]) {
+	coarse.ZeroBoundary()
+	body := func(lo, hi int) {
+		win := k.window(scratch, lo)
+		if k.dim3() {
+			win.Preweight(2*lo-1, k.r.Plane(2*lo-1))
+		}
+		for f := 2 * lo; f < 2*hi; f++ {
+			k.restrict(&win, coarse, f)
+		}
+	}
+	if nc := coarse.N(); k.pool == nil {
+		body(1, nc-1)
 	} else {
-		transfer.Restrict(pool, coarse, k.r)
+		k.pool.ParallelForPoints(1, nc-1, 2*k.unitPoints(), body)
 	}
 }
 
-// residualRestrict restricts b − T·x into coarse without a fine residual
-// grid: the transfer package's rolling-window drivers pull residual units
-// from a provider that evaluates them into a buffer laid out like the unit
-// (row j at j·n), edges zeroed. The per-point expression is the unfused
-// Residual kernel's.
-func residualRestrict[T grid.Float](pool *sched.Pool, k rowOps[T], coarse *grid.G[T]) {
-	n := k.n
-	provide := func(fi int, dst []T) { //mglint:allow hotalloc — kernel factory: one residual-provider closure per fused cycle, not per point
-		if k.dim3() {
-			clear(dst[:n])
-			clear(dst[(n-1)*n:])
-		}
-		for lo := 0; lo < len(dst); lo += n {
-			dst[lo], dst[lo+n-1] = 0, 0
-		}
-		k.residual(dst, fi, true)
+// residualRestrict restricts b − T·x into coarse with no sweep before it. The
+// per-point residual is the unfused Residual kernel's expression, evaluated
+// into r a unit at a time; serially each unit is restricted while it is
+// still in cache and r only ever holds the last three (rolling), so the fine
+// residual grid is never streamed. With a pool it is two passes over all of
+// r. Either way r's boundary is never read and is left as it was.
+func (k *rowOps[T]) residualRestrict(coarse, scratch *grid.G[T]) {
+	if k.pool != nil {
+		residualRestrictPasses(*k, coarse, scratch)
+		return
 	}
-	if k.dim3() {
-		transfer.RestrictResidual3(pool, coarse, n, provide)
-	} else {
-		transfer.RestrictResidual(pool, coarse, n, provide)
+	coarse.ZeroBoundary()
+	k.rolling = true
+	win := k.window(scratch, 1)
+	for f := 1; f < k.n-1; f++ {
+		k.residual(k.resUnit(f), f, true)
+		k.restrict(&win, coarse, f)
 	}
+}
+
+// residualRestrictPasses is residualRestrict in pass order (by-value
+// receiver: see halfSweepPass).
+func residualRestrictPasses[T grid.Float](k rowOps[T], coarse, scratch *grid.G[T]) {
+	k.forUnits(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.residual(k.resUnit(i), i, true)
+		}
+	})
+	restrictPass(k, coarse, scratch)
 }
 
 // The stages a norm-reducing sweep can start from: the whole sweep
@@ -431,51 +508,59 @@ const (
 // With normOnly the last stage reduces every point's residual instead.
 // Serially the stages run as the wavefront of the file comment, with a pool
 // as passes; each unit accumulates its own partial sum, black terms before
-// red, and sumUnits adds them in index order, so the norm does not depend on
-// the driver, the pool or its chunking.
-func unitNorm[T grid.Float](pool *sched.Pool, k rowOps[T], first int) float64 {
-	n := k.n
-	sums := make([]float64, n) //mglint:allow hotalloc — per-call norm partials, one float64 per unit; fixed-chunk deterministic reduction
+// red, and the units are added in index order, so the norm does not depend
+// on the driver, the pool or its chunking.
+func (k *rowOps[T]) unitNorm(first int) float64 {
 	colour := 0
 	if first == normOnly {
 		colour = everyPoint
 	}
-	if pool != nil {
-		normPasses(pool, k, first, colour, sums)
-		return sumUnits(sums, n)
+	if k.pool != nil {
+		return normPasses(*k, first, colour)
 	}
+	// The last stage visits the units in index order, so the serial driver
+	// adds each one's sum as it completes and needs no array of partials.
+	n := k.n
+	var total, black, blackBehind float64 // black sums of units i−1 and i−2
 	for i := 1; i <= n; i++ {
 		if first == normFromRed && i < n-1 {
 			k.relax(i, 0)
 		}
 		if first < normOnly && i > 1 && i < n {
-			sums[i-1] = k.relaxSq(i - 1)
+			black = k.relaxSq(i - 1)
 		}
 		if f := i - 2; f >= 1 {
-			sums[f] = k.residualSq(f, colour, sums[f])
+			total += k.residualSq(f, colour, blackBehind)
 		}
+		blackBehind = black
 	}
-	return sumUnits(sums, n)
+	return math.Sqrt(total)
 }
 
 // normPasses is unitNorm's stages in pass order (by-value receiver: see
 // halfSweepPass).
-func normPasses[T grid.Float](pool *sched.Pool, k rowOps[T], first, colour int, sums []float64) {
+func normPasses[T grid.Float](k rowOps[T], first, colour int) float64 {
+	sums := make([]float64, k.n) //mglint:allow hotalloc — per-unit partials of the pooled passes only (whose dispatch allocates its tasks anyway); the serial driver reduces in index order without them
 	if first == normFromRed {
-		halfSweepPass(pool, k, 0)
+		halfSweepPass(k, 0)
 	}
 	if first < normOnly {
-		k.forUnits(pool, func(lo, hi int) {
+		k.forUnits(func(lo, hi int) {
 			for i := lo; i < hi; i++ {
 				sums[i] = k.relaxSq(i)
 			}
 		})
 	}
-	k.forUnits(pool, func(lo, hi int) {
+	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sums[i] = k.residualSq(i, colour, sums[i])
 		}
 	})
+	var total float64
+	for i := 1; i < k.n-1; i++ {
+		total += sums[i]
+	}
+	return math.Sqrt(total)
 }
 
 // relaxSq is relax(i, 1) returning the sum of squares of the black points'

@@ -130,6 +130,14 @@ func TestSmoothResidualMatchesOracle(t *testing.T) {
 	}
 }
 
+// nanLike returns a grid shaped like g holding only NaNs: the scratch the
+// fused entry points are handed, so any entry they read before writing shows.
+func nanLike(g *grid.Grid) *grid.Grid {
+	s := grid.NewDim(g.Dim(), g.N())
+	s.Fill(math.NaN())
+	return s
+}
+
 // assertCoarseClose checks a fused restriction against the oracle chain:
 // same 9/27-point weights under a different (separable) summation order, so
 // agreement is to floating-point association, scaled by the residual data.
@@ -164,7 +172,7 @@ func TestResidualRestrictMatchesOracle(t *testing.T) {
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
 					cf := grid.NewDim(tc.dim, nc)
 					cf.Fill(math.NaN())
-					op.ResidualRestrict(pool, cf, x, b, h)
+					OpResidualRestrict(op, pool, cf, x, b, nanLike(x), nanLike(x), h)
 					assertCoarseClose(t, co, cf, scale, "ResidualRestrict")
 					// Chunking is fixed, so serial and pooled runs agree
 					// bit for bit.
@@ -206,7 +214,7 @@ func TestSmoothResidualRestrictMatchesOracle(t *testing.T) {
 					rf := grid.NewDim(tc.dim, n)
 					cf := grid.NewDim(tc.dim, nc)
 					cf.Fill(math.NaN())
-					op.SmoothResidualRestrict(pool, cf, xf, b, rf, h, omega)
+					OpDownstroke(op, pool, cf, xf, b, rf, nanLike(xf), h, omega)
 					assertBitIdentical(t, xo, xf, "SmoothResidualRestrict iterate")
 					assertCoarseClose(t, co, cf, scale, "SmoothResidualRestrict")
 					if pool == nil {
@@ -389,12 +397,12 @@ func FuzzFusedMatchesUnfused(f *testing.F) {
 		nc := grid.Coarsen(n)
 		co, cf := grid.New(nc), grid.New(nc)
 		transfer.Restrict(nil, co, ro)
-		op.ResidualRestrict(pool, cf, xo, b, h)
+		OpResidualRestrict(op, pool, cf, xo, b, nanLike(xo), nanLike(xo), h)
 		assertCoarseClose(t, co, cf, scale, "ResidualRestrict")
 
 		xc := x0.Clone()
 		rc, cc := grid.New(n), grid.New(nc)
-		op.SmoothResidualRestrict(pool, cc, xc, b, rc, h, omega)
+		OpDownstroke(op, pool, cc, xc, b, rc, nanLike(xc), h, omega)
 		assertBitIdentical(t, xo, xc, "SmoothResidualRestrict iterate")
 		assertCoarseClose(t, co, cc, scale, "SmoothResidualRestrict")
 
@@ -449,12 +457,12 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 		nc := grid.Coarsen(n)
 		co, cf := grid.New3(nc), grid.New3(nc)
 		transfer.Restrict(nil, co, ro)
-		op.ResidualRestrict(pool, cf, xo, b, h)
+		OpResidualRestrict(op, pool, cf, xo, b, nanLike(xo), nanLike(xo), h)
 		assertCoarseClose(t, co, cf, scale, "ResidualRestrict")
 
 		xc := x0.Clone()
 		rc, cc := grid.New3(n), grid.New3(nc)
-		op.SmoothResidualRestrict(pool, cc, xc, b, rc, h, omega)
+		OpDownstroke(op, pool, cc, xc, b, rc, nanLike(xc), h, omega)
 		assertBitIdentical(t, xo, xc, "SmoothResidualRestrict iterate")
 		assertCoarseClose(t, co, cc, scale, "SmoothResidualRestrict")
 

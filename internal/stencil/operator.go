@@ -376,8 +376,8 @@ func OpSORSweepRB[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T],
 		// through here, so an armed delay stretches any solve.
 		faultinject.Point("stencil.sweep")
 	}
-	k := bindRows(op, x, b, nil, h, omega)
-	k.sweep(pool)
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	k.sweep()
 }
 
 // GaussSeidelSweep performs one lexicographic Gauss-Seidel sweep in place.
@@ -604,7 +604,8 @@ func (op *Operator) ResidualNorm(pool *sched.Pool, x, b *grid.Grid, h float64) f
 // convergence accounting on the float32 path stays trustworthy.
 func OpResidualNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h T) float64 {
 	// No sweep here, so the binding's relaxation weight is never read.
-	return unitNorm(pool, bindRows(op, x, b, nil, h, 0), normOnly)
+	k := bindRows(op, pool, x, b, nil, h, 0)
+	return k.unitNorm(normOnly)
 }
 
 // SmoothResidual performs one full red-black SOR sweep in place on x and
@@ -620,8 +621,8 @@ func (op *Operator) SmoothResidual(pool *sched.Pool, x, b, r *grid.Grid, h, omeg
 
 // OpSmoothResidual is the precision-generic fused sweep + residual for op.
 func OpSmoothResidual[T grid.Float](op *Operator, pool *sched.Pool, x, b, r *grid.G[T], h, omega T) {
-	k := bindRows(op, x, b, r, h, omega)
-	k.smoothResidual(pool, nil)
+	k := bindRows(op, pool, x, b, r, h, omega)
+	k.smoothResidual(nil, nil)
 }
 
 // SweepWithNorm performs one full red-black SOR sweep in place on x and
@@ -635,52 +636,52 @@ func (op *Operator) SweepWithNorm(pool *sched.Pool, x, b *grid.Grid, h, omega fl
 // OpSweepWithNorm is the precision-generic fused sweep + post-sweep residual
 // norm for op (norm accumulated in float64).
 func OpSweepWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	return unitNorm(pool, bindRows(op, x, b, nil, h, omega), normFromRed)
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	return k.unitNorm(normFromRed)
 }
 
-// SmoothResidualRestrict is the composed V-cycle downstroke: one red-black
-// SOR sweep on x, then the full-weighting restriction of the post-sweep
-// residual into coarse — without a separate residual pass, and with no pool
-// in a single traversal of the fine grids (see fused.go; in 3D the
-// restriction then reads r once more). Both half-sweeps emit residuals from
-// their update deltas into the scratch grid r, a fix-up completes the red
-// ones, and the restriction consumes finished rows; after the call r holds
-// the post-sweep residual with a zero boundary. x is
-// bit-identical to SORSweepRB; coarse matches the unfused sweep + Residual +
-// Restrict chain to floating-point association (≤1e-12 of the data scale).
-// r must not alias x, b, or coarse.
-func (op *Operator) SmoothResidualRestrict(pool *sched.Pool, coarse, x, b, r *grid.Grid, h, omega float64) {
-	OpSmoothResidualRestrict(op, pool, coarse, x, b, r, h, omega)
-}
-
-// OpSmoothResidualRestrict is the precision-generic fused V-cycle
-// downstroke for op.
-func OpSmoothResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b, r *grid.G[T], h, omega T) {
+// OpDownstroke is the composed V-cycle downstroke, mirroring OpUpstroke: one
+// red-black SOR sweep on x, then the full-weighting restriction of the
+// post-sweep residual into coarse — without a separate residual pass, in a
+// single traversal of the fine grids unless the pool splits them (see
+// fused.go). Both half-sweeps emit residuals from their update deltas into r,
+// a fix-up completes the red ones, and the restriction consumes finished
+// units; after the call r holds the post-sweep residual with a zero
+// boundary. scratch is a grid of x's size whose contents are clobbered: the
+// 3D restriction window is carved from it, so the call allocates nothing. x
+// is bit-identical to SORSweepRB; coarse matches the unfused sweep + Residual
+// + Restrict chain to floating-point association (≤1e-12 of the data
+// scale). r and scratch must not alias x, b, coarse or each other.
+func OpDownstroke[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b, r, scratch *grid.G[T], h, omega T) {
 	if faultinject.Enabled {
 		// The fused downstroke carries the cycle's smoothing sweep, so the
 		// slow-kernel injection covers it alongside the plain SOR paths.
 		faultinject.Point("stencil.sweep")
 	}
-	k := bindRows(op, x, b, r, h, omega)
+	k := bindRows(op, pool, x, b, r, h, omega)
 	k.bindGather()
-	k.smoothResidual(pool, coarse)
+	k.smoothResidual(coarse, scratch)
 }
 
-// ResidualRestrict computes the full-weighting restriction of b − T·x into
-// coarse directly from (x, b), never materializing the fine residual grid —
-// the fused downstroke pass for cycles whose residual is not preceded by a
-// smoothing sweep (full-multigrid estimation). The result matches Residual
-// followed by transfer.Restrict to floating-point association (the
-// restriction weights are applied separably).
-func (op *Operator) ResidualRestrict(pool *sched.Pool, coarse, x, b *grid.Grid, h float64) {
-	OpResidualRestrict(op, pool, coarse, x, b, h)
+// OpSmoothResidualRestrict is OpDownstroke with no scratch to offer: in 3D it
+// allocates its restriction window per call (per chunk when pooled). Only
+// bench/ and the test oracles call it.
+func OpSmoothResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b, r *grid.G[T], h, omega T) {
+	OpDownstroke(op, pool, coarse, x, b, r, nil, h, omega)
 }
 
-// OpResidualRestrict is the precision-generic fused residual + restriction
-// for op.
-func OpResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b *grid.G[T], h T) {
+// OpResidualRestrict computes the full-weighting restriction of b − T·x into
+// coarse directly from (x, b) — the fused downstroke for cycles whose
+// residual is not preceded by a smoothing sweep (full-multigrid estimation).
+// r and scratch are grids of x's size whose contents are clobbered: residual
+// units pass through r (serially only its first three, so the fine residual
+// grid is never streamed) and the 3D restriction window is carved from
+// scratch. The result matches Residual followed by transfer.Restrict to
+// floating-point association (the 3D weights are applied separably).
+func OpResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b, r, scratch *grid.G[T], h T) {
 	// No sweep here, so the binding's relaxation weight is never read.
-	residualRestrict(pool, bindRows(op, x, b, nil, h, 0), coarse)
+	k := bindRows(op, pool, x, b, r, h, 0)
+	k.residualRestrict(coarse, scratch)
 }
 
 // residualConst computes the residual for a constant-coefficient stencil.

@@ -132,7 +132,7 @@ func cycleBits[T grid.Float](op *Operator, dim, n int, pool *sched.Pool) map[str
 		}},
 		{"OpResidualRestrict", func(bh bitsHash, _ T) {
 			coarse := dirty(nc)
-			OpResidualRestrict(op, pool, coarse, x0, b, h)
+			OpResidualRestrict(op, pool, coarse, x0, b, dirty(n), dirty(n), h)
 			hashGrid(bh, coarse)
 		}},
 		{"OpUpstroke", func(bh bitsHash, omega T) {

@@ -35,7 +35,7 @@ const OmegaRecurse = 1.15
 // parallelRows runs body over interior rows [1, n-1), in parallel when pool
 // is non-nil and the grid carries enough points to amortize task overhead
 // (the points-based gate shared with the 3D plane kernels — see
-// sched.MinParallelPoints).
+// sched.Pool.Splits).
 func parallelRows(pool *sched.Pool, n int, body func(lo, hi int)) {
 	if pool == nil {
 		body(1, n-1)
@@ -49,8 +49,8 @@ func parallelRows(pool *sched.Pool, n int, body func(lo, hi int)) {
 // colored by (i+j) parity; within a color all updates are independent, so
 // the sweep parallelizes deterministically.
 func SORSweepRB[T grid.Float](pool *sched.Pool, x, b *grid.G[T], h, omega T) {
-	k := bindRows(poissonOp, x, b, nil, h, omega)
-	k.sweep(pool)
+	k := bindRows(poissonOp, pool, x, b, nil, h, omega)
+	k.sweep()
 }
 
 // GaussSeidelSweep performs one lexicographic Gauss-Seidel sweep in place.

@@ -19,7 +19,7 @@ import (
 // parallelPlanes runs body over interior planes [1, n-1), in parallel when
 // pool is non-nil and the cube carries enough points to amortize task
 // overhead. The gate is the same points-based threshold the 2D row kernels
-// use (sched.MinParallelPoints): each plane carries N² points, so coarse
+// use (sched.Pool.Splits): each plane carries N² points, so coarse
 // cubes drop to serial at the same work size as coarse squares instead of
 // at a hand-tuned per-dimension iteration count.
 func parallelPlanes(pool *sched.Pool, n int, body func(lo, hi int)) {

@@ -20,10 +20,11 @@
 // is exact), with a pool as three barrier-separated passes — and the iterate
 // is bit-identical to the unfused passes either way.
 //
-// InterpolateCorrectSmooth stops after the red stage, so that the black
-// half can instead be FinishSmoothWithNorm: the black half-sweep with the
-// delta-derived norm reduction extracted from SweepWithNorm. Followed by
-// FinishSmooth it equals Upstroke.
+// UpstrokeNorm stops that traversal after the red stage and runs the black
+// half as the norm stages of SweepWithNorm, returning the post-sweep residual
+// norm with the iterate. InterpolateCorrectSmooth, FinishSmooth and
+// FinishSmoothWithNorm are the same stages as separate calls, for the
+// microbenchmarks and as the oracle pair of the one-call entries.
 package stencil
 
 import (
@@ -40,8 +41,18 @@ import (
 // clobbered: its rows serve as the interpolation buffers, so the call
 // allocates nothing. cx must not alias x or b.
 func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) {
-	k := bindRows(op, x, b, nil, h, omega)
-	k.correctSmooth(pool, cx, scratch, true)
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	k.correctSmooth(cx, scratch, true)
+}
+
+// OpUpstrokeNorm is OpUpstroke fused with the convergence probe: the same
+// iterate, and ‖b − T·x‖₂ over its interior, reduced inside the black
+// half-sweep exactly as SweepWithNorm reduces it (the bits of
+// OpInterpolateCorrectSmooth followed by OpFinishSmoothWithNorm).
+func OpUpstrokeNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) float64 {
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	k.correctSmooth(cx, scratch, false)
+	return k.unitNorm(normFromBlack)
 }
 
 // InterpolateCorrectSmooth applies the coarse-grid correction (the d-linear
@@ -57,8 +68,8 @@ func (op *Operator) InterpolateCorrectSmooth(pool *sched.Pool, x, b, cx *grid.Gr
 // OpInterpolateCorrectSmooth is the precision-generic edition of
 // Operator.InterpolateCorrectSmooth.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
-	k := bindRows(op, x, b, nil, h, omega)
-	k.correctSmooth(pool, cx, nil, false)
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	k.correctSmooth(cx, nil, false)
 }
 
 // FinishSmooth runs the black half-sweep completing a post-smoothing pass
@@ -70,8 +81,8 @@ func (op *Operator) FinishSmooth(pool *sched.Pool, x, b *grid.Grid, h, omega flo
 
 // OpFinishSmooth is the precision-generic edition of Operator.FinishSmooth.
 func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
-	k := bindRows(op, x, b, nil, h, omega)
-	k.halfSweep(pool, 1)
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	k.halfSweep(1)
 }
 
 // FinishSmoothWithNorm is FinishSmooth fused with the convergence probe: it
@@ -87,7 +98,8 @@ func (op *Operator) FinishSmoothWithNorm(pool *sched.Pool, x, b *grid.Grid, h, o
 // Operator.FinishSmoothWithNorm. The returned norm is accumulated in float64
 // regardless of T.
 func OpFinishSmoothWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	return unitNorm(pool, bindRows(op, x, b, nil, h, omega), normFromBlack)
+	k := bindRows(op, pool, x, b, nil, h, omega)
+	return k.unitNorm(normFromBlack)
 }
 
 // correct adds unit i of the d-linear interpolation of cx to unit i of x, a
@@ -120,7 +132,7 @@ func (k *rowOps[T]) rowBufs(scratch *grid.G[T], i int) (buf, tmp []T) {
 		if k.dim3() {
 			n *= 2
 		}
-		buf = make([]T, n) //mglint:allow hotalloc — InterpolateCorrectSmooth has no scratch parameter: one correction row buffer per call (per chunk when pooled)
+		buf = make([]T, n) //mglint:allow hotalloc — OpInterpolateCorrectSmooth has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpUpstroke/OpUpstrokeNorm
 		return buf[:k.n], buf[k.n:]
 	case k.dim3():
 		return scratch.Row3(i, 0), scratch.Row3(i, 1)
@@ -130,13 +142,13 @@ func (k *rowOps[T]) rowBufs(scratch *grid.G[T], i int) (buf, tmp []T) {
 
 // correctSmooth applies the coarse-grid correction and relaxes the red
 // points, then with finish also the black points, of every interior unit.
-func (k *rowOps[T]) correctSmooth(pool *sched.Pool, cx, scratch *grid.G[T], finish bool) {
+func (k *rowOps[T]) correctSmooth(cx, scratch *grid.G[T], finish bool) {
 	n := k.n
-	if pool != nil {
-		correctPass(pool, *k, cx, scratch)
-		k.halfSweep(pool, 0)
+	if k.pool != nil {
+		correctPass(*k, cx, scratch)
+		k.halfSweep(0)
 		if finish {
-			k.halfSweep(pool, 1)
+			k.halfSweep(1)
 		}
 		return
 	}
@@ -157,8 +169,8 @@ func (k *rowOps[T]) correctSmooth(pool *sched.Pool, cx, scratch *grid.G[T], fini
 // correctPass is the pooled correction stage; each chunk buffers through the
 // first rows of its own first unit of scratch (by-value receiver: see
 // halfSweepPass).
-func correctPass[T grid.Float](pool *sched.Pool, k rowOps[T], cx, scratch *grid.G[T]) {
-	k.forUnits(pool, func(lo, hi int) {
+func correctPass[T grid.Float](k rowOps[T], cx, scratch *grid.G[T]) {
+	k.forUnits(func(lo, hi int) {
 		buf, tmp := k.rowBufs(scratch, lo)
 		for i := lo; i < hi; i++ {
 			k.correct(buf, tmp, cx, i)

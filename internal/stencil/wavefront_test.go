@@ -131,14 +131,28 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 		return
 	}
 	xs, rs, cs := down(nil)
+	// The production entry carves its 3D restriction window from a dirty
+	// scratch grid instead of allocating it: same bits, serial or pooled.
+	downScratch := func(pool *sched.Pool) {
+		x, r, coarse := x0.Clone(), filledOf[T](dim, n, junk), filledOf[T](dim, nc, junk)
+		OpDownstroke(op, pool, coarse, x, b, r, filledOf[T](dim, n, junk), h, omega)
+		w := "serial"
+		if pool != nil {
+			w = fmt.Sprintf("%d workers", pool.Workers())
+		}
+		assertSameBits(t, x, xs, "OpDownstroke x vs OpSmoothResidualRestrict, "+w)
+		assertSameBits(t, r, rs, "OpDownstroke r vs OpSmoothResidualRestrict, "+w)
+		assertSameBits(t, coarse, cs, "OpDownstroke coarse vs OpSmoothResidualRestrict, "+w)
+	}
+	downScratch(nil)
 	xp, rp, cp := x0.Clone(), filledOf[T](dim, n, junk), filledOf[T](dim, nc, junk)
-	k := bindRows(op, xp, b, rp, h, omega)
+	k := bindRows(op, nil, xp, b, rp, h, omega)
 	k.bindGather()
 	if wantGather := op.family != FamilyVarCoef && math.Abs(1-omega64) >= gatherMinOneMinusOmega; k.gather != wantGather {
 		t.Fatalf("gather = %v, want %v", k.gather, wantGather)
 	}
 	rp.ZeroBoundary()
-	smoothResidualPasses(nil, k, cp)
+	smoothResidualPasses(k, cp, filledOf[T](dim, n, junk))
 	assertSameBits(t, xs, want, "downstroke x: wavefront vs reference sweep")
 	assertSameBits(t, xs, xp, "downstroke x: wavefront vs passes")
 	assertSameBits(t, rs, rp, "downstroke r: wavefront vs passes")
@@ -164,6 +178,18 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	OpInterpolateCorrectSmooth(op, nil, pair, b, cx, h, omega)
 	OpFinishSmooth(op, nil, pair, b, h, omega)
 	assertSameBits(t, xu, pair, "upstroke x: one traversal vs InterpolateCorrectSmooth+FinishSmooth")
+	pair.CopyFrom(x0)
+	OpInterpolateCorrectSmooth(op, nil, pair, b, cx, h, omega)
+	wantNorm := OpFinishSmoothWithNorm(op, nil, pair, b, h, omega)
+	upNorm := func(pool *sched.Pool) {
+		x := x0.Clone()
+		norm := OpUpstrokeNorm(op, pool, x, b, cx, filledOf[T](dim, n, junk), h, omega)
+		assertSameBits(t, x, xu, "OpUpstrokeNorm x vs OpUpstroke")
+		if math.Float64bits(norm) != math.Float64bits(wantNorm) {
+			t.Fatalf("OpUpstrokeNorm = %v, InterpolateCorrectSmooth+FinishSmoothWithNorm = %v", norm, wantNorm)
+		}
+	}
+	upNorm(nil)
 
 	for _, pool := range pools {
 		w := fmt.Sprintf(" (serial vs %d workers)", pool.Workers())
@@ -172,6 +198,8 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 		assertSameBits(t, x, xs, "downstroke x"+w)
 		assertSameBits(t, r, rs, "downstroke r"+w)
 		assertSameBits(t, c, cs, "downstroke coarse"+w)
+		downScratch(pool)
+		upNorm(pool)
 		x, r = smooth(pool)
 		assertSameBits(t, x, xr, "smooth-residual x"+w)
 		assertSameBits(t, r, rr, "smooth-residual r"+w)

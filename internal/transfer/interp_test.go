@@ -95,7 +95,10 @@ func TestInterpolateAddFusedMatchesOracle(t *testing.T) {
 					defer pool.Close()
 				}
 				got := x0.Clone()
-				InterpolateAddFused(pool, got, coarse)
+				InterpolateAddFused(pool, got, coarse, randomGridDim(dim, nf, rng)) // dirty scratch
+				if allocs := testing.AllocsPerRun(5, func() { InterpolateAddFused(nil, x0.Clone(), coarse, scratch) }); allocs > 2 {
+					t.Errorf("InterpolateAddFused allocates %v times per call beyond the test's own Clone (2), want 0", allocs-2)
+				}
 				wd, gd := want.Data(), got.Data()
 				for k := range wd {
 					if math.Float64bits(wd[k]) != math.Float64bits(gd[k]) {

@@ -2,14 +2,16 @@ package transfer
 
 import "pbmg/internal/grid"
 
-// restrictRow is the one copy of the 2D full-weighting stencil: it writes the
+// RestrictRow is the one copy of the 2D full-weighting stencil: it writes the
 // interior of coarse row cr from the three fine rows around it, in the
-// evaluation order Restrict documents. Like the stencil package's row
+// evaluation order Restrict documents, leaving cr's ends untouched — the
+// row-at-a-time form a fused downstroke drives as soon as those three rows
+// are final, wherever it keeps them. Like the stencil package's row
 // kernels (stencil/rows.go) it re-slices the fine rows to one shared length
 // so the loop carries no index checks — `mgbench -exp bce` gates this file
 // too; the coarse row advances as a slice because its index, j/2, is not one
 // the compiler can bound.
-func restrictRow[T grid.Float](cr, up, mid, down []T) {
+func RestrictRow[T grid.Float](cr, up, mid, down []T) {
 	n := len(mid) - 1
 	ue, me, de := up[1:][:n], mid[1:][:n], down[1:][:n]
 	up, mid, down = up[:n], mid[:n], down[:n]

@@ -19,7 +19,7 @@ import (
 	"pbmg/internal/sched"
 )
 
-// Parallelization gates on total points of work (sched.MinParallelPoints),
+// Parallelization gates on total points of work (sched.Pool.Splits),
 // the same threshold the stencil kernels use in both dimensions, so a
 // transfer and the residual pass feeding it always make the same
 // serial-vs-parallel decision.
@@ -60,17 +60,8 @@ func Restrict[T grid.Float](pool *sched.Pool, coarse, fine *grid.G[T]) {
 // restrictRows computes coarse rows lo … hi−1 of the 2D restriction.
 func restrictRows[T grid.Float](coarse, fine *grid.G[T], lo, hi int) {
 	for ci := lo; ci < hi; ci++ {
-		restrictRow(coarse.Row(ci), fine.Row(2*ci-1), fine.Row(2*ci), fine.Row(2*ci+1))
+		RestrictRow(coarse.Row(ci), fine.Row(2*ci-1), fine.Row(2*ci), fine.Row(2*ci+1))
 	}
-}
-
-// RestrictRow computes interior row ci of the 2D Restrict alone, from fine
-// rows 2ci−1 … 2ci+1, leaving the rest of coarse (its boundary included)
-// untouched: the row-at-a-time form a fused downstroke drives as soon as
-// those three fine rows are final.
-func RestrictRow[T grid.Float](coarse, fine *grid.G[T], ci int) {
-	checkLevels(coarse, fine, "RestrictRow")
-	restrictRows(coarse, fine, ci, ci+1)
 }
 
 // restrict3 is 3D full weighting: the tensor product of the 1D stencil
@@ -122,116 +113,59 @@ func restrict3[T grid.Float](pool *sched.Pool, coarse, fine *grid.G[T]) {
 // by offset+1.
 var weight1D = [3]int{1, 2, 1}
 
-// RestrictResidual applies 2D full-weighting restriction of a fine-grid
-// residual into coarse without the residual grid ever existing: resRow
-// computes interior fine residual row fi (1 ≤ fi ≤ nf−2) into a
-// caller-provided buffer of length nf, and the driver consumes a rolling
-// window of such rows. This fuses the downstroke's residual and
-// restriction passes: the intermediate fine-grid write and re-read
-// disappear in favor of cache-resident row buffers.
-//
-// The driver applies the standard 9-point weights directly over a rolling
-// three-row window, in Restrict's evaluation order, so the output is
-// bit-identical to Restrict applied to a grid filled by resRow. (A
-// separable pre-weighting does not pay in 2D — per coarse point it reads
-// as many values as the direct form — but cuts the 3D 27-point stencil to
-// three reads; see RestrictResidual3.) Each parallel chunk owns disjoint
-// coarse rows and recomputes its one boundary-overlap row locally, so the
-// output is also bit-identical for any pool and chunking. resRow must be
-// safe for concurrent calls with distinct buffers.
-func RestrictResidual[T grid.Float](pool *sched.Pool, coarse *grid.G[T], nf int, resRow func(fi int, dst []T)) {
-	nc := coarse.N()
-	if nf != 2*nc-1 {
-		panic(fmt.Sprintf("transfer: RestrictResidual size mismatch fine=%d coarse=%d", nf, nc))
-	}
-	if coarse.Dim() != 2 {
-		panic(fmt.Sprintf("transfer: RestrictResidual needs a 2D coarse grid, got %dD", coarse.Dim()))
-	}
-	coarse.ZeroBoundary()
-	body := func(lo, hi int) {
-		up := make([]T, nf)   //mglint:allow hotalloc — per-chunk rolling-window residual row buffer, O(n) per restriction, cache-resident by design (PR 5)
-		mid := make([]T, nf)  //mglint:allow hotalloc — per-chunk rolling-window residual row buffer (PR 5)
-		down := make([]T, nf) //mglint:allow hotalloc — per-chunk rolling-window residual row buffer (PR 5)
-		for ci := lo; ci < hi; ci++ {
-			fi := 2 * ci
-			if ci == lo {
-				resRow(fi-1, up)
-			} else {
-				// The previous iteration's bottom row fi−1 becomes this
-				// iteration's top row; its old top buffer is recycled.
-				up, down = down, up
-			}
-			resRow(fi, mid)
-			resRow(fi+1, down)
-			restrictRow(coarse.Row(ci), up, mid, down)
-		}
-	}
-	if pool == nil {
-		body(1, nc-1)
-		return
-	}
-	// Each coarse row consumes ~two fresh fine residual rows of work.
-	pool.ParallelForPoints(1, nc-1, 2*nf, body)
+// Window is the scratch of one chunk of the separable 27-point restriction:
+// the full weighting [1, 2, 1]³/64 applied as a k-compression of fine rows,
+// then a j-compression, then an i-combination of the three pre-weighted
+// nc×nc planes around a coarse plane — roughly 3× fewer reads per coarse
+// point than the direct 27-point Restrict, which it matches to
+// floating-point association. The caller feeds fine planes in index order
+// through Preweight and draws coarse plane ci with Restrict once planes
+// 2ci−1 … 2ci+1 are in; plane f lives in slot f mod 3, so nothing moves as
+// the window rolls. A chunk of coarse planes pre-weights its own first fine
+// plane 2lo−1 again instead of sharing it, so the output does not depend on
+// the chunking. The storage is the caller's (NewWindow): the restriction
+// allocates nothing.
+type Window[T grid.Float] struct {
+	nc int
+	kc []T    // nf rows × nc k-compressed columns of the plane being pre-weighted
+	w  [3][]T // pre-weighted planes, by fine plane index mod 3
 }
 
-// restrictSep3 is the shared separable 27-point restriction driver: the
-// full weighting [1, 2, 1]³/64 applied as a k-compression of fine rows,
-// then a j-compression, then an i-combination over a rolling three-plane
-// window of pre-weighted nc×nc buffers. mkCompress is called once per
-// parallel chunk and returns a function filling kc (nf rows × nc
-// k-compressed columns) for fine plane fi — from a grid, or from residual
-// values computed on the fly. Chunks own disjoint coarse planes and
-// recompute their one boundary-overlap plane locally, so the output is
-// bit-identical for any pool and chunking.
-func restrictSep3[T grid.Float](pool *sched.Pool, coarse *grid.G[T], nf int, mkCompress func() func(fi int, kc []T)) {
-	nc := coarse.N()
-	coarse.ZeroBoundary()
-	body := func(lo, hi int) {
-		compress := mkCompress()
-		// kc holds k-compressed rows of the current plane; wu/wm/wd the
-		// fully pre-weighted (k and j) planes.
-		kc := make([]T, nf*nc) //mglint:allow hotalloc — per-chunk k-compressed row scratch, O(n*nc) per restriction (PR 5 separable restriction)
-		wu := make([]T, nc*nc) //mglint:allow hotalloc — per-chunk pre-weighted plane scratch, O(nc²) per restriction (PR 5)
-		wm := make([]T, nc*nc) //mglint:allow hotalloc — per-chunk pre-weighted plane scratch (PR 5)
-		wd := make([]T, nc*nc) //mglint:allow hotalloc — per-chunk pre-weighted plane scratch (PR 5)
-		preweight := func(fi int, w []T) {
-			compress(fi, kc)
-			for cj := 1; cj < nc-1; cj++ {
-				fj := 2 * cj
-				a := kc[(fj-1)*nc : fj*nc]
-				m := kc[fj*nc : (fj+1)*nc]
-				c := kc[(fj+1)*nc : (fj+2)*nc]
-				wrow := w[cj*nc : (cj+1)*nc]
-				for ck := 1; ck < nc-1; ck++ {
-					wrow[ck] = a[ck] + 2*m[ck] + c[ck]
-				}
-			}
-		}
-		for ci := lo; ci < hi; ci++ {
-			fi := 2 * ci
-			if ci == lo {
-				preweight(fi-1, wu)
-			} else {
-				wu, wd = wd, wu
-			}
-			preweight(fi, wm)
-			preweight(fi+1, wd)
-			for cj := 1; cj < nc-1; cj++ {
-				cr := coarse.Row3(ci, cj)
-				u := wu[cj*nc : (cj+1)*nc]
-				m := wm[cj*nc : (cj+1)*nc]
-				d := wd[cj*nc : (cj+1)*nc]
-				for ck := 1; ck < nc-1; ck++ {
-					cr[ck] = (u[ck] + 2*m[ck] + d[ck]) * (1.0 / 64.0)
-				}
-			}
+// WindowLen is the number of elements NewWindow carves for coarse side nc:
+// 5nc² − nc, at most two fine planes.
+func WindowLen(nc int) int { return (2*nc-1)*nc + 3*nc*nc }
+
+// NewWindow carves a Window for coarse side nc from the front of buf, whose
+// contents need no initialisation.
+func NewWindow[T grid.Float](buf []T, nc int) Window[T] {
+	kc := (2*nc - 1) * nc
+	w := Window[T]{nc: nc, kc: buf[:kc]}
+	for s := range w.w {
+		w.w[s] = buf[kc+s*nc*nc : kc+(s+1)*nc*nc]
+	}
+	return w
+}
+
+// Preweight folds fine plane f — nf rows of nf, boundary entries never read —
+// into its pre-weighted plane.
+func (w *Window[T]) Preweight(f int, plane []T) {
+	nc := w.nc
+	nf := 2*nc - 1
+	kc := w.kc
+	for j := 1; j < nf-1; j++ {
+		kCompressRow(plane[j*nf:(j+1)*nf], kc[j*nc:(j+1)*nc], nc)
+	}
+	dst := w.w[f%3]
+	for cj := 1; cj < nc-1; cj++ {
+		fj := 2 * cj
+		a := kc[(fj-1)*nc : fj*nc]
+		m := kc[fj*nc : (fj+1)*nc]
+		c := kc[(fj+1)*nc : (fj+2)*nc]
+		wrow := dst[cj*nc : (cj+1)*nc]
+		for ck := 1; ck < nc-1; ck++ {
+			wrow[ck] = a[ck] + 2*m[ck] + c[ck]
 		}
 	}
-	if pool == nil {
-		body(1, nc-1)
-		return
-	}
-	pool.ParallelForPoints(1, nc-1, 2*nf*nf, body)
 }
 
 // kCompressRow folds one fine row into its nc k-compressed columns.
@@ -242,50 +176,20 @@ func kCompressRow[T grid.Float](row, krow []T, nc int) {
 	}
 }
 
-// RestrictResidual3 is the 3D counterpart of RestrictResidual: resPlane
-// computes interior fine residual plane fi into a caller-provided nf×nf
-// buffer, and the driver applies the 27-point full weighting separably
-// (restrictSep3). Same contract as the 2D driver, except agreement with
-// Restrict is to floating-point association (the separable order differs),
-// still bit-identical across pools and chunkings.
-func RestrictResidual3[T grid.Float](pool *sched.Pool, coarse *grid.G[T], nf int, resPlane func(fi int, dst []T)) {
-	nc := coarse.N()
-	if nf != 2*nc-1 {
-		panic(fmt.Sprintf("transfer: RestrictResidual3 size mismatch fine=%d coarse=%d", nf, nc))
-	}
-	if coarse.Dim() != 3 {
-		panic(fmt.Sprintf("transfer: RestrictResidual3 needs a 3D coarse grid, got %dD", coarse.Dim()))
-	}
-	restrictSep3(pool, coarse, nf, func() func(fi int, kc []T) {
-		plane := make([]T, nf*nf)     //mglint:allow hotalloc — per-invocation residual plane scratch, O(n²) per restriction
-		return func(fi int, kc []T) { //mglint:allow hotalloc — provider closure: one allocation per restriction, not per point
-			resPlane(fi, plane)
-			for j := 1; j < nf-1; j++ {
-				kCompressRow(plane[j*nf:(j+1)*nf], kc[j*nc:(j+1)*nc], nc)
-			}
+// Restrict writes the interior of coarse plane ci from the pre-weighted fine
+// planes 2ci−1 … 2ci+1.
+func (w *Window[T]) Restrict(coarse *grid.G[T], ci int) {
+	nc := w.nc
+	wu, wm, wd := w.w[(2*ci-1)%3], w.w[2*ci%3], w.w[(2*ci+1)%3]
+	for cj := 1; cj < nc-1; cj++ {
+		cr := coarse.Row3(ci, cj)
+		u := wu[cj*nc : (cj+1)*nc]
+		m := wm[cj*nc : (cj+1)*nc]
+		d := wd[cj*nc : (cj+1)*nc]
+		for ck := 1; ck < nc-1; ck++ {
+			cr[ck] = (u[ck] + 2*m[ck] + d[ck]) * (1.0 / 64.0)
 		}
-	})
-}
-
-// RestrictSep3 applies the separable 27-point full weighting of a
-// materialized 3D fine grid into coarse — the fused downstroke's
-// restriction consumer, roughly 3× fewer reads per coarse point than the
-// direct 27-point Restrict. Boundary entries of fine are never read.
-// Agreement with Restrict is to floating-point association; output is
-// bit-identical across pools and chunkings.
-func RestrictSep3[T grid.Float](pool *sched.Pool, coarse, fine *grid.G[T]) {
-	checkLevels(coarse, fine, "RestrictSep3")
-	if fine.Dim() != 3 {
-		panic(fmt.Sprintf("transfer: RestrictSep3 needs 3D grids, got %dD", fine.Dim()))
 	}
-	nf, nc := fine.N(), coarse.N()
-	restrictSep3(pool, coarse, nf, func() func(fi int, kc []T) {
-		return func(fi int, kc []T) { //mglint:allow hotalloc — provider closure: one allocation per restriction, not per point
-			for j := 1; j < nf-1; j++ {
-				kCompressRow(fine.Row3(fi, j), kc[j*nc:(j+1)*nc], nc)
-			}
-		}
-	})
 }
 
 // interpEvenRow writes the fine row sitting on top of coarse row cr: copy at
@@ -387,61 +291,37 @@ func Interpolate[T grid.Float](pool *sched.Pool, fine, coarse *grid.G[T]) {
 	fine.ZeroBoundary()
 }
 
-// interpolate3 is trilinear interpolation. Each coarse plane ci owns fine
-// planes 2ci and 2ci+1 (the latter only when plane ci+1 exists), so parallel
-// chunks write disjoint planes. Within a plane the 2D bilinear pattern
-// applies; odd fine planes average the two surrounding even fine planes'
-// interpolants, computed directly from the coarse values.
+// interpolate3 is trilinear interpolation, the tensor product of the 1D rule
+// in two passes: even fine plane 2ci is the 2D bilinear pattern over coarse
+// plane ci, boundary entries included, and odd fine plane 2ci+1 is then the
+// mean of the two even planes around it — the mean of the interpolants of
+// coarse planes ci and ci+1. Chunks of either pass write disjoint planes.
 func interpolate3[T grid.Float](pool *sched.Pool, fine, coarse *grid.G[T]) {
 	nc, nf := coarse.N(), fine.N()
-	fine.ZeroBoundary()
-	// evenRow writes a fine row above a coarse row (copy / 2-point average);
-	// oddRow writes a fine row between two coarse rows (2- and 4-point
-	// averages) — both via the shared 1D helpers. Odd fine planes average the
-	// evenRow/oddRow interpolants of the two surrounding coarse planes.
-	evenRow := func(fr, cr []T) { interpEvenRow(fr, cr, nc) }
-	oddRow := func(fr, cr, next []T) { interpOddRow(fr, cr, next, nc) }
-	body := func(lo, hi int) {
-		// Per-chunk scratch rows for the odd-plane averages.
-		row := make([]T, nf)     //mglint:allow hotalloc — per-chunk odd-plane average row scratch, O(n) per interpolation
-		rowNext := make([]T, nf) //mglint:allow hotalloc — per-chunk odd-plane average row scratch, O(n) per interpolation
-		average := func(dst, a, b []T) {
+	even := func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			fi := 2 * ci
+			for cj := 0; cj < nc-1; cj++ {
+				interpEvenRow(fine.Row3(fi, 2*cj), coarse.Row3(ci, cj), nc)
+				interpOddRow(fine.Row3(fi, 2*cj+1), coarse.Row3(ci, cj), coarse.Row3(ci, cj+1), nc)
+			}
+			interpEvenRow(fine.Row3(fi, nf-1), coarse.Row3(ci, nc-1), nc)
+		}
+	}
+	odd := func(lo, hi int) {
+		for ci := lo; ci < hi; ci++ {
+			dst, a, b := fine.Plane(2*ci+1), fine.Plane(2*ci), fine.Plane(2*ci+2)
 			for k := range dst {
 				dst[k] = 0.5 * (a[k] + b[k])
 			}
 		}
-		for ci := lo; ci < hi; ci++ {
-			fi := 2 * ci
-			// Even fine plane: the 2D bilinear pattern over coarse plane ci.
-			for cj := 0; cj < nc-1; cj++ {
-				evenRow(fine.Row3(fi, 2*cj), coarse.Row3(ci, cj))
-				oddRow(fine.Row3(fi, 2*cj+1), coarse.Row3(ci, cj), coarse.Row3(ci, cj+1))
-			}
-			evenRow(fine.Row3(fi, nf-1), coarse.Row3(ci, nc-1))
-			if ci == nc-1 {
-				continue
-			}
-			// Odd fine plane: average the interpolants of coarse planes ci
-			// and ci+1. Writing it as the mean of the two even-plane rows
-			// keeps the code a literal tensor product of the 1D rule.
-			fo := fi + 1
-			for cj := 0; cj < nc-1; cj++ {
-				evenRow(row, coarse.Row3(ci, cj))
-				evenRow(rowNext, coarse.Row3(ci+1, cj))
-				average(fine.Row3(fo, 2*cj), row, rowNext)
-				oddRow(row, coarse.Row3(ci, cj), coarse.Row3(ci, cj+1))
-				oddRow(rowNext, coarse.Row3(ci+1, cj), coarse.Row3(ci+1, cj+1))
-				average(fine.Row3(fo, 2*cj+1), row, rowNext)
-			}
-			evenRow(row, coarse.Row3(ci, nc-1))
-			evenRow(rowNext, coarse.Row3(ci+1, nc-1))
-			average(fine.Row3(fo, nf-1), row, rowNext)
-		}
 	}
 	if pool == nil {
-		body(0, nc)
+		even(0, nc)
+		odd(0, nc-1)
 	} else {
-		pool.ParallelForPoints(0, nc, 2*nf*nf, body)
+		pool.ParallelForPoints(0, nc, nf*nf, even)
+		pool.ParallelForPoints(0, nc-1, nf*nf, odd)
 	}
 	fine.ZeroBoundary()
 }
@@ -456,50 +336,52 @@ func InterpolateAdd[T grid.Float](pool *sched.Pool, x, coarse, scratch *grid.G[T
 
 // InterpolateAddFused adds the d-linear interpolation of coarse directly
 // into x's interior without materializing the fine interpolant: each chunk
-// evaluates interpolation rows into a cache-resident buffer (the InterpRow
-// providers) and accumulates them immediately, eliminating InterpolateAdd's
-// scratch-grid write plus AddInterior's re-read — two full fine-grid memory
-// streams. The per-point addend and the addition are the same operations in
-// the same per-point order as InterpolateAdd, so the result is bit-identical
-// for any pool and chunking.
-func InterpolateAddFused[T grid.Float](pool *sched.Pool, x, coarse *grid.G[T]) {
+// evaluates interpolation rows (the InterpRow providers) into the first rows
+// of its own first unit of scratch — a grid of x's size whose contents are
+// clobbered — and accumulates them immediately, eliminating InterpolateAdd's
+// full-grid write plus AddInterior's re-read. The per-point addend and the
+// addition are the same operations in the same per-point order as
+// InterpolateAdd, so the result is bit-identical for any pool and chunking.
+func InterpolateAddFused[T grid.Float](pool *sched.Pool, x, coarse, scratch *grid.G[T]) {
 	checkLevels(coarse, x, "InterpolateAddFused")
 	nf := x.N()
+	if pool == nil {
+		interpolateAddUnits(x, coarse, scratch, 1, nf-1)
+		return
+	}
+	points := nf
 	if x.Dim() == 3 {
-		body := func(lo, hi int) {
-			buf := make([]T, nf) //mglint:allow hotalloc — per-chunk interpolation row scratch, O(n) per transfer
-			tmp := make([]T, nf) //mglint:allow hotalloc — per-chunk interpolation row scratch, O(n) per transfer
-			for fi := lo; fi < hi; fi++ {
-				for fj := 1; fj < nf-1; fj++ {
-					InterpRow3(buf, tmp, coarse, fi, fj)
-					xr := x.Row3(fi, fj)
-					for k := 1; k < nf-1; k++ {
-						xr[k] += buf[k]
-					}
-				}
+		points *= nf
+	}
+	pool.ParallelForPoints(1, nf-1, points, func(lo, hi int) { interpolateAddUnits(x, coarse, scratch, lo, hi) })
+}
+
+// interpolateAddUnits is InterpolateAddFused over fine units lo … hi−1 (rows
+// in 2D, planes in 3D), buffering through scratch's unit lo.
+func interpolateAddUnits[T grid.Float](x, coarse, scratch *grid.G[T], lo, hi int) {
+	nf := x.N()
+	if x.Dim() == 3 {
+		buf, tmp := scratch.Row3(lo, 0), scratch.Row3(lo, 1)
+		for fi := lo; fi < hi; fi++ {
+			for fj := 1; fj < nf-1; fj++ {
+				InterpRow3(buf, tmp, coarse, fi, fj)
+				addInterior(x.Row3(fi, fj), buf)
 			}
-		}
-		if pool == nil {
-			body(1, nf-1)
-		} else {
-			pool.ParallelForPoints(1, nf-1, nf*nf, body)
 		}
 		return
 	}
-	body := func(lo, hi int) {
-		buf := make([]T, nf) //mglint:allow hotalloc — per-chunk interpolation row scratch, O(n) per transfer
-		for fi := lo; fi < hi; fi++ {
-			InterpRow(buf, coarse, fi)
-			xr := x.Row(fi)
-			for j := 1; j < nf-1; j++ {
-				xr[j] += buf[j]
-			}
-		}
+	buf := scratch.Row(lo)
+	for fi := lo; fi < hi; fi++ {
+		InterpRow(buf, coarse, fi)
+		addInterior(x.Row(fi), buf)
 	}
-	if pool == nil {
-		body(1, nf-1)
-	} else {
-		pool.ParallelForPoints(1, nf-1, nf, body)
+}
+
+// addInterior adds src to dst over the interior columns.
+func addInterior[T grid.Float](dst, src []T) {
+	src = src[:len(dst)]
+	for k := 1; k < len(dst)-1; k++ {
+		dst[k] += src[k]
 	}
 }
 

@@ -136,9 +136,10 @@ func floatArena(arena []float64, data []byte) []float64 {
 
 // decodeWire decodes data into v, one of the four wire structs, with its
 // scanner method — or, when the scanner declines, with json.Unmarshal. The
-// decoded float arrays alias *arena, which is resized for data: pass pooled
-// storage only when v's slices are dead before the storage is recycled, nil
-// for arrays of their own.
+// decoded float arrays alias *arena, which is resized for data and left
+// holding exactly the values decoded into it (none after a json.Unmarshal):
+// pass pooled storage only when v's slices are dead before the storage is
+// recycled, nil for arrays of their own.
 func decodeWire[T any](data []byte, arena *[]float64, v *T, scan func(*scanner, *T) bool) error {
 	if arena == nil {
 		arena = new([]float64)
@@ -146,10 +147,28 @@ func decodeWire[T any](data []byte, arena *[]float64, v *T, scan func(*scanner, 
 	*arena = floatArena(*arena, data)
 	s := scanner{data: data, floats: *arena}
 	if scan(&s, v) && s.end() {
+		*arena = s.floats
 		return nil
 	}
 	*v = *new(T)
 	return json.Unmarshal(data, v)
+}
+
+// carveZeros extends a decoded request's arena by n zeros and returns them:
+// the zero guesses of the problems that sent no x, living and dying with the
+// request's other grids instead of being allocated per request. An arena too
+// short is replaced by one that fits — the arrays already decoded keep the
+// old storage alive, the pool inherits the larger — so a steady stream of
+// like requests allocates once, and a request calls this once.
+func carveZeros(arena *[]float64, n int) []float64 {
+	used := len(*arena)
+	if cap(*arena) < used+n {
+		*arena = make([]float64, used, used+n)
+	}
+	*arena = (*arena)[:used+n]
+	zeros := (*arena)[used : used+n : used+n]
+	clear(zeros)
+	return zeros
 }
 
 // scanner is the single forward scan over one body. Every method returns

@@ -37,7 +37,7 @@ func TestServeRejectsNonFiniteInput(t *testing.T) {
 		b := append([]float64(nil), p.B.Data()...)
 		x := make([]float64, 17*17)
 		tc.poison(b, x)
-		_, _, err := buildGrids(svc, 17, b, x)
+		_, _, err := buildGrids(svc, 17, b, x, nil)
 		if err == nil {
 			t.Errorf("%s: accepted", tc.name)
 			continue

@@ -231,20 +231,22 @@ func writeBody(w http.ResponseWriter, status int, body []byte) {
 	_, _ = w.Write(body)
 }
 
-// writeAnswer builds a grid-carrying 200 answer in a pooled buffer with one
-// of the codec's writers (sizeHint from encodedSize) and sends it.
-func writeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([]byte, error)) {
+// encodeAnswer builds a grid-carrying 200 answer in a pooled buffer with one
+// of the codec's writers (sizeHint from encodedSize). The caller sends it and
+// returns it to wirePool; an answer JSON cannot carry is answered 500 here,
+// and nil returned.
+func encodeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([]byte, error)) *[]byte {
 	buf := wirePool.Get().(*[]byte)
-	defer wirePool.Put(buf)
 	if cap(*buf) < sizeHint {
 		*buf = make([]byte, 0, sizeHint)
 	}
 	var err error
 	if *buf, err = encode((*buf)[:0]); err != nil {
+		wirePool.Put(buf)
 		encodeFailed(w, err)
-		return
+		return nil
 	}
-	writeBody(w, http.StatusOK, *buf)
+	return buf
 }
 
 // writeError maps an error to its HTTP status. Admission sheds (all match
@@ -309,10 +311,11 @@ func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, error) {
 	return c.reg.Lookup(f, eps)
 }
 
-// buildGrids validates one problem's values and wraps them as grids: b — and
-// x, when the request carries one — alias the given slices, which the caller
-// keeps alive and to itself until the answer is encoded.
-func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, err error) {
+// buildGrids validates one problem's values and wraps them as grids aliasing
+// the given slices, which the caller keeps alive and to itself until the
+// answer is encoded: b, and x when the request carries one — otherwise zeros,
+// len(b) zeroed values of the request's arena (zero boundary, zero guess).
+func buildGrids(svc *pbmg.Service, n int, b, x, zeros []float64) (xg, bg *pbmg.Grid, err error) {
 	dim := svc.Solver().Dim()
 	if n < 3 || n > svc.Solver().MaxSize() {
 		return nil, nil, fmt.Errorf("serve: n=%d outside the served range [3, %d] for family %s",
@@ -336,9 +339,30 @@ func buildGrids(svc *pbmg.Service, n int, b, x []float64) (xg, bg *pbmg.Grid, er
 		return nil, nil, fmt.Errorf("serve: x[%d] is not finite", i)
 	}
 	if len(x) == 0 {
-		return grid.NewDim(dim, n), grid.FromSlice(dim, n, b), nil // zero boundary, zero guess
+		x = zeros
 	}
 	return grid.FromSlice(dim, n, x), grid.FromSlice(dim, n, b), nil
+}
+
+// zeroGuesses carves a zero guess from the request's arena for every problem
+// that sent no x, len(b) values each (a b of the wrong length fails
+// validation, its zeros unused). The arena grows once for all of them, by no
+// more values than the body carried, whatever the count of problems.
+func zeroGuesses(arena *[]float64, probs []BatchProblem) [][]float64 {
+	total := 0
+	for _, p := range probs {
+		if len(p.X) == 0 {
+			total += len(p.B)
+		}
+	}
+	zeros := carveZeros(arena, total)
+	guesses := make([][]float64, len(probs))
+	for i, p := range probs {
+		if n := len(p.B); len(p.X) == 0 {
+			guesses[i], zeros = zeros[:n:n], zeros[n:]
+		}
+	}
+	return guesses
 }
 
 // gridPoints is the value count of one grid of side n.
@@ -378,7 +402,12 @@ func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, arena 
 	return nil
 }
 
-func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+// serveGrids is the frame of a grid-carrying request: shed while draining,
+// count as active and pin the catalog until the answer is written. run takes
+// the request up to its encoded answer — or answers an error itself and
+// returns nil — so the request's arena is back in its pool before the answer
+// is sent: a slow client holds the bytes of its answer and nothing else.
+func (s *Server) serveGrids(w http.ResponseWriter, r *http.Request, run func(*Server, http.ResponseWriter, *http.Request, *catalog) *[]byte) {
 	if s.draining.Load() {
 		s.shedDrainingNow(w)
 		return
@@ -393,22 +422,41 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	}
 	defer c.release()
 
+	if answer := run(s, w, r, c); answer != nil {
+		writeBody(w, http.StatusOK, *answer)
+		wirePool.Put(answer)
+	}
+}
+
+func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
+	s.serveGrids(w, r, (*Server).solve)
+}
+func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
+	s.serveGrids(w, r, (*Server).batch)
+}
+
+// solve runs one POST /v1/solve up to its encoded answer.
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog) *[]byte {
 	arena := arenaPool.Get().(*[]float64)
 	defer arenaPool.Put(arena)
 	var req SolveRequest
 	if err := readWire(w, r, c.maxBody, arena, &req, (*scanner).solveRequest); err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return
+		return nil
 	}
 	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
-		return
+		return nil
 	}
-	x, b, err := buildGrids(svc, req.N, req.B, req.X)
+	var zeros []float64
+	if len(req.X) == 0 {
+		zeros = carveZeros(arena, len(req.B))
+	}
+	x, b, err := buildGrids(svc, req.N, req.B, req.X, zeros)
 	if err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return
+		return nil
 	}
 
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
@@ -416,7 +464,7 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 	t0 := time.Now()
 	if err := svc.SolveContext(ctx, x, b, req.Accuracy); err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return
+		return nil
 	}
 	resp := SolveResponse{
 		X:         x.Data(),
@@ -426,42 +474,29 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 		SolveNs:   time.Since(t0).Nanoseconds(),
 	}
-	writeAnswer(w, encodedSize(len(resp.X)), func(dst []byte) ([]byte, error) {
+	return encodeAnswer(w, encodedSize(len(resp.X)), func(dst []byte) ([]byte, error) {
 		return appendSolveResponse(dst, &resp)
 	})
 }
 
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.shedDrainingNow(w)
-		return
-	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	c := s.acquireCatalog()
-	if c == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is closed"})
-		return
-	}
-	defer c.release()
-
+// batch runs one POST /v1/batch up to its encoded answer.
+func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog) *[]byte {
 	arena := arenaPool.Get().(*[]float64)
 	defer arenaPool.Put(arena)
 	var req BatchRequest
 	if err := readWire(w, r, batchBodyFactor*c.maxBody, arena, &req, (*scanner).batchRequest); err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return
+		return nil
 	}
 	if len(req.Problems) == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: batch names no problems"})
-		return
+		return nil
 	}
 
 	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
-		return
+		return nil
 	}
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
@@ -473,10 +508,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		N:         req.N,
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 	}
-	// Each fan-out worker validates and wraps its own problem's grids just
-	// before admission; a problem that fails validation fails alone.
+	// Zero guesses are carved here, before the fan-out shares the arena; each
+	// fan-out worker then validates and wraps its own problem's grids just
+	// before admission, and a problem that fails validation fails alone.
+	zeros := zeroGuesses(arena, req.Problems)
 	errs, err := svc.SolveBatchContext(ctx, len(req.Problems), func(i int) (pbmg.BatchProblem, error) {
-		xg, bg, err := buildGrids(svc, req.N, req.Problems[i].B, req.Problems[i].X)
+		xg, bg, err := buildGrids(svc, req.N, req.Problems[i].B, req.Problems[i].X, zeros[i])
 		if err != nil {
 			return pbmg.BatchProblem{}, err
 		}
@@ -485,7 +522,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}, req.Accuracy)
 	if err != nil {
 		writeError(w, err, http.StatusServiceUnavailable)
-		return
+		return nil
 	}
 	for i, err := range errs {
 		if err != nil {
@@ -496,7 +533,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, r := range resp.Results {
 		nfloats += len(r.X)
 	}
-	writeAnswer(w, encodedSize(nfloats), func(dst []byte) ([]byte, error) {
+	return encodeAnswer(w, encodedSize(nfloats), func(dst []byte) ([]byte, error) {
 		return appendBatchResponse(dst, &resp)
 	})
 }

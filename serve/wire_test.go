@@ -10,6 +10,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -243,8 +247,10 @@ func TestAnswerEncodedBeforeStatus(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		resp := SolveResponse{X: []float64{1, bad}, Family: "poisson", N: 3}
 		rec := httptest.NewRecorder()
-		writeAnswer(rec, encodedSize(2), func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) })
-		check500("writeAnswer", rec)
+		if buf := encodeAnswer(rec, encodedSize(2), func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) }); buf != nil {
+			t.Errorf("encodeAnswer returned %q for an answer JSON cannot carry", *buf)
+		}
+		check500("encodeAnswer", rec)
 
 		rec = httptest.NewRecorder()
 		writeJSON(rec, http.StatusOK, map[string]float64{"v": bad})
@@ -283,10 +289,19 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 	ctx := context.Background()
 	svc := familyService(t, srv, "poisson")
 
-	probs := []*pbmg.Problem{newProblem(t, pbmg.FamilyPoisson, 17, 31), newProblem(t, pbmg.FamilyPoisson, 17, 32), newProblem(t, pbmg.FamilyPoisson, 17, 33)}
+	// Problems 0–2 send their own x; 3 (a solve) and 4 (in the batch) send
+	// none, so their iterate is the zero guess carved from the arena after
+	// the decoded arrays — the part of it only the handler ever wrote.
+	var probs []*pbmg.Problem
+	for seed := range 5 {
+		probs = append(probs, newProblem(t, pbmg.FamilyPoisson, 17, int64(31+seed)))
+	}
 	want := make([]*pbmg.Grid, len(probs))
 	for i, p := range probs {
 		want[i] = p.NewState()
+		if i >= 3 {
+			want[i] = pbmg.NewGrid(17)
+		}
 		if err := svc.Solver().Solve(want[i], p.B, 1e3); err != nil {
 			t.Fatal(err)
 		}
@@ -304,8 +319,8 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 	}
 
 	release := occupy(t, svc, 1)
-	solved := make(chan error, 2) // one send per parked request
-	var solve *SolveResponse
+	solved := make(chan error, 3) // one send per parked request
+	var solve, solveZero *SolveResponse
 	var batch *BatchResponse
 	go func() {
 		var err error
@@ -315,10 +330,15 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 	go func() {
 		var err error
 		batch, err = cl.Batch(ctx, BatchRequest{Family: "poisson", N: 17, Accuracy: 1e3, Problems: []BatchProblem{
-			{B: probs[1].B.Data(), X: probs[1].NewState().Data()}, {B: probs[2].B.Data(), X: probs[2].NewState().Data()}}})
+			{B: probs[1].B.Data(), X: probs[1].NewState().Data()}, {B: probs[2].B.Data(), X: probs[2].NewState().Data()}, {B: probs[4].B.Data()}}})
 		solved <- err
 	}()
-	for svc.Metrics().QueueLen < 2 { // the solve, and the batch's first problem
+	go func() {
+		var err error
+		solveZero, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[3].B.Data()})
+		solved <- err
+	}()
+	for svc.Metrics().QueueLen < 3 { // the two solves, and the batch's first problem
 		select {
 		case err := <-solved:
 			t.Fatalf("a request finished behind an occupied quota: %v", err)
@@ -332,8 +352,11 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 		go func() {
 			defer churn.Done()
 			for i := range 8 {
-				p := newProblem(t, pbmg.FamilyPoisson3D, 9, int64(100+8*g+i))
-				if _, err := cl.Solve(ctx, SolveRequest{Family: "poisson3d", N: 9, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()}); err != nil {
+				// Both sides of a parked request's arena: N=9 bodies outgrow
+				// it, N=5 bodies fit in it and would overwrite it in place.
+				n := 9 - 4*(i%2)
+				p := newProblem(t, pbmg.FamilyPoisson3D, n, int64(100+8*g+i))
+				if _, err := cl.Solve(ctx, SolveRequest{Family: "poisson3d", N: n, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()}); err != nil {
 					t.Errorf("poisson3d request beside the parked ones: %v", err)
 				}
 			}
@@ -341,16 +364,159 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 	}
 	churn.Wait()
 	release()
-	for range 2 {
+	for range 3 {
 		if err := <-solved; err != nil {
 			t.Fatal(err)
 		}
 	}
 	sameBits("solve", solve.X, want[0])
+	sameBits("zero-guess solve", solveZero.X, want[3])
 	for i, r := range batch.Results {
 		if r.Error != "" {
 			t.Fatalf("batch problem %d: %s", i, r.Error)
 		}
-		sameBits("batch problem "+strconv.Itoa(i), r.X, want[1+i])
+		sameBits("batch problem "+strconv.Itoa(i), r.X, want[[]int{1, 2, 4}[i]])
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing of the answer, so what
+// a request allocates around it is the handler's own.
+type discardWriter struct {
+	header http.Header
+	status int
+	n      int
+}
+
+func (w *discardWriter) Header() http.Header    { return w.header }
+func (w *discardWriter) WriteHeader(status int) { w.status = status }
+func (w *discardWriter) Write(p []byte) (int, error) {
+	w.n += len(p)
+	return len(p), nil
+}
+
+// TestZeroGuessSolveAllocatesNoGrid: a /v1/solve that sends no x starts from
+// zeros carved out of the request's pooled arena, the solve runs in pooled
+// scratch, and the answer is encoded into a pooled buffer — so in steady
+// state the handler allocates no float storage at all, only the request's
+// small fixed envelope (context, header values, grid headers). At N=65 one
+// grid is 33 KiB; the bound is a fraction of it.
+func TestZeroGuessSolveAllocatesNoGrid(t *testing.T) {
+	if bi, _ := debug.ReadBuildInfo(); bi != nil {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("sync.Pool drops a quarter of its Puts under the race detector, so pooled buffers miss by design")
+			}
+		}
+	}
+	const n, bound = 65, 4 << 10
+	dir := t.TempDir()
+	s, err := pbmg.Tune(pbmg.Options{MaxSize: n, Machine: "intel-harpertown", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Save(filepath.Join(dir, "poisson.json"))
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	body, err := json.Marshal(SolveRequest{Family: "poisson", N: n, Accuracy: 1e5, B: newProblem(t, pbmg.FamilyPoisson, n, 5).B.Data()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rd := bytes.NewReader(body)
+	req, err := http.NewRequest(http.MethodPost, "/v1/solve", io.NopCloser(rd))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = int64(len(body))
+	w := &discardWriter{header: make(http.Header)}
+	serve := func() {
+		rd.Reset(body)
+		clear(w.header)
+		srv.Handler().ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("HTTP %d", w.status)
+		}
+	}
+	serve()
+	serve()
+
+	defer debug.SetGCPercent(debug.SetGCPercent(-1)) // a GC would empty the pools mid-measurement
+	// TotalAlloc is the whole process's, and other tests' servers leave
+	// goroutines that allocate now and then: their noise only adds, so the
+	// smallest of a few batches is the handler's own.
+	const batches, rounds = 5, 10
+	per := uint64(math.MaxUint64)
+	for range batches {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range rounds {
+			serve()
+		}
+		runtime.ReadMemStats(&after)
+		per = min(per, (after.TotalAlloc-before.TotalAlloc)/rounds)
+	}
+	if per >= bound {
+		t.Errorf("a zero-guess N=%d solve allocates %d bytes per request in the handler, want < %d (one grid is %d)", n, per, bound, 8*n*n)
+	}
+}
+
+// TestBatchZeroGuessesGrowArenaOnce: on a cold arena — sized by the decode to
+// what the body carried — the zero guesses of a whole batch cost one growth,
+// to the decoded values plus the zeros, and every guess is a piece of that
+// one arena. (Growing per problem would leave each earlier guess holding an
+// earlier, almost as large arena alive: quadratic in the problem count.)
+func TestBatchZeroGuessesGrowArenaOnce(t *testing.T) {
+	const k, n = 16, 33 * 33
+	arena := new([]float64)
+	*arena = make([]float64, k*n) // as decodeWire leaves it: full, nothing spare
+	probs := make([]BatchProblem, k)
+	for i := range probs {
+		probs[i].B = (*arena)[i*n : (i+1)*n : (i+1)*n]
+	}
+	probs[3].X = make([]float64, n) // sends its own iterate: no guess
+	probs[5].B = probs[5].B[:n-1]   // fails validation later; its guess is as short
+	decoded, zeros := k*n, (k-1)*n-1
+
+	guesses := zeroGuesses(arena, probs)
+	if len(*arena) != decoded+zeros || cap(*arena) > decoded+zeros+1024 { // make rounds large sizes up to a page
+		t.Fatalf("arena has len %d cap %d after the carve, want %d and no more than a page over", len(*arena), cap(*arena), decoded+zeros)
+	}
+	at := decoded
+	for i, g := range guesses {
+		if len(probs[i].X) != 0 {
+			if g != nil {
+				t.Errorf("problem %d sent x and got a guess of %d values", i, len(g))
+			}
+			continue
+		}
+		if len(g) != len(probs[i].B) || cap(g) != len(g) || &g[0] != &(*arena)[at] {
+			t.Fatalf("guess %d: len %d cap %d, want %d values of the final arena at %d", i, len(g), cap(g), len(probs[i].B), at)
+		}
+		if j := slices.IndexFunc(g, func(v float64) bool { return v != 0 }); j >= 0 {
+			t.Errorf("guess %d[%d] = %g, want 0", i, j, g[j])
+		}
+		at += len(g)
+	}
+
+	// Warm, the same batch fits: the storage stays, and what the last request
+	// left in it is cleared.
+	warm := &(*arena)[0]
+	for i := range (*arena)[decoded:] {
+		(*arena)[decoded+i] = 1
+	}
+	*arena = (*arena)[:decoded]
+	guesses = zeroGuesses(arena, probs)
+	if &(*arena)[0] != warm {
+		t.Error("a warm arena was replaced")
+	}
+	if slices.Contains((*arena)[decoded:], 1) || &guesses[0][0] != &(*arena)[decoded] {
+		t.Error("a warm arena's guesses are not zeros of that arena")
 	}
 }
