@@ -1,9 +1,11 @@
 package mixload
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -147,7 +149,9 @@ func TestRunDeadlineBoundsAdmission(t *testing.T) {
 
 // TestRunHTTPMode drives the same workload through a serve.Server over
 // real sockets (under -race in CI): every request is measured or shed,
-// and the server-side completion count matches the client's.
+// and the server-side completion count matches the client's. serve.Client
+// asks for its answers' grids as bytes, so every one of those successes is a
+// 200 in the grid framing.
 func TestRunHTTPMode(t *testing.T) {
 	s := poissonSolver(t)
 	dir := t.TempDir()
@@ -163,7 +167,13 @@ func TestRunHTTPMode(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	hs := httptest.NewServer(srv.Handler())
+	var gridAnswers atomic.Int64
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		srv.Handler().ServeHTTP(w, r)
+		if w.Header().Get("Content-Type") == "application/x-pbmg-grid" {
+			gridAnswers.Add(1)
+		}
+	}))
 	defer hs.Close()
 
 	const total = 32
@@ -185,6 +195,9 @@ func TestRunHTTPMode(t *testing.T) {
 	}
 	if res.Shed != 0 {
 		t.Errorf("deep-queue run shed %d requests", res.Shed)
+	}
+	if got := gridAnswers.Load(); got != total || len(res.All) != total {
+		t.Errorf("%d of %d answers were grid-framed, %d measured as successes; want all", got, total, len(res.All))
 	}
 	cl := serve.Client{BaseURL: hs.URL}
 	m, err := cl.Metrics(t.Context())

@@ -38,6 +38,7 @@ func (ss *shedScript) handler() http.Handler {
 			return
 		}
 		n := req.N
+		w.Header().Set("Content-Type", "application/json") // the client picks its decoder by it
 		json.NewEncoder(w).Encode(serve.SolveResponse{
 			X: make([]float64, n*n), Family: req.Family, N: n, SolveNs: 1,
 		})
@@ -157,6 +158,7 @@ func TestHTTPRetryHonorsRetryAfter(t *testing.T) {
 			return
 		}
 		retryAt.Store(time.Now().UnixNano())
+		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(serve.SolveResponse{X: make([]float64, req.N*req.N), Family: req.Family, N: req.N, SolveNs: 1})
 	}))
 	defer hs.Close()

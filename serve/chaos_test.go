@@ -13,7 +13,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"net/http"
 	"os"
@@ -299,5 +301,35 @@ func TestChaosFaultEndpointValidation(t *testing.T) {
 	postFault(t, cl, "")
 	if armed := faultinject.Armed(); len(armed) != 0 {
 		t.Fatalf("clear left %v armed", armed)
+	}
+}
+
+// TestChaosFramingsAgreeOnFailures: a solve that diverges or panics answers
+// the same 500 with the same JSON body whether or not the request asked for
+// the grid framing (the rest of the error classes: TestFramingsAgree).
+func TestChaosFramingsAgreeOnFailures(t *testing.T) {
+	_, cl := chaosServer(t, Config{Breaker: pbmg.BreakerConfig{Threshold: 100}})
+	p := newProblem(t, pbmg.FamilyPoisson, 33, 3)
+	body, err := json.Marshal(SolveRequest{Family: "poisson", N: 33, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ spec, mention string }{
+		{"mg.cycle.nan:nan", "diverged"},
+		{"mg.cycle:panic", "panic"},
+	} {
+		postFault(t, cl, tc.spec)
+		ja := postRaw(t, cl.BaseURL+"/v1/solve", body, "")
+		ga := postRaw(t, cl.BaseURL+"/v1/solve", body, "application/x-pbmg-grid, application/json")
+		var er ErrorResponse
+		if ja.status != http.StatusInternalServerError || ga.status != ja.status || ga.contentType != jsonMediaType ||
+			!bytes.Equal(ja.body, ga.body) || json.Unmarshal(ja.body, &er) != nil || !strings.Contains(er.Error, tc.mention) {
+			t.Errorf("%s: JSON request answered %d %q, grid request %d %s %q; want the same 500 mentioning %q",
+				tc.spec, ja.status, ja.body, ga.status, ga.contentType, ga.body, tc.mention)
+		}
+	}
+	postFault(t, cl, "")
+	if resp, err := chaosSolve(t, cl, 4, 0, 1e3); err != nil || len(resp.X) != 33*33 {
+		t.Fatalf("grid-framed solve after the faults cleared: %v", err)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"mime"
 	"net/http"
 	"strconv"
 )
@@ -31,7 +32,8 @@ func (e *StatusError) Shed() bool {
 
 // Client talks to a serve.Server. The zero HTTP client is usable; mass
 // load drivers should supply one with MaxIdleConnsPerHost sized to their
-// concurrency.
+// concurrency. Solves and batches ask for their answers' grids as bytes
+// (protocol.go) and read whichever framing the server answers in.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -44,12 +46,18 @@ func (c *Client) httpClient() *http.Client {
 	return http.DefaultClient
 }
 
-// do sends req and hands the complete 2xx body to decode; non-2xx answers
-// come back as *StatusError. The body is always read to EOF before it is
-// closed: net/http reuses a keep-alive connection only then, and a JSON
-// decoder that stops at the closing brace leaves a chunked answer's
+// do sends req and hands the complete 2xx body to the decoder of its framing,
+// picked by the answer's Content-Type (parameters ignored): JSON, or — for the
+// calls that ask for it by passing decodeGrid — the grid framing. Any other
+// type is an error naming it, not a syntax error from the wrong decoder.
+// Non-2xx answers come back as *StatusError. The body is always read to EOF
+// before it is closed: net/http reuses a keep-alive connection only then, and
+// a JSON decoder that stops at the closing brace leaves a chunked answer's
 // terminator unread.
-func (c *Client) do(req *http.Request, decode func(body []byte) error) error {
+func (c *Client) do(req *http.Request, decodeJSON, decodeGrid func(body []byte) error) error {
+	if decodeGrid != nil {
+		req.Header.Set("Accept", gridMediaType+", "+jsonMediaType)
+	}
 	resp, err := c.httpClient().Do(req)
 	if err != nil {
 		return err
@@ -63,17 +71,25 @@ func (c *Client) do(req *http.Request, decode func(body []byte) error) error {
 	if *buf, err = readAll(resp.Body, *buf, resp.ContentLength); err != nil {
 		return fmt.Errorf("serve: reading %s answer: %w", req.URL.Path, err)
 	}
-	return decode(*buf)
+	contentType := resp.Header.Get("Content-Type")
+	switch mt, _, _ := mime.ParseMediaType(contentType); {
+	case mt == jsonMediaType:
+		return decodeJSON(*buf)
+	case mt == gridMediaType && decodeGrid != nil:
+		return decodeGrid(*buf)
+	}
+	return fmt.Errorf("serve: %s answered HTTP %d with Content-Type %q, which this call cannot read", req.URL.Path, resp.StatusCode, contentType)
 }
 
-// post sends body to path.
-func (c *Client) post(ctx context.Context, path string, body []byte, decode func(body []byte) error) error {
+// post sends a JSON body to a grid-carrying endpoint, asking for the answer's
+// grids as bytes; a server that ignores Accept answers JSON and is read so.
+func (c *Client) post(ctx context.Context, path string, body []byte, decodeJSON, decodeGrid func(body []byte) error) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	return c.do(req, decode)
+	req.Header.Set("Content-Type", jsonMediaType)
+	return c.do(req, decodeJSON, decodeGrid)
 }
 
 // statusError reads a non-2xx answer. Error bodies are small: reading up to
@@ -106,9 +122,9 @@ func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, e
 // path, keeping request encoding off the measured latency.
 func (c *Client) SolveBytes(ctx context.Context, body []byte) (*SolveResponse, error) {
 	var out SolveResponse
-	err := c.post(ctx, "/v1/solve", body, func(b []byte) error {
-		return decodeWire(b, nil, &out, (*scanner).solveResponse)
-	})
+	err := c.post(ctx, "/v1/solve", body,
+		func(b []byte) error { return decodeWire(b, nil, &out, (*scanner).solveResponse) },
+		func(b []byte) error { return decodeGridSolve(b, &out) })
 	if err != nil {
 		return nil, err
 	}
@@ -126,9 +142,9 @@ func (c *Client) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, e
 		return nil, err
 	}
 	var out BatchResponse
-	err = c.post(ctx, "/v1/batch", body, func(b []byte) error {
-		return decodeWire(b, nil, &out, (*scanner).batchResponse)
-	})
+	err = c.post(ctx, "/v1/batch", body,
+		func(b []byte) error { return decodeWire(b, nil, &out, (*scanner).batchResponse) },
+		func(b []byte) error { return decodeGridBatch(b, &out) })
 	if err != nil {
 		return nil, err
 	}
@@ -142,7 +158,7 @@ func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
 		return nil, err
 	}
 	var out Metrics
-	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }); err != nil {
+	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }, nil); err != nil {
 		return nil, err
 	}
 	return &out, nil
@@ -157,7 +173,7 @@ func (c *Client) Reload(ctx context.Context) (int64, error) {
 	var out struct {
 		Version int64 `json:"version"`
 	}
-	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }); err != nil {
+	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }, nil); err != nil {
 		return 0, err
 	}
 	return out.Version, nil

@@ -11,6 +11,10 @@ package serve
 // requests, digit by digit into a buffer reserved once. strconv sees only the
 // rare number token the reader declines to decide.
 //
+// A client that lists application/x-pbmg-grid in Accept gets its answer's
+// grids as bytes instead (gridframe.go); the writers here then produce only
+// that frame's envelope, the same answer with its grids left out.
+//
 // The wire format is encoding/json's, unchanged:
 //
 //   - The writers' output is byte-identical to json.Marshal of the struct
@@ -662,11 +666,17 @@ func appendFloats(dst []byte, vs []float64) ([]byte, error) {
 // in place past dst's end.
 func appendFloat(dst []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
-		return dst, &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
+		return dst, unsupportedValue(f)
 	}
 	n := len(dst)
 	dst = slices.Grow(dst, floatTextMax)[:n+floatTextMax]
 	return dst[:n+formatFloat(dst[n:], f)], nil
+}
+
+// unsupportedValue is encoding/json's error for a NaN or an infinity, which
+// neither framing of an answer carries.
+func unsupportedValue(f float64) error {
+	return &json.UnsupportedValueError{Value: reflect.ValueOf(f), Str: strconv.FormatFloat(f, 'g', -1, 64)}
 }
 
 // appendString writes s as a JSON string. Text that needs no escaping under

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"testing"
 )
@@ -153,6 +155,28 @@ func TestEncodeRejectsNonFinite(t *testing.T) {
 		} {
 			if _, err := encode(); err == nil || err.Error() != wantErr.Error() {
 				t.Errorf("%s with %v: err = %v, want %v", name, bad, err, wantErr)
+			}
+		}
+
+		// The grid framing refuses the same values, with the same 500, before
+		// anything of the answer is sent: in a grid (vetted, the envelope never
+		// built) and in the envelope (the codec writer's own error).
+		for name, tc := range map[string]struct {
+			grids [][]float64
+			eps   float64
+		}{
+			"grid solve x":   {[][]float64{{1, bad, 2}}, 0},
+			"grid batch x":   {[][]float64{{1}, nil, {2, bad}}, 0},
+			"grid solve eps": {[][]float64{{1}}, bad},
+		} {
+			rec := httptest.NewRecorder()
+			a := frameAnswer(rec, kindSolve, tc.grids, func(dst []byte) ([]byte, error) {
+				return appendSolveResponse(dst, &SolveResponse{X: []float64{}, Eps: tc.eps})
+			})
+			var er ErrorResponse
+			if a.grids != nil || a.chunk != nil || rec.Code != http.StatusInternalServerError ||
+				json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error != "serve: encoding answer: "+wantErr.Error() {
+				t.Errorf("%s with %v: HTTP %d %q, want 500 with %v and nothing to stream", name, bad, rec.Code, rec.Body.String(), wantErr)
 			}
 		}
 	}
@@ -476,6 +500,18 @@ func BenchmarkCodecDecodeSolveRequest(b *testing.B) {
 			}
 		}
 	})
+	// The client's side of the grid framing: the same grid as an answer's
+	// bytes, read into an array of its own (decodeWire above reuses its arena).
+	b.Run("decode-grid", func(b *testing.B) {
+		frame := solveAnswerBytes(b, SolveResponse{X: gridLikeFloats(257 * 257), Family: "poisson", N: 257, Precision: "f32", SolveNs: 4e6}).body.Bytes()
+		b.SetBytes(int64(len(frame)))
+		for b.Loop() {
+			var resp SolveResponse
+			if err := decodeGridSolve(frame, &resp); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	// The float half alone: scanFloat over the grid's tokens, per value.
 	b.Run("parse", func(b *testing.B) {
 		text := body[bytes.IndexByte(body, '[')+1 : bytes.IndexByte(body, ']')+1]
@@ -515,6 +551,19 @@ func BenchmarkCodecEncodeSolveResponse(b *testing.B) {
 			}
 		}
 		b.SetBytes(int64(buf.Len()))
+	})
+	// The same answer in the grid framing, as the handlers send it: vetted,
+	// framed and streamed through the pooled chunk.
+	b.Run("encode-grid", func(b *testing.B) {
+		w := &discardWriter{header: make(http.Header)}
+		env, arena := resp, new([]float64)
+		env.X = []float64{}
+		for b.Loop() {
+			a := frameAnswer(w, kindSolve, [][]float64{resp.X}, func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &env) })
+			a.stream(w, arena) // which puts the arena back: take one out again
+			arena = arenaPool.Get().(*[]float64)
+		}
+		b.SetBytes(int64(w.n / b.N))
 	})
 	// The float half alone: formatFloat into one window, per value.
 	b.Run("print", func(b *testing.B) {

@@ -8,6 +8,36 @@ import "pbmg"
 // same structs serve both directions: the server decodes requests with
 // them and internal/mixload's HTTP client mode encodes them, so the
 // protocol cannot drift between the two.
+//
+// Requests are JSON. A grid-carrying 200 (SolveResponse, BatchResponse) comes
+// in one of two framings, chosen by the request and by nothing else:
+//
+//   - application/json, the default: the struct as encoding/json writes it.
+//   - application/x-pbmg-grid, for a request whose Accept header lists that
+//     type (any position; parameters ignored, but q=0 declines it): the grids
+//     as bytes. Every answer of the two endpoints says Vary: Accept, and
+//     everything that is not a 200 stays a JSON ErrorResponse.
+//
+// The grid framing, all integers little-endian:
+//
+//	offset  size  field
+//	0       4     magic "PBMG"
+//	4       1     version, 1
+//	5       1     kind: 1 solve answer, 2 batch answer
+//	6       4     E, the envelope's length (uint32)
+//	10      E     envelope: the JSON answer with its grids left out — "x":[]
+//	              in a solve answer, no "x" in a batch result (a failed one
+//	              keeps its "error")
+//	10+E    ...   the grids, in answer order: one for a solve answer, one per
+//	              result for a batch answer. Each is a count (uint64) and
+//	              count values, IEEE-754 float64 bits as uint64s, in the grid
+//	              layout above; a failed batch result's count is 0.
+//
+// Nothing follows the last grid; Content-Length is exact. The values are the
+// bits the JSON framing prints and a JSON reader parses back: the framings
+// differ in cost, not in content (TestFramingsAgree). Client asks for the grid
+// framing on every solve and batch and reads whichever the Content-Type
+// announces.
 
 // SolveRequest is the body of POST /v1/solve: one tuned solve routed by
 // (family, eps) to the serving catalog.

@@ -14,7 +14,10 @@
 //
 // Solve and batch bodies go through the grid codec (codec.go), are capped
 // at the text of the largest grid the catalog serves (413 beyond), and every
-// answer carries its Content-Length.
+// answer carries its Content-Length. A request that lists
+// application/x-pbmg-grid in Accept gets its answer's grids as bytes, streamed
+// from the solution (gridframe.go; layout in protocol.go); JSON is the
+// default.
 //
 // Endpoints:
 //
@@ -225,17 +228,26 @@ func encodeFailed(w http.ResponseWriter, err error) {
 // A failed Write means the client is gone; there is nobody to tell.
 func writeBody(w http.ResponseWriter, status int, body []byte) {
 	h := w.Header()
-	h.Set("Content-Type", "application/json")
+	h.Set("Content-Type", jsonMediaType)
 	h.Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }
 
-// encodeAnswer builds a grid-carrying 200 answer in a pooled buffer with one
-// of the codec's writers (sizeHint from encodedSize). The caller sends it and
-// returns it to wirePool; an answer JSON cannot carry is answered 500 here,
-// and nil returned.
-func encodeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([]byte, error)) *[]byte {
+// answer is a grid-carrying 200 with nothing left to fail but its writes: a
+// complete JSON body, or a grid frame's head with the grids to stream behind
+// it (gridframe.go). The zero answer says the request was answered already.
+type answer struct {
+	body  *[]byte                // JSON framing: the whole body, from wirePool
+	chunk *[8 * chunkValues]byte // grid framing: from chunkPool; holds head, then the values a chunk at a time
+	head  []byte
+	grids [][]float64 // grid framing: the solutions, aliasing the request's arena
+}
+
+// encodeAnswer builds a JSON answer in a pooled buffer with one of the codec's
+// writers (sizeHint from encodedSize). An answer JSON cannot carry is answered
+// 500 here, and the zero answer returned.
+func encodeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) ([]byte, error)) answer {
 	buf := wirePool.Get().(*[]byte)
 	if cap(*buf) < sizeHint {
 		*buf = make([]byte, 0, sizeHint)
@@ -244,9 +256,9 @@ func encodeAnswer(w http.ResponseWriter, sizeHint int, encode func(dst []byte) (
 	if *buf, err = encode((*buf)[:0]); err != nil {
 		wirePool.Put(buf)
 		encodeFailed(w, err)
-		return nil
+		return answer{}
 	}
-	return buf
+	return answer{body: buf}
 }
 
 // writeError maps an error to its HTTP status. Admission sheds (all match
@@ -404,10 +416,13 @@ func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, arena 
 
 // serveGrids is the frame of a grid-carrying request: shed while draining,
 // count as active and pin the catalog until the answer is written. run takes
-// the request up to its encoded answer — or answers an error itself and
-// returns nil — so the request's arena is back in its pool before the answer
-// is sent: a slow client holds the bytes of its answer and nothing else.
-func (s *Server) serveGrids(w http.ResponseWriter, r *http.Request, run func(*Server, http.ResponseWriter, *http.Request, *catalog) *[]byte) {
+// the request up to its answer — or answers an error itself — with its grids
+// in the given arena, which is back in its pool before a JSON answer is sent
+// and before a grid answer's last chunk is: a slow client holds the bytes in
+// flight to it and nothing else. The framing is the request's to choose
+// (acceptsGrid), so every answer says Vary: Accept.
+func (s *Server) serveGrids(w http.ResponseWriter, r *http.Request, run func(*Server, http.ResponseWriter, *http.Request, *catalog, *[]float64) answer) {
+	w.Header().Set("Vary", "Accept")
 	if s.draining.Load() {
 		s.shedDrainingNow(w)
 		return
@@ -422,9 +437,16 @@ func (s *Server) serveGrids(w http.ResponseWriter, r *http.Request, run func(*Se
 	}
 	defer c.release()
 
-	if answer := run(s, w, r, c); answer != nil {
-		writeBody(w, http.StatusOK, *answer)
-		wirePool.Put(answer)
+	arena := arenaPool.Get().(*[]float64)
+	a := run(s, w, r, c, arena)
+	if a.grids != nil {
+		a.stream(w, arena)
+		return
+	}
+	arenaPool.Put(arena)
+	if a.body != nil {
+		writeBody(w, http.StatusOK, *a.body)
+		wirePool.Put(a.body)
 	}
 }
 
@@ -435,19 +457,17 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.serveGrids(w, r, (*Server).batch)
 }
 
-// solve runs one POST /v1/solve up to its encoded answer.
-func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog) *[]byte {
-	arena := arenaPool.Get().(*[]float64)
-	defer arenaPool.Put(arena)
+// solve runs one POST /v1/solve up to its answer.
+func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog, arena *[]float64) answer {
 	var req SolveRequest
 	if err := readWire(w, r, c.maxBody, arena, &req, (*scanner).solveRequest); err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return nil
+		return answer{}
 	}
 	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
-		return nil
+		return answer{}
 	}
 	var zeros []float64
 	if len(req.X) == 0 {
@@ -456,7 +476,7 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog) *[]by
 	x, b, err := buildGrids(svc, req.N, req.B, req.X, zeros)
 	if err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return nil
+		return answer{}
 	}
 
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
@@ -464,7 +484,7 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog) *[]by
 	t0 := time.Now()
 	if err := svc.SolveContext(ctx, x, b, req.Accuracy); err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return nil
+		return answer{}
 	}
 	resp := SolveResponse{
 		X:         x.Data(),
@@ -474,29 +494,30 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog) *[]by
 		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
 		SolveNs:   time.Since(t0).Nanoseconds(),
 	}
-	return encodeAnswer(w, encodedSize(len(resp.X)), func(dst []byte) ([]byte, error) {
-		return appendSolveResponse(dst, &resp)
-	})
+	encode := func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) }
+	if acceptsGrid(r.Header) {
+		resp.X = []float64{} // the envelope: this answer, its grid left to the frame
+		return frameAnswer(w, kindSolve, [][]float64{x.Data()}, encode)
+	}
+	return encodeAnswer(w, encodedSize(len(resp.X)), encode)
 }
 
-// batch runs one POST /v1/batch up to its encoded answer.
-func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog) *[]byte {
-	arena := arenaPool.Get().(*[]float64)
-	defer arenaPool.Put(arena)
+// batch runs one POST /v1/batch up to its answer.
+func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog, arena *[]float64) answer {
 	var req BatchRequest
 	if err := readWire(w, r, batchBodyFactor*c.maxBody, arena, &req, (*scanner).batchRequest); err != nil {
 		writeError(w, err, http.StatusBadRequest)
-		return nil
+		return answer{}
 	}
 	if len(req.Problems) == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: batch names no problems"})
-		return nil
+		return answer{}
 	}
 
 	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
-		return nil
+		return answer{}
 	}
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
@@ -522,20 +543,26 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog) *[]by
 	}, req.Accuracy)
 	if err != nil {
 		writeError(w, err, http.StatusServiceUnavailable)
-		return nil
+		return answer{}
 	}
 	for i, err := range errs {
 		if err != nil {
 			resp.Results[i] = BatchResult{Error: err.Error()}
 		}
 	}
+	encode := func(dst []byte) ([]byte, error) { return appendBatchResponse(dst, &resp) }
+	if acceptsGrid(r.Header) {
+		grids := make([][]float64, len(resp.Results))
+		for i := range resp.Results {
+			grids[i], resp.Results[i].X = resp.Results[i].X, nil
+		}
+		return frameAnswer(w, kindBatch, grids, encode)
+	}
 	nfloats := 0
 	for _, r := range resp.Results {
 		nfloats += len(r.X)
 	}
-	return encodeAnswer(w, encodedSize(nfloats), func(dst []byte) ([]byte, error) {
-		return appendBatchResponse(dst, &resp)
-	})
+	return encodeAnswer(w, encodedSize(nfloats), encode)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

@@ -54,6 +54,7 @@ func TestClientReusesConnection(t *testing.T) {
 		t.Fatalf("test answer is %d bytes, want at least 1 MB", len(big))
 	}
 	ctx := context.Background()
+	grid65 := randomFloats(65*65, 2)
 
 	for name, h := range map[string]http.HandlerFunc{
 		"chunked": func(w http.ResponseWriter, r *http.Request) {
@@ -61,7 +62,24 @@ func TestClientReusesConnection(t *testing.T) {
 			w.(http.Flusher).Flush() // header out first: the body goes chunked
 			w.Write(big)
 		},
+		// A server that ignores Accept and answers JSON.
 		"content-length": func(w http.ResponseWriter, r *http.Request) { writeBody(w, http.StatusOK, big) },
+		// One that honours it: the N=65 answer leaves in two chunks.
+		"grid": func(w http.ResponseWriter, r *http.Request) {
+			if !acceptsGrid(r.Header) {
+				t.Errorf("Client asked for %q, want the grid framing", r.Header.Values("Accept"))
+			}
+			resp := SolveResponse{X: []float64{}, Family: "poisson", N: 65, SolveNs: 1}
+			a := frameAnswer(w, kindSolve, [][]float64{grid65}, func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) })
+			a.stream(w, new([]float64))
+		},
+		// A 200 that is not ours (a proxy's page): an error naming its type,
+		// and the body still drained.
+		"text/html": func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Type", "Text/HTML; charset=utf-8")
+			w.(http.Flusher).Flush()
+			w.Write(bytes.Repeat([]byte("<p>hello</p>"), 1000))
+		},
 		"error answers": func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Retry-After", "1")
 			w.WriteHeader(http.StatusTooManyRequests)
@@ -79,8 +97,16 @@ func TestClientReusesConnection(t *testing.T) {
 				if !errors.As(err, &se) || se.Code != http.StatusTooManyRequests || se.RetryAfter != 1 || !strings.HasPrefix(se.Msg, "queue full") {
 					t.Fatalf("%s: call %d: err = %v", name, i, err)
 				}
+			case name == "text/html":
+				if err == nil || !strings.Contains(err.Error(), `"Text/HTML; charset=utf-8"`) {
+					t.Fatalf("%s: call %d: err = %v, want one naming the Content-Type", name, i, err)
+				}
 			case err != nil:
 				t.Fatalf("%s: call %d: %v", name, i, err)
+			case name == "grid":
+				if resp.N != 65 || !sameFloatBits(resp.X, grid65) {
+					t.Fatalf("%s: call %d: decoded %d values, n=%d", name, i, len(resp.X), resp.N)
+				}
 			case len(resp.X) != 257*257 || resp.N != 257:
 				t.Fatalf("%s: call %d: decoded %d values, n=%d", name, i, len(resp.X), resp.N)
 			}
@@ -247,31 +273,43 @@ func TestAnswerEncodedBeforeStatus(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		resp := SolveResponse{X: []float64{1, bad}, Family: "poisson", N: 3}
 		rec := httptest.NewRecorder()
-		if buf := encodeAnswer(rec, encodedSize(2), func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) }); buf != nil {
-			t.Errorf("encodeAnswer returned %q for an answer JSON cannot carry", *buf)
+		encode := func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) }
+		if a := encodeAnswer(rec, encodedSize(2), encode); a.body != nil {
+			t.Errorf("encodeAnswer returned %q for an answer JSON cannot carry", *a.body)
 		}
 		check500("encodeAnswer", rec)
+
+		rec = httptest.NewRecorder()
+		if a := frameAnswer(rec, kindSolve, [][]float64{resp.X}, encode); a.grids != nil {
+			t.Error("frameAnswer left a grid with a value no framing carries to stream")
+		}
+		check500("frameAnswer", rec)
 
 		rec = httptest.NewRecorder()
 		writeJSON(rec, http.StatusOK, map[string]float64{"v": bad})
 		check500("writeJSON", rec)
 	}
 
-	// A served solve into a dead connection: the handler finishes, the solve
-	// is counted, and the answer was complete before the status went out.
+	// A served solve into a dead connection, in either framing: the handler
+	// finishes, the solve is counted, the answer's length was known before the
+	// status went out, and the pools got their buffers back.
 	srv, _ := startServer(t, Config{Workers: 1})
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 5)
 	body, _ := json.Marshal(SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data()})
-	w := &brokenWriter{header: make(http.Header)}
-	srv.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body)))
-	if w.status != http.StatusOK || w.header.Get("Content-Length") == "" {
-		t.Errorf("solve into a broken writer: status %d, Content-Length %q", w.status, w.header.Get("Content-Length"))
+	for _, accept := range []string{"", gridMediaType} {
+		w := &brokenWriter{header: make(http.Header)}
+		req := httptest.NewRequest(http.MethodPost, "/v1/solve", bytes.NewReader(body))
+		req.Header.Set("Accept", accept)
+		srv.Handler().ServeHTTP(w, req)
+		if w.status != http.StatusOK || w.header.Get("Content-Length") == "" {
+			t.Errorf("solve (Accept %q) into a broken writer: status %d, Content-Length %q", accept, w.status, w.header.Get("Content-Length"))
+		}
 	}
 	rec := httptest.NewRecorder()
 	srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	var m Metrics
-	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || m.Aggregate.Completed != 1 || m.ActiveRequests != 0 {
-		t.Errorf("metrics after the broken write: %+v (err %v), want 1 completed and none active", m.Aggregate, err)
+	if err := json.Unmarshal(rec.Body.Bytes(), &m); err != nil || m.Aggregate.Completed != 2 || m.ActiveRequests != 0 {
+		t.Errorf("metrics after the broken writes: %+v (err %v), want 2 completed and none active", m.Aggregate, err)
 	}
 	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(rec.Body.Len()) {
 		t.Errorf("/metrics Content-Length %q on a %d-byte body", cl, rec.Body.Len())
@@ -281,13 +319,16 @@ func TestAnswerEncodedBeforeStatus(t *testing.T) {
 // TestQueuedRequestKeepsItsGrids: a request's grids alias the arena its body
 // was decoded into, so the arena must stay the request's own while it waits
 // for a solve slot — its body's buffer does not — and until its answer is
-// written. A solve and a batch park behind an occupied quota while traffic to
-// another family churns both pools; their answers must come back to the bit
-// what Solver.Solve makes of the same inputs.
+// encoded: wholly, for a JSON answer, and to the last chunk for a grid answer,
+// which streams out of it. A solve and a batch in each framing park behind an
+// occupied quota while traffic to another family, in both framings, churns the
+// pools; every answer must come back to the bit what Solver.Solve makes of the
+// same inputs.
 func TestQueuedRequestKeepsItsGrids(t *testing.T) {
-	srv, cl := startServer(t, Config{Quotas: map[string]int{"poisson": 1, "poisson3d": 2}, QueueDepth: 4})
+	srv, cl := startServer(t, Config{Quotas: map[string]int{"poisson": 1, "poisson3d": 2}, QueueDepth: 8})
+	framings := map[string]*Client{"grid": cl, "json": jsonOnly(cl)}
 	ctx := context.Background()
-	svc := familyService(t, srv, "poisson")
+	svc, svc3 := familyService(t, srv, "poisson"), familyService(t, srv, "poisson3d")
 
 	// Problems 0–2 send their own x; 3 (a solve) and 4 (in the batch) send
 	// none, so their iterate is the zero guess carved from the arena after
@@ -308,37 +349,39 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 	}
 	sameBits := func(name string, got []float64, want *pbmg.Grid) {
 		t.Helper()
-		if len(got) != len(want.Data()) {
-			t.Fatalf("%s: %d values, want %d", name, len(got), len(want.Data()))
-		}
-		for i, v := range want.Data() {
-			if math.Float64bits(got[i]) != math.Float64bits(v) {
-				t.Fatalf("%s: x[%d] = %v, Solver.Solve gives %v", name, i, got[i], v)
-			}
+		if !sameFloatBits(got, want.Data()) {
+			t.Errorf("%s: the answer's %d values are not the bits Solver.Solve gives", name, len(got))
 		}
 	}
 
 	release := occupy(t, svc, 1)
-	solved := make(chan error, 3) // one send per parked request
-	var solve, solveZero *SolveResponse
-	var batch *BatchResponse
-	go func() {
-		var err error
-		solve, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[0].B.Data(), X: probs[0].NewState().Data()})
-		solved <- err
-	}()
-	go func() {
-		var err error
-		batch, err = cl.Batch(ctx, BatchRequest{Family: "poisson", N: 17, Accuracy: 1e3, Problems: []BatchProblem{
-			{B: probs[1].B.Data(), X: probs[1].NewState().Data()}, {B: probs[2].B.Data(), X: probs[2].NewState().Data()}, {B: probs[4].B.Data()}}})
-		solved <- err
-	}()
-	go func() {
-		var err error
-		solveZero, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[3].B.Data()})
-		solved <- err
-	}()
-	for svc.Metrics().QueueLen < 3 { // the two solves, and the batch's first problem
+	type parked struct {
+		solve, solveZero *SolveResponse
+		batch            *BatchResponse
+	}
+	answers := map[string]*parked{}
+	solved := make(chan error, 3*len(framings)) // one send per parked request
+	for name, cl := range framings {
+		a := new(parked)
+		answers[name] = a
+		go func() {
+			var err error
+			a.solve, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[0].B.Data(), X: probs[0].NewState().Data()})
+			solved <- err
+		}()
+		go func() {
+			var err error
+			a.batch, err = cl.Batch(ctx, BatchRequest{Family: "poisson", N: 17, Accuracy: 1e3, Problems: []BatchProblem{
+				{B: probs[1].B.Data(), X: probs[1].NewState().Data()}, {B: probs[2].B.Data(), X: probs[2].NewState().Data()}, {B: probs[4].B.Data()}}})
+			solved <- err
+		}()
+		go func() {
+			var err error
+			a.solveZero, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[3].B.Data()})
+			solved <- err
+		}()
+	}
+	for svc.Metrics().QueueLen < int64(cap(solved)) { // per framing: the two solves, and the batch's first problem
 		select {
 		case err := <-solved:
 			t.Fatalf("a request finished behind an occupied quota: %v", err)
@@ -356,27 +399,66 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 				// it, N=5 bodies fit in it and would overwrite it in place.
 				n := 9 - 4*(i%2)
 				p := newProblem(t, pbmg.FamilyPoisson3D, n, int64(100+8*g+i))
-				if _, err := cl.Solve(ctx, SolveRequest{Family: "poisson3d", N: n, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()}); err != nil {
-					t.Errorf("poisson3d request beside the parked ones: %v", err)
+				want := p.NewState()
+				if err := svc3.Solver().Solve(want, p.B, 1e3); err != nil {
+					t.Error(err)
+					return
 				}
+				name := []string{"grid", "json"}[(g+i/2)%2]
+				resp, err := framings[name].Solve(ctx, SolveRequest{Family: "poisson3d", N: n, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()})
+				if err != nil {
+					t.Errorf("poisson3d %s request beside the parked ones: %v", name, err)
+					continue
+				}
+				sameBits("poisson3d "+name+" request beside the parked ones", resp.X, want)
 			}
 		}()
 	}
 	churn.Wait()
 	release()
-	for range 3 {
+	for range cap(solved) {
 		if err := <-solved; err != nil {
 			t.Fatal(err)
 		}
 	}
-	sameBits("solve", solve.X, want[0])
-	sameBits("zero-guess solve", solveZero.X, want[3])
-	for i, r := range batch.Results {
-		if r.Error != "" {
-			t.Fatalf("batch problem %d: %s", i, r.Error)
+	for name, a := range answers {
+		sameBits(name+" solve", a.solve.X, want[0])
+		sameBits(name+" zero-guess solve", a.solveZero.X, want[3])
+		for i, r := range a.batch.Results {
+			if r.Error != "" {
+				t.Fatalf("%s batch problem %d: %s", name, i, r.Error)
+			}
+			sameBits(name+" batch problem "+strconv.Itoa(i), r.X, want[[]int{1, 2, 4}[i]])
 		}
-		sameBits("batch problem "+strconv.Itoa(i), r.X, want[[]int{1, 2, 4}[i]])
 	}
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	return bi != nil && slices.ContainsFunc(bi.Settings, func(s debug.BuildSetting) bool { return s.Key == "-race" && s.Value == "true" })
+}
+
+// tunedServer serves a poisson table tuned up to side n on one worker, for
+// the tests that need grids larger than tablesDir's.
+func tunedServer(t *testing.T, n int) *Server {
+	t.Helper()
+	dir := t.TempDir()
+	s, err := pbmg.Tune(pbmg.Options{MaxSize: n, Machine: "intel-harpertown", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = s.Save(filepath.Join(dir, "poisson.json"))
+	s.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Dir: dir, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	return srv
 }
 
 // discardWriter is a ResponseWriter that keeps nothing of the answer, so what
@@ -401,29 +483,11 @@ func (w *discardWriter) Write(p []byte) (int, error) {
 // small fixed envelope (context, header values, grid headers). At N=65 one
 // grid is 33 KiB; the bound is a fraction of it.
 func TestZeroGuessSolveAllocatesNoGrid(t *testing.T) {
-	if bi, _ := debug.ReadBuildInfo(); bi != nil {
-		for _, s := range bi.Settings {
-			if s.Key == "-race" && s.Value == "true" {
-				t.Skip("sync.Pool drops a quarter of its Puts under the race detector, so pooled buffers miss by design")
-			}
-		}
+	if raceBuild() {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector, so pooled buffers miss by design")
 	}
 	const n, bound = 65, 4 << 10
-	dir := t.TempDir()
-	s, err := pbmg.Tune(pbmg.Options{MaxSize: n, Machine: "intel-harpertown", Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = s.Save(filepath.Join(dir, "poisson.json"))
-	s.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := New(Config{Dir: dir, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := tunedServer(t, n)
 
 	body, err := json.Marshal(SolveRequest{Family: "poisson", N: n, Accuracy: 1e5, B: newProblem(t, pbmg.FamilyPoisson, n, 5).B.Data()})
 	if err != nil {
