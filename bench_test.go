@@ -105,7 +105,7 @@ func benchInstance(b *testing.B, kind string, salt, level int, dist grid.Distrib
 	p, ok := benchState.probs[key]
 	if !ok {
 		p = problem.Random(grid.SizeOfLevel(level), dist, rand.New(rand.NewSource(int64(level*salt)+int64(dist))))
-		refsol.Attach(p, nil)
+		refsol.Attach(p, nil, nil)
 		benchState.probs[key] = p
 	}
 	return p
@@ -156,7 +156,6 @@ func BenchmarkComplexityTable(b *testing.B) {
 func BenchmarkFig6AutotunedV(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	ex := &mg.Executor{WS: ws, V: benchState.tuned.V}
 	accIdx := len(benchState.tuned.V.Acc) - 1 // 1e9
 	b.ResetTimer()
@@ -186,7 +185,6 @@ func BenchmarkFig6ReferenceMultigrid(b *testing.B) {
 func BenchmarkFig7Heuristics(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Biased)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	for name, vt := range benchState.heur {
 		b.Run(name, func(b *testing.B) {
 			ex := &mg.Executor{WS: ws, V: vt}
@@ -220,7 +218,6 @@ func BenchmarkFig9Speedup(b *testing.B) {
 				defer pool.Close()
 			}
 			ws := mg.NewWorkspace(pool)
-			ws.CacheDirectFactor = true
 			ex := &mg.Executor{WS: ws, V: benchState.tuned.V}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -238,7 +235,6 @@ func BenchmarkFig9Speedup(b *testing.B) {
 func benchRelative(b *testing.B, target float64, dist grid.Distribution, bundle func() *core.Tuned) {
 	p := benchProblem(b, benchLevel, dist)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	accIdx := 0
 	for i, a := range bundle().V.Acc {
 		if a >= target {
@@ -311,7 +307,6 @@ func BenchmarkFig13(b *testing.B) {
 func BenchmarkFig5CycleRender(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	for i := 0; i < b.N; i++ {
 		var log mg.ShapeLog
 		ex := &mg.Executor{WS: ws, V: benchState.tuned.V, Rec: &log}
@@ -339,7 +334,6 @@ func BenchmarkFig4Describe(b *testing.B) {
 func BenchmarkCrossTrainEvaluation(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	model := arch.Niagara()
 	for i := 0; i < b.N; i++ {
 		var tr mg.OpTrace

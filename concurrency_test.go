@@ -95,10 +95,10 @@ func TestConcurrentSolvesSharedSolver(t *testing.T) {
 	}
 }
 
-func TestConcurrentSolvesWithoutFactorCache(t *testing.T) {
+func TestConcurrentSolvesOnColdFactorCache(t *testing.T) {
 	s := tuneShared(t)
-	// Same tuned tables on a fresh workspace with the factor cache off: the
-	// re-factor-every-call path must also be concurrency-clean.
+	// Same tuned tables on a fresh workspace, so eight first solves race to
+	// factor each matrix: the factor-once path must be concurrency-clean.
 	s2 := &Solver{tuned: s.tuned, ws: mg.NewWorkspace(nil)}
 	const goroutines = 8
 	const target = 1e3

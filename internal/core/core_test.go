@@ -37,7 +37,7 @@ func newModelTuner(t *testing.T, maxLevel int, dist grid.Distribution) *Tuner {
 func testInstance(t *testing.T, level int, dist grid.Distribution, seed int64) *problem.Problem {
 	t.Helper()
 	p := problem.Random(grid.SizeOfLevel(level), dist, rand.New(rand.NewSource(seed)))
-	refsol.Attach(p, nil)
+	refsol.Attach(p, nil, nil)
 	return p
 }
 
@@ -82,7 +82,6 @@ func TestTunedVMeetsAccuracyTargets(t *testing.T) {
 	}
 	p := testInstance(t, 5, grid.Unbiased, 777)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	ex := &mg.Executor{WS: ws, V: vt}
 	for i, target := range vt.Acc {
 		x := p.NewState()
@@ -169,7 +168,6 @@ func TestTuneFullProducesValidTableAndMeetsTargets(t *testing.T) {
 	}
 	p := testInstance(t, 5, grid.Biased, 555)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	ex := &mg.Executor{WS: ws, V: vt, F: ft}
 	for i, target := range ft.Acc {
 		x := p.NewState()
@@ -292,7 +290,6 @@ func TestHeuristicTables(t *testing.T) {
 		}
 		p := testInstance(t, 5, grid.Biased, 31337)
 		ws := mg.NewWorkspace(nil)
-		ws.CacheDirectFactor = true
 		ex := &mg.Executor{WS: ws, V: vt}
 		x := p.NewState()
 		ex.SolveV(x, p.B, len(vt.Acc)-1)
@@ -440,7 +437,6 @@ func TestWallClockTuningSmall(t *testing.T) {
 	}
 	p := testInstance(t, 4, grid.Unbiased, 123)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	ex := &mg.Executor{WS: ws, V: vt}
 	x := p.NewState()
 	ex.SolveV(x, p.B, len(vt.Acc)-1)

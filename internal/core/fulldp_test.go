@@ -64,7 +64,6 @@ func TestParetoPlanMeetsAccuracyOnTestData(t *testing.T) {
 	}
 	p := testInstance(t, 5, grid.Unbiased, 4242)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	x := p.NewState()
 	pt.Node.Execute(ws, x, p.B, nil)
 	if got := p.AccuracyOf(x); got < 1e4 {
@@ -119,7 +118,6 @@ func TestPlanNodeString(t *testing.T) {
 func TestPlanNodeExecuteDirectAndSOR(t *testing.T) {
 	p := testInstance(t, 4, grid.Biased, 9)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	x := p.NewState()
 	(&PlanNode{Choice: mg.ChoiceDirect}).Execute(ws, x, p.B, nil)
 	if acc := p.AccuracyOf(x); acc < 1e10 {

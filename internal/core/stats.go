@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"pbmg/internal/mg"
-)
+import "fmt"
 
 // Stats counts the work a tuner spent. Under a trace-priced coster the
 // counts are a function of the Config alone and repeat exactly from run to
@@ -59,33 +55,11 @@ func (t *Tuner) Stats() []LevelStats {
 	return out
 }
 
-// directCounter counts the direct solves of the steps run under it and
-// forwards every event to next (nil: nowhere).
-type directCounter struct {
-	n    int64
-	next mg.Recorder
-}
-
-// Record implements mg.Recorder.
-func (d *directCounter) Record(kind mg.EventKind, level, count int) {
-	if kind == mg.EvDirect {
-		d.n += int64(count)
-	}
-	if d.next != nil {
-		d.next.Record(kind, level, count)
-	}
-}
-
-// spent returns the tuner's running counters. Factorizations are read off
-// the workspace: with the factor cache one per distinct (operator, size) —
-// the cache is private and unbounded, so its length is the count — and
-// without it one per direct solve.
+// spent returns the tuner's running counters. Factorizations are the ones
+// the tuner's factor cache ran, for candidates and reference solves alike.
 func (t *Tuner) spent() Stats {
 	s := t.work
-	s.Factorizations = t.directs.n
-	if t.ws.CacheDirectFactor {
-		s.Factorizations = int64(t.ws.FactorCache.Len())
-	}
+	s.Factorizations = t.ws.FactorCache.Factorizations()
 	return s
 }
 

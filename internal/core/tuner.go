@@ -25,10 +25,11 @@
 // test oracle (bound_test.go). TuneHeuristic and TuneVPareto pass no bound:
 // a strategy table is a fixed shape and a Pareto front wants every point.
 //
-// The tuner's measurement workspace is private. Under a trace-priced coster
-// (one with a TraceBased method, i.e. every arch.Model) it reuses direct
-// factorizations, which such a coster cannot see; under arch.WallClock every
-// direct solve re-factors, because that is what the direct choice costs.
+// The tuner's measurement workspace is private, and so is its factor cache,
+// which it lends to its reference solves: every band matrix a tune touches
+// is factored once, under every coster. arch.WallClock therefore prices the
+// direct choice as the cached solve a pbmg.Solver runs, not as factor-and-
+// solve.
 package core
 
 import (
@@ -189,9 +190,8 @@ type Tuner struct {
 	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
 	direct map[int]float64      // direct-solve cost per level, measured once for V and full
 
-	work    Stats         // running counters (Factorizations: see spent)
-	directs directCounter // the recorder every step runs under
-	levels  map[int]Stats // work charged to each tuned level
+	work   Stats         // running counters (Factorizations: see spent)
+	levels map[int]Stats // work charged to each tuned level
 
 	// reorder, when non-nil, permutes a level's measurement order in place —
 	// the tests' proof that the order changes speed and nothing else.
@@ -215,11 +215,9 @@ func New(cfg Config) (*Tuner, error) {
 	ws := mg.NewWorkspace(cfg.Pool)
 	ws.Smoother = cfg.Smoother
 	ws.Op = op
-	// A trace-priced coster never reads the clock, so re-factoring on every
-	// direct solve is work it cannot see. WallClock keeps paying it: a fresh
-	// factorization is part of what the direct choice costs on the host.
-	// The cache is the tuner's own and dies with it.
-	ws.CacheDirectFactor = traceBased(cfg.Coster)
+	// One cache for candidates and reference solves (see training), unbounded
+	// because a tune touches a handful of sizes, and the tuner's own so that
+	// the factorizations — 16.5 MB at N=129 — die with it.
 	ws.FactorCache = direct.NewCache(0)
 	return &Tuner{
 		cfg:    cfg,
@@ -256,14 +254,14 @@ func (t *Tuner) training(level int) []*problem.Problem {
 	for i := range ps {
 		rng := rand.New(rand.NewSource(t.cfg.Seed + int64(level)*1009 + int64(i)))
 		ps[i] = problem.RandomOp(n, t.cfg.Distribution, rng, t.op.At(n))
-		refsol.Attach(ps[i], t.cfg.Pool)
+		refsol.Attach(ps[i], t.cfg.Pool, t.ws.FactorCache)
 	}
 	t.probs[level] = ps
 	return ps
 }
 
 // traceBased reports whether a Coster ignores wall time, letting the tuner
-// skip high-precision timing loops and reuse direct factorizations.
+// skip high-precision timing loops.
 func traceBased(c arch.Coster) bool {
 	_, ok := c.(interface{ TraceBased() })
 	return ok
@@ -275,8 +273,7 @@ type stepFunc func(x, b *grid.Grid, rec mg.Recorder)
 // run executes one step on the tuner's books.
 func (t *Tuner) run(step stepFunc, x, b *grid.Grid, rec mg.Recorder) {
 	t.work.Steps++
-	t.directs.next = rec
-	step(x, b, &t.directs)
+	step(x, b, rec)
 }
 
 // accuracy evaluates the accuracy of x on the tuner's books.
@@ -481,10 +478,13 @@ type measured struct {
 
 // directCosts prices the direct choice at a level (identical for every
 // accuracy target: the solve is exact). The solve is measured once per
-// level, whichever table asks first.
+// level, whichever table asks first, and with its matrix already factored:
+// what a wall clock then reads is the cached solve that serving runs.
 func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
 	cost, ok := t.direct[level]
 	if !ok {
+		n := grid.SizeOfLevel(level)
+		t.ws.FactorCache.GetOp(t.op.At(n), n)
 		step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
 		cost = t.cfg.Coster.Cost(t.timeOneIter(probs, step))
 		t.direct[level] = cost

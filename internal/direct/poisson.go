@@ -124,6 +124,7 @@ type Cache struct {
 	entries map[cacheKey]*cacheEntry
 	cap     int          // max completed entries kept; ≤ 0 means unbounded
 	clock   atomic.Int64 // logical recency clock for LRU eviction
+	ran     atomic.Int64 // factorizations completed, evicted ones included
 }
 
 // NewCache returns a cache bounded to at most max completed entries (≤ 0 for
@@ -213,6 +214,7 @@ func (c *Cache) GetOp(op *stencil.Operator, n int) InteriorSolver {
 				}
 			}()
 			e.s = NewInteriorSolver(op, n)
+			c.ran.Add(1)
 			e.done.Store(true)
 		}
 	}()
@@ -246,6 +248,10 @@ func (c *Cache) Len() int {
 	defer c.mu.Unlock()
 	return len(c.entries)
 }
+
+// Factorizations returns how many factorizations the cache has run, evicted
+// ones included: Len counts what is held, this counts the work.
+func (c *Cache) Factorizations() int64 { return c.ran.Load() }
 
 // evictLocked drops least-recently-used completed entries until the cache is
 // within its bound. Entries whose factorization is still in flight are never

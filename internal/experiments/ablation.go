@@ -36,8 +36,7 @@ func (r *Runner) tuneWith(sm mg.Smoother, ladder []float64, dist grid.Distributi
 
 // costOfTable prices one tuned solve at the top level and accuracy index.
 func (r *Runner) costOfTable(vt *mg.VTable, sm mg.Smoother, dist grid.Distribution, accIdx int) float64 {
-	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
+	ws := r.workspace(nil)
 	ws.Smoother = sm
 	p := r.test(r.O.MaxLevel, dist)
 	return traceCost(ablationModel(), func(rec mg.Recorder) {
@@ -136,8 +135,7 @@ func (r *Runner) ParetoAblation() (*Table, error) {
 		Columns: []string{"target", "discrete", "full-DP", "full-DP plan"},
 		Notes:   "training-cost units on intel-harpertown; the discrete table approximates the full DP from above",
 	}
-	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
+	ws := r.workspace(nil)
 	p := r.test(r.O.MaxLevel, grid.Unbiased)
 	for i, target := range vt.Acc {
 		disc := traceCost(ablationModel(), func(rec mg.Recorder) {

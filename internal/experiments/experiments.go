@@ -17,7 +17,9 @@ import (
 
 	"pbmg/internal/arch"
 	"pbmg/internal/core"
+	"pbmg/internal/direct"
 	"pbmg/internal/grid"
+	"pbmg/internal/mg"
 	"pbmg/internal/problem"
 	"pbmg/internal/refsol"
 	"pbmg/internal/sched"
@@ -100,11 +102,14 @@ func (t *Table) String() string {
 	return sb.String()
 }
 
-// Runner caches tuned bundles and test problems across experiments so that
-// one mgbench invocation tunes each (machine, distribution) pair once.
+// Runner caches tuned bundles, test problems and band factorizations across
+// experiments so that one mgbench invocation tunes each (machine,
+// distribution) pair once and factors each matrix once — its reference solves
+// and its workspaces share cache, which dies with the Runner.
 type Runner struct {
 	O       Opts
 	pool    *sched.Pool
+	cache   *direct.Cache
 	bundles map[string]*core.Tuned
 	tests   map[string]*problem.Problem
 }
@@ -116,7 +121,15 @@ func NewRunner(o Opts) *Runner {
 	if o.Workers > 1 {
 		pool = sched.NewPool(o.Workers)
 	}
-	return &Runner{O: o, pool: pool, bundles: map[string]*core.Tuned{}, tests: map[string]*problem.Problem{}}
+	return &Runner{O: o, pool: pool, cache: direct.NewCache(0), bundles: map[string]*core.Tuned{}, tests: map[string]*problem.Problem{}}
+}
+
+// workspace returns a Poisson workspace on pool that factors through the
+// Runner's cache.
+func (r *Runner) workspace(pool *sched.Pool) *mg.Workspace {
+	ws := mg.NewWorkspace(pool)
+	ws.FactorCache = r.cache
+	return ws
 }
 
 // Close releases the worker pool.
@@ -185,7 +198,7 @@ func (r *Runner) calibSet(level int, dist grid.Distribution) []*problem.Problem 
 		if !ok {
 			rng := rand.New(rand.NewSource(r.O.Seed + int64(level)*1009 + int64(i)))
 			p = problem.Random(grid.SizeOfLevel(level), dist, rng)
-			refsol.Attach(p, r.pool)
+			refsol.Attach(p, r.pool, r.cache)
 			r.tests[key] = p
 		}
 		out[i] = p
@@ -225,7 +238,7 @@ func (r *Runner) instance(kind string, salt int64, level int, dist grid.Distribu
 	}
 	rng := rand.New(rand.NewSource(r.O.Seed ^ salt ^ int64(level)<<8 ^ int64(dist)))
 	p := problem.Random(grid.SizeOfLevel(level), dist, rng)
-	refsol.Attach(p, r.pool)
+	refsol.Attach(p, r.pool, r.cache)
 	r.tests[key] = p
 	return p
 }

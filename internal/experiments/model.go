@@ -39,8 +39,7 @@ func (r *Runner) RelativePerformance(target float64, dist grid.Distribution) ([]
 			return nil, err
 		}
 		accIdx := accIndexFor(bundle.V.Acc, target)
-		ws := mg.NewWorkspace(nil)
-		ws.CacheDirectFactor = true
+		ws := r.workspace(nil)
 
 		t := &Table{
 			Title: fmt.Sprintf("Relative time vs reference V cycle: accuracy %.0e, %s data, %s",
@@ -122,8 +121,7 @@ func (r *Runner) CycleShapes(machine string, dist grid.Distribution, target floa
 		return "", err
 	}
 	accIdx := accIndexFor(bundle.V.Acc, target)
-	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
+	ws := r.workspace(nil)
 	p := r.test(r.O.MaxLevel, dist)
 	var log mg.ShapeLog
 	ex := &mg.Executor{WS: ws, V: bundle.V, F: bundle.F, Rec: &log}
@@ -207,8 +205,7 @@ func (r *Runner) CrossTrain() (*Table, error) {
 			return 0, err
 		}
 		accIdx := accIndexFor(bundle.V.Acc, target)
-		ws := mg.NewWorkspace(nil)
-		ws.CacheDirectFactor = true
+		ws := r.workspace(nil)
 		return traceCost(runOn, func(rec mg.Recorder) {
 			ex := &mg.Executor{WS: ws, V: bundle.V, F: bundle.F, Rec: rec}
 			x := p.NewState()

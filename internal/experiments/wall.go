@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"pbmg/internal/core"
+	"pbmg/internal/direct"
 	"pbmg/internal/grid"
 	"pbmg/internal/mg"
 	"pbmg/internal/problem"
@@ -50,10 +51,16 @@ func fitExponent(ns []int, times []float64) float64 {
 	return (fn*sxy - sx*sy) / (fn*sxx - sx*sx)
 }
 
+// factorAndSolve is the paper's direct baseline, LAPACK's DPBSV: a fresh band
+// factorization and one solve, past every factor cache on purpose.
+func factorAndSolve(p *problem.Problem) {
+	direct.NewInteriorSolver(p.Operator(), p.N).Solve(p.NewState(), p.B, p.H)
+}
+
 // Complexity regenerates the §2 complexity table by measuring how each
 // basic algorithm's time to a 10⁹-accurate solution scales with N.
 func (r *Runner) Complexity() (*Table, error) {
-	ws := mg.NewWorkspace(r.pool)
+	ws := r.workspace(r.pool)
 	type algo struct {
 		name     string
 		paper    string
@@ -72,10 +79,7 @@ func (r *Runner) Complexity() (*Table, error) {
 			name: "Direct", paper: "N^4", maxLevel: min(directLevelCap, r.O.MaxLevel),
 			run: func(level int) float64 {
 				p := r.test(level, grid.Unbiased)
-				return timeIt(func() {
-					x := p.NewState()
-					ws.SolveDirect(x, p.B, nil)
-				}).Seconds()
+				return timeIt(func() { factorAndSolve(p) }).Seconds()
 			},
 		},
 		{
@@ -165,9 +169,7 @@ func (r *Runner) Fig6() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := mg.NewWorkspace(r.pool)
-	wsCached := mg.NewWorkspace(r.pool)
-	wsCached.CacheDirectFactor = true
+	ws := r.workspace(r.pool)
 	accIdx := accIndexFor(bundle.V.Acc, targetAccuracy)
 
 	t := &Table{
@@ -180,14 +182,11 @@ func (r *Runner) Fig6() (*Table, error) {
 		n := p.N
 		row := []string{fmt.Sprintf("%d", n)}
 
-		direct := 0.0
+		directSec := 0.0
 		if level <= directLevelCap {
-			direct = timeIt(func() {
-				x := p.NewState()
-				ws.SolveDirect(x, p.B, nil)
-			}).Seconds()
+			directSec = timeIt(func() { factorAndSolve(p) }).Seconds()
 		}
-		row = append(row, fmtSec(direct))
+		row = append(row, fmtSec(directSec))
 
 		// Iterative baselines commit their iteration counts on the
 		// calibration set, as the tuned algorithm did in training.
@@ -222,7 +221,7 @@ func (r *Runner) Fig6() (*Table, error) {
 		}
 		row = append(row, fmtSec(mgTime))
 
-		ex := &mg.Executor{WS: wsCached, V: bundle.V}
+		ex := &mg.Executor{WS: ws, V: bundle.V}
 		tuned := timeIt(func() {
 			y := p.NewState()
 			ex.SolveV(y, p.B, accIdx)
@@ -276,8 +275,7 @@ func (r *Runner) Fig7and8() (*Table, *Table, error) {
 	abs := &Table{Title: "Figure 7: heuristics vs autotuned, biased data, accuracy 1e9 (absolute time)", Columns: cols}
 	rel := &Table{Title: "Figure 8: same data as Figure 7, as time ratio vs autotuned", Columns: cols}
 
-	ws := mg.NewWorkspace(r.pool)
-	ws.CacheDirectFactor = true
+	ws := r.workspace(r.pool)
 	accIdx := accIndexFor(bundle.V.Acc, targetAccuracy)
 	startLevel := 6 // N=65, as in the paper's x-axis
 	if startLevel > r.O.MaxLevel {
@@ -340,8 +338,7 @@ func (r *Runner) Fig9(maxWorkers int) (*Table, error) {
 		if w > 1 {
 			pool = sched.NewPool(w)
 		}
-		ws := mg.NewWorkspace(pool)
-		ws.CacheDirectFactor = true
+		ws := r.workspace(pool)
 		ex := &mg.Executor{WS: ws, V: bundle.V}
 		d := timeIt(func() {
 			y := p.NewState()

@@ -152,12 +152,11 @@ func solveCell(t *testing.T, tn *core.Tuned, level, accIdx int) (golden, float64
 	}
 	n := grid.SizeOfLevel(level)
 	ws := mg.NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	ws.Op = op
 
 	rng := rand.New(rand.NewSource(goldenTestSeed + int64(level)))
 	p := problem.RandomOp(n, grid.Unbiased, rng, op.At(n))
-	refsol.Attach(p, nil)
+	refsol.Attach(p, nil, nil)
 
 	var tr mg.OpTrace
 	ex := mg.Executor{WS: ws, V: tn.V, F: tn.F, Rec: &tr}

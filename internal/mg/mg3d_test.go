@@ -28,7 +28,6 @@ func random3DProblem(n int, seed int64) (x, b *grid.Grid) {
 func newWS3(pool *sched.Pool) *Workspace {
 	ws := NewWorkspace(pool)
 	ws.Op = stencil.Poisson3D()
-	ws.CacheDirectFactor = true
 	return ws
 }
 

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pbmg/internal/direct"
 	"pbmg/internal/grid"
 	"pbmg/internal/problem"
 	"pbmg/internal/stencil"
@@ -16,7 +17,6 @@ func testProblem(t *testing.T, n int, dist grid.Distribution, seed int64) (*prob
 	t.Helper()
 	p := problem.Random(n, dist, rand.New(rand.NewSource(seed)))
 	ws := NewWorkspace(nil)
-	ws.CacheDirectFactor = true
 	opt := p.NewState()
 	ws.SolveDirect(opt, p.B, nil)
 	p.SetOptimal(opt)
@@ -415,14 +415,17 @@ func TestWorkspaceArenaCheckout(t *testing.T) {
 func TestWorkspaceDirectCaching(t *testing.T) {
 	ws := NewWorkspace(nil)
 	p := problem.Random(9, grid.Unbiased, rand.New(rand.NewSource(11)))
-	x1, x2 := p.NewState(), p.NewState()
-	ws.SolveDirect(x1, p.B, nil) // fresh factorization path
-	ws.CacheDirectFactor = true
-	ws.SolveDirect(x2, p.B, nil) // cached path
+	x1, x2, x3 := p.NewState(), p.NewState(), p.NewState()
+	direct.NewInteriorSolver(nil, 9).Solve(x1, p.B, p.H) // a fresh factorization
+	ws.SolveDirect(x2, p.B, nil)                         // factors into the cache
+	ws.SolveDirect(x3, p.B, nil)                         // cached path
 	for i := range x1.Data() {
-		if x1.Data()[i] != x2.Data()[i] {
+		if x1.Data()[i] != x2.Data()[i] || x1.Data()[i] != x3.Data()[i] {
 			t.Fatal("cached and fresh direct solves differ")
 		}
+	}
+	if got := ws.factorCache().Factorizations(); got != 1 {
+		t.Fatalf("two direct solves at one size ran %d factorizations, want 1", got)
 	}
 }
 
@@ -464,7 +467,6 @@ func TestJacobiSmootherConvergesInVCycle(t *testing.T) {
 	}
 	// The paper found SOR the better smoother: same target, fewer cycles.
 	ws2 := NewWorkspace(nil)
-	ws2.CacheDirectFactor = true
 	xs := p.NewState()
 	itersSOR, _ := ws2.SolveRefV(xs, p.B, 1e5, 100, func() float64 { return p.AccuracyOf(xs) }, nil)
 	if itersSOR > iters {

@@ -15,15 +15,15 @@ import (
 )
 
 // Workspace holds the configuration and shared resources behind multigrid
-// executions: the worker pool, the smoother choice, the direct-solver flags,
-// and the caches those imply. All per-solve scratch state (the residual and
+// executions: the worker pool, the smoother choice, the operator and
+// the direct-factor cache. All per-solve scratch state (the residual and
 // transfer grids a cycle needs at each level) is checked out from a
 // sync.Pool-backed arena for exactly the duration of the cycle step that
 // needs it, so a single Workspace is safe for concurrent solves: any number
 // of goroutines may run cycles against it simultaneously, sharing one set
 // of tuned tables, one worker pool, and one direct-factor cache.
 //
-// The configuration fields (Pool, Smoother, CacheDirectFactor, Op) must be
+// The configuration fields (Pool, Smoother, Op, FactorCache) must be
 // set before the workspace is shared across goroutines; solves treat them as
 // read-only.
 type Workspace struct {
@@ -35,16 +35,6 @@ type Workspace struct {
 	// red-black SOR with ω=1.15 after finding it beat weighted Jacobi on
 	// its training data (§2.3); SmootherJacobi reproduces that ablation.
 	Smoother Smoother
-	// CacheDirectFactor controls whether band-Cholesky factorizations are
-	// reused across direct-solve calls. The default (false) re-factors on
-	// every call, matching the cost profile of LAPACK's DPBSV that the
-	// paper's direct choice pays. Who sets it: every pbmg.Solver (serving
-	// and CLI solves, where only the answer matters), refsol and the
-	// experiments that replay tuned tables, and core.Tuner for its private
-	// workspace when its coster prices traces and never reads the clock. A
-	// wall-clock tuner leaves it off: the factorization is part of the cost
-	// it is there to measure.
-	CacheDirectFactor bool
 	// Op is the operator family the workspace solves, discretized at the
 	// finest grid size it will see; coarser levels are derived on demand via
 	// the operator's memoized coarse hierarchy. Nil selects the
@@ -131,7 +121,7 @@ func newLevelBufs[T grid.Float](dim, n int) *levelBufsG[T] {
 }
 
 // NewWorkspace returns a workspace using the given pool (nil for serial).
-// The zero value is also usable (serial, SOR smoother, no factor cache).
+// The zero value is also usable (serial, SOR smoother, private factor cache).
 func NewWorkspace(pool *sched.Pool) *Workspace {
 	return &Workspace{Pool: pool}
 }
@@ -199,9 +189,12 @@ func (s Snapshot) Grid() *grid.Grid { return s.bufs.r }
 func (ws *Workspace) ReleaseSnapshot(s Snapshot) { ws.release(s.bufs) }
 
 // SolveDirect overwrites x's interior with the exact solution of T·x = b via
-// band Cholesky, using x's boundary as Dirichlet data.
+// band Cholesky, using x's boundary as Dirichlet data. The matrix is factored
+// once per (operator, size) in the workspace's factor cache.
 func (ws *Workspace) SolveDirect(x, b *grid.Grid, rec Recorder) {
-	ws.solveDirect64(x, b, rec)
+	n := x.N()
+	ws.factorCache().GetOp(ws.opAt(n), n).Solve(x, b, 1.0/float64(n-1))
+	record(rec, EvDirect, grid.Level(n), 1)
 }
 
 // solveDirectOf is the direct base case at any storage precision. The band
@@ -212,7 +205,7 @@ func (ws *Workspace) SolveDirect(x, b *grid.Grid, rec Recorder) {
 // exactly, and rounds the solution back.
 func solveDirectOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder) {
 	if x64, ok := any(x).(*grid.Grid); ok {
-		ws.solveDirect64(x64, any(b).(*grid.Grid), rec)
+		ws.SolveDirect(x64, any(b).(*grid.Grid), rec)
 		return
 	}
 	st := checkoutOf[float64](ws, x.N())
@@ -220,22 +213,8 @@ func solveDirectOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder) {
 	x64, b64 := st.r, st.scratch
 	grid.ConvertInto(x64, x)
 	grid.ConvertInto(b64, b)
-	ws.solveDirect64(x64, b64, rec)
+	ws.SolveDirect(x64, b64, rec)
 	grid.ConvertInto(x, x64)
-}
-
-func (ws *Workspace) solveDirect64(x, b *grid.Grid, rec Recorder) {
-	n := x.N()
-	h := 1.0 / float64(n-1)
-	op := ws.opAt(n)
-	var s direct.InteriorSolver
-	if ws.CacheDirectFactor {
-		s = ws.factorCache().GetOp(op, n)
-	} else {
-		s = direct.NewInteriorSolver(op, n)
-	}
-	s.Solve(x, b, h)
-	record(rec, EvDirect, grid.Level(n), 1)
 }
 
 // SOR runs the given number of red-black SOR sweeps with weight omega,

@@ -4,6 +4,13 @@
 // impractical, are solved by full multigrid iterated to machine precision —
 // accurate far beyond the largest accuracy level (10⁹) the metric ever
 // reads, so the substitution does not bias measurements (see DESIGN.md).
+//
+// Band factorizations go through the *direct.Cache the caller lends (nil: a
+// private one that dies with the call). A caller that computes several
+// references, or that solves directly at the same sizes itself — the tuner,
+// the experiment Runner — lends its own, so each (operator, size) is factored
+// once for references and candidates together and the factorizations live
+// exactly as long as their owner.
 package refsol
 
 import (
@@ -60,12 +67,13 @@ const (
 	stallFallbackMaxN3D = direct.Direct3DMaxN
 )
 
-// Compute returns the reference solution of p without mutating it.
-func Compute(p *problem.Problem, pool *sched.Pool) *grid.Grid {
+// Compute returns the reference solution of p without mutating it, factoring
+// through cache (nil: private to this call).
+func Compute(p *problem.Problem, pool *sched.Pool, cache *direct.Cache) *grid.Grid {
 	op := p.Operator()
 	ws := mg.NewWorkspace(pool)
-	ws.CacheDirectFactor = true
 	ws.Op = op
+	ws.FactorCache = cache
 	x := p.NewState()
 	directMax := DirectMaxN
 	if op.Dim() == 3 {
@@ -111,10 +119,11 @@ func Compute(p *problem.Problem, pool *sched.Pool) *grid.Grid {
 	return x
 }
 
-// Attach computes the reference solution and stores it on the problem.
-func Attach(p *problem.Problem, pool *sched.Pool) {
+// Attach computes the reference solution (see Compute) and stores it on the
+// problem.
+func Attach(p *problem.Problem, pool *sched.Pool, cache *direct.Cache) {
 	if p.Optimal() != nil {
 		return
 	}
-	p.SetOptimal(Compute(p, pool))
+	p.SetOptimal(Compute(p, pool, cache))
 }

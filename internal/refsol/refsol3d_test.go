@@ -15,7 +15,7 @@ func TestCompute3DDirect(t *testing.T) {
 	n := 17
 	rng := rand.New(rand.NewSource(1))
 	p := problem.RandomOp(n, grid.Unbiased, rng, stencil.Poisson3D())
-	x := Compute(p, nil)
+	x := Compute(p, nil, nil)
 	if x.Dim() != 3 {
 		t.Fatalf("reference is %dD", x.Dim())
 	}
@@ -31,7 +31,7 @@ func TestCompute3DConvergedMultigrid(t *testing.T) {
 	n := 33 // > DirectMaxN3D
 	rng := rand.New(rand.NewSource(2))
 	p := problem.RandomOp(n, grid.Unbiased, rng, stencil.Poisson3D())
-	x := Compute(p, nil)
+	x := Compute(p, nil, nil)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
 	if r := stencil.Poisson3D().ResidualNorm(nil, x, p.B, p.H); r > 100*relResidualTarget*scale {
 		t.Fatalf("multigrid 3D reference residual %v above floor (scale %v)", r, scale)

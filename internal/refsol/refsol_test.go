@@ -11,7 +11,7 @@ import (
 
 func TestComputeDirectPath(t *testing.T) {
 	p := problem.Random(33, grid.Unbiased, rand.New(rand.NewSource(1)))
-	x := Compute(p, nil)
+	x := Compute(p, nil, nil)
 	res := stencil.ResidualNorm(x, p.B, p.H)
 	scale := grid.L2Interior(p.B) + 1
 	if res > 1e-9*scale {
@@ -22,7 +22,7 @@ func TestComputeDirectPath(t *testing.T) {
 func TestComputeMultigridPath(t *testing.T) {
 	// 257 > DirectMaxN forces the converged-multigrid path.
 	p := problem.Random(257, grid.Biased, rand.New(rand.NewSource(2)))
-	x := Compute(p, nil)
+	x := Compute(p, nil, nil)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
 	res := stencil.ResidualNorm(x, p.B, p.H)
 	if res > 1e-10*scale {
@@ -33,7 +33,7 @@ func TestComputeMultigridPath(t *testing.T) {
 func TestComputeDoesNotMutateProblem(t *testing.T) {
 	p := problem.Random(17, grid.Unbiased, rand.New(rand.NewSource(3)))
 	before := p.Boundary.Clone()
-	Compute(p, nil)
+	Compute(p, nil, nil)
 	for i := range before.Data() {
 		if p.Boundary.Data()[i] != before.Data()[i] {
 			t.Fatal("Compute mutated the problem boundary")
@@ -46,9 +46,9 @@ func TestComputeDoesNotMutateProblem(t *testing.T) {
 
 func TestAttachIdempotent(t *testing.T) {
 	p := problem.Random(17, grid.Unbiased, rand.New(rand.NewSource(4)))
-	Attach(p, nil)
+	Attach(p, nil, nil)
 	first := p.Optimal()
-	Attach(p, nil)
+	Attach(p, nil, nil)
 	if p.Optimal() != first {
 		t.Fatal("Attach recomputed an existing reference")
 	}
@@ -57,7 +57,7 @@ func TestAttachIdempotent(t *testing.T) {
 func TestPathsAgreeNearBoundary(t *testing.T) {
 	// At N=129 both paths are viable; they must agree to high precision.
 	p := problem.Random(129, grid.Unbiased, rand.New(rand.NewSource(5)))
-	direct := Compute(p, nil)
+	direct := Compute(p, nil, nil)
 
 	// Force the multigrid path by solving the same problem at one size
 	// larger is wasteful; instead check the direct solution's residual and
@@ -87,7 +87,7 @@ func TestComputeStalledMultigridFallsBackToDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := problem.RandomOp(257, grid.Unbiased, rand.New(rand.NewSource(6)), op)
-	x := Compute(p, nil)
+	x := Compute(p, nil, nil)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
 	res := op.ResidualNorm(nil, x, p.B, p.H)
 	if res > stalledResidualFactor*relResidualTarget*scale {

@@ -120,18 +120,26 @@ func residualRowConst[T grid.Float](rr, xr, up, down, br []T, c int, inv, cx, cy
 }
 
 // --- variable-coefficient stencil (nodal field rows cr, cu, cd) ---
+//
+// A face coefficient is the mean of its two nodes. The kernels below work
+// with the sums — twice the faces — and fold the 2 into a loop-invariant
+// factor instead (2·h2 beside a numerator that a doubled centre divides,
+// inv/2 or (1−ω)/2 beside a doubled T·x): scaling by two commutes with
+// rounding, so every result keeps its bits and each point loses four
+// multiplications.
 
 func relaxRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, h2, omega T) {
 	n := len(xr) - 1
 	east, ceast := xr[1:][:n], cr[1:][:n]
 	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
+	h2 *= 2
 	for j := 1 + c&1; j < n; j += 2 {
 		cc := cr[j]
-		cn := 0.5 * (cc + cu[j])
-		cs := 0.5 * (cc + cd[j])
-		cw := 0.5 * (cc + cr[j-1])
-		ce := 0.5 * (cc + ceast[j])
+		cn := cc + cu[j]
+		cs := cc + cd[j]
+		cw := cc + cr[j-1]
+		ce := cc + ceast[j]
 		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / (cn + cs + cw + ce)
 		xr[j] += omega * (gs - xr[j])
 	}
@@ -144,13 +152,14 @@ func relaxEmitRowVar[T grid.Float](xr, up, down, br, rr, cr, cu, cd []T, c int, 
 	east, ceast := xr[1:][:n], cr[1:][:n]
 	xr, up, down, br, rr = xr[:n], up[:n], down[:n], br[:n], rr[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
-	oneMinus := 1 - omega
+	h2 *= 2
+	oneMinus := 0.5 * (1 - omega)
 	for j := 1 + c&1; j < n; j += 2 {
 		cc := cr[j]
-		cn := 0.5 * (cc + cu[j])
-		cs := 0.5 * (cc + cd[j])
-		cw := 0.5 * (cc + cr[j-1])
-		ce := 0.5 * (cc + ceast[j])
+		cn := cc + cu[j]
+		cs := cc + cd[j]
+		cw := cc + cr[j-1]
+		ce := cc + ceast[j]
 		center := cn + cs + cw + ce
 		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / center
 		d := gs - xr[j]
@@ -164,12 +173,13 @@ func residualRowVar[T grid.Float](rr, xr, up, down, br, cr, cu, cd []T, c int, i
 	east, ceast := xr[1:][:n], cr[1:][:n]
 	rr, xr, up, down, br = rr[:n], xr[:n], up[:n], down[:n], br[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
+	inv *= 0.5
 	for j := 1 + c&1; j < n; j += 2 {
 		cc := cr[j]
-		cn := 0.5 * (cc + cu[j])
-		cs := 0.5 * (cc + cd[j])
-		cw := 0.5 * (cc + cr[j-1])
-		ce := 0.5 * (cc + ceast[j])
+		cn := cc + cu[j]
+		cs := cc + cd[j]
+		cw := cc + cr[j-1]
+		ce := cc + ceast[j]
 		rr[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv
 	}
 }
@@ -302,13 +312,14 @@ func relaxSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, h2, om
 	east, ceast := xr[1:][:n], cr[1:][:n]
 	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
-	oneMinus := 1 - omega
+	h2 *= 2
+	oneMinus := 0.5 * (1 - omega)
 	for j := 1 + c&1; j < n; j += 2 {
 		cc := cr[j]
-		cn := 0.5 * (cc + cu[j])
-		cs := 0.5 * (cc + cd[j])
-		cw := 0.5 * (cc + cr[j-1])
-		ce := 0.5 * (cc + ceast[j])
+		cn := cc + cu[j]
+		cs := cc + cd[j]
+		cw := cc + cr[j-1]
+		ce := cc + ceast[j]
 		center := cn + cs + cw + ce
 		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / center
 		d := gs - xr[j]
@@ -324,13 +335,14 @@ func residualSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, inv
 	east, ceast := xr[1:][:n], cr[1:][:n]
 	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
+	inv *= 0.5
 	if c < 0 {
 		for j := 1; j < n; j++ {
 			cc := cr[j]
-			cn := 0.5 * (cc + cu[j])
-			cs := 0.5 * (cc + cd[j])
-			cw := 0.5 * (cc + cr[j-1])
-			ce := 0.5 * (cc + ceast[j])
+			cn := cc + cu[j]
+			cs := cc + cd[j]
+			cw := cc + cr[j-1]
+			ce := cc + ceast[j]
 			r := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv)
 			s += r * r
 		}
@@ -338,10 +350,10 @@ func residualSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, inv
 	}
 	for j := 1 + c&1; j < n; j += 2 {
 		cc := cr[j]
-		cn := 0.5 * (cc + cu[j])
-		cs := 0.5 * (cc + cd[j])
-		cw := 0.5 * (cc + cr[j-1])
-		ce := 0.5 * (cc + ceast[j])
+		cn := cc + cu[j]
+		cs := cc + cd[j]
+		cw := cc + cr[j-1]
+		ce := cc + ceast[j]
 		r := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv)
 		s += r * r
 	}

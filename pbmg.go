@@ -143,7 +143,7 @@ func NewFamilyProblem(n int, dist Distribution, seed int64, f Family, eps float6
 // Reference computes the problem's near-exact solution and attaches it, so
 // Problem.AccuracyOf can grade solver outputs.
 func Reference(p *Problem) *Grid {
-	refsol.Attach(p, nil)
+	refsol.Attach(p, nil, nil)
 	return p.Optimal()
 }
 
@@ -315,7 +315,6 @@ func newSolver(tuned *core.Tuned, pool *sched.Pool) (*Solver, error) {
 		return nil, err
 	}
 	ws := mg.NewWorkspace(pool)
-	ws.CacheDirectFactor = true // production solves reuse factorizations
 	ws.Op = op
 	s := &Solver{tuned: tuned, ws: ws, pool: pool}
 	for _, row := range tuned.V.Plans {
