@@ -203,14 +203,22 @@ var admissionSeed = flag.Int64("admission.seed", 0, "run TestAdmissionInterleavi
 // The driver is one goroutine and lets every step settle (each blocked
 // request is parked in a queue) before the next, so a seed replays exactly:
 // go test -run TestAdmissionInterleavings -admission.seed=N .
+// Besides the fixed seeds, one run per invocation takes its seed from the
+// clock under the stable name seed=clock and logs the seed it drew.
 func TestAdmissionInterleavings(t *testing.T) {
-	seeds := []int64{1, 2, 3, time.Now().UnixNano()}
 	if *admissionSeed != 0 {
-		seeds = []int64{*admissionSeed}
+		seed := *admissionSeed
+		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { newAdmissionSim(t, seed).run(3000) })
+		return
 	}
-	for _, seed := range seeds {
+	for _, seed := range []int64{1, 2, 3, 1792090513815234650} {
 		t.Run(fmt.Sprint("seed=", seed), func(t *testing.T) { newAdmissionSim(t, seed).run(3000) })
 	}
+	t.Run("seed=clock", func(t *testing.T) {
+		seed := time.Now().UnixNano()
+		t.Logf("seed %d (replay with -admission.seed=%d)", seed, seed)
+		newAdmissionSim(t, seed).run(3000)
+	})
 }
 
 // simReq is one simulated request.

@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,7 +189,10 @@ func TestMeasurementOrderIsInvisible(t *testing.T) {
 		for shuffle := int64(1); shuffle <= 4; shuffle++ {
 			tn := tc.tuner(t)
 			rng := rand.New(rand.NewSource(shuffle))
+			var mu sync.Mutex // a level's two searches shuffle at once
 			tn.reorder = func(order []int) {
+				mu.Lock()
+				defer mu.Unlock()
 				rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 			}
 			got, err := tn.Tune()

@@ -37,18 +37,15 @@ type Tuned struct {
 	F *mg.FTable `json:"f,omitempty"`
 }
 
-// Tune runs the complete dynamic program — V table then full-multigrid
-// table — and returns the bundle.
+// Tune runs the complete dynamic program — the V and full-multigrid tables,
+// level by level — and returns the bundle.
 func (t *Tuner) Tune() (*Tuned, error) {
-	vt, err := t.TuneV()
-	if err != nil {
-		return nil, err
+	ft := &mg.FTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
+	b := t.bundle(t.tune(ft), ft)
+	if err := b.Validate(); err != nil {
+		return nil, fmt.Errorf("core: tuned bundle invalid: %w", err)
 	}
-	ft, err := t.TuneFull(vt)
-	if err != nil {
-		return nil, err
-	}
-	return t.bundle(vt, ft), nil
+	return b, nil
 }
 
 // bundle stamps tuned tables with the tuner's provenance.

@@ -155,34 +155,22 @@ func TestTunedVBeatsOrTiesReferenceV(t *testing.T) {
 
 func TestTuneFullProducesValidTableAndMeetsTargets(t *testing.T) {
 	tn := newModelTuner(t, 5, grid.Biased)
-	vt, err := tn.TuneV()
+	bundle, err := tn.Tune()
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, err := tn.TuneFull(vt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ft.Validate(); err != nil {
+	if err := bundle.F.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	p := testInstance(t, 5, grid.Biased, 555)
 	ws := mg.NewWorkspace(nil)
-	ex := &mg.Executor{WS: ws, V: vt, F: ft}
-	for i, target := range ft.Acc {
+	ex := &mg.Executor{WS: ws, V: bundle.V, F: bundle.F}
+	for i, target := range bundle.F.Acc {
 		x := p.NewState()
 		ex.SolveFull(x, p.B, i)
 		if got := p.AccuracyOf(x); got < target*0.1 {
 			t.Errorf("full accuracy index %d: achieved %.3g, target %.3g", i, got, target)
 		}
-	}
-}
-
-func TestTuneFullRequiresCompleteVTable(t *testing.T) {
-	tn := newModelTuner(t, 5, grid.Unbiased)
-	short := &mg.VTable{Acc: DefaultAccuracies(), Plans: [][]mg.Plan{}}
-	if _, err := tn.TuneFull(short); err == nil {
-		t.Fatal("TuneFull accepted a V table shallower than MaxLevel")
 	}
 }
 

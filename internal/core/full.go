@@ -9,28 +9,6 @@ import (
 	"pbmg/internal/problem"
 )
 
-// TuneFull runs the dynamic program for the FULL-MULTIGRID family (§2.4) on
-// top of an already-tuned V table. For every level and accuracy target it
-// compares a direct solve against every (estimate accuracy j, solve-phase
-// choice) combination: ESTIMATE_j followed by iterated SOR or by iterated
-// RECURSE_k, with j and k chosen independently as in the paper.
-func (t *Tuner) TuneFull(vt *mg.VTable) (*mg.FTable, error) {
-	if vt.MaxLevel() < t.cfg.MaxLevel {
-		return nil, fmt.Errorf("core: V table tuned to level %d, need %d", vt.MaxLevel(), t.cfg.MaxLevel)
-	}
-	ft := &mg.FTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
-	for level := 2; level <= t.cfg.MaxLevel; level++ {
-		before := t.spent()
-		row := t.tuneFullLevel(vt, ft, level)
-		ft.Plans = append(ft.Plans, row)
-		t.logf("full level %d (N=%d): %s [%s]", level, grid.SizeOfLevel(level), describeFullRow(row), t.charge(level, before))
-	}
-	if err := ft.Validate(); err != nil {
-		return nil, fmt.Errorf("core: tuned full table invalid: %w", err)
-	}
-	return ft, nil
-}
-
 // estimate is ESTIMATE_j run over a level's training data: the state and
 // accuracy it leaves on each instance, and its trace and wall time.
 type estimate struct {
@@ -136,6 +114,9 @@ func (t *Tuner) measureFull(level int, c fullCandidate, probs []*problem.Problem
 	return measuredFull{plan: c.plan, iters: iters, costPerAcc: cv.price(iters)}
 }
 
+// tuneFullLevel compares, per accuracy target, a direct solve against every
+// ESTIMATE_j followed by iterated SOR or RECURSE_k, j and k chosen
+// independently as in the paper (§2.4), reading only rows below the level.
 func (t *Tuner) tuneFullLevel(vt *mg.VTable, ft *mg.FTable, level int) []mg.FullPlan {
 	probs := t.training(level)
 	cands := t.fullCandidates(vt, ft, level, probs)

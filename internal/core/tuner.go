@@ -11,8 +11,10 @@
 // model), and keeps the cheapest. Because all accuracies at level k−1 are
 // tuned before level k begins, optimal sub-algorithms of every accuracy are
 // available for substitution, exactly as the paper's dynamic program
-// requires. TuneFull extends the same construction to full-multigrid cycles
-// with their estimation phase (§2.4).
+// requires. Tune tunes the full-multigrid table (§2.4) beside it: both
+// searches at level k read only rows below k, so Tuner.tuneLevel runs them
+// side by side, each serial on its own books — but not under WallClock,
+// where a time read beside the other search would price the contention.
 //
 // The search at a level is an exact branch-and-bound (Tuner.search,
 // Tuner.count): a candidate's one-iteration trace and time are taken before
@@ -36,6 +38,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"time"
 
 	"pbmg/internal/arch"
@@ -79,7 +82,8 @@ type Config struct {
 	// Coster prices candidates: arch.WallClock for the host machine or an
 	// *arch.Model for a simulated architecture.
 	Coster arch.Coster
-	// Pool parallelizes kernels during wall-clock measurement (nil: serial).
+	// Pool parallelizes kernels (nil: serial); the tuner's two-way fork of
+	// a level's searches does not depend on it.
 	Pool *sched.Pool
 	// DirectMaxLevel is the largest level at which the direct choice is
 	// explored; its O(N⁴) factorization makes it useless beyond coarse
@@ -94,7 +98,7 @@ type Config struct {
 	// red-black SOR with ω = 1.15; mg.SmootherJacobi reproduces the
 	// weighted-Jacobi alternative the paper evaluated and rejected, §2.3).
 	Smoother mg.Smoother
-	// Logf, when non-nil, receives progress lines.
+	// Logf, when non-nil, receives progress lines, maybe two at once.
 	Logf func(format string, args ...any)
 }
 
@@ -190,7 +194,7 @@ type Tuner struct {
 	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
 	direct map[int]float64      // direct-solve cost per level, measured once for V and full
 
-	work   Stats         // running counters (Factorizations: see spent)
+	work   Stats         // this search's running counters (Factorizations: see spent)
 	levels map[int]Stats // work charged to each tuned level
 
 	// reorder, when non-nil, permutes a level's measurement order in place —
@@ -244,18 +248,21 @@ func (t *Tuner) logf(format string, args ...any) {
 }
 
 // training returns (generating on first use) the training problems for a
-// level, with reference solutions attached.
+// level, with reference solutions attached, computed one per goroutine.
 func (t *Tuner) training(level int) []*problem.Problem {
 	if ps, ok := t.probs[level]; ok {
 		return ps
 	}
 	n := grid.SizeOfLevel(level)
 	ps := make([]*problem.Problem, t.cfg.TrainingInstances)
+	var wg sync.WaitGroup
 	for i := range ps {
 		rng := rand.New(rand.NewSource(t.cfg.Seed + int64(level)*1009 + int64(i)))
 		ps[i] = problem.RandomOp(n, t.cfg.Distribution, rng, t.op.At(n))
-		refsol.Attach(ps[i], t.cfg.Pool, t.ws.FactorCache)
+		wg.Add(1)
+		go func() { defer wg.Done(); refsol.Attach(ps[i], t.cfg.Pool, t.ws.FactorCache) }()
 	}
+	wg.Wait()
 	t.probs[level] = ps
 	return ps
 }
@@ -295,13 +302,13 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 	if traceBased(t.cfg.Coster) {
 		return &tr, elapsed
 	}
-	// Re-sample short steps in growing batches until one batch is long
-	// enough to trust, then keep the minimum (least-noise) of three such
-	// batches: candidate ranking is only as good as these samples.
+	// Re-sample short steps in doubling batches (the step just timed is the
+	// first) until one is long enough to trust, then keep the minimum (least
+	// noise) of it and two more its size: ranking is only as good as these.
 	const minSample = 200 * time.Microsecond
-	batch := elapsed
-	reps := 1
-	for ; batch < minSample && reps <= 4096; reps *= 2 {
+	batch, reps := elapsed, 1
+	for batch < minSample && reps < 4096 {
+		reps *= 2
 		x = p.NewState()
 		start = time.Now()
 		for r := 0; r < reps; r++ {
@@ -478,7 +485,7 @@ type measured struct {
 
 // directCosts prices the direct choice at a level (identical for every
 // accuracy target: the solve is exact). The solve is measured once per
-// level, whichever table asks first, and with its matrix already factored:
+// level (tuneLevel asks before its searches fork), with its matrix factored:
 // what a wall clock then reads is the cached solve that serving runs.
 func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
 	cost, ok := t.direct[level]
@@ -663,17 +670,52 @@ func sorLast(c mg.Choice) bool { return c == mg.ChoiceSOR }
 // TuneV runs the dynamic program for the MULTIGRID-V family and returns the
 // tuned table.
 func (t *Tuner) TuneV() (*mg.VTable, error) {
-	vt := &mg.VTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
-	for level := 2; level <= t.cfg.MaxLevel; level++ {
-		before := t.spent()
-		row := t.tuneVLevel(vt, level)
-		vt.Plans = append(vt.Plans, row)
-		t.logf("level %d (N=%d): %s [%s]", level, grid.SizeOfLevel(level), describeRow(row), t.charge(level, before))
-	}
+	vt := t.tune(nil)
 	if err := vt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: tuned V table invalid: %w", err)
 	}
 	return vt, nil
+}
+
+// tune runs the dynamic program bottom-up and returns the V table, filling
+// the FULL-MULTIGRID table ft beside it when ft is non-nil.
+func (t *Tuner) tune(ft *mg.FTable) *mg.VTable {
+	vt := &mg.VTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
+	for level := 2; level <= t.cfg.MaxLevel; level++ {
+		t.tuneLevel(vt, ft, level)
+	}
+	return vt
+}
+
+// tuneLevel appends one level's row to vt and, if non-nil, to ft (which the
+// V search never reads): references and direct price first, then the two
+// searches, the V one on a copy of the tuner with its own work books.
+func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
+	before := t.spent()
+	probs := t.training(level)
+	if level <= t.cfg.DirectMaxLevel {
+		t.directCosts(level, probs)
+	}
+	v := *t
+	v.work = Stats{}
+	var vrow []mg.Plan
+	done := make(chan struct{})
+	tuneV := func() { vrow = v.tuneVLevel(vt, level); close(done) }
+	if ft != nil && traceBased(t.cfg.Coster) {
+		go tuneV()
+	} else {
+		tuneV()
+	}
+	full := ""
+	if ft != nil {
+		row := t.tuneFullLevel(vt, ft, level)
+		ft.Plans = append(ft.Plans, row)
+		full = "; full " + describeFullRow(row)
+	}
+	<-done
+	t.work.Add(v.work)
+	vt.Plans = append(vt.Plans, vrow)
+	t.logf("level %d (N=%d): V %s%s [%s]", level, grid.SizeOfLevel(level), describeRow(vrow), full, t.charge(level, before))
 }
 
 // tuneVLevel picks, per accuracy target, the cheapest feasible candidate at

@@ -168,6 +168,9 @@ type Options struct {
 	// the host machine by wall clock.
 	Machine string
 	// Workers sets the worker-pool size for parallel kernels (0: serial).
+	// It is the kernels' width only: under a simulated machine the tuner
+	// also runs each level's V and full-multigrid searches side by side,
+	// whatever Workers says.
 	Workers int
 	// Seed fixes the training data.
 	Seed int64
