@@ -205,23 +205,6 @@ func TestMaxAbsInterior(t *testing.T) {
 	}
 }
 
-func TestAccuracyLevel(t *testing.T) {
-	xopt := New(3)
-	xin := New(3)
-	xin.Set(1, 1, 8)
-	xout := New(3)
-	xout.Set(1, 1, 2)
-	if got := AccuracyLevel(xin, xout, xopt); math.Abs(got-4) > 1e-12 {
-		t.Fatalf("AccuracyLevel = %v, want 4", got)
-	}
-	if got := AccuracyLevel(xin, xopt, xopt); !math.IsInf(got, 1) {
-		t.Fatalf("exact output should yield +Inf, got %v", got)
-	}
-	if got := AccuracyLevel(xopt, xopt, xopt); got != 1 {
-		t.Fatalf("degenerate case should yield 1, got %v", got)
-	}
-}
-
 func TestDistributionString(t *testing.T) {
 	if Unbiased.String() != "unbiased" || Biased.String() != "biased" ||
 		PointSources.String() != "point-sources" || Distribution(99).String() != "unknown" {
@@ -312,28 +295,6 @@ func TestLevelSizeInverseProperty(t *testing.T) {
 		return Level(SizeOfLevel(lvl)) == lvl
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: AccuracyLevel is scale-invariant — scaling all three grids by
-// the same nonzero factor leaves the ratio unchanged.
-func TestAccuracyScaleInvarianceProperty(t *testing.T) {
-	f := func(seed int64, scaleBits uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		s := 0.5 + float64(scaleBits%100)/10 // in [0.5, 10.4]
-		xin, xout, xopt := New(5), New(5), New(5)
-		FillRandom(xin, Unbiased, rng)
-		FillRandom(xout, Unbiased, rng)
-		FillRandom(xopt, Unbiased, rng)
-		a1 := AccuracyLevel(xin, xout, xopt)
-		for _, g := range []*Grid{xin, xout, xopt} {
-			g.Scale(s)
-		}
-		a2 := AccuracyLevel(xin, xout, xopt)
-		return math.Abs(a1-a2) <= 1e-9*math.Max(a1, a2)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
 }

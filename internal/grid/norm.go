@@ -118,20 +118,3 @@ func HasNonFinite[T Float](g *G[T]) bool {
 	}
 	return s0+s1+s2+s3+s4+s5+s6+s7 != 0
 }
-
-// AccuracyLevel implements the paper's accuracy metric (§2.2): the ratio of
-// the input error norm to the output error norm, both measured against the
-// optimal solution xopt. Higher is better. If the output error is zero
-// (exact solve) the result is +Inf; if the input error is also zero the
-// result is defined as 1 (no improvement possible or needed).
-func AccuracyLevel(xin, xout, xopt *Grid) float64 {
-	ein := L2DiffInterior(xin, xopt)
-	eout := L2DiffInterior(xout, xopt)
-	if eout == 0 {
-		if ein == 0 {
-			return 1
-		}
-		return math.Inf(1)
-	}
-	return ein / eout
-}

@@ -10,6 +10,7 @@ package problem
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"pbmg/internal/grid"
@@ -29,6 +30,7 @@ type Problem struct {
 	B        *grid.Grid        // right-hand side
 	Boundary *grid.Grid        // boundary values; interior entries are zero
 	opt      *grid.Grid        // reference solution, set via SetOptimal
+	initErr  float64           // ‖Boundary − opt‖₂, set with opt
 }
 
 // Random draws a constant-coefficient Poisson problem of side n from the
@@ -87,13 +89,16 @@ func (p *Problem) NewState() *grid.Grid {
 	return p.Boundary.Clone()
 }
 
-// SetOptimal records the reference solution used by the accuracy metric.
-// The grid is cloned, so later mutation of x does not affect the problem.
+// SetOptimal records the reference solution used by the accuracy metric,
+// and the initial guess's error against it, which every AccuracyOf divides
+// by: Boundary must not change afterwards. The grid is cloned, so later
+// mutation of x does not affect the problem.
 func (p *Problem) SetOptimal(x *grid.Grid) {
 	if x.N() != p.N {
 		panic("problem: SetOptimal size mismatch")
 	}
 	p.opt = x.Clone()
+	p.initErr = grid.L2DiffInterior(p.Boundary, p.opt)
 }
 
 // Optimal returns the reference solution, or nil if not yet computed.
@@ -103,15 +108,23 @@ func (p *Problem) Optimal() *grid.Grid { return p.opt }
 // guess. It panics if the reference solution has not been set.
 func (p *Problem) InitialError() float64 {
 	p.mustOpt()
-	return grid.L2DiffInterior(p.Boundary, p.opt)
+	return p.initErr
 }
 
-// AccuracyOf returns the paper's accuracy level of a candidate output x,
-// measured from the standard initial guess:
-// ‖x₀ − x_opt‖₂ / ‖x − x_opt‖₂.
+// AccuracyOf returns the paper's accuracy level (§2.2) of a candidate output
+// x, measured from the standard initial guess: ‖x₀ − x_opt‖₂ / ‖x − x_opt‖₂.
+// Higher is better. An exact x scores +Inf, or 1 when the initial guess was
+// exact too (no improvement possible or needed).
 func (p *Problem) AccuracyOf(x *grid.Grid) float64 {
 	p.mustOpt()
-	return grid.AccuracyLevel(p.Boundary, x, p.opt)
+	eout := grid.L2DiffInterior(x, p.opt)
+	if eout == 0 {
+		if p.initErr == 0 {
+			return 1
+		}
+		return math.Inf(1)
+	}
+	return p.initErr / eout
 }
 
 // ErrorOf returns ‖x − x_opt‖₂ over the interior.

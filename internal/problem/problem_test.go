@@ -1,11 +1,14 @@
 package problem
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"pbmg/internal/grid"
+	"pbmg/internal/stencil"
 )
 
 func TestRandomProblemShape(t *testing.T) {
@@ -62,6 +65,99 @@ func TestAccuracyOfUsesInitialGuess(t *testing.T) {
 	if got := p.ErrorOf(x); math.Abs(got-1) > 1e-12 {
 		t.Fatalf("ErrorOf = %v, want 1", got)
 	}
+}
+
+// accuracyLevel is the paper's accuracy metric (§2.2) computed directly, the
+// oracle AccuracyOf is held to: the ratio of the input error norm to the
+// output error norm, both against xopt; +Inf for an exact output, and 1 when
+// the input was exact too.
+func accuracyLevel(xin, xout, xopt *grid.Grid) float64 {
+	ein := grid.L2DiffInterior(xin, xopt)
+	eout := grid.L2DiffInterior(xout, xopt)
+	if eout == 0 {
+		if ein == 0 {
+			return 1
+		}
+		return math.Inf(1)
+	}
+	return ein / eout
+}
+
+func TestAccuracyLevel(t *testing.T) {
+	xopt := grid.New(3)
+	xin := grid.New(3)
+	xin.Set(1, 1, 8)
+	xout := grid.New(3)
+	xout.Set(1, 1, 2)
+	if got := accuracyLevel(xin, xout, xopt); math.Abs(got-4) > 1e-12 {
+		t.Fatalf("accuracyLevel = %v, want 4", got)
+	}
+	if got := accuracyLevel(xin, xopt, xopt); !math.IsInf(got, 1) {
+		t.Fatalf("exact output should yield +Inf, got %v", got)
+	}
+	if got := accuracyLevel(xopt, xopt, xopt); got != 1 {
+		t.Fatalf("degenerate case should yield 1, got %v", got)
+	}
+}
+
+// Property: accuracyLevel is scale-invariant — scaling all three grids by
+// the same nonzero factor leaves the ratio unchanged.
+func TestAccuracyScaleInvarianceProperty(t *testing.T) {
+	f := func(seed int64, scaleBits uint8) bool {
+		rng := rand.New(rand.NewSource(seed))
+		s := 0.5 + float64(scaleBits%100)/10 // in [0.5, 10.4]
+		xin, xout, xopt := grid.New(5), grid.New(5), grid.New(5)
+		grid.FillRandom(xin, grid.Unbiased, rng)
+		grid.FillRandom(xout, grid.Unbiased, rng)
+		grid.FillRandom(xopt, grid.Unbiased, rng)
+		a1 := accuracyLevel(xin, xout, xopt)
+		for _, g := range []*grid.Grid{xin, xout, xopt} {
+			g.Scale(s)
+		}
+		a2 := accuracyLevel(xin, xout, xopt)
+		return math.Abs(a1-a2) <= 1e-9*math.Max(a1, a2)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAccuracyOfMatchesOracle: AccuracyOf, dividing by the initial error
+// SetOptimal kept, is the oracle's ratio to the bit — for 2D and 3D problems
+// of every distribution, random candidates, the initial guess itself, an
+// exact candidate, and an exact initial guess.
+func TestAccuracyOfMatchesOracle(t *testing.T) {
+	check := func(name string, p *Problem, x *grid.Grid) {
+		t.Helper()
+		got, want := p.AccuracyOf(x), accuracyLevel(p.Boundary, x, p.Optimal())
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%s: AccuracyOf = %v, oracle %v", name, got, want)
+		}
+		if e := grid.L2DiffInterior(p.Boundary, p.Optimal()); math.Float64bits(p.InitialError()) != math.Float64bits(e) {
+			t.Errorf("%s: InitialError = %v, want %v", name, p.InitialError(), e)
+		}
+	}
+	rng := rand.New(rand.NewSource(11))
+	for _, op := range []*stencil.Operator{nil, stencil.Poisson3D()} {
+		for _, dist := range []grid.Distribution{grid.Unbiased, grid.Biased, grid.PointSources} {
+			for _, n := range []int{5, 9, 17} {
+				p := RandomOp(n, dist, rng, op)
+				opt := p.NewState()
+				grid.FillRandom(opt, dist, rng)
+				p.SetOptimal(opt)
+				for i := range 4 {
+					x := p.NewState()
+					grid.FillRandom(x, dist, rng)
+					check(fmt.Sprintf("dim %d %v N=%d candidate %d", opt.Dim(), dist, n, i), p, x)
+				}
+				check("the initial guess", p, p.NewState())
+				check("an exact candidate", p, opt)
+			}
+		}
+	}
+	p := Zero(5)
+	p.SetOptimal(grid.New(5))
+	check("an exact initial guess", p, grid.New(5))
 }
 
 func TestSetOptimalClones(t *testing.T) {

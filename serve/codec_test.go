@@ -3,11 +3,14 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -224,7 +227,9 @@ var decodeInputs = []string{
 }
 
 // checkDecode decodes data with one of the codec's readers and with
-// json.Unmarshal: both reject, or both accept with equal values.
+// json.Unmarshal: both reject, or both accept with equal values. And the
+// scanner, cutting arrays at every comma and at the first comma 7 bytes on,
+// reads data as it reads it whole.
 func checkDecode[T any](t testing.TB, data []byte, scan func(*scanner, *T) bool) {
 	t.Helper()
 	var arena []float64
@@ -242,6 +247,24 @@ func checkDecode[T any](t testing.TB, data []byte, scan func(*scanner, *T) bool)
 	case gotErr == nil && !reflect.DeepEqual(got, want):
 		t.Fatalf("%T %q:\n codec         %+v\n encoding/json %+v", got, data, got, want)
 	}
+	checkSplit(t, data, scan, 1, 7)
+}
+
+// checkSplit scans data whole and with its arrays cut into pieces of each
+// given size: the scanner takes or declines it alike, to the same bits (%v
+// prints every float64 but NaN, which JSON cannot carry, distinctly).
+func checkSplit[T any](t testing.TB, data []byte, scan func(*scanner, *T) bool, pieces ...int) (whole T, taken bool) {
+	t.Helper()
+	s := scanner{data: data, floats: floatArena(nil, data)}
+	taken = scan(&s, &whole) && s.end()
+	for _, piece := range pieces {
+		s = scanner{data: data, floats: floatArena(nil, data), piece: piece}
+		var cut T
+		if ok := scan(&s, &cut) && s.end(); ok != taken || ok && fmt.Sprint(cut) != fmt.Sprint(whole) {
+			t.Fatalf("%T %q in pieces of %d: taken %v, whole: taken %v\n cut   %v\n whole %v", cut, data, piece, ok, taken, cut, whole)
+		}
+	}
+	return whole, taken
 }
 
 func checkDecodeAll(t testing.TB, data []byte) {
@@ -446,6 +469,56 @@ func TestScannerTakesThePlainShape(t *testing.T) {
 	}
 }
 
+// TestSplitDecodeAllocates: a body whose grid is cut into pieces decodes into a
+// sized arena at a fixed allocation count whatever the cores — the piece
+// table, the claim cursor and one claim closure however many helpers share
+// them — to the bits it was written from.
+func TestSplitDecodeAllocates(t *testing.T) {
+	b := gridLikeFloats(257 * 257)
+	body, _ := json.Marshal(SolveRequest{Family: "poisson", N: 257, Accuracy: 1e5, B: b})
+	text := body[bytes.IndexByte(body, '[')+1 : bytes.IndexByte(body, ']')]
+	if len(text) < 4*pieceBytes {
+		t.Fatalf("a %d-byte grid is cut into fewer than four pieces of %d", len(text), pieceBytes)
+	}
+	arena := floatArena(nil, body)
+	var req SolveRequest
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := decodeWire(body, &arena, &req, (*scanner).solveRequest); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 6 {
+		t.Errorf("decoding a %d-byte SolveRequest into a sized arena allocates %.0f times at GOMAXPROCS %d, want at most 6",
+			len(body), allocs, runtime.GOMAXPROCS(0))
+	}
+	if !sameFloatBits(req.B, b) {
+		t.Error("the cut grid does not read back to the bits it was written from")
+	}
+}
+
+// FuzzSplitFloats: an array's text cut into pieces of any size reads as it
+// reads whole — the scanner takes or declines it alike, to the same bits — and
+// what the scanner takes json.Unmarshal reads to those bits too.
+func FuzzSplitFloats(f *testing.F) {
+	for i, vs := range [][]float64{wireFloats, randomFloats(300, 14), gridLikeFloats(300)} {
+		text, _ := json.MarshalIndent(vs, "", strings.Repeat(" ", i))
+		f.Add(text[1:len(text)-1], uint16(0))
+		f.Add(text[1:len(text)-1], uint16(6))
+	}
+	for _, text := range []string{"", " ", "1", "1,", ",1", "1,,2", "1 2", " 1 , 2 ,\n3 ", "1\t,\r2", "1,2]", "[1],2", "1],[2",
+		"1,null", `1,"2"`, "1,{}", "01,1", "1,1.", "1e999,1", "-0,0,1e-400,4.9e-324", "1,2,3,", "0.1000000000000000055511151231257827021181583404541015625,2"} {
+		f.Add([]byte(text), uint16(0))
+	}
+	f.Fuzz(func(t *testing.T, text []byte, size uint16) {
+		body := append(append([]byte(`{"b":[`), text...), `],"x":[1]}`...)
+		got, taken := checkSplit(t, body, (*scanner).solveRequest, 1+int(size)%(len(text)+1))
+		var want SolveRequest
+		if err := json.Unmarshal(body, &want); taken && (err != nil || !sameFloatBits(want.B, got.B) || !sameFloatBits(want.X, got.X)) {
+			t.Fatalf("%q: the scanner took %v, encoding/json reads %v (%v)", text, got.B, want.B, err)
+		}
+	})
+}
+
 func addDecodeSeeds(f *testing.F) {
 	for _, in := range decodeInputs {
 		f.Add([]byte(in))
@@ -481,6 +554,10 @@ func FuzzDecodeBatchRequest(f *testing.F) {
 //	go test -run '^$' -bench Codec -benchmem ./serve
 func BenchmarkCodecDecodeSolveRequest(b *testing.B) {
 	body, _ := json.Marshal(SolveRequest{Family: "poisson", N: 257, Accuracy: 1e5, B: gridLikeFloats(257 * 257)})
+	// Per value, this row is the whole reader on GOMAXPROCS cores, and parse
+	// below the token conversion alone on one. Compare -cpu 1 and -cpu 2 as two
+	// commands: given a -cpu list, sub-benchmarks did not run at the
+	// GOMAXPROCS their names say.
 	b.Run("codec", func(b *testing.B) {
 		var arena []float64
 		b.SetBytes(int64(len(body)))
@@ -490,6 +567,7 @@ func BenchmarkCodecDecodeSolveRequest(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*257*257), "ns/value")
 	})
 	b.Run("encoding-json", func(b *testing.B) {
 		b.SetBytes(int64(len(body)))

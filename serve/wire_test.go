@@ -433,6 +433,110 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 	}
 }
 
+// FuzzServeSolve: any body, posted to both grid endpoints through the handler
+// and answered in either framing. The handler never panics. Its only 5xx are
+// the documented ones a body can bring about: 500 for an answer no framing
+// carries or a solve that diverged (a finite b can overflow), 503 when the
+// body's own deadline cut the solve short. Every answer is as long as its
+// Content-Length, every 2xx reads back in the framing its Content-Type names —
+// the grid framing only when asked for — and once the handler returns no
+// request is active and the request's arena is back in its pool.
+func FuzzServeSolve(f *testing.F) {
+	// The breaker never opens: a run of diverging bodies must not turn every
+	// later answer into a 503 the body did not cause.
+	srv, err := New(Config{Dir: tablesDir, Workers: 1, Breaker: pbmg.BreakerConfig{Threshold: math.MaxInt}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(srv.Close)
+	for _, v := range []any{
+		SolveRequest{Family: "poisson", N: 5, Accuracy: 1e3, B: gridLikeFloats(25)},
+		SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: gridLikeFloats(289), X: gridLikeFloats(289), DeadlineMs: 1000},
+		SolveRequest{Family: "poisson3d", N: 5, Accuracy: 10, B: gridLikeFloats(125)},
+		BatchRequest{Family: "poisson", N: 9, Accuracy: 1e3, Problems: []BatchProblem{{B: gridLikeFloats(81)}, {B: gridLikeFloats(81), X: gridLikeFloats(81)}, {B: []float64{1}}}},
+	} {
+		body, _ := json.Marshal(v)
+		f.Add(body)
+	}
+	for _, in := range decodeInputs {
+		f.Add([]byte(in))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		for _, path := range []string{"/v1/solve", "/v1/batch"} {
+			for _, accept := range []string{"", gridMediaType} {
+				checkServed(t, srv, path, accept, body)
+			}
+		}
+	})
+}
+
+// checkServed posts body to path and checks FuzzServeSolve's invariants.
+func checkServed(t *testing.T, srv *Server, path, accept string, body []byte) {
+	t.Helper()
+	name := path + " (Accept " + strconv.Quote(accept) + ")"
+	var rec *httptest.ResponseRecorder
+	// sync.Pool is per P: the marker is what the handler gets once this P's
+	// private slot is emptied, and what comes back unless the goroutine moved
+	// to another P on the way (a preemption does that now and then). A leaked
+	// arena misses every time; three misses in a row it takes.
+	back := false
+	for try := 0; try < 3 && !back; try++ {
+		arenaPool.Get()
+		marker := new([]float64)
+		arenaPool.Put(marker)
+		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rec = httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, req)
+		if n := srv.active.Load(); n != 0 {
+			t.Fatalf("%s: %d requests active after the handler returned", name, n)
+		}
+		for range 4 { // the handler's Put may have gone to the shared queue
+			if back = arenaPool.Get() == marker; back {
+				break
+			}
+		}
+	}
+	if !back && !raceBuild() { // the race detector's sync.Pool drops Puts at random
+		t.Fatalf("%s: the request's arena is not back in its pool", name)
+	}
+	ct, answer := rec.Header().Get("Content-Type"), rec.Body.Bytes()
+	if cl := rec.Header().Get("Content-Length"); cl != strconv.Itoa(len(answer)) {
+		t.Fatalf("%s: Content-Length %q on a %d-byte answer", name, cl, len(answer))
+	}
+	if rec.Code >= 500 {
+		var er ErrorResponse
+		_ = json.Unmarshal(answer, &er)
+		documented := rec.Code == http.StatusInternalServerError &&
+			(strings.HasPrefix(er.Error, "serve: encoding answer: ") || strings.Contains(er.Error, pbmg.ErrDiverged.Error())) ||
+			rec.Code == http.StatusServiceUnavailable && strings.Contains(er.Error, pbmg.ErrCancelled.Error())
+		if !documented {
+			t.Fatalf("%s: HTTP %d %s for body %q", name, rec.Code, answer, body)
+		}
+	}
+	if rec.Code/100 != 2 {
+		return
+	}
+	var err error
+	switch {
+	case ct == gridMediaType && accept == gridMediaType && path == "/v1/solve":
+		err = decodeGridSolve(answer, new(SolveResponse))
+	case ct == gridMediaType && accept == gridMediaType:
+		err = decodeGridBatch(answer, new(BatchResponse))
+	case ct == jsonMediaType && accept == "" && path == "/v1/solve":
+		err = json.Unmarshal(answer, new(SolveResponse))
+	case ct == jsonMediaType && accept == "":
+		err = json.Unmarshal(answer, new(BatchResponse))
+	default:
+		err = errors.New("answered as " + ct)
+	}
+	if err != nil {
+		t.Fatalf("%s: HTTP %d does not read back: %v", name, rec.Code, err)
+	}
+}
+
 // raceBuild reports whether the test binary was built with -race.
 func raceBuild() bool {
 	bi, _ := debug.ReadBuildInfo()
