@@ -16,7 +16,7 @@ import (
 // baseline holds only the slice checks of the kernels' re-slicing
 // prologues, once per row; an IsInBounds in those files is never in it, so
 // any index check the compiler could not eliminate fails the gate, as does a
-// slice check beyond the prologues'.
+// slice check beyond the prologues', or an allowance no longer reported.
 
 // bcePkgs are the packages holding row kernels; bceFiles the files that
 // hold nothing else.

@@ -3,7 +3,13 @@
 // evaluation in order. Wall-clock experiments (complexity, fig6, fig7,
 // fig9) measure the host machine; the architecture studies (fig10–fig13,
 // fig14, crosstrain) price deterministic operation traces under the three
-// simulated testbed models.
+// simulated testbed models. REPRODUCTION.md says which experiment
+// reproduces which claim, and how.
+//
+// Three more jobs share the binary: "-exp kernels" is the fused-vs-unfused
+// kernel microbenchmark (BENCH_kernels.json with -json), and "-exp escapes"
+// and "-exp bce" are the compiler gates CI runs. Load and regression
+// measurement is bench/'s, not mgbench's.
 //
 // Usage:
 //
@@ -23,19 +29,11 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, baseline, serve, kernels, http, escapes, bce, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, cluster, kernels, escapes, bce, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
-	family := flag.String("family", "poisson", "operator family for -exp baseline (poisson, aniso, varcoef, poisson3d)")
-	epsilon := flag.Float64("epsilon", 0, "family parameter for -exp baseline (0: family default)")
-	families := flag.String("families", "poisson,aniso,poisson3d", "family[:eps] list served by -exp serve")
-	clients := flag.Int("clients", 1000, "concurrent HTTP connections for -exp http")
-	jsonOut := flag.Bool("json", false, "with -exp baseline, serve, kernels, or http, also write BENCH_<family>.json / BENCH_serve.json / BENCH_kernels.json / BENCH_http.json for per-PR perf tracking")
-	out := flag.String("out", "", "with -exp baseline -json, write the report to this path instead of BENCH_<family>.json")
-	gate := flag.Bool("gate", false, "with -exp kernels, fail if any fused kernel is >15% slower than its unfused oracle (same-machine fusion regression gate)")
-	compare := flag.String("compare", "",
-		"regression gate: compare this old report JSON (baseline or kernels format) against the new report given as the positional argument; cells in only one file are listed as new/removed; exit nonzero if any matched cell slowed >15% (usage: mgbench -compare old.json new.json)")
+	jsonOut := flag.Bool("json", false, "with -exp kernels, also write BENCH_kernels.json")
 	writeAllow := flag.Bool("write", false, "with -exp escapes or bce, regenerate ESCAPES.allow / BCE.allow from the current compiler output instead of gating against it")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
@@ -47,66 +45,20 @@ func main() {
 		}
 	}
 
-	if *compare != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "mgbench: -compare needs exactly one positional argument (usage: mgbench -compare old.json new.json)")
-			os.Exit(2)
-		}
-		if err := runCompare(*compare, flag.Arg(0)); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch *exp {
+	case "kernels":
+		err = runKernels(*workers, *seed, *jsonOut, logf)
+	case "escapes":
+		err = runEscapes(*writeAllow, logf)
+	case "bce":
+		err = runBCE(*writeAllow, logf)
+	default:
+		r := experiments.NewRunner(experiments.Opts{MaxLevel: *level, Workers: *workers, Seed: *seed, Logf: logf})
+		err = run(r, *exp)
+		r.Close()
 	}
-
-	if *exp == "baseline" {
-		if err := runBaseline(*family, *epsilon, *level, *workers, *seed, *jsonOut, *out, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "kernels" {
-		if err := runKernels(*workers, *seed, *jsonOut, *gate, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "serve" {
-		if err := runServe(*families, *level, *workers, *seed, *jsonOut, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "escapes" {
-		if err := runEscapes(*writeAllow, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "bce" {
-		if err := runBCE(*writeAllow, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *exp == "http" {
-		if err := runHTTP(*clients, *workers, *seed, *jsonOut, logf); err != nil {
-			fmt.Fprintln(os.Stderr, "mgbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	o := experiments.Opts{MaxLevel: *level, Workers: *workers, Seed: *seed, Logf: logf}
-	r := experiments.NewRunner(o)
-	defer r.Close()
-
-	if err := run(r, *exp); err != nil {
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgbench:", err)
 		os.Exit(1)
 	}

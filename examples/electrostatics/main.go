@@ -1,7 +1,7 @@
 // Electrostatics: compute the potential field of point charges in a
 // grounded box — one of the physical processes Poisson's equation describes
-// (§2 of the paper) — and compare the autotuned solver against the textbook
-// iterated V-cycle on the same problem.
+// (§2 of the paper) — with a solver tuned on point-source training data,
+// shaped like the workload.
 //
 // The domain is the unit square with the boundary held at zero potential
 // (a grounded box); charges appear as point sources in the right-hand side.

@@ -3,8 +3,7 @@
 // Service.SolveBatch fanned out a goroutine per problem, so a 10k-problem
 // batch parked 10k goroutines on the admission semaphore; the fix — a
 // worker loop sized by the admission limit — is now the idiom this
-// analyzer enforces mechanically in serve, registry.go, service.go, and
-// internal/mixload.
+// analyzer enforces mechanically in serve, registry.go and service.go.
 //
 // A `go` statement in scope is reported unless its launch is visibly
 // bounded:
@@ -46,7 +45,7 @@ var acquireRx = regexp.MustCompile(`^(Acquire|TryAcquire|acquire|admit)`)
 var semNameRx = regexp.MustCompile(`(?i)(sem|slot|ticket|gate|tok|quota)`)
 
 func run(pass *analysis.Pass) (interface{}, error) {
-	inScopePkg := lintutil.PkgInScope(pass.Pkg.Path(), "serve", "mixload")
+	inScopePkg := lintutil.PkgInScope(pass.Pkg.Path(), "serve")
 	allow := lintutil.NewAllowIndex(pass, "boundedgo")
 	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
@@ -58,7 +57,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		if lintutil.IsTestFile(pass.Fset, g.Pos()) || allow.Allowed(g.Pos()) {
 			return false
 		}
-		// Scope: the serve/mixload packages wholesale, plus the registry
+		// Scope: the serve package wholesale, plus the registry
 		// and service layers of the root package by filename.
 		if !inScopePkg {
 			base := lintutil.FileBase(pass.Fset, g.Pos())

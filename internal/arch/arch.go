@@ -260,7 +260,8 @@ func (m *Model) Cost(tr *mg.OpTrace, _ time.Duration) float64 {
 }
 
 // The three simulated testbed machines. Parameters are calibrated to the
-// published character of each processor (see DESIGN.md): Harpertown-class
+// published character of each processor (see REPRODUCTION.md,
+// "Substitutions"): Harpertown-class
 // Xeons have fast scalar units but a shared front-side bus (few effective
 // memory channels); Barcelona has slightly slower cores with an integrated
 // memory controller (better bandwidth scaling); Niagara has many slow

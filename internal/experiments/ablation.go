@@ -10,7 +10,7 @@ import (
 )
 
 // This file holds ablation studies for the design choices the paper makes
-// and DESIGN.md calls out: the smoother restriction of §2.3 (red-black SOR
+// (REPRODUCTION.md's ablation rows): the smoother restriction of §2.3 (red-black SOR
 // over weighted Jacobi), the granularity of the discrete accuracy ladder
 // (the §2.3 approximation of the §2.2 full dynamic program), and the full
 // Pareto DP itself.

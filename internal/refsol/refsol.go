@@ -3,7 +3,8 @@
 // by band Cholesky; larger grids, where an O(N⁴) factorization is
 // impractical, are solved by full multigrid iterated to machine precision —
 // accurate far beyond the largest accuracy level (10⁹) the metric ever
-// reads, so the substitution does not bias measurements (see DESIGN.md).
+// reads, so the substitution does not bias measurements (see
+// REPRODUCTION.md, "Substitutions").
 //
 // Band factorizations go through the *direct.Cache the caller lends (nil: a
 // private one that dies with the call). A caller that computes several

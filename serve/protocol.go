@@ -6,8 +6,8 @@ import "pbmg"
 // arrays in the same row-major (2D) / plane-major (3D) layout as
 // pbmg.Grid.Data, so a client round-trips a grid without reshaping. The
 // same structs serve both directions: the server decodes requests with
-// them and internal/mixload's HTTP client mode encodes them, so the
-// protocol cannot drift between the two.
+// them and Client encodes them, so the protocol cannot drift between the
+// two.
 //
 // Requests are JSON. A grid-carrying 200 (SolveResponse, BatchResponse) comes
 // in one of two framings, chosen by the request and by nothing else:
