@@ -11,15 +11,23 @@ import (
 
 // TestTuneFactorsEachMatrixOnce: a whole tune — reference solves, V and
 // full tables — factors each (operator, size) it touches exactly once,
-// whatever prices it. The sizes are the levels 1…MaxLevel: every one is at
-// or below the direct cut-off of the reference solver. In the last case the
+// whatever prices it. The references factor the levels up to the reference
+// solver's direct cut-off: all of them here but poisson's N = 129, whose
+// references come from multigrid. A model prices the direct choice from its
+// trace and factors nothing more; a wall clock times the cached solve at
+// every level up to DirectMaxLevel, which adds N = 129. In the last case the
 // tuner itself explores direct at level 2 only, so the matrices of levels
 // 3…5 are there only if the references factor in the tuner's cache.
 func TestTuneFactorsEachMatrixOnce(t *testing.T) {
 	for _, tc := range []struct {
 		family              stencil.Family
 		maxLevel, directMax int
-	}{{stencil.FamilyPoisson, 7, 0}, {stencil.FamilyPoisson3D, 4, 0}, {stencil.FamilyPoisson, 5, 2}} {
+		model, wall         int64 // sizes factored
+	}{
+		{stencil.FamilyPoisson, 7, 0, 6, 7},
+		{stencil.FamilyPoisson3D, 4, 0, 4, 4},
+		{stencil.FamilyPoisson, 5, 2, 5, 5},
+	} {
 		for _, coster := range []arch.Coster{arch.Harpertown(), arch.WallClock{}} {
 			t.Run(fmt.Sprintf("%v-%d-%d/%s", tc.family, tc.maxLevel, tc.directMax, coster.Name()), func(t *testing.T) {
 				tn, err := New(Config{Family: tc.family, MaxLevel: tc.maxLevel, DirectMaxLevel: tc.directMax, Seed: 42, Coster: coster})
@@ -29,7 +37,10 @@ func TestTuneFactorsEachMatrixOnce(t *testing.T) {
 				if _, err := tn.Tune(); err != nil {
 					t.Fatal(err)
 				}
-				want := int64(tc.maxLevel)
+				want := tc.wall
+				if traceBased(coster) {
+					want = tc.model
+				}
 				if got := tn.ws.FactorCache.Factorizations(); got != want {
 					t.Errorf("tune ran %d factorizations, want %d (one per size)", got, want)
 				}
@@ -52,9 +63,10 @@ func TestTuneFactorsEachMatrixOnce(t *testing.T) {
 }
 
 // TestTunerCacheDiesWithTuner: the factorizations belong to the tuner, not
-// to the process. A tune to N=129 factors a 16.5 MB band matrix; once Tune
-// has returned and the tuner is unreachable, none of it may still be live —
-// a process-wide cache would sit on every served heap for good.
+// to the process. A poisson3d tune to N=17 factors a 6.1 MB band matrix for
+// its references; once Tune has returned and the tuner is unreachable, none
+// of it may still be live — a process-wide cache would sit on every served
+// heap for good.
 func TestTunerCacheDiesWithTuner(t *testing.T) {
 	liveHeap := func() uint64 {
 		runtime.GC()
@@ -64,7 +76,7 @@ func TestTunerCacheDiesWithTuner(t *testing.T) {
 		return m.HeapAlloc
 	}
 	before := liveHeap()
-	tn, err := New(Config{MaxLevel: 7, Seed: 42, Coster: arch.Harpertown()})
+	tn, err := New(Config{Family: stencil.FamilyPoisson3D, MaxLevel: 4, Seed: 42, Coster: arch.Harpertown()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +86,7 @@ func TestTunerCacheDiesWithTuner(t *testing.T) {
 	}
 	tn = nil
 	after := liveHeap()
-	const slack = 4 << 20 // the tables are kilobytes; the N=129 factor is 16.5 MB
+	const slack = 2 << 20 // the tables are kilobytes; the N=17 factor is 6.1 MB
 	if after > before+slack {
 		t.Fatalf("live heap grew %.1f MB across a finished tune, want < %.1f MB: a factorization outlived its tuner",
 			float64(after-before)/(1<<20), float64(slack)/(1<<20))

@@ -31,7 +31,8 @@
 // which it lends to its reference solves: every band matrix a tune touches
 // is factored once, under every coster. arch.WallClock therefore prices the
 // direct choice as the cached solve a pbmg.Solver runs, not as factor-and-
-// solve.
+// solve; a trace-priced coster prices it from its trace alone, so a model
+// tune factors only the matrices its references need.
 package core
 
 import (
@@ -192,7 +193,8 @@ type Tuner struct {
 	ws     *mg.Workspace     // private measurement workspace (see New)
 	probs  map[int][]*problem.Problem
 	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
-	direct map[int]float64      // direct-solve cost per level, measured once for V and full
+	direct map[int]float64      // direct-solve cost per level, priced once for V and full
+	iter   *iterate             // this search's iterate (see tuneLevel)
 
 	work   Stats         // this search's running counters (Factorizations: see spent)
 	levels map[int]Stats // work charged to each tuned level
@@ -221,7 +223,9 @@ func New(cfg Config) (*Tuner, error) {
 	ws.Op = op
 	// One cache for candidates and reference solves (see training), unbounded
 	// because a tune touches a handful of sizes, and the tuner's own so that
-	// the factorizations — 16.5 MB at N=129 — die with it.
+	// the factorizations die with it: the references' up to N = 65 in 2D
+	// (refsol.DirectMaxN; ≈ 2 MB), and under a wall clock those of every
+	// level the direct choice is timed at (16.5 MB at N = 129).
 	ws.FactorCache = direct.NewCache(0)
 	return &Tuner{
 		cfg:    cfg,
@@ -230,6 +234,7 @@ func New(cfg Config) (*Tuner, error) {
 		probs:  make(map[int][]*problem.Problem),
 		front:  make(map[int]*ParetoFront),
 		direct: make(map[int]float64),
+		iter:   &iterate{},
 		levels: make(map[int]Stats),
 	}, nil
 }
@@ -289,13 +294,36 @@ func (t *Tuner) accuracy(p *problem.Problem, x *grid.Grid) float64 {
 	return p.AccuracyOf(x)
 }
 
+// iterate is the grid a search runs its candidates on, reused for every
+// candidate and training instance it measures: counting and timing load a
+// starting state into it instead of allocating one. A level's two searches
+// run side by side, so each has its own (see tuneLevel). starts counts the
+// states loaded, which is how an f32 candidate's mirror learns that a new
+// start has begun (f32Mirror).
+type iterate struct {
+	x      *grid.Grid
+	starts int
+}
+
+// start loads from — a problem's zero state or an estimate's result — into
+// the iterate and returns it.
+func (it *iterate) start(from *grid.Grid) *grid.Grid {
+	if it.x == nil || it.x.N() != from.N() {
+		it.x = from.Clone()
+	} else {
+		it.x.CopyFrom(from)
+	}
+	it.starts++
+	return it.x
+}
+
 // timeOneIter measures the trace and wall time of a single iteration of
 // step on the first training instance. For wall-clock costers the step is
 // repeated adaptively until the sample is long enough to trust.
 func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrace, time.Duration) {
 	p := probs[0]
 	var tr mg.OpTrace
-	x := p.NewState()
+	x := t.iter.start(p.Boundary)
 	start := time.Now()
 	t.run(step, x, p.B, &tr)
 	elapsed := time.Since(start)
@@ -309,7 +337,7 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 	batch, reps := elapsed, 1
 	for batch < minSample && reps < 4096 {
 		reps *= 2
-		x = p.NewState()
+		x = t.iter.start(p.Boundary)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
 			t.run(step, x, p.B, nil)
@@ -318,7 +346,7 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 		elapsed = batch / time.Duration(reps)
 	}
 	for sample := 0; sample < 2; sample++ {
-		x = p.NewState()
+		x = t.iter.start(p.Boundary)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
 			t.run(step, x, p.B, nil)
@@ -390,10 +418,11 @@ func (t *Tuner) count(probs []*problem.Problem, from *estimate, step stepFunc, c
 	live := len(targets) // targets[live:] are lost
 	for pi := 0; pi < len(probs) && live > 0; pi++ {
 		p := probs[pi]
-		x, acc := p.NewState(), math.Inf(-1)
+		x, acc := p.Boundary, math.Inf(-1)
 		if from != nil {
-			x, acc = from.states[pi].Clone(), from.accs[pi]
+			x, acc = from.states[pi], from.accs[pi]
 		}
+		x = t.iter.start(x)
 		met := 0
 		for it := 0; ; it++ {
 			for ; met < live && acc >= targets[met]; met++ {
@@ -484,16 +513,24 @@ type measured struct {
 }
 
 // directCosts prices the direct choice at a level (identical for every
-// accuracy target: the solve is exact). The solve is measured once per
-// level (tuneLevel asks before its searches fork), with its matrix factored:
-// what a wall clock then reads is the cached solve that serving runs.
+// accuracy target: the solve is exact), once per level — tuneLevel asks
+// before its searches fork. A trace coster reads only the solve's trace,
+// which is known without running it (mg.RecordDirect). A wall
+// clock times the solve with its matrix factored, the cached solve that
+// serving runs.
 func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
 	cost, ok := t.direct[level]
 	if !ok {
-		n := grid.SizeOfLevel(level)
-		t.ws.FactorCache.GetOp(t.op.At(n), n)
-		step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
-		cost = t.cfg.Coster.Cost(t.timeOneIter(probs, step))
+		if traceBased(t.cfg.Coster) {
+			var tr mg.OpTrace
+			tr.Record(mg.EvDirect, level, 1)
+			cost = t.cfg.Coster.Cost(&tr, 0)
+		} else {
+			n := grid.SizeOfLevel(level)
+			t.ws.FactorCache.GetOp(t.op.At(n), n)
+			step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
+			cost = t.cfg.Coster.Cost(t.timeOneIter(probs, step))
+		}
 		t.direct[level] = cost
 	}
 	costs := make([]float64, len(t.cfg.Accuracies))
@@ -573,11 +610,13 @@ func (t *Tuner) iterativeCandidates(ex *mg.Executor, level int) []candidate {
 // f32Mirror is the float32 copy of the iterate a level's f32 candidates keep
 // alive across iterations — a deployed PrecF32 cell converts once per cell
 // entry and amortizes it over all its iterations, so per-iteration cost must
-// exclude the conversions. It is refreshed whenever the f64 state changes
-// identity, which every new training instance and timing batch does.
+// exclude the conversions. It converts afresh whenever the search's iterate
+// loads a new starting state, as every training instance and timing batch
+// does.
 type f32Mirror struct {
 	x, b *grid.Grid32
-	of   *grid.Grid
+	it   *iterate
+	at   int // it.starts when last converted
 }
 
 // f32Edition is the full-f32 edition of an iterative candidate: the same
@@ -593,8 +632,8 @@ func (t *Tuner) f32Edition(ex *mg.Executor, m *f32Mirror, base candidate) candid
 	step1 := plan
 	step1.Iters = 1
 	body := func(x, b *grid.Grid, rec mg.Recorder) {
-		if x != m.of {
-			m.of = x
+		if m.at != m.it.starts {
+			m.at = m.it.starts
 			grid.ConvertInto(m.x, x)
 			grid.ConvertInto(m.b, b)
 		}
@@ -652,7 +691,7 @@ func (t *Tuner) vCandidates(vt *mg.VTable, level int) []candidate {
 	base := t.iterativeCandidates(ex, level)
 	cands = append(cands, base...)
 	n, dim := grid.SizeOfLevel(level), t.op.Dim()
-	mirror := &f32Mirror{x: grid.NewOf[float32](dim, n), b: grid.NewOf[float32](dim, n)}
+	mirror := &f32Mirror{x: grid.NewOf[float32](dim, n), b: grid.NewOf[float32](dim, n), it: t.iter, at: -1}
 	for _, c := range base {
 		cands = append(cands, t.f32Edition(ex, mirror, c))
 		if c.plan.Choice != mg.ChoiceSOR {
@@ -689,7 +728,8 @@ func (t *Tuner) tune(ft *mg.FTable) *mg.VTable {
 
 // tuneLevel appends one level's row to vt and, if non-nil, to ft (which the
 // V search never reads): references and direct price first, then the two
-// searches, the V one on a copy of the tuner with its own work books.
+// searches, the V one on a copy of the tuner with its own work books and
+// iterate.
 func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	before := t.spent()
 	probs := t.training(level)
@@ -698,6 +738,7 @@ func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	}
 	v := *t
 	v.work = Stats{}
+	v.iter = &iterate{}
 	var vrow []mg.Plan
 	done := make(chan struct{})
 	tuneV := func() { vrow = v.tuneVLevel(vt, level); close(done) }

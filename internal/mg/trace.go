@@ -61,6 +61,13 @@ func record(rec Recorder, kind EventKind, level, count int) {
 	}
 }
 
+// RecordDirect records what one direct solve at a level costs: a single
+// EvDirect there. SolveDirect records it after solving; a tuner that prices
+// the direct choice by trace alone records it without solving.
+func RecordDirect(rec Recorder, level int) {
+	record(rec, EvDirect, level, 1)
+}
+
 // OpTrace accumulates per-level counts of each operation kind. The zero
 // value is an empty trace ready for use. OpTrace is the currency between
 // executions and architecture cost models: run once, price under any model.

@@ -194,7 +194,7 @@ func (ws *Workspace) ReleaseSnapshot(s Snapshot) { ws.release(s.bufs) }
 func (ws *Workspace) SolveDirect(x, b *grid.Grid, rec Recorder) {
 	n := x.N()
 	ws.factorCache().GetOp(ws.opAt(n), n).Solve(x, b, 1.0/float64(n-1))
-	record(rec, EvDirect, grid.Level(n), 1)
+	RecordDirect(rec, grid.Level(n))
 }
 
 // solveDirectOf is the direct base case at any storage precision. The band

@@ -1,10 +1,16 @@
 // Package refsol computes the reference ("optimal") solutions that the
-// paper's accuracy metric measures against. Small grids are solved exactly
-// by band Cholesky; larger grids, where an O(N⁴) factorization is
-// impractical, are solved by full multigrid iterated to machine precision —
-// accurate far beyond the largest accuracy level (10⁹) the metric ever
-// reads, so the substitution does not bias measurements (see
-// REPRODUCTION.md, "Substitutions").
+// paper's accuracy metric measures against. Grids up to DirectMaxN are solved
+// exactly by band Cholesky; larger ones by full multigrid iterated to machine
+// precision — accurate far beyond the largest accuracy level (10⁹) the metric
+// ever reads, so the substitution does not bias measurements (see
+// REPRODUCTION.md, "Substitutions", and TestPathsAgreeNearBoundary).
+//
+// Multigrid is the cheaper route only while its V-cycles contract. Up to
+// guardMaxN the band factorization is still affordable, so there a reference
+// whose cycles fall behind the pace that reaches the residual target within
+// guardCycles is handed to the band solve at once: strong anisotropy and rough
+// coefficients stall point smoothers, and cycling on would cost more than the
+// factorization it avoids.
 //
 // Band factorizations go through the *direct.Cache the caller lends (nil: a
 // private one that dies with the call). A caller that computes several
@@ -16,6 +22,7 @@ package refsol
 
 import (
 	"fmt"
+	"math"
 
 	"pbmg/internal/direct"
 	"pbmg/internal/grid"
@@ -26,13 +33,28 @@ import (
 )
 
 // DirectMaxN is the largest 2D grid side solved directly; beyond it the
-// converged-multigrid path is used.
-const DirectMaxN = 129
+// converged-multigrid path is used. At N = 65 the factorization is ≈ 2 MB and
+// a few milliseconds; at N = 129 it is 16.5 MB and ≈ 80–110 ms, where a
+// Poisson reference converges in ≈ 3 ms of V-cycles.
+const DirectMaxN = 65
 
 // DirectMaxN3D is the 3D counterpart: the band factorization's storage
 // grows like N⁵ (≈6 MB at N=17, ≈230 MB at N=33), so references switch to
 // converged multigrid much earlier than in 2D.
 const DirectMaxN3D = 17
+
+// guardMaxN is the largest 2D side at which a multigrid reference that
+// cannot keep pace is replaced by the band solve before its cycle budget
+// runs out (see the package doc). 3D has no guarded sizes: past DirectMaxN3D
+// the factorization is never the cheaper route.
+const guardMaxN = 129
+
+// guardCycles is the V-cycle budget of a guarded reference. At N = 129 one
+// V-cycle costs ≈ 1/300 of the band factorization, which a tune's three
+// references share, so about 100 cycles per reference is where the two
+// routes cost the same. Poisson needs ≈ 9, varcoef σ = 2 ≈ 22 and aniso
+// ε = 0.1 ≈ 73; aniso ε = 0.01 would need ≈ 600.
+const guardCycles = 100
 
 // relResidualTarget is the relative residual at which the multigrid
 // reference solve is declared converged. The residual amplifies rounding
@@ -80,44 +102,72 @@ func Compute(p *problem.Problem, pool *sched.Pool, cache *direct.Cache) *grid.Gr
 	if op.Dim() == 3 {
 		directMax = DirectMaxN3D
 	}
-	if p.N <= directMax {
+	if p.N <= directMax || converge(ws, p, x, op.Dim() == 2 && p.N <= guardMaxN) {
 		ws.SolveDirect(x, p.B, nil)
-		return x
 	}
+	return x
+}
+
+// residualTarget is the residual norm at which p's multigrid reference is
+// converged.
+func residualTarget(p *problem.Problem) float64 {
+	return relResidualTarget * (grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1)
+}
+
+// converge runs full multigrid and then V-cycles on x until the residual
+// target is met, and reports whether the band solve must take over: when
+// guarded, as soon as the cycles fall behind the pace that meets the target
+// within guardCycles; otherwise once the cycle budget runs out far from the
+// target, where the band solve is still tractable (and with a panic where it
+// is not).
+func converge(ws *mg.Workspace, p *problem.Problem, x *grid.Grid, guarded bool) (band bool) {
+	op := p.Operator()
 	cycles := maxRefCycles
 	if op.Family() != stencil.FamilyPoisson && op.Family() != stencil.FamilyPoisson3D {
 		cycles = maxRefCyclesHard
 	}
-	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
+	target := residualTarget(p)
+	norm := func() float64 { return op.At(p.N).ResidualNorm(ws.Pool, x, p.B, p.H) }
 	ws.RefFullMG(x, p.B, nil)
-	for c := 0; c < cycles; c++ {
-		if op.At(p.N).ResidualNorm(pool, x, p.B, p.H) <= relResidualTarget*scale {
-			break
-		}
+	res := norm()
+	for c := 0; c < cycles && res > target; c++ {
+		prev := res
 		ws.RefVCycle(x, p.B, nil)
-	}
-	if op.At(p.N).ResidualNorm(pool, x, p.B, p.H) > stalledResidualFactor*relResidualTarget*scale {
-		// The V-cycle budget ran out far from the floor: point smoothers can
-		// stall outright for strong anisotropy or rough coefficients at
-		// large N. A stalled reference would silently mis-grade every
-		// accuracy measurement built on it, so pay for the exact answer
-		// where the O(N⁴) factorization is still tractable, and fail loudly
-		// where it is not — a wrong reference is worse than no reference.
-		// (Falling a few cycles short of the aspirational target is fine and
-		// does not trigger this: the direct solve's own rounding floor at
-		// these sizes is no better.)
-		fallbackMax := stallFallbackMaxN
-		if op.Dim() == 3 {
-			fallbackMax = stallFallbackMaxN3D
+		res = norm()
+		if guarded && !onPace(res, prev, target, guardCycles-c-1) {
+			return true
 		}
-		if p.N > fallbackMax {
-			panic(fmt.Sprintf(
-				"refsol: reference for %v at N=%d stalled after %d cycles and is too large to solve directly; reduce the problem size or use a milder operator parameter",
-				op, p.N, cycles))
-		}
-		ws.SolveDirect(x, p.B, nil)
 	}
-	return x
+	if res <= stalledResidualFactor*target {
+		return false
+	}
+	// The V-cycle budget ran out far from the floor: point smoothers can
+	// stall outright for strong anisotropy or rough coefficients at large N.
+	// A stalled reference would silently mis-grade every accuracy
+	// measurement built on it, so pay for the exact answer where the O(N⁴)
+	// factorization is still tractable, and fail loudly where it is not — a
+	// wrong reference is worse than no reference. (Falling a few cycles short
+	// of the aspirational target is fine and does not trigger this: the
+	// direct solve's own rounding floor at these sizes is no better.)
+	fallbackMax := stallFallbackMaxN
+	if op.Dim() == 3 {
+		fallbackMax = stallFallbackMaxN3D
+	}
+	if p.N > fallbackMax {
+		panic(fmt.Sprintf(
+			"refsol: reference for %v at N=%d stalled after %d cycles and is too large to solve directly; reduce the problem size or use a milder operator parameter",
+			op, p.N, cycles))
+	}
+	return true
+}
+
+// onPace reports whether V-cycles that keep contracting the residual by
+// res/prev per cycle meet target within left more cycles.
+func onPace(res, prev, target float64, left int) bool {
+	if res <= target {
+		return true
+	}
+	return res < prev && res*math.Pow(res/prev, float64(left)) <= target
 }
 
 // Attach computes the reference solution (see Compute) and stores it on the

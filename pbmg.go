@@ -561,21 +561,26 @@ func (s *Solver) Describe(n int, accuracy float64, full bool) (string, error) {
 	return mg.DescribeV(s.tuned.V, level, idx), nil
 }
 
-// PlanPrecision reports the storage precision ("f64", "f32", or "mixed") of
-// the tuned plan the solver executes at the top level for a problem of side
-// n at the given accuracy — the knob operators watch to see which precision
-// a family/accuracy cell is serving. Coarser cells inside the cycle may run
-// at their own tuned precisions; the top-level directive is the one that
-// governs the fine-grid traversals dominating solve time.
+// PlanPrecision reports the storage precision in which Solve — and so
+// SolveContext, Service and the serve handlers — runs the finest grid of a
+// side-n problem at the given accuracy, erring when n or accuracy is outside
+// the tuned range. Solve runs the full-multigrid table, whose cells carry no
+// precision directive: the estimate's correction and the solve phase
+// traverse the finest grid in float64 (mg.Executor.SolveFull), so the label
+// is always "f64" — escalation cannot change it — even where the V cell of
+// the same (n, accuracy), which SolveV runs, is "f32" or "mixed". Coarser
+// cells inside the cycle keep their own tuned precisions (PlanPrecisions).
 func (s *Solver) PlanPrecision(n int, accuracy float64) (string, error) {
 	if err := s.checkSizeN(n); err != nil {
 		return "", err
 	}
-	idx, err := s.accIndex(accuracy)
-	if err != nil {
+	if _, err := s.accIndex(accuracy); err != nil {
 		return "", err
 	}
-	return s.tuned.V.Plan(grid.Level(n), idx).Precision.String(), nil
+	if s.tuned.F == nil {
+		return "", fmt.Errorf("pbmg: solver has no tuned full-multigrid table")
+	}
+	return mg.PrecF64.String(), nil
 }
 
 // PlanPrecisions reports the distinct storage precisions appearing anywhere

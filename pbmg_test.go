@@ -4,6 +4,10 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"pbmg/internal/core"
+	"pbmg/internal/grid"
+	"pbmg/internal/mg"
 )
 
 // tuneSmall tunes a small solver on a simulated machine (deterministic and
@@ -145,6 +149,45 @@ func TestAccuraciesAccessor(t *testing.T) {
 	accs[0] = -1
 	if s.Accuracies()[0] != 1e1 {
 		t.Fatal("Accuracies exposes internal state")
+	}
+}
+
+// TestPlanPrecisionNamesTheFullCell: on a table whose V cells run in float32
+// and whose full-multigrid cells run V-cycles in float64, PlanPrecision must
+// name what Solve (and so every served solve) runs, not the V cell. The
+// proof that it does is behavioural: a right-hand side past float32's range
+// makes an f32 cell diverge and escalate, and only SolveV escalates.
+func TestPlanPrecisionNamesTheFullCell(t *testing.T) {
+	const maxLevel, acc = 4, 1e3
+	tuned := &core.Tuned{Machine: "intel-harpertown", Family: "poisson", MaxLevel: maxLevel,
+		V: &mg.VTable{Acc: []float64{acc}}, F: &mg.FTable{Acc: []float64{acc}}}
+	for level := 2; level <= maxLevel; level++ {
+		tuned.V.Plans = append(tuned.V.Plans, []mg.Plan{{Choice: mg.ChoiceVCycle, Iters: 8, Precision: mg.PrecF32}})
+		tuned.F.Plans = append(tuned.F.Plans, []mg.FullPlan{{Choice: mg.FullEstimate, Solve: mg.ChoiceVCycle, Iters: 8}})
+	}
+	if err := tuned.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	s, err := newSolver(tuned, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := grid.SizeOfLevel(maxLevel)
+	if got, err := s.PlanPrecision(n, acc); err != nil || got != "f64" {
+		t.Fatalf("PlanPrecision(%d, %g) = %q, %v; want \"f64\", the full cell's (the V cell is %q)",
+			n, acc, got, err, tuned.V.Plan(maxLevel, 0).Precision)
+	}
+	b := NewGrid(n)
+	for i := 1; i < n-1; i++ {
+		for j := 1; j < n-1; j++ {
+			b.Set(i, j, 1e39) // float32 overflows at ≈ 3.4e38
+		}
+	}
+	if err := s.Solve(NewGrid(n), b, acc); err != nil || s.Escalations() != 0 {
+		t.Fatalf("Solve: err %v, %d escalations; want a float64 solve that never escalates", err, s.Escalations())
+	}
+	if err := s.SolveV(NewGrid(n), b, acc); err != nil || s.Escalations() != 1 {
+		t.Fatalf("SolveV: err %v, %d escalations; want the f32 V cell to escalate once", err, s.Escalations())
 	}
 }
 

@@ -76,9 +76,11 @@ type SolveResponse struct {
 	Family string  `json:"family"`
 	Eps    float64 `json:"eps,omitempty"`
 	N      int     `json:"n"`
-	// Precision is the storage precision of the tuned plan that served the
-	// solve at the top level: "f64", "f32" (whole cycle in float32 storage),
-	// or "mixed" (f32 cycle under f64 iterative refinement).
+	// Precision is the storage precision in which the solve ran the grid
+	// sent (pbmg.Solver.PlanPrecision). Requests run the full-multigrid
+	// table, whose cells traverse the finest grid in float64, so it is
+	// always "f64"; coarse levels inside the cycle may run in f32 (see
+	// /metrics "precisions").
 	Precision string `json:"precision,omitempty"`
 	// SolveNs is the server-side duration of admission and solve together
 	// (any wait in the family's queue included).
@@ -114,8 +116,8 @@ type BatchResponse struct {
 	Family  string        `json:"family"`
 	Eps     float64       `json:"eps,omitempty"`
 	N       int           `json:"n"`
-	// Precision is the top-level plan precision serving the batch's
-	// (n, accuracy) cell, as in SolveResponse.
+	// Precision is the storage precision in which the batch's solves ran
+	// their finest grids, as in SolveResponse.
 	Precision string `json:"precision,omitempty"`
 }
 

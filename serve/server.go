@@ -687,9 +687,10 @@ func epsOf(svc *pbmg.Service) float64 {
 	return 0
 }
 
-// planPrecisionOf reports the tuned plan precision serving (n, accuracy),
-// empty when the cell cannot be resolved (the solve itself already answered
-// the request, so a lookup miss only omits the advisory field).
+// planPrecisionOf reports the storage precision the solve of (n, accuracy)
+// ran its finest grid in (SolveResponse.Precision: always "f64"), empty when
+// n or accuracy is outside the tuned range (the solve itself already
+// answered the request, so a miss only omits the advisory field).
 func planPrecisionOf(svc *pbmg.Service, n int, accuracy float64) string {
 	p, err := svc.Solver().PlanPrecision(n, accuracy)
 	if err != nil {
