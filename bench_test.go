@@ -128,13 +128,13 @@ func BenchmarkComplexityTable(b *testing.B) {
 		omega := stencil.OmegaOpt(p.N)
 		x := p.NewState()
 		iters, _ := mg.IterateUntil(1e9, 100000,
-			func() { stencil.SORSweepRB(nil, x, p.B, p.H, omega) },
+			func() { stencil.OpSORSweepRB(stencil.Poisson(), nil, x, p.B, p.H, omega) },
 			func() float64 { return p.AccuracyOf(x) })
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			y := p.NewState()
 			for it := 0; it < iters; it++ {
-				stencil.SORSweepRB(nil, y, p.B, p.H, omega)
+				stencil.OpSORSweepRB(stencil.Poisson(), nil, y, p.B, p.H, omega)
 			}
 		}
 	})
@@ -432,13 +432,13 @@ func BenchmarkKernels(b *testing.B) {
 	b.Run("sor-sweep", func(b *testing.B) {
 		b.SetBytes(int64(n * n * 8))
 		for i := 0; i < b.N; i++ {
-			stencil.SORSweepRB(nil, x, p.B, h, 1.15)
+			stencil.OpSORSweepRB(stencil.Poisson(), nil, x, p.B, h, 1.15)
 		}
 	})
 	b.Run("residual", func(b *testing.B) {
 		b.SetBytes(int64(n * n * 8))
 		for i := 0; i < b.N; i++ {
-			stencil.Residual(nil, r, x, p.B, h)
+			stencil.OpResidual(stencil.Poisson(), nil, r, x, p.B, h)
 		}
 	})
 	b.Run("restrict", func(b *testing.B) {

@@ -184,8 +184,8 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			// restriction — as three separate passes vs the composed
 			// Downstroke kernel the cycle actually runs.
 			unfused := benchBest(reset, func() {
-				op.SORSweepRB(pool, x, b, h, omega)
-				op.Residual(pool, r, x, b, h)
+				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
+				stencil.OpResidual(op, pool, r, x, b, h)
 				transfer.Restrict(pool, cb, r)
 			})
 			fused := benchBest(reset, func() {
@@ -197,7 +197,7 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			// The estimation-phase downstroke (no preceding smooth):
 			// residual + restrict vs the fused ResidualRestrict.
 			unfused = benchBest(reset, func() {
-				op.Residual(pool, r, x, b, h)
+				stencil.OpResidual(op, pool, r, x, b, h)
 				transfer.Restrict(pool, cb, r)
 			})
 			fused = benchBest(reset, func() {
@@ -206,20 +206,20 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			emit("residual+restrict", unfused, fused)
 
 			unfused = benchBest(reset, func() {
-				op.SORSweepRB(pool, x, b, h, omega)
-				op.Residual(pool, r, x, b, h)
+				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
+				stencil.OpResidual(op, pool, r, x, b, h)
 			})
 			fused = benchBest(reset, func() {
-				op.SmoothResidual(pool, x, b, r, h, omega)
+				stencil.OpSmoothResidual(op, pool, x, b, r, h, omega)
 			})
 			emit("smooth+residual", unfused, fused)
 
 			unfused = benchBest(reset, func() {
-				op.SORSweepRB(pool, x, b, h, omega)
-				op.ResidualNorm(pool, x, b, h)
+				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
+				stencil.OpResidualNorm(op, pool, x, b, h)
 			})
 			fused = benchBest(reset, func() {
-				op.SweepWithNorm(pool, x, b, h, omega)
+				stencil.OpSweepWithNorm(op, pool, x, b, h, omega)
 			})
 			emit("sweep+norm", unfused, fused)
 
@@ -235,8 +235,8 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			grid.FillRandom(cx, grid.Unbiased, rng)
 			unfused = benchBest(reset, func() {
 				transfer.InterpolateAdd(pool, x, cx, scratch)
-				op.SORSweepRB(pool, x, b, h, omega)
-				op.ResidualNorm(pool, x, b, h)
+				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
+				stencil.OpResidualNorm(op, pool, x, b, h)
 			})
 			fused = benchBest(reset, func() {
 				stencil.OpUpstrokeNorm(op, pool, x, b, cx, scratch, h, omega)
@@ -278,10 +278,10 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			// The parallel-norm satellite: serial vs pool reduction (equal on
 			// one worker, informative on many).
 			unfused = benchBest(func() {}, func() {
-				op.ResidualNorm(nil, x, b, h)
+				stencil.OpResidualNorm(op, nil, x, b, h)
 			})
 			fused = benchBest(func() {}, func() {
-				op.ResidualNorm(pool, x, b, h)
+				stencil.OpResidualNorm(op, pool, x, b, h)
 			})
 			emit("residual-norm", unfused, fused)
 		}

@@ -132,7 +132,7 @@ func (m *Model) dim3() bool { return m.Dim == 3 }
 // approximate flop and byte counts per interior grid point.
 //
 // The byte counts price the FUSED downstroke the executors now run
-// (stencil.Operator.ResidualRestrict): the residual pass streams x and b
+// (stencil.OpResidualRestrict): the residual pass streams x and b
 // but no longer writes a fine residual grid (48 → 40 bytes/point), and the
 // restriction consumes residual values from a cache-resident three-row
 // window instead of re-reading a fine grid from memory, leaving mostly its
@@ -140,7 +140,7 @@ func (m *Model) dim3() bool { return m.Dim == 3 }
 // counts in the trace are unchanged — one EvResidual and one EvRestrict
 // per downstroke — only their memory intensity shrank.
 // The interpolation intensity prices the FUSED upstroke
-// (stencil.Operator.InterpolateCorrectSmooth): the correction streams from a
+// (stencil.OpInterpolateCorrectSmooth): the correction streams from a
 // cache-resident interpolated row buffer straight into x during the
 // post-smooth's first half-sweep, so the full-size scratch grid's write and
 // re-read disappear (48 → 28 bytes/point: the coarse read amortized 4 ways,

@@ -8,6 +8,7 @@ import (
 
 	"pbmg/internal/grid"
 	"pbmg/internal/mg"
+	"pbmg/internal/stencil"
 )
 
 // This file implements the full dynamic-programming formulation of §2.2,
@@ -32,7 +33,7 @@ func (n *PlanNode) Execute(ws *mg.Workspace, x, b *grid.Grid, rec mg.Recorder) {
 	case mg.ChoiceDirect:
 		ws.SolveDirect(x, b, rec)
 	case mg.ChoiceSOR:
-		ws.SOR(x, b, ws.OmegaOpt(x.N()), n.Iters, rec)
+		ws.SOR(x, b, stencil.OmegaOpt(x.N()), n.Iters, rec)
 	case mg.ChoiceRecurse:
 		for it := 0; it < n.Iters; it++ {
 			ws.RecurseWith(x, b, rec, func(cx, cb *grid.Grid) {

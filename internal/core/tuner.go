@@ -568,7 +568,7 @@ func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best [
 
 // sorStep returns a one-sweep SOR step at the given level.
 func (t *Tuner) sorStep(level int) stepFunc {
-	omega := t.ws.OmegaOpt(grid.SizeOfLevel(level))
+	omega := stencil.OmegaOpt(grid.SizeOfLevel(level))
 	return func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SOR(x, b, omega, 1, rec) }
 }
 

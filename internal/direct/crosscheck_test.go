@@ -78,7 +78,7 @@ func TestStencilSolverSolvesOperator(t *testing.T) {
 		x, b := randomProblem(n, rng)
 		NewStencilSolver(op, n).Solve(x, b, h)
 		scale := grid.L2Interior(b) + 1
-		if r := op.ResidualNorm(nil, x, b, h); r > 1e-9*scale {
+		if r := stencil.OpResidualNorm(op, nil, x, b, h); r > 1e-9*scale {
 			t.Fatalf("%v: direct solution leaves residual %g (scale %g)", op, r, scale)
 		}
 	}

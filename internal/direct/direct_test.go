@@ -176,7 +176,7 @@ func TestPoissonSolverZeroResidual(t *testing.T) {
 		grid.FillBoundaryRandom(x, grid.Biased, rng)
 		grid.FillRandom(b, grid.Biased, rng)
 		s.Solve(x, b, h)
-		res := stencil.ResidualNorm(x, b, h)
+		res := stencil.OpResidualNorm(stencil.Poisson(), nil, x, b, h)
 		scale := grid.L2Interior(b) + 1
 		if res > 1e-9*scale {
 			t.Fatalf("n=%d: direct residual %v too large (scale %v)", n, res, scale)

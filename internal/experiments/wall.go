@@ -92,7 +92,7 @@ func (r *Runner) Complexity() (*Table, error) {
 					func() int {
 						x := p.NewState()
 						iters, acc := mg.IterateUntil(targetAccuracy, 200000,
-							func() { stencil.SORSweepRB(r.pool, x, p.B, p.H, omega) },
+							func() { stencil.OpSORSweepRB(stencil.Poisson(), r.pool, x, p.B, p.H, omega) },
 							func() float64 { return p.AccuracyOf(x) })
 						if acc < targetAccuracy {
 							return -1
@@ -102,7 +102,7 @@ func (r *Runner) Complexity() (*Table, error) {
 					func(iters int) {
 						x := p.NewState()
 						for i := 0; i < iters; i++ {
-							stencil.SORSweepRB(r.pool, x, p.B, p.H, omega)
+							stencil.OpSORSweepRB(stencil.Poisson(), r.pool, x, p.B, p.H, omega)
 						}
 					})
 			},
@@ -195,12 +195,14 @@ func (r *Runner) Fig6() (*Table, error) {
 			omega := stencil.OmegaOpt(n)
 			iters := r.calibIters(level, grid.Unbiased, targetAccuracy, 200000,
 				func(q *problem.Problem) *grid.Grid { return q.NewState() },
-				func(q *problem.Problem, x *grid.Grid) { stencil.SORSweepRB(r.pool, x, q.B, q.H, omega) })
+				func(q *problem.Problem, x *grid.Grid) {
+					stencil.OpSORSweepRB(stencil.Poisson(), r.pool, x, q.B, q.H, omega)
+				})
 			if iters > 0 {
 				sor = timeIt(func() {
 					y := p.NewState()
 					for i := 0; i < iters; i++ {
-						stencil.SORSweepRB(r.pool, y, p.B, p.H, omega)
+						stencil.OpSORSweepRB(stencil.Poisson(), r.pool, y, p.B, p.H, omega)
 					}
 				}).Seconds()
 			}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"pbmg/internal/grid"
+	"pbmg/internal/stencil"
 )
 
 // This file implements the dynamic tuning the paper sketches as future work
@@ -67,7 +68,7 @@ func (a *AdaptiveSolver) Solve(x, b *grid.Grid, reduction float64, startSub int)
 	h := 1.0 / float64(x.N()-1)
 	pool := a.Ex.WS.Pool
 	op := a.Ex.WS.opAt(x.N())
-	r0 := op.ResidualNorm(pool, x, b, h)
+	r0 := stencil.OpResidualNorm(op, pool, x, b, h)
 	if r0 == 0 {
 		return AdaptiveResult{Reduction: math.Inf(1), FinalSub: startSub}
 	}
@@ -95,7 +96,7 @@ func (a *AdaptiveSolver) Solve(x, b *grid.Grid, reduction float64, startSub int)
 		}
 		prev = cur
 	}
-	res.Reduction = safeRatio(r0, op.ResidualNorm(pool, x, b, h))
+	res.Reduction = safeRatio(r0, stencil.OpResidualNorm(op, pool, x, b, h))
 	return res
 }
 

@@ -145,7 +145,7 @@ func TestRecurseWithNormMatchesSeparateProbe(t *testing.T) {
 
 			xo := p.NewState()
 			ws.RecurseWith(xo, p.B, nil, coarse)
-			want := tc.op.At(tc.n).ResidualNorm(nil, xo, p.B, h)
+			want := stencil.OpResidualNorm(tc.op.At(tc.n), nil, xo, p.B, h)
 
 			xf := p.NewState()
 			norm := ws.RecurseWithNorm(xf, p.B, nil, coarse)
@@ -167,7 +167,7 @@ func TestRecurseWithNormMatchesSeparateProbe(t *testing.T) {
 			coarseJ := func(cx, cb *grid.Grid) { wsj.RefVCycle(cx, cb, nil) }
 			xj := p.NewState()
 			normJ := wsj.RecurseWithNorm(xj, p.B, nil, coarseJ)
-			wantJ := tc.op.At(tc.n).ResidualNorm(nil, xj, p.B, h)
+			wantJ := stencil.OpResidualNorm(tc.op.At(tc.n), nil, xj, p.B, h)
 			if math.Float64bits(normJ) != math.Float64bits(wantJ) {
 				t.Fatalf("jacobi fallback norm %v != %v", normJ, wantJ)
 			}

@@ -190,7 +190,7 @@ func TestTunedVSORChoice(t *testing.T) {
 	want := p.NewState()
 	h := 1.0 / 16
 	for i := 0; i < 7; i++ {
-		stencil.SORSweepRB(nil, want, p.B, h, stencil.OmegaOpt(17))
+		stencil.OpSORSweepRB(stencil.Poisson(), nil, want, p.B, h, stencil.OmegaOpt(17))
 	}
 	for i := range x.Data() {
 		if x.Data()[i] != want.Data()[i] {

@@ -2,6 +2,7 @@ package mg
 
 import (
 	"pbmg/internal/grid"
+	"pbmg/internal/stencil"
 	"pbmg/internal/transfer"
 )
 
@@ -105,10 +106,10 @@ func (ws *Workspace) SolveSOR(x, b *grid.Grid, target float64, maxIters int, acc
 	n := x.N()
 	h := 1.0 / float64(n-1)
 	op := ws.opAt(n)
-	omega := op.OmegaOpt(n)
+	omega := stencil.OmegaOpt(n)
 	lvl := grid.Level(n)
 	iters, a := IterateUntil(target, maxIters, func() {
-		op.SORSweepRB(ws.Pool, x, b, h, omega)
+		stencil.OpSORSweepRB(op, ws.Pool, x, b, h, omega)
 	}, accuracy)
 	record(rec, EvIterSolve, lvl, iters)
 	return iters, a

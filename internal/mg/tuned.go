@@ -7,6 +7,7 @@ import (
 
 	"pbmg/internal/faultinject"
 	"pbmg/internal/grid"
+	"pbmg/internal/stencil"
 	"pbmg/internal/transfer"
 )
 
@@ -84,7 +85,7 @@ func solveVPlan[T grid.Float](e *Executor, x, b *grid.G[T], plan Plan) {
 	case ChoiceDirect:
 		solveDirectOf(e.WS, x, b, e.Rec)
 	case ChoiceSOR:
-		sorOf(e.WS, x, b, e.WS.OmegaOpt(x.N()), plan.Iters, e.Rec)
+		sorOf(e.WS, x, b, stencil.OmegaOpt(x.N()), plan.Iters, e.Rec)
 	case ChoiceRecurse:
 		for it := 0; it < plan.Iters; it++ {
 			e.checkpoint()
@@ -151,7 +152,7 @@ func (e *Executor) solveVMixed(x, b *grid.Grid, plan Plan) {
 	var r0 float64
 	for it := 0; it < plan.Iters; it++ {
 		e.checkpoint()
-		op.Residual(e.WS.Pool, r, x, b, h)
+		stencil.OpResidual(op, e.WS.Pool, r, x, b, h)
 		record(e.Rec, EvResidual, lvl, 1)
 		// The refinement loop already materializes the f64 defect each
 		// iteration, so its norm is the natural divergence probe: NaN/Inf
@@ -239,7 +240,7 @@ func (e *Executor) SolveFull(x, b *grid.Grid, accIdx int) {
 		switch plan.Solve {
 		case ChoiceSOR:
 			if plan.Iters > 0 {
-				e.WS.SOR(x, b, e.WS.OmegaOpt(x.N()), plan.Iters, e.Rec)
+				e.WS.SOR(x, b, stencil.OmegaOpt(x.N()), plan.Iters, e.Rec)
 			}
 		case ChoiceRecurse:
 			for it := 0; it < plan.Iters; it++ {

@@ -91,10 +91,6 @@ func (ws *Workspace) Operator() *stencil.Operator {
 // opAt resolves the workspace operator for grid size n.
 func (ws *Workspace) opAt(n int) *stencil.Operator { return ws.Operator().At(n) }
 
-// OmegaOpt returns the operator-specific SOR shortcut-solver weight for an
-// n×n grid (see stencil.Operator.OmegaOpt).
-func (ws *Workspace) OmegaOpt(n int) float64 { return ws.opAt(n).OmegaOpt(n) }
-
 // levelBufs is the scratch set a cycle needs at one grid size n: the
 // residual and interpolation scratch at size n, and the coarse right-hand
 // side and coarse solution at size (n+1)/2 (absent at n = 3, which has no

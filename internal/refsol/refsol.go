@@ -127,7 +127,7 @@ func converge(ws *mg.Workspace, p *problem.Problem, x *grid.Grid, guarded bool) 
 		cycles = maxRefCyclesHard
 	}
 	target := residualTarget(p)
-	norm := func() float64 { return op.At(p.N).ResidualNorm(ws.Pool, x, p.B, p.H) }
+	norm := func() float64 { return stencil.OpResidualNorm(op.At(p.N), ws.Pool, x, p.B, p.H) }
 	ws.RefFullMG(x, p.B, nil)
 	res := norm()
 	for c := 0; c < cycles && res > target; c++ {

@@ -20,7 +20,7 @@ func TestCompute3DDirect(t *testing.T) {
 		t.Fatalf("reference is %dD", x.Dim())
 	}
 	scale := grid.L2Interior(p.B) + 1
-	if r := stencil.Poisson3D().ResidualNorm(nil, x, p.B, p.H); r > 1e-9*scale {
+	if r := stencil.OpResidualNorm(stencil.Poisson3D(), nil, x, p.B, p.H); r > 1e-9*scale {
 		t.Fatalf("direct 3D reference residual %v (scale %v)", r, scale)
 	}
 }
@@ -33,7 +33,7 @@ func TestCompute3DConvergedMultigrid(t *testing.T) {
 	p := problem.RandomOp(n, grid.Unbiased, rng, stencil.Poisson3D())
 	x := Compute(p, nil, nil)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
-	if r := stencil.Poisson3D().ResidualNorm(nil, x, p.B, p.H); r > 100*relResidualTarget*scale {
+	if r := stencil.OpResidualNorm(stencil.Poisson3D(), nil, x, p.B, p.H); r > 100*relResidualTarget*scale {
 		t.Fatalf("multigrid 3D reference residual %v above floor (scale %v)", r, scale)
 	}
 }

@@ -8,7 +8,9 @@ import (
 	"pbmg/internal/sched"
 )
 
-// strokeKernels are the cycle's kernel entry points, bound to one set of grids.
+// strokeKernels are the cycle's kernel entry points — and the unfused residual
+// and Jacobi sweep the mixed-precision refinement and the Jacobi ablation run —
+// bound to one set of grids.
 func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 	name string
 	run  func()
@@ -29,6 +31,8 @@ func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 		{"OpUpstrokeNorm", func() { OpUpstrokeNorm(op, p, x, b, cx, scratch, h, omega) }},
 		{"OpSORSweepRB", func() { OpSORSweepRB(op, p, x, b, h, omega) }},
 		{"OpResidualNorm", func() { OpResidualNorm(op, p, x, b, h) }},
+		{"OpResidual", func() { OpResidual(op, p, r, x, b, h) }},
+		{"OpJacobiSweep", func() { OpJacobiSweep(op, p, scratch, x, b, h, 2.0/3.0) }},
 	}
 }
 

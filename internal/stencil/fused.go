@@ -7,7 +7,7 @@
 //     post-sweep residual grid. Black points get their residual for free
 //     from the update delta (after the black half-sweep every neighbour of
 //     a black point is final, so r = C·(1−ω)·(gs − x_old)/h², exactly); red
-//     points need a fix-up, half the footprint of the standalone Residual
+//     points need a fix-up, half the footprint of the standalone OpResidual
 //     kernel.
 //   - Downstroke (SmoothResidualRestrict, for callers with no scratch grid
 //     to offer): the whole V-cycle downstroke — smoothing
@@ -22,15 +22,17 @@
 //     per-iteration convergence probe folded into the smoothing it already
 //     pays for.
 //
-// One implementation, two drivers, four families. The loops live in rows.go
+// One implementation, one binding, four families. The loops live in rows.go
 // as row kernels; rowOps binds them to one call's grids and operator family
 // and exposes them as stages over units — a unit is a grid row in 2D and a
-// plane (its interior rows, one row kernel call each) in 3D. With a pool and
-// a grid large enough for it to split, each stage is a barrier-separated pass
-// over all units (chunks own disjoint units, so the result is independent of
-// the chunking). Otherwise the stages run as a wavefront, each trailing the
-// previous by one unit, so the fine grids are streamed once instead of once
-// per stage and no task closure is built:
+// plane (its interior rows, one row kernel call each) in 3D. Every entry point
+// of the package runs through it, the single-stage ones (OpResidual,
+// OpJacobiSweep) included. With a pool and a grid large enough for it to
+// split, each stage is a barrier-separated pass over all units (chunks own
+// disjoint units, so the result is independent of the chunking). Otherwise
+// the stages run as a wavefront, each trailing the previous by one unit, so
+// the fine grids are streamed once instead of once per stage and no task
+// closure is built:
 //
 //	sweep        relax red(i) → relax black(i−1)
 //	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict(i−2)
@@ -57,10 +59,12 @@
 // deterministic fixed-chunk reduction contract the adaptive driver and
 // refsol rely on.
 //
-// The unfused kernels in stencil.go/stencil3d.go/operator.go remain the
-// oracle: the fused paths are exercised against them point-for-point by the
-// equivalence and fuzz suites. Iterates are bit-identical to the unfused
-// sweep; fused residual/restriction values agree to floating-point
+// The oracles live in the tests: oracle_test.go writes the sweep, the
+// residual, Jacobi and the operator apply point by point, with the operands
+// in the order the row kernels must keep, and pins the single-stage entry
+// points to them bit for bit; the equivalence and fuzz suites hold the fused
+// paths to those. Iterates are bit-identical to the
+// unfused sweep; fused residual/restriction values agree to floating-point
 // association (≤1e-12 of the data scale) where a derivation or summation
 // order differs.
 package stencil
@@ -233,12 +237,12 @@ func (k *rowOps[T]) relaxEmit(i, colour int) {
 }
 
 // residual evaluates b − T·x directly from the iterate at the red points of
-// unit i, and with black also at the black ones, into dst, a slice laid out
-// like the unit.
-func (k *rowOps[T]) residual(dst []T, i int, black bool) {
-	c, colours := i+1, 1
-	if black {
-		colours = 2
+// unit i, or with all at every point, into dst, a slice laid out like the
+// unit.
+func (k *rowOps[T]) residual(dst []T, i int, all bool) {
+	c := i + 1
+	if all {
+		c = everyPoint
 	}
 	if k.dim3() {
 		n := k.n
@@ -246,22 +250,46 @@ func (k *rowOps[T]) residual(dst []T, i int, black bool) {
 		b := k.b.Plane(i)
 		for j := 1; j < n-1; j++ {
 			lo, hi := j*n, (j+1)*n
-			for cc := c + j; cc < c+j+colours; cc++ {
-				residualRow3(dst[lo:hi], x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], cc, k.inv)
+			cj := c
+			if !all {
+				cj += j
 			}
+			residualRow3(dst[lo:hi], x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], cj, k.inv)
 		}
 		return
 	}
 	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
-	for cc := c; cc < c+colours; cc++ {
-		switch k.family {
-		case FamilyPoisson:
-			residualRow(dst, xr, up, down, br, cc, k.inv)
-		case FamilyAnisotropic:
-			residualRowConst(dst, xr, up, down, br, cc, k.inv, k.cx, k.cy, k.center)
-		default:
-			residualRowVar(dst, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), cc, k.inv)
+	switch k.family {
+	case FamilyPoisson:
+		residualRow(dst, xr, up, down, br, c, k.inv)
+	case FamilyAnisotropic:
+		residualRowConst(dst, xr, up, down, br, c, k.inv, k.cx, k.cy, k.center)
+	default:
+		residualRowVar(dst, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.inv)
+	}
+}
+
+// jacobi writes one weighted-Jacobi step of unit i, with the binding's
+// relaxation weight, into the same unit of r.
+func (k *rowOps[T]) jacobi(i int) {
+	if k.dim3() {
+		n := k.n
+		x, up, down := planes(k.x, i)
+		b, out := k.b.Plane(i), k.r.Plane(i)
+		for j := 1; j < n-1; j++ {
+			lo, hi := j*n, (j+1)*n
+			jacobiRow3(out[lo:hi], x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], k.h2, k.omega)
 		}
+		return
+	}
+	xr, up, down, br, out := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i), k.r.Row(i)
+	switch k.family {
+	case FamilyPoisson:
+		jacobiRow(out, xr, up, down, br, k.h2, k.omega)
+	case FamilyAnisotropic:
+		jacobiRowConst(out, xr, up, down, br, k.h2, k.omega, k.cx, k.cy, k.invC)
+	default:
+		jacobiRowVar(out, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), k.h2, k.omega)
 	}
 }
 
@@ -463,7 +491,7 @@ func restrictPass[T grid.Float](k rowOps[T], coarse, scratch *grid.G[T]) {
 }
 
 // residualRestrict restricts b − T·x into coarse with no sweep before it. The
-// per-point residual is the unfused Residual kernel's expression, evaluated
+// per-point residual is OpResidual's expression, evaluated
 // into r a unit at a time; serially each unit is restricted while it is
 // still in cache and r only ever holds the last three (rolling), so the fine
 // residual grid is never streamed. With a pool it is two passes over all of
@@ -485,12 +513,55 @@ func (k *rowOps[T]) residualRestrict(coarse, scratch *grid.G[T]) {
 // residualRestrictPasses is residualRestrict in pass order (by-value
 // receiver: see halfSweepPass).
 func residualRestrictPasses[T grid.Float](k rowOps[T], coarse, scratch *grid.G[T]) {
+	residualPass(k)
+	restrictPass(k, coarse, scratch)
+}
+
+// residualGrid evaluates r = b − T·x at every interior point and zeroes r's
+// boundary: the whole-grid residual, one unit at a time.
+func (k *rowOps[T]) residualGrid() {
+	k.r.ZeroBoundary()
+	if k.pool != nil {
+		residualPass(*k)
+		return
+	}
+	for i := 1; i < k.n-1; i++ {
+		k.residual(k.resUnit(i), i, true)
+	}
+}
+
+// residualPass evaluates every interior unit of r as a pass (by-value
+// receiver: see halfSweepPass).
+func residualPass[T grid.Float](k rowOps[T]) {
 	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.residual(k.resUnit(i), i, true)
 		}
 	})
-	restrictPass(k, coarse, scratch)
+}
+
+// jacobiSweep writes one weighted-Jacobi step of x into r, boundary copied
+// from x. Every unit reads only x, so any order — and any chunking — gives
+// the same bits.
+func (k *rowOps[T]) jacobiSweep() {
+	k.r.CopyBoundaryFrom(k.x)
+	if k.pool != nil {
+		jacobiPass(*k)
+		return
+	}
+	for i := 1; i < k.n-1; i++ {
+		k.jacobi(i)
+	}
+}
+
+// jacobiPass is jacobiSweep's pooled pass (by-value receiver: see
+// halfSweepPass).
+func jacobiPass[T grid.Float](k rowOps[T]) {
+	k.forUnits(func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			k.jacobi(i)
+		}
+	})
 }
 
 // The stages a norm-reducing sweep can start from: the whole sweep

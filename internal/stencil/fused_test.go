@@ -13,12 +13,13 @@ import (
 
 // Equivalence suite for the fused single-pass kernels, run for every
 // operator family × {2D, 3D} × {serial, 8-goroutine pool} against the
-// unfused oracle kernels. The contract under test:
+// unfused kernels, OpSORSweepRB and OpResidual (each pinned bit for bit to
+// its point-by-point oracle in oracle_test.go). The contract under test:
 //
 //   - the iterate x after SmoothResidual / SweepWithNorm is bit-identical
-//     to SORSweepRB (the sweeps perform the same updates in the same order);
-//   - ResidualRestrict is bit-identical to Residual followed by Restrict
-//     (it consumes the same residual bits through a rolling window);
+//     to OpSORSweepRB (the sweeps perform the same updates in the same order);
+//   - ResidualRestrict matches OpResidual followed by Restrict to
+//     floating-point association (the 3D weights apply separably);
 //   - the residual grid from SmoothResidual is bit-identical to the oracle
 //     at red points (re-evaluated from final values with the oracle's
 //     expression) and within 1e-12 of the scale at black points (derived
@@ -95,9 +96,9 @@ func TestSmoothResidualMatchesOracle(t *testing.T) {
 
 				// Oracle: unfused sweep, then unfused residual (serial).
 				xo := x0.Clone()
-				op.SORSweepRB(nil, xo, b, h, omega)
+				OpSORSweepRB(op, nil, xo, b, h, omega)
 				ro := grid.NewDim(tc.dim, n)
-				op.Residual(nil, ro, xo, b, h)
+				OpResidual(op, nil, ro, xo, b, h)
 				scale := math.Max(1, grid.MaxAbsInterior(ro))
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
@@ -105,7 +106,7 @@ func TestSmoothResidualMatchesOracle(t *testing.T) {
 					rf := grid.NewDim(tc.dim, n)
 					// Poison rf's interior to catch unwritten points.
 					rf.Fill(math.NaN())
-					op.SmoothResidual(pool, xf, b, rf, h, omega)
+					OpSmoothResidual(op, pool, xf, b, rf, h, omega)
 					assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
 					rod, rfd := ro.Data(), rf.Data()
 					forEachInterior(ro, func(idx int, red bool, _ float64) {
@@ -163,7 +164,7 @@ func TestResidualRestrictMatchesOracle(t *testing.T) {
 				nc := grid.Coarsen(n)
 
 				r := grid.NewDim(tc.dim, n)
-				op.Residual(nil, r, x, b, h)
+				OpResidual(op, nil, r, x, b, h)
 				scale := math.Max(1, grid.MaxAbsInterior(r))
 				co := grid.NewDim(tc.dim, nc)
 				transfer.Restrict(nil, co, r)
@@ -201,9 +202,9 @@ func TestSmoothResidualRestrictMatchesOracle(t *testing.T) {
 				// Oracle downstroke: sweep, residual, restrict as separate
 				// serial passes.
 				xo := x0.Clone()
-				op.SORSweepRB(nil, xo, b, h, omega)
+				OpSORSweepRB(op, nil, xo, b, h, omega)
 				ro := grid.NewDim(tc.dim, n)
-				op.Residual(nil, ro, xo, b, h)
+				OpResidual(op, nil, ro, xo, b, h)
 				scale := math.Max(1, grid.MaxAbsInterior(ro))
 				co := grid.NewDim(tc.dim, nc)
 				transfer.Restrict(nil, co, ro)
@@ -239,15 +240,15 @@ func TestSweepWithNormMatchesOracle(t *testing.T) {
 				x0, b := randomStateDim(tc.dim, n, rng)
 
 				xo := x0.Clone()
-				op.SORSweepRB(nil, xo, b, h, omega)
+				OpSORSweepRB(op, nil, xo, b, h, omega)
 				ro := grid.NewDim(tc.dim, n)
-				op.Residual(nil, ro, xo, b, h)
+				OpResidual(op, nil, ro, xo, b, h)
 				want := grid.L2Interior(ro)
 
 				var serialNorm float64
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
 					xf := x0.Clone()
-					norm := op.SweepWithNorm(pool, xf, b, h, omega)
+					norm := OpSweepWithNorm(op, pool, xf, b, h, omega)
 					assertBitIdentical(t, xo, xf, "SweepWithNorm iterate")
 					if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
 						t.Fatalf("norm %v, oracle %v (diff %g)", norm, want, d)
@@ -274,85 +275,32 @@ func TestResidualNormParallelDeterministic(t *testing.T) {
 				rng := rand.New(rand.NewSource(int64(n) + 29))
 				x, b := randomStateDim(tc.dim, n, rng)
 
-				serial := op.ResidualNorm(nil, x, b, h)
+				serial := OpResidualNorm(op, nil, x, b, h)
 				pool := sched.NewPool(8)
 				defer pool.Close()
-				par := op.ResidualNorm(pool, x, b, h)
+				par := OpResidualNorm(op, pool, x, b, h)
 				if math.Float64bits(serial) != math.Float64bits(par) {
 					t.Fatalf("parallel norm %x != serial norm %x",
 						math.Float64bits(par), math.Float64bits(serial))
 				}
 				// And both agree with the residual grid they summarize.
 				r := grid.NewDim(tc.dim, n)
-				op.Residual(nil, r, x, b, h)
+				OpResidual(op, nil, r, x, b, h)
 				want := grid.L2Interior(r)
 				if d := math.Abs(serial - want); !(d <= 1e-12*math.Max(1, want)) {
 					t.Fatalf("norm %v, ‖residual grid‖ %v (diff %g)", serial, want, d)
 				}
-				// ... and with the legacy single-accumulator oracle, where
-				// one exists for the family.
-				oracle := math.NaN()
-				switch op.Family() {
-				case FamilyPoisson:
-					oracle = ResidualNorm(x, b, h)
-				case FamilyAnisotropic:
-					oracle = residualNormConst(x, b, h, op.Eps(), 1)
-				case FamilyPoisson3D:
-					oracle = residualNorm3(x, b, h)
-				}
-				if !math.IsNaN(oracle) {
-					if d := math.Abs(serial - oracle); !(d <= 1e-12*math.Max(1, oracle)) {
-						t.Fatalf("norm %v, legacy oracle %v (diff %g)", serial, oracle, d)
-					}
+				// ... and with the norm of the point-by-point oracle's grid,
+				// summed in storage order by one accumulator.
+				ro := grid.NewDim(tc.dim, n)
+				refResidual(op, ro, x, b, h)
+				oracle := grid.L2Interior(ro)
+				if d := math.Abs(serial - oracle); !(d <= 1e-12*math.Max(1, oracle)) {
+					t.Fatalf("norm %v, oracle %v (diff %g)", serial, oracle, d)
 				}
 			})
 		}
 	}
-}
-
-// The single-accumulator norm oracles TestResidualNormParallelDeterministic
-// compares against (the Laplacian's, ResidualNorm, is exported: direct and
-// refsol use it).
-
-// residualNormConst returns ‖b − T·x‖₂ for a constant-coefficient stencil.
-func residualNormConst[T grid.Float](x, b *grid.G[T], h, cx, cy T) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	center := 2 * (cx + cy)
-	var sum float64
-	for i := 1; i < n-1; i++ {
-		xr := x.Row(i)
-		up := x.Row(i - 1)
-		down := x.Row(i + 1)
-		br := b.Row(i)
-		for j := 1; j < n-1; j++ {
-			r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv)
-			sum += r * r
-		}
-	}
-	return math.Sqrt(sum)
-}
-
-// residualNorm3 returns ‖b − T·x‖₂ over interior points without allocating.
-func residualNorm3[T grid.Float](x, b *grid.G[T], h T) float64 {
-	n := x.N()
-	inv := 1 / (h * h)
-	var sum float64
-	for i := 1; i < n-1; i++ {
-		for j := 1; j < n-1; j++ {
-			xr := x.Row3(i, j)
-			up := x.Row3(i-1, j)
-			down := x.Row3(i+1, j)
-			north := x.Row3(i, j-1)
-			south := x.Row3(i, j+1)
-			br := b.Row3(i, j)
-			for k := 1; k < n-1; k++ {
-				r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-xr[k+1])*inv)
-				sum += r * r
-			}
-		}
-	}
-	return math.Sqrt(sum)
 }
 
 // FuzzFusedMatchesUnfused drives the fused 2D kernels against the oracle on
@@ -375,14 +323,14 @@ func FuzzFusedMatchesUnfused(f *testing.F) {
 		h := 1.0 / float64(n-1)
 
 		xo := x0.Clone()
-		op.SORSweepRB(nil, xo, b, h, omega)
+		OpSORSweepRB(op, nil, xo, b, h, omega)
 		ro := grid.New(n)
-		op.Residual(nil, ro, xo, b, h)
+		OpResidual(op, nil, ro, xo, b, h)
 		scale := math.Max(1, grid.MaxAbsInterior(ro))
 
 		xf := x0.Clone()
 		rf := grid.New(n)
-		op.SmoothResidual(pool, xf, b, rf, h, omega)
+		OpSmoothResidual(op, pool, xf, b, rf, h, omega)
 		assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
 		rod, rfd := ro.Data(), rf.Data()
 		forEachInterior(ro, func(idx int, red bool, _ float64) {
@@ -407,7 +355,7 @@ func FuzzFusedMatchesUnfused(f *testing.F) {
 		assertCoarseClose(t, co, cc, scale, "SmoothResidualRestrict")
 
 		xn := x0.Clone()
-		norm := op.SweepWithNorm(pool, xn, b, h, omega)
+		norm := OpSweepWithNorm(op, pool, xn, b, h, omega)
 		assertBitIdentical(t, xo, xn, "SweepWithNorm iterate")
 		want := grid.L2Interior(ro)
 		if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
@@ -435,14 +383,14 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 		h := 1.0 / float64(n-1)
 
 		xo := x0.Clone()
-		op.SORSweepRB(nil, xo, b, h, omega)
+		OpSORSweepRB(op, nil, xo, b, h, omega)
 		ro := grid.New3(n)
-		op.Residual(nil, ro, xo, b, h)
+		OpResidual(op, nil, ro, xo, b, h)
 		scale := math.Max(1, grid.MaxAbsInterior(ro))
 
 		xf := x0.Clone()
 		rf := grid.New3(n)
-		op.SmoothResidual(pool, xf, b, rf, h, omega)
+		OpSmoothResidual(op, pool, xf, b, rf, h, omega)
 		assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
 		rod, rfd := ro.Data(), rf.Data()
 		forEachInterior(ro, func(idx int, red bool, _ float64) {
@@ -467,7 +415,7 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 		assertCoarseClose(t, co, cc, scale, "SmoothResidualRestrict")
 
 		xn := x0.Clone()
-		norm := op.SweepWithNorm(pool, xn, b, h, omega)
+		norm := OpSweepWithNorm(op, pool, xn, b, h, omega)
 		assertBitIdentical(t, xo, xn, "SweepWithNorm iterate")
 		want := grid.L2Interior(ro)
 		if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {

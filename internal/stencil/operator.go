@@ -1,11 +1,9 @@
 // Operator families generalize the solver beyond the constant-coefficient
 // Laplacian: an Operator value travels with the problem through the
-// multigrid hierarchy and selects, per family, the row kernels the cycle
-// runs (rows.go, bound by fused.go's rowOps) and the unfused kernel that is
-// their oracle.
+// multigrid hierarchy and selects, per family, the row kernels every entry
+// point of this package runs (rows.go, bound by fused.go's rowOps).
 //
-//   - FamilyPoisson: T = −∇², the paper's operator. Its unfused kernels are
-//     the free functions of stencil.go.
+//   - FamilyPoisson: T = −∇², the paper's operator.
 //   - FamilyAnisotropic: T = −(ε·∂²/∂x² + ∂²/∂y²) with constant ε > 0. The
 //     5-point stencil keeps weight 1 on vertical neighbours and ε on
 //     horizontal ones (x runs along rows, i.e. the column index j).
@@ -14,8 +12,7 @@
 //     c_face = (c_node + c_neighbour)/2 — the standard cell-face scheme that
 //     keeps the operator symmetric positive definite.
 //   - FamilyPoisson3D: T = −∇² on an N×N×N cube with the 7-point stencil —
-//     the paper's headline scaling case. Its unfused kernels are the plane-
-//     parallel free functions of stencil3d.go. Operators know their spatial
+//     the paper's headline scaling case. Operators know their spatial
 //     dimension (Dim); mixing a 3D operator with 2D grids (or vice versa)
 //     fails loudly in the grid accessors.
 //
@@ -312,22 +309,6 @@ func (op *Operator) FaceCoefs(i, j int) (cn, cs, cw, ce float64) {
 	}
 }
 
-// OmegaOpt returns the optimal (or heuristic) SOR relaxation weight for the
-// operator on an n×n grid, used by the iterated-SOR shortcut solver.
-//
-// For the Laplacian this is ω* = 2/(1 + sin(πh)) (Demmel §6.5.5). The same
-// formula is exact for the anisotropic family: the Jacobi iteration matrix
-// has eigenvalues (ε·cos(kπh) + cos(lπh))/(1 + ε), whose spectral radius
-// cos(πh) does not depend on ε, so Young's ω* is unchanged. It is also
-// exact for the 3D Laplacian: the Jacobi eigenvalues average one cosine per
-// axis, so the spectral radius is cos(πh) in any dimension. For smooth
-// variable-coefficient fields there is no closed form; the Laplacian value
-// is the standard heuristic (red-black SOR on an SPD operator converges for
-// any ω ∈ (0, 2), so the choice affects speed, not correctness).
-func (op *Operator) OmegaOpt(n int) float64 {
-	return OmegaOpt(n)
-}
-
 // OmegaSmooth returns the in-cycle smoothing weight for the operator — the
 // per-family counterpart of the paper's fixed ω = 1.15 (§2.3).
 //
@@ -360,15 +341,10 @@ func (op *Operator) checkSize(n int) {
 	}
 }
 
-// SORSweepRB performs one red-black SOR sweep for the operator, in place.
-// See the package-level SORSweepRB for the coloring contract; all families
-// share it, so parallel execution stays bit-identical to serial.
-func (op *Operator) SORSweepRB(pool *sched.Pool, x, b *grid.Grid, h, omega float64) {
-	OpSORSweepRB(op, pool, x, b, h, omega)
-}
-
-// OpSORSweepRB is the precision-generic red-black SOR sweep: one full sweep
-// for op, in place on a grid of either storage precision.
+// OpSORSweepRB performs one full red-black SOR sweep for op (red half-sweep
+// then black half-sweep) in place on x with relaxation weight omega. Points
+// are coloured by coordinate-sum parity; within a colour all updates are
+// independent, so a pooled sweep is bit-identical to a serial one.
 func OpSORSweepRB[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
 	if faultinject.Enabled {
 		// The slow-kernel injection point: every plain SOR sweep — in-cycle
@@ -380,261 +356,50 @@ func OpSORSweepRB[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T],
 	k.sweep()
 }
 
-// GaussSeidelSweep performs one lexicographic Gauss-Seidel sweep in place.
-// Like the package-level GaussSeidelSweep it mirrors, this kernel is
-// inherently sequential and provided for comparison and testing only; the
-// solve path smooths with red-black SOR. The per-point FaceCoefs lookup is
-// acceptable here for the same reason.
-func (op *Operator) GaussSeidelSweep(x, b *grid.Grid, h float64) {
-	OpGaussSeidelSweep(op, x, b, h)
-}
-
-// OpGaussSeidelSweep is the precision-generic lexicographic Gauss-Seidel
-// sweep for op.
-func OpGaussSeidelSweep[T grid.Float](op *Operator, x, b *grid.G[T], h T) {
-	if op.family == FamilyPoisson {
-		GaussSeidelSweep(x, b, h)
-		return
-	}
-	if op.family == FamilyPoisson3D {
-		gaussSeidel3(x, b, h)
-		return
-	}
-	op.checkSize(x.N())
-	n := x.N()
-	h2 := h * h
-	if op.family == FamilyAnisotropic {
-		cx, cy := T(op.eps), T(1)
-		invC := 1 / (2 * (cx + cy))
-		for i := 1; i < n-1; i++ {
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1; j < n-1; j++ {
-				xr[j] = (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-			}
-		}
-		return
-	}
-	c := opCoef[T](op)
-	for i := 1; i < n-1; i++ {
-		xr := x.Row(i)
-		up := x.Row(i - 1)
-		down := x.Row(i + 1)
-		br := b.Row(i)
-		cr := c.Row(i)
-		cu := c.Row(i - 1)
-		cd := c.Row(i + 1)
-		for j := 1; j < n-1; j++ {
-			cc := cr[j]
-			cn := 0.5 * (cc + cu[j])
-			cs := 0.5 * (cc + cd[j])
-			cw := 0.5 * (cc + cr[j-1])
-			ce := 0.5 * (cc + cr[j+1])
-			xr[j] = (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / (cn + cs + cw + ce)
-		}
-	}
-}
-
-// JacobiSweep performs one weighted-Jacobi sweep for the operator, reading
-// from x and writing into out (boundary copied from x). out must not alias x.
-func (op *Operator) JacobiSweep(pool *sched.Pool, out, x, b *grid.Grid, h, w float64) {
-	OpJacobiSweep(op, pool, out, x, b, h, w)
-}
-
-// OpJacobiSweep is the precision-generic weighted-Jacobi sweep for op.
+// OpJacobiSweep performs one weighted-Jacobi sweep for op with weight w,
+// reading from x and writing the relaxed iterate into out (boundary copied
+// from x) — the smoother the paper evaluated and rejected (§2.3), kept for
+// that ablation. out must not alias x.
 func OpJacobiSweep[T grid.Float](op *Operator, pool *sched.Pool, out, x, b *grid.G[T], h, w T) {
-	switch op.family {
-	case FamilyPoisson:
-		JacobiSweep(pool, out, x, b, h, w)
-		return
-	case FamilyPoisson3D:
-		jacobiSweep3(pool, out, x, b, h, w)
-		return
-	case FamilyAnisotropic:
-		jacobiSweepConst(pool, out, x, b, h, w, T(op.eps), 1)
-		return
-	}
-	op.checkSize(x.N())
-	c := opCoef[T](op)
-	n := x.N()
-	h2 := h * h
-	out.CopyBoundaryFrom(x)
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			or := out.Row(i)
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			for j := 1; j < n-1; j++ {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				jac := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*xr[j+1] + h2*br[j]) / (cn + cs + cw + ce)
-				or[j] = xr[j] + w*(jac-xr[j])
-			}
-		}
-	})
+	k := bindRows(op, pool, x, b, out, h, w)
+	k.jacobiSweep()
 }
 
-// jacobiSweepConst is the weighted-Jacobi sweep for a constant-coefficient
-// stencil with horizontal weight cx and vertical weight cy.
-func jacobiSweepConst[T grid.Float](pool *sched.Pool, out, x, b *grid.G[T], h, w, cx, cy T) {
-	n := x.N()
-	h2 := h * h
-	invC := 1 / (2 * (cx + cy))
-	out.CopyBoundaryFrom(x)
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			or := out.Row(i)
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1; j < n-1; j++ {
-				jac := (cy*(up[j]+down[j]) + cx*(xr[j-1]+xr[j+1]) + h2*br[j]) * invC
-				or[j] = xr[j] + w*(jac-xr[j])
-			}
-		}
-	})
-}
-
-// Residual computes r = b − T·x on interior points and zeroes r's boundary.
-// r must not alias x or b.
-func (op *Operator) Residual(pool *sched.Pool, r, x, b *grid.Grid, h float64) {
-	OpResidual(op, pool, r, x, b, h)
-}
-
-// OpResidual is the precision-generic residual r = b − T·x for op.
+// OpResidual computes r = b − T·x on interior points and zeroes r's
+// boundary. r must not alias x or b.
 func OpResidual[T grid.Float](op *Operator, pool *sched.Pool, r, x, b *grid.G[T], h T) {
-	switch op.family {
-	case FamilyPoisson:
-		Residual(pool, r, x, b, h)
-	case FamilyPoisson3D:
-		residual3(pool, r, x, b, h)
-	case FamilyAnisotropic:
-		residualConst(pool, r, x, b, h, T(op.eps), 1)
-	default:
-		op.checkSize(x.N())
-		residualVar(pool, r, x, b, h, opCoef[T](op))
-	}
+	// No sweep here, so the binding's relaxation weight is never read.
+	k := bindRows(op, pool, x, b, r, h, 0)
+	k.residualGrid()
 }
 
-// Apply computes y = T·x on interior points and zeroes y's boundary.
-// y must not alias x.
-func (op *Operator) Apply(pool *sched.Pool, y, x *grid.Grid, h float64) {
-	OpApply(op, pool, y, x, h)
-}
-
-// OpApply is the precision-generic operator apply y = T·x for op.
-func OpApply[T grid.Float](op *Operator, pool *sched.Pool, y, x *grid.G[T], h T) {
-	switch op.family {
-	case FamilyPoisson:
-		Apply(pool, y, x, h)
-		return
-	case FamilyPoisson3D:
-		apply3(pool, y, x, h)
-		return
-	case FamilyAnisotropic:
-		applyConst(pool, y, x, h, T(op.eps), 1)
-		return
-	}
-	op.checkSize(x.N())
-	c := opCoef[T](op)
-	n := x.N()
-	inv := 1 / (h * h)
-	y.ZeroBoundary()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yr := y.Row(i)
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			for j := 1; j < n-1; j++ {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				yr[j] = ((cn+cs+cw+ce)*xr[j] - cn*up[j] - cs*down[j] - cw*xr[j-1] - ce*xr[j+1]) * inv
-			}
-		}
-	})
-}
-
-// applyConst computes y = T·x for a constant-coefficient stencil.
-func applyConst[T grid.Float](pool *sched.Pool, y, x *grid.G[T], h, cx, cy T) {
-	n := x.N()
-	inv := 1 / (h * h)
-	center := 2 * (cx + cy)
-	y.ZeroBoundary()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			yr := y.Row(i)
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			for j := 1; j < n-1; j++ {
-				yr[j] = (center*xr[j] - cy*(up[j]+down[j]) - cx*(xr[j-1]+xr[j+1])) * inv
-			}
-		}
-	})
-}
-
-// ResidualNorm returns ‖b − T·x‖₂ over interior points. The reduction
-// accumulates fixed per-row (2D) or per-plane (3D) partial sums and adds
-// them in index order, so the result is run-to-run deterministic and
-// identical for a nil pool and any worker count.
-func (op *Operator) ResidualNorm(pool *sched.Pool, x, b *grid.Grid, h float64) float64 {
-	return OpResidualNorm(op, pool, x, b, h)
-}
-
-// OpResidualNorm is the precision-generic residual norm for op. The partial
-// sums accumulate in float64 regardless of the storage precision, so
-// convergence accounting on the float32 path stays trustworthy.
+// OpResidualNorm returns ‖b − T·x‖₂ over interior points. The reduction
+// accumulates fixed per-row (2D) or per-plane (3D) partial sums in float64,
+// whatever the storage precision, and adds them in index order, so the
+// result is run-to-run deterministic and identical for a nil pool and any
+// worker count.
 func OpResidualNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h T) float64 {
 	// No sweep here, so the binding's relaxation weight is never read.
 	k := bindRows(op, pool, x, b, nil, h, 0)
 	return k.unitNorm(normOnly)
 }
 
-// SmoothResidual performs one full red-black SOR sweep in place on x and
+// OpSmoothResidual performs one full red-black SOR sweep in place on x and
 // leaves r = b − T·x (post-sweep, zeroed boundary) in the same traversal:
 // the black half-sweep derives its residual from the update delta, and a
-// red fixup half-pass — half the footprint of the standalone Residual
-// kernel — completes the grid. x is bit-identical to SORSweepRB; r matches
-// the unfused Residual bit-identically at red points and to rounding error
-// at black points. r must not alias x or b.
-func (op *Operator) SmoothResidual(pool *sched.Pool, x, b, r *grid.Grid, h, omega float64) {
-	OpSmoothResidual(op, pool, x, b, r, h, omega)
-}
-
-// OpSmoothResidual is the precision-generic fused sweep + residual for op.
+// red fixup half-pass — half the footprint of OpResidual — completes the
+// grid. x is bit-identical to OpSORSweepRB; r matches OpResidual
+// bit-identically at red points and to rounding error at black points. r
+// must not alias x or b.
 func OpSmoothResidual[T grid.Float](op *Operator, pool *sched.Pool, x, b, r *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, r, h, omega)
 	k.smoothResidual(nil, nil)
 }
 
-// SweepWithNorm performs one full red-black SOR sweep in place on x and
+// OpSweepWithNorm performs one full red-black SOR sweep in place on x and
 // returns ‖b − T·x‖₂ over interior points after the sweep, folding the
 // convergence check's residual traversal into the smoothing pass. The
-// reduction uses the same deterministic fixed-chunk scheme as ResidualNorm.
-func (op *Operator) SweepWithNorm(pool *sched.Pool, x, b *grid.Grid, h, omega float64) float64 {
-	return OpSweepWithNorm(op, pool, x, b, h, omega)
-}
-
-// OpSweepWithNorm is the precision-generic fused sweep + post-sweep residual
-// norm for op (norm accumulated in float64).
+// reduction uses the same deterministic scheme as OpResidualNorm.
 func OpSweepWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	return k.unitNorm(normFromRed)
@@ -649,9 +414,9 @@ func OpSweepWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[
 // units; after the call r holds the post-sweep residual with a zero
 // boundary. scratch is a grid of x's size whose contents are clobbered: the
 // 3D restriction window is carved from it, so the call allocates nothing. x
-// is bit-identical to SORSweepRB; coarse matches the unfused sweep + Residual
-// + Restrict chain to floating-point association (≤1e-12 of the data
-// scale). r and scratch must not alias x, b, coarse or each other.
+// is bit-identical to OpSORSweepRB; coarse matches the unfused OpSORSweepRB +
+// OpResidual + transfer.Restrict chain to floating-point association (≤1e-12
+// of the data scale). r and scratch must not alias x, b, coarse or each other.
 func OpDownstroke[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b, r, scratch *grid.G[T], h, omega T) {
 	if faultinject.Enabled {
 		// The fused downstroke carries the cycle's smoothing sweep, so the
@@ -676,57 +441,10 @@ func OpSmoothResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coar
 // r and scratch are grids of x's size whose contents are clobbered: residual
 // units pass through r (serially only its first three, so the fine residual
 // grid is never streamed) and the 3D restriction window is carved from
-// scratch. The result matches Residual followed by transfer.Restrict to
+// scratch. The result matches OpResidual followed by transfer.Restrict to
 // floating-point association (the 3D weights are applied separably).
 func OpResidualRestrict[T grid.Float](op *Operator, pool *sched.Pool, coarse, x, b, r, scratch *grid.G[T], h T) {
 	// No sweep here, so the binding's relaxation weight is never read.
 	k := bindRows(op, pool, x, b, r, h, 0)
 	k.residualRestrict(coarse, scratch)
-}
-
-// residualConst computes the residual for a constant-coefficient stencil.
-func residualConst[T grid.Float](pool *sched.Pool, r, x, b *grid.G[T], h, cx, cy T) {
-	n := x.N()
-	inv := 1 / (h * h)
-	center := 2 * (cx + cy)
-	r.ZeroBoundary()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rr := r.Row(i)
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			for j := 1; j < n-1; j++ {
-				rr[j] = br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+xr[j+1]))*inv
-			}
-		}
-	})
-}
-
-// residualVar computes the residual for a variable-coefficient stencil.
-func residualVar[T grid.Float](pool *sched.Pool, r, x, b *grid.G[T], h T, c *grid.G[T]) {
-	n := x.N()
-	inv := 1 / (h * h)
-	r.ZeroBoundary()
-	parallelRows(pool, n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rr := r.Row(i)
-			xr := x.Row(i)
-			up := x.Row(i - 1)
-			down := x.Row(i + 1)
-			br := b.Row(i)
-			cr := c.Row(i)
-			cu := c.Row(i - 1)
-			cd := c.Row(i + 1)
-			for j := 1; j < n-1; j++ {
-				cc := cr[j]
-				cn := 0.5 * (cc + cu[j])
-				cs := 0.5 * (cc + cd[j])
-				cw := 0.5 * (cc + cr[j-1])
-				ce := 0.5 * (cc + cr[j+1])
-				rr[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*xr[j+1])*inv
-			}
-		}
-	})
 }

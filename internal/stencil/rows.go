@@ -1,10 +1,10 @@
-// Row kernels, 2D and 3D. Every fused cycle kernel of this package — the SOR
-// sweep, the downstroke, the upstroke, the norm reductions, serial or pooled,
-// in any family — is one of two drivers (fused.go, upstroke.go) calling the
-// loops in this file, one grid row at a time. A row kernel takes whole rows
-// of equal length n as plain slices and, unless it visits every interior
-// column, a colour offset c of which only the parity counts: it visits
-// columns 1+c&1, 3+c&1, … ≤ n−2.
+// Row kernels, 2D and 3D. Every kernel of this package — the SOR sweep,
+// Jacobi, the residual, the downstroke, the upstroke, the norm reductions,
+// serial or pooled, in any family — is a driver of fused.go or upstroke.go
+// calling the loops in this file, one grid row at a time. A row kernel takes
+// whole rows of equal length n as plain slices and, unless it visits every
+// interior column, a colour offset c of which only the parity counts: it
+// visits columns 1+c&1, 3+c&1, … ≤ n−2.
 //
 // The contract that lets the compiler drop every bounds check from the
 // loops: rows are re-sliced to one shared length in the prologue (east is
@@ -50,14 +50,38 @@ func relaxEmitRow[T grid.Float](xr, up, down, br, rr []T, c int, h2, omega, rFac
 	}
 }
 
-// residualRow evaluates rr = b − T·x at one colour of one row directly from
-// the iterate — the unfused Residual kernel's expression.
+// everyPoint in place of a colour offset makes a residual row kernel visit
+// every interior column, at unit stride: a whole-grid residual, or its norm,
+// is bound by that loop.
+const everyPoint = -1
+
+// residualRow evaluates rr = b − T·x at one colour of one row, or at
+// everyPoint, directly from the iterate.
 func residualRow[T grid.Float](rr, xr, up, down, br []T, c int, inv T) {
 	n := len(xr) - 1
 	east := xr[1:][:n]
 	rr, xr, up, down, br = rr[:n], xr[:n], up[:n], down[:n], br[:n]
+	if c < 0 {
+		for j := 1; j < n; j++ {
+			rr[j] = br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-east[j])*inv
+		}
+		return
+	}
 	for j := 1 + c&1; j < n; j += 2 {
 		rr[j] = br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-east[j])*inv
+	}
+}
+
+// jacobiRow writes one weighted-Jacobi step of every interior point of a row
+// into dst: relaxRow's update, reading only the old iterate. dst must not
+// alias xr.
+func jacobiRow[T grid.Float](dst, xr, up, down, br []T, h2, w T) {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	dst, xr, up, down, br = dst[:n], xr[:n], up[:n], down[:n], br[:n]
+	for j := 1; j < n; j++ {
+		gs := (up[j] + down[j] + xr[j-1] + east[j] + h2*br[j]) * 0.25
+		dst[j] = xr[j] + w*(gs-xr[j])
 	}
 }
 
@@ -114,8 +138,24 @@ func residualRowConst[T grid.Float](rr, xr, up, down, br []T, c int, inv, cx, cy
 	n := len(xr) - 1
 	east := xr[1:][:n]
 	rr, xr, up, down, br = rr[:n], xr[:n], up[:n], down[:n], br[:n]
+	if c < 0 {
+		for j := 1; j < n; j++ {
+			rr[j] = br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv
+		}
+		return
+	}
 	for j := 1 + c&1; j < n; j += 2 {
 		rr[j] = br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv
+	}
+}
+
+func jacobiRowConst[T grid.Float](dst, xr, up, down, br []T, h2, w, cx, cy, invC T) {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	dst, xr, up, down, br = dst[:n], xr[:n], up[:n], down[:n], br[:n]
+	for j := 1; j < n; j++ {
+		gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+east[j]) + h2*br[j]) * invC
+		dst[j] = xr[j] + w*(gs-xr[j])
 	}
 }
 
@@ -174,6 +214,17 @@ func residualRowVar[T grid.Float](rr, xr, up, down, br, cr, cu, cd []T, c int, i
 	rr, xr, up, down, br = rr[:n], xr[:n], up[:n], down[:n], br[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
 	inv *= 0.5
+	if c < 0 {
+		for j := 1; j < n; j++ {
+			cc := cr[j]
+			cn := cc + cu[j]
+			cs := cc + cd[j]
+			cw := cc + cr[j-1]
+			ce := cc + ceast[j]
+			rr[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv
+		}
+		return
+	}
 	for j := 1 + c&1; j < n; j += 2 {
 		cc := cr[j]
 		cn := cc + cu[j]
@@ -181,6 +232,23 @@ func residualRowVar[T grid.Float](rr, xr, up, down, br, cr, cu, cd []T, c int, i
 		cw := cc + cr[j-1]
 		ce := cc + ceast[j]
 		rr[j] = br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv
+	}
+}
+
+func jacobiRowVar[T grid.Float](dst, xr, up, down, br, cr, cu, cd []T, h2, w T) {
+	n := len(xr) - 1
+	east, ceast := xr[1:][:n], cr[1:][:n]
+	dst, xr, up, down, br = dst[:n], xr[:n], up[:n], down[:n], br[:n]
+	cr, cu, cd = cr[:n], cu[:n], cd[:n]
+	h2 *= 2
+	for j := 1; j < n; j++ {
+		cc := cr[j]
+		cn := cc + cu[j]
+		cs := cc + cd[j]
+		cw := cc + cr[j-1]
+		ce := cc + ceast[j]
+		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / (cn + cs + cw + ce)
+		dst[j] = xr[j] + w*(gs-xr[j])
 	}
 }
 
@@ -214,8 +282,24 @@ func residualRow3[T grid.Float](rr, xr, up, down, north, south, br []T, c int, i
 	n := len(xr) - 1
 	east := xr[1:][:n]
 	rr, xr, up, down, north, south, br = rr[:n], xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
+	if c < 0 {
+		for k := 1; k < n; k++ {
+			rr[k] = br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv
+		}
+		return
+	}
 	for k := 1 + c&1; k < n; k += 2 {
 		rr[k] = br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv
+	}
+}
+
+func jacobiRow3[T grid.Float](dst, xr, up, down, north, south, br []T, h2, w T) {
+	n := len(xr) - 1
+	east := xr[1:][:n]
+	dst, xr, up, down, north, south, br = dst[:n], xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
+	for k := 1; k < n; k++ {
+		gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + east[k] + h2*br[k]) * (1.0 / 6.0)
+		dst[k] = xr[k] + w*(gs-xr[k])
 	}
 }
 
@@ -249,11 +333,6 @@ func relaxSqRow[T grid.Float](xr, up, down, br []T, c int, h2, omega, rFac T, s 
 	}
 	return s
 }
-
-// everyPoint in place of a colour offset makes a residualSqRow visit every
-// interior column, at unit stride: a whole-grid residual norm is bound by
-// that loop.
-const everyPoint = -1
 
 // residualSqRow is residualRow reducing instead of storing: it adds to s the
 // squared residuals of one colour of one row, or of everyPoint.

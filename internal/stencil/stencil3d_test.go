@@ -20,15 +20,17 @@ func randomState3(n int, rng *rand.Rand) (x, b *grid.Grid) {
 	return x, b
 }
 
-// TestApply3MatchesManualStencil: the 3D apply kernel is the literal
-// 7-point formula.
+// TestApply3MatchesManualStencil: T·x, as the apply oracle states it and as
+// OpResidual evaluates it against a zero right-hand side (r = −T·x), is the
+// literal 7-point formula written in grid coordinates.
 func TestApply3MatchesManualStencil(t *testing.T) {
 	n := 9
 	rng := rand.New(rand.NewSource(1))
 	x, _ := randomState3(n, rng)
 	h := 1.0 / float64(n-1)
-	y := grid.New3(n)
-	Poisson3D().Apply(nil, y, x, h)
+	y, r := grid.New3(n), grid.New3(n)
+	refApply(Poisson3D(), y, x, h)
+	OpResidual(Poisson3D(), nil, r, x, grid.New3(n), h)
 	inv := 1 / (h * h)
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
@@ -40,11 +42,14 @@ func TestApply3MatchesManualStencil(t *testing.T) {
 				if got := y.At3(i, j, k); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 					t.Fatalf("apply3(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
+				if got := -r.At3(i, j, k); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+					t.Fatalf("−residual3(%d,%d,%d) = %v, want %v", i, j, k, got, want)
+				}
 			}
 		}
 	}
-	if y.At3(0, 4, 4) != 0 {
-		t.Fatal("apply3 did not zero the boundary")
+	if y.At3(0, 4, 4) != 0 || r.At3(0, 4, 4) != 0 {
+		t.Fatal("apply3 or residual3 did not zero the boundary")
 	}
 }
 
@@ -56,8 +61,8 @@ func TestResidual3ConsistentWithApply3(t *testing.T) {
 	h := 1.0 / float64(n-1)
 	op := Poisson3D()
 	r, y := grid.New3(n), grid.New3(n)
-	op.Residual(nil, r, x, b, h)
-	op.Apply(nil, y, x, h)
+	OpResidual(op, nil, r, x, b, h)
+	refApply(op, y, x, h)
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
 			for k := 1; k < n-1; k++ {
@@ -74,7 +79,7 @@ func TestResidual3ConsistentWithApply3(t *testing.T) {
 	for i := range rd {
 		sum += rd[i] * rd[i]
 	}
-	if norm := op.ResidualNorm(nil, x, b, h); math.Abs(norm-math.Sqrt(sum)) > 1e-9*math.Max(1, norm) {
+	if norm := OpResidualNorm(op, nil, x, b, h); math.Abs(norm-math.Sqrt(sum)) > 1e-9*math.Max(1, norm) {
 		t.Fatalf("ResidualNorm %v != ‖r‖ %v", norm, math.Sqrt(sum))
 	}
 }
@@ -88,12 +93,12 @@ func TestSOR3Converges(t *testing.T) {
 	x, b := randomState3(n, rng)
 	x.ZeroInterior() // boundary data + zero interior guess
 	h := 1.0 / float64(n-1)
-	r0 := op.ResidualNorm(nil, x, b, h)
-	omega := op.OmegaOpt(n)
+	r0 := OpResidualNorm(op, nil, x, b, h)
+	omega := OmegaOpt(n)
 	for s := 0; s < 200; s++ {
-		op.SORSweepRB(nil, x, b, h, omega)
+		OpSORSweepRB(op, nil, x, b, h, omega)
 	}
-	if r := op.ResidualNorm(nil, x, b, h); r > 1e-8*r0 {
+	if r := OpResidualNorm(op, nil, x, b, h); r > 1e-8*r0 {
 		t.Fatalf("SOR stalled: residual %v of initial %v", r, r0)
 	}
 }
@@ -107,19 +112,19 @@ func TestJacobi3ReducesResidual(t *testing.T) {
 	x, b := randomState3(n, rng)
 	x.ZeroInterior()
 	h := 1.0 / float64(n-1)
-	r0 := op.ResidualNorm(nil, x, b, h)
+	r0 := OpResidualNorm(op, nil, x, b, h)
 	tmp := grid.New3(n)
 	for s := 0; s < 50; s++ {
-		op.JacobiSweep(nil, tmp, x, b, h, 2.0/3.0)
+		OpJacobiSweep(op, nil, tmp, x, b, h, 2.0/3.0)
 		x.CopyFrom(tmp)
 	}
-	if r := op.ResidualNorm(nil, x, b, h); r > 0.5*r0 {
+	if r := OpResidualNorm(op, nil, x, b, h); r > 0.5*r0 {
 		t.Fatalf("Jacobi did not reduce the residual: %v of %v", r, r0)
 	}
 }
 
-// TestSweep3ParallelMatchesSerial: at N=33 (above the 32-plane threshold)
-// the pooled kernels must be bit-identical to serial execution.
+// TestSweep3ParallelMatchesSerial: at N=33, a cube the pool splits, the
+// pooled kernels must be bit-identical to serial execution.
 func TestSweep3ParallelMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
@@ -131,39 +136,20 @@ func TestSweep3ParallelMatchesSerial(t *testing.T) {
 
 	xs, xp := x0.Clone(), x0.Clone()
 	for s := 0; s < 3; s++ {
-		op.SORSweepRB(nil, xs, b, h, 1.3)
-		op.SORSweepRB(pool, xp, b, h, 1.3)
+		OpSORSweepRB(op, nil, xs, b, h, 1.3)
+		OpSORSweepRB(op, pool, xp, b, h, 1.3)
 	}
 	assertBitIdentical(t, xs, xp, "SOR3")
 
 	js, jp := grid.New3(n), grid.New3(n)
-	op.JacobiSweep(nil, js, xs, b, h, 2.0/3.0)
-	op.JacobiSweep(pool, jp, xs, b, h, 2.0/3.0)
+	OpJacobiSweep(op, nil, js, xs, b, h, 2.0/3.0)
+	OpJacobiSweep(op, pool, jp, xs, b, h, 2.0/3.0)
 	assertBitIdentical(t, js, jp, "Jacobi3")
 
 	rs, rp := grid.New3(n), grid.New3(n)
-	op.Residual(nil, rs, xs, b, h)
-	op.Residual(pool, rp, xs, b, h)
+	OpResidual(op, nil, rs, xs, b, h)
+	OpResidual(op, pool, rp, xs, b, h)
 	assertBitIdentical(t, rs, rp, "Residual3")
-
-	as, ap := grid.New3(n), grid.New3(n)
-	op.Apply(nil, as, xs, h)
-	op.Apply(pool, ap, xs, h)
-	assertBitIdentical(t, as, ap, "Apply3")
-}
-
-// TestGaussSeidel3Smooths: the lexicographic sweep solves the trivial n=3
-// problem (one unknown) exactly in one pass.
-func TestGaussSeidel3Smooths(t *testing.T) {
-	n := 3
-	x, b := grid.New3(n), grid.New3(n)
-	b.Set3(1, 1, 1, 6.0)
-	h := 0.5
-	Poisson3D().GaussSeidelSweep(x, b, h)
-	// 6·x/h² = 6 with zero neighbours → x = h² = 0.25.
-	if got := x.At3(1, 1, 1); math.Abs(got-0.25) > 1e-15 {
-		t.Fatalf("GS3 solved x = %v, want 0.25", got)
-	}
 }
 
 // TestFamilyPoisson3DMeta covers the enum surface.

@@ -22,8 +22,8 @@
 //
 // UpstrokeNorm stops that traversal after the red stage and runs the black
 // half as the norm stages of SweepWithNorm, returning the post-sweep residual
-// norm with the iterate. InterpolateCorrectSmooth, FinishSmooth and
-// FinishSmoothWithNorm are the same stages as separate calls, for the
+// norm with the iterate. OpInterpolateCorrectSmooth, OpFinishSmooth and
+// OpFinishSmoothWithNorm are the same stages as separate calls, for the
 // microbenchmarks and as the oracle pair of the one-call entries.
 package stencil
 
@@ -36,7 +36,7 @@ import (
 // OpUpstroke is the whole V-cycle upstroke in one traversal: it adds the
 // d-linear interpolation of cx to x's interior and runs one full red-black
 // post-smoothing sweep, leaving x bit-identical to transfer.InterpolateAdd
-// followed by SORSweepRB (and to OpInterpolateCorrectSmooth followed by
+// followed by OpSORSweepRB (and to OpInterpolateCorrectSmooth followed by
 // OpFinishSmooth). scratch is a grid of x's size whose contents are
 // clobbered: its rows serve as the interpolation buffers, so the call
 // allocates nothing. cx must not alias x or b.
@@ -47,7 +47,7 @@ func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch 
 
 // OpUpstrokeNorm is OpUpstroke fused with the convergence probe: the same
 // iterate, and ‖b − T·x‖₂ over its interior, reduced inside the black
-// half-sweep exactly as SweepWithNorm reduces it (the bits of
+// half-sweep exactly as OpSweepWithNorm reduces it (the bits of
 // OpInterpolateCorrectSmooth followed by OpFinishSmoothWithNorm).
 func OpUpstrokeNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) float64 {
 	k := bindRows(op, pool, x, b, nil, h, omega)
@@ -55,48 +55,32 @@ func OpUpstrokeNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scra
 	return k.unitNorm(normFromBlack)
 }
 
-// InterpolateCorrectSmooth applies the coarse-grid correction (the d-linear
-// interpolation of cx added to x's interior) and runs the post-smooth's red
-// half-sweep in the same traversal. Calling FinishSmooth afterwards yields an
-// iterate bit-identical to transfer.InterpolateAdd followed by SORSweepRB;
-// calling FinishSmoothWithNorm additionally returns the post-sweep residual
-// norm exactly as SweepWithNorm computes it. cx must not alias x or b.
-func (op *Operator) InterpolateCorrectSmooth(pool *sched.Pool, x, b, cx *grid.Grid, h, omega float64) {
-	OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)
-}
-
-// OpInterpolateCorrectSmooth is the precision-generic edition of
-// Operator.InterpolateCorrectSmooth.
+// OpInterpolateCorrectSmooth applies the coarse-grid correction (the
+// d-linear interpolation of cx added to x's interior) and runs the
+// post-smooth's red half-sweep in the same traversal. Calling OpFinishSmooth
+// afterwards yields an iterate bit-identical to transfer.InterpolateAdd
+// followed by OpSORSweepRB; calling OpFinishSmoothWithNorm additionally
+// returns the post-sweep residual norm exactly as OpSweepWithNorm computes it.
+// cx must not alias x or b.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	k.correctSmooth(cx, nil, false)
 }
 
-// FinishSmooth runs the black half-sweep completing a post-smoothing pass
-// started by InterpolateCorrectSmooth. The pair is bit-identical to the
-// unfused correction plus one SORSweepRB.
-func (op *Operator) FinishSmooth(pool *sched.Pool, x, b *grid.Grid, h, omega float64) {
-	OpFinishSmooth(op, pool, x, b, h, omega)
-}
-
-// OpFinishSmooth is the precision-generic edition of Operator.FinishSmooth.
+// OpFinishSmooth runs the black half-sweep completing a post-smoothing pass
+// started by OpInterpolateCorrectSmooth. The pair is bit-identical to the
+// unfused correction plus one OpSORSweepRB.
 func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	k.halfSweep(1)
 }
 
-// FinishSmoothWithNorm is FinishSmooth fused with the convergence probe: it
-// completes the sweep and returns ‖b − T·x‖₂ over interior points, computed
-// by the same delta-emission and deterministic per-row reduction as
-// SweepWithNorm — InterpolateCorrectSmooth followed by FinishSmoothWithNorm
-// returns the same bits as InterpolateAdd followed by SweepWithNorm.
-func (op *Operator) FinishSmoothWithNorm(pool *sched.Pool, x, b *grid.Grid, h, omega float64) float64 {
-	return OpFinishSmoothWithNorm(op, pool, x, b, h, omega)
-}
-
-// OpFinishSmoothWithNorm is the precision-generic edition of
-// Operator.FinishSmoothWithNorm. The returned norm is accumulated in float64
-// regardless of T.
+// OpFinishSmoothWithNorm is OpFinishSmooth fused with the convergence probe:
+// it completes the sweep and returns ‖b − T·x‖₂ over interior points (in
+// float64 whatever T is), computed by the same delta emission and
+// deterministic per-row reduction as OpSweepWithNorm —
+// OpInterpolateCorrectSmooth followed by OpFinishSmoothWithNorm returns the
+// same bits as InterpolateAdd followed by OpSweepWithNorm.
 func OpFinishSmoothWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	return k.unitNorm(normFromBlack)

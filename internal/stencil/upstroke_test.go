@@ -40,12 +40,12 @@ func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
 				xo := x0.Clone()
 				scratch := grid.NewDim(tc.dim, n)
 				transfer.InterpolateAdd(nil, xo, cx, scratch)
-				op.SORSweepRB(nil, xo, b, h, omega)
+				OpSORSweepRB(op, nil, xo, b, h, omega)
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
 					xf := x0.Clone()
-					op.InterpolateCorrectSmooth(pool, xf, b, cx, h, omega)
-					op.FinishSmooth(pool, xf, b, h, omega)
+					OpInterpolateCorrectSmooth(op, pool, xf, b, cx, h, omega)
+					OpFinishSmooth(op, pool, xf, b, h, omega)
 					assertBitIdentical(t, xo, xf, "fused upstroke iterate")
 				})
 			})
@@ -70,12 +70,12 @@ func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
 				xo := x0.Clone()
 				scratch := grid.NewDim(tc.dim, n)
 				transfer.InterpolateAdd(nil, xo, cx, scratch)
-				wantNorm := op.SweepWithNorm(nil, xo, b, h, omega)
+				wantNorm := OpSweepWithNorm(op, nil, xo, b, h, omega)
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
 					xf := x0.Clone()
-					op.InterpolateCorrectSmooth(pool, xf, b, cx, h, omega)
-					norm := op.FinishSmoothWithNorm(pool, xf, b, h, omega)
+					OpInterpolateCorrectSmooth(op, pool, xf, b, cx, h, omega)
+					norm := OpFinishSmoothWithNorm(op, pool, xf, b, h, omega)
 					assertBitIdentical(t, xo, xf, "fused upstroke+norm iterate")
 					// Same values through the same fixed per-row reduction:
 					// the norm is bit-identical, serial or pooled.

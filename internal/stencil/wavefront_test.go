@@ -18,9 +18,9 @@ import (
 // (N=5 has three interior units, the downstroke four stages), both fix-up
 // paths (ω = 1 and 1+5e-4 sit inside gatherMinOneMinusOmega), every family
 // and both precisions, on states whose Dirichlet boundary is not zero. The
-// sweep itself is pinned to a reference written point by point below, so the
-// row kernels cannot drift from the expressions the strided kernels
-// evaluated.
+// sweep itself is pinned to the point-by-point oracle refSweep
+// (oracle_test.go), so the row kernels cannot drift from the expressions the
+// strided kernels evaluated.
 
 var wavefrontOmegas = []float64{0.8, 1, 1 + 5e-4, 1.15}
 
@@ -54,53 +54,6 @@ func assertSameBits[T grid.Float](t *testing.T, got, want *grid.G[T], what strin
 	for k := range wd {
 		if math.Float64bits(float64(gd[k])) != math.Float64bits(float64(wd[k])) {
 			t.Fatalf("%s: entry %d (row %d, col %d) = %v, want %v", what, k, k/want.N(), k%want.N(), gd[k], wd[k]) // row counts through the planes in 3D
-		}
-	}
-}
-
-// refSweep is one red-black SOR sweep written point by point in pass order:
-// the expressions of the strided kernels this package shipped before the row
-// kernels, kept here as their oracle.
-func refSweep[T grid.Float](op *Operator, x, b *grid.G[T], h, omega T) {
-	n := x.N()
-	h2 := h * h
-	if op.family == FamilyPoisson3D {
-		for colour := 0; colour <= 1; colour++ {
-			for i := 1; i < n-1; i++ {
-				for j := 1; j < n-1; j++ {
-					for k := 1 + (i+j+1+colour)%2; k < n-1; k += 2 {
-						gs := (x.At3(i-1, j, k) + x.At3(i+1, j, k) + x.At3(i, j-1, k) + x.At3(i, j+1, k) +
-							x.At3(i, j, k-1) + x.At3(i, j, k+1) + h2*b.At3(i, j, k)) * (1.0 / 6.0)
-						x.Set3(i, j, k, x.At3(i, j, k)+omega*(gs-x.At3(i, j, k)))
-					}
-				}
-			}
-		}
-		return
-	}
-	for colour := 0; colour <= 1; colour++ {
-		for i := 1; i < n-1; i++ {
-			for j := 1 + (i+1+colour)%2; j < n-1; j += 2 {
-				up, down, west, east := x.At(i-1, j), x.At(i+1, j), x.At(i, j-1), x.At(i, j+1)
-				var gs T
-				switch op.family {
-				case FamilyPoisson:
-					gs = (up + down + west + east + h2*b.At(i, j)) * 0.25
-				case FamilyAnisotropic:
-					cx, cy := T(op.eps), T(1)
-					invC := 1 / (2 * (cx + cy))
-					gs = (cy*(up+down) + cx*(west+east) + h2*b.At(i, j)) * invC
-				default:
-					c := opCoef[T](op)
-					cc := c.At(i, j)
-					cn := 0.5 * (cc + c.At(i-1, j))
-					cs := 0.5 * (cc + c.At(i+1, j))
-					cw := 0.5 * (cc + c.At(i, j-1))
-					ce := 0.5 * (cc + c.At(i, j+1))
-					gs = (cn*up + cs*down + cw*west + ce*east + h2*b.At(i, j)) / (cn + cs + cw + ce)
-				}
-				x.Set(i, j, x.At(i, j)+omega*(gs-x.At(i, j)))
-			}
 		}
 	}
 }
