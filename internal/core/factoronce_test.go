@@ -11,26 +11,31 @@ import (
 
 // TestTuneFactorsEachMatrixOnce: a whole tune — reference solves, V and
 // full tables — factors each (operator, size) it touches exactly once,
-// whatever prices it. The references factor the levels up to the reference
-// solver's direct cut-off: all of them here but poisson's N = 129, whose
-// references come from multigrid. A model prices the direct choice from its
-// trace and factors nothing more; a wall clock times the cached solve at
-// every level up to DirectMaxLevel, which adds N = 129. In the last case the
-// tuner itself explores direct at level 2 only, so the matrices of levels
-// 3…5 are there only if the references factor in the tuner's cache.
+// whatever prices it. References converge by multigrid and factor only the
+// 3×3 coarsest level, unless refsol's pace guard hands a stalled one to the
+// band solve. A model prices the direct choice from its trace and factors
+// only what the candidates' coarse solves use (poisson to N = 17, poisson3d
+// to N = 5); a wall clock times the cached solve at every level up to
+// DirectMaxLevel, which adds every size to N = 129 (N = 17 in 3D). In the
+// last two cases the tuner itself explores direct at level 2 only, so
+// poisson factors N = 3 and 5 alone, and aniso ε = 0.01's matrices at
+// N = 17 and 33 are there only if the guard's band solves factor in the
+// tuner's cache.
 func TestTuneFactorsEachMatrixOnce(t *testing.T) {
 	for _, tc := range []struct {
 		family              stencil.Family
+		eps                 float64
 		maxLevel, directMax int
 		model, wall         int64 // sizes factored
 	}{
-		{stencil.FamilyPoisson, 7, 0, 6, 7},
-		{stencil.FamilyPoisson3D, 4, 0, 4, 4},
-		{stencil.FamilyPoisson, 5, 2, 5, 5},
+		{stencil.FamilyPoisson, 0, 7, 0, 4, 7},
+		{stencil.FamilyPoisson3D, 0, 4, 0, 2, 4},
+		{stencil.FamilyPoisson, 0, 5, 2, 2, 2},
+		{stencil.FamilyAnisotropic, 0.01, 5, 2, 4, 4},
 	} {
 		for _, coster := range []arch.Coster{arch.Harpertown(), arch.WallClock{}} {
 			t.Run(fmt.Sprintf("%v-%d-%d/%s", tc.family, tc.maxLevel, tc.directMax, coster.Name()), func(t *testing.T) {
-				tn, err := New(Config{Family: tc.family, MaxLevel: tc.maxLevel, DirectMaxLevel: tc.directMax, Seed: 42, Coster: coster})
+				tn, err := New(Config{Family: tc.family, Eps: tc.eps, MaxLevel: tc.maxLevel, DirectMaxLevel: tc.directMax, Seed: 42, Coster: coster})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -63,8 +68,9 @@ func TestTuneFactorsEachMatrixOnce(t *testing.T) {
 }
 
 // TestTunerCacheDiesWithTuner: the factorizations belong to the tuner, not
-// to the process. A poisson3d tune to N=17 factors a 6.1 MB band matrix for
-// its references; once Tune has returned and the tuner is unreachable, none
+// to the process. An aniso ε = 0.01 tune to N = 129 factors a 16.5 MB band
+// matrix there, where refsol's guard hands its stalled references to the
+// band solve; once Tune has returned and the tuner is unreachable, none
 // of it may still be live — a process-wide cache would sit on every served
 // heap for good.
 func TestTunerCacheDiesWithTuner(t *testing.T) {
@@ -76,7 +82,7 @@ func TestTunerCacheDiesWithTuner(t *testing.T) {
 		return m.HeapAlloc
 	}
 	before := liveHeap()
-	tn, err := New(Config{Family: stencil.FamilyPoisson3D, MaxLevel: 4, Seed: 42, Coster: arch.Harpertown()})
+	tn, err := New(Config{Family: stencil.FamilyAnisotropic, Eps: 0.01, MaxLevel: 7, Seed: 42, Coster: arch.Harpertown()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +92,7 @@ func TestTunerCacheDiesWithTuner(t *testing.T) {
 	}
 	tn = nil
 	after := liveHeap()
-	const slack = 2 << 20 // the tables are kilobytes; the N=17 factor is 6.1 MB
+	const slack = 2 << 20 // the tables are kilobytes; the N=129 factor is 16.5 MB
 	if after > before+slack {
 		t.Fatalf("live heap grew %.1f MB across a finished tune, want < %.1f MB: a factorization outlived its tuner",
 			float64(after-before)/(1<<20), float64(slack)/(1<<20))

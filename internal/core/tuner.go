@@ -32,7 +32,8 @@
 // is factored once, under every coster. arch.WallClock therefore prices the
 // direct choice as the cached solve a pbmg.Solver runs, not as factor-and-
 // solve; a trace-priced coster prices it from its trace alone, so a model
-// tune factors only the matrices its references need.
+// tune factors only what its candidates' coarse solves run and the band
+// solves refsol's guard hands a stalled reference to.
 package core
 
 import (
@@ -223,9 +224,10 @@ func New(cfg Config) (*Tuner, error) {
 	ws.Op = op
 	// One cache for candidates and reference solves (see training), unbounded
 	// because a tune touches a handful of sizes, and the tuner's own so that
-	// the factorizations die with it: the references' up to N = 65 in 2D
-	// (refsol.DirectMaxN; ≈ 2 MB), and under a wall clock those of every
-	// level the direct choice is timed at (16.5 MB at N = 129).
+	// the factorizations die with it: the candidates' coarse solves, the band
+	// solves refsol's guard hands a stalled reference to (16.5 MB at
+	// N = 129), and under a wall clock those of every level the direct
+	// choice is timed at.
 	ws.FactorCache = direct.NewCache(0)
 	return &Tuner{
 		cfg:    cfg,

@@ -1,16 +1,18 @@
 // Package refsol computes the reference ("optimal") solutions that the
-// paper's accuracy metric measures against. Grids up to DirectMaxN are solved
-// exactly by band Cholesky; larger ones by full multigrid iterated to machine
-// precision — accurate far beyond the largest accuracy level (10⁹) the metric
-// ever reads, so the substitution does not bias measurements (see
-// REPRODUCTION.md, "Substitutions", and TestPathsAgreeNearBoundary).
+// paper's accuracy metric measures against. Every reference takes one route:
+// full multigrid, then V-cycles until the residual is at the double-precision
+// floor — accurate far beyond the largest accuracy level (10⁹) the metric
+// ever reads, so the route does not bias measurements (see REPRODUCTION.md,
+// "Substitutions", and TestPathsAgreeAtEverySize).
 //
-// Multigrid is the cheaper route only while its V-cycles contract. Up to
-// guardMaxN the band factorization is still affordable, so there a reference
-// whose cycles fall behind the pace that reaches the residual target within
-// guardCycles is handed to the band solve at once: strong anisotropy and rough
-// coefficients stall point smoothers, and cycling on would cost more than the
-// factorization it avoids.
+// The band Cholesky solve is only a rescue, for V-cycles that do not
+// contract. Up to guardMaxN the band factorization is still affordable, so
+// there a 2D reference whose cycles fall behind the pace that reaches the
+// residual target within guardCycles is handed to the band solve at once:
+// strong anisotropy and rough coefficients stall point smoothers, and cycling
+// on would cost more than the factorization it avoids. Past guardMaxN, and in
+// 3D, the band solve takes over only once the cycle budget runs out far from
+// the target.
 //
 // Band factorizations go through the *direct.Cache the caller lends (nil: a
 // private one that dies with the call). A caller that computes several
@@ -32,21 +34,11 @@ import (
 	"pbmg/internal/stencil"
 )
 
-// DirectMaxN is the largest 2D grid side solved directly; beyond it the
-// converged-multigrid path is used. At N = 65 the factorization is ≈ 2 MB and
-// a few milliseconds; at N = 129 it is 16.5 MB and ≈ 80–110 ms, where a
-// Poisson reference converges in ≈ 3 ms of V-cycles.
-const DirectMaxN = 65
-
-// DirectMaxN3D is the 3D counterpart: the band factorization's storage
-// grows like N⁵ (≈6 MB at N=17, ≈230 MB at N=33), so references switch to
-// converged multigrid much earlier than in 2D.
-const DirectMaxN3D = 17
-
 // guardMaxN is the largest 2D side at which a multigrid reference that
 // cannot keep pace is replaced by the band solve before its cycle budget
-// runs out (see the package doc). 3D has no guarded sizes: past DirectMaxN3D
-// the factorization is never the cheaper route.
+// runs out (see the package doc). 3D has no guarded sizes: its band
+// factorization is never the cheaper route (≈ 32 ms at N = 17 on a 2-vCPU
+// Xeon, where a converged multigrid reference costs ≈ 0.8 ms).
 const guardMaxN = 129
 
 // guardCycles is the V-cycle budget of a guarded reference. At N = 129 one
@@ -98,11 +90,7 @@ func Compute(p *problem.Problem, pool *sched.Pool, cache *direct.Cache) *grid.Gr
 	ws.Op = op
 	ws.FactorCache = cache
 	x := p.NewState()
-	directMax := DirectMaxN
-	if op.Dim() == 3 {
-		directMax = DirectMaxN3D
-	}
-	if p.N <= directMax || converge(ws, p, x, op.Dim() == 2 && p.N <= guardMaxN) {
+	if converge(ws, p, x, op.Dim() == 2 && p.N <= guardMaxN) {
 		ws.SolveDirect(x, p.B, nil)
 	}
 	return x

@@ -284,14 +284,9 @@ const digitPairs = "00010203040506070809101112131415161718192021222324" +
 // putDigits writes the decimal digits of v so that they end at dst[end-1].
 func putDigits(dst []byte, end int, v uint64) {
 	for v >= 1e7 {
-		// Eight digits or more: the low eight as four independent pairs.
+		// Eight digits or more: the low eight in one store.
 		q := v / 1e8
-		lo := uint32(v - q*1e8)
-		b := dst[end-8 : end]
-		put2(b[0:2], lo/1e6)
-		put2(b[2:4], lo/1e4%100)
-		put2(b[4:6], lo/100%100)
-		put2(b[6:8], lo%100)
+		binary.LittleEndian.PutUint64(dst[end-8:end], eightDigits(uint32(v-q*1e8)))
 		if end, v = end-8, q; v == 0 {
 			return
 		}
@@ -304,6 +299,22 @@ func putDigits(dst []byte, end int, v uint64) {
 		dst[end-2] = digitPairs[2*x]
 	}
 	dst[end-1] = digitPairs[2*x+1]
+}
+
+// eightDigits returns the eight ASCII digits of x < 10⁸, zero-padded, as a
+// little-endian word: the first digit in the low byte. x is split into
+// 4-digit halves in 32-bit lanes, each half into 2-digit quarters in 16-bit
+// lanes, each quarter into digits in bytes; a lane's quotient is a
+// multiply-shift (x·5243 >> 19 is x/100 below 43699, x·103 >> 10 is x/10
+// below 179), and no lane's product reaches the next lane's quotient bits.
+func eightDigits(x uint32) uint64 {
+	hi := x / 10000
+	v := uint64(hi) | uint64(x-hi*10000)<<32
+	q := (v * 5243 >> 19) & 0x0000007F_0000007F
+	v = q | (v-q*100)<<16
+	q = (v * 103 >> 10) & 0x000F_000F_000F_000F
+	v = q | (v-q*10)<<8
+	return v + 0x30303030_30303030
 }
 
 // put2 writes the two digits of x < 100.
@@ -373,10 +384,8 @@ func formatFloat(dst []byte, f float64) int {
 	default:
 		// As for 'e', with point digits stepping over.
 		putDigits(dst, n+1+nd, d)
-		for end := n + point; n < end; n++ {
-			dst[n] = dst[n+1]
-		}
-		dst[n] = '.'
-		return n + 1 + nd - point
+		copy(dst[n:n+point], dst[n+1:n+1+point])
+		dst[n+point] = '.'
+		return n + 1 + nd
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -167,6 +168,24 @@ func TestFloatTextEdges(t *testing.T) {
 	} {
 		if _, got, _ := scanFloat([]byte(tok), 0); got != end {
 			t.Errorf("scanFloat(%q) ends at %d, want %d", tok, got, end)
+		}
+	}
+}
+
+// TestEightDigitsMatchesStrconv checks the one-store digit writer against
+// strconv at every input it takes, [0, 10⁸), zero-padded to eight digits.
+func TestEightDigitsMatchesStrconv(t *testing.T) {
+	if testing.Short() {
+		t.Skip("walks all 10⁸ inputs")
+	}
+	want := append(make([]byte, 0, 32), "00000000"...)
+	var got [8]byte
+	for x := uint32(0); x < 1e8; x++ {
+		s := strconv.AppendUint(want[:8], uint64(x), 10)[8:]
+		copy(want[8-len(s):8], s)
+		binary.LittleEndian.PutUint64(got[:], eightDigits(x))
+		if string(got[:]) != string(want[:8]) {
+			t.Fatalf("eightDigits(%d) = %q, want %q", x, got[:], want[:8])
 		}
 	}
 }
