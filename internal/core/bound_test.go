@@ -7,6 +7,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +15,7 @@ import (
 	"pbmg/internal/arch"
 	"pbmg/internal/grid"
 	"pbmg/internal/mg"
+	"pbmg/internal/problem"
 	"pbmg/internal/stencil"
 )
 
@@ -213,7 +215,7 @@ func TestSearchTieGoesToLowestRank(t *testing.T) {
 	tn := newModelTuner(t, 3, grid.Unbiased)
 	probs := tn.training(3)
 	step := tn.sorStep(3)
-	linear := newCurve(50, func(n int) float64 { return float64(n) })
+	linear := curveOf(50, nil, func(n int) float64 { return float64(n) })
 	for _, first := range []int{0, 1} {
 		tn.reorder = func(order []int) { order[0], order[1] = first, 1-first }
 		var measuredOrder []int
@@ -278,8 +280,12 @@ func TestBoundUsesSuffixMinimum(t *testing.T) {
 	}
 	probs := tn.training(level)
 	step := tn.sorStep(level)
-	tr1, _ := tn.timeOneIter(probs, step)
-	cv := newCurve(tn.cfg.MaxSORIters, func(n int) float64 { return dipping{}.Cost(tr1.Scaled(n), 0) })
+	one := &oneIter{} // the unbounded count's first step takes it
+	cv := curveOf(tn.cfg.MaxSORIters, one, func(n int) float64 {
+		var tr mg.OpTrace
+		tr.AddScaled(one.tr, n)
+		return dipping{}.Cost(&tr, 0)
+	})
 	want, _ := tn.count(probs, nil, step, cv, nil)
 	last := want[len(want)-1]
 	if last < 9 {
@@ -298,5 +304,162 @@ func TestBoundUsesSuffixMinimum(t *testing.T) {
 	got, cut := tn.count(probs, nil, step, cv, best)
 	if cut || !reflect.DeepEqual(got, want) {
 		t.Fatalf("bounded count = %v (cut %v), want the unbounded %v: the bound looked at the cost so far, not the cheapest still reachable", got, cut, want)
+	}
+}
+
+// scheduled is a synthetic candidate for count: on training instance i its
+// k-th step (from 1) leaves x at accuracy schedule[i][k−1] — the error of
+// the zero state divided by it — and records one relaxation at level 2.
+// A NaN entry poisons x and runs a mixed refinement step on it, which
+// aborts with mg.ErrDiverged.
+type scheduled struct {
+	tn       *Tuner
+	probs    []*problem.Problem
+	schedule [][]float64
+	steps    []int // steps run per instance
+	last     int   // tn.iter.starts when the instance at hand began
+}
+
+func newScheduled(t *testing.T, schedule ...[]float64) *scheduled {
+	t.Helper()
+	tn, err := New(Config{MaxLevel: 3, Seed: 42, TrainingInstances: len(schedule), Coster: arch.Harpertown()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &scheduled{tn: tn, schedule: schedule, steps: make([]int, len(schedule)), last: -1}
+	rng := rand.New(rand.NewSource(7))
+	for range schedule {
+		p := problem.Zero(9)
+		opt := p.NewState()
+		grid.FillRandom(opt, grid.Unbiased, rng)
+		opt.CopyBoundaryFrom(p.Boundary)
+		p.SetOptimal(opt)
+		s.probs = append(s.probs, p)
+	}
+	return s
+}
+
+func (s *scheduled) step(x, b *grid.Grid, rec mg.Recorder) {
+	i := slices.IndexFunc(s.probs, func(p *problem.Problem) bool { return p.B == b })
+	if s.tn.iter.starts != s.last {
+		s.last = s.tn.iter.starts
+		s.steps[i] = 0
+	}
+	acc := s.schedule[i][s.steps[i]]
+	s.steps[i]++
+	if rec != nil {
+		rec.Record(mg.EvRelax, 2, 1)
+	}
+	opt := s.probs[i].Optimal()
+	if math.IsNaN(acc) {
+		x.Set(4, 4, acc)
+		(&mg.Executor{WS: s.tn.ws}).RefineStep(x, b, mg.Plan{Choice: mg.ChoiceSOR, Precision: mg.PrecMixed})
+	}
+	for j, o := range opt.Data() {
+		x.Data()[j] = o - o/acc // the zero state's error, o, divided by acc
+	}
+	x.CopyBoundaryFrom(s.probs[i].Boundary)
+}
+
+// count runs an unstarted count of the schedule under a linear curve
+// (n iterations cost n) that takes its trace from the first step, and
+// returns what it counted, how many steps and accuracy tests it booked, and
+// the trace it took.
+func (s *scheduled) count(best []float64) (need []int, cut bool, steps, evals int64, one *oneIter) {
+	before := s.tn.work
+	one = &oneIter{}
+	cv := curveOf(20, one, func(n int) float64 { return float64(n) })
+	need, cut = s.tn.count(s.probs, nil, s.step, cv, best)
+	return need, cut, s.tn.work.Steps - before.Steps, s.tn.work.AccuracyEvals - before.AccuracyEvals, one
+}
+
+// TestLostTargetStopsLaterInstances: instance 0 meets the top target only
+// in the step that meets the one below, at a count (4) a competitor
+// undercuts (3.5): it proves the top target too costly, so instance 1
+// stops once the lower targets are met (2 steps) instead of walking on to
+// where its own count prices the top out (3). A tie (4) rules out nothing.
+// Either way the winners are the unbounded count's. Steps are pinned: each
+// one the bound saves or wastes shows.
+func TestLostTargetStopsLaterInstances(t *testing.T) {
+	inf := math.Inf(1)
+	schedule := [][]float64{
+		{50, 2e3, 3e5, 5e9, 5e9, 5e9},  // 1e1@1 1e3@2 1e5@3 1e7,1e9@4
+		{2e3, 5e7, 5e8, 2e9, 2e9, 2e9}, // 1e1,1e3@1 1e5,1e7@2 1e9@4
+	}
+	s := newScheduled(t, schedule...)
+	want, _, wantSteps, _, _ := s.count(nil)
+	if !reflect.DeepEqual(want, []int{1, 2, 3, 4, 4}) || wantSteps != 8 {
+		t.Fatalf("unbounded count %v in %d steps, want [1 2 3 4 4] in 8", want, wantSteps)
+	}
+	for _, tc := range []struct {
+		name  string
+		best  []float64
+		steps int64
+	}{
+		{"undercut", []float64{inf, inf, inf, inf, 3.5}, 4 + 2},
+		{"tie", []float64{inf, inf, inf, inf, 4}, 4 + 4},
+	} {
+		need, cut, steps, evals, one := s.count(tc.best)
+		if steps != tc.steps || evals != steps || cut != (steps < wantSteps) {
+			t.Errorf("%s: %d steps, %d accuracy tests, cut %v; want %d steps, each tested", tc.name, steps, evals, cut, tc.steps)
+		}
+		if one.tr == nil || one.tr.Count(mg.EvRelax, 2) != 1 {
+			t.Errorf("%s: the first step's trace was not taken: %+v", tc.name, one.tr)
+		}
+		// Select against a competitor priced at best, the lower rank: the
+		// bounded count must choose what the unbounded one does.
+		for i, b := range tc.best {
+			price := inf
+			if need[i] >= 0 {
+				price = float64(need[i])
+			}
+			if got, w := price < b, float64(want[i]) < b; got != w {
+				t.Errorf("%s: target %d goes to the candidate %v bounded, %v unbounded (counts %v vs %v)", tc.name, i, got, w, need, want)
+			}
+		}
+	}
+}
+
+// TestFirstStepPricesBeforeItsAccuracyIsRead: a count whose curve waits for
+// its trace runs the first step to take it, then checks the bound at
+// iteration 0 before reading that step's accuracy: a candidate priced out
+// everywhere costs one step and no accuracy test.
+func TestFirstStepPricesBeforeItsAccuracyIsRead(t *testing.T) {
+	s := newScheduled(t, []float64{50, 2e3, 3e5, 5e9}, []float64{50, 2e3, 3e5, 5e9})
+	need, cut, steps, evals, one := s.count([]float64{0.5, 0.5, 0.5, 0.5, 0.5})
+	if !cut || steps != 1 || evals != 0 || one.tr == nil || !reflect.DeepEqual(need, []int{-1, -1, -1, -1, -1}) {
+		t.Fatalf("count %v (cut %v) in %d steps, %d accuracy tests, trace %v; want all −1, cut, in 1 step and no test, trace taken", need, cut, steps, evals, one.tr)
+	}
+}
+
+// TestDivergingStepIsPricedOut: a step that aborts ends its instance
+// without a panic: what the instance met keeps its count, the rest is out
+// of reach, and a later instance stops where it stopped.
+func TestDivergingStepIsPricedOut(t *testing.T) {
+	s := newScheduled(t,
+		[]float64{50, 2e3, math.NaN()},
+		[]float64{50, 5e2, 2e3, 3e5, 5e9},
+	)
+	need, cut, steps, _, _ := s.count(nil)
+	if cut || !reflect.DeepEqual(need, []int{1, 3, -1, -1, -1}) || steps != 3+3 {
+		t.Fatalf("count %v (cut %v) in %d steps; want [1 3 -1 -1 -1] in 6, no cut", need, cut, steps)
+	}
+}
+
+// TestWallClockTuneSurvivesDivergence: under WallClock a varcoef σ = 12
+// tune times mixed editions whose repeated steps diverge (the refinement
+// residual goes non-finite). The tune prices them out and returns a valid
+// table instead of panicking with the abort.
+func TestWallClockTuneSurvivesDivergence(t *testing.T) {
+	for _, level := range []int{2, 3} { // MaxSize 5 and 9
+		for _, seed := range []int64{1, 42} {
+			tn, err := New(Config{Family: stencil.FamilyVarCoef, Eps: 12, MaxLevel: level, Seed: seed, Coster: arch.WallClock{}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tn.Tune(); err != nil {
+				t.Fatalf("level %d seed %d: %v", level, seed, err)
+			}
+		}
 	}
 }

@@ -389,7 +389,7 @@ func TestCountItersInfeasibleMarking(t *testing.T) {
 	probs := tn.training(3)
 	// A step that does nothing can never reach any target.
 	noop := func(x, b *grid.Grid, rec mg.Recorder) {}
-	flat := newCurve(5, func(n int) float64 { return float64(n) })
+	flat := curveOf(5, nil, func(n int) float64 { return float64(n) })
 	iters, cut := tn.count(probs, nil, noop, flat, nil)
 	for i, v := range iters {
 		if v != -1 {

@@ -10,20 +10,19 @@ import (
 )
 
 // estimate is ESTIMATE_j run over a level's training data: the state and
-// accuracy it leaves on each instance, and its trace and wall time.
+// accuracy it leaves on each instance, and what one run costs — nil if it
+// diverged, when every candidate following it is priced out.
 type estimate struct {
 	states []*grid.Grid
 	accs   []float64
-	tr     *mg.OpTrace
-	dur    time.Duration
+	one    *oneIter
 }
 
-// solvePhase is a float64 iterative choice with its one-iteration trace and
-// wall time.
+// solvePhase is a float64 iterative choice with what one iteration costs,
+// shared by every estimate it follows — nil if it diverged while timed.
 type solvePhase struct {
 	candidate
-	tr  *mg.OpTrace
-	dur time.Duration
+	one *oneIter
 }
 
 // fullCandidate is one choice for a FULL-MULTIGRID cell: direct (est and
@@ -37,15 +36,17 @@ type fullCandidate struct {
 // measuredFull is one priced FULL-MULTIGRID candidate.
 type measuredFull struct {
 	plan       mg.FullPlan
-	iters      []int // solve-phase iterations per accuracy; −1 = out of reach or beaten (nil for direct)
+	iters      []int // solve-phase iterations per accuracy; −1 = out of reach or lost (nil for direct)
 	costPerAcc []float64
 }
 
 // fullCandidates lists every choice for a full-multigrid level in rank
 // order: direct (while it is explored), then per estimate accuracy j the
-// solve phases in iterativeCandidates order. Estimates are run and solve
-// phases timed here, each once for the level — a solve-phase step's trace
-// and time do not depend on which estimate it follows.
+// solve phases in iterativeCandidates order. Estimates are run here, each
+// once for the level. A solve phase is priced once for the level too — a
+// step's trace and time do not depend on which estimate it follows — by
+// the first step counting runs of it under a trace coster, timed here
+// under a clock.
 func (t *Tuner) fullCandidates(vt *mg.VTable, ft *mg.FTable, level int, probs []*problem.Problem) []fullCandidate {
 	var cands []fullCandidate
 	if level <= t.cfg.DirectMaxLevel {
@@ -53,8 +54,8 @@ func (t *Tuner) fullCandidates(vt *mg.VTable, ft *mg.FTable, level int, probs []
 	}
 	phases := make([]solvePhase, 0, 2+len(t.cfg.Accuracies))
 	for _, c := range t.iterativeCandidates(&mg.Executor{WS: t.ws, V: vt}, level) {
-		tr, dur := t.timeOneIter(probs, c.step)
-		phases = append(phases, solvePhase{candidate: c, tr: tr, dur: dur})
+		one, _ := t.oneIterOf(probs, c.step) // nil on divergence prices the phase out
+		phases = append(phases, solvePhase{candidate: c, one: one})
 	}
 	for j := range t.cfg.Accuracies {
 		est := t.runEstimate(vt, ft, j, probs)
@@ -71,8 +72,9 @@ func (t *Tuner) fullCandidates(vt *mg.VTable, ft *mg.FTable, level int, probs []
 }
 
 // runEstimate executes ESTIMATE_j once per training instance, keeping the
-// post-estimate states and the accuracies already achieved, and measures
-// one execution's trace and wall time.
+// post-estimate states and the accuracies already achieved. Under a trace
+// coster the run on the first instance records the trace; a clock times
+// one execution afterwards.
 func (t *Tuner) runEstimate(vt *mg.VTable, ft *mg.FTable, j int, probs []*problem.Problem) *estimate {
 	ex := &mg.Executor{WS: t.ws, V: vt, F: ft}
 	step := func(x, b *grid.Grid, rec mg.Recorder) {
@@ -80,13 +82,24 @@ func (t *Tuner) runEstimate(vt *mg.VTable, ft *mg.FTable, j int, probs []*proble
 		ex.Estimate(x, b, j)
 	}
 	est := &estimate{states: make([]*grid.Grid, len(probs)), accs: make([]float64, len(probs))}
+	tr := &mg.OpTrace{}
 	for i, p := range probs {
+		var rec mg.Recorder
+		if i == 0 && traceBased(t.cfg.Coster) {
+			rec = tr
+		}
 		x := p.NewState()
-		t.run(step, x, p.B, nil)
+		if t.run(step, x, p.B, rec) != nil {
+			return est
+		}
 		est.states[i] = x
 		est.accs[i] = t.accuracy(p, x)
 	}
-	est.tr, est.dur = t.timeOneIter(probs, step)
+	if traceBased(t.cfg.Coster) {
+		est.one = &oneIter{tr: tr}
+	} else {
+		est.one, _ = t.timeOneIter(probs, step) // nil on divergence prices the estimate out
+	}
 	return est
 }
 
@@ -99,13 +112,19 @@ func (t *Tuner) measureFull(level int, c fullCandidate, probs []*problem.Problem
 	if c.plan.Choice == mg.FullDirect {
 		return measuredFull{plan: c.plan, costPerAcc: t.directCosts(level, probs)}
 	}
-	cv := newCurve(c.solve.cap, func(n int) float64 {
-		total := &mg.OpTrace{}
-		total.Merge(c.est.tr)
+	if c.est.one == nil || c.solve.one == nil {
+		iters, costs := t.diverged()
+		return measuredFull{plan: c.plan, iters: iters, costPerAcc: costs}
+	}
+	est, solve := c.est.one, c.solve.one
+	var total mg.OpTrace // the estimate and n iterations, for each n in turn
+	cv := curveOf(c.solve.cap, solve, func(n int) float64 {
+		total.Reset()
+		total.Merge(est.tr)
 		if n > 0 {
-			total.Merge(c.solve.tr.Scaled(n))
+			total.AddScaled(solve.tr, n)
 		}
-		return t.cfg.Coster.Cost(total, c.est.dur+time.Duration(n)*c.solve.dur)
+		return t.cfg.Coster.Cost(&total, est.dur+time.Duration(n)*solve.dur)
 	})
 	iters, cut := t.count(probs, c.est, c.solve.step, cv, best)
 	if cut {

@@ -250,8 +250,10 @@ func (t *Tuner) addIterativeCandidates(front *NodeFront, level int, proto *PlanN
 	one := *proto
 	one.Iters = 1
 	step := func(x, b *grid.Grid, rec mg.Recorder) { one.Execute(t.ws, x, b, rec) }
-	tr1, d1 := t.timeOneIter(probs, step)
-	perIter := t.cfg.Coster.Cost(tr1, d1)
+	per, err := t.oneIterOf(probs, step)
+	if err != nil {
+		return
+	}
 
 	// accs[i][s] is instance i's accuracy after s+1 iterations.
 	accs := make([][]float64, len(probs))
@@ -259,10 +261,16 @@ func (t *Tuner) addIterativeCandidates(front *NodeFront, level int, proto *PlanN
 		accs[i] = make([]float64, cap)
 		x := p.NewState()
 		for s := 0; s < cap; s++ {
-			step(x, p.B, nil)
+			var rec mg.Recorder
+			if per.tr == nil { // a trace coster prices the first step's trace
+				per.tr = &mg.OpTrace{}
+				rec = per.tr
+			}
+			step(x, p.B, rec)
 			accs[i][s] = p.AccuracyOf(x)
 		}
 	}
+	perIter := t.cfg.Coster.Cost(per.tr, per.dur)
 	for s := 0; s < cap; s++ {
 		worst := math.Inf(1)
 		for i := range probs {

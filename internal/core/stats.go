@@ -13,10 +13,15 @@ type Stats struct {
 	// instance before the instance met, or ran out of iterations for, every
 	// accuracy target.
 	CutShort int
-	// Steps is the number of candidate step executions, counting and timing
-	// alike (an ESTIMATE_j run is one step).
+	// Steps is the number of candidate step executions (an ESTIMATE_j run is
+	// one step). Under a trace coster each is a counted step or an estimate's
+	// training run: the trace a price reads comes from one of those. Timing
+	// steps exist only under WallClock (Tuner.timeOneIter).
 	Steps int64
-	// AccuracyEvals is the number of Problem.AccuracyOf evaluations.
+	// AccuracyEvals is the number of accuracy tests: problem.Problem.Meets
+	// after a counted step, AccuracyOf after an estimate. Steps exceed them
+	// by the first steps the bound then cut at iteration 0 (their accuracy is
+	// never read) and, under WallClock, by the timing steps.
 	AccuracyEvals int64
 	// Factorizations is the number of band-Cholesky factorizations.
 	Factorizations int64

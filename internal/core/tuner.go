@@ -17,15 +17,22 @@
 // where a time read beside the other search would price the contention.
 //
 // The search at a level is an exact branch-and-bound (Tuner.search,
-// Tuner.count): a candidate's one-iteration trace and time are taken before
-// it is counted, so every iteration count it could be assigned is already
-// priced, and counting on a training instance stops once the cheapest count
-// still reachable costs strictly more than the level's best so far at every
-// target the instance has yet to meet — as PetaBricks' own tuner drops a
-// candidate once it is beaten (§3.2.2). The tables are those of the
-// exhaustive search, byte for byte; the exhaustive driver survives as the
-// test oracle (bound_test.go). TuneHeuristic and TuneVPareto pass no bound:
-// a strategy table is a fixed shape and a Pareto front wants every point.
+// Tuner.count). Every iteration count a candidate could be assigned is
+// priced before counting reads an accuracy, and each accuracy target is
+// ruled out on its own, once the cheapest count still open to it costs
+// strictly more than the level's best so far at that target. A training
+// instance stops when every target it has yet to meet is ruled out, as
+// PetaBricks' own tuner drops a candidate once it is beaten (§3.2.2), and
+// an accuracy test stops summing the error once the sum rules out the next
+// target (problem.Problem.Meets). The tables are those of the exhaustive
+// search, byte for byte; the exhaustive driver survives as the test oracle
+// (bound_test.go). TuneHeuristic and TuneVPareto pass no bound: a strategy
+// table is a fixed shape and a Pareto front wants every point.
+//
+// Under a trace coster no step runs only to be priced: a candidate's
+// one-iteration trace is recorded by the first step counting runs, and an
+// estimate's by its run on the first training instance. Under WallClock
+// each is timed first, in batches (Tuner.timeOneIter).
 //
 // The tuner's measurement workspace is private, and so is its factor cache,
 // which it lends to its reference solves: every band matrix a tune touches
@@ -284,16 +291,25 @@ func traceBased(c arch.Coster) bool {
 // stepFunc advances one iteration of a candidate on (x, b).
 type stepFunc func(x, b *grid.Grid, rec mg.Recorder)
 
-// run executes one step on the tuner's books.
-func (t *Tuner) run(step stepFunc, x, b *grid.Grid, rec mg.Recorder) {
+// run executes one step on the tuner's books, under the executor's abort
+// handling: a step that diverges (a reduced-precision edition out of its
+// depth) returns the abort's error instead of panicking out of the tune.
+func (t *Tuner) run(step stepFunc, x, b *grid.Grid, rec mg.Recorder) error {
 	t.work.Steps++
-	step(x, b, rec)
+	return mg.Catch(func() { step(x, b, rec) })
 }
 
 // accuracy evaluates the accuracy of x on the tuner's books.
 func (t *Tuner) accuracy(p *problem.Problem, x *grid.Grid) float64 {
 	t.work.AccuracyEvals++
 	return p.AccuracyOf(x)
+}
+
+// meets counts on the tuner's books how many of targets x meets
+// (problem.Problem.Meets).
+func (t *Tuner) meets(p *problem.Problem, x *grid.Grid, targets []float64) int {
+	t.work.AccuracyEvals++
+	return p.Meets(x, targets)
 }
 
 // iterate is the grid a search runs its candidates on, reused for every
@@ -319,19 +335,37 @@ func (it *iterate) start(from *grid.Grid) *grid.Grid {
 	return it.x
 }
 
-// timeOneIter measures the trace and wall time of a single iteration of
-// step on the first training instance. For wall-clock costers the step is
-// repeated adaptively until the sample is long enough to trust.
-func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrace, time.Duration) {
+// oneIter is what a step's iterations are priced from: the trace of one
+// step and, under a clock, its wall time. tr stays nil until it is taken —
+// under a trace coster by the first step count runs (see count), under a
+// clock by timeOneIter before counting starts.
+type oneIter struct {
+	tr  *mg.OpTrace
+	dur time.Duration
+}
+
+// oneIterOf returns step's oneIter: timed at once under a clock, left for
+// counting to record under a trace coster.
+func (t *Tuner) oneIterOf(probs []*problem.Problem, step stepFunc) (*oneIter, error) {
+	if traceBased(t.cfg.Coster) {
+		return &oneIter{}, nil
+	}
+	return t.timeOneIter(probs, step)
+}
+
+// timeOneIter times one iteration of step on the first training instance
+// under a clock and records its trace. The step is repeated adaptively
+// until the sample is long enough to trust. It fails if a repetition
+// aborts: the step diverges when iterated.
+func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*oneIter, error) {
 	p := probs[0]
-	var tr mg.OpTrace
+	one := &oneIter{tr: &mg.OpTrace{}}
 	x := t.iter.start(p.Boundary)
 	start := time.Now()
-	t.run(step, x, p.B, &tr)
-	elapsed := time.Since(start)
-	if traceBased(t.cfg.Coster) {
-		return &tr, elapsed
+	if err := t.run(step, x, p.B, one.tr); err != nil {
+		return nil, err
 	}
+	elapsed := time.Since(start)
 	// Re-sample short steps in doubling batches (the step just timed is the
 	// first) until one is long enough to trust, then keep the minimum (least
 	// noise) of it and two more its size: ranking is only as good as these.
@@ -342,7 +376,9 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 		x = t.iter.start(p.Boundary)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			t.run(step, x, p.B, nil)
+			if err := t.run(step, x, p.B, nil); err != nil {
+				return nil, err
+			}
 		}
 		batch = time.Since(start)
 		elapsed = batch / time.Duration(reps)
@@ -351,13 +387,16 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 		x = t.iter.start(p.Boundary)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			t.run(step, x, p.B, nil)
+			if err := t.run(step, x, p.B, nil); err != nil {
+				return nil, err
+			}
 		}
 		if d := time.Since(start) / time.Duration(reps); d < elapsed {
 			elapsed = d
 		}
 	}
-	return &tr, elapsed
+	one.dur = elapsed
+	return one, nil
 }
 
 // curve prices every iteration count a candidate may be assigned: at[n] is
@@ -366,79 +405,119 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*mg.OpTrac
 // n: under a coster that prices a long run below a shorter one (the arch
 // models did, for 3D shortcut solves of eight sweeps and more, while the
 // colour-split layout existed; bound_test.go's dipping still does) a
-// candidate dearer than the best now may yet undercut it later.
-type curve struct{ at, floor []float64 }
+// candidate dearer than the best now may yet undercut it later. A curve
+// over a oneIter not yet taken is priced once count's first step takes it;
+// at and floor are nil until then.
+type curve struct {
+	at, floor []float64
+	cap       int
+	cost      func(n int) float64
+	one       *oneIter // what cost reads (nil: nothing to take)
+}
 
-func newCurve(cap int, cost func(n int) float64) curve {
-	cv := curve{at: make([]float64, cap+1), floor: make([]float64, cap+2)}
-	cv.floor[cap+1] = math.Inf(1)
-	for n := cap; n >= 0; n-- {
-		cv.at[n] = cost(n)
-		cv.floor[n] = math.Min(cv.at[n], cv.floor[n+1])
+// curveOf prices counts 0…cap by cost, which reads one: at once if one is
+// taken or nil, else after count takes it.
+func curveOf(cap int, one *oneIter, cost func(n int) float64) *curve {
+	cv := &curve{cap: cap, cost: cost, one: one}
+	if one == nil || one.tr != nil {
+		cv.fill()
 	}
 	return cv
 }
 
+func (cv *curve) fill() {
+	cv.at, cv.floor = make([]float64, cv.cap+1), make([]float64, cv.cap+2)
+	cv.floor[cv.cap+1] = math.Inf(1)
+	for n := cv.cap; n >= 0; n-- {
+		cv.at[n] = cv.cost(n)
+		cv.floor[n] = math.Min(cv.at[n], cv.floor[n+1])
+	}
+}
+
 // price converts iteration counts into per-accuracy costs: +Inf where the
-// count is −1, a target out of reach or beaten.
-func (cv curve) price(need []int) []float64 {
+// count is −1, a target out of reach. A curve still unpriced after count
+// saw no step run, so its counts are 0 or −1, and 0 iterations read no
+// trace.
+func (cv *curve) price(need []int) []float64 {
 	costs := make([]float64, len(need))
 	for i, n := range need {
-		costs[i] = math.Inf(1)
-		if n >= 0 {
+		switch {
+		case n < 0:
+			costs[i] = math.Inf(1)
+		case cv.at == nil:
+			costs[i] = cv.cost(n)
+		default:
 			costs[i] = cv.at[n]
 		}
 	}
 	return costs
 }
 
-// beaten reports whether floor — the least a candidate can still cost — is
-// strictly above the level's best for every one of the given targets.
-// Strictly: a candidate that can still tie stays in, so selection sees
-// every tie the exhaustive search would.
-func beaten(best []float64, floor float64) bool {
-	for _, b := range best {
-		if floor <= b {
-			return false
-		}
-	}
-	return true
-}
-
 // count runs step on every training instance — from its zero state, or from
 // where the estimate from left it — and returns, per accuracy target, the
-// most iterations any instance needed, or −1 for a target this candidate
-// cannot win. A target is lost once an instance
-// exhausts the curve's cap short of it, or once every iteration count that
-// could still reach it is priced strictly above best, the level's cheapest
-// cost per target so far (nil: unbounded). Lost targets form a suffix, and
-// later instances stop at its start. cut reports whether the bound stopped
-// any instance.
-func (t *Tuner) count(probs []*problem.Problem, from *estimate, step stepFunc, cv curve, best []float64) (need []int, cut bool) {
+// most iterations any instance needed, or −1 for a target out of reach:
+// an instance exhausted the curve's cap, diverged (its step aborted) or was
+// stopped by the bound short of it. Later instances stop where it stopped.
+//
+// best is the level's cheapest cost per target so far (nil: unbounded).
+// Target t is lost at iteration it of an instance that has not met it once
+// cv.floor[max(it+1, need[t])] > best[t]: its final count is at least
+// need[t], what the instances before needed, and at least it+1, and floor
+// is the least any count from there on costs. Strictly: a candidate that
+// can still tie stays in, so selection sees every tie the exhaustive
+// search would. An instance stops as soon as every target it has yet to
+// meet is lost, each by its own bound. need[t] carries what instance 0
+// proved into the instances after it: a target priced out there is lost
+// in them from iteration 0, and they stop at the targets below it. A target
+// met before it was lost keeps its count, priced above best.
+//
+// When cv waits for its oneIter, the first step runs before the bound is
+// checked and records the trace the curve is then priced from; its
+// accuracy is read only after the iteration-0 check, as if it had run
+// after it. cut reports whether the bound stopped any instance.
+func (t *Tuner) count(probs []*problem.Problem, from *estimate, step stepFunc, cv *curve, best []float64) (need []int, cut bool) {
 	targets := t.cfg.Accuracies
 	need = make([]int, len(targets))
-	live := len(targets) // targets[live:] are lost
+	live := len(targets) // targets[live:] are out of reach
+	lost := func(met, it int) bool {
+		for i := met; i < live; i++ {
+			if cv.floor[max(it+1, need[i])] <= best[i] {
+				return false
+			}
+		}
+		return true
+	}
 	for pi := 0; pi < len(probs) && live > 0; pi++ {
 		p := probs[pi]
-		x, acc := p.Boundary, math.Inf(-1)
+		x, met := p.Boundary, 0
 		if from != nil {
-			x, acc = from.states[pi], from.accs[pi]
+			x = from.states[pi]
+			for met < live && from.accs[pi] >= targets[met] {
+				met++
+			}
 		}
 		x = t.iter.start(x)
-		met := 0
-		for it := 0; ; it++ {
-			for ; met < live && acc >= targets[met]; met++ {
-				need[met] = max(need[met], it)
+		for it := 0; met < live && it < cv.cap; it++ {
+			stepped := false
+			if cv.at == nil {
+				tr := &mg.OpTrace{}
+				if t.run(step, x, p.B, tr) != nil {
+					break // diverged, and the trace with it
+				}
+				cv.one.tr, stepped = tr, true
+				cv.fill()
 			}
-			if met == live || it == len(cv.at)-1 {
-				break
-			}
-			if best != nil && beaten(best[met:live], cv.floor[it+1]) {
+			if best != nil && lost(met, it) {
 				cut = true
 				break
 			}
-			t.run(step, x, p.B, nil)
-			acc = t.accuracy(p, x)
+			if !stepped && t.run(step, x, p.B, nil) != nil {
+				break // diverged: what this instance has not met is out of reach
+			}
+			for n := t.meets(p, x, targets[met:live]); n > 0; n-- {
+				need[met] = max(need[met], it+1)
+				met++
+			}
 		}
 		live = met
 	}
@@ -450,12 +529,13 @@ func (t *Tuner) count(probs []*problem.Problem, from *estimate, step stepFunc, c
 
 // search is the branch-and-bound over one level's n candidates, numbered in
 // rank order. measure(c, best) prices candidate c per accuracy target given
-// the cheapest cost per target so far, and may answer +Inf for a target at
-// which it found c strictly dearer than best. Candidates are measured
-// likely winners first — all but those last names, then those — and
-// selected in rank order with a strict <, exactly as an exhaustive search
-// selects: measurement order decides how early the bound bites, never which
-// of two equally cheap candidates wins. win[i] is the chosen candidate for
+// the cheapest cost per target so far. At a target where it proved c
+// strictly dearer than best (see count) it may answer +Inf, or the price of
+// a count above best: neither wins nor ties. Candidates are measured likely
+// winners first — all but those last names, then those — and selected in
+// rank order with a strict <, exactly as an exhaustive search selects:
+// measurement order decides how early the bound bites, never which of two
+// equally cheap candidates wins. win[i] is the chosen candidate for
 // accuracy i, or −1 when none is feasible.
 func (t *Tuner) search(n int, last func(c int) bool, measure func(c int, best []float64) []float64) (win []int) {
 	var order, tail []int
@@ -500,7 +580,7 @@ func (t *Tuner) search(n int, last func(c int) bool, measure func(c int, best []
 type candidate struct {
 	plan   mg.Plan     // Iters is filled in per accuracy on selection
 	step   stepFunc    // one iteration, its result visible in x
-	timing stepFunc    // one iteration as a deployed cell runs it (nil: step)
+	timing stepFunc    // one iteration as a deployed cell runs it, timed under a clock (nil: step)
 	cap    int         // iteration-count cap
 	coster arch.Coster // nil: the tuner's
 	adj    float64     // additive per-iteration price correction
@@ -510,7 +590,7 @@ type candidate struct {
 // (iters nil) or an iterative choice with per-accuracy iteration counts.
 type measured struct {
 	plan       mg.Plan
-	iters      []int // per accuracy index; −1 = out of reach or beaten
+	iters      []int // per accuracy index; −1 = out of reach or lost
 	costPerAcc []float64
 }
 
@@ -531,7 +611,10 @@ func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
 			n := grid.SizeOfLevel(level)
 			t.ws.FactorCache.GetOp(t.op.At(n), n)
 			step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
-			cost = t.cfg.Coster.Cost(t.timeOneIter(probs, step))
+			cost = math.Inf(1)
+			if one, err := t.timeOneIter(probs, step); err == nil {
+				cost = t.cfg.Coster.Cost(one.tr, one.dur)
+			}
 		}
 		t.direct[level] = cost
 	}
@@ -542,9 +625,9 @@ func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
 	return costs
 }
 
-// measure prices candidate c at a level: one iteration is timed first —
-// its trace and wall time are all that pricing uses — so that counting can
-// stop as soon as best (see count) rules the candidate out.
+// measure prices candidate c at a level. What one iteration costs is
+// known before counting reads an accuracy (see oneIter), so that counting
+// can stop as soon as best (see count) rules the candidate out.
 func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best []float64) measured {
 	t.work.Candidates++
 	if c.plan.Choice == mg.ChoiceDirect {
@@ -557,15 +640,33 @@ func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best [
 	if coster == nil {
 		coster = t.cfg.Coster
 	}
-	tr1, d1 := t.timeOneIter(probs, timing)
-	cv := newCurve(c.cap, func(n int) float64 {
-		return coster.Cost(tr1.Scaled(n), time.Duration(n)*d1) + float64(n)*c.adj
+	one, err := t.oneIterOf(probs, timing)
+	if err != nil {
+		iters, costs := t.diverged()
+		return measured{plan: c.plan, iters: iters, costPerAcc: costs}
+	}
+	var tr mg.OpTrace // the trace of n iterations, for each n in turn
+	cv := curveOf(c.cap, one, func(n int) float64 {
+		tr.Reset()
+		tr.AddScaled(one.tr, n)
+		return coster.Cost(&tr, time.Duration(n)*one.dur) + float64(n)*c.adj
 	})
 	iters, cut := t.count(probs, nil, c.step, cv, best)
 	if cut {
 		t.work.CutShort++
 	}
 	return measured{plan: c.plan, iters: iters, costPerAcc: cv.price(iters)}
+}
+
+// diverged prices a candidate whose step aborted before it met any target:
+// every target is out of reach.
+func (t *Tuner) diverged() (iters []int, costs []float64) {
+	iters = make([]int, len(t.cfg.Accuracies))
+	costs = make([]float64, len(iters))
+	for i := range iters {
+		iters[i], costs[i] = -1, math.Inf(1)
+	}
+	return iters, costs
 }
 
 // sorStep returns a one-sweep SOR step at the given level.

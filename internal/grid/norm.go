@@ -39,8 +39,18 @@ func L2Interior[T Float](g *G[T]) float64 {
 
 // L2DiffInterior returns the L2 norm of (a − b) over interior points.
 func L2DiffInterior[T Float](a, b *G[T]) float64 {
+	return math.Sqrt(SumSqDiffInterior(a, b, nil))
+}
+
+// SumSqDiffInterior returns the sum of (a − b)² over interior points, row
+// by row in index order. A non-nil stop is asked after every row with the
+// sum so far, and an answer of true returns that partial sum at once. No
+// term is negative, so every partial sum is at most the full one: a caller
+// that stops on a bound the partial sum already passes gets the answer the
+// full sum would give.
+func SumSqDiffInterior[T Float](a, b *G[T], stop func(partial float64) bool) float64 {
 	if a.n != b.n || a.dim != b.dim {
-		panic("grid: L2DiffInterior size mismatch")
+		panic("grid: SumSqDiffInterior size mismatch")
 	}
 	n := a.n
 	var sum float64
@@ -52,9 +62,12 @@ func L2DiffInterior[T Float](a, b *G[T]) float64 {
 					d := float64(ar[k]) - float64(br[k])
 					sum += d * d
 				}
+				if stop != nil && stop(sum) {
+					return sum
+				}
 			}
 		}
-		return math.Sqrt(sum)
+		return sum
 	}
 	for i := 1; i < n-1; i++ {
 		ar, br := a.Row(i), b.Row(i)
@@ -62,8 +75,11 @@ func L2DiffInterior[T Float](a, b *G[T]) float64 {
 			d := float64(ar[j]) - float64(br[j])
 			sum += d * d
 		}
+		if stop != nil && stop(sum) {
+			return sum
+		}
 	}
-	return math.Sqrt(sum)
+	return sum
 }
 
 // MaxAbsInterior returns the max-norm of g over interior points.

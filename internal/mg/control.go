@@ -9,10 +9,10 @@ import (
 // divergence detection. Both abort a running cycle by panicking with a
 // solveAbort, which unwinds through every `defer release` on the recursion
 // path — so each level's pooled scratch goes back to the arena — and is
-// converted back into its error by Executor.Run at the solve boundary.
-// The panic never crosses a goroutine: checkpoints and divergence guards
-// run only on the calling goroutine, between kernels, never inside pool
-// tasks.
+// converted back into its error by Executor.Run (or Catch) at the solve
+// boundary. The panic never crosses a goroutine: checkpoints and divergence
+// guards run only on the calling goroutine, between kernels, never inside
+// pool tasks.
 
 // ErrCancelled reports a solve aborted between cycles or levels because
 // the executor's context was done — a client deadline expired or the
@@ -41,10 +41,15 @@ const divergenceGrowth = 1e6
 type solveAbort struct{ err error }
 
 // Run executes one solve body, converting a cancellation or divergence
-// abort raised inside it back into the error it carries. Other panics —
-// genuine bugs, injected faults — propagate unchanged; the Service
-// boundary owns those (see pbmg.PanicError).
-func (e *Executor) Run(f func()) (err error) {
+// abort raised inside it back into the error it carries (see Catch).
+func (e *Executor) Run(f func()) error { return Catch(f) }
+
+// Catch runs f, converting a cancellation or divergence abort raised inside
+// it back into the error it carries. Other panics — genuine bugs, injected
+// faults — propagate unchanged; the Service boundary owns those (see
+// pbmg.PanicError). The tuner runs every candidate step under it: an edition
+// that diverges on training data is priced out, not a crash.
+func Catch(f func()) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			a, ok := r.(solveAbort)

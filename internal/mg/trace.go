@@ -121,32 +121,22 @@ func (t *OpTrace) Reset() {
 	}
 }
 
-// Scaled returns a new trace with every count multiplied by n. Iterative
-// choices repeat identical work, so the trace of n iterations is the
-// one-iteration trace scaled by n; the tuner exploits this to price
-// candidates without re-running them.
-func (t *OpTrace) Scaled(n int) *OpTrace {
-	out := &OpTrace{}
-	for k := range t.counts {
-		for l, c := range t.counts[k] {
-			if c != 0 {
-				out.Record(EventKind(k), l, int(c)*n)
-			}
-		}
-	}
-	return out
-}
-
-// Merge adds other's counts into t.
-func (t *OpTrace) Merge(other *OpTrace) {
+// AddScaled adds n times other's counts into t. Iterative choices repeat
+// identical work, so the trace of n iterations is the one-iteration trace
+// added n times; the tuner exploits this to price candidates without
+// re-running them, into one trace it resets between counts.
+func (t *OpTrace) AddScaled(other *OpTrace, n int) {
 	for k := range other.counts {
 		for l, c := range other.counts[k] {
 			if c != 0 {
-				t.Record(EventKind(k), l, int(c))
+				t.Record(EventKind(k), l, int(c)*n)
 			}
 		}
 	}
 }
+
+// Merge adds other's counts into t.
+func (t *OpTrace) Merge(other *OpTrace) { t.AddScaled(other, 1) }
 
 // Event is one ordered operation in a ShapeLog.
 type Event struct {

@@ -117,7 +117,38 @@ func (p *Problem) InitialError() float64 {
 // exact too (no improvement possible or needed).
 func (p *Problem) AccuracyOf(x *grid.Grid) float64 {
 	p.mustOpt()
-	eout := grid.L2DiffInterior(x, p.opt)
+	return p.accuracy(grid.SumSqDiffInterior(x, p.opt, nil))
+}
+
+// Meets returns how many of targets, which ascend, x meets: the length of
+// the prefix with AccuracyOf(x) ≥ target, bit for bit. It sums the squared
+// error in AccuracyOf's order and answers 0 as soon as initErr/√partial <
+// targets[0]. Partial sums only grow, and √ and division round
+// monotonically, so the accuracy of the whole sum is below targets[0] too:
+// stopping never changes the answer.
+func (p *Problem) Meets(x *grid.Grid, targets []float64) int {
+	p.mustOpt()
+	if len(targets) == 0 {
+		return 0
+	}
+	below := false
+	sum := grid.SumSqDiffInterior(x, p.opt, func(partial float64) bool {
+		below = p.initErr/math.Sqrt(partial) < targets[0]
+		return below
+	})
+	if below {
+		return 0
+	}
+	acc, met := p.accuracy(sum), 0
+	for met < len(targets) && acc >= targets[met] {
+		met++
+	}
+	return met
+}
+
+// accuracy is AccuracyOf for the squared error sum.
+func (p *Problem) accuracy(sum float64) float64 {
+	eout := math.Sqrt(sum)
 	if eout == 0 {
 		if p.initErr == 0 {
 			return 1

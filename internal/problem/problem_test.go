@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -198,4 +199,65 @@ func TestRandomDeterministicPerSeed(t *testing.T) {
 			t.Fatal("problems differ for equal seeds")
 		}
 	}
+}
+
+// TestMeetsMatchesAccuracyOf: Meets answers what comparing AccuracyOf with
+// each target in turn answers, bit for bit, for every suffix of a target
+// ladder around the exact accuracy — the accuracy itself, its float
+// neighbours, decades either side — on 2D and 3D problems: random
+// candidates whose error differs by orders of magnitude from row to row
+// (so the sum stops at every depth), the initial guess, an exact
+// candidate (zero error), and an exact initial guess (zero initial error).
+func TestMeetsMatchesAccuracyOf(t *testing.T) {
+	check := func(name string, p *Problem, x *grid.Grid) {
+		t.Helper()
+		acc := p.AccuracyOf(x)
+		ladder := []float64{0.5, 1, 10, 1e9}
+		for _, v := range []float64{acc / 1e3, math.Nextafter(acc, 0), acc, math.Nextafter(acc, math.Inf(1)), acc * 1e3} {
+			if !math.IsNaN(v) && !slices.Contains(ladder, v) {
+				ladder = append(ladder, v)
+			}
+		}
+		slices.Sort(ladder)
+		for k := range ladder {
+			targets := ladder[k:]
+			want := 0
+			for want < len(targets) && acc >= targets[want] {
+				want++
+			}
+			if got := p.Meets(x, targets); got != want {
+				t.Errorf("%s: accuracy %v meets %d of %v, Meets says %d", name, acc, want, targets, got)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(33))
+	for _, tc := range []struct {
+		op *stencil.Operator
+		ns []int
+	}{{nil, []int{5, 17, 33}}, {stencil.Poisson3D(), []int{5, 9}}} {
+		for _, n := range tc.ns {
+			p := RandomOp(n, grid.Unbiased, rng, tc.op)
+			opt := p.NewState()
+			grid.FillRandom(opt, grid.Unbiased, rng)
+			p.SetOptimal(opt)
+			for c := range 150 {
+				x := opt.Clone()
+				d := x.Data()
+				row := n * (1 + rng.Intn(n-2)) // a row's stride; rows repeat their scale
+				for i := range d {
+					d[i] += math.Pow(10, -8*float64((i/row)%7)/6) * (rng.Float64() - 0.5)
+				}
+				x.CopyBoundaryFrom(p.Boundary)
+				check(fmt.Sprintf("dim %d N=%d candidate %d", opt.Dim(), n, c), p, x)
+			}
+			check("the initial guess", p, p.NewState())
+			check("an exact candidate", p, opt)
+		}
+	}
+	p := Zero(5)
+	p.SetOptimal(grid.New(5))
+	check("an exact initial guess", p, grid.New(5))
+	x := grid.New(5)
+	x.Set(2, 3, 1)
+	check("a candidate against an exact initial guess", p, x)
 }
