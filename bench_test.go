@@ -1,8 +1,9 @@
 // Benchmarks regenerating the measured quantity behind every table and
 // figure in the paper's evaluation (§4). Tables used by the tuned solvers
-// are trained once (on the deterministic Harpertown model so results are
-// machine-independent); the benchmarks then time real executions on the
-// host. Run with:
+// are trained once per process by wall clock on the host (arch.WallClock,
+// training seed 20090101), so the plans, like the timings, belong to the
+// machine that runs the benchmarks; the benchmarks then time real
+// executions with those plans. Run with:
 //
 //	go test -bench=. -benchmem
 package pbmg

@@ -321,17 +321,17 @@ func TestFrontPopulatedAndNonDominated(t *testing.T) {
 }
 
 func TestParetoFrontBasics(t *testing.T) {
-	var f ParetoFront
-	if !f.Add(ParetoPoint{Accuracy: 10, Cost: 5}) {
+	var f ParetoFront[mg.Plan]
+	if !f.Add(ParetoPoint[mg.Plan]{Accuracy: 10, Cost: 5}) {
 		t.Fatal("first point rejected")
 	}
-	if f.Add(ParetoPoint{Accuracy: 9, Cost: 6}) {
+	if f.Add(ParetoPoint[mg.Plan]{Accuracy: 9, Cost: 6}) {
 		t.Fatal("dominated point accepted")
 	}
-	if !f.Add(ParetoPoint{Accuracy: 100, Cost: 50}) {
+	if !f.Add(ParetoPoint[mg.Plan]{Accuracy: 100, Cost: 50}) {
 		t.Fatal("non-dominated point rejected")
 	}
-	if !f.Add(ParetoPoint{Accuracy: 100, Cost: 3}) {
+	if !f.Add(ParetoPoint[mg.Plan]{Accuracy: 100, Cost: 3}) {
 		t.Fatal("dominating point rejected")
 	}
 	// The last point dominates both earlier ones.
@@ -352,9 +352,9 @@ func TestParetoFrontBasics(t *testing.T) {
 func TestParetoInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var front ParetoFront
+		var front ParetoFront[mg.Plan]
 		for i := 0; i < 50; i++ {
-			front.Add(ParetoPoint{
+			front.Add(ParetoPoint[mg.Plan]{
 				Accuracy: math.Exp(rng.Float64() * 20),
 				Cost:     math.Exp(rng.Float64() * 10),
 			})

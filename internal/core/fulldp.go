@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"pbmg/internal/grid"
@@ -57,108 +56,6 @@ func (n *PlanNode) String() string {
 	}
 }
 
-// NodePoint is one measured algorithm on a level's Pareto front.
-type NodePoint struct {
-	Accuracy float64
-	Cost     float64
-	Node     *PlanNode
-}
-
-// NodeFront is the non-dominated set of algorithms at one level.
-type NodeFront struct {
-	pts []NodePoint
-}
-
-// Add inserts p unless dominated; it evicts points p dominates and reports
-// whether p was kept.
-func (f *NodeFront) Add(p NodePoint) bool {
-	kept := f.pts[:0]
-	for _, q := range f.pts {
-		qDom := q.Accuracy >= p.Accuracy && q.Cost <= p.Cost
-		if qDom {
-			return false
-		}
-		pDom := p.Accuracy >= q.Accuracy && p.Cost <= q.Cost
-		if !pDom {
-			kept = append(kept, q)
-		}
-	}
-	f.pts = append(kept, p)
-	return true
-}
-
-// Points returns the front sorted by ascending accuracy.
-func (f *NodeFront) Points() []NodePoint {
-	out := append([]NodePoint(nil), f.pts...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Accuracy < out[j].Accuracy })
-	return out
-}
-
-// Len returns the front size.
-func (f *NodeFront) Len() int { return len(f.pts) }
-
-// Best returns the cheapest algorithm achieving at least the accuracy.
-func (f *NodeFront) Best(accuracy float64) (NodePoint, bool) {
-	var best NodePoint
-	found := false
-	for _, p := range f.pts {
-		if p.Accuracy >= accuracy && (!found || p.Cost < best.Cost) {
-			best, found = p, true
-		}
-	}
-	return best, found
-}
-
-// thin caps the front at roughly max points while always keeping the
-// extremes, the cheapest point at or above every anchor accuracy (so the
-// discrete ladder's picks survive pruning), and an even spread in
-// log-accuracy between them — the pruning the paper applies to the "very
-// large" optimal set for efficiency (§2.3).
-func (f *NodeFront) thin(max int, anchors []float64) {
-	if max < 2 || len(f.pts) <= max {
-		return
-	}
-	pts := f.Points()
-	keep := map[int]bool{0: true, len(pts) - 1: true}
-	for _, a := range anchors {
-		best := -1
-		for i, p := range pts {
-			if p.Accuracy >= a && (best < 0 || p.Cost < pts[best].Cost) {
-				best = i
-			}
-		}
-		if best >= 0 {
-			keep[best] = true
-		}
-	}
-	lo := math.Log(pts[0].Accuracy)
-	hi := math.Log(pts[len(pts)-1].Accuracy)
-	step := (hi - lo) / float64(max-1)
-	idx := 1
-	for b := 1; b < max-1 && step > 0; b++ {
-		targetAcc := lo + float64(b)*step
-		bestIdx := -1
-		for i := idx; i < len(pts)-1; i++ {
-			if math.Log(pts[i].Accuracy) <= targetAcc {
-				bestIdx = i
-			} else {
-				break
-			}
-		}
-		if bestIdx >= 0 {
-			keep[bestIdx] = true
-			idx = bestIdx + 1
-		}
-	}
-	kept := make([]NodePoint, 0, len(keep))
-	for i, p := range pts {
-		if keep[i] {
-			kept = append(kept, p)
-		}
-	}
-	f.pts = kept
-}
-
 // ParetoConfig bounds the full-DP search.
 type ParetoConfig struct {
 	// MaxFront caps the per-level front size (default 10).
@@ -186,11 +83,11 @@ func (c ParetoConfig) defaults() ParetoConfig {
 // MaxLevel and returns the Pareto front of algorithms at each level
 // (indexed 1..MaxLevel). Accuracy of a candidate is the worst (minimum)
 // accuracy across training instances — an algorithm's guaranteed level.
-func (t *Tuner) TuneVPareto(pc ParetoConfig) (map[int]*NodeFront, error) {
+func (t *Tuner) TuneVPareto(pc ParetoConfig) (map[int]*ParetoFront[*PlanNode], error) {
 	pc = pc.defaults()
-	fronts := make(map[int]*NodeFront, t.cfg.MaxLevel)
+	fronts := make(map[int]*ParetoFront[*PlanNode], t.cfg.MaxLevel)
 
-	base := &NodeFront{}
+	base := &ParetoFront[*PlanNode]{}
 	basePt, err := t.measureNode(1, &PlanNode{Choice: mg.ChoiceDirect})
 	if err != nil {
 		return nil, err
@@ -199,7 +96,7 @@ func (t *Tuner) TuneVPareto(pc ParetoConfig) (map[int]*NodeFront, error) {
 	fronts[1] = base
 
 	for level := 2; level <= t.cfg.MaxLevel; level++ {
-		front := &NodeFront{}
+		front := &ParetoFront[*PlanNode]{}
 		if level <= t.cfg.DirectMaxLevel {
 			pt, err := t.measureNode(level, &PlanNode{Choice: mg.ChoiceDirect})
 			if err != nil {
@@ -210,7 +107,7 @@ func (t *Tuner) TuneVPareto(pc ParetoConfig) (map[int]*NodeFront, error) {
 		t.addIterativeCandidates(front, level, &PlanNode{Choice: mg.ChoiceSOR}, pc.MaxSORSweeps)
 		for _, sub := range fronts[level-1].Points() {
 			t.addIterativeCandidates(front, level,
-				&PlanNode{Choice: mg.ChoiceRecurse, Sub: sub.Node}, pc.MaxRecurseIters)
+				&PlanNode{Choice: mg.ChoiceRecurse, Sub: sub.Plan}, pc.MaxRecurseIters)
 		}
 		front.thin(pc.MaxFront, t.cfg.Accuracies)
 		if front.Len() == 0 {
@@ -223,7 +120,7 @@ func (t *Tuner) TuneVPareto(pc ParetoConfig) (map[int]*NodeFront, error) {
 }
 
 // measureNode prices a non-iterative plan (direct) at a level.
-func (t *Tuner) measureNode(level int, node *PlanNode) (NodePoint, error) {
+func (t *Tuner) measureNode(level int, node *PlanNode) (ParetoPoint[*PlanNode], error) {
 	probs := t.training(level)
 	acc := math.Inf(1)
 	for _, p := range probs {
@@ -238,14 +135,14 @@ func (t *Tuner) measureNode(level int, node *PlanNode) (NodePoint, error) {
 	start := time.Now()
 	node.Execute(t.ws, x, probs[0].B, &tr)
 	cost := t.cfg.Coster.Cost(&tr, time.Since(start))
-	return NodePoint{Accuracy: acc, Cost: cost, Node: node}, nil
+	return ParetoPoint[*PlanNode]{Accuracy: acc, Cost: cost, Plan: node}, nil
 }
 
 // addIterativeCandidates measures proto (an SOR or recurse step) iterated
 // 1..cap times, adding one candidate per iteration count: the per-iteration
 // step is fixed work, so accuracy is tracked incrementally on every
 // training instance while cost scales linearly in the iteration count.
-func (t *Tuner) addIterativeCandidates(front *NodeFront, level int, proto *PlanNode, cap int) {
+func (t *Tuner) addIterativeCandidates(front *ParetoFront[*PlanNode], level int, proto *PlanNode, cap int) {
 	probs := t.training(level)
 	one := *proto
 	one.Iters = 1
@@ -280,20 +177,20 @@ func (t *Tuner) addIterativeCandidates(front *NodeFront, level int, proto *PlanN
 		}
 		node := *proto
 		node.Iters = s + 1
-		front.Add(NodePoint{Accuracy: worst, Cost: float64(s+1) * perIter, Node: &node})
+		front.Add(ParetoPoint[*PlanNode]{Accuracy: worst, Cost: float64(s+1) * perIter, Plan: &node})
 	}
 }
 
 // BestParetoPlan returns the cheapest full-DP algorithm achieving the given
 // accuracy at the tuner's MaxLevel, tuning the fronts on demand.
-func (t *Tuner) BestParetoPlan(pc ParetoConfig, accuracy float64) (NodePoint, error) {
+func (t *Tuner) BestParetoPlan(pc ParetoConfig, accuracy float64) (ParetoPoint[*PlanNode], error) {
 	fronts, err := t.TuneVPareto(pc)
 	if err != nil {
-		return NodePoint{}, err
+		return ParetoPoint[*PlanNode]{}, err
 	}
 	pt, ok := fronts[t.cfg.MaxLevel].Best(accuracy)
 	if !ok {
-		return NodePoint{}, fmt.Errorf("core: no full-DP algorithm reaches accuracy %g at level %d",
+		return ParetoPoint[*PlanNode]{}, fmt.Errorf("core: no full-DP algorithm reaches accuracy %g at level %d",
 			accuracy, t.cfg.MaxLevel)
 	}
 	return pt, nil

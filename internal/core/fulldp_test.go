@@ -65,7 +65,7 @@ func TestParetoPlanMeetsAccuracyOnTestData(t *testing.T) {
 	p := testInstance(t, 5, grid.Unbiased, 4242)
 	ws := mg.NewWorkspace(nil)
 	x := p.NewState()
-	pt.Node.Execute(ws, x, p.B, nil)
+	pt.Plan.Execute(ws, x, p.B, nil)
 	if got := p.AccuracyOf(x); got < 1e4 {
 		t.Fatalf("full-DP plan achieved %.3g on test data, want ≈1e5", got)
 	}
@@ -131,9 +131,9 @@ func TestPlanNodeExecuteDirectAndSOR(t *testing.T) {
 }
 
 func TestNodeFrontThinKeepsExtremes(t *testing.T) {
-	f := &NodeFront{}
+	f := &ParetoFront[*PlanNode]{}
 	for i := 1; i <= 30; i++ {
-		f.Add(NodePoint{Accuracy: math.Pow(10, float64(i)), Cost: float64(i), Node: &PlanNode{Choice: mg.ChoiceDirect}})
+		f.Add(ParetoPoint[*PlanNode]{Accuracy: math.Pow(10, float64(i)), Cost: float64(i), Plan: &PlanNode{Choice: mg.ChoiceDirect}})
 	}
 	f.thin(5, nil)
 	if f.Len() > 6 {
@@ -146,9 +146,9 @@ func TestNodeFrontThinKeepsExtremes(t *testing.T) {
 }
 
 func TestNodeFrontBest(t *testing.T) {
-	f := &NodeFront{}
-	f.Add(NodePoint{Accuracy: 10, Cost: 1})
-	f.Add(NodePoint{Accuracy: 1000, Cost: 5})
+	f := &ParetoFront[*PlanNode]{}
+	f.Add(ParetoPoint[*PlanNode]{Accuracy: 10, Cost: 1})
+	f.Add(ParetoPoint[*PlanNode]{Accuracy: 1000, Cost: 5})
 	if _, ok := f.Best(1e6); ok {
 		t.Fatal("Best above front accepted")
 	}
@@ -158,14 +158,14 @@ func TestNodeFrontBest(t *testing.T) {
 	}
 }
 
-// Property: NodeFront.Add maintains the non-domination invariant under any
+// Property: ParetoFront[*PlanNode].Add maintains the non-domination invariant under any
 // insertion sequence.
 func TestNodeFrontInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var front NodeFront
+		var front ParetoFront[*PlanNode]
 		for i := 0; i < 60; i++ {
-			front.Add(NodePoint{
+			front.Add(ParetoPoint[*PlanNode]{
 				Accuracy: math.Exp(rng.Float64() * 15),
 				Cost:     math.Exp(rng.Float64() * 8),
 			})
@@ -195,7 +195,7 @@ func TestParetoDescribesRichPlans(t *testing.T) {
 	// recursive plan (multigrid), not just direct/SOR.
 	found := false
 	for _, pt := range fronts[5].Points() {
-		if strings.HasPrefix(pt.Node.String(), "rec×") {
+		if strings.HasPrefix(pt.Plan.String(), "rec×") {
 			found = true
 			break
 		}

@@ -200,9 +200,9 @@ type Tuner struct {
 	op     *stencil.Operator // operator family at the finest tuned size
 	ws     *mg.Workspace     // private measurement workspace (see New)
 	probs  map[int][]*problem.Problem
-	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
-	direct map[int]float64      // direct-solve cost per level, priced once for V and full
-	iter   *iterate             // this search's iterate (see tuneLevel)
+	front  map[int]*ParetoFront[mg.Plan] // per-level candidate fronts (diagnostics)
+	direct map[int]float64               // direct-solve cost per level, priced once for V and full
+	iter   *iterate                      // this search's iterate (see tuneLevel)
 
 	work   Stats         // this search's running counters (Factorizations: see spent)
 	levels map[int]Stats // work charged to each tuned level
@@ -235,13 +235,13 @@ func New(cfg Config) (*Tuner, error) {
 	// solves refsol's guard hands a stalled reference to (16.5 MB at
 	// N = 129), and under a wall clock those of every level the direct
 	// choice is timed at.
-	ws.FactorCache = direct.NewCache(0)
+	ws.FactorCache = &direct.Cache{}
 	return &Tuner{
 		cfg:    cfg,
 		op:     op,
 		ws:     ws,
 		probs:  make(map[int][]*problem.Problem),
-		front:  make(map[int]*ParetoFront),
+		front:  make(map[int]*ParetoFront[mg.Plan]),
 		direct: make(map[int]float64),
 		iter:   &iterate{},
 		levels: make(map[int]Stats),
@@ -253,7 +253,7 @@ func (t *Tuner) Operator() *stencil.Operator { return t.op }
 
 // Front returns the Pareto front of all candidates measured at a level
 // (the full-DP view of §2.2), or nil if the level was not tuned.
-func (t *Tuner) Front(level int) *ParetoFront { return t.front[level] }
+func (t *Tuner) Front(level int) *ParetoFront[mg.Plan] { return t.front[level] }
 
 func (t *Tuner) logf(format string, args ...any) {
 	if t.cfg.Logf != nil {
@@ -883,14 +883,14 @@ func (t *Tuner) tuneVLevel(vt *mg.VTable, level int) []mg.Plan {
 func (t *Tuner) vRow(level int, res []measured, win []int) []mg.Plan {
 	front := t.front[level]
 	if front == nil {
-		front = &ParetoFront{}
+		front = &ParetoFront[mg.Plan]{}
 		t.front[level] = front
 	}
 	row := make([]mg.Plan, len(win))
 	for i, w := range win {
 		for _, r := range res {
 			if cost := r.costPerAcc[i]; !math.IsInf(cost, 1) {
-				front.Add(ParetoPoint{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(r, i)})
+				front.Add(ParetoPoint[mg.Plan]{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(r, i)})
 			}
 		}
 		if w < 0 {

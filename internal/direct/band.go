@@ -1,9 +1,11 @@
-// Package direct implements a banded Cholesky direct solver for the 2D
-// Poisson operator — the stand-in for LAPACK's DPBSV routine that the paper
-// uses as its direct algorithmic choice. With interior side m = N−2 the
-// system has n = m² unknowns and half-bandwidth m, so factorization costs
-// O(n·m²) = O(N⁴) and each solve costs O(n·m) = O(N³), matching the
-// complexity table in §2 of the paper.
+// Package direct is the paper's direct algorithmic choice: a banded Cholesky
+// solve of a grid's interior, the stand-in for LAPACK's DPBSV (§2.3). It has
+// three parts: BandMatrix, the band factorization and triangular solves;
+// InteriorSolver, one factored operator at one grid side; and Cache, which
+// factors each (operator, side) once and keeps it. In 2D, with interior
+// side m = N−2, the system has n = m² unknowns and half-bandwidth m, so
+// factorization costs O(n·m²) = O(N⁴) and each solve costs O(n·m) = O(N³),
+// matching the complexity table in §2 of the paper.
 package direct
 
 import (
@@ -52,15 +54,6 @@ func NewBandMatrix(n, bandwidth int) *BandMatrix {
 	}
 	return m
 }
-
-// N returns the matrix dimension.
-func (m *BandMatrix) N() int { return m.n }
-
-// Bandwidth returns the half-bandwidth.
-func (m *BandMatrix) Bandwidth() int { return m.bandwidth }
-
-// Factored reports whether Factor has completed successfully.
-func (m *BandMatrix) Factored() bool { return m.factored }
 
 // at returns the stored value for (row, row−dist).
 func (m *BandMatrix) at(row, dist int) float64 { return m.data[row*m.w+dist] }
@@ -194,14 +187,4 @@ func (m *BandMatrix) Solve(rhs []float64) {
 		}
 		rhs[i] = s / m.at(i, 0)
 	}
-}
-
-// FactorFlops estimates the floating-point operations of Factor, ≈ n·bw².
-func (m *BandMatrix) FactorFlops() float64 {
-	return float64(m.n) * float64(m.bandwidth) * float64(m.bandwidth)
-}
-
-// SolveFlops estimates the floating-point operations of one Solve, ≈ 4·n·bw.
-func (m *BandMatrix) SolveFlops() float64 {
-	return 4 * float64(m.n) * float64(m.bandwidth)
 }

@@ -20,42 +20,132 @@ func randomProblem(n int, rng *rand.Rand) (x, b *grid.Grid) {
 	return x, b
 }
 
-// TestStencilSolverMatchesPoissonSolver: for the Poisson operator, the
-// general-stencil band assembly must agree with the specialized
-// constant-coefficient path to near machine precision — both factor the same
-// SPD matrix, so only rounding in assembly order can differ.
-func TestStencilSolverMatchesPoissonSolver(t *testing.T) {
-	for _, n := range []int{5, 9, 17, 33} {
-		h := 1.0 / float64(n-1)
-		rng := rand.New(rand.NewSource(int64(n)))
-		xRef, b := randomProblem(n, rng)
-		xGen := xRef.Clone()
-
-		NewPoissonSolver(n).Solve(xRef, b, h)
-		NewStencilSolver(stencil.Poisson(), n).Solve(xGen, b, h)
-
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				d := math.Abs(xRef.At(i, j) - xGen.At(i, j))
-				if d > 1e-12*math.Max(1, math.Abs(xRef.At(i, j))) {
-					t.Fatalf("n=%d: paths differ at (%d,%d) by %g", n, i, j, d)
-				}
+// poissonOracle is the specialized constant-coefficient path the Poisson
+// family had before the general stencil assembly took it over: the
+// scaled interior matrix (diagonal 4, off-diagonals −1) and a right-hand
+// side that adds each boundary neighbour unweighted. It is unfactored.
+func poissonOracle(n int) *BandMatrix {
+	m := n - 2
+	a := NewBandMatrix(m*m, m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			k := i*m + j
+			a.Set(k, k, 4)
+			if j > 0 {
+				a.Set(k, k-1, -1)
 			}
+			if i > 0 {
+				a.Set(k, k-m, -1)
+			}
+		}
+	}
+	return a
+}
+
+// poissonOracleSolve solves with a factored poissonOracle matrix.
+func poissonOracleSolve(a *BandMatrix, x, b *grid.Grid, h float64) {
+	n := x.N()
+	m := n - 2
+	rhs := make([]float64, m*m)
+	for i := 0; i < m; i++ {
+		for j := 0; j < m; j++ {
+			gi, gj := i+1, j+1
+			v := h * h * b.At(gi, gj)
+			if i == 0 {
+				v += x.At(0, gj)
+			}
+			if i == m-1 {
+				v += x.At(n-1, gj)
+			}
+			if j == 0 {
+				v += x.At(gi, 0)
+			}
+			if j == m-1 {
+				v += x.At(gi, n-1)
+			}
+			rhs[i*m+j] = v
+		}
+	}
+	a.Solve(rhs)
+	for i := 0; i < m; i++ {
+		copy(x.Row(i + 1)[1:1+m], rhs[i*m:])
+	}
+}
+
+// TestNewInteriorSolverRoutesPoisson: the factory gives the Poisson operator
+// the constant interior matrix (diagonal 4, off-diagonals −1) with unit
+// boundary weights, and an anisotropic operator its own face weights rather
+// than Poisson's.
+func TestNewInteriorSolverRoutesPoisson(t *testing.T) {
+	const n = 9
+	p := NewInteriorSolver(stencil.Poisson(), n)
+	want := poissonOracle(n)
+	if err := want.Factor(); err != nil {
+		t.Fatal(err)
+	}
+	for k, v := range want.data {
+		if math.Float64bits(p.a.data[k]) != math.Float64bits(v) {
+			t.Fatalf("Poisson factor entry %d = %v, want %v", k, p.a.data[k], v)
+		}
+	}
+	for _, w := range [][]float64{p.north, p.south, p.west, p.east} {
+		for k, v := range w {
+			if v != 1 {
+				t.Fatalf("Poisson boundary weight %d = %v, want 1", k, v)
+			}
+		}
+	}
+
+	const eps = 0.5
+	a := NewInteriorSolver(stencil.Anisotropic(eps), n)
+	if a.op.Family() != stencil.FamilyAnisotropic {
+		t.Fatalf("anisotropic solver holds a %v operator", a.op.Family())
+	}
+	if d := a.a.At(0, 0); d == p.a.At(0, 0) {
+		t.Fatalf("anisotropic factor diagonal %v equals Poisson's", d)
+	}
+	for k := range a.north {
+		if a.north[k] != 1 || a.south[k] != 1 || a.west[k] != eps || a.east[k] != eps {
+			t.Fatalf("anisotropic boundary weights at %d = (%v, %v, %v, %v), want (1, 1, %v, %v)",
+				k, a.north[k], a.south[k], a.west[k], a.east[k], eps, eps)
 		}
 	}
 }
 
-// TestNewInteriorSolverRoutesPoisson: the factory must keep the fast
-// constant-coefficient path for the Poisson family.
-func TestNewInteriorSolverRoutesPoisson(t *testing.T) {
-	if _, ok := NewInteriorSolver(nil, 9).(*PoissonSolver); !ok {
-		t.Fatal("nil operator should route to PoissonSolver")
+// TestStencilSolverMatchesPoissonSolver: on the Poisson family the general
+// stencil assembly is the specialized path it replaced, bit for bit — the
+// face coefficients sum to exactly 4 and weights of 1 multiply exactly — so
+// the band matrix, its factor and every solve store the same bits.
+func TestStencilSolverMatchesPoissonSolver(t *testing.T) {
+	sizes := []int{3, 5, 7, 9, 11, 17, 33, 65, 129}
+	if testing.Short() {
+		sizes = sizes[:7]
 	}
-	if _, ok := NewInteriorSolver(stencil.Poisson(), 9).(*PoissonSolver); !ok {
-		t.Fatal("Poisson operator should route to PoissonSolver")
-	}
-	if _, ok := NewInteriorSolver(stencil.Anisotropic(0.5), 9).(*StencilSolver); !ok {
-		t.Fatal("anisotropic operator should route to StencilSolver")
+	for _, n := range sizes {
+		want := poissonOracle(n)
+		got := assembleBand(stencil.Poisson(), n)
+		for k, v := range want.data {
+			if math.Float64bits(got.data[k]) != math.Float64bits(v) {
+				t.Fatalf("N=%d: band entry %d = %v, specialized path %v", n, k, got.data[k], v)
+			}
+		}
+		if err := want.Factor(); err != nil {
+			t.Fatal(err)
+		}
+		s := NewInteriorSolver(stencil.Poisson(), n)
+		h := 1.0 / float64(n-1)
+		rng := rand.New(rand.NewSource(int64(n)))
+		for range 3 {
+			x, b := randomProblem(n, rng)
+			xWant := x.Clone()
+			s.Solve(x, b, h)
+			poissonOracleSolve(want, xWant, b, h)
+			for k, v := range xWant.Data() {
+				if math.Float64bits(x.Data()[k]) != math.Float64bits(v) {
+					t.Fatalf("N=%d: x[%d] = %v, specialized path %v", n, k, x.Data()[k], v)
+				}
+			}
+		}
 	}
 }
 
@@ -76,33 +166,10 @@ func TestStencilSolverSolvesOperator(t *testing.T) {
 		stencil.VarCoefOperator(coef, 0),
 	} {
 		x, b := randomProblem(n, rng)
-		NewStencilSolver(op, n).Solve(x, b, h)
+		NewInteriorSolver(op, n).Solve(x, b, h)
 		scale := grid.L2Interior(b) + 1
 		if r := stencil.OpResidualNorm(op, nil, x, b, h); r > 1e-9*scale {
 			t.Fatalf("%v: direct solution leaves residual %g (scale %g)", op, r, scale)
 		}
-	}
-}
-
-// TestCacheKeysByOperator: one cache must hold independent factorizations
-// per operator at the same size, sharing the Poisson entry between nil and
-// the Poisson operator.
-func TestCacheKeysByOperator(t *testing.T) {
-	var c Cache
-	p1 := c.Get(9)
-	p2 := c.GetOp(stencil.Poisson(), 9)
-	if p1 != p2 {
-		t.Fatal("nil and Poisson operator should share one factorization")
-	}
-	aniso := stencil.Anisotropic(0.25)
-	a1 := c.GetOp(aniso, 9)
-	if _, ok := a1.(*StencilSolver); !ok {
-		t.Fatal("anisotropic entry should be a StencilSolver")
-	}
-	if a2 := c.GetOp(aniso, 9); a1 != a2 {
-		t.Fatal("same operator and size should hit the cache")
-	}
-	if len(c.Sizes()) != 1 || c.Sizes()[0] != 9 {
-		t.Fatalf("Sizes() = %v, want [9]", c.Sizes())
 	}
 }

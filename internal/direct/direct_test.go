@@ -11,7 +11,8 @@ import (
 )
 
 // denseSolve solves A·x = b by Gaussian elimination with partial pivoting,
-// used as an independent oracle for the band solver.
+// the independent oracle for the band solver and for the interior solver
+// (dense_test.go).
 func denseSolve(a [][]float64, b []float64) []float64 {
 	n := len(b)
 	m := make([][]float64, n)
@@ -152,7 +153,7 @@ func TestSetAfterFactorPanics(t *testing.T) {
 
 func TestPoissonSolverSmallest(t *testing.T) {
 	// N = 3: one unknown. 4x = h²b + (4 boundary neighbours).
-	s := NewPoissonSolver(3)
+	s := NewInteriorSolver(stencil.Poisson(), 3)
 	x, b := grid.New(3), grid.New(3)
 	x.Set(0, 1, 1)
 	x.Set(2, 1, 2)
@@ -169,7 +170,7 @@ func TestPoissonSolverSmallest(t *testing.T) {
 
 func TestPoissonSolverZeroResidual(t *testing.T) {
 	for _, n := range []int{5, 9, 17, 33} {
-		s := NewPoissonSolver(n)
+		s := NewInteriorSolver(stencil.Poisson(), n)
 		h := 1.0 / float64(n-1)
 		rng := rand.New(rand.NewSource(int64(n)))
 		x, b := grid.New(n), grid.New(n)
@@ -196,7 +197,7 @@ func TestPoissonSolverMatchesManufactured(t *testing.T) {
 		}
 	}
 	x := grid.New(n)
-	NewPoissonSolver(n).Solve(x, b, h)
+	NewInteriorSolver(stencil.Poisson(), n).Solve(x, b, h)
 	err := grid.L2DiffInterior(x, u) / grid.L2Interior(u)
 	if err > 1e-3 { // discretization error O(h²)
 		t.Fatalf("relative error = %v, want < 1e-3", err)
@@ -204,75 +205,13 @@ func TestPoissonSolverMatchesManufactured(t *testing.T) {
 }
 
 func TestPoissonSolverSizeMismatchPanics(t *testing.T) {
-	s := NewPoissonSolver(5)
+	s := NewInteriorSolver(stencil.Poisson(), 5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("size mismatch did not panic")
 		}
 	}()
 	s.Solve(grid.New(7), grid.New(7), 0.1)
-}
-
-func TestCacheReusesSolvers(t *testing.T) {
-	var c Cache
-	a := c.Get(9)
-	b := c.Get(9)
-	if a != b {
-		t.Fatal("Cache returned distinct solvers for same size")
-	}
-	if c.Get(17) == a {
-		t.Fatal("Cache returned same solver for different size")
-	}
-	if len(c.Sizes()) != 2 {
-		t.Fatalf("Sizes() = %v, want 2 entries", c.Sizes())
-	}
-}
-
-func TestCacheConcurrent(t *testing.T) {
-	var c Cache
-	sizes := []int{9, 17, 33}
-	type got struct {
-		n int
-		s *PoissonSolver
-	}
-	const per = 8
-	done := make(chan got, per*len(sizes))
-	for i := 0; i < per; i++ {
-		for _, n := range sizes {
-			go func(n int) {
-				// Interleave instrumentation reads with factorizations.
-				c.Sizes()
-				done <- got{n, c.Get(n)}
-			}(n)
-		}
-	}
-	first := map[int]*PoissonSolver{}
-	for i := 0; i < per*len(sizes); i++ {
-		g := <-done
-		if f, ok := first[g.n]; !ok {
-			first[g.n] = g.s
-		} else if f != g.s {
-			t.Fatalf("concurrent Get(%d) returned distinct solvers", g.n)
-		}
-		if g.s.N() != g.n {
-			t.Fatalf("Get(%d) returned solver for N=%d", g.n, g.s.N())
-		}
-	}
-	if len(c.Sizes()) != len(sizes) {
-		t.Fatalf("Sizes() = %v, want %d completed entries", c.Sizes(), len(sizes))
-	}
-}
-
-func TestFlopEstimatesScale(t *testing.T) {
-	s5, s9 := NewPoissonSolver(5), NewPoissonSolver(9)
-	if s9.FactorFlops() <= s5.FactorFlops() || s9.SolveFlops() <= s5.SolveFlops() {
-		t.Fatal("flop estimates should grow with size")
-	}
-	// Factor is O(N⁴): doubling interior side ~16× factor cost.
-	ratio := s9.FactorFlops() / s5.FactorFlops()
-	if ratio < 8 || ratio > 32 {
-		t.Fatalf("factor flop ratio = %v, want ≈16", ratio)
-	}
 }
 
 // Property: for random SPD band systems, the solution returned by the band
@@ -310,7 +249,7 @@ func TestBandSolveSatisfiesSystemProperty(t *testing.T) {
 
 // Property: the Poisson direct solve is linear in the right-hand side.
 func TestPoissonLinearityProperty(t *testing.T) {
-	s := NewPoissonSolver(9)
+	s := NewInteriorSolver(stencil.Poisson(), 9)
 	h := 1.0 / 8
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))

@@ -72,16 +72,16 @@ func TestFactorMatchesRowAtATimeLoop(t *testing.T) {
 		max2, max3 = 33, 9
 	}
 	for n := 3; n <= max2; n++ {
-		assertFactorsAlike(t, "poisson", poissonBand(n))
+		assertFactorsAlike(t, "poisson", assembleBand(stencil.Poisson(), n))
 		if n <= 33 {
-			assertFactorsAlike(t, "varcoef", stencilBand(stencil.VarCoefOperator(stencil.CoefField(n, 2), 2), n))
+			assertFactorsAlike(t, "varcoef", assembleBand(stencil.VarCoefOperator(stencil.CoefField(n, 2), 2), n))
 		}
 	}
 	for n := 5; n <= max3; n++ {
-		assertFactorsAlike(t, "poisson3d", stencilBand(stencil.Poisson3D(), n))
+		assertFactorsAlike(t, "poisson3d", assembleBand(stencil.Poisson3D(), n))
 	}
 	for _, pivot := range []int{0, 1, 7, 100, 223, 224} {
-		a := poissonBand(17)
+		a := assembleBand(stencil.Poisson(), 17)
 		a.Set(pivot, pivot, -4)
 		assertFactorsAlike(t, "indefinite", a)
 		if a.factored {
@@ -95,11 +95,8 @@ func TestFactorMatchesRowAtATimeLoop(t *testing.T) {
 // right-hand side from a pool on the factored matrix, concurrent solves must
 // each get their own: every answer equals the one a private solver gives.
 func TestSharedSolverConcurrentSolves(t *testing.T) {
-	for _, shared := range []InteriorSolver{NewPoissonSolver(17), NewStencilSolver(stencil.Poisson3D(), 9)} {
-		n, dim := shared.N(), 2
-		if _, ok := shared.(*StencilSolver); ok {
-			dim = 3
-		}
+	for _, shared := range []*InteriorSolver{NewInteriorSolver(stencil.Poisson(), 17), NewInteriorSolver(stencil.Poisson3D(), 9)} {
+		n, dim := shared.n, shared.op.Dim()
 		h := 1 / float64(n-1)
 		var wg sync.WaitGroup
 		for g := range 8 {
@@ -114,11 +111,7 @@ func TestSharedSolverConcurrentSolves(t *testing.T) {
 					}
 					want := x.Clone()
 					shared.Solve(x, b, h)
-					if dim == 3 {
-						NewStencilSolver(stencil.Poisson3D(), n).Solve(want, b, h)
-					} else {
-						NewPoissonSolver(n).Solve(want, b, h)
-					}
+					NewInteriorSolver(shared.op, n).Solve(want, b, h)
 					for i, v := range want.Data() {
 						if x.Data()[i] != v {
 							t.Errorf("goroutine %d: shared solver's x[%d] = %v, a private solver's %v", g, i, x.Data()[i], v)

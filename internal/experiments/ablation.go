@@ -149,11 +149,11 @@ func (r *Runner) ParetoAblation() (*Table, error) {
 		}
 		full := traceCost(ablationModel(), func(rec mg.Recorder) {
 			x := p.NewState()
-			pt.Node.Execute(ws, x, p.B, rec)
+			pt.Plan.Execute(ws, x, p.B, rec)
 		})
 		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%.0e", target), fmt.Sprintf("%.3g", disc), fmt.Sprintf("%.3g", full),
-			pt.Node.String(),
+			pt.Plan.String(),
 		})
 	}
 	return t, nil

@@ -121,7 +121,7 @@ func NewRunner(o Opts) *Runner {
 	if o.Workers > 1 {
 		pool = sched.NewPool(o.Workers)
 	}
-	return &Runner{O: o, pool: pool, cache: direct.NewCache(0), bundles: map[string]*core.Tuned{}, tests: map[string]*problem.Problem{}}
+	return &Runner{O: o, pool: pool, cache: &direct.Cache{}, bundles: map[string]*core.Tuned{}, tests: map[string]*problem.Problem{}}
 }
 
 // workspace returns a Poisson workspace on pool that factors through the

@@ -416,9 +416,9 @@ func TestWorkspaceDirectCaching(t *testing.T) {
 	ws := NewWorkspace(nil)
 	p := problem.Random(9, grid.Unbiased, rand.New(rand.NewSource(11)))
 	x1, x2, x3 := p.NewState(), p.NewState(), p.NewState()
-	direct.NewInteriorSolver(nil, 9).Solve(x1, p.B, p.H) // a fresh factorization
-	ws.SolveDirect(x2, p.B, nil)                         // factors into the cache
-	ws.SolveDirect(x3, p.B, nil)                         // cached path
+	direct.NewInteriorSolver(stencil.Poisson(), 9).Solve(x1, p.B, p.H) // a fresh factorization
+	ws.SolveDirect(x2, p.B, nil)                                       // factors into the cache
+	ws.SolveDirect(x3, p.B, nil)                                       // cached path
 	for i := range x1.Data() {
 		if x1.Data()[i] != x2.Data()[i] || x1.Data()[i] != x3.Data()[i] {
 			t.Fatal("cached and fresh direct solves differ")

@@ -43,8 +43,8 @@ type Workspace struct {
 	Op *stencil.Operator
 	// FactorCache, when non-nil, replaces the workspace-private direct-factor
 	// cache, so several workspaces — one per served operator family — can
-	// share a single (typically bounded) cache. Like the other configuration
-	// fields it must be set before the workspace is shared across goroutines.
+	// share a single cache. Like the other configuration fields it must be
+	// set before the workspace is shared across goroutines.
 	FactorCache *direct.Cache
 
 	// noFuse runs the separate smooth/residual/restrict/interpolate/norm

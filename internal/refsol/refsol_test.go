@@ -2,7 +2,6 @@ package refsol
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"pbmg/internal/direct"
@@ -17,14 +16,16 @@ import (
 // 3×3 coarsest level, never the band matrix of its own size.
 func TestComputeSmallGridConverges(t *testing.T) {
 	p := problem.Random(33, grid.Unbiased, rand.New(rand.NewSource(1)))
-	cache := direct.NewCache(0)
+	cache := &direct.Cache{}
 	x := Compute(p, nil, cache)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
 	if res := stencil.OpResidualNorm(stencil.Poisson(), nil, x, p.B, p.H); res > relResidualTarget*scale {
 		t.Fatalf("N=33 reference residual %v above the target (scale %v)", res, scale)
 	}
-	if got := cache.Sizes(); !reflect.DeepEqual(got, []int{3}) {
-		t.Fatalf("N=33 reference factored sizes %v, want only the coarsest [3]", got)
+	// One factorization, and a lookup at N = 3 reuses it: the only side
+	// factored is the coarsest.
+	if cache.GetOp(stencil.Poisson(), 3); cache.Len() != 1 || cache.Factorizations() != 1 {
+		t.Fatalf("N=33 reference factored %d matrices (%d entries), want only the coarsest N = 3", cache.Factorizations(), cache.Len())
 	}
 }
 

@@ -411,49 +411,3 @@ func RestrictCoef(coarse, fine *grid.Grid) {
 		}
 	}
 }
-
-// RestrictProblem restricts a full problem (not a residual): it computes the
-// coarse right-hand side by full weighting and down-samples the boundary of
-// x by injection. Used by the full-multigrid estimation phase, where the
-// coarse problem keeps the original boundary conditions.
-func RestrictProblem(pool *sched.Pool, coarseB, fineB, coarseX, fineX *grid.Grid) {
-	Restrict(pool, coarseB, fineB)
-	checkLevels(coarseX, fineX, "RestrictProblem")
-	nc := coarseX.N()
-	if coarseX.Dim() == 3 {
-		// Inject only the boundary points: the two full end planes, then per
-		// interior plane the first/last rows and the end columns.
-		injectRow := func(ci, cj int) {
-			cr := coarseX.Row3(ci, cj)
-			fr := fineX.Row3(2*ci, 2*cj)
-			for ck := 0; ck < nc; ck++ {
-				cr[ck] = fr[2*ck]
-			}
-		}
-		for _, ci := range [2]int{0, nc - 1} {
-			for cj := 0; cj < nc; cj++ {
-				injectRow(ci, cj)
-			}
-		}
-		for ci := 1; ci < nc-1; ci++ {
-			injectRow(ci, 0)
-			injectRow(ci, nc-1)
-			fi := 2 * ci
-			for cj := 1; cj < nc-1; cj++ {
-				cr := coarseX.Row3(ci, cj)
-				fr := fineX.Row3(fi, 2*cj)
-				cr[0] = fr[0]
-				cr[nc-1] = fr[2*(nc-1)]
-			}
-		}
-		return
-	}
-	for j := 0; j < nc; j++ {
-		coarseX.Set(0, j, fineX.At(0, 2*j))
-		coarseX.Set(nc-1, j, fineX.At(2*(nc-1), 2*j))
-	}
-	for i := 1; i < nc-1; i++ {
-		coarseX.Set(i, 0, fineX.At(2*i, 0))
-		coarseX.Set(i, nc-1, fineX.At(2*i, 2*(nc-1)))
-	}
-}

@@ -90,29 +90,6 @@ func TestInterpolateAdd(t *testing.T) {
 	}
 }
 
-func TestRestrictProblemCopiesBoundaryByInjection(t *testing.T) {
-	nf, nc := 9, 5
-	fineB, fineX := grid.New(nf), grid.New(nf)
-	rng := rand.New(rand.NewSource(1))
-	grid.FillRandom(fineB, grid.Unbiased, rng)
-	grid.FillBoundaryRandom(fineX, grid.Unbiased, rng)
-	coarseB, coarseX := grid.New(nc), grid.New(nc)
-	RestrictProblem(nil, coarseB, fineB, coarseX, fineX)
-	for j := 0; j < nc; j++ {
-		if coarseX.At(0, j) != fineX.At(0, 2*j) {
-			t.Fatal("top boundary not injected")
-		}
-		if coarseX.At(nc-1, j) != fineX.At(nf-1, 2*j) {
-			t.Fatal("bottom boundary not injected")
-		}
-	}
-	for i := 1; i < nc-1; i++ {
-		if coarseX.At(i, 0) != fineX.At(2*i, 0) || coarseX.At(i, nc-1) != fineX.At(2*i, nf-1) {
-			t.Fatal("side boundary not injected")
-		}
-	}
-}
-
 func TestParallelMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()

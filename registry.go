@@ -18,7 +18,7 @@ import (
 // serves several tuned configurations side by side — the paper's
 // tune-once/serve-many model (§3.2.1) extended from one configuration to a
 // catalog of them. Every family the registry serves shares one worker pool,
-// one global admission limit, and one bounded direct-factor cache, so adding
+// one global admission limit, and one direct-factor cache, so adding
 // a family adds tables, not threads.
 
 // ServeKey identifies one tuned configuration in a Registry: the operator
@@ -84,14 +84,6 @@ func serveKeyOf(s *Solver) ServeKey {
 	return k
 }
 
-// DefaultFactorCacheCap bounds the registry's shared direct-factor cache: a
-// long-running server that rotates through many (operator, size, dimension)
-// keys keeps at most this many band-Cholesky factorizations live, evicting
-// least-recently-used ones. Each tuned family touches at most one operator
-// per level, so the default comfortably fits several families' full
-// hierarchies while still bounding memory.
-const DefaultFactorCacheCap = 64
-
 // RegistryOptions configures NewRegistry.
 type RegistryOptions struct {
 	// Workers sets the shared kernel worker pool for every served family
@@ -108,9 +100,6 @@ type RegistryOptions struct {
 	Quotas       map[string]int
 	DefaultQuota int
 	QueueDepth   int
-	// FactorCacheCap bounds the shared direct-factor cache (0:
-	// DefaultFactorCacheCap; < 0: unbounded).
-	FactorCacheCap int
 	// Breaker configures every registered family's circuit breaker (the
 	// zero value selects the defaults; the breakers themselves are
 	// per-family, so one family melting down never trips the others).
@@ -120,7 +109,7 @@ type RegistryOptions struct {
 // Registry serves several tuned operator families from one process. Each
 // registered configuration gets a Service routed by (family, ε); all of them
 // share the registry's worker pool, its admitter (admission.go), and its
-// bounded direct-factor cache. A Registry is safe for concurrent use: any
+// direct-factor cache. A Registry is safe for concurrent use: any
 // number of goroutines may Lookup and Solve while families are being
 // registered. Release with Close.
 type Registry struct {
@@ -143,16 +132,9 @@ func NewRegistry(o RegistryOptions) *Registry {
 	if o.Workers > 1 {
 		pool = sched.NewPool(o.Workers)
 	}
-	cacheCap := o.FactorCacheCap
-	switch {
-	case cacheCap == 0:
-		cacheCap = DefaultFactorCacheCap
-	case cacheCap < 0:
-		cacheCap = 0 // direct.NewCache treats ≤ 0 as unbounded
-	}
 	return &Registry{
 		pool:     pool,
-		cache:    direct.NewCache(cacheCap),
+		cache:    &direct.Cache{},
 		adm:      newAdmitter(o.MaxInFlight, o.Breaker),
 		opts:     o,
 		services: make(map[ServeKey]*Service),

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"pbmg/internal/grid"
 )
 
 // tuneRegistry builds a registry serving the 2D Poisson family (N ≤ 33) and
@@ -48,7 +50,7 @@ func assertBitIdentical(t *testing.T, want, got *Grid, label string) {
 // limit, 8 goroutines split across a 2D and a 3D family — and every
 // concurrent result is byte-identical to the same solve run sequentially.
 func TestRegistryServesTwoFamiliesConcurrently(t *testing.T) {
-	r := tuneRegistry(t, RegistryOptions{Workers: 4, MaxInFlight: 4, FactorCacheCap: 8})
+	r := tuneRegistry(t, RegistryOptions{Workers: 4, MaxInFlight: 4})
 
 	const goroutines = 8
 	const perG = 3
@@ -119,6 +121,47 @@ func TestRegistryServesTwoFamiliesConcurrently(t *testing.T) {
 	}
 	if m.Unroutable != 0 {
 		t.Errorf("unroutable = %d, want 0", m.Unroutable)
+	}
+}
+
+// TestRegistryFactorsOnceOverFiniteKeys: the shared factor cache needs no
+// bound because its keys are finite. Serving every tuned size of both
+// families at every tuned accuracy, through FULL-MULTIGRID and V alike,
+// factors at most one matrix per (family, level); serving it all again
+// factors nothing.
+func TestRegistryFactorsOnceOverFiniteKeys(t *testing.T) {
+	r := tuneRegistry(t, RegistryOptions{Workers: 2})
+	maxLevels := 0
+	for _, svc := range r.Services() {
+		maxLevels += grid.Level(svc.Solver().MaxSize())
+	}
+	serveAll := func(pass int) {
+		for _, svc := range r.Services() {
+			s := svc.Solver()
+			for n := 3; n <= s.MaxSize(); n = 2*n - 1 {
+				for i, acc := range s.Accuracies() {
+					p, err := s.NewFamilyProblem(n, Unbiased, int64(100*n+i))
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, solve := range []func(x, b *Grid, acc float64) error{svc.Solve, svc.SolveV} {
+						if err := solve(p.NewState(), p.B, acc); err != nil {
+							t.Fatalf("pass %d: %s N=%d accuracy %g: %v", pass, svc.Key(), n, acc, err)
+						}
+					}
+				}
+			}
+		}
+	}
+	serveAll(1)
+	factored, held := r.cache.Factorizations(), r.cache.Len()
+	if factored != int64(held) || held > maxLevels || held == 0 {
+		t.Fatalf("first pass: %d factorizations, %d held, want equal, nonzero and ≤ Σ MaxLevel = %d", factored, held, maxLevels)
+	}
+	t.Logf("first pass: %d factorizations, Σ MaxLevel = %d", factored, maxLevels)
+	serveAll(2)
+	if got := r.cache.Factorizations(); got != factored {
+		t.Fatalf("second pass factored %d more matrices, want 0", got-factored)
 	}
 }
 
