@@ -105,7 +105,7 @@ func benchInstance(b *testing.B, kind string, salt, level int, dist grid.Distrib
 	key := fmt.Sprintf("%s/%d/%s", kind, level, dist)
 	p, ok := benchState.probs[key]
 	if !ok {
-		p = problem.Random(grid.SizeOfLevel(level), dist, rand.New(rand.NewSource(int64(level*salt)+int64(dist))))
+		p = problem.RandomOp(grid.SizeOfLevel(level), dist, rand.New(rand.NewSource(int64(level*salt)+int64(dist))), stencil.Poisson())
 		refsol.Attach(p, nil, nil)
 		benchState.probs[key] = p
 	}
@@ -118,7 +118,7 @@ func benchInstance(b *testing.B, kind string, salt, level int, dist grid.Distrib
 // at N=65, the regime where all three are practical (§2 table).
 func BenchmarkComplexityTable(b *testing.B) {
 	p := benchProblem(b, 6, grid.Unbiased)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	b.Run("direct", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			x := p.NewState()
@@ -156,7 +156,7 @@ func BenchmarkComplexityTable(b *testing.B) {
 
 func BenchmarkFig6AutotunedV(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	ex := &mg.Executor{WS: ws, V: benchState.tuned.V}
 	accIdx := len(benchState.tuned.V.Acc) - 1 // 1e9
 	b.ResetTimer()
@@ -169,7 +169,7 @@ func BenchmarkFig6AutotunedV(b *testing.B) {
 func BenchmarkFig6ReferenceMultigrid(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
 	calib := benchCalib(b, benchLevel, grid.Unbiased)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	x := calib.NewState()
 	iters, _ := ws.SolveRefV(x, calib.B, 1e9, 100, func() float64 { return calib.AccuracyOf(x) }, nil)
 	b.ResetTimer()
@@ -185,7 +185,7 @@ func BenchmarkFig6ReferenceMultigrid(b *testing.B) {
 
 func BenchmarkFig7Heuristics(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Biased)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	for name, vt := range benchState.heur {
 		b.Run(name, func(b *testing.B) {
 			ex := &mg.Executor{WS: ws, V: vt}
@@ -218,7 +218,7 @@ func BenchmarkFig9Speedup(b *testing.B) {
 				pool = sched.NewPool(workers)
 				defer pool.Close()
 			}
-			ws := mg.NewWorkspace(pool)
+			ws := mg.NewWorkspace(pool, stencil.Poisson())
 			ex := &mg.Executor{WS: ws, V: benchState.tuned.V}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -235,7 +235,7 @@ func BenchmarkFig9Speedup(b *testing.B) {
 // (accuracy, distribution) cell on the host machine.
 func benchRelative(b *testing.B, target float64, dist grid.Distribution, bundle func() *core.Tuned) {
 	p := benchProblem(b, benchLevel, dist)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	accIdx := 0
 	for i, a := range bundle().V.Acc {
 		if a >= target {
@@ -307,7 +307,7 @@ func BenchmarkFig13(b *testing.B) {
 
 func BenchmarkFig5CycleRender(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	for i := 0; i < b.N; i++ {
 		var log mg.ShapeLog
 		ex := &mg.Executor{WS: ws, V: benchState.tuned.V, Rec: &log}
@@ -334,7 +334,7 @@ func BenchmarkFig4Describe(b *testing.B) {
 // foreign cost model, the unit of the §4.3 portability study.
 func BenchmarkCrossTrainEvaluation(b *testing.B) {
 	p := benchProblem(b, benchLevel, grid.Unbiased)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	model := arch.Niagara()
 	for i := 0; i < b.N; i++ {
 		var tr mg.OpTrace
@@ -454,7 +454,7 @@ func BenchmarkKernels(b *testing.B) {
 	})
 	b.Run("direct-factor-solve-65", func(b *testing.B) {
 		p65 := benchProblem(b, 6, grid.Unbiased)
-		ws := mg.NewWorkspace(nil)
+		ws := mg.NewWorkspace(nil, stencil.Poisson())
 		for i := 0; i < b.N; i++ {
 			y := p65.NewState()
 			ws.SolveDirect(y, p65.B, nil)

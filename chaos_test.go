@@ -146,7 +146,7 @@ func TestChaosEscalationRestartsFromCallerBits(t *testing.T) {
 		}
 		want := p.NewState()
 		ex := mg.Executor{WS: s.ws, V: s.tuned.V, F: s.tuned.F, ForceF64: true}
-		if err := ex.Run(func() { ex.SolveV(want, p.B, idx) }); err != nil {
+		if err := mg.Catch(func() { ex.SolveV(want, p.B, idx) }); err != nil {
 			t.Fatal(err)
 		}
 

@@ -234,7 +234,8 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			cx := grid.NewDim(fam.dim, grid.Coarsen(n))
 			grid.FillRandom(cx, grid.Unbiased, rng)
 			unfused = benchBest(reset, func() {
-				transfer.InterpolateAdd(pool, x, cx, scratch)
+				transfer.Interpolate(pool, scratch, cx)
+				x.AddInterior(scratch)
 				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
 				stencil.OpResidualNorm(op, pool, x, b, h)
 			})

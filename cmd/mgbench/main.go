@@ -25,11 +25,12 @@ import (
 	"runtime"
 
 	"pbmg/internal/experiments"
+	"pbmg/internal/grid"
 )
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, cluster, kernels, escapes, bce, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, cluster, kernels, escapes, bce, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
@@ -117,7 +118,9 @@ func run(r *experiments.Runner, exp string) error {
 	case "fig4":
 		return printText(r.Fig4())
 	case "fig5":
-		return printText(r.Fig5(0)) // unbiased
+		return printText(r.Fig5(grid.Unbiased))
+	case "fig5b":
+		return printText(r.Fig5(grid.Biased))
 	case "crosstrain":
 		return printTable(r.CrossTrain())
 	case "ablation-smoother":

@@ -99,7 +99,7 @@ func TestConcurrentSolvesOnColdFactorCache(t *testing.T) {
 	s := tuneShared(t)
 	// Same tuned tables on a fresh workspace, so eight first solves race to
 	// factor each matrix: the factor-once path must be concurrency-clean.
-	s2 := &Solver{tuned: s.tuned, ws: mg.NewWorkspace(nil)}
+	s2 := &Solver{tuned: s.tuned, ws: mg.NewWorkspace(nil, s.ws.Op)}
 	const goroutines = 8
 	const target = 1e3
 	var wg sync.WaitGroup

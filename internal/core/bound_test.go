@@ -329,7 +329,7 @@ func newScheduled(t *testing.T, schedule ...[]float64) *scheduled {
 	s := &scheduled{tn: tn, schedule: schedule, steps: make([]int, len(schedule)), last: -1}
 	rng := rand.New(rand.NewSource(7))
 	for range schedule {
-		p := problem.Zero(9)
+		p := &problem.Problem{N: 9, H: 1.0 / 8, Op: stencil.Poisson(), B: grid.New(9), Boundary: grid.New(9)}
 		opt := p.NewState()
 		grid.FillRandom(opt, grid.Unbiased, rng)
 		opt.CopyBoundaryFrom(p.Boundary)

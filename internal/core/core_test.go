@@ -15,6 +15,7 @@ import (
 	"pbmg/internal/mg"
 	"pbmg/internal/problem"
 	"pbmg/internal/refsol"
+	"pbmg/internal/stencil"
 )
 
 // newModelTuner builds a fast deterministic tuner on the Harpertown model.
@@ -36,7 +37,7 @@ func newModelTuner(t *testing.T, maxLevel int, dist grid.Distribution) *Tuner {
 // testInstance returns a fresh (non-training) problem with its reference.
 func testInstance(t *testing.T, level int, dist grid.Distribution, seed int64) *problem.Problem {
 	t.Helper()
-	p := problem.Random(grid.SizeOfLevel(level), dist, rand.New(rand.NewSource(seed)))
+	p := problem.RandomOp(grid.SizeOfLevel(level), dist, rand.New(rand.NewSource(seed)), stencil.Poisson())
 	refsol.Attach(p, nil, nil)
 	return p
 }
@@ -81,7 +82,7 @@ func TestTunedVMeetsAccuracyTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testInstance(t, 5, grid.Unbiased, 777)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	ex := &mg.Executor{WS: ws, V: vt}
 	for i, target := range vt.Acc {
 		x := p.NewState()
@@ -134,7 +135,7 @@ func TestTunedVBeatsOrTiesReferenceV(t *testing.T) {
 	target := 1e5
 	accIdx := 2 // 1e5 in the default ladder
 
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	var tuned mg.OpTrace
 	ex := &mg.Executor{WS: ws, V: vt, Rec: &tuned}
 	xt := p.NewState()
@@ -163,7 +164,7 @@ func TestTuneFullProducesValidTableAndMeetsTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testInstance(t, 5, grid.Biased, 555)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	ex := &mg.Executor{WS: ws, V: bundle.V, F: bundle.F}
 	for i, target := range bundle.F.Acc {
 		x := p.NewState()
@@ -277,7 +278,7 @@ func TestHeuristicTables(t *testing.T) {
 			t.Fatalf("heuristic %g: %v", sub, err)
 		}
 		p := testInstance(t, 5, grid.Biased, 31337)
-		ws := mg.NewWorkspace(nil)
+		ws := mg.NewWorkspace(nil, stencil.Poisson())
 		ex := &mg.Executor{WS: ws, V: vt}
 		x := p.NewState()
 		ex.SolveV(x, p.B, len(vt.Acc)-1)
@@ -424,7 +425,7 @@ func TestWallClockTuningSmall(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := testInstance(t, 4, grid.Unbiased, 123)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	ex := &mg.Executor{WS: ws, V: vt}
 	x := p.NewState()
 	ex.SolveV(x, p.B, len(vt.Acc)-1)

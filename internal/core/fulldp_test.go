@@ -9,6 +9,7 @@ import (
 
 	"pbmg/internal/grid"
 	"pbmg/internal/mg"
+	"pbmg/internal/stencil"
 )
 
 func TestTuneVParetoFrontsAreNonDominated(t *testing.T) {
@@ -63,7 +64,7 @@ func TestParetoPlanMeetsAccuracyOnTestData(t *testing.T) {
 		t.Fatalf("selected plan's trained accuracy %.3g below target", pt.Accuracy)
 	}
 	p := testInstance(t, 5, grid.Unbiased, 4242)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	x := p.NewState()
 	pt.Plan.Execute(ws, x, p.B, nil)
 	if got := p.AccuracyOf(x); got < 1e4 {
@@ -117,7 +118,7 @@ func TestPlanNodeString(t *testing.T) {
 
 func TestPlanNodeExecuteDirectAndSOR(t *testing.T) {
 	p := testInstance(t, 4, grid.Biased, 9)
-	ws := mg.NewWorkspace(nil)
+	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	x := p.NewState()
 	(&PlanNode{Choice: mg.ChoiceDirect}).Execute(ws, x, p.B, nil)
 	if acc := p.AccuracyOf(x); acc < 1e10 {

@@ -226,16 +226,14 @@ func New(cfg Config) (*Tuner, error) {
 	// which depends on the operator's dimension; derive a coster for this
 	// tuner's geometry (the caller's coster is never mutated).
 	cfg.Coster = arch.ForDim(cfg.Coster, op.Dim())
-	ws := mg.NewWorkspace(cfg.Pool)
+	// The workspace's factor cache serves candidates and reference solves
+	// (see training), unbounded because a tune touches a handful of sizes,
+	// and the tuner's own so that the factorizations die with it: the
+	// candidates' coarse solves, the band solves refsol's guard hands a
+	// stalled reference to (16.5 MB at N = 129), and under a wall clock
+	// those of every level the direct choice is timed at.
+	ws := mg.NewWorkspace(cfg.Pool, op)
 	ws.Smoother = cfg.Smoother
-	ws.Op = op
-	// One cache for candidates and reference solves (see training), unbounded
-	// because a tune touches a handful of sizes, and the tuner's own so that
-	// the factorizations die with it: the candidates' coarse solves, the band
-	// solves refsol's guard hands a stalled reference to (16.5 MB at
-	// N = 129), and under a wall clock those of every level the direct
-	// choice is timed at.
-	ws.FactorCache = &direct.Cache{}
 	return &Tuner{
 		cfg:    cfg,
 		op:     op,

@@ -23,6 +23,7 @@ import (
 	"pbmg/internal/problem"
 	"pbmg/internal/refsol"
 	"pbmg/internal/sched"
+	"pbmg/internal/stencil"
 )
 
 // Opts configures an experiment run.
@@ -127,7 +128,7 @@ func NewRunner(o Opts) *Runner {
 // workspace returns a Poisson workspace on pool that factors through the
 // Runner's cache.
 func (r *Runner) workspace(pool *sched.Pool) *mg.Workspace {
-	ws := mg.NewWorkspace(pool)
+	ws := mg.NewWorkspace(pool, stencil.Poisson())
 	ws.FactorCache = r.cache
 	return ws
 }
@@ -197,7 +198,7 @@ func (r *Runner) calibSet(level int, dist grid.Distribution) []*problem.Problem 
 		p, ok := r.tests[key]
 		if !ok {
 			rng := rand.New(rand.NewSource(r.O.Seed + int64(level)*1009 + int64(i)))
-			p = problem.Random(grid.SizeOfLevel(level), dist, rng)
+			p = problem.RandomOp(grid.SizeOfLevel(level), dist, rng, stencil.Poisson())
 			refsol.Attach(p, r.pool, r.cache)
 			r.tests[key] = p
 		}
@@ -237,7 +238,7 @@ func (r *Runner) instance(kind string, salt int64, level int, dist grid.Distribu
 		return p
 	}
 	rng := rand.New(rand.NewSource(r.O.Seed ^ salt ^ int64(level)<<8 ^ int64(dist)))
-	p := problem.Random(grid.SizeOfLevel(level), dist, rng)
+	p := problem.RandomOp(grid.SizeOfLevel(level), dist, rng, stencil.Poisson())
 	refsol.Attach(p, r.pool, r.cache)
 	r.tests[key] = p
 	return p

@@ -151,8 +151,7 @@ func solveCell(t *testing.T, tn *core.Tuned, level, accIdx int) (golden, float64
 		t.Fatal(err)
 	}
 	n := grid.SizeOfLevel(level)
-	ws := mg.NewWorkspace(nil)
-	ws.Op = op
+	ws := mg.NewWorkspace(nil, op)
 
 	rng := rand.New(rand.NewSource(goldenTestSeed + int64(level)))
 	p := problem.RandomOp(n, grid.Unbiased, rng, op.At(n))

@@ -123,8 +123,7 @@ func solveBits(t *testing.T, f stencil.Family, eps float64, maxN int) map[string
 		n := grid.SizeOfLevel(level)
 		p := problem.RandomOp(n, grid.Unbiased, rand.New(rand.NewSource(int64(level))), op.At(n))
 		run := func(key string, smoother mg.Smoother, solve func(ex *mg.Executor, x *grid.Grid)) {
-			ws := mg.NewWorkspace(nil)
-			ws.Op = op
+			ws := mg.NewWorkspace(nil, op)
 			ws.Smoother = smoother
 			var tr mg.OpTrace
 			ex := &mg.Executor{WS: ws, V: tuned.V, F: tuned.F, Rec: &tr}

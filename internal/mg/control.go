@@ -9,10 +9,9 @@ import (
 // divergence detection. Both abort a running cycle by panicking with a
 // solveAbort, which unwinds through every `defer release` on the recursion
 // path — so each level's pooled scratch goes back to the arena — and is
-// converted back into its error by Executor.Run (or Catch) at the solve
-// boundary. The panic never crosses a goroutine: checkpoints and divergence
-// guards run only on the calling goroutine, between kernels, never inside
-// pool tasks.
+// converted back into its error by Catch at the solve boundary. The panic
+// never crosses a goroutine: checkpoints and divergence guards run only on
+// the calling goroutine, between kernels, never inside pool tasks.
 
 // ErrCancelled reports a solve aborted between cycles or levels because
 // the executor's context was done — a client deadline expired or the
@@ -39,10 +38,6 @@ const divergenceGrowth = 1e6
 // running cycle. Only raise it through checkpoint/abortDiverged and only
 // on the solve's calling goroutine.
 type solveAbort struct{ err error }
-
-// Run executes one solve body, converting a cancellation or divergence
-// abort raised inside it back into the error it carries (see Catch).
-func (e *Executor) Run(f func()) error { return Catch(f) }
 
 // Catch runs f, converting a cancellation or divergence abort raised inside
 // it back into the error it carries. Other panics — genuine bugs, injected

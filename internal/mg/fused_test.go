@@ -10,14 +10,64 @@ import (
 	"pbmg/internal/problem"
 	"pbmg/internal/sched"
 	"pbmg/internal/stencil"
+	"pbmg/internal/transfer"
 )
 
-// Cycle-level lockdown of the fused kernels: a workspace with noFuse set
-// runs the original separate smooth/residual/restriction passes. The fused
-// default performs the same sweeps bit for bit and the same restriction up
-// to floating-point association (the fused restriction applies the full
-// weighting separably), so whole cycles must agree to rounding error — and
-// the fused path must be bit-identical to itself across worker counts.
+// Cycle-level lockdown of the fused kernels against an unfused oracle built
+// here from the separate passes: SOR sweep, residual into a fine grid,
+// full-weighting restriction, interpolation into a fine grid added to x. The
+// production cycles perform the same sweeps bit for bit and the same
+// restriction up to floating-point association (the fused restriction
+// applies the full weighting separably in 3D), so whole cycles must agree
+// to rounding error — and the fused path must be bit-identical to itself
+// across worker counts.
+
+// oracleVCycle is MULTIGRID-V-SIMPLE as separate serial passes; only the
+// N = 3 direct solve goes through ws.
+func oracleVCycle(ws *Workspace, x, b *grid.Grid) {
+	n := x.N()
+	if n == 3 {
+		ws.SolveDirect(x, b, nil)
+		return
+	}
+	op, h := ws.Op.At(n), 1.0/float64(n-1)
+	stencil.OpSORSweepRB(op, nil, x, b, h, op.OmegaSmooth())
+	cx, cb := oracleRestrictResidual(ws, x, b)
+	oracleVCycle(ws, cx, cb)
+	oracleCorrect(x, cx)
+	stencil.OpSORSweepRB(op, nil, x, b, h, op.OmegaSmooth())
+}
+
+// oracleFullMG is the reference full multigrid as separate serial passes:
+// ESTIMATE by recursion on the restricted residual, then one V-cycle.
+func oracleFullMG(ws *Workspace, x, b *grid.Grid) {
+	if x.N() == 3 {
+		ws.SolveDirect(x, b, nil)
+		return
+	}
+	cx, cb := oracleRestrictResidual(ws, x, b)
+	oracleFullMG(ws, cx, cb)
+	oracleCorrect(x, cx)
+	oracleVCycle(ws, x, b)
+}
+
+// oracleRestrictResidual returns a zero coarse state and the restriction of
+// the materialized fine residual b − T·x.
+func oracleRestrictResidual(ws *Workspace, x, b *grid.Grid) (cx, cb *grid.Grid) {
+	n, nc := x.N(), grid.Coarsen(x.N())
+	r := grid.NewDim(x.Dim(), n)
+	stencil.OpResidual(ws.Op.At(n), nil, r, x, b, 1.0/float64(n-1))
+	cb = grid.NewDim(x.Dim(), nc)
+	transfer.Restrict(nil, cb, r)
+	return grid.NewDim(x.Dim(), nc), cb
+}
+
+// oracleCorrect adds the materialized interpolation of cx to x's interior.
+func oracleCorrect(x, cx *grid.Grid) {
+	e := grid.NewDim(x.Dim(), x.N())
+	transfer.Interpolate(nil, e, cx)
+	x.AddInterior(e)
+}
 
 func fusedCycleOps(t *testing.T) []struct {
 	name string
@@ -63,17 +113,13 @@ func TestVCycleFusedMatchesUnfused(t *testing.T) {
 				rng := rand.New(rand.NewSource(99))
 				p := problem.RandomOp(tc.n, grid.Unbiased, rng, tc.op)
 
-				run := func(noFuse bool) *grid.Grid {
-					ws := NewWorkspace(pool)
-					ws.Op = tc.op
-					ws.noFuse = noFuse
-					x := p.NewState()
-					for c := 0; c < 3; c++ {
-						ws.RefVCycle(x, p.B, nil)
-					}
-					return x
+				ws := NewWorkspace(pool, tc.op)
+				fused, unfused := p.NewState(), p.NewState()
+				for c := 0; c < 3; c++ {
+					ws.RefVCycle(fused, p.B, nil)
+					oracleVCycle(ws, unfused, p.B)
 				}
-				assertGridsClose(t, run(true), run(false), "V-cycle fused vs unfused")
+				assertGridsClose(t, unfused, fused, "V-cycle fused vs unfused")
 			})
 		}
 	}
@@ -90,8 +136,7 @@ func TestVCycleFusedDeterministicAcrossPools(t *testing.T) {
 			rng := rand.New(rand.NewSource(123))
 			p := problem.RandomOp(tc.n, grid.Unbiased, rng, tc.op)
 			run := func(pl *sched.Pool) *grid.Grid {
-				ws := NewWorkspace(pl)
-				ws.Op = tc.op
+				ws := NewWorkspace(pl, tc.op)
 				x := p.NewState()
 				for c := 0; c < 3; c++ {
 					ws.RefVCycle(x, p.B, nil)
@@ -109,22 +154,19 @@ func TestVCycleFusedDeterministicAcrossPools(t *testing.T) {
 	}
 }
 
-// TestFullMGFusedMatchesUnfused locks the Estimate/RefFullMG downstroke the
-// same way, through the full-multigrid reference pass.
+// TestFullMGFusedMatchesUnfused locks the ESTIMATE step — the fused
+// residual restriction and interpolate-add — the same way, through the
+// full-multigrid reference pass.
 func TestFullMGFusedMatchesUnfused(t *testing.T) {
 	for _, tc := range fusedCycleOps(t) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(101))
 			p := problem.RandomOp(tc.n, grid.Unbiased, rng, tc.op)
-			run := func(noFuse bool) *grid.Grid {
-				ws := NewWorkspace(nil)
-				ws.Op = tc.op
-				ws.noFuse = noFuse
-				x := p.NewState()
-				ws.RefFullMG(x, p.B, nil)
-				return x
-			}
-			assertGridsClose(t, run(true), run(false), "FMG fused vs unfused")
+			ws := NewWorkspace(nil, tc.op)
+			fused, unfused := p.NewState(), p.NewState()
+			ws.RefFullMG(fused, p.B, nil)
+			oracleFullMG(ws, unfused, p.B)
+			assertGridsClose(t, unfused, fused, "FMG fused vs unfused")
 		})
 	}
 }
@@ -139,8 +181,7 @@ func TestRecurseWithNormMatchesSeparateProbe(t *testing.T) {
 			p := problem.RandomOp(tc.n, grid.Unbiased, rng, tc.op)
 			h := 1.0 / float64(tc.n-1)
 
-			ws := NewWorkspace(nil)
-			ws.Op = tc.op
+			ws := NewWorkspace(nil, tc.op)
 			coarse := func(cx, cb *grid.Grid) { ws.RefVCycle(cx, cb, nil) }
 
 			xo := p.NewState()
@@ -161,8 +202,7 @@ func TestRecurseWithNormMatchesSeparateProbe(t *testing.T) {
 
 			// The Jacobi ablation takes the fallback path (separate probe)
 			// and must agree with itself too.
-			wsj := NewWorkspace(nil)
-			wsj.Op = tc.op
+			wsj := NewWorkspace(nil, tc.op)
 			wsj.Smoother = SmootherJacobi
 			coarseJ := func(cx, cb *grid.Grid) { wsj.RefVCycle(cx, cb, nil) }
 			xj := p.NewState()

@@ -26,8 +26,7 @@ func random3DProblem(n int, seed int64) (x, b *grid.Grid) {
 }
 
 func newWS3(pool *sched.Pool) *Workspace {
-	ws := NewWorkspace(pool)
-	ws.Op = stencil.Poisson3D()
+	ws := NewWorkspace(pool, stencil.Poisson3D())
 	return ws
 }
 

@@ -15,8 +15,8 @@ import (
 // computed by the direct solver.
 func testProblem(t *testing.T, n int, dist grid.Distribution, seed int64) (*problem.Problem, *Workspace) {
 	t.Helper()
-	p := problem.Random(n, dist, rand.New(rand.NewSource(seed)))
-	ws := NewWorkspace(nil)
+	p := problem.RandomOp(n, dist, rand.New(rand.NewSource(seed)), stencil.Poisson())
+	ws := NewWorkspace(nil, stencil.Poisson())
 	opt := p.NewState()
 	ws.SolveDirect(opt, p.B, nil)
 	p.SetOptimal(opt)
@@ -98,15 +98,6 @@ func TestRefFullMGFasterThanV(t *testing.T) {
 	ifmg, _ := ws.SolveRefFullMG(xf, p.B, 1e5, 100, func() float64 { return p.AccuracyOf(xf) }, nil)
 	if ifmg > iv {
 		t.Fatalf("full MG took %d iterations vs V's %d; estimation phase should help", ifmg, iv)
-	}
-}
-
-func TestSolveSORReachesTarget(t *testing.T) {
-	p, ws := testProblem(t, 17, grid.Unbiased, 3)
-	x := p.NewState()
-	iters, acc := ws.SolveSOR(x, p.B, 1e3, 100000, func() float64 { return p.AccuracyOf(x) }, nil)
-	if acc < 1e3 {
-		t.Fatalf("SOR reached %v after %d iters, want ≥ 1e3", acc, iters)
 	}
 }
 
@@ -394,7 +385,7 @@ func TestDescribeFull(t *testing.T) {
 }
 
 func TestWorkspaceArenaCheckout(t *testing.T) {
-	ws := NewWorkspace(nil)
+	ws := NewWorkspace(nil, stencil.Poisson())
 	// Overlapping checkouts (as in concurrent solves) must yield distinct
 	// scratch sets; sizes must match the level geometry.
 	b1 := ws.checkout(17)
@@ -413,8 +404,8 @@ func TestWorkspaceArenaCheckout(t *testing.T) {
 }
 
 func TestWorkspaceDirectCaching(t *testing.T) {
-	ws := NewWorkspace(nil)
-	p := problem.Random(9, grid.Unbiased, rand.New(rand.NewSource(11)))
+	ws := NewWorkspace(nil, stencil.Poisson())
+	p := problem.RandomOp(9, grid.Unbiased, rand.New(rand.NewSource(11)), stencil.Poisson())
 	x1, x2, x3 := p.NewState(), p.NewState(), p.NewState()
 	direct.NewInteriorSolver(stencil.Poisson(), 9).Solve(x1, p.B, p.H) // a fresh factorization
 	ws.SolveDirect(x2, p.B, nil)                                       // factors into the cache
@@ -424,17 +415,8 @@ func TestWorkspaceDirectCaching(t *testing.T) {
 			t.Fatal("cached and fresh direct solves differ")
 		}
 	}
-	if got := ws.factorCache().Factorizations(); got != 1 {
+	if got := ws.FactorCache.Factorizations(); got != 1 {
 		t.Fatalf("two direct solves at one size ran %d factorizations, want 1", got)
-	}
-}
-
-func TestMultiRecorder(t *testing.T) {
-	var a, b OpTrace
-	m := MultiRecorder{&a, nil, &b}
-	m.Record(EvRelax, 2, 3)
-	if a.Count(EvRelax, 2) != 3 || b.Count(EvRelax, 2) != 3 {
-		t.Fatal("MultiRecorder did not fan out")
 	}
 }
 
@@ -466,7 +448,7 @@ func TestJacobiSmootherConvergesInVCycle(t *testing.T) {
 		t.Fatalf("Jacobi-smoothed V cycles reached %.3g after %d iters", acc, iters)
 	}
 	// The paper found SOR the better smoother: same target, fewer cycles.
-	ws2 := NewWorkspace(nil)
+	ws2 := NewWorkspace(nil, stencil.Poisson())
 	xs := p.NewState()
 	itersSOR, _ := ws2.SolveRefV(xs, p.B, 1e5, 100, func() float64 { return p.AccuracyOf(xs) }, nil)
 	if itersSOR > iters {

@@ -1,10 +1,6 @@
 package mg
 
-import (
-	"pbmg/internal/grid"
-	"pbmg/internal/stencil"
-	"pbmg/internal/transfer"
-)
+import "pbmg/internal/grid"
 
 // This file implements the paper's algorithmically static baselines:
 // MULTIGRID-V-SIMPLE (§2.1), the reference iterated V-cycle, and the
@@ -30,41 +26,15 @@ func refVCycleOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder) {
 	}, nil)
 }
 
-// RefWCycle performs one standard W-cycle on x in place: like the V-cycle
-// but visiting the coarse level twice per level (cycle index γ=2), the
-// other classic symmetric shape the paper's tuned cycles are compared
-// against conceptually (§2.4).
-func (ws *Workspace) RefWCycle(x, b *grid.Grid, rec Recorder) {
-	if x.N() == 3 {
-		ws.SolveDirect(x, b, rec)
-		return
-	}
-	ws.RecurseWith(x, b, rec, func(cx, cb *grid.Grid) {
-		ws.RefWCycle(cx, cb, rec)
-		if cx.N() > 3 {
-			ws.RefWCycle(cx, cb, rec)
-		}
-	})
-}
-
 // RefFullMG performs one standard full-multigrid pass on x in place: an
 // estimation phase that recursively solves the restricted residual problem
 // (Figure 3), followed by one V-cycle at this resolution.
 func (ws *Workspace) RefFullMG(x, b *grid.Grid, rec Recorder) {
-	n := x.N()
-	if n == 3 {
+	if x.N() == 3 {
 		ws.SolveDirect(x, b, rec)
 		return
 	}
-	lvl := grid.Level(n)
-	bufs := ws.checkout(n)
-	defer ws.release(bufs)
-
-	ws.restrictResidual(x, b, bufs, rec)
-	bufs.cx.Zero()
-	ws.RefFullMG(bufs.cx, bufs.cb, rec)
-	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
-	record(rec, EvInterp, lvl, 1)
+	ws.estimate(x, b, rec, func(cx, cb *grid.Grid) { ws.RefFullMG(cx, cb, rec) })
 	ws.RefVCycle(x, b, rec)
 }
 
@@ -98,19 +68,4 @@ func (ws *Workspace) SolveRefFullMG(x, b *grid.Grid, target float64, maxIters in
 	}
 	iters, a := IterateUntil(target, maxIters-1, func() { ws.RefVCycle(x, b, rec) }, accuracy)
 	return iters + 1, a
-}
-
-// SolveSOR iterates single SOR sweeps with the operator's shortcut-solver
-// weight until the accuracy target is met — the paper's iterative baseline.
-func (ws *Workspace) SolveSOR(x, b *grid.Grid, target float64, maxIters int, accuracy func() float64, rec Recorder) (int, float64) {
-	n := x.N()
-	h := 1.0 / float64(n-1)
-	op := ws.opAt(n)
-	omega := stencil.OmegaOpt(n)
-	lvl := grid.Level(n)
-	iters, a := IterateUntil(target, maxIters, func() {
-		stencil.OpSORSweepRB(op, ws.Pool, x, b, h, omega)
-	}, accuracy)
-	record(rec, EvIterSolve, lvl, iters)
-	return iters, a
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"pbmg/internal/grid"
+	"pbmg/internal/stencil"
 )
 
 // TestSnapshotHoldsExactBits: a snapshot is the caller's state bit for bit
@@ -13,7 +14,7 @@ import (
 // dirty the arena grid it lands in, and it is a scratch checkout like any
 // other: one outstanding set until released.
 func TestSnapshotHoldsExactBits(t *testing.T) {
-	ws := NewWorkspace(nil)
+	ws := NewWorkspace(nil, stencil.Poisson())
 	for _, n := range []int{3, 5, 17} {
 		x := grid.New(n)
 		rng := rand.New(rand.NewSource(int64(n)))
@@ -48,7 +49,7 @@ func TestSnapshotHoldsExactBits(t *testing.T) {
 // grid released by one is never handed out by the other, and a state of the
 // wrong dimension is refused before anything is checked out.
 func TestSnapshotArenasArePerWorkspace(t *testing.T) {
-	ws2, ws3 := NewWorkspace(nil), newWS3(nil)
+	ws2, ws3 := NewWorkspace(nil, stencil.Poisson()), newWS3(nil)
 	x2, x3 := grid.New(9), grid.New3(9)
 	seen := map[*grid.Grid]int{}
 	for round := 0; round < 4; round++ {

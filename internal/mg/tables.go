@@ -130,23 +130,28 @@ func (t *VTable) Plan(level, accIdx int) Plan {
 // Validate checks structural invariants: ascending positive accuracies,
 // rectangular plan rows, legal choices, positive iteration counts, and
 // sub-accuracy indexes in range.
-func (t *VTable) Validate() error {
-	if len(t.Acc) == 0 {
-		return fmt.Errorf("mg: VTable has no accuracy targets")
+func (t *VTable) Validate() error { return validateTable("VTable", t.Acc, t.Plans) }
+
+// validateTable checks what both tables share — an ascending finite ladder
+// of positive accuracies and one plan per accuracy in every row — and each
+// plan's own invariants.
+func validateTable[P interface{ validate(numAcc int) error }](name string, acc []float64, plans [][]P) error {
+	if len(acc) == 0 {
+		return fmt.Errorf("mg: %s has no accuracy targets", name)
 	}
 	prev := 0.0
-	for i, a := range t.Acc {
+	for i, a := range acc {
 		if a <= prev || math.IsNaN(a) || math.IsInf(a, 0) {
 			return fmt.Errorf("mg: accuracy targets must be ascending and finite; Acc[%d]=%v", i, a)
 		}
 		prev = a
 	}
-	for k, row := range t.Plans {
-		if len(row) != len(t.Acc) {
-			return fmt.Errorf("mg: level %d has %d plans, want %d", k+2, len(row), len(t.Acc))
+	for k, row := range plans {
+		if len(row) != len(acc) {
+			return fmt.Errorf("mg: level %d has %d plans, want %d", k+2, len(row), len(acc))
 		}
 		for i, p := range row {
-			if err := p.validate(len(t.Acc)); err != nil {
+			if err := p.validate(len(acc)); err != nil {
 				return fmt.Errorf("mg: level %d acc %d: %w", k+2, i, err)
 			}
 		}
@@ -255,29 +260,7 @@ func (t *FTable) Plan(level, accIdx int) FullPlan {
 }
 
 // Validate checks structural invariants of the table.
-func (t *FTable) Validate() error {
-	if len(t.Acc) == 0 {
-		return fmt.Errorf("mg: FTable has no accuracy targets")
-	}
-	prev := 0.0
-	for i, a := range t.Acc {
-		if a <= prev || math.IsNaN(a) || math.IsInf(a, 0) {
-			return fmt.Errorf("mg: accuracy targets must be ascending and finite; Acc[%d]=%v", i, a)
-		}
-		prev = a
-	}
-	for k, row := range t.Plans {
-		if len(row) != len(t.Acc) {
-			return fmt.Errorf("mg: level %d has %d plans, want %d", k+2, len(row), len(t.Acc))
-		}
-		for i, p := range row {
-			if err := p.validate(len(t.Acc)); err != nil {
-				return fmt.Errorf("mg: level %d acc %d: %w", k+2, i, err)
-			}
-		}
-	}
-	return nil
-}
+func (t *FTable) Validate() error { return validateTable("FTable", t.Acc, t.Plans) }
 
 func (p FullPlan) validate(numAcc int) error {
 	switch p.Choice {

@@ -165,15 +165,3 @@ func (s *ShapeLog) Record(kind EventKind, level, count int) {
 
 // Reset clears the log for reuse.
 func (s *ShapeLog) Reset() { s.Events = s.Events[:0] }
-
-// MultiRecorder fans events out to several recorders.
-type MultiRecorder []Recorder
-
-// Record implements Recorder.
-func (m MultiRecorder) Record(kind EventKind, level, count int) {
-	for _, r := range m {
-		if r != nil {
-			r.Record(kind, level, count)
-		}
-	}
-}

@@ -8,7 +8,6 @@ import (
 	"pbmg/internal/faultinject"
 	"pbmg/internal/grid"
 	"pbmg/internal/stencil"
-	"pbmg/internal/transfer"
 )
 
 // Executor runs the tuned algorithm families against a workspace. V must be
@@ -28,7 +27,7 @@ type Executor struct {
 
 	// Ctx, when non-nil, is polled at cycle and level boundaries: once it
 	// is done the solve aborts with an error wrapping ErrCancelled
-	// (delivered through Run), returning every pooled scratch buffer on
+	// (delivered through Catch), returning every pooled scratch buffer on
 	// the way out. Nil (the default) costs nothing.
 	Ctx context.Context
 
@@ -237,22 +236,10 @@ func (e *Executor) SolveFull(x, b *grid.Grid, accIdx int) {
 		return
 	case FullEstimate:
 		e.Estimate(x, b, plan.EstAcc)
-		switch plan.Solve {
-		case ChoiceSOR:
-			if plan.Iters > 0 {
-				e.WS.SOR(x, b, stencil.OmegaOpt(x.N()), plan.Iters, e.Rec)
-			}
-		case ChoiceRecurse:
-			for it := 0; it < plan.Iters; it++ {
-				e.Recurse(x, b, plan.SolveSub)
-			}
-		case ChoiceVCycle:
-			for it := 0; it < plan.Iters; it++ {
-				e.checkpoint()
-				e.WS.RefVCycle(x, b, e.Rec)
-			}
-		default:
-			panic(fmt.Sprintf("mg: invalid solve-phase choice %v", plan.Solve))
+		// The solve phase is a V cell's choice run Iters times; a zero count
+		// leaves no 0-sweep EvIterSolve in traces and shape logs.
+		if plan.Iters > 0 {
+			solveVPlan(e, x, b, Plan{Choice: plan.Solve, Sub: plan.SolveSub, Iters: plan.Iters})
 		}
 	default:
 		panic(fmt.Sprintf("mg: invalid full plan choice %v", plan.Choice))
@@ -263,22 +250,5 @@ func (e *Executor) SolveFull(x, b *grid.Grid, accIdx int) {
 // residual problem to half resolution, solve it with the tuned
 // FULL-MULTIGRID_j, and apply the interpolated correction to x.
 func (e *Executor) Estimate(x, b *grid.Grid, estAcc int) {
-	n := x.N()
-	lvl := grid.Level(n)
-	bufs := e.WS.checkout(n)
-	defer e.WS.release(bufs)
-
-	e.WS.restrictResidual(x, b, bufs, e.Rec)
-	bufs.cx.Zero()
-	e.SolveFull(bufs.cx, bufs.cb, estAcc)
-	// ESTIMATE has no post-smooth to fuse the correction into, but the fused
-	// interpolate-add still halves the pass's grid traffic (interpolated rows
-	// stream through a cache-resident row of scratch instead of a
-	// materialized full-size interpolant). noFuse keeps the oracle.
-	if e.WS.noFuse {
-		transfer.InterpolateAdd(e.WS.Pool, x, bufs.cx, bufs.scratch)
-	} else {
-		transfer.InterpolateAddFused(e.WS.Pool, x, bufs.cx, bufs.scratch)
-	}
-	record(e.Rec, EvInterp, lvl, 1)
+	e.WS.estimate(x, b, e.Rec, func(cx, cb *grid.Grid) { e.SolveFull(cx, cb, estAcc) })
 }

@@ -37,26 +37,14 @@ type Workspace struct {
 	Smoother Smoother
 	// Op is the operator family the workspace solves, discretized at the
 	// finest grid size it will see; coarser levels are derived on demand via
-	// the operator's memoized coarse hierarchy. Nil selects the
-	// constant-coefficient Poisson operator, preserving the original
-	// behavior of every call site that predates operator families.
+	// the operator's memoized coarse hierarchy.
 	Op *stencil.Operator
-	// FactorCache, when non-nil, replaces the workspace-private direct-factor
-	// cache, so several workspaces — one per served operator family — can
-	// share a single cache. Like the other configuration fields it must be
-	// set before the workspace is shared across goroutines.
+	// FactorCache holds the direct factorizations. NewWorkspace gives each
+	// workspace its own; several workspaces — one per served operator
+	// family — share one by overwriting it before first use.
 	FactorCache *direct.Cache
 
-	// noFuse runs the separate smooth/residual/restrict/interpolate/norm
-	// passes in place of the fused cycle kernels: the oracle this package's
-	// equivalence tests (fused_test.go) compare the fused cycles against,
-	// and nothing else sets it. The paths perform identical sweeps and
-	// agree on restrictions and norms to floating-point association
-	// (≤1e-12 of the data scale).
-	noFuse bool
-
-	cache direct.Cache // private factor-once cache when FactorCache is nil
-	arena sync.Map     // [2]int{n, bits} -> *sync.Pool of *levelBufsG[T]
+	arena sync.Map // [2]int{n, bits} -> *sync.Pool of *levelBufsG[T]
 
 	// outstanding counts scratch sets currently checked out across every
 	// size and precision — the checkout/release balance the pool-hygiene
@@ -71,25 +59,11 @@ type Workspace struct {
 // `defer release` of each level it entered.
 func (ws *Workspace) ScratchOutstanding() int64 { return ws.outstanding.Load() }
 
-// factorCache resolves the direct-factor cache in use (shared or private).
-func (ws *Workspace) factorCache() *direct.Cache {
-	if ws.FactorCache != nil {
-		return ws.FactorCache
-	}
-	return &ws.cache
-}
-
-// Operator returns the workspace's operator family (the shared Poisson
-// operator when Op is unset).
-func (ws *Workspace) Operator() *stencil.Operator {
-	if ws.Op == nil {
-		return stencil.Poisson()
-	}
-	return ws.Op
-}
+// Operator returns the workspace's operator family.
+func (ws *Workspace) Operator() *stencil.Operator { return ws.Op }
 
 // opAt resolves the workspace operator for grid size n.
-func (ws *Workspace) opAt(n int) *stencil.Operator { return ws.Operator().At(n) }
+func (ws *Workspace) opAt(n int) *stencil.Operator { return ws.Op.At(n) }
 
 // levelBufs is the scratch set a cycle needs at one grid size n: the
 // residual and interpolation scratch at size n, and the coarse right-hand
@@ -116,10 +90,10 @@ func newLevelBufs[T grid.Float](dim, n int) *levelBufsG[T] {
 	return bufs
 }
 
-// NewWorkspace returns a workspace using the given pool (nil for serial).
-// The zero value is also usable (serial, SOR smoother, private factor cache).
-func NewWorkspace(pool *sched.Pool) *Workspace {
-	return &Workspace{Pool: pool}
+// NewWorkspace returns a workspace solving op on the given pool (nil for
+// serial), with the SOR smoother and a factor cache of its own.
+func NewWorkspace(pool *sched.Pool, op *stencil.Operator) *Workspace {
+	return &Workspace{Pool: pool, Op: op, FactorCache: &direct.Cache{}}
 }
 
 // checkout returns a scratch set for grid size n from the arena,
@@ -144,7 +118,7 @@ func checkoutOf[T grid.Float](ws *Workspace, n int) *levelBufsG[T] {
 		}
 		// One workspace serves one operator, so the arena's dimension is
 		// fixed at the operator's.
-		dim := ws.Operator().Dim()
+		dim := ws.Op.Dim()
 		pi, _ = ws.arena.LoadOrStore(key, &sync.Pool{New: func() any { return newLevelBufs[T](dim, n) }})
 	}
 	ws.outstanding.Add(1)
@@ -169,7 +143,7 @@ type Snapshot struct{ bufs *levelBufs }
 // must hand it back with ReleaseSnapshot; until then it counts toward
 // ScratchOutstanding like any other checkout.
 func (ws *Workspace) Snapshot(x *grid.Grid) Snapshot {
-	if dim := ws.Operator().Dim(); x.Dim() != dim {
+	if dim := ws.Op.Dim(); x.Dim() != dim {
 		// Refused before the checkout, so a misuse panic leaks no scratch.
 		panic(fmt.Sprintf("mg: Snapshot needs a %dD grid, got %dD (N=%d)", dim, x.Dim(), x.N()))
 	}
@@ -189,7 +163,7 @@ func (ws *Workspace) ReleaseSnapshot(s Snapshot) { ws.release(s.bufs) }
 // once per (operator, size) in the workspace's factor cache.
 func (ws *Workspace) SolveDirect(x, b *grid.Grid, rec Recorder) {
 	n := x.N()
-	ws.factorCache().GetOp(ws.opAt(n), n).Solve(x, b, 1.0/float64(n-1))
+	ws.FactorCache.GetOp(ws.opAt(n), n).Solve(x, b, 1.0/float64(n-1))
 	RecordDirect(rec, grid.Level(n))
 }
 
@@ -258,15 +232,11 @@ func (s Smoother) String() string {
 // 5-point Laplacian.
 const jacobiWeight = 2.0 / 3.0
 
-// smooth runs sweeps of the configured smoother and records them as
+// smoothOf runs sweeps of the configured smoother and records them as
 // relaxations. tmp is a caller-provided scratch grid of x's size; the SOR
 // smoother updates in place and ignores it. The SOR weight is the operator
 // family's in-cycle heuristic (stencil.Operator.OmegaSmooth); the Jacobi
 // ablation keeps the classic fixed w = 2/3 for every family.
-func (ws *Workspace) smooth(x, b, tmp *grid.Grid, sweeps int, rec Recorder) {
-	smoothOf(ws, x, b, tmp, sweeps, rec)
-}
-
 func smoothOf[T grid.Float](ws *Workspace, x, b, tmp *grid.G[T], sweeps int, rec Recorder) {
 	n := x.N()
 	h := T(1.0 / float64(n-1))
@@ -286,35 +256,33 @@ func smoothOf[T grid.Float](ws *Workspace, x, b, tmp *grid.G[T], sweeps int, rec
 	record(rec, EvRelax, grid.Level(n), sweeps)
 }
 
-// restrictResidual computes the coarse right-hand side bufs.cb = R·(b − T·x)
-// at x's size, with bufs' fine grids as scratch. The default path is the
-// fused ResidualRestrict kernel, which streams the fine grid once and never
-// materializes the fine residual; with noFuse set it runs the original
-// residual pass into bufs.r followed by a separate restriction — the oracle
-// the fused path matches to floating-point association (≤1e-12 of the data
-// scale; in 2D the window weights even apply in the oracle's order, in 3D
-// they apply separably). Both paths record one EvResidual and one
-// EvRestrict: the trace counts logical operations, and the architecture cost
-// model prices their (now fused) traversal intensities.
-func (ws *Workspace) restrictResidual(x, b *grid.Grid, bufs *levelBufs, rec Recorder) {
-	restrictResidualOf(ws, x, b, bufs, rec)
-}
-
+// restrictResidualOf computes the coarse right-hand side bufs.cb =
+// R·(b − T·x) at x's size, with bufs' fine grids as scratch, in the fused
+// ResidualRestrict kernel: one stream over the fine grid, the fine residual
+// never materialized. It records one EvResidual and one EvRestrict: the
+// trace counts logical operations, and the architecture cost model prices
+// their fused traversal intensities.
 func restrictResidualOf[T grid.Float](ws *Workspace, x, b *grid.G[T], bufs *levelBufsG[T], rec Recorder) {
 	n := x.N()
-	h := T(1.0 / float64(n-1))
 	lvl := grid.Level(n)
-	op := ws.opAt(n)
-	if ws.noFuse {
-		stencil.OpResidual(op, ws.Pool, bufs.r, x, b, h)
-		record(rec, EvResidual, lvl, 1)
-		transfer.Restrict(ws.Pool, bufs.cb, bufs.r)
-		record(rec, EvRestrict, lvl, 1)
-		return
-	}
-	stencil.OpResidualRestrict(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h)
+	stencil.OpResidualRestrict(ws.opAt(n), ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, T(1.0/float64(n-1)))
 	record(rec, EvResidual, lvl, 1)
 	record(rec, EvRestrict, lvl, 1)
+}
+
+// estimate is the ESTIMATE step shared by both full-multigrid drivers
+// (§2.4): restrict the residual problem to half resolution, hand coarse a
+// zeroed coarse state and the restricted residual, and add the interpolated
+// correction to x. ESTIMATE has no post-smooth to fuse the correction into;
+// the row-fused interpolate-add streams it through a row of scratch.
+func (ws *Workspace) estimate(x, b *grid.Grid, rec Recorder, coarse func(cx, cb *grid.Grid)) {
+	bufs := ws.checkout(x.N())
+	defer ws.release(bufs)
+	restrictResidualOf(ws, x, b, bufs, rec)
+	bufs.cx.Zero()
+	coarse(bufs.cx, bufs.cb)
+	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
+	record(rec, EvInterp, grid.Level(x.N()), 1)
 }
 
 // RecurseWith performs the shared coarse-grid-correction skeleton of
@@ -365,9 +333,8 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	// three passes run as one composed kernel — the sweep's black half
 	// emits its residuals for free and the fused restriction evaluates the
 	// red half on the fly — so the fine grid is never re-traversed for a
-	// standalone residual pass. The Jacobi ablation and the noFuse oracle
-	// keep the separate passes.
-	if ws.Smoother == SmootherSOR && !ws.noFuse {
+	// standalone residual pass. The Jacobi ablation keeps its sweep apart.
+	if ws.Smoother == SmootherSOR {
 		stencil.OpDownstroke(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h, T(op.OmegaSmooth()))
 		record(rec, EvRelax, lvl, 1)
 		record(rec, EvResidual, lvl, 1)
@@ -384,8 +351,8 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	// correct full-grid passes disappear — and when the caller wants the
 	// convergence probe the black half-sweep carries the norm reduction
 	// (UpstrokeNorm). The iterate is bit-identical to the separate passes,
-	// which the Jacobi ablation and the noFuse oracle preserve.
-	if ws.Smoother == SmootherSOR && !ws.noFuse {
+	// which the Jacobi ablation keeps.
+	if ws.Smoother == SmootherSOR {
 		omega := T(op.OmegaSmooth())
 		if norm == nil {
 			stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)

@@ -20,41 +20,32 @@ import (
 // Problem is one instance of the discrete operator problem T·x = b on an
 // N×N grid over the unit square — or an N×N×N grid over the unit cube for
 // 3D operator families — with mesh spacing H = 1/(N−1) and Dirichlet
-// boundary values. Op selects the operator family; nil means the 2D
-// constant-coefficient Poisson operator (see Operator).
+// boundary values. Op is the operator family.
 type Problem struct {
 	N        int
 	H        float64
 	Dist     grid.Distribution
-	Op       *stencil.Operator // operator family; nil = Poisson
+	Op       *stencil.Operator // operator family
 	B        *grid.Grid        // right-hand side
 	Boundary *grid.Grid        // boundary values; interior entries are zero
 	opt      *grid.Grid        // reference solution, set via SetOptimal
 	initErr  float64           // ‖Boundary − opt‖₂, set with opt
 }
 
-// Random draws a constant-coefficient Poisson problem of side n from the
+// RandomOp draws a problem of side n for the given operator family from the
 // given distribution. The right-hand side is fully random; only the border
-// of the state is random (interior boundary grid entries stay zero).
-func Random(n int, dist grid.Distribution, rng *rand.Rand) *Problem {
-	return RandomOp(n, dist, rng, nil)
-}
-
-// RandomOp draws a problem of side n for the given operator family (nil for
-// 2D Poisson). The grids take their dimension from the operator: a 3D
-// operator yields n×n×n right-hand-side and boundary grids. Variable-
-// coefficient operators must be discretized at size n.
+// of the state is random (interior boundary grid entries stay zero). The
+// grids take their dimension from the operator: a 3D operator yields
+// n×n×n right-hand-side and boundary grids. Variable-coefficient operators
+// must be discretized at size n.
 func RandomOp(n int, dist grid.Distribution, rng *rand.Rand, op *stencil.Operator) *Problem {
 	if n < 3 {
 		panic(fmt.Sprintf("problem: side %d too small", n))
 	}
-	if op != nil && op.Coef() != nil && op.Coef().N() != n {
+	if op.Coef() != nil && op.Coef().N() != n {
 		panic(fmt.Sprintf("problem: operator discretized at N=%d, problem side %d", op.Coef().N(), n))
 	}
-	dim := 2
-	if op != nil {
-		dim = op.Dim()
-	}
+	dim := op.Dim()
 	p := &Problem{
 		N:        n,
 		H:        1.0 / float64(n-1),
@@ -68,20 +59,8 @@ func RandomOp(n int, dist grid.Distribution, rng *rand.Rand, op *stencil.Operato
 	return p
 }
 
-// Operator returns the problem's operator family, defaulting to the
-// constant-coefficient Poisson operator when unset.
-func (p *Problem) Operator() *stencil.Operator {
-	if p.Op == nil {
-		return stencil.Poisson()
-	}
-	return p.Op
-}
-
-// Zero returns a homogeneous Poisson problem (zero RHS and boundary) of side
-// n, useful for error-equation sub-problems and tests.
-func Zero(n int) *Problem {
-	return &Problem{N: n, H: 1.0 / float64(n-1), B: grid.New(n), Boundary: grid.New(n)}
-}
+// Operator returns the problem's operator family.
+func (p *Problem) Operator() *stencil.Operator { return p.Op }
 
 // NewState returns a fresh solver state: the problem's boundary values with
 // a zero interior guess.

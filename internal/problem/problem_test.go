@@ -12,8 +12,14 @@ import (
 	"pbmg/internal/stencil"
 )
 
+// zero returns a homogeneous Poisson problem (zero right-hand side and
+// boundary) of side n.
+func zero(n int) *Problem {
+	return &Problem{N: n, H: 1.0 / float64(n-1), Op: stencil.Poisson(), B: grid.New(n), Boundary: grid.New(n)}
+}
+
 func TestRandomProblemShape(t *testing.T) {
-	p := Random(17, grid.Unbiased, rand.New(rand.NewSource(1)))
+	p := RandomOp(17, grid.Unbiased, rand.New(rand.NewSource(1)), stencil.Poisson())
 	if p.N != 17 || math.Abs(p.H-1.0/16) > 1e-15 {
 		t.Fatalf("N=%d H=%v, want 17, 1/16", p.N, p.H)
 	}
@@ -30,14 +36,14 @@ func TestRandomProblemShape(t *testing.T) {
 func TestRandomTooSmallPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Random(2) did not panic")
+			t.Fatal("RandomOp(2) did not panic")
 		}
 	}()
-	Random(2, grid.Unbiased, rand.New(rand.NewSource(1)))
+	RandomOp(2, grid.Unbiased, rand.New(rand.NewSource(1)), stencil.Poisson())
 }
 
 func TestNewStateIndependent(t *testing.T) {
-	p := Random(9, grid.Biased, rand.New(rand.NewSource(2)))
+	p := RandomOp(9, grid.Biased, rand.New(rand.NewSource(2)), stencil.Poisson())
 	s1 := p.NewState()
 	s1.Set(4, 4, 99)
 	s2 := p.NewState()
@@ -50,7 +56,7 @@ func TestNewStateIndependent(t *testing.T) {
 }
 
 func TestAccuracyOfUsesInitialGuess(t *testing.T) {
-	p := Zero(5)
+	p := zero(5)
 	opt := grid.New(5)
 	opt.Set(2, 2, 10)
 	p.SetOptimal(opt)
@@ -139,7 +145,7 @@ func TestAccuracyOfMatchesOracle(t *testing.T) {
 		}
 	}
 	rng := rand.New(rand.NewSource(11))
-	for _, op := range []*stencil.Operator{nil, stencil.Poisson3D()} {
+	for _, op := range []*stencil.Operator{stencil.Poisson(), stencil.Poisson3D()} {
 		for _, dist := range []grid.Distribution{grid.Unbiased, grid.Biased, grid.PointSources} {
 			for _, n := range []int{5, 9, 17} {
 				p := RandomOp(n, dist, rng, op)
@@ -156,13 +162,13 @@ func TestAccuracyOfMatchesOracle(t *testing.T) {
 			}
 		}
 	}
-	p := Zero(5)
+	p := zero(5)
 	p.SetOptimal(grid.New(5))
 	check("an exact initial guess", p, grid.New(5))
 }
 
 func TestSetOptimalClones(t *testing.T) {
-	p := Zero(5)
+	p := zero(5)
 	opt := grid.New(5)
 	p.SetOptimal(opt)
 	opt.Set(2, 2, 5)
@@ -172,7 +178,7 @@ func TestSetOptimalClones(t *testing.T) {
 }
 
 func TestSetOptimalSizeMismatchPanics(t *testing.T) {
-	p := Zero(5)
+	p := zero(5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("size mismatch did not panic")
@@ -182,7 +188,7 @@ func TestSetOptimalSizeMismatchPanics(t *testing.T) {
 }
 
 func TestAccuracyBeforeOptimalPanics(t *testing.T) {
-	p := Zero(5)
+	p := zero(5)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("AccuracyOf before SetOptimal did not panic")
@@ -192,8 +198,8 @@ func TestAccuracyBeforeOptimalPanics(t *testing.T) {
 }
 
 func TestRandomDeterministicPerSeed(t *testing.T) {
-	a := Random(9, grid.Unbiased, rand.New(rand.NewSource(7)))
-	b := Random(9, grid.Unbiased, rand.New(rand.NewSource(7)))
+	a := RandomOp(9, grid.Unbiased, rand.New(rand.NewSource(7)), stencil.Poisson())
+	b := RandomOp(9, grid.Unbiased, rand.New(rand.NewSource(7)), stencil.Poisson())
 	for i := range a.B.Data() {
 		if a.B.Data()[i] != b.B.Data()[i] {
 			t.Fatal("problems differ for equal seeds")
@@ -234,7 +240,7 @@ func TestMeetsMatchesAccuracyOf(t *testing.T) {
 	for _, tc := range []struct {
 		op *stencil.Operator
 		ns []int
-	}{{nil, []int{5, 17, 33}}, {stencil.Poisson3D(), []int{5, 9}}} {
+	}{{stencil.Poisson(), []int{5, 17, 33}}, {stencil.Poisson3D(), []int{5, 9}}} {
 		for _, n := range tc.ns {
 			p := RandomOp(n, grid.Unbiased, rng, tc.op)
 			opt := p.NewState()
@@ -254,7 +260,7 @@ func TestMeetsMatchesAccuracyOf(t *testing.T) {
 			check("an exact candidate", p, opt)
 		}
 	}
-	p := Zero(5)
+	p := zero(5)
 	p.SetOptimal(grid.New(5))
 	check("an exact initial guess", p, grid.New(5))
 	x := grid.New(5)

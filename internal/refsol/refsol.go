@@ -86,9 +86,10 @@ const (
 // through cache (nil: private to this call).
 func Compute(p *problem.Problem, pool *sched.Pool, cache *direct.Cache) *grid.Grid {
 	op := p.Operator()
-	ws := mg.NewWorkspace(pool)
-	ws.Op = op
-	ws.FactorCache = cache
+	ws := mg.NewWorkspace(pool, op)
+	if cache != nil {
+		ws.FactorCache = cache
+	}
 	x := p.NewState()
 	if converge(ws, p, x, op.Dim() == 2 && p.N <= guardMaxN) {
 		ws.SolveDirect(x, p.B, nil)

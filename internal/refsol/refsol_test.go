@@ -15,7 +15,7 @@ import (
 // At N = 33 the reference reaches the residual floor and factors only the
 // 3×3 coarsest level, never the band matrix of its own size.
 func TestComputeSmallGridConverges(t *testing.T) {
-	p := problem.Random(33, grid.Unbiased, rand.New(rand.NewSource(1)))
+	p := problem.RandomOp(33, grid.Unbiased, rand.New(rand.NewSource(1)), stencil.Poisson())
 	cache := &direct.Cache{}
 	x := Compute(p, nil, cache)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
@@ -30,7 +30,7 @@ func TestComputeSmallGridConverges(t *testing.T) {
 }
 
 func TestComputeMultigridPath(t *testing.T) {
-	p := problem.Random(257, grid.Biased, rand.New(rand.NewSource(2)))
+	p := problem.RandomOp(257, grid.Biased, rand.New(rand.NewSource(2)), stencil.Poisson())
 	x := Compute(p, nil, nil)
 	scale := grid.L2Interior(p.B) + grid.MaxAbsInterior(p.Boundary) + 1
 	res := stencil.OpResidualNorm(stencil.Poisson(), nil, x, p.B, p.H)
@@ -40,7 +40,7 @@ func TestComputeMultigridPath(t *testing.T) {
 }
 
 func TestComputeDoesNotMutateProblem(t *testing.T) {
-	p := problem.Random(17, grid.Unbiased, rand.New(rand.NewSource(3)))
+	p := problem.RandomOp(17, grid.Unbiased, rand.New(rand.NewSource(3)), stencil.Poisson())
 	before := p.Boundary.Clone()
 	Compute(p, nil, nil)
 	for i := range before.Data() {
@@ -54,7 +54,7 @@ func TestComputeDoesNotMutateProblem(t *testing.T) {
 }
 
 func TestAttachIdempotent(t *testing.T) {
-	p := problem.Random(17, grid.Unbiased, rand.New(rand.NewSource(4)))
+	p := problem.RandomOp(17, grid.Unbiased, rand.New(rand.NewSource(4)), stencil.Poisson())
 	Attach(p, nil, nil)
 	first := p.Optimal()
 	Attach(p, nil, nil)
@@ -91,8 +91,7 @@ func TestPathsAgreeAtEverySize(t *testing.T) {
 				t.Fatal(err)
 			}
 			p := problem.RandomOp(n, grid.Unbiased, rand.New(rand.NewSource(5)), op)
-			ws := mg.NewWorkspace(nil)
-			ws.Op = op
+			ws := mg.NewWorkspace(nil, op)
 			band := p.NewState()
 			ws.SolveDirect(band, p.B, nil)
 			multi := p.NewState()
@@ -126,8 +125,7 @@ func TestGuardSendsStalledOperatorToBand(t *testing.T) {
 			t.Fatal(err)
 		}
 		p := problem.RandomOp(n, grid.Unbiased, rand.New(rand.NewSource(7)), op)
-		ws := mg.NewWorkspace(nil)
-		ws.Op = op
+		ws := mg.NewWorkspace(nil, op)
 
 		x, target := p.NewState(), residualTarget(p)
 		norm := func() float64 { return stencil.OpResidualNorm(op, nil, x, p.B, p.H) }

@@ -12,7 +12,7 @@
 //   - relax red: a red point's Gauss-Seidel average reads only black
 //     neighbours and its own corrected value, so relaxing red once units
 //     i−1 … i+1 are corrected reads exactly the state the unfused
-//     InterpolateAdd + red half-sweep would.
+//     interpolate + add + red half-sweep would.
 //   - relax black, completing the post-smoothing sweep.
 //
 // Upstroke runs all three in one traversal — serially as the wavefront
@@ -35,9 +35,9 @@ import (
 
 // OpUpstroke is the whole V-cycle upstroke in one traversal: it adds the
 // d-linear interpolation of cx to x's interior and runs one full red-black
-// post-smoothing sweep, leaving x bit-identical to transfer.InterpolateAdd
-// followed by OpSORSweepRB (and to OpInterpolateCorrectSmooth followed by
-// OpFinishSmooth). scratch is a grid of x's size whose contents are
+// post-smoothing sweep, leaving x bit-identical to transfer.Interpolate into
+// scratch, AddInterior and OpSORSweepRB (and to OpInterpolateCorrectSmooth
+// followed by OpFinishSmooth). scratch is a grid of x's size whose contents are
 // clobbered: its rows serve as the interpolation buffers, so the call
 // allocates nothing. cx must not alias x or b.
 func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) {
@@ -58,8 +58,8 @@ func OpUpstrokeNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scra
 // OpInterpolateCorrectSmooth applies the coarse-grid correction (the
 // d-linear interpolation of cx added to x's interior) and runs the
 // post-smooth's red half-sweep in the same traversal. Calling OpFinishSmooth
-// afterwards yields an iterate bit-identical to transfer.InterpolateAdd
-// followed by OpSORSweepRB; calling OpFinishSmoothWithNorm additionally
+// afterwards yields an iterate bit-identical to transfer.Interpolate into
+// scratch, AddInterior and OpSORSweepRB; calling OpFinishSmoothWithNorm additionally
 // returns the post-sweep residual norm exactly as OpSweepWithNorm computes it.
 // cx must not alias x or b.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
@@ -80,7 +80,7 @@ func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T
 // float64 whatever T is), computed by the same delta emission and
 // deterministic per-row reduction as OpSweepWithNorm —
 // OpInterpolateCorrectSmooth followed by OpFinishSmoothWithNorm returns the
-// same bits as InterpolateAdd followed by OpSweepWithNorm.
+// same bits as Interpolate, AddInterior and OpSweepWithNorm.
 func OpFinishSmoothWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	return k.unitNorm(normFromBlack)

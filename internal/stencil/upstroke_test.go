@@ -39,7 +39,8 @@ func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
 				// Oracle upstroke: interpolate+correct, then a full sweep.
 				xo := x0.Clone()
 				scratch := grid.NewDim(tc.dim, n)
-				transfer.InterpolateAdd(nil, xo, cx, scratch)
+				transfer.Interpolate(nil, scratch, cx)
+				xo.AddInterior(scratch)
 				OpSORSweepRB(op, nil, xo, b, h, omega)
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
@@ -69,7 +70,8 @@ func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
 				// by TestSweepWithNormMatchesOracle).
 				xo := x0.Clone()
 				scratch := grid.NewDim(tc.dim, n)
-				transfer.InterpolateAdd(nil, xo, cx, scratch)
+				transfer.Interpolate(nil, scratch, cx)
+				xo.AddInterior(scratch)
 				wantNorm := OpSweepWithNorm(op, nil, xo, b, h, omega)
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {

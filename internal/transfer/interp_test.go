@@ -10,11 +10,10 @@ import (
 	"pbmg/internal/sched"
 )
 
-// The row providers (InterpRow/InterpRow3) and the scratch-free
-// InterpolateAddFused are rearrangements of Interpolate/InterpolateAdd built
-// on the same row helpers, so their outputs are bit-identical to the bulk
-// kernels — the contract the fused upstroke kernels in internal/stencil rely
-// on.
+// The row providers (InterpRow/InterpRow3) and the row-fused InterpolateAdd
+// are rearrangements of Interpolate (and AddInterior) built on the same row
+// helpers, so their outputs are bit-identical to the bulk kernels — the
+// contract the fused upstroke kernels in internal/stencil rely on.
 
 func randomGridDim(dim, n int, rng *rand.Rand) *grid.Grid {
 	g := grid.NewDim(dim, n)
@@ -84,9 +83,11 @@ func TestInterpolateAddFusedMatchesOracle(t *testing.T) {
 			coarse := randomGridDim(dim, nc, rng)
 			x0 := randomGridDim(dim, nf, rng)
 
+			// The oracle: materialize the interpolant, then add it.
 			want := x0.Clone()
 			scratch := grid.NewDim(dim, nf)
-			InterpolateAdd(nil, want, coarse, scratch)
+			Interpolate(nil, scratch, coarse)
+			want.AddInterior(scratch)
 
 			for _, workers := range []int{0, 8} {
 				var pool *sched.Pool
@@ -95,9 +96,9 @@ func TestInterpolateAddFusedMatchesOracle(t *testing.T) {
 					defer pool.Close()
 				}
 				got := x0.Clone()
-				InterpolateAddFused(pool, got, coarse, randomGridDim(dim, nf, rng)) // dirty scratch
-				if allocs := testing.AllocsPerRun(5, func() { InterpolateAddFused(nil, x0.Clone(), coarse, scratch) }); allocs > 2 {
-					t.Errorf("InterpolateAddFused allocates %v times per call beyond the test's own Clone (2), want 0", allocs-2)
+				InterpolateAdd(pool, got, coarse, randomGridDim(dim, nf, rng)) // dirty scratch
+				if allocs := testing.AllocsPerRun(5, func() { InterpolateAdd(nil, x0.Clone(), coarse, scratch) }); allocs > 2 {
+					t.Errorf("InterpolateAdd allocates %v times per call beyond the test's own Clone (2), want 0", allocs-2)
 				}
 				wd, gd := want.Data(), got.Data()
 				for k := range wd {

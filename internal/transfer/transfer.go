@@ -326,24 +326,16 @@ func interpolate3[T grid.Float](pool *sched.Pool, fine, coarse *grid.G[T]) {
 	fine.ZeroBoundary()
 }
 
-// InterpolateAdd interpolates coarse into a scratch grid and adds the result
-// to x's interior — the coarse-grid correction step. scratch must be a fine
-// sized grid and must not alias x.
+// InterpolateAdd adds the d-linear interpolation of coarse into x's interior
+// — the coarse-grid correction step — without materializing the fine
+// interpolant: each chunk evaluates interpolation rows (the InterpRow
+// providers) into the first rows of its own first unit of scratch, a grid of
+// x's size whose contents are clobbered, and accumulates them immediately.
+// The per-point addend and the addition are those of Interpolate followed by
+// AddInterior, in the same per-point order, so the result is bit-identical
+// to that pair for any pool and chunking.
 func InterpolateAdd[T grid.Float](pool *sched.Pool, x, coarse, scratch *grid.G[T]) {
-	Interpolate(pool, scratch, coarse)
-	x.AddInterior(scratch)
-}
-
-// InterpolateAddFused adds the d-linear interpolation of coarse directly
-// into x's interior without materializing the fine interpolant: each chunk
-// evaluates interpolation rows (the InterpRow providers) into the first rows
-// of its own first unit of scratch — a grid of x's size whose contents are
-// clobbered — and accumulates them immediately, eliminating InterpolateAdd's
-// full-grid write plus AddInterior's re-read. The per-point addend and the
-// addition are the same operations in the same per-point order as
-// InterpolateAdd, so the result is bit-identical for any pool and chunking.
-func InterpolateAddFused[T grid.Float](pool *sched.Pool, x, coarse, scratch *grid.G[T]) {
-	checkLevels(coarse, x, "InterpolateAddFused")
+	checkLevels(coarse, x, "InterpolateAdd")
 	nf := x.N()
 	if pool == nil {
 		interpolateAddUnits(x, coarse, scratch, 1, nf-1)
@@ -356,7 +348,7 @@ func InterpolateAddFused[T grid.Float](pool *sched.Pool, x, coarse, scratch *gri
 	pool.ParallelForPoints(1, nf-1, points, func(lo, hi int) { interpolateAddUnits(x, coarse, scratch, lo, hi) })
 }
 
-// interpolateAddUnits is InterpolateAddFused over fine units lo … hi−1 (rows
+// interpolateAddUnits is InterpolateAdd over fine units lo … hi−1 (rows
 // in 2D, planes in 3D), buffering through scratch's unit lo.
 func interpolateAddUnits[T grid.Float](x, coarse, scratch *grid.G[T], lo, hi int) {
 	nf := x.N()

@@ -125,7 +125,7 @@ func (s *Solver) CheckFamilyFlags(config, family string, epsilon float64) error 
 // NewProblem draws a random constant-coefficient Poisson problem of side n
 // (must be 2^k+1) from the given distribution.
 func NewProblem(n int, dist Distribution, seed int64) *Problem {
-	return problem.Random(n, dist, rand.New(rand.NewSource(seed)))
+	return problem.RandomOp(n, dist, rand.New(rand.NewSource(seed)), stencil.Poisson())
 }
 
 // NewFamilyProblem draws a random problem of side n for the given operator
@@ -317,8 +317,7 @@ func newSolver(tuned *core.Tuned, pool *sched.Pool) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	ws := mg.NewWorkspace(pool)
-	ws.Op = op
+	ws := mg.NewWorkspace(pool, op)
 	s := &Solver{tuned: tuned, ws: ws, pool: pool}
 	for _, row := range tuned.V.Plans {
 		for _, p := range row {
@@ -483,7 +482,7 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 		x0 = snap.Grid()
 	}
 	run := func() error {
-		return ex.Run(func() {
+		return mg.Catch(func() {
 			if full {
 				ex.SolveFull(x, b, idx)
 			} else {
@@ -636,7 +635,7 @@ func (s *Solver) SolveAdaptive(x, b *Grid, residualReduction float64) (iters int
 	// The adaptive loop carries a divergence guard (a blown-up residual
 	// aborts instead of iterating to MaxIters on garbage); Run converts that
 	// abort into ErrDiverged here.
-	if err := ex.Run(func() { res = a.Solve(x, b, residualReduction, 0) }); err != nil {
+	if err := mg.Catch(func() { res = a.Solve(x, b, residualReduction, 0) }); err != nil {
 		return 0, 0, err
 	}
 	return res.Iters, res.Reduction, nil

@@ -92,7 +92,12 @@ func postFault(t *testing.T, cl *Client, spec string) {
 
 func chaosSolve(t *testing.T, cl *Client, seed int64, deadlineMs int64, accuracy float64) (*SolveResponse, error) {
 	t.Helper()
-	p := newProblem(t, pbmg.FamilyPoisson, 33, seed)
+	// No reference solve: it would run multigrid cycles in this process
+	// and take the armed faults meant for the server's solve.
+	p, err := pbmg.NewFamilyProblem(33, pbmg.Unbiased, seed, pbmg.FamilyPoisson, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return cl.Solve(context.Background(), SolveRequest{
 		Family: "poisson", N: 33, Accuracy: accuracy,
 		B: p.B.Data(), X: p.NewState().Data(), DeadlineMs: deadlineMs,
