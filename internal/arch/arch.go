@@ -5,7 +5,10 @@
 // scalar speed, memory bandwidth, core count, cache size, task overhead —
 // calibrated to the machine's published character. The tuner consumes costs
 // through the Coster interface, so wall-clock measurement on the host and
-// model-based simulation are interchangeable.
+// model-based simulation are interchangeable. A trace keeps each operation's
+// storage width (float64 or float32), and a Model prices each operation at
+// its own width, so the tuner and every experiment price a plan the same
+// way: through one Cost.
 package arch
 
 import (
@@ -34,20 +37,6 @@ func (WallClock) Cost(_ *mg.OpTrace, elapsed time.Duration) float64 {
 	return elapsed.Seconds()
 }
 
-// ForPrecision returns a coster pricing grid traversals at the given
-// storage width in bits (32 or 64): a fresh copy for *Model with WordBytes
-// set — f32 traversals stream half the bytes per point — and c itself for
-// costers that measure (WallClock) rather than model.
-func ForPrecision(c Coster, bits int) Coster {
-	wb := float64(bits) / 8
-	if m, ok := c.(*Model); ok && m.wordBytes() != wb {
-		cp := *m
-		cp.WordBytes = wb
-		return &cp
-	}
-	return c
-}
-
 // ForDim returns a coster pricing problems of the given spatial dimension:
 // a fresh copy for *Model (the receiver is never mutated, so a caller may
 // reuse one Model across tuners of different dimensions), and c itself for
@@ -62,7 +51,9 @@ func ForDim(c Coster, dim int) Coster {
 }
 
 // Model is a deterministic machine cost model. Costs are in abstract time
-// units; only ratios matter to the tuner.
+// units; only ratios matter to the tuner. Stencil passes are priced at the
+// storage width the trace recorded them at: a float32 pass streams half the
+// bytes per point and fits twice the working set in cache.
 type Model struct {
 	Name_ string
 	// Dim is the spatial dimension of the problems being priced (0 and 2
@@ -101,21 +92,6 @@ type Model struct {
 	// ParallelMinPoints is the working-set size below which operations run
 	// serially (task overhead would dominate).
 	ParallelMinPoints int
-	// WordBytes is the storage width in bytes of the grid data being priced:
-	// 8 for the float64 paths (the zero-value default) and 4 for float32
-	// mixed-precision traversals, which stream half the bytes per point and
-	// fit twice the working set in cache. Derive per-precision copies with
-	// ForPrecision. Direct-solve pricing ignores it (the band Cholesky is
-	// always float64).
-	WordBytes float64
-}
-
-// wordBytes resolves the zero-value default storage width.
-func (m *Model) wordBytes() float64 {
-	if m.WordBytes == 0 {
-		return 8
-	}
-	return m.WordBytes
 }
 
 // Name implements Coster.
@@ -168,21 +144,21 @@ const (
 func levelSide(level int) int { return (1 << uint(level)) + 1 }
 
 // stencilCost prices one data-parallel stencil pass over the interior of a
-// level-k grid using a roofline max of compute and memory streams.
-// The per-point byte intensities below are counted at float64 width;
-// stencilCost scales them by WordBytes/8, so a float32 model prices every
-// traversal at half the memory traffic and half the cache footprint.
-func (m *Model) stencilCost(level int, flopsPerPoint, bytesPerPoint float64) float64 {
+// level-k grid, stored wordBytes to the value, using a roofline max of
+// compute and memory streams. The per-point byte intensities below are
+// counted at float64 width; stencilCost scales them by wordBytes/8, so a
+// float32 pass streams half the memory traffic and has half the cache
+// footprint.
+func (m *Model) stencilCost(level int, flopsPerPoint, bytesPerPoint, wordBytes float64) float64 {
 	n := levelSide(level)
-	wb := m.wordBytes()
 	points := float64(n-2) * float64(n-2)
-	footprint := float64(n) * float64(n) * wb * 2
+	footprint := float64(n) * float64(n) * wordBytes * 2
 	if m.dim3() {
 		points *= float64(n - 2)
 		footprint *= float64(n)
 	}
 	flopTime := points * flopsPerPoint * m.FlopTime
-	memTime := points * bytesPerPoint * (wb / 8) * m.MemTime
+	memTime := points * bytesPerPoint * (wordBytes / 8) * m.MemTime
 	if footprint <= m.CacheBytes {
 		memTime *= m.CacheMemFactor
 	}
@@ -213,10 +189,13 @@ func (m *Model) directCost(level int) float64 {
 	return flops * m.FlopTime * m.DirectFlopFactor
 }
 
-// EventCost prices count occurrences of an operation kind at a level,
-// using the per-point intensities of the dimension being priced.
-func (m *Model) EventCost(kind mg.EventKind, level, count int) float64 {
+// EventCost prices count occurrences of an operation kind at a level that
+// ran at the given storage width in bits (32 or 64), using the per-point
+// intensities of the dimension being priced. A direct solve is priced the
+// same at either width: the band Cholesky always runs in float64.
+func (m *Model) EventCost(kind mg.EventKind, level, count, bits int) float64 {
 	c := float64(count)
+	wb := float64(bits) / 8
 	base := c * m.CallOverhead
 	relF, relB := float64(relaxFlops), float64(relaxBytes)
 	resF, resB := float64(residualFlops), float64(residualBytes)
@@ -231,14 +210,14 @@ func (m *Model) EventCost(kind mg.EventKind, level, count int) float64 {
 	switch kind {
 	case mg.EvRelax, mg.EvIterSolve:
 		// A shortcut solve of count sweeps runs the sweeps a smoother runs.
-		return base + c*m.stencilCost(level, relF, relB)
+		return base + c*m.stencilCost(level, relF, relB, wb)
 	case mg.EvResidual:
-		return base + c*m.stencilCost(level, resF, resB)
+		return base + c*m.stencilCost(level, resF, resB, wb)
 	case mg.EvRestrict:
 		// Work is proportional to the coarse grid written.
-		return base + c*m.stencilCost(level-1, rstF, rstB)
+		return base + c*m.stencilCost(level-1, rstF, rstB, wb)
 	case mg.EvInterp:
-		return base + c*m.stencilCost(level, intF, intB)
+		return base + c*m.stencilCost(level, intF, intB, wb)
 	case mg.EvDirect:
 		return base + c*m.directCost(level)
 	default:
@@ -246,13 +225,16 @@ func (m *Model) EventCost(kind mg.EventKind, level, count int) float64 {
 	}
 }
 
-// Cost implements Coster by pricing every recorded operation.
+// Cost implements Coster by pricing every recorded operation at the
+// storage width it ran at.
 func (m *Model) Cost(tr *mg.OpTrace, _ time.Duration) float64 {
 	var total float64
-	for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
-		for l := 1; l <= tr.MaxLevel(); l++ {
-			if c := tr.Count(k, l); c != 0 {
-				total += m.EventCost(k, l, int(c))
+	for _, bits := range [...]int{64, 32} {
+		for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
+			for l := 1; l <= tr.MaxLevel(); l++ {
+				if c := tr.CountAt(k, l, bits); c != 0 {
+					total += m.EventCost(k, l, int(c), bits)
+				}
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func TestRelaxCostGrowsWithLevel(t *testing.T) {
 	m := Harpertown()
 	prev := 0.0
 	for l := 3; l <= 11; l++ {
-		c := m.EventCost(mg.EvRelax, l, 1)
+		c := m.EventCost(mg.EvRelax, l, 1, 64)
 		if c <= prev {
 			t.Fatalf("relax cost at level %d (%v) not greater than level %d (%v)", l, c, l-1, prev)
 		}
@@ -54,7 +54,7 @@ func TestRelaxCostGrowsWithLevel(t *testing.T) {
 func TestDirectCostQuarticGrowth(t *testing.T) {
 	m := Barcelona()
 	// Doubling the grid side should raise direct cost by roughly 16×.
-	r := m.EventCost(mg.EvDirect, 8, 1) / m.EventCost(mg.EvDirect, 7, 1)
+	r := m.EventCost(mg.EvDirect, 8, 1, 64) / m.EventCost(mg.EvDirect, 7, 1, 64)
 	if r < 10 || r > 24 {
 		t.Fatalf("direct cost ratio per level = %v, want ≈16", r)
 	}
@@ -65,13 +65,13 @@ func TestDirectVsRelaxCrossover(t *testing.T) {
 	// relaxations; at fine levels it must be vastly more expensive. This is
 	// the crossover that drives the paper's shortcut decisions.
 	m := Harpertown()
-	coarseDirect := m.EventCost(mg.EvDirect, 3, 1)
-	coarseRelax := m.EventCost(mg.EvRelax, 3, 20)
+	coarseDirect := m.EventCost(mg.EvDirect, 3, 1, 64)
+	coarseRelax := m.EventCost(mg.EvRelax, 3, 20, 64)
 	if coarseDirect >= coarseRelax {
 		t.Fatalf("level 3: direct (%v) should beat 20 relaxations (%v)", coarseDirect, coarseRelax)
 	}
-	fineDirect := m.EventCost(mg.EvDirect, 11, 1)
-	fineRelax := m.EventCost(mg.EvRelax, 11, 100)
+	fineDirect := m.EventCost(mg.EvDirect, 11, 1, 64)
+	fineRelax := m.EventCost(mg.EvRelax, 11, 100, 64)
 	if fineDirect <= fineRelax {
 		t.Fatalf("level 11: direct (%v) should cost more than 100 relaxations (%v)", fineDirect, fineRelax)
 	}
@@ -80,8 +80,8 @@ func TestDirectVsRelaxCrossover(t *testing.T) {
 func TestNiagaraPenalizesDirectRelativeToIntel(t *testing.T) {
 	intel, sun := Harpertown(), Niagara()
 	lvl := 6
-	intelRatio := intel.EventCost(mg.EvDirect, lvl, 1) / intel.EventCost(mg.EvRelax, lvl, 1)
-	sunRatio := sun.EventCost(mg.EvDirect, lvl, 1) / sun.EventCost(mg.EvRelax, lvl, 1)
+	intelRatio := intel.EventCost(mg.EvDirect, lvl, 1, 64) / intel.EventCost(mg.EvRelax, lvl, 1, 64)
+	sunRatio := sun.EventCost(mg.EvDirect, lvl, 1, 64) / sun.EventCost(mg.EvRelax, lvl, 1, 64)
 	if sunRatio <= intelRatio {
 		t.Fatalf("direct/relax ratio: sun %v should exceed intel %v (slow scalar cores)", sunRatio, intelRatio)
 	}
@@ -124,8 +124,8 @@ func TestRestrictChargedAtCoarseLevel(t *testing.T) {
 	m := Harpertown()
 	// Restriction writes the coarse grid; its cost must be much closer to a
 	// coarse-level stencil pass than a fine-level one.
-	c := m.EventCost(mg.EvRestrict, 8, 1)
-	fine := m.EventCost(mg.EvRelax, 8, 1)
+	c := m.EventCost(mg.EvRestrict, 8, 1, 64)
+	fine := m.EventCost(mg.EvRelax, 8, 1, 64)
 	if c >= fine*2 {
 		t.Fatalf("restrict cost %v should be comparable to coarse work, not fine (%v)", c, fine)
 	}
@@ -135,7 +135,7 @@ func TestParallelThresholdMakesSmallGridsSerial(t *testing.T) {
 	m := Harpertown()
 	// A small grid pays no task overhead; verify by checking cost scales
 	// smoothly: cost(level 4) < cost(level 5) < overhead-dominated regime.
-	small := m.EventCost(mg.EvRelax, 4, 1)
+	small := m.EventCost(mg.EvRelax, 4, 1, 64)
 	if small > m.TaskOverhead {
 		t.Fatalf("tiny relax (%v) should cost less than task overhead (%v)", small, m.TaskOverhead)
 	}
@@ -153,11 +153,11 @@ func TestIterSolveCostMonotone(t *testing.T) {
 			m := ForDim(base, dim).(*Model)
 			for level := 1; level <= 10; level++ {
 				for n := 1; n <= 400; n++ {
-					c := m.EventCost(mg.EvIterSolve, level, n)
-					if relax := m.EventCost(mg.EvRelax, level, n); c != relax {
+					c := m.EventCost(mg.EvIterSolve, level, n, 64)
+					if relax := m.EventCost(mg.EvRelax, level, n, 64); c != relax {
 						t.Fatalf("%s %dD level %d: %d shortcut sweeps cost %v, %d relaxations %v", base.Name(), dim, level, n, c, n, relax)
 					}
-					if next := m.EventCost(mg.EvIterSolve, level, n+1); !(c < next) {
+					if next := m.EventCost(mg.EvIterSolve, level, n+1, 64); !(c < next) {
 						t.Fatalf("%s %dD level %d: cost did not rise from %d to %d sweeps (%v → %v)", base.Name(), dim, level, n, n+1, c, next)
 					}
 				}
@@ -175,14 +175,14 @@ func eventCostSurface(skip func(dim int, kind mg.EventKind, level, count int) bo
 	for _, base := range Models() {
 		for _, dim := range []int{2, 3} {
 			for _, bits := range []int{64, 32} {
-				m := ForPrecision(ForDim(base, dim), bits).(*Model)
+				m := ForDim(base, dim).(*Model)
 				for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
 					for level := 1; level <= 10; level++ {
 						for _, count := range []int{1, 2, 7, 8, 9, 16, 64, 400} {
 							if skip != nil && skip(dim, k, level, count) {
 								continue
 							}
-							binary.LittleEndian.PutUint64(buf[:], math.Float64bits(m.EventCost(k, level, count)))
+							binary.LittleEndian.PutUint64(buf[:], math.Float64bits(m.EventCost(k, level, count, bits)))
 							h.Write(buf[:])
 						}
 					}

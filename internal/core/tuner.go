@@ -576,12 +576,10 @@ func (t *Tuner) search(n int, last func(c int) bool, measure func(c int, best []
 // The direct solve has no step; an iterative choice says how to advance one
 // iteration, how far to count, and how its one-iteration trace is priced.
 type candidate struct {
-	plan   mg.Plan     // Iters is filled in per accuracy on selection
-	step   stepFunc    // one iteration, its result visible in x
-	timing stepFunc    // one iteration as a deployed cell runs it, timed under a clock (nil: step)
-	cap    int         // iteration-count cap
-	coster arch.Coster // nil: the tuner's
-	adj    float64     // additive per-iteration price correction
+	plan   mg.Plan  // Iters is filled in per accuracy on selection
+	step   stepFunc // one iteration, its result visible in x
+	timing stepFunc // one iteration as a deployed cell runs it, timed under a clock (nil: step)
+	cap    int      // iteration-count cap
 }
 
 // measured is one priced candidate for a level: either a direct solve
@@ -631,12 +629,9 @@ func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best [
 	if c.plan.Choice == mg.ChoiceDirect {
 		return measured{plan: c.plan, costPerAcc: t.directCosts(level, probs)}
 	}
-	timing, coster := c.timing, c.coster
+	timing := c.timing
 	if timing == nil {
 		timing = c.step
-	}
-	if coster == nil {
-		coster = t.cfg.Coster
 	}
 	one, err := t.oneIterOf(probs, timing)
 	if err != nil {
@@ -647,7 +642,7 @@ func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best [
 	cv := curveOf(c.cap, one, func(n int) float64 {
 		tr.Reset()
 		tr.AddScaled(one.tr, n)
-		return coster.Cost(&tr, time.Duration(n)*one.dur) + float64(n)*c.adj
+		return t.cfg.Coster.Cost(&tr, time.Duration(n)*one.dur)
 	})
 	iters, cut := t.count(probs, nil, c.step, cv, best)
 	if cut {
@@ -721,8 +716,8 @@ type f32Mirror struct {
 }
 
 // f32Edition is the full-f32 edition of an iterative candidate: the same
-// choice with float32 storage, priced under the half-width cost model (or
-// measured wall-clock, which needs no adjustment). The counting step writes
+// choice with float32 storage, whose trace records its passes at f32 width
+// (the direct base case stays f64). The counting step writes
 // the interior back after every iteration, because accuracy is always
 // judged on the f64 state against the f64 reference solution; the timing
 // step skips that writeback. The f32 rounding floor makes high-accuracy
@@ -749,32 +744,22 @@ func (t *Tuner) f32Edition(ex *mg.Executor, m *f32Mirror, base candidate) candid
 		},
 		timing: body,
 		cap:    base.cap,
-		coster: arch.ForPrecision(t.cfg.Coster, 32),
 	}
 }
 
 // mixedEdition is the refinement edition of a cycle candidate: each
-// iteration is one f64 defect residual wrapping one f32 step of the choice.
-// Trace-based costers price the whole step at f32 width plus a per-iteration
-// correction for the outer residual, which really runs at f64.
-func (t *Tuner) mixedEdition(ex *mg.Executor, level int, base candidate) candidate {
+// iteration is one f64 defect residual wrapping one f32 step of the choice,
+// and its trace records each at the width it runs at.
+func (t *Tuner) mixedEdition(ex *mg.Executor, base candidate) candidate {
 	plan := base.plan
 	plan.Precision = mg.PrecMixed
-	coster := arch.ForPrecision(t.cfg.Coster, 32)
-	var adj float64
-	if m64, ok := t.cfg.Coster.(*arch.Model); ok {
-		m32 := coster.(*arch.Model)
-		adj = m64.EventCost(mg.EvResidual, level, 1) - m32.EventCost(mg.EvResidual, level, 1)
-	}
 	return candidate{
 		plan: plan,
 		step: func(x, b *grid.Grid, rec mg.Recorder) {
 			ex.Rec = rec
 			ex.RefineStep(x, b, plan)
 		},
-		cap:    base.cap,
-		coster: coster,
-		adj:    adj,
+		cap: base.cap,
 	}
 }
 
@@ -796,7 +781,7 @@ func (t *Tuner) vCandidates(vt *mg.VTable, level int) []candidate {
 	for _, c := range base {
 		cands = append(cands, t.f32Edition(ex, mirror, c))
 		if c.plan.Choice != mg.ChoiceSOR {
-			cands = append(cands, t.mixedEdition(ex, level, c))
+			cands = append(cands, t.mixedEdition(ex, c))
 		}
 	}
 	return cands

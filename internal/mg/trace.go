@@ -6,7 +6,11 @@
 // logs (rendered as the cycle-shape diagrams of Figures 5 and 14).
 package mg
 
-import "fmt"
+import (
+	"fmt"
+
+	"pbmg/internal/grid"
+)
 
 // EventKind identifies one multigrid operation for tracing.
 type EventKind int
@@ -54,82 +58,120 @@ type Recorder interface {
 	Record(kind EventKind, level, count int)
 }
 
-// record forwards to rec if non-nil.
-func record(rec Recorder, kind EventKind, level, count int) {
-	if rec != nil {
+// recordOf forwards an event that ran at storage precision T to rec, if
+// non-nil. An OpTrace files it under T's width; any other recorder sees
+// only the kind, level and count.
+func recordOf[T grid.Float](rec Recorder, kind EventKind, level, count int) {
+	if tr, ok := rec.(*OpTrace); ok {
+		tr.add(widthIndex(grid.Bits[T]()), kind, level, count)
+	} else if rec != nil {
 		rec.Record(kind, level, count)
 	}
 }
 
 // RecordDirect records what one direct solve at a level costs: a single
-// EvDirect there. SolveDirect records it after solving; a tuner that prices
-// the direct choice by trace alone records it without solving.
+// EvDirect there, at float64 width, the only width the band Cholesky runs
+// at. SolveDirect records it after solving; a tuner that prices the direct
+// choice by trace alone records it without solving.
 func RecordDirect(rec Recorder, level int) {
-	record(rec, EvDirect, level, 1)
+	recordOf[float64](rec, EvDirect, level, 1)
 }
 
-// OpTrace accumulates per-level counts of each operation kind. The zero
+// OpTrace accumulates per-level counts of each operation kind, kept apart
+// by the storage width (float64 or float32) each operation ran at. The zero
 // value is an empty trace ready for use. OpTrace is the currency between
-// executions and architecture cost models: run once, price under any model.
+// executions and architecture cost models: run once, price under any
+// model, each operation at its own width.
 type OpTrace struct {
-	counts [numEventKinds][]int64
+	counts [2][numEventKinds][]int64 // [widthIndex(bits)][kind][level]
 }
 
-// Record implements Recorder.
-func (t *OpTrace) Record(kind EventKind, level, count int) {
+// widthIndex maps a storage width in bits to its row of OpTrace.counts.
+func widthIndex(bits int) int {
+	if bits == 32 {
+		return 1
+	}
+	return 0
+}
+
+// Record implements Recorder. Recorded through this method an operation
+// counts at float64 width; the executors' float32 paths file theirs at
+// float32.
+func (t *OpTrace) Record(kind EventKind, level, count int) { t.add(0, kind, level, count) }
+
+func (t *OpTrace) add(w int, kind EventKind, level, count int) {
 	if level < 0 || kind < 0 || kind >= numEventKinds {
 		panic(fmt.Sprintf("mg: bad trace record kind=%d level=%d", kind, level))
 	}
-	for len(t.counts[kind]) <= level {
-		t.counts[kind] = append(t.counts[kind], 0)
+	c := &t.counts[w][kind]
+	for len(*c) <= level {
+		*c = append(*c, 0)
 	}
-	t.counts[kind][level] += int64(count)
+	(*c)[level] += int64(count)
 }
 
-// Count returns the accumulated count for kind at level.
-func (t *OpTrace) Count(kind EventKind, level int) int64 {
-	if kind < 0 || kind >= numEventKinds || level < 0 || level >= len(t.counts[kind]) {
+// CountAt returns the count for kind at level of the operations that ran at
+// the given storage width in bits (32 or 64).
+func (t *OpTrace) CountAt(kind EventKind, level, bits int) int64 {
+	if kind < 0 || kind >= numEventKinds || level < 0 {
 		return 0
 	}
-	return t.counts[kind][level]
+	if c := t.counts[widthIndex(bits)][kind]; level < len(c) {
+		return c[level]
+	}
+	return 0
+}
+
+// Count returns the accumulated count for kind at level, at both widths.
+func (t *OpTrace) Count(kind EventKind, level int) int64 {
+	return t.CountAt(kind, level, 64) + t.CountAt(kind, level, 32)
 }
 
 // MaxLevel returns the highest level with any recorded operation, or 0.
 func (t *OpTrace) MaxLevel() int {
 	max := 0
-	for k := range t.counts {
-		if l := len(t.counts[k]) - 1; l > max {
-			max = l
+	for w := range t.counts {
+		for k := range t.counts[w] {
+			if l := len(t.counts[w][k]) - 1; l > max {
+				max = l
+			}
 		}
 	}
 	return max
 }
 
-// Total returns the total count of kind across all levels.
+// Total returns the total count of kind across all levels and both widths.
 func (t *OpTrace) Total(kind EventKind) int64 {
 	var s int64
-	for _, c := range t.counts[kind] {
-		s += c
+	for w := range t.counts {
+		for _, c := range t.counts[w][kind] {
+			s += c
+		}
 	}
 	return s
 }
 
 // Reset clears the trace for reuse.
 func (t *OpTrace) Reset() {
-	for k := range t.counts {
-		t.counts[k] = t.counts[k][:0]
+	for w := range t.counts {
+		for k := range t.counts[w] {
+			t.counts[w][k] = t.counts[w][k][:0]
+		}
 	}
 }
 
-// AddScaled adds n times other's counts into t. Iterative choices repeat
-// identical work, so the trace of n iterations is the one-iteration trace
-// added n times; the tuner exploits this to price candidates without
-// re-running them, into one trace it resets between counts.
+// AddScaled adds n times other's counts into t, each at its own width.
+// Iterative choices repeat identical work, so the trace of n iterations is
+// the one-iteration trace added n times; the tuner exploits this to price
+// candidates without re-running them, into one trace it resets between
+// counts.
 func (t *OpTrace) AddScaled(other *OpTrace, n int) {
-	for k := range other.counts {
-		for l, c := range other.counts[k] {
-			if c != 0 {
-				t.Record(EventKind(k), l, int(c)*n)
+	for w := range other.counts {
+		for k := range other.counts[w] {
+			for l, c := range other.counts[w][k] {
+				if c != 0 {
+					t.add(w, EventKind(k), l, int(c)*n)
+				}
 			}
 		}
 	}

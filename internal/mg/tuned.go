@@ -152,7 +152,7 @@ func (e *Executor) solveVMixed(x, b *grid.Grid, plan Plan) {
 	for it := 0; it < plan.Iters; it++ {
 		e.checkpoint()
 		stencil.OpResidual(op, e.WS.Pool, r, x, b, h)
-		record(e.Rec, EvResidual, lvl, 1)
+		recordOf[float64](e.Rec, EvResidual, lvl, 1)
 		// The refinement loop already materializes the f64 defect each
 		// iteration, so its norm is the natural divergence probe: NaN/Inf
 		// means the f32 step poisoned the iterate, and growth past

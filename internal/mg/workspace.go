@@ -202,7 +202,7 @@ func sorOf[T grid.Float](ws *Workspace, x, b *grid.G[T], omega float64, sweeps i
 	for s := 0; s < sweeps; s++ {
 		stencil.OpSORSweepRB(op, ws.Pool, x, b, h, T(omega))
 	}
-	record(rec, EvIterSolve, grid.Level(n), sweeps)
+	recordOf[T](rec, EvIterSolve, grid.Level(n), sweeps)
 }
 
 // Smoother selects the relaxation kernel used inside cycles.
@@ -253,7 +253,7 @@ func smoothOf[T grid.Float](ws *Workspace, x, b, tmp *grid.G[T], sweeps int, rec
 			stencil.OpSORSweepRB(op, ws.Pool, x, b, h, omega)
 		}
 	}
-	record(rec, EvRelax, grid.Level(n), sweeps)
+	recordOf[T](rec, EvRelax, grid.Level(n), sweeps)
 }
 
 // restrictResidualOf computes the coarse right-hand side bufs.cb =
@@ -266,8 +266,8 @@ func restrictResidualOf[T grid.Float](ws *Workspace, x, b *grid.G[T], bufs *leve
 	n := x.N()
 	lvl := grid.Level(n)
 	stencil.OpResidualRestrict(ws.opAt(n), ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, T(1.0/float64(n-1)))
-	record(rec, EvResidual, lvl, 1)
-	record(rec, EvRestrict, lvl, 1)
+	recordOf[T](rec, EvResidual, lvl, 1)
+	recordOf[T](rec, EvRestrict, lvl, 1)
 }
 
 // estimate is the ESTIMATE step shared by both full-multigrid drivers
@@ -282,7 +282,7 @@ func (ws *Workspace) estimate(x, b *grid.Grid, rec Recorder, coarse func(cx, cb 
 	bufs.cx.Zero()
 	coarse(bufs.cx, bufs.cb)
 	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
-	record(rec, EvInterp, grid.Level(x.N()), 1)
+	recordOf[float64](rec, EvInterp, grid.Level(x.N()), 1)
 }
 
 // RecurseWith performs the shared coarse-grid-correction skeleton of
@@ -336,9 +336,9 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	// standalone residual pass. The Jacobi ablation keeps its sweep apart.
 	if ws.Smoother == SmootherSOR {
 		stencil.OpDownstroke(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h, T(op.OmegaSmooth()))
-		record(rec, EvRelax, lvl, 1)
-		record(rec, EvResidual, lvl, 1)
-		record(rec, EvRestrict, lvl, 1)
+		recordOf[T](rec, EvRelax, lvl, 1)
+		recordOf[T](rec, EvResidual, lvl, 1)
+		recordOf[T](rec, EvRestrict, lvl, 1)
 	} else {
 		smoothOf(ws, x, b, bufs.scratch, 1, rec)
 		restrictResidualOf(ws, x, b, bufs, rec)
@@ -359,12 +359,12 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 		} else {
 			*norm = stencil.OpUpstrokeNorm(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)
 		}
-		record(rec, EvInterp, lvl, 1)
-		record(rec, EvRelax, lvl, 1)
+		recordOf[T](rec, EvInterp, lvl, 1)
+		recordOf[T](rec, EvRelax, lvl, 1)
 		return
 	}
 	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
-	record(rec, EvInterp, lvl, 1)
+	recordOf[T](rec, EvInterp, lvl, 1)
 	smoothOf(ws, x, b, bufs.scratch, 1, rec)
 	if norm != nil {
 		*norm = stencil.OpResidualNorm(op, ws.Pool, x, b, h)
