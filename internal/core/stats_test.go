@@ -34,26 +34,26 @@ func TestTuneStatsPinned(t *testing.T) {
 			{2, Stats{57, 55, 42, 16, 1}},
 			{3, Stats{57, 55, 42, 17, 1}},
 			{4, Stats{57, 55, 195, 194, 1}},
-			{5, Stats{57, 52, 542, 542, 1}},
-			{6, Stats{57, 51, 475, 475, 0}},
-			{7, Stats{57, 51, 477, 477, 0}},
-		}, Stats{342, 319, 1773, 1721, 4}},
+			{5, Stats{57, 52, 534, 534, 1}},
+			{6, Stats{57, 51, 466, 466, 0}},
+			{7, Stats{57, 51, 468, 468, 0}},
+		}, Stats{342, 319, 1747, 1695, 4}},
 		{stencil.FamilyVarCoef, 6, []LevelStats{
 			{2, Stats{57, 55, 42, 16, 1}},
 			{3, Stats{57, 55, 42, 17, 1}},
 			{4, Stats{57, 55, 188, 187, 1}},
-			{5, Stats{57, 55, 751, 751, 1}},
-			{6, Stats{57, 51, 721, 721, 1}},
-		}, Stats{285, 271, 1744, 1692, 5}},
+			{5, Stats{57, 55, 758, 758, 1}},
+			{6, Stats{57, 51, 710, 710, 1}},
+		}, Stats{285, 271, 1740, 1688, 5}},
 		{stencil.FamilyPoisson3D, 4, []LevelStats{
 			{2, Stats{57, 55, 42, 17, 1}},
 			{3, Stats{57, 17, 1458, 1458, 1}},
-			{4, Stats{57, 51, 688, 688, 0}},
-		}, Stats{171, 123, 2188, 2163, 2}},
+			{4, Stats{57, 51, 670, 670, 0}},
+		}, Stats{171, 123, 2170, 2145, 2}},
 	}
 	if !testing.Short() {
 		// The README's poisson 513 tune.
-		cases = append(cases, pinned{stencil.FamilyPoisson, 9, nil, Stats{452, 417, 2890, 2838, 4}})
+		cases = append(cases, pinned{stencil.FamilyPoisson, 9, nil, Stats{452, 417, 2835, 2783, 4}})
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s/L%d", tc.family, tc.level), func(t *testing.T) {
