@@ -76,6 +76,9 @@ func TestParetoAtLeastAsGoodAsDiscrete(t *testing.T) {
 	// The discrete table is an approximation of the full DP (§2.3): for any
 	// target accuracy the full-DP front must offer an algorithm no more
 	// expensive than the discrete tuner's pick, measured by the same model.
+	// The full DP searches float64 plans only, so the pick runs with
+	// ForceF64: its f32 and mixed cells would compare a larger search space,
+	// not the DP.
 	tn := newModelTuner(t, 5, grid.Unbiased)
 	vt, err := tn.TuneV()
 	if err != nil {
@@ -90,7 +93,7 @@ func TestParetoAtLeastAsGoodAsDiscrete(t *testing.T) {
 	ws := tn.ws
 	for i, target := range vt.Acc {
 		var discTr mg.OpTrace
-		ex := &mg.Executor{WS: ws, V: vt, Rec: &discTr}
+		ex := &mg.Executor{WS: ws, V: vt, Rec: &discTr, ForceF64: true}
 		x := probs[0].NewState()
 		ex.SolveV(x, probs[0].B, i)
 		discCost := model.Cost(&discTr, 0)
