@@ -154,6 +154,50 @@ func TestTunedVBeatsOrTiesReferenceV(t *testing.T) {
 	}
 }
 
+// TestFigurePricesMatchTuner: the figures price a tuned plan by running it
+// with a trace and calling Model.Cost; the search priced the same plan when
+// it picked it. The two must be one price — in every V cell, float32 and
+// mixed cells included, under every model — or the figures judge plans the
+// tuner never priced the way they are judged.
+func TestFigurePricesMatchTuner(t *testing.T) {
+	for _, family := range []stencil.Family{stencil.FamilyPoisson, stencil.FamilyVarCoef} {
+		for _, model := range arch.Models() {
+			t.Run(family.String()+"/"+model.Name(), func(t *testing.T) {
+				t.Parallel()
+				tn, err := New(Config{MaxLevel: 6, Family: family, TrainingInstances: 2, Seed: 42, Coster: model})
+				if err != nil {
+					t.Fatal(err)
+				}
+				vt, err := tn.TuneV()
+				if err != nil {
+					t.Fatal(err)
+				}
+				reduced := 0
+				for level := 2; level <= vt.MaxLevel(); level++ {
+					p := tn.training(level)[0]
+					for i, target := range vt.Acc {
+						plan := vt.Plan(level, i)
+						if plan.Precision != mg.PrecF64 {
+							reduced++
+						}
+						var tr mg.OpTrace
+						ex := &mg.Executor{WS: tn.ws, V: vt, Rec: &tr}
+						ex.SolveV(p.NewState(), p.B, i)
+						got := model.Cost(&tr, 0)
+						pt, ok := tn.Front(level).Best(target)
+						if !ok || pt.Cost != got {
+							t.Errorf("level %d acc %g (%+v): figures price %.6g, the tuner recorded %.6g", level, target, plan, got, pt.Cost)
+						}
+					}
+				}
+				if reduced == 0 {
+					t.Error("no float32 or mixed cell was tuned: the test would price none")
+				}
+			})
+		}
+	}
+}
+
 func TestTuneFullProducesValidTableAndMeetsTargets(t *testing.T) {
 	tn := newModelTuner(t, 5, grid.Biased)
 	bundle, err := tn.Tune()

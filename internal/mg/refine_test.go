@@ -54,3 +54,36 @@ func TestRefinementConvergesHighAccuracy(t *testing.T) {
 		}
 	}
 }
+
+// TestReducedPrecisionCellsRecordTheirWidth: a trace files each event at the
+// storage width it ran at. An f32 cell runs everything at f32 but the direct
+// base case, which solves in float64; a mixed cell adds one f64 defect
+// residual per refinement iteration around its f32 steps.
+func TestReducedPrecisionCellsRecordTheirWidth(t *testing.T) {
+	const n, iters = 33, 3
+	top := grid.Level(n)
+	p, ws := testProblem(t, n, grid.Unbiased, 1)
+	for _, prec := range []Precision{PrecF32, PrecMixed} {
+		var tr OpTrace
+		ex := Executor{WS: ws, V: refineTable(top, iters, prec), Rec: &tr}
+		ex.SolveV(p.NewState(), p.B, 0)
+		for k := EvRelax; k <= EvIterSolve; k++ {
+			for l := 1; l <= tr.MaxLevel(); l++ {
+				want := int64(0)
+				switch {
+				case k == EvDirect:
+					want = tr.Count(k, l)
+				case prec == PrecMixed && k == EvResidual && l == top:
+					want = iters
+				}
+				if got := tr.CountAt(k, l, 64); got != want {
+					t.Errorf("%s cell: %d %s events at level %d ran at f64, want %d", prec, got, k, l, want)
+				}
+			}
+		}
+		if tr.CountAt(EvDirect, 1, 64) != iters || tr.CountAt(EvRelax, top, 32) != 2*iters {
+			t.Errorf("%s cell: %d f64 direct solves and %d f32 relaxations at the top, want %d and %d",
+				prec, tr.CountAt(EvDirect, 1, 64), tr.CountAt(EvRelax, top, 32), iters, 2*iters)
+		}
+	}
+}
