@@ -5,10 +5,8 @@
 // scalar speed, memory bandwidth, core count, cache size, task overhead —
 // calibrated to the machine's published character. The tuner consumes costs
 // through the Coster interface, so wall-clock measurement on the host and
-// model-based simulation are interchangeable. A trace keeps each operation's
-// storage width (float64 or float32), and a Model prices each operation at
-// its own width, so the tuner and every experiment price a plan the same
-// way: through one Cost.
+// model-based simulation are interchangeable. A Model prices each traced
+// operation at the storage width it ran at, for the tuner and every figure.
 package arch
 
 import (
@@ -51,9 +49,8 @@ func ForDim(c Coster, dim int) Coster {
 }
 
 // Model is a deterministic machine cost model. Costs are in abstract time
-// units; only ratios matter to the tuner. Stencil passes are priced at the
-// storage width the trace recorded them at: a float32 pass streams half the
-// bytes per point and fits twice the working set in cache.
+// units; only ratios matter to the tuner. A float32 stencil pass streams
+// half the bytes per point of a float64 one and fits twice the working set.
 type Model struct {
 	Name_ string
 	// Dim is the spatial dimension of the problems being priced (0 and 2
@@ -144,21 +141,21 @@ const (
 func levelSide(level int) int { return (1 << uint(level)) + 1 }
 
 // stencilCost prices one data-parallel stencil pass over the interior of a
-// level-k grid, stored wordBytes to the value, using a roofline max of
+// level-k grid stored at the given width in bits, using a roofline max of
 // compute and memory streams. The per-point byte intensities below are
-// counted at float64 width; stencilCost scales them by wordBytes/8, so a
-// float32 pass streams half the memory traffic and has half the cache
-// footprint.
-func (m *Model) stencilCost(level int, flopsPerPoint, bytesPerPoint, wordBytes float64) float64 {
+// counted at float64 width; stencilCost scales them by the word size, so a
+// float32 pass streams half the bytes and has half the cache footprint.
+func (m *Model) stencilCost(level int, flopsPerPoint, bytesPerPoint float64, bits int) float64 {
 	n := levelSide(level)
+	wb := float64(bits) / 8
 	points := float64(n-2) * float64(n-2)
-	footprint := float64(n) * float64(n) * wordBytes * 2
+	footprint := float64(n) * float64(n) * wb * 2
 	if m.dim3() {
 		points *= float64(n - 2)
 		footprint *= float64(n)
 	}
 	flopTime := points * flopsPerPoint * m.FlopTime
-	memTime := points * bytesPerPoint * (wordBytes / 8) * m.MemTime
+	memTime := points * bytesPerPoint * (wb / 8) * m.MemTime
 	if footprint <= m.CacheBytes {
 		memTime *= m.CacheMemFactor
 	}
@@ -195,7 +192,6 @@ func (m *Model) directCost(level int) float64 {
 // same at either width: the band Cholesky always runs in float64.
 func (m *Model) EventCost(kind mg.EventKind, level, count, bits int) float64 {
 	c := float64(count)
-	wb := float64(bits) / 8
 	base := c * m.CallOverhead
 	relF, relB := float64(relaxFlops), float64(relaxBytes)
 	resF, resB := float64(residualFlops), float64(residualBytes)
@@ -210,14 +206,14 @@ func (m *Model) EventCost(kind mg.EventKind, level, count, bits int) float64 {
 	switch kind {
 	case mg.EvRelax, mg.EvIterSolve:
 		// A shortcut solve of count sweeps runs the sweeps a smoother runs.
-		return base + c*m.stencilCost(level, relF, relB, wb)
+		return base + c*m.stencilCost(level, relF, relB, bits)
 	case mg.EvResidual:
-		return base + c*m.stencilCost(level, resF, resB, wb)
+		return base + c*m.stencilCost(level, resF, resB, bits)
 	case mg.EvRestrict:
 		// Work is proportional to the coarse grid written.
-		return base + c*m.stencilCost(level-1, rstF, rstB, wb)
+		return base + c*m.stencilCost(level-1, rstF, rstB, bits)
 	case mg.EvInterp:
-		return base + c*m.stencilCost(level, intF, intB, wb)
+		return base + c*m.stencilCost(level, intF, intB, bits)
 	case mg.EvDirect:
 		return base + c*m.directCost(level)
 	default:

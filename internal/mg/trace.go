@@ -63,7 +63,7 @@ type Recorder interface {
 // only the kind, level and count.
 func recordOf[T grid.Float](rec Recorder, kind EventKind, level, count int) {
 	if tr, ok := rec.(*OpTrace); ok {
-		tr.add(widthIndex(grid.Bits[T]()), kind, level, count)
+		tr.add(kind, grid.Bits[T](), level, count)
 	} else if rec != nil {
 		rec.Record(kind, level, count)
 	}
@@ -83,27 +83,26 @@ func RecordDirect(rec Recorder, level int) {
 // executions and architecture cost models: run once, price under any
 // model, each operation at its own width.
 type OpTrace struct {
-	counts [2][numEventKinds][]int64 // [widthIndex(bits)][kind][level]
+	counts [2 * numEventKinds][]int64 // [row(kind, bits)][level]
 }
 
-// widthIndex maps a storage width in bits to its row of OpTrace.counts.
-func widthIndex(bits int) int {
+// row indexes OpTrace.counts: every kind's float64 counts, then its
+// float32 ones.
+func row(kind EventKind, bits int) int {
 	if bits == 32 {
-		return 1
+		return int(numEventKinds + kind)
 	}
-	return 0
+	return int(kind)
 }
 
-// Record implements Recorder. Recorded through this method an operation
-// counts at float64 width; the executors' float32 paths file theirs at
-// float32.
-func (t *OpTrace) Record(kind EventKind, level, count int) { t.add(0, kind, level, count) }
+// Record implements Recorder, counting the operation at float64 width.
+func (t *OpTrace) Record(kind EventKind, level, count int) { t.add(kind, 64, level, count) }
 
-func (t *OpTrace) add(w int, kind EventKind, level, count int) {
+func (t *OpTrace) add(kind EventKind, bits, level, count int) {
 	if level < 0 || kind < 0 || kind >= numEventKinds {
 		panic(fmt.Sprintf("mg: bad trace record kind=%d level=%d", kind, level))
 	}
-	c := &t.counts[w][kind]
+	c := &t.counts[row(kind, bits)]
 	for len(*c) <= level {
 		*c = append(*c, 0)
 	}
@@ -113,13 +112,10 @@ func (t *OpTrace) add(w int, kind EventKind, level, count int) {
 // CountAt returns the count for kind at level of the operations that ran at
 // the given storage width in bits (32 or 64).
 func (t *OpTrace) CountAt(kind EventKind, level, bits int) int64 {
-	if kind < 0 || kind >= numEventKinds || level < 0 {
+	if kind < 0 || kind >= numEventKinds || level < 0 || level >= len(t.counts[row(kind, bits)]) {
 		return 0
 	}
-	if c := t.counts[widthIndex(bits)][kind]; level < len(c) {
-		return c[level]
-	}
-	return 0
+	return t.counts[row(kind, bits)][level]
 }
 
 // Count returns the accumulated count for kind at level, at both widths.
@@ -130,11 +126,9 @@ func (t *OpTrace) Count(kind EventKind, level int) int64 {
 // MaxLevel returns the highest level with any recorded operation, or 0.
 func (t *OpTrace) MaxLevel() int {
 	max := 0
-	for w := range t.counts {
-		for k := range t.counts[w] {
-			if l := len(t.counts[w][k]) - 1; l > max {
-				max = l
-			}
+	for k := range t.counts {
+		if l := len(t.counts[k]) - 1; l > max {
+			max = l
 		}
 	}
 	return max
@@ -143,20 +137,16 @@ func (t *OpTrace) MaxLevel() int {
 // Total returns the total count of kind across all levels and both widths.
 func (t *OpTrace) Total(kind EventKind) int64 {
 	var s int64
-	for w := range t.counts {
-		for _, c := range t.counts[w][kind] {
-			s += c
-		}
+	for l := 0; l <= t.MaxLevel(); l++ {
+		s += t.Count(kind, l)
 	}
 	return s
 }
 
 // Reset clears the trace for reuse.
 func (t *OpTrace) Reset() {
-	for w := range t.counts {
-		for k := range t.counts[w] {
-			t.counts[w][k] = t.counts[w][k][:0]
-		}
+	for k := range t.counts {
+		t.counts[k] = t.counts[k][:0]
 	}
 }
 
@@ -166,11 +156,11 @@ func (t *OpTrace) Reset() {
 // candidates without re-running them, into one trace it resets between
 // counts.
 func (t *OpTrace) AddScaled(other *OpTrace, n int) {
-	for w := range other.counts {
-		for k := range other.counts[w] {
-			for l, c := range other.counts[w][k] {
+	for _, bits := range [...]int{64, 32} {
+		for k := EvRelax; k < numEventKinds; k++ {
+			for l, c := range other.counts[row(k, bits)] {
 				if c != 0 {
-					t.add(w, EventKind(k), l, int(c)*n)
+					t.add(k, bits, l, int(c)*n)
 				}
 			}
 		}
