@@ -76,8 +76,11 @@ func run(pass *analysis.Pass) (interface{}, error) {
 
 	// Collect this package's function declarations keyed by their
 	// (uninstantiated) types.Func, then build the intra-package static
-	// call graph and mark everything reachable from a kernel root.
+	// call graph and mark everything reachable from a kernel root. The
+	// declarations are walked in source order, so a function reachable
+	// from several roots is always attributed to the first one.
 	decls := make(map[*types.Func]*ast.FuncDecl)
+	var order []*types.Func
 	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
 		fd := n.(*ast.FuncDecl)
 		if fd.Body == nil || lintutil.IsTestFile(pass.Fset, fd.Pos()) {
@@ -85,6 +88,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		}
 		if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
 			decls[fn] = fd
+			order = append(order, fn)
 		}
 	})
 	reach := make(map[*types.Func]*types.Func) // fn -> root it is reachable from
@@ -111,14 +115,16 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			return true
 		})
 	}
-	for fn, fd := range decls {
-		if rootRx.MatchString(fd.Name.Name) {
+	for _, fn := range order {
+		if rootRx.MatchString(decls[fn].Name.Name) {
 			visit(fn, fn)
 		}
 	}
 
-	for fn, root := range reach {
-		checkBody(pass, allow, decls[fn], root)
+	for _, fn := range order {
+		if root, ok := reach[fn]; ok {
+			checkBody(pass, allow, decls[fn], root)
+		}
 	}
 	return nil, nil
 }

@@ -33,6 +33,16 @@ func helper(g *G) {
 	_ = make([]float64, 1) // want "hotalloc: make call"
 }
 
+// SweepFirst and SweepSecond both reach shared: its finding names the
+// root declared first.
+func SweepFirst(g *G) { shared(g) }
+
+func SweepSecond(g *G) { shared(g) }
+
+func shared(g *G) {
+	_ = make([]float64, 2) // want "reachable from SweepFirst\\)"
+}
+
 // OpResidual returns its row closure: a per-invocation closure allocation.
 func OpResidual(g *G) func(int) {
 	return func(i int) { _ = g.Row(i) } // want "hotalloc: closure allocation"
