@@ -291,7 +291,7 @@ const (
 
 // classify inspects one CFG node for the tracked object: does it release
 // it, make it escape (ending tracking), or neither? Reads through
-// v.field selectors are neutral — using the scratch is the point.
+// v.field selectors, v[i] and *v are neutral — using the scratch is the point.
 func classify(info *types.Info, n ast.Node, obj types.Object) nodeClass {
 	class := nodeNeutral
 	var stack []ast.Node
@@ -321,7 +321,8 @@ func classify(info *types.Info, n ast.Node, obj types.Object) nodeClass {
 
 // benignUse reports whether the identifier on top of the stack is used in
 // a way that keeps the release obligation local: a field/method selector
-// on the value, or an index into it.
+// on the value, an index into it, or a dereference (the pooled *[]byte
+// idiom reads and refills *buf).
 func benignUse(stack []ast.Node) bool {
 	if len(stack) < 2 {
 		return false
@@ -331,6 +332,8 @@ func benignUse(stack []ast.Node) bool {
 		return p.X == stack[len(stack)-1]
 	case *ast.IndexExpr:
 		return p.X == stack[len(stack)-1]
+	case *ast.StarExpr:
+		return true
 	}
 	return false
 }

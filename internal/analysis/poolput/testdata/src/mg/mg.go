@@ -58,6 +58,24 @@ func get() *buf {
 	return b
 }
 
+var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 64); return &b }}
+
+// BytesLeak checks out a pooled *[]byte, refills it through the pointer
+// and never puts it back.
+func BytesLeak(n int) int {
+	buf := wirePool.Get().(*[]byte) // want "not released on every path"
+	*buf = append((*buf)[:0], byte(n))
+	return len(*buf)
+}
+
+// BytesDeferOK is the same checkout with the deferred Put.
+func BytesDeferOK(n int) int {
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	*buf = append((*buf)[:0], byte(n))
+	return len(*buf)
+}
+
 // CheckoutLeak uses the Workspace-arena naming: checkout without release
 // on the early return.
 func CheckoutLeak(n int) {
