@@ -12,29 +12,36 @@
 //
 //	go run ./cmd/mglint ./...          # lint the repo; nonzero exit on findings
 //	go run ./cmd/mglint -json ./...    # machine-readable diagnostics
-//	go vet -vettool=$(which mglint) ./...  # as a vet tool
 //
-// The binary speaks the go vet unitchecker protocol: invoked by the go
-// command (with -V=full, -flags, or a *.cfg unit file) it behaves as a
-// vettool; invoked with package patterns it re-executes itself through
-// `go vet -vettool=<self>`, so one binary is both the driver and the
-// tool and every run analyzes packages exactly the way the build does —
-// export data, test files, and all.
+// mglint lists the packages with `go list -deps -test`, so test files and
+// test variants are analyzed as the build sees them, type-checks each one
+// from source with go/types, and runs the analyzers itself. Findings are
+// reported for the named packages only. Their dependencies, the standard
+// library included, go through just the analyzers that export facts:
+// ctrlflow's no-return facts decide which paths poolput walks past a call
+// such as log.Fatal.
 package main
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
+	"go/token"
+	"go/types"
 	"os"
 	"os/exec"
+	"path/filepath"
+	"slices"
 	"strings"
 
 	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/unitchecker"
 
 	"pbmg/internal/analysis/boundedgo"
 	"pbmg/internal/analysis/determinism"
 	"pbmg/internal/analysis/dimguard"
 	"pbmg/internal/analysis/hotalloc"
+	"pbmg/internal/analysis/lintutil"
 	"pbmg/internal/analysis/poolput"
 )
 
@@ -48,16 +55,9 @@ var Analyzers = []*analysis.Analyzer{
 }
 
 func main() {
-	args := os.Args[1:]
-	if vetInvocation(args) {
-		unitchecker.Main(Analyzers...) // never returns
-	}
-
-	// Driver mode: mglint [-json] [packages...]. Re-exec through go vet
-	// so package loading matches the build exactly.
 	var jsonOut bool
-	var pkgs []string
-	for _, a := range args {
+	var patterns []string
+	for _, a := range os.Args[1:] {
 		switch a {
 		case "-json", "--json":
 			jsonOut = true
@@ -70,46 +70,139 @@ func main() {
 				usage()
 				os.Exit(2)
 			}
-			pkgs = append(pkgs, a)
+			patterns = append(patterns, a)
 		}
 	}
-	if len(pkgs) == 0 {
-		pkgs = []string{"./..."}
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	exe, err := os.Executable()
+	findings, err := lint(patterns)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "mglint: cannot locate own executable: %v\n", err)
+		fmt.Fprintf(os.Stderr, "mglint: %v\n", err)
 		os.Exit(2)
 	}
-	vetArgs := []string{"vet", "-vettool=" + exe}
 	if jsonOut {
-		vetArgs = append(vetArgs, "-json")
-	}
-	vetArgs = append(vetArgs, pkgs...)
-	cmd := exec.Command("go", vetArgs...)
-	cmd.Stdout = os.Stdout
-	cmd.Stderr = os.Stderr
-	cmd.Stdin = os.Stdin
-	if err := cmd.Run(); err != nil {
-		if ee, ok := err.(*exec.ExitError); ok {
-			os.Exit(ee.ExitCode())
+		tree := make(map[string]map[string][]finding)
+		for _, f := range findings {
+			if tree[f.pkg] == nil {
+				tree[f.pkg] = make(map[string][]finding)
+			}
+			tree[f.pkg][f.analyzer] = append(tree[f.pkg][f.analyzer], f)
 		}
-		fmt.Fprintf(os.Stderr, "mglint: running go vet: %v\n", err)
-		os.Exit(2)
+		data, _ := json.MarshalIndent(tree, "", "\t") // maps of strings always marshal
+		fmt.Printf("%s\n", data)
+	} else {
+		for _, f := range findings {
+			fmt.Fprintf(os.Stderr, "%s: %s\n", f.Posn, f.Message)
+		}
+	}
+	if len(findings) > 0 {
+		os.Exit(1)
 	}
 }
 
-// vetInvocation reports whether the go command is driving this process
-// as a vettool (the unitchecker protocol: a version/flags handshake or a
-// unit-config file argument).
-func vetInvocation(args []string) bool {
-	for _, a := range args {
-		if a == "-V=full" || a == "-flags" || strings.HasSuffix(a, ".cfg") {
-			return true
+// listedPackage is the part of `go list -json` output mglint reads.
+type listedPackage struct {
+	ImportPath string // "p", or "p [q.test]" for a test variant
+	Name       string
+	Dir        string
+	GoFiles    []string
+	ImportMap  map[string]string // import path in source -> ImportPath
+	DepOnly    bool
+	Error      *struct{ Err string }
+}
+
+type finding struct {
+	pkg, analyzer string
+	Posn          string `json:"posn"`
+	Message       string `json:"message"`
+}
+
+// factAnalyzers are the analyzers in the suite's Requires closure that
+// export facts. They also run on every dependency, so that a root package
+// sees the facts of what it imports.
+var factAnalyzers = withFacts(Analyzers)
+
+func withFacts(analyzers []*analysis.Analyzer) (out []*analysis.Analyzer) {
+	for _, a := range analyzers {
+		for _, f := range append(withFacts(a.Requires), a) {
+			if len(f.FactTypes) > 0 && !slices.Contains(out, f) {
+				out = append(out, f)
+			}
 		}
 	}
-	return false
+	return out
 }
+
+// lint loads, type-checks and analyzes the packages the patterns name and
+// their dependencies, and returns each root package finding once.
+func lint(patterns []string) ([]finding, error) {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-test"}, patterns...)...)
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return nil, fmt.Errorf("go list: %w", err)
+	}
+	cwd, _ := os.Getwd() // on failure positions stay absolute
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{"unsafe": types.Unsafe}
+	facts := make(lintutil.Facts)
+	seen := make(map[[2]string]bool)
+	var findings []finding
+	// go list prints every package after its dependencies.
+	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
+		var lp listedPackage
+		if err := dec.Decode(&lp); err != nil {
+			return nil, fmt.Errorf("reading go list output: %w", err)
+		}
+		if lp.ImportPath == "unsafe" || lp.Name == "main" && strings.HasSuffix(lp.ImportPath, ".test") {
+			continue // unsafe has no source; *.test mains are generated
+		}
+		if lp.Error != nil {
+			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+		}
+		// Imports resolve through ImportMap to packages already checked,
+		// keyed by ImportPath so that test variants stay apart.
+		imp := importerFunc(func(path string) (*types.Package, error) {
+			if p := checked[cmp.Or(lp.ImportMap[path], path)]; p != nil {
+				return p, nil
+			}
+			return nil, fmt.Errorf("go list did not list %s before its importer", path)
+		})
+		path, _, _ := strings.Cut(lp.ImportPath, " ") // a test variant keeps its package's path
+		p, err := lintutil.Check(fset, path, lp.Dir, lp.GoFiles, imp)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
+		}
+		checked[lp.ImportPath] = p.Types
+		analyzers := factAnalyzers
+		if !lp.DepOnly {
+			analyzers = Analyzers
+		}
+		diags, err := lintutil.Run(p, facts, analyzers...)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
+		}
+		for _, a := range analyzers {
+			for _, d := range diags[a] {
+				posn := fset.Position(d.Pos)
+				if rel, err := filepath.Rel(cwd, posn.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+					posn.Filename = rel
+				}
+				if key := [2]string{posn.String(), d.Message}; !seen[key] {
+					seen[key] = true
+					findings = append(findings, finding{lp.ImportPath, a.Name, key[0], key[1]})
+				}
+			}
+		}
+	}
+	return findings, nil
+}
+
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func usage() {
 	fmt.Fprintf(os.Stderr, `mglint: enforce pbmg's kernel, pooling, and serving invariants

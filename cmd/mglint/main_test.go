@@ -1,22 +1,24 @@
 package main
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
 
-// TestSeededViolationFailsVet builds the mglint binary and drives it the
-// way CI does — through go vet -vettool — over a scratch module seeded
-// with a boundedgo violation, proving the whole pipeline (unitchecker
-// protocol, package scoping, nonzero exit) catches a regression; the
-// repaired variant of the same module must pass.
+// TestSeededViolationFailsVet builds the mglint binary and runs it the way
+// CI does over scratch modules, each seeded with one violation, proving
+// the whole pipeline (package loading, type-checking, the analyzers,
+// nonzero exit) catches a regression; the repaired module must pass.
 func TestSeededViolationFailsVet(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds a binary and vets a scratch module")
+		t.Skip("builds a binary and lints scratch modules")
 	}
 	tmp := t.TempDir()
 	bin := filepath.Join(tmp, "mglint")
@@ -25,8 +27,11 @@ func TestSeededViolationFailsVet(t *testing.T) {
 		t.Fatalf("building mglint: %v\n%s", err, out)
 	}
 
-	writeModule := func(dir, serveSrc string) {
+	// lint writes a module whose serve package is serveSrc and runs
+	// mglint ./... in it.
+	lint := func(name, serveSrc string) (string, int) {
 		t.Helper()
+		dir := filepath.Join(tmp, name)
 		if err := os.MkdirAll(filepath.Join(dir, "serve"), 0o755); err != nil {
 			t.Fatal(err)
 		}
@@ -39,36 +44,54 @@ func TestSeededViolationFailsVet(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}
-	vet := func(dir string) (string, error) {
-		cmd := exec.Command("go", "vet", "-vettool="+bin, "./...")
+		cmd := exec.Command(bin, "./...")
 		cmd.Dir = dir
 		out, err := cmd.CombinedOutput()
-		return string(out), err
+		var exit *exec.ExitError
+		if errors.As(err, &exit) {
+			return string(out), exit.ExitCode()
+		} else if err != nil {
+			t.Fatalf("running mglint: %v", err)
+		}
+		return string(out), 0
 	}
 
-	// Seeded violation: the PR 4 shape, a goroutine per ranged element.
-	bad := filepath.Join(tmp, "bad")
-	writeModule(bad, `package serve
+	for _, c := range []struct{ name, analyzer, src string }{
+		// The PR 4 shape, a goroutine per ranged element.
+		{"fanout", "boundedgo", `package serve
 
 func FanOut(reqs []int, handle func(int)) {
 	for _, r := range reqs {
 		go handle(r)
 	}
 }
-`)
-	out, err := vet(bad)
-	if err == nil {
-		t.Fatalf("go vet -vettool=mglint passed on a seeded boundedgo violation; output:\n%s", out)
-	}
-	if !strings.Contains(out, "boundedgo") {
-		t.Fatalf("failure output does not name boundedgo:\n%s", out)
+`},
+		// The pooled *[]byte read buffer, checked out and never put back.
+		{"wirebuf", "poolput", `package serve
+
+import "sync"
+
+var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+func Read(src []byte) int {
+	buf := wirePool.Get().(*[]byte)
+	*buf = append((*buf)[:0], src...)
+	return len(*buf)
+}
+`},
+	} {
+		out, code := lint(c.name, c.src)
+		if code != 1 {
+			t.Errorf("mglint exited %d on a seeded %s violation, want 1; output:\n%s", code, c.analyzer, out)
+		}
+		if !strings.Contains(out, c.analyzer) {
+			t.Errorf("output on the seeded %s violation does not name it:\n%s", c.analyzer, out)
+		}
 	}
 
-	// The repaired module — a worker loop sized by an admission limit —
+	// The repaired fan-out — a worker loop sized by an admission limit —
 	// must pass with exit 0.
-	good := filepath.Join(tmp, "good")
-	writeModule(good, `package serve
+	if out, code := lint("workers", `package serve
 
 func FanOut(workers int, reqs chan int, handle func(int)) {
 	for i := 0; i < workers; i++ {
@@ -79,9 +102,64 @@ func FanOut(workers int, reqs chan int, handle func(int)) {
 		}()
 	}
 }
-`)
-	if out, err := vet(good); err != nil {
-		t.Fatalf("go vet -vettool=mglint failed on the repaired module: %v\n%s", err, out)
+`); code != 0 {
+		t.Fatalf("mglint exited %d on the repaired module:\n%s", code, out)
+	}
+}
+
+// TestVendorHoldsOnlyImportedPackages holds vendor/ to the x/tools
+// packages the module imports, tests included: a package nothing imports
+// is dead code to be deleted, here and in vendor/modules.txt.
+func TestVendorHoldsOnlyImportedPackages(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs go list")
+	}
+	root := filepath.Join("..", "..")
+	cmd := exec.Command("go", "list", "-deps", "-test", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	var imported []string
+	for _, pkg := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(pkg, "golang.org/x/tools/") {
+			imported = append(imported, pkg)
+		}
+	}
+	slices.Sort(imported)
+
+	modules, err := os.ReadFile(filepath.Join(root, "vendor", "modules.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var listed []string
+	for _, line := range strings.Split(string(modules), "\n") {
+		if line != "" && !strings.HasPrefix(line, "#") {
+			listed = append(listed, line)
+		}
+	}
+	slices.Sort(listed)
+	if !slices.Equal(listed, imported) {
+		t.Errorf("vendor/modules.txt lists\n  %s\nbut the module imports\n  %s",
+			strings.Join(listed, "\n  "), strings.Join(imported, "\n  "))
+	}
+
+	var dirs []string
+	err = filepath.WalkDir(filepath.Join(root, "vendor"), func(path string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".go") {
+			dir, _ := filepath.Rel(filepath.Join(root, "vendor"), filepath.Dir(path))
+			dirs = append(dirs, filepath.ToSlash(dir))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(dirs)
+	if dirs = slices.Compact(dirs); !slices.Equal(dirs, listed) {
+		t.Errorf("vendor/ holds Go files in\n  %s\nbut vendor/modules.txt lists\n  %s",
+			strings.Join(dirs, "\n  "), strings.Join(listed, "\n  "))
 	}
 }
 

@@ -2,11 +2,12 @@
 // checks its diagnostics against // want "regexp" comments — the
 // analysistest contract, reimplemented on the standard library's source
 // importer. The real golang.org/x/tools/go/analysis/analysistest needs
-// go/packages, which is not part of the toolchain's vendored x/tools
-// subset this repo builds its analyzers from; this harness loads fixtures
-// with go/parser + go/types instead, resolving fixture-local imports from
-// testdata/src and everything else from the compiler's source importer,
-// so the analyzer tests run hermetically offline.
+// go/packages, which the repo's vendored x/tools subset does not carry;
+// this harness loads fixtures with go/parser + go/types instead,
+// resolving fixture-local imports from testdata/src and everything else
+// from the compiler's source importer, so the analyzer tests run
+// hermetically offline. The analyzers run through lintutil.Run, the same
+// runner cmd/mglint uses.
 //
 // Usage, from an analyzer package:
 //
@@ -22,18 +23,18 @@ import (
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"os"
 	"path/filepath"
-	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
 	"testing"
 
 	"golang.org/x/tools/go/analysis"
+
+	"pbmg/internal/analysis/lintutil"
 )
 
 // Run loads each fixture package under dir/src and checks the analyzer's
@@ -48,25 +49,20 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", path, err)
 			}
-			diags, err := runAnalyzer(l.fset, a, p)
+			diags, err := lintutil.Run(p, l.facts, a)
 			if err != nil {
 				t.Fatalf("running %s on %s: %v", a.Name, path, err)
 			}
-			checkWants(t, l.fset, p.files, diags)
+			checkWants(t, l.fset, p.Files, diags[a])
 		})
 	}
-}
-
-type loaded struct {
-	pkg   *types.Package
-	files []*ast.File
-	info  *types.Info
 }
 
 type loader struct {
 	srcRoot string
 	fset    *token.FileSet
-	cache   map[string]*loaded
+	cache   map[string]*lintutil.Package
+	facts   lintutil.Facts
 	std     types.ImporterFrom
 }
 
@@ -75,7 +71,8 @@ func newLoader(srcRoot string) *loader {
 	return &loader{
 		srcRoot: srcRoot,
 		fset:    fset,
-		cache:   make(map[string]*loaded),
+		cache:   make(map[string]*lintutil.Package),
+		facts:   make(lintutil.Facts),
 		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
 }
@@ -91,12 +88,12 @@ func (l *loader) Import(path string) (*types.Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		return p.pkg, nil
+		return p.Types, nil
 	}
 	return l.std.Import(path)
 }
 
-func (l *loader) load(path string) (*loaded, error) {
+func (l *loader) load(path string) (*lintutil.Package, error) {
 	if p, ok := l.cache[path]; ok {
 		return p, nil
 	}
@@ -105,112 +102,21 @@ func (l *loader) load(path string) (*loaded, error) {
 	if err != nil {
 		return nil, err
 	}
-	var files []*ast.File
+	var names []string
 	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
-			continue
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
 		}
-		f, err := parser.ParseFile(l.fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
 	}
-	if len(files) == 0 {
+	if len(names) == 0 {
 		return nil, fmt.Errorf("no .go files in %s", dir)
 	}
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-		Instances:  make(map[*ast.Ident]types.Instance),
-	}
-	conf := types.Config{Importer: l}
-	pkg, err := conf.Check(path, l.fset, files, info)
+	p, err := lintutil.Check(l.fset, path, dir, names, l)
 	if err != nil {
-		return nil, fmt.Errorf("type error: %w", err)
+		return nil, err
 	}
-	p := &loaded{pkg: pkg, files: files, info: info}
 	l.cache[path] = p
 	return p, nil
-}
-
-// runAnalyzer runs a and (first) its transitive Requires over the
-// package, returning a's diagnostics.
-func runAnalyzer(fset *token.FileSet, a *analysis.Analyzer, p *loaded) ([]analysis.Diagnostic, error) {
-	results := make(map[*analysis.Analyzer]interface{})
-	facts := &factStore{objects: make(map[factKey]analysis.Fact)}
-	var diags []analysis.Diagnostic
-	var runOne func(a *analysis.Analyzer) error
-	runOne = func(a *analysis.Analyzer) error {
-		if _, done := results[a]; done {
-			return nil
-		}
-		for _, req := range a.Requires {
-			if err := runOne(req); err != nil {
-				return err
-			}
-		}
-		pass := &analysis.Pass{
-			Analyzer:   a,
-			Fset:       fset,
-			Files:      p.files,
-			Pkg:        p.pkg,
-			TypesInfo:  p.info,
-			TypesSizes: types.SizesFor("gc", "amd64"),
-			ResultOf:   results,
-			Report: func(d analysis.Diagnostic) {
-				diags = append(diags, d)
-			},
-			ImportObjectFact:  facts.importObjectFact,
-			ExportObjectFact:  facts.exportObjectFact,
-			ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-			ExportPackageFact: func(analysis.Fact) {},
-			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-			AllPackageFacts:   func() []analysis.PackageFact { return nil },
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
-		results[a] = res
-		return nil
-	}
-	// Run the dependency closure first with reporting discarded — only
-	// the target analyzer's diagnostics are under test.
-	for _, req := range a.Requires {
-		if err := runOne(req); err != nil {
-			return nil, err
-		}
-	}
-	diags = nil
-	err := runOne(a)
-	return diags, err
-}
-
-type factKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-type factStore struct {
-	objects map[factKey]analysis.Fact
-}
-
-func (s *factStore) exportObjectFact(obj types.Object, f analysis.Fact) {
-	s.objects[factKey{obj, reflect.TypeOf(f)}] = f
-}
-
-func (s *factStore) importObjectFact(obj types.Object, f analysis.Fact) bool {
-	stored, ok := s.objects[factKey{obj, reflect.TypeOf(f)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(f).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
 }
 
 var wantRx = regexp.MustCompile(`//\s*want\s+(.*)$`)

@@ -1,7 +1,8 @@
 // Package lintutil holds the pieces the mglint analyzers share: the
 // //mglint:allow escape-hatch annotation, the package-scope matcher that
-// binds each analyzer to the repo layers whose invariants it enforces, and
-// small AST/type helpers.
+// binds each analyzer to the repo layers whose invariants it enforces,
+// small AST/type helpers, and the runner (Run) that both cmd/mglint and
+// the fixture harness atest drive the analyzers through.
 //
 // The annotation convention: a comment of the form
 //
