@@ -1,6 +1,6 @@
-// mglint is the repo's invariant checker: a go/analysis multichecker
-// over the five analyzers that mechanically enforce the kernel, pooling,
-// and serving contracts (see README "Static analysis"):
+// mglint is the repo's invariant checker: it runs the five analyzers
+// that mechanically enforce the kernel, pooling, and serving contracts
+// (see README "Static analysis"):
 //
 //	hotalloc     no allocation in kernel hot paths
 //	determinism  no nondeterminism sources in kernel/reduction code
@@ -15,11 +15,11 @@
 //
 // mglint lists the packages with `go list -deps -test`, so test files and
 // test variants are analyzed as the build sees them, type-checks each one
-// from source with go/types, and runs the analyzers itself. Findings are
-// reported for the named packages only. Their dependencies, the standard
-// library included, go through just the analyzers that export facts:
-// ctrlflow's no-return facts decide which paths poolput walks past a call
-// such as log.Fatal.
+// from source with go/types, and runs the analyzers through lintutil.Run.
+// Findings are reported for the named packages only. Their dependencies,
+// the standard library included, run no analyzer: each only adds the
+// functions that never return to the set the load shares, which decides
+// the paths poolput walks past a call such as log.Fatal.
 package main
 
 import (
@@ -32,10 +32,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"slices"
 	"strings"
-
-	"golang.org/x/tools/go/analysis"
 
 	"pbmg/internal/analysis/boundedgo"
 	"pbmg/internal/analysis/determinism"
@@ -46,7 +43,7 @@ import (
 )
 
 // Analyzers is the mglint suite, in reporting order.
-var Analyzers = []*analysis.Analyzer{
+var Analyzers = []*lintutil.Analyzer{
 	hotalloc.Analyzer,
 	determinism.Analyzer,
 	poolput.Analyzer,
@@ -118,22 +115,6 @@ type finding struct {
 	Message       string `json:"message"`
 }
 
-// factAnalyzers are the analyzers in the suite's Requires closure that
-// export facts. They also run on every dependency, so that a root package
-// sees the facts of what it imports.
-var factAnalyzers = withFacts(Analyzers)
-
-func withFacts(analyzers []*analysis.Analyzer) (out []*analysis.Analyzer) {
-	for _, a := range analyzers {
-		for _, f := range append(withFacts(a.Requires), a) {
-			if len(f.FactTypes) > 0 && !slices.Contains(out, f) {
-				out = append(out, f)
-			}
-		}
-	}
-	return out
-}
-
 // lint loads, type-checks and analyzes the packages the patterns name and
 // their dependencies, and returns each root package finding once.
 func lint(patterns []string) ([]finding, error) {
@@ -147,7 +128,7 @@ func lint(patterns []string) ([]finding, error) {
 	cwd, _ := os.Getwd() // on failure positions stay absolute
 	fset := token.NewFileSet()
 	checked := map[string]*types.Package{"unsafe": types.Unsafe}
-	facts := make(lintutil.Facts)
+	noReturn := make(map[*types.Func]bool)
 	seen := make(map[[2]string]bool)
 	var findings []finding
 	// go list prints every package after its dependencies.
@@ -176,14 +157,11 @@ func lint(patterns []string) ([]finding, error) {
 			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = p.Types
-		analyzers := factAnalyzers
+		var analyzers []*lintutil.Analyzer
 		if !lp.DepOnly {
 			analyzers = Analyzers
 		}
-		diags, err := lintutil.Run(p, facts, analyzers...)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
-		}
+		diags := lintutil.Run(p, noReturn, analyzers...)
 		for _, a := range analyzers {
 			for _, d := range diags[a] {
 				posn := fset.Position(d.Pos)

@@ -14,8 +14,9 @@ import (
 
 // TestSeededViolationFailsVet builds the mglint binary and runs it the way
 // CI does over scratch modules, each seeded with one violation, proving
-// the whole pipeline (package loading, type-checking, the analyzers,
-// nonzero exit) catches a regression; the repaired module must pass.
+// the whole pipeline (package loading, type-checking, the no-return set
+// of every dependency, the analyzers, nonzero exit) catches a regression;
+// the repaired module must pass.
 func TestSeededViolationFailsVet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a binary and lints scratch modules")
@@ -27,19 +28,20 @@ func TestSeededViolationFailsVet(t *testing.T) {
 		t.Fatalf("building mglint: %v\n%s", err, out)
 	}
 
-	// lint writes a module whose serve package is serveSrc and runs
-	// mglint ./... in it.
+	// lint writes a module whose serve package is serveSrc, with a check
+	// package whose Fail always panics, and runs mglint ./... in it.
 	lint := func(name, serveSrc string) (string, int) {
 		t.Helper()
 		dir := filepath.Join(tmp, name)
-		if err := os.MkdirAll(filepath.Join(dir, "serve"), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		files := map[string]string{
 			"go.mod":         "module scratch\n\ngo 1.24\n",
 			"serve/serve.go": serveSrc,
+			"check/check.go": "package check\n\nfunc Fail(msg string) { panic(msg) }\n",
 		}
 		for name, src := range files {
+			if err := os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
 			if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -56,9 +58,10 @@ func TestSeededViolationFailsVet(t *testing.T) {
 		return string(out), 0
 	}
 
-	for _, c := range []struct{ name, analyzer, src string }{
+	// Each case names the finding it wants as "posn: analyzer".
+	for _, c := range []struct{ name, want, src string }{
 		// The PR 4 shape, a goroutine per ranged element.
-		{"fanout", "boundedgo", `package serve
+		{"fanout", "serve/serve.go:5:3: boundedgo", `package serve
 
 func FanOut(reqs []int, handle func(int)) {
 	for _, r := range reqs {
@@ -67,7 +70,7 @@ func FanOut(reqs []int, handle func(int)) {
 }
 `},
 		// The pooled *[]byte read buffer, checked out and never put back.
-		{"wirebuf", "poolput", `package serve
+		{"wirebuf", "serve/serve.go:8:2: poolput", `package serve
 
 import "sync"
 
@@ -79,13 +82,58 @@ func Read(src []byte) int {
 	return len(*buf)
 }
 `},
+		// A path that ends in log.Fatal leaves the buffer checked out.
+		// mglint sees it only if log's dependencies went through the
+		// no-return set: syscall.Exit, then os.Exit, then log.Fatal.
+		{"wirebuf-fatal", "serve/serve.go:11:2: poolput", `package serve
+
+import (
+	"log"
+	"sync"
+)
+
+var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+func Read(src []byte, ok bool) int {
+	buf := wirePool.Get().(*[]byte)
+	if !ok {
+		log.Fatal("bad")
+	}
+	*buf = append((*buf)[:0], src...)
+	n := len(*buf)
+	wirePool.Put(buf)
+	return n
+}
+`},
+		// The same through a helper of another package that always panics.
+		{"wirebuf-helper", "serve/serve.go:12:2: poolput", `package serve
+
+import (
+	"sync"
+
+	"scratch/check"
+)
+
+var wirePool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
+
+func Read(src []byte, ok bool) int {
+	buf := wirePool.Get().(*[]byte)
+	if !ok {
+		check.Fail("bad")
+	}
+	*buf = append((*buf)[:0], src...)
+	n := len(*buf)
+	wirePool.Put(buf)
+	return n
+}
+`},
 	} {
 		out, code := lint(c.name, c.src)
 		if code != 1 {
-			t.Errorf("mglint exited %d on a seeded %s violation, want 1; output:\n%s", code, c.analyzer, out)
+			t.Errorf("%s: mglint exited %d on a seeded violation, want 1; output:\n%s", c.name, code, out)
 		}
-		if !strings.Contains(out, c.analyzer) {
-			t.Errorf("output on the seeded %s violation does not name it:\n%s", c.analyzer, out)
+		if !strings.Contains(out, c.want) {
+			t.Errorf("%s: output does not report %q:\n%s", c.name, c.want, out)
 		}
 	}
 

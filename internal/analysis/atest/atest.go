@@ -1,20 +1,20 @@
 // Package atest runs an analyzer over GOPATH-style fixture packages and
-// checks its diagnostics against // want "regexp" comments — the
-// analysistest contract, reimplemented on the standard library's source
-// importer. The real golang.org/x/tools/go/analysis/analysistest needs
-// go/packages, which the repo's vendored x/tools subset does not carry;
-// this harness loads fixtures with go/parser + go/types instead,
-// resolving fixture-local imports from testdata/src and everything else
-// from the compiler's source importer, so the analyzer tests run
-// hermetically offline. The analyzers run through lintutil.Run, the same
-// runner cmd/mglint uses.
+// checks its diagnostics against // want "regexp" comments. It loads
+// fixtures with go/parser + go/types, resolving fixture-local imports
+// from testdata/src and everything else from the compiler's source
+// importer, so the analyzer tests run hermetically offline. The analyzers
+// run through lintutil.Run, the same runner cmd/mglint uses, and the
+// packages of one Run call share one no-return set, filled in the order
+// they are named. A package that is only imported never goes through
+// lintutil.Run, the standard library included: none of its functions is
+// in the set, so a fixture's log.Fatal may return.
 //
 // Usage, from an analyzer package:
 //
 //	atest.Run(t, "testdata", Analyzer, "stencil", "clean/stencil")
 //
 // loads testdata/src/stencil and testdata/src/clean/stencil, runs the
-// analyzer (and, first, its transitive Requires), and asserts that every
+// analyzer on each, and asserts that every
 // diagnostic matches a want comment on its line and every want comment is
 // matched by a diagnostic.
 package atest
@@ -32,14 +32,12 @@ import (
 	"strings"
 	"testing"
 
-	"golang.org/x/tools/go/analysis"
-
 	"pbmg/internal/analysis/lintutil"
 )
 
 // Run loads each fixture package under dir/src and checks the analyzer's
 // diagnostics against the fixtures' want comments.
-func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
+func Run(t *testing.T, dir string, a *lintutil.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	l := newLoader(filepath.Join(dir, "src"))
 	for _, path := range pkgPaths {
@@ -49,31 +47,28 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 			if err != nil {
 				t.Fatalf("loading fixture %s: %v", path, err)
 			}
-			diags, err := lintutil.Run(p, l.facts, a)
-			if err != nil {
-				t.Fatalf("running %s on %s: %v", a.Name, path, err)
-			}
+			diags := lintutil.Run(p, l.noReturn, a)
 			checkWants(t, l.fset, p.Files, diags[a])
 		})
 	}
 }
 
 type loader struct {
-	srcRoot string
-	fset    *token.FileSet
-	cache   map[string]*lintutil.Package
-	facts   lintutil.Facts
-	std     types.ImporterFrom
+	srcRoot  string
+	fset     *token.FileSet
+	cache    map[string]*lintutil.Package
+	noReturn map[*types.Func]bool
+	std      types.ImporterFrom
 }
 
 func newLoader(srcRoot string) *loader {
 	fset := token.NewFileSet()
 	return &loader{
-		srcRoot: srcRoot,
-		fset:    fset,
-		cache:   make(map[string]*lintutil.Package),
-		facts:   make(lintutil.Facts),
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		srcRoot:  srcRoot,
+		fset:     fset,
+		cache:    make(map[string]*lintutil.Package),
+		noReturn: make(map[*types.Func]bool),
+		std:      importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 	}
 }
 
@@ -131,7 +126,7 @@ type want struct {
 
 // checkWants asserts the bidirectional match between diagnostics and
 // want comments.
-func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []analysis.Diagnostic) {
+func checkWants(t *testing.T, fset *token.FileSet, files []*ast.File, diags []lintutil.Diagnostic) {
 	t.Helper()
 	var wants []*want
 	for _, f := range files {

@@ -27,55 +27,52 @@ import (
 	"go/types"
 	"regexp"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"pbmg/internal/analysis/lintutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "boundedgo",
-	Doc:      "no naked go statements in the serving path: goroutine launches must be bounded by a worker count or a semaphore acquire",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "boundedgo",
+	Doc:  "no naked go statements in the serving path: goroutine launches must be bounded by a worker count or a semaphore acquire",
+	Run:  run,
 }
 
 var acquireRx = regexp.MustCompile(`^(Acquire|TryAcquire|acquire|admit)`)
 var semNameRx = regexp.MustCompile(`(?i)(sem|slot|ticket|gate|tok|quota)`)
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	inScopePkg := lintutil.PkgInScope(pass.Pkg.Path(), "serve")
 	allow := lintutil.NewAllowIndex(pass, "boundedgo")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
-	ins.WithStack([]ast.Node{(*ast.GoStmt)(nil)}, func(n ast.Node, push bool, stack []ast.Node) bool {
-		if !push {
-			return false
-		}
-		g := n.(*ast.GoStmt)
-		if lintutil.IsTestFile(pass.Fset, g.Pos()) || allow.Allowed(g.Pos()) {
-			return false
-		}
-		// Scope: the serve package wholesale, plus the registry
-		// and service layers of the root package by filename.
-		if !inScopePkg {
-			base := lintutil.FileBase(pass.Fset, g.Pos())
-			if base != "registry.go" && base != "service.go" {
+	// A go statement's children are not visited: a launch inside a
+	// launched literal is the outer launch's concern.
+	for _, f := range pass.Files {
+		lintutil.WithStack(f, func(n ast.Node, stack []ast.Node) bool {
+			g, ok := n.(*ast.GoStmt)
+			if !ok {
+				return true
+			}
+			if lintutil.IsTestFile(pass.Fset, g.Pos()) || allow.Allowed(g.Pos()) {
 				return false
 			}
-		}
-		if reason, bad := naked(pass, g, stack); bad {
-			pass.Reportf(g.Pos(), "boundedgo: %s; bound the fan-out with a worker loop sized by the admission limit, guard the launch with a semaphore acquire, or annotate //mglint:allow boundedgo", reason)
-		}
-		return false
-	})
-	return nil, nil
+			// Scope: the serve package wholesale, plus the registry
+			// and service layers of the root package by filename.
+			if !inScopePkg {
+				base := lintutil.FileBase(pass.Fset, g.Pos())
+				if base != "registry.go" && base != "service.go" {
+					return false
+				}
+			}
+			if reason, bad := naked(pass, g, stack); bad {
+				pass.Reportf(g.Pos(), "boundedgo: %s; bound the fan-out with a worker loop sized by the admission limit, guard the launch with a semaphore acquire, or annotate //mglint:allow boundedgo", reason)
+			}
+			return false
+		})
+	}
 }
 
 // naked decides whether the go statement is an unbounded launch, and
 // says why.
-func naked(pass *analysis.Pass, g *ast.GoStmt, stack []ast.Node) (string, bool) {
+func naked(pass *lintutil.Pass, g *ast.GoStmt, stack []ast.Node) (string, bool) {
 	// Innermost enclosing loop decides the launch multiplicity.
 	for i := len(stack) - 1; i >= 0; i-- {
 		switch loop := stack[i].(type) {
@@ -139,7 +136,7 @@ func isInteger(t types.Type) bool {
 // guardedBefore reports whether an admission guard — an Acquire-style
 // call or a semaphore channel operation — appears lexically before the
 // go statement inside the enclosing function node.
-func guardedBefore(pass *analysis.Pass, fn ast.Node, g *ast.GoStmt) bool {
+func guardedBefore(pass *lintutil.Pass, fn ast.Node, g *ast.GoStmt) bool {
 	guarded := false
 	ast.Inspect(fn, func(n ast.Node) bool {
 		if n == nil || guarded {

@@ -25,18 +25,13 @@ import (
 	"go/token"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"pbmg/internal/analysis/lintutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "determinism",
-	Doc:      "flag nondeterminism sources (map-order float accumulation, time/rand, unordered parallel reductions) in kernel code",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "determinism",
+	Doc:  "flag nondeterminism sources (map-order float accumulation, time/rand, unordered parallel reductions) in kernel code",
+	Run:  run,
 }
 
 // allowedRandFuncs are the math/rand package-level constructors that
@@ -44,12 +39,11 @@ var Analyzer = &analysis.Analyzer{
 // draws from the shared global source.
 var allowedRandFuncs = map[string]bool{"New": true, "NewSource": true, "NewZipf": true, "NewPCG": true, "NewChaCha8": true}
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	if !lintutil.PkgInScope(pass.Pkg.Path(), "stencil", "transfer", "grid", "sched") {
-		return nil, nil
+		return
 	}
 	allow := lintutil.NewAllowIndex(pass, "determinism")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	report := func(pos token.Pos, msg string) {
 		if allow.Allowed(pos) || lintutil.IsTestFile(pass.Fset, pos) {
@@ -58,21 +52,23 @@ func run(pass *analysis.Pass) (interface{}, error) {
 		pass.Reportf(pos, "determinism: %s", msg)
 	}
 
-	ins.Preorder([]ast.Node{(*ast.RangeStmt)(nil), (*ast.CallExpr)(nil)}, func(n ast.Node) {
-		switch x := n.(type) {
-		case *ast.RangeStmt:
-			checkMapRange(pass, report, x)
-		case *ast.CallExpr:
-			checkCall(pass, report, x)
-		}
-	})
-	return nil, nil
+	for _, f := range pass.Files {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.RangeStmt:
+				checkMapRange(pass, report, x)
+			case *ast.CallExpr:
+				checkCall(pass, report, x)
+			}
+			return true
+		})
+	}
 }
 
 // checkMapRange flags `for k, v := range m` over a map whose body
 // compound-assigns a floating-point variable declared outside the loop:
 // the accumulation order is the map's randomized iteration order.
-func checkMapRange(pass *analysis.Pass, report func(token.Pos, string), rng *ast.RangeStmt) {
+func checkMapRange(pass *lintutil.Pass, report func(token.Pos, string), rng *ast.RangeStmt) {
 	tv, ok := pass.TypesInfo.Types[rng.X]
 	if !ok {
 		return
@@ -107,7 +103,7 @@ func checkMapRange(pass *analysis.Pass, report func(token.Pos, string), rng *ast
 // checkCall flags time.Now/time.Since and global math/rand draws, and
 // inspects Pool.Do / Pool.ParallelFor closures for unordered float
 // reductions.
-func checkCall(pass *analysis.Pass, report func(token.Pos, string), call *ast.CallExpr) {
+func checkCall(pass *lintutil.Pass, report func(token.Pos, string), call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return

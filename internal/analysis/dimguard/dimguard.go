@@ -20,18 +20,13 @@ import (
 	"go/constant"
 	"go/types"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"pbmg/internal/analysis/lintutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "dimguard",
-	Doc:      "2D-only grid accessors (At/Set/Row, transfer.RestrictCoef) applied to grids built by New3/NewDim(3,…) — and vice versa — are compile-time findings, not runtime panics",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "dimguard",
+	Doc:  "2D-only grid accessors (At/Set/Row, transfer.RestrictCoef) applied to grids built by New3/NewDim(3,…) — and vice versa — are compile-time findings, not runtime panics",
+	Run:  run,
 }
 
 // accessorDim maps grid accessor method names to the dimension their
@@ -41,21 +36,16 @@ var accessorDim = map[string]int{
 	"At3": 3, "Set3": 3, "Row3": 3, "Plane": 3,
 }
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	allow := lintutil.NewAllowIndex(pass, "dimguard")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil || lintutil.IsTestFile(pass.Fset, fd.Pos()) {
-			return
+	lintutil.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
+		if fd.Body != nil && !lintutil.IsTestFile(pass.Fset, fd.Pos()) {
+			checkFunc(pass, allow, fd)
 		}
-		checkFunc(pass, allow, fd)
 	})
-	return nil, nil
 }
 
-func checkFunc(pass *analysis.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl) {
+func checkFunc(pass *lintutil.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl) {
 	// Pass 1: candidate vars whose defining assignment is a
 	// dimension-constant grid constructor, and a count of all writes to
 	// each object so reassigned vars drop out.
@@ -140,7 +130,7 @@ func checkFunc(pass *analysis.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl
 	})
 }
 
-func reportMismatch(pass *analysis.Pass, allow *lintutil.AllowIndex, dims map[types.Object]int, ctor map[types.Object]string, recv ast.Expr, want int, accessor string) {
+func reportMismatch(pass *lintutil.Pass, allow *lintutil.AllowIndex, dims map[types.Object]int, ctor map[types.Object]string, recv ast.Expr, want int, accessor string) {
 	id, ok := ast.Unparen(recv).(*ast.Ident)
 	if !ok {
 		return
@@ -162,21 +152,8 @@ func gridCtorDim(info *types.Info, rhs ast.Expr) (int, string, bool) {
 	if !ok {
 		return 0, "", false
 	}
-	fun := ast.Unparen(call.Fun)
-	if ix, ok := fun.(*ast.IndexExpr); ok {
-		fun = ix.X
-	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
-		fun = ix.X
-	}
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = info.Uses[f.Sel]
-	}
-	fn, ok := obj.(*types.Func)
-	if !ok || fn.Pkg() == nil || !lintutil.PkgInScope(fn.Pkg().Path(), "grid") {
+	fn := lintutil.Callee(info, call)
+	if fn == nil || fn.Pkg() == nil || !lintutil.PkgInScope(fn.Pkg().Path(), "grid") {
 		return 0, "", false
 	}
 	switch fn.Name() {

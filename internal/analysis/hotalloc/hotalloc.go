@@ -44,18 +44,13 @@ import (
 	"go/types"
 	"regexp"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
-
 	"pbmg/internal/analysis/lintutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "hotalloc",
-	Doc:      "forbid allocation (make/new/append/escaping closures/boxing/fmt) in kernel hot paths reachable from Op*/Sweep* entry points",
-	Requires: []*analysis.Analyzer{inspect.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "hotalloc",
+	Doc:  "forbid allocation (make/new/append/escaping closures/boxing/fmt) in kernel hot paths reachable from Op*/Sweep* entry points",
+	Run:  run,
 }
 
 // rootRx names the kernel entry points and the grid accessor layer they
@@ -67,12 +62,11 @@ var rootRx = regexp.MustCompile(`^(Op[A-Z]|Sweep|Smooth|Residual|Restrict|Interp
 // sanctioned per-invocation kernel body.
 var poolDispatch = map[string]bool{"Do": true, "ParallelFor": true, "ParallelForPoints": true}
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	if !lintutil.PkgInScope(pass.Pkg.Path(), "stencil", "transfer", "grid") {
-		return nil, nil
+		return
 	}
 	allow := lintutil.NewAllowIndex(pass, "hotalloc")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
 
 	// Collect this package's function declarations keyed by their
 	// (uninstantiated) types.Func, then build the intra-package static
@@ -81,8 +75,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	// from several roots is always attributed to the first one.
 	decls := make(map[*types.Func]*ast.FuncDecl)
 	var order []*types.Func
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
+	lintutil.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
 		if fd.Body == nil || lintutil.IsTestFile(pass.Fset, fd.Pos()) {
 			return
 		}
@@ -107,7 +100,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			if !ok {
 				return true
 			}
-			if callee := typeutilCallee(pass.TypesInfo, call); callee != nil {
+			if callee := lintutil.Callee(pass.TypesInfo, call); callee != nil {
 				if callee.Pkg() == pass.Pkg {
 					visit(origin(callee), root)
 				}
@@ -126,7 +119,6 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			checkBody(pass, allow, decls[fn], root)
 		}
 	}
-	return nil, nil
 }
 
 // origin maps an instantiated generic function back to its declaration.
@@ -137,29 +129,8 @@ func origin(fn *types.Func) *types.Func {
 	return fn
 }
 
-// typeutilCallee resolves the called *types.Func for static calls
-// (identifiers, selectors, and generic instantiations); nil for dynamic
-// calls, builtins, and conversions.
-func typeutilCallee(info *types.Info, call *ast.CallExpr) *types.Func {
-	fun := ast.Unparen(call.Fun)
-	if ix, ok := fun.(*ast.IndexExpr); ok { // generic instantiation f[T](...)
-		fun = ix.X
-	} else if ix, ok := fun.(*ast.IndexListExpr); ok {
-		fun = ix.X
-	}
-	var obj types.Object
-	switch f := fun.(type) {
-	case *ast.Ident:
-		obj = info.Uses[f]
-	case *ast.SelectorExpr:
-		obj = info.Uses[f.Sel]
-	}
-	fn, _ := obj.(*types.Func)
-	return fn
-}
-
 // checkBody flags the allocation constructs inside one reachable function.
-func checkBody(pass *analysis.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl, root *types.Func) {
+func checkBody(pass *lintutil.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl, root *types.Func) {
 	report := func(pos ast.Node, what string) {
 		if allow.Allowed(pos.Pos()) {
 			return
@@ -167,13 +138,7 @@ func checkBody(pass *analysis.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl
 		pass.Reportf(pos.Pos(), "hotalloc: %s in kernel hot path %s (reachable from %s); hoist to setup, use the pooled arena, or annotate //mglint:allow hotalloc with a justification",
 			what, fd.Name.Name, root.Name())
 	}
-	var stack []ast.Node
-	walk := func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, n)
+	lintutil.WithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		if onPanicPath(stack) {
 			return true // guard-path panic formatting is cold by definition
 		}
@@ -195,10 +160,7 @@ func checkBody(pass *analysis.Pass, allow *lintutil.AllowIndex, fd *ast.FuncDecl
 			}
 		}
 		return true
-	}
-	// ast.Inspect with an explicit stack so position-sensitive checks can
-	// see ancestors.
-	ast.Inspect(fd.Body, walk)
+	})
 }
 
 // onPanicPath reports whether the node on top of the stack sits inside a
@@ -221,7 +183,7 @@ func onPanicPath(stack []ast.Node) bool {
 // same-package helpers stay on the stack (the escape gate audits the
 // compiler's actual verdict); literals handed to another package, stored,
 // returned, or deferred escape.
-func escapingLit(pass *analysis.Pass, stack []ast.Node) (string, bool) {
+func escapingLit(pass *lintutil.Pass, stack []ast.Node) (string, bool) {
 	if len(stack) < 2 {
 		return "", false
 	}
@@ -251,7 +213,7 @@ func escapingLit(pass *analysis.Pass, stack []ast.Node) (string, bool) {
 		if sel, ok := ast.Unparen(p.Fun).(*ast.SelectorExpr); ok && poolDispatch[sel.Sel.Name] {
 			return "", false // sanctioned pool-dispatch kernel body
 		}
-		callee := typeutilCallee(pass.TypesInfo, p)
+		callee := lintutil.Callee(pass.TypesInfo, p)
 		if callee == nil || callee.Pkg() == pass.Pkg {
 			return "", false // dynamic or same-package helper: stays local
 		}
@@ -260,7 +222,7 @@ func escapingLit(pass *analysis.Pass, stack []ast.Node) (string, bool) {
 	return "", false
 }
 
-func checkCall(pass *analysis.Pass, report func(ast.Node, string), call *ast.CallExpr, stack []ast.Node) {
+func checkCall(pass *lintutil.Pass, report func(ast.Node, string), call *ast.CallExpr, stack []ast.Node) {
 	fun := ast.Unparen(call.Fun)
 	// Builtins: make, new, append.
 	if id, ok := fun.(*ast.Ident); ok {

@@ -7,10 +7,41 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"reflect"
 
-	"golang.org/x/tools/go/analysis"
+	"golang.org/x/tools/go/cfg"
 )
+
+// Analyzer is one mglint check: Run inspects a package through its Pass
+// and reports what it finds with Pass.Reportf.
+type Analyzer struct {
+	Name string
+	Doc  string
+	Run  func(*Pass)
+}
+
+// Diagnostic is one finding.
+type Diagnostic struct {
+	Pos     token.Pos
+	Message string
+}
+
+// Pass is one analyzer's view of one package.
+type Pass struct {
+	Fset      *token.FileSet
+	Files     []*ast.File
+	Pkg       *types.Package
+	TypesInfo *types.Info
+	// CFGs holds the control-flow graph of every function declaration
+	// with a body, built with the no-return set the package was run with.
+	CFGs map[*ast.FuncDecl]*cfg.CFG
+
+	diags []Diagnostic
+}
+
+// Reportf records a finding at pos.
+func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
+	p.diags = append(p.diags, Diagnostic{pos, fmt.Sprintf(format, args...)})
+}
 
 // Package is one parsed and type-checked package, ready to analyze.
 type Package struct {
@@ -48,71 +79,92 @@ func Check(fset *token.FileSet, path, dir string, names []string, imp types.Impo
 	return &Package{fset, files, pkg, info}, nil
 }
 
-// Run runs each analyzer over p, after its transitive Requires, and
-// returns the diagnostics of every analyzer it ran. Object facts go to and
-// come from facts, which a caller shares across every package of one load.
-func Run(p *Package, facts Facts, analyzers ...*analysis.Analyzer) (map[*analysis.Analyzer][]analysis.Diagnostic, error) {
-	results := make(map[*analysis.Analyzer]any)
-	diags := make(map[*analysis.Analyzer][]analysis.Diagnostic)
-	var runOne func(a *analysis.Analyzer) error
-	runOne = func(a *analysis.Analyzer) error {
-		if _, done := results[a]; done {
-			return nil
+// Run builds p's control-flow graphs, adding the functions of p that
+// never return to noReturn, then runs each analyzer over p and returns
+// its diagnostics. A caller shares one noReturn set across every package
+// of a load and runs the packages after their dependencies; a dependency
+// run with no analyzers only adds to the set.
+func Run(p *Package, noReturn map[*types.Func]bool, analyzers ...*Analyzer) map[*Analyzer][]Diagnostic {
+	cfgs := buildCFGs(p, noReturn)
+	diags := make(map[*Analyzer][]Diagnostic)
+	for _, a := range analyzers {
+		pass := &Pass{Fset: p.Fset, Files: p.Files, Pkg: p.Types, TypesInfo: p.Info, CFGs: cfgs}
+		a.Run(pass)
+		diags[a] = pass.diags
+	}
+	return diags
+}
+
+// buildCFGs builds the CFG of every function declaration of p and adds
+// those that never return to noReturn: no live block of the CFG ends in a
+// return. A call to a function declared in p builds the callee first; a
+// call cycle is broken at the declaration met first in source order.
+func buildCFGs(p *Package, noReturn map[*types.Func]bool) map[*ast.FuncDecl]*cfg.CFG {
+	decls := make(map[*types.Func]*ast.FuncDecl)
+	var order []*types.Func
+	FuncDecls(p.Files, func(fd *ast.FuncDecl) {
+		if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
+			decls[fn] = fd
+			order = append(order, fn)
 		}
-		for _, req := range a.Requires {
-			if err := runOne(req); err != nil {
-				return err
+	})
+	cfgs := make(map[*ast.FuncDecl]*cfg.CFG)
+	started := make(map[*types.Func]bool)
+	var build func(fn *types.Func)
+	mayReturn := func(call *ast.CallExpr) bool {
+		if id, ok := call.Fun.(*ast.Ident); ok && p.Info.Uses[id] == panicBuiltin {
+			return false
+		}
+		fn := Callee(p.Info, call)
+		if fn == nil || isInterfaceMethod(fn) {
+			return true // a func value or an interface method may return
+		}
+		if _, ok := decls[fn]; ok {
+			build(fn)
+		}
+		return !noReturn[fn]
+	}
+	build = func(fn *types.Func) {
+		if started[fn] {
+			return
+		}
+		started[fn] = true
+		if intrinsicNoReturn(fn) {
+			noReturn[fn] = true
+		}
+		if fd := decls[fn]; fd.Body != nil {
+			g := cfg.New(fd.Body, mayReturn)
+			cfgs[fd] = g
+			if !hasLiveReturn(g) {
+				noReturn[fn] = true
 			}
 		}
-		pass := &analysis.Pass{
-			Analyzer:          a,
-			Fset:              p.Fset,
-			Files:             p.Files,
-			Pkg:               p.Types,
-			TypesInfo:         p.Info,
-			TypesSizes:        types.SizesFor("gc", "amd64"),
-			ResultOf:          results,
-			Report:            func(d analysis.Diagnostic) { diags[a] = append(diags[a], d) },
-			ImportObjectFact:  facts.importObjectFact,
-			ExportObjectFact:  facts.exportObjectFact,
-			ImportPackageFact: func(*types.Package, analysis.Fact) bool { return false },
-			ExportPackageFact: func(analysis.Fact) {},
-			AllObjectFacts:    func() []analysis.ObjectFact { return nil },
-			AllPackageFacts:   func() []analysis.PackageFact { return nil },
-		}
-		res, err := a.Run(pass)
-		if err != nil {
-			return fmt.Errorf("%s: %w", a.Name, err)
-		}
-		results[a] = res
-		return nil
 	}
-	for _, a := range analyzers {
-		if err := runOne(a); err != nil {
-			return nil, err
-		}
+	for _, fn := range order {
+		build(fn)
 	}
-	return diags, nil
+	return cfgs
 }
 
-// Facts is an in-memory store of the object facts analyzers export; make
-// one with make(Facts).
-type Facts map[factKey]analysis.Fact
+var panicBuiltin = types.Universe.Lookup("panic")
 
-type factKey struct {
-	obj types.Object
-	typ reflect.Type
-}
-
-func (s Facts) exportObjectFact(obj types.Object, f analysis.Fact) {
-	s[factKey{obj, reflect.TypeOf(f)}] = f
-}
-
-func (s Facts) importObjectFact(obj types.Object, f analysis.Fact) bool {
-	stored, ok := s[factKey{obj, reflect.TypeOf(f)}]
-	if !ok {
-		return false
+func hasLiveReturn(g *cfg.CFG) bool {
+	for _, b := range g.Blocks {
+		if b.Live && b.Return() != nil {
+			return true
+		}
 	}
-	reflect.ValueOf(f).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
+	return false
+}
+
+// intrinsicNoReturn reports whether fn stops the calling thread itself.
+func intrinsicNoReturn(fn *types.Func) bool {
+	path, name := fn.Pkg().Path(), fn.Name()
+	return path == "syscall" && (name == "Exit" || name == "ExitProcess" || name == "ExitThread") ||
+		path == "runtime" && name == "Goexit"
+}
+
+func isInterfaceMethod(fn *types.Func) bool {
+	recv := fn.Type().(*types.Signature).Recv()
+	return recv != nil && types.IsInterface(recv.Type())
 }

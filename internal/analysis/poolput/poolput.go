@@ -29,38 +29,27 @@ import (
 	"go/types"
 	"strings"
 
-	"golang.org/x/tools/go/analysis"
-	"golang.org/x/tools/go/analysis/passes/ctrlflow"
-	"golang.org/x/tools/go/analysis/passes/inspect"
-	"golang.org/x/tools/go/ast/inspector"
 	"golang.org/x/tools/go/cfg"
 
 	"pbmg/internal/analysis/lintutil"
 )
 
-var Analyzer = &analysis.Analyzer{
-	Name:     "poolput",
-	Doc:      "every sync.Pool Get / arena checkout must reach a Put/release on all control-flow paths",
-	Requires: []*analysis.Analyzer{inspect.Analyzer, ctrlflow.Analyzer},
-	Run:      run,
+var Analyzer = &lintutil.Analyzer{
+	Name: "poolput",
+	Doc:  "every sync.Pool Get / arena checkout must reach a Put/release on all control-flow paths",
+	Run:  run,
 }
 
 var acquireNames = map[string]bool{"checkout": true, "checkoutOf": true}
 var releaseNames = map[string]bool{"release": true, "releaseOf": true, "put": true}
 
-func run(pass *analysis.Pass) (interface{}, error) {
+func run(pass *lintutil.Pass) {
 	allow := lintutil.NewAllowIndex(pass, "poolput")
-	ins := pass.ResultOf[inspect.Analyzer].(*inspector.Inspector)
-	cfgs := pass.ResultOf[ctrlflow.Analyzer].(*ctrlflow.CFGs)
-
-	ins.Preorder([]ast.Node{(*ast.FuncDecl)(nil)}, func(n ast.Node) {
-		fd := n.(*ast.FuncDecl)
-		if fd.Body == nil || lintutil.IsTestFile(pass.Fset, fd.Pos()) {
-			return
+	lintutil.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
+		if fd.Body != nil && !lintutil.IsTestFile(pass.Fset, fd.Pos()) {
+			checkFunc(pass, allow, pass.CFGs[fd], fd)
 		}
-		checkFunc(pass, allow, cfgs.FuncDecl(fd), fd)
 	})
-	return nil, nil
 }
 
 type acquire struct {
@@ -69,7 +58,7 @@ type acquire struct {
 	what string          // description of the acquire for the diagnostic
 }
 
-func checkFunc(pass *analysis.Pass, allow *lintutil.AllowIndex, g *cfg.CFG, fd *ast.FuncDecl) {
+func checkFunc(pass *lintutil.Pass, allow *lintutil.AllowIndex, g *cfg.CFG, fd *ast.FuncDecl) {
 	if g == nil {
 		return
 	}
@@ -294,13 +283,7 @@ const (
 // v.field selectors, v[i] and *v are neutral — using the scratch is the point.
 func classify(info *types.Info, n ast.Node, obj types.Object) nodeClass {
 	class := nodeNeutral
-	var stack []ast.Node
-	ast.Inspect(n, func(x ast.Node) bool {
-		if x == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		stack = append(stack, x)
+	lintutil.WithStack(n, func(x ast.Node, stack []ast.Node) bool {
 		if call, ok := x.(*ast.CallExpr); ok {
 			if releasedObject(info, call) == obj {
 				class = nodeReleases
