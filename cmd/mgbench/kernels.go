@@ -28,14 +28,13 @@ type kernelCell struct {
 	Eps    float64 `json:"eps,omitempty"`
 	Dim    int     `json:"dim"`
 	N      int     `json:"n"`
-	// Kernel names the fused pass under test: "downstroke" (smooth +
-	// residual + restrict vs smooth + ResidualRestrict), "smooth+residual"
-	// (vs SmoothResidual), "sweep+norm" (vs SweepWithNorm), "upstroke"
-	// (interpolate + correct + sweep + residual norm vs
-	// InterpolateCorrectSmooth + FinishSmoothWithNorm), "sorx12" (12 SOR
-	// sweeps, an f32-vs-f64 row only), and "residual-norm" (serial vs
-	// pool-parallel ResidualNorm). "downstroke-wavefront", "upstroke-wavefront"
-	// and, in 3D, "sweep-wavefront" time the cycle's serial one-traversal
+	// Kernel names the fused pass under test: "downstroke" (sweep +
+	// residual + restrict vs Downstroke), "residual+restrict" (vs
+	// ResidualRestrict), "upstroke" (interpolate + correct + sweep vs
+	// Upstroke), "sorx12" (12 SOR sweeps, an f32-vs-f64 row only), and
+	// "residual-norm" (serial vs pool-parallel ResidualNorm).
+	// "downstroke-wavefront", "upstroke-wavefront" and, in 3D,
+	// "sweep-wavefront" time the cycle's serial one-traversal
 	// kernels (SmoothResidualRestrict, Upstroke, SORSweepRB with no pool)
 	// against the same row kernels run as barrier-separated passes (a
 	// one-worker pool: pass order, no threads), at one precision.
@@ -205,42 +204,20 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			})
 			emit("residual+restrict", unfused, fused)
 
-			unfused = benchBest(reset, func() {
-				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
-				stencil.OpResidual(op, pool, r, x, b, h)
-			})
-			fused = benchBest(reset, func() {
-				stencil.OpSmoothResidual(op, pool, x, b, r, h, omega)
-			})
-			emit("smooth+residual", unfused, fused)
-
-			unfused = benchBest(reset, func() {
-				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
-				stencil.OpResidualNorm(op, pool, x, b, h)
-			})
-			fused = benchBest(reset, func() {
-				stencil.OpSweepWithNorm(op, pool, x, b, h, omega)
-			})
-			emit("sweep+norm", unfused, fused)
-
-			// The V-cycle upstroke as the adaptive cycle runs it at the
-			// finest level: coarse correction, post-smooth, and the
-			// convergence probe. Unfused that is four-plus full-grid passes
-			// (interpolate into scratch, add, sweep, residual norm); fused
-			// it is UpstrokeNorm: the correction through a row of scratch,
-			// the red half-sweep, and the black half-sweep with the
-			// delta-emitted norm, in one traversal. Both sides produce
-			// bit-identical iterates and norms.
+			// The V-cycle upstroke: coarse correction and post-smooth.
+			// Unfused that is four full-grid passes (interpolate into
+			// scratch, add, two half-sweeps); fused it is Upstroke: the
+			// correction through a row of scratch and both half-sweeps in
+			// one traversal. Both sides produce bit-identical iterates.
 			cx := grid.NewDim(fam.dim, grid.Coarsen(n))
 			grid.FillRandom(cx, grid.Unbiased, rng)
 			unfused = benchBest(reset, func() {
 				transfer.Interpolate(pool, scratch, cx)
 				x.AddInterior(scratch)
 				stencil.OpSORSweepRB(op, pool, x, b, h, omega)
-				stencil.OpResidualNorm(op, pool, x, b, h)
 			})
 			fused = benchBest(reset, func() {
-				stencil.OpUpstrokeNorm(op, pool, x, b, cx, scratch, h, omega)
+				stencil.OpUpstroke(op, pool, x, b, cx, scratch, h, omega)
 			})
 			emit("upstroke", unfused, fused)
 			upstrokeF64 := fused
@@ -270,7 +247,7 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			})
 			emitPrec("downstroke", "f32", downstrokeF64, fused)
 			fused = benchBest(reset32, func() {
-				stencil.OpUpstrokeNorm(op, pool, x32, b32, cx32, scratch32, h32, omega32)
+				stencil.OpUpstroke(op, pool, x32, b32, cx32, scratch32, h32, omega32)
 			})
 			emitPrec("upstroke", "f32", upstrokeF64, fused)
 			fused = benchBest(reset32, func() { sorx12(op, pool, x32, b32, h32, omega32) })
@@ -337,10 +314,10 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			emitCell(&rep, fam.name, fam.eps, fam.dim, n, "downstroke", "f32", f64t, f32t)
 
 			f64t = benchBest(reset, func() {
-				stencil.OpUpstrokeNorm(op, pool, x, b, cx, scratch, h, omega)
+				stencil.OpUpstroke(op, pool, x, b, cx, scratch, h, omega)
 			})
 			f32t = benchBest(reset32, func() {
-				stencil.OpUpstrokeNorm(op, pool, x32, b32, cx32, scratch32, h32, omega32)
+				stencil.OpUpstroke(op, pool, x32, b32, cx32, scratch32, h32, omega32)
 			})
 			emitCell(&rep, fam.name, fam.eps, fam.dim, n, "upstroke", "f32", f64t, f32t)
 

@@ -75,11 +75,8 @@ func (a *AdaptiveSolver) Solve(x, b *grid.Grid, reduction float64, startSub int)
 	res := AdaptiveResult{FinalSub: startSub}
 	prev := r0
 	for res.Iters < maxIters {
-		a.Ex.checkpoint()
-		// RecurseNorm folds the convergence probe into the step's final
-		// post-smoothing sweep — the per-iteration residual re-traversal
-		// this loop used to pay is gone.
-		cur := a.Ex.RecurseNorm(x, b, res.FinalSub)
+		a.Ex.Recurse(x, b, res.FinalSub)
+		cur := stencil.OpResidualNorm(op, pool, x, b, h)
 		res.Iters++
 		if nonFinite(cur) || cur > divergenceGrowth*r0 {
 			abortDiverged("adaptive residual %g after %d iterations (started at %g)", cur, res.Iters, r0)

@@ -107,3 +107,36 @@ func TestAdaptiveDefaults(t *testing.T) {
 		t.Fatalf("defaults failed to converge: %+v", res)
 	}
 }
+
+// TestAdaptiveReductionIsTheResidualNormRatio pins what both exits of the
+// adaptive loop report: r₀ over OpResidualNorm of the iterate they return,
+// bit for bit — the probe of each step is that kernel, not a fused copy of it.
+func TestAdaptiveReductionIsTheResidualNormRatio(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		reduction float64
+		maxIters  int
+	}{
+		{"target met", 1e6, 0},
+		{"MaxIters reached", 1e30, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p, ws := testProblem(t, 33, grid.Unbiased, 26)
+			a := &AdaptiveSolver{Ex: &Executor{WS: ws, V: uniformVTable(5, 3)}, MaxIters: tc.maxIters}
+			x := p.NewState()
+			h := 1.0 / 32
+			r0 := stencil.OpResidualNorm(stencil.Poisson(), nil, x, p.B, h)
+			res := a.Solve(x, p.B, tc.reduction, 0)
+			if tc.maxIters > 0 && res.Iters != tc.maxIters {
+				t.Fatalf("iters = %d, want MaxIters = %d", res.Iters, tc.maxIters)
+			}
+			if tc.maxIters == 0 && res.Reduction < tc.reduction {
+				t.Fatalf("reduction %.3g short of the target %.3g", res.Reduction, tc.reduction)
+			}
+			want := r0 / stencil.OpResidualNorm(stencil.Poisson(), nil, x, p.B, h)
+			if math.Float64bits(res.Reduction) != math.Float64bits(want) {
+				t.Fatalf("reported reduction %v, r₀/‖b − T·x‖ = %v", res.Reduction, want)
+			}
+		})
+	}
+}

@@ -170,47 +170,3 @@ func TestFullMGFusedMatchesUnfused(t *testing.T) {
 		})
 	}
 }
-
-// TestRecurseWithNormMatchesSeparateProbe checks the norm-returning recurse:
-// the iterate must be bit-identical to the plain recurse, and the fused norm
-// must match a separate residual-norm traversal to rounding error.
-func TestRecurseWithNormMatchesSeparateProbe(t *testing.T) {
-	for _, tc := range fusedCycleOps(t) {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			p := problem.RandomOp(tc.n, grid.Unbiased, rng, tc.op)
-			h := 1.0 / float64(tc.n-1)
-
-			ws := NewWorkspace(nil, tc.op)
-			coarse := func(cx, cb *grid.Grid) { ws.RefVCycle(cx, cb, nil) }
-
-			xo := p.NewState()
-			ws.RecurseWith(xo, p.B, nil, coarse)
-			want := stencil.OpResidualNorm(tc.op.At(tc.n), nil, xo, p.B, h)
-
-			xf := p.NewState()
-			norm := ws.RecurseWithNorm(xf, p.B, nil, coarse)
-			fd, od := xf.Data(), xo.Data()
-			for k := range fd {
-				if math.Float64bits(fd[k]) != math.Float64bits(od[k]) {
-					t.Fatalf("norm-returning recurse diverges at %d", k)
-				}
-			}
-			if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
-				t.Fatalf("fused norm %v, separate probe %v (diff %g)", norm, want, d)
-			}
-
-			// The Jacobi ablation takes the fallback path (separate probe)
-			// and must agree with itself too.
-			wsj := NewWorkspace(nil, tc.op)
-			wsj.Smoother = SmootherJacobi
-			coarseJ := func(cx, cb *grid.Grid) { wsj.RefVCycle(cx, cb, nil) }
-			xj := p.NewState()
-			normJ := wsj.RecurseWithNorm(xj, p.B, nil, coarseJ)
-			wantJ := stencil.OpResidualNorm(tc.op.At(tc.n), nil, xj, p.B, h)
-			if math.Float64bits(normJ) != math.Float64bits(wantJ) {
-				t.Fatalf("jacobi fallback norm %v != %v", normJ, wantJ)
-			}
-		})
-	}
-}

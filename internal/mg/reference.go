@@ -23,7 +23,7 @@ func refVCycleOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder) {
 	}
 	recurseWithOf(ws, x, b, rec, func(cx, cb *grid.G[T]) {
 		refVCycleOf(ws, cx, cb, rec)
-	}, nil)
+	})
 }
 
 // RefFullMG performs one standard full-multigrid pass on x in place: an

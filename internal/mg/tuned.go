@@ -204,16 +204,6 @@ func recurseOf[T grid.Float](e *Executor, x, b *grid.G[T], subIdx int) {
 	e.checkpoint()
 	recurseWithOf(e.WS, x, b, e.Rec, func(cx, cb *grid.G[T]) {
 		solveVOf(e, cx, cb, subIdx)
-	}, nil)
-}
-
-// RecurseNorm performs one RECURSE_j step and returns ‖b − T·x‖₂ after its
-// post-smoothing sweep, with the norm reduction fused into that sweep. It
-// is the adaptive driver's per-iteration primitive: step and convergence
-// probe in one set of grid traversals.
-func (e *Executor) RecurseNorm(x, b *grid.Grid, subIdx int) float64 {
-	return e.WS.RecurseWithNorm(x, b, e.Rec, func(cx, cb *grid.Grid) {
-		e.SolveV(cx, cb, subIdx)
 	})
 }
 

@@ -291,24 +291,11 @@ func (ws *Workspace) estimate(x, b *grid.Grid, rec Recorder, coarse func(cx, cb 
 // coarseSolve, correct, post-smooth. coarseSolve receives a zeroed coarse
 // state and the restricted residual.
 func (ws *Workspace) RecurseWith(x, b *grid.Grid, rec Recorder, coarseSolve func(cx, cb *grid.Grid)) {
-	recurseWithOf(ws, x, b, rec, coarseSolve, nil)
-}
-
-// RecurseWithNorm is RecurseWith fused with the convergence probe: it also
-// returns ‖b − T·x‖₂ after the final post-smoothing sweep, computed inside
-// that sweep (SweepWithNorm) instead of by a separate residual traversal.
-// Adaptive drivers call it once per iteration, so the fold removes one
-// full-grid pass per step at the finest level.
-func (ws *Workspace) RecurseWithNorm(x, b *grid.Grid, rec Recorder, coarseSolve func(cx, cb *grid.Grid)) float64 {
-	var norm float64
-	recurseWithOf(ws, x, b, rec, coarseSolve, &norm)
-	return norm
+	recurseWithOf(ws, x, b, rec, coarseSolve)
 }
 
 // recurseWithOf is the precision-generic coarse-grid-correction skeleton.
-// Convergence accounting stays float64 at every precision: the fused norm
-// kernels accumulate residuals in double regardless of T.
-func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, coarseSolve func(cx, cb *grid.G[T]), norm *float64) {
+func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, coarseSolve func(cx, cb *grid.G[T])) {
 	n := x.N()
 	h := T(1.0 / float64(n-1))
 	op := ws.opAt(n)
@@ -320,9 +307,6 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	}
 	if n == 3 {
 		solveDirectOf(ws, x, b, rec)
-		if norm != nil {
-			*norm = stencil.OpResidualNorm(op, ws.Pool, x, b, h)
-		}
 		return
 	}
 	lvl := grid.Level(n)
@@ -348,17 +332,10 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 
 	// Upstroke: interpolate, correct, post-smooth. With the SOR smoother the
 	// three run as one traversal (Upstroke) — the standalone interpolate and
-	// correct full-grid passes disappear — and when the caller wants the
-	// convergence probe the black half-sweep carries the norm reduction
-	// (UpstrokeNorm). The iterate is bit-identical to the separate passes,
-	// which the Jacobi ablation keeps.
+	// correct full-grid passes disappear. The iterate is bit-identical to the
+	// separate passes, which the Jacobi ablation keeps.
 	if ws.Smoother == SmootherSOR {
-		omega := T(op.OmegaSmooth())
-		if norm == nil {
-			stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)
-		} else {
-			*norm = stencil.OpUpstrokeNorm(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, omega)
-		}
+		stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, T(op.OmegaSmooth()))
 		recordOf[T](rec, EvInterp, lvl, 1)
 		recordOf[T](rec, EvRelax, lvl, 1)
 		return
@@ -366,7 +343,4 @@ func recurseWithOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder, c
 	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
 	recordOf[T](rec, EvInterp, lvl, 1)
 	smoothOf(ws, x, b, bufs.scratch, 1, rec)
-	if norm != nil {
-		*norm = stencil.OpResidualNorm(op, ws.Pool, x, b, h)
-	}
 }

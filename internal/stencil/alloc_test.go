@@ -28,7 +28,6 @@ func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 		{"OpDownstroke", func() { OpDownstroke(op, p, coarse, x, b, r, scratch, h, omega) }},
 		{"OpResidualRestrict", func() { OpResidualRestrict(op, p, coarse, x, b, r, scratch, h) }},
 		{"OpUpstroke", func() { OpUpstroke(op, p, x, b, cx, scratch, h, omega) }},
-		{"OpUpstrokeNorm", func() { OpUpstrokeNorm(op, p, x, b, cx, scratch, h, omega) }},
 		{"OpSORSweepRB", func() { OpSORSweepRB(op, p, x, b, h, omega) }},
 		{"OpResidualNorm", func() { OpResidualNorm(op, p, x, b, h) }},
 		{"OpResidual", func() { OpResidual(op, p, r, x, b, h) }},
@@ -45,7 +44,7 @@ func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 // grid is too small for (bindRows leaves it unbound): the level sizes where a
 // cycle spends most of its calls. The pooled passes, on a grid the pool does
 // split, are exempt and not measured here: each pass costs sched one region
-// and one task closure per chunk, and the norm passes a slice of per-chunk
+// and one task closure per chunk, and the norm pass a slice of per-unit
 // partial sums — 8 to 52 small objects a call at N=129 (2D) and N=33 (3D),
 // none of them grid storage (the pooled 3D restriction carves its window from
 // each chunk's own planes of scratch).

@@ -1,26 +1,17 @@
 // Fused single-pass cycle kernels, 2D and 3D. On a memory-bandwidth-bound
-// stencil code the separate smooth / residual / restrict / norm passes of a
-// V-cycle each re-stream the whole grid, and those redundant traversals — not
-// flops — dominate the wall clock. This file fuses them:
-//
-//   - SmoothResidual: one full red-black SOR sweep that also emits the
-//     post-sweep residual grid. Black points get their residual for free
-//     from the update delta (after the black half-sweep every neighbour of
-//     a black point is final, so r = C·(1−ω)·(gs − x_old)/h², exactly); red
-//     points need a fix-up, half the footprint of the standalone OpResidual
-//     kernel.
-//   - Downstroke (SmoothResidualRestrict, for callers with no scratch grid
-//     to offer): the whole V-cycle downstroke — smoothing
-//     sweep, residual, full-weighting restriction — as one composed kernel:
-//     BOTH half-sweeps emit their update deltas into r, a gather over r
-//     alone reconstructs the red residuals from their black neighbours'
-//     stored deltas (gatherRow), and the restriction consumes the finished
-//     units. The standalone residual pass — a full extra read of x and b —
-//     disappears from the downstroke entirely.
-//   - SweepWithNorm: the sweep shape of SmoothResidual, but reducing
-//     ‖b − T·x‖₂ instead of materializing r — the adaptive driver's
-//     per-iteration convergence probe folded into the smoothing it already
-//     pays for.
+// stencil code the separate smooth / residual / restrict passes of a V-cycle
+// each re-stream the whole grid, and those redundant traversals — not flops —
+// dominate the wall clock. This file fuses them into the downstroke
+// (OpDownstroke; OpSmoothResidualRestrict for callers with no scratch grid
+// to offer): the smoothing sweep, residual and full-weighting restriction as
+// one composed kernel. Both half-sweeps emit their update deltas into r —
+// after the black half-sweep every neighbour of a black point is final, so
+// its residual is C·(1−ω)·(gs − x_old)/h², exactly — a fix-up completes the
+// red residuals, either by a gather over r alone that reconstructs them from
+// their black neighbours' stored deltas (gatherRow) or by evaluating them
+// directly from the iterate, and the restriction consumes the finished
+// units. The standalone residual pass — a full extra read of x and b —
+// disappears from the downstroke entirely.
 //
 // One implementation, one binding, four families. The loops live in rows.go
 // as row kernels; rowOps binds them to one call's grids and operator family
@@ -37,7 +28,6 @@
 //	sweep        relax red(i) → relax black(i−1)
 //	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict(i−2)
 //	upstroke     correct(i) → relax red(i−1) → relax black(i−2)
-//	norm         red(i) → black+reduce(i−1) → reduce red residuals(i−2)
 //
 // Every buffer a stage needs beyond the grids it is bound to — interpolation
 // rows, the 3D restriction window — is carved from a scratch grid the caller
@@ -53,11 +43,10 @@
 // exactly the operands it sees in the pass order, and the two drivers agree
 // bit for bit.
 //
-// Norm reductions accumulate per interior unit into a fixed partial sum
-// array and add the units in index order at the end, so the result is
-// bit-identical for either driver, any worker count and any chunking — the
-// deterministic fixed-chunk reduction contract the adaptive driver and
-// refsol rely on.
+// The residual norm (OpResidualNorm) sums each interior unit on its own and
+// adds the units in index order, so the result is bit-identical for either
+// driver, any worker count and any chunking — the deterministic reduction
+// contract the adaptive driver and refsol rely on.
 //
 // The oracles live in the tests: oracle_test.go writes the sweep, the
 // residual, Jacobi and the operator apply point by point, with the operands
@@ -361,8 +350,8 @@ func halfSweepPass[T grid.Float](k rowOps[T], colour int) {
 }
 
 // smoothResidual runs one sweep on x leaving r = b − T·x (post-sweep, zero
-// boundary) and, with coarse non-nil, its full-weighting restriction — the
-// V-cycle downstroke. Serial execution is the wavefront of the file comment;
+// boundary) and its full-weighting restriction in coarse — the V-cycle
+// downstroke. Serial execution is the wavefront of the file comment;
 // restriction is its last stage, one more unit behind the fix-up. scratch
 // supplies the 3D restriction window (see window).
 func (k *rowOps[T]) smoothResidual(coarse, scratch *grid.G[T]) {
@@ -371,11 +360,8 @@ func (k *rowOps[T]) smoothResidual(coarse, scratch *grid.G[T]) {
 		smoothResidualPasses(*k, coarse, scratch)
 		return
 	}
-	var win transfer.Window[T]
-	if coarse != nil {
-		coarse.ZeroBoundary()
-		win = k.window(scratch, 1)
-	}
+	coarse.ZeroBoundary()
+	win := k.window(scratch, 1)
 	n := k.n
 	for i := 1; i <= n; i++ {
 		if i < n-1 {
@@ -386,9 +372,7 @@ func (k *rowOps[T]) smoothResidual(coarse, scratch *grid.G[T]) {
 		}
 		if f := i - 2; f >= 1 {
 			k.fixup(f)
-			if coarse != nil {
-				k.restrict(&win, coarse, f)
-			}
+			k.restrict(&win, coarse, f)
 		}
 	}
 }
@@ -411,9 +395,7 @@ func smoothResidualPasses[T grid.Float](k rowOps[T], coarse, scratch *grid.G[T])
 			k.fixup(i)
 		}
 	})
-	if coarse != nil {
-		restrictPass(k, coarse, scratch)
-	}
+	restrictPass(k, coarse, scratch)
 }
 
 // resUnit returns the storage of residual unit f.
@@ -564,67 +546,27 @@ func jacobiPass[T grid.Float](k rowOps[T]) {
 	})
 }
 
-// The stages a norm-reducing sweep can start from: the whole sweep
-// (SweepWithNorm), its black half (FinishSmoothWithNorm, behind a stroke that
-// stopped after the red half), or no sweep at all (ResidualNorm).
-const (
-	normFromRed = iota
-	normFromBlack
-	normOnly
-)
-
-// unitNorm returns ‖b − T·x‖₂ over the interior, running the stages from
-// first on: relax red(i) → relax black(i−1), reducing the residuals its
-// update deltas imply → reduce the red residuals of the final iterate (i−2).
-// With normOnly the last stage reduces every point's residual instead.
-// Serially the stages run as the wavefront of the file comment, with a pool
-// as passes; each unit accumulates its own partial sum, black terms before
-// red, and the units are added in index order, so the norm does not depend
-// on the driver, the pool or its chunking.
-func (k *rowOps[T]) unitNorm(first int) float64 {
-	colour := 0
-	if first == normOnly {
-		colour = everyPoint
-	}
+// residualNorm returns ‖b − T·x‖₂ over the interior. Each unit sums its own
+// squared residuals and the units are added in index order, so the norm does
+// not depend on the driver, the pool or its chunking.
+func (k *rowOps[T]) residualNorm() float64 {
 	if k.pool != nil {
-		return normPasses(*k, first, colour)
+		return normPass(*k)
 	}
-	// The last stage visits the units in index order, so the serial driver
-	// adds each one's sum as it completes and needs no array of partials.
-	n := k.n
-	var total, black, blackBehind float64 // black sums of units i−1 and i−2
-	for i := 1; i <= n; i++ {
-		if first == normFromRed && i < n-1 {
-			k.relax(i, 0)
-		}
-		if first < normOnly && i > 1 && i < n {
-			black = k.relaxSq(i - 1)
-		}
-		if f := i - 2; f >= 1 {
-			total += k.residualSq(f, colour, blackBehind)
-		}
-		blackBehind = black
+	var total float64
+	for i := 1; i < k.n-1; i++ {
+		total += k.residualSq(i)
 	}
 	return math.Sqrt(total)
 }
 
-// normPasses is unitNorm's stages in pass order (by-value receiver: see
+// normPass is residualNorm's pooled pass (by-value receiver: see
 // halfSweepPass).
-func normPasses[T grid.Float](k rowOps[T], first, colour int) float64 {
-	sums := make([]float64, k.n) //mglint:allow hotalloc — per-unit partials of the pooled passes only (whose dispatch allocates its tasks anyway); the serial driver reduces in index order without them
-	if first == normFromRed {
-		halfSweepPass(k, 0)
-	}
-	if first < normOnly {
-		k.forUnits(func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				sums[i] = k.relaxSq(i)
-			}
-		})
-	}
+func normPass[T grid.Float](k rowOps[T]) float64 {
+	sums := make([]float64, k.n) //mglint:allow hotalloc — per-unit partials of the pooled pass only (whose dispatch allocates its tasks anyway); the serial driver reduces in index order without them
 	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
-			sums[i] = k.residualSq(i, colour, sums[i])
+			sums[i] = k.residualSq(i)
 		}
 	})
 	var total float64
@@ -634,59 +576,26 @@ func normPasses[T grid.Float](k rowOps[T], first, colour int) float64 {
 	return math.Sqrt(total)
 }
 
-// relaxSq is relax(i, 1) returning the sum of squares of the black points'
-// post-sweep residuals, derived from their update deltas (see relaxEmitRow).
-func (k *rowOps[T]) relaxSq(i int) float64 {
-	var s float64
+// residualSq returns the sum of the squared residuals of unit i.
+func (k *rowOps[T]) residualSq(i int) float64 {
 	if k.dim3() {
 		n := k.n
 		x, up, down := planes(k.x, i)
 		b := k.b.Plane(i)
+		var s float64
 		for j := 1; j < n-1; j++ {
 			lo, hi := j*n, (j+1)*n
-			s = relaxSqRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], i+j, k.h2, k.omega, k.rFac, s)
+			s = residualSqRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], k.inv, s)
 		}
 		return s
 	}
 	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
 	switch k.family {
 	case FamilyPoisson:
-		return relaxSqRow(xr, up, down, br, i, k.h2, k.omega, k.rFac, s)
+		return residualSqRow(xr, up, down, br, k.inv, 0)
 	case FamilyAnisotropic:
-		return relaxSqRowConst(xr, up, down, br, i, k.h2, k.omega, k.cx, k.cy, k.invC, k.rFac, s)
+		return residualSqRowConst(xr, up, down, br, k.inv, k.cx, k.cy, k.center, 0)
 	default:
-		return relaxSqRowVar(xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), i, k.h2, k.omega, k.inv, s)
-	}
-}
-
-// residualSq adds to s the squared residuals of one colour of unit i, or of
-// everyPoint.
-func (k *rowOps[T]) residualSq(i, colour int, s float64) float64 {
-	c := colour
-	if c != everyPoint {
-		c += i + 1
-	}
-	if k.dim3() {
-		n := k.n
-		x, up, down := planes(k.x, i)
-		b := k.b.Plane(i)
-		for j := 1; j < n-1; j++ {
-			lo, hi := j*n, (j+1)*n
-			cj := c
-			if c != everyPoint {
-				cj += j
-			}
-			s = residualSqRow3(x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], cj, k.inv, s)
-		}
-		return s
-	}
-	xr, up, down, br := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i)
-	switch k.family {
-	case FamilyPoisson:
-		return residualSqRow(xr, up, down, br, c, k.inv, s)
-	case FamilyAnisotropic:
-		return residualSqRowConst(xr, up, down, br, c, k.inv, k.cx, k.cy, k.center, s)
-	default:
-		return residualSqRowVar(xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.inv, s)
+		return residualSqRowVar(xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), k.inv, 0)
 	}
 }

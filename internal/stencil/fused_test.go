@@ -16,14 +16,15 @@ import (
 // unfused kernels, OpSORSweepRB and OpResidual (each pinned bit for bit to
 // its point-by-point oracle in oracle_test.go). The contract under test:
 //
-//   - the iterate x after SmoothResidual / SweepWithNorm is bit-identical
-//     to OpSORSweepRB (the sweeps perform the same updates in the same order);
-//   - ResidualRestrict matches OpResidual followed by Restrict to
+//   - the iterate x after the downstroke is bit-identical to OpSORSweepRB
+//     (the sweeps perform the same updates in the same order);
+//   - the downstroke's residual grid is within 1e-12 of the scale of the
+//     oracle's (black points derive theirs from the update delta, red points
+//     from a gather of their neighbours' — algebraically exact
+//     rearrangements), and bit-identical at the red points where the fix-up
+//     re-evaluates them from final values with the oracle's expression;
+//   - the restrictions match OpResidual followed by Restrict to
 //     floating-point association (the 3D weights apply separably);
-//   - the residual grid from SmoothResidual is bit-identical to the oracle
-//     at red points (re-evaluated from final values with the oracle's
-//     expression) and within 1e-12 of the scale at black points (derived
-//     from the update delta, an algebraically exact rearrangement);
 //   - norms are deterministic: a nil pool and any worker count produce
 //     bit-identical sums (fixed per-row/per-plane chunking).
 
@@ -84,53 +85,6 @@ func withPools(t *testing.T, fn func(t *testing.T, pool *sched.Pool)) {
 	})
 }
 
-func TestSmoothResidualMatchesOracle(t *testing.T) {
-	for _, tc := range fusedCases() {
-		for _, n := range tc.ns {
-			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
-				op := tc.mk(n)
-				h := 1.0 / float64(n-1)
-				omega := op.OmegaSmooth()
-				rng := rand.New(rand.NewSource(int64(n)))
-				x0, b := randomStateDim(tc.dim, n, rng)
-
-				// Oracle: unfused sweep, then unfused residual (serial).
-				xo := x0.Clone()
-				OpSORSweepRB(op, nil, xo, b, h, omega)
-				ro := grid.NewDim(tc.dim, n)
-				OpResidual(op, nil, ro, xo, b, h)
-				scale := math.Max(1, grid.MaxAbsInterior(ro))
-
-				withPools(t, func(t *testing.T, pool *sched.Pool) {
-					xf := x0.Clone()
-					rf := grid.NewDim(tc.dim, n)
-					// Poison rf's interior to catch unwritten points.
-					rf.Fill(math.NaN())
-					OpSmoothResidual(op, pool, xf, b, rf, h, omega)
-					assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
-					rod, rfd := ro.Data(), rf.Data()
-					forEachInterior(ro, func(idx int, red bool, _ float64) {
-						if red {
-							if math.Float64bits(rod[idx]) != math.Float64bits(rfd[idx]) {
-								t.Fatalf("red residual differs at %d: %v vs %v", idx, rod[idx], rfd[idx])
-							}
-							return
-						}
-						if d := math.Abs(rod[idx] - rfd[idx]); !(d <= 1e-12*scale) {
-							t.Fatalf("black residual differs at %d by %g (scale %g): %v vs %v",
-								idx, d, scale, rod[idx], rfd[idx])
-						}
-					})
-					// Boundary must be zeroed like the oracle's.
-					rf2 := rf.Clone()
-					rf2.ZeroBoundary()
-					assertBitIdentical(t, rf, rf2, "SmoothResidual boundary")
-				})
-			})
-		}
-	}
-}
-
 // nanLike returns a grid shaped like g holding only NaNs: the scratch the
 // fused entry points are handed, so any entry they read before writing shows.
 func nanLike(g *grid.Grid) *grid.Grid {
@@ -151,6 +105,27 @@ func assertCoarseClose(t *testing.T, oracle, fused *grid.Grid, scale float64, wh
 				what, k, d, scale, od[k], fd[k])
 		}
 	}
+}
+
+// assertFixupResidual checks the residual grid a downstroke left in got
+// against the oracle's: every interior entry within 1e-12 of scale,
+// bit-identical at the red points wherever the fix-up evaluates them directly
+// (varcoef, or |1−ω| below gatherMinOneMinusOmega), and a zero boundary.
+func assertFixupResidual(t *testing.T, op *Operator, omega float64, oracle, got *grid.Grid, scale float64) {
+	t.Helper()
+	direct := op.family == FamilyVarCoef || math.Abs(1-omega) < gatherMinOneMinusOmega
+	od, gd := oracle.Data(), got.Data()
+	forEachInterior(oracle, func(idx int, red bool, _ float64) {
+		if red && direct && math.Float64bits(od[idx]) != math.Float64bits(gd[idx]) {
+			t.Fatalf("%v: red residual differs at %d: %v vs %v", op, idx, od[idx], gd[idx])
+		}
+		if d := math.Abs(od[idx] - gd[idx]); !(d <= 1e-12*scale) {
+			t.Fatalf("%v: residual differs at %d by %g (scale %g): %v vs %v", op, idx, d, scale, od[idx], gd[idx])
+		}
+	})
+	zeroed := got.Clone()
+	zeroed.ZeroBoundary()
+	assertBitIdentical(t, got, zeroed, "downstroke residual boundary")
 }
 
 func TestResidualRestrictMatchesOracle(t *testing.T) {
@@ -212,53 +187,17 @@ func TestSmoothResidualRestrictMatchesOracle(t *testing.T) {
 				var serial *grid.Grid
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
 					xf := x0.Clone()
-					rf := grid.NewDim(tc.dim, n)
-					cf := grid.NewDim(tc.dim, nc)
+					// Poisoned outputs catch unwritten points.
+					rf, cf := nanLike(xf), grid.NewDim(tc.dim, nc)
 					cf.Fill(math.NaN())
 					OpDownstroke(op, pool, cf, xf, b, rf, nanLike(xf), h, omega)
 					assertBitIdentical(t, xo, xf, "SmoothResidualRestrict iterate")
+					assertFixupResidual(t, op, omega, ro, rf, scale)
 					assertCoarseClose(t, co, cf, scale, "SmoothResidualRestrict")
 					if pool == nil {
 						serial = cf
 					} else {
 						assertBitIdentical(t, serial, cf, "SmoothResidualRestrict serial-vs-pool")
-					}
-				})
-			})
-		}
-	}
-}
-
-func TestSweepWithNormMatchesOracle(t *testing.T) {
-	for _, tc := range fusedCases() {
-		for _, n := range tc.ns {
-			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
-				op := tc.mk(n)
-				h := 1.0 / float64(n-1)
-				omega := op.OmegaSmooth()
-				rng := rand.New(rand.NewSource(int64(n) + 13))
-				x0, b := randomStateDim(tc.dim, n, rng)
-
-				xo := x0.Clone()
-				OpSORSweepRB(op, nil, xo, b, h, omega)
-				ro := grid.NewDim(tc.dim, n)
-				OpResidual(op, nil, ro, xo, b, h)
-				want := grid.L2Interior(ro)
-
-				var serialNorm float64
-				withPools(t, func(t *testing.T, pool *sched.Pool) {
-					xf := x0.Clone()
-					norm := OpSweepWithNorm(op, pool, xf, b, h, omega)
-					assertBitIdentical(t, xo, xf, "SweepWithNorm iterate")
-					if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
-						t.Fatalf("norm %v, oracle %v (diff %g)", norm, want, d)
-					}
-					// Fixed chunking: serial and pool sums are bit-identical.
-					if pool == nil {
-						serialNorm = norm
-					} else if math.Float64bits(norm) != math.Float64bits(serialNorm) {
-						t.Fatalf("pool norm %x differs from serial norm %x",
-							math.Float64bits(norm), math.Float64bits(serialNorm))
 					}
 				})
 			})
@@ -309,6 +248,7 @@ func FuzzFusedMatchesUnfused(f *testing.F) {
 	f.Add(int64(1), uint8(0), 1.0, 1.15)
 	f.Add(int64(2), uint8(1), 0.01, 1.0)
 	f.Add(int64(3), uint8(2), 2.0, 1.6)
+	f.Add(int64(4), uint8(0), 1.0, 0.95) // ω = 1: the direct red fix-up
 	pool := sharedPool()
 	const n = 129
 	f.Fuzz(func(t *testing.T, seed int64, famSel uint8, epsRaw, omegaRaw float64) {
@@ -328,20 +268,6 @@ func FuzzFusedMatchesUnfused(f *testing.F) {
 		OpResidual(op, nil, ro, xo, b, h)
 		scale := math.Max(1, grid.MaxAbsInterior(ro))
 
-		xf := x0.Clone()
-		rf := grid.New(n)
-		OpSmoothResidual(op, pool, xf, b, rf, h, omega)
-		assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
-		rod, rfd := ro.Data(), rf.Data()
-		forEachInterior(ro, func(idx int, red bool, _ float64) {
-			if red && math.Float64bits(rod[idx]) != math.Float64bits(rfd[idx]) {
-				t.Fatalf("%v: red residual differs at %d", op, idx)
-			}
-			if d := math.Abs(rod[idx] - rfd[idx]); !(d <= 1e-12*scale) {
-				t.Fatalf("%v: residual differs at %d by %g (scale %g)", op, idx, d, scale)
-			}
-		})
-
 		nc := grid.Coarsen(n)
 		co, cf := grid.New(nc), grid.New(nc)
 		transfer.Restrict(nil, co, ro)
@@ -352,15 +278,8 @@ func FuzzFusedMatchesUnfused(f *testing.F) {
 		rc, cc := grid.New(n), grid.New(nc)
 		OpDownstroke(op, pool, cc, xc, b, rc, nanLike(xc), h, omega)
 		assertBitIdentical(t, xo, xc, "SmoothResidualRestrict iterate")
+		assertFixupResidual(t, op, omega, ro, rc, scale)
 		assertCoarseClose(t, co, cc, scale, "SmoothResidualRestrict")
-
-		xn := x0.Clone()
-		norm := OpSweepWithNorm(op, pool, xn, b, h, omega)
-		assertBitIdentical(t, xo, xn, "SweepWithNorm iterate")
-		want := grid.L2Interior(ro)
-		if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
-			t.Fatalf("%v: SweepWithNorm %v, oracle %v", op, norm, want)
-		}
 	})
 }
 
@@ -369,6 +288,7 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 	f.Add(int64(1), 1.15)
 	f.Add(int64(2), 1.0)
 	f.Add(int64(3), 1.6)
+	f.Add(int64(4), 0.95) // ω = 1: the direct red fix-up
 	pool := sharedPool()
 	const n = 33
 	f.Fuzz(func(t *testing.T, seed int64, omegaRaw float64) {
@@ -388,20 +308,6 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 		OpResidual(op, nil, ro, xo, b, h)
 		scale := math.Max(1, grid.MaxAbsInterior(ro))
 
-		xf := x0.Clone()
-		rf := grid.New3(n)
-		OpSmoothResidual(op, pool, xf, b, rf, h, omega)
-		assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
-		rod, rfd := ro.Data(), rf.Data()
-		forEachInterior(ro, func(idx int, red bool, _ float64) {
-			if red && math.Float64bits(rod[idx]) != math.Float64bits(rfd[idx]) {
-				t.Fatalf("red residual differs at %d", idx)
-			}
-			if d := math.Abs(rod[idx] - rfd[idx]); !(d <= 1e-12*scale) {
-				t.Fatalf("residual differs at %d by %g (scale %g)", idx, d, scale)
-			}
-		})
-
 		nc := grid.Coarsen(n)
 		co, cf := grid.New3(nc), grid.New3(nc)
 		transfer.Restrict(nil, co, ro)
@@ -412,14 +318,7 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 		rc, cc := grid.New3(n), grid.New3(nc)
 		OpDownstroke(op, pool, cc, xc, b, rc, nanLike(xc), h, omega)
 		assertBitIdentical(t, xo, xc, "SmoothResidualRestrict iterate")
+		assertFixupResidual(t, op, omega, ro, rc, scale)
 		assertCoarseClose(t, co, cc, scale, "SmoothResidualRestrict")
-
-		xn := x0.Clone()
-		norm := OpSweepWithNorm(op, pool, xn, b, h, omega)
-		assertBitIdentical(t, xo, xn, "SweepWithNorm iterate")
-		want := grid.L2Interior(ro)
-		if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
-			t.Fatalf("SweepWithNorm %v, oracle %v", norm, want)
-		}
 	})
 }

@@ -11,14 +11,10 @@ var _ = []any{
 	OpJacobiSweep[float64], OpJacobiSweep[float32],
 	OpResidual[float64], OpResidual[float32],
 	OpResidualNorm[float64], OpResidualNorm[float32],
-	OpSmoothResidual[float64], OpSmoothResidual[float32],
-	OpSweepWithNorm[float64], OpSweepWithNorm[float32],
 	OpDownstroke[float64], OpDownstroke[float32],
 	OpSmoothResidualRestrict[float64], OpSmoothResidualRestrict[float32],
 	OpResidualRestrict[float64], OpResidualRestrict[float32],
 	OpUpstroke[float64], OpUpstroke[float32],
-	OpUpstrokeNorm[float64], OpUpstrokeNorm[float32],
 	OpInterpolateCorrectSmooth[float64], OpInterpolateCorrectSmooth[float32],
 	OpFinishSmooth[float64], OpFinishSmooth[float32],
-	OpFinishSmoothWithNorm[float64], OpFinishSmoothWithNorm[float32],
 }

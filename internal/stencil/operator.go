@@ -381,28 +381,7 @@ func OpResidual[T grid.Float](op *Operator, pool *sched.Pool, r, x, b *grid.G[T]
 func OpResidualNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h T) float64 {
 	// No sweep here, so the binding's relaxation weight is never read.
 	k := bindRows(op, pool, x, b, nil, h, 0)
-	return k.unitNorm(normOnly)
-}
-
-// OpSmoothResidual performs one full red-black SOR sweep in place on x and
-// leaves r = b − T·x (post-sweep, zeroed boundary) in the same traversal:
-// the black half-sweep derives its residual from the update delta, and a
-// red fixup half-pass — half the footprint of OpResidual — completes the
-// grid. x is bit-identical to OpSORSweepRB; r matches OpResidual
-// bit-identically at red points and to rounding error at black points. r
-// must not alias x or b.
-func OpSmoothResidual[T grid.Float](op *Operator, pool *sched.Pool, x, b, r *grid.G[T], h, omega T) {
-	k := bindRows(op, pool, x, b, r, h, omega)
-	k.smoothResidual(nil, nil)
-}
-
-// OpSweepWithNorm performs one full red-black SOR sweep in place on x and
-// returns ‖b − T·x‖₂ over interior points after the sweep, folding the
-// convergence check's residual traversal into the smoothing pass. The
-// reduction uses the same deterministic scheme as OpResidualNorm.
-func OpSweepWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	k := bindRows(op, pool, x, b, nil, h, omega)
-	return k.unitNorm(normFromRed)
+	return k.residualNorm()
 }
 
 // OpDownstroke is the composed V-cycle downstroke, mirroring OpUpstroke: one

@@ -117,12 +117,6 @@ func cycleBits[T grid.Float](op *Operator, dim, n int, pool *sched.Pool) map[str
 			OpSORSweepRB(op, pool, x, b, h, omega)
 			hashGrid(bh, x)
 		}},
-		{"OpSmoothResidual", func(bh bitsHash, omega T) {
-			x, r := x0.Clone(), dirty(n)
-			OpSmoothResidual(op, pool, x, b, r, h, omega)
-			hashGrid(bh, x)
-			hashGrid(bh, r)
-		}},
 		{"OpSmoothResidualRestrict", func(bh bitsHash, omega T) {
 			x, r, coarse := x0.Clone(), dirty(n), dirty(nc)
 			OpSmoothResidualRestrict(op, pool, coarse, x, b, r, h, omega)
@@ -145,16 +139,6 @@ func cycleBits[T grid.Float](op *Operator, dim, n int, pool *sched.Pool) map[str
 			OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)
 			hashGrid(bh, x)
 			OpFinishSmooth(op, pool, x, b, h, omega)
-			hashGrid(bh, x)
-		}},
-		{"OpFinishSmoothWithNorm", func(bh bitsHash, omega T) {
-			x := x0.Clone()
-			bh.float(OpFinishSmoothWithNorm(op, pool, x, b, h, omega))
-			hashGrid(bh, x)
-		}},
-		{"OpSweepWithNorm", func(bh bitsHash, omega T) {
-			x := x0.Clone()
-			bh.float(OpSweepWithNorm(op, pool, x, b, h, omega))
 			hashGrid(bh, x)
 		}},
 		{"OpResidualNorm", func(bh bitsHash, _ T) {

@@ -1,5 +1,5 @@
 // Row kernels, 2D and 3D. Every kernel of this package — the SOR sweep,
-// Jacobi, the residual, the downstroke, the upstroke, the norm reductions,
+// Jacobi, the residual and its norm, the downstroke, the upstroke,
 // serial or pooled, in any family — is a driver of fused.go or upstroke.go
 // calling the loops in this file, one grid row at a time. A row kernel takes
 // whole rows of equal length n as plain slices and, unless it visits every
@@ -51,8 +51,8 @@ func relaxEmitRow[T grid.Float](xr, up, down, br, rr []T, c int, h2, omega, rFac
 }
 
 // everyPoint in place of a colour offset makes a residual row kernel visit
-// every interior column, at unit stride: a whole-grid residual, or its norm,
-// is bound by that loop.
+// every interior column, at unit stride: a whole-grid residual is bound by
+// that loop.
 const everyPoint = -1
 
 // residualRow evaluates rr = b − T·x at one colour of one row, or at
@@ -314,120 +314,40 @@ func gatherRow3[T grid.Float](rr, up, down, north, south []T, c int, kappa T) {
 	}
 }
 
-// --- norm reductions: sums of squared residuals, accumulated in float64
-// whatever T is, one term per visited column in column order ---
+// --- norm reduction: sums of squared residuals at every interior column,
+// accumulated in float64 whatever T is, one term per column in column order ---
 
-// relaxSqRow is relaxEmitRow reducing instead of storing: it relaxes one
-// colour of one row and adds the squares of the residuals the update deltas
-// imply to s.
-func relaxSqRow[T grid.Float](xr, up, down, br []T, c int, h2, omega, rFac T, s float64) float64 {
+// residualSqRow is residualRow at everyPoint reducing instead of storing: it
+// adds the row's squared residuals to s.
+func residualSqRow[T grid.Float](xr, up, down, br []T, inv T, s float64) float64 {
 	n := len(xr) - 1
 	east := xr[1:][:n]
 	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
-	for j := 1 + c&1; j < n; j += 2 {
-		gs := (up[j] + down[j] + xr[j-1] + east[j] + h2*br[j]) * 0.25
-		d := gs - xr[j]
-		xr[j] += omega * d
-		r := float64(rFac * d)
-		s += r * r
-	}
-	return s
-}
-
-// residualSqRow is residualRow reducing instead of storing: it adds to s the
-// squared residuals of one colour of one row, or of everyPoint.
-func residualSqRow[T grid.Float](xr, up, down, br []T, c int, inv T, s float64) float64 {
-	n := len(xr) - 1
-	east := xr[1:][:n]
-	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
-	if c < 0 {
-		for j := 1; j < n; j++ {
-			r := float64(br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-east[j])*inv)
-			s += r * r
-		}
-		return s
-	}
-	for j := 1 + c&1; j < n; j += 2 {
+	for j := 1; j < n; j++ {
 		r := float64(br[j] - (4*xr[j]-up[j]-down[j]-xr[j-1]-east[j])*inv)
 		s += r * r
 	}
 	return s
 }
 
-func relaxSqRowConst[T grid.Float](xr, up, down, br []T, c int, h2, omega, cx, cy, invC, rFac T, s float64) float64 {
+func residualSqRowConst[T grid.Float](xr, up, down, br []T, inv, cx, cy, center T, s float64) float64 {
 	n := len(xr) - 1
 	east := xr[1:][:n]
 	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
-	for j := 1 + c&1; j < n; j += 2 {
-		gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+east[j]) + h2*br[j]) * invC
-		d := gs - xr[j]
-		xr[j] += omega * d
-		r := float64(rFac * d)
-		s += r * r
-	}
-	return s
-}
-
-func residualSqRowConst[T grid.Float](xr, up, down, br []T, c int, inv, cx, cy, center T, s float64) float64 {
-	n := len(xr) - 1
-	east := xr[1:][:n]
-	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
-	if c < 0 {
-		for j := 1; j < n; j++ {
-			r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv)
-			s += r * r
-		}
-		return s
-	}
-	for j := 1 + c&1; j < n; j += 2 {
+	for j := 1; j < n; j++ {
 		r := float64(br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv)
 		s += r * r
 	}
 	return s
 }
 
-func relaxSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, h2, omega, inv T, s float64) float64 {
-	n := len(xr) - 1
-	east, ceast := xr[1:][:n], cr[1:][:n]
-	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
-	cr, cu, cd = cr[:n], cu[:n], cd[:n]
-	h2 *= 2
-	oneMinus := 0.5 * (1 - omega)
-	for j := 1 + c&1; j < n; j += 2 {
-		cc := cr[j]
-		cn := cc + cu[j]
-		cs := cc + cd[j]
-		cw := cc + cr[j-1]
-		ce := cc + ceast[j]
-		center := cn + cs + cw + ce
-		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / center
-		d := gs - xr[j]
-		xr[j] += omega * d
-		r := float64(center * oneMinus * d * inv)
-		s += r * r
-	}
-	return s
-}
-
-func residualSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, inv T, s float64) float64 {
+func residualSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, inv T, s float64) float64 {
 	n := len(xr) - 1
 	east, ceast := xr[1:][:n], cr[1:][:n]
 	xr, up, down, br = xr[:n], up[:n], down[:n], br[:n]
 	cr, cu, cd = cr[:n], cu[:n], cd[:n]
 	inv *= 0.5
-	if c < 0 {
-		for j := 1; j < n; j++ {
-			cc := cr[j]
-			cn := cc + cu[j]
-			cs := cc + cd[j]
-			cw := cc + cr[j-1]
-			ce := cc + ceast[j]
-			r := float64(br[j] - ((cn+cs+cw+ce)*xr[j]-cn*up[j]-cs*down[j]-cw*xr[j-1]-ce*east[j])*inv)
-			s += r * r
-		}
-		return s
-	}
-	for j := 1 + c&1; j < n; j += 2 {
+	for j := 1; j < n; j++ {
 		cc := cr[j]
 		cn := cc + cu[j]
 		cs := cc + cd[j]
@@ -439,32 +359,11 @@ func residualSqRowVar[T grid.Float](xr, up, down, br, cr, cu, cd []T, c int, inv
 	return s
 }
 
-func relaxSqRow3[T grid.Float](xr, up, down, north, south, br []T, c int, h2, omega, rFac T, s float64) float64 {
+func residualSqRow3[T grid.Float](xr, up, down, north, south, br []T, inv T, s float64) float64 {
 	n := len(xr) - 1
 	east := xr[1:][:n]
 	xr, up, down, north, south, br = xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
-	for k := 1 + c&1; k < n; k += 2 {
-		gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + east[k] + h2*br[k]) * (1.0 / 6.0)
-		d := gs - xr[k]
-		xr[k] += omega * d
-		r := float64(rFac * d)
-		s += r * r
-	}
-	return s
-}
-
-func residualSqRow3[T grid.Float](xr, up, down, north, south, br []T, c int, inv T, s float64) float64 {
-	n := len(xr) - 1
-	east := xr[1:][:n]
-	xr, up, down, north, south, br = xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
-	if c < 0 {
-		for k := 1; k < n; k++ {
-			r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv)
-			s += r * r
-		}
-		return s
-	}
-	for k := 1 + c&1; k < n; k += 2 {
+	for k := 1; k < n; k++ {
 		r := float64(br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv)
 		s += r * r
 	}

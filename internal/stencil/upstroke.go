@@ -20,11 +20,8 @@
 // is exact), with a pool as three barrier-separated passes — and the iterate
 // is bit-identical to the unfused passes either way.
 //
-// UpstrokeNorm stops that traversal after the red stage and runs the black
-// half as the norm stages of SweepWithNorm, returning the post-sweep residual
-// norm with the iterate. OpInterpolateCorrectSmooth, OpFinishSmooth and
-// OpFinishSmoothWithNorm are the same stages as separate calls, for the
-// microbenchmarks and as the oracle pair of the one-call entries.
+// OpInterpolateCorrectSmooth and OpFinishSmooth are the same stages as two
+// calls, for the microbenchmarks and as the oracle pair of OpUpstroke.
 package stencil
 
 import (
@@ -45,23 +42,11 @@ func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch 
 	k.correctSmooth(cx, scratch, true)
 }
 
-// OpUpstrokeNorm is OpUpstroke fused with the convergence probe: the same
-// iterate, and ‖b − T·x‖₂ over its interior, reduced inside the black
-// half-sweep exactly as OpSweepWithNorm reduces it (the bits of
-// OpInterpolateCorrectSmooth followed by OpFinishSmoothWithNorm).
-func OpUpstrokeNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) float64 {
-	k := bindRows(op, pool, x, b, nil, h, omega)
-	k.correctSmooth(cx, scratch, false)
-	return k.unitNorm(normFromBlack)
-}
-
 // OpInterpolateCorrectSmooth applies the coarse-grid correction (the
 // d-linear interpolation of cx added to x's interior) and runs the
 // post-smooth's red half-sweep in the same traversal. Calling OpFinishSmooth
 // afterwards yields an iterate bit-identical to transfer.Interpolate into
-// scratch, AddInterior and OpSORSweepRB; calling OpFinishSmoothWithNorm additionally
-// returns the post-sweep residual norm exactly as OpSweepWithNorm computes it.
-// cx must not alias x or b.
+// scratch, AddInterior and OpSORSweepRB. cx must not alias x or b.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	k.correctSmooth(cx, nil, false)
@@ -73,17 +58,6 @@ func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x,
 func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	k.halfSweep(1)
-}
-
-// OpFinishSmoothWithNorm is OpFinishSmooth fused with the convergence probe:
-// it completes the sweep and returns ‖b − T·x‖₂ over interior points (in
-// float64 whatever T is), computed by the same delta emission and
-// deterministic per-row reduction as OpSweepWithNorm —
-// OpInterpolateCorrectSmooth followed by OpFinishSmoothWithNorm returns the
-// same bits as Interpolate, AddInterior and OpSweepWithNorm.
-func OpFinishSmoothWithNorm[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T], h, omega T) float64 {
-	k := bindRows(op, pool, x, b, nil, h, omega)
-	return k.unitNorm(normFromBlack)
 }
 
 // correct adds unit i of the d-linear interpolation of cx to unit i of x, a
@@ -105,7 +79,7 @@ func (k *rowOps[T]) correct(buf, tmp []T, cx *grid.G[T], i int) {
 // rowBufs returns the n-long interpolation buffers of one chunk of correction
 // work starting at unit i — buf, and in 3D also tmp, which only the trilinear
 // rule needs: the first rows of scratch's unit i, or a fresh slice for the
-// entry points that have no scratch grid to offer. Kept out of line so that
+// one entry point that has no scratch grid to offer. Kept out of line so that
 // allocation stays a single site in the escape gate's ledger.
 //
 //go:noinline
@@ -116,7 +90,7 @@ func (k *rowOps[T]) rowBufs(scratch *grid.G[T], i int) (buf, tmp []T) {
 		if k.dim3() {
 			n *= 2
 		}
-		buf = make([]T, n) //mglint:allow hotalloc — OpInterpolateCorrectSmooth has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpUpstroke/OpUpstrokeNorm
+		buf = make([]T, n) //mglint:allow hotalloc — OpInterpolateCorrectSmooth has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpUpstroke
 		return buf[:k.n], buf[k.n:]
 	case k.dim3():
 		return scratch.Row3(i, 0), scratch.Row3(i, 1)

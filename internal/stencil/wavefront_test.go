@@ -111,15 +111,6 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	assertSameBits(t, rs, rp, "downstroke r: wavefront vs passes")
 	assertSameBits(t, cs, cp, "downstroke coarse: wavefront vs passes")
 
-	// SmoothResidual is the downstroke without gather or restriction.
-	smooth := func(pool *sched.Pool) (x, r *grid.G[T]) {
-		x, r = x0.Clone(), filledOf[T](dim, n, junk)
-		OpSmoothResidual(op, pool, x, b, r, h, omega)
-		return
-	}
-	xr, rr := smooth(nil)
-	assertSameBits(t, xr, want, "smooth-residual x: wavefront vs reference sweep")
-
 	// Upstroke: the one-traversal entry == the two-call pair.
 	up := func(pool *sched.Pool) *grid.G[T] {
 		x := x0.Clone()
@@ -131,18 +122,6 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	OpInterpolateCorrectSmooth(op, nil, pair, b, cx, h, omega)
 	OpFinishSmooth(op, nil, pair, b, h, omega)
 	assertSameBits(t, xu, pair, "upstroke x: one traversal vs InterpolateCorrectSmooth+FinishSmooth")
-	pair.CopyFrom(x0)
-	OpInterpolateCorrectSmooth(op, nil, pair, b, cx, h, omega)
-	wantNorm := OpFinishSmoothWithNorm(op, nil, pair, b, h, omega)
-	upNorm := func(pool *sched.Pool) {
-		x := x0.Clone()
-		norm := OpUpstrokeNorm(op, pool, x, b, cx, filledOf[T](dim, n, junk), h, omega)
-		assertSameBits(t, x, xu, "OpUpstrokeNorm x vs OpUpstroke")
-		if math.Float64bits(norm) != math.Float64bits(wantNorm) {
-			t.Fatalf("OpUpstrokeNorm = %v, InterpolateCorrectSmooth+FinishSmoothWithNorm = %v", norm, wantNorm)
-		}
-	}
-	upNorm(nil)
 
 	for _, pool := range pools {
 		w := fmt.Sprintf(" (serial vs %d workers)", pool.Workers())
@@ -152,10 +131,6 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 		assertSameBits(t, r, rs, "downstroke r"+w)
 		assertSameBits(t, c, cs, "downstroke coarse"+w)
 		downScratch(pool)
-		upNorm(pool)
-		x, r = smooth(pool)
-		assertSameBits(t, x, xr, "smooth-residual x"+w)
-		assertSameBits(t, r, rr, "smooth-residual r"+w)
 		assertSameBits(t, up(pool), xu, "upstroke x"+w)
 		x = x0.Clone()
 		OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)
