@@ -91,16 +91,14 @@ func TestPoisson3DRoundTripsThroughSaveLoad(t *testing.T) {
 }
 
 // TestPoisson3DRejects2DGrids: feeding 2D grids to a 3D solver must fail
-// loudly (the grid guards fire), not corrupt memory.
+// loudly — an error naming both shapes, before any kernel runs — not
+// corrupt memory or panic.
 func TestPoisson3DRejects2DGrids(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson3D, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("3D solver accepted 2D grids")
-		}
-	}()
 	x, b := NewGrid(33), NewGrid(33)
-	_ = s.Solve(x, b, 1e5)
+	if err := s.Solve(x, b, 1e5); err == nil {
+		t.Fatal("3D solver accepted 2D grids")
+	}
 }
 
 // TestSolveBatch3DByteIdenticalToSequential extends the serving

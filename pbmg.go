@@ -396,8 +396,21 @@ func (s *Solver) accIndex(accuracy float64) (int, error) {
 		accuracy, s.tuned.V.Acc[len(s.tuned.V.Acc)-1])
 }
 
-// checkSize verifies x is within the tuned range.
-func (s *Solver) checkSize(x *Grid) error { return s.checkSizeN(x.N()) }
+// checkGrids verifies a solve's grids before any snapshot or kernel touches
+// them: x has the solver's dimension and a side in the tuned range, and b has
+// x's dimension and side. A mismatch is the caller's error, never a panic.
+func (s *Solver) checkGrids(x, b *Grid) error {
+	if x.Dim() != s.Dim() {
+		return fmt.Errorf("pbmg: state is %s but the solver is %dD", shape(x), s.Dim())
+	}
+	if b.Dim() != x.Dim() || b.N() != x.N() {
+		return fmt.Errorf("pbmg: right-hand side is %s but the state is %s", shape(b), shape(x))
+	}
+	return s.checkSizeN(x.N())
+}
+
+// shape names a grid's dimension and side, e.g. "2D N=33".
+func shape(g *Grid) string { return fmt.Sprintf("%dD N=%d", g.Dim(), g.N()) }
 
 func (s *Solver) checkSizeN(n int) error {
 	level := grid.Level(n)
@@ -452,7 +465,7 @@ func (s *Solver) solve(x, b *Grid, accuracy float64, full bool, rec mg.Recorder)
 // cancellation from ctx (nil: none), divergence detection, and one
 // precision-escalation retry when a reduced-precision plan diverges.
 func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, full bool, rec mg.Recorder) error {
-	if err := s.checkSize(x); err != nil {
+	if err := s.checkGrids(x, b); err != nil {
 		return err
 	}
 	idx, err := s.accIndex(accuracy)
@@ -623,7 +636,7 @@ func (s *Solver) SolveTraced(x, b *Grid, accuracy float64, rec mg.Recorder) erro
 // sketches as future work (§6). It returns the number of iterations run and
 // the achieved residual reduction.
 func (s *Solver) SolveAdaptive(x, b *Grid, residualReduction float64) (iters int, reduction float64, err error) {
-	if err := s.checkSize(x); err != nil {
+	if err := s.checkGrids(x, b); err != nil {
 		return 0, 0, err
 	}
 	if residualReduction < 1 {

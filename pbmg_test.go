@@ -1,6 +1,8 @@
 package pbmg
 
 import (
+	"context"
+	"errors"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -84,6 +86,65 @@ func TestSolveErrors(t *testing.T) {
 	bad := NewGrid(10)
 	if err := s.Solve(bad, bad, 10); err == nil {
 		t.Fatal("non 2^k+1 grid accepted")
+	}
+}
+
+// TestSolveRejectsMismatchedGrids: a right-hand side that does not match the
+// state, or a state of the wrong dimension for the solver, is the caller's
+// error on every entry point — returned before any kernel runs, never a
+// panic, never a "successful" solve of the wrong problem — and so it never
+// counts against the Service's circuit breaker.
+func TestSolveRejectsMismatchedGrids(t *testing.T) {
+	s := tuneSmall(t)
+	svc := s.NewService(1)
+	cases := []struct {
+		name string
+		x, b func() *Grid
+	}{
+		{"b finer than x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid(33) }},
+		{"b coarser than x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid(9) }},
+		{"3D grids on a 2D solver", func() *Grid { return NewGrid3(17) }, func() *Grid { return NewGrid3(17) }},
+		{"3D b for a 2D x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid3(17) }},
+	}
+	entries := []struct {
+		name  string
+		solve func(x, b *Grid) error
+	}{
+		{"Solve", func(x, b *Grid) error { return s.Solve(x, b, 1e3) }},
+		{"SolveV", func(x, b *Grid) error { return s.SolveV(x, b, 1e3) }},
+		{"SolveContext", func(x, b *Grid) error { return s.SolveContext(context.Background(), x, b, 1e3) }},
+		{"SolveAdaptive", func(x, b *Grid) error { _, _, err := s.SolveAdaptive(x, b, 1e3); return err }},
+		{"Service.Solve", func(x, b *Grid) error { return svc.Solve(x, b, 1e3) }},
+	}
+	for _, tc := range cases {
+		for _, e := range entries {
+			t.Run(tc.name+"/"+e.name, func(t *testing.T) {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Fatalf("panicked: %v", r)
+					}
+				}()
+				err := e.solve(tc.x(), tc.b())
+				if err == nil {
+					t.Fatal("mismatched grids accepted")
+				}
+				if errors.Is(err, ErrDiverged) || errors.Is(err, ErrPanicked) {
+					t.Fatalf("mismatch reported as a solver failure: %v", err)
+				}
+			})
+		}
+	}
+	for i := 0; i < 10; i++ {
+		if err := svc.Solve(NewGrid(17), NewGrid(9), 1e3); err == nil {
+			t.Fatal("mismatched grids accepted")
+		}
+	}
+	if got := svc.BreakerState(); got != "closed" {
+		t.Fatalf("breaker after mismatched requests = %q, want closed", got)
+	}
+	p := NewProblem(17, Unbiased, 3)
+	if err := svc.Solve(p.NewState(), p.B, 1e3); err != nil {
+		t.Fatalf("good solve after mismatched requests: %v", err)
 	}
 }
 

@@ -241,9 +241,9 @@ func TestFramingsAgree(t *testing.T) {
 	releaseSlot()
 	releaseQueued()
 
-	// A 2D grid panics the 3D kernels: one contained failure opens the breaker.
+	// A panicking request: one contained failure opens the breaker.
 	svc3 := familyService(t, srv, "poisson3d")
-	if err := svc3.Solve(pbmg.NewGrid(9), pbmg.NewGrid(9), 1e3); err == nil || svc3.BreakerState() != "open" {
+	if err := svc3.Do(context.Background(), func() error { panic("poisoned request") }); err == nil || svc3.BreakerState() != "open" {
 		t.Fatalf("poisoning poisson3d: err = %v, breaker %s", err, svc3.BreakerState())
 	}
 	p3 := newProblem(t, pbmg.FamilyPoisson3D, 9, 4)

@@ -26,6 +26,16 @@ type recorderFunc func(kind mg.EventKind, level, count int)
 
 func (f recorderFunc) Record(kind mg.EventKind, level, count int) { f(kind, level, count) }
 
+// poisonedSolve is a solve on s that panics mid-flight: its recorder panics
+// at the first event, raised inside the running solver the way a kernel bug
+// would be, with the solve's scratch checked out.
+func poisonedSolve(s *Solver) func() error {
+	return func() error {
+		rec := recorderFunc(func(mg.EventKind, int, int) { panic("poisoned recorder") })
+		return s.SolveTraced(NewGrid(33), NewGrid(33), 1e3, rec)
+	}
+}
+
 // assertScratchClean fails the test when the solver's workspace still holds
 // checked-out pooled scratch — the leak a failed solve must never cause.
 func assertScratchClean(t *testing.T, s *Solver, when string) {
@@ -179,15 +189,15 @@ func TestDivergenceEscalation(t *testing.T) {
 	}
 }
 
-// TestServicePanicContainment: a panicking solve — here a genuine misuse, a
-// 3D grid handed to a 2D-tuned solver — is recovered at the Service
-// boundary into a *PanicError instead of crashing the process, counted in
-// the Panicked failure class, and the service keeps serving.
+// TestServicePanicContainment: a panicking solve — here one whose recorder
+// panics mid-flight (poisonedSolve) — is recovered at the Service boundary
+// into a *PanicError instead of crashing the process, counted in the
+// Panicked failure class, and the service keeps serving.
 func TestServicePanicContainment(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
 	sv := newService(s, 2, BreakerConfig{})
 
-	err := sv.Solve(NewGrid3(17), NewGrid3(17), 1e3)
+	err := sv.Do(context.Background(), poisonedSolve(s))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panicking solve: err = %v, want *PanicError", err)
@@ -195,7 +205,7 @@ func TestServicePanicContainment(t *testing.T) {
 	if !errors.Is(err, ErrPanicked) {
 		t.Fatalf("panic error %v does not match ErrPanicked", err)
 	}
-	if !strings.Contains(pe.Error(), "2D grid") {
+	if !strings.Contains(pe.Error(), "poisoned recorder") {
 		t.Errorf("panic error lost its payload: %q", pe.Error())
 	}
 	if len(pe.Stack) == 0 {
@@ -250,7 +260,7 @@ func TestServiceFailureClassCounters(t *testing.T) {
 	}
 
 	// Panicked.
-	sv.Solve(NewGrid3(17), NewGrid3(17), 1e3)
+	sv.Do(context.Background(), poisonedSolve(s))
 
 	m := sv.Metrics()
 	if m.Cancelled != 1 || m.Diverged != 1 || m.Panicked != 1 {
@@ -279,7 +289,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Two consecutive panics reach the threshold and open the breaker.
 	for i := 0; i < 2; i++ {
-		if err := sv.Solve(NewGrid3(17), NewGrid3(17), 1e3); !errors.Is(err, ErrPanicked) {
+		if err := sv.Do(context.Background(), poisonedSolve(s)); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned solve %d: err = %v, want ErrPanicked", i, err)
 		}
 	}
@@ -340,7 +350,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	sv := newService(s, 4, BreakerConfig{
 		Threshold: 1, Cooldown: 100 * time.Millisecond,
 	})
-	bad := func() error { return sv.Solve(NewGrid3(17), NewGrid3(17), 1e3) }
+	bad := func() error { return sv.Do(context.Background(), poisonedSolve(s)) }
 	if err := bad(); !errors.Is(err, ErrPanicked) {
 		t.Fatalf("first poisoned solve: %v", err)
 	}
