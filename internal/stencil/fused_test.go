@@ -128,6 +128,39 @@ func assertFixupResidual(t *testing.T, op *Operator, omega float64, oracle, got 
 	assertBitIdentical(t, got, zeroed, "downstroke residual boundary")
 }
 
+// TestSmoothResidualMatchesOracle checks the residual grid left by
+// OpSmoothResidualRestrict, the smooth+residual entry point with no scratch
+// grid, against an unfused sweep followed by an unfused residual.
+func TestSmoothResidualMatchesOracle(t *testing.T) {
+	for _, tc := range fusedCases() {
+		for _, n := range tc.ns {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				op := tc.mk(n)
+				h := 1.0 / float64(n-1)
+				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n)))
+				x0, b := randomStateDim(tc.dim, n, rng)
+
+				// Oracle: unfused sweep, then unfused residual (serial).
+				xo := x0.Clone()
+				OpSORSweepRB(op, nil, xo, b, h, omega)
+				ro := grid.NewDim(tc.dim, n)
+				OpResidual(op, nil, ro, xo, b, h)
+				scale := math.Max(1, grid.MaxAbsInterior(ro))
+
+				withPools(t, func(t *testing.T, pool *sched.Pool) {
+					xf := x0.Clone()
+					// Poison rf's interior to catch unwritten points.
+					rf := nanLike(xf)
+					OpSmoothResidualRestrict(op, pool, grid.NewDim(tc.dim, grid.Coarsen(n)), xf, b, rf, h, omega)
+					assertBitIdentical(t, xo, xf, "SmoothResidual iterate")
+					assertFixupResidual(t, op, omega, ro, rf, scale)
+				})
+			})
+		}
+	}
+}
+
 func TestResidualRestrictMatchesOracle(t *testing.T) {
 	for _, tc := range fusedCases() {
 		for _, n := range tc.ns {
@@ -198,6 +231,48 @@ func TestSmoothResidualRestrictMatchesOracle(t *testing.T) {
 						serial = cf
 					} else {
 						assertBitIdentical(t, serial, cf, "SmoothResidualRestrict serial-vs-pool")
+					}
+				})
+			})
+		}
+	}
+}
+
+// TestSweepWithNormMatchesOracle checks a smoothing sweep followed by the
+// OpResidualNorm probe, the pair an adaptive iteration ends with, against the
+// norm of the oracle's residual grid; serial and pooled runs agree bit for
+// bit.
+func TestSweepWithNormMatchesOracle(t *testing.T) {
+	for _, tc := range fusedCases() {
+		for _, n := range tc.ns {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				op := tc.mk(n)
+				h := 1.0 / float64(n-1)
+				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n) + 13))
+				x0, b := randomStateDim(tc.dim, n, rng)
+
+				xo := x0.Clone()
+				refSweep(op, xo, b, h, omega)
+				ro := grid.NewDim(tc.dim, n)
+				refResidual(op, ro, xo, b, h)
+				want := grid.L2Interior(ro)
+
+				var serialNorm float64
+				withPools(t, func(t *testing.T, pool *sched.Pool) {
+					xf := x0.Clone()
+					OpSORSweepRB(op, pool, xf, b, h, omega)
+					norm := OpResidualNorm(op, pool, xf, b, h)
+					assertBitIdentical(t, xo, xf, "sweep iterate")
+					if d := math.Abs(norm - want); !(d <= 1e-12*math.Max(1, want)) {
+						t.Fatalf("norm %v, oracle %v (diff %g)", norm, want, d)
+					}
+					// Fixed chunking: serial and pool sums are bit-identical.
+					if pool == nil {
+						serialNorm = norm
+					} else if math.Float64bits(norm) != math.Float64bits(serialNorm) {
+						t.Fatalf("pool norm %x differs from serial norm %x",
+							math.Float64bits(norm), math.Float64bits(serialNorm))
 					}
 				})
 			})

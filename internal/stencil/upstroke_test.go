@@ -2,6 +2,7 @@ package stencil
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -31,23 +32,61 @@ func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
 				op := tc.mk(n)
 				h := 1.0 / float64(n-1)
 				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n) + 101))
+				x0, b := randomStateDim(tc.dim, n, rng)
+				cx := randomCorrection(tc.dim, n, rng)
+
+				// Oracle upstroke: interpolate+correct, then a full sweep.
+				xo := x0.Clone()
+				scratch := grid.NewDim(tc.dim, n)
+				transfer.Interpolate(nil, scratch, cx)
+				xo.AddInterior(scratch)
+				OpSORSweepRB(op, nil, xo, b, h, omega)
+
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
-					for _, seed := range []int64{101, 211} {
-						rng := rand.New(rand.NewSource(int64(n) + seed))
-						x0, b := randomStateDim(tc.dim, n, rng)
-						cx := randomCorrection(tc.dim, n, rng)
+					xf := x0.Clone()
+					OpInterpolateCorrectSmooth(op, pool, xf, b, cx, h, omega)
+					OpFinishSmooth(op, pool, xf, b, h, omega)
+					assertBitIdentical(t, xo, xf, "fused upstroke iterate")
+				})
+			})
+		}
+	}
+}
 
-						// Oracle upstroke: interpolate+correct, then a full sweep.
-						xo := x0.Clone()
-						scratch := grid.NewDim(tc.dim, n)
-						transfer.Interpolate(nil, scratch, cx)
-						xo.AddInterior(scratch)
-						OpSORSweepRB(op, nil, xo, b, h, omega)
+// TestFinishSmoothWithNormMatchesOracle checks the last stroke of an
+// adaptive iteration followed by its probe: the fused upstroke, then
+// OpResidualNorm on the result, against the correction, a serial
+// OpSORSweepRB and a serial OpResidualNorm.
+func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
+	for _, tc := range fusedCases() {
+		for _, n := range tc.ns {
+			t.Run(fmt.Sprintf("%s/n%d", tc.name, n), func(t *testing.T) {
+				op := tc.mk(n)
+				h := 1.0 / float64(n-1)
+				omega := op.OmegaSmooth()
+				rng := rand.New(rand.NewSource(int64(n) + 211))
+				x0, b := randomStateDim(tc.dim, n, rng)
+				cx := randomCorrection(tc.dim, n, rng)
 
-						xf := x0.Clone()
-						OpInterpolateCorrectSmooth(op, pool, xf, b, cx, h, omega)
-						OpFinishSmooth(op, pool, xf, b, h, omega)
-						assertBitIdentical(t, xo, xf, "fused upstroke iterate")
+				xo := x0.Clone()
+				scratch := grid.NewDim(tc.dim, n)
+				transfer.Interpolate(nil, scratch, cx)
+				xo.AddInterior(scratch)
+				OpSORSweepRB(op, nil, xo, b, h, omega)
+				wantNorm := OpResidualNorm(op, nil, xo, b, h)
+
+				withPools(t, func(t *testing.T, pool *sched.Pool) {
+					xf := x0.Clone()
+					OpInterpolateCorrectSmooth(op, pool, xf, b, cx, h, omega)
+					OpFinishSmooth(op, pool, xf, b, h, omega)
+					assertBitIdentical(t, xo, xf, "fused upstroke iterate")
+					// Same values through the same fixed per-row reduction:
+					// the norm is bit-identical, serial or pooled.
+					norm := OpResidualNorm(op, pool, xf, b, h)
+					if math.Float64bits(norm) != math.Float64bits(wantNorm) {
+						t.Fatalf("norm %v (%x) differs from oracle %v (%x)",
+							norm, math.Float64bits(norm), wantNorm, math.Float64bits(wantNorm))
 					}
 				})
 			})
