@@ -275,7 +275,6 @@ func (f *admitFamily) metrics() ServiceMetrics {
 	m := f.m
 	m.InFlight = int64(f.running)
 	m.QueueLen = int64(len(f.queue))
-	m.Waiting = m.QueueLen
 	return m
 }
 

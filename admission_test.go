@@ -163,7 +163,7 @@ func TestAdmissionBreakerBeforeQueue(t *testing.T) {
 
 // TestAdmissionQueueLenBehindBatch is the honest-gauge regression: a batch
 // holding its one queue place and every running slot, with one single
-// request queued behind it, reports QueueLen == Waiting == 1. (The HTTP
+// request queued behind it, reports QueueLen == 1. (The HTTP
 // gate computed len(tickets) − len(slots) = 2 − 2 and reported 0.)
 func TestAdmissionQueueLenBehindBatch(t *testing.T) {
 	f := newAdmitter(1, BreakerConfig{}).family(2, 4)
@@ -181,8 +181,8 @@ func TestAdmissionQueueLenBehindBatch(t *testing.T) {
 	}
 	done, cancel := queueRequest(t, f)
 	defer cancel()
-	if m := f.metrics(); m.QueueLen != 1 || m.Waiting != 1 || m.InFlight != 2 {
-		t.Errorf("metrics = %+v, want QueueLen 1, Waiting 1, InFlight 2", m)
+	if m := f.metrics(); m.QueueLen != 1 || m.InFlight != 2 {
+		t.Errorf("metrics = %+v, want QueueLen 1, InFlight 2", m)
 	}
 	for _, s := range members {
 		s.done(nil)

@@ -181,7 +181,7 @@ func TestChaosServicePanic(t *testing.T) {
 	p := chaosProblem(t, s, 55)
 
 	armFaults(t, "mg.cycle:panic,count=1")
-	err := sv.SolveV(p.NewState(), p.B, 1e3)
+	err := sv.Do(context.Background(), func() error { return s.SolveV(p.NewState(), p.B, 1e3) })
 	var pe *PanicError
 	if !errors.As(err, &pe) || !errors.Is(err, ErrPanicked) {
 		t.Fatalf("injected panic: err = %v, want PanicError", err)
@@ -196,7 +196,7 @@ func TestChaosServicePanic(t *testing.T) {
 	assertScratchClean(t, s, "after injected panic")
 
 	x := p.NewState()
-	if err := sv.SolveV(x, p.B, 1e3); err != nil {
+	if err := sv.Do(context.Background(), func() error { return s.SolveV(x, p.B, 1e3) }); err != nil {
 		t.Fatalf("solve after contained panic: %v", err)
 	}
 	if got := p.AccuracyOf(x); got < 1e3 {

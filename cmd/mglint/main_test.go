@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -209,6 +210,122 @@ func TestVendorHoldsOnlyImportedPackages(t *testing.T) {
 		t.Errorf("vendor/ holds Go files in\n  %s\nbut vendor/modules.txt lists\n  %s",
 			strings.Join(dirs, "\n  "), strings.Join(listed, "\n  "))
 	}
+}
+
+// TestCIRunNamesMatchTests holds the workflow's test selections to the
+// tests that exist: on every go test line of .github/workflows/ci.yml, each
+// |-alternative of -run and -fuzz (bar ^$) must match a Test or Fuzz
+// function of that line's packages, so deleting or renaming a test cannot
+// leave a named step that silently runs nothing. A seeded line naming a
+// missing test must be reported.
+func TestCIRunNamesMatchTests(t *testing.T) {
+	root := filepath.Join("..", "..")
+	ci, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if missing := missingCINames(t, root, string(ci)); len(missing) > 0 {
+		t.Errorf("ci.yml selects tests that do not exist:\n  %s", strings.Join(missing, "\n  "))
+	}
+	seeded := "        run: go test -race -run 'TestSolveRejectsMismatchedGrids|TestNoSuchTest' .\n" +
+		"        run: go test -run '^$' -fuzz FuzzNoSuchTarget ./serve\n"
+	got := missingCINames(t, root, seeded)
+	if len(got) != 2 || !strings.Contains(got[0], `"TestNoSuchTest"`) || !strings.Contains(got[1], `"FuzzNoSuchTarget"`) {
+		t.Errorf("seeded missing names reported as %q, want TestNoSuchTest and FuzzNoSuchTarget", got)
+	}
+}
+
+var (
+	ciArg    = regexp.MustCompile(`'[^']*'|\S+`)
+	ciCd     = regexp.MustCompile(`\bcd (\S+) &&`)
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+)
+
+// missingCINames reports each -run/-fuzz alternative on a go test line of
+// the workflow text that matches no test function in the line's packages.
+func missingCINames(t *testing.T, root, workflow string) []string {
+	t.Helper()
+	var missing []string
+	for i, line := range strings.Split(workflow, "\n") {
+		before, args, ok := strings.Cut(line, "go test ")
+		if !ok || strings.HasPrefix(strings.TrimSpace(line), "#") {
+			continue
+		}
+		dir := root
+		if m := ciCd.FindStringSubmatch(before); m != nil {
+			dir = filepath.Join(root, m[1])
+		}
+		type selection struct{ flag, pattern string }
+		var sels []selection
+		var pkgs []string
+		tokens := ciArg.FindAllString(args, -1)
+		for j := 0; j < len(tokens); j++ {
+			switch tok := strings.Trim(tokens[j], "'"); {
+			case (tok == "-run" || tok == "-fuzz") && j+1 < len(tokens):
+				j++
+				sels = append(sels, selection{tok, strings.Trim(tokens[j], "'")})
+			case tok == "." || strings.HasPrefix(tok, "./"):
+				pkgs = append(pkgs, tok)
+			}
+		}
+		if len(sels) == 0 {
+			continue
+		}
+		names := testNames(t, dir, pkgs)
+		for _, sel := range sels {
+			level0, _, _ := strings.Cut(sel.pattern, "/")
+			for _, alt := range strings.Split(level0, "|") {
+				if alt == "^$" {
+					continue
+				}
+				re, err := regexp.Compile(alt)
+				if err != nil {
+					missing = append(missing, fmt.Sprintf("line %d: %s %q: %v", i+1, sel.flag, alt, err))
+					continue
+				}
+				if !slices.ContainsFunc(names, func(name string) bool {
+					return re.MatchString(name) && (sel.flag == "-run" || strings.HasPrefix(name, "Fuzz"))
+				}) {
+					missing = append(missing, fmt.Sprintf("line %d: %s %q matches nothing in %s", i+1, sel.flag, alt, strings.Join(pkgs, " ")))
+				}
+			}
+		}
+	}
+	return missing
+}
+
+// testNames lists the Test and Fuzz functions in the _test.go files of the
+// package patterns (".", "./dir", "./dir/...") under dir, build-tagged
+// files included.
+func testNames(t *testing.T, dir string, pkgs []string) []string {
+	t.Helper()
+	var names []string
+	for _, pkg := range pkgs {
+		base, recursive := strings.CutSuffix(pkg, "/...")
+		err := filepath.WalkDir(filepath.Join(dir, base), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() {
+				if path != filepath.Join(dir, base) && (!recursive || d.Name() == "vendor" || d.Name() == "testdata") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(path, "_test.go") {
+				return nil
+			}
+			src, err := os.ReadFile(path)
+			for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+				names = append(names, m[1])
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatalf("package %s: %v", pkg, err)
+		}
+	}
+	return names
 }
 
 // hotallocExemptions is the committed ceiling on //mglint:allow hotalloc

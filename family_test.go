@@ -154,7 +154,7 @@ func TestSolveBatchByteIdenticalToSequential(t *testing.T) {
 			for i := range batch {
 				batch[i] = BatchProblem{X: seq[i].NewState(), B: seq[i].B}
 			}
-			if err := s.SolveBatch(batch, target); err != nil {
+			if err := s.NewService(0).SolveBatch(batch, target); err != nil {
 				t.Fatal(err)
 			}
 

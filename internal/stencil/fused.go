@@ -46,7 +46,7 @@
 // The residual norm (OpResidualNorm) sums each interior unit on its own and
 // adds the units in index order, so the result is bit-identical for either
 // driver, any worker count and any chunking — the deterministic reduction
-// contract the adaptive driver and refsol rely on.
+// contract refsol relies on.
 //
 // The oracles live in the tests: oracle_test.go writes the sweep, the
 // residual, Jacobi and the operator apply point by point, with the operands

@@ -239,9 +239,8 @@ func TestSmoothResidualRestrictMatchesOracle(t *testing.T) {
 }
 
 // TestSweepWithNormMatchesOracle checks a smoothing sweep followed by the
-// OpResidualNorm probe, the pair an adaptive iteration ends with, against the
-// norm of the oracle's residual grid; serial and pooled runs agree bit for
-// bit.
+// OpResidualNorm probe against the norm of the oracle's residual grid;
+// serial and pooled runs agree bit for bit.
 func TestSweepWithNormMatchesOracle(t *testing.T) {
 	for _, tc := range fusedCases() {
 		for _, n := range tc.ns {

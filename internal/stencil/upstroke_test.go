@@ -54,8 +54,8 @@ func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFinishSmoothWithNormMatchesOracle checks the last stroke of an
-// adaptive iteration followed by its probe: the fused upstroke, then
+// TestFinishSmoothWithNormMatchesOracle checks the last stroke of a cycle
+// followed by a residual-norm probe: the fused upstroke, then
 // OpResidualNorm on the result, against the correction, a serial
 // OpSORSweepRB and a serial OpResidualNorm.
 func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {

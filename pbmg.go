@@ -20,8 +20,8 @@
 // A Solver is safe for concurrent use: the tuned tables are immutable, the
 // worker pool supports concurrent callers, and all per-solve scratch state
 // is checked out from an internal arena. One tuned Solver can therefore
-// serve many simultaneous solves — see SolveBatch for fanning a fixed set
-// of problems, and Service for bounding in-flight solves in a server.
+// serve many simultaneous solves, from plain goroutines or through a
+// Service, which bounds the solves in flight and fans out batches.
 package pbmg
 
 import (
@@ -29,7 +29,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -182,9 +181,11 @@ type Options struct {
 // with Close.
 //
 // A Solver is safe for concurrent use: any number of goroutines may call
-// Solve, SolveV, SolveAdaptive, SolveBatch, CycleShape, and Describe
+// Solve, SolveContext, SolveV, SolveTraced, CycleShape, and Describe
 // simultaneously on one Solver, sharing its tuned tables, worker pool, and
-// direct-factor cache. Close must not be called while solves are in flight.
+// direct-factor cache. For admission (a cap on solves in flight, a queue,
+// a circuit breaker) and batches, wrap it in a Service (NewService). Close
+// must not be called while solves are in flight.
 type Solver struct {
 	tuned *core.Tuned
 	ws    *mg.Workspace
@@ -200,13 +201,6 @@ type Solver struct {
 
 	// tuneStats is what tuning this solver took (zero for a loaded one).
 	tuneStats TuneStats
-
-	// defMu guards defSvc, the lazily-created default service behind
-	// DefaultService that SolveBatch routes through so its completion counts
-	// are observable. A mutex (not sync.Once) so Registry.Register can
-	// replace the service without racing concurrent DefaultService callers.
-	defMu  sync.Mutex
-	defSvc *Service
 }
 
 // ErrCancelled marks a solve aborted between cycles or levels because its
@@ -235,22 +229,6 @@ func (ts TuneStats) String() string {
 // Tune trains a solver for the given options by running the paper's
 // dynamic-programming autotuner.
 func Tune(o Options) (*Solver, error) {
-	var pool *sched.Pool
-	if o.Workers > 1 {
-		pool = sched.NewPool(o.Workers)
-	}
-	s, err := tuneWithPool(o, pool)
-	if err != nil {
-		closePool(pool)
-		return nil, err
-	}
-	return s, nil
-}
-
-// tuneWithPool runs the autotuner and builds a solver on the given pool
-// (nil: serial), which the caller owns — Registry.Tune passes its shared
-// pool, Tune a fresh one sized by o.Workers.
-func tuneWithPool(o Options, pool *sched.Pool) (*Solver, error) {
 	level := grid.Level(o.MaxSize)
 	if level < 2 {
 		return nil, fmt.Errorf("pbmg: MaxSize must be 2^k+1 with k ≥ 2, got %d", o.MaxSize)
@@ -263,6 +241,7 @@ func tuneWithPool(o Options, pool *sched.Pool) (*Solver, error) {
 		}
 		coster = m
 	}
+	pool := newPool(o.Workers)
 	tn, err := core.New(core.Config{
 		Accuracies:   o.Accuracies,
 		MaxLevel:     level,
@@ -275,11 +254,13 @@ func tuneWithPool(o Options, pool *sched.Pool) (*Solver, error) {
 		Logf:         o.Logf,
 	})
 	if err != nil {
+		closePool(pool)
 		return nil, err
 	}
 	start := time.Now()
 	tuned, err := tn.Tune()
 	if err != nil {
+		closePool(pool)
 		return nil, err
 	}
 	s, err := newSolver(tuned, pool)
@@ -300,21 +281,15 @@ func Load(path string, workers int) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pool *sched.Pool
-	if workers > 1 {
-		pool = sched.NewPool(workers)
-	}
-	s, err := newSolver(tuned, pool)
-	if err != nil {
-		closePool(pool)
-		return nil, err
-	}
-	return s, nil
+	return newSolver(tuned, newPool(workers))
 }
 
+// newSolver builds a solver on tuned tables that owns pool (nil: serial),
+// closing the pool if the tables are unusable.
 func newSolver(tuned *core.Tuned, pool *sched.Pool) (*Solver, error) {
 	op, err := tuned.OperatorValue()
 	if err != nil {
+		closePool(pool)
 		return nil, err
 	}
 	ws := mg.NewWorkspace(pool, op)
@@ -327,6 +302,15 @@ func newSolver(tuned *core.Tuned, pool *sched.Pool) (*Solver, error) {
 		}
 	}
 	return s, nil
+}
+
+// newPool returns a worker pool of the given width, or nil (serial) for a
+// width of one or less.
+func newPool(workers int) *sched.Pool {
+	if workers <= 1 {
+		return nil
+	}
+	return sched.NewPool(workers)
 }
 
 func closePool(p *sched.Pool) {
@@ -397,9 +381,13 @@ func (s *Solver) accIndex(accuracy float64) (int, error) {
 }
 
 // checkGrids verifies a solve's grids before any snapshot or kernel touches
-// them: x has the solver's dimension and a side in the tuned range, and b has
-// x's dimension and side. A mismatch is the caller's error, never a panic.
+// them: both are present, x has the solver's dimension and a side in the
+// tuned range, and b has x's dimension and side. A missing or mismatched grid
+// is the caller's error, never a panic.
 func (s *Solver) checkGrids(x, b *Grid) error {
+	if x == nil || b == nil {
+		return fmt.Errorf("pbmg: solve needs a state and a right-hand side, got a nil grid")
+	}
 	if x.Dim() != s.Dim() {
 		return fmt.Errorf("pbmg: state is %s but the solver is %dD", shape(x), s.Dim())
 	}
@@ -444,11 +432,6 @@ func (s *Solver) Solve(x, b *Grid, accuracy float64) error {
 // be reused as a partial answer.
 func (s *Solver) SolveContext(ctx context.Context, x, b *Grid, accuracy float64) error {
 	return s.solveCtx(ctx, x, b, accuracy, true, nil)
-}
-
-// SolveVContext is SolveV with cooperative cancellation (see SolveContext).
-func (s *Solver) SolveVContext(ctx context.Context, x, b *Grid, accuracy float64) error {
-	return s.solveCtx(ctx, x, b, accuracy, false, nil)
 }
 
 // Escalations returns the number of solves that diverged at a tuned reduced
@@ -505,7 +488,7 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 	}
 	err = run()
 	if err == nil && grid.HasNonFinite(x) {
-		// The in-cycle guards cover the f32/mixed/adaptive shapes; the plain
+		// The in-cycle guards cover the f32 and mixed shapes; the plain
 		// f64 V-cycle and direct shapes have none, so vet every answer here —
 		// a serving layer must never hand back a NaN grid as a success.
 		err = fmt.Errorf("%w: solve produced a non-finite iterate", mg.ErrDiverged)
@@ -627,31 +610,6 @@ func (s *Solver) PlanPrecisions() []string {
 // (sweeps, direct solves) alongside wall time.
 func (s *Solver) SolveTraced(x, b *Grid, accuracy float64, rec mg.Recorder) error {
 	return s.solve(x, b, accuracy, true, rec)
-}
-
-// SolveAdaptive solves T·x = b with runtime feedback instead of trained
-// iteration counts: tuned RECURSE steps are iterated until the measured
-// residual has shrunk by the given factor, escalating to higher-accuracy
-// sub-algorithms when convergence stagnates — the dynamic tuning the paper
-// sketches as future work (§6). It returns the number of iterations run and
-// the achieved residual reduction.
-func (s *Solver) SolveAdaptive(x, b *Grid, residualReduction float64) (iters int, reduction float64, err error) {
-	if err := s.checkGrids(x, b); err != nil {
-		return 0, 0, err
-	}
-	if residualReduction < 1 {
-		return 0, 0, fmt.Errorf("pbmg: residual reduction %g must be ≥ 1", residualReduction)
-	}
-	ex := &mg.Executor{WS: s.ws, V: s.tuned.V} // per-call executor: concurrency-safe
-	a := mg.AdaptiveSolver{Ex: ex}
-	var res mg.AdaptiveResult
-	// The adaptive loop carries a divergence guard (a blown-up residual
-	// aborts instead of iterating to MaxIters on garbage); Run converts that
-	// abort into ErrDiverged here.
-	if err := mg.Catch(func() { res = a.Solve(x, b, residualReduction, 0) }); err != nil {
-		return 0, 0, err
-	}
-	return res.Iters, res.Reduction, nil
 }
 
 // Tuned exposes the underlying tuned bundle for advanced use (experiment

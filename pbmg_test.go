@@ -90,10 +90,10 @@ func TestSolveErrors(t *testing.T) {
 }
 
 // TestSolveRejectsMismatchedGrids: a right-hand side that does not match the
-// state, or a state of the wrong dimension for the solver, is the caller's
-// error on every entry point — returned before any kernel runs, never a
-// panic, never a "successful" solve of the wrong problem — and so it never
-// counts against the Service's circuit breaker.
+// state, a state of the wrong dimension for the solver, or a nil grid is the
+// caller's error on every entry point — returned before any kernel runs,
+// never a panic, never a "successful" solve of the wrong problem — and so it
+// never counts against the Service's circuit breaker.
 func TestSolveRejectsMismatchedGrids(t *testing.T) {
 	s := tuneSmall(t)
 	svc := s.NewService(1)
@@ -105,6 +105,8 @@ func TestSolveRejectsMismatchedGrids(t *testing.T) {
 		{"b coarser than x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid(9) }},
 		{"3D grids on a 2D solver", func() *Grid { return NewGrid3(17) }, func() *Grid { return NewGrid3(17) }},
 		{"3D b for a 2D x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid3(17) }},
+		{"nil x", func() *Grid { return nil }, func() *Grid { return NewGrid(17) }},
+		{"nil b", func() *Grid { return NewGrid(17) }, func() *Grid { return nil }},
 	}
 	entries := []struct {
 		name  string
@@ -113,8 +115,10 @@ func TestSolveRejectsMismatchedGrids(t *testing.T) {
 		{"Solve", func(x, b *Grid) error { return s.Solve(x, b, 1e3) }},
 		{"SolveV", func(x, b *Grid) error { return s.SolveV(x, b, 1e3) }},
 		{"SolveContext", func(x, b *Grid) error { return s.SolveContext(context.Background(), x, b, 1e3) }},
-		{"SolveAdaptive", func(x, b *Grid) error { _, _, err := s.SolveAdaptive(x, b, 1e3); return err }},
+		{"SolveTraced", func(x, b *Grid) error { return s.SolveTraced(x, b, 1e3, nil) }},
 		{"Service.Solve", func(x, b *Grid) error { return svc.Solve(x, b, 1e3) }},
+		{"Service.SolveContext", func(x, b *Grid) error { return svc.SolveContext(context.Background(), x, b, 1e3) }},
+		{"Service.SolveBatch", func(x, b *Grid) error { return svc.SolveBatch([]BatchProblem{{X: x, B: b}}, 1e3) }},
 	}
 	for _, tc := range cases {
 		for _, e := range entries {
@@ -138,6 +142,9 @@ func TestSolveRejectsMismatchedGrids(t *testing.T) {
 		if err := svc.Solve(NewGrid(17), NewGrid(9), 1e3); err == nil {
 			t.Fatal("mismatched grids accepted")
 		}
+		if err := svc.SolveContext(context.Background(), nil, NewGrid(17), 1e3); err == nil {
+			t.Fatal("nil state accepted")
+		}
 	}
 	if got := svc.BreakerState(); got != "closed" {
 		t.Fatalf("breaker after mismatched requests = %q, want closed", got)
@@ -145,6 +152,35 @@ func TestSolveRejectsMismatchedGrids(t *testing.T) {
 	p := NewProblem(17, Unbiased, 3)
 	if err := svc.Solve(p.NewState(), p.B, 1e3); err != nil {
 		t.Fatalf("good solve after mismatched requests: %v", err)
+	}
+
+	// A batch with one nil state fails that problem alone: its siblings are
+	// solved and the breaker stays closed.
+	good := []*Problem{NewProblem(17, Unbiased, 4), NewProblem(17, Unbiased, 5)}
+	batch := []BatchProblem{
+		{X: good[0].NewState(), B: good[0].B},
+		{X: nil, B: good[0].B},
+		{X: good[1].NewState(), B: good[1].B},
+	}
+	before := svc.Metrics()
+	err := svc.SolveBatch(batch, 1e3)
+	if err == nil || !strings.Contains(err.Error(), "batch problem 1") {
+		t.Fatalf("batch with a nil state: err = %v, want batch problem 1 to fail", err)
+	}
+	if strings.Contains(err.Error(), "batch problem 0") || strings.Contains(err.Error(), "batch problem 2") {
+		t.Fatalf("a nil state failed its siblings: %v", err)
+	}
+	if m := svc.Metrics(); m.Completed != before.Completed+2 || m.Failed != before.Failed+1 || m.Panicked != 0 {
+		t.Fatalf("metrics after the batch = %+v, want 2 more completed and 1 more failed, none panicked", m)
+	}
+	for i, j := range []int{0, 2} {
+		Reference(good[i])
+		if got := good[i].AccuracyOf(batch[j].X); got < 1e2 {
+			t.Errorf("batch problem %d achieved %.3g beside a nil sibling", j, got)
+		}
+	}
+	if got := svc.BreakerState(); got != "closed" {
+		t.Fatalf("breaker after a batch with a nil state = %q, want closed", got)
 	}
 }
 
@@ -275,29 +311,5 @@ func TestParallelSolverMatchesSerial(t *testing.T) {
 		if xs.Data()[i] != xp.Data()[i] {
 			t.Fatal("parallel solver result differs from serial")
 		}
-	}
-}
-
-func TestSolveAdaptive(t *testing.T) {
-	s := tuneSmall(t)
-	p := NewProblem(33, Unbiased, 17)
-	Reference(p)
-	x := p.NewState()
-	iters, reduction, err := s.SolveAdaptive(x, p.B, 1e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reduction < 1e6 || iters == 0 {
-		t.Fatalf("adaptive solve: iters=%d reduction=%.3g", iters, reduction)
-	}
-	if acc := p.AccuracyOf(x); acc < 1e4 {
-		t.Fatalf("adaptive solve accuracy %.3g", acc)
-	}
-	if _, _, err := s.SolveAdaptive(x, p.B, 0.5); err == nil {
-		t.Fatal("reduction < 1 accepted")
-	}
-	bad := NewGrid(10)
-	if _, _, err := s.SolveAdaptive(bad, bad, 10); err == nil {
-		t.Fatal("bad grid accepted")
 	}
 }

@@ -106,12 +106,13 @@ type RegistryOptions struct {
 	Breaker BreakerConfig
 }
 
-// Registry serves several tuned operator families from one process. Each
-// registered configuration gets a Service routed by (family, ε); all of them
-// share the registry's worker pool, its admitter (admission.go), and its
-// direct-factor cache. A Registry is safe for concurrent use: any
-// number of goroutines may Lookup and Solve while families are being
-// registered. Release with Close.
+// Registry serves several tuned operator families from one process. LoadDir
+// is how families are registered: the registry builds and owns the solver of
+// every configuration it loads, and gives each a Service routed by (family,
+// ε). All of them share the registry's worker pool, its admitter
+// (admission.go), and its direct-factor cache. A Registry is safe for
+// concurrent use: any number of goroutines may Lookup and Solve while
+// families are being loaded. Release with Close.
 type Registry struct {
 	pool  *sched.Pool
 	cache *direct.Cache
@@ -128,12 +129,8 @@ type Registry struct {
 // NewRegistry returns an empty registry with the shared serving resources
 // allocated.
 func NewRegistry(o RegistryOptions) *Registry {
-	var pool *sched.Pool
-	if o.Workers > 1 {
-		pool = sched.NewPool(o.Workers)
-	}
 	return &Registry{
-		pool:     pool,
+		pool:     newPool(o.Workers),
 		cache:    &direct.Cache{},
 		adm:      newAdmitter(o.MaxInFlight, o.Breaker),
 		opts:     o,
@@ -144,85 +141,13 @@ func NewRegistry(o RegistryOptions) *Registry {
 // MaxInFlight returns the effective global cap shared by every family.
 func (r *Registry) MaxInFlight() int { return r.adm.globalCap() }
 
-// PoolSteals returns the shared worker pool's cumulative successful-steal
-// count (0 for a serial registry) — scheduler visibility for benchmarks.
-func (r *Registry) PoolSteals() int64 {
-	if r.pool == nil {
-		return 0
-	}
-	return r.pool.Steals()
-}
-
-// Register adopts a tuned solver into the registry: its workspace is rewired
-// onto the registry's shared worker pool and factor cache, and it is served
-// behind the global admission limit. The registry service also becomes the
-// solver's default service — replacing any private one created earlier — so
-// Solver.SolveBatch honors the global limit and its completions appear in
-// the registry metrics rather than on a private limiter. Register must not
-// be called while solves are in flight on the solver. The solver's own pool
-// (if it was tuned with one) stays with the caller — Solver.Close still
-// releases it — but solves routed through the registry run on the shared
-// pool. Registering a second configuration with the same (family, ε, dim)
-// key fails.
-func (r *Registry) Register(s *Solver) (*Service, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if err := r.checkKeyLocked(serveKeyOf(s)); err != nil {
-		return nil, err
-	}
-	return r.registerLocked(s), nil
-}
-
-// checkKeyLocked rejects a key the registry already serves.
-func (r *Registry) checkKeyLocked(key ServeKey) error {
-	if _, ok := r.services[key]; ok {
-		return fmt.Errorf("pbmg: registry already serves family %s", key)
-	}
-	return nil
-}
-
-// registerLocked adopts a solver whose key has passed checkKeyLocked.
-func (r *Registry) registerLocked(s *Solver) *Service {
-	key := serveKeyOf(s)
-	s.ws.Pool = r.pool
-	s.ws.FactorCache = r.cache
-	quota, named := r.opts.Quotas[key.String()]
-	if !named {
-		quota = r.opts.DefaultQuota
-	}
-	// Each family has its own breaker state inside the shared admitter: one
-	// family melting down must not stop the others.
-	svc := &Service{s: s, fam: r.adm.family(quota, r.opts.QueueDepth)}
-	// The registry service becomes the solver's default service even if a
-	// private one was already created before registration, so
-	// Solver.SolveBatch always honors the global limit and its completions
-	// land in the registry metrics. The mutex-guarded setter makes this safe
-	// against concurrent DefaultService readers; only the pool and cache
-	// rewires above need Register's no-solves-in-flight contract.
-	s.setDefaultService(svc)
-	r.services[key] = svc
-	r.order = append(r.order, key)
-	return svc
-}
-
-// Tune tunes a configuration on the registry's shared pool and registers it.
-// The Workers option is ignored: the shared pool is used for tuning and
-// serving alike.
-func (r *Registry) Tune(o Options) (*Service, error) {
-	s, err := tuneWithPool(o, r.pool)
-	if err != nil {
-		return nil, err
-	}
-	s.pool = nil // the registry owns the shared pool
-	return r.Register(s)
-}
-
 // LoadDir loads every .json tuned configuration in dir (one file per family,
-// as written by mgtune) and registers them all, in filename order. The load
-// is all-or-nothing: any file that fails to load or collides with an
-// already-registered family fails the whole call and registers NOTHING, so a
-// serving process neither comes up quietly missing a family nor bricks the
-// retry after the operator fixes the bad file.
+// as written by mgtune) and registers them all, in filename order, on the
+// registry's shared pool and factor cache. The load is all-or-nothing: any
+// file that fails to load or collides with an already-registered family fails
+// the whole call and registers NOTHING, so a serving process neither comes up
+// quietly missing a family nor bricks the retry after the operator fixes the
+// bad file.
 func (r *Registry) LoadDir(dir string) ([]*Service, error) {
 	configs, err := core.LoadDir(dir)
 	if err != nil {
@@ -232,11 +157,10 @@ func (r *Registry) LoadDir(dir string) ([]*Service, error) {
 	solvers := make([]*Solver, 0, len(configs))
 	paths := make(map[ServeKey]string, len(configs))
 	for _, cfg := range configs {
-		s, err := newSolver(cfg.T, r.pool)
+		s, err := newSolver(cfg.T, nil)
 		if err != nil {
 			return nil, fmt.Errorf("pbmg: configuration %s: %w", cfg.Path, err)
 		}
-		s.pool = nil // the registry owns the shared pool
 		key := serveKeyOf(s)
 		if prev, dup := paths[key]; dup {
 			return nil, fmt.Errorf("pbmg: %s and %s both serve family %s", prev, cfg.Path, key)
@@ -248,13 +172,25 @@ func (r *Registry) LoadDir(dir string) ([]*Service, error) {
 	defer r.mu.Unlock()
 	for _, s := range solvers {
 		key := serveKeyOf(s)
-		if err := r.checkKeyLocked(key); err != nil {
-			return nil, fmt.Errorf("%w (from %s)", err, paths[key])
+		if _, ok := r.services[key]; ok {
+			return nil, fmt.Errorf("pbmg: registry already serves family %s (from %s)", key, paths[key])
 		}
 	}
 	services := make([]*Service, 0, len(solvers))
 	for _, s := range solvers {
-		services = append(services, r.registerLocked(s))
+		key := serveKeyOf(s)
+		s.ws.Pool = r.pool
+		s.ws.FactorCache = r.cache
+		quota, named := r.opts.Quotas[key.String()]
+		if !named {
+			quota = r.opts.DefaultQuota
+		}
+		// Each family has its own breaker state inside the shared admitter:
+		// one family melting down must not stop the others.
+		svc := &Service{s: s, fam: r.adm.family(quota, r.opts.QueueDepth)}
+		r.services[key] = svc
+		r.order = append(r.order, key)
+		services = append(services, svc)
 	}
 	return services, nil
 }
@@ -264,17 +200,6 @@ func (r *Registry) Keys() []ServeKey {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return append([]ServeKey(nil), r.order...)
-}
-
-// Services returns the per-family services in registration order.
-func (r *Registry) Services() []*Service {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]*Service, 0, len(r.order))
-	for _, k := range r.order {
-		out = append(out, r.services[k])
-	}
-	return out
 }
 
 // Lookup routes a request to the service tuned for the family and parameter.
@@ -368,8 +293,6 @@ func (r *Registry) Metrics() RegistryMetrics {
 	return m
 }
 
-// Close releases the registry's shared worker pool. It must not be called
-// while solves are in flight. Solvers registered via Register keep their own
-// pools (release those with Solver.Close); solvers the registry built itself
-// (Tune, LoadDir) have no other resources to release.
+// Close releases the registry's shared worker pool, the one resource of the
+// solvers it built. It must not be called while solves are in flight.
 func (r *Registry) Close() { closePool(r.pool) }

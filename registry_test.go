@@ -2,6 +2,8 @@ package pbmg
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -13,25 +15,57 @@ import (
 )
 
 // tuneRegistry builds a registry serving the 2D Poisson family (N ≤ 33) and
-// the 3D Poisson family (N ≤ 17) on a small shared pool, tuned on the
-// deterministic simulated machine.
+// the 3D Poisson family (N ≤ 17), tuned on the deterministic simulated
+// machine and loaded the way a server loads its catalog.
 func tuneRegistry(t *testing.T, o RegistryOptions) *Registry {
+	t.Helper()
+	return loadRegistry(t, o,
+		Options{MaxSize: 33, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5},
+		Options{MaxSize: 17, Family: FamilyPoisson3D, Machine: "intel-harpertown", Seed: 5})
+}
+
+// loadRegistry tunes one configuration per option set, saves each into one
+// directory, and loads that directory into a new registry, which registers
+// the families in the order given.
+func loadRegistry(t *testing.T, o RegistryOptions, tunes ...Options) *Registry {
 	t.Helper()
 	r := NewRegistry(o)
 	t.Cleanup(r.Close)
-	if _, err := r.Tune(Options{
-		MaxSize: 33, Family: FamilyPoisson,
-		Machine: "intel-harpertown", Seed: 5,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Tune(Options{
-		MaxSize: 17, Family: FamilyPoisson3D,
-		Machine: "intel-harpertown", Seed: 5,
-	}); err != nil {
+	if _, err := r.LoadDir(tunedDir(t, tunes...)); err != nil {
 		t.Fatal(err)
 	}
 	return r
+}
+
+// tunedDir tunes and saves each option set as <index>-<family>.json in a
+// fresh directory, so LoadDir's filename order is the order given.
+func tunedDir(t *testing.T, tunes ...Options) string {
+	t.Helper()
+	dir := t.TempDir()
+	for i, o := range tunes {
+		s, err := Tune(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Save(filepath.Join(dir, fmt.Sprintf("%d-%s.json", i, o.Family))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+// services looks up every served family's service, in registration order.
+func services(t *testing.T, r *Registry) []*Service {
+	t.Helper()
+	var out []*Service
+	for _, k := range r.Keys() {
+		svc, err := r.Lookup(k.Family, k.Epsilon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, svc)
+	}
+	return out
 }
 
 // assertBitIdentical fails unless two grids match bit for bit.
@@ -132,19 +166,22 @@ func TestRegistryServesTwoFamiliesConcurrently(t *testing.T) {
 func TestRegistryFactorsOnceOverFiniteKeys(t *testing.T) {
 	r := tuneRegistry(t, RegistryOptions{Workers: 2})
 	maxLevels := 0
-	for _, svc := range r.Services() {
+	for _, svc := range services(t, r) {
 		maxLevels += grid.Level(svc.Solver().MaxSize())
 	}
 	serveAll := func(pass int) {
-		for _, svc := range r.Services() {
+		for _, svc := range services(t, r) {
 			s := svc.Solver()
+			solveV := func(x, b *Grid, acc float64) error {
+				return svc.Do(context.Background(), func() error { return s.SolveV(x, b, acc) })
+			}
 			for n := 3; n <= s.MaxSize(); n = 2*n - 1 {
 				for i, acc := range s.Accuracies() {
 					p, err := s.NewFamilyProblem(n, Unbiased, int64(100*n+i))
 					if err != nil {
 						t.Fatal(err)
 					}
-					for _, solve := range []func(x, b *Grid, acc float64) error{svc.Solve, svc.SolveV} {
+					for _, solve := range []func(x, b *Grid, acc float64) error{svc.Solve, solveV} {
 						if err := solve(p.NewState(), p.B, acc); err != nil {
 							t.Fatalf("pass %d: %s N=%d accuracy %g: %v", pass, svc.Key(), n, acc, err)
 						}
@@ -169,14 +206,9 @@ func TestRegistryFactorsOnceOverFiniteKeys(t *testing.T) {
 // same semantics as the CLI mismatch checks — eps ignored for parameterless
 // families, family defaults resolved, misses counted and explained.
 func TestRegistryRoutingAndMismatch(t *testing.T) {
-	r := NewRegistry(RegistryOptions{})
-	t.Cleanup(r.Close)
-	if _, err := r.Tune(Options{MaxSize: 17, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.Tune(Options{MaxSize: 17, Family: FamilyAnisotropic, Epsilon: 0.25, Machine: "intel-harpertown", Seed: 5}); err != nil {
-		t.Fatal(err)
-	}
+	r := loadRegistry(t, RegistryOptions{},
+		Options{MaxSize: 17, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5},
+		Options{MaxSize: 17, Family: FamilyAnisotropic, Epsilon: 0.25, Machine: "intel-harpertown", Seed: 5})
 
 	if _, err := r.Lookup(FamilyPoisson, 0); err != nil {
 		t.Fatalf("Lookup(poisson, 0): %v", err)
@@ -205,17 +237,17 @@ func TestRegistryRoutingAndMismatch(t *testing.T) {
 		t.Fatalf("Unroutable = %d, want 2", got)
 	}
 
-	// Duplicate keys must be rejected.
-	if _, err := r.Tune(Options{MaxSize: 9, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5}); err == nil {
+	// A second load that collides on a served key must be rejected.
+	dup := tunedDir(t, Options{MaxSize: 9, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5})
+	if _, err := r.LoadDir(dup); err == nil {
 		t.Fatal("duplicate poisson registration accepted")
+	} else if !strings.Contains(err.Error(), "already serves family poisson") {
+		t.Fatalf("collision error does not name the family: %v", err)
 	}
 
 	keys := r.Keys()
 	if len(keys) != 2 || keys[0].String() != "poisson" || keys[1].String() != "aniso:0.25" {
 		t.Fatalf("Keys() = %v", keys)
-	}
-	if len(r.Services()) != 2 {
-		t.Fatalf("Services() = %d entries, want 2", len(r.Services()))
 	}
 }
 
@@ -337,47 +369,28 @@ func TestRegistryLoadDirRejectsInconsistentBundle(t *testing.T) {
 	}
 }
 
-// TestRegistrySolveBatchUsesGlobalAdmission: a registered solver's
-// SolveBatch must run behind the registry's global admission limit and show
-// up in the registry metrics, not on a private throwaway limiter.
+// TestRegistrySolveBatchUsesGlobalAdmission: a family's SolveBatch runs
+// behind the registry's global admission limit and shows up in the registry
+// metrics.
 func TestRegistrySolveBatchUsesGlobalAdmission(t *testing.T) {
-	r := NewRegistry(RegistryOptions{MaxInFlight: 3})
-	t.Cleanup(r.Close)
-	svc, err := r.Tune(Options{MaxSize: 17, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5})
+	r := loadRegistry(t, RegistryOptions{MaxInFlight: 3},
+		Options{MaxSize: 17, Family: FamilyPoisson, Machine: "intel-harpertown", Seed: 5})
+	svc, err := r.Lookup(FamilyPoisson, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := svc.Solver()
-	if got := s.DefaultService(); got != svc {
-		t.Fatal("registered solver's default service is not the registry service")
-	}
-	if got := s.DefaultService().MaxInFlight(); got != 3 {
-		t.Fatalf("default service MaxInFlight = %d, want the global 3", got)
+	if got := svc.MaxInFlight(); got != 3 {
+		t.Fatalf("family service MaxInFlight = %d, want the global 3", got)
 	}
 	batch := make([]BatchProblem, 6)
 	for i := range batch {
 		p := NewProblem(17, Unbiased, int64(700+i))
 		batch[i] = BatchProblem{X: p.NewState(), B: p.B}
 	}
-	if err := s.SolveBatch(batch, 1e3); err != nil {
+	if err := svc.SolveBatch(batch, 1e3); err != nil {
 		t.Fatal(err)
 	}
 	if got := r.Metrics().Aggregate.Completed; got != 6 {
 		t.Fatalf("registry metrics missed batch solves: completed = %d, want 6", got)
-	}
-
-	// A solver whose private default service was created BEFORE registration
-	// must still be rewired onto the registry service.
-	s2, err := Tune(Options{MaxSize: 9, Family: FamilyVarCoef, Machine: "intel-harpertown", Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pre := s2.DefaultService()
-	svc2, err := r.Register(s2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s2.DefaultService(); got != svc2 || got == pre {
-		t.Fatal("registration did not replace the pre-existing private default service")
 	}
 }

@@ -110,7 +110,7 @@ type BatchProblem struct {
 
 // BatchResponse is the body of a successful POST /v1/batch. Results is
 // parallel to the request's Problems; a problem that failed carries its
-// error and no X (its siblings still complete, like Solver.SolveBatch).
+// error and no X (its siblings still complete, like Service.SolveBatch).
 type BatchResponse struct {
 	Results []BatchResult `json:"results"`
 	Family  string        `json:"family"`

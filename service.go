@@ -11,29 +11,19 @@ import (
 	"pbmg/internal/sched"
 )
 
-// This file is the serving front end over a tuned Solver: SolveBatch fans a
-// fixed set of independent problems across the shared worker pool, and
-// Service admits a stream of solve requests with a bound on how many run at
-// once. Both lean on the tune-once/serve-many model of the paper (§3.2.1):
-// the expensive tuned configuration and its caches are built once and then
-// amortized over every request. Registry (registry.go) composes several
-// Services — one per tuned operator family — behind one admission limit.
+// This file is the serving front end over a tuned Solver: a Service admits a
+// stream of solve requests with a bound on how many run at once, and its
+// SolveBatch fans a fixed set of independent problems out under the same
+// admission. It leans on the tune-once/serve-many model of the paper
+// (§3.2.1): the expensive tuned configuration and its caches are built once
+// and then amortized over every request. Registry (registry.go) composes
+// several Services — one per tuned operator family — behind one admission
+// limit.
 
 // BatchProblem pairs one solve's state grid (Dirichlet boundary and initial
 // guess, solved in place) with its right-hand side.
 type BatchProblem struct {
 	X, B *Grid
-}
-
-// SolveBatch solves every problem with the tuned FULL-MULTIGRID algorithm
-// for the smallest tuned target ≥ accuracy, concurrently, through the
-// solver's default service (see DefaultService), whose admission bounds
-// both the in-flight solves and the goroutines fanned out, so arbitrarily
-// large batches hold only a bounded set of scratch workspaces. Each
-// problem's X is solved in place. The returned error joins the failures of
-// all problems that were rejected (others still complete).
-func (s *Solver) SolveBatch(problems []BatchProblem, accuracy float64) error {
-	return s.DefaultService().SolveBatch(problems, accuracy)
 }
 
 // Service wraps a Solver with admission for serving: at most MaxInFlight
@@ -57,13 +47,12 @@ type Service struct {
 // Cancelled (aborted mid-solve by the context), Diverged (blew up, after any
 // float64 escalation retry) and Panicked (recovered panic) split Failed; the
 // rest of Failed are client errors. InFlight and QueueLen are gauges —
-// running now, queued for a slot now — and Waiting is QueueLen's older name.
+// running now, queued for a slot now.
 type ServiceMetrics struct {
 	Admitted  int64 `json:"admitted"`
 	Completed int64 `json:"completed"`
 	Failed    int64 `json:"failed"`
 	Shed      int64 `json:"shed"`
-	Waiting   int64 `json:"waiting"`
 	InFlight  int64 `json:"inFlight"`
 
 	Cancelled    int64 `json:"cancelled"`
@@ -83,7 +72,6 @@ func (sm *ServiceMetrics) Add(m ServiceMetrics) {
 	sm.Completed += m.Completed
 	sm.Failed += m.Failed
 	sm.Shed += m.Shed
-	sm.Waiting += m.Waiting
 	sm.InFlight += m.InFlight
 	sm.Cancelled += m.Cancelled
 	sm.Diverged += m.Diverged
@@ -108,32 +96,6 @@ func newService(s *Solver, maxInFlight int, bc BreakerConfig) *Service {
 	return &Service{s: s, fam: newAdmitter(maxInFlight, bc).family(0, 0)}
 }
 
-// DefaultService returns the solver's lazily-created default service,
-// shared by every SolveBatch call on the solver so batch completions
-// accumulate in one place instead of vanishing with a throwaway service.
-// The admission limit is 2×GOMAXPROCS for a standalone solver; registering
-// the solver in a Registry makes the registry service (and its global
-// limit) the default, so batch solves honor the registry-wide bound.
-// Safe to call concurrently with Registry.Register: the default service is
-// metadata, guarded by its own mutex, so Register's no-solves-in-flight
-// contract covers only solves.
-func (s *Solver) DefaultService() *Service {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	if s.defSvc == nil {
-		s.defSvc = s.NewService(0)
-	}
-	return s.defSvc
-}
-
-// setDefaultService replaces the solver's default service (Registry wires
-// the registry service in at registration, superseding any private one).
-func (s *Solver) setDefaultService(svc *Service) {
-	s.defMu.Lock()
-	defer s.defMu.Unlock()
-	s.defSvc = svc
-}
-
 // MaxInFlight returns the effective global cap on running solves.
 func (sv *Service) MaxInFlight() int { return sv.fam.a.globalCap() }
 
@@ -151,9 +113,6 @@ func (sv *Service) Family() Family { return sv.s.Family() }
 
 // Epsilon returns the served family's parameter (ε or σ; 1 for Poisson).
 func (sv *Service) Epsilon() float64 { return sv.s.Epsilon() }
-
-// Completed returns the number of solves finished successfully so far.
-func (sv *Service) Completed() int64 { return sv.Metrics().Completed }
 
 // Metrics returns a consistent snapshot of the service's request counters.
 func (sv *Service) Metrics() ServiceMetrics { return sv.fam.metrics() }
@@ -178,15 +137,11 @@ func (sv *Service) SolveContext(ctx context.Context, x, b *Grid, accuracy float6
 	return sv.admit(ctx, false, func() error { return sv.s.solveCtx(ctx, x, b, accuracy, true, nil) })
 }
 
-// SolveV admits one tuned MULTIGRID-V solve. See Solver.SolveV.
-func (sv *Service) SolveV(x, b *Grid, accuracy float64) error {
-	return sv.admit(context.Background(), false, func() error { return sv.s.SolveV(x, b, accuracy) })
-}
-
-// Do runs arbitrary work (Solver.SolveAdaptive, say) as one request of the
-// service: under its admission (slot, queue, breaker — sheds match ErrShed
-// and never call work), with panic containment, and with the returned error
-// counted and classified like a solve's.
+// Do runs arbitrary work as one request of the service: under its admission
+// (slot, queue, breaker — sheds match ErrShed and never call work), with
+// panic containment, and with the returned error counted and classified like
+// a solve's. A V-table solve under admission is
+// sv.Do(ctx, func() error { return sv.Solver().SolveV(x, b, accuracy) }).
 func (sv *Service) Do(ctx context.Context, work func() error) error {
 	return sv.admit(ctx, false, work)
 }
@@ -227,8 +182,12 @@ func (sv *Service) protect(solve func() error) (err error) {
 	return solve()
 }
 
-// SolveBatch solves every problem concurrently through this service's
-// admission and joins the failures. See Solver.SolveBatch.
+// SolveBatch solves every problem with the tuned FULL-MULTIGRID algorithm
+// for the smallest tuned target ≥ accuracy, concurrently, through this
+// service's admission, which bounds both the solves in flight and the
+// goroutines fanned out (see SolveBatchContext). Each problem's X is solved
+// in place. The returned error joins the failures of the problems that
+// failed; the others still complete.
 func (sv *Service) SolveBatch(problems []BatchProblem, accuracy float64) error {
 	errs, err := sv.SolveBatchContext(context.Background(), len(problems),
 		func(i int) (BatchProblem, error) { return problems[i], nil }, accuracy)

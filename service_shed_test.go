@@ -3,7 +3,6 @@ package pbmg
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 )
@@ -11,7 +10,7 @@ import (
 // TestServiceMetricsShedSplit: the serving counters keep load-shedding
 // and solve failures apart — Shed counts requests turned away at
 // admission (never admitted, never run), Failed counts solves that ran
-// and errored — and the Waiting gauge tracks requests blocked in
+// and errored — and the QueueLen gauge tracks requests blocked in
 // admission.
 func TestServiceMetricsShedSplit(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
@@ -51,16 +50,16 @@ func TestServiceMetricsShedSplit(t *testing.T) {
 		t.Fatalf("queued-past-deadline solve: err = %v, want ErrShed", err)
 	}
 
-	// 5. The Waiting gauge: a request blocked in admission is visible,
+	// 5. The QueueLen gauge: a request blocked in admission is visible,
 	// then admitted and completed once the slot frees.
 	done := make(chan error, 1)
 	go func() {
 		done <- sv.SolveContext(context.Background(), p.NewState(), p.B, 1e3)
 	}()
 	deadline := time.Now().Add(5 * time.Second)
-	for sv.Metrics().Waiting == 0 {
+	for sv.Metrics().QueueLen == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("Waiting gauge never rose while a request was queued")
+			t.Fatal("QueueLen gauge never rose while a request was queued")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -77,52 +76,11 @@ func TestServiceMetricsShedSplit(t *testing.T) {
 		t.Fatalf("metrics = %+v, want %+v", m, want)
 	}
 
-	// Add must fold every field, Shed and Waiting included.
+	// Add must fold every field, Shed and QueueLen included.
 	var sum ServiceMetrics
 	sum.Add(m)
-	sum.Add(ServiceMetrics{Shed: 1, Waiting: 4, Failed: 2})
-	if sum.Shed != 3 || sum.Waiting != 4 || sum.Failed != 3 || sum.Admitted != 4 {
+	sum.Add(ServiceMetrics{Shed: 1, QueueLen: 4, Failed: 2})
+	if sum.Shed != 3 || sum.QueueLen != 4 || sum.Failed != 3 || sum.Admitted != 4 {
 		t.Errorf("ServiceMetrics.Add dropped fields: %+v", sum)
-	}
-}
-
-// TestDefaultServiceRegisterRace: Solver.DefaultService used to pair a
-// sync.Once with a direct pointer write from Registry.Register — a data
-// race under concurrent use. Both paths now go through one mutex; this
-// test is the -race regression for it.
-func TestDefaultServiceRegisterRace(t *testing.T) {
-	s, err := Tune(Options{
-		MaxSize: 9, Family: FamilyPoisson,
-		Machine: "intel-harpertown", Seed: 5,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := NewRegistry(RegistryOptions{})
-	t.Cleanup(r.Close)
-
-	var svc *Service
-	var regErr error
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		svc, regErr = r.Register(s)
-	}()
-	for i := 0; i < 4; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if s.DefaultService() == nil {
-				t.Error("DefaultService returned nil")
-			}
-		}()
-	}
-	wg.Wait()
-	if regErr != nil {
-		t.Fatal(regErr)
-	}
-	if got := s.DefaultService(); got != svc {
-		t.Fatal("registration did not leave the registry service as the default")
 	}
 }
