@@ -135,6 +135,12 @@ func TestCLIRoundTrip(t *testing.T) {
 		{"unknown family at tune time",
 			exec.Command(mgtune, "-size", "17", "-family", "bogus", "-machine", "intel-harpertown", "-q"),
 			"unknown operator family"},
+		{"unknown distribution",
+			exec.Command(mgsolve, "-config", anisoCfg, "-size", "17", "-dist", "x"),
+			`unknown distribution "x"`},
+		{"unknown distribution at tune time",
+			exec.Command(mgtune, "-size", "17", "-dist", "x", "-machine", "intel-harpertown", "-q"),
+			`unknown distribution "x"`},
 		{"negative epsilon at tune time",
 			exec.Command(mgtune, "-size", "17", "-family", "aniso", "-epsilon", "-1", "-machine", "intel-harpertown", "-q"),
 			"epsilon must be positive"},

@@ -11,8 +11,8 @@ import (
 )
 
 // TestMGBenchSurface builds mgbench and runs the smallest paper experiment,
-// then checks that the retired load studies and the -compare flag are
-// refused.
+// then checks that the retired load studies, the retired cluster sketch and
+// the -compare flag are refused.
 func TestMGBenchSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -40,6 +40,7 @@ func TestMGBenchSurface(t *testing.T) {
 	}{
 		{[]string{"-exp", "serve", "-q"}, `unknown experiment "serve"`},
 		{[]string{"-exp", "baseline", "-q"}, `unknown experiment "baseline"`},
+		{[]string{"-exp", "cluster", "-q"}, `unknown experiment "cluster"`},
 		{[]string{"-compare", "a", "b"}, "flag provided but not defined: -compare"},
 	} {
 		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()

@@ -33,7 +33,7 @@ func main() {
 	verbose := flag.Bool("v", false, "print the tuned call tree")
 	flag.Parse()
 
-	d, err := parseDist(*dist)
+	d, err := pbmg.ParseDistribution(*dist)
 	if err != nil {
 		fatal(err)
 	}
@@ -87,19 +87,6 @@ func main() {
 	fmt.Printf("solved N=%d (%s data, family %s, eps %g) in %v\n",
 		*size, d, solver.Family(), solver.Epsilon(), elapsed)
 	fmt.Printf("requested accuracy %.2g, achieved %.4g\n", *acc, p.AccuracyOf(x))
-}
-
-func parseDist(s string) (pbmg.Distribution, error) {
-	switch s {
-	case "unbiased":
-		return pbmg.Unbiased, nil
-	case "biased":
-		return pbmg.Biased, nil
-	case "point-sources":
-		return pbmg.PointSources, nil
-	default:
-		return 0, fmt.Errorf("unknown distribution %q", s)
-	}
 }
 
 func fatal(err error) {

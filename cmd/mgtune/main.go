@@ -29,7 +29,7 @@ func main() {
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
-	d, err := parseDist(*dist)
+	d, err := pbmg.ParseDistribution(*dist)
 	if err != nil {
 		fatal(err)
 	}
@@ -65,19 +65,6 @@ func main() {
 	fmt.Printf("tuned for %s up to N=%d (family %s, eps %g); configuration written to %s\n",
 		solver.Machine(), solver.MaxSize(), solver.Family(), solver.Epsilon(), *out)
 	fmt.Printf("tuning took %s\n", solver.TuneStats())
-}
-
-func parseDist(s string) (pbmg.Distribution, error) {
-	switch s {
-	case "unbiased":
-		return pbmg.Unbiased, nil
-	case "biased":
-		return pbmg.Biased, nil
-	case "point-sources":
-		return pbmg.PointSources, nil
-	default:
-		return 0, fmt.Errorf("unknown distribution %q", s)
-	}
 }
 
 func fatal(err error) {

@@ -88,14 +88,10 @@ func (t *Tuned) OperatorValue() (*stencil.Operator, error) {
 // DistributionValue parses the stored distribution name back into a
 // grid.Distribution (defaulting to unbiased for unknown names).
 func (t *Tuned) DistributionValue() grid.Distribution {
-	switch t.Distribution {
-	case grid.Biased.String():
-		return grid.Biased
-	case grid.PointSources.String():
-		return grid.PointSources
-	default:
-		return grid.Unbiased
+	if d, ok := grid.ParseDistribution(t.Distribution); ok {
+		return d
 	}
+	return grid.Unbiased
 }
 
 // Validate checks the operator family, both tables, and that the tables

@@ -180,18 +180,3 @@ func (t *Tuner) addIterativeCandidates(front *ParetoFront[*PlanNode], level int,
 		front.Add(ParetoPoint[*PlanNode]{Accuracy: worst, Cost: float64(s+1) * perIter, Plan: &node})
 	}
 }
-
-// BestParetoPlan returns the cheapest full-DP algorithm achieving the given
-// accuracy at the tuner's MaxLevel, tuning the fronts on demand.
-func (t *Tuner) BestParetoPlan(pc ParetoConfig, accuracy float64) (ParetoPoint[*PlanNode], error) {
-	fronts, err := t.TuneVPareto(pc)
-	if err != nil {
-		return ParetoPoint[*PlanNode]{}, err
-	}
-	pt, ok := fronts[t.cfg.MaxLevel].Best(accuracy)
-	if !ok {
-		return ParetoPoint[*PlanNode]{}, fmt.Errorf("core: no full-DP algorithm reaches accuracy %g at level %d",
-			accuracy, t.cfg.MaxLevel)
-	}
-	return pt, nil
-}

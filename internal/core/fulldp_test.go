@@ -56,9 +56,13 @@ func TestParetoFrontRespectsMaxFront(t *testing.T) {
 
 func TestParetoPlanMeetsAccuracyOnTestData(t *testing.T) {
 	tn := newModelTuner(t, 5, grid.Unbiased)
-	pt, err := tn.BestParetoPlan(ParetoConfig{}, 1e5)
+	fronts, err := tn.TuneVPareto(ParetoConfig{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	pt, ok := fronts[tn.cfg.MaxLevel].Best(1e5)
+	if !ok {
+		t.Fatal("no full-DP algorithm reaches accuracy 1e5 at the finest level")
 	}
 	if pt.Accuracy < 1e5 {
 		t.Fatalf("selected plan's trained accuracy %.3g below target", pt.Accuracy)

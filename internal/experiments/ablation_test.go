@@ -74,26 +74,3 @@ func TestParetoAblationFullDPNotWorse(t *testing.T) {
 		}
 	}
 }
-
-func TestClusterLayoutTable(t *testing.T) {
-	r := smallRunner(t)
-	tb, err := r.ClusterLayout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tb.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(tb.Rows))
-	}
-	// The collapse level must be non-decreasing as latency rises.
-	prev := -1
-	for _, row := range tb.Rows {
-		lvl, err := strconv.Atoi(row[1])
-		if err != nil {
-			t.Fatalf("bad collapse level %q", row[1])
-		}
-		if lvl < prev {
-			t.Fatalf("collapse level decreased with latency: %v", tb.Rows)
-		}
-		prev = lvl
-	}
-}

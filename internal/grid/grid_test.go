@@ -210,6 +210,16 @@ func TestDistributionString(t *testing.T) {
 		PointSources.String() != "point-sources" || Distribution(99).String() != "unknown" {
 		t.Fatal("Distribution.String mismatch")
 	}
+	for _, d := range []Distribution{Unbiased, Biased, PointSources} {
+		if got, ok := ParseDistribution(d.String()); !ok || got != d {
+			t.Errorf("ParseDistribution(%q) = %v, %v; want %v, true", d.String(), got, ok, d)
+		}
+	}
+	for _, name := range []string{"x", "unknown", "Biased"} {
+		if _, ok := ParseDistribution(name); ok {
+			t.Errorf("ParseDistribution(%q) accepted an unknown name", name)
+		}
+	}
 }
 
 func TestDistributionRanges(t *testing.T) {

@@ -40,6 +40,19 @@ func (d Distribution) String() string {
 	}
 }
 
+// ParseDistribution returns the distribution whose String is s, and false
+// for a name String does not produce. It returns no error: building one
+// would add a heap escape to this kernel package (ESCAPES.allow), so
+// pbmg.ParseDistribution words it.
+func ParseDistribution(s string) (Distribution, bool) {
+	for _, d := range []Distribution{Unbiased, Biased, PointSources} {
+		if s == d.String() {
+			return d, true
+		}
+	}
+	return 0, false
+}
+
 // Sample draws one value from the distribution.
 func (d Distribution) Sample(rng *rand.Rand) float64 {
 	switch d {

@@ -137,12 +137,6 @@ func (p *Problem) accuracy(sum float64) float64 {
 	return p.initErr / eout
 }
 
-// ErrorOf returns ‖x − x_opt‖₂ over the interior.
-func (p *Problem) ErrorOf(x *grid.Grid) float64 {
-	p.mustOpt()
-	return grid.L2DiffInterior(x, p.opt)
-}
-
 func (p *Problem) mustOpt() {
 	if p.opt == nil {
 		panic("problem: reference solution not set; compute it first")

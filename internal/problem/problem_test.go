@@ -69,9 +69,6 @@ func TestAccuracyOfUsesInitialGuess(t *testing.T) {
 	if got := p.InitialError(); math.Abs(got-10) > 1e-12 {
 		t.Fatalf("InitialError = %v, want 10", got)
 	}
-	if got := p.ErrorOf(x); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("ErrorOf = %v, want 1", got)
-	}
 }
 
 // accuracyLevel is the paper's accuracy metric (§2.2) computed directly, the

@@ -92,6 +92,16 @@ const (
 // "poisson3d").
 func ParseFamily(s string) (Family, error) { return stencil.ParseFamily(s) }
 
+// ParseDistribution parses a distribution name ("unbiased", "biased",
+// "point-sources").
+func ParseDistribution(s string) (Distribution, error) {
+	d, ok := grid.ParseDistribution(s)
+	if !ok {
+		return 0, fmt.Errorf("unknown distribution %q", s)
+	}
+	return d, nil
+}
+
 // FamilyHasParam reports whether the family carries a tunable parameter
 // (anisotropy ratio ε or coefficient contrast σ); the 2D and 3D Laplacians
 // are parameterless.
