@@ -14,7 +14,7 @@ import (
 // goroutines, with and without the direct-factor cache, over the shared
 // worker pool. Run with -race. Grids of side 129 are used so the stencil
 // and transfer kernels exceed their parallel threshold and actually
-// exercise concurrent Do/ParallelFor callers on one sched.Pool.
+// exercise concurrent ParallelFor callers on one sched.Pool.
 
 var sharedSolver struct {
 	once sync.Once

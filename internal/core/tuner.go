@@ -84,7 +84,8 @@ type Config struct {
 	Eps float64
 	// Distribution selects the training-data distribution (§4).
 	Distribution grid.Distribution
-	// TrainingInstances is the number of training problems per level.
+	// TrainingInstances is the number of training problems per level
+	// (zero selects DefaultTrainingInstances).
 	TrainingInstances int
 	// Seed makes training data and hence tuning deterministic.
 	Seed int64
@@ -149,7 +150,7 @@ func (cfg Config) Defaults() Config {
 	}
 	cfg.Eps = ResolveEps(cfg.Family, cfg.Eps)
 	if cfg.TrainingInstances == 0 {
-		cfg.TrainingInstances = 3
+		cfg.TrainingInstances = DefaultTrainingInstances
 	}
 	if cfg.Coster == nil {
 		cfg.Coster = arch.WallClock{}
@@ -259,6 +260,19 @@ func (t *Tuner) logf(format string, args ...any) {
 	}
 }
 
+// DefaultTrainingInstances is the number of training problems per level a
+// Config that sets none trains on.
+const DefaultTrainingInstances = 3
+
+// TrainingProblem returns training instance i of a level: the right-hand
+// side and boundary drawn from dist on the seed stream the tuner trains
+// on, discretized by op (which must be at the level's size), with no
+// reference solution attached.
+func TrainingProblem(seed int64, level, i int, dist grid.Distribution, op *stencil.Operator) *problem.Problem {
+	rng := rand.New(rand.NewSource(seed + int64(level)*1009 + int64(i)))
+	return problem.RandomOp(grid.SizeOfLevel(level), dist, rng, op)
+}
+
 // training returns (generating on first use) the training problems for a
 // level, with reference solutions attached, computed one per goroutine.
 func (t *Tuner) training(level int) []*problem.Problem {
@@ -269,8 +283,7 @@ func (t *Tuner) training(level int) []*problem.Problem {
 	ps := make([]*problem.Problem, t.cfg.TrainingInstances)
 	var wg sync.WaitGroup
 	for i := range ps {
-		rng := rand.New(rand.NewSource(t.cfg.Seed + int64(level)*1009 + int64(i)))
-		ps[i] = problem.RandomOp(n, t.cfg.Distribution, rng, t.op.At(n))
+		ps[i] = TrainingProblem(t.cfg.Seed, level, i, t.cfg.Distribution, t.op.At(n))
 		wg.Add(1)
 		go func() { defer wg.Done(); refsol.Attach(ps[i], t.cfg.Pool, t.ws.FactorCache) }()
 	}

@@ -184,21 +184,19 @@ func (r *Runner) test(level int, dist grid.Distribution) *problem.Problem {
 	return r.instance("test", 0x5eed, level, dist)
 }
 
-// calibSet returns the very training instances the tuner trains on (same
-// seed stream as core.Tuner). Reference algorithms determine their
-// iteration counts here — the maximum over the set, exactly the tuner's
-// rule — and then run those counts on held-out test instances, so both
-// sides commit ahead of time on identical data and are compared on data
-// neither has seen.
+// calibSet returns the very training instances the tuner trains on
+// (core.TrainingProblem, core.DefaultTrainingInstances of them). Reference
+// algorithms determine their iteration counts here — the maximum over the
+// set, exactly the tuner's rule — and then run those counts on held-out
+// test instances, so both sides commit ahead of time on identical data and
+// are compared on data neither has seen.
 func (r *Runner) calibSet(level int, dist grid.Distribution) []*problem.Problem {
-	const calibInstances = 3 // matches the tuner's TrainingInstances default
-	out := make([]*problem.Problem, calibInstances)
+	out := make([]*problem.Problem, core.DefaultTrainingInstances)
 	for i := range out {
 		key := fmt.Sprintf("train%d/%d/%s", i, level, dist)
 		p, ok := r.tests[key]
 		if !ok {
-			rng := rand.New(rand.NewSource(r.O.Seed + int64(level)*1009 + int64(i)))
-			p = problem.RandomOp(grid.SizeOfLevel(level), dist, rng, stencil.Poisson())
+			p = core.TrainingProblem(r.O.Seed, level, i, dist, stencil.Poisson())
 			refsol.Attach(p, r.pool, r.cache)
 			r.tests[key] = p
 		}

@@ -154,13 +154,6 @@ func (r *Runner) Complexity() (*Table, error) {
 	return t, nil
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Fig6 regenerates Figure 6: time to solve to accuracy 10⁹ on unbiased
 // data for the direct solver, iterated SOR, iterated standard V-cycles
 // ("Multigrid"), and the autotuned MULTIGRID-V algorithm.

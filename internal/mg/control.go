@@ -11,7 +11,7 @@ import (
 // path — so each level's pooled scratch goes back to the arena — and is
 // converted back into its error by Catch at the solve boundary. The panic
 // never crosses a goroutine: checkpoints and divergence guards run only on
-// the calling goroutine, between kernels, never inside pool tasks.
+// the calling goroutine, between kernels, never inside a pool loop chunk.
 
 // ErrCancelled reports a solve aborted between cycles or levels because
 // the executor's context was done — a client deadline expired or the

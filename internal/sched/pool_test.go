@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestSerialPoolRunsInline(t *testing.T) {
@@ -63,31 +64,6 @@ func TestParallelForDefaultGrain(t *testing.T) {
 	}
 }
 
-func TestDoRunsAllFunctions(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var count atomic.Int64
-	fns := make([]func(), 50)
-	for i := range fns {
-		fns[i] = func() { count.Add(1) }
-	}
-	p.Do(fns...)
-	if count.Load() != 50 {
-		t.Fatalf("ran %d functions, want 50", count.Load())
-	}
-}
-
-func TestDoEmptyAndSingle(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	p.Do()
-	ran := false
-	p.Do(func() { ran = true })
-	if !ran {
-		t.Fatal("single function not run")
-	}
-}
-
 func TestNestedParallelFor(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
@@ -134,8 +110,12 @@ func TestInlinePanicPropagates(t *testing.T) {
 	p := NewPool(2)
 	defer p.Close()
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("inline panic did not propagate")
+		}
+		if tp, ok := r.(*TaskPanic); !ok || tp.Value != "first-chunk boom" {
+			t.Fatalf("panic payload is %T %v, want *TaskPanic of the first chunk's value", r, r)
 		}
 	}()
 	p.ParallelFor(0, 2, 1, func(lo, hi int) {
@@ -168,48 +148,21 @@ func TestWorkersAccessor(t *testing.T) {
 func TestStealsHappenUnderImbalance(t *testing.T) {
 	p := NewPool(4)
 	defer p.Close()
-	// Many tiny tasks through Do guarantee the helping caller or idle
-	// workers must steal from peers.
+	// Many tiny one-iteration chunks: the caller and whichever workers
+	// took the offer draw them from one counter, and every chunk runs once.
 	var count atomic.Int64
-	fns := make([]func(), 500)
-	for i := range fns {
-		fns[i] = func() {
-			s := 0
-			for j := 0; j < 1000; j++ {
-				s += j
-			}
-			if s < 0 {
-				t.Error("impossible")
-			}
-			count.Add(1)
+	p.ParallelFor(0, 500, 1, func(lo, hi int) {
+		s := 0
+		for j := 0; j < 1000; j++ {
+			s += j
 		}
-	}
-	p.Do(fns...)
+		if s < 0 || hi != lo+1 {
+			t.Error("impossible")
+		}
+		count.Add(1)
+	})
 	if count.Load() != 500 {
 		t.Fatalf("ran %d, want 500", count.Load())
-	}
-}
-
-func TestDequeOrdering(t *testing.T) {
-	d := &deque{}
-	r := &region{}
-	t1 := &task{region: r}
-	t2 := &task{region: r}
-	t3 := &task{region: r}
-	d.pushBottom(t1)
-	d.pushBottom(t2)
-	d.pushBottom(t3)
-	if got := d.stealTop(); got != t1 {
-		t.Fatal("stealTop should return oldest task")
-	}
-	if got := d.popBottom(); got != t3 {
-		t.Fatal("popBottom should return newest task")
-	}
-	if got := d.popBottom(); got != t2 {
-		t.Fatal("popBottom should drain remaining task")
-	}
-	if d.popBottom() != nil || d.stealTop() != nil {
-		t.Fatal("empty deque should return nil")
 	}
 }
 
@@ -238,8 +191,8 @@ func TestParallelForSumProperty(t *testing.T) {
 }
 
 // TestConcurrentCallersShareOnePool exercises the serving-path invariant:
-// many goroutines issue Do and ParallelFor regions against one pool at
-// once, including nested regions, and every region must join with exactly
+// many goroutines issue ParallelFor regions against one pool at once,
+// including nested regions, and every region must join with exactly
 // its own work completed.
 func TestConcurrentCallersShareOnePool(t *testing.T) {
 	p := NewPool(4)
@@ -260,9 +213,9 @@ func TestConcurrentCallersShareOnePool(t *testing.T) {
 					for i := lo; i < hi; i++ {
 						local += int64(i)
 					}
-					// A nested region from inside a task must help, not block.
+					// A nested region from inside a chunk must not deadlock.
 					if lo == 0 {
-						p.Do(func() {}, func() {})
+						p.ParallelFor(0, 2, 1, func(int, int) {})
 					}
 					sum.Add(local)
 				})
@@ -271,9 +224,15 @@ func TestConcurrentCallersShareOnePool(t *testing.T) {
 					return
 				}
 				var a, b int64
-				p.Do(func() { a = 1 }, func() { b = 2 })
+				p.ParallelFor(0, 2, 1, func(lo, hi int) {
+					if lo == 0 {
+						a = 1
+					} else {
+						b = 2
+					}
+				})
 				if a != 1 || b != 2 {
-					errs <- fmt.Sprintf("caller %d round %d: Do dropped a function", c, round)
+					errs <- fmt.Sprintf("caller %d round %d: a 2-chunk loop dropped a chunk", c, round)
 					return
 				}
 			}
@@ -298,7 +257,11 @@ func TestConcurrentPanicsStayWithinRegion(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		defer func() { panicked <- recover() != nil }()
-		p.Do(func() {}, func() { panic("boom") })
+		p.ParallelFor(0, 2, 1, func(lo, hi int) {
+			if lo == 1 {
+				panic("boom")
+			}
+		})
 	}()
 	go func() {
 		defer wg.Done()
@@ -340,5 +303,56 @@ func TestSplitsIsTheGateOfParallelForPoints(t *testing.T) {
 		if splits && small.Load() > 1 {
 			t.Errorf("%d×%d: %d of %d chunks under minParallelPoints, want at most the last", tc.n, tc.points, small.Load(), calls.Load())
 		}
+	}
+}
+
+// TestLoopsDoNotWaitOnOtherLoops: a loop's chunks run only on its caller and
+// on workers it was offered to, so a loop whose chunks are all blocked, on
+// every worker and on its caller, does not hold up another caller's loop.
+func TestLoopsDoNotWaitOnOtherLoops(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var entered atomic.Int32
+	allIn, release, blocked := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(blocked)
+		p.ParallelFor(0, 64, 1, func(lo, hi int) {
+			if entered.Add(1) == 3 {
+				close(allIn) // both workers and the caller are inside
+			}
+			<-release
+		})
+	}()
+	defer func() { close(release); <-blocked }()
+	select {
+	case <-allIn:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%d goroutines entered the blocking loop, want 3", entered.Load())
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		p.ParallelFor(0, 2, 1, func(int, int) {})
+	}()
+	select {
+	case <-done:
+	case <-time.After(2 * time.Second):
+		t.Fatal("a 2-chunk loop waited on another loop's blocked chunks")
+	}
+}
+
+// TestParallelForAllocatesPerCallNotPerChunk: a pooled loop allocates its
+// region and nothing per chunk.
+func TestParallelForAllocatesPerCallNotPerChunk(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var sum atomic.Int64
+	body := func(lo, hi int) { sum.Add(int64(hi - lo)) }
+	var allocs []float64
+	for _, chunks := range []int{2, 16, 64} {
+		allocs = append(allocs, testing.AllocsPerRun(200, func() { p.ParallelFor(0, chunks, 1, body) }))
+	}
+	if allocs[0] > 2 || allocs[1] != allocs[0] || allocs[2] != allocs[0] {
+		t.Fatalf("allocations per call at 2, 16, 64 chunks = %v, want the same, at most 2", allocs)
 	}
 }

@@ -339,7 +339,7 @@ func (k *rowOps[T]) halfSweep(colour int) {
 	halfSweepPass(*k, colour)
 }
 
-// halfSweepPass takes its rowOps by value: the task closure makes it escape,
+// halfSweepPass takes its rowOps by value: the loop body makes it escape,
 // and a copy keeps the serial callers' binding on their stack.
 func halfSweepPass[T grid.Float](k rowOps[T], colour int) {
 	k.forUnits(func(lo, hi int) {
@@ -563,7 +563,7 @@ func (k *rowOps[T]) residualNorm() float64 {
 // normPass is residualNorm's pooled pass (by-value receiver: see
 // halfSweepPass).
 func normPass[T grid.Float](k rowOps[T]) float64 {
-	sums := make([]float64, k.n) //mglint:allow hotalloc — per-unit partials of the pooled pass only (whose dispatch allocates its tasks anyway); the serial driver reduces in index order without them
+	sums := make([]float64, k.n) //mglint:allow hotalloc — per-unit partials of the pooled pass only (whose dispatch allocates its region anyway); the serial driver reduces in index order without them
 	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sums[i] = k.residualSq(i)

@@ -342,8 +342,9 @@ func (s *Solver) Machine() string { return s.tuned.Machine }
 // solver loaded from a saved configuration.
 func (s *Solver) TuneStats() TuneStats { return s.tuneStats }
 
-// PoolSteals returns the worker pool's cumulative successful-steal count
-// (0 for a serial solver) — scheduler visibility for benchmark reports.
+// PoolSteals returns how many loop chunks the worker pool's workers (not
+// the solving goroutines) have run so far (0 for a serial solver) —
+// scheduler visibility for benchmark reports.
 func (s *Solver) PoolSteals() int64 {
 	if s.pool == nil {
 		return 0
