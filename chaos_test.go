@@ -14,7 +14,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -25,7 +24,6 @@ import (
 	"time"
 
 	"pbmg/internal/faultinject"
-	"pbmg/internal/mg"
 )
 
 // armFaults arms a spec with guaranteed cleanup; the registry is process
@@ -36,16 +34,6 @@ func armFaults(t *testing.T, spec string) {
 	t.Cleanup(faultinject.Clear)
 	if err := faultinject.ArmSpec(spec); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// requireSnapshotting asserts the solver takes the per-solve escalation
-// snapshot, so that the scratch ledger a chaos scenario checks afterwards
-// (assertScratchClean) covers the snapshot's arena checkout too.
-func requireSnapshotting(t *testing.T, s *Solver) {
-	t.Helper()
-	if !s.reducedPrec {
-		t.Fatal("tuned table has no reduced-precision plan: solves take no snapshot and the scenario would not cover its release")
 	}
 }
 
@@ -65,7 +53,6 @@ func chaosProblem(t *testing.T, s *Solver, seed int64) *Problem {
 // scratch.
 func TestChaosSlowKernelCancellation(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	requireSnapshotting(t, s)
 	p := chaosProblem(t, s, 51)
 
 	// 10ms per sweep means the first cycle alone overruns the 30ms budget;
@@ -104,71 +91,33 @@ func TestChaosPoolStarvation(t *testing.T) {
 	assertScratchClean(t, s, "after starved solve")
 }
 
-// TestChaosNaNEscalation: a one-shot NaN poisoning of the V-cycle makes
-// the float32-planned first attempt diverge; the solver escalates to
-// float64 (where the spent fault no longer fires), completes, and counts
-// one escalation.
-func TestChaosNaNEscalation(t *testing.T) {
+// TestChaosNaNDiverges: a one-shot NaN poisoning of a V-cycle spreads
+// through the sweeps into the answer, which the solver's vet refuses: the
+// solve fails with ErrDiverged, the service counts it as diverged, the
+// scratch goes back to the arena, and with the fault spent the same solve
+// succeeds.
+func TestChaosNaNDiverges(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	requireSnapshotting(t, s)
+	sv := newService(s, 2, BreakerConfig{})
 	p := chaosProblem(t, s, 54)
 
 	armFaults(t, "mg.cycle.nan:nan,count=1")
-	before := s.Escalations()
-	x := p.NewState()
-	if err := s.SolveV(x, p.B, 1e3); err != nil {
-		t.Fatalf("poisoned solve did not recover through escalation: %v", err)
+	err := sv.Do(context.Background(), func() error { return s.SolveV(p.NewState(), p.B, 1e3) })
+	if !errors.Is(err, ErrDiverged) {
+		t.Fatalf("poisoned solve: err = %v, want ErrDiverged", err)
 	}
-	if d := s.Escalations() - before; d != 1 {
-		t.Errorf("escalations delta = %d, want 1", d)
+	if m := sv.Metrics(); m.Diverged != 1 || m.Failed != 1 {
+		t.Errorf("metrics after poisoned solve = %+v, want one diverged failure", m)
+	}
+	assertScratchClean(t, s, "after diverged solve")
+
+	x := p.NewState()
+	if err := sv.Do(context.Background(), func() error { return s.SolveV(x, p.B, 1e3) }); err != nil {
+		t.Fatalf("solve after the spent fault: %v", err)
 	}
 	if got := p.AccuracyOf(x); got < 1e3 {
-		t.Errorf("escalated solve accuracy %.3g, want ≥ 1e3", got)
+		t.Errorf("solve after the spent fault reached accuracy %.3g, want ≥ 1e3", got)
 	}
-	assertScratchClean(t, s, "after escalated solve")
-}
-
-// TestChaosEscalationRestartsFromCallerBits: mg.f32.nan poisons the first
-// float32 cell of the solve, so the attempt diverges after scribbling on x
-// and the solver escalates. The escalated answer must be, bit for bit, the
-// forced-float64 solve of the caller's original state — i.e. the snapshot,
-// which now lives in arena scratch that earlier solves left dirty, was
-// restored exactly — and that scratch must be back in the arena.
-func TestChaosEscalationRestartsFromCallerBits(t *testing.T) {
-	s := tuneFamily(t, FamilyPoisson, 0)
-	requireSnapshotting(t, s)
-	p := chaosProblem(t, s, 56)
-
-	for _, acc := range s.Accuracies() {
-		idx, err := s.accIndex(acc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := p.NewState()
-		ex := mg.Executor{WS: s.ws, V: s.tuned.V, F: s.tuned.F, ForceF64: true}
-		if err := mg.Catch(func() { ex.SolveV(want, p.B, idx) }); err != nil {
-			t.Fatal(err)
-		}
-
-		armFaults(t, "mg.f32.nan:nan,count=1")
-		before := s.Escalations()
-		x := p.NewState()
-		if err := s.SolveV(x, p.B, acc); err != nil {
-			t.Fatalf("acc %g: poisoned solve did not recover through escalation: %v", acc, err)
-		}
-		assertScratchClean(t, s, "after escalated solve")
-		if s.Escalations() == before {
-			continue // this accuracy's plan runs no float32 cell at n=33
-		}
-		for i, v := range x.Data() {
-			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
-				t.Fatalf("acc %g: escalated answer differs from the forced-float64 solve of the original state at %d: %v vs %v",
-					acc, i, v, want.Data()[i])
-			}
-		}
-		return
-	}
-	t.Fatal("no tuned accuracy runs a float32 cell at n=33: mg.f32.nan never fired")
 }
 
 // TestChaosServicePanic: an injected kernel panic surfaces from the
@@ -176,7 +125,6 @@ func TestChaosEscalationRestartsFromCallerBits(t *testing.T) {
 // the service healthy for the next request.
 func TestChaosServicePanic(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	requireSnapshotting(t, s)
 	sv := newService(s, 2, BreakerConfig{})
 	p := chaosProblem(t, s, 55)
 
@@ -292,8 +240,26 @@ func TestMGServedChaos(t *testing.T) {
 		t.Fatalf("solve after contained panic = %d, want 200", code)
 	}
 
-	// Readiness survived the contained panic.
-	resp, err := http.Get(base + "/readyz")
+	// A NaN poisoning armed over the chaos endpoint makes the next answer
+	// non-finite: the solver refuses it as diverged, the daemon answers 500,
+	// and with the fault spent the next solve succeeds.
+	resp, err := http.Post(base+"/-/fault", "text/plain", strings.NewReader("mg.cycle.nan:nan,count=1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("arm NaN fault = %d", resp.StatusCode)
+	}
+	if code := solve(64); code != http.StatusInternalServerError {
+		t.Fatalf("NaN-poisoned solve = %d, want 500", code)
+	}
+	if code := solve(65); code != http.StatusOK {
+		t.Fatalf("solve after diverged one = %d, want 200", code)
+	}
+
+	// Readiness survived the contained panic and the divergence.
+	resp, err = http.Get(base + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,7 @@
 // serves JSON solve requests over HTTP with per-family admission quotas,
 // bounded queues with explicit load-shedding, hot-reload, graceful drain,
 // and fault-hardened solves: request deadlines cancel admitted solves
-// mid-cycle, diverged reduced-precision solves escalate to float64, kernel
+// mid-cycle, a non-finite answer is refused as diverged, kernel
 // panics answer 500 without taking the process down, and a per-family
 // circuit breaker (-breaker-threshold, -breaker-cooldown) sheds 503 +
 // Retry-After after consecutive solver failures.

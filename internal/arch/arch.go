@@ -6,7 +6,7 @@
 // calibrated to the machine's published character. The tuner consumes costs
 // through the Coster interface, so wall-clock measurement on the host and
 // model-based simulation are interchangeable. A Model prices each traced
-// operation at the storage width it ran at, for the tuner and every figure.
+// operation the same way for the tuner and every figure.
 package arch
 
 import (
@@ -49,8 +49,7 @@ func ForDim(c Coster, dim int) Coster {
 }
 
 // Model is a deterministic machine cost model. Costs are in abstract time
-// units; only ratios matter to the tuner. A float32 stencil pass streams
-// half the bytes per point of a float64 one and fits twice the working set.
+// units; only ratios matter to the tuner.
 type Model struct {
 	Name_ string
 	// Dim is the spatial dimension of the problems being priced (0 and 2
@@ -141,21 +140,18 @@ const (
 func levelSide(level int) int { return (1 << uint(level)) + 1 }
 
 // stencilCost prices one data-parallel stencil pass over the interior of a
-// level-k grid stored at the given width in bits, using a roofline max of
-// compute and memory streams. The per-point byte intensities below are
-// counted at float64 width; stencilCost scales them by the word size, so a
-// float32 pass streams half the bytes and has half the cache footprint.
-func (m *Model) stencilCost(level int, flopsPerPoint, bytesPerPoint float64, bits int) float64 {
+// level-k float64 grid, using a roofline max of compute and memory streams.
+// The footprint is two grids of 8-byte words.
+func (m *Model) stencilCost(level int, flopsPerPoint, bytesPerPoint float64) float64 {
 	n := levelSide(level)
-	wb := float64(bits) / 8
 	points := float64(n-2) * float64(n-2)
-	footprint := float64(n) * float64(n) * wb * 2
+	footprint := float64(n) * float64(n) * 8 * 2
 	if m.dim3() {
 		points *= float64(n - 2)
 		footprint *= float64(n)
 	}
 	flopTime := points * flopsPerPoint * m.FlopTime
-	memTime := points * bytesPerPoint * (wb / 8) * m.MemTime
+	memTime := points * bytesPerPoint * m.MemTime
 	if footprint <= m.CacheBytes {
 		memTime *= m.CacheMemFactor
 	}
@@ -186,11 +182,9 @@ func (m *Model) directCost(level int) float64 {
 	return flops * m.FlopTime * m.DirectFlopFactor
 }
 
-// EventCost prices count occurrences of an operation kind at a level that
-// ran at the given storage width in bits (32 or 64), using the per-point
-// intensities of the dimension being priced. A direct solve is priced the
-// same at either width: the band Cholesky always runs in float64.
-func (m *Model) EventCost(kind mg.EventKind, level, count, bits int) float64 {
+// EventCost prices count occurrences of an operation kind at a level, using
+// the per-point intensities of the dimension being priced.
+func (m *Model) EventCost(kind mg.EventKind, level, count int) float64 {
 	c := float64(count)
 	base := c * m.CallOverhead
 	relF, relB := float64(relaxFlops), float64(relaxBytes)
@@ -206,14 +200,14 @@ func (m *Model) EventCost(kind mg.EventKind, level, count, bits int) float64 {
 	switch kind {
 	case mg.EvRelax, mg.EvIterSolve:
 		// A shortcut solve of count sweeps runs the sweeps a smoother runs.
-		return base + c*m.stencilCost(level, relF, relB, bits)
+		return base + c*m.stencilCost(level, relF, relB)
 	case mg.EvResidual:
-		return base + c*m.stencilCost(level, resF, resB, bits)
+		return base + c*m.stencilCost(level, resF, resB)
 	case mg.EvRestrict:
 		// Work is proportional to the coarse grid written.
-		return base + c*m.stencilCost(level-1, rstF, rstB, bits)
+		return base + c*m.stencilCost(level-1, rstF, rstB)
 	case mg.EvInterp:
-		return base + c*m.stencilCost(level, intF, intB, bits)
+		return base + c*m.stencilCost(level, intF, intB)
 	case mg.EvDirect:
 		return base + c*m.directCost(level)
 	default:
@@ -221,16 +215,13 @@ func (m *Model) EventCost(kind mg.EventKind, level, count, bits int) float64 {
 	}
 }
 
-// Cost implements Coster by pricing every recorded operation at the
-// storage width it ran at.
+// Cost implements Coster by pricing every recorded operation.
 func (m *Model) Cost(tr *mg.OpTrace, _ time.Duration) float64 {
 	var total float64
-	for _, bits := range [...]int{64, 32} {
-		for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
-			for l := 1; l <= tr.MaxLevel(); l++ {
-				if c := tr.CountAt(k, l, bits); c != 0 {
-					total += m.EventCost(k, l, int(c), bits)
-				}
+	for k := mg.EvRelax; k <= mg.EvIterSolve; k++ {
+		for l := 1; l <= tr.MaxLevel(); l++ {
+			if c := tr.Count(k, l); c != 0 {
+				total += m.EventCost(k, l, int(c))
 			}
 		}
 	}

@@ -10,16 +10,15 @@ import (
 )
 
 // estimate is ESTIMATE_j run over a level's training data: the state and
-// accuracy it leaves on each instance, and what one run costs — nil if it
-// diverged, when every candidate following it is priced out.
+// accuracy it leaves on each instance, and what one run costs.
 type estimate struct {
 	states []*grid.Grid
 	accs   []float64
 	one    *oneIter
 }
 
-// solvePhase is a float64 iterative choice with what one iteration costs,
-// shared by every estimate it follows — nil if it diverged while timed.
+// solvePhase is an iterative choice with what one iteration costs, shared
+// by every estimate it follows.
 type solvePhase struct {
 	candidate
 	one *oneIter
@@ -54,8 +53,7 @@ func (t *Tuner) fullCandidates(vt *mg.VTable, ft *mg.FTable, level int, probs []
 	}
 	phases := make([]solvePhase, 0, 2+len(t.cfg.Accuracies))
 	for _, c := range t.iterativeCandidates(&mg.Executor{WS: t.ws, V: vt}, level) {
-		one, _ := t.oneIterOf(probs, c.step) // nil on divergence prices the phase out
-		phases = append(phases, solvePhase{candidate: c, one: one})
+		phases = append(phases, solvePhase{candidate: c, one: t.oneIterOf(probs, c.step)})
 	}
 	for j := range t.cfg.Accuracies {
 		est := t.runEstimate(vt, ft, j, probs)
@@ -89,16 +87,14 @@ func (t *Tuner) runEstimate(vt *mg.VTable, ft *mg.FTable, j int, probs []*proble
 			rec = tr
 		}
 		x := p.NewState()
-		if t.run(step, x, p.B, rec) != nil {
-			return est
-		}
+		t.run(step, x, p.B, rec)
 		est.states[i] = x
 		est.accs[i] = t.accuracy(p, x)
 	}
 	if traceBased(t.cfg.Coster) {
 		est.one = &oneIter{tr: tr}
 	} else {
-		est.one, _ = t.timeOneIter(probs, step) // nil on divergence prices the estimate out
+		est.one = t.timeOneIter(probs, step)
 	}
 	return est
 }
@@ -111,10 +107,6 @@ func (t *Tuner) measureFull(level int, c fullCandidate, probs []*problem.Problem
 	t.work.Candidates++
 	if c.plan.Choice == mg.FullDirect {
 		return measuredFull{plan: c.plan, costPerAcc: t.directCosts(level, probs)}
-	}
-	if c.est.one == nil || c.solve.one == nil {
-		iters, costs := t.diverged()
-		return measuredFull{plan: c.plan, iters: iters, costPerAcc: costs}
 	}
 	est, solve := c.est.one, c.solve.one
 	var total mg.OpTrace // the estimate and n iterations, for each n in turn

@@ -147,10 +147,7 @@ func (t *Tuner) addIterativeCandidates(front *ParetoFront[*PlanNode], level int,
 	one := *proto
 	one.Iters = 1
 	step := func(x, b *grid.Grid, rec mg.Recorder) { one.Execute(t.ws, x, b, rec) }
-	per, err := t.oneIterOf(probs, step)
-	if err != nil {
-		return
-	}
+	per := t.oneIterOf(probs, step)
 
 	// accs[i][s] is instance i's accuracy after s+1 iterations.
 	accs := make([][]float64, len(probs))

@@ -302,12 +302,10 @@ func traceBased(c arch.Coster) bool {
 // stepFunc advances one iteration of a candidate on (x, b).
 type stepFunc func(x, b *grid.Grid, rec mg.Recorder)
 
-// run executes one step on the tuner's books, under the executor's abort
-// handling: a step that diverges (a reduced-precision edition out of its
-// depth) returns the abort's error instead of panicking out of the tune.
-func (t *Tuner) run(step stepFunc, x, b *grid.Grid, rec mg.Recorder) error {
+// run executes one step on the tuner's books.
+func (t *Tuner) run(step stepFunc, x, b *grid.Grid, rec mg.Recorder) {
 	t.work.Steps++
-	return mg.Catch(func() { step(x, b, rec) })
+	step(x, b, rec)
 }
 
 // accuracy evaluates the accuracy of x on the tuner's books.
@@ -326,12 +324,9 @@ func (t *Tuner) meets(p *problem.Problem, x *grid.Grid, targets []float64) int {
 // iterate is the grid a search runs its candidates on, reused for every
 // candidate and training instance it measures: counting and timing load a
 // starting state into it instead of allocating one. A level's two searches
-// run side by side, so each has its own (see tuneLevel). starts counts the
-// states loaded, which is how an f32 candidate's mirror learns that a new
-// start has begun (f32Mirror).
+// run side by side, so each has its own (see tuneLevel).
 type iterate struct {
-	x      *grid.Grid
-	starts int
+	x *grid.Grid
 }
 
 // start loads from — a problem's zero state or an estimate's result — into
@@ -342,7 +337,6 @@ func (it *iterate) start(from *grid.Grid) *grid.Grid {
 	} else {
 		it.x.CopyFrom(from)
 	}
-	it.starts++
 	return it.x
 }
 
@@ -357,25 +351,22 @@ type oneIter struct {
 
 // oneIterOf returns step's oneIter: timed at once under a clock, left for
 // counting to record under a trace coster.
-func (t *Tuner) oneIterOf(probs []*problem.Problem, step stepFunc) (*oneIter, error) {
+func (t *Tuner) oneIterOf(probs []*problem.Problem, step stepFunc) *oneIter {
 	if traceBased(t.cfg.Coster) {
-		return &oneIter{}, nil
+		return &oneIter{}
 	}
 	return t.timeOneIter(probs, step)
 }
 
 // timeOneIter times one iteration of step on the first training instance
 // under a clock and records its trace. The step is repeated adaptively
-// until the sample is long enough to trust. It fails if a repetition
-// aborts: the step diverges when iterated.
-func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*oneIter, error) {
+// until the sample is long enough to trust.
+func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) *oneIter {
 	p := probs[0]
 	one := &oneIter{tr: &mg.OpTrace{}}
 	x := t.iter.start(p.Boundary)
 	start := time.Now()
-	if err := t.run(step, x, p.B, one.tr); err != nil {
-		return nil, err
-	}
+	t.run(step, x, p.B, one.tr)
 	elapsed := time.Since(start)
 	// Re-sample short steps in doubling batches (the step just timed is the
 	// first) until one is long enough to trust, then keep the minimum (least
@@ -387,9 +378,7 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*oneIter, 
 		x = t.iter.start(p.Boundary)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			if err := t.run(step, x, p.B, nil); err != nil {
-				return nil, err
-			}
+			t.run(step, x, p.B, nil)
 		}
 		batch = time.Since(start)
 		elapsed = batch / time.Duration(reps)
@@ -398,16 +387,14 @@ func (t *Tuner) timeOneIter(probs []*problem.Problem, step stepFunc) (*oneIter, 
 		x = t.iter.start(p.Boundary)
 		start = time.Now()
 		for r := 0; r < reps; r++ {
-			if err := t.run(step, x, p.B, nil); err != nil {
-				return nil, err
-			}
+			t.run(step, x, p.B, nil)
 		}
 		if d := time.Since(start) / time.Duration(reps); d < elapsed {
 			elapsed = d
 		}
 	}
 	one.dur = elapsed
-	return one, nil
+	return one
 }
 
 // curve prices every iteration count a candidate may be assigned: at[n] is
@@ -467,8 +454,8 @@ func (cv *curve) price(need []int) []float64 {
 // count runs step on every training instance — from its zero state, or from
 // where the estimate from left it — and returns, per accuracy target, the
 // most iterations any instance needed, or −1 for a target out of reach:
-// an instance exhausted the curve's cap, diverged (its step aborted) or was
-// stopped by the bound short of it. Later instances stop where it stopped.
+// an instance exhausted the curve's cap or was stopped by the bound short
+// of it. Later instances stop where it stopped.
 //
 // best is the level's cheapest cost per target so far (nil: unbounded).
 // Target t is lost at iteration it of an instance that has not met it once
@@ -511,19 +498,16 @@ func (t *Tuner) count(probs []*problem.Problem, from *estimate, step stepFunc, c
 		for it := 0; met < live && it < cv.cap; it++ {
 			stepped := false
 			if cv.at == nil {
-				tr := &mg.OpTrace{}
-				if t.run(step, x, p.B, tr) != nil {
-					break // diverged, and the trace with it
-				}
-				cv.one.tr, stepped = tr, true
+				cv.one.tr, stepped = &mg.OpTrace{}, true
+				t.run(step, x, p.B, cv.one.tr)
 				cv.fill()
 			}
 			if best != nil && lost(met, it) {
 				cut = true
 				break
 			}
-			if !stepped && t.run(step, x, p.B, nil) != nil {
-				break // diverged: what this instance has not met is out of reach
+			if !stepped {
+				t.run(step, x, p.B, nil)
 			}
 			for n := t.meets(p, x, targets[met:live]); n > 0; n-- {
 				need[met] = max(need[met], it+1)
@@ -589,10 +573,9 @@ func (t *Tuner) search(n int, last func(c int) bool, measure func(c int, best []
 // The direct solve has no step; an iterative choice says how to advance one
 // iteration, how far to count, and how its one-iteration trace is priced.
 type candidate struct {
-	plan   mg.Plan  // Iters is filled in per accuracy on selection
-	step   stepFunc // one iteration, its result visible in x
-	timing stepFunc // one iteration as a deployed cell runs it, timed under a clock (nil: step)
-	cap    int      // iteration-count cap
+	plan mg.Plan  // Iters is filled in per accuracy on selection
+	step stepFunc // one iteration, its result visible in x
+	cap  int      // iteration-count cap
 }
 
 // measured is one priced candidate for a level: either a direct solve
@@ -606,7 +589,7 @@ type measured struct {
 // directCosts prices the direct choice at a level (identical for every
 // accuracy target: the solve is exact), once per level — tuneLevel asks
 // before its searches fork. A trace coster reads only the solve's trace,
-// which is known without running it (mg.RecordDirect). A wall
+// which is known without running it: one EvDirect at the level. A wall
 // clock times the solve with its matrix factored, the cached solve that
 // serving runs.
 func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
@@ -620,10 +603,8 @@ func (t *Tuner) directCosts(level int, probs []*problem.Problem) []float64 {
 			n := grid.SizeOfLevel(level)
 			t.ws.FactorCache.GetOp(t.op.At(n), n)
 			step := func(x, b *grid.Grid, rec mg.Recorder) { t.ws.SolveDirect(x, b, rec) }
-			cost = math.Inf(1)
-			if one, err := t.timeOneIter(probs, step); err == nil {
-				cost = t.cfg.Coster.Cost(one.tr, one.dur)
-			}
+			one := t.timeOneIter(probs, step)
+			cost = t.cfg.Coster.Cost(one.tr, one.dur)
 		}
 		t.direct[level] = cost
 	}
@@ -642,15 +623,7 @@ func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best [
 	if c.plan.Choice == mg.ChoiceDirect {
 		return measured{plan: c.plan, costPerAcc: t.directCosts(level, probs)}
 	}
-	timing := c.timing
-	if timing == nil {
-		timing = c.step
-	}
-	one, err := t.oneIterOf(probs, timing)
-	if err != nil {
-		iters, costs := t.diverged()
-		return measured{plan: c.plan, iters: iters, costPerAcc: costs}
-	}
+	one := t.oneIterOf(probs, c.step)
 	var tr mg.OpTrace // the trace of n iterations, for each n in turn
 	cv := curveOf(c.cap, one, func(n int) float64 {
 		tr.Reset()
@@ -662,17 +635,6 @@ func (t *Tuner) measure(level int, c candidate, probs []*problem.Problem, best [
 		t.work.CutShort++
 	}
 	return measured{plan: c.plan, iters: iters, costPerAcc: cv.price(iters)}
-}
-
-// diverged prices a candidate whose step aborted before it met any target:
-// every target is out of reach.
-func (t *Tuner) diverged() (iters []int, costs []float64) {
-	iters = make([]int, len(t.cfg.Accuracies))
-	costs = make([]float64, len(iters))
-	for i := range iters {
-		iters[i], costs[i] = -1, math.Inf(1)
-	}
-	return iters, costs
 }
 
 // sorStep returns a one-sweep SOR step at the given level.
@@ -694,7 +656,7 @@ func (t *Tuner) recurseCandidate(ex *mg.Executor, j int) candidate {
 	}
 }
 
-// iterativeCandidates lists a level's float64 iterative choices in rank
+// iterativeCandidates lists a level's iterative choices in rank
 // order — iterated SOR, the standard V-cycle, RECURSE_j per accuracy j —
 // the choices of a V cell and equally the solve phases of a full-multigrid
 // cell. The V-cycle is the single-algorithm seed the PetaBricks population
@@ -716,93 +678,20 @@ func (t *Tuner) iterativeCandidates(ex *mg.Executor, level int) []candidate {
 	return cands
 }
 
-// f32Mirror is the float32 copy of the iterate a level's f32 candidates keep
-// alive across iterations — a deployed PrecF32 cell converts once per cell
-// entry and amortizes it over all its iterations, so per-iteration cost must
-// exclude the conversions. It converts afresh whenever the search's iterate
-// loads a new starting state, as every training instance and timing batch
-// does.
-type f32Mirror struct {
-	x, b *grid.Grid32
-	it   *iterate
-	at   int // it.starts when last converted
-}
-
-// f32Edition is the full-f32 edition of an iterative candidate: the same
-// choice with float32 storage, whose trace records its passes at f32 width
-// (the direct base case stays f64). The counting step writes
-// the interior back after every iteration, because accuracy is always
-// judged on the f64 state against the f64 reference solution; the timing
-// step skips that writeback. The f32 rounding floor makes high-accuracy
-// targets infeasible automatically — counting never reaches them.
-func (t *Tuner) f32Edition(ex *mg.Executor, m *f32Mirror, base candidate) candidate {
-	plan := base.plan
-	plan.Precision = mg.PrecF32
-	step1 := plan
-	step1.Iters = 1
-	body := func(x, b *grid.Grid, rec mg.Recorder) {
-		if m.at != m.it.starts {
-			m.at = m.it.starts
-			grid.ConvertInto(m.x, x)
-			grid.ConvertInto(m.b, b)
-		}
-		ex.Rec = rec
-		ex.SolvePlanF32(m.x, m.b, step1)
-	}
-	return candidate{
-		plan: plan,
-		step: func(x, b *grid.Grid, rec mg.Recorder) {
-			body(x, b, rec)
-			grid.ConvertInteriorInto(x, m.x)
-		},
-		timing: body,
-		cap:    base.cap,
-	}
-}
-
-// mixedEdition is the refinement edition of a cycle candidate: each
-// iteration is one f64 defect residual wrapping one f32 step of the choice,
-// and its trace records each at the width it runs at.
-func (t *Tuner) mixedEdition(ex *mg.Executor, base candidate) candidate {
-	plan := base.plan
-	plan.Precision = mg.PrecMixed
-	return candidate{
-		plan: plan,
-		step: func(x, b *grid.Grid, rec mg.Recorder) {
-			ex.Rec = rec
-			ex.RefineStep(x, b, plan)
-		},
-		cap: base.cap,
-	}
-}
-
 // vCandidates lists every choice for a V-table level in rank order, the
-// order ties are broken in: direct (while it is explored), the float64
-// iterative choices, then their precision editions — float32 storage for
-// all of them, f64 refinement around an f32 step for the cycle choices.
-// Direct stays f64-only: the factorization is compute-bound and exact.
+// order ties are broken in: direct (while it is explored), then the
+// iterative choices.
 func (t *Tuner) vCandidates(vt *mg.VTable, level int) []candidate {
 	var cands []candidate
 	if level <= t.cfg.DirectMaxLevel {
 		cands = append(cands, candidate{plan: mg.Plan{Choice: mg.ChoiceDirect}})
 	}
-	ex := &mg.Executor{WS: t.ws, V: vt}
-	base := t.iterativeCandidates(ex, level)
-	cands = append(cands, base...)
-	n, dim := grid.SizeOfLevel(level), t.op.Dim()
-	mirror := &f32Mirror{x: grid.NewOf[float32](dim, n), b: grid.NewOf[float32](dim, n), it: t.iter, at: -1}
-	for _, c := range base {
-		cands = append(cands, t.f32Edition(ex, mirror, c))
-		if c.plan.Choice != mg.ChoiceSOR {
-			cands = append(cands, t.mixedEdition(ex, c))
-		}
-	}
-	return cands
+	return append(cands, t.iterativeCandidates(&mg.Executor{WS: t.ws, V: vt}, level)...)
 }
 
 // sorLast is the measurement order both tables use: the cycle choices set
-// the bound within a handful of iterations, after which the SOR editions —
-// capped at hundreds of sweeps — are cut almost at once.
+// the bound within a handful of iterations, after which SOR — capped at
+// hundreds of sweeps — is cut almost at once.
 func sorLast(c mg.Choice) bool { return c == mg.ChoiceSOR }
 
 // TuneV runs the dynamic program for the MULTIGRID-V family and returns the
@@ -925,12 +814,6 @@ func describeRow(row []mg.Plan) string {
 			s += fmt.Sprintf("rec%d×%d", p.Sub+1, p.Iters)
 		case mg.ChoiceVCycle:
 			s += fmt.Sprintf("vchain×%d", p.Iters)
-		}
-		switch p.Precision {
-		case mg.PrecF32:
-			s += "/f32"
-		case mg.PrecMixed:
-			s += "/mix"
 		}
 	}
 	return s

@@ -112,8 +112,6 @@ func (r *Runner) LadderAblation() (*Table, error) {
 
 // ParetoAblation compares the paper's discrete-ladder approximation (§2.3)
 // against the full Pareto dynamic program (§2.2) at every ladder target.
-// The full DP searches float64 plans only, so the discrete pick runs with
-// ForceF64: both columns price plans from the same space.
 func (r *Runner) ParetoAblation() (*Table, error) {
 	tn, err := core.New(core.Config{
 		MaxLevel:     r.O.MaxLevel,
@@ -135,13 +133,13 @@ func (r *Runner) ParetoAblation() (*Table, error) {
 	t := &Table{
 		Title:   "Ablation (§2.2 vs §2.3): discrete ladder vs full Pareto dynamic program",
 		Columns: []string{"target", "discrete", "full-DP", "full-DP plan"},
-		Notes:   "training-cost units on intel-harpertown, both at f64; the discrete table approximates the full DP from above",
+		Notes:   "training-cost units on intel-harpertown; the discrete table approximates the full DP from above",
 	}
 	ws := r.workspace(nil)
 	p := r.test(r.O.MaxLevel, grid.Unbiased)
 	for i, target := range vt.Acc {
 		disc := traceCost(ablationModel(), func(rec mg.Recorder) {
-			ex := &mg.Executor{WS: ws, V: vt, Rec: rec, ForceF64: true}
+			ex := &mg.Executor{WS: ws, V: vt, Rec: rec}
 			x := p.NewState()
 			ex.SolveV(x, p.B, i)
 		})

@@ -3,7 +3,7 @@
 // Package faultinject is the chaos-testing switchboard: named injection
 // points compiled into the solver and serving layers fire armed faults —
 // delays, panics, errors, NaN poisoning — so the failure-hardening paths
-// (cancellation, divergence escalation, panic containment, the circuit
+// (cancellation, divergence, panic containment, the circuit
 // breaker) can be driven deterministically by tests and by the /-/fault
 // endpoint of a chaos build.
 //
@@ -30,7 +30,7 @@
 // (a time.ParseDuration value for the delay kind). For example:
 //
 //	stencil.sweep:delay,delay=50ms;mg.cycle:panic,count=1
-//	mg.f32.nan:nan,level=5
+//	mg.cycle.nan:nan,level=5
 package faultinject
 
 import (

@@ -105,7 +105,7 @@ func TestPointErr(t *testing.T) {
 
 func TestArmSpec(t *testing.T) {
 	reset(t)
-	err := ArmSpec("stencil.sweep:delay,delay=50ms; mg.cycle:panic,count=1,after=2;serve.reload:error;mg.f32.nan:nan,level=5")
+	err := ArmSpec("stencil.sweep:delay,delay=50ms; mg.cycle:panic,count=1,after=2;serve.reload:error;mg.cycle.nan:nan,level=5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,16 +117,16 @@ func TestArmSpec(t *testing.T) {
 	for _, n := range names {
 		got[n] = true
 	}
-	for _, want := range []string{"stencil.sweep", "mg.cycle", "serve.reload", "mg.f32.nan"} {
+	for _, want := range []string{"stencil.sweep", "mg.cycle", "serve.reload", "mg.cycle.nan"} {
 		if !got[want] {
 			t.Errorf("Armed() missing %q: %v", want, names)
 		}
 	}
 	// The parsed fields drive behavior: level filtering and the error kind.
-	if PointLevel("mg.f32.nan", 4) {
+	if PointLevel("mg.cycle.nan", 4) {
 		t.Error("level=5 fault fired at level 4")
 	}
-	if !PointLevel("mg.f32.nan", 5) {
+	if !PointLevel("mg.cycle.nan", 5) {
 		t.Error("level=5 fault did not fire at level 5")
 	}
 	if err := PointErr("serve.reload"); err == nil {

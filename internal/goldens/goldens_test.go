@@ -9,7 +9,6 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
-	"strings"
 	"sync"
 	"testing"
 
@@ -64,12 +63,6 @@ type golden struct {
 	// AccExp is log10 of the achieved accuracy (informational; +Inf for
 	// exact direct solves is recorded as 99).
 	AccExp float64 `json:"accExp"`
-	// Precision is the tuned V plan's storage precision at this cell
-	// ("f64", "f32", "mixed"). It is compared exactly: a cell silently
-	// flipping precision is a tuning change the goldens must surface, and
-	// the op-count tolerance bands are per-precision (reduced-precision
-	// convergence drifts more across platforms).
-	Precision string `json:"prec,omitempty"`
 }
 
 // tuned memoizes one tuning run per family for the whole test binary. The
@@ -168,10 +161,9 @@ func solveCell(t *testing.T, tn *core.Tuned, level, accIdx int) (golden, float64
 		accExp = math.Log10(acc)
 	}
 	return golden{
-		Sweeps:    tr.Total(mg.EvRelax) + tr.Total(mg.EvIterSolve),
-		Directs:   tr.Total(mg.EvDirect),
-		AccExp:    math.Round(accExp*100) / 100,
-		Precision: tn.V.Plan(level, accIdx).Precision.String(),
+		Sweeps:  tr.Total(mg.EvRelax) + tr.Total(mg.EvIterSolve),
+		Directs: tr.Total(mg.EvDirect),
+		AccExp:  math.Round(accExp*100) / 100,
 	}, acc
 }
 
@@ -241,13 +233,8 @@ func TestGoldenConvergence(t *testing.T) {
 			t.Errorf("%s: no recorded golden (run -update)", key)
 			continue
 		}
-		if g.Precision != w.Precision {
-			t.Errorf("%s: tuned precision flipped %s -> %s (run -update if intended)",
-				key, w.Precision, g.Precision)
-			continue // op counts of different precisions are not comparable
-		}
-		checkBand(t, key+" sweeps", g.Sweeps, w.Sweeps, g.Precision)
-		checkBand(t, key+" directs", g.Directs, w.Directs, g.Precision)
+		checkBand(t, key+" sweeps", g.Sweeps, w.Sweeps)
+		checkBand(t, key+" directs", g.Directs, w.Directs)
 	}
 	for key := range want {
 		if _, ok := measured[key]; !ok {
@@ -257,50 +244,18 @@ func TestGoldenConvergence(t *testing.T) {
 }
 
 // checkBand asserts got stays inside a tolerance band around the recorded
-// golden: wide enough for cross-platform floating-point drift to shift an
-// iteration count or two, tight enough that doubling the work (or skipping
-// it) fails. The band is per-precision — f64 cells get [want/2 − 2,
-// 1.5·want + 4]; f32 and mixed cells get double the additive slack, because
-// reduced-precision convergence sits closer to the rounding floor and a
-// platform's FMA/rounding differences can move more iterations. The
-// achieved-accuracy check stays strict for every precision.
-func checkBand(t *testing.T, what string, got, want int64, prec string) {
+// golden, [want/2 − 2, 1.5·want + 4]: wide enough for cross-platform
+// floating-point drift to shift an iteration count or two, tight enough that
+// doubling the work (or skipping it) fails. The achieved-accuracy check
+// stays strict.
+func checkBand(t *testing.T, what string, got, want int64) {
 	t.Helper()
-	slack := int64(2)
-	if prec == "f32" || prec == "mixed" {
-		slack = 4
-	}
+	const slack = 2
 	lo := want/2 - slack
 	hi := want + want/2 + 2*slack
 	if got < lo || got > hi {
 		t.Errorf("%s: %d outside tolerance band [%d, %d] around golden %d", what, got, lo, hi, want)
 	}
-}
-
-// TestMixedPrecisionFlips locks the tentpole's tuning outcome into the
-// goldens: at least one recorded low-accuracy (acc=10) cell must carry a
-// reduced-precision plan — the tuner found float32 storage worth it under
-// the trace cost model — while every cell, whatever its precision, is held
-// to its accuracy target by TestGoldenConvergence's strict achieved check.
-func TestMixedPrecisionFlips(t *testing.T) {
-	want := loadGoldens(t)
-	reduced := 0
-	lowAccReduced := 0
-	for key, g := range want {
-		if g.Precision == "f32" || g.Precision == "mixed" {
-			reduced++
-			if strings.Contains(key, "/acc1e1") {
-				lowAccReduced++
-			}
-		}
-	}
-	if reduced == 0 {
-		t.Fatal("no recorded golden cell carries an f32 or mixed plan; the precision dimension is not being tuned")
-	}
-	if lowAccReduced == 0 {
-		t.Error("no acc=10 golden cell flipped to reduced precision, where f32 should win outright")
-	}
-	t.Logf("%d reduced-precision golden cells (%d at acc=10)", reduced, lowAccReduced)
 }
 
 // TestAnisoTableDiffersFromPoisson is the acceptance criterion: tuning the

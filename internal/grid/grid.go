@@ -6,10 +6,9 @@
 // Dim and stored in a single flat slice (row-major in 2D; plane-major, then
 // row-major in 3D) so that relaxation and transfer kernels stream through
 // memory. The container is generic over the storage precision: G[float64]
-// (aliased Grid) is the default working type, and G[float32] (aliased
-// Grid32) backs the mixed-precision cycle paths, where halving the bytes per
-// point roughly doubles the effective memory bandwidth of the
-// bandwidth-bound kernels. Multigrid levels use sizes N = 2^k + 1;
+// (aliased Grid) is the working type of every solver path, and G[float32]
+// (aliased Grid32) is what the float32 kernel instances and the benchmark's
+// kernel rows run on. Multigrid levels use sizes N = 2^k + 1;
 // Level/SizeOfLevel convert between the two conventions and are
 // dimension-independent (only the side length recurses).
 //
@@ -38,8 +37,8 @@ type G[T Float] struct {
 // solver path.
 type Grid = G[float64]
 
-// Grid32 is the float32-backed grid used by the mixed-precision cycle
-// paths.
+// Grid32 is the float32-backed grid of the float32 kernel instances. Kept
+// for `bench/`; goes with ROADMAP item 0's benchmark PR.
 type Grid32 = G[float32]
 
 // NewOf returns a zero-filled grid of the given dimension (2 or 3), side n,
@@ -85,7 +84,8 @@ func FromSlice(dim, n int, data []float64) *Grid {
 
 // ConvertInto overwrites dst with src converted element-wise between
 // precisions. Sizes and dimensions must match. Converting float64 → float32
-// rounds to nearest; float32 → float64 is exact.
+// rounds to nearest; float32 → float64 is exact. Kept for `bench/`; goes
+// with ROADMAP item 0's benchmark PR.
 func ConvertInto[D, S Float](dst *G[D], src *G[S]) {
 	if dst.n != src.n || dst.dim != src.dim {
 		panic(fmt.Sprintf("grid: ConvertInto mismatch %dD/%d != %dD/%d", dst.dim, dst.n, src.dim, src.n))
@@ -96,63 +96,9 @@ func ConvertInto[D, S Float](dst *G[D], src *G[S]) {
 	}
 }
 
-// ConvertInteriorInto overwrites dst's interior with src's interior cast to
-// dst's precision, leaving dst's boundary untouched — the writeback of a
-// reduced-precision sub-solve, which must not round the caller's Dirichlet
-// data.
-func ConvertInteriorInto[D, S Float](dst *G[D], src *G[S]) {
-	if dst.n != src.n || dst.dim != src.dim {
-		panic(fmt.Sprintf("grid: ConvertInteriorInto mismatch %dD/%d != %dD/%d", dst.dim, dst.n, src.dim, src.n))
-	}
-	n := dst.n
-	if dst.dim == 3 {
-		for i := 1; i < n-1; i++ {
-			for j := 1; j < n-1; j++ {
-				dr, sr := dst.Row3(i, j), src.Row3(i, j)
-				for k := 1; k < n-1; k++ {
-					dr[k] = D(sr[k])
-				}
-			}
-		}
-		return
-	}
-	for i := 1; i < n-1; i++ {
-		dr, sr := dst.Row(i), src.Row(i)
-		for j := 1; j < n-1; j++ {
-			dr[j] = D(sr[j])
-		}
-	}
-}
-
-// AddInteriorOf adds src's interior entries, cast to dst's precision, into
-// dst's interior — the correction step of float64 iterative refinement over
-// a float32 error estimate.
-func AddInteriorOf[D, S Float](dst *G[D], src *G[S]) {
-	if dst.n != src.n || dst.dim != src.dim {
-		panic(fmt.Sprintf("grid: AddInteriorOf mismatch %dD/%d != %dD/%d", dst.dim, dst.n, src.dim, src.n))
-	}
-	n := dst.n
-	if dst.dim == 3 {
-		for i := 1; i < n-1; i++ {
-			for j := 1; j < n-1; j++ {
-				dr, sr := dst.Row3(i, j), src.Row3(i, j)
-				for k := 1; k < n-1; k++ {
-					dr[k] += D(sr[k])
-				}
-			}
-		}
-		return
-	}
-	for i := 1; i < n-1; i++ {
-		dr, sr := dst.Row(i), src.Row(i)
-		for j := 1; j < n-1; j++ {
-			dr[j] += D(sr[j])
-		}
-	}
-}
-
 // Bits reports the storage width of T in bits (32 or 64), the precision tag
-// used in scratch-pool keys and benchmark cell labels.
+// of benchmark cell labels. Kept for `bench/`; goes with ROADMAP item 0's
+// benchmark PR.
 func Bits[T Float]() int {
 	var z T
 	if _, is32 := any(z).(float32); is32 {

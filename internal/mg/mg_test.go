@@ -51,26 +51,14 @@ func TestOpTraceCounts(t *testing.T) {
 		t.Fatal("Reset did not clear")
 	}
 
-	// Events that ran at float32 are kept apart from the float64 ones;
-	// Count, Total and MaxLevel sum both widths.
+	// AddScaled adds n times every count.
 	tr.Record(EvRelax, 3, 2)
-	recordOf[float32](&tr, EvRelax, 3, 5)
-	recordOf[float32](&tr, EvInterp, 4, 1)
-	if tr.CountAt(EvRelax, 3, 64) != 2 || tr.CountAt(EvRelax, 3, 32) != 5 {
-		t.Fatalf("CountAt(relax,3) = %d at f64, %d at f32, want 2 and 5", tr.CountAt(EvRelax, 3, 64), tr.CountAt(EvRelax, 3, 32))
-	}
-	if tr.Count(EvRelax, 3) != 7 || tr.Total(EvRelax) != 7 || tr.MaxLevel() != 4 {
-		t.Fatalf("Count %d, Total %d, MaxLevel %d, want 7, 7, 4", tr.Count(EvRelax, 3), tr.Total(EvRelax), tr.MaxLevel())
-	}
+	tr.Record(EvInterp, 4, 1)
 	var scaled OpTrace
 	scaled.AddScaled(&tr, 3)
-	if scaled.CountAt(EvRelax, 3, 64) != 6 || scaled.CountAt(EvRelax, 3, 32) != 15 ||
-		scaled.CountAt(EvInterp, 4, 64) != 0 || scaled.CountAt(EvInterp, 4, 32) != 3 {
-		t.Fatal("AddScaled did not keep the widths apart")
-	}
-	tr.Reset()
-	if tr.Total(EvRelax) != 0 || tr.Total(EvInterp) != 0 || tr.MaxLevel() != 0 {
-		t.Fatal("Reset did not clear the float32 counts")
+	if scaled.Count(EvRelax, 3) != 6 || scaled.Count(EvInterp, 4) != 3 || scaled.MaxLevel() != 4 {
+		t.Fatalf("AddScaled by 3: relax %d, interp %d, MaxLevel %d, want 6, 3, 4",
+			scaled.Count(EvRelax, 3), scaled.Count(EvInterp, 4), scaled.MaxLevel())
 	}
 }
 

@@ -11,18 +11,12 @@ import "pbmg/internal/grid"
 // sweep, coarse-grid correction by recursion down to the N=3 direct base
 // case, and one post-smoothing sweep — exactly MULTIGRID-V-SIMPLE.
 func (ws *Workspace) RefVCycle(x, b *grid.Grid, rec Recorder) {
-	refVCycleOf(ws, x, b, rec)
-}
-
-// refVCycleOf is RefVCycle at any storage precision, the cycle the
-// mixed-precision plans run under f32 state.
-func refVCycleOf[T grid.Float](ws *Workspace, x, b *grid.G[T], rec Recorder) {
 	if x.N() == 3 {
-		solveDirectOf(ws, x, b, rec)
+		ws.SolveDirect(x, b, rec)
 		return
 	}
-	recurseWithOf(ws, x, b, rec, func(cx, cb *grid.G[T]) {
-		refVCycleOf(ws, cx, cb, rec)
+	ws.RecurseWith(x, b, rec, func(cx, cb *grid.Grid) {
+		ws.RefVCycle(cx, cb, rec)
 	})
 }
 

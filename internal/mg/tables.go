@@ -40,26 +40,21 @@ func (c Choice) String() string {
 	}
 }
 
-// Precision is a tuned plan's storage-precision directive — the knob ISSUE
-// the mixed-precision work adds alongside sweeps and ω. The empty string is
-// the float64 default, so tables tuned before the knob existed load
-// unchanged.
+// Precision is the storage-precision directive a saved plan may carry
+// (`"prec"`). The tuner no longer writes one and the executor ignores it:
+// every cell runs in float64, so a table saved with f32 or mixed cells
+// loads and solves in float64. Kept for `bench/`; goes with ROADMAP item
+// 0's benchmark PR.
 type Precision string
 
 const (
-	// PrecF64 (the zero value) runs the cell entirely in float64.
+	// PrecF64 (the zero value) is float64, the only storage precision.
 	PrecF64 Precision = ""
-	// PrecF32 converts the cell's state to float32 on entry, runs the whole
-	// sub-solve (smoothing, residuals, transfers, coarse recursion) in f32
-	// storage, and rounds the interior back on exit. Convergence accounting
-	// stays float64. Nested cells' precision directives are ignored once the
-	// solve is in f32 — a subtree runs at the precision it entered with.
+	// PrecF32 is the retired f32 storage directive. Kept for `bench/`; goes
+	// with ROADMAP item 0's benchmark PR.
 	PrecF32 Precision = "f32"
-	// PrecMixed wraps the f32 cycle in float64 iterative refinement: each of
-	// the plan's Iters iterations computes the f64 defect r = b − T·x, runs
-	// one f32 step of the plan's choice on the error equation T·e = r from a
-	// zero guess, and applies the correction x += e in f64 — the f32 cycle
-	// as a preconditioner, with accuracy limited only by the f64 residual.
+	// PrecMixed is the retired mixed-refinement directive. Kept for
+	// `bench/`; goes with ROADMAP item 0's benchmark PR.
 	PrecMixed Precision = "mixed"
 )
 
@@ -73,30 +68,20 @@ func (p Precision) Valid() bool {
 	return false
 }
 
-// String returns the precision label as it appears in reports: "f64" for
-// the default.
-func (p Precision) String() string {
-	if p == PrecF64 {
-		return "f64"
-	}
-	return string(p)
-}
-
 // Plan is the tuned decision of MULTIGRID-Vᵢ at one (level, accuracy) cell:
 // which choice to make, how many iterations of it to run, and — for the
 // recursive choice — which accuracy index j the sub-call RECURSE_j uses.
 type Plan struct {
 	Choice Choice `json:"choice"`
 	// Iters is the number of SOR sweeps or RECURSE iterations (≥ 1 for
-	// those choices; ignored for ChoiceDirect). Under PrecMixed it is the
-	// number of refinement iterations, each wrapping one f32 step.
+	// those choices; ignored for ChoiceDirect).
 	Iters int `json:"iters,omitempty"`
 	// Sub is the accuracy index j of the RECURSE_j sub-algorithm
 	// (ignored unless Choice is ChoiceRecurse).
 	Sub int `json:"sub,omitempty"`
-	// Precision selects the cell's storage precision (see Precision). The
-	// zero value is float64, so tables predating the knob deserialize to
-	// the behavior they were tuned for.
+	// Precision is a saved table's storage directive, validated on load
+	// and ignored by the executor (see Precision). Kept for `bench/`; goes
+	// with ROADMAP item 0's benchmark PR.
 	Precision Precision `json:"prec,omitempty"`
 }
 

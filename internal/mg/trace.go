@@ -6,11 +6,7 @@
 // logs (rendered as the cycle-shape diagrams of Figures 5 and 14).
 package mg
 
-import (
-	"fmt"
-
-	"pbmg/internal/grid"
-)
+import "fmt"
 
 // EventKind identifies one multigrid operation for tracing.
 type EventKind int
@@ -58,69 +54,39 @@ type Recorder interface {
 	Record(kind EventKind, level, count int)
 }
 
-// recordOf forwards an event that ran at storage precision T to rec, if
-// non-nil. An OpTrace files it under T's width; any other recorder sees
-// only the kind, level and count.
-func recordOf[T grid.Float](rec Recorder, kind EventKind, level, count int) {
-	if tr, ok := rec.(*OpTrace); ok {
-		tr.add(kind, grid.Bits[T](), level, count)
-	} else if rec != nil {
+// record forwards an event to rec, if non-nil.
+func record(rec Recorder, kind EventKind, level, count int) {
+	if rec != nil {
 		rec.Record(kind, level, count)
 	}
 }
 
-// RecordDirect records what one direct solve at a level costs: a single
-// EvDirect there, at float64 width, the only width the band Cholesky runs
-// at. SolveDirect records it after solving; a tuner that prices the direct
-// choice by trace alone records it without solving.
-func RecordDirect(rec Recorder, level int) {
-	recordOf[float64](rec, EvDirect, level, 1)
-}
-
-// OpTrace accumulates per-level counts of each operation kind, kept apart
-// by the storage width (float64 or float32) each operation ran at. The zero
+// OpTrace accumulates per-level counts of each operation kind. The zero
 // value is an empty trace ready for use. OpTrace is the currency between
 // executions and architecture cost models: run once, price under any
-// model, each operation at its own width.
+// model.
 type OpTrace struct {
-	counts [2 * numEventKinds][]int64 // [row(kind, bits)][level]
+	counts [numEventKinds][]int64 // [kind][level]
 }
 
-// row indexes OpTrace.counts: every kind's float64 counts, then its
-// float32 ones.
-func row(kind EventKind, bits int) int {
-	if bits == 32 {
-		return int(numEventKinds + kind)
-	}
-	return int(kind)
-}
-
-// Record implements Recorder, counting the operation at float64 width.
-func (t *OpTrace) Record(kind EventKind, level, count int) { t.add(kind, 64, level, count) }
-
-func (t *OpTrace) add(kind EventKind, bits, level, count int) {
+// Record implements Recorder.
+func (t *OpTrace) Record(kind EventKind, level, count int) {
 	if level < 0 || kind < 0 || kind >= numEventKinds {
 		panic(fmt.Sprintf("mg: bad trace record kind=%d level=%d", kind, level))
 	}
-	c := &t.counts[row(kind, bits)]
+	c := &t.counts[kind]
 	for len(*c) <= level {
 		*c = append(*c, 0)
 	}
 	(*c)[level] += int64(count)
 }
 
-// CountAt returns the count for kind at level of the operations that ran at
-// the given storage width in bits (32 or 64).
-func (t *OpTrace) CountAt(kind EventKind, level, bits int) int64 {
-	if kind < 0 || kind >= numEventKinds || level < 0 || level >= len(t.counts[row(kind, bits)]) {
+// Count returns the accumulated count for kind at level.
+func (t *OpTrace) Count(kind EventKind, level int) int64 {
+	if kind < 0 || kind >= numEventKinds || level < 0 || level >= len(t.counts[kind]) {
 		return 0
 	}
-	return t.counts[row(kind, bits)][level]
-}
-
-// Count returns the accumulated count for kind at level, at both widths.
-func (t *OpTrace) Count(kind EventKind, level int) int64 {
-	return t.CountAt(kind, level, 64) + t.CountAt(kind, level, 32)
+	return t.counts[kind][level]
 }
 
 // MaxLevel returns the highest level with any recorded operation, or 0.
@@ -134,7 +100,7 @@ func (t *OpTrace) MaxLevel() int {
 	return max
 }
 
-// Total returns the total count of kind across all levels and both widths.
+// Total returns the total count of kind across all levels.
 func (t *OpTrace) Total(kind EventKind) int64 {
 	var s int64
 	for l := 0; l <= t.MaxLevel(); l++ {
@@ -150,18 +116,15 @@ func (t *OpTrace) Reset() {
 	}
 }
 
-// AddScaled adds n times other's counts into t, each at its own width.
-// Iterative choices repeat identical work, so the trace of n iterations is
-// the one-iteration trace added n times; the tuner exploits this to price
-// candidates without re-running them, into one trace it resets between
-// counts.
+// AddScaled adds n times other's counts into t. Iterative choices repeat
+// identical work, so the trace of n iterations is the one-iteration trace
+// added n times; the tuner exploits this to price candidates without
+// re-running them, into one trace it resets between counts.
 func (t *OpTrace) AddScaled(other *OpTrace, n int) {
-	for _, bits := range [...]int{64, 32} {
-		for k := EvRelax; k < numEventKinds; k++ {
-			for l, c := range other.counts[row(k, bits)] {
-				if c != 0 {
-					t.add(k, bits, l, int(c)*n)
-				}
+	for k := EvRelax; k < numEventKinds; k++ {
+		for l, c := range other.counts[k] {
+			if c != 0 {
+				t.Record(k, l, int(c)*n)
 			}
 		}
 	}

@@ -26,10 +26,8 @@ package pbmg
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"pbmg/internal/arch"
@@ -201,14 +199,6 @@ type Solver struct {
 	ws    *mg.Workspace
 	pool  *sched.Pool
 
-	// reducedPrec is true when any tuned plan carries an f32 or mixed
-	// precision directive — only then does a solve snapshot its input state,
-	// so the pure-f64 fast path pays nothing for the escalation machinery.
-	reducedPrec bool
-	// escalations counts solves that diverged at reduced precision and were
-	// retried (successfully or not) at forced float64.
-	escalations atomic.Int64
-
 	// tuneStats is what tuning this solver took (zero for a loaded one).
 	tuneStats TuneStats
 }
@@ -218,9 +208,7 @@ type Solver struct {
 // (context.Canceled or context.DeadlineExceeded).
 var ErrCancelled = mg.ErrCancelled
 
-// ErrDiverged marks a solve whose iterate went non-finite or whose residual
-// blew up instead of contracting. Reduced-precision solves retry once at
-// forced float64 before surfacing it (see Solver.Escalations).
+// ErrDiverged marks a solve whose answer came out non-finite.
 var ErrDiverged = mg.ErrDiverged
 
 // TuneStats is what the autotuner spent producing a solver's tables: wall
@@ -302,16 +290,7 @@ func newSolver(tuned *core.Tuned, pool *sched.Pool) (*Solver, error) {
 		closePool(pool)
 		return nil, err
 	}
-	ws := mg.NewWorkspace(pool, op)
-	s := &Solver{tuned: tuned, ws: ws, pool: pool}
-	for _, row := range tuned.V.Plans {
-		for _, p := range row {
-			if p.Precision == mg.PrecF32 || p.Precision == mg.PrecMixed {
-				s.reducedPrec = true
-			}
-		}
-	}
-	return s, nil
+	return &Solver{tuned: tuned, ws: mg.NewWorkspace(pool, op), pool: pool}, nil
 }
 
 // newPool returns a worker pool of the given width, or nil (serial) for a
@@ -391,7 +370,7 @@ func (s *Solver) accIndex(accuracy float64) (int, error) {
 		accuracy, s.tuned.V.Acc[len(s.tuned.V.Acc)-1])
 }
 
-// checkGrids verifies a solve's grids before any snapshot or kernel touches
+// checkGrids verifies a solve's grids before any kernel touches
 // them: both are present, x has the solver's dimension and a side in the
 // tuned range, and b has x's dimension and side. A missing or mismatched grid
 // is the caller's error, never a panic.
@@ -445,19 +424,18 @@ func (s *Solver) SolveContext(ctx context.Context, x, b *Grid, accuracy float64)
 	return s.solveCtx(ctx, x, b, accuracy, true, nil)
 }
 
-// Escalations returns the number of solves that diverged at a tuned reduced
-// precision and were retried at forced float64 — a nonzero value means the
-// tuned f32/mixed tables are being pushed past their dynamic range by the
-// live traffic, worth re-tuning for.
-func (s *Solver) Escalations() int64 { return s.escalations.Load() }
+// Escalations returns 0: every cell runs in float64, so no solve is ever
+// retried at a wider precision. Kept for `bench/`; goes with ROADMAP item
+// 0's benchmark PR.
+func (s *Solver) Escalations() int64 { return 0 }
 
 func (s *Solver) solve(x, b *Grid, accuracy float64, full bool, rec mg.Recorder) error {
 	return s.solveCtx(nil, x, b, accuracy, full, rec)
 }
 
 // solveCtx runs one tuned solve with the full control plane: cooperative
-// cancellation from ctx (nil: none), divergence detection, and one
-// precision-escalation retry when a reduced-precision plan diverges.
+// cancellation from ctx (nil: none), and a vet of the answer that reports a
+// non-finite one as ErrDiverged.
 func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, full bool, rec mg.Recorder) error {
 	if err := s.checkGrids(x, b); err != nil {
 		return err
@@ -476,47 +454,17 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 	if ctx != nil && ctx.Done() != nil {
 		ex.Ctx = ctx
 	}
-	// Divergence of a reduced-precision plan gets one retry at forced
-	// float64, restarted from the caller's original state — the diverged
-	// attempt has already scribbled on x. The snapshot is arena scratch,
-	// returned on every way out (the deferred release also runs when a
-	// kernel panic unwinds through here). Pure-f64 tables skip it (and can't
-	// escalate: a divergence there is the input's fault).
-	var x0 *Grid
-	if s.reducedPrec {
-		snap := s.ws.Snapshot(x)
-		defer s.ws.ReleaseSnapshot(snap)
-		x0 = snap.Grid()
-	}
-	run := func() error {
-		return mg.Catch(func() {
-			if full {
-				ex.SolveFull(x, b, idx)
-			} else {
-				ex.SolveV(x, b, idx)
-			}
-		})
-	}
-	err = run()
+	err = mg.Catch(func() {
+		if full {
+			ex.SolveFull(x, b, idx)
+		} else {
+			ex.SolveV(x, b, idx)
+		}
+	})
 	if err == nil && grid.HasNonFinite(x) {
-		// The in-cycle guards cover the f32 and mixed shapes; the plain
-		// f64 V-cycle and direct shapes have none, so vet every answer here —
+		// The cycles carry no divergence guards, so vet every answer here —
 		// a serving layer must never hand back a NaN grid as a success.
 		err = fmt.Errorf("%w: solve produced a non-finite iterate", mg.ErrDiverged)
-	}
-	if err != nil && x0 != nil && errors.Is(err, mg.ErrDiverged) {
-		s.escalations.Add(1)
-		x.CopyFrom(x0)
-		ex.ForceF64 = true
-		if err = run(); err != nil {
-			return err
-		}
-		// The escalated answer passes the same vet before declaring victory
-		// over the original divergence.
-		if grid.HasNonFinite(x) {
-			return fmt.Errorf("%w: float64 escalation still produced a non-finite iterate", mg.ErrDiverged)
-		}
-		return nil
 	}
 	return err
 }
@@ -565,55 +513,6 @@ func (s *Solver) Describe(n int, accuracy float64, full bool) (string, error) {
 		return mg.DescribeFull(s.tuned.F, s.tuned.V, level, idx), nil
 	}
 	return mg.DescribeV(s.tuned.V, level, idx), nil
-}
-
-// PlanPrecision reports the storage precision in which Solve — and so
-// SolveContext, Service and the serve handlers — runs the finest grid of a
-// side-n problem at the given accuracy, erring when n or accuracy is outside
-// the tuned range. Solve runs the full-multigrid table, whose cells carry no
-// precision directive: the estimate's correction and the solve phase
-// traverse the finest grid in float64 (mg.Executor.SolveFull), so the label
-// is always "f64" — escalation cannot change it — even where the V cell of
-// the same (n, accuracy), which SolveV runs, is "f32" or "mixed". Coarser
-// cells inside the cycle keep their own tuned precisions (PlanPrecisions).
-func (s *Solver) PlanPrecision(n int, accuracy float64) (string, error) {
-	if err := s.checkSizeN(n); err != nil {
-		return "", err
-	}
-	if _, err := s.accIndex(accuracy); err != nil {
-		return "", err
-	}
-	if s.tuned.F == nil {
-		return "", fmt.Errorf("pbmg: solver has no tuned full-multigrid table")
-	}
-	return mg.PrecF64.String(), nil
-}
-
-// PlanPrecisions reports the distinct storage precisions appearing anywhere
-// in the solver's tuned V-table, in fixed f64 → f32 → mixed order — the
-// summary /metrics exposes so an operator can tell at a glance whether a
-// family's tables exploit reduced precision at all.
-func (s *Solver) PlanPrecisions() []string {
-	var seen [3]bool
-	for _, row := range s.tuned.V.Plans {
-		for _, p := range row {
-			switch p.Precision {
-			case mg.PrecF32:
-				seen[1] = true
-			case mg.PrecMixed:
-				seen[2] = true
-			default:
-				seen[0] = true
-			}
-		}
-	}
-	var out []string
-	for i, label := range []string{"f64", "f32", "mixed"} {
-		if seen[i] {
-			out = append(out, label)
-		}
-	}
-	return out
 }
 
 // SolveTraced solves T·x = b like Solve while recording every executed

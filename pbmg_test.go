@@ -3,12 +3,13 @@ package pbmg
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"pbmg/internal/core"
-	"pbmg/internal/grid"
 	"pbmg/internal/mg"
 )
 
@@ -249,42 +250,102 @@ func TestAccuraciesAccessor(t *testing.T) {
 	}
 }
 
-// TestPlanPrecisionNamesTheFullCell: on a table whose V cells run in float32
-// and whose full-multigrid cells run V-cycles in float64, PlanPrecision must
-// name what Solve (and so every served solve) runs, not the V cell. The
-// proof that it does is behavioural: a right-hand side past float32's range
-// makes an f32 cell diverge and escalate, and only SolveV escalates.
-func TestPlanPrecisionNamesTheFullCell(t *testing.T) {
-	const maxLevel, acc = 4, 1e3
-	tuned := &core.Tuned{Machine: "intel-harpertown", Family: "poisson", MaxLevel: maxLevel,
-		V: &mg.VTable{Acc: []float64{acc}}, F: &mg.FTable{Acc: []float64{acc}}}
-	for level := 2; level <= maxLevel; level++ {
-		tuned.V.Plans = append(tuned.V.Plans, []mg.Plan{{Choice: mg.ChoiceVCycle, Iters: 8, Precision: mg.PrecF32}})
-		tuned.F.Plans = append(tuned.F.Plans, []mg.FullPlan{{Choice: mg.FullEstimate, Solve: mg.ChoiceVCycle, Iters: 8}})
-	}
-	if err := tuned.Validate(); err != nil {
+// TestSavedPrecisionCellsRunInFloat64: a saved table whose V cells carry
+// f32 and mixed precision directives still loads, and every cell runs in
+// float64: Solve and SolveV give the same bits as the same table with the
+// directives stripped, and meet their targets. A right-hand side past
+// float32's range (≈ 3.4e38) is an ordinary float64 problem, so it solves
+// with no retry.
+func TestSavedPrecisionCellsRunInFloat64(t *testing.T) {
+	base := tuneFamily(t, FamilyPoisson, 0)
+	// Private deep copies of the tuned tables via the JSON round trip: the
+	// memoized solver is shared with every other test and must not be
+	// mutated.
+	path := filepath.Join(t.TempDir(), "tables.json")
+	if err := base.Save(path); err != nil {
 		t.Fatal(err)
 	}
-	s, err := newSolver(tuned, nil)
+	load := func(mark bool) *Solver {
+		t.Helper()
+		tuned, err := core.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var f32, mixed int
+		for _, row := range tuned.V.Plans {
+			for i := range row {
+				p := &row[i]
+				switch {
+				case !mark || p.Choice == mg.ChoiceDirect:
+					p.Precision = mg.PrecF64
+				case p.Choice == mg.ChoiceSOR || (f32+mixed)%2 == 0:
+					p.Precision, f32 = mg.PrecF32, f32+1
+				default:
+					p.Precision, mixed = mg.PrecMixed, mixed+1
+				}
+			}
+		}
+		if mark && (f32 == 0 || mixed == 0) {
+			t.Fatalf("marked %d f32 and %d mixed cells; the test needs both", f32, mixed)
+		}
+		s, err := newSolver(tuned, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(s.Close)
+		return s
+	}
+	marked, plain := load(true), load(false)
+	if err := marked.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if saved, err := Load(path, 0); err != nil {
+		t.Fatalf("a table with f32 and mixed cells no longer loads: %v", err)
+	} else {
+		saved.Close()
+	}
+
+	// same solves (x0, b) on both tables; p, when non-nil, grades the
+	// answer against target.
+	same := func(what string, solve func(s *Solver, x, b *Grid) error, x0, b *Grid, target float64, p *Problem) {
+		t.Helper()
+		got, want := x0.Clone(), x0.Clone()
+		if err := solve(marked, got, b); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if err := solve(plain, want, b); err != nil {
+			t.Fatalf("%s, directives stripped: %v", what, err)
+		}
+		for i, v := range got.Data() {
+			if math.Float64bits(v) != math.Float64bits(want.Data()[i]) {
+				t.Fatalf("%s: bit %d is %v, %v with the directives stripped", what, i, v, want.Data()[i])
+			}
+		}
+		if p != nil {
+			if acc := p.AccuracyOf(got); acc < target {
+				t.Errorf("%s: accuracy %.3g, want ≥ %g", what, acc, target)
+			}
+		}
+	}
+	p, err := marked.NewFamilyProblem(33, Unbiased, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := grid.SizeOfLevel(maxLevel)
-	if got, err := s.PlanPrecision(n, acc); err != nil || got != "f64" {
-		t.Fatalf("PlanPrecision(%d, %g) = %q, %v; want \"f64\", the full cell's (the V cell is %q)",
-			n, acc, got, err, tuned.V.Plan(maxLevel, 0).Precision)
+	Reference(p)
+	for _, acc := range marked.Accuracies() {
+		same(fmt.Sprintf("Solve at %g", acc), func(s *Solver, x, b *Grid) error { return s.Solve(x, b, acc) }, p.NewState(), p.B, acc, p)
+		same(fmt.Sprintf("SolveV at %g", acc), func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, acc) }, p.NewState(), p.B, acc, p)
 	}
-	b := NewGrid(n)
-	for i := 1; i < n-1; i++ {
-		for j := 1; j < n-1; j++ {
-			b.Set(i, j, 1e39) // float32 overflows at ≈ 3.4e38
+
+	b := NewGrid(17)
+	for i := 1; i < 16; i++ {
+		for j := 1; j < 16; j++ {
+			b.Set(i, j, 1e39)
 		}
 	}
-	if err := s.Solve(NewGrid(n), b, acc); err != nil || s.Escalations() != 0 {
-		t.Fatalf("Solve: err %v, %d escalations; want a float64 solve that never escalates", err, s.Escalations())
-	}
-	if err := s.SolveV(NewGrid(n), b, acc); err != nil || s.Escalations() != 1 {
-		t.Fatalf("SolveV: err %v, %d escalations; want the f32 V cell to escalate once", err, s.Escalations())
+	same("SolveV past float32's range", func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, 1e3) }, NewGrid(17), b, 0, nil)
+	if got := marked.Escalations(); got != 0 {
+		t.Errorf("Escalations = %d, want 0", got)
 	}
 }
 

@@ -68,6 +68,33 @@ func TestServeRejectsNonFiniteInput(t *testing.T) {
 	}
 }
 
+// TestServeRejectsBadGridSide: a side that is not 2^k+1, or past the tuned
+// size, is refused with a 400 before admission, on a solve and on a batch:
+// no request takes a slot, so none counts as admitted or failed.
+func TestServeRejectsBadGridSide(t *testing.T) {
+	_, cl := startServer(t, Config{})
+	ctx := context.Background()
+	for _, n := range []int{4, 65} {
+		b := make([]float64, n*n)
+		_, err := cl.Solve(ctx, SolveRequest{Family: "poisson", N: n, Accuracy: 1e3, B: b})
+		var se *StatusError
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("solve at n=%d: err = %v, want HTTP 400", n, err)
+		}
+		_, err = cl.Batch(ctx, BatchRequest{Family: "poisson", N: n, Accuracy: 1e3, Problems: []BatchProblem{{B: b}, {B: b}}})
+		if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
+			t.Errorf("batch at n=%d: err = %v, want HTTP 400", n, err)
+		}
+	}
+	m, err := cl.Metrics(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Aggregate.Admitted != 0 || m.Aggregate.Failed != 0 {
+		t.Errorf("bad sides reached admission: %+v", m.Aggregate)
+	}
+}
+
 // TestHealthzReadyz: both probes answer 200 on a healthy server, and both
 // flip to 503 + Retry-After once draining begins — readyz reporting the
 // drain and the per-family breaker states.

@@ -76,11 +76,8 @@ type SolveResponse struct {
 	Family string  `json:"family"`
 	Eps    float64 `json:"eps,omitempty"`
 	N      int     `json:"n"`
-	// Precision is the storage precision in which the solve ran the grid
-	// sent (pbmg.Solver.PlanPrecision). Requests run the full-multigrid
-	// table, whose cells traverse the finest grid in float64, so it is
-	// always "f64"; coarse levels inside the cycle may run in f32 (see
-	// /metrics "precisions").
+	// Precision is the storage precision the solve ran in: always "f64".
+	// Kept for `bench/`; goes with ROADMAP item 0's benchmark PR.
 	Precision string `json:"precision,omitempty"`
 	// SolveNs is the server-side duration of admission and solve together
 	// (any wait in the family's queue included).
@@ -116,8 +113,8 @@ type BatchResponse struct {
 	Family  string        `json:"family"`
 	Eps     float64       `json:"eps,omitempty"`
 	N       int           `json:"n"`
-	// Precision is the storage precision in which the batch's solves ran
-	// their finest grids, as in SolveResponse.
+	// Precision is always "f64", as in SolveResponse. Kept for `bench/`;
+	// goes with ROADMAP item 0's benchmark PR.
 	Precision string `json:"precision,omitempty"`
 }
 
@@ -146,13 +143,9 @@ type FamilyStatus struct {
 	// QueueDepth is its bounded admission queue.
 	Quota      int `json:"quota"`
 	QueueDepth int `json:"queueDepth"`
-	// Precisions lists the distinct plan storage precisions present in the
-	// family's tuned table ("f64", "f32", "mixed"), so operators can see
-	// which families serve mixed-precision plans.
-	Precisions []string `json:"precisions,omitempty"`
-	// Escalations counts reduced-precision solves retried at float64 after
-	// diverging (success or not) — nonzero means live traffic is pushing the
-	// tuned f32/mixed tables past their range.
+	// Escalations is always 0: every solve runs in float64, so none is
+	// retried at a wider precision. Kept for `bench/`; goes with ROADMAP
+	// item 0's benchmark PR.
 	Escalations int64 `json:"escalations"`
 	// Breaker is the family's circuit-breaker state ("closed", "open",
 	// "half-open").

@@ -323,16 +323,28 @@ func (c *catalog) route(familyName string, eps float64) (*pbmg.Service, error) {
 	return c.reg.Lookup(f, eps)
 }
 
+// checkSide refuses a grid side the family does not serve: outside
+// [3, MaxSize], or not 2^k+1.
+func checkSide(svc *pbmg.Service, n int) error {
+	if n < 3 || n > svc.Solver().MaxSize() {
+		return fmt.Errorf("serve: n=%d outside the served range [3, %d] for family %s",
+			n, svc.Solver().MaxSize(), svc.Key())
+	}
+	if grid.Level(n) < 1 {
+		return fmt.Errorf("serve: n=%d is not 2^k+1", n)
+	}
+	return nil
+}
+
 // buildGrids validates one problem's values and wraps them as grids aliasing
 // the given slices, which the caller keeps alive and to itself until the
 // answer is encoded: b, and x when the request carries one — otherwise zeros,
 // len(b) zeroed values of the request's arena (zero boundary, zero guess).
 func buildGrids(svc *pbmg.Service, n int, b, x, zeros []float64) (xg, bg *pbmg.Grid, err error) {
-	dim := svc.Solver().Dim()
-	if n < 3 || n > svc.Solver().MaxSize() {
-		return nil, nil, fmt.Errorf("serve: n=%d outside the served range [3, %d] for family %s",
-			n, svc.Solver().MaxSize(), svc.Key())
+	if err := checkSide(svc, n); err != nil {
+		return nil, nil, err
 	}
+	dim := svc.Solver().Dim()
 	points := gridPoints(n, dim)
 	if len(b) != points {
 		return nil, nil, fmt.Errorf("serve: b has %d values, family %s at n=%d needs %d", len(b), svc.Key(), n, points)
@@ -340,10 +352,9 @@ func buildGrids(svc *pbmg.Service, n int, b, x, zeros []float64) (xg, bg *pbmg.G
 	if len(x) != 0 && len(x) != points {
 		return nil, nil, fmt.Errorf("serve: x has %d values, want %d or none", len(x), points)
 	}
-	// NaN/Inf inputs are rejected before admission: they cannot converge, at
-	// best they burn a solve slot on a guaranteed divergence error, and at
-	// worst (a poisoned boundary in x) they waste the float64 escalation
-	// retry too. Failing 400 here keeps garbage out of the solver entirely.
+	// NaN/Inf inputs are rejected before admission: they cannot converge,
+	// and would burn a solve slot on a guaranteed divergence error. Failing
+	// 400 here keeps garbage out of the solver entirely.
 	if i := firstNonFinite(b); i >= 0 {
 		return nil, nil, fmt.Errorf("serve: b[%d] is not finite", i)
 	}
@@ -491,7 +502,7 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog, arena
 		Family:    svc.Family().String(),
 		Eps:       epsOf(svc),
 		N:         req.N,
-		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
+		Precision: "f64",
 		SolveNs:   time.Since(t0).Nanoseconds(),
 	}
 	encode := func(dst []byte) ([]byte, error) { return appendSolveResponse(dst, &resp) }
@@ -519,6 +530,12 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog, arena
 		writeError(w, err, http.StatusNotFound)
 		return answer{}
 	}
+	// A side the family does not serve fails every problem alike: refused
+	// whole, before any of them takes a slot.
+	if err := checkSide(svc, req.N); err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return answer{}
+	}
 	ctx, cancel := s.requestContext(r, req.DeadlineMs)
 	defer cancel()
 
@@ -527,7 +544,7 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog, arena
 		Family:    svc.Family().String(),
 		Eps:       epsOf(svc),
 		N:         req.N,
-		Precision: planPrecisionOf(svc, req.N, req.Accuracy),
+		Precision: "f64",
 	}
 	// Zero guesses are carved here, before the fan-out shares the arena; each
 	// fan-out worker then validates and wraps its own problem's grids just
@@ -592,7 +609,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			MaxSize:        svc.Solver().MaxSize(),
 			Quota:          svc.Quota(),
 			QueueDepth:     svc.QueueDepth(),
-			Precisions:     svc.Solver().PlanPrecisions(),
 			Escalations:    svc.Solver().Escalations(),
 			Breaker:        rm.Families[i].Breaker,
 			ServiceMetrics: rm.Families[i].ServiceMetrics,
@@ -685,16 +701,4 @@ func epsOf(svc *pbmg.Service) float64 {
 		return svc.Epsilon()
 	}
 	return 0
-}
-
-// planPrecisionOf reports the storage precision the solve of (n, accuracy)
-// ran its finest grid in (SolveResponse.Precision: always "f64"), empty when
-// n or accuracy is outside the tuned range (the solve itself already
-// answered the request, so a miss only omits the advisory field).
-func planPrecisionOf(svc *pbmg.Service, n int, accuracy float64) string {
-	p, err := svc.Solver().PlanPrecision(n, accuracy)
-	if err != nil {
-		return ""
-	}
-	return p
 }

@@ -44,8 +44,8 @@ type Service struct {
 // admission, which never runs a solve: ShedQueueFull + ShedDeadline +
 // BreakerShed + those whose context had expired on arrival; keeping them
 // out of Failed keeps load-shedding and broken requests distinguishable.
-// Cancelled (aborted mid-solve by the context), Diverged (blew up, after any
-// float64 escalation retry) and Panicked (recovered panic) split Failed; the
+// Cancelled (aborted mid-solve by the context), Diverged (a non-finite
+// answer) and Panicked (recovered panic) split Failed; the
 // rest of Failed are client errors. InFlight and QueueLen are gauges —
 // running now, queued for a slot now.
 type ServiceMetrics struct {

@@ -3,19 +3,16 @@ package pbmg
 import (
 	"context"
 	"errors"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"pbmg/internal/core"
-	"pbmg/internal/grid"
 	"pbmg/internal/mg"
 )
 
-// Failure-hardening tests: cooperative cancellation, divergence escalation,
-// panic containment, and the circuit breaker — each followed by the pool
+// Failure-hardening tests: cooperative cancellation, divergence, panic
+// containment, and the circuit breaker — each followed by the pool
 // hygiene checks (no pooled scratch leaked, next solve starts clean) that
 // make the failure paths safe to serve behind. All of these must pass under
 // -race: the abort paths cross the same pooled arenas the happy path uses.
@@ -112,76 +109,6 @@ func TestSolveCancellationAtEntry(t *testing.T) {
 		t.Errorf("SolveContext with an expired context: err = %v, want ErrCancelled wrapping DeadlineExceeded", err)
 	}
 	assertScratchClean(t, s, "after an entry cancel")
-}
-
-// TestDivergenceEscalation: a reduced-precision plan fed input past
-// float32's dynamic range diverges, is retried once at forced float64, and
-// the retry serves a finite answer — with the escalation counted.
-func TestDivergenceEscalation(t *testing.T) {
-	base := tuneFamily(t, FamilyPoisson, 0)
-	// A private deep copy of the tuned tables via the JSON round trip: the
-	// memoized solver is shared with every other test and must not be
-	// mutated.
-	path := filepath.Join(t.TempDir(), "tables.json")
-	if err := base.Save(path); err != nil {
-		t.Fatal(err)
-	}
-	tuned, err := core.Load(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Force f32 storage on the exact cell SolveV executes for (n=17, 1e3).
-	level := grid.Level(17)
-	idx := -1
-	for i, a := range tuned.V.Acc {
-		if a >= 1e3 {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		t.Fatalf("no tuned accuracy ≥ 1e3 in %v", tuned.V.Acc)
-	}
-	tuned.V.Plans[level-2][idx].Precision = mg.PrecF32
-	s, err := newSolver(tuned, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.reducedPrec {
-		t.Fatal("solver with a forced f32 plan did not mark itself reduced-precision")
-	}
-
-	// 1e39 overflows float32 (max ≈3.4e38) to +Inf on conversion, so the
-	// f32 cycle must detect the non-finite iterate; the same value is a
-	// perfectly ordinary float64.
-	x, b := NewGrid(17), NewGrid(17)
-	for i := 1; i < 16; i++ {
-		for j := 1; j < 16; j++ {
-			b.Set(i, j, 1e39)
-		}
-	}
-	if err := s.SolveV(x, b, 1e3); err != nil {
-		t.Fatalf("escalated solve failed: %v", err)
-	}
-	if got := s.Escalations(); got != 1 {
-		t.Fatalf("Escalations = %d, want 1", got)
-	}
-	for i, v := range x.Data() {
-		if v != v || v-v != 0 {
-			t.Fatalf("escalated answer has non-finite value at %d", i)
-		}
-	}
-	assertScratchClean(t, s, "after escalation")
-
-	// A second overload diverges again and escalates again — the counter
-	// accumulates and the state machine is reusable.
-	x.Zero()
-	if err := s.SolveV(x, b, 1e3); err != nil {
-		t.Fatalf("second escalated solve failed: %v", err)
-	}
-	if got := s.Escalations(); got != 2 {
-		t.Fatalf("Escalations after second overload = %d, want 2", got)
-	}
 }
 
 // TestServicePanicContainment: a panicking solve — here one whose recorder
@@ -368,9 +295,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 
 // TestSolveVetsNonFiniteInput: NaN smuggled into a right-hand side cannot
 // come back out as a "successful" NaN answer — the post-solve vet classifies
-// it as divergence. On a table with reduced-precision plans the solve burns
-// its one float64 escalation first (NaN survives f64 too) and still lands on
-// ErrDiverged.
+// it as divergence.
 func TestSolveVetsNonFiniteInput(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
 	x, b := NewGrid(17), NewGrid(17)
