@@ -43,8 +43,10 @@ type kernelCell struct {
 	// is the default float64 row. For "f32" rows the baseline (UnfusedNS)
 	// is the float64 edition of the same fused kernel and FusedNS its
 	// float32 edition, so Speedup is the pure storage-precision win at
-	// equal fusion — the number the mixed-precision plans bank on. (The
-	// wavefront rows compare drivers, not precisions: both sides are f32.)
+	// equal fusion. No plan runs at that width any more — every tuned cell
+	// runs in float64 — so the f32 rows time a path nothing serves, and
+	// ROADMAP item 15 deletes them. (The wavefront rows compare drivers,
+	// not precisions: both sides are f32.)
 	Precision string  `json:"precision,omitempty"`
 	UnfusedNS int64   `json:"unfusedNs"`
 	FusedNS   int64   `json:"fusedNs"`
@@ -226,13 +228,14 @@ func runKernels(workers int, seed int64, writeJSON bool, logf func(string, ...an
 			// solve: measured for the f32-vs-f64 row below.
 			sorF64 := benchBest(reset, func() { sorx12(op, pool, x, b, h, omega) })
 
-			// The mixed-precision rows: the fused downstroke, upstroke, and
-			// 12-sweep passes rerun with float32 storage against the float64
-			// editions just measured — the storage-precision win the tuned
-			// f32 and mixed plans bank on. In the cache-resident regime the
-			// ratio reads ≈1.0x (scalar f32 arithmetic is no faster than
-			// f64); once the working set spills past the LLC, halved bytes
-			// mean halved traffic.
+			// The f32 rows: the fused downstroke, upstroke, and 12-sweep
+			// passes rerun with float32 storage against the float64
+			// editions just measured. No tuned plan runs at that width any
+			// more (every cell runs in float64), so these rows time a
+			// storage width nothing serves; ROADMAP item 15 deletes them.
+			// In the cache-resident regime the ratio reads ≈1.0x (scalar
+			// f32 arithmetic is no faster than f64); once the working set
+			// spills past the LLC, halved bytes mean halved traffic.
 			x32 := grid.NewOf[float32](fam.dim, n)
 			b32 := grid.NewOf[float32](fam.dim, n)
 			r32, scratch32 := grid.NewOf[float32](fam.dim, n), grid.NewOf[float32](fam.dim, n)

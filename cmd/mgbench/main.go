@@ -30,7 +30,7 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, ablation-smoother, ablation-ladder, ablation-pareto, kernels, escapes, bce, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, kernels, escapes, bce, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
@@ -123,17 +123,10 @@ func run(r *experiments.Runner, exp string) error {
 		return printText(r.Fig5(grid.Biased))
 	case "crosstrain":
 		return printTable(r.CrossTrain())
-	case "ablation-smoother":
-		return printTable(r.SmootherAblation())
-	case "ablation-ladder":
-		return printTable(r.LadderAblation())
-	case "ablation-pareto":
-		return printTable(r.ParetoAblation())
 	case "all":
 		for _, e := range []string{
 			"complexity", "fig4", "fig5", "fig6", "fig7", "fig9",
 			"fig10", "fig11", "fig12", "fig13", "fig14", "crosstrain",
-			"ablation-smoother", "ablation-ladder", "ablation-pareto",
 		} {
 			if err := run(r, e); err != nil {
 				return fmt.Errorf("%s: %w", e, err)

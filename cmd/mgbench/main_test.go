@@ -11,8 +11,9 @@ import (
 )
 
 // TestMGBenchSurface builds mgbench and runs the smallest paper experiment,
-// then checks that the retired load studies, the retired cluster sketch and
-// the -compare flag are refused.
+// then checks that the retired load studies, the retired cluster sketch, the
+// retired smoother, ladder and full-DP ablations and the -compare flag are
+// refused.
 func TestMGBenchSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -41,6 +42,9 @@ func TestMGBenchSurface(t *testing.T) {
 		{[]string{"-exp", "serve", "-q"}, `unknown experiment "serve"`},
 		{[]string{"-exp", "baseline", "-q"}, `unknown experiment "baseline"`},
 		{[]string{"-exp", "cluster", "-q"}, `unknown experiment "cluster"`},
+		{[]string{"-exp", "ablation-smoother", "-q"}, `unknown experiment "ablation-smoother"`},
+		{[]string{"-exp", "ablation-ladder", "-q"}, `unknown experiment "ablation-ladder"`},
+		{[]string{"-exp", "ablation-pareto", "-q"}, `unknown experiment "ablation-pareto"`},
 		{[]string{"-compare", "a", "b"}, "flag provided but not defined: -compare"},
 	} {
 		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()

@@ -32,7 +32,7 @@ func exhaustiveTune(tn *Tuner) *Tuned {
 		for _, c := range tn.vCandidates(vt, level) {
 			res = append(res, tn.measure(level, c, probs, nil))
 		}
-		front := &ParetoFront[mg.Plan]{}
+		front := &ParetoFront{}
 		tn.front[level] = front
 		row := make([]mg.Plan, len(acc))
 		for i := range acc {
@@ -43,7 +43,7 @@ func exhaustiveTune(tn *Tuner) *Tuned {
 					best, bestCost = c, cost
 				}
 				if !math.IsInf(cost, 1) {
-					front.Add(ParetoPoint[mg.Plan]{Accuracy: acc[i], Cost: cost, Plan: withIters(r, i)})
+					front.Add(ParetoPoint{Accuracy: acc[i], Cost: cost, Plan: withIters(r, i)})
 				}
 			}
 			row[i] = mg.Plan{Choice: mg.ChoiceDirect}

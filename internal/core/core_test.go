@@ -359,17 +359,17 @@ func TestFrontPopulatedAndNonDominated(t *testing.T) {
 }
 
 func TestParetoFrontBasics(t *testing.T) {
-	var f ParetoFront[mg.Plan]
-	if !f.Add(ParetoPoint[mg.Plan]{Accuracy: 10, Cost: 5}) {
+	var f ParetoFront
+	if !f.Add(ParetoPoint{Accuracy: 10, Cost: 5}) {
 		t.Fatal("first point rejected")
 	}
-	if f.Add(ParetoPoint[mg.Plan]{Accuracy: 9, Cost: 6}) {
+	if f.Add(ParetoPoint{Accuracy: 9, Cost: 6}) {
 		t.Fatal("dominated point accepted")
 	}
-	if !f.Add(ParetoPoint[mg.Plan]{Accuracy: 100, Cost: 50}) {
+	if !f.Add(ParetoPoint{Accuracy: 100, Cost: 50}) {
 		t.Fatal("non-dominated point rejected")
 	}
-	if !f.Add(ParetoPoint[mg.Plan]{Accuracy: 100, Cost: 3}) {
+	if !f.Add(ParetoPoint{Accuracy: 100, Cost: 3}) {
 		t.Fatal("dominating point rejected")
 	}
 	// The last point dominates both earlier ones.
@@ -390,9 +390,9 @@ func TestParetoFrontBasics(t *testing.T) {
 func TestParetoInvariantProperty(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		var front ParetoFront[mg.Plan]
+		var front ParetoFront
 		for i := 0; i < 50; i++ {
-			front.Add(ParetoPoint[mg.Plan]{
+			front.Add(ParetoPoint{
 				Accuracy: math.Exp(rng.Float64() * 20),
 				Cost:     math.Exp(rng.Float64() * 10),
 			})
@@ -405,19 +405,57 @@ func TestParetoInvariantProperty(t *testing.T) {
 				}
 			}
 		}
-		// Points must be sorted by accuracy, and therefore (being
-		// non-dominated) by descending cost.
+		// Sorted by ascending accuracy, cost must strictly ascend too,
+		// otherwise a point would dominate its neighbour.
 		for i := 1; i < len(pts); i++ {
-			if pts[i].Accuracy < pts[i-1].Accuracy || pts[i].Cost < pts[i-1].Cost == false {
-				// ascending accuracy must come with ascending cost
-				if pts[i].Cost <= pts[i-1].Cost {
-					return false
-				}
+			if pts[i].Accuracy < pts[i-1].Accuracy || pts[i].Cost <= pts[i-1].Cost {
+				return false
 			}
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Best between two points takes the cheapest point at or above the target.
+func TestNodeFrontBest(t *testing.T) {
+	var f ParetoFront
+	f.Add(ParetoPoint{Accuracy: 10, Cost: 1})
+	f.Add(ParetoPoint{Accuracy: 1000, Cost: 5})
+	if _, ok := f.Best(1e6); ok {
+		t.Fatal("Best above front accepted")
+	}
+	pt, ok := f.Best(100)
+	if !ok || pt.Cost != 5 {
+		t.Fatalf("Best(100) = %+v, %v", pt, ok)
+	}
+}
+
+// Property: Add keeps the points of a ParetoFront in strictly ascending
+// cost under any insertion sequence.
+func TestNodeFrontInvariantProperty(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		var front ParetoFront
+		for i := 0; i < 60; i++ {
+			front.Add(ParetoPoint{
+				Accuracy: math.Exp(rng.Float64() * 15),
+				Cost:     math.Exp(rng.Float64() * 8),
+			})
+		}
+		pts := front.Points()
+		for i := 1; i < len(pts); i++ {
+			// Sorted ascending by accuracy: cost must strictly ascend too,
+			// otherwise a point would dominate its neighbour.
+			if pts[i].Cost <= pts[i-1].Cost {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -26,8 +26,8 @@
 // an accuracy test stops summing the error once the sum rules out the next
 // target (problem.Problem.Meets). The tables are those of the exhaustive
 // search, byte for byte; the exhaustive driver survives as the test oracle
-// (bound_test.go). TuneHeuristic and TuneVPareto pass no bound: a strategy
-// table is a fixed shape and a Pareto front wants every point.
+// (bound_test.go). TuneHeuristic passes no bound: a strategy table is a
+// fixed shape.
 //
 // Under a trace coster no step runs only to be priced: a candidate's
 // one-iteration trace is recorded by the first step counting runs, and an
@@ -104,10 +104,6 @@ type Config struct {
 	MaxSORIters int
 	// MaxRecurseIters caps iteration counting for recursive choices.
 	MaxRecurseIters int
-	// Smoother selects the in-cycle relaxation kernel (default: the paper's
-	// red-black SOR with ω = 1.15; mg.SmootherJacobi reproduces the
-	// weighted-Jacobi alternative the paper evaluated and rejected, §2.3).
-	Smoother mg.Smoother
 	// Logf, when non-nil, receives progress lines, maybe two at once.
 	Logf func(format string, args ...any)
 }
@@ -201,9 +197,9 @@ type Tuner struct {
 	op     *stencil.Operator // operator family at the finest tuned size
 	ws     *mg.Workspace     // private measurement workspace (see New)
 	probs  map[int][]*problem.Problem
-	front  map[int]*ParetoFront[mg.Plan] // per-level candidate fronts (diagnostics)
-	direct map[int]float64               // direct-solve cost per level, priced once for V and full
-	iter   *iterate                      // this search's iterate (see tuneLevel)
+	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
+	direct map[int]float64      // direct-solve cost per level, priced once for V and full
+	iter   *iterate             // this search's iterate (see tuneLevel)
 
 	work   Stats         // this search's running counters (Factorizations: see spent)
 	levels map[int]Stats // work charged to each tuned level
@@ -233,14 +229,12 @@ func New(cfg Config) (*Tuner, error) {
 	// candidates' coarse solves, the band solves refsol's guard hands a
 	// stalled reference to (16.5 MB at N = 129), and under a wall clock
 	// those of every level the direct choice is timed at.
-	ws := mg.NewWorkspace(cfg.Pool, op)
-	ws.Smoother = cfg.Smoother
 	return &Tuner{
 		cfg:    cfg,
 		op:     op,
-		ws:     ws,
+		ws:     mg.NewWorkspace(cfg.Pool, op),
 		probs:  make(map[int][]*problem.Problem),
-		front:  make(map[int]*ParetoFront[mg.Plan]),
+		front:  make(map[int]*ParetoFront),
 		direct: make(map[int]float64),
 		iter:   &iterate{},
 		levels: make(map[int]Stats),
@@ -252,7 +246,7 @@ func (t *Tuner) Operator() *stencil.Operator { return t.op }
 
 // Front returns the Pareto front of all candidates measured at a level
 // (the full-DP view of §2.2), or nil if the level was not tuned.
-func (t *Tuner) Front(level int) *ParetoFront[mg.Plan] { return t.front[level] }
+func (t *Tuner) Front(level int) *ParetoFront { return t.front[level] }
 
 func (t *Tuner) logf(format string, args ...any) {
 	if t.cfg.Logf != nil {
@@ -768,14 +762,14 @@ func (t *Tuner) tuneVLevel(vt *mg.VTable, level int) []mg.Plan {
 func (t *Tuner) vRow(level int, res []measured, win []int) []mg.Plan {
 	front := t.front[level]
 	if front == nil {
-		front = &ParetoFront[mg.Plan]{}
+		front = &ParetoFront{}
 		t.front[level] = front
 	}
 	row := make([]mg.Plan, len(win))
 	for i, w := range win {
 		for _, r := range res {
 			if cost := r.costPerAcc[i]; !math.IsInf(cost, 1) {
-				front.Add(ParetoPoint[mg.Plan]{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(r, i)})
+				front.Add(ParetoPoint{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(r, i)})
 			}
 		}
 		if w < 0 {

@@ -21,7 +21,6 @@ var modelFigures = []struct {
 	{"fig12", (*experiments.Runner).Fig12},
 	{"fig13", (*experiments.Runner).Fig13},
 	{"crosstrain", one((*experiments.Runner).CrossTrain)},
-	{"ablation-pareto", one((*experiments.Runner).ParetoAblation)},
 }
 
 func one(f func(r *experiments.Runner) (*experiments.Table, error)) func(r *experiments.Runner) ([]*experiments.Table, error) {
@@ -36,8 +35,8 @@ const (
 	figureHeader = "# mgbench -exp "
 )
 
-// TestModelFiguresPinned: the model-priced figures — Figs. 10–13, the
-// cross-training matrix and the discrete-vs-full-DP ablation, at mgbench's
+// TestModelFiguresPinned: the model-priced figures — Figs. 10–13 and the
+// cross-training matrix, at mgbench's
 // default level 8 and seed — print exactly what testdata/figures.txt
 // records. They are deterministic (traces priced by the cost models), so a
 // change to the tuner or the models that moves a figure shows as a diff of

@@ -122,24 +122,20 @@ func solveBits(t *testing.T, f stencil.Family, eps float64, maxN int) map[string
 	for level := 2; level <= grid.Level(maxN); level++ {
 		n := grid.SizeOfLevel(level)
 		p := problem.RandomOp(n, grid.Unbiased, rand.New(rand.NewSource(int64(level))), op.At(n))
-		run := func(key string, smoother mg.Smoother, solve func(ex *mg.Executor, x *grid.Grid)) {
-			ws := mg.NewWorkspace(nil, op)
-			ws.Smoother = smoother
+		run := func(key string, solve func(ex *mg.Executor, x *grid.Grid)) {
 			var tr mg.OpTrace
-			ex := &mg.Executor{WS: ws, V: tuned.V, F: tuned.F, Rec: &tr}
+			ex := &mg.Executor{WS: mg.NewWorkspace(nil, op), V: tuned.V, F: tuned.F, Rec: &tr}
 			x := p.NewState()
 			solve(ex, x)
 			out[fmt.Sprintf("n%d/%s", n, key)] = hashSolve(x, &tr)
 		}
 		for i, acc := range tuned.V.Acc {
 			accKey := fmt.Sprintf("acc1e%d", int(math.Round(math.Log10(acc))))
-			run("V/"+accKey, mg.SmootherSOR, func(ex *mg.Executor, x *grid.Grid) { ex.SolveV(x, p.B, i) })
-			run("full/"+accKey, mg.SmootherSOR, func(ex *mg.Executor, x *grid.Grid) { ex.SolveFull(x, p.B, i) })
+			run("V/"+accKey, func(ex *mg.Executor, x *grid.Grid) { ex.SolveV(x, p.B, i) })
+			run("full/"+accKey, func(ex *mg.Executor, x *grid.Grid) { ex.SolveFull(x, p.B, i) })
 		}
-		run("RefVCycle", mg.SmootherSOR, func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefVCycle(x, p.B, ex.Rec) })
-		run("RefFullMG", mg.SmootherSOR, func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefFullMG(x, p.B, ex.Rec) })
-		run("RefVCycle-jacobi", mg.SmootherJacobi, func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefVCycle(x, p.B, ex.Rec) })
-		run("RefFullMG-jacobi", mg.SmootherJacobi, func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefFullMG(x, p.B, ex.Rec) })
+		run("RefVCycle", func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefVCycle(x, p.B, ex.Rec) })
+		run("RefFullMG", func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefFullMG(x, p.B, ex.Rec) })
 	}
 	return out
 }

@@ -440,32 +440,6 @@ func TestChoiceStrings(t *testing.T) {
 	}
 }
 
-func TestSmootherString(t *testing.T) {
-	if SmootherSOR.String() != "sor-1.15" || SmootherJacobi.String() != "jacobi-2/3" {
-		t.Fatal("Smoother.String mismatch")
-	}
-	if Smoother(9).String() == "" {
-		t.Fatal("unknown smoother should still render")
-	}
-}
-
-func TestJacobiSmootherConvergesInVCycle(t *testing.T) {
-	p, ws := testProblem(t, 33, grid.Unbiased, 41)
-	ws.Smoother = SmootherJacobi
-	x := p.NewState()
-	iters, acc := ws.SolveRefV(x, p.B, 1e5, 100, func() float64 { return p.AccuracyOf(x) }, nil)
-	if acc < 1e5 {
-		t.Fatalf("Jacobi-smoothed V cycles reached %.3g after %d iters", acc, iters)
-	}
-	// The paper found SOR the better smoother: same target, fewer cycles.
-	ws2 := NewWorkspace(nil, stencil.Poisson())
-	xs := p.NewState()
-	itersSOR, _ := ws2.SolveRefV(xs, p.B, 1e5, 100, func() float64 { return p.AccuracyOf(xs) }, nil)
-	if itersSOR > iters {
-		t.Fatalf("SOR smoothing took more cycles (%d) than Jacobi (%d)", itersSOR, iters)
-	}
-}
-
 func TestVCycleChoiceExecutes(t *testing.T) {
 	p, ws := testProblem(t, 17, grid.Unbiased, 42)
 	vt := uniformVTable(4, 1)

@@ -150,16 +150,10 @@ func (p Plan) validate(numAcc int) error {
 	}
 	switch p.Choice {
 	case ChoiceDirect:
-		if p.Precision == PrecF32 || p.Precision == PrecMixed {
-			return fmt.Errorf("direct plan cannot carry precision %q (band Cholesky is always f64)", p.Precision)
-		}
 		return nil
 	case ChoiceSOR:
 		if p.Iters < 1 {
 			return fmt.Errorf("sor plan needs iters ≥ 1, got %d", p.Iters)
-		}
-		if p.Precision == PrecMixed {
-			return fmt.Errorf("mixed precision needs a cycle choice (recurse/vcycle), got sor")
 		}
 		return nil
 	case ChoiceRecurse:

@@ -15,26 +15,20 @@ import (
 )
 
 // Workspace holds the configuration and shared resources behind multigrid
-// executions: the worker pool, the smoother choice, the operator and
-// the direct-factor cache. All per-solve scratch state (the residual and
-// transfer grids a cycle needs at each level) is checked out from a
-// sync.Pool-backed arena for exactly the duration of the cycle step that
-// needs it, so a single Workspace is safe for concurrent solves: any number
+// executions: the worker pool, the operator and the direct-factor cache. All
+// per-solve scratch state (the residual and transfer grids a cycle needs at
+// each level) is checked out from a sync.Pool-backed arena for exactly the
+// duration of the cycle step that needs it, so a single Workspace is safe for concurrent solves: any number
 // of goroutines may run cycles against it simultaneously, sharing one set
 // of tuned tables, one worker pool, and one direct-factor cache.
 //
-// The configuration fields (Pool, Smoother, Op, FactorCache) must be
-// set before the workspace is shared across goroutines; solves treat them as
-// read-only.
+// The configuration fields (Pool, Op, FactorCache) must be set before the
+// workspace is shared across goroutines; solves treat them as read-only.
 type Workspace struct {
 	// Pool parallelizes the stencil and transfer kernels. Nil runs serially.
 	// A non-nil pool may be shared with other workspaces and with concurrent
 	// solves; sched.Pool supports concurrent callers.
 	Pool *sched.Pool
-	// Smoother selects the in-cycle relaxation kernel. The paper fixes
-	// red-black SOR with ω=1.15 after finding it beat weighted Jacobi on
-	// its training data (§2.3); SmootherJacobi reproduces that ablation.
-	Smoother Smoother
 	// Op is the operator family the workspace solves, discretized at the
 	// finest grid size it will see; coarser levels are derived on demand via
 	// the operator's memoized coarse hierarchy.
@@ -140,84 +134,28 @@ func (ws *Workspace) SOR(x, b *grid.Grid, omega float64, sweeps int, rec Recorde
 	record(rec, EvIterSolve, grid.Level(n), sweeps)
 }
 
-// Smoother selects the relaxation kernel used inside cycles.
-type Smoother int
-
-const (
-	// SmootherSOR is red-black SOR with ω = 1.15, the paper's choice.
-	SmootherSOR Smoother = iota
-	// SmootherJacobi is weighted Jacobi with the classic w = 2/3, the
-	// alternative the paper evaluated and rejected (§2.3).
-	SmootherJacobi
-)
-
-// String returns the smoother name.
-func (s Smoother) String() string {
-	switch s {
-	case SmootherSOR:
-		return "sor-1.15"
-	case SmootherJacobi:
-		return "jacobi-2/3"
-	default:
-		return fmt.Sprintf("Smoother(%d)", int(s))
-	}
-}
-
-// jacobiWeight is the standard smoothing weight for weighted Jacobi on the
-// 5-point Laplacian.
-const jacobiWeight = 2.0 / 3.0
-
-// smooth runs sweeps of the configured smoother and records them as
-// relaxations. tmp is a caller-provided scratch grid of x's size; the SOR
-// smoother updates in place and ignores it. The SOR weight is the operator
-// family's in-cycle heuristic (stencil.Operator.OmegaSmooth); the Jacobi
-// ablation keeps the classic fixed w = 2/3 for every family.
-func (ws *Workspace) smooth(x, b, tmp *grid.Grid, sweeps int, rec Recorder) {
-	n := x.N()
-	h := 1.0 / float64(n-1)
-	op := ws.opAt(n)
-	switch ws.Smoother {
-	case SmootherJacobi:
-		for s := 0; s < sweeps; s++ {
-			stencil.OpJacobiSweep(op, ws.Pool, tmp, x, b, h, jacobiWeight)
-			x.CopyFrom(tmp)
-		}
-	default:
-		omega := op.OmegaSmooth()
-		for s := 0; s < sweeps; s++ {
-			stencil.OpSORSweepRB(op, ws.Pool, x, b, h, omega)
-		}
-	}
-	record(rec, EvRelax, grid.Level(n), sweeps)
-}
-
-// restrictResidual computes the coarse right-hand side bufs.cb =
-// R·(b − T·x) at x's size, with bufs' fine grids as scratch, in the fused
-// ResidualRestrict kernel: one stream over the fine grid, the fine residual
-// never materialized. It records one EvResidual and one EvRestrict: the
-// trace counts logical operations, and the architecture cost model prices
-// their fused traversal intensities.
-func (ws *Workspace) restrictResidual(x, b *grid.Grid, bufs *levelBufs, rec Recorder) {
-	n := x.N()
-	lvl := grid.Level(n)
-	stencil.OpResidualRestrict(ws.opAt(n), ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, 1.0/float64(n-1))
-	record(rec, EvResidual, lvl, 1)
-	record(rec, EvRestrict, lvl, 1)
-}
-
 // estimate is the ESTIMATE step shared by both full-multigrid drivers
 // (§2.4): restrict the residual problem to half resolution, hand coarse a
 // zeroed coarse state and the restricted residual, and add the interpolated
-// correction to x. ESTIMATE has no post-smooth to fuse the correction into;
-// the row-fused interpolate-add streams it through a row of scratch.
+// correction to x. The coarse right-hand side R·(b − T·x) comes from the
+// fused ResidualRestrict kernel — one stream over the fine grid, the fine
+// residual never materialized — recorded as one EvResidual and one
+// EvRestrict: the trace counts logical operations, and the architecture
+// cost model prices their fused traversal intensities. ESTIMATE has no
+// post-smooth to fuse the correction into; the row-fused interpolate-add
+// streams it through a row of scratch.
 func (ws *Workspace) estimate(x, b *grid.Grid, rec Recorder, coarse func(cx, cb *grid.Grid)) {
-	bufs := ws.checkout(x.N())
+	n := x.N()
+	lvl := grid.Level(n)
+	bufs := ws.checkout(n)
 	defer ws.release(bufs)
-	ws.restrictResidual(x, b, bufs, rec)
+	stencil.OpResidualRestrict(ws.opAt(n), ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, 1.0/float64(n-1))
+	record(rec, EvResidual, lvl, 1)
+	record(rec, EvRestrict, lvl, 1)
 	bufs.cx.Zero()
 	coarse(bufs.cx, bufs.cb)
 	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
-	record(rec, EvInterp, grid.Level(x.N()), 1)
+	record(rec, EvInterp, lvl, 1)
 }
 
 // RecurseWith performs the shared coarse-grid-correction skeleton of
@@ -243,34 +181,21 @@ func (ws *Workspace) RecurseWith(x, b *grid.Grid, rec Recorder, coarseSolve func
 	bufs := ws.checkout(n)
 	defer ws.release(bufs)
 
-	// Downstroke: pre-smooth, residual, restrict. With the SOR smoother the
-	// three passes run as one composed kernel — the sweep's black half
-	// emits its residuals for free and the fused restriction evaluates the
-	// red half on the fly — so the fine grid is never re-traversed for a
-	// standalone residual pass. The Jacobi ablation keeps its sweep apart.
-	if ws.Smoother == SmootherSOR {
-		stencil.OpDownstroke(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h, op.OmegaSmooth())
-		record(rec, EvRelax, lvl, 1)
-		record(rec, EvResidual, lvl, 1)
-		record(rec, EvRestrict, lvl, 1)
-	} else {
-		ws.smooth(x, b, bufs.scratch, 1, rec)
-		ws.restrictResidual(x, b, bufs, rec)
-	}
+	// Downstroke: pre-smooth, residual, restrict as one composed kernel —
+	// the sweep's black half emits its residuals for free and the fused
+	// restriction evaluates the red half on the fly — so the fine grid is
+	// never re-traversed for a standalone residual pass. The smoother is the
+	// paper's red-black SOR (§2.3) at the family's in-cycle weight.
+	stencil.OpDownstroke(op, ws.Pool, bufs.cb, x, b, bufs.r, bufs.scratch, h, op.OmegaSmooth())
+	record(rec, EvRelax, lvl, 1)
+	record(rec, EvResidual, lvl, 1)
+	record(rec, EvRestrict, lvl, 1)
 	bufs.cx.Zero()
 	coarseSolve(bufs.cx, bufs.cb)
 
-	// Upstroke: interpolate, correct, post-smooth. With the SOR smoother the
-	// three run as one traversal (Upstroke) — the standalone interpolate and
-	// correct full-grid passes disappear. The iterate is bit-identical to the
-	// separate passes, which the Jacobi ablation keeps.
-	if ws.Smoother == SmootherSOR {
-		stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, op.OmegaSmooth())
-		record(rec, EvInterp, lvl, 1)
-		record(rec, EvRelax, lvl, 1)
-		return
-	}
-	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
+	// Upstroke: interpolate, correct, post-smooth in one traversal — the
+	// standalone interpolate and correct full-grid passes disappear.
+	stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, op.OmegaSmooth())
 	record(rec, EvInterp, lvl, 1)
-	ws.smooth(x, b, bufs.scratch, 1, rec)
+	record(rec, EvRelax, lvl, 1)
 }

@@ -8,8 +8,7 @@ import (
 	"pbmg/internal/sched"
 )
 
-// strokeKernels are the cycle's kernel entry points — and the unfused residual
-// and Jacobi sweep the mixed-precision refinement and the Jacobi ablation run —
+// strokeKernels are the cycle's kernel entry points, and the unfused residual,
 // bound to one set of grids.
 func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 	name string
@@ -31,7 +30,6 @@ func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 		{"OpSORSweepRB", func() { OpSORSweepRB(op, p, x, b, h, omega) }},
 		{"OpResidualNorm", func() { OpResidualNorm(op, p, x, b, h) }},
 		{"OpResidual", func() { OpResidual(op, p, r, x, b, h) }},
-		{"OpJacobiSweep", func() { OpJacobiSweep(op, p, scratch, x, b, h, 2.0/3.0) }},
 	}
 }
 

@@ -18,7 +18,7 @@
 // and exposes them as stages over units — a unit is a grid row in 2D and a
 // plane (its interior rows, one row kernel call each) in 3D. Every entry point
 // of the package runs through it, the single-stage ones (OpResidual,
-// OpJacobiSweep) included. With a pool and a grid large enough for it to
+// OpResidualNorm) included. With a pool and a grid large enough for it to
 // split, each stage is a barrier-separated pass over all units (chunks own
 // disjoint units, so the result is independent of the chunking). Otherwise
 // the stages run as a wavefront, each trailing the previous by one unit, so
@@ -49,7 +49,7 @@
 // contract refsol relies on.
 //
 // The oracles live in the tests: oracle_test.go writes the sweep, the
-// residual, Jacobi and the operator apply point by point, with the operands
+// residual and the operator apply point by point, with the operands
 // in the order the row kernels must keep, and pins the single-stage entry
 // points to them bit for bit; the equivalence and fuzz suites hold the fused
 // paths to those. Iterates are bit-identical to the
@@ -255,30 +255,6 @@ func (k *rowOps[T]) residual(dst []T, i int, all bool) {
 		residualRowConst(dst, xr, up, down, br, c, k.inv, k.cx, k.cy, k.center)
 	default:
 		residualRowVar(dst, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), c, k.inv)
-	}
-}
-
-// jacobi writes one weighted-Jacobi step of unit i, with the binding's
-// relaxation weight, into the same unit of r.
-func (k *rowOps[T]) jacobi(i int) {
-	if k.dim3() {
-		n := k.n
-		x, up, down := planes(k.x, i)
-		b, out := k.b.Plane(i), k.r.Plane(i)
-		for j := 1; j < n-1; j++ {
-			lo, hi := j*n, (j+1)*n
-			jacobiRow3(out[lo:hi], x[lo:hi], up[lo:hi], down[lo:hi], x[lo-n:lo], x[hi:hi+n], b[lo:hi], k.h2, k.omega)
-		}
-		return
-	}
-	xr, up, down, br, out := k.x.Row(i), k.x.Row(i-1), k.x.Row(i+1), k.b.Row(i), k.r.Row(i)
-	switch k.family {
-	case FamilyPoisson:
-		jacobiRow(out, xr, up, down, br, k.h2, k.omega)
-	case FamilyAnisotropic:
-		jacobiRowConst(out, xr, up, down, br, k.h2, k.omega, k.cx, k.cy, k.invC)
-	default:
-		jacobiRowVar(out, xr, up, down, br, k.c.Row(i), k.c.Row(i-1), k.c.Row(i+1), k.h2, k.omega)
 	}
 }
 
@@ -518,30 +494,6 @@ func residualPass[T grid.Float](k rowOps[T]) {
 	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			k.residual(k.resUnit(i), i, true)
-		}
-	})
-}
-
-// jacobiSweep writes one weighted-Jacobi step of x into r, boundary copied
-// from x. Every unit reads only x, so any order — and any chunking — gives
-// the same bits.
-func (k *rowOps[T]) jacobiSweep() {
-	k.r.CopyBoundaryFrom(k.x)
-	if k.pool != nil {
-		jacobiPass(*k)
-		return
-	}
-	for i := 1; i < k.n-1; i++ {
-		k.jacobi(i)
-	}
-}
-
-// jacobiPass is jacobiSweep's pooled pass (by-value receiver: see
-// halfSweepPass).
-func jacobiPass[T grid.Float](k rowOps[T]) {
-	k.forUnits(func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			k.jacobi(i)
 		}
 	})
 }

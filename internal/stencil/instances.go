@@ -8,7 +8,6 @@ package stencil
 // are reported for.
 var _ = []any{
 	OpSORSweepRB[float64], OpSORSweepRB[float32],
-	OpJacobiSweep[float64], OpJacobiSweep[float32],
 	OpResidual[float64], OpResidual[float32],
 	OpResidualNorm[float64], OpResidualNorm[float32],
 	OpDownstroke[float64], OpDownstroke[float32],

@@ -356,15 +356,6 @@ func OpSORSweepRB[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T],
 	k.sweep()
 }
 
-// OpJacobiSweep performs one weighted-Jacobi sweep for op with weight w,
-// reading from x and writing the relaxed iterate into out (boundary copied
-// from x) — the smoother the paper evaluated and rejected (§2.3), kept for
-// that ablation. out must not alias x.
-func OpJacobiSweep[T grid.Float](op *Operator, pool *sched.Pool, out, x, b *grid.G[T], h, w T) {
-	k := bindRows(op, pool, x, b, out, h, w)
-	k.jacobiSweep()
-}
-
 // OpResidual computes r = b − T·x on interior points and zeroes r's
 // boundary. r must not alias x or b.
 func OpResidual[T grid.Float](op *Operator, pool *sched.Pool, r, x, b *grid.G[T], h T) {

@@ -11,7 +11,7 @@ import (
 // The package's oracles. Each kernel below is written point by point over a
 // grid's flat storage, with the operands of every point in the order the row
 // kernels must keep, and exists only here: the production entry points must
-// reproduce them bit for bit (refSweep, refResidual, refJacobi) or — the
+// reproduce them bit for bit (refSweep, refResidual) or — the
 // operator apply, which no production path needs — serve as the independent
 // statement of T that the residual is checked against.
 //
@@ -104,16 +104,6 @@ func refSweep[T grid.Float](op *Operator, x, b *grid.G[T], h, omega T) {
 	}
 }
 
-// refJacobi writes one weighted-Jacobi step of x into out, boundary copied
-// from x.
-func refJacobi[T grid.Float](op *Operator, out, x, b *grid.G[T], h, w T) {
-	out.CopyFrom(x)
-	od, xd, bd, n := out.Data(), x.Data(), b.Data(), x.N()
-	forInterior(x.Dim(), n, func(idx, _ int) {
-		od[idx] = xd[idx] + w*(refGaussSeidelAt(op, xd, bd, n, idx, h)-xd[idx])
-	})
-}
-
 // refResidual writes r = b − T·x on the interior and zeroes r's boundary.
 func refResidual[T grid.Float](op *Operator, r, x, b *grid.G[T], h T) {
 	r.Zero()
@@ -132,8 +122,8 @@ func refApply[T grid.Float](op *Operator, y, x *grid.G[T], h T) {
 	})
 }
 
-// TestSingleStageKernelsMatchOracles pins OpResidual and OpJacobiSweep, which
-// run on the shared row kernels, to the point-by-point oracles above: bit for
+// TestSingleStageKernelsMatchOracles pins OpResidual, which runs on the
+// shared row kernels, to the point-by-point oracle above: bit for
 // bit, in every family and precision, serially and on pools that split the
 // grid and pools that do not, with a non-zero Dirichlet boundary and output
 // grids that start dirty.
@@ -161,12 +151,11 @@ func checkSingleStage[T grid.Float](t *testing.T, op *Operator, n int, pools []*
 	src := splitmix(7*n + op.Dim())
 	dim := op.Dim()
 	x, b := randomOf[T](&src, dim, n), randomOf[T](&src, dim, n)
-	h, w := T(1/float64(n-1)), T(2.0/3.0)
+	h := T(1 / float64(n-1))
 	const junk = 7
 
-	wantR, wantJ := grid.NewOf[T](dim, n), grid.NewOf[T](dim, n)
+	wantR := grid.NewOf[T](dim, n)
 	refResidual(op, wantR, x, b, h)
-	refJacobi(op, wantJ, x, b, h, w)
 	for _, pool := range append([]*sched.Pool{nil}, pools...) {
 		how := "serial"
 		if pool != nil {
@@ -175,8 +164,5 @@ func checkSingleStage[T grid.Float](t *testing.T, op *Operator, n int, pools []*
 		r := filledOf[T](dim, n, junk)
 		OpResidual(op, pool, r, x, b, h)
 		assertSameBits(t, r, wantR, "OpResidual vs oracle, "+how)
-		out := filledOf[T](dim, n, junk)
-		OpJacobiSweep(op, pool, out, x, b, h, w)
-		assertSameBits(t, out, wantJ, "OpJacobiSweep vs oracle, "+how)
 	}
 }

@@ -149,11 +149,6 @@ func cycleBits[T grid.Float](op *Operator, dim, n int, pool *sched.Pool) map[str
 			OpResidual(op, pool, r, x0, b, h)
 			hashGrid(bh, r)
 		}},
-		{"OpJacobiSweep", func(bh bitsHash, omega T) {
-			out := dirty(n)
-			OpJacobiSweep(op, pool, out, x0, b, h, omega)
-			hashGrid(bh, out)
-		}},
 	}
 	got := make(map[string]uint64, len(entries))
 	for _, e := range entries {

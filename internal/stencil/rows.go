@@ -1,5 +1,5 @@
 // Row kernels, 2D and 3D. Every kernel of this package — the SOR sweep,
-// Jacobi, the residual and its norm, the downstroke, the upstroke,
+// the residual and its norm, the downstroke, the upstroke,
 // serial or pooled, in any family — is a driver of fused.go or upstroke.go
 // calling the loops in this file, one grid row at a time. A row kernel takes
 // whole rows of equal length n as plain slices and, unless it visits every
@@ -72,19 +72,6 @@ func residualRow[T grid.Float](rr, xr, up, down, br []T, c int, inv T) {
 	}
 }
 
-// jacobiRow writes one weighted-Jacobi step of every interior point of a row
-// into dst: relaxRow's update, reading only the old iterate. dst must not
-// alias xr.
-func jacobiRow[T grid.Float](dst, xr, up, down, br []T, h2, w T) {
-	n := len(xr) - 1
-	east := xr[1:][:n]
-	dst, xr, up, down, br = dst[:n], xr[:n], up[:n], down[:n], br[:n]
-	for j := 1; j < n; j++ {
-		gs := (up[j] + down[j] + xr[j-1] + east[j] + h2*br[j]) * 0.25
-		dst[j] = xr[j] + w*(gs-xr[j])
-	}
-}
-
 // gatherRow completes the red residuals of one row of a residual grid the
 // two emitting half-sweeps filled, reading only that grid: a red entry holds
 // its mid-sweep residual, which the black neighbours' later moves shifted by
@@ -146,16 +133,6 @@ func residualRowConst[T grid.Float](rr, xr, up, down, br []T, c int, inv, cx, cy
 	}
 	for j := 1 + c&1; j < n; j += 2 {
 		rr[j] = br[j] - (center*xr[j]-cy*(up[j]+down[j])-cx*(xr[j-1]+east[j]))*inv
-	}
-}
-
-func jacobiRowConst[T grid.Float](dst, xr, up, down, br []T, h2, w, cx, cy, invC T) {
-	n := len(xr) - 1
-	east := xr[1:][:n]
-	dst, xr, up, down, br = dst[:n], xr[:n], up[:n], down[:n], br[:n]
-	for j := 1; j < n; j++ {
-		gs := (cy*(up[j]+down[j]) + cx*(xr[j-1]+east[j]) + h2*br[j]) * invC
-		dst[j] = xr[j] + w*(gs-xr[j])
 	}
 }
 
@@ -235,23 +212,6 @@ func residualRowVar[T grid.Float](rr, xr, up, down, br, cr, cu, cd []T, c int, i
 	}
 }
 
-func jacobiRowVar[T grid.Float](dst, xr, up, down, br, cr, cu, cd []T, h2, w T) {
-	n := len(xr) - 1
-	east, ceast := xr[1:][:n], cr[1:][:n]
-	dst, xr, up, down, br = dst[:n], xr[:n], up[:n], down[:n], br[:n]
-	cr, cu, cd = cr[:n], cu[:n], cd[:n]
-	h2 *= 2
-	for j := 1; j < n; j++ {
-		cc := cr[j]
-		cn := cc + cu[j]
-		cs := cc + cd[j]
-		cw := cc + cr[j-1]
-		ce := cc + ceast[j]
-		gs := (cn*up[j] + cs*down[j] + cw*xr[j-1] + ce*east[j] + h2*br[j]) / (cn + cs + cw + ce)
-		dst[j] = xr[j] + w*(gs-xr[j])
-	}
-}
-
 // --- 7-point stencil (3D): a row has two more neighbour rows, north and
 // south in its own plane beside up and down in the planes around it ---
 
@@ -290,16 +250,6 @@ func residualRow3[T grid.Float](rr, xr, up, down, north, south, br []T, c int, i
 	}
 	for k := 1 + c&1; k < n; k += 2 {
 		rr[k] = br[k] - (6*xr[k]-up[k]-down[k]-north[k]-south[k]-xr[k-1]-east[k])*inv
-	}
-}
-
-func jacobiRow3[T grid.Float](dst, xr, up, down, north, south, br []T, h2, w T) {
-	n := len(xr) - 1
-	east := xr[1:][:n]
-	dst, xr, up, down, north, south, br = dst[:n], xr[:n], up[:n], down[:n], north[:n], south[:n], br[:n]
-	for k := 1; k < n; k++ {
-		gs := (up[k] + down[k] + north[k] + south[k] + xr[k-1] + east[k] + h2*br[k]) * (1.0 / 6.0)
-		dst[k] = xr[k] + w*(gs-xr[k])
 	}
 }
 

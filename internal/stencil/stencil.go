@@ -8,10 +8,9 @@
 //
 //	(6·x[i,j,k] − x[i±1,j,k] − x[i,j±1,k] − x[i,j,k±1]) / h² = b[i,j,k]
 //
-// (operator.go). It provides the paper's iterative building blocks — red-black
-// Successive Over-Relaxation (the smoother and shortcut iterative solver) and
-// weighted Jacobi (evaluated and rejected by the paper's tuner, kept for the
-// same comparison) — plus the residual, its norm, and the fused V-cycle
+// (operator.go). It provides the paper's iterative building block — red-black
+// Successive Over-Relaxation, the one smoother (§2.3) and the shortcut
+// iterative solver — plus the residual, its norm, and the fused V-cycle
 // strokes. Every entry point is an Op* function generic over the storage
 // precision, and every one binds the same row kernels (rows.go) to its grids
 // and runs them under one serial or one pooled driver (fused.go, upstroke.go).

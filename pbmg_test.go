@@ -251,13 +251,15 @@ func TestAccuraciesAccessor(t *testing.T) {
 }
 
 // TestSavedPrecisionCellsRunInFloat64: a saved table whose V cells carry
-// f32 and mixed precision directives still loads, and every cell runs in
+// f32 and mixed precision directives — direct and SOR cells included, which
+// no reduced-precision path ever ran — still loads, and every cell runs in
 // float64: Solve and SolveV give the same bits as the same table with the
 // directives stripped, and meet their targets. A right-hand side past
 // float32's range (≈ 3.4e38) is an ordinary float64 problem, so it solves
-// with no retry.
+// with no retry. The table is poisson3d's, the one small tune whose V cells
+// hold all four choices.
 func TestSavedPrecisionCellsRunInFloat64(t *testing.T) {
-	base := tuneFamily(t, FamilyPoisson, 0)
+	base := tuneFamily(t, FamilyPoisson3D, 0)
 	// Private deep copies of the tuned tables via the JSON round trip: the
 	// memoized solver is shared with every other test and must not be
 	// mutated.
@@ -271,22 +273,23 @@ func TestSavedPrecisionCellsRunInFloat64(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var f32, mixed int
+		// Each choice's cells alternate f32 and mixed, so two cells of a
+		// choice carry both directives.
+		cells := map[mg.Choice]int{}
 		for _, row := range tuned.V.Plans {
 			for i := range row {
 				p := &row[i]
-				switch {
-				case !mark || p.Choice == mg.ChoiceDirect:
-					p.Precision = mg.PrecF64
-				case p.Choice == mg.ChoiceSOR || (f32+mixed)%2 == 0:
-					p.Precision, f32 = mg.PrecF32, f32+1
-				default:
-					p.Precision, mixed = mg.PrecMixed, mixed+1
+				p.Precision = mg.PrecF64
+				if mark {
+					p.Precision = [2]mg.Precision{mg.PrecF32, mg.PrecMixed}[cells[p.Choice]%2]
+					cells[p.Choice]++
 				}
 			}
 		}
-		if mark && (f32 == 0 || mixed == 0) {
-			t.Fatalf("marked %d f32 and %d mixed cells; the test needs both", f32, mixed)
+		for _, c := range []mg.Choice{mg.ChoiceDirect, mg.ChoiceSOR, mg.ChoiceRecurse, mg.ChoiceVCycle} {
+			if mark && cells[c] < 2 {
+				t.Fatalf("%d %v cells marked; the test needs both directives on every choice", cells[c], c)
+			}
 		}
 		s, err := newSolver(tuned, nil)
 		if err != nil {
@@ -337,13 +340,10 @@ func TestSavedPrecisionCellsRunInFloat64(t *testing.T) {
 		same(fmt.Sprintf("SolveV at %g", acc), func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, acc) }, p.NewState(), p.B, acc, p)
 	}
 
-	b := NewGrid(17)
-	for i := 1; i < 16; i++ {
-		for j := 1; j < 16; j++ {
-			b.Set(i, j, 1e39)
-		}
-	}
-	same("SolveV past float32's range", func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, 1e3) }, NewGrid(17), b, 0, nil)
+	b := NewGrid3(17)
+	b.Fill(1e39)
+	b.ZeroBoundary()
+	same("SolveV past float32's range", func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, 1e3) }, NewGrid3(17), b, 0, nil)
 	if got := marked.Escalations(); got != 0 {
 		t.Errorf("Escalations = %d, want 0", got)
 	}
