@@ -8,8 +8,10 @@
 // circuit breaker (-breaker-threshold, -breaker-cooldown) sheds 503 +
 // Retry-After after consecutive solver failures.
 //
+//	mkdir tables
+//	mgtune -size 65 -machine intel-harpertown -o tables/poisson.json
+//	mgtune -size 17 -family poisson3d -machine intel-harpertown -o tables/poisson3d.json
 //	mgserved -addr :8080 -configdir tables/ -quota poisson=6,poisson3d=2
-//	mgserved -addr :8080 -families poisson,poisson3d -size 65 -size3d 17
 //
 // Signals: SIGHUP rebuilds the catalog from -configdir and swaps it
 // atomically (a broken directory leaves the live catalog serving);
@@ -36,7 +38,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"syscall"
 	"time"
@@ -48,10 +49,6 @@ import (
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	configdir := flag.String("configdir", "", "directory of tuned-table JSON files (one per family, from mgtune)")
-	families := flag.String("families", "", "tune these families in-process instead of -configdir: comma list of family[:eps]")
-	machine := flag.String("machine", "intel-harpertown", "cost model for in-process tuning with -families")
-	size := flag.Int("size", 65, "tuned max grid side for 2D families with -families")
-	size3d := flag.Int("size3d", 17, "tuned max grid side for 3D families with -families")
 	workers := flag.Int("workers", runtime.NumCPU(), "kernel worker threads shared by all solves")
 	inflight := flag.Int("inflight", 0, "global max in-flight solves (0: 2×GOMAXPROCS; raised to the quota sum when quotas bind)")
 	quota := flag.String("quota", "", "per-family concurrent-solve quotas, e.g. poisson=6,aniso:0.01=4,poisson3d=2")
@@ -62,6 +59,9 @@ func main() {
 	breakerThreshold := flag.Int("breaker-threshold", 0, "consecutive solver failures opening a family's circuit breaker (0: default 5)")
 	breakerCooldown := flag.Duration("breaker-cooldown", 0, "open-breaker shed window before a half-open probe (0: default 5s)")
 	flag.Parse()
+	if *configdir == "" {
+		fatal(errors.New("-configdir is required"))
+	}
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, "mgserved: "+format+"\n", args...)
@@ -83,23 +83,6 @@ func main() {
 			fatal(err)
 		}
 		cfg.Quotas = q
-	}
-
-	switch {
-	case *configdir == "" && *families == "":
-		fatal(errors.New("one of -configdir or -families is required"))
-	case *configdir != "" && *families != "":
-		fatal(errors.New("-configdir cannot be combined with -families"))
-	case *families != "":
-		// In-process tuning still serves through a directory so hot-reload
-		// keeps one code path: tune each family, save the tables into a
-		// temp dir, and serve that.
-		dir, err := tuneToDir(*families, *machine, *size, *size3d, *workers, logf)
-		if err != nil {
-			fatal(err)
-		}
-		defer os.RemoveAll(dir)
-		cfg.Dir = dir
 	}
 
 	srv, err := serve.New(cfg)
@@ -151,43 +134,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// tuneToDir tunes every family of the spec and saves the tables into a
-// fresh temp directory, returning its path.
-func tuneToDir(spec, machine string, size2d, size3d, workers int, logf func(string, ...any)) (string, error) {
-	keys, err := pbmg.ParseFamilySpecs(spec)
-	if err != nil {
-		return "", err
-	}
-	dir, err := os.MkdirTemp("", "mgserved-tables-")
-	if err != nil {
-		return "", err
-	}
-	for i, k := range keys {
-		size := size2d
-		if k.Dim == 3 {
-			size = size3d
-		}
-		logf("tuning %s for N=%d on %s", k, size, machine)
-		s, err := pbmg.Tune(pbmg.Options{
-			MaxSize: size, Family: k.Family, Epsilon: k.Epsilon,
-			Machine: machine, Workers: workers,
-		})
-		if err != nil {
-			os.RemoveAll(dir)
-			return "", err
-		}
-		logf("tuned %s in %s", k, s.TuneStats())
-		path := filepath.Join(dir, fmt.Sprintf("%02d-%s.json", i, k.Family))
-		err = s.Save(path)
-		s.Close()
-		if err != nil {
-			os.RemoveAll(dir)
-			return "", err
-		}
-	}
-	return dir, nil
 }
 
 func fatal(err error) {

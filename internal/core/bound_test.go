@@ -32,26 +32,7 @@ func exhaustiveTune(tn *Tuner) *Tuned {
 		for _, c := range tn.vCandidates(vt, level) {
 			res = append(res, tn.measure(level, c, probs, nil))
 		}
-		front := &ParetoFront{}
-		tn.front[level] = front
-		row := make([]mg.Plan, len(acc))
-		for i := range acc {
-			best, bestCost := -1, math.Inf(1)
-			for c, r := range res {
-				cost := r.costPerAcc[i]
-				if cost < bestCost {
-					best, bestCost = c, cost
-				}
-				if !math.IsInf(cost, 1) {
-					front.Add(ParetoPoint{Accuracy: acc[i], Cost: cost, Plan: withIters(r, i)})
-				}
-			}
-			row[i] = mg.Plan{Choice: mg.ChoiceDirect}
-			if best >= 0 {
-				row[i] = withIters(res[best], i)
-			}
-		}
-		vt.Plans = append(vt.Plans, row)
+		vt.Plans = append(vt.Plans, firstCheapest(res, len(acc)))
 	}
 	ft := &mg.FTable{Acc: append([]float64(nil), acc...)}
 	for level := 2; level <= tn.cfg.MaxLevel; level++ {
@@ -78,6 +59,71 @@ func exhaustiveTune(tn *Tuner) *Tuned {
 	return tn.bundle(vt, ft)
 }
 
+// firstCheapest is the V selection without the bound: per accuracy index,
+// the first of the candidates (in rank order) whose cost no later one
+// undercuts, or direct when none is feasible.
+func firstCheapest(res []measured, accs int) []mg.Plan {
+	row := make([]mg.Plan, accs)
+	for i := range row {
+		best, bestCost := -1, math.Inf(1)
+		for c, r := range res {
+			if r.costPerAcc[i] < bestCost {
+				best, bestCost = c, r.costPerAcc[i]
+			}
+		}
+		row[i] = mg.Plan{Choice: mg.ChoiceDirect}
+		if best >= 0 {
+			row[i] = withIters(res[best], i)
+		}
+	}
+	return row
+}
+
+// exhaustiveHeuristic is TuneHeuristic without the bound — the strategy
+// loop TuneHeuristic ran before it selected through tuneVLevel: direct
+// (while it is explored) and RECURSE into the sub-accuracy, each measured
+// in full, first-cheapest selection.
+func exhaustiveHeuristic(tn *Tuner, subAcc, topAcc float64) *mg.VTable {
+	accs := []float64{subAcc, topAcc}
+	if subAcc == topAcc {
+		accs = []float64{topAcc}
+	}
+	saved := tn.cfg.Accuracies
+	tn.cfg.Accuracies = accs
+	defer func() { tn.cfg.Accuracies = saved }()
+	vt := &mg.VTable{Acc: accs}
+	for level := 2; level <= tn.cfg.MaxLevel; level++ {
+		probs := tn.training(level)
+		var res []measured
+		if level <= tn.cfg.DirectMaxLevel {
+			res = append(res, tn.measure(level, candidate{plan: mg.Plan{Choice: mg.ChoiceDirect}}, probs, nil))
+		}
+		rec := tn.recurseCandidate(&mg.Executor{WS: tn.ws, V: vt}, 0)
+		res = append(res, tn.measure(level, rec, probs, nil))
+		vt.Plans = append(vt.Plans, firstCheapest(res, len(accs)))
+	}
+	return vt
+}
+
+// TestHeuristicMatchesExhaustive: the five strategies of Fig. 7, selected
+// by the bounded search, are the tables the unbounded strategy loop builds,
+// on the biased data and model of the figure.
+func TestHeuristicMatchesExhaustive(t *testing.T) {
+	bounded, oracle := newModelTuner(t, 6, grid.Biased), newModelTuner(t, 6, grid.Biased)
+	for _, sub := range []float64{1e9, 1e7, 1e5, 1e3, 1e1} {
+		got, err := bounded.TuneHeuristic(sub, 1e9)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := exhaustiveHeuristic(oracle, sub, 1e9); !reflect.DeepEqual(got, want) {
+			t.Errorf("strategy %s:\n got %+v\nwant %+v", HeuristicName(sub, 1e9), got.Plans, want.Plans)
+		}
+	}
+	if bounded.work.CutShort == 0 {
+		t.Fatal("the bound cut no candidate: the test compared two unbounded loops")
+	}
+}
+
 // clockless prices from the trace like the model it wraps but is not
 // TraceBased, so the tuner takes its wall-clock paths — batch re-sampling,
 // a fresh factorization per direct solve — under a cost that still repeats.
@@ -88,9 +134,8 @@ func (c clockless) Cost(tr *mg.OpTrace, _ time.Duration) float64 {
 	return c.m.Cost(tr, 0)
 }
 
-// requireSameTune fails unless two tuners produced byte-identical bundles
-// and equal per-level Pareto fronts.
-func requireSameTune(t *testing.T, got, want *Tuned, gotT, wantT *Tuner) {
+// requireSameTune fails unless two tuners produced byte-identical bundles.
+func requireSameTune(t *testing.T, got, want *Tuned) {
 	t.Helper()
 	gj, err := json.Marshal(got)
 	if err != nil {
@@ -102,11 +147,6 @@ func requireSameTune(t *testing.T, got, want *Tuned, gotT, wantT *Tuner) {
 	}
 	if !bytes.Equal(gj, wj) {
 		t.Fatalf("bundles differ:\n got %s\nwant %s", gj, wj)
-	}
-	for level := 2; level <= want.MaxLevel; level++ {
-		if g, w := gotT.Front(level).Points(), wantT.Front(level).Points(); !reflect.DeepEqual(g, w) {
-			t.Fatalf("level %d Pareto fronts differ:\n got %+v\nwant %+v", level, g, w)
-		}
 	}
 }
 
@@ -157,7 +197,7 @@ func TestBoundedTuneMatchesExhaustive(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameTune(t, got, exhaustiveTune(oracle), bounded, oracle)
+			requireSameTune(t, got, exhaustiveTune(oracle))
 			var b Stats
 			for _, ls := range bounded.Stats() {
 				b.Add(ls.Stats)
@@ -174,7 +214,7 @@ func TestBoundedTuneMatchesExhaustive(t *testing.T) {
 }
 
 // TestMeasurementOrderIsInvisible shuffles the order candidates are measured
-// in: the bound bites earlier or later, the tables and fronts do not move.
+// in: the bound bites earlier or later, the tables do not move.
 func TestMeasurementOrderIsInvisible(t *testing.T) {
 	for _, tc := range []tuneCase{
 		{stencil.FamilyPoisson, 5, arch.Harpertown(), 42},
@@ -200,7 +240,7 @@ func TestMeasurementOrderIsInvisible(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(fmt.Sprintf("%s/shuffle%d", tc, shuffle), func(t *testing.T) {
-				requireSameTune(t, got, want, tn, ref)
+				requireSameTune(t, got, want)
 			})
 		}
 	}
@@ -330,7 +370,7 @@ func newScheduled(t *testing.T, schedule ...[]float64) *scheduled {
 		p := &problem.Problem{N: 9, H: 1.0 / 8, Op: stencil.Poisson(), B: grid.New(9), Boundary: grid.New(9)}
 		opt := p.NewState()
 		grid.FillRandom(opt, grid.Unbiased, rng)
-		opt.CopyBoundaryFrom(p.Boundary)
+		opt.ZeroBoundary() // p.Boundary: the zero grid
 		p.SetOptimal(opt)
 		s.probs = append(s.probs, p)
 	}
@@ -352,7 +392,6 @@ func (s *scheduled) step(x, b *grid.Grid, rec mg.Recorder) {
 	for j, o := range opt.Data() {
 		x.Data()[j] = o - o/acc // the zero state's error, o, divided by acc
 	}
-	x.CopyBoundaryFrom(s.probs[i].Boundary)
 }
 
 // count runs an unstarted count of the schedule under a linear curve

@@ -33,15 +33,19 @@ type Tuned struct {
 	MaxLevel int `json:"maxLevel"`
 	// V is the tuned MULTIGRID-V table.
 	V *mg.VTable `json:"v"`
-	// F is the tuned FULL-MULTIGRID table (may be nil if only V was tuned).
+	// F is the tuned FULL-MULTIGRID table; every tune writes it beside V.
 	F *mg.FTable `json:"f,omitempty"`
 }
 
 // Tune runs the complete dynamic program — the V and full-multigrid tables,
 // level by level — and returns the bundle.
 func (t *Tuner) Tune() (*Tuned, error) {
+	vt := &mg.VTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
 	ft := &mg.FTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
-	b := t.bundle(t.tune(ft), ft)
+	for level := 2; level <= t.cfg.MaxLevel; level++ {
+		t.tuneLevel(vt, ft, level)
+	}
+	b := t.bundle(vt, ft)
 	if err := b.Validate(); err != nil {
 		return nil, fmt.Errorf("core: tuned bundle invalid: %w", err)
 	}
@@ -94,7 +98,8 @@ func (t *Tuned) DistributionValue() grid.Distribution {
 	return grid.Unbiased
 }
 
-// Validate checks the operator family, both tables, and that the tables
+// Validate checks the operator family, both tables (each required: Solve
+// runs the F table, SolveV the V table), and that the tables
 // agree with the bundle and with each other: a Solver trusts MaxLevel when
 // it admits a grid size and the V table's accuracies when it picks an
 // index, so a bundle claiming more levels than a table has rows for, or
@@ -125,7 +130,7 @@ func (t *Tuned) Validate() error {
 		return fmt.Errorf("core: tuned bundle maxLevel %d, but the V table has rows only up to level %d", t.MaxLevel, got)
 	}
 	if t.F == nil {
-		return nil
+		return fmt.Errorf("core: tuned bundle has no F table")
 	}
 	if err := t.F.Validate(); err != nil {
 		return err

@@ -2,13 +2,12 @@ package core
 
 import (
 	"encoding/json"
-	"math"
 	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
-	"testing/quick"
 
 	"pbmg/internal/arch"
 	"pbmg/internal/grid"
@@ -32,6 +31,16 @@ func newModelTuner(t *testing.T, maxLevel int, dist grid.Distribution) *Tuner {
 		t.Fatal(err)
 	}
 	return tn
+}
+
+// tunedV runs tn's tune and returns its V table.
+func tunedV(t *testing.T, tn *Tuner) *mg.VTable {
+	t.Helper()
+	b, err := tn.Tune()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.V
 }
 
 // testInstance returns a fresh (non-training) problem with its reference.
@@ -63,10 +72,7 @@ func TestDefaultAccuracies(t *testing.T) {
 
 func TestTuneVProducesValidTable(t *testing.T) {
 	tn := newModelTuner(t, 5, grid.Unbiased)
-	vt, err := tn.TuneV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vt := tunedV(t, tn)
 	if vt.MaxLevel() != 5 {
 		t.Fatalf("MaxLevel = %d, want 5", vt.MaxLevel())
 	}
@@ -77,10 +83,7 @@ func TestTuneVProducesValidTable(t *testing.T) {
 
 func TestTunedVMeetsAccuracyTargets(t *testing.T) {
 	tn := newModelTuner(t, 5, grid.Unbiased)
-	vt, err := tn.TuneV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vt := tunedV(t, tn)
 	p := testInstance(t, 5, grid.Unbiased, 777)
 	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	ex := &mg.Executor{WS: ws, V: vt}
@@ -97,10 +100,7 @@ func TestTunedVMeetsAccuracyTargets(t *testing.T) {
 
 func TestTunedVUsesDirectAtCoarsestLevel(t *testing.T) {
 	tn := newModelTuner(t, 4, grid.Unbiased)
-	vt, err := tn.TuneV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vt := tunedV(t, tn)
 	// At N=5 a direct solve costs almost nothing under any model; the tuner
 	// must discover the shortcut of Figure 1.
 	for i := range vt.Acc {
@@ -111,11 +111,11 @@ func TestTunedVUsesDirectAtCoarsestLevel(t *testing.T) {
 }
 
 func TestTuningIsDeterministicUnderModelCoster(t *testing.T) {
-	a, err := newModelTuner(t, 4, grid.Biased).TuneV()
+	a, err := newModelTuner(t, 4, grid.Biased).Tune()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := newModelTuner(t, 4, grid.Biased).TuneV()
+	b, err := newModelTuner(t, 4, grid.Biased).Tune()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +127,7 @@ func TestTuningIsDeterministicUnderModelCoster(t *testing.T) {
 func TestTunedVBeatsOrTiesReferenceV(t *testing.T) {
 	model := arch.Harpertown()
 	tn := newModelTuner(t, 6, grid.Unbiased)
-	vt, err := tn.TuneV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vt := tunedV(t, tn)
 	p := testInstance(t, 6, grid.Unbiased, 999)
 	target := 1e5
 	accIdx := 2 // 1e5 in the default ladder
@@ -155,10 +152,10 @@ func TestTunedVBeatsOrTiesReferenceV(t *testing.T) {
 }
 
 // TestFigurePricesMatchTuner: the figures price a tuned plan by running it
-// with a trace and calling Model.Cost; the search priced the same plan when
-// it picked it. The two must be one price — in every V cell, under every
-// model — or the figures judge plans the tuner never priced the way they
-// are judged.
+// with a trace and calling Model.Cost; the search priced the same plan, with
+// measure, when it picked it. The two must be one price — in every V cell,
+// under every model — or the figures judge plans the tuner never priced the
+// way they are judged.
 func TestFigurePricesMatchTuner(t *testing.T) {
 	for _, family := range []stencil.Family{stencil.FamilyPoisson, stencil.FamilyVarCoef} {
 		for _, model := range arch.Models() {
@@ -168,21 +165,32 @@ func TestFigurePricesMatchTuner(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vt, err := tn.TuneV()
-				if err != nil {
-					t.Fatal(err)
-				}
+				vt := tunedV(t, tn)
 				for level := 2; level <= vt.MaxLevel(); level++ {
-					p := tn.training(level)[0]
+					probs := tn.training(level)
+					cands := tn.vCandidates(vt, level)
+					priced := map[int]measured{} // the search's price of each winner
 					for i, target := range vt.Acc {
 						plan := vt.Plan(level, i)
+						c := slices.IndexFunc(cands, func(c candidate) bool {
+							return c.plan.Choice == plan.Choice && c.plan.Sub == plan.Sub
+						})
+						if c < 0 {
+							t.Fatalf("level %d acc %g: %+v is no candidate of the level", level, target, plan)
+						}
+						m, ok := priced[c]
+						if !ok {
+							m = tn.measure(level, cands[c], probs, nil)
+							priced[c] = m
+						}
+						if got := withIters(m, i); got != plan {
+							t.Fatalf("level %d acc %g: measure gives %+v, the table holds %+v", level, target, got, plan)
+						}
 						var tr mg.OpTrace
 						ex := &mg.Executor{WS: tn.ws, V: vt, Rec: &tr}
-						ex.SolveV(p.NewState(), p.B, i)
-						got := model.Cost(&tr, 0)
-						pt, ok := tn.Front(level).Best(target)
-						if !ok || pt.Cost != got {
-							t.Errorf("level %d acc %g (%+v): figures price %.6g, the tuner recorded %.6g", level, target, plan, got, pt.Cost)
+						ex.SolveV(probs[0].NewState(), probs[0].B, i)
+						if got := model.Cost(&tr, 0); got != m.costPerAcc[i] {
+							t.Errorf("level %d acc %g (%+v): figures price %.6g, the tuner priced %.6g", level, target, plan, got, m.costPerAcc[i])
 						}
 					}
 				}
@@ -271,6 +279,8 @@ func TestLoadRejectsInconsistentTables(t *testing.T) {
 		}, []string{"F table has 4 accuracy targets", "V table 5"}},
 		{"maxLevel missing", func(b *Tuned) { b.MaxLevel = 0 },
 			[]string{"maxLevel 0"}},
+		{"no F table", func(b *Tuned) { b.F = nil },
+			[]string{"no F table"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// A deep copy through JSON, as a hand-edited file would be.
@@ -337,129 +347,6 @@ func TestHeuristicName(t *testing.T) {
 	}
 }
 
-func TestFrontPopulatedAndNonDominated(t *testing.T) {
-	tn := newModelTuner(t, 4, grid.Unbiased)
-	if _, err := tn.TuneV(); err != nil {
-		t.Fatal(err)
-	}
-	for level := 2; level <= 4; level++ {
-		f := tn.Front(level)
-		if f == nil || f.Len() == 0 {
-			t.Fatalf("level %d: empty Pareto front", level)
-		}
-		pts := f.Points()
-		for i := range pts {
-			for j := range pts {
-				if i != j && dominates(pts[i], pts[j]) {
-					t.Fatalf("level %d: front contains dominated point %+v < %+v", level, pts[j], pts[i])
-				}
-			}
-		}
-	}
-}
-
-func TestParetoFrontBasics(t *testing.T) {
-	var f ParetoFront
-	if !f.Add(ParetoPoint{Accuracy: 10, Cost: 5}) {
-		t.Fatal("first point rejected")
-	}
-	if f.Add(ParetoPoint{Accuracy: 9, Cost: 6}) {
-		t.Fatal("dominated point accepted")
-	}
-	if !f.Add(ParetoPoint{Accuracy: 100, Cost: 50}) {
-		t.Fatal("non-dominated point rejected")
-	}
-	if !f.Add(ParetoPoint{Accuracy: 100, Cost: 3}) {
-		t.Fatal("dominating point rejected")
-	}
-	// The last point dominates both earlier ones.
-	if f.Len() != 1 {
-		t.Fatalf("front size = %d, want 1", f.Len())
-	}
-	best, ok := f.Best(50)
-	if !ok || best.Cost != 3 {
-		t.Fatalf("Best(50) = %+v, %v", best, ok)
-	}
-	if _, ok := f.Best(1e6); ok {
-		t.Fatal("Best above max accuracy should fail")
-	}
-}
-
-// Property: a ParetoFront never contains a dominated pair, regardless of
-// insertion order.
-func TestParetoInvariantProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var front ParetoFront
-		for i := 0; i < 50; i++ {
-			front.Add(ParetoPoint{
-				Accuracy: math.Exp(rng.Float64() * 20),
-				Cost:     math.Exp(rng.Float64() * 10),
-			})
-		}
-		pts := front.Points()
-		for i := range pts {
-			for j := range pts {
-				if i != j && dominates(pts[i], pts[j]) {
-					return false
-				}
-			}
-		}
-		// Sorted by ascending accuracy, cost must strictly ascend too,
-		// otherwise a point would dominate its neighbour.
-		for i := 1; i < len(pts); i++ {
-			if pts[i].Accuracy < pts[i-1].Accuracy || pts[i].Cost <= pts[i-1].Cost {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Best between two points takes the cheapest point at or above the target.
-func TestNodeFrontBest(t *testing.T) {
-	var f ParetoFront
-	f.Add(ParetoPoint{Accuracy: 10, Cost: 1})
-	f.Add(ParetoPoint{Accuracy: 1000, Cost: 5})
-	if _, ok := f.Best(1e6); ok {
-		t.Fatal("Best above front accepted")
-	}
-	pt, ok := f.Best(100)
-	if !ok || pt.Cost != 5 {
-		t.Fatalf("Best(100) = %+v, %v", pt, ok)
-	}
-}
-
-// Property: Add keeps the points of a ParetoFront in strictly ascending
-// cost under any insertion sequence.
-func TestNodeFrontInvariantProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		var front ParetoFront
-		for i := 0; i < 60; i++ {
-			front.Add(ParetoPoint{
-				Accuracy: math.Exp(rng.Float64() * 15),
-				Cost:     math.Exp(rng.Float64() * 8),
-			})
-		}
-		pts := front.Points()
-		for i := 1; i < len(pts); i++ {
-			// Sorted ascending by accuracy: cost must strictly ascend too,
-			// otherwise a point would dominate its neighbour.
-			if pts[i].Cost <= pts[i-1].Cost {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestCountItersInfeasibleMarking(t *testing.T) {
 	tn := newModelTuner(t, 4, grid.Unbiased)
 	probs := tn.training(3)
@@ -495,10 +382,7 @@ func TestWallClockTuningSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	vt, err := tn.TuneV()
-	if err != nil {
-		t.Fatal(err)
-	}
+	vt := tunedV(t, tn)
 	p := testInstance(t, 4, grid.Unbiased, 123)
 	ws := mg.NewWorkspace(nil, stencil.Poisson())
 	ex := &mg.Executor{WS: ws, V: vt}

@@ -15,12 +15,12 @@ import (
 // whenever that is more efficient, exactly as described in §4.2.1.
 
 // TuneHeuristic builds the strategy table for sub-level accuracy subAcc and
-// top-level accuracy topAcc. It reuses the tuner's measurement machinery
-// but restricts choices to {direct, RECURSE into the sub-accuracy}: the
-// heuristics are multigrid shapes, not algorithm portfolios. The returned
-// table has Acc = {subAcc, topAcc}; solve with accuracy index 1 at the top
-// level. When subAcc == topAcc the table collapses to Strategy "10^9" with
-// a single accuracy entry.
+// top-level accuracy topAcc. It selects like the tuned V table does
+// (tuneVLevel) but restricts choices to {direct, RECURSE into the
+// sub-accuracy}: the heuristics are multigrid shapes, not algorithm
+// portfolios. The returned table has Acc = {subAcc, topAcc}; solve with
+// accuracy index 1 at the top level. When subAcc == topAcc the table
+// collapses to Strategy "10^9" with a single accuracy entry.
 func (t *Tuner) TuneHeuristic(subAcc, topAcc float64) (*mg.VTable, error) {
 	if subAcc > topAcc {
 		return nil, fmt.Errorf("core: sub-accuracy %g exceeds top accuracy %g", subAcc, topAcc)
@@ -35,31 +35,13 @@ func (t *Tuner) TuneHeuristic(subAcc, topAcc float64) (*mg.VTable, error) {
 
 	vt := &mg.VTable{Acc: accs}
 	for level := 2; level <= t.cfg.MaxLevel; level++ {
-		probs := t.training(level)
-		var cands []measured
+		var cands []candidate
 		if level <= t.cfg.DirectMaxLevel {
-			cands = append(cands, t.measure(level, candidate{plan: mg.Plan{Choice: mg.ChoiceDirect}}, probs, nil))
+			cands = append(cands, candidate{plan: mg.Plan{Choice: mg.ChoiceDirect}})
 		}
-		// The heuristic always recurses into the sub-accuracy version. A
-		// strategy table is a fixed shape, not a search: no bound.
-		rec := t.recurseCandidate(&mg.Executor{WS: t.ws, V: vt}, 0)
-		cands = append(cands, t.measure(level, rec, probs, nil))
-
-		row := make([]mg.Plan, len(accs))
-		for i := range accs {
-			best, bestCost := -1, math.Inf(1)
-			for c, cand := range cands {
-				if cand.costPerAcc[i] < bestCost {
-					best, bestCost = c, cand.costPerAcc[i]
-				}
-			}
-			if best < 0 {
-				row[i] = mg.Plan{Choice: mg.ChoiceDirect}
-				continue
-			}
-			row[i] = withIters(cands[best], i)
-		}
-		vt.Plans = append(vt.Plans, row)
+		// The heuristic always recurses into the sub-accuracy version.
+		cands = append(cands, t.recurseCandidate(&mg.Executor{WS: t.ws, V: vt}, 0))
+		vt.Plans = append(vt.Plans, t.tuneVLevel(level, cands))
 	}
 	if err := vt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: heuristic table invalid: %w", err)

@@ -26,8 +26,7 @@
 // an accuracy test stops summing the error once the sum rules out the next
 // target (problem.Problem.Meets). The tables are those of the exhaustive
 // search, byte for byte; the exhaustive driver survives as the test oracle
-// (bound_test.go). TuneHeuristic passes no bound: a strategy table is a
-// fixed shape.
+// (bound_test.go). TuneHeuristic selects through the same search.
 //
 // Under a trace coster no step runs only to be priced: a candidate's
 // one-iteration trace is recorded by the first step counting runs, and an
@@ -197,9 +196,8 @@ type Tuner struct {
 	op     *stencil.Operator // operator family at the finest tuned size
 	ws     *mg.Workspace     // private measurement workspace (see New)
 	probs  map[int][]*problem.Problem
-	front  map[int]*ParetoFront // per-level candidate fronts (diagnostics)
-	direct map[int]float64      // direct-solve cost per level, priced once for V and full
-	iter   *iterate             // this search's iterate (see tuneLevel)
+	direct map[int]float64 // direct-solve cost per level, priced once for V and full
+	iter   *iterate        // this search's iterate (see tuneLevel)
 
 	work   Stats         // this search's running counters (Factorizations: see spent)
 	levels map[int]Stats // work charged to each tuned level
@@ -234,19 +232,11 @@ func New(cfg Config) (*Tuner, error) {
 		op:     op,
 		ws:     mg.NewWorkspace(cfg.Pool, op),
 		probs:  make(map[int][]*problem.Problem),
-		front:  make(map[int]*ParetoFront),
 		direct: make(map[int]float64),
 		iter:   &iterate{},
 		levels: make(map[int]Stats),
 	}, nil
 }
-
-// Operator returns the operator family the tuner measures against.
-func (t *Tuner) Operator() *stencil.Operator { return t.op }
-
-// Front returns the Pareto front of all candidates measured at a level
-// (the full-DP view of §2.2), or nil if the level was not tuned.
-func (t *Tuner) Front(level int) *ParetoFront { return t.front[level] }
 
 func (t *Tuner) logf(format string, args ...any) {
 	if t.cfg.Logf != nil {
@@ -688,30 +678,9 @@ func (t *Tuner) vCandidates(vt *mg.VTable, level int) []candidate {
 // hundreds of sweeps — is cut almost at once.
 func sorLast(c mg.Choice) bool { return c == mg.ChoiceSOR }
 
-// TuneV runs the dynamic program for the MULTIGRID-V family and returns the
-// tuned table.
-func (t *Tuner) TuneV() (*mg.VTable, error) {
-	vt := t.tune(nil)
-	if err := vt.Validate(); err != nil {
-		return nil, fmt.Errorf("core: tuned V table invalid: %w", err)
-	}
-	return vt, nil
-}
-
-// tune runs the dynamic program bottom-up and returns the V table, filling
-// the FULL-MULTIGRID table ft beside it when ft is non-nil.
-func (t *Tuner) tune(ft *mg.FTable) *mg.VTable {
-	vt := &mg.VTable{Acc: append([]float64(nil), t.cfg.Accuracies...)}
-	for level := 2; level <= t.cfg.MaxLevel; level++ {
-		t.tuneLevel(vt, ft, level)
-	}
-	return vt
-}
-
-// tuneLevel appends one level's row to vt and, if non-nil, to ft (which the
-// V search never reads): references and direct price first, then the two
-// searches, the V one on a copy of the tuner with its own work books and
-// iterate.
+// tuneLevel appends one level's row to vt and to ft (which the V search
+// never reads): references and direct price first, then the two searches,
+// the V one on a copy of the tuner with its own work books and iterate.
 func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	before := t.spent()
 	probs := t.training(level)
@@ -723,29 +692,26 @@ func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	v.iter = &iterate{}
 	var vrow []mg.Plan
 	done := make(chan struct{})
-	tuneV := func() { vrow = v.tuneVLevel(vt, level); close(done) }
-	if ft != nil && traceBased(t.cfg.Coster) {
+	tuneV := func() { vrow = v.tuneVLevel(level, v.vCandidates(vt, level)); close(done) }
+	if traceBased(t.cfg.Coster) {
 		go tuneV()
 	} else {
 		tuneV()
 	}
-	full := ""
-	if ft != nil {
-		row := t.tuneFullLevel(vt, ft, level)
-		ft.Plans = append(ft.Plans, row)
-		full = "; full " + describeFullRow(row)
-	}
+	frow := t.tuneFullLevel(vt, ft, level)
+	ft.Plans = append(ft.Plans, frow)
 	<-done
 	t.work.Add(v.work)
 	vt.Plans = append(vt.Plans, vrow)
-	t.logf("level %d (N=%d): V %s%s [%s]", level, grid.SizeOfLevel(level), describeRow(vrow), full, t.charge(level, before))
+	t.logf("level %d (N=%d): V %s; full %s [%s]", level, grid.SizeOfLevel(level), describeRow(vrow), describeFullRow(frow), t.charge(level, before))
 }
 
-// tuneVLevel picks, per accuracy target, the cheapest feasible candidate at
-// one level, measuring each only until it is known to lose (see search).
-func (t *Tuner) tuneVLevel(vt *mg.VTable, level int) []mg.Plan {
+// tuneVLevel picks, per accuracy target, the cheapest feasible of a level's
+// V candidates (in rank order), measuring each only until it is known to
+// lose (see search). It is the V tables' one selection loop: the tuned
+// table's and every heuristic strategy's.
+func (t *Tuner) tuneVLevel(level int, cands []candidate) []mg.Plan {
 	probs := t.training(level)
-	cands := t.vCandidates(vt, level)
 	res := make([]measured, len(cands))
 	win := t.search(len(cands),
 		func(c int) bool { return sorLast(cands[c].plan.Choice) },
@@ -753,25 +719,8 @@ func (t *Tuner) tuneVLevel(vt *mg.VTable, level int) []mg.Plan {
 			res[c] = t.measure(level, cands[c], probs, best)
 			return res[c].costPerAcc
 		})
-	return t.vRow(level, res, win)
-}
-
-// vRow materializes a level's selection and records every priced candidate
-// on the level's Pareto front. A candidate the bound cut is strictly
-// dominated by the one that beat it, so the front is the exhaustive one.
-func (t *Tuner) vRow(level int, res []measured, win []int) []mg.Plan {
-	front := t.front[level]
-	if front == nil {
-		front = &ParetoFront{}
-		t.front[level] = front
-	}
 	row := make([]mg.Plan, len(win))
 	for i, w := range win {
-		for _, r := range res {
-			if cost := r.costPerAcc[i]; !math.IsInf(cost, 1) {
-				front.Add(ParetoPoint{Accuracy: t.cfg.Accuracies[i], Cost: cost, Plan: withIters(r, i)})
-			}
-		}
 		if w < 0 {
 			// Every iterative choice missed the target and direct was not
 			// explored; fall back to direct, which is always exact.

@@ -199,28 +199,6 @@ func (g *G[T]) Fill(v T) {
 // Zero sets every entry of g to zero.
 func (g *G[T]) Zero() { g.Fill(0) }
 
-// ZeroInterior zeroes all non-boundary entries, leaving the border intact.
-func (g *G[T]) ZeroInterior() {
-	n := g.n
-	if g.dim == 3 {
-		for i := 1; i < n-1; i++ {
-			for j := 1; j < n-1; j++ {
-				row := g.Row3(i, j)
-				for k := 1; k < n-1; k++ {
-					row[k] = 0
-				}
-			}
-		}
-		return
-	}
-	for i := 1; i < n-1; i++ {
-		row := g.Row(i)
-		for j := 1; j < n-1; j++ {
-			row[j] = 0
-		}
-	}
-}
-
 // zeroBoundary2 zeroes the border of one n×n plane stored at p.
 func zeroBoundary2[T Float](p []T, n int) {
 	for j := 0; j < n; j++ {
@@ -247,33 +225,6 @@ func (g *G[T]) ZeroBoundary() {
 		return
 	}
 	zeroBoundary2(g.data, n)
-}
-
-// copyBoundary2 copies the border of one n×n plane from src into dst.
-func copyBoundary2[T Float](dst, src []T, n int) {
-	copy(dst[:n], src[:n])
-	copy(dst[(n-1)*n:], src[(n-1)*n:])
-	for i := 1; i < n-1; i++ {
-		dst[i*n] = src[i*n]
-		dst[i*n+n-1] = src[i*n+n-1]
-	}
-}
-
-// CopyBoundaryFrom copies only the border entries of src into g.
-func (g *G[T]) CopyBoundaryFrom(src *G[T]) {
-	if g.n != src.n || g.dim != src.dim {
-		panic("grid: CopyBoundaryFrom size mismatch")
-	}
-	n := g.n
-	if g.dim == 3 {
-		copy(g.Plane(0), src.Plane(0))
-		copy(g.Plane(n-1), src.Plane(n-1))
-		for i := 1; i < n-1; i++ {
-			copyBoundary2(g.Plane(i), src.Plane(i), n)
-		}
-		return
-	}
-	copyBoundary2(g.data, src.data, n)
 }
 
 // AddInterior adds src's interior entries into g's interior, leaving

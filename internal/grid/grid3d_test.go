@@ -76,29 +76,16 @@ func TestZeroBoundary3D(t *testing.T) {
 			}
 		}
 	}
-	g.Fill(1)
-	g.ZeroInterior()
-	if g.At3(2, 2, 2) != 0 || g.At3(0, 2, 2) != 1 {
-		t.Fatal("ZeroInterior3D wrong")
-	}
 }
 
-func TestCopyBoundaryAndAddInterior3D(t *testing.T) {
+func TestAddInterior3D(t *testing.T) {
 	n := 5
-	src := New3(n)
-	src.Fill(3)
 	dst := New3(n)
-	dst.CopyBoundaryFrom(src)
-	if dst.At3(0, 1, 1) != 3 || dst.At3(1, 0, 1) != 3 || dst.At3(1, 1, 0) != 3 {
-		t.Fatal("CopyBoundaryFrom missed a face")
-	}
-	if dst.At3(2, 2, 2) != 0 {
-		t.Fatal("CopyBoundaryFrom touched the interior")
-	}
+	dst.Fill(3)
 	add := New3(n)
 	add.Fill(2)
 	dst.AddInterior(add)
-	if dst.At3(2, 2, 2) != 2 {
+	if dst.At3(2, 2, 2) != 5 {
 		t.Fatal("AddInterior missed the interior")
 	}
 	if dst.At3(0, 1, 1) != 3 {

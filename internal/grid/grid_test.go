@@ -84,18 +84,6 @@ func TestCopyFromAndFill(t *testing.T) {
 	}
 }
 
-func TestZeroInteriorKeepsBoundary(t *testing.T) {
-	g := New(4)
-	g.Fill(3)
-	g.ZeroInterior()
-	if g.At(0, 2) != 3 || g.At(3, 1) != 3 || g.At(1, 0) != 3 || g.At(2, 3) != 3 {
-		t.Fatal("ZeroInterior changed boundary")
-	}
-	if g.At(1, 1) != 0 || g.At(2, 2) != 0 {
-		t.Fatal("ZeroInterior left interior nonzero")
-	}
-}
-
 func TestZeroBoundaryKeepsInterior(t *testing.T) {
 	g := New(4)
 	g.Fill(3)
@@ -107,19 +95,6 @@ func TestZeroBoundaryKeepsInterior(t *testing.T) {
 		if g.At(0, j) != 0 || g.At(3, j) != 0 || g.At(j, 0) != 0 || g.At(j, 3) != 0 {
 			t.Fatal("ZeroBoundary left boundary nonzero")
 		}
-	}
-}
-
-func TestCopyBoundaryFrom(t *testing.T) {
-	src, dst := New(4), New(4)
-	src.Fill(7)
-	dst.Fill(1)
-	dst.CopyBoundaryFrom(src)
-	if dst.At(0, 0) != 7 || dst.At(3, 3) != 7 || dst.At(2, 0) != 7 || dst.At(1, 3) != 7 {
-		t.Fatal("boundary not copied")
-	}
-	if dst.At(1, 1) != 1 {
-		t.Fatal("interior was overwritten")
 	}
 }
 

@@ -250,7 +250,6 @@ func TestMeetsMatchesAccuracyOf(t *testing.T) {
 				for i := range d {
 					d[i] += math.Pow(10, -8*float64((i/row)%7)/6) * (rng.Float64() - 0.5)
 				}
-				x.CopyBoundaryFrom(p.Boundary)
 				check(fmt.Sprintf("dim %d N=%d candidate %d", opt.Dim(), n, c), p, x)
 			}
 			check("the initial guess", p, p.NewState())

@@ -90,8 +90,9 @@ func TestSOR3Converges(t *testing.T) {
 	n := 17
 	rng := rand.New(rand.NewSource(3))
 	op := Poisson3D()
-	x, b := randomState3(n, rng)
-	x.ZeroInterior() // boundary data + zero interior guess
+	_, b := randomState3(n, rng)
+	x := grid.New3(n) // boundary data + zero interior guess
+	grid.FillBoundaryRandom(x, grid.Unbiased, rng)
 	h := 1.0 / float64(n-1)
 	r0 := OpResidualNorm(op, nil, x, b, h)
 	omega := OmegaOpt(n)

@@ -444,9 +444,6 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 	if err != nil {
 		return err
 	}
-	if full && s.tuned.F == nil {
-		return fmt.Errorf("pbmg: solver has no tuned full-multigrid table")
-	}
 	// One executor per solve keeps the recorder and context private to this
 	// call; the workspace and tables behind it are shared and
 	// concurrency-safe.
@@ -507,9 +504,6 @@ func (s *Solver) Describe(n int, accuracy float64, full bool) (string, error) {
 		return "", err
 	}
 	if full {
-		if s.tuned.F == nil {
-			return "", fmt.Errorf("pbmg: solver has no tuned full-multigrid table")
-		}
 		return mg.DescribeFull(s.tuned.F, s.tuned.V, level, idx), nil
 	}
 	return mg.DescribeV(s.tuned.V, level, idx), nil

@@ -3,7 +3,6 @@ package pbmg
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -37,38 +36,6 @@ func (k ServeKey) String() string {
 		return fmt.Sprintf("%s:%g", k.Family, k.Epsilon)
 	}
 	return k.Family.String()
-}
-
-// ParseFamilySpecs parses the CLI syntax for a serving catalog: a
-// comma-separated list of family[:eps] items, e.g.
-// "poisson,aniso:0.01,poisson3d". Epsilon stays 0 (family default) when the
-// :eps suffix is absent; Dim is filled from the family.
-func ParseFamilySpecs(spec string) ([]ServeKey, error) {
-	var out []ServeKey
-	for _, item := range strings.Split(spec, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		name, epsStr, hasEps := strings.Cut(item, ":")
-		f, err := ParseFamily(name)
-		if err != nil {
-			return nil, err
-		}
-		k := ServeKey{Family: f, Dim: f.Dim()}
-		if hasEps {
-			eps, err := strconv.ParseFloat(epsStr, 64)
-			if err != nil {
-				return nil, fmt.Errorf("pbmg: family %q: bad parameter %q: %v", name, epsStr, err)
-			}
-			k.Epsilon = eps
-		}
-		out = append(out, k)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("pbmg: family list %q names no families", spec)
-	}
-	return out, nil
 }
 
 // Key returns the (family, ε, dim) registry key the service is served
