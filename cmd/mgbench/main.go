@@ -6,10 +6,9 @@
 // simulated testbed models. REPRODUCTION.md says which experiment
 // reproduces which claim, and how.
 //
-// Three more jobs share the binary: "-exp kernels" is the fused-vs-unfused
-// kernel microbenchmark (BENCH_kernels.json with -json), and "-exp escapes"
-// and "-exp bce" are the compiler gates CI runs. Load and regression
-// measurement is bench/'s, not mgbench's.
+// Two more jobs share the binary: "-exp escapes" and "-exp bce" are the
+// compiler gates CI runs. Kernel, load and regression measurement is
+// bench/'s, not mgbench's.
 //
 // Usage:
 //
@@ -30,11 +29,10 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, kernels, escapes, bce, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, escapes, bce, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
-	jsonOut := flag.Bool("json", false, "with -exp kernels, also write BENCH_kernels.json")
 	writeAllow := flag.Bool("write", false, "with -exp escapes or bce, regenerate ESCAPES.allow / BCE.allow from the current compiler output instead of gating against it")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
@@ -48,15 +46,13 @@ func main() {
 
 	var err error
 	switch *exp {
-	case "kernels":
-		err = runKernels(*workers, *seed, *jsonOut, logf)
 	case "escapes":
 		err = runEscapes(*writeAllow, logf)
 	case "bce":
 		err = runBCE(*writeAllow, logf)
 	default:
 		r := experiments.NewRunner(experiments.Opts{MaxLevel: *level, Workers: *workers, Seed: *seed, Logf: logf})
-		err = run(r, *exp)
+		err = run(r, *exp, *workers)
 		r.Close()
 	}
 	if err != nil {
@@ -65,7 +61,7 @@ func main() {
 	}
 }
 
-func run(r *experiments.Runner, exp string) error {
+func run(r *experiments.Runner, exp string, workers int) error {
 	printTable := func(t *experiments.Table, err error) error {
 		if err != nil {
 			return err
@@ -104,7 +100,7 @@ func run(r *experiments.Runner, exp string) error {
 		fmt.Println(rel.String())
 		return nil
 	case "fig9":
-		return printTable(r.Fig9(runtime.NumCPU()))
+		return printTable(r.Fig9(workers))
 	case "fig10":
 		return printTables(r.Fig10())
 	case "fig11":
@@ -128,7 +124,7 @@ func run(r *experiments.Runner, exp string) error {
 			"complexity", "fig4", "fig5", "fig6", "fig7", "fig9",
 			"fig10", "fig11", "fig12", "fig13", "fig14", "crosstrain",
 		} {
-			if err := run(r, e); err != nil {
+			if err := run(r, e, workers); err != nil {
 				return fmt.Errorf("%s: %w", e, err)
 			}
 		}

@@ -10,10 +10,11 @@ import (
 	"time"
 )
 
-// TestMGBenchSurface builds mgbench and runs the smallest paper experiment,
-// then checks that the retired load studies, the retired cluster sketch, the
-// retired smoother, ladder and full-DP ablations and the -compare flag are
-// refused.
+// TestMGBenchSurface builds mgbench and runs the smallest paper experiment
+// and a one-worker Figure 9 (-workers sets its row count), then checks that
+// the retired load studies, the retired cluster sketch, the retired
+// smoother, ladder and full-DP ablations, the retired kernel timer and the
+// -compare and -json flags are refused.
 func TestMGBenchSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -35,6 +36,16 @@ func TestMGBenchSurface(t *testing.T) {
 		t.Fatalf("mgbench -exp complexity printed no table:\n%s", out)
 	}
 
+	out, err = exec.CommandContext(ctx, bin, "-exp", "fig9", "-level", "4", "-workers", "1", "-q").CombinedOutput()
+	if err != nil {
+		t.Fatalf("mgbench -exp fig9: %v\n%s", err, out)
+	}
+	_, body, _ := strings.Cut(string(out), "-------\n")
+	body, _, _ = strings.Cut(body, "note:")
+	if rows := strings.Fields(body); len(rows) == 0 || rows[0] != "1" || strings.Count(body, "\n") != 1 {
+		t.Fatalf("mgbench -exp fig9 -workers 1: want exactly one worker row:\n%s", out)
+	}
+
 	for _, tc := range []struct {
 		args    []string
 		wantErr string
@@ -45,7 +56,9 @@ func TestMGBenchSurface(t *testing.T) {
 		{[]string{"-exp", "ablation-smoother", "-q"}, `unknown experiment "ablation-smoother"`},
 		{[]string{"-exp", "ablation-ladder", "-q"}, `unknown experiment "ablation-ladder"`},
 		{[]string{"-exp", "ablation-pareto", "-q"}, `unknown experiment "ablation-pareto"`},
+		{[]string{"-exp", "kernels", "-q"}, `unknown experiment "kernels"`},
 		{[]string{"-compare", "a", "b"}, "flag provided but not defined: -compare"},
+		{[]string{"-exp", "kernels", "-json"}, "flag provided but not defined: -json"},
 	} {
 		out, err := exec.CommandContext(ctx, bin, tc.args...).CombinedOutput()
 		if err == nil {

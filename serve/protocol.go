@@ -62,7 +62,8 @@ type SolveRequest struct {
 	// queued behind its family quota when the deadline expires is shed with
 	// 503, and an admitted solve still running is cancelled cooperatively at
 	// its next cycle or level boundary (also 503, within roughly one cycle's
-	// latency). 0 falls back to the server's MaxWait.
+	// latency). 0 falls back to the server's MaxWait; one beyond what a
+	// time.Duration holds (about 292 years) is refused with 400.
 	DeadlineMs int64 `json:"deadlineMs,omitempty"`
 }
 

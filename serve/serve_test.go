@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -159,6 +160,10 @@ func newProblem(t *testing.T, f pbmg.Family, n int, seed int64) *pbmg.Problem {
 	return p
 }
 
+// overlargeDeadlineMs is the smallest DeadlineMs whose product with
+// time.Millisecond overflows a time.Duration.
+const overlargeDeadlineMs = math.MaxInt64/int64(time.Millisecond) + 1
+
 // TestServeSolveRoundTrip: a solve posted over the wire comes back at the
 // requested accuracy, and the error paths answer with the right status
 // codes — none of them classified as load-shedding.
@@ -203,6 +208,9 @@ func TestServeSolveRoundTrip(t *testing.T) {
 		{"wrong-length x",
 			SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: make([]float64, 289), X: make([]float64, 3)},
 			http.StatusBadRequest},
+		{"deadline beyond a time.Duration",
+			SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: make([]float64, 289), DeadlineMs: overlargeDeadlineMs},
+			http.StatusBadRequest},
 	} {
 		_, err := cl.Solve(ctx, tc.req)
 		var se *StatusError
@@ -213,6 +221,15 @@ func TestServeSolveRoundTrip(t *testing.T) {
 		if se.Shed() {
 			t.Errorf("%s: an invalid request was classified as shed", tc.name)
 		}
+	}
+
+	// A batch with an overlarge deadline is refused like a solve.
+	_, err = cl.Batch(ctx, BatchRequest{
+		Family: "poisson", N: 17, Accuracy: 1e3,
+		Problems: []BatchProblem{{B: make([]float64, 289)}}, DeadlineMs: overlargeDeadlineMs,
+	})
+	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusBadRequest || se.Shed() {
+		t.Errorf("batch with an overlarge deadline: err = %v, want HTTP 400", err)
 	}
 
 	// A syntactically broken body is a 400 before any routing.
@@ -231,6 +248,11 @@ func TestServeSolveRoundTrip(t *testing.T) {
 	}
 	if m.Version != 1 || m.Draining || m.Aggregate.Completed != 1 || m.Aggregate.Failed != 0 {
 		t.Errorf("metrics after round trip = %+v", m)
+	}
+	// Only the round trip took a slot: every refusal above came before
+	// admission, and none was shed.
+	if m.Aggregate.Admitted != 1 || m.Aggregate.Shed != 0 {
+		t.Errorf("admitted = %d, shed = %d; want 1 and 0", m.Aggregate.Admitted, m.Aggregate.Shed)
 	}
 	if m.Unroutable != 1 {
 		t.Errorf("unroutable = %d, want 1 (the varcoef request)", m.Unroutable)

@@ -300,6 +300,19 @@ func (s *Server) shedDrainingNow(w http.ResponseWriter) {
 	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is draining"})
 }
 
+// maxDeadlineMs is the largest DeadlineMs a time.Duration holds. A larger
+// one would wrap negative in requestContext, so the request would be shed
+// as already expired, and retried, when it can never run.
+const maxDeadlineMs = math.MaxInt64 / int64(time.Millisecond)
+
+// checkDeadline refuses a DeadlineMs beyond maxDeadlineMs.
+func checkDeadline(deadlineMs int64) error {
+	if deadlineMs > maxDeadlineMs {
+		return fmt.Errorf("serve: deadlineMs=%d exceeds the largest deadline, %d", deadlineMs, maxDeadlineMs)
+	}
+	return nil
+}
+
 // requestContext derives the request-bounding context: the request's own
 // DeadlineMs when given, the server MaxWait otherwise, composed with the
 // connection context so a gone client frees its queue slot. The context
@@ -475,6 +488,10 @@ func (s *Server) solve(w http.ResponseWriter, r *http.Request, c *catalog, arena
 		writeError(w, err, http.StatusBadRequest)
 		return answer{}
 	}
+	if err := checkDeadline(req.DeadlineMs); err != nil {
+		writeError(w, err, http.StatusBadRequest)
+		return answer{}
+	}
 	svc, err := c.route(req.Family, req.Eps)
 	if err != nil {
 		writeError(w, err, http.StatusNotFound)
@@ -522,6 +539,10 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog, arena
 	}
 	if len(req.Problems) == 0 {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "serve: batch names no problems"})
+		return answer{}
+	}
+	if err := checkDeadline(req.DeadlineMs); err != nil {
+		writeError(w, err, http.StatusBadRequest)
 		return answer{}
 	}
 
