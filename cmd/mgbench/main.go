@@ -6,9 +6,8 @@
 // simulated testbed models. REPRODUCTION.md says which experiment
 // reproduces which claim, and how.
 //
-// Two more jobs share the binary: "-exp escapes" and "-exp bce" are the
-// compiler gates CI runs. Kernel, load and regression measurement is
-// bench/'s, not mgbench's.
+// mgbench runs paper experiments only: the compiler gates are mglint's,
+// and kernel, load and regression measurement is bench/'s.
 //
 // Usage:
 //
@@ -29,11 +28,10 @@ import (
 
 func main() {
 	exp := flag.String("exp", "all",
-		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, escapes, bce, or all")
+		"experiment: complexity, fig6, fig7 (includes fig8), fig9, fig10, fig11, fig12, fig13, fig14, fig4, fig5, fig5b (biased data), crosstrain, or all")
 	level := flag.Int("level", 8, "finest multigrid level (grid side 2^k+1)")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads for wall-clock experiments")
 	seed := flag.Int64("seed", 20090101, "training/test seed")
-	writeAllow := flag.Bool("write", false, "with -exp escapes or bce, regenerate ESCAPES.allow / BCE.allow from the current compiler output instead of gating against it")
 	quiet := flag.Bool("q", false, "suppress progress output")
 	flag.Parse()
 
@@ -44,17 +42,9 @@ func main() {
 		}
 	}
 
-	var err error
-	switch *exp {
-	case "escapes":
-		err = runEscapes(*writeAllow, logf)
-	case "bce":
-		err = runBCE(*writeAllow, logf)
-	default:
-		r := experiments.NewRunner(experiments.Opts{MaxLevel: *level, Workers: *workers, Seed: *seed, Logf: logf})
-		err = run(r, *exp, *workers)
-		r.Close()
-	}
+	r := experiments.NewRunner(experiments.Opts{MaxLevel: *level, Workers: *workers, Seed: *seed, Logf: logf})
+	err := run(r, *exp, *workers)
+	r.Close()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mgbench:", err)
 		os.Exit(1)

@@ -13,8 +13,9 @@ import (
 // TestMGBenchSurface builds mgbench and runs the smallest paper experiment
 // and a one-worker Figure 9 (-workers sets its row count), then checks that
 // the retired load studies, the retired cluster sketch, the retired
-// smoother, ladder and full-DP ablations, the retired kernel timer and the
-// -compare and -json flags are refused.
+// smoother, ladder and full-DP ablations, the retired kernel timer, the
+// compiler gates (mglint's now) and the -compare, -json and -write flags are
+// refused.
 func TestMGBenchSurface(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -57,6 +58,9 @@ func TestMGBenchSurface(t *testing.T) {
 		{[]string{"-exp", "ablation-ladder", "-q"}, `unknown experiment "ablation-ladder"`},
 		{[]string{"-exp", "ablation-pareto", "-q"}, `unknown experiment "ablation-pareto"`},
 		{[]string{"-exp", "kernels", "-q"}, `unknown experiment "kernels"`},
+		{[]string{"-exp", "escapes", "-q"}, `unknown experiment "escapes"`},
+		{[]string{"-exp", "bce", "-q"}, `unknown experiment "bce"`},
+		{[]string{"-exp", "escapes", "-write"}, "flag provided but not defined: -write"},
 		{[]string{"-compare", "a", "b"}, "flag provided but not defined: -compare"},
 		{[]string{"-exp", "kernels", "-json"}, "flag provided but not defined: -json"},
 	} {

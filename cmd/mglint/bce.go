@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os/exec"
 	"regexp"
 	"strings"
 )
@@ -18,42 +17,35 @@ import (
 // any index check the compiler could not eliminate fails the gate, as does a
 // slice check beyond the prologues', or an allowance no longer reported.
 
-// bcePkgs are the packages holding row kernels; bceFiles the files that
-// hold nothing else.
-var (
-	bcePkgs  = []string{"./internal/stencil", "./internal/transfer"}
-	bceFiles = map[string]bool{"internal/stencil/rows.go": true, "internal/transfer/rows.go": true}
-)
+// bceFiles are the files that hold the row kernels and nothing else.
+var bceFiles = map[string]bool{"internal/stencil/rows.go": true, "internal/transfer/rows.go": true}
 
 // bceRx matches one check_bce diagnostic: file, position, check kind.
 var bceRx = regexp.MustCompile(`^(?:\./)?([^\s:]+\.go):(\d+:\d+): Found (IsInBounds|IsSliceInBounds)$`)
 
 var bceGate = allowGate{
-	name: "bce",
-	file: "BCE.allow",
+	name:    "bce",
+	file:    "BCE.allow",
+	pkgs:    []string{"internal/stencil", "internal/transfer"},
+	gcflags: "-gcflags=-d=ssa/check_bce/debug=1",
+	count:   countBCE,
 	header: "# BCE.allow — committed baseline of bounds checks the compiler keeps in the\n" +
 		"# row-kernel files (internal/stencil/rows.go, internal/transfer/rows.go):\n" +
 		"# only the re-slicing prologues' slice checks, once per row, never an index\n" +
-		"# check in a loop. Generated by `go run ./cmd/mgbench -exp bce -write`;\n" +
-		"# checked by `go run ./cmd/mgbench -exp bce` in CI. Format:\n" +
+		"# check in a loop. Generated by `go run ./cmd/mglint -write ./...`;\n" +
+		"# checked by `go run ./cmd/mglint ./...` in CI. Format:\n" +
 		"# <distinct positions>\\t<file>: <check kind>\n",
 	unit:   "bounds checks in row-kernel files",
 	remedy: "restore the row-kernel form (shared length, induction-variable indices)",
 }
 
-func runBCE(write bool, logf func(format string, args ...any)) error {
-	const flag = "-gcflags=-d=ssa/check_bce/debug=1"
-	if logf != nil {
-		logf("bce: go build %s %s", flag, strings.Join(bcePkgs, " "))
-	}
-	out, err := exec.Command("go", append([]string{"build", flag}, bcePkgs...)...).CombinedOutput()
-	if err != nil {
-		return fmt.Errorf("bce: go build %s: %w\n%s", flag, err, out)
-	}
+// countBCE counts the distinct check positions of a build per row-kernel
+// file and check kind.
+func countBCE(out string) (map[string]int, error) {
 	seen := make(map[string]bool)
 	counts := make(map[string]int)
 	matched := 0
-	for _, line := range strings.Split(string(out), "\n") {
+	for _, line := range strings.Split(out, "\n") {
 		m := bceRx.FindStringSubmatch(line)
 		if m == nil {
 			continue
@@ -65,7 +57,7 @@ func runBCE(write bool, logf func(format string, args ...any)) error {
 		}
 	}
 	if matched == 0 {
-		return fmt.Errorf("bce: no check_bce diagnostics captured — is the build cache disabled or the debug output format changed?")
+		return nil, fmt.Errorf("no check_bce diagnostics captured — is the build cache disabled or the debug output format changed?")
 	}
-	return bceGate.check(counts, write)
+	return counts, nil
 }

@@ -1,17 +1,21 @@
-// mglint is the repo's invariant checker: it runs the five analyzers
-// that mechanically enforce the kernel, pooling, and serving contracts
-// (see README "Static analysis"):
+// mglint is the repo's invariant checker. It runs the two analyzers that
+// enforce the pooling and serving contracts no other gate checks (see
+// README "Static analysis"):
 //
-//	hotalloc     no allocation in kernel hot paths
-//	determinism  no nondeterminism sources in kernel/reduction code
 //	poolput      every arena checkout released on all paths
 //	boundedgo    no unbounded goroutine launches in the serving path
-//	dimguard     2D/3D grid accessor mismatches at compile time
+//
+// and the two compiler gates, which diff what the compiler emits for the
+// kernel packages against allow files at the module root:
+//
+//	escapes      heap escapes in internal/{stencil,transfer,grid} (ESCAPES.allow)
+//	bce          bounds checks in the row-kernel files (BCE.allow)
 //
 // Usage:
 //
 //	go run ./cmd/mglint ./...          # lint the repo; nonzero exit on findings
 //	go run ./cmd/mglint -json ./...    # machine-readable diagnostics
+//	go run ./cmd/mglint -write ./...   # regenerate ESCAPES.allow and BCE.allow
 //
 // mglint lists the packages with `go list -deps -test`, so test files and
 // test variants are analyzed as the build sees them, type-checks each one
@@ -19,7 +23,9 @@
 // Findings are reported for the named packages only. Their dependencies,
 // the standard library included, run no analyzer: each only adds the
 // functions that never return to the set the load shares, which decides
-// the paths poolput walks past a call such as log.Fatal.
+// the paths poolput walks past a call such as log.Fatal. A compiler gate
+// runs when one of its packages is among the named ones, from whatever
+// directory mglint is started in.
 package main
 
 import (
@@ -35,29 +41,28 @@ import (
 	"strings"
 
 	"pbmg/internal/analysis/boundedgo"
-	"pbmg/internal/analysis/determinism"
-	"pbmg/internal/analysis/dimguard"
-	"pbmg/internal/analysis/hotalloc"
 	"pbmg/internal/analysis/lintutil"
 	"pbmg/internal/analysis/poolput"
 )
 
 // Analyzers is the mglint suite, in reporting order.
 var Analyzers = []*lintutil.Analyzer{
-	hotalloc.Analyzer,
-	determinism.Analyzer,
 	poolput.Analyzer,
 	boundedgo.Analyzer,
-	dimguard.Analyzer,
 }
 
+// gates are the compiler gates mglint runs beside its analyzers.
+var gates = []allowGate{escapeGate, bceGate}
+
 func main() {
-	var jsonOut bool
+	var jsonOut, write bool
 	var patterns []string
 	for _, a := range os.Args[1:] {
 		switch a {
 		case "-json", "--json":
 			jsonOut = true
+		case "-write", "--write":
+			write = true
 		case "-h", "-help", "--help":
 			usage()
 			return
@@ -73,10 +78,21 @@ func main() {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	findings, err := lint(patterns)
+	findings, dirs, err := lint(patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mglint: %v\n", err)
 		os.Exit(2)
+	}
+	root, _ := moduleRoot() // outside a module no gate's packages are linted
+	gateFailed := false
+	for _, g := range gates {
+		if !g.covers(root, dirs) {
+			continue
+		}
+		if err := g.run(root, write); err != nil {
+			fmt.Fprintf(os.Stderr, "mglint: %v\n", err)
+			gateFailed = true
+		}
 	}
 	if jsonOut {
 		tree := make(map[string]map[string][]finding)
@@ -93,7 +109,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "%s: %s\n", f.Posn, f.Message)
 		}
 	}
-	if len(findings) > 0 {
+	if len(findings) > 0 || gateFailed {
 		os.Exit(1)
 	}
 }
@@ -116,32 +132,34 @@ type finding struct {
 }
 
 // lint loads, type-checks and analyzes the packages the patterns name and
-// their dependencies, and returns each root package finding once.
-func lint(patterns []string) ([]finding, error) {
+// their dependencies, and returns each root package finding once and the
+// directories of the root packages.
+func lint(patterns []string) ([]finding, map[string]bool, error) {
 	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-test"}, patterns...)...)
 	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
 	cmd.Stderr = os.Stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list: %w", err)
+		return nil, nil, fmt.Errorf("go list: %w", err)
 	}
 	cwd, _ := os.Getwd() // on failure positions stay absolute
 	fset := token.NewFileSet()
 	checked := map[string]*types.Package{"unsafe": types.Unsafe}
 	noReturn := make(map[*types.Func]bool)
 	seen := make(map[[2]string]bool)
+	dirs := make(map[string]bool)
 	var findings []finding
 	// go list prints every package after its dependencies.
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err != nil {
-			return nil, fmt.Errorf("reading go list output: %w", err)
+			return nil, nil, fmt.Errorf("reading go list output: %w", err)
 		}
 		if lp.ImportPath == "unsafe" || lp.Name == "main" && strings.HasSuffix(lp.ImportPath, ".test") {
 			continue // unsafe has no source; *.test mains are generated
 		}
 		if lp.Error != nil {
-			return nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+			return nil, nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		// Imports resolve through ImportMap to packages already checked,
 		// keyed by ImportPath so that test variants stay apart.
@@ -154,12 +172,13 @@ func lint(patterns []string) ([]finding, error) {
 		path, _, _ := strings.Cut(lp.ImportPath, " ") // a test variant keeps its package's path
 		p, err := lintutil.Check(fset, path, lp.Dir, lp.GoFiles, imp)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
+			return nil, nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = p.Types
 		var analyzers []*lintutil.Analyzer
 		if !lp.DepOnly {
 			analyzers = Analyzers
+			dirs[lp.Dir] = true
 		}
 		diags := lintutil.Run(p, noReturn, analyzers...)
 		for _, a := range analyzers {
@@ -175,7 +194,21 @@ func lint(patterns []string) ([]finding, error) {
 			}
 		}
 	}
-	return findings, nil
+	return findings, dirs, nil
+}
+
+// moduleRoot returns the directory of the main module's go.mod, which the
+// compiler gates build from and keep their allow files in.
+func moduleRoot() (string, error) {
+	out, err := exec.Command("go", "env", "GOMOD").Output()
+	if err != nil {
+		return "", fmt.Errorf("go env GOMOD: %w", err)
+	}
+	gomod := strings.TrimSpace(string(out))
+	if gomod == "" || gomod == os.DevNull {
+		return "", fmt.Errorf("not inside a Go module")
+	}
+	return filepath.Dir(gomod), nil
 }
 
 type importerFunc func(path string) (*types.Package, error)
@@ -185,12 +218,19 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 func usage() {
 	fmt.Fprintf(os.Stderr, `mglint: enforce pbmg's kernel, pooling, and serving invariants
 
-usage: mglint [-json] [packages...]   (default ./...)
+usage: mglint [-json] [-write] [packages...]   (default ./...)
+
+  -json   print the analyzers' findings as JSON on stdout
+  -write  regenerate the compiler gates' allow files instead of checking them
 
 analyzers:
 `)
 	for _, a := range Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, strings.Split(a.Doc, "\n")[0])
+	}
+	fmt.Fprintf(os.Stderr, "\ncompiler gates (run when one of their packages is linted):\n")
+	for _, g := range gates {
+		fmt.Fprintf(os.Stderr, "  %-12s %s against %s\n", g.name, g.unit, g.file)
 	}
 	fmt.Fprintf(os.Stderr, "\nSuppress a finding with //mglint:allow <analyzer> — <justification>.\n")
 }

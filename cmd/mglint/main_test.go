@@ -327,49 +327,3 @@ func testNames(t *testing.T, dir string, pkgs []string) []string {
 	}
 	return names
 }
-
-// hotallocExemptions is the committed ceiling on //mglint:allow hotalloc
-// sites in the cycle's packages. The contract is that a steady-state solve
-// allocates nothing by construction, so an exemption is not a way to land an
-// allocation on the solve path: the survivors serve entry points no cycle
-// calls (the scratch-less wrappers bench/ and the oracles use) or a pooled
-// dispatch that allocates its tasks regardless, and each says so. Lower the
-// number when one goes; raising it needs the same argument in review.
-const hotallocExemptions = 3
-
-// TestHotallocExemptionBudget counts the exemption sites and holds them to
-// the ceiling, each with its justification.
-func TestHotallocExemptionBudget(t *testing.T) {
-	const marker = "//mglint:allow hotalloc"
-	var sites []string
-	for _, pkg := range []string{"transfer", "stencil", "mg", "direct"} {
-		files, err := filepath.Glob(filepath.Join("..", "..", "internal", pkg, "*.go"))
-		if err != nil || len(files) == 0 {
-			t.Fatalf("no sources for internal/%s (%v)", pkg, err)
-		}
-		for _, f := range files {
-			if strings.HasSuffix(f, "_test.go") {
-				continue
-			}
-			src, err := os.ReadFile(f)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, line := range strings.Split(string(src), "\n") {
-				_, why, ok := strings.Cut(line, marker)
-				if !ok {
-					continue
-				}
-				site := fmt.Sprintf("%s:%d", filepath.ToSlash(f), i+1)
-				sites = append(sites, site)
-				if len(strings.Trim(why, " —-")) < 20 {
-					t.Errorf("%s: exemption without a justification naming who needs it", site)
-				}
-			}
-		}
-	}
-	if len(sites) > hotallocExemptions {
-		t.Errorf("%d hotalloc exemptions, ceiling %d — take the buffer from the caller's scratch instead:\n  %s",
-			len(sites), hotallocExemptions, strings.Join(sites, "\n  "))
-	}
-}

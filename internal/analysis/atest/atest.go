@@ -11,9 +11,9 @@
 //
 // Usage, from an analyzer package:
 //
-//	atest.Run(t, "testdata", Analyzer, "stencil", "clean/stencil")
+//	atest.Run(t, "testdata", Analyzer, "serve", "clean/serve")
 //
-// loads testdata/src/stencil and testdata/src/clean/stencil, runs the
+// loads testdata/src/serve and testdata/src/clean/serve, runs the
 // analyzer on each, and asserts that every
 // diagnostic matches a want comment on its line and every want comment is
 // matched by a diagnostic.

@@ -25,6 +25,8 @@ package boundedgo
 import (
 	"go/ast"
 	"go/types"
+	"path"
+	"path/filepath"
 	"regexp"
 
 	"pbmg/internal/analysis/lintutil"
@@ -40,7 +42,7 @@ var acquireRx = regexp.MustCompile(`^(Acquire|TryAcquire|acquire|admit)`)
 var semNameRx = regexp.MustCompile(`(?i)(sem|slot|ticket|gate|tok|quota)`)
 
 func run(pass *lintutil.Pass) {
-	inScopePkg := lintutil.PkgInScope(pass.Pkg.Path(), "serve")
+	inScopePkg := path.Base(pass.Pkg.Path()) == "serve"
 	allow := lintutil.NewAllowIndex(pass, "boundedgo")
 
 	// A go statement's children are not visited: a launch inside a
@@ -57,7 +59,7 @@ func run(pass *lintutil.Pass) {
 			// Scope: the serve package wholesale, plus the registry
 			// and service layers of the root package by filename.
 			if !inScopePkg {
-				base := lintutil.FileBase(pass.Fset, g.Pos())
+				base := filepath.Base(pass.Fset.Position(g.Pos()).Filename)
 				if base != "registry.go" && base != "service.go" {
 					return false
 				}

@@ -1,8 +1,7 @@
 // Package lintutil holds the pieces the mglint analyzers share: the
-// //mglint:allow escape-hatch annotation, the package-scope matcher that
-// binds each analyzer to the repo layers whose invariants it enforces,
-// small AST/type helpers and walkers, and the runner that both cmd/mglint
-// and the fixture harness atest drive the analyzers through. The runner
+// //mglint:allow escape-hatch annotation, small AST/type helpers and
+// walkers, and the runner that both cmd/mglint and the fixture harness
+// atest drive the analyzers through. The runner
 // needs no more than go/ast, go/types and golang.org/x/tools/go/cfg: Run
 // builds each function's control-flow graph once, with the set of
 // functions that never return (panic helpers, os.Exit, log.Fatal) that a
@@ -110,38 +109,12 @@ func (idx *AllowIndex) Allowed(pos token.Pos) bool {
 	return lines[p.Line] || lines[p.Line-1]
 }
 
-// PkgInScope reports whether a package path belongs to one of the named
-// repo layers. A layer name matches the path's last element exactly or as
-// an "internal/<name>" suffix, so both the real tree ("pbmg/internal/stencil")
-// and analyzer fixtures ("stencil", "clean/stencil") are in scope.
-func PkgInScope(path string, layers ...string) bool {
-	base := path
-	if i := strings.LastIndexByte(path, '/'); i >= 0 {
-		base = path[i+1:]
-	}
-	for _, l := range layers {
-		if base == l || strings.HasSuffix(path, "internal/"+l) {
-			return true
-		}
-	}
-	return false
-}
-
 // IsTestFile reports whether pos lies in a _test.go file. The mglint
 // analyzers enforce production invariants; test files routinely (and
 // legitimately) allocate, spawn goroutines, and provoke the guarded
 // panics on purpose.
 func IsTestFile(fset *token.FileSet, pos token.Pos) bool {
 	return strings.HasSuffix(fset.Position(pos).Filename, "_test.go")
-}
-
-// FileBase returns the base filename holding pos.
-func FileBase(fset *token.FileSet, pos token.Pos) string {
-	name := fset.Position(pos).Filename
-	if i := strings.LastIndexByte(name, '/'); i >= 0 {
-		name = name[i+1:]
-	}
-	return name
 }
 
 // FuncDecls calls visit on every function declaration of files, in

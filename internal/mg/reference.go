@@ -51,15 +51,3 @@ func IterateUntil(target float64, maxIters int, step func(), accuracy func() flo
 func (ws *Workspace) SolveRefV(x, b *grid.Grid, target float64, maxIters int, accuracy func() float64, rec Recorder) (int, float64) {
 	return IterateUntil(target, maxIters, func() { ws.RefVCycle(x, b, rec) }, accuracy)
 }
-
-// SolveRefFullMG runs one full-multigrid pass and then iterates V-cycles
-// until the accuracy target is met — the paper's second reference algorithm.
-// The returned iteration count includes the initial FMG pass.
-func (ws *Workspace) SolveRefFullMG(x, b *grid.Grid, target float64, maxIters int, accuracy func() float64, rec Recorder) (int, float64) {
-	ws.RefFullMG(x, b, rec)
-	if a := accuracy(); a >= target {
-		return 1, a
-	}
-	iters, a := IterateUntil(target, maxIters-1, func() { ws.RefVCycle(x, b, rec) }, accuracy)
-	return iters + 1, a
-}

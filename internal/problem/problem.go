@@ -83,13 +83,6 @@ func (p *Problem) SetOptimal(x *grid.Grid) {
 // Optimal returns the reference solution, or nil if not yet computed.
 func (p *Problem) Optimal() *grid.Grid { return p.opt }
 
-// InitialError returns ‖x₀ − x_opt‖₂ for the standard zero-interior initial
-// guess. It panics if the reference solution has not been set.
-func (p *Problem) InitialError() float64 {
-	p.mustOpt()
-	return p.initErr
-}
-
 // AccuracyOf returns the paper's accuracy level (§2.2) of a candidate output
 // x, measured from the standard initial guess: ‖x₀ − x_opt‖₂ / ‖x − x_opt‖₂.
 // Higher is better. An exact x scores +Inf, or 1 when the initial guess was

@@ -263,3 +263,10 @@ func TestMeetsMatchesAccuracyOf(t *testing.T) {
 	x.Set(2, 3, 1)
 	check("a candidate against an exact initial guess", p, x)
 }
+
+// InitialError returns ‖x₀ − x_opt‖₂ for the standard zero-interior initial
+// guess. It panics if the reference solution has not been set.
+func (p *Problem) InitialError() float64 {
+	p.mustOpt()
+	return p.initErr
+}

@@ -395,7 +395,7 @@ func (k *rowOps[T]) window(scratch *grid.G[T], lo int) (win transfer.Window[T]) 
 	switch {
 	case !k.dim3():
 	case scratch == nil:
-		win = transfer.NewWindow(make([]T, transfer.WindowLen(nc)), nc) //mglint:allow hotalloc — OpSmoothResidualRestrict has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpDownstroke
+		win = transfer.NewWindow(make([]T, transfer.WindowLen(nc)), nc) // OpSmoothResidualRestrict has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpDownstroke
 	default:
 		win = transfer.NewWindow(scratch.Data()[2*lo*k.n*k.n:], nc)
 	}
@@ -515,7 +515,7 @@ func (k *rowOps[T]) residualNorm() float64 {
 // normPass is residualNorm's pooled pass (by-value receiver: see
 // halfSweepPass).
 func normPass[T grid.Float](k rowOps[T]) float64 {
-	sums := make([]float64, k.n) //mglint:allow hotalloc — per-unit partials of the pooled pass only (whose dispatch allocates its region anyway); the serial driver reduces in index order without them
+	sums := make([]float64, k.n) // per-unit partials of the pooled pass only (whose dispatch allocates its region anyway); the serial driver reduces in index order without them
 	k.forUnits(func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			sums[i] = k.residualSq(i)

@@ -4,7 +4,7 @@ package stencil
 // their drivers only where an entry point is instantiated. Instantiating
 // each one at both storage precisions here makes this package, built alone,
 // compile every kernel it ships — which is what the compiler diagnostics the
-// escape and bounds-check gates read (`mgbench -exp escapes`, `-exp bce`)
+// escape and bounds-check gates read (`go run ./cmd/mglint ./...`)
 // are reported for.
 var _ = []any{
 	OpSORSweepRB[float64], OpSORSweepRB[float32],

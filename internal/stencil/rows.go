@@ -11,7 +11,7 @@
 // the row shifted by one, so xr[j+1] becomes east[j]), the loop bound is
 // that length, and every index is the induction variable or j−1. The only
 // checks left are the prologue's slice checks, once per row;
-// `mgbench -exp bce` fails the build if an index check reappears here.
+// mglint's bounds-check gate fails the build if an index check reappears here.
 //
 // The arithmetic of each family is the expression the strided kernels have
 // always evaluated, operand for operand, so every caller's results are

@@ -90,7 +90,7 @@ func (k *rowOps[T]) rowBufs(scratch *grid.G[T], i int) (buf, tmp []T) {
 		if k.dim3() {
 			n *= 2
 		}
-		buf = make([]T, n) //mglint:allow hotalloc — OpInterpolateCorrectSmooth has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpUpstroke
+		buf = make([]T, n) // OpInterpolateCorrectSmooth has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpUpstroke
 		return buf[:k.n], buf[k.n:]
 	case k.dim3():
 		return scratch.Row3(i, 0), scratch.Row3(i, 1)

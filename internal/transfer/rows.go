@@ -8,7 +8,7 @@ import "pbmg/internal/grid"
 // row-at-a-time form a fused downstroke drives as soon as those three rows
 // are final, wherever it keeps them. Like the stencil package's row
 // kernels (stencil/rows.go) it re-slices the fine rows to one shared length
-// so the loop carries no index checks — `mgbench -exp bce` gates this file
+// so the loop carries no index checks — mglint's bounds-check gate checks this file
 // too; the coarse row advances as a slice because its index, j/2, is not one
 // the compiler can bound.
 func RestrictRow[T grid.Float](cr, up, mid, down []T) {
