@@ -1,23 +1,4 @@
-// Package atest runs an analyzer over GOPATH-style fixture packages and
-// checks its diagnostics against // want "regexp" comments. It loads
-// fixtures with go/parser + go/types, resolving fixture-local imports
-// from testdata/src and everything else from the compiler's source
-// importer, so the analyzer tests run hermetically offline. The analyzers
-// run through lintutil.Run, the same runner cmd/mglint uses, and the
-// packages of one Run call share one no-return set, filled in the order
-// they are named. A package that is only imported never goes through
-// lintutil.Run, the standard library included: none of its functions is
-// in the set, so a fixture's log.Fatal may return.
-//
-// Usage, from an analyzer package:
-//
-//	atest.Run(t, "testdata", Analyzer, "serve", "clean/serve")
-//
-// loads testdata/src/serve and testdata/src/clean/serve, runs the
-// analyzer on each, and asserts that every
-// diagnostic matches a want comment on its line and every want comment is
-// matched by a diagnostic.
-package atest
+package main
 
 import (
 	"fmt"
@@ -32,14 +13,33 @@ import (
 	"strings"
 	"testing"
 
+	"pbmg/internal/analysis/boundedgo"
 	"pbmg/internal/analysis/lintutil"
+	"pbmg/internal/analysis/poolput"
 )
 
-// Run loads each fixture package under dir/src and checks the analyzer's
-// diagnostics against the fixtures' want comments.
-func Run(t *testing.T, dir string, a *lintutil.Analyzer, pkgPaths ...string) {
+func TestBoundedgo(t *testing.T) {
+	runFixtures(t, boundedgo.Analyzer, "serve")
+}
+
+func TestPoolput(t *testing.T) {
+	runFixtures(t, poolput.Analyzer, "mg")
+}
+
+// runFixtures loads each named GOPATH-style fixture package under
+// testdata/src, runs the analyzer on it and asserts that every diagnostic
+// matches a // want "regexp" comment on its line and every want comment is
+// matched by a diagnostic. It loads with go/parser + go/types, resolving
+// fixture-local imports from testdata/src and everything else from the
+// compiler's source importer, so the tests run hermetically offline. The
+// analyzer runs through lintutil.Run, the runner mglint uses, and the
+// packages of one call share one no-return set, filled in the order they
+// are named. A package that is only imported never goes through
+// lintutil.Run, the standard library included: none of its functions is
+// in the set, so a fixture's log.Fatal may return.
+func runFixtures(t *testing.T, a *lintutil.Analyzer, pkgPaths ...string) {
 	t.Helper()
-	l := newLoader(filepath.Join(dir, "src"))
+	l := newLoader(filepath.Join("testdata", "src"))
 	for _, path := range pkgPaths {
 		t.Run(path, func(t *testing.T) {
 			t.Helper()

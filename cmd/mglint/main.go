@@ -135,31 +135,59 @@ type finding struct {
 // their dependencies, and returns each root package finding once and the
 // directories of the root packages.
 func lint(patterns []string) ([]finding, map[string]bool, error) {
-	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-test"}, patterns...)...)
-	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, nil, fmt.Errorf("go list: %w", err)
-	}
 	cwd, _ := os.Getwd() // on failure positions stay absolute
-	fset := token.NewFileSet()
-	checked := map[string]*types.Package{"unsafe": types.Unsafe}
 	noReturn := make(map[*types.Func]bool)
 	seen := make(map[[2]string]bool)
 	dirs := make(map[string]bool)
 	var findings []finding
+	err := load("", patterns, func(lp *listedPackage, p *lintutil.Package) {
+		var analyzers []*lintutil.Analyzer
+		if !lp.DepOnly {
+			analyzers = Analyzers
+			dirs[lp.Dir] = true
+		}
+		diags := lintutil.Run(p, noReturn, analyzers...)
+		for _, a := range analyzers {
+			for _, d := range diags[a] {
+				posn := p.Fset.Position(d.Pos)
+				if rel, err := filepath.Rel(cwd, posn.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+					posn.Filename = rel
+				}
+				if key := [2]string{posn.String(), d.Message}; !seen[key] {
+					seen[key] = true
+					findings = append(findings, finding{lp.ImportPath, a.Name, key[0], key[1]})
+				}
+			}
+		}
+	})
+	return findings, dirs, err
+}
+
+// load lists the packages the patterns name from dir ("" for the working
+// directory) with `go list -deps -test`, type-checks each from source on
+// one file set, dependencies first, and hands it to visit.
+func load(dir string, patterns []string, visit func(*listedPackage, *lintutil.Package)) error {
+	cmd := exec.Command("go", append([]string{"list", "-e", "-json", "-deps", "-test"}, patterns...)...)
+	cmd.Dir = dir
+	cmd.Env = append(os.Environ(), "CGO_ENABLED=0")
+	cmd.Stderr = os.Stderr
+	out, err := cmd.Output()
+	if err != nil {
+		return fmt.Errorf("go list: %w", err)
+	}
+	fset := token.NewFileSet()
+	checked := map[string]*types.Package{"unsafe": types.Unsafe}
 	// go list prints every package after its dependencies.
 	for dec := json.NewDecoder(bytes.NewReader(out)); dec.More(); {
 		var lp listedPackage
 		if err := dec.Decode(&lp); err != nil {
-			return nil, nil, fmt.Errorf("reading go list output: %w", err)
+			return fmt.Errorf("reading go list output: %w", err)
 		}
 		if lp.ImportPath == "unsafe" || lp.Name == "main" && strings.HasSuffix(lp.ImportPath, ".test") {
 			continue // unsafe has no source; *.test mains are generated
 		}
 		if lp.Error != nil {
-			return nil, nil, fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
+			return fmt.Errorf("%s: %s", lp.ImportPath, lp.Error.Err)
 		}
 		// Imports resolve through ImportMap to packages already checked,
 		// keyed by ImportPath so that test variants stay apart.
@@ -172,29 +200,12 @@ func lint(patterns []string) ([]finding, map[string]bool, error) {
 		path, _, _ := strings.Cut(lp.ImportPath, " ") // a test variant keeps its package's path
 		p, err := lintutil.Check(fset, path, lp.Dir, lp.GoFiles, imp)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s: %w", lp.ImportPath, err)
+			return fmt.Errorf("%s: %w", lp.ImportPath, err)
 		}
 		checked[lp.ImportPath] = p.Types
-		var analyzers []*lintutil.Analyzer
-		if !lp.DepOnly {
-			analyzers = Analyzers
-			dirs[lp.Dir] = true
-		}
-		diags := lintutil.Run(p, noReturn, analyzers...)
-		for _, a := range analyzers {
-			for _, d := range diags[a] {
-				posn := fset.Position(d.Pos)
-				if rel, err := filepath.Rel(cwd, posn.Filename); err == nil && !strings.HasPrefix(rel, "..") {
-					posn.Filename = rel
-				}
-				if key := [2]string{posn.String(), d.Message}; !seen[key] {
-					seen[key] = true
-					findings = append(findings, finding{lp.ImportPath, a.Name, key[0], key[1]})
-				}
-			}
-		}
+		visit(&lp, p)
 	}
-	return findings, dirs, nil
+	return nil
 }
 
 // moduleRoot returns the directory of the main module's go.mod, which the

@@ -138,11 +138,14 @@ func Read(src []byte, ok bool) int {
 		}
 	}
 
-	// The repaired fan-out — a worker loop sized by an admission limit —
-	// must pass with exit 0.
+	// The repaired fan-out — a worker loop sized by the host's parallelism
+	// — must pass with exit 0.
 	if out, code := lint("workers", `package serve
 
-func FanOut(workers int, reqs chan int, handle func(int)) {
+import "runtime"
+
+func FanOut(reqs chan int, handle func(int)) {
+	workers := runtime.GOMAXPROCS(0)
 	for i := 0; i < workers; i++ {
 		go func() {
 			for r := range reqs {

@@ -47,7 +47,6 @@ func TestEveryPackageIsLinkedOrListed(t *testing.T) {
 		"pbmg/examples/quickstart":     "a runnable example of the public API",
 		"pbmg/examples/electrostatics": "a runnable example of the public API",
 		"pbmg/internal/goldens":        "test pins only",
-		"pbmg/internal/analysis/atest": "the analyzer fixture harness",
 		"pbmg/internal/mixload":        "only bench/ imports it",
 	}
 	linked := map[string]bool{}

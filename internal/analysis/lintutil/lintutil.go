@@ -1,8 +1,7 @@
 // Package lintutil holds the pieces the mglint analyzers share: the
 // //mglint:allow escape-hatch annotation, small AST/type helpers and
-// walkers, and the runner that both cmd/mglint and the fixture harness
-// atest drive the analyzers through. The runner
-// needs no more than go/ast, go/types and golang.org/x/tools/go/cfg: Run
+// walkers, and the runner that cmd/mglint and its fixture tests drive the
+// analyzers through. The runner needs no more than go/ast, go/types and golang.org/x/tools/go/cfg: Run
 // builds each function's control-flow graph once, with the set of
 // functions that never return (panic helpers, os.Exit, log.Fatal) that a
 // load shares across its packages, adds the package's own to that set,

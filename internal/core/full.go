@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"pbmg/internal/grid"
@@ -157,24 +156,4 @@ func withFullIters(c measuredFull, i int) mg.FullPlan {
 		p.Iters = c.iters[i]
 	}
 	return p
-}
-
-func describeFullRow(row []mg.FullPlan) string {
-	s := ""
-	for i, p := range row {
-		if i > 0 {
-			s += ", "
-		}
-		switch {
-		case p.Choice == mg.FullDirect:
-			s += "direct"
-		case p.Solve == mg.ChoiceSOR:
-			s += fmt.Sprintf("est%d+sor×%d", p.EstAcc+1, p.Iters)
-		case p.Solve == mg.ChoiceVCycle:
-			s += fmt.Sprintf("est%d+vchain×%d", p.EstAcc+1, p.Iters)
-		default:
-			s += fmt.Sprintf("est%d+rec%d×%d", p.EstAcc+1, p.SolveSub+1, p.Iters)
-		}
-	}
-	return s
 }

@@ -46,6 +46,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"sync"
 	"time"
 
@@ -703,7 +704,7 @@ func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	<-done
 	t.work.Add(v.work)
 	vt.Plans = append(vt.Plans, vrow)
-	t.logf("level %d (N=%d): V %s; full %s [%s]", level, grid.SizeOfLevel(level), describeRow(vrow), describeFullRow(frow), t.charge(level, before))
+	t.logf("level %d (N=%d): V %s; full %s [%s]", level, grid.SizeOfLevel(level), describe(vrow), describe(frow), t.charge(level, before))
 }
 
 // tuneVLevel picks, per accuracy target, the cheapest feasible of a level's
@@ -742,22 +743,11 @@ func withIters(c measured, i int) mg.Plan {
 	return p
 }
 
-func describeRow(row []mg.Plan) string {
-	s := ""
+// describe joins a row's cells as the progress lines print them.
+func describe[P fmt.Stringer](row []P) string {
+	cells := make([]string, len(row))
 	for i, p := range row {
-		if i > 0 {
-			s += ", "
-		}
-		switch p.Choice {
-		case mg.ChoiceDirect:
-			s += "direct"
-		case mg.ChoiceSOR:
-			s += fmt.Sprintf("sor×%d", p.Iters)
-		case mg.ChoiceRecurse:
-			s += fmt.Sprintf("rec%d×%d", p.Sub+1, p.Iters)
-		case mg.ChoiceVCycle:
-			s += fmt.Sprintf("vchain×%d", p.Iters)
-		}
+		cells[i] = p.String()
 	}
-	return s
+	return strings.Join(cells, ", ")
 }

@@ -61,17 +61,6 @@ func (m *BandMatrix) at(row, dist int) float64 { return m.data[row*m.w+dist] }
 // set stores v at (row, row−dist).
 func (m *BandMatrix) set(row, dist int, v float64) { m.data[row*m.w+dist] = v }
 
-// At returns A(i, j), exploiting symmetry; entries outside the band are 0.
-func (m *BandMatrix) At(i, j int) float64 {
-	if j > i {
-		i, j = j, i
-	}
-	if i-j > m.bandwidth {
-		return 0
-	}
-	return m.at(i, i-j)
-}
-
 // Set stores A(i, j) (and by symmetry A(j, i)). It panics if (i, j) lies
 // outside the band or the matrix is already factored.
 func (m *BandMatrix) Set(i, j int, v float64) {

@@ -72,6 +72,18 @@ func randomSPDBand(rng *rand.Rand, n, bw int) (*BandMatrix, [][]float64) {
 	return bm, dense
 }
 
+// At returns A(i, j), exploiting symmetry; entries outside the band are 0.
+// Only tests read the matrix entry by entry.
+func (m *BandMatrix) At(i, j int) float64 {
+	if j > i {
+		i, j = j, i
+	}
+	if i-j > m.bandwidth {
+		return 0
+	}
+	return m.at(i, i-j)
+}
+
 func TestBandMatrixAtSetSymmetry(t *testing.T) {
 	m := NewBandMatrix(5, 2)
 	m.Set(3, 1, 7)

@@ -7,35 +7,10 @@
 // registry and the spec syntax.
 package faultinject
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Enabled reports whether the binary was built with the faultinject tag.
 const Enabled = false
-
-// Kind is the action an armed fault performs; unused in this edition.
-type Kind string
-
-const (
-	KindDelay Kind = "delay"
-	KindPanic Kind = "panic"
-	KindError Kind = "error"
-	KindNaN   Kind = "nan"
-)
-
-// Fault is one armed injection; unused in this edition.
-type Fault struct {
-	Kind  Kind
-	After int
-	Count int
-	Level int
-	Delay time.Duration
-}
-
-// Arm is a no-op without the faultinject tag.
-func Arm(name string, f Fault) {}
 
 // Clear is a no-op without the faultinject tag.
 func Clear() {}

@@ -1,11 +1,8 @@
 package goldens
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -14,6 +11,7 @@ import (
 	"pbmg/internal/arch"
 	"pbmg/internal/core"
 	"pbmg/internal/grid"
+	"pbmg/internal/mg"
 	"pbmg/internal/stencil"
 )
 
@@ -32,27 +30,33 @@ var benchTables = []struct {
 	{stencil.FamilyPoisson3D, 17},
 }
 
-const tablesPath = "testdata/tables.sha256"
+const tablesPath = "testdata/tables.txt"
 
-// TestBenchmarkTablesPinned: each benchmark table, as Save writes it, has
-// the SHA-256 recorded in testdata/tables.sha256, in sha256sum's format — so
-// a tuner change that means to move no cell shows it byte for byte, and
-// `mgtune -machine intel-harpertown -seed 20090101 -workers 0 -size N
-// [-family F]` output checks against the file with `sha256sum -c`. A change
-// that means to move cells reruns `go test ./internal/goldens -update`, which
-// rewrites this file with goldens.json, and lists the moved tables.
+// TestBenchmarkTablesPinned: every cell of each benchmark table, as text.
+// testdata/tables.txt holds one line per table, level and algorithm (V or
+// full), in the tuner's progress form, each cell followed by its model
+// price: the Coster's Cost of the trace of that cell's solve. The choices
+// of a line are those `mgtune -machine intel-harpertown -seed 20090101
+// -workers 0 -size N [-family F]` prints on stderr for the level ("level L
+// (N=n): V …; full …"). A tuner change that means to move no cell
+// passes untouched; one that moves a cell fails naming the table, level,
+// algorithm, accuracy and the cell's old → new choice and price. A change
+// that means to move cells reruns `go test ./internal/goldens -update`,
+// which rewrites this file with goldens.json, and lists the moved cells.
 func TestBenchmarkTablesPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tunes the six benchmark tables")
 	}
-	got := make(map[string]string, len(benchTables))
+	got := make(map[string][]string, len(benchTables))
+	acc := map[string][]float64{} // the accuracy targets of each line
 	var mu sync.Mutex
 	t.Run("tune", func(t *testing.T) {
 		for _, bt := range benchTables {
-			name := fmt.Sprintf("%s-%d.json", bt.family, bt.n)
-			t.Run(name, func(t *testing.T) {
+			name := fmt.Sprintf("%s-%d", bt.family, bt.n)
+			t.Run(name+".json", func(t *testing.T) {
 				t.Parallel()
-				tn, err := core.New(core.Config{MaxLevel: grid.Level(bt.n), Family: bt.family, Seed: 20090101, Coster: arch.Harpertown()})
+				coster := arch.Harpertown()
+				tn, err := core.New(core.Config{MaxLevel: grid.Level(bt.n), Family: bt.family, Seed: 20090101, Coster: coster})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -60,17 +64,33 @@ func TestBenchmarkTablesPinned(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				path := filepath.Join(t.TempDir(), name)
-				if err := tuned.Save(path); err != nil {
-					t.Fatal(err)
-				}
-				data, err := os.ReadFile(path)
+				op, err := tuned.OperatorValue()
 				if err != nil {
 					t.Fatal(err)
 				}
-				sum := sha256.Sum256(data)
+				ws := mg.NewWorkspace(nil, op)
+				var lines []string
+				for level := 2; level <= tuned.V.MaxLevel(); level++ {
+					n := grid.SizeOfLevel(level)
+					price := func(solve func(ex *mg.Executor, x, b *grid.Grid)) string {
+						var tr mg.OpTrace
+						solve(&mg.Executor{WS: ws, V: tuned.V, F: tuned.F, Rec: &tr}, grid.NewDim(op.Dim(), n), grid.NewDim(op.Dim(), n))
+						return fmt.Sprintf("%.6g", coster.Cost(&tr, 0))
+					}
+					v, full := make([]string, len(tuned.V.Acc)), make([]string, len(tuned.V.Acc))
+					for i := range tuned.V.Acc {
+						v[i] = tuned.V.Plan(level, i).String() + " " + price(func(ex *mg.Executor, x, b *grid.Grid) { ex.SolveV(x, b, i) })
+						full[i] = tuned.F.Plan(level, i).String() + " " + price(func(ex *mg.Executor, x, b *grid.Grid) { ex.SolveFull(x, b, i) })
+					}
+					head := fmt.Sprintf("%s level %d (N=%d)", name, level, n)
+					lines = append(lines, head+" V: "+strings.Join(v, ", "), head+" full: "+strings.Join(full, ", "))
+				}
 				mu.Lock()
-				got[name] = hex.EncodeToString(sum[:])
+				got[name] = lines
+				for _, line := range lines {
+					key, _, _ := strings.Cut(line, ": ")
+					acc[key] = tuned.V.Acc
+				}
 				mu.Unlock()
 			})
 		}
@@ -78,40 +98,54 @@ func TestBenchmarkTablesPinned(t *testing.T) {
 	if t.Failed() {
 		return
 	}
+	names := make([]string, 0, len(got))
+	for name := range got {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var lines []string
+	for _, name := range names {
+		lines = append(lines, got[name]...)
+	}
 	if *update {
-		names := make([]string, 0, len(got))
-		for name := range got {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		var lines []string
-		for _, name := range names {
-			lines = append(lines, got[name]+"  "+name)
-		}
 		if err := os.WriteFile(tablesPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d table hashes to %s", len(lines), tablesPath)
+		t.Logf("wrote %d table lines to %s", len(lines), tablesPath)
 		return
 	}
 	data, err := os.ReadFile(tablesPath)
 	if err != nil {
-		t.Fatalf("read table hashes (run with -update to create them): %v", err)
+		t.Fatalf("read tables (run with -update to create them): %v", err)
 	}
-	want := map[string]string{}
+	want := map[string][]string{}
 	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
-		sum, name, ok := strings.Cut(line, "  ")
+		key, cells, ok := strings.Cut(line, ": ")
 		if !ok {
 			t.Fatalf("%s: malformed line %q", tablesPath, line)
 		}
-		want[name] = sum
+		want[key] = strings.Split(cells, ", ")
 	}
-	for name, sum := range got {
-		if want[name] != sum {
-			t.Errorf("%s: tuned table hashes to %s, recorded %s (run -update if the change is intended)", name, sum, want[name])
+	for _, line := range lines {
+		key, cells, _ := strings.Cut(line, ": ")
+		w, ok := want[key]
+		if !ok {
+			t.Errorf("%s: no recorded line (run -update if the change is intended)", key)
+			continue
+		}
+		delete(want, key)
+		g := strings.Split(cells, ", ")
+		if len(g) != len(w) {
+			t.Errorf("%s: %d cells, recorded %d", key, len(g), len(w))
+			continue
+		}
+		for i := range g {
+			if g[i] != w[i] {
+				t.Errorf("%s, accuracy %g: %s → %s (run -update if the change is intended)", key, acc[key][i], w[i], g[i])
+			}
 		}
 	}
-	if len(want) != len(got) {
-		t.Errorf("%s records %d tables, the test tunes %d", tablesPath, len(want), len(got))
+	for key := range want {
+		t.Errorf("%s: recorded, but no benchmark table has it", key)
 	}
 }

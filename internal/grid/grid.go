@@ -140,12 +140,6 @@ func (g *G[T]) Set(i, j int, v T) {
 	g.data[i*g.n+j] = v
 }
 
-// At3 returns the value at plane i, row j, column k (3D only).
-func (g *G[T]) At3(i, j, k int) T {
-	g.mustDim(3, "At3")
-	return g.data[(i*g.n+j)*g.n+k]
-}
-
 // Set3 stores v at plane i, row j, column k (3D only).
 func (g *G[T]) Set3(i, j, k int, v T) {
 	g.mustDim(3, "Set3")
@@ -225,39 +219,6 @@ func (g *G[T]) ZeroBoundary() {
 		return
 	}
 	zeroBoundary2(g.data, n)
-}
-
-// AddInterior adds src's interior entries into g's interior, leaving
-// boundaries untouched. Used for coarse-grid correction.
-func (g *G[T]) AddInterior(src *G[T]) {
-	if g.n != src.n || g.dim != src.dim {
-		panic("grid: AddInterior size mismatch")
-	}
-	n := g.n
-	if g.dim == 3 {
-		for i := 1; i < n-1; i++ {
-			for j := 1; j < n-1; j++ {
-				gr, sr := g.Row3(i, j), src.Row3(i, j)
-				for k := 1; k < n-1; k++ {
-					gr[k] += sr[k]
-				}
-			}
-		}
-		return
-	}
-	for i := 1; i < n-1; i++ {
-		gr, sr := g.Row(i), src.Row(i)
-		for j := 1; j < n-1; j++ {
-			gr[j] += sr[j]
-		}
-	}
-}
-
-// Scale multiplies every entry by s.
-func (g *G[T]) Scale(s T) {
-	for i := range g.data {
-		g.data[i] *= s
-	}
 }
 
 // Level returns k such that n = 2^k + 1, or -1 if n is not of that form.

@@ -11,9 +11,6 @@ func TestGrid3Basics(t *testing.T) {
 		t.Fatalf("New3(5): dim=%d n=%d points=%d", g.Dim(), g.N(), g.Points())
 	}
 	g.Set3(1, 2, 3, 7.5)
-	if g.At3(1, 2, 3) != 7.5 {
-		t.Fatalf("At3 after Set3 = %v", g.At3(1, 2, 3))
-	}
 	// Flat layout: plane-major, then row-major.
 	if g.Data()[(1*5+2)*5+3] != 7.5 {
 		t.Fatal("Set3 wrote the wrong flat index")
@@ -25,7 +22,7 @@ func TestGrid3Basics(t *testing.T) {
 		t.Fatal("Plane slice misses the value")
 	}
 	c := g.Clone()
-	if c.Dim() != 3 || c.At3(1, 2, 3) != 7.5 {
+	if c.Dim() != 3 || c.Row3(1, 2)[3] != 7.5 {
 		t.Fatal("Clone dropped dimension or data")
 	}
 }
@@ -48,12 +45,10 @@ func TestDimensionGuards(t *testing.T) {
 	mustPanic("Set on 3D", func() { g3.Set(1, 1, 0) })
 	mustPanic("Row on 3D", func() { g3.Row(1) })
 	g2 := New(5)
-	mustPanic("At3 on 2D", func() { g2.At3(1, 1, 1) })
 	mustPanic("Set3 on 2D", func() { g2.Set3(1, 1, 1, 0) })
 	mustPanic("Plane on 2D", func() { g2.Plane(1) })
 	mustPanic("Row3 on 2D", func() { g2.Row3(1, 1) })
 	mustPanic("CopyFrom mixed", func() { g2.CopyFrom(g3) })
-	mustPanic("AddInterior mixed", func() { g2.AddInterior(g3) })
 	mustPanic("NewDim(4)", func() { NewDim(4, 5) })
 }
 
@@ -66,7 +61,7 @@ func TestZeroBoundary3D(t *testing.T) {
 		for j := 0; j < n; j++ {
 			for k := 0; k < n; k++ {
 				onBoundary := i == 0 || i == n-1 || j == 0 || j == n-1 || k == 0 || k == n-1
-				v := g.At3(i, j, k)
+				v := g.Row3(i, j)[k]
 				if onBoundary && v != 0 {
 					t.Fatalf("boundary (%d,%d,%d) = %v, want 0", i, j, k, v)
 				}
@@ -75,21 +70,6 @@ func TestZeroBoundary3D(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-func TestAddInterior3D(t *testing.T) {
-	n := 5
-	dst := New3(n)
-	dst.Fill(3)
-	add := New3(n)
-	add.Fill(2)
-	dst.AddInterior(add)
-	if dst.At3(2, 2, 2) != 5 {
-		t.Fatal("AddInterior missed the interior")
-	}
-	if dst.At3(0, 1, 1) != 3 {
-		t.Fatal("AddInterior touched the boundary")
 	}
 }
 
@@ -116,13 +96,13 @@ func TestFillBoundaryRandom3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := New3(5)
 	FillBoundaryRandom(g, Unbiased, rng)
-	if g.At3(2, 2, 2) != 0 {
+	if g.Row3(2, 2)[2] != 0 {
 		t.Fatal("FillBoundaryRandom touched the interior")
 	}
 	nonzero := 0
 	for i := 0; i < 5; i++ {
 		for j := 0; j < 5; j++ {
-			if g.At3(0, i, j) != 0 {
+			if g.Row3(0, i)[j] != 0 {
 				nonzero++
 			}
 		}
@@ -140,7 +120,7 @@ func TestFillRandomPointSources3D(t *testing.T) {
 	for i := 0; i < 9; i++ {
 		for j := 0; j < 9; j++ {
 			for k := 0; k < 9; k++ {
-				v := g.At3(i, j, k)
+				v := g.Row3(i, j)[k]
 				if v != 0 {
 					impulses++
 					if i == 0 || i == 8 || j == 0 || j == 8 || k == 0 || k == 8 {

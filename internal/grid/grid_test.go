@@ -98,28 +98,6 @@ func TestZeroBoundaryKeepsInterior(t *testing.T) {
 	}
 }
 
-func TestAddInterior(t *testing.T) {
-	a, b := New(4), New(4)
-	a.Fill(1)
-	b.Fill(2)
-	a.AddInterior(b)
-	if a.At(1, 2) != 3 {
-		t.Fatalf("interior sum = %v, want 3", a.At(1, 2))
-	}
-	if a.At(0, 0) != 1 {
-		t.Fatal("AddInterior touched the boundary")
-	}
-}
-
-func TestScale(t *testing.T) {
-	g := New(3)
-	g.Fill(2)
-	g.Scale(-0.5)
-	if g.At(1, 1) != -1 {
-		t.Fatalf("Scale: got %v, want -1", g.At(1, 1))
-	}
-}
-
 func TestLevelAndSizeOfLevel(t *testing.T) {
 	cases := []struct{ n, k int }{
 		{3, 1}, {5, 2}, {9, 3}, {17, 4}, {33, 5}, {65, 6}, {129, 7},

@@ -2,7 +2,7 @@ package grid
 
 import "math"
 
-// The norms branch explicitly on dimension (like ZeroBoundary/AddInterior)
+// The norms branch explicitly on dimension (like ZeroBoundary)
 // rather than folding through a per-point closure: they sit on the tuner's
 // measurement path, where an interior scan is millions of points and an
 // indirect call per point would dominate. All norms accumulate in float64

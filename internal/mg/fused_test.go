@@ -66,7 +66,22 @@ func oracleRestrictResidual(ws *Workspace, x, b *grid.Grid) (cx, cb *grid.Grid) 
 func oracleCorrect(x, cx *grid.Grid) {
 	e := grid.NewDim(x.Dim(), x.N())
 	transfer.Interpolate(nil, e, cx)
-	x.AddInterior(e)
+	n := x.N()
+	for i := 1; i < n-1; i++ {
+		if x.Dim() == 2 {
+			xr, er := x.Row(i), e.Row(i)
+			for j := 1; j < n-1; j++ {
+				xr[j] += er[j]
+			}
+			continue
+		}
+		for j := 1; j < n-1; j++ {
+			xr, er := x.Row3(i, j), e.Row3(i, j)
+			for k := 1; k < n-1; k++ {
+				xr[k] += er[k]
+			}
+		}
+	}
 }
 
 func fusedCycleOps(t *testing.T) []struct {

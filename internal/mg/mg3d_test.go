@@ -21,7 +21,10 @@ func random3DProblem(n int, seed int64) (x, b *grid.Grid) {
 		bd[i] = rng.Float64()*2 - 1
 	}
 	grid.FillBoundaryRandom(x, grid.Unbiased, rng)
-	x.Scale(1.0 / (1 << 32))
+	xd := x.Data()
+	for i := range xd {
+		xd[i] /= 1 << 32
+	}
 	return x, b
 }
 

@@ -85,6 +85,23 @@ type Plan struct {
 	Precision Precision `json:"prec,omitempty"`
 }
 
+// String names the cell as the tuner's progress lines do: "direct",
+// "sor×I", "recJ×I" (RECURSE_J, accuracy index J counted from 1) or
+// "vchain×I".
+func (p Plan) String() string {
+	switch p.Choice {
+	case ChoiceDirect:
+		return "direct"
+	case ChoiceSOR:
+		return fmt.Sprintf("sor×%d", p.Iters)
+	case ChoiceRecurse:
+		return fmt.Sprintf("rec%d×%d", p.Sub+1, p.Iters)
+	case ChoiceVCycle:
+		return fmt.Sprintf("vchain×%d", p.Iters)
+	}
+	return p.Choice.String()
+}
+
 // VTable is the complete tuned MULTIGRID-V algorithm family: for every
 // level k (grid size 2^k+1) and every discrete accuracy target Acc[i], the
 // plan chosen by the autotuner. Level 1 (N=3) is always a direct solve and
@@ -213,6 +230,21 @@ type FullPlan struct {
 	// Iters is the number of solve-phase iterations (≥ 0; zero means the
 	// estimate alone already met the target).
 	Iters int `json:"iters,omitempty"`
+}
+
+// String names the cell as the tuner's progress lines do: "direct", or
+// "estJ+" (ESTIMATE_J, counted from 1) followed by the solve phase as
+// Plan.String names it.
+func (p FullPlan) String() string {
+	switch {
+	case p.Choice == FullDirect:
+		return "direct"
+	case p.Solve == ChoiceSOR:
+		return fmt.Sprintf("est%d+sor×%d", p.EstAcc+1, p.Iters)
+	case p.Solve == ChoiceVCycle:
+		return fmt.Sprintf("est%d+vchain×%d", p.EstAcc+1, p.Iters)
+	}
+	return fmt.Sprintf("est%d+rec%d×%d", p.EstAcc+1, p.SolveSub+1, p.Iters)
 }
 
 // FTable is the tuned FULL-MULTIGRID family. Its recursive solve phases

@@ -71,9 +71,6 @@ func NewPool(n int) *Pool {
 	return p
 }
 
-// Workers returns the worker count the pool was created with.
-func (p *Pool) Workers() int { return p.workers }
-
 // Steals returns the number of chunks the workers (not the loops' callers)
 // have run so far, for tests and instrumentation.
 func (p *Pool) Steals() int64 { return p.steals.Load() }

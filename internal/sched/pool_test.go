@@ -137,10 +137,10 @@ func TestCloseIdempotent(t *testing.T) {
 func TestWorkersAccessor(t *testing.T) {
 	p := NewPool(5)
 	defer p.Close()
-	if p.Workers() != 5 {
-		t.Fatalf("Workers() = %d, want 5", p.Workers())
+	if p.workers != 5 {
+		t.Fatalf("workers = %d, want 5", p.workers)
 	}
-	if NewPool(-1).Workers() < 1 {
+	if NewPool(-1).workers < 1 {
 		t.Fatal("NewPool(-1) should default to NumCPU")
 	}
 }

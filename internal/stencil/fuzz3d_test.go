@@ -83,9 +83,9 @@ func Fuzz3DApplyResidualConsistency(f *testing.F) {
 		for i := 1; i < n-1; i++ {
 			for j := 1; j < n-1; j++ {
 				for k := 1; k < n-1; k++ {
-					want := b.At3(i, j, k) - y.At3(i, j, k)
-					got := r.At3(i, j, k)
-					scale := math.Max(1, math.Abs(b.At3(i, j, k))+math.Abs(y.At3(i, j, k)))
+					want := b.Row3(i, j)[k] - y.Row3(i, j)[k]
+					got := r.Row3(i, j)[k]
+					scale := math.Max(1, math.Abs(b.Row3(i, j)[k])+math.Abs(y.Row3(i, j)[k]))
 					if math.Abs(got-want) > 1e-10*scale {
 						t.Fatalf("residual(%d,%d,%d) = %v, want b−A·x = %v (scale %g)",
 							i, j, k, got, want, scale)

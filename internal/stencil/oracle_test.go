@@ -156,10 +156,10 @@ func checkSingleStage[T grid.Float](t *testing.T, op *Operator, n int, pools []*
 
 	wantR := grid.NewOf[T](dim, n)
 	refResidual(op, wantR, x, b, h)
-	for _, pool := range append([]*sched.Pool{nil}, pools...) {
+	for i, pool := range append([]*sched.Pool{nil}, pools...) {
 		how := "serial"
 		if pool != nil {
-			how = fmt.Sprintf("%d workers", pool.Workers())
+			how = fmt.Sprintf("pool %d", i-1)
 		}
 		r := filledOf[T](dim, n, junk)
 		OpResidual(op, pool, r, x, b, h)

@@ -35,20 +35,20 @@ func TestApply3MatchesManualStencil(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
 			for k := 1; k < n-1; k++ {
-				want := (6*x.At3(i, j, k) -
-					x.At3(i-1, j, k) - x.At3(i+1, j, k) -
-					x.At3(i, j-1, k) - x.At3(i, j+1, k) -
-					x.At3(i, j, k-1) - x.At3(i, j, k+1)) * inv
-				if got := y.At3(i, j, k); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+				want := (6*x.Row3(i, j)[k] -
+					x.Row3(i-1, j)[k] - x.Row3(i+1, j)[k] -
+					x.Row3(i, j-1)[k] - x.Row3(i, j+1)[k] -
+					x.Row3(i, j)[k-1] - x.Row3(i, j)[k+1]) * inv
+				if got := y.Row3(i, j)[k]; math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 					t.Fatalf("apply3(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
-				if got := -r.At3(i, j, k); math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
+				if got := -r.Row3(i, j)[k]; math.Abs(got-want) > 1e-12*math.Max(1, math.Abs(want)) {
 					t.Fatalf("−residual3(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
 			}
 		}
 	}
-	if y.At3(0, 4, 4) != 0 || r.At3(0, 4, 4) != 0 {
+	if y.Row3(0, 4)[4] != 0 || r.Row3(0, 4)[4] != 0 {
 		t.Fatal("apply3 or residual3 did not zero the boundary")
 	}
 }
@@ -66,8 +66,8 @@ func TestResidual3ConsistentWithApply3(t *testing.T) {
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
 			for k := 1; k < n-1; k++ {
-				want := b.At3(i, j, k) - y.At3(i, j, k)
-				if got := r.At3(i, j, k); math.Abs(got-want) > 1e-10*math.Max(1, math.Abs(want)) {
+				want := b.Row3(i, j)[k] - y.Row3(i, j)[k]
+				if got := r.Row3(i, j)[k]; math.Abs(got-want) > 1e-10*math.Max(1, math.Abs(want)) {
 					t.Fatalf("residual(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
 			}

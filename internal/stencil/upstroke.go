@@ -32,9 +32,9 @@ import (
 
 // OpUpstroke is the whole V-cycle upstroke in one traversal: it adds the
 // d-linear interpolation of cx to x's interior and runs one full red-black
-// post-smoothing sweep, leaving x bit-identical to transfer.Interpolate into
-// scratch, AddInterior and OpSORSweepRB (and to OpInterpolateCorrectSmooth
-// followed by OpFinishSmooth). scratch is a grid of x's size whose contents are
+// post-smoothing sweep, leaving x bit-identical to transfer.InterpolateAdd
+// and OpSORSweepRB (and to OpInterpolateCorrectSmooth followed by
+// OpFinishSmooth). scratch is a grid of x's size whose contents are
 // clobbered: its rows serve as the interpolation buffers, so the call
 // allocates nothing. cx must not alias x or b.
 func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) {
@@ -45,8 +45,8 @@ func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch 
 // OpInterpolateCorrectSmooth applies the coarse-grid correction (the
 // d-linear interpolation of cx added to x's interior) and runs the
 // post-smooth's red half-sweep in the same traversal. Calling OpFinishSmooth
-// afterwards yields an iterate bit-identical to transfer.Interpolate into
-// scratch, AddInterior and OpSORSweepRB. cx must not alias x or b.
+// afterwards yields an iterate bit-identical to transfer.InterpolateAdd and
+// OpSORSweepRB. cx must not alias x or b.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
 	k.correctSmooth(cx, nil, false)

@@ -38,9 +38,7 @@ func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
 
 				// Oracle upstroke: interpolate+correct, then a full sweep.
 				xo := x0.Clone()
-				scratch := grid.NewDim(tc.dim, n)
-				transfer.Interpolate(nil, scratch, cx)
-				xo.AddInterior(scratch)
+				transfer.InterpolateAdd(nil, xo, cx, grid.NewDim(tc.dim, n))
 				OpSORSweepRB(op, nil, xo, b, h, omega)
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
@@ -70,9 +68,7 @@ func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
 				cx := randomCorrection(tc.dim, n, rng)
 
 				xo := x0.Clone()
-				scratch := grid.NewDim(tc.dim, n)
-				transfer.Interpolate(nil, scratch, cx)
-				xo.AddInterior(scratch)
+				transfer.InterpolateAdd(nil, xo, cx, grid.NewDim(tc.dim, n))
 				OpSORSweepRB(op, nil, xo, b, h, omega)
 				wantNorm := OpResidualNorm(op, nil, xo, b, h)
 

@@ -86,18 +86,14 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	xs, rs, cs := down(nil)
 	// The production entry carves its 3D restriction window from a dirty
 	// scratch grid instead of allocating it: same bits, serial or pooled.
-	downScratch := func(pool *sched.Pool) {
+	downScratch := func(pool *sched.Pool, w string) {
 		x, r, coarse := x0.Clone(), filledOf[T](dim, n, junk), filledOf[T](dim, nc, junk)
 		OpDownstroke(op, pool, coarse, x, b, r, filledOf[T](dim, n, junk), h, omega)
-		w := "serial"
-		if pool != nil {
-			w = fmt.Sprintf("%d workers", pool.Workers())
-		}
 		assertSameBits(t, x, xs, "OpDownstroke x vs OpSmoothResidualRestrict, "+w)
 		assertSameBits(t, r, rs, "OpDownstroke r vs OpSmoothResidualRestrict, "+w)
 		assertSameBits(t, coarse, cs, "OpDownstroke coarse vs OpSmoothResidualRestrict, "+w)
 	}
-	downScratch(nil)
+	downScratch(nil, "serial")
 	xp, rp, cp := x0.Clone(), filledOf[T](dim, n, junk), filledOf[T](dim, nc, junk)
 	k := bindRows(op, nil, xp, b, rp, h, omega)
 	k.bindGather()
@@ -123,14 +119,14 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	OpFinishSmooth(op, nil, pair, b, h, omega)
 	assertSameBits(t, xu, pair, "upstroke x: one traversal vs InterpolateCorrectSmooth+FinishSmooth")
 
-	for _, pool := range pools {
-		w := fmt.Sprintf(" (serial vs %d workers)", pool.Workers())
+	for i, pool := range pools {
+		w := fmt.Sprintf(" (serial vs pool %d)", i)
 		assertSameBits(t, sweep(pool), want, "sweep x"+w)
 		x, r, c := down(pool)
 		assertSameBits(t, x, xs, "downstroke x"+w)
 		assertSameBits(t, r, rs, "downstroke r"+w)
 		assertSameBits(t, c, cs, "downstroke coarse"+w)
-		downScratch(pool)
+		downScratch(pool, fmt.Sprintf("pool %d", i))
 		assertSameBits(t, up(pool), xu, "upstroke x"+w)
 		x = x0.Clone()
 		OpInterpolateCorrectSmooth(op, pool, x, b, cx, h, omega)

@@ -332,8 +332,8 @@ func interpolate3[T grid.Float](pool *sched.Pool, fine, coarse *grid.G[T]) {
 // providers) into the first rows of its own first unit of scratch, a grid of
 // x's size whose contents are clobbered, and accumulates them immediately.
 // The per-point addend and the addition are those of Interpolate followed by
-// AddInterior, in the same per-point order, so the result is bit-identical
-// to that pair for any pool and chunking.
+// adding the interpolant's interior into x, in the same per-point order, so
+// the result is bit-identical to that pair for any pool and chunking.
 func InterpolateAdd[T grid.Float](pool *sched.Pool, x, coarse, scratch *grid.G[T]) {
 	checkLevels(coarse, x, "InterpolateAdd")
 	nf := x.N()

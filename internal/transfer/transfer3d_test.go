@@ -35,15 +35,15 @@ func TestRestrict3DExactOnTrilinear(t *testing.T) {
 	for i := 1; i < nc-1; i++ {
 		for j := 1; j < nc-1; j++ {
 			for k := 1; k < nc-1; k++ {
-				want := fine.At3(2*i, 2*j, 2*k)
-				if got := coarse.At3(i, j, k); math.Abs(got-want) > 1e-12 {
+				want := fine.Row3(2*i, 2*j)[2*k]
+				if got := coarse.Row3(i, j)[k]; math.Abs(got-want) > 1e-12 {
 					t.Fatalf("coarse(%d,%d,%d) = %v, want %v", i, j, k, got, want)
 				}
 			}
 		}
 	}
 	// Coarse boundary is zeroed (residual convention).
-	if coarse.At3(0, 2, 2) != 0 {
+	if coarse.Row3(0, 2)[2] != 0 {
 		t.Fatal("coarse boundary not zeroed")
 	}
 }
@@ -66,13 +66,13 @@ func TestInterpolate3DExactOnTrilinear(t *testing.T) {
 	for i := 1; i < nf-1; i++ {
 		for j := 1; j < nf-1; j++ {
 			for k := 1; k < nf-1; k++ {
-				if got, w := fine.At3(i, j, k), want.At3(i, j, k); math.Abs(got-w) > 1e-12 {
+				if got, w := fine.Row3(i, j)[k], want.Row3(i, j)[k]; math.Abs(got-w) > 1e-12 {
 					t.Fatalf("fine(%d,%d,%d) = %v, want %v", i, j, k, got, w)
 				}
 			}
 		}
 	}
-	if fine.At3(0, 4, 4) != 0 {
+	if fine.Row3(0, 4)[4] != 0 {
 		t.Fatal("fine boundary not zeroed")
 	}
 }

@@ -440,7 +440,12 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 // body's own deadline cut the solve short. Every answer is as long as its
 // Content-Length, every 2xx reads back in the framing its Content-Type names —
 // the grid framing only when asked for — and once the handler returns no
-// request is active and the request's arena is back in its pool.
+// request is active and the request's arena is back in its pool. Admission
+// keeps two invariants: a 4xx other than 429 leaves the admitted, shed and
+// failed counts as they were (the request was refused before it took a
+// slot), and a 503 means admission shed it — requests here come one at a
+// time, so only an open breaker or a deadline that passed sheds — or its
+// deadline passed while it ran.
 func FuzzServeSolve(f *testing.F) {
 	// The breaker never opens: a run of diverging bodies must not turn every
 	// later answer into a 503 the body did not cause.
@@ -453,6 +458,8 @@ func FuzzServeSolve(f *testing.F) {
 		SolveRequest{Family: "poisson", N: 5, Accuracy: 1e3, B: gridLikeFloats(25)},
 		SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: gridLikeFloats(289), X: gridLikeFloats(289), DeadlineMs: 1000},
 		SolveRequest{Family: "poisson3d", N: 5, Accuracy: 10, B: gridLikeFloats(125)},
+		SolveRequest{Family: "poisson", N: 6, Accuracy: 1e3, B: gridLikeFloats(36)},
+		SolveRequest{Family: "poisson", N: 5, Accuracy: 1e3, B: gridLikeFloats(25), DeadlineMs: math.MaxInt64 / 1000},
 		BatchRequest{Family: "poisson", N: 9, Accuracy: 1e3, Problems: []BatchProblem{{B: gridLikeFloats(81)}, {B: gridLikeFloats(81), X: gridLikeFloats(81)}, {B: []float64{1}}}},
 	} {
 		body, _ := json.Marshal(v)
@@ -480,6 +487,8 @@ func checkServed(t *testing.T, srv *Server, path, accept string, body []byte) {
 	// to another P on the way (a preemption does that now and then). A leaked
 	// arena misses every time; three misses in a row it takes.
 	back := false
+	var before, after pbmg.ServiceMetrics
+	var took time.Duration
 	for try := 0; try < 3 && !back; try++ {
 		arenaPool.Get()
 		marker := new([]float64)
@@ -489,7 +498,11 @@ func checkServed(t *testing.T, srv *Server, path, accept string, body []byte) {
 			req.Header.Set("Accept", accept)
 		}
 		rec = httptest.NewRecorder()
+		before = admissionCounts(srv)
+		start := time.Now()
 		srv.Handler().ServeHTTP(rec, req)
+		took = time.Since(start)
+		after = admissionCounts(srv)
 		if n := srv.active.Load(); n != 0 {
 			t.Fatalf("%s: %d requests active after the handler returned", name, n)
 		}
@@ -511,9 +524,29 @@ func checkServed(t *testing.T, srv *Server, path, accept string, body []byte) {
 		_ = json.Unmarshal(answer, &er)
 		documented := rec.Code == http.StatusInternalServerError &&
 			(strings.HasPrefix(er.Error, "serve: encoding answer: ") || strings.Contains(er.Error, pbmg.ErrDiverged.Error())) ||
-			rec.Code == http.StatusServiceUnavailable && strings.Contains(er.Error, pbmg.ErrCancelled.Error())
+			rec.Code == http.StatusServiceUnavailable && (after.Shed != before.Shed || strings.Contains(er.Error, pbmg.ErrCancelled.Error()))
 		if !documented {
 			t.Fatalf("%s: HTTP %d %s for body %q", name, rec.Code, answer, body)
+		}
+	}
+	if rec.Code/100 == 4 && rec.Code != http.StatusTooManyRequests &&
+		(after.Admitted != before.Admitted || after.Shed != before.Shed || after.Failed != before.Failed) {
+		t.Fatalf("%s: HTTP %d moved admission: admitted %d → %d, shed %d → %d, failed %d → %d, for body %q",
+			name, rec.Code, before.Admitted, after.Admitted, before.Shed, after.Shed, before.Failed, after.Failed, body)
+	}
+	// Requests come one at a time: past an open breaker, only a deadline
+	// that passed sheds or cancels one.
+	if rec.Code == http.StatusServiceUnavailable && after.BreakerShed == before.BreakerShed {
+		var d struct {
+			DeadlineMs int64 `json:"deadlineMs"`
+		}
+		_ = json.Unmarshal(body, &d)
+		deadline := srv.cfg.MaxWait.Milliseconds()
+		if d.DeadlineMs > 0 {
+			deadline = d.DeadlineMs
+		}
+		if took.Milliseconds() < deadline {
+			t.Fatalf("%s: HTTP 503 %s after %v, before the %d ms deadline passed, for body %q", name, answer, took, deadline, body)
 		}
 	}
 	if rec.Code/100 != 2 {
@@ -535,6 +568,13 @@ func checkServed(t *testing.T, srv *Server, path, accept string, body []byte) {
 	if err != nil {
 		t.Fatalf("%s: HTTP %d does not read back: %v", name, rec.Code, err)
 	}
+}
+
+// admissionCounts sums the admission counters of the families srv serves.
+func admissionCounts(srv *Server) pbmg.ServiceMetrics {
+	c := srv.acquireCatalog()
+	defer c.release()
+	return c.reg.Metrics().Aggregate
 }
 
 // raceBuild reports whether the test binary was built with -race.
