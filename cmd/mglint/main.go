@@ -1,6 +1,6 @@
 // mglint is the repo's invariant checker. It runs the two analyzers that
 // enforce the pooling and serving contracts no other gate checks (see
-// README "Static analysis"):
+// README "Static gates"):
 //
 //	poolput      every arena checkout released on all paths
 //	boundedgo    no unbounded goroutine launches in the serving path
@@ -32,6 +32,7 @@ import (
 	"bytes"
 	"cmp"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"go/token"
 	"go/types"
@@ -55,26 +56,11 @@ var Analyzers = []*lintutil.Analyzer{
 var gates = []allowGate{escapeGate, bceGate}
 
 func main() {
-	var jsonOut, write bool
-	var patterns []string
-	for _, a := range os.Args[1:] {
-		switch a {
-		case "-json", "--json":
-			jsonOut = true
-		case "-write", "--write":
-			write = true
-		case "-h", "-help", "--help":
-			usage()
-			return
-		default:
-			if strings.HasPrefix(a, "-") {
-				fmt.Fprintf(os.Stderr, "mglint: unknown flag %s\n", a)
-				usage()
-				os.Exit(2)
-			}
-			patterns = append(patterns, a)
-		}
-	}
+	jsonOut := flag.Bool("json", false, "print the analyzers' findings as JSON on stdout")
+	write := flag.Bool("write", false, "regenerate the compiler gates' allow files instead of checking them")
+	flag.Usage = usage
+	flag.Parse()
+	patterns := flag.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -89,12 +75,12 @@ func main() {
 		if !g.covers(root, dirs) {
 			continue
 		}
-		if err := g.run(root, write); err != nil {
+		if err := g.run(root, *write); err != nil {
 			fmt.Fprintf(os.Stderr, "mglint: %v\n", err)
 			gateFailed = true
 		}
 	}
-	if jsonOut {
+	if *jsonOut {
 		tree := make(map[string]map[string][]finding)
 		for _, f := range findings {
 			if tree[f.pkg] == nil {
@@ -227,15 +213,10 @@ type importerFunc func(path string) (*types.Package, error)
 func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
 
 func usage() {
-	fmt.Fprintf(os.Stderr, `mglint: enforce pbmg's kernel, pooling, and serving invariants
-
-usage: mglint [-json] [-write] [packages...]   (default ./...)
-
-  -json   print the analyzers' findings as JSON on stdout
-  -write  regenerate the compiler gates' allow files instead of checking them
-
-analyzers:
-`)
+	fmt.Fprintf(os.Stderr, "mglint: enforce pbmg's kernel, pooling, and serving invariants\n\n"+
+		"usage: mglint [-json] [-write] [packages...]   (default ./...)\n\n")
+	flag.PrintDefaults()
+	fmt.Fprintf(os.Stderr, "\nanalyzers:\n")
 	for _, a := range Analyzers {
 		fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, strings.Split(a.Doc, "\n")[0])
 	}

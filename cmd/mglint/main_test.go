@@ -217,8 +217,8 @@ func TestVendorHoldsOnlyImportedPackages(t *testing.T) {
 
 // TestCIRunNamesMatchTests holds the workflow's test selections to the
 // tests that exist: on every go test line of .github/workflows/ci.yml, each
-// |-alternative of -run and -fuzz (bar ^$) must match a Test or Fuzz
-// function of that line's packages, so deleting or renaming a test cannot
+// |-alternative of -run, -bench and -fuzz (bar ^$) must match a function of
+// that kind in the line's packages, so deleting or renaming a test cannot
 // leave a named step that silently runs nothing. A seeded line naming a
 // missing test must be reported.
 func TestCIRunNamesMatchTests(t *testing.T) {
@@ -241,7 +241,7 @@ func TestCIRunNamesMatchTests(t *testing.T) {
 var (
 	ciArg    = regexp.MustCompile(`'[^']*'|\S+`)
 	ciCd     = regexp.MustCompile(`\bcd (\S+) &&`)
-	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
 )
 
 // missingCINames reports each -run/-fuzz alternative on a go test line of
@@ -258,48 +258,99 @@ func missingCINames(t *testing.T, root, workflow string) []string {
 		if m := ciCd.FindStringSubmatch(before); m != nil {
 			dir = filepath.Join(root, m[1])
 		}
-		type selection struct{ flag, pattern string }
-		var sels []selection
-		var pkgs []string
-		tokens := ciArg.FindAllString(args, -1)
-		for j := 0; j < len(tokens); j++ {
-			switch tok := strings.Trim(tokens[j], "'"); {
-			case (tok == "-run" || tok == "-fuzz") && j+1 < len(tokens):
+		var tokens []string
+		for _, tok := range ciArg.FindAllString(args, -1) {
+			tokens = append(tokens, strings.Trim(tok, "'"))
+		}
+		for _, m := range missingSelections(t, dir, tokens) {
+			missing = append(missing, fmt.Sprintf("line %d: %s", i+1, m))
+		}
+	}
+	return missing
+}
+
+// missingSelections reports each alternative of the -run, -bench and -fuzz
+// patterns among the arguments of one go test command, run from dir, that
+// matches no function of the kind the flag selects (-run: Test and Fuzz,
+// -bench: Benchmark, -fuzz: Fuzz) in the command's packages. Only the
+// pattern's first level (before a /) names functions; ^$ selects none on
+// purpose. A command that names no package tests ".".
+func missingSelections(t *testing.T, dir string, args []string) []string {
+	t.Helper()
+	type selection struct{ flag, pattern string }
+	var sels []selection
+	var pkgs []string
+	for j := 0; j < len(args); j++ {
+		flag, value, hasValue := strings.Cut(args[j], "=")
+		switch {
+		case flag == "-run" || flag == "-bench" || flag == "-fuzz":
+			if !hasValue {
+				if j+1 == len(args) {
+					continue
+				}
 				j++
-				sels = append(sels, selection{tok, strings.Trim(tokens[j], "'")})
-			case tok == "." || strings.HasPrefix(tok, "./"):
-				pkgs = append(pkgs, tok)
+				value = args[j]
 			}
+			sels = append(sels, selection{flag, value})
+		case args[j] == "." || strings.HasPrefix(args[j], "./"):
+			pkgs = append(pkgs, args[j])
 		}
-		if len(sels) == 0 {
-			continue
-		}
-		names := testNames(t, dir, pkgs)
-		for _, sel := range sels {
-			level0, _, _ := strings.Cut(sel.pattern, "/")
-			for _, alt := range strings.Split(level0, "|") {
-				if alt == "^$" {
-					continue
-				}
-				re, err := regexp.Compile(alt)
-				if err != nil {
-					missing = append(missing, fmt.Sprintf("line %d: %s %q: %v", i+1, sel.flag, alt, err))
-					continue
-				}
-				if !slices.ContainsFunc(names, func(name string) bool {
-					return re.MatchString(name) && (sel.flag == "-run" || strings.HasPrefix(name, "Fuzz"))
-				}) {
-					missing = append(missing, fmt.Sprintf("line %d: %s %q matches nothing in %s", i+1, sel.flag, alt, strings.Join(pkgs, " ")))
-				}
+	}
+	if len(sels) == 0 {
+		return nil
+	}
+	if len(pkgs) == 0 {
+		pkgs = []string{"."}
+	}
+	prefixes := map[string][]string{"-run": {"Test", "Fuzz"}, "-bench": {"Benchmark"}, "-fuzz": {"Fuzz"}}
+	names := testNames(t, dir, pkgs)
+	var missing []string
+	for _, sel := range sels {
+		level0, _, _ := strings.Cut(sel.pattern, "/")
+		for _, alt := range alternatives(level0) {
+			if alt == "^$" {
+				continue
+			}
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				missing = append(missing, fmt.Sprintf("%s %q: %v", sel.flag, alt, err))
+				continue
+			}
+			if !slices.ContainsFunc(names, func(name string) bool {
+				return re.MatchString(name) && slices.ContainsFunc(prefixes[sel.flag], func(p string) bool {
+					return strings.HasPrefix(name, p)
+				})
+			}) {
+				missing = append(missing, fmt.Sprintf("%s %q matches nothing in %s", sel.flag, alt, strings.Join(pkgs, " ")))
 			}
 		}
 	}
 	return missing
 }
 
-// testNames lists the Test and Fuzz functions in the _test.go files of the
-// package patterns (".", "./dir", "./dir/...") under dir, build-tagged
-// files included.
+// alternatives splits a regular expression at the | outside parentheses.
+func alternatives(pattern string) []string {
+	var alts []string
+	depth, start := 0, 0
+	for i, c := range pattern {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case '|':
+			if depth == 0 {
+				alts = append(alts, pattern[start:i])
+				start = i + 1
+			}
+		}
+	}
+	return append(alts, pattern[start:])
+}
+
+// testNames lists the Test, Fuzz and Benchmark functions in the _test.go
+// files of the package patterns (".", "./dir", "./dir/...") under dir,
+// build-tagged files included.
 func testNames(t *testing.T, dir string, pkgs []string) []string {
 	t.Helper()
 	var names []string

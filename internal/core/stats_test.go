@@ -53,7 +53,7 @@ func TestTuneStatsPinned(t *testing.T) {
 		}, Stats{132, 84, 1794, 1781, 2}},
 	}
 	if !testing.Short() {
-		// The README's poisson 513 tune.
+		// The benchmark's poisson 513 tune.
 		cases = append(cases, pinned{stencil.FamilyPoisson, 9, nil, Stats{348, 317, 2146, 2118, 4}})
 	}
 	for _, tc := range cases {
