@@ -169,6 +169,10 @@ func (f *admitFamily) admit(ctx context.Context, member bool) (slot, error) {
 	f.queue = append(f.queue, w)
 	a.mu.Unlock()
 
+	// ctx.Done is first asked for here, once the request is queued, and not
+	// on the fast path above: serve's occupy test helper parks a request in
+	// the queue with a context whose Done blocks (heldContext); a Done call
+	// before the grant would block the requests it means to hold running.
 	select {
 	case <-w.ready:
 		return slot{f, probe}, nil

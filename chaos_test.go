@@ -102,7 +102,7 @@ func TestChaosNaNDiverges(t *testing.T) {
 	p := chaosProblem(t, s, 54)
 
 	armFaults(t, "mg.cycle.nan:nan,count=1")
-	err := sv.Do(context.Background(), func() error { return s.SolveV(p.NewState(), p.B, 1e3) })
+	err := sv.admit(context.Background(), false, func() error { return s.SolveV(p.NewState(), p.B, 1e3) })
 	if !errors.Is(err, ErrDiverged) {
 		t.Fatalf("poisoned solve: err = %v, want ErrDiverged", err)
 	}
@@ -112,7 +112,7 @@ func TestChaosNaNDiverges(t *testing.T) {
 	assertScratchClean(t, s, "after diverged solve")
 
 	x := p.NewState()
-	if err := sv.Do(context.Background(), func() error { return s.SolveV(x, p.B, 1e3) }); err != nil {
+	if err := sv.admit(context.Background(), false, func() error { return s.SolveV(x, p.B, 1e3) }); err != nil {
 		t.Fatalf("solve after the spent fault: %v", err)
 	}
 	if got := p.AccuracyOf(x); got < 1e3 {
@@ -129,7 +129,7 @@ func TestChaosServicePanic(t *testing.T) {
 	p := chaosProblem(t, s, 55)
 
 	armFaults(t, "mg.cycle:panic,count=1")
-	err := sv.Do(context.Background(), func() error { return s.SolveV(p.NewState(), p.B, 1e3) })
+	err := sv.admit(context.Background(), false, func() error { return s.SolveV(p.NewState(), p.B, 1e3) })
 	var pe *PanicError
 	if !errors.As(err, &pe) || !errors.Is(err, ErrPanicked) {
 		t.Fatalf("injected panic: err = %v, want PanicError", err)
@@ -144,7 +144,7 @@ func TestChaosServicePanic(t *testing.T) {
 	assertScratchClean(t, s, "after injected panic")
 
 	x := p.NewState()
-	if err := sv.Do(context.Background(), func() error { return s.SolveV(x, p.B, 1e3) }); err != nil {
+	if err := sv.admit(context.Background(), false, func() error { return s.SolveV(x, p.B, 1e3) }); err != nil {
 		t.Fatalf("solve after contained panic: %v", err)
 	}
 	if got := p.AccuracyOf(x); got < 1e3 {

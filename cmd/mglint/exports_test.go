@@ -12,36 +12,18 @@ import (
 	"pbmg/internal/analysis/lintutil"
 )
 
-// publicAPI lists the exports of pbmg and serve that no production code
-// calls, each with the reason it is offered anyway. Names under internal/
-// never go here: an internal name that only tests call moves into a
-// _test.go file or goes.
-var publicAPI = map[string]string{
-	"pbmg.NewGrid3":            "the 3D twin of NewGrid, for FamilyPoisson3D solvers",
-	"pbmg.Service.Do":          "admits work other than a Solve, such as a V-table solve",
-	"pbmg.Service.MaxInFlight": "reports the global cap a Service was built with",
-	"pbmg.Solver.Accuracies":   "lists the accuracy targets a caller may ask for",
-	"pbmg.Solver.NewService":   "a single-family Service without a Registry",
-	"pbmg.Solver.SolveContext": "Solve with cancellation, for a caller outside a Service",
-	"serve.Client.Batch":       "the Go client of POST /v1/batch",
-	"serve.Client.Metrics":     "the Go client of GET /metrics",
-	"serve.Client.Reload":      "the Go client of POST /-/reload",
-	"serve.Client.Solve":       "the Go client of POST /v1/solve with a typed request",
-	"serve.StatusError.Shed":   "tells a client's retryable 429/503 from a rejection",
-}
-
-// TestEveryExportedNameHasAProductionCaller holds every path to being the
-// production path or a test oracle in a _test.go file, not both. Every
-// func, method, type and var exported from a non-test file of pbmg, serve
-// or a package under internal/ must be used by a non-test file outside its
-// own declaration: the module's packages and commands, examples/ and the
-// bench/ module (its own module, loaded by a second go list) all count. A
-// method also counts as used when it matches a method of an interface type
-// that a non-test file names, the standard library's included, since a
-// call through the interface does not name it. An unused export of pbmg or
-// serve passes only on the publicAPI list; a listed name that is internal,
-// used or gone fails.
-func TestEveryExportedNameHasAProductionCaller(t *testing.T) {
+// TestEveryDeclHasAProductionCaller holds every path to being the production
+// path or a test oracle in a _test.go file, not both. Every package-level func
+// and method, exported or not, and every exported type and var declared in a
+// non-test file of pbmg, serve or a package under internal/ must be used by a
+// non-test file outside its own declaration: the module's packages and
+// commands, examples/ and the bench/ module (its own module, loaded by a
+// second go list) all count. A method also counts as used when it matches a
+// method of an interface type that a non-test file names, the standard
+// library's included, since a call through the interface does not name it.
+// There is no allow-list: a name only tests use moves into the _test.go files
+// that use it, or goes.
+func TestEveryDeclHasAProductionCaller(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the module and bench/ from source")
 	}
@@ -49,33 +31,20 @@ func TestEveryExportedNameHasAProductionCaller(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	unused, err := unusedExports(root, filepath.Join(root, "bench"))
+	unused, err := unusedDecls(root, filepath.Join(root, "bench"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range unused {
-		internal := strings.HasPrefix(name, "internal/")
-		if _, listed := publicAPI[name]; listed && !internal {
-			continue
-		}
-		if internal {
-			t.Errorf("%s has no non-test caller: move it into the _test.go files that use it, or delete it", name)
-		} else {
-			t.Errorf("%s has no non-test caller: call it, list it in publicAPI with a reason, or delete it", name)
-		}
-	}
-	for name := range publicAPI {
-		if strings.HasPrefix(name, "internal/") || !slices.Contains(unused, name) {
-			t.Errorf("publicAPI lists %s, which is internal, called by a non-test file or gone: drop it from the list", name)
-		}
+		t.Errorf("%s has no non-test caller: move it into the _test.go files that use it, or delete it", name)
 	}
 }
 
-// unusedExports type-checks the packages of each module dir with their
-// tests and returns, sorted, the name of every export that the test above
-// holds to a caller and that no non-test file uses. A name reads
-// "pbmg.F", "serve.T.M" or "internal/grid.G.M".
-func unusedExports(dirs ...string) ([]string, error) {
+// unusedDecls type-checks the packages of each module dir with their tests
+// and returns, sorted, the name of every declaration that the test above
+// holds to a caller and that no non-test file uses. A name reads "pbmg.F",
+// "serve.T.m" or "internal/grid.G.M".
+func unusedDecls(dirs ...string) ([]string, error) {
 	declared := make(map[string]string) // declaration position -> name
 	used := make(map[string]bool)       // declaration positions
 	// The methods of every interface type a non-test file names, the
@@ -83,7 +52,7 @@ func unusedExports(dirs ...string) ([]string, error) {
 	// through it, as errors.Is calls an Is method.
 	implemented := make(map[string][]*types.Signature)
 	seenIface := make(map[*types.Interface]bool)
-	methods := make(map[string]*types.Func) // exported methods, by declaration position
+	methods := make(map[string]*types.Func) // held methods, by declaration position
 	for _, dir := range dirs {
 		err := load(dir, []string{"./..."}, func(_ *listedPackage, p *lintutil.Package) {
 			for e, tv := range p.Info.Types {
@@ -107,10 +76,10 @@ func unusedExports(dirs ...string) ([]string, error) {
 				}
 				for _, d := range f.Decls {
 					if checked {
-						for _, id := range exportedIdents(d) {
+						for _, id := range heldIdents(d) {
 							obj := p.Info.Defs[id]
 							key := p.Fset.Position(obj.Pos()).String()
-							declared[key] = exportName(obj)
+							declared[key] = declName(obj)
 							if fn, ok := obj.(*types.Func); ok && fn.Signature().Recv() != nil {
 								methods[key] = fn
 							}
@@ -141,13 +110,14 @@ func unusedExports(dirs ...string) ([]string, error) {
 	return unused, nil
 }
 
-// exportedIdents returns the identifiers an exported func, method, type or
-// var of decl is declared by.
-func exportedIdents(decl ast.Decl) []*ast.Ident {
+// heldIdents returns the identifiers of decl that the test holds to a
+// caller: a func or method of any name but init, main and _, and an exported
+// type or var.
+func heldIdents(decl ast.Decl) []*ast.Ident {
 	var ids []*ast.Ident
 	switch d := decl.(type) {
 	case *ast.FuncDecl:
-		if d.Name.IsExported() {
+		if n := d.Name.Name; n != "init" && n != "main" && n != "_" {
 			ids = append(ids, d.Name)
 		}
 	case *ast.GenDecl:
@@ -207,9 +177,9 @@ func markUses(p *lintutil.Package, decl ast.Decl, used map[string]bool) {
 	})
 }
 
-// exportName names obj as the test reports it: its package path relative
+// declName names obj as the test reports it: its package path relative
 // to the module ("pbmg" for the root), then its receiver's type, if any.
-func exportName(obj types.Object) string {
+func declName(obj types.Object) string {
 	pkg := strings.TrimPrefix(obj.Pkg().Path(), "pbmg/")
 	if fn, ok := obj.(*types.Func); ok {
 		if recv := fn.Signature().Recv(); recv != nil {

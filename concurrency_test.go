@@ -124,7 +124,7 @@ func TestSolveBatch(t *testing.T) {
 		Reference(probs[i])
 		batch[i] = BatchProblem{X: probs[i].NewState(), B: probs[i].B}
 	}
-	if err := s.NewService(0).SolveBatch(batch, target); err != nil {
+	if err := newService(s, 0, BreakerConfig{}).SolveBatch(batch, target); err != nil {
 		t.Fatal(err)
 	}
 	for i, p := range probs {
@@ -143,7 +143,7 @@ func TestSolveBatchReportsPerProblemErrors(t *testing.T) {
 		{X: good.NewState(), B: good.B},
 		{X: oversized.NewState(), B: oversized.B},
 	}
-	err := s.NewService(0).SolveBatch(batch, 1e3)
+	err := newService(s, 0, BreakerConfig{}).SolveBatch(batch, 1e3)
 	if err == nil {
 		t.Fatal("oversized batch problem did not error")
 	}
@@ -161,7 +161,7 @@ func TestSolveBatchReportsPerProblemErrors(t *testing.T) {
 // not spawn a goroutine per problem parked on the semaphore.
 func TestServiceSolveBatchGoroutineBounded(t *testing.T) {
 	s := tuneShared(t)
-	sv := s.NewService(4)
+	sv := newService(s, 4, BreakerConfig{})
 	const batchSize = 10_000
 	batch := make([]BatchProblem, batchSize)
 	for i := range batch {
@@ -187,7 +187,7 @@ func TestServiceSolveBatchGoroutineBounded(t *testing.T) {
 			// the 10k the old goroutine-per-problem fan-out would spawn.
 			if budget := base + 50; peak > budget {
 				t.Fatalf("goroutine peak %d exceeds budget %d (base %d, limit %d)",
-					peak, budget, base, sv.MaxInFlight())
+					peak, budget, base, sv.fam.a.globalCap())
 			}
 			if got := sv.Metrics().Completed; got != batchSize {
 				t.Fatalf("Completed = %d, want %d", got, batchSize)
@@ -201,9 +201,9 @@ func TestServiceSolveBatchGoroutineBounded(t *testing.T) {
 
 func TestServiceAdmission(t *testing.T) {
 	s := tuneShared(t)
-	sv := s.NewService(1) // fully serialized admission must still drain
-	if sv.MaxInFlight() != 1 {
-		t.Fatalf("MaxInFlight = %d, want 1", sv.MaxInFlight())
+	sv := newService(s, 1, BreakerConfig{}) // fully serialized admission must still drain
+	if sv.fam.a.globalCap() != 1 {
+		t.Fatalf("MaxInFlight = %d, want 1", sv.fam.a.globalCap())
 	}
 	const n = 8
 	batch := make([]BatchProblem, n)

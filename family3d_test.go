@@ -124,7 +124,7 @@ func TestSolveBatch3DByteIdenticalToSequential(t *testing.T) {
 	for i := range batch {
 		batch[i] = BatchProblem{X: probs[i].NewState(), B: probs[i].B}
 	}
-	if err := s.NewService(0).SolveBatch(batch, target); err != nil {
+	if err := newService(s, 0, BreakerConfig{}).SolveBatch(batch, target); err != nil {
 		t.Fatal(err)
 	}
 	for i := range batch {

@@ -16,7 +16,7 @@ func TestStencilSolver3DSolvesExactly(t *testing.T) {
 		op := stencil.Poisson3D()
 		s := NewInteriorSolver(op, n)
 		rng := rand.New(rand.NewSource(int64(n)))
-		x, b := grid.New3(n), grid.New3(n)
+		x, b := grid.NewDim(3, n), grid.NewDim(3, n)
 		bd := b.Data()
 		for i := range bd {
 			bd[i] = rng.Float64()*2 - 1

@@ -26,7 +26,7 @@ type Float interface {
 
 // G is a square N×N (Dim 2) or cubic N×N×N (Dim 3) grid of T values stored
 // in one flat slice. The zero value is not usable; construct grids with New,
-// New3, NewDim, or the precision-generic NewOf.
+// NewDim, or the precision-generic NewOf.
 type G[T Float] struct {
 	n    int
 	dim  int // 2 or 3
@@ -60,9 +60,6 @@ func NewOf[T Float](dim, n int) *G[T] {
 
 // New returns a zero-filled 2D n×n float64 grid. It panics if n < 1.
 func New(n int) *Grid { return NewOf[float64](2, n) }
-
-// New3 returns a zero-filled 3D n×n×n float64 grid. It panics if n < 1.
-func New3(n int) *Grid { return NewOf[float64](3, n) }
 
 // NewDim returns a zero-filled float64 grid of the given dimension (2 or 3)
 // and side n, the constructor used by dimension-generic layers.

@@ -6,9 +6,9 @@ import (
 )
 
 func TestGrid3Basics(t *testing.T) {
-	g := New3(5)
+	g := NewDim(3, 5)
 	if g.Dim() != 3 || g.N() != 5 || g.Points() != 125 {
-		t.Fatalf("New3(5): dim=%d n=%d points=%d", g.Dim(), g.N(), g.Points())
+		t.Fatalf("NewDim(3, 5): dim=%d n=%d points=%d", g.Dim(), g.N(), g.Points())
 	}
 	g.Set3(1, 2, 3, 7.5)
 	// Flat layout: plane-major, then row-major.
@@ -40,7 +40,7 @@ func TestDimensionGuards(t *testing.T) {
 		}()
 		f()
 	}
-	g3 := New3(5)
+	g3 := NewDim(3, 5)
 	mustPanic("At on 3D", func() { g3.At(1, 1) })
 	mustPanic("Set on 3D", func() { g3.Set(1, 1, 0) })
 	mustPanic("Row on 3D", func() { g3.Row(1) })
@@ -54,7 +54,7 @@ func TestDimensionGuards(t *testing.T) {
 
 func TestZeroBoundary3D(t *testing.T) {
 	n := 5
-	g := New3(n)
+	g := NewDim(3, n)
 	g.Fill(1)
 	g.ZeroBoundary()
 	for i := 0; i < n; i++ {
@@ -74,7 +74,7 @@ func TestZeroBoundary3D(t *testing.T) {
 }
 
 func TestNorms3D(t *testing.T) {
-	g := New3(4) // 2×2×2 interior
+	g := NewDim(3, 4) // 2×2×2 interior
 	g.Fill(2)
 	if got := L2Interior(g); got != 4*math32sqrt2() {
 		// 8 interior points of value 2: sqrt(8·4) = 4·sqrt(2).
@@ -83,7 +83,7 @@ func TestNorms3D(t *testing.T) {
 	if got := MaxAbsInterior(g); got != 2 {
 		t.Fatalf("MaxAbsInterior = %v", got)
 	}
-	h := New3(4)
+	h := NewDim(3, 4)
 	h.Fill(1)
 	if got := L2DiffInterior(g, h); got != 2*math32sqrt2() {
 		t.Fatalf("L2DiffInterior = %v", got)
@@ -94,7 +94,7 @@ func math32sqrt2() float64 { return 1.4142135623730951 }
 
 func TestFillBoundaryRandom3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	g := New3(5)
+	g := NewDim(3, 5)
 	FillBoundaryRandom(g, Unbiased, rng)
 	if g.Row3(2, 2)[2] != 0 {
 		t.Fatal("FillBoundaryRandom touched the interior")
@@ -114,7 +114,7 @@ func TestFillBoundaryRandom3D(t *testing.T) {
 
 func TestFillRandomPointSources3D(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	g := New3(9)
+	g := NewDim(3, 9)
 	FillRandom(g, PointSources, rng)
 	impulses := 0
 	for i := 0; i < 9; i++ {

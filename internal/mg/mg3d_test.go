@@ -15,7 +15,7 @@ import (
 // right-hand side at side n.
 func random3DProblem(n int, seed int64) (x, b *grid.Grid) {
 	rng := rand.New(rand.NewSource(seed))
-	x, b = grid.New3(n), grid.New3(n)
+	x, b = grid.NewDim(3, n), grid.NewDim(3, n)
 	bd := b.Data()
 	for i := range bd {
 		bd[i] = rng.Float64()*2 - 1

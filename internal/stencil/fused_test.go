@@ -378,18 +378,18 @@ func Fuzz3DFusedMatchesUnfused(f *testing.F) {
 
 		xo := x0.Clone()
 		OpSORSweepRB(op, nil, xo, b, h, omega)
-		ro := grid.New3(n)
+		ro := grid.NewDim(3, n)
 		OpResidual(op, nil, ro, xo, b, h)
 		scale := math.Max(1, grid.MaxAbsInterior(ro))
 
 		nc := grid.Coarsen(n)
-		co, cf := grid.New3(nc), grid.New3(nc)
+		co, cf := grid.NewDim(3, nc), grid.NewDim(3, nc)
 		transfer.Restrict(nil, co, ro)
 		OpResidualRestrict(op, pool, cf, xo, b, nanLike(xo), nanLike(xo), h)
 		assertCoarseClose(t, co, cf, scale, "ResidualRestrict")
 
 		xc := x0.Clone()
-		rc, cc := grid.New3(n), grid.New3(nc)
+		rc, cc := grid.NewDim(3, n), grid.NewDim(3, nc)
 		OpDownstroke(op, pool, cc, xc, b, rc, nanLike(xc), h, omega)
 		assertBitIdentical(t, xo, xc, "SmoothResidualRestrict iterate")
 		assertFixupResidual(t, op, omega, ro, rc, scale)

@@ -22,7 +22,7 @@ import (
 func fuzzState3(n int, seed int64, scaleExp int) (x, b *grid.Grid) {
 	scale := math.Ldexp(1, scaleExp%32)
 	rng := rand.New(rand.NewSource(seed))
-	x, b = grid.New3(n), grid.New3(n)
+	x, b = grid.NewDim(3, n), grid.NewDim(3, n)
 	xd, bd := x.Data(), b.Data()
 	for i := range xd {
 		xd[i] = (rng.Float64()*2 - 1) * scale
@@ -56,7 +56,7 @@ func Fuzz3DSweepParallelMatchesSerial(f *testing.F) {
 		}
 		assertBitIdentical(t, xs, xp, "SOR3")
 
-		rs, rp := grid.New3(n), grid.New3(n)
+		rs, rp := grid.NewDim(3, n), grid.NewDim(3, n)
 		OpResidual(op, nil, rs, xs, b, h)
 		OpResidual(op, pool, rp, xs, b, h)
 		assertBitIdentical(t, rs, rp, "Residual3")
@@ -75,9 +75,9 @@ func Fuzz3DApplyResidualConsistency(f *testing.F) {
 		x, b := fuzzState3(n, seed, scaleExp)
 		h := 1.0 / float64(n-1)
 
-		r := grid.New3(n)
+		r := grid.NewDim(3, n)
 		OpResidual(op, nil, r, x, b, h)
-		y := grid.New3(n)
+		y := grid.NewDim(3, n)
 		refApply(op, y, x, h)
 
 		for i := 1; i < n-1; i++ {

@@ -11,7 +11,7 @@ import (
 
 // randomState3 returns random 3D x and b grids with entries in [−1, 1].
 func randomState3(n int, rng *rand.Rand) (x, b *grid.Grid) {
-	x, b = grid.New3(n), grid.New3(n)
+	x, b = grid.NewDim(3, n), grid.NewDim(3, n)
 	xd, bd := x.Data(), b.Data()
 	for i := range xd {
 		xd[i] = rng.Float64()*2 - 1
@@ -28,9 +28,9 @@ func TestApply3MatchesManualStencil(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	x, _ := randomState3(n, rng)
 	h := 1.0 / float64(n-1)
-	y, r := grid.New3(n), grid.New3(n)
+	y, r := grid.NewDim(3, n), grid.NewDim(3, n)
 	refApply(Poisson3D(), y, x, h)
-	OpResidual(Poisson3D(), nil, r, x, grid.New3(n), h)
+	OpResidual(Poisson3D(), nil, r, x, grid.NewDim(3, n), h)
 	inv := 1 / (h * h)
 	for i := 1; i < n-1; i++ {
 		for j := 1; j < n-1; j++ {
@@ -60,7 +60,7 @@ func TestResidual3ConsistentWithApply3(t *testing.T) {
 	x, b := randomState3(n, rng)
 	h := 1.0 / float64(n-1)
 	op := Poisson3D()
-	r, y := grid.New3(n), grid.New3(n)
+	r, y := grid.NewDim(3, n), grid.NewDim(3, n)
 	OpResidual(op, nil, r, x, b, h)
 	refApply(op, y, x, h)
 	for i := 1; i < n-1; i++ {
@@ -91,7 +91,7 @@ func TestSOR3Converges(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	op := Poisson3D()
 	_, b := randomState3(n, rng)
-	x := grid.New3(n) // boundary data + zero interior guess
+	x := grid.NewDim(3, n) // boundary data + zero interior guess
 	grid.FillBoundaryRandom(x, grid.Unbiased, rng)
 	h := 1.0 / float64(n-1)
 	r0 := OpResidualNorm(op, nil, x, b, h)
@@ -122,7 +122,7 @@ func TestSweep3ParallelMatchesSerial(t *testing.T) {
 	}
 	assertBitIdentical(t, xs, xp, "SOR3")
 
-	rs, rp := grid.New3(n), grid.New3(n)
+	rs, rp := grid.NewDim(3, n), grid.NewDim(3, n)
 	OpResidual(op, nil, rs, xs, b, h)
 	OpResidual(op, pool, rp, xs, b, h)
 	assertBitIdentical(t, rs, rp, "Residual3")

@@ -28,9 +28,9 @@ func fillTrilinear(g *grid.Grid) {
 // interior coarse points.
 func TestRestrict3DExactOnTrilinear(t *testing.T) {
 	nf, nc := 9, 5
-	fine := grid.New3(nf)
+	fine := grid.NewDim(3, nf)
 	fillTrilinear(fine)
-	coarse := grid.New3(nc)
+	coarse := grid.NewDim(3, nc)
 	Restrict(nil, coarse, fine)
 	for i := 1; i < nc-1; i++ {
 		for j := 1; j < nc-1; j++ {
@@ -52,13 +52,13 @@ func TestRestrict3DExactOnTrilinear(t *testing.T) {
 // trilinear functions exactly at interior fine points.
 func TestInterpolate3DExactOnTrilinear(t *testing.T) {
 	nf, nc := 9, 5
-	coarse := grid.New3(nc)
+	coarse := grid.NewDim(3, nc)
 	fillTrilinear(coarse)
 	// Rescale the coarse samples: coarse point i sits at 2i·h_f, so filling
 	// with the coarse grid's own spacing matches the fine function exactly.
-	fine := grid.New3(nf)
+	fine := grid.NewDim(3, nf)
 	Interpolate(nil, fine, coarse)
-	want := grid.New3(nf)
+	want := grid.NewDim(3, nf)
 	fillTrilinear(want)
 	// Coarse spacing is twice fine spacing; fillTrilinear(coarse) sampled
 	// f at the same physical points, so interpolation must agree with
@@ -83,7 +83,7 @@ func TestInterpolate3DExactOnTrilinear(t *testing.T) {
 func TestRestrict3DIsScaledTransposeOfInterpolate(t *testing.T) {
 	nf, nc := 17, 9
 	rng := rand.New(rand.NewSource(3))
-	r := grid.New3(nf)
+	r := grid.NewDim(3, nf)
 	for i := 1; i < nf-1; i++ {
 		for j := 1; j < nf-1; j++ {
 			for k := 1; k < nf-1; k++ {
@@ -91,7 +91,7 @@ func TestRestrict3DIsScaledTransposeOfInterpolate(t *testing.T) {
 			}
 		}
 	}
-	c := grid.New3(nc)
+	c := grid.NewDim(3, nc)
 	for i := 1; i < nc-1; i++ {
 		for j := 1; j < nc-1; j++ {
 			for k := 1; k < nc-1; k++ {
@@ -99,9 +99,9 @@ func TestRestrict3DIsScaledTransposeOfInterpolate(t *testing.T) {
 			}
 		}
 	}
-	rc := grid.New3(nc)
+	rc := grid.NewDim(3, nc)
 	Restrict(nil, rc, r)
-	pc := grid.New3(nf)
+	pc := grid.NewDim(3, nf)
 	Interpolate(nil, pc, c)
 
 	dot := func(a, b *grid.Grid) float64 {
@@ -126,17 +126,17 @@ func TestTransfer3DParallelMatchesSerial(t *testing.T) {
 	defer pool.Close()
 	nf, nc := 65, 33 // above the 3D plane threshold
 	rng := rand.New(rand.NewSource(4))
-	fine := grid.New3(nf)
+	fine := grid.NewDim(3, nf)
 	d := fine.Data()
 	for i := range d {
 		d[i] = rng.Float64()*2 - 1
 	}
-	cs, cp := grid.New3(nc), grid.New3(nc)
+	cs, cp := grid.NewDim(3, nc), grid.NewDim(3, nc)
 	Restrict(nil, cs, fine)
 	Restrict(pool, cp, fine)
 	assertSame3(t, cs, cp, "Restrict")
 
-	fs, fp := grid.New3(nf), grid.New3(nf)
+	fs, fp := grid.NewDim(3, nf), grid.NewDim(3, nf)
 	Interpolate(nil, fs, cs)
 	Interpolate(pool, fp, cs)
 	assertSame3(t, fs, fp, "Interpolate")
@@ -160,7 +160,7 @@ func TestRestrictCoefRejects3D(t *testing.T) {
 			t.Fatal("RestrictCoef accepted 3D grids")
 		}
 	}()
-	RestrictCoef(grid.New3(5), grid.New3(9))
+	RestrictCoef(grid.NewDim(3, 5), grid.NewDim(3, 9))
 }
 
 // TestTransferRejectsMixedDimensions: restriction between a 2D and a 3D
@@ -175,6 +175,6 @@ func TestTransferRejectsMixedDimensions(t *testing.T) {
 		}()
 		f()
 	}
-	mustPanic("Restrict", func() { Restrict(nil, grid.New(5), grid.New3(9)) })
-	mustPanic("Interpolate", func() { Interpolate(nil, grid.New3(9), grid.New(5)) })
+	mustPanic("Restrict", func() { Restrict(nil, grid.New(5), grid.NewDim(3, 9)) })
+	mustPanic("Interpolate", func() { Interpolate(nil, grid.NewDim(3, 9), grid.New(5)) })
 }

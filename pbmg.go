@@ -41,16 +41,13 @@ import (
 )
 
 // Grid is a square N×N (2D) or cubic N×N×N (3D) grid of float64 values in
-// one flat slice. See NewGrid and NewGrid3; Grid.Dim reports which kind a
-// grid is, and dimension-specific accessors reject the other kind.
+// one flat slice. NewGrid makes a 2D one, and Problem.NewState the state
+// grid of a problem of either dimension; Grid.Dim reports which kind a grid
+// is, and dimension-specific accessors reject the other kind.
 type Grid = grid.Grid
 
 // NewGrid returns a zero-filled 2D n×n grid.
 func NewGrid(n int) *Grid { return grid.New(n) }
-
-// NewGrid3 returns a zero-filled 3D n×n×n grid, for use with
-// FamilyPoisson3D solvers.
-func NewGrid3(n int) *Grid { return grid.New3(n) }
 
 // Distribution selects a training/benchmark data distribution from §4 of
 // the paper.
@@ -78,7 +75,8 @@ type Family = stencil.Family
 // operator −∇·(c∇u) with the built-in smooth positive coefficient field of
 // contrast parameter σ, and the 3D Poisson operator (7-point stencil on an
 // N×N×N cube — the paper's headline scaling case). Families carry their
-// spatial dimension (Family.Dim); 3D solvers work on grids from NewGrid3.
+// spatial dimension (Family.Dim); 3D solvers work on the grids of a 3D
+// problem (NewFamilyProblem).
 const (
 	FamilyPoisson     = stencil.FamilyPoisson
 	FamilyAnisotropic = stencil.FamilyAnisotropic
@@ -192,7 +190,8 @@ type Options struct {
 // Solve, SolveContext, SolveV, SolveTraced, CycleShape, and Describe
 // simultaneously on one Solver, sharing its tuned tables, worker pool, and
 // direct-factor cache. For admission (a cap on solves in flight, a queue,
-// a circuit breaker) and batches, wrap it in a Service (NewService). Close
+// a circuit breaker) and batches, Save its tables and serve them through a
+// Registry (LoadDir), which wraps each family's Solver in a Service. Close
 // must not be called while solves are in flight.
 type Solver struct {
 	tuned *core.Tuned
@@ -448,6 +447,10 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 	// call; the workspace and tables behind it are shared and
 	// concurrency-safe.
 	ex := mg.Executor{WS: s.ws, V: s.tuned.V, F: s.tuned.F, Rec: rec}
+	// ctx.Done is asked for once per solve, here, inside the admission slot:
+	// serve's occupy test helper holds a running slot by blocking in this
+	// call (heldContext), and TestFramingsAgree panics in it
+	// (poisonedContext) to trip the breaker.
 	if ctx != nil && ctx.Done() != nil {
 		ex.Ctx = ctx
 	}

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"pbmg/internal/core"
+	"pbmg/internal/grid"
 	"pbmg/internal/mg"
 )
 
@@ -97,15 +98,15 @@ func TestSolveErrors(t *testing.T) {
 // never counts against the Service's circuit breaker.
 func TestSolveRejectsMismatchedGrids(t *testing.T) {
 	s := tuneSmall(t)
-	svc := s.NewService(1)
+	svc := newService(s, 1, BreakerConfig{})
 	cases := []struct {
 		name string
 		x, b func() *Grid
 	}{
 		{"b finer than x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid(33) }},
 		{"b coarser than x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid(9) }},
-		{"3D grids on a 2D solver", func() *Grid { return NewGrid3(17) }, func() *Grid { return NewGrid3(17) }},
-		{"3D b for a 2D x", func() *Grid { return NewGrid(17) }, func() *Grid { return NewGrid3(17) }},
+		{"3D grids on a 2D solver", func() *Grid { return grid.NewDim(3, 17) }, func() *Grid { return grid.NewDim(3, 17) }},
+		{"3D b for a 2D x", func() *Grid { return NewGrid(17) }, func() *Grid { return grid.NewDim(3, 17) }},
 		{"nil x", func() *Grid { return nil }, func() *Grid { return NewGrid(17) }},
 		{"nil b", func() *Grid { return NewGrid(17) }, func() *Grid { return nil }},
 	}
@@ -340,10 +341,10 @@ func TestSavedPrecisionCellsRunInFloat64(t *testing.T) {
 		same(fmt.Sprintf("SolveV at %g", acc), func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, acc) }, p.NewState(), p.B, acc, p)
 	}
 
-	b := NewGrid3(17)
+	b := grid.NewDim(3, 17)
 	b.Fill(1e39)
 	b.ZeroBoundary()
-	same("SolveV past float32's range", func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, 1e3) }, NewGrid3(17), b, 0, nil)
+	same("SolveV past float32's range", func(s *Solver, x, b *Grid) error { return s.SolveV(x, b, 1e3) }, grid.NewDim(3, 17), b, 0, nil)
 	if got := marked.Escalations(); got != 0 {
 		t.Errorf("Escalations = %d, want 0", got)
 	}

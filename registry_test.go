@@ -173,7 +173,7 @@ func TestRegistryFactorsOnceOverFiniteKeys(t *testing.T) {
 		for _, svc := range services(t, r) {
 			s := svc.Solver()
 			solveV := func(x, b *Grid, acc float64) error {
-				return svc.Do(context.Background(), func() error { return s.SolveV(x, b, acc) })
+				return svc.admit(context.Background(), false, func() error { return s.SolveV(x, b, acc) })
 			}
 			for n := 3; n <= s.MaxSize(); n = 2*n - 1 {
 				for i, acc := range s.Accuracies() {
@@ -379,7 +379,7 @@ func TestRegistrySolveBatchUsesGlobalAdmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := svc.MaxInFlight(); got != 3 {
+	if got := svc.fam.a.globalCap(); got != 3 {
 		t.Fatalf("family service MaxInFlight = %d, want the global 3", got)
 	}
 	batch := make([]BatchProblem, 6)

@@ -64,7 +64,11 @@ func ParseQuotaSpec(spec string) (map[string]int, error) {
 		if err != nil || n < 1 {
 			return nil, fmt.Errorf("serve: quota %q needs a positive count", item)
 		}
-		out[strings.TrimSpace(name)] = n
+		name = strings.TrimSpace(name)
+		if _, dup := out[name]; dup {
+			return nil, fmt.Errorf("serve: quota list %q names %s twice", spec, name)
+		}
+		out[name] = n
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("serve: quota list %q names no families", spec)

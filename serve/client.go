@@ -24,16 +24,9 @@ func (e *StatusError) Error() string {
 	return fmt.Sprintf("serve: HTTP %d: %s", e.Code, e.Msg)
 }
 
-// Shed reports whether the request was load-shed (retryable) rather than
-// rejected as invalid.
-func (e *StatusError) Shed() bool {
-	return e.Code == http.StatusTooManyRequests || e.Code == http.StatusServiceUnavailable
-}
-
-// Client talks to a serve.Server. The zero HTTP client is usable; mass
-// load drivers should supply one with MaxIdleConnsPerHost sized to their
-// concurrency. Solves and batches ask for their answers' grids as bytes
-// (protocol.go) and read whichever framing the server answers in.
+// Client posts solves to a serve.Server. The zero HTTP client is usable;
+// mass load drivers should supply one with MaxIdleConnsPerHost sized to their
+// concurrency.
 type Client struct {
 	BaseURL string
 	HTTP    *http.Client
@@ -44,52 +37,6 @@ func (c *Client) httpClient() *http.Client {
 		return c.HTTP
 	}
 	return http.DefaultClient
-}
-
-// do sends req and hands the complete 2xx body to the decoder of its framing,
-// picked by the answer's Content-Type (parameters ignored): JSON, or — for the
-// calls that ask for it by passing decodeGrid — the grid framing. Any other
-// type is an error naming it, not a syntax error from the wrong decoder.
-// Non-2xx answers come back as *StatusError. The body is always read to EOF
-// before it is closed: net/http reuses a keep-alive connection only then, and
-// a JSON decoder that stops at the closing brace leaves a chunked answer's
-// terminator unread.
-func (c *Client) do(req *http.Request, decodeJSON, decodeGrid func(body []byte) error) error {
-	if decodeGrid != nil {
-		req.Header.Set("Accept", gridMediaType+", "+jsonMediaType)
-	}
-	resp, err := c.httpClient().Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return statusError(resp)
-	}
-	buf := wirePool.Get().(*[]byte)
-	defer wirePool.Put(buf)
-	if *buf, err = readAll(resp.Body, *buf, resp.ContentLength); err != nil {
-		return fmt.Errorf("serve: reading %s answer: %w", req.URL.Path, err)
-	}
-	contentType := resp.Header.Get("Content-Type")
-	switch mt, _, _ := mime.ParseMediaType(contentType); {
-	case mt == jsonMediaType:
-		return decodeJSON(*buf)
-	case mt == gridMediaType && decodeGrid != nil:
-		return decodeGrid(*buf)
-	}
-	return fmt.Errorf("serve: %s answered HTTP %d with Content-Type %q, which this call cannot read", req.URL.Path, resp.StatusCode, contentType)
-}
-
-// post sends a JSON body to a grid-carrying endpoint, asking for the answer's
-// grids as bytes; a server that ignores Accept answers JSON and is read so.
-func (c *Client) post(ctx context.Context, path string, body []byte, decodeJSON, decodeGrid func(body []byte) error) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+path, bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", jsonMediaType)
-	return c.do(req, decodeJSON, decodeGrid)
 }
 
 // statusError reads a non-2xx answer. Error bodies are small: reading up to
@@ -109,72 +56,47 @@ func statusError(resp *http.Response) error {
 	return se
 }
 
-// Solve posts one solve request.
-func (c *Client) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, error) {
-	body, err := appendSolveRequest(make([]byte, 0, encodedSize(len(req.B)+len(req.X))), &req)
-	if err != nil {
-		return nil, err
-	}
-	return c.SolveBytes(ctx, body)
-}
-
 // SolveBytes posts a pre-marshaled SolveRequest — the load-driver fast
-// path, keeping request encoding off the measured latency.
+// path, keeping request encoding off the measured latency. It asks for the
+// answer's grid as bytes (protocol.go) and reads whichever framing the
+// server answers in, picked by the answer's Content-Type (parameters
+// ignored); any other type is an error naming it, not a syntax error from
+// the wrong decoder. A non-2xx answer comes back as *StatusError. The body
+// is always read to EOF before it is closed: net/http reuses a keep-alive
+// connection only then, and a JSON decoder that stops at the closing brace
+// leaves a chunked answer's terminator unread.
 func (c *Client) SolveBytes(ctx context.Context, body []byte) (*SolveResponse, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/solve", bytes.NewReader(body))
+	if err != nil {
+		return nil, err
+	}
+	req.Header.Set("Content-Type", jsonMediaType)
+	req.Header.Set("Accept", gridMediaType+", "+jsonMediaType)
+	resp, err := c.httpClient().Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return nil, statusError(resp)
+	}
+	buf := wirePool.Get().(*[]byte)
+	defer wirePool.Put(buf)
+	if *buf, err = readAll(resp.Body, *buf, resp.ContentLength); err != nil {
+		return nil, fmt.Errorf("serve: reading /v1/solve answer: %w", err)
+	}
 	var out SolveResponse
-	err := c.post(ctx, "/v1/solve", body,
-		func(b []byte) error { return decodeWire(b, nil, &out, (*scanner).solveResponse) },
-		func(b []byte) error { return decodeGridSolve(b, &out) })
+	contentType := resp.Header.Get("Content-Type")
+	switch mt, _, _ := mime.ParseMediaType(contentType); mt {
+	case jsonMediaType:
+		err = decodeWire(*buf, nil, &out, (*scanner).solveResponse)
+	case gridMediaType:
+		err = decodeGridSolve(*buf, &out)
+	default:
+		err = fmt.Errorf("serve: /v1/solve answered HTTP %d with Content-Type %q, which this call cannot read", resp.StatusCode, contentType)
+	}
 	if err != nil {
 		return nil, err
 	}
 	return &out, nil
-}
-
-// Batch posts one batch request.
-func (c *Client) Batch(ctx context.Context, req BatchRequest) (*BatchResponse, error) {
-	nfloats := 0
-	for _, p := range req.Problems {
-		nfloats += len(p.B) + len(p.X)
-	}
-	body, err := appendBatchRequest(make([]byte, 0, encodedSize(nfloats)), &req)
-	if err != nil {
-		return nil, err
-	}
-	var out BatchResponse
-	err = c.post(ctx, "/v1/batch", body,
-		func(b []byte) error { return decodeWire(b, nil, &out, (*scanner).batchResponse) },
-		func(b []byte) error { return decodeGridBatch(b, &out) })
-	if err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Metrics fetches the serving counters.
-func (c *Client) Metrics(ctx context.Context) (*Metrics, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/metrics", nil)
-	if err != nil {
-		return nil, err
-	}
-	var out Metrics
-	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }, nil); err != nil {
-		return nil, err
-	}
-	return &out, nil
-}
-
-// Reload asks the server to rebuild its catalog from the config dir.
-func (c *Client) Reload(ctx context.Context) (int64, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/-/reload", nil)
-	if err != nil {
-		return 0, err
-	}
-	var out struct {
-		Version int64 `json:"version"`
-	}
-	if err := c.do(req, func(b []byte) error { return json.Unmarshal(b, &out) }, nil); err != nil {
-		return 0, err
-	}
-	return out.Version, nil
 }

@@ -1,15 +1,16 @@
 package serve
 
-// The grid codec: a hand-written JSON reader and writer for exactly the four
-// grid-carrying wire structs (SolveRequest, BatchRequest, SolveResponse,
-// BatchResponse). A served body is a short envelope around one or more flat
-// float arrays of up to millions of values, and reflective encoding/json
-// spends four to five times the tuned solve on it (bench/README.md, "The
-// ladder at a glance"). The codec reads a body once into a pooled buffer,
-// scans it once — a number's grammar is checked and its value gathered in
-// the same pass (floattext.go) — and writes answers, and the client's
-// requests, digit by digit into a buffer reserved once. strconv sees only the
-// rare number token the reader declines to decide.
+// The grid codec: a hand-written JSON codec for the grid-carrying wire
+// structs. It reads the two requests (SolveRequest, BatchRequest) and the
+// solve answer Client reads (SolveResponse), and writes both answers
+// (SolveResponse, BatchResponse). A served body is a short envelope around
+// one or more flat float arrays of up to millions of values, and reflective
+// encoding/json spends four to five times the tuned solve on it
+// (bench/README.md, "The ladder at a glance"). The codec reads a body once
+// into a pooled buffer, scans it once — a number's grammar is checked and its
+// value gathered in the same pass (floattext.go) — and writes answers digit
+// by digit into a buffer reserved once. strconv sees only the rare number
+// token the reader declines to decide.
 //
 // One parser reads every float array (appendFloatList). A long array's text
 // is cut at commas into pieces that the decoding goroutine and GOMAXPROCS−1
@@ -146,7 +147,7 @@ func floatArena(arena []float64, data []byte) []float64 {
 	return arena[:0]
 }
 
-// decodeWire decodes data into v, one of the four wire structs, with its
+// decodeWire decodes data into v, a request or a SolveResponse, with its
 // scanner method — or, when the scanner declines, with json.Unmarshal. The
 // decoded float arrays alias *arena, which is resized for data and left
 // holding exactly the values decoded into it (none after a json.Unmarshal):
@@ -542,43 +543,6 @@ func (s *scanner) solveResponse(resp *SolveResponse) bool {
 	})
 }
 
-func (s *scanner) batchResponse(resp *BatchResponse) bool {
-	var seen uint
-	return s.object(func(key []byte) bool {
-		switch string(key) {
-		case "results":
-			if !once(&seen, 1<<0) {
-				return false
-			}
-			resp.Results = []BatchResult{}
-			return s.array(func() bool {
-				var r BatchResult
-				var seenR uint
-				ok := s.object(func(key []byte) bool {
-					switch string(key) {
-					case "x":
-						return once(&seenR, 1<<0) && s.floatArray(&r.X)
-					case "error":
-						return once(&seenR, 1<<1) && s.stringField(&r.Error)
-					}
-					return false
-				})
-				resp.Results = append(resp.Results, r)
-				return ok
-			})
-		case "family":
-			return once(&seen, 1<<1) && s.stringField(&resp.Family)
-		case "eps":
-			return once(&seen, 1<<2) && s.floatField(&resp.Eps)
-		case "n":
-			return once(&seen, 1<<3) && s.intField(&resp.N)
-		case "precision":
-			return once(&seen, 1<<4) && s.stringField(&resp.Precision)
-		}
-		return false
-	})
-}
-
 // The writers. Each appends exactly what json.NewEncoder(w).Encode(resp)
 // would write, and fails — like it — on a value JSON cannot carry.
 
@@ -633,94 +597,21 @@ func appendBatchResponse(dst []byte, resp *BatchResponse) ([]byte, error) {
 	return append(dst, "}\n"...), err
 }
 
-// The request writers, for Client: each appends exactly json.Marshal of the
-// struct.
-
-func appendSolveRequest(dst []byte, req *SolveRequest) ([]byte, error) {
-	dst, err := appendRequestHead(dst, req.Family, req.Eps, req.N, req.Accuracy)
-	if err != nil {
-		return dst, err
-	}
-	if dst, err = appendProblem(append(dst, ','), req.B, req.X); err != nil {
-		return dst, err
-	}
-	return appendDeadline(dst, req.DeadlineMs), nil
-}
-
-func appendBatchRequest(dst []byte, req *BatchRequest) ([]byte, error) {
-	dst, err := appendRequestHead(dst, req.Family, req.Eps, req.N, req.Accuracy)
-	if err != nil {
-		return dst, err
-	}
-	dst = append(dst, `,"problems":`...)
-	if req.Problems == nil {
-		dst = append(dst, "null"...)
-	} else {
-		dst = append(dst, '[')
-		for i, p := range req.Problems {
-			if i > 0 {
-				dst = append(dst, ',')
-			}
-			if dst, err = appendProblem(append(dst, '{'), p.B, p.X); err != nil {
-				return dst, err
-			}
-			dst = append(dst, '}')
-		}
-		dst = append(dst, ']')
-	}
-	return appendDeadline(dst, req.DeadlineMs), nil
-}
-
-// appendRequestHead opens a request and writes the fields both carry ahead
-// of their grids.
-func appendRequestHead(dst []byte, family string, eps float64, n int, accuracy float64) ([]byte, error) {
-	dst, err := appendRoute(append(dst, '{'), family, eps, n)
-	if err != nil {
-		return dst, err
-	}
-	return appendFloat(append(dst, `,"accuracy":`...), accuracy)
-}
-
-// appendProblem writes one problem's grids, x only when it has values.
-func appendProblem(dst []byte, b, x []float64) ([]byte, error) {
-	dst, err := appendFloats(append(dst, `"b":`...), b)
-	if err != nil || len(x) == 0 {
-		return dst, err
-	}
-	return appendFloats(append(dst, `,"x":`...), x)
-}
-
-// appendDeadline writes the optional deadline and closes the request.
-func appendDeadline(dst []byte, deadlineMs int64) []byte {
-	if deadlineMs != 0 {
-		dst = strconv.AppendInt(append(dst, `,"deadlineMs":`...), deadlineMs, 10)
-	}
-	return append(dst, '}')
-}
-
-// appendTrailer writes the fields both answers carry after their grids.
+// appendTrailer writes the fields both answers carry after their grids:
+// "family", "eps" unless zero, "n", and "precision" unless empty.
 func appendTrailer(dst []byte, family string, eps float64, n int, precision string) ([]byte, error) {
-	dst, err := appendRoute(append(dst, ','), family, eps, n)
-	if precision != "" {
-		dst = append(dst, `,"precision":`...)
-		dst = appendString(dst, precision)
-	}
-	return dst, err
-}
-
-// appendRoute writes the three fields all four wire structs carry side by
-// side: "family", "eps" unless zero, "n".
-func appendRoute(dst []byte, family string, eps float64, n int) ([]byte, error) {
-	dst = append(dst, `"family":`...)
-	dst = appendString(dst, family)
+	dst = appendString(append(dst, `,"family":`...), family)
 	if eps != 0 {
 		var err error
 		if dst, err = appendFloat(append(dst, `,"eps":`...), eps); err != nil {
 			return dst, err
 		}
 	}
-	dst = append(dst, `,"n":`...)
-	return strconv.AppendInt(dst, int64(n), 10), nil
+	dst = strconv.AppendInt(append(dst, `,"n":`...), int64(n), 10)
+	if precision != "" {
+		dst = appendString(append(dst, `,"precision":`...), precision)
+	}
+	return dst, nil
 }
 
 func appendFloats(dst []byte, vs []float64) ([]byte, error) {

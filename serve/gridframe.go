@@ -2,10 +2,10 @@ package serve
 
 // The grid framing of answers (layout: protocol.go): the server-side writer,
 // which streams the solution out of the request's arena through one pooled
-// chunk, and the client-side reader. It is chosen by the request's Accept
-// header and announced by the answer's Content-Type, nothing else; JSON
-// (codec.go) stays the default framing and the oracle — the same request
-// answers with the same bits either way (TestFramingsAgree).
+// chunk, and the client's reader of solve answers. It is chosen by the
+// request's Accept header and announced by the answer's Content-Type, nothing
+// else; JSON (codec.go) stays the default framing and the oracle — the same
+// request answers with the same bits either way (TestFramingsAgree).
 
 import (
 	"encoding/binary"
@@ -181,21 +181,6 @@ func decodeGridSolve(data []byte, out *SolveResponse) error {
 	}
 	if out.X, rest, err = readGrid(rest); err != nil {
 		return err
-	}
-	return gridsEnd(rest)
-}
-
-// decodeGridBatch reads a grid-framed /v1/batch answer: the envelope says how
-// many results there are, and so how many grids.
-func decodeGridBatch(data []byte, out *BatchResponse) error {
-	rest, err := openGridAnswer(data, kindBatch, out, (*scanner).batchResponse)
-	if err != nil {
-		return err
-	}
-	for i := range out.Results {
-		if out.Results[i].X, rest, err = readGrid(rest); err != nil {
-			return err
-		}
 	}
 	return gridsEnd(rest)
 }

@@ -35,6 +35,30 @@ func jsonOnly(cl *Client) *Client {
 	return &Client{BaseURL: cl.BaseURL, HTTP: &http.Client{Transport: noAccept{http.DefaultTransport}}}
 }
 
+// poisonedContext panics when a solve inside its slot asks for Done, where the
+// solve arms its cancellation checks: a request that panics in the solver.
+// Like heldContext it relies on where a Service calls Done (pbmg.go's
+// solveCtx), and breaks the context contract on purpose.
+type poisonedContext struct{ context.Context }
+
+func (poisonedContext) Done() <-chan struct{} { panic("poisoned request") }
+
+// decodeGridBatch reads a grid-framed /v1/batch answer, the oracle of the
+// batch writer. Its envelope goes to encoding/json (a scan that declines hands
+// it there) and says how many results there are, and so how many grids.
+func decodeGridBatch(data []byte, out *BatchResponse) error {
+	rest, err := openGridAnswer(data, kindBatch, out, func(*scanner, *BatchResponse) bool { return false })
+	if err != nil {
+		return err
+	}
+	for i := range out.Results {
+		if out.Results[i].X, rest, err = readGrid(rest); err != nil {
+			return err
+		}
+	}
+	return gridsEnd(rest)
+}
+
 func sameFloatBits(a, b []float64) bool {
 	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 }
@@ -136,8 +160,8 @@ func TestFramingsAgree(t *testing.T) {
 				probs = append(probs, bp)
 			}
 
-			body, _ := json.Marshal(SolveRequest{Family: fam.family.String(), N: fam.n, Accuracy: 1e3, B: probs[0].B, X: probs[0].X})
-			ja, ga := both(name, "/v1/solve", body)
+			solve, _ := json.Marshal(SolveRequest{Family: fam.family.String(), N: fam.n, Accuracy: 1e3, B: probs[0].B, X: probs[0].X})
+			ja, ga := both(name, "/v1/solve", solve)
 			if ja.status != 200 || ga.status != 200 || ja.contentType != jsonMediaType || ga.contentType != gridMediaType {
 				t.Fatalf("%s: solve answered %d %s and %d %s", name, ja.status, ja.contentType, ga.status, ga.contentType)
 			}
@@ -161,8 +185,8 @@ func TestFramingsAgree(t *testing.T) {
 
 			// A batch whose middle problem fails validation, alone.
 			probs[1].B = probs[1].B[:5]
-			body, _ = json.Marshal(BatchRequest{Family: fam.family.String(), N: fam.n, Accuracy: 1e3, Problems: probs})
-			ja, ga = both(name, "/v1/batch", body)
+			batch, _ := json.Marshal(BatchRequest{Family: fam.family.String(), N: fam.n, Accuracy: 1e3, Problems: probs})
+			ja, ga = both(name, "/v1/batch", batch)
 			if ja.status != 200 || ga.status != 200 || ja.contentType != jsonMediaType || ga.contentType != gridMediaType {
 				t.Fatalf("%s: batch answered %d %s and %d %s", name, ja.status, ja.contentType, ga.status, ga.contentType)
 			}
@@ -182,7 +206,6 @@ func TestFramingsAgree(t *testing.T) {
 					t.Errorf("%s: batch result %d: JSON %d values, error %q; grid %d values, error %q", name, i, len(j.X), j.Error, len(g.X), g.Error)
 				}
 			}
-			last := jb.Results[2].X
 			jb.Results, gb.Results = nil, nil
 			if jb.Family != gb.Family || jb.Eps != gb.Eps || jb.N != gb.N || jb.Precision != gb.Precision || jb.Family == "" {
 				t.Errorf("%s: batch envelopes differ: JSON %+v, grid %+v", name, jb, gb)
@@ -190,9 +213,9 @@ func TestFramingsAgree(t *testing.T) {
 
 			// The client reads both, by the answer's Content-Type.
 			for _, c := range []*Client{cl, jsonOnly(cl)} {
-				br, err := c.Batch(context.Background(), BatchRequest{Family: fam.family.String(), N: fam.n, Accuracy: 1e3, Problems: probs})
-				if err != nil || len(br.Results) != 3 || !sameFloatBits(br.Results[2].X, last) || br.Results[1].Error == "" {
-					t.Errorf("%s: Client.Batch: %v, %+v", name, err, br)
+				sr, err := c.SolveBytes(context.Background(), solve)
+				if err != nil || !sameFloatBits(sr.X, js.X) || sr.Family != js.Family || sr.N != js.N {
+					t.Errorf("%s: Client.SolveBytes: %v, %+v", name, err, sr)
 				}
 			}
 		}
@@ -243,10 +266,10 @@ func TestFramingsAgree(t *testing.T) {
 
 	// A panicking request: one contained failure opens the breaker.
 	svc3 := familyService(t, srv, "poisson3d")
-	if err := svc3.Do(context.Background(), func() error { panic("poisoned request") }); err == nil || svc3.BreakerState() != "open" {
+	p3 := newProblem(t, pbmg.FamilyPoisson3D, 9, 4)
+	if err := svc3.SolveContext(poisonedContext{context.Background()}, p3.NewState(), p3.B, 1e3); err == nil || svc3.BreakerState() != "open" {
 		t.Fatalf("poisoning poisson3d: err = %v, breaker %s", err, svc3.BreakerState())
 	}
-	p3 := newProblem(t, pbmg.FamilyPoisson3D, 9, 4)
 	sameError("breaker open", "/v1/solve", solveBody(SolveRequest{Family: "poisson3d", N: 9, Accuracy: 1e3, B: p3.B.Data()}), 503, true, "circuit breaker open")
 
 	srv.BeginDrain()

@@ -5,9 +5,9 @@ import "pbmg"
 // Wire types of the HTTP serving protocol. Grids travel as flat JSON
 // arrays in the same row-major (2D) / plane-major (3D) layout as
 // pbmg.Grid.Data, so a client round-trips a grid without reshaping. The
-// same structs serve both directions: the server decodes requests with
-// them and Client encodes them, so the protocol cannot drift between the
-// two.
+// same structs serve both directions: the server decodes requests and
+// encodes answers with them, and a Go client marshals requests and reads
+// answers with them, so the protocol cannot drift between the two.
 //
 // Requests are JSON. A grid-carrying 200 (SolveResponse, BatchResponse) comes
 // in one of two framings, chosen by the request and by nothing else:
@@ -35,9 +35,8 @@ import "pbmg"
 //
 // Nothing follows the last grid; Content-Length is exact. The values are the
 // bits the JSON framing prints and a JSON reader parses back: the framings
-// differ in cost, not in content (TestFramingsAgree). Client asks for the grid
-// framing on every solve and batch and reads whichever the Content-Type
-// announces.
+// differ in cost, not in content (TestFramingsAgree). Client.SolveBytes asks
+// for the grid framing and reads whichever the Content-Type announces.
 
 // SolveRequest is the body of POST /v1/solve: one tuned solve routed by
 // (family, eps) to the serving catalog.

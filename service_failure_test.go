@@ -17,6 +17,14 @@ import (
 // make the failure paths safe to serve behind. All of these must pass under
 // -race: the abort paths cross the same pooled arenas the happy path uses.
 
+// newService wraps a solver in a private single-family admitter — no quota,
+// an unbounded queue, the global cap alone (≤ 0: 2×GOMAXPROCS) — where a
+// Registry would make the solver one of its families: a Service to test
+// without a tables directory.
+func newService(s *Solver, maxInFlight int, bc BreakerConfig) *Service {
+	return &Service{s: s, fam: newAdmitter(maxInFlight, bc).family(0, 0)}
+}
+
 // recorderFunc adapts a function to mg.Recorder, so a test can run code in
 // the middle of a live solve (between kernels, on the solve's goroutine).
 type recorderFunc func(kind mg.EventKind, level, count int)
@@ -119,7 +127,7 @@ func TestServicePanicContainment(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
 	sv := newService(s, 2, BreakerConfig{})
 
-	err := sv.Do(context.Background(), poisonedSolve(s))
+	err := sv.admit(context.Background(), false, poisonedSolve(s))
 	var pe *PanicError
 	if !errors.As(err, &pe) {
 		t.Fatalf("panicking solve: err = %v, want *PanicError", err)
@@ -167,7 +175,7 @@ func TestServiceFailureClassCounters(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rec := recorderFunc(func(kind mg.EventKind, level, count int) { cancel() })
-	err = sv.Do(ctx, func() error { return s.solveCtx(ctx, p.NewState(), p.B, 1e9, true, rec) })
+	err = sv.admit(ctx, false, func() error { return s.solveCtx(ctx, p.NewState(), p.B, 1e9, true, rec) })
 	if !errors.Is(err, ErrCancelled) {
 		t.Fatalf("mid-flight cancelled solve: err = %v, want ErrCancelled", err)
 	}
@@ -182,7 +190,7 @@ func TestServiceFailureClassCounters(t *testing.T) {
 	}
 
 	// Panicked.
-	sv.Do(context.Background(), poisonedSolve(s))
+	sv.admit(context.Background(), false, poisonedSolve(s))
 
 	m := sv.Metrics()
 	if m.Cancelled != 1 || m.Diverged != 1 || m.Panicked != 1 {
@@ -211,7 +219,7 @@ func TestBreakerLifecycle(t *testing.T) {
 
 	// Two consecutive panics reach the threshold and open the breaker.
 	for i := 0; i < 2; i++ {
-		if err := sv.Do(context.Background(), poisonedSolve(s)); !errors.Is(err, ErrPanicked) {
+		if err := sv.admit(context.Background(), false, poisonedSolve(s)); !errors.Is(err, ErrPanicked) {
 			t.Fatalf("poisoned solve %d: err = %v, want ErrPanicked", i, err)
 		}
 	}
@@ -272,7 +280,7 @@ func TestBreakerReopensOnFailedProbe(t *testing.T) {
 	sv := newService(s, 4, BreakerConfig{
 		Threshold: 1, Cooldown: 100 * time.Millisecond,
 	})
-	bad := func() error { return sv.Do(context.Background(), poisonedSolve(s)) }
+	bad := func() error { return sv.admit(context.Background(), false, poisonedSolve(s)) }
 	if err := bad(); !errors.Is(err, ErrPanicked) {
 		t.Fatalf("first poisoned solve: %v", err)
 	}

@@ -14,7 +14,7 @@ import (
 // admission.
 func TestServiceMetricsShedSplit(t *testing.T) {
 	s := tuneFamily(t, FamilyPoisson, 0)
-	sv := s.NewService(1)
+	sv := newService(s, 1, BreakerConfig{})
 	p, err := s.NewFamilyProblem(17, Unbiased, 11)
 	if err != nil {
 		t.Fatal(err)
