@@ -153,10 +153,12 @@ func TestChaosServicePanic(t *testing.T) {
 }
 
 // TestMGServedChaos drives the real daemon, built with the faultinject
-// tag, through a kernel panic pre-armed via PBMG_FAULTS and a reload
+// tag. faults: a kernel panic pre-armed via PBMG_FAULTS and a reload
 // failure armed over POST /-/fault: the poisoned solve answers 500, the
 // daemon survives to serve the next request, the broken reload leaves the
-// catalog intact, and SIGTERM still drains cleanly.
+// catalog intact, and SIGTERM still drains cleanly. drain-timeout: with a
+// slowed sweep holding a solve past -drain-timeout, SIGTERM still ends the
+// daemon within 2 s, exit status 1, naming the request in flight.
 func TestMGServedChaos(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries")
@@ -176,44 +178,7 @@ func TestMGServedChaos(t *testing.T) {
 	if err := tuneFamily(t, FamilyPoisson, 0).Save(filepath.Join(tables, "poisson.json")); err != nil {
 		t.Fatal(err)
 	}
-
-	srv := exec.Command(bin,
-		"-addr", "127.0.0.1:0", "-configdir", tables, "-workers", "1",
-		"-drain-timeout", "30s")
-	srv.Env = append(os.Environ(), "PBMG_FAULTS=mg.cycle:panic,count=1")
-	stderr, err := srv.StderrPipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Process.Kill()
-
-	var addr string
-	var logTail strings.Builder
-	logLines := make(chan struct{})
-	scanner := bufio.NewScanner(stderr)
-	for scanner.Scan() {
-		line := scanner.Text()
-		if _, a, ok := strings.Cut(line, "listening on "); ok {
-			addr = a
-			break
-		}
-	}
-	if addr == "" {
-		t.Fatal("mgserved never reported its listen address")
-	}
-	go func() {
-		defer close(logLines)
-		for scanner.Scan() {
-			logTail.WriteString(scanner.Text())
-			logTail.WriteString("\n")
-		}
-	}()
-	base := "http://" + addr
-
-	solve := func(seed int64) int {
+	solveBody := func(t *testing.T, seed int64) []byte {
 		t.Helper()
 		p := chaosProblem(t, tuneFamily(t, FamilyPoisson, 0), seed)
 		body, err := json.Marshal(map[string]any{
@@ -223,92 +188,197 @@ func TestMGServedChaos(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(body))
+		return body
+	}
+
+	t.Run("faults", func(t *testing.T) {
+		d := startDaemon(t, bin, "mg.cycle:panic,count=1", "-configdir", tables, "-drain-timeout", "30s")
+		base := d.base
+		solve := func(seed int64) int {
+			t.Helper()
+			resp, err := http.Post(base+"/v1/solve", "application/json", bytes.NewReader(solveBody(t, seed)))
+			if err != nil {
+				t.Fatalf("solve: %v", err)
+			}
+			resp.Body.Close()
+			return resp.StatusCode
+		}
+		// The PBMG_FAULTS-armed panic kills the first solve with a 500 — and
+		// only that solve: the daemon survives and the next request succeeds.
+		if code := solve(61); code != http.StatusInternalServerError {
+			t.Fatalf("pre-armed panic solve = %d, want 500", code)
+		}
+		if code := solve(62); code != http.StatusOK {
+			t.Fatalf("solve after contained panic = %d, want 200", code)
+		}
+
+		// A NaN poisoning armed over the chaos endpoint makes the next answer
+		// non-finite: the solver refuses it as diverged, the daemon answers 500,
+		// and with the fault spent the next solve succeeds.
+		resp, err := http.Post(base+"/-/fault", "text/plain", strings.NewReader("mg.cycle.nan:nan,count=1"))
 		if err != nil {
-			t.Fatalf("solve: %v", err)
+			t.Fatal(err)
 		}
 		resp.Body.Close()
-		return resp.StatusCode
-	}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("arm NaN fault = %d", resp.StatusCode)
+		}
+		if code := solve(64); code != http.StatusInternalServerError {
+			t.Fatalf("NaN-poisoned solve = %d, want 500", code)
+		}
+		if code := solve(65); code != http.StatusOK {
+			t.Fatalf("solve after diverged one = %d, want 200", code)
+		}
 
-	// The PBMG_FAULTS-armed panic kills the first solve with a 500 — and
-	// only that solve: the daemon survives and the next request succeeds.
-	if code := solve(61); code != http.StatusInternalServerError {
-		t.Fatalf("pre-armed panic solve = %d, want 500", code)
-	}
-	if code := solve(62); code != http.StatusOK {
-		t.Fatalf("solve after contained panic = %d, want 200", code)
-	}
+		// Readiness survived the contained panic and the divergence.
+		resp, err = http.Get(base + "/readyz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/readyz after contained panic = %d, want 200", resp.StatusCode)
+		}
 
-	// A NaN poisoning armed over the chaos endpoint makes the next answer
-	// non-finite: the solver refuses it as diverged, the daemon answers 500,
-	// and with the fault spent the next solve succeeds.
-	resp, err := http.Post(base+"/-/fault", "text/plain", strings.NewReader("mg.cycle.nan:nan,count=1"))
+		// Arm a reload failure over the chaos endpoint: the reload answers 409
+		// and the old catalog keeps serving; with the fault spent, the next
+		// reload lands.
+		resp, err = http.Post(base+"/-/fault", "text/plain",
+			strings.NewReader("serve.reload:error,count=1"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("arm fault = %d", resp.StatusCode)
+		}
+		resp, err = http.Post(base+"/-/reload", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusConflict {
+			t.Fatalf("broken reload = %d, want 409", resp.StatusCode)
+		}
+		if code := solve(63); code != http.StatusOK {
+			t.Fatalf("solve on surviving catalog = %d, want 200", code)
+		}
+		resp, err = http.Post(base+"/-/reload", "application/json", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("reload after fault spent = %d, want 200", resp.StatusCode)
+		}
+
+		// After all that chaos, SIGTERM still drains cleanly.
+		if err := d.stop(); err != nil {
+			t.Fatalf("mgserved exited uncleanly after SIGTERM: %v\n%s", err, d.logTail.String())
+		}
+		if !strings.Contains(d.logTail.String(), "drained cleanly") {
+			t.Fatalf("drain not logged:\n%s", d.logTail.String())
+		}
+	})
+
+	t.Run("drain-timeout", func(t *testing.T) {
+		d := startDaemon(t, bin, "stencil.sweep:delay,delay=2s", "-configdir", tables, "-drain-timeout", "300ms")
+		body := solveBody(t, 66)
+		answered := make(chan error, 1)
+		go func() {
+			resp, err := http.Post(d.base+"/v1/solve", "application/json", bytes.NewReader(body))
+			if err == nil {
+				resp.Body.Close()
+			}
+			answered <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); ; {
+			var m struct {
+				ActiveRequests int64 `json:"activeRequests"`
+			}
+			resp, err := http.Get(d.base + "/metrics")
+			if err == nil {
+				err = json.NewDecoder(resp.Body).Decode(&m)
+				resp.Body.Close()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if m.ActiveRequests == 1 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the slowed solve never became active")
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+
+		t0 := time.Now()
+		err := d.stop()
+		if took := time.Since(t0); took > 2*time.Second {
+			t.Errorf("SIGTERM with -drain-timeout 300ms took %v to end mgserved, want under 2s", took)
+		}
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("mgserved past its drain timeout: %v, want exit status 1\n%s", err, d.logTail.String())
+		}
+		if !strings.Contains(d.logTail.String(), "1 requests still in flight") {
+			t.Errorf("the drain error does not name the request in flight:\n%s", d.logTail.String())
+		}
+		<-answered
+	})
+}
+
+// daemon is one mgserved process under test.
+type daemon struct {
+	cmd     *exec.Cmd
+	base    string          // http://host:port
+	logs    chan struct{}   // closed once its stderr ends
+	logTail strings.Builder // its stderr after the listen line
+}
+
+// startDaemon starts bin with faults in PBMG_FAULTS, on a free loopback
+// port with one worker, and waits for its listen line; cleanup kills it.
+func startDaemon(t *testing.T, bin, faults string, args ...string) *daemon {
+	t.Helper()
+	d := &daemon{logs: make(chan struct{})}
+	d.cmd = exec.Command(bin, append([]string{"-addr", "127.0.0.1:0", "-workers", "1"}, args...)...)
+	d.cmd.Env = append(os.Environ(), "PBMG_FAULTS="+faults)
+	stderr, err := d.cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("arm NaN fault = %d", resp.StatusCode)
+	if err := d.cmd.Start(); err != nil {
+		t.Fatal(err)
 	}
-	if code := solve(64); code != http.StatusInternalServerError {
-		t.Fatalf("NaN-poisoned solve = %d, want 500", code)
-	}
-	if code := solve(65); code != http.StatusOK {
-		t.Fatalf("solve after diverged one = %d, want 200", code)
-	}
+	t.Cleanup(func() { d.cmd.Process.Kill() })
 
-	// Readiness survived the contained panic and the divergence.
-	resp, err = http.Get(base + "/readyz")
-	if err != nil {
-		t.Fatal(err)
+	scanner := bufio.NewScanner(stderr)
+	for scanner.Scan() {
+		if _, a, ok := strings.Cut(scanner.Text(), "listening on "); ok {
+			d.base = "http://" + a
+			break
+		}
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz after contained panic = %d, want 200", resp.StatusCode)
+	if d.base == "" {
+		t.Fatal("mgserved never reported its listen address")
 	}
+	go func() {
+		defer close(d.logs)
+		for scanner.Scan() {
+			d.logTail.WriteString(scanner.Text())
+			d.logTail.WriteString("\n")
+		}
+	}()
+	return d
+}
 
-	// Arm a reload failure over the chaos endpoint: the reload answers 409
-	// and the old catalog keeps serving; with the fault spent, the next
-	// reload lands.
-	resp, err = http.Post(base+"/-/fault", "text/plain",
-		strings.NewReader("serve.reload:error,count=1"))
-	if err != nil {
-		t.Fatal(err)
+// stop sends SIGTERM and returns how the process ended, its log read to
+// the end.
+func (d *daemon) stop() error {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		return err
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("arm fault = %d", resp.StatusCode)
-	}
-	resp, err = http.Post(base+"/-/reload", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("broken reload = %d, want 409", resp.StatusCode)
-	}
-	if code := solve(63); code != http.StatusOK {
-		t.Fatalf("solve on surviving catalog = %d, want 200", code)
-	}
-	resp, err = http.Post(base+"/-/reload", "application/json", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("reload after fault spent = %d, want 200", resp.StatusCode)
-	}
-
-	// After all that chaos, SIGTERM still drains cleanly.
-	if err := srv.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	<-logLines
-	if err := srv.Wait(); err != nil {
-		t.Fatalf("mgserved exited uncleanly after SIGTERM: %v\n%s", err, logTail.String())
-	}
-	if !strings.Contains(logTail.String(), "drained cleanly") {
-		t.Fatalf("drain not logged:\n%s", logTail.String())
-	}
+	<-d.logs
+	return d.cmd.Wait()
 }

@@ -224,5 +224,4 @@ func usage() {
 	for _, g := range gates {
 		fmt.Fprintf(os.Stderr, "  %-12s %s against %s\n", g.name, g.unit, g.file)
 	}
-	fmt.Fprintf(os.Stderr, "\nSuppress a finding with //mglint:allow <analyzer> — <justification>.\n")
 }

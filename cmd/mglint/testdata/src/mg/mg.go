@@ -105,16 +105,6 @@ func AcquireLeak(stop bool) {
 	put(t)
 }
 
-// AllowedLeak would be a finding (the early return leaks) but carries the
-// annotation: the intentional-leak escape hatch.
-func AllowedLeak(fail bool) {
-	b := pool.Get().(*buf) //mglint:allow poolput — fixture: ownership documented out of band
-	if fail {
-		return
-	}
-	pool.Put(b)
-}
-
 func checkout(n int) []float64 { return make([]float64, n) }
 func release(s []float64)      { _ = s }
 func acquireTicket() int       { return 1 }

@@ -112,11 +112,6 @@ func Admitted(f func()) {
 
 func acquireSlot() {}
 
-// Allowed is annotated: a deliberate one-per-event launch.
-func Allowed(f func()) {
-	go f() //mglint:allow boundedgo — fixture: one per reload event by design
-}
-
 // Spin launches inside a condition-less loop.
 func Spin(f func()) {
 	for {

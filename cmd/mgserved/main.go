@@ -16,7 +16,9 @@
 // Signals: SIGHUP rebuilds the catalog from -configdir and swaps it
 // atomically (a broken directory leaves the live catalog serving);
 // SIGTERM/SIGINT drain gracefully — new requests are shed with 503 while
-// every admitted solve runs to completion, then the process exits 0.
+// every admitted solve runs to completion, then the process exits 0. The
+// drain waits at most -drain-timeout: solves still in flight then are
+// named, and the process exits 1 without waiting for them.
 //
 // Endpoints (see pbmg/serve for the wire types):
 //

@@ -22,7 +22,6 @@
 //     to something named Acquire/TryAcquire/acquire*/admit*/enter*, or a
 //     send or receive on a channel whose name says semaphore (sem, slot,
 //     ticket, gate, tok, quota)
-//   - it is annotated //mglint:allow boundedgo with a justification
 //
 // Range loops over slices, maps, or channels that launch per element are
 // always reported: that is the PR 4 fan-out as a lint rule.
@@ -52,7 +51,6 @@ var semNameRx = regexp.MustCompile(`(?i)(sem|slot|ticket|gate|tok|quota)`)
 
 func run(pass *lintutil.Pass) {
 	inScopePkg := path.Base(pass.Pkg.Path()) == "serve"
-	allow := lintutil.NewAllowIndex(pass, "boundedgo")
 
 	// A go statement's children are not visited: a launch inside a
 	// launched literal is the outer launch's concern.
@@ -62,7 +60,7 @@ func run(pass *lintutil.Pass) {
 			if !ok {
 				return true
 			}
-			if lintutil.IsTestFile(pass.Fset, g.Pos()) || allow.Allowed(g.Pos()) {
+			if lintutil.IsTestFile(pass.Fset, g.Pos()) {
 				return false
 			}
 			// Scope: the serve package wholesale, plus the registry
@@ -74,7 +72,7 @@ func run(pass *lintutil.Pass) {
 				}
 			}
 			if reason, bad := naked(pass, g, stack); bad {
-				pass.Reportf(g.Pos(), "boundedgo: %s; bound the fan-out with a worker loop sized by the admission limit, guard the launch with a semaphore acquire, or annotate //mglint:allow boundedgo", reason)
+				pass.Reportf(g.Pos(), "boundedgo: %s; bound the fan-out with a worker loop sized by the admission limit, or guard the launch with a semaphore acquire", reason)
 			}
 			return false
 		})

@@ -1,112 +1,19 @@
-// Package lintutil holds the pieces the mglint analyzers share: the
-// //mglint:allow escape-hatch annotation, small AST/type helpers and
-// walkers, and the runner that cmd/mglint and its fixture tests drive the
-// analyzers through. The runner needs no more than go/ast, go/types and golang.org/x/tools/go/cfg: Run
+// Package lintutil holds the pieces the mglint analyzers share: small
+// AST/type helpers and walkers, and the runner that cmd/mglint and its
+// fixture tests drive the analyzers through. A finding has no suppression:
+// it is fixed. The runner needs no more than go/ast, go/types and golang.org/x/tools/go/cfg: Run
 // builds each function's control-flow graph once, with the set of
 // functions that never return (panic helpers, os.Exit, log.Fatal) that a
 // load shares across its packages, adds the package's own to that set,
 // and hands the graphs to every Analyzer through its Pass.
-//
-// The annotation convention: a comment of the form
-//
-//	//mglint:allow <analyzer> — <one-line justification>
-//
-// suppresses that analyzer's findings on the same line and on the next
-// line. Placed on (or in the doc comment of) a function declaration, it
-// suppresses the whole function. The justification is not optional by
-// convention: an allow without a reason is a review comment waiting to
-// happen.
 package lintutil
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"regexp"
 	"strings"
 )
-
-var allowRx = regexp.MustCompile(`^//mglint:allow\s+([a-zA-Z0-9_,]+)\b`)
-
-// AllowIndex answers "is this position covered by an //mglint:allow
-// comment for this analyzer?" for one pass.
-type AllowIndex struct {
-	fset  *token.FileSet
-	lines map[string]map[int]bool // filename -> set of annotated lines
-	funcs []funcRange             // whole-function suppressions
-}
-
-type funcRange struct {
-	pos, end token.Pos
-}
-
-// NewAllowIndex scans the pass's files for //mglint:allow comments naming
-// the analyzer (comma-separated lists are accepted) and returns the index.
-func NewAllowIndex(pass *Pass, analyzer string) *AllowIndex {
-	idx := &AllowIndex{fset: pass.Fset, lines: make(map[string]map[int]bool)}
-	for _, f := range pass.Files {
-		annotated := make(map[int]bool)
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				m := allowRx.FindStringSubmatch(c.Text)
-				if m == nil {
-					continue
-				}
-				names := strings.Split(m[1], ",")
-				for _, n := range names {
-					if n == analyzer {
-						p := pass.Fset.Position(c.Pos())
-						annotated[p.Line] = true
-						if len(annotated) == 1 {
-							idx.lines[p.Filename] = annotated
-						}
-					}
-				}
-			}
-		}
-		if len(annotated) == 0 {
-			continue
-		}
-		// An allow on a function declaration (or inside its doc comment)
-		// suppresses the whole function.
-		for _, d := range f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declLine := pass.Fset.Position(fd.Pos()).Line
-			hit := annotated[declLine] || annotated[declLine-1]
-			if fd.Doc != nil && !hit {
-				from := pass.Fset.Position(fd.Doc.Pos()).Line
-				to := pass.Fset.Position(fd.Doc.End()).Line
-				for l := from; l <= to && !hit; l++ {
-					hit = annotated[l]
-				}
-			}
-			if hit {
-				idx.funcs = append(idx.funcs, funcRange{fd.Pos(), fd.End()})
-			}
-		}
-	}
-	return idx
-}
-
-// Allowed reports whether pos is suppressed: it sits on an annotated line,
-// on the line after one, or inside a function whose declaration carries
-// the annotation.
-func (idx *AllowIndex) Allowed(pos token.Pos) bool {
-	for _, fr := range idx.funcs {
-		if pos >= fr.pos && pos < fr.end {
-			return true
-		}
-	}
-	p := idx.fset.Position(pos)
-	lines := idx.lines[p.Filename]
-	if lines == nil {
-		return false
-	}
-	return lines[p.Line] || lines[p.Line-1]
-}
 
 // IsTestFile reports whether pos lies in a _test.go file. The mglint
 // analyzers enforce production invariants; test files routinely (and

@@ -44,10 +44,9 @@ var acquireNames = map[string]bool{"checkout": true, "checkoutOf": true}
 var releaseNames = map[string]bool{"release": true, "releaseOf": true, "put": true}
 
 func run(pass *lintutil.Pass) {
-	allow := lintutil.NewAllowIndex(pass, "poolput")
 	lintutil.FuncDecls(pass.Files, func(fd *ast.FuncDecl) {
 		if fd.Body != nil && !lintutil.IsTestFile(pass.Fset, fd.Pos()) {
-			checkFunc(pass, allow, pass.CFGs[fd], fd)
+			checkFunc(pass, pass.CFGs[fd], fd)
 		}
 	})
 }
@@ -58,7 +57,7 @@ type acquire struct {
 	what string          // description of the acquire for the diagnostic
 }
 
-func checkFunc(pass *lintutil.Pass, allow *lintutil.AllowIndex, g *cfg.CFG, fd *ast.FuncDecl) {
+func checkFunc(pass *lintutil.Pass, g *cfg.CFG, fd *ast.FuncDecl) {
 	if g == nil {
 		return
 	}
@@ -108,11 +107,11 @@ func checkFunc(pass *lintutil.Pass, allow *lintutil.AllowIndex, g *cfg.CFG, fd *
 	})
 
 	for _, acq := range acquires {
-		if deferred[acq.obj] || allow.Allowed(acq.stmt.Pos()) {
+		if deferred[acq.obj] {
 			continue
 		}
 		if leakPath(pass.TypesInfo, g, acq) {
-			pass.Reportf(acq.stmt.Pos(), "poolput: %s checked out into %q is not released on every path to return; add the missing Put/release (a defer right after the checkout is the idiom) or annotate //mglint:allow poolput",
+			pass.Reportf(acq.stmt.Pos(), "poolput: %s checked out into %q is not released on every path to return; add the missing Put/release (a defer right after the checkout is the idiom)",
 				acq.what, acq.obj.Name())
 		}
 	}

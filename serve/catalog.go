@@ -5,7 +5,6 @@ import (
 	"strconv"
 	"strings"
 	"sync/atomic"
-	"time"
 
 	"pbmg"
 	"pbmg/internal/faultinject"
@@ -15,8 +14,8 @@ import (
 // — tuned tables, admission state, worker pool — loaded from the tuned-table
 // directory. Hot-reload builds a complete new catalog off to the side and
 // swaps a pointer, so a request sees one generation from routing to
-// release; the old catalog is retired (drained, then closed) in the
-// background once its last in-flight request releases it.
+// release; the old catalog frees its registry (worker pool) on the release
+// of its last reference.
 type catalog struct {
 	reg      *pbmg.Registry
 	services []*pbmg.Service // registration (filename) order
@@ -25,25 +24,31 @@ type catalog struct {
 	// generation serves (see maxSolveBody); /v1/batch gets batchBodyFactor
 	// times it.
 	maxBody int64
+	// version numbers the generation: 1 for the catalog New loads, one
+	// more for each reload. Set before the catalog is published.
+	version int64
 
-	// refs counts requests currently using this catalog. A catalog is
-	// acquired under the server's catalog lock, so once a swap has
-	// published its successor no new reference can appear and refs only
-	// drains.
-	refs atomic.Int64
+	// refs counts the server's hold on the current catalog (the 1 it
+	// starts with) plus the requests using it. A catalog is acquired under
+	// the server's catalog lock, so once a swap has published its successor
+	// and dropped the server's hold, no new reference can appear: the
+	// release that reaches 0 is the last, and it closes the registry and
+	// then closed.
+	refs   atomic.Int64
+	closed chan struct{}
 }
 
 func (c *catalog) acquire() { c.refs.Add(1) }
-func (c *catalog) release() { c.refs.Add(-1) }
 
-// retire blocks until every in-flight request has released the catalog,
-// then frees its registry (worker pool). Called on a background goroutine
-// after a reload swap, and synchronously by Close/drain.
-func (c *catalog) retire() {
-	for c.refs.Load() != 0 {
-		time.Sleep(2 * time.Millisecond)
+// release drops one reference and returns how many are left; the release
+// that leaves none frees the registry.
+func (c *catalog) release() int64 {
+	n := c.refs.Add(-1)
+	if n == 0 {
+		c.reg.Close()
+		close(c.closed)
 	}
-	c.reg.Close()
+	return n
 }
 
 // ParseQuotaSpec parses the CLI syntax for per-family quotas: a
@@ -80,7 +85,7 @@ func ParseQuotaSpec(spec string) (map[string]int, error) {
 // carries the admission configuration. It is all-or-nothing like
 // core.LoadDir underneath: any bad file, unknown quota key, or empty
 // directory fails the build and the caller keeps serving its current
-// catalog.
+// catalog. A built catalog holds one reference, its caller's.
 func buildCatalog(cfg Config) (*catalog, error) {
 	if faultinject.Enabled {
 		// Chaos coverage for the reload path: an injected error here must
@@ -102,7 +107,8 @@ func buildCatalog(cfg Config) (*catalog, error) {
 		reg.Close()
 		return nil, err
 	}
-	c := &catalog{reg: reg, services: services, dir: cfg.Dir}
+	c := &catalog{reg: reg, services: services, dir: cfg.Dir, closed: make(chan struct{})}
+	c.refs.Store(1)
 	served := make(map[string]bool, len(services))
 	maxPoints := 0
 	for _, svc := range services {

@@ -155,8 +155,9 @@ type FamilyStatus struct {
 
 // Metrics is the body of GET /metrics.
 type Metrics struct {
-	// Version counts catalog swaps: 1 after startup, +1 per successful
-	// reload. ConfigDir is the tuned-table directory the catalog came from.
+	// Version is the version of the catalog generation these metrics were
+	// read from: 1 after startup, +1 per successful reload. ConfigDir is the
+	// tuned-table directory that catalog came from.
 	Version   int64  `json:"version"`
 	ConfigDir string `json:"configDir"`
 	Draining  bool   `json:"draining"`

@@ -61,7 +61,9 @@ func TestMain(m *testing.M) {
 }
 
 // startServer builds a Server over tablesDir (unless cfg.Dir is set) and
-// exposes it through a real HTTP listener.
+// exposes it through a real HTTP listener. Cleanup closes the listener,
+// which waits for the requests it serves, then closes the server with
+// closeServer.
 func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	t.Helper()
 	if cfg.Dir == "" {
@@ -77,9 +79,43 @@ func startServer(t *testing.T, cfg Config) (*Server, *Client) {
 	hs := httptest.NewServer(srv.Handler())
 	t.Cleanup(func() {
 		hs.Close()
-		srv.Close()
+		closeServer(t, srv)
 	})
 	return srv, &Client{BaseURL: hs.URL}
+}
+
+// closeServer closes srv and waits at most 5 s for the catalog it served to
+// free its pool, then fails naming the references still held: a request
+// that never releases its catalog fails the test that made it.
+func closeServer(tb testing.TB, srv *Server) {
+	tb.Helper()
+	c := current(srv)
+	srv.Close()
+	if c != nil {
+		waitClosed(tb, c)
+	}
+}
+
+// waitClosed waits at most 5 s in all for the release of the last
+// reference of every catalog in cs, and fails naming the first still held.
+func waitClosed(tb testing.TB, cs ...*catalog) {
+	tb.Helper()
+	timeout := time.After(5 * time.Second)
+	for _, c := range cs {
+		select {
+		case <-c.closed:
+		case <-timeout:
+			tb.Errorf("catalog version %d still held by %d references 5s after the server let it go", c.version, c.refs.Load())
+			return
+		}
+	}
+}
+
+// current returns the catalog generation srv serves, nil after Close.
+func current(srv *Server) *catalog {
+	srv.mu.RLock()
+	defer srv.mu.RUnlock()
+	return srv.cur
 }
 
 // The calls the tests make over the wire. Client posts pre-encoded solve
@@ -224,6 +260,17 @@ func occupy(t *testing.T, svc *pbmg.Service, n int) (release func()) {
 		case <-time.After(10 * time.Second):
 			t.Fatalf("releasing %d places of %s: the held solves did not finish", n, svc.Key())
 		}
+	}
+}
+
+// waitQueued waits until n requests wait in the family's admission queue.
+func waitQueued(t *testing.T, svc *pbmg.Service, n int64) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); svc.Metrics().QueueLen != n; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: %d requests queued, want %d", svc.Key(), svc.Metrics().QueueLen, n)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
@@ -520,8 +567,9 @@ func TestServeQuotaIsolation(t *testing.T) {
 }
 
 // TestServeReloadUnderTraffic: catalog swaps under live load lose zero
-// requests, bump the version, retire the old generation; a broken config
-// directory is rejected all-or-nothing with the live catalog untouched.
+// requests, bump the version, and free every old generation once its last
+// request is done; a broken config directory is rejected all-or-nothing
+// with the live catalog untouched.
 func TestServeReloadUnderTraffic(t *testing.T) {
 	// A private copy of the tables, so the test can break and fix it.
 	dir := copyTables(t)
@@ -555,10 +603,7 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 		}()
 	}
 
-	srv.mu.RLock()
-	first := srv.cur
-	srv.mu.RUnlock()
-
+	old := []*catalog{current(srv)}
 	for i := 0; i < 5; i++ {
 		v, err := srv.Reload()
 		if err != nil {
@@ -567,6 +612,7 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 		if v != int64(i+2) {
 			t.Errorf("reload %d: version = %d, want %d", i, v, i+2)
 		}
+		old = append(old, current(srv))
 		time.Sleep(5 * time.Millisecond)
 	}
 
@@ -581,7 +627,7 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 	if _, err := cl.SolveBytes(context.Background(), body); err != nil {
 		t.Errorf("live catalog stopped serving after a rejected reload: %v", err)
 	}
-	if got := srv.version.Load(); got != 6 {
+	if got := current(srv).version; got != 6 {
 		t.Errorf("version after rejected reload = %d, want 6", got)
 	}
 
@@ -599,15 +645,9 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 		t.Error("no traffic flowed during the reload sequence")
 	}
 
-	// The first generation must fully retire: every request that pinned it
-	// has released it.
-	deadline := time.Now().Add(5 * time.Second)
-	for first.refs.Load() != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("first catalog still holds %d refs after the swap", first.refs.Load())
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
+	// Every generation swapped out is freed: each request that pinned it
+	// has released it, and the last release closed its pool.
+	waitClosed(t, old...)
 }
 
 // TestServeReloadRefusesInconsistentBundle: a table file that parses and
@@ -643,7 +683,7 @@ func TestServeReloadRefusesInconsistentBundle(t *testing.T) {
 			t.Errorf("reload error %q does not name %q", se.Msg, want)
 		}
 	}
-	if got := srv.version.Load(); got != 1 {
+	if got := current(srv).version; got != 1 {
 		t.Errorf("version after refused reload = %d, want 1", got)
 	}
 	// All or nothing: the old generation still serves both families, the
@@ -685,13 +725,7 @@ func TestServeGracefulDrain(t *testing.T) {
 		_, err := cl.SolveBytes(ctx, body)
 		done <- err
 	}()
-	waitUntil := time.Now().Add(5 * time.Second)
-	for svc.Metrics().QueueLen == 0 {
-		if time.Now().After(waitUntil) {
-			t.Fatal("in-flight request never reached the admission queue")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitQueued(t, svc, 1)
 
 	srv.BeginDrain()
 

@@ -24,7 +24,7 @@
 //	POST /v1/solve   one solve (SolveRequest → SolveResponse)
 //	POST /v1/batch   one family's batch (BatchRequest → BatchResponse)
 //	GET  /metrics    serving counters (Metrics)
-//	GET  /healthz    200 while the process serves, 503 while draining
+//	GET  /healthz    200 while the process serves, 503 draining or closed
 //	GET  /readyz     readiness: catalog loaded, breakers, drain state
 //	POST /-/reload   rebuild the catalog from the config dir and swap it
 //	POST /-/fault    chaos builds only (faultinject tag): arm fault spec
@@ -82,21 +82,28 @@ type Config struct {
 
 // Server routes HTTP traffic to an atomically swappable catalog of tuned
 // families. Create with New, expose via Handler, stop with
-// BeginDrain/Drain/Close. Safe for concurrent use.
+// BeginDrain/Drain/Close: Drain is the one bounded wait, and Close never
+// blocks. A catalog generation frees its worker pool on the release of its
+// last reference, whether a reload or Close dropped the server's hold on
+// it. Safe for concurrent use.
 type Server struct {
 	cfg Config
 	mux *http.ServeMux
 
 	// mu guards cur: requests acquire the current catalog under RLock, so
-	// a reload's pointer swap (under Lock) strictly orders acquisition —
-	// no request can pick up a catalog that has already been retired.
+	// a swap (under Lock) strictly orders acquisition — no request can
+	// pick up a catalog once the server's hold on it is dropped.
 	mu  sync.RWMutex
 	cur *catalog
 
-	version      atomic.Int64
 	draining     atomic.Bool
 	active       atomic.Int64
 	shedDraining atomic.Int64
+	// idle closes once draining is set and no grid-carrying request is
+	// active: closeIdle runs from BeginDrain and from the request that
+	// leaves last, and whichever sees both first closes it.
+	idle     chan struct{}
+	idleOnce sync.Once
 }
 
 // New loads the tuned-table directory and starts serving state (the HTTP
@@ -112,8 +119,8 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{cfg: cfg, cur: c}
-	s.version.Store(1)
+	c.version = 1
+	s := &Server{cfg: cfg, cur: c, idle: make(chan struct{})}
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/solve", s.handleSolve)
 	mux.HandleFunc("POST /v1/batch", s.handleBatch)
@@ -142,61 +149,99 @@ func (s *Server) logf(format string, args ...any) {
 
 // Reload builds a fresh catalog from the config directory and atomically
 // swaps it in. The build is all-or-nothing: on any error the live catalog
-// keeps serving untouched and the error is returned. On success, requests
-// admitted before the swap finish on the old catalog, which is closed in
-// the background once the last of them completes — a table swap under
-// live traffic loses zero in-flight requests.
+// keeps serving untouched and the error is returned with its version. On
+// success, requests admitted before the swap finish on the old catalog,
+// whose worker pool closes on the release of the last of them — a table
+// swap under live traffic loses zero in-flight requests. After Close,
+// Reload frees what it built and returns an error.
 func (s *Server) Reload() (int64, error) {
 	next, err := buildCatalog(s.cfg)
-	if err != nil {
-		return s.version.Load(), fmt.Errorf("serve: reload rejected, keeping current catalog: %w", err)
-	}
 	s.mu.Lock()
 	old := s.cur
-	s.cur = next
-	v := s.version.Add(1)
+	if err == nil && old != nil {
+		next.version = old.version + 1
+		s.cur = next
+	}
 	s.mu.Unlock()
-	go old.retire() //mglint:allow boundedgo — one retire goroutine per reload generation, bounded by reload rate
-	s.logf("reloaded %s: %d families (version %d)", s.cfg.Dir, len(next.services), v)
-	return v, nil
+	switch {
+	case old == nil:
+		if err == nil {
+			next.release()
+		}
+		return 0, errors.New("serve: reload rejected: " + closedMsg)
+	case err != nil:
+		return old.version, fmt.Errorf("serve: reload rejected, keeping current catalog: %w", err)
+	}
+	old.release()
+	s.logf("reloaded %s: %d families (version %d)", s.cfg.Dir, len(next.services), next.version)
+	return next.version, nil
 }
 
 // BeginDrain stops admitting: every subsequent serving request is
 // answered 503 + Retry-After (and counted in ShedDraining) while requests
-// already admitted run to completion. /metrics stays available.
+// already admitted run to completion. /metrics stays available. Drain
+// calls it too.
 func (s *Server) BeginDrain() {
 	if !s.draining.Swap(true) {
 		s.logf("draining: shedding new requests, finishing %d in flight", s.active.Load())
 	}
-}
-
-// Drain blocks until every in-flight request has completed (or ctx
-// expires). Call BeginDrain first; the usual SIGTERM sequence is
-// BeginDrain → http.Server.Shutdown → Drain → Close.
-func (s *Server) Drain(ctx context.Context) error {
-	for s.active.Load() != 0 {
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("serve: drain: %d requests still in flight: %w", s.active.Load(), ctx.Err())
-		case <-time.After(2 * time.Millisecond):
-		}
+	if s.active.Load() == 0 {
+		s.closeIdle()
 	}
-	return nil
 }
 
-// Close frees the current catalog (worker pool included). Only call once
-// no requests are in flight (after Drain).
+// leave ends a grid-carrying request; the last one out of a draining
+// server closes idle.
+func (s *Server) leave() {
+	if s.active.Add(-1) == 0 && s.draining.Load() {
+		s.closeIdle()
+	}
+}
+
+func (s *Server) closeIdle() { s.idleOnce.Do(func() { close(s.idle) }) }
+
+// Drain begins the drain if BeginDrain has not, then waits until no
+// admitted request is in flight or ctx ends, whichever comes first: the
+// one bounded wait of a shutdown. When ctx ends first it returns an error
+// naming the requests still in flight; they run on, and Close does not
+// wait for them. The SIGTERM sequence is BeginDrain →
+// http.Server.Shutdown → Drain → Close.
+func (s *Server) Drain(ctx context.Context) error {
+	s.BeginDrain()
+	select {
+	case <-s.idle:
+	case <-ctx.Done():
+	}
+	select {
+	case <-s.idle:
+		return nil
+	default:
+		return fmt.Errorf("serve: drain: %d requests still in flight: %w", s.active.Load(), ctx.Err())
+	}
+}
+
+// Close drops the server's hold on its catalog and returns at once: from
+// then on requests and Reload are refused with "server is closed".
+// References still held (requests in flight) are logged, and the catalog's
+// worker pool closes on the release of the last of them.
 func (s *Server) Close() {
 	s.mu.Lock()
 	c := s.cur
 	s.cur = nil
 	s.mu.Unlock()
-	if c != nil {
-		c.retire()
+	if c == nil {
+		return
+	}
+	if n := c.release(); n > 0 {
+		s.logf("closed: catalog version %d still held by %d references; its pool closes when the last is released", c.version, n)
 	}
 }
 
-// acquireCatalog pins the current catalog generation for one request.
+// closedMsg ends the error of every request, and of Reload, after Close.
+const closedMsg = "server is closed"
+
+// acquireCatalog pins the current catalog generation for one request; nil
+// after Close.
 func (s *Server) acquireCatalog() *catalog {
 	s.mu.RLock()
 	c := s.cur
@@ -204,6 +249,16 @@ func (s *Server) acquireCatalog() *catalog {
 		c.acquire()
 	}
 	s.mu.RUnlock()
+	return c
+}
+
+// pin is acquireCatalog for a handler that needs a catalog: after Close it
+// answers 503 "server is closed" and returns nil.
+func (s *Server) pin(w http.ResponseWriter) *catalog {
+	c := s.acquireCatalog()
+	if c == nil {
+		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: " + closedMsg})
+	}
 	return c
 }
 
@@ -438,8 +493,10 @@ func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, arena 
 	return nil
 }
 
-// serveGrids is the frame of a grid-carrying request: shed while draining,
-// count as active and pin the catalog until the answer is written. run takes
+// serveGrids is the frame of a grid-carrying request: count as active, shed
+// while draining, and pin the catalog until the answer is written. The
+// request counts before it looks at draining, so a Drain that sees no
+// request active cannot miss one admitted in the meantime. run takes
 // the request up to its answer — or answers an error itself — with its grids
 // in the given arena, which is back in its pool before a JSON answer is sent
 // and before a grid answer's last chunk is: a slow client holds the bytes in
@@ -447,16 +504,14 @@ func readWire[T any](w http.ResponseWriter, r *http.Request, limit int64, arena 
 // (acceptsGrid), so every answer says Vary: Accept.
 func (s *Server) serveGrids(w http.ResponseWriter, r *http.Request, run func(*Server, http.ResponseWriter, *http.Request, *catalog, *[]float64) answer) {
 	w.Header().Set("Vary", "Accept")
+	s.active.Add(1)
+	defer s.leave()
 	if s.draining.Load() {
 		s.shedDrainingNow(w)
 		return
 	}
-	s.active.Add(1)
-	defer s.active.Add(-1)
-
-	c := s.acquireCatalog()
+	c := s.pin(w)
 	if c == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is closed"})
 		return
 	}
 	defer c.release()
@@ -604,16 +659,15 @@ func (s *Server) batch(w http.ResponseWriter, r *http.Request, c *catalog, arena
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c := s.acquireCatalog()
+	c := s.pin(w)
 	if c == nil {
-		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is closed"})
 		return
 	}
 	defer c.release()
 
 	rm := c.reg.Metrics() // families in registration order, like c.services
 	m := Metrics{
-		Version:           s.version.Load(),
+		Version:           c.version,
 		ConfigDir:         c.dir,
 		Draining:          s.draining.Load(),
 		GlobalMaxInFlight: c.reg.MaxInFlight(),
@@ -639,12 +693,17 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	c := s.pin(w)
+	if c == nil {
+		return
+	}
+	defer c.release()
 	if s.draining.Load() {
 		w.Header().Set("Retry-After", "2")
 		writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: "serve: server is draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "version": s.version.Load()})
+	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "version": c.version})
 }
 
 // handleReadyz answers readiness: 200 when the catalog is loaded, no
@@ -661,13 +720,14 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Version  int64             `json:"version"`
 		Draining bool              `json:"draining"`
 		Families []familyReadiness `json:"families,omitempty"`
-	}{Status: "ready", Version: s.version.Load(), Draining: s.draining.Load()}
+	}{Status: "ready", Draining: s.draining.Load()}
 
 	ready := !resp.Draining
 	c := s.acquireCatalog()
 	if c == nil {
 		ready = false
 	} else {
+		resp.Version = c.version
 		for _, svc := range c.services {
 			state := svc.BreakerState()
 			resp.Families = append(resp.Families, familyReadiness{Family: svc.Key().String(), Breaker: state})

@@ -121,7 +121,7 @@ func TestClientReusesConnection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { closeServer(t, srv) })
 	url, opened := countConns(t, srv.Handler())
 	cl := &Client{BaseURL: url, HTTP: &http.Client{Transport: &http.Transport{}}}
 	p := newProblem(t, pbmg.FamilyPoisson, 17, 7)
@@ -453,7 +453,7 @@ func FuzzServeSolve(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	f.Cleanup(srv.Close)
+	f.Cleanup(func() { closeServer(f, srv) })
 	for _, v := range []any{
 		SolveRequest{Family: "poisson", N: 5, Accuracy: 1e3, B: gridLikeFloats(25)},
 		SolveRequest{Family: "poisson", N: 17, Accuracy: 1e3, B: gridLikeFloats(289), X: gridLikeFloats(289), DeadlineMs: 1000},
@@ -601,7 +601,7 @@ func tunedServer(t *testing.T, n int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(srv.Close)
+	t.Cleanup(func() { closeServer(t, srv) })
 	return srv
 }
 
