@@ -28,7 +28,6 @@ func main() {
 	dist := flag.String("dist", "unbiased", "test data distribution: unbiased, biased, or point-sources")
 	seed := flag.Int64("seed", 7, "test problem seed")
 	workers := flag.Int("workers", runtime.NumCPU(), "worker threads")
-	useV := flag.Bool("vcycle", false, "use the tuned MULTIGRID-V family instead of FULL-MULTIGRID")
 	cycle := flag.Bool("cycle", false, "print the tuned cycle shape before solving")
 	verbose := flag.Bool("v", false, "print the tuned call tree")
 	flag.Parse()
@@ -51,7 +50,7 @@ func main() {
 	}
 
 	if *cycle {
-		shape, err := solver.CycleShape(*size, *acc, !*useV)
+		shape, err := solver.CycleShape(*size, *acc)
 		if err != nil {
 			fatal(err)
 		}
@@ -59,7 +58,7 @@ func main() {
 		fmt.Print(shape)
 	}
 	if *verbose {
-		desc, err := solver.Describe(*size, *acc, !*useV)
+		desc, err := solver.Describe(*size, *acc)
 		if err != nil {
 			fatal(err)
 		}
@@ -73,11 +72,7 @@ func main() {
 	}
 	x := p.NewState()
 	start := time.Now()
-	if *useV {
-		err = solver.SolveV(x, p.B, *acc)
-	} else {
-		err = solver.Solve(x, p.B, *acc)
-	}
+	err = solver.Solve(x, p.B, *acc)
 	elapsed := time.Since(start)
 	if err != nil {
 		fatal(err)

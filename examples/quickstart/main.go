@@ -65,13 +65,13 @@ func main() {
 	// The tuned algorithm is a cycle shape, not a fixed V: show how it
 	// differs between a crude and a precise solve.
 	fmt.Println("\ntuned cycle for accuracy 1e3 (o relax, \\ restrict, / interpolate, D direct, ~k~ SOR):")
-	shape, err := solver.CycleShape(size, 1e3, true)
+	shape, err := solver.CycleShape(size, 1e3)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(shape)
 	fmt.Println("\ntuned cycle for accuracy 1e9:")
-	if shape, err = solver.CycleShape(size, 1e9, true); err != nil {
+	if shape, err = solver.CycleShape(size, 1e9); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Print(shape)

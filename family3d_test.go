@@ -39,7 +39,7 @@ func TestPoisson3DSolveMeetsAccuracy(t *testing.T) {
 	if got := p.AccuracyOf(x); got < 1e5 {
 		t.Errorf("SolveV(1e5) achieved %.3g", got)
 	}
-	if shape, err := s.CycleShape(33, 1e5, true); err != nil || shape == "" {
+	if shape, err := s.CycleShape(33, 1e5); err != nil || shape == "" {
 		t.Fatalf("CycleShape: %q, %v", shape, err)
 	}
 }

@@ -22,17 +22,21 @@ import (
 // exhaustiveTune is the dynamic program without the bound — the oracle the
 // branch-and-bound must reproduce byte for byte. Every candidate of every
 // level is measured in rank order by the tuner's own measure functions with
-// a nil bound, and selection is the plain first-cheapest scan.
+// a nil bound, and selection is the plain first-cheapest scan. A FULL cell
+// priced strictly above its level's V cell runs that V cell instead.
 func exhaustiveTune(tn *Tuner) *Tuned {
 	acc := tn.cfg.Accuracies
 	vt := &mg.VTable{Acc: append([]float64(nil), acc...)}
+	var vprice [][]float64 // the V winners' prices, per level from 2
 	for level := 2; level <= tn.cfg.MaxLevel; level++ {
 		probs := tn.training(level)
 		var res []measured
 		for _, c := range tn.vCandidates(vt, level) {
 			res = append(res, tn.measure(level, c, probs, nil))
 		}
-		vt.Plans = append(vt.Plans, firstCheapest(res, len(acc)))
+		row, price := firstCheapest(res, len(acc))
+		vt.Plans = append(vt.Plans, row)
+		vprice = append(vprice, price)
 	}
 	ft := &mg.FTable{Acc: append([]float64(nil), acc...)}
 	for level := 2; level <= tn.cfg.MaxLevel; level++ {
@@ -53,6 +57,9 @@ func exhaustiveTune(tn *Tuner) *Tuned {
 			if best >= 0 {
 				row[i] = withFullIters(res[best], i)
 			}
+			if bestCost > vprice[level-2][i] {
+				row[i] = mg.FullPlan{Choice: mg.FullV}
+			}
 		}
 		ft.Plans = append(ft.Plans, row)
 	}
@@ -61,9 +68,9 @@ func exhaustiveTune(tn *Tuner) *Tuned {
 
 // firstCheapest is the V selection without the bound: per accuracy index,
 // the first of the candidates (in rank order) whose cost no later one
-// undercuts, or direct when none is feasible.
-func firstCheapest(res []measured, accs int) []mg.Plan {
-	row := make([]mg.Plan, accs)
+// undercuts, or direct when none is feasible, and its price (+Inf then).
+func firstCheapest(res []measured, accs int) ([]mg.Plan, []float64) {
+	row, price := make([]mg.Plan, accs), make([]float64, accs)
 	for i := range row {
 		best, bestCost := -1, math.Inf(1)
 		for c, r := range res {
@@ -71,12 +78,12 @@ func firstCheapest(res []measured, accs int) []mg.Plan {
 				best, bestCost = c, r.costPerAcc[i]
 			}
 		}
-		row[i] = mg.Plan{Choice: mg.ChoiceDirect}
+		row[i], price[i] = mg.Plan{Choice: mg.ChoiceDirect}, bestCost
 		if best >= 0 {
 			row[i] = withIters(res[best], i)
 		}
 	}
-	return row
+	return row, price
 }
 
 // exhaustiveHeuristic is TuneHeuristic without the bound — the strategy
@@ -100,7 +107,8 @@ func exhaustiveHeuristic(tn *Tuner, subAcc, topAcc float64) *mg.VTable {
 		}
 		rec := tn.recurseCandidate(&mg.Executor{WS: tn.ws, V: vt}, 0)
 		res = append(res, tn.measure(level, rec, probs, nil))
-		vt.Plans = append(vt.Plans, firstCheapest(res, len(accs)))
+		row, _ := firstCheapest(res, len(accs))
+		vt.Plans = append(vt.Plans, row)
 	}
 	return vt
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"encoding/json"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -153,9 +155,10 @@ func TestTunedVBeatsOrTiesReferenceV(t *testing.T) {
 
 // TestFigurePricesMatchTuner: the figures price a tuned plan by running it
 // with a trace and calling Model.Cost; the search priced the same plan, with
-// measure, when it picked it. The two must be one price — in every V cell,
-// under every model — or the figures judge plans the tuner never priced the
-// way they are judged.
+// measure or measureFull, when it picked it. The two must be one price — in
+// every V and FULL cell, under every model — or the figures judge plans the
+// tuner never priced the way they are judged. A FULL cell that runs its V
+// cell (mg.FullV) is priced as that V cell.
 func TestFigurePricesMatchTuner(t *testing.T) {
 	for _, family := range []stencil.Family{stencil.FamilyPoisson, stencil.FamilyVarCoef} {
 		for _, model := range arch.Models() {
@@ -165,11 +168,23 @@ func TestFigurePricesMatchTuner(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				vt := tunedV(t, tn)
+				b, err := tn.Tune()
+				if err != nil {
+					t.Fatal(err)
+				}
+				vt, ft := b.V, b.F
+				// figurePrice is Model.Cost of the trace of one solve.
+				figurePrice := func(solve func(ex *mg.Executor)) float64 {
+					var tr mg.OpTrace
+					solve(&mg.Executor{WS: tn.ws, V: vt, F: ft, Rec: &tr})
+					return model.Cost(&tr, 0)
+				}
 				for level := 2; level <= vt.MaxLevel(); level++ {
 					probs := tn.training(level)
+					x, rhs := probs[0].NewState, probs[0].B
 					cands := tn.vCandidates(vt, level)
 					priced := map[int]measured{} // the search's price of each winner
+					vprice := make([]float64, len(vt.Acc))
 					for i, target := range vt.Acc {
 						plan := vt.Plan(level, i)
 						c := slices.IndexFunc(cands, func(c candidate) bool {
@@ -186,11 +201,123 @@ func TestFigurePricesMatchTuner(t *testing.T) {
 						if got := withIters(m, i); got != plan {
 							t.Fatalf("level %d acc %g: measure gives %+v, the table holds %+v", level, target, got, plan)
 						}
+						vprice[i] = m.costPerAcc[i]
+						if got := figurePrice(func(ex *mg.Executor) { ex.SolveV(x(), rhs, i) }); got != vprice[i] {
+							t.Errorf("level %d acc %g (V %v): figures price %.6g, the tuner priced %.6g", level, target, plan, got, vprice[i])
+						}
+					}
+					fcands := tn.fullCandidates(vt, ft, level, probs)
+					fpriced := map[int]measuredFull{}
+					for i, target := range ft.Acc {
+						plan := ft.Plan(level, i)
+						want := vprice[i]
+						if plan.Choice != mg.FullV {
+							c := slices.IndexFunc(fcands, func(c fullCandidate) bool {
+								p := c.plan
+								return p.Choice == plan.Choice && p.EstAcc == plan.EstAcc && p.Solve == plan.Solve && p.SolveSub == plan.SolveSub
+							})
+							if c < 0 {
+								t.Fatalf("level %d acc %g: %+v is no FULL candidate of the level", level, target, plan)
+							}
+							m, ok := fpriced[c]
+							if !ok {
+								m = tn.measureFull(level, fcands[c], probs, nil)
+								fpriced[c] = m
+							}
+							if got := withFullIters(m, i); got != plan {
+								t.Fatalf("level %d acc %g: measureFull gives %+v, the table holds %+v", level, target, got, plan)
+							}
+							want = m.costPerAcc[i]
+						}
+						if got := figurePrice(func(ex *mg.Executor) { ex.SolveFull(x(), rhs, i) }); got != want {
+							t.Errorf("level %d acc %g (full %v): figures price %.6g, the tuner priced %.6g", level, target, plan, got, want)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestFullNeverDearerThanV: Solve runs the FULL table, so a FULL cell
+// priced above its level's V cell would serve a dearer solve than one the
+// tuner already holds. In every benchmark table (internal/goldens'
+// tables.txt, which prices each cell) and in fresh small tunes of three
+// families under every model, each FULL cell's price — Model.Cost of the
+// trace of its solve — is at most its V cell's.
+func TestFullNeverDearerThanV(t *testing.T) {
+	t.Run("tables.txt", func(t *testing.T) {
+		data, err := os.ReadFile(filepath.Join("..", "goldens", "testdata", "tables.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		prices := func(cells string) []float64 {
+			var out []float64
+			for _, cell := range strings.Split(cells, ", ") {
+				_, price, _ := strings.Cut(cell, " ")
+				v, err := strconv.ParseFloat(price, 64)
+				if err != nil {
+					t.Fatalf("cell %q: %v", cell, err)
+				}
+				out = append(out, v)
+			}
+			return out
+		}
+		v := map[string][]float64{}
+		full := 0
+		for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+			if head, cells, ok := strings.Cut(line, " V: "); ok {
+				v[head] = prices(cells)
+				continue
+			}
+			head, cells, ok := strings.Cut(line, " full: ")
+			if !ok {
+				t.Fatalf("malformed line %q", line)
+			}
+			vp, ok := v[head]
+			if !ok {
+				t.Fatalf("%s: full line before its V line", head)
+			}
+			for i, fp := range prices(cells) {
+				if fp > vp[i] {
+					t.Errorf("%s, accuracy index %d: FULL cell %.6g, V cell %.6g", head, i, fp, vp[i])
+				}
+				full++
+			}
+		}
+		if full == 0 {
+			t.Fatal("no FULL cell read")
+		}
+	})
+	for _, family := range []stencil.Family{stencil.FamilyPoisson, stencil.FamilyVarCoef, stencil.FamilyPoisson3D} {
+		for _, model := range arch.Models() {
+			t.Run(family.String()+"/"+model.Name(), func(t *testing.T) {
+				t.Parallel()
+				maxLevel := 5
+				if family.Dim() == 3 {
+					maxLevel = 4
+				}
+				tn, err := New(Config{MaxLevel: maxLevel, Family: family, TrainingInstances: 2, Seed: 42, Coster: model})
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := tn.Tune()
+				if err != nil {
+					t.Fatal(err)
+				}
+				coster := arch.ForDim(model, family.Dim())
+				for level := 2; level <= b.MaxLevel; level++ {
+					n := grid.SizeOfLevel(level)
+					price := func(solve func(ex *mg.Executor, x, b *grid.Grid)) float64 {
 						var tr mg.OpTrace
-						ex := &mg.Executor{WS: tn.ws, V: vt, Rec: &tr}
-						ex.SolveV(probs[0].NewState(), probs[0].B, i)
-						if got := model.Cost(&tr, 0); got != m.costPerAcc[i] {
-							t.Errorf("level %d acc %g (%+v): figures price %.6g, the tuner priced %.6g", level, target, plan, got, m.costPerAcc[i])
+						solve(&mg.Executor{WS: tn.ws, V: b.V, F: b.F, Rec: &tr}, grid.NewDim(family.Dim(), n), grid.NewDim(family.Dim(), n))
+						return coster.Cost(&tr, 0)
+					}
+					for i := range b.V.Acc {
+						vp := price(func(ex *mg.Executor, x, rhs *grid.Grid) { ex.SolveV(x, rhs, i) })
+						fp := price(func(ex *mg.Executor, x, rhs *grid.Grid) { ex.SolveFull(x, rhs, i) })
+						if fp > vp {
+							t.Errorf("level %d acc %g: FULL cell %v costs %.6g, V cell %v %.6g", level, b.V.Acc[i], b.F.Plan(level, i), fp, b.V.Plan(level, i), vp)
 						}
 					}
 				}

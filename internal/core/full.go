@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"time"
 
 	"pbmg/internal/grid"
@@ -126,8 +127,9 @@ func (t *Tuner) measureFull(level int, c fullCandidate, probs []*problem.Problem
 
 // tuneFullLevel compares, per accuracy target, a direct solve against every
 // ESTIMATE_j followed by iterated SOR or RECURSE_k, j and k chosen
-// independently as in the paper (§2.4), reading only rows below the level.
-func (t *Tuner) tuneFullLevel(vt *mg.VTable, ft *mg.FTable, level int) []mg.FullPlan {
+// independently as in the paper (§2.4), reading only rows below the level,
+// and returns each winner's price (+Inf where none was feasible).
+func (t *Tuner) tuneFullLevel(vt *mg.VTable, ft *mg.FTable, level int) ([]mg.FullPlan, []float64) {
 	probs := t.training(level)
 	cands := t.fullCandidates(vt, ft, level, probs)
 	res := make([]measuredFull, len(cands))
@@ -137,16 +139,16 @@ func (t *Tuner) tuneFullLevel(vt *mg.VTable, ft *mg.FTable, level int) []mg.Full
 			res[c] = t.measureFull(level, cands[c], probs, best)
 			return res[c].costPerAcc
 		})
-	row := make([]mg.FullPlan, len(win))
+	row, price := make([]mg.FullPlan, len(win)), make([]float64, len(win))
 	for i, w := range win {
 		if w < 0 {
 			t.logf("full level %d acc %g: no feasible candidate, falling back to direct", level, t.cfg.Accuracies[i])
-			row[i] = mg.FullPlan{Choice: mg.FullDirect}
+			row[i], price[i] = mg.FullPlan{Choice: mg.FullDirect}, math.Inf(1)
 			continue
 		}
-		row[i] = withFullIters(res[w], i)
+		row[i], price[i] = withFullIters(res[w], i), res[w].costPerAcc[i]
 	}
-	return row
+	return row, price
 }
 
 // withFullIters materializes a candidate's plan for accuracy index i.

@@ -41,7 +41,8 @@ func (t *Tuner) TuneHeuristic(subAcc, topAcc float64) (*mg.VTable, error) {
 		}
 		// The heuristic always recurses into the sub-accuracy version.
 		cands = append(cands, t.recurseCandidate(&mg.Executor{WS: t.ws, V: vt}, 0))
-		vt.Plans = append(vt.Plans, t.tuneVLevel(level, cands))
+		row, _ := t.tuneVLevel(level, cands)
+		vt.Plans = append(vt.Plans, row)
 	}
 	if err := vt.Validate(); err != nil {
 		return nil, fmt.Errorf("core: heuristic table invalid: %w", err)

@@ -35,26 +35,26 @@ func TestTuneStatsPinned(t *testing.T) {
 			{2, Stats{44, 42, 29, 15, 1}},
 			{3, Stats{44, 42, 29, 16, 1}},
 			{4, Stats{44, 42, 148, 147, 1}},
-			{5, Stats{44, 39, 421, 421, 1}},
-			{6, Stats{44, 38, 359, 359, 0}},
+			{5, Stats{44, 39, 413, 413, 1}},
+			{6, Stats{44, 38, 358, 358, 0}},
 			{7, Stats{44, 38, 358, 358, 0}},
-		}, Stats{264, 241, 1344, 1316, 4}},
+		}, Stats{264, 241, 1335, 1307, 4}},
 		{stencil.FamilyVarCoef, 6, []LevelStats{
 			{2, Stats{44, 42, 29, 15, 1}},
 			{3, Stats{44, 42, 29, 16, 1}},
 			{4, Stats{44, 42, 136, 135, 1}},
 			{5, Stats{44, 42, 567, 567, 1}},
-			{6, Stats{44, 38, 583, 583, 1}},
-		}, Stats{220, 206, 1344, 1316, 5}},
+			{6, Stats{44, 38, 579, 579, 1}},
+		}, Stats{220, 206, 1340, 1312, 5}},
 		{stencil.FamilyPoisson3D, 4, []LevelStats{
 			{2, Stats{44, 42, 29, 16, 1}},
 			{3, Stats{44, 4, 1222, 1222, 1}},
-			{4, Stats{44, 38, 543, 543, 0}},
-		}, Stats{132, 84, 1794, 1781, 2}},
+			{4, Stats{44, 38, 546, 546, 0}},
+		}, Stats{132, 84, 1797, 1784, 2}},
 	}
 	if !testing.Short() {
 		// The benchmark's poisson 513 tune.
-		cases = append(cases, pinned{stencil.FamilyPoisson, 9, nil, Stats{348, 317, 2146, 2118, 4}})
+		cases = append(cases, pinned{stencil.FamilyPoisson, 9, nil, Stats{348, 317, 2131, 2103, 4}})
 	}
 	for _, tc := range cases {
 		t.Run(fmt.Sprintf("%s/L%d", tc.family, tc.level), func(t *testing.T) {

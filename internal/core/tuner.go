@@ -15,6 +15,9 @@
 // searches at level k read only rows below k, so Tuner.tuneLevel runs them
 // side by side, each serial on its own books — but not under WallClock,
 // where a time read beside the other search would price the contention.
+// The level's V cell is one more FULL-MULTIGRID choice: a FULL cell priced
+// above it runs it instead (preferV), so Solve is never dearer than SolveV
+// under the tuning cost.
 //
 // The search at a level is an exact branch-and-bound (Tuner.search,
 // Tuner.count). Every iteration count a candidate could be assigned is
@@ -681,7 +684,8 @@ func sorLast(c mg.Choice) bool { return c == mg.ChoiceSOR }
 
 // tuneLevel appends one level's row to vt and to ft (which the V search
 // never reads): references and direct price first, then the two searches,
-// the V one on a copy of the tuner with its own work books and iterate.
+// the V one on a copy of the tuner with its own work books and iterate,
+// then the choice between each FULL cell and its V cell (preferV).
 func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	before := t.spent()
 	probs := t.training(level)
@@ -692,26 +696,43 @@ func (t *Tuner) tuneLevel(vt *mg.VTable, ft *mg.FTable, level int) {
 	v.work = Stats{}
 	v.iter = &iterate{}
 	var vrow []mg.Plan
+	var vprice []float64
 	done := make(chan struct{})
-	tuneV := func() { vrow = v.tuneVLevel(level, v.vCandidates(vt, level)); close(done) }
+	tuneV := func() { vrow, vprice = v.tuneVLevel(level, v.vCandidates(vt, level)); close(done) }
 	if traceBased(t.cfg.Coster) {
 		go tuneV()
 	} else {
 		tuneV()
 	}
-	frow := t.tuneFullLevel(vt, ft, level)
-	ft.Plans = append(ft.Plans, frow)
+	frow, fprice := t.tuneFullLevel(vt, ft, level)
 	<-done
 	t.work.Add(v.work)
+	preferV(frow, fprice, vprice)
+	ft.Plans = append(ft.Plans, frow)
 	vt.Plans = append(vt.Plans, vrow)
 	t.logf("level %d (N=%d): V %s; full %s [%s]", level, grid.SizeOfLevel(level), describe(vrow), describe(frow), t.charge(level, before))
 }
 
+// preferV is the FULL-MULTIGRID choice of a level's V cell: a FULL cell
+// priced strictly above the V cell at its accuracy becomes mg.FullV, which
+// runs that V cell, and a tie keeps the FULL pick. It runs once both of a
+// level's searches are done and before the FULL row joins the table, so
+// every ESTIMATE_j above recurses into the cheaper cell. An unpriced cell
+// (+Inf: no feasible candidate) never displaces a priced one.
+func preferV(frow []mg.FullPlan, fprice, vprice []float64) {
+	for i := range frow {
+		if fprice[i] > vprice[i] {
+			frow[i] = mg.FullPlan{Choice: mg.FullV}
+		}
+	}
+}
+
 // tuneVLevel picks, per accuracy target, the cheapest feasible of a level's
 // V candidates (in rank order), measuring each only until it is known to
-// lose (see search). It is the V tables' one selection loop: the tuned
-// table's and every heuristic strategy's.
-func (t *Tuner) tuneVLevel(level int, cands []candidate) []mg.Plan {
+// lose (see search), and returns each winner's price (+Inf where none was
+// feasible). It is the V tables' one selection loop: the tuned table's and
+// every heuristic strategy's.
+func (t *Tuner) tuneVLevel(level int, cands []candidate) ([]mg.Plan, []float64) {
 	probs := t.training(level)
 	res := make([]measured, len(cands))
 	win := t.search(len(cands),
@@ -720,18 +741,18 @@ func (t *Tuner) tuneVLevel(level int, cands []candidate) []mg.Plan {
 			res[c] = t.measure(level, cands[c], probs, best)
 			return res[c].costPerAcc
 		})
-	row := make([]mg.Plan, len(win))
+	row, price := make([]mg.Plan, len(win)), make([]float64, len(win))
 	for i, w := range win {
 		if w < 0 {
 			// Every iterative choice missed the target and direct was not
 			// explored; fall back to direct, which is always exact.
 			t.logf("level %d acc %g: no feasible candidate, falling back to direct", level, t.cfg.Accuracies[i])
-			row[i] = mg.Plan{Choice: mg.ChoiceDirect}
+			row[i], price[i] = mg.Plan{Choice: mg.ChoiceDirect}, math.Inf(1)
 			continue
 		}
-		row[i] = withIters(res[w], i)
+		row[i], price[i] = withIters(res[w], i), res[w].costPerAcc[i]
 	}
-	return row
+	return row, price
 }
 
 // withIters materializes a candidate's plan for accuracy index i.

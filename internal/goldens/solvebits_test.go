@@ -114,12 +114,19 @@ func solveBits(t *testing.T, f stencil.Family, eps float64, maxN int) map[string
 	if err != nil {
 		t.Fatal(err)
 	}
+	return bundleBits(t, tuned)
+}
+
+// bundleBits returns the hash of each solve of a tuned bundle, keyed by size
+// and solve: V and full at every tuned size and accuracy, and one pass of
+// each reference cycle, on a problem drawn per size.
+func bundleBits(t *testing.T, tuned *core.Tuned) map[string]string {
 	op, err := tuned.OperatorValue()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := map[string]string{}
-	for level := 2; level <= grid.Level(maxN); level++ {
+	for level := 2; level <= tuned.MaxLevel; level++ {
 		n := grid.SizeOfLevel(level)
 		p := problem.RandomOp(n, grid.Unbiased, rand.New(rand.NewSource(int64(level))), op.At(n))
 		run := func(key string, solve func(ex *mg.Executor, x *grid.Grid)) {
@@ -138,6 +145,45 @@ func solveBits(t *testing.T, f stencil.Family, eps float64, maxN int) map[string
 		run("RefFullMG", func(ex *mg.Executor, x *grid.Grid) { ex.WS.RefFullMG(x, p.B, ex.Rec) })
 	}
 	return out
+}
+
+// TestSavedBundleSolvesAsBefore: a bundle saved before FULL tables could
+// hold a V cell (mg.FullV) still loads, and every solve from it hashes as
+// it did then. testdata/poisson-65.prefullv.json is what `mgtune -machine
+// intel-harpertown -seed 20090101 -size 65 -workers 0` wrote at that
+// commit, and testdata/poisson-65.prefullv.sha256 holds the poisson lines
+// TestSolveBitsPinned recorded for the same tune there. Neither file is
+// rewritten by -update: they are a record of the past.
+func TestSavedBundleSolvesAsBefore(t *testing.T) {
+	tuned, err := core.Load("testdata/poisson-65.prefullv.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for level := 2; level <= tuned.MaxLevel; level++ {
+		for i := range tuned.F.Acc {
+			if p := tuned.F.Plan(level, i); p.Choice == mg.FullV {
+				t.Fatalf("level %d acc %d: the saved bundle holds a v cell", level, i)
+			}
+		}
+	}
+	got := bundleBits(t, tuned)
+	data, err := os.ReadFile("testdata/poisson-65.prefullv.sha256")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	for _, line := range lines {
+		sum, name, ok := strings.Cut(line, "  ")
+		if !ok {
+			t.Fatalf("malformed line %q", line)
+		}
+		if got[name] != sum {
+			t.Errorf("%s: solve hashes to %s, recorded %s", name, got[name], sum)
+		}
+	}
+	if len(lines) != len(got) {
+		t.Errorf("%d recorded solves, the test runs %d", len(lines), len(got))
+	}
 }
 
 // hashSolve hashes x's bits followed by the trace's total of every event

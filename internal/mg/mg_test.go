@@ -1,7 +1,9 @@
 package mg
 
 import (
+	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -240,6 +242,45 @@ func TestTunedFullMatchesReferenceFMGWhenStructurallyEqual(t *testing.T) {
 	}
 }
 
+// TestFullVCellIsItsVCell: a FULL cell that picks the level's V cell
+// (FullV) runs exactly what SolveV runs at that level and accuracy — the
+// same bits and the same operations in the same order — whatever the V
+// cell's choice, and FTable.Validate accepts one at every level from 2.
+func TestFullVCellIsItsVCell(t *testing.T) {
+	const maxLevel = 5
+	vt := uniformVTable(maxLevel, 3)
+	vt.Plans[2][1] = Plan{Choice: ChoiceSOR, Iters: 7}
+	vt.Plans[3][0] = Plan{Choice: ChoiceVCycle, Iters: 2}
+	vt.Plans[3][2] = Plan{Choice: ChoiceDirect}
+	ft := &FTable{Acc: vt.Acc}
+	for l := 2; l <= maxLevel; l++ {
+		ft.Plans = append(ft.Plans, []FullPlan{{Choice: FullV}, {Choice: FullV}, {Choice: FullV}})
+	}
+	if err := ft.Validate(); err != nil {
+		t.Fatalf("v cells rejected: %v", err)
+	}
+	for level := 2; level <= maxLevel; level++ {
+		p, ws := testProblem(t, grid.SizeOfLevel(level), grid.Unbiased, int64(level))
+		for i := range vt.Acc {
+			var vlog, flog ShapeLog
+			xv, xf := p.NewState(), p.NewState()
+			(&Executor{WS: ws, V: vt, F: ft, Rec: &vlog}).SolveV(xv, p.B, i)
+			(&Executor{WS: ws, V: vt, F: ft, Rec: &flog}).SolveFull(xf, p.B, i)
+			for k, v := range xv.Data() {
+				if math.Float64bits(xf.Data()[k]) != math.Float64bits(v) {
+					t.Fatalf("level %d acc %d: point %d is %v after SolveFull, %v after SolveV", level, i, k, xf.Data()[k], v)
+				}
+			}
+			if !reflect.DeepEqual(flog.Events, vlog.Events) {
+				t.Fatalf("level %d acc %d: SolveFull ran %v, SolveV %v", level, i, flog.Events, vlog.Events)
+			}
+		}
+	}
+	if got := DescribeFull(ft, vt, 4, 1); got != DescribeV(vt, 4, 1) {
+		t.Fatalf("a v cell describes as\n%s\nnot as its V call tree\n%s", got, DescribeV(vt, 4, 1))
+	}
+}
+
 func TestEstimateImprovesStartingPoint(t *testing.T) {
 	p, ws := testProblem(t, 33, grid.Unbiased, 9)
 	vt := uniformVTable(5, 1)
@@ -435,7 +476,7 @@ func TestChoiceStrings(t *testing.T) {
 		ChoiceRecurse.String() != "recurse" {
 		t.Fatal("Choice.String mismatch")
 	}
-	if FullDirect.String() != "direct" || FullEstimate.String() != "estimate" {
+	if FullDirect.String() != "direct" || FullEstimate.String() != "estimate" || FullV.String() != "v" {
 		t.Fatal("FullChoice.String mismatch")
 	}
 }

@@ -154,6 +154,8 @@ func describeFull(sb *strings.Builder, f *FTable, v *VTable, level, accIdx, dept
 	switch p.Choice {
 	case FullDirect:
 		fmt.Fprintf(sb, "%sFULL-MG%d @ level %d (N=%d): direct\n", indent, accIdx+1, level, n)
+	case FullV:
+		describeV(sb, v, level, accIdx, depth)
 	case FullEstimate:
 		switch p.Solve {
 		case ChoiceSOR:

@@ -192,7 +192,8 @@ func (p Plan) validate(numAcc int) error {
 }
 
 // FullChoice is the top-level choice of FULL-MULTIGRIDᵢ (§2.4): a direct
-// solve, or an estimation phase followed by an iterative solve phase.
+// solve, an estimation phase followed by an iterative solve phase, or the
+// level's tuned MULTIGRID-Vᵢ cell.
 type FullChoice uint8
 
 const (
@@ -200,6 +201,12 @@ const (
 	FullDirect FullChoice = iota
 	// FullEstimate runs ESTIMATE_j then iterates a solve-phase choice.
 	FullEstimate
+	// FullV runs the level's tuned MULTIGRID-Vᵢ cell at the same accuracy
+	// index: the tuner picks it wherever the V cell prices strictly below
+	// the best estimate-and-solve or direct plan, so a FULL cell is never
+	// dearer than its V cell. A table holding one does not load in a binary
+	// that predates it.
+	FullV
 )
 
 // String returns the choice name.
@@ -209,6 +216,8 @@ func (c FullChoice) String() string {
 		return "direct"
 	case FullEstimate:
 		return "estimate"
+	case FullV:
+		return "v"
 	default:
 		return fmt.Sprintf("FullChoice(%d)", uint8(c))
 	}
@@ -218,7 +227,8 @@ func (c FullChoice) String() string {
 // accuracy) cell. When Choice is FullEstimate, EstAcc selects the accuracy
 // index j of the recursive FULL-MULTIGRID_j estimate, and the solve phase
 // runs Iters iterations of either SOR (ChoiceSOR) or RECURSE_SolveSub
-// (ChoiceRecurse), exactly the two solve-phase options of §2.4.
+// (ChoiceRecurse), exactly the two solve-phase options of §2.4. FullDirect
+// and FullV cells use none of the other fields.
 type FullPlan struct {
 	Choice FullChoice `json:"choice"`
 	// EstAcc is the accuracy index j of the ESTIMATE_j call.
@@ -232,13 +242,15 @@ type FullPlan struct {
 	Iters int `json:"iters,omitempty"`
 }
 
-// String names the cell as the tuner's progress lines do: "direct", or
-// "estJ+" (ESTIMATE_J, counted from 1) followed by the solve phase as
-// Plan.String names it.
+// String names the cell as the tuner's progress lines do: "direct", "v"
+// (the level's V cell), or "estJ+" (ESTIMATE_J, counted from 1) followed by
+// the solve phase as Plan.String names it.
 func (p FullPlan) String() string {
 	switch {
 	case p.Choice == FullDirect:
 		return "direct"
+	case p.Choice == FullV:
+		return "v"
 	case p.Solve == ChoiceSOR:
 		return fmt.Sprintf("est%d+sor×%d", p.EstAcc+1, p.Iters)
 	case p.Solve == ChoiceVCycle:
@@ -275,7 +287,7 @@ func (t *FTable) Validate() error { return validateTable("FTable", t.Acc, t.Plan
 
 func (p FullPlan) validate(numAcc int) error {
 	switch p.Choice {
-	case FullDirect:
+	case FullDirect, FullV:
 		return nil
 	case FullEstimate:
 		if p.EstAcc < 0 || p.EstAcc >= numAcc {

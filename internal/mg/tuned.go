@@ -97,6 +97,8 @@ func (e *Executor) SolveFull(x, b *grid.Grid, accIdx int) {
 	case FullDirect:
 		e.WS.SolveDirect(x, b, e.Rec)
 		return
+	case FullV:
+		e.solvePlan(x, b, e.V.Plan(level, accIdx))
 	case FullEstimate:
 		e.Estimate(x, b, plan.EstAcc)
 		// The solve phase is a V cell's choice run Iters times; a zero count

@@ -1,8 +1,10 @@
 package pbmg
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"os"
 	"path/filepath"
 	"testing"
 )
@@ -12,6 +14,28 @@ import (
 // three solves round differently, by a few units in the last place per
 // kernel pass.
 const superpositionBound = 1e-12
+
+// linearFixtures are the tuned tables TestSolveIsLinear solves from,
+// committed under testdata/tuned as family-N.json. Each is what `mgtune
+// -machine intel-harpertown -seed 5 -workers 0 -size N -family F
+// [-epsilon ε]` writes, at sizes where a 2-worker pool splits the kernels
+// (2D N = 129, 3D N = 33). Solving from committed tables keeps the tuner
+// out of the check: a kernel broken enough that its candidates miss their
+// targets cannot be routed around by a fresh tune.
+var linearFixtures = []struct {
+	family Family
+	eps    float64
+	n      int
+}{
+	{FamilyPoisson, 0, 129},
+	{FamilyAnisotropic, 0.1, 129},
+	{FamilyVarCoef, 2, 129},
+	{FamilyPoisson3D, 0, 33},
+}
+
+func fixturePath(family Family, n int) string {
+	return filepath.Join("testdata", "tuned", fmt.Sprintf("%v-%d.json", family, n))
+}
 
 // TestSolveIsLinear holds the tuned solve to a property of the mathematics,
 // not of the solver's own reference cycles. Every kernel a tuned plan runs —
@@ -28,32 +52,12 @@ const superpositionBound = 1e-12
 //     superpositionBound.
 //
 // Every family, through Solve (whose FULL-MULTIGRID plans run the V table's
-// cells below the finest level), at every tuned accuracy, serial and on a
-// 2-worker pool, at the finest tuned size: 2D N = 129 and 3D N = 33, where
-// the pool splits the kernels.
+// cells below the finest level, or at it), at every tuned accuracy, serial
+// and on a 2-worker pool, at the finest size of each linearFixtures table.
 func TestSolveIsLinear(t *testing.T) {
-	for _, tc := range []struct {
-		family Family
-		eps    float64
-		n      int
-	}{
-		{FamilyPoisson, 0, 129},
-		{FamilyAnisotropic, 0.1, 129},
-		{FamilyVarCoef, 2, 129},
-		{FamilyPoisson3D, 0, 33},
-	} {
-		tuned, err := Tune(Options{MaxSize: tc.n, Family: tc.family, Epsilon: tc.eps, Machine: "intel-harpertown", Seed: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		path := filepath.Join(t.TempDir(), "tuned.json")
-		err = tuned.Save(path)
-		tuned.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, tc := range linearFixtures {
 		for _, workers := range []int{0, 2} {
-			s, err := Load(path, workers)
+			s, err := Load(fixturePath(tc.family, tc.n), workers)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -62,6 +66,40 @@ func TestSolveIsLinear(t *testing.T) {
 			})
 			s.Close()
 		}
+	}
+}
+
+// TestLinearFixturesAreFreshTunes: each committed table TestSolveIsLinear
+// solves from is, byte for byte, what the tuner writes today for its
+// options. A tuner or kernel change that moves a cell fails here, naming
+// the table, rather than changing what the linearity check runs; a change
+// that means to move cells rewrites the tables with the mgtune command of
+// linearFixtures.
+func TestLinearFixturesAreFreshTunes(t *testing.T) {
+	for _, tc := range linearFixtures {
+		t.Run(fmt.Sprintf("%v-%d", tc.family, tc.n), func(t *testing.T) {
+			t.Parallel()
+			want, err := os.ReadFile(fixturePath(tc.family, tc.n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := Tune(Options{MaxSize: tc.n, Family: tc.family, Epsilon: tc.eps, Machine: "intel-harpertown", Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			path := filepath.Join(t.TempDir(), "tuned.json")
+			if err := s.Save(path); err != nil {
+				t.Fatal(err)
+			}
+			got, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("a fresh tune differs from %s:\n%s", fixturePath(tc.family, tc.n), got)
+			}
+		})
 	}
 }
 

@@ -402,13 +402,17 @@ func (s *Solver) checkSizeN(n int) error {
 
 // SolveV solves T·x = b in place with the tuned MULTIGRID-V algorithm for
 // the smallest tuned target ≥ accuracy. x supplies the Dirichlet boundary
-// and initial guess.
+// and initial guess. Solve already runs a level's V cell wherever it is the
+// cheaper; SolveV is kept because `bench/` times the V table alone
+// (`mg.vcycle`).
 func (s *Solver) SolveV(x, b *Grid, accuracy float64) error {
 	return s.solve(x, b, accuracy, false, nil)
 }
 
 // Solve solves T·x = b in place with the tuned FULL-MULTIGRID algorithm,
-// the paper's best-performing family.
+// the paper's best-performing family. Each of its cells is the cheaper of
+// the tuned estimate-and-solve (or direct) plan and the level's tuned V
+// cell, so Solve is never dearer, under the tuning cost, than SolveV.
 func (s *Solver) Solve(x, b *Grid, accuracy float64) error {
 	return s.solve(x, b, accuracy, true, nil)
 }
@@ -469,11 +473,11 @@ func (s *Solver) solveCtx(ctx context.Context, x, b *Grid, accuracy float64, ful
 	return err
 }
 
-// CycleShape renders the tuned cycle the solver would execute for a problem
-// of side n at the given accuracy, in the ASCII notation of the paper's
+// CycleShape renders the tuned cycle Solve would execute for a problem of
+// side n at the given accuracy, in the ASCII notation of the paper's
 // Figure 5 ('o' relaxation, '\' restrict, '/' interpolate, 'D' direct
 // solve, '~k~' k SOR sweeps).
-func (s *Solver) CycleShape(n int, accuracy float64, full bool) (string, error) {
+func (s *Solver) CycleShape(n int, accuracy float64) (string, error) {
 	if lvl := grid.Level(n); lvl < 1 || lvl > s.tuned.MaxLevel {
 		return "", fmt.Errorf("pbmg: size %d outside tuned range", n)
 	}
@@ -489,15 +493,15 @@ func (s *Solver) CycleShape(n int, accuracy float64, full bool) (string, error) 
 	}
 	var log mg.ShapeLog
 	x := p.NewState()
-	if err := s.solve(x, p.B, s.tuned.V.Acc[idx], full, &log); err != nil {
+	if err := s.solve(x, p.B, s.tuned.V.Acc[idx], true, &log); err != nil {
 		return "", err
 	}
 	return mg.RenderShape(&log), nil
 }
 
-// Describe prints the tuned call tree (the paper's Figure 4 view) for a
-// problem of side n at the given accuracy.
-func (s *Solver) Describe(n int, accuracy float64, full bool) (string, error) {
+// Describe prints the tuned call tree Solve runs (the paper's Figure 4
+// view) for a problem of side n at the given accuracy.
+func (s *Solver) Describe(n int, accuracy float64) (string, error) {
 	level := grid.Level(n)
 	if level < 1 || level > s.tuned.MaxLevel {
 		return "", fmt.Errorf("pbmg: size %d outside tuned range", n)
@@ -506,10 +510,7 @@ func (s *Solver) Describe(n int, accuracy float64, full bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	if full {
-		return mg.DescribeFull(s.tuned.F, s.tuned.V, level, idx), nil
-	}
-	return mg.DescribeV(s.tuned.V, level, idx), nil
+	return mg.DescribeFull(s.tuned.F, s.tuned.V, level, idx), nil
 }
 
 // SolveTraced solves T·x = b like Solve while recording every executed

@@ -211,31 +211,40 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCycleShapeAndDescribe: CycleShape draws the cycle Solve runs and
+// Describe prints the FULL-MULTIGRID call tree Solve follows, at every
+// tuned accuracy.
 func TestCycleShapeAndDescribe(t *testing.T) {
 	s := tuneSmall(t)
-	shape, err := s.CycleShape(33, 1e5, false)
-	if err != nil {
-		t.Fatal(err)
+	for i, acc := range s.Accuracies() {
+		shape, err := s.CycleShape(33, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := s.NewFamilyProblem(33, s.tuned.DistributionValue(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log mg.ShapeLog
+		if err := s.SolveTraced(p.NewState(), p.B, acc, &log); err != nil {
+			t.Fatal(err)
+		}
+		if want := mg.RenderShape(&log); shape != want {
+			t.Errorf("accuracy %g: CycleShape drew\n%s\nSolve ran\n%s", acc, shape, want)
+		}
+		desc, err := s.Describe(33, acc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := mg.DescribeFull(s.tuned.F, s.tuned.V, 5, i); desc != want {
+			t.Errorf("accuracy %g: Describe printed\n%s\nwant\n%s", acc, desc, want)
+		}
 	}
-	if !strings.Contains(shape, "|") {
-		t.Fatalf("shape looks wrong:\n%s", shape)
-	}
-	desc, err := s.Describe(33, 1e5, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(desc, "MULTIGRID-V") {
-		t.Fatalf("describe looks wrong:\n%s", desc)
-	}
-	fdesc, err := s.Describe(33, 1e5, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(fdesc, "FULL-MG") {
-		t.Fatalf("full describe looks wrong:\n%s", fdesc)
-	}
-	if _, err := s.CycleShape(65, 1e5, true); err == nil {
+	if _, err := s.CycleShape(65, 1e5); err == nil {
 		t.Fatal("CycleShape beyond tuned size accepted")
+	}
+	if _, err := s.Describe(65, 1e5); err == nil {
+		t.Fatal("Describe beyond tuned size accepted")
 	}
 }
 
