@@ -3,6 +3,8 @@ package pbmg
 import (
 	"fmt"
 	"math"
+	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 )
@@ -169,4 +171,61 @@ func TestSolveBatchByteIdenticalToSequential(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSecondLoadSharesVarCoefOperator: a process loads the coefficient
+// field of a varcoef table once. Two Loads of an N = 257 table and a problem
+// drawn at that size run on one operator, so the second Load adds to the
+// live heap well under the 0.53 MB of a second field (0.70 MB with the
+// coarse hierarchy a solve builds).
+func TestSecondLoadSharesVarCoefOperator(t *testing.T) {
+	const n, acc = 257, 10
+	path := filepath.Join(t.TempDir(), "varcoef.json")
+	tuned, err := Tune(Options{MaxSize: n, Family: FamilyVarCoef, Accuracies: []float64{acc}, Machine: "intel-harpertown", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = tuned.Save(path)
+	tuned.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		runtime.GC()
+		var m runtime.MemStats
+		runtime.ReadMemStats(&m)
+		return int64(m.HeapAlloc)
+	}
+
+	first, err := Load(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer first.Close()
+	p, err := NewFamilyProblem(n, Unbiased, 1, FamilyVarCoef, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Solve(p.NewState(), p.B, acc); err != nil { // builds the coarse hierarchy
+		t.Fatal(err)
+	}
+	before := liveHeap()
+	second, err := Load(path, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	grown := liveHeap() - before
+	op := first.Workspace().Operator()
+	if second.Workspace().Operator() != op || p.Op != op {
+		t.Errorf("two loads and a problem of one varcoef table hold operators %p, %p and %p, want one",
+			op, second.Workspace().Operator(), p.Op)
+	}
+	const limit = 100 << 10
+	if grown > limit {
+		t.Errorf("the second Load grew the live heap by %.2f MB, want < %.2f MB: it built its own coefficient field",
+			float64(grown)/(1<<20), float64(limit)/(1<<20))
+	}
+	runtime.KeepAlive(p)
 }

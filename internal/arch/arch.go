@@ -112,10 +112,9 @@ func (m *Model) dim3() bool { return m.Dim == 3 }
 // counts in the trace are unchanged — one EvResidual and one EvRestrict
 // per downstroke — only their memory intensity shrank.
 // The interpolation intensity prices the FUSED upstroke
-// (stencil.OpInterpolateCorrectSmooth): the correction streams from a
-// cache-resident interpolated row buffer straight into x during the
-// post-smooth's first half-sweep, so the full-size scratch grid's write and
-// re-read disappear (48 → 28 bytes/point: the coarse read amortized 4 ways,
+// (stencil.OpInterpolateCorrectSmooth): the correction is evaluated from
+// the coarse rows straight into x during the post-smooth's first
+// half-sweep, so the full-size scratch grid's write and re-read disappear (48 → 28 bytes/point: the coarse read amortized 4 ways,
 // x's read-modify-write, and no intermediate traffic).
 const (
 	relaxFlops, relaxBytes       = 8, 48

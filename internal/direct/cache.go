@@ -21,7 +21,9 @@ import (
 // memoized coarse hierarchy (see stencil.Operator.At), every 2D Poisson
 // operator shares one entry per side, and a side is a level no finer than
 // the tables that route solves to it were tuned for. A cache lives as long
-// as the tables it serves.
+// as the tables it serves. Keying by identity is keying by value: each
+// (family, parameter, size) has one live operator per process
+// (core.SharedOperator).
 type Cache struct {
 	mu      sync.Mutex // guards the index only, never a factorization
 	entries map[cacheKey]*cacheEntry
@@ -29,9 +31,10 @@ type Cache struct {
 }
 
 // cacheKey identifies one factorization: the operator, compared by identity,
-// and the grid side. Within one operator family the operator for a given
-// size is a stable memoized pointer, and the 2D and 3D Poisson operators are
-// distinct pointers, so identity is exactly the right granularity.
+// and the grid side. The operator for a (family, parameter, size) is one
+// pointer per process, its coarse levels stable memoized pointers, and the
+// 2D and 3D Poisson operators distinct pointers, so identity is exactly the
+// right granularity.
 type cacheKey struct {
 	op *stencil.Operator
 	n  int

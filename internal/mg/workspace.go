@@ -59,7 +59,7 @@ func (ws *Workspace) Operator() *stencil.Operator { return ws.Op }
 func (ws *Workspace) opAt(n int) *stencil.Operator { return ws.Op.At(n) }
 
 // levelBufs is the scratch set a cycle needs at one grid size n: the
-// residual and interpolation scratch at size n, and the coarse right-hand
+// residual and the restriction's scratch at size n, and the coarse right-hand
 // side and coarse solution at size (n+1)/2, all shaped to the workspace
 // operator's dimension. A levelBufs belongs to exactly one cycle step at a
 // time; concurrent solves check out distinct sets.
@@ -142,8 +142,8 @@ func (ws *Workspace) SOR(x, b *grid.Grid, omega float64, sweeps int, rec Recorde
 // residual never materialized — recorded as one EvResidual and one
 // EvRestrict: the trace counts logical operations, and the architecture
 // cost model prices their fused traversal intensities. ESTIMATE has no
-// post-smooth to fuse the correction into; the row-fused interpolate-add
-// streams it through a row of scratch.
+// post-smooth to fuse the correction into; the interpolate-add adds it
+// straight into x.
 func (ws *Workspace) estimate(x, b *grid.Grid, rec Recorder, coarse func(cx, cb *grid.Grid)) {
 	n := x.N()
 	lvl := grid.Level(n)
@@ -154,7 +154,7 @@ func (ws *Workspace) estimate(x, b *grid.Grid, rec Recorder, coarse func(cx, cb 
 	record(rec, EvRestrict, lvl, 1)
 	bufs.cx.Zero()
 	coarse(bufs.cx, bufs.cb)
-	transfer.InterpolateAdd(ws.Pool, x, bufs.cx, bufs.scratch)
+	transfer.InterpolateAdd(ws.Pool, x, bufs.cx)
 	record(rec, EvInterp, lvl, 1)
 }
 
@@ -195,7 +195,7 @@ func (ws *Workspace) RecurseWith(x, b *grid.Grid, rec Recorder, coarseSolve func
 
 	// Upstroke: interpolate, correct, post-smooth in one traversal — the
 	// standalone interpolate and correct full-grid passes disappear.
-	stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, bufs.scratch, h, op.OmegaSmooth())
+	stencil.OpUpstroke(op, ws.Pool, x, b, bufs.cx, h, op.OmegaSmooth())
 	record(rec, EvInterp, lvl, 1)
 	record(rec, EvRelax, lvl, 1)
 }

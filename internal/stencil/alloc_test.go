@@ -26,7 +26,7 @@ func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 	}{
 		{"OpDownstroke", func() { OpDownstroke(op, p, coarse, x, b, r, scratch, h, omega) }},
 		{"OpResidualRestrict", func() { OpResidualRestrict(op, p, coarse, x, b, r, scratch, h) }},
-		{"OpUpstroke", func() { OpUpstroke(op, p, x, b, cx, scratch, h, omega) }},
+		{"OpUpstroke", func() { OpUpstroke(op, p, x, b, cx, h, omega) }},
 		{"OpSORSweepRB", func() { OpSORSweepRB(op, p, x, b, h, omega) }},
 		{"OpResidualNorm", func() { OpResidualNorm(op, p, x, b, h) }},
 		{"OpResidual", func() { OpResidual(op, p, r, x, b, h) }},
@@ -34,10 +34,11 @@ func strokeKernels(op *Operator, p *sched.Pool, n int) []struct {
 }
 
 // TestStrokesAllocate pins what the cycle's kernels allocate per call on the
-// serial drivers: nothing, in any family. Every buffer they need beyond the
-// grids they are bound to — OpUpstroke's interpolation rows, the rolling
-// window of the 3D restriction, the residual units OpResidualRestrict passes
-// through — is carved from the scratch grids they are handed. The serial
+// serial drivers: nothing, in any family. OpUpstroke adds its interpolant
+// straight into x; every buffer the others need beyond the grids they are
+// bound to — the rolling window of the 3D restriction, the residual units
+// OpResidualRestrict passes through — is carved from the scratch grids they
+// are handed. The serial
 // drivers are what runs without a pool and — the second leg — with a pool the
 // grid is too small for (bindRows leaves it unbound): the level sizes where a
 // cycle spends most of its calls. The pooled passes, on a grid the pool does

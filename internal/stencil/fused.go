@@ -29,9 +29,10 @@
 //	downstroke   red(i) → black+emit(i−1) → fix-up(i−2) → restrict(i−2)
 //	upstroke     correct(i) → relax red(i−1) → relax black(i−2)
 //
-// Every buffer a stage needs beyond the grids it is bound to — interpolation
-// rows, the 3D restriction window — is carved from a scratch grid the caller
-// hands in, so a cycle step allocates nothing.
+// The upstroke's correction is added straight into x, and the one buffer a
+// stage needs beyond the grids it is bound to — the 3D restriction window —
+// is carved from a scratch grid the caller hands in, so a cycle step
+// allocates nothing.
 //
 // A stage may run on a unit as soon as the units it reads are final for the
 // stage before it, and must run before any unit it reads is overwritten by

@@ -96,7 +96,11 @@ func ParseFamily(s string) (Family, error) {
 // Operator is one member of an operator family, instantiated — for the
 // variable-coefficient family — at a specific grid size. Operators are
 // immutable after construction and safe for concurrent use; the coarse-grid
-// operator is derived once and cached.
+// operator is derived once and cached. An operator is fixed by its family,
+// parameter and size, so a process needs one per key: tuners, loaded tables
+// and problems take theirs from core.SharedOperator, which hands every
+// holder the same pointer, and only an operator on a caller's own
+// coefficient field (VarCoefOperator) is private to its caller.
 type Operator struct {
 	family Family
 	// eps is the family parameter: the anisotropy ratio ε for
@@ -173,7 +177,9 @@ func CoefField(n int, sigma float64) *grid.Grid {
 
 // NewOperator instantiates a family at grid size n. eps is the anisotropy
 // ratio (FamilyAnisotropic) or the coefficient-field contrast σ
-// (FamilyVarCoef); it is ignored for FamilyPoisson.
+// (FamilyVarCoef); it is ignored for FamilyPoisson. Each call builds a new
+// operator — for FamilyVarCoef a new coefficient field — so callers go
+// through core.SharedOperator, which builds one per key and process.
 func NewOperator(f Family, eps float64, n int) (*Operator, error) {
 	switch f {
 	case FamilyPoisson:

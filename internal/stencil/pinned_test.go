@@ -131,7 +131,7 @@ func cycleBits[T grid.Float](op *Operator, dim, n int, pool *sched.Pool) map[str
 		}},
 		{"OpUpstroke", func(bh bitsHash, omega T) {
 			x := x0.Clone()
-			OpUpstroke(op, pool, x, b, cx, dirty(n), h, omega)
+			OpUpstroke(op, pool, x, b, cx, h, omega)
 			hashGrid(bh, x)
 		}},
 		{"OpInterpolateCorrectSmooth+OpFinishSmooth", func(bh bitsHash, omega T) {

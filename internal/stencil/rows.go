@@ -87,15 +87,6 @@ func gatherRow[T grid.Float](rr, up, down []T, c int, kx, ky T) {
 	}
 }
 
-// addRow adds src to dst over the interior columns 1 … n−2.
-func addRow[T grid.Float](dst, src []T) {
-	n := len(dst) - 1
-	dst, src = dst[:n], src[:n]
-	for j := 1; j < n; j++ {
-		dst[j] += src[j]
-	}
-}
-
 // --- constant-coefficient stencil (horizontal weight cx, vertical cy) ---
 
 func relaxRowConst[T grid.Float](xr, up, down, br []T, c int, h2, omega, cx, cy, invC T) {

@@ -4,11 +4,10 @@
 // half-sweeps. This file folds them into three stages over units (rows in
 // 2D, planes in 3D — see fused.go):
 //
-//   - correct: evaluate each row's interpolated correction into a
-//     cache-resident buffer (transfer.InterpRow/InterpRow3, the same
-//     arithmetic Interpolate runs) and add it to the row in place — the
-//     scratch grid's full-grid write and re-read disappear, and the
-//     interpolation is computed exactly once per row.
+//   - correct: add each unit's interpolated correction straight into x
+//     (transfer.InterpolateAddUnit, whose row kernels evaluate the
+//     arithmetic Interpolate runs) — no scratch grid is written or re-read,
+//     and the interpolation is computed exactly once per point.
 //   - relax red: a red point's Gauss-Seidel average reads only black
 //     neighbours and its own corrected value, so relaxing red once units
 //     i−1 … i+1 are corrected reads exactly the state the unfused
@@ -34,12 +33,10 @@ import (
 // d-linear interpolation of cx to x's interior and runs one full red-black
 // post-smoothing sweep, leaving x bit-identical to transfer.InterpolateAdd
 // and OpSORSweepRB (and to OpInterpolateCorrectSmooth followed by
-// OpFinishSmooth). scratch is a grid of x's size whose contents are
-// clobbered: its rows serve as the interpolation buffers, so the call
-// allocates nothing. cx must not alias x or b.
-func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch *grid.G[T], h, omega T) {
+// OpFinishSmooth). It allocates nothing. cx must not alias x or b.
+func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
-	k.correctSmooth(cx, scratch, true)
+	k.correctSmooth(cx, true)
 }
 
 // OpInterpolateCorrectSmooth applies the coarse-grid correction (the
@@ -49,7 +46,7 @@ func OpUpstroke[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx, scratch 
 // OpSORSweepRB. cx must not alias x or b.
 func OpInterpolateCorrectSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b, cx *grid.G[T], h, omega T) {
 	k := bindRows(op, pool, x, b, nil, h, omega)
-	k.correctSmooth(cx, nil, false)
+	k.correctSmooth(cx, false)
 }
 
 // OpFinishSmooth runs the black half-sweep completing a post-smoothing pass
@@ -60,60 +57,21 @@ func OpFinishSmooth[T grid.Float](op *Operator, pool *sched.Pool, x, b *grid.G[T
 	k.halfSweep(1)
 }
 
-// correct adds unit i of the d-linear interpolation of cx to unit i of x, a
-// row at a time through buf (and tmp, which only the trilinear rule needs).
-func (k *rowOps[T]) correct(buf, tmp []T, cx *grid.G[T], i int) {
-	if k.dim3() {
-		n := k.n
-		x := k.x.Plane(i)
-		for j := 1; j < n-1; j++ {
-			transfer.InterpRow3(buf, tmp, cx, i, j)
-			addRow(x[j*n:(j+1)*n], buf)
-		}
-		return
-	}
-	transfer.InterpRow(buf, cx, i)
-	addRow(k.x.Row(i), buf)
-}
-
-// rowBufs returns the n-long interpolation buffers of one chunk of correction
-// work starting at unit i — buf, and in 3D also tmp, which only the trilinear
-// rule needs: the first rows of scratch's unit i, or a fresh slice for the
-// one entry point that has no scratch grid to offer. Kept out of line so that
-// allocation stays a single site in the escape gate's ledger.
-//
-//go:noinline
-func (k *rowOps[T]) rowBufs(scratch *grid.G[T], i int) (buf, tmp []T) {
-	switch {
-	case scratch == nil:
-		n := k.n
-		if k.dim3() {
-			n *= 2
-		}
-		buf = make([]T, n) // OpInterpolateCorrectSmooth has no scratch parameter; only bench/ and test oracles call it, every cycle goes through OpUpstroke
-		return buf[:k.n], buf[k.n:]
-	case k.dim3():
-		return scratch.Row3(i, 0), scratch.Row3(i, 1)
-	}
-	return scratch.Row(i), nil
-}
-
 // correctSmooth applies the coarse-grid correction and relaxes the red
 // points, then with finish also the black points, of every interior unit.
-func (k *rowOps[T]) correctSmooth(cx, scratch *grid.G[T], finish bool) {
+func (k *rowOps[T]) correctSmooth(cx *grid.G[T], finish bool) {
 	n := k.n
 	if k.pool != nil {
-		correctPass(*k, cx, scratch)
+		correctPass(*k, cx)
 		k.halfSweep(0)
 		if finish {
 			k.halfSweep(1)
 		}
 		return
 	}
-	buf, tmp := k.rowBufs(scratch, 0)
 	for i := 1; i <= n; i++ {
 		if i < n-1 {
-			k.correct(buf, tmp, cx, i)
+			transfer.InterpolateAddUnit(k.x, cx, i)
 		}
 		if i > 1 && i < n {
 			k.relax(i-1, 0)
@@ -124,14 +82,12 @@ func (k *rowOps[T]) correctSmooth(cx, scratch *grid.G[T], finish bool) {
 	}
 }
 
-// correctPass is the pooled correction stage; each chunk buffers through the
-// first rows of its own first unit of scratch (by-value receiver: see
+// correctPass is the pooled correction stage (by-value receiver: see
 // halfSweepPass).
-func correctPass[T grid.Float](k rowOps[T], cx, scratch *grid.G[T]) {
+func correctPass[T grid.Float](k rowOps[T], cx *grid.G[T]) {
 	k.forUnits(func(lo, hi int) {
-		buf, tmp := k.rowBufs(scratch, lo)
 		for i := lo; i < hi; i++ {
-			k.correct(buf, tmp, cx, i)
+			transfer.InterpolateAddUnit(k.x, cx, i)
 		}
 	})
 }

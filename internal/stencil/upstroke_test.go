@@ -38,7 +38,7 @@ func TestInterpolateCorrectSmoothMatchesOracle(t *testing.T) {
 
 				// Oracle upstroke: interpolate+correct, then a full sweep.
 				xo := x0.Clone()
-				transfer.InterpolateAdd(nil, xo, cx, grid.NewDim(tc.dim, n))
+				transfer.InterpolateAdd(nil, xo, cx)
 				OpSORSweepRB(op, nil, xo, b, h, omega)
 
 				withPools(t, func(t *testing.T, pool *sched.Pool) {
@@ -68,7 +68,7 @@ func TestFinishSmoothWithNormMatchesOracle(t *testing.T) {
 				cx := randomCorrection(tc.dim, n, rng)
 
 				xo := x0.Clone()
-				transfer.InterpolateAdd(nil, xo, cx, grid.NewDim(tc.dim, n))
+				transfer.InterpolateAdd(nil, xo, cx)
 				OpSORSweepRB(op, nil, xo, b, h, omega)
 				wantNorm := OpResidualNorm(op, nil, xo, b, h)
 

@@ -110,7 +110,7 @@ func checkWavefront[T grid.Float](t *testing.T, op *Operator, n int, omega64 flo
 	// Upstroke: the one-traversal entry == the two-call pair.
 	up := func(pool *sched.Pool) *grid.G[T] {
 		x := x0.Clone()
-		OpUpstroke(op, pool, x, b, cx, filledOf[T](dim, n, junk), h, omega)
+		OpUpstroke(op, pool, x, b, cx, h, omega)
 		return x
 	}
 	xu := up(nil)

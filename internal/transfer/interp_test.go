@@ -10,10 +10,11 @@ import (
 	"pbmg/internal/sched"
 )
 
-// The row providers (InterpRow/InterpRow3) and the row-fused InterpolateAdd
-// are rearrangements of Interpolate (and an interior add) built on the same
-// row helpers, so their outputs are bit-identical to the bulk kernels — the
-// contract the fused upstroke kernels in internal/stencil rely on.
+// The correction's row kernels (InterpAddRow/InterpAddRow3) and the
+// InterpolateAdd built on them evaluate Interpolate's arithmetic point by
+// point and add it straight into x, so their outputs are bit-identical to
+// interpolating into a grid and adding its interior — the contract the
+// fused upstroke kernels in internal/stencil rely on.
 
 func randomGridDim(dim, n int, rng *rand.Rand) *grid.Grid {
 	g := grid.NewDim(dim, n)
@@ -21,6 +22,9 @@ func randomGridDim(dim, n int, rng *rand.Rand) *grid.Grid {
 	return g
 }
 
+// TestInterpRowMatchesInterpolate holds each interior fine row the row
+// kernels correct to the same row of Interpolate added to it, bit for bit,
+// and their ends untouched.
 func TestInterpRowMatchesInterpolate(t *testing.T) {
 	for _, dim := range []int{2, 3} {
 		nc := 17
@@ -34,37 +38,49 @@ func TestInterpRowMatchesInterpolate(t *testing.T) {
 			fine := grid.NewDim(dim, nf)
 			Interpolate(nil, fine, coarse)
 
-			buf := make([]float64, nf)
-			tmp := make([]float64, nf)
-			if dim == 3 {
-				for fi := 0; fi < nf; fi++ {
-					for fj := 0; fj < nf; fj++ {
-						InterpRow3(buf, tmp, coarse, fi, fj)
-						want := fine.Row3(fi, fj)
-						for k := 0; k < nf; k++ {
-							// Interpolate zeroes the boundary after the fact;
-							// the provider reports raw interpolated values,
-							// which the fused kernels only read at interior
-							// points.
-							interior := fi > 0 && fi < nf-1 && fj > 0 && fj < nf-1 && k > 0 && k < nf-1
-							if interior && math.Float64bits(want[k]) != math.Float64bits(buf[k]) {
-								t.Fatalf("row (%d,%d): value differs at k=%d: %v vs %v", fi, fj, k, want[k], buf[k])
-							}
-						}
+			row := make([]float64, nf)
+			check := func(what string, want []float64, add func(xr []float64)) {
+				for k := range row {
+					row[k] = rng.Float64()
+				}
+				x0 := append([]float64(nil), row...)
+				add(row)
+				for k := range row {
+					w := x0[k]
+					if k > 0 && k < nf-1 {
+						w += want[k]
+					}
+					if math.Float64bits(row[k]) != math.Float64bits(w) {
+						t.Fatalf("%s: value differs at k=%d: %v, want %v", what, k, row[k], w)
 					}
 				}
-				return
 			}
-			for fi := 0; fi < nf; fi++ {
-				InterpRow(buf, coarse, fi)
-				want := fine.Row(fi)
-				for j := 1; j < nf-1; j++ {
-					if fi == 0 || fi == nf-1 {
-						continue
+			for fi := 1; fi < nf-1; fi++ {
+				ci := fi / 2
+				if dim == 2 {
+					var down []float64
+					if fi%2 == 1 {
+						down = coarse.Row(ci + 1)
 					}
-					if math.Float64bits(want[j]) != math.Float64bits(buf[j]) {
-						t.Fatalf("row %d: value differs at j=%d: %v vs %v", fi, j, want[j], buf[j])
+					check(fmt.Sprintf("row %d", fi), fine.Row(fi), func(xr []float64) { InterpAddRow(xr, coarse.Row(ci), down) })
+					continue
+				}
+				for fj := 1; fj < nf-1; fj++ {
+					cj := fj / 2
+					var aDown, bDown []float64
+					if fj%2 == 1 {
+						aDown = coarse.Row3(ci, cj+1)
 					}
+					add := func(xr []float64) { InterpAddRow(xr, coarse.Row3(ci, cj), aDown) }
+					if fi%2 == 1 {
+						if fj%2 == 1 {
+							bDown = coarse.Row3(ci+1, cj+1)
+						}
+						add = func(xr []float64) {
+							InterpAddRow3(xr, coarse.Row3(ci, cj), aDown, coarse.Row3(ci+1, cj), bDown)
+						}
+					}
+					check(fmt.Sprintf("row (%d,%d)", fi, fj), fine.Row3(fi, fj), add)
 				}
 			}
 		})
@@ -111,8 +127,8 @@ func TestInterpolateAddFusedMatchesOracle(t *testing.T) {
 					defer pool.Close()
 				}
 				got := x0.Clone()
-				InterpolateAdd(pool, got, coarse, randomGridDim(dim, nf, rng)) // dirty scratch
-				if allocs := testing.AllocsPerRun(5, func() { InterpolateAdd(nil, x0.Clone(), coarse, scratch) }); allocs > 2 {
+				InterpolateAdd(pool, got, coarse)
+				if allocs := testing.AllocsPerRun(5, func() { InterpolateAdd(nil, x0.Clone(), coarse) }); allocs > 2 {
 					t.Errorf("InterpolateAdd allocates %v times per call beyond the test's own Clone (2), want 0", allocs-2)
 				}
 				wd, gd := want.Data(), got.Data()

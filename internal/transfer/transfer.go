@@ -193,10 +193,9 @@ func (w *Window[T]) Restrict(coarse *grid.G[T], ci int) {
 }
 
 // interpEvenRow writes the fine row sitting on top of coarse row cr: copy at
-// coincident points, horizontal 2-point average in between. It is the single
-// source of the even-row interpolation arithmetic, shared by Interpolate, the
-// 3D tensor product, and the per-row providers (InterpRow/InterpRow3), so
-// every consumer agrees bit for bit.
+// coincident points, horizontal 2-point average in between. Interpolate and
+// its 3D tensor product share it; the correction's row kernels (InterpAddRow,
+// InterpAddRow3) evaluate the same expressions, operand for operand.
 func interpEvenRow[T grid.Float](fr, cr []T, nc int) {
 	for cj := 0; cj < nc-1; cj++ {
 		fj := 2 * cj
@@ -215,47 +214,6 @@ func interpOddRow[T grid.Float](fr, cr, next []T, nc int) {
 		fr[fj+1] = 0.25 * (cr[cj] + cr[cj+1] + next[cj] + next[cj+1])
 	}
 	fr[2*(nc-1)] = 0.5 * (cr[nc-1] + next[nc-1])
-}
-
-// InterpRow computes fine row fi (0 ≤ fi ≤ nf−1) of the 2D bilinear
-// interpolation of coarse into dst (length ≥ 2·coarse.N()−1), bit-identical
-// to the row Interpolate would produce before its boundary zeroing. Fused
-// upstroke kernels consume interpolation rows one at a time through this
-// provider instead of materializing the fine interpolant in a scratch grid.
-func InterpRow[T grid.Float](dst []T, coarse *grid.G[T], fi int) {
-	nc := coarse.N()
-	if fi%2 == 0 {
-		interpEvenRow(dst, coarse.Row(fi/2), nc)
-		return
-	}
-	ci := fi / 2
-	interpOddRow(dst, coarse.Row(ci), coarse.Row(ci+1), nc)
-}
-
-// InterpRow3 computes row (fi, fj) of the trilinear interpolation of coarse
-// into dst, bit-identical to interpolate3's output for that row. tmp is
-// caller scratch of dst's length, clobbered on odd planes (odd fine planes
-// average the two surrounding even-plane interpolants, exactly as the tensor
-// product in interpolate3 evaluates them).
-func InterpRow3[T grid.Float](dst, tmp []T, coarse *grid.G[T], fi, fj int) {
-	nc := coarse.N()
-	nf := 2*nc - 1
-	ci, cj := fi/2, fj/2
-	rowInto := func(buf []T, ci int) {
-		if fj%2 == 0 {
-			interpEvenRow(buf, coarse.Row3(ci, cj), nc)
-			return
-		}
-		interpOddRow(buf, coarse.Row3(ci, cj), coarse.Row3(ci, cj+1), nc)
-	}
-	rowInto(dst, ci)
-	if fi%2 == 0 {
-		return
-	}
-	rowInto(tmp, ci+1)
-	for k := 0; k < nf; k++ {
-		dst[k] = 0.5 * (dst[k] + tmp[k])
-	}
 }
 
 // Interpolate applies bilinear (2D) or trilinear (3D) interpolation of the
@@ -328,52 +286,62 @@ func interpolate3[T grid.Float](pool *sched.Pool, fine, coarse *grid.G[T]) {
 
 // InterpolateAdd adds the d-linear interpolation of coarse into x's interior
 // — the coarse-grid correction step — without materializing the fine
-// interpolant: each chunk evaluates interpolation rows (the InterpRow
-// providers) into the first rows of its own first unit of scratch, a grid of
-// x's size whose contents are clobbered, and accumulates them immediately.
-// The per-point addend and the addition are those of Interpolate followed by
-// adding the interpolant's interior into x, in the same per-point order, so
-// the result is bit-identical to that pair for any pool and chunking.
-func InterpolateAdd[T grid.Float](pool *sched.Pool, x, coarse, scratch *grid.G[T]) {
+// interpolant: each unit's rows take their interpolant straight from coarse
+// (InterpolateAddUnit). The per-point addend and the addition are those of
+// Interpolate followed by adding the interpolant's interior into x, so the
+// result is bit-identical to that pair for any pool and chunking.
+func InterpolateAdd[T grid.Float](pool *sched.Pool, x, coarse *grid.G[T]) {
 	checkLevels(coarse, x, "InterpolateAdd")
 	nf := x.N()
 	if pool == nil {
-		interpolateAddUnits(x, coarse, scratch, 1, nf-1)
+		interpolateAddUnits(x, coarse, 1, nf-1)
 		return
 	}
 	points := nf
 	if x.Dim() == 3 {
 		points *= nf
 	}
-	pool.ParallelForPoints(1, nf-1, points, func(lo, hi int) { interpolateAddUnits(x, coarse, scratch, lo, hi) })
+	pool.ParallelForPoints(1, nf-1, points, func(lo, hi int) { interpolateAddUnits(x, coarse, lo, hi) })
 }
 
-// interpolateAddUnits is InterpolateAdd over fine units lo … hi−1 (rows
-// in 2D, planes in 3D), buffering through scratch's unit lo.
-func interpolateAddUnits[T grid.Float](x, coarse, scratch *grid.G[T], lo, hi int) {
-	nf := x.N()
-	if x.Dim() == 3 {
-		buf, tmp := scratch.Row3(lo, 0), scratch.Row3(lo, 1)
-		for fi := lo; fi < hi; fi++ {
-			for fj := 1; fj < nf-1; fj++ {
-				InterpRow3(buf, tmp, coarse, fi, fj)
-				addInterior(x.Row3(fi, fj), buf)
-			}
+// interpolateAddUnits is InterpolateAdd over fine units lo … hi−1.
+func interpolateAddUnits[T grid.Float](x, coarse *grid.G[T], lo, hi int) {
+	for fi := lo; fi < hi; fi++ {
+		InterpolateAddUnit(x, coarse, fi)
+	}
+}
+
+// InterpolateAddUnit adds the d-linear interpolation of coarse to the
+// interior of unit fi of x — row fi in 2D, plane fi in 3D, 0 < fi < N−1 —
+// through the row kernels of rows.go: InterpAddRow for a 2D row and the rows
+// of an even plane, InterpAddRow3 for the rows of an odd plane. The fused
+// upstroke (stencil.OpUpstroke) corrects a unit with it just before relaxing
+// it.
+func InterpolateAddUnit[T grid.Float](x, coarse *grid.G[T], fi int) {
+	ci := fi / 2
+	if x.Dim() == 2 {
+		var down []T
+		if fi%2 == 1 {
+			down = coarse.Row(ci + 1)
 		}
+		InterpAddRow(x.Row(fi), coarse.Row(ci), down)
 		return
 	}
-	buf := scratch.Row(lo)
-	for fi := lo; fi < hi; fi++ {
-		InterpRow(buf, coarse, fi)
-		addInterior(x.Row(fi), buf)
-	}
-}
-
-// addInterior adds src to dst over the interior columns.
-func addInterior[T grid.Float](dst, src []T) {
-	src = src[:len(dst)]
-	for k := 1; k < len(dst)-1; k++ {
-		dst[k] += src[k]
+	nf := x.N()
+	for fj := 1; fj < nf-1; fj++ {
+		cj := fj / 2
+		var aDown, bDown []T
+		if fj%2 == 1 {
+			aDown = coarse.Row3(ci, cj+1)
+		}
+		if fi%2 == 0 {
+			InterpAddRow(x.Row3(fi, fj), coarse.Row3(ci, cj), aDown)
+			continue
+		}
+		if fj%2 == 1 {
+			bDown = coarse.Row3(ci+1, cj+1)
+		}
+		InterpAddRow3(x.Row3(fi, fj), coarse.Row3(ci, cj), aDown, coarse.Row3(ci+1, cj), bDown)
 	}
 }
 

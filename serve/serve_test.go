@@ -650,6 +650,85 @@ func TestServeReloadUnderTraffic(t *testing.T) {
 	waitClosed(t, old...)
 }
 
+// TestServeReloadSharesOperator: a reload under traffic builds its varcoef
+// family on the operator the generation it replaces holds — one coefficient
+// field and coarse hierarchy per process, not one per generation — and once
+// the traffic stops every scratch set either generation checked out is back.
+func TestServeReloadSharesOperator(t *testing.T) {
+	dir := copyTables(t)
+	vs, err := pbmg.Tune(pbmg.Options{MaxSize: 17, Family: pbmg.FamilyVarCoef, Machine: "intel-harpertown", Seed: 5})
+	if err == nil {
+		err = vs.Save(filepath.Join(dir, "02-varcoef.json"))
+		vs.Close()
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, cl := startServer(t, Config{Dir: dir})
+	p := newProblem(t, pbmg.FamilyVarCoef, 17, 3)
+	body, err := json.Marshal(SolveRequest{Family: "varcoef", N: 17, Accuracy: 1e3, B: p.B.Data()})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	stop := make(chan struct{})
+	var completed atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < 2; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := cl.SolveBytes(context.Background(), body); err != nil {
+					t.Errorf("request lost during reload: %v", err)
+					return
+				}
+				completed.Add(1)
+			}
+		}()
+	}
+
+	old := srv.acquireCatalog() // held across the reload
+	oldSvc, err := old.route("varcoef", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	if _, err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	newSvc, err := current(srv).route("varcoef", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(5 * time.Millisecond)
+	oldOp, newOp := oldSvc.Solver().Workspace().Operator(), newSvc.Solver().Workspace().Operator()
+	if newSvc.Solver() == oldSvc.Solver() {
+		t.Error("the reload reused the old generation's solver")
+	}
+	if newOp != oldOp {
+		t.Errorf("the reloaded varcoef family runs on operator %p, the generation it replaced on %p: want one", newOp, oldOp)
+	}
+	old.release()
+
+	close(stop)
+	wg.Wait()
+	if completed.Load() == 0 {
+		t.Error("no traffic flowed across the reload")
+	}
+	waitClosed(t, old)
+	for gen, svc := range map[string]*pbmg.Service{"old": oldSvc, "new": newSvc} {
+		if n := svc.Solver().Workspace().ScratchOutstanding(); n != 0 {
+			t.Errorf("%s generation: %d scratch sets still checked out after the traffic stopped", gen, n)
+		}
+	}
+}
+
 // TestServeReloadRefusesInconsistentBundle: a table file that parses and
 // passes every per-table check but claims one level more than it has rows
 // for used to load, swap in, and panic on the first request for the largest
