@@ -67,3 +67,18 @@ func TestAllowGateCheck(t *testing.T) {
 		})
 	}
 }
+
+// TestGOROOTKeyedPortably: a diagnostic in the Go installation's own source
+// is keyed under $GOROOT, so one allow file holds on hosts whose Go lives
+// at different paths.
+func TestGOROOTKeyedPortably(t *testing.T) {
+	const line = "/opt/go1.24/src/runtime/mcleanup.go:102:5: func literal escapes to heap\n"
+	got, err := countEscapes(keyGOROOT(line, "/opt/go1.24"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "$GOROOT/src/runtime/mcleanup.go: func literal escapes to heap"
+	if got[want] != 1 || len(got) != 1 {
+		t.Fatalf("counted %v, want {%q: 1}", got, want)
+	}
+}

@@ -7,6 +7,8 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+
+	"pbmg/internal/mg"
 )
 
 // tuneFamily tunes a small family solver on the deterministic simulated
@@ -173,15 +175,17 @@ func TestSolveBatchByteIdenticalToSequential(t *testing.T) {
 	}
 }
 
-// TestSecondLoadSharesVarCoefOperator: a process loads the coefficient
-// field of a varcoef table once. Two Loads of an N = 257 table and a problem
-// drawn at that size run on one operator, so the second Load adds to the
-// live heap well under the 0.53 MB of a second field (0.70 MB with the
-// coarse hierarchy a solve builds).
-func TestSecondLoadSharesVarCoefOperator(t *testing.T) {
-	const n, acc = 257, 10
+// varcoefTableN and varcoefTableAcc are the side and the one accuracy of
+// the varcoef table saveVarCoefTable writes.
+const varcoefTableN, varcoefTableAcc = 257, 10
+
+// saveVarCoefTable tunes a varcoef table at N = varcoefTableN on the
+// deterministic simulated machine and saves it under t's temporary
+// directory, returning the path.
+func saveVarCoefTable(t *testing.T) string {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "varcoef.json")
-	tuned, err := Tune(Options{MaxSize: n, Family: FamilyVarCoef, Accuracies: []float64{acc}, Machine: "intel-harpertown", Seed: 5})
+	tuned, err := Tune(Options{MaxSize: varcoefTableN, Family: FamilyVarCoef, Accuracies: []float64{varcoefTableAcc}, Machine: "intel-harpertown", Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +194,26 @@ func TestSecondLoadSharesVarCoefOperator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	liveHeap := func() int64 {
-		runtime.GC()
-		runtime.GC()
-		var m runtime.MemStats
-		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
-	}
+	return path
+}
 
+// liveHeap returns the heap in use after two collections.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
+	return int64(m.HeapAlloc)
+}
+
+// TestSecondLoadSharesVarCoefOperator: a process loads the coefficient
+// field of a varcoef table once. Two Loads of an N = 257 table and a problem
+// drawn at that size run on one operator, so the second Load adds to the
+// live heap well under the 0.53 MB of a second field (0.70 MB with the
+// coarse hierarchy a solve builds).
+func TestSecondLoadSharesVarCoefOperator(t *testing.T) {
+	const n, acc = varcoefTableN, varcoefTableAcc
+	path := saveVarCoefTable(t)
 	first, err := Load(path, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -227,5 +243,79 @@ func TestSecondLoadSharesVarCoefOperator(t *testing.T) {
 		t.Errorf("the second Load grew the live heap by %.2f MB, want < %.2f MB: it built its own coefficient field",
 			float64(grown)/(1<<20), float64(limit)/(1<<20))
 	}
+	runtime.KeepAlive(p)
+}
+
+// TestCoarseProblemSharesLoadedHierarchy: a varcoef problem at N = 129
+// next to a loaded N = 257 table runs on the table's own N = 129 level, so
+// it adds to the live heap only its own grids, well under the 0.13 MB of a
+// second N = 129 field, and its direct solves find the factorizations the
+// table already made.
+func TestCoarseProblemSharesLoadedHierarchy(t *testing.T) {
+	const n = 129
+	s, err := Load(saveVarCoefTable(t), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	big, err := NewFamilyProblem(varcoefTableN, Unbiased, 1, FamilyVarCoef, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Solve(big.NewState(), big.B, varcoefTableAcc); err != nil { // builds the coarse hierarchy
+		t.Fatal(err)
+	}
+	ws := s.Workspace()
+	levels := []int{5, 9, 17, 33}
+	table := make([]*Grid, len(levels))
+	for i, m := range levels {
+		q, err := NewFamilyProblem(m, Unbiased, 3, FamilyVarCoef, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		table[i] = q.NewState()
+		ws.SolveDirect(table[i], q.B, nil) // the table factors level m
+	}
+
+	// A Poisson problem of the same side holds the same grids and no
+	// operator of its own: the varcoef problem's growth beyond it is what
+	// its operator costs.
+	before := liveHeap()
+	poisson := NewProblem(n, Unbiased, 2)
+	mid := liveHeap()
+	p, err := NewFamilyProblem(n, Unbiased, 2, FamilyVarCoef, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := liveHeap() - mid - (mid - before)
+	if want := ws.Operator().At(n); p.Op != want {
+		t.Errorf("the N=%d problem holds operator %p, the table's At(%d) is %p", n, p.Op, n, want)
+	}
+	const limit = 50 << 10
+	if grown > limit {
+		t.Errorf("the N=%d problem's operator grew the live heap by %.3f MB, want < %.2f MB: it built its own coefficient field",
+			n, float64(grown)/(1<<20), float64(limit)/(1<<20))
+	}
+
+	cached := ws.FactorCache.Len()
+	pws := mg.NewWorkspace(nil, p.Op)
+	pws.FactorCache = ws.FactorCache
+	for i, m := range levels {
+		q, err := NewFamilyProblem(m, Unbiased, 3, FamilyVarCoef, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := q.NewState()
+		pws.SolveDirect(x, q.B, nil)
+		for k, v := range x.Data() {
+			if v != table[i].Data()[k] {
+				t.Fatalf("N=%d: the problem's direct solve differs from the table's at point %d", m, k)
+			}
+		}
+	}
+	if got := ws.FactorCache.Len(); got != cached {
+		t.Errorf("direct solves at levels the table factored grew the cache from %d to %d entries", cached, got)
+	}
+	runtime.KeepAlive(poisson)
 	runtime.KeepAlive(p)
 }

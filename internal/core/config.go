@@ -80,15 +80,15 @@ func (t *Tuned) FamilyValue() (stencil.Family, error) {
 }
 
 // OperatorValue returns the operator family the bundle was tuned for,
-// discretized at the finest tuned size: the process's shared operator for
-// that key (SharedOperator), so every load of one table — and every reload
+// discretized at the finest tuned size: the process's one operator for that
+// key (stencil.NewOperator), so every load of one table — and every reload
 // generation — runs on one coefficient hierarchy.
 func (t *Tuned) OperatorValue() (*stencil.Operator, error) {
 	f, err := t.FamilyValue()
 	if err != nil {
 		return nil, err
 	}
-	return SharedOperator(f, t.Eps, grid.SizeOfLevel(t.MaxLevel))
+	return stencil.NewOperator(f, t.Eps, grid.SizeOfLevel(t.MaxLevel))
 }
 
 // DistributionValue parses the stored distribution name back into a

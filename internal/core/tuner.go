@@ -49,11 +49,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
-	"weak"
 
 	"pbmg/internal/arch"
 	"pbmg/internal/direct"
@@ -144,64 +142,6 @@ func ResolveEps(f stencil.Family, eps float64) float64 {
 	}
 }
 
-// SharedOperator returns the one live operator of family f with resolved
-// parameter eps (see ResolveEps) discretized at grid side n: every tuner,
-// loaded bundle and problem of a process that asks for the same key gets
-// the same pointer while any of them holds it, so a variable-coefficient
-// field — its exp/sin evaluation, its float32 copy and its memoized coarse
-// hierarchy — is built once per process rather than once per holder. The
-// size-independent families key on (f, eps) alone; the Poisson operators
-// are process-wide values already. Concurrent first calls for one key
-// build one operator. An operator on a caller's own coefficient field
-// (stencil.VarCoefOperator) is never shared.
-func SharedOperator(f stencil.Family, eps float64, n int) (*stencil.Operator, error) {
-	key := opKey{f: f, eps: eps, n: n}
-	switch f {
-	case stencil.FamilyPoisson, stencil.FamilyPoisson3D:
-		return stencil.NewOperator(f, eps, n)
-	case stencil.FamilyAnisotropic:
-		key.n = 0
-	}
-	operatorsMu.Lock()
-	defer operatorsMu.Unlock()
-	if op := liveOperators[key].Value(); op != nil {
-		return op, nil
-	}
-	op, err := stencil.NewOperator(f, eps, n)
-	if err != nil {
-		return nil, err
-	}
-	liveOperators[key] = weak.Make(op)
-	runtime.AddCleanup(op, dropOperator, key)
-	return op, nil
-}
-
-// opKey names a shared operator: its family, resolved parameter and grid
-// side (0 for families valid at every side).
-type opKey struct {
-	f   stencil.Family
-	eps float64
-	n   int
-}
-
-// liveOperators indexes the shared operators, under operatorsMu. An entry
-// holds its operator weakly, so the index never keeps one alive; the
-// operator's cleanup removes the entry once the last holder lets go.
-var (
-	operatorsMu   sync.Mutex
-	liveOperators = make(map[opKey]weak.Pointer[stencil.Operator])
-)
-
-// dropOperator is a dead operator's cleanup: it removes key's entry unless
-// a rebuilt operator for the key, still live, has replaced it.
-func dropOperator(key opKey) {
-	operatorsMu.Lock()
-	defer operatorsMu.Unlock()
-	if liveOperators[key].Value() == nil {
-		delete(liveOperators, key)
-	}
-}
-
 // Defaults returns cfg with unset fields filled with the paper's settings.
 func (cfg Config) Defaults() Config {
 	if cfg.Accuracies == nil {
@@ -277,7 +217,7 @@ func New(cfg Config) (*Tuner, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	op, err := SharedOperator(cfg.Family, cfg.Eps, grid.SizeOfLevel(cfg.MaxLevel))
+	op, err := stencil.NewOperator(cfg.Family, cfg.Eps, grid.SizeOfLevel(cfg.MaxLevel))
 	if err != nil {
 		return nil, err
 	}

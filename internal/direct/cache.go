@@ -18,12 +18,12 @@ import (
 //
 // A cache keeps every factorization it runs; nothing is evicted because the
 // keys are finite by construction. An operator comes from one family's
-// memoized coarse hierarchy (see stencil.Operator.At), every 2D Poisson
-// operator shares one entry per side, and a side is a level no finer than
-// the tables that route solves to it were tuned for. A cache lives as long
-// as the tables it serves. Keying by identity is keying by value: each
-// (family, parameter, size) has one live operator per process
-// (core.SharedOperator).
+// coarse hierarchy (see stencil.Operator.At), and a side is a level no finer
+// than the tables that route solves to it were tuned for. A cache lives as
+// long as the tables it serves. Keying by identity is keying by value:
+// stencil.NewOperator hands out one live operator per (family, parameter,
+// size) and process, coarse levels included, and the 2D Poisson operator is
+// one singleton.
 type Cache struct {
 	mu      sync.Mutex // guards the index only, never a factorization
 	entries map[cacheKey]*cacheEntry
@@ -31,10 +31,10 @@ type Cache struct {
 }
 
 // cacheKey identifies one factorization: the operator, compared by identity,
-// and the grid side. The operator for a (family, parameter, size) is one
-// pointer per process, its coarse levels stable memoized pointers, and the
-// 2D and 3D Poisson operators distinct pointers, so identity is exactly the
-// right granularity.
+// and the grid side. stencil.NewOperator makes the operator of a (family,
+// parameter, size) one pointer per process, a varcoef operator's coarse
+// levels included, and the 2D and 3D Poisson operators distinct singletons,
+// so identity is exactly the right granularity.
 type cacheKey struct {
 	op *stencil.Operator
 	n  int
@@ -53,9 +53,6 @@ type cacheEntry struct {
 // GetOp returns the cached solver for op at grid side n, factoring it on
 // first use. op must be resolved to side n (see stencil.Operator.At).
 func (c *Cache) GetOp(op *stencil.Operator, n int) *InteriorSolver {
-	if op.Family() == stencil.FamilyPoisson {
-		op = stencil.Poisson() // all 2D Poisson operators share one factorization per size
-	}
 	key := cacheKey{op: op, n: n}
 	c.mu.Lock()
 	if c.entries == nil {

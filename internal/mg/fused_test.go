@@ -90,6 +90,10 @@ func fusedCycleOps(t *testing.T) []struct {
 	n    int
 } {
 	t.Helper()
+	varcoef, err := stencil.NewOperator(stencil.FamilyVarCoef, 2, 65)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return []struct {
 		name string
 		op   *stencil.Operator
@@ -97,7 +101,7 @@ func fusedCycleOps(t *testing.T) []struct {
 	}{
 		{"poisson-65", stencil.Poisson(), 65},
 		{"aniso-0.01-65", stencil.Anisotropic(0.01), 65},
-		{"varcoef-2-65", stencil.VarCoefOperator(stencil.CoefField(65, 2), 2), 65},
+		{"varcoef-2-65", varcoef, 65},
 		{"poisson3d-17", stencil.Poisson3D(), 17},
 	}
 }

@@ -447,11 +447,20 @@ func TestWorkspaceArenaCheckout(t *testing.T) {
 	if b1.cb.N() != 9 {
 		t.Fatalf("coarse buffer size = %d, want 9", b1.cb.N())
 	}
-	if b1.r.N() != 17 || b1.scratch.N() != 17 || b1.cx.N() != 9 {
+	if b1.r.N() != 17 || b1.cx.N() != 9 {
 		t.Fatal("scratch set has wrong geometry")
+	}
+	if b1.scratch != nil {
+		t.Fatal("a 2D scratch set holds a restriction scratch grid only 3D reads")
 	}
 	ws.release(b1)
 	ws.release(b2)
+	ws3 := newWS3(nil)
+	b3 := ws3.checkout(17)
+	defer ws3.release(b3)
+	if b3.scratch == nil || b3.scratch.Dim() != 3 || b3.scratch.N() != 17 {
+		t.Fatal("a 3D scratch set lacks the N=17 restriction scratch grid")
+	}
 }
 
 func TestWorkspaceDirectCaching(t *testing.T) {

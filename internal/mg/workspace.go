@@ -59,8 +59,9 @@ func (ws *Workspace) Operator() *stencil.Operator { return ws.Op }
 func (ws *Workspace) opAt(n int) *stencil.Operator { return ws.Op.At(n) }
 
 // levelBufs is the scratch set a cycle needs at one grid size n: the
-// residual and the restriction's scratch at size n, and the coarse right-hand
-// side and coarse solution at size (n+1)/2, all shaped to the workspace
+// residual at size n, the coarse right-hand side and coarse solution at size
+// (n+1)/2, and in 3D the restriction's scratch at size n (2D restriction
+// needs none, so there scratch is nil), all shaped to the workspace
 // operator's dimension. A levelBufs belongs to exactly one cycle step at a
 // time; concurrent solves check out distinct sets.
 type levelBufs struct {
@@ -71,10 +72,11 @@ type levelBufs struct {
 
 func newLevelBufs(dim, n int) *levelBufs {
 	nc := grid.Coarsen(n)
-	return &levelBufs{
-		n: n, r: grid.NewDim(dim, n), scratch: grid.NewDim(dim, n),
-		cb: grid.NewDim(dim, nc), cx: grid.NewDim(dim, nc),
+	b := &levelBufs{n: n, r: grid.NewDim(dim, n), cb: grid.NewDim(dim, nc), cx: grid.NewDim(dim, nc)}
+	if dim == 3 {
+		b.scratch = grid.NewDim(dim, n)
 	}
+	return b
 }
 
 // NewWorkspace returns a workspace solving op on the given pool (nil for

@@ -16,24 +16,32 @@
 //     dimension (Dim); mixing a 3D operator with 2D grids (or vice versa)
 //     fails loudly in the grid accessors.
 //
+// An operator is its key. NewOperator hands out the one live operator of a
+// (family, parameter, N) per process, from a weakly held index, so every
+// tuner, loaded table and problem of one key shares one pointer — for a
+// variable-coefficient family one coefficient field.
+//
 // Coarse-grid re-discretization: Coarse() returns the operator for the next
 // multigrid level. Constant-coefficient families are scale-invariant and
-// return themselves; variable-coefficient operators restrict the nodal field
-// by injection (coarse nodes coincide with fine nodes) via transfer. The
-// result is memoized, so a hierarchy is built once per operator and shared
-// by concurrent solves.
+// return themselves; a variable-coefficient operator's coarse level is
+// NewOperator at the coarser side, which re-evaluates the analytic field at
+// nodes that coincide with fine ones (h = 1/2^k, so bit for bit what
+// injection would give). The link is memoized and strong, so a hierarchy is
+// built once per process, its levels are the operators NewOperator hands
+// out for their own keys, and a coarse level lives as long as any finer one.
 package stencil
 
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"sync"
+	"weak"
 
 	"pbmg/internal/faultinject"
 	"pbmg/internal/grid"
 	"pbmg/internal/sched"
-	"pbmg/internal/transfer"
 )
 
 // Family enumerates the supported operator families.
@@ -97,10 +105,10 @@ func ParseFamily(s string) (Family, error) {
 // variable-coefficient family — at a specific grid size. Operators are
 // immutable after construction and safe for concurrent use; the coarse-grid
 // operator is derived once and cached. An operator is fixed by its family,
-// parameter and size, so a process needs one per key: tuners, loaded tables
-// and problems take theirs from core.SharedOperator, which hands every
-// holder the same pointer, and only an operator on a caller's own
-// coefficient field (VarCoefOperator) is private to its caller.
+// parameter and size, so a process holds one per key: NewOperator hands
+// every holder the same pointer. Only an operator on a caller's own
+// coefficient field (VarCoefOperator) is private to its caller, and it is
+// single-level.
 type Operator struct {
 	family Family
 	// eps is the family parameter: the anisotropy ratio ε for
@@ -109,6 +117,9 @@ type Operator struct {
 	eps float64
 	// coef is the nodal coefficient field (FamilyVarCoef only).
 	coef *grid.Grid
+	// interned marks an operator NewOperator built: only those coarsen,
+	// since only their field is CoefField, re-evaluable at a coarser side.
+	interned bool
 
 	coarseOnce sync.Once
 	coarse     *Operator
@@ -132,20 +143,22 @@ var poisson3dOp = &Operator{family: FamilyPoisson3D, eps: 1}
 // returned value is shared; it is valid at every grid size.
 func Poisson3D() *Operator { return poisson3dOp }
 
-// Anisotropic returns the operator −(ε·∂²/∂x² + ∂²/∂y²). ε must be positive;
-// ε = 1 is the Laplacian (kept under its own family label). Valid at every
-// grid size.
+// Anisotropic returns the operator −(ε·∂²/∂x² + ∂²/∂y²), the one live
+// operator for ε (see NewOperator). ε must be positive; ε = 1 is the
+// Laplacian (kept under its own family label). Valid at every grid size.
 func Anisotropic(eps float64) *Operator {
 	if !(eps > 0) || math.IsInf(eps, 1) {
 		panic(fmt.Sprintf("stencil: anisotropy ε must be positive and finite, got %v", eps))
 	}
-	return &Operator{family: FamilyAnisotropic, eps: eps}
+	return intern(operatorKey{f: FamilyAnisotropic, eps: eps})
 }
 
 // VarCoefOperator returns the operator −∇·(c∇u) for the given positive nodal
 // coefficient field. eps records the field's contrast parameter for
-// provenance (use 0 for user-supplied fields). The operator is only valid at
-// grid size coef.N(); coarser levels are derived via Coarse.
+// provenance (use 0 for user-supplied fields). The operator is private to
+// its caller and single-level: valid at grid size coef.N() only, so Coarse,
+// and At below that side, panic rather than coarsen onto some other field.
+// NewOperator builds the multigrid hierarchy of the package's own field.
 func VarCoefOperator(coef *grid.Grid, eps float64) *Operator {
 	for i := 0; i < coef.N(); i++ {
 		for j := 0; j < coef.N(); j++ {
@@ -160,7 +173,8 @@ func VarCoefOperator(coef *grid.Grid, eps float64) *Operator {
 // CoefField builds the package's canonical smooth positive coefficient field
 // c(x, y) = exp(σ·sin(2πx)·sin(2πy)) on an n×n grid: contrast e^(2σ) between
 // the strongest and weakest regions, analytic so that injection to a coarse
-// grid equals re-evaluation at the coarse nodes.
+// grid equals re-evaluation at the coarse nodes, bit for bit: h = 1/2^k, so
+// every node coordinate is exact at every level.
 func CoefField(n int, sigma float64) *grid.Grid {
 	c := grid.New(n)
 	h := 1.0 / float64(n-1)
@@ -175,11 +189,15 @@ func CoefField(n int, sigma float64) *grid.Grid {
 	return c
 }
 
-// NewOperator instantiates a family at grid size n. eps is the anisotropy
-// ratio (FamilyAnisotropic) or the coefficient-field contrast σ
-// (FamilyVarCoef); it is ignored for FamilyPoisson. Each call builds a new
-// operator — for FamilyVarCoef a new coefficient field — so callers go
-// through core.SharedOperator, which builds one per key and process.
+// NewOperator returns the one live operator of family f at grid side n. eps
+// is the anisotropy ratio (FamilyAnisotropic) or the coefficient-field
+// contrast σ (FamilyVarCoef); it is ignored for the Poisson families, whose
+// operators are package singletons. Every caller that asks for the same key
+// — varcoef (σ, n), aniso ε, valid at every side — gets the same pointer
+// while any holder keeps it, so a coefficient field, its float32 copy and
+// its coarse hierarchy are built once per process; a varcoef operator's
+// coarse levels are themselves NewOperator's operators for their sides.
+// Concurrent first calls for one key build one operator.
 func NewOperator(f Family, eps float64, n int) (*Operator, error) {
 	switch f {
 	case FamilyPoisson:
@@ -198,9 +216,55 @@ func NewOperator(f Family, eps float64, n int) (*Operator, error) {
 		if grid.Level(n) < 1 {
 			return nil, fmt.Errorf("stencil: varcoef operator needs a 2^k+1 grid side, got %d", n)
 		}
-		return VarCoefOperator(CoefField(n, eps), eps), nil
+		return intern(operatorKey{f: FamilyVarCoef, eps: eps, n: n}), nil
 	default:
 		return nil, fmt.Errorf("stencil: unknown family %v", f)
+	}
+}
+
+// operatorKey names an interned operator: its family, parameter and grid
+// side (0 for families valid at every side).
+type operatorKey struct {
+	f   Family
+	eps float64
+	n   int
+}
+
+// operators indexes the interned operators, under operatorsMu. An entry
+// holds its operator weakly, so the index never keeps one alive; the
+// operator's cleanup removes the entry once the last holder lets go.
+var (
+	operatorsMu sync.Mutex
+	operators   = make(map[operatorKey]weak.Pointer[Operator])
+)
+
+// intern returns the live operator for a validated key, building it under
+// operatorsMu if no holder keeps one.
+func intern(key operatorKey) *Operator {
+	operatorsMu.Lock()
+	defer operatorsMu.Unlock()
+	if op := operators[key].Value(); op != nil {
+		return op
+	}
+	var op *Operator
+	if key.f == FamilyVarCoef {
+		op = VarCoefOperator(CoefField(key.n, key.eps), key.eps)
+	} else {
+		op = &Operator{family: key.f, eps: key.eps}
+	}
+	op.interned = true
+	operators[key] = weak.Make(op)
+	runtime.AddCleanup(op, dropOperator, key)
+	return op
+}
+
+// dropOperator is a dead operator's cleanup: it removes key's entry unless
+// a rebuilt operator for the key, still live, has replaced it.
+func dropOperator(key operatorKey) {
+	operatorsMu.Lock()
+	defer operatorsMu.Unlock()
+	if operators[key].Value() == nil {
+		delete(operators, key)
 	}
 }
 
@@ -261,17 +325,18 @@ func (op *Operator) String() string {
 
 // Coarse returns the operator re-discretized on the next-coarser multigrid
 // level. Constant-coefficient operators are size-independent and return
-// themselves; variable-coefficient operators restrict the nodal field by
-// injection. The result is computed once and cached.
+// themselves; a variable-coefficient operator's coarse level is NewOperator
+// at the coarser side, looked up once and then held. It panics for an
+// operator on a caller's own field (VarCoefOperator), which is single-level.
 func (op *Operator) Coarse() *Operator {
 	if op.coef == nil {
 		return op
 	}
+	if !op.interned {
+		panic(fmt.Sprintf("stencil: varcoef operator on a caller's own N=%d field is single-level and has no coarse level (build it with NewOperator)", op.coef.N()))
+	}
 	op.coarseOnce.Do(func() {
-		nc := grid.Coarsen(op.coef.N())
-		cc := grid.New(nc)
-		transfer.RestrictCoef(cc, op.coef)
-		op.coarse = &Operator{family: FamilyVarCoef, eps: op.eps, coef: cc}
+		op.coarse = intern(operatorKey{f: FamilyVarCoef, eps: op.eps, n: grid.Coarsen(op.coef.N())})
 	})
 	return op.coarse
 }
@@ -279,7 +344,8 @@ func (op *Operator) Coarse() *Operator {
 // At resolves the operator for grid size n: constant-coefficient operators
 // serve every size directly, while variable-coefficient operators walk the
 // memoized coarse hierarchy down from their discretization size. It panics
-// if n is finer than the operator's field or not reachable by coarsening.
+// if n is finer than the operator's field or not reachable by coarsening,
+// and below its side for an operator on a caller's own field.
 func (op *Operator) At(n int) *Operator {
 	if op.coef == nil {
 		return op

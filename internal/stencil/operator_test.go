@@ -97,27 +97,40 @@ func TestVarCoefUnitFieldMatchesPoisson(t *testing.T) {
 	}
 }
 
-// TestCoarsenIsReevaluation: injecting the analytic coefficient field to a
-// coarse grid equals building the field at the coarse size directly —
-// multigrid nodes coincide across levels.
+// TestCoarsenIsReevaluation: a varcoef operator's coarse level, the
+// coefficient field re-evaluated at the coarser side, is bit for bit the
+// injection of the finer field — multigrid nodes coincide across levels and
+// h = 1/2^k makes every node coordinate exact — at every level of every
+// N = 5…513, for σ across the range the tuner resolves.
 func TestCoarsenIsReevaluation(t *testing.T) {
-	op, err := NewOperator(FamilyVarCoef, 2, 33)
-	if err != nil {
-		t.Fatal(err)
-	}
-	coarse := op.Coarse()
-	if coarse.Coef().N() != 17 {
-		t.Fatalf("coarse field size %d, want 17", coarse.Coef().N())
-	}
-	want := CoefField(17, 2)
-	assertClose(t, coarse.Coef(), want, 1e-14, "injected vs re-evaluated field")
-	// Memoized: a second call returns the identical operator.
-	if op.Coarse() != coarse {
-		t.Fatal("Coarse is not memoized")
-	}
-	// At walks the hierarchy and bottoms out.
-	if op.At(5).Coef().N() != 5 {
-		t.Fatal("At(5) did not resolve")
+	for _, sigma := range []float64{0.1, 1, 2, 4} {
+		for n := 5; n <= 513; n = 2*n - 1 {
+			op, err := NewOperator(FamilyVarCoef, sigma, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fine := op; fine.Coef().N() > 3; fine = fine.Coarse() {
+				coarse := fine.Coarse()
+				if coarse != fine.Coarse() {
+					t.Fatal("Coarse is not memoized")
+				}
+				f, c := fine.Coef(), coarse.Coef()
+				if 2*c.N()-1 != f.N() {
+					t.Fatalf("σ=%g: N=%d coarsens to N=%d", sigma, f.N(), c.N())
+				}
+				for i := 0; i < c.N(); i++ {
+					for j := 0; j < c.N(); j++ {
+						if math.Float64bits(c.At(i, j)) != math.Float64bits(f.At(2*i, 2*j)) {
+							t.Fatalf("σ=%g, N=%d from N=%d: coarse(%d,%d) = %v, injected fine(%d,%d) = %v",
+								sigma, c.N(), n, i, j, c.At(i, j), 2*i, 2*j, f.At(2*i, 2*j))
+						}
+					}
+				}
+			}
+			if op.At(3).Coef().N() != 3 {
+				t.Fatal("At(3) did not resolve")
+			}
+		}
 	}
 	if Poisson().At(65) != Poisson() {
 		t.Fatal("constant operator At should be identity")

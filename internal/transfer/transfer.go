@@ -3,8 +3,7 @@
 // (3D) interpolation (coarse → fine). Grids move between sizes N = 2^k + 1
 // and N' = 2^(k−1)+1; coarse point (I, J[, K]) sits on top of fine point
 // (2I, 2J[, 2K]). The public entry points dispatch on Grid.Dim, so cycle
-// code is dimension-generic; 2D-only operators (RestrictCoef) reject 3D
-// grids with an explicit error instead of silently mis-indexing.
+// code is dimension-generic.
 //
 // Both operators treat boundaries as homogeneous Dirichlet: multigrid
 // applies them to residual/correction grids, whose boundary error is zero.
@@ -342,32 +341,5 @@ func InterpolateAddUnit[T grid.Float](x, coarse *grid.G[T], fi int) {
 			bDown = coarse.Row3(ci+1, cj+1)
 		}
 		InterpAddRow3(x.Row3(fi, fj), coarse.Row3(ci, cj), aDown, coarse.Row3(ci+1, cj), bDown)
-	}
-}
-
-// RestrictCoef restricts a nodal coefficient field to the next-coarser
-// level by injection: multigrid nodes coincide across levels (coarse point
-// (I, J) sits on fine point (2I, 2J)), so injection is exact re-sampling of
-// the underlying continuous field — the standard coefficient re-discretization
-// for variable-coefficient operators. Unlike Restrict, the boundary is kept
-// (coefficients are field data, not residuals).
-//
-// RestrictCoef is 2D-only: no 3D operator family carries a nodal coefficient
-// field yet, and the guard turns an accidental 3D call into an explicit
-// error instead of silent index corruption.
-func RestrictCoef(coarse, fine *grid.Grid) {
-	if coarse.Dim() != 2 || fine.Dim() != 2 {
-		panic(fmt.Sprintf("transfer: RestrictCoef is 2D-only, got fine=%dD coarse=%dD", fine.Dim(), coarse.Dim()))
-	}
-	nc, nf := coarse.N(), fine.N()
-	if nf != 2*nc-1 {
-		panic(fmt.Sprintf("transfer: RestrictCoef size mismatch fine=%d coarse=%d", nf, nc))
-	}
-	for ci := 0; ci < nc; ci++ {
-		cr := coarse.Row(ci)
-		fr := fine.Row(2 * ci)
-		for cj := 0; cj < nc; cj++ {
-			cr[cj] = fr[2*cj]
-		}
 	}
 }

@@ -152,17 +152,6 @@ func assertSame3(t *testing.T, a, b *grid.Grid, what string) {
 	}
 }
 
-// TestRestrictCoefRejects3D locks down the satellite guard: the 2D-only
-// coefficient restriction must fail loudly on 3D grids.
-func TestRestrictCoefRejects3D(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("RestrictCoef accepted 3D grids")
-		}
-	}()
-	RestrictCoef(grid.NewDim(3, 5), grid.NewDim(3, 9))
-}
-
 // TestTransferRejectsMixedDimensions: restriction between a 2D and a 3D
 // grid is a bug, not a conversion.
 func TestTransferRejectsMixedDimensions(t *testing.T) {

@@ -184,29 +184,3 @@ func TestInterpolateMaxNormContractionProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// RestrictCoef is pure injection at coincident nodes, boundary included.
-func TestRestrictCoefInjects(t *testing.T) {
-	fine := grid.New(17)
-	rng := rand.New(rand.NewSource(11))
-	grid.FillRandom(fine, grid.Unbiased, rng)
-	coarse := grid.New(9)
-	RestrictCoef(coarse, fine)
-	for i := 0; i < 9; i++ {
-		for j := 0; j < 9; j++ {
-			if coarse.At(i, j) != fine.At(2*i, 2*j) {
-				t.Fatalf("coarse(%d,%d) = %v, want fine(%d,%d) = %v",
-					i, j, coarse.At(i, j), 2*i, 2*j, fine.At(2*i, 2*j))
-			}
-		}
-	}
-}
-
-func TestRestrictCoefSizeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched sizes should panic")
-		}
-	}()
-	RestrictCoef(grid.New(9), grid.New(19))
-}

@@ -138,7 +138,7 @@ func NewProblem(n int, dist Distribution, seed int64) *Problem {
 // coefficient contrast σ (FamilyVarCoef); zero selects the family default.
 // Solve it with a Solver tuned for the same family and parameter.
 func NewFamilyProblem(n int, dist Distribution, seed int64, f Family, eps float64) (*Problem, error) {
-	op, err := core.SharedOperator(f, core.ResolveEps(f, eps), n)
+	op, err := stencil.NewOperator(f, core.ResolveEps(f, eps), n)
 	if err != nil {
 		return nil, err
 	}
